@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for scenario in Scenario::all() {
         // Laptop-scale facts (the paper's relative ordering across scenarios
-        // is what matters here; see EXPERIMENTS.md).
+        // is what matters here; see benchmark/RESULTS.md).
         let mut spec = scenario.spec();
         spec.facts_per_input = 60;
         spec.domain_size = 25;

@@ -16,10 +16,8 @@
 //!                                    # plus the adaptive-range ablation
 //! bench_gate --query-ablation        # session reuse on/off x magic on/off
 //!                                    # on the repeated-bound-query workload
-//! bench_gate --hybrid-ablation       # hybrid free-join vs full leapfrog vs
-//!                                     # binary on lollipop/diamond/5-cycle
-//! bench_gate --wcoj-ablation         # leapfrog vs binary joins on the
-//!                                    # triangle / 4-clique graph workloads
+//! bench_gate --hybrid-ablation       # free-join executor vs binary joins on
+//!                                    # the cyclic and mixed graph workloads
 //! bench_gate --ivm-ablation          # incremental append maintenance vs
 //!                                    # full rebuild on the streaming workload
 //! bench_gate --serve-ablation        # shared cone derivation cache on vs
@@ -74,123 +72,70 @@ fn range_configs() -> Vec<(String, usize, usize, f64)> {
 }
 
 /// The cyclic-join graph configurations shared by the gate and
-/// `--wcoj-ablation`: `(name, m, closing, clique)` — layer width and
-/// sparse closing-edge count of the layered worst-case instance. The
+/// `--hybrid-ablation`: `(name, m, closing, fan, shape, gated)` — layer
+/// width, sparse closing-edge count and pendant fan of the layered
+/// worst-case instances in [`graph`]. The triangle / 4-clique / 5-cycle
+/// bodies are fully cyclic (an intersect stage and nothing else; the
 /// largest triangle entry is the acceptance size for the ≥3×
-/// WCOJ-vs-binary bar.
-fn graph_configs() -> Vec<(String, usize, usize, bool)> {
+/// leapfrog-vs-binary bar); the lollipop and diamond carry acyclic pendant
+/// ears around a cyclic core. The gate runs the `gated` rows only: the
+/// small triangle and the 4-clique exist for the ablation's scaling
+/// picture.
+type CyclicConfig = (&'static str, usize, usize, usize, &'static str, bool);
+
+fn cyclic_configs() -> Vec<CyclicConfig> {
     vec![
-        ("fig10_graph/triangle_small".to_string(), 60, 120, false),
-        ("fig10_graph/triangle".to_string(), 190, 150, false),
-        ("fig10_graph/clique4".to_string(), 70, 500, true),
+        ("fig10_graph/triangle_small", 60, 120, 0, "triangle", false),
+        ("fig10_graph/triangle", 190, 150, 0, "triangle", true),
+        ("fig10_graph/clique4", 70, 500, 0, "clique4", false),
+        ("hybrid_graph/lollipop", 90, 60, 2, "lollipop", true),
+        ("hybrid_graph/diamond", 30, 45, 1, "diamond", true),
+        ("hybrid_graph/five_cycle", 10, 50, 0, "five_cycle", true),
     ]
 }
 
-fn graph_program(m: usize, closing: usize, clique: bool) -> Program {
-    if clique {
-        graph::four_clique(m, closing, 97)
-    } else {
-        graph::triangle(m, closing, 97)
-    }
-}
-
-/// Best-of-`iters` wall-clock under a forced join strategy.
-fn time_strategy(program: &Program, strategy: JoinStrategy, iters: usize) -> f64 {
-    let options = ReasonerOptions {
-        join_strategy: strategy,
-        ..Default::default()
-    };
-    time_with(program, &options, iters)
-}
-
-/// Report leapfrog-vs-binary wall-clock on the cyclic graph workloads
-/// (used to record the BENCH_pr6.json ablation; the acceptance bar is ≥3×
-/// on the largest triangle configuration).
-fn report_wcoj_ablation(iters: usize) {
-    println!("{{");
-    let configs = graph_configs();
-    for (i, (name, nodes, edges, clique)) in configs.iter().enumerate() {
-        let program = graph_program(*nodes, *edges, *clique);
-        let leapfrog = time_strategy(&program, JoinStrategy::Wcoj, iters);
-        let binary = time_strategy(&program, JoinStrategy::Binary, iters);
-        let result = Reasoner::with_options(ReasonerOptions {
-            join_strategy: JoinStrategy::Wcoj,
-            ..ReasonerOptions::default()
-        })
-        .reason(&program)
-        .expect("run failed");
-        let out = if *clique { "Clique" } else { "Triangle" };
-        let stats = &result.stats.pipeline;
-        let sep = if i + 1 == configs.len() { "" } else { "," };
-        println!(
-            "  \"{name}\": {{ \"wcoj_ms\": {leapfrog:.2}, \"binary_ms\": {binary:.2}, \
-             \"speedup\": {:.2}, \"wcoj_activations\": {}, \"wcoj_seeks\": {}, \
-             \"wcoj_intersections\": {}, \"matches\": {} }}{sep}",
-            binary / leapfrog,
-            stats.wcoj_activations,
-            stats.wcoj_seeks,
-            stats.wcoj_intersections,
-            result.output(out).len(),
-        );
-    }
-    println!("}}");
-}
-
-/// The mixed acyclic+cyclic configurations of `--hybrid-ablation`:
-/// `(name, m, closing, fan, shape)` over [`graph::lollipop`],
-/// [`graph::diamond`] and [`graph::five_cycle`]. The lollipop and diamond
-/// carry acyclic pendant ears around a cyclic core, the regime where the
-/// hybrid free-join plan beats both pure strategies; the fully cyclic
-/// 5-cycle documents the hybrid planner's fallthrough to full leapfrog.
-fn hybrid_configs() -> Vec<(String, usize, usize, usize, &'static str)> {
-    vec![
-        ("hybrid_graph/lollipop".to_string(), 90, 60, 2, "lollipop"),
-        ("hybrid_graph/diamond".to_string(), 30, 45, 1, "diamond"),
-        (
-            "hybrid_graph/five_cycle".to_string(),
-            10,
-            50,
-            0,
-            "five_cycle",
-        ),
-    ]
-}
-
-fn hybrid_program(m: usize, closing: usize, fan: usize, shape: &str) -> (Program, &'static str) {
+/// The program of one [`cyclic_configs`] row and its output predicate.
+fn cyclic_program(m: usize, closing: usize, fan: usize, shape: &str) -> (Program, &'static str) {
     match shape {
+        "triangle" => (graph::triangle(m, closing, 97), "Triangle"),
+        "clique4" => (graph::four_clique(m, closing, 97), "Clique"),
         "lollipop" => (graph::lollipop(m, closing, fan, 97), "Lollipop"),
         "diamond" => (graph::diamond(m, closing, fan, 97), "Diamond"),
         _ => (graph::five_cycle(m, closing, 97), "Penta"),
     }
 }
 
-/// Report hybrid-vs-full-leapfrog-vs-binary wall-clock on the mixed
-/// workloads (used to record the BENCH_pr10.json ablation; the acceptance
-/// bar is ≥1.5× over *both* pure strategies on the lollipop and diamond).
+/// Report free-join-vs-binary wall-clock on the cyclic and mixed graph
+/// workloads (the BENCH_pr6.json / BENCH_pr10.json ablations; the
+/// acceptance bars are ≥3× on the largest triangle and ≥1.5× on the
+/// lollipop and diamond).
 fn report_hybrid_ablation(iters: usize) {
     println!("{{");
-    let configs = hybrid_configs();
-    for (i, (name, m, closing, fan, shape)) in configs.iter().enumerate() {
-        let (program, out) = hybrid_program(*m, *closing, *fan, shape);
-        let hybrid = time_strategy(&program, JoinStrategy::Hybrid, iters);
-        let leapfrog = time_strategy(&program, JoinStrategy::Wcoj, iters);
-        let binary = time_strategy(&program, JoinStrategy::Binary, iters);
-        let result = Reasoner::with_options(ReasonerOptions {
-            join_strategy: JoinStrategy::Hybrid,
-            ..ReasonerOptions::default()
-        })
-        .reason(&program)
-        .expect("run failed");
+    let configs = cyclic_configs();
+    for (i, (name, m, closing, fan, shape, _)) in configs.iter().enumerate() {
+        let (program, out) = cyclic_program(*m, *closing, *fan, shape);
+        let time = |join_strategy| {
+            let options = ReasonerOptions {
+                join_strategy,
+                ..Default::default()
+            };
+            time_with(&program, &options, iters)
+        };
+        let free_join = time(JoinStrategy::FreeJoin);
+        let binary = time(JoinStrategy::Binary);
+        let result = Reasoner::new().reason(&program).expect("run failed");
         let stats = &result.stats.pipeline;
         let sep = if i + 1 == configs.len() { "" } else { "," };
         println!(
-            "  \"{name}\": {{ \"hybrid_ms\": {hybrid:.2}, \"wcoj_ms\": {leapfrog:.2}, \
-             \"binary_ms\": {binary:.2}, \"speedup_vs_wcoj\": {:.2}, \
-             \"speedup_vs_binary\": {:.2}, \"hybrid_activations\": {}, \
-             \"hashtrie_builds\": {}, \"hashtrie_reuses\": {}, \"matches\": {} }}{sep}",
-            leapfrog / hybrid,
-            binary / hybrid,
+            "  \"{name}\": {{ \"free_join_ms\": {free_join:.2}, \"binary_ms\": {binary:.2}, \
+             \"speedup\": {:.2}, \"wcoj_activations\": {}, \"hybrid_activations\": {}, \
+             \"wcoj_seeks\": {}, \"wcoj_intersections\": {}, \"hashtrie_builds\": {}, \
+             \"hashtrie_reuses\": {}, \"matches\": {} }}{sep}",
+            binary / free_join,
+            stats.wcoj_activations,
             stats.hybrid_activations,
+            stats.wcoj_seeks,
+            stats.wcoj_intersections,
             stats.hashtrie_builds,
             stats.hashtrie_reuses,
             result.output(out).len(),
@@ -219,18 +164,11 @@ fn workloads() -> Vec<(String, Program)> {
     for (name, companies, edges, theta) in range_configs() {
         out.push((name, range::guarded_control(companies, edges, theta, 97)));
     }
-    // Gate the largest triangle configuration only: the small variant and
-    // the 4-clique exist for the ablation's scaling picture.
-    for (name, nodes, edges, clique) in graph_configs() {
-        if name == "fig10_graph/triangle" {
-            out.push((name, graph_program(nodes, edges, clique)));
+    // The cyclic and mixed graph workloads behind `--hybrid-ablation`.
+    for (name, m, closing, fan, shape, gated) in cyclic_configs() {
+        if gated {
+            out.push((name.to_string(), cyclic_program(m, closing, fan, shape).0));
         }
-    }
-    // The knowledge-graph pattern workloads behind `--hybrid-ablation`,
-    // gated under the default (hybrid) strategy.
-    for (name, m, closing, fan, shape) in hybrid_configs() {
-        let (program, _) = hybrid_program(m, closing, fan, shape);
-        out.push((name, program));
     }
     out
 }
@@ -819,7 +757,6 @@ fn main() {
     let mut range_ablation = false;
     let mut intra_ablation = false;
     let mut query_ablation = false;
-    let mut wcoj_ablation = false;
     let mut hybrid_ablation = false;
     let mut ivm_ablation = false;
     let mut serve_ablation = false;
@@ -837,7 +774,6 @@ fn main() {
             "--range-ablation" => range_ablation = true,
             "--intra-ablation" => intra_ablation = true,
             "--query-ablation" => query_ablation = true,
-            "--wcoj-ablation" => wcoj_ablation = true,
             "--hybrid-ablation" => hybrid_ablation = true,
             "--ivm-ablation" => ivm_ablation = true,
             "--serve-ablation" => serve_ablation = true,
@@ -870,10 +806,6 @@ fn main() {
     }
     if query_ablation {
         report_query_ablation(iters);
-        return;
-    }
-    if wcoj_ablation {
-        report_wcoj_ablation(iters);
         return;
     }
     if hybrid_ablation {

@@ -4,8 +4,8 @@
 //!
 //! Criterion benches (one per figure, `cargo bench --workspace`) provide the
 //! statistically robust timings; this binary provides the *shape* of every
-//! experiment quickly, and its output is what EXPERIMENTS.md records next to
-//! the paper's own numbers.
+//! experiment quickly; the measured, paper-scale numbers are in
+//! `benchmark/RESULTS.md`.
 //!
 //! Usage: `reproduce [--experiment <id>] [--scale <f64>]` where `<id>` is one
 //! of `fig5a`, `fig5b`, `fig5c`, `fig5d`, `fig5ef`, `fig5ghi`, `fig6`,

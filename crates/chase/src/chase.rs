@@ -8,9 +8,9 @@
 //! or a configured cap is reached.
 
 use std::collections::{BTreeSet, HashSet};
-use vadalog_analysis::{analyze_program, atoms_are_cyclic, ProgramWardedness, RuleKind};
+use vadalog_analysis::{analyze_program, ProgramWardedness, RuleKind};
 use vadalog_model::prelude::*;
-use vadalog_storage::{ActiveDomain, FactId, FactStore, WcojLevel};
+use vadalog_storage::{ActiveDomain, FactStore};
 
 use crate::strategy::{StrategyStats, TerminationStrategy};
 
@@ -125,25 +125,12 @@ pub fn run_chase(
     let mut fired: HashSet<(u32, String)> = HashSet::new();
     // One probe-scratch set for the whole run: every match call reuses it.
     let mut match_bufs = MatchBuffers::default();
-    // Trie indexes of each rule's worst-case-optimal route, planned once:
-    // re-ensured (and thereby tail-flushed) at the start of every round so
-    // the matcher's cursors cover the rows the previous round inserted.
-    let wcoj_routes: Vec<(Sym, Vec<usize>)> = if chase_strategy() != ChaseStrategy::Binary {
-        program.rules.iter().flat_map(wcoj_index_cols).collect()
-    } else {
-        Vec::new()
-    };
 
     loop {
         if stats.rounds >= max_rounds || store.len() >= max_facts {
             break;
         }
         stats.rounds += 1;
-        for (pred, cols) in &wcoj_routes {
-            if store.relation(*pred).is_some() {
-                store.relation_mut(*pred).ensure_index(cols);
-            }
-        }
         let mut new_facts: Vec<Fact> = Vec::new();
 
         for (rule_idx, rule) in program.rules.iter().enumerate() {
@@ -218,335 +205,6 @@ fn vadalog_rewrite_dom_name() -> &'static str {
 pub struct MatchBuffers {
     probe: vadalog_storage::ProbeBuffers,
     trail: Vec<usize>,
-    /// Scratch of the worst-case-optimal match path, reused across calls
-    /// (one rule match per round per rule — without this the leapfrog
-    /// route would re-allocate its key and leaf buffers every round).
-    wcoj: WcojScratch,
-}
-
-/// Reusable buffers of the chase's leapfrog (WCOJ and hybrid) routes: the
-/// cursor-open prefix key, the flat support-fact keys and pending matches
-/// of the current outer binding, the leaf-facts scratch, and the hybrid's
-/// flat core-match buffers.
-#[derive(Default, Debug)]
-struct WcojScratch {
-    key: Vec<ValueId>,
-    keys: Vec<FactId>,
-    pending: Vec<(usize, ShardBinding)>,
-    leaves: Vec<FactId>,
-    /// Flat (levels-wide per match) leapfrog values of the hybrid route's
-    /// current prefix combination.
-    corevals: Vec<ValueId>,
-    /// Flat (tries-wide per match) core support facts, parallel to
-    /// `corevals`.
-    corefacts: Vec<FactId>,
-}
-
-/// The chase matcher's join-strategy knob, mirroring the engine's
-/// `VADALOG_WCOJ` parse: `0`/`false`/`off`/`no` → binary joins only,
-/// `hybrid` (or unset) → free-join hybrid with a full-leapfrog fallback,
-/// any other set value → full leapfrog only. A leapfrog route only ever
-/// takes over cyclic rule bodies whose trie indexes are available — all
-/// other calls keep the left-to-right binary join.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ChaseStrategy {
-    Binary,
-    Wcoj,
-    Hybrid,
-}
-
-fn chase_strategy() -> ChaseStrategy {
-    match std::env::var("VADALOG_WCOJ") {
-        Ok(v) => match v.trim() {
-            "0" | "false" | "off" | "no" => ChaseStrategy::Binary,
-            "hybrid" => ChaseStrategy::Hybrid,
-            _ => ChaseStrategy::Wcoj,
-        },
-        Err(_) => ChaseStrategy::Hybrid,
-    }
-}
-
-/// One trie of the chase's WCOJ route: a non-first body atom, the composite
-/// index column list its cursor walks (first-atom-bound prefix, then free
-/// columns in level order) and the length of that bound prefix.
-#[derive(Clone, Debug)]
-struct ChaseTrie {
-    atom: usize,
-    cols: Vec<usize>,
-    prefix_len: usize,
-}
-
-/// The chase matcher's worst-case-optimal route for one rule: the first
-/// body atom stays the outer candidate enumerator (the chase's analogue of
-/// the engine's delta window) and the remaining atoms leapfrog the free
-/// variables. Planned only for cyclic bodies (GYO residue) without repeated
-/// variables in the trie atoms.
-#[derive(Clone, Debug)]
-struct ChaseWcoj {
-    tries: Vec<ChaseTrie>,
-    levels: Vec<WcojLevel>,
-}
-
-/// One raw trie candidate while planning: the atom's body position, its
-/// bound (constant or first-atom) columns and its free `(var, column)`s.
-type RawTrie = (usize, Vec<usize>, Vec<(Var, usize)>);
-
-/// Plan the WCOJ route of `rule` under the chase's left-to-right join
-/// discipline, or `None` when the body is acyclic or trie-incompatible.
-/// Variable slots use the same numbering as `find_matches_impl` (body atoms
-/// then negated atoms), and tries keep body order so support-fact sorting
-/// reproduces the binary enumeration order exactly.
-fn plan_chase_wcoj(rule: &Rule) -> Option<ChaseWcoj> {
-    use vadalog_storage::number_variables;
-    let body_atoms = rule.body_atoms();
-    if !atoms_are_cyclic(&body_atoms) {
-        return None;
-    }
-    let negated_atoms = rule.negated_atoms();
-    let all_atoms: Vec<&Atom> = body_atoms
-        .iter()
-        .chain(negated_atoms.iter())
-        .copied()
-        .collect();
-    let slots = number_variables(&all_atoms);
-    let first_vars = body_atoms[0].variable_set();
-    let mut raw: Vec<RawTrie> = Vec::new();
-    for (pos, atom) in body_atoms.iter().enumerate().skip(1) {
-        let mut seen = BTreeSet::new();
-        if atom.variables().any(|v| !seen.insert(v)) {
-            return None;
-        }
-        let mut bound_cols = Vec::new();
-        let mut var_cols = Vec::new();
-        for (col, t) in atom.terms.iter().enumerate() {
-            match t {
-                Term::Const(_) => bound_cols.push(col),
-                Term::Var(v) if first_vars.contains(v) => bound_cols.push(col),
-                Term::Var(v) => var_cols.push((*v, col)),
-            }
-        }
-        raw.push((pos, bound_cols, var_cols));
-    }
-    // Free variables in first-occurrence order with their degree; highest
-    // degree first (stable), maximising early intersection pruning.
-    let mut ranked: Vec<(Var, usize)> = Vec::new();
-    for (_, _, var_cols) in &raw {
-        for (v, _) in var_cols {
-            match ranked.iter_mut().find(|(u, _)| u == v) {
-                Some((_, d)) => *d += 1,
-                None => ranked.push((*v, 1)),
-            }
-        }
-    }
-    ranked.sort_by_key(|&(_, d)| std::cmp::Reverse(d));
-    let order: Vec<Var> = ranked.into_iter().map(|(v, _)| v).collect();
-    let levels: Vec<WcojLevel> = order
-        .iter()
-        .map(|v| WcojLevel {
-            slot: slots[v],
-            cursors: raw
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, _, vc))| vc.iter().any(|(u, _)| u == v))
-                .map(|(i, _)| i)
-                .collect(),
-        })
-        .collect();
-    let tries = raw
-        .into_iter()
-        .map(|(atom, bound_cols, var_cols)| {
-            let prefix_len = bound_cols.len();
-            let mut cols = bound_cols;
-            let mut vc: Vec<(usize, usize)> = var_cols
-                .iter()
-                .map(|(v, c)| {
-                    let rank = order
-                        .iter()
-                        .position(|u| u == v)
-                        .expect("every free trie variable is ranked");
-                    (rank, *c)
-                })
-                .collect();
-            vc.sort_unstable();
-            cols.extend(vc.into_iter().map(|(_, c)| c));
-            ChaseTrie {
-                atom,
-                cols,
-                prefix_len,
-            }
-        })
-        .collect();
-    Some(ChaseWcoj { tries, levels })
-}
-
-/// The chase matcher's hybrid free-join route for one rule: the first body
-/// atom stays the outer candidate enumerator, the leading acyclic `prefix`
-/// ears extend it with binary probes, only the GYO-irreducible cyclic core
-/// leapfrogs, and the remaining `suffix` ears finish with binary probes
-/// over the now-bound core variables. Planned only when the body has a
-/// proper cyclic core — non-empty but not the whole body (a full residue is
-/// the plain WCOJ route's job).
-#[derive(Clone, Debug)]
-struct ChaseHybrid {
-    /// Non-core atom positions probed before the leapfrog, body order.
-    prefix: Vec<usize>,
-    /// Core atoms leapfrogged together, body order.
-    tries: Vec<ChaseTrie>,
-    levels: Vec<WcojLevel>,
-    /// Non-core atom positions probed after the leapfrog, body order.
-    suffix: Vec<usize>,
-}
-
-/// Plan the hybrid route of `rule`, or `None` when the body is fully
-/// acyclic, fully cyclic, or the core atoms are trie-incompatible. Mirrors
-/// [`plan_chase_wcoj`]'s slot numbering and degree-ranked level order; the
-/// bound trie prefix covers constants plus variables bound by the first
-/// atom and the prefix ears.
-fn plan_chase_hybrid(rule: &Rule) -> Option<ChaseHybrid> {
-    use vadalog_storage::number_variables;
-    let body_atoms = rule.body_atoms();
-    let core: BTreeSet<usize> = vadalog_analysis::cyclic_core(&body_atoms)
-        .into_iter()
-        .collect();
-    if core.is_empty() || core.len() == body_atoms.len() {
-        return None;
-    }
-    let negated_atoms = rule.negated_atoms();
-    let all_atoms: Vec<&Atom> = body_atoms
-        .iter()
-        .chain(negated_atoms.iter())
-        .copied()
-        .collect();
-    let slots = number_variables(&all_atoms);
-    // Everything bound before the leapfrog: the first atom plus the leading
-    // run of non-core ears (ears after the first core atom become suffix —
-    // their variables join binary-style once the core levels are bound).
-    let mut bound_vars = body_atoms[0].variable_set();
-    let mut prefix = Vec::new();
-    let mut suffix = Vec::new();
-    let mut raw: Vec<RawTrie> = Vec::new();
-    for (pos, atom) in body_atoms.iter().enumerate().skip(1) {
-        if !core.contains(&pos) {
-            if raw.is_empty() {
-                prefix.push(pos);
-                bound_vars.extend(atom.variable_set());
-            } else {
-                suffix.push(pos);
-            }
-            continue;
-        }
-        let mut seen = BTreeSet::new();
-        if atom.variables().any(|v| !seen.insert(v)) {
-            return None;
-        }
-        raw.push((pos, Vec::new(), Vec::new()));
-    }
-    if raw.len() < 2 {
-        return None;
-    }
-    for (pos, bound_cols, var_cols) in &mut raw {
-        for (col, t) in body_atoms[*pos].terms.iter().enumerate() {
-            match t {
-                Term::Const(_) => bound_cols.push(col),
-                Term::Var(v) if bound_vars.contains(v) => bound_cols.push(col),
-                Term::Var(v) => var_cols.push((*v, col)),
-            }
-        }
-    }
-    let mut ranked: Vec<(Var, usize)> = Vec::new();
-    for (_, _, var_cols) in &raw {
-        for (v, _) in var_cols {
-            match ranked.iter_mut().find(|(u, _)| u == v) {
-                Some((_, d)) => *d += 1,
-                None => ranked.push((*v, 1)),
-            }
-        }
-    }
-    ranked.sort_by_key(|&(_, d)| std::cmp::Reverse(d));
-    let order: Vec<Var> = ranked.into_iter().map(|(v, _)| v).collect();
-    let levels: Vec<WcojLevel> = order
-        .iter()
-        .map(|v| WcojLevel {
-            slot: slots[v],
-            cursors: raw
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, _, vc))| vc.iter().any(|(u, _)| u == v))
-                .map(|(i, _)| i)
-                .collect(),
-        })
-        .collect();
-    let tries = raw
-        .into_iter()
-        .map(|(atom, bound_cols, var_cols)| {
-            let prefix_len = bound_cols.len();
-            let mut cols = bound_cols;
-            let mut vc: Vec<(usize, usize)> = var_cols
-                .iter()
-                .map(|(v, c)| {
-                    let rank = order
-                        .iter()
-                        .position(|u| u == v)
-                        .expect("every free trie variable is ranked");
-                    (rank, *c)
-                })
-                .collect();
-            vc.sort_unstable();
-            cols.extend(vc.into_iter().map(|(_, c)| c));
-            ChaseTrie {
-                atom,
-                cols,
-                prefix_len,
-            }
-        })
-        .collect();
-    Some(ChaseHybrid {
-        prefix,
-        tries,
-        levels,
-        suffix,
-    })
-}
-
-/// The (predicate, columns) index lists a rule's leapfrog routes walk — what
-/// [`run_chase`] (re-)ensures at the start of every round so the cursors
-/// see the rows the previous round inserted. Covers both the full-WCOJ and
-/// the hybrid plan (whichever the strategy knob selects at match time).
-/// Empty for non-eligible rules.
-fn wcoj_index_cols(rule: &Rule) -> Vec<(Sym, Vec<usize>)> {
-    let body_atoms = rule.body_atoms();
-    let mut cols: Vec<(Sym, Vec<usize>)> = Vec::new();
-    if let Some(plan) = plan_chase_wcoj(rule) {
-        cols.extend(
-            plan.tries
-                .iter()
-                .map(|t| (body_atoms[t.atom].predicate, t.cols.clone())),
-        );
-    }
-    if let Some(plan) = plan_chase_hybrid(rule) {
-        for t in &plan.tries {
-            let entry = (body_atoms[t.atom].predicate, t.cols.clone());
-            if !cols.contains(&entry) {
-                cols.push(entry);
-            }
-        }
-    }
-    cols
-}
-
-/// Intra-filter shard bound for the chase's own [`find_matches`], mirroring
-/// the engine's knob: the `VADALOG_INTRA_FILTER` environment variable when
-/// set to a positive integer, otherwise 1 — the chase baselines stay
-/// sequential unless explicitly opted in, keeping baseline timings
-/// comparable across runs.
-fn chase_intra_filter() -> usize {
-    match std::env::var("VADALOG_INTRA_FILTER")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => 1,
-    }
 }
 
 /// Minimum first-atom candidates per shard: below this, scheduling a thread
@@ -567,11 +225,8 @@ type ShardBinding = Vec<Option<ValueId>>;
 /// and already-bound variables), then any single determined column's index,
 /// and falls back to a scan when neither index exists.
 ///
-/// When `VADALOG_INTRA_FILTER` permits, large first-atom candidate sets are
-/// sharded into contiguous chunks joined on a scoped worker pool and
-/// concatenated in chunk order — the same delta-window discipline as the
-/// engine's intra-filter parallel join, and bit-identical to the sequential
-/// enumeration (see [`find_matches_sharded`]).
+/// Runs sequentially; callers with a shard bound of their own pass it
+/// through [`find_matches_with_chunks`].
 pub fn find_matches(rule: &Rule, store: &FactStore) -> Vec<Substitution> {
     find_matches_with(rule, store, &mut MatchBuffers::default())
 }
@@ -584,20 +239,18 @@ pub fn find_matches_with(
     store: &FactStore,
     bufs: &mut MatchBuffers,
 ) -> Vec<Substitution> {
-    find_matches_impl(
-        rule,
-        store,
-        chase_intra_filter(),
-        CHASE_SHARD_MIN_ROWS,
-        bufs,
-    )
+    find_matches_impl(rule, store, 1, CHASE_SHARD_MIN_ROWS, bufs)
 }
 
-/// [`find_matches_with`] under a caller-supplied shard bound instead of the
-/// `VADALOG_INTRA_FILTER` default — how the engine propagates its
-/// programmatic `intra_filter_parallelism` knob to the constraint/EGD
-/// checks it runs through the chase matcher. The minimum-rows cutover still
-/// applies, so small candidate sets run inline.
+/// [`find_matches_with`] under a caller-supplied shard bound — how the
+/// engine propagates its `intra_filter_parallelism` knob to the
+/// constraint/EGD checks it runs through the chase matcher. Large
+/// first-atom candidate sets are sharded into contiguous chunks joined on a
+/// scoped worker pool and concatenated in chunk order — the same
+/// delta-window discipline as the engine's intra-filter parallel join, and
+/// bit-identical to the sequential enumeration (see
+/// [`find_matches_sharded`]). The minimum-rows cutover still applies, so
+/// small candidate sets run inline.
 pub fn find_matches_with_chunks(
     rule: &Rule,
     store: &FactStore,
@@ -655,30 +308,6 @@ fn find_matches_impl(
         .map(|p| store.relation(p.predicate))
         .collect();
 
-    // Leapfrog routes: taken for cyclic bodies when the knob allows and
-    // every trie atom's relation can hand out a cursor over the route's
-    // columns (indexes built and tails flushed — `run_chase` pre-ensures
-    // them each round; other callers fall back to the binary tail below, a
-    // pure function of the store either way). Under the hybrid strategy a
-    // proper cyclic core takes the free-join route and a full residue
-    // falls through to the plain WCOJ plan.
-    let strategy = chase_strategy();
-    let cursors_ok = |tries: &[ChaseTrie]| {
-        tries
-            .iter()
-            .all(|t| rels[t.atom].trie_cursor(&t.cols).is_some())
-    };
-    let hybrid = if strategy == ChaseStrategy::Hybrid {
-        plan_chase_hybrid(rule).filter(|p| cursors_ok(&p.tries))
-    } else {
-        None
-    };
-    let wcoj = if strategy != ChaseStrategy::Binary && hybrid.is_none() {
-        plan_chase_wcoj(rule).filter(|p| cursors_ok(&p.tries))
-    } else {
-        None
-    };
-
     // Joins each initial binding (a first-atom match) through the remaining
     // positive atoms left-to-right, breadth-first, then filters it through
     // the negated atoms. Extensions of one binding stay contiguous and in
@@ -695,7 +324,7 @@ fn find_matches_impl(
             let mut next = Vec::new();
             for binding in &mut bindings {
                 // Composite probe over every determined column, then singles.
-                let MatchBuffers { probe, trail, .. } = bufs;
+                let MatchBuffers { probe, trail } = bufs;
                 match pattern.probe_determined(rel, binding, probe) {
                     Some(hit) => {
                         for id in hit.as_slice(&probe.scratch) {
@@ -728,280 +357,6 @@ fn find_matches_impl(
             bindings.retain_mut(|binding| !pattern.any_match_with(rel, binding, &mut bufs.probe));
         }
         bindings
-    };
-
-    // The leapfrog tail: per first-atom binding, open one trie cursor per
-    // remaining atom on its bound prefix and intersect the free variables
-    // level by level (AGM-bounded — no intermediate-result blowup on
-    // triangles and cliques). Byte-identical to `join_tail`: under set
-    // semantics every full binding has exactly one support fact per atom,
-    // and the binary nested loop enumerates one outer binding's matches in
-    // ascending lexicographic support-fact order, so sorting each outer
-    // binding's leapfrog matches by that key restores the order exactly.
-    let wcoj_tail = |plan: &ChaseWcoj,
-                     bindings: Vec<ShardBinding>,
-                     bufs: &mut MatchBuffers|
-     -> Vec<ShardBinding> {
-        use vadalog_storage::{leapfrog_join, TrieCursor, WcojCounters};
-        let mut cursors: Vec<TrieCursor<'_>> = plan
-            .tries
-            .iter()
-            .map(|t| {
-                rels[t.atom]
-                    .trie_cursor(&t.cols)
-                    .expect("cursor availability was pre-checked")
-            })
-            .collect();
-        let k = plan.tries.len();
-        let mut out = Vec::new();
-        let mut counters = WcojCounters::default();
-        let WcojScratch {
-            key,
-            keys,
-            pending,
-            leaves,
-            ..
-        } = &mut bufs.wcoj;
-        for mut binding in bindings {
-            let mut all_open = true;
-            for (t, cursor) in plan.tries.iter().zip(cursors.iter_mut()) {
-                let filled =
-                    patterns[t.atom].fill_probe_key(&t.cols[..t.prefix_len], &binding, key);
-                if !(filled && cursor.open(key)) {
-                    all_open = false; // empty prefix span: zero matches
-                    break;
-                }
-            }
-            if all_open {
-                keys.clear();
-                pending.clear();
-                leapfrog_join(
-                    &mut cursors,
-                    &plan.levels,
-                    &mut binding,
-                    &mut counters,
-                    &mut |_, _| true,
-                    &mut |b, cs| {
-                        let start = keys.len();
-                        for (cursor, t) in cs.iter().zip(&plan.tries) {
-                            leaves.clear();
-                            cursor.leaf_facts(leaves);
-                            // Set semantics: at most one stored row carries
-                            // these column values at this arity.
-                            let support = leaves
-                                .iter()
-                                .copied()
-                                .find(|f| rels[t.atom].row(*f).len() == cursor.arity());
-                            match support {
-                                Some(f) => keys.push(f),
-                                None => {
-                                    keys.truncate(start);
-                                    return;
-                                }
-                            }
-                        }
-                        pending.push((start, b.to_vec()));
-                    },
-                );
-                pending.sort_by(|a, b| keys[a.0..a.0 + k].cmp(&keys[b.0..b.0 + k]));
-                out.extend(pending.drain(..).map(|(_, b)| b));
-            }
-        }
-        // Negated atoms: same discipline as the binary tail.
-        for (idx, pattern) in neg_patterns.iter().enumerate() {
-            if out.is_empty() {
-                break;
-            }
-            let Some(rel) = neg_rels[idx] else {
-                continue;
-            };
-            out.retain_mut(|binding| !pattern.any_match_with(rel, binding, &mut bufs.probe));
-        }
-        out
-    };
-
-    // One binary ear step of the hybrid tail: extend every `(binding,
-    // support-facts)` state through the atom at body position `pos`,
-    // recording each match's `FactId` at the atom's support slot. Postings
-    // are FactId-ascending, matching the binary tail's probe discipline.
-    fn extend_ear(
-        pattern: &vadalog_storage::RowPattern,
-        rel: &Relation,
-        pos: usize,
-        state: Vec<(ShardBinding, Vec<FactId>)>,
-        probe: &mut vadalog_storage::ProbeBuffers,
-        trail: &mut Vec<usize>,
-    ) -> Vec<(ShardBinding, Vec<FactId>)> {
-        let mut next = Vec::new();
-        for (mut b, facts) in state {
-            match pattern.probe_determined(rel, &b, probe) {
-                Some(hit) => {
-                    for id in hit.as_slice(&probe.scratch) {
-                        if pattern.match_row(rel.row(*id), &mut b, trail) {
-                            let mut f2 = facts.clone();
-                            f2[pos - 1] = *id;
-                            next.push((b.clone(), f2));
-                            undo_to(&mut b, trail, 0);
-                        }
-                    }
-                }
-                None => {
-                    for i in 0..rel.len() {
-                        let id = FactId(i as u32);
-                        if pattern.match_row(rel.row(id), &mut b, trail) {
-                            let mut f2 = facts.clone();
-                            f2[pos - 1] = id;
-                            next.push((b.clone(), f2));
-                            undo_to(&mut b, trail, 0);
-                        }
-                    }
-                }
-            }
-        }
-        next
-    }
-
-    // The hybrid free-join tail: per first-atom binding, binary-probe the
-    // leading acyclic ears, leapfrog only the cyclic core, then binary-probe
-    // the trailing ears over the now-bound core variables. Byte-identical to
-    // `join_tail` by the same argument as `wcoj_tail` — every stage records
-    // its support facts at the atom's body position, and each outer
-    // binding's matches are sorted by the full body-order support vector,
-    // which is exactly the binary nested loop's enumeration order.
-    let hybrid_tail = |plan: &ChaseHybrid,
-                       bindings: Vec<ShardBinding>,
-                       bufs: &mut MatchBuffers|
-     -> Vec<ShardBinding> {
-        use vadalog_storage::{leapfrog_join, TrieCursor, WcojCounters};
-        let mut cursors: Vec<TrieCursor<'_>> = plan
-            .tries
-            .iter()
-            .map(|t| {
-                rels[t.atom]
-                    .trie_cursor(&t.cols)
-                    .expect("cursor availability was pre-checked")
-            })
-            .collect();
-        let k = patterns.len() - 1;
-        let n_tries = plan.tries.len();
-        let n_levels = plan.levels.len();
-        let mut out = Vec::new();
-        let mut counters = WcojCounters::default();
-        let MatchBuffers {
-            probe,
-            trail,
-            wcoj: scratch,
-        } = bufs;
-        let WcojScratch {
-            key,
-            keys,
-            pending,
-            leaves,
-            corevals,
-            corefacts,
-        } = scratch;
-        for binding in bindings {
-            keys.clear();
-            pending.clear();
-            let mut state: Vec<(ShardBinding, Vec<FactId>)> = vec![(binding, vec![FactId(0); k])];
-            for &pos in &plan.prefix {
-                state = extend_ear(&patterns[pos], rels[pos], pos, state, probe, trail);
-                if state.is_empty() {
-                    break;
-                }
-            }
-            for (mut b, facts) in state {
-                let mut all_open = true;
-                for (t, cursor) in plan.tries.iter().zip(cursors.iter_mut()) {
-                    let filled = patterns[t.atom].fill_probe_key(&t.cols[..t.prefix_len], &b, key);
-                    if !(filled && cursor.open(key)) {
-                        all_open = false; // empty prefix span: zero matches
-                        break;
-                    }
-                }
-                if !all_open {
-                    continue;
-                }
-                corevals.clear();
-                corefacts.clear();
-                leapfrog_join(
-                    &mut cursors,
-                    &plan.levels,
-                    &mut b,
-                    &mut counters,
-                    &mut |_, _| true,
-                    &mut |bb, cs| {
-                        let start = corefacts.len();
-                        for (cursor, t) in cs.iter().zip(&plan.tries) {
-                            leaves.clear();
-                            cursor.leaf_facts(leaves);
-                            // Set semantics: at most one stored row carries
-                            // these column values at this arity.
-                            let support = leaves
-                                .iter()
-                                .copied()
-                                .find(|f| rels[t.atom].row(*f).len() == cursor.arity());
-                            match support {
-                                Some(f) => corefacts.push(f),
-                                None => {
-                                    corefacts.truncate(start);
-                                    return;
-                                }
-                            }
-                        }
-                        for level in &plan.levels {
-                            corevals.push(bb[level.slot].expect("leapfrog binds every level"));
-                        }
-                    },
-                );
-                let matches = corefacts.len() / n_tries.max(1);
-                for m in 0..matches {
-                    let mut b2 = b.clone();
-                    let mut f2 = facts.clone();
-                    for (t, trie) in plan.tries.iter().enumerate() {
-                        f2[trie.atom - 1] = corefacts[m * n_tries + t];
-                    }
-                    for (li, level) in plan.levels.iter().enumerate() {
-                        b2[level.slot] = Some(corevals[m * n_levels + li]);
-                    }
-                    let mut sstate: Vec<(ShardBinding, Vec<FactId>)> = vec![(b2, f2)];
-                    for &pos in &plan.suffix {
-                        sstate = extend_ear(&patterns[pos], rels[pos], pos, sstate, probe, trail);
-                        if sstate.is_empty() {
-                            break;
-                        }
-                    }
-                    for (sb, sf) in sstate {
-                        let start = keys.len();
-                        keys.extend_from_slice(&sf);
-                        pending.push((start, sb));
-                    }
-                }
-            }
-            pending.sort_by(|a, b| keys[a.0..a.0 + k].cmp(&keys[b.0..b.0 + k]));
-            out.extend(pending.drain(..).map(|(_, b)| b));
-        }
-        // Negated atoms: same discipline as the binary tail.
-        for (idx, pattern) in neg_patterns.iter().enumerate() {
-            if out.is_empty() {
-                break;
-            }
-            let Some(rel) = neg_rels[idx] else {
-                continue;
-            };
-            out.retain_mut(|binding| !pattern.any_match_with(rel, binding, probe));
-        }
-        out
-    };
-
-    // Dispatch: the hybrid route when planned and available, the full WCOJ
-    // route next, the left-to-right binary join otherwise.
-    let run_tail = |bindings: Vec<ShardBinding>, bufs: &mut MatchBuffers| -> Vec<ShardBinding> {
-        match (&hybrid, &wcoj) {
-            (Some(plan), _) => hybrid_tail(plan, bindings, bufs),
-            (None, Some(plan)) => wcoj_tail(plan, bindings, bufs),
-            (None, None) => join_tail(bindings, bufs),
-        }
     };
 
     // Matches of the first atom over one contiguous candidate shard: either
@@ -1037,7 +392,7 @@ fn find_matches_impl(
     };
 
     let bindings: Vec<ShardBinding> = if patterns.is_empty() {
-        run_tail(vec![vec![None; slots.len()]], bufs)
+        join_tail(vec![vec![None; slots.len()]], bufs)
     } else {
         // First-atom candidates, through the reusable probe scratch.
         let empty = vec![None; slots.len()];
@@ -1056,12 +411,12 @@ fn find_matches_impl(
             // straight from the probe scratch.
             let initial = match &probed {
                 Some(hit) => {
-                    let MatchBuffers { probe, trail, .. } = bufs;
+                    let MatchBuffers { probe, trail } = bufs;
                     match_first(Some(hit.as_slice(&probe.scratch)), 0..total, trail)
                 }
                 None => match_first(None, 0..total, &mut bufs.trail),
             };
-            run_tail(initial, bufs)
+            join_tail(initial, bufs)
         } else {
             // Sharded: own the candidate list, split it into contiguous
             // chunks, join each on its own worker with private buffers, and
@@ -1080,11 +435,11 @@ fn find_matches_impl(
                 .collect();
             std::thread::scope(|scope| {
                 for (slot, window) in results.iter().zip(windows) {
-                    let (ids, match_first, run_tail) = (&ids, &match_first, &run_tail);
+                    let (ids, match_first, join_tail) = (&ids, &match_first, &join_tail);
                     scope.spawn(move || {
                         let mut wbufs = MatchBuffers::default();
                         let initial = match_first(ids.as_deref(), window, &mut wbufs.trail);
-                        let joined = run_tail(initial, &mut wbufs);
+                        let joined = join_tail(initial, &mut wbufs);
                         *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(joined);
                     });
                 }
@@ -1454,111 +809,8 @@ mod tests {
     }
 
     #[test]
-    fn wcoj_find_matches_is_identical_to_binary() {
-        // Cyclic triangle body with negation and a condition downstream.
-        // The WCOJ route only activates when every trie cursor is
-        // available, i.e. the store carries the composite sorted runs
-        // `wcoj_index_cols` names — so the unindexed store is the binary
-        // reference and the indexed clone takes the leapfrog path.
-        let mut program = parse_program(
-            "Edge(x, y), Edge(y, z), Edge(x, z), not Blocked(z), x != z -> Tri(x, y, z).\n\
-             Blocked(3). Blocked(7).",
-        )
-        .unwrap();
-        for x in 0..12i64 {
-            for y in 0..12i64 {
-                if (x * 5 + y * 3) % 7 < 3 {
-                    program.add_fact(Fact::new("Edge", vec![Value::Int(x), Value::Int(y)]));
-                }
-            }
-        }
-        let rule = &program.rules[0];
-        let routes = wcoj_index_cols(rule);
-        assert!(!routes.is_empty(), "triangle body must plan a WCOJ route");
-
-        let store = FactStore::from_facts(program.facts.clone());
-        let (pred, cols) = &routes[0];
-        let no_cursor = store.relation(*pred).unwrap().trie_cursor(cols).is_none();
-        assert!(no_cursor, "unindexed store must fall back to binary joins");
-        let binary = find_matches(rule, &store);
-        assert!(!binary.is_empty());
-
-        let mut indexed = store.clone();
-        for (pred, cols) in &routes {
-            indexed.relation_mut(*pred).ensure_index(cols);
-        }
-        // Exact Vec equality: same substitutions in the same enumeration
-        // order — the chase's trigger dedup keys on that order.
-        let mut bufs = MatchBuffers::default();
-        assert_eq!(binary, find_matches_with(rule, &indexed, &mut bufs));
-        // Warm-buffer rerun and every shard width agree bit-for-bit.
-        assert_eq!(binary, find_matches_with(rule, &indexed, &mut bufs));
-        for chunks in [2usize, 3, 8, 64] {
-            assert_eq!(binary, find_matches_sharded(rule, &indexed, chunks));
-        }
-    }
-
-    #[test]
-    fn hybrid_find_matches_is_identical_to_binary() {
-        // Lollipop body: a triangle core with an acyclic ear on each side.
-        // GYO strips `Hub` and `Pend`, leaving the three `Edge` atoms as
-        // the cyclic core — `Hub` (before the first core trie) becomes a
-        // prefix ear, `Pend` a suffix ear, and only the two non-first core
-        // atoms leapfrog.
-        let mut program = parse_program(
-            "Edge(x, y), Hub(x, h), Edge(y, z), Edge(x, z), Pend(z, w), \
-             not Blocked(w), h != w -> Lol(x, h, z, w).\n\
-             Blocked(2). Blocked(5).",
-        )
-        .unwrap();
-        for x in 0..10i64 {
-            for y in 0..10i64 {
-                if (x * 5 + y * 3) % 7 < 3 {
-                    program.add_fact(Fact::new("Edge", vec![Value::Int(x), Value::Int(y)]));
-                }
-                if (x * 3 + y) % 5 == 0 {
-                    program.add_fact(Fact::new("Hub", vec![Value::Int(x), Value::Int(y)]));
-                }
-                if (x + y * 7) % 4 == 0 {
-                    program.add_fact(Fact::new("Pend", vec![Value::Int(x), Value::Int(y)]));
-                }
-            }
-        }
-        let rule = &program.rules[0];
-        let plan = plan_chase_hybrid(rule).expect("lollipop body must plan a hybrid route");
-        assert_eq!(plan.prefix, vec![1], "Hub is the prefix ear");
-        assert_eq!(plan.suffix, vec![4], "Pend is the suffix ear");
-        assert_eq!(
-            plan.tries.len(),
-            2,
-            "only the non-first core atoms leapfrog"
-        );
-        let routes = wcoj_index_cols(rule);
-        assert!(!routes.is_empty(), "hybrid tries must be in the index list");
-
-        let store = FactStore::from_facts(program.facts.clone());
-        let binary = find_matches(rule, &store);
-        assert!(!binary.is_empty());
-
-        let mut indexed = store.clone();
-        for (pred, cols) in &routes {
-            indexed.relation_mut(*pred).ensure_index(cols);
-        }
-        // Exact Vec equality: same substitutions in the same enumeration
-        // order — the chase's trigger dedup keys on that order.
-        let mut bufs = MatchBuffers::default();
-        assert_eq!(binary, find_matches_with(rule, &indexed, &mut bufs));
-        // Warm-buffer rerun and every shard width agree bit-for-bit.
-        assert_eq!(binary, find_matches_with(rule, &indexed, &mut bufs));
-        for chunks in [2usize, 3, 8, 64] {
-            assert_eq!(binary, find_matches_sharded(rule, &indexed, chunks));
-        }
-    }
-
-    #[test]
     fn hybrid_chase_closes_lollipops() {
-        // End-to-end: run_chase pre-ensures the hybrid tries each round, so
-        // the recursive feedback edge flows through the free-join route.
+        // A triangle core with a pendant ear, fed back recursively.
         let result = warded_chase(
             "Edge(a, b). Edge(b, c). Edge(a, c). Pend(c, p). Pend(c, q).\n\
              Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lol(x, y, z, w).\n\
@@ -1582,8 +834,7 @@ mod tests {
 
     #[test]
     fn wcoj_chase_closes_triangles() {
-        // End-to-end: run_chase pre-ensures the route's indexes each round,
-        // so recursive derivations land in the runs the cursors walk.
+        // A fully cyclic body whose derivations feed its own relation.
         let result = warded_chase(
             "Edge(a, b). Edge(b, c). Edge(a, c). Edge(c, d). Edge(b, d).\n\
              Edge(x, y), Edge(y, z), Edge(x, z) -> Tri(x, y, z).\n\

@@ -881,7 +881,7 @@ mod tests {
 
     #[test]
     fn stats_report_wcoj_counters_on_cyclic_bodies() {
-        // A triangle body routes through the leapfrog path by default, and
+        // A triangle body compiles to an intersect stage with no ears, and
         // --stats must surface its activation/seek/intersection counters.
         let mut src = String::from(
             "Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).\n\
@@ -903,31 +903,19 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{name} line present and numeric:\n{out}"))
         };
-        // The CLI runs under default options, so honour the same env knob
-        // the engine reads: the `VADALOG_WCOJ=0` CI leg keeps the binary
-        // path and the counters stay zero, with identical output either way.
-        let wcoj_on = match std::env::var("VADALOG_WCOJ") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-            Err(_) => true,
-        };
-        if wcoj_on {
-            assert!(field("% wcoj activations:") > 0, "{out}");
-            assert!(field("% wcoj seeks:") > 0, "{out}");
-            // Four triangles: (1,2,3), (1,2,4), (1,3,4), (2,3,4).
-            assert_eq!(field("% wcoj intersections:"), 4, "{out}");
-        } else {
-            assert_eq!(field("% wcoj activations:"), 0, "{out}");
-        }
+        assert!(field("% wcoj activations:") > 0, "{out}");
+        assert!(field("% wcoj seeks:") > 0, "{out}");
+        // Four triangles: (1,2,3), (1,2,4), (1,3,4), (2,3,4).
+        assert_eq!(field("% wcoj intersections:"), 4, "{out}");
         assert!(out.contains("Triangle(1, 2, 3)"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn stats_report_hybrid_counters_on_mixed_bodies() {
-        // A triangle with a pendant tail: the acyclic ear routes the body
-        // through the hybrid driver (binary ears around a leapfrog core)
-        // under the default strategy, and --stats must surface the hybrid
-        // and hash-trie counters.
+        // A triangle with a pendant tail: the body compiles to binary ear
+        // probes around a leapfrog over the core, and --stats must surface
+        // the hybrid and hash-trie counters.
         let mut src = String::from(
             "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).\n\
              @output(\"Lolli\").\n",
@@ -949,30 +937,8 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{name} line present and numeric:\n{out}"))
         };
-        // Honour the same env knob the engine reads, so the CI strategy
-        // legs (`VADALOG_WCOJ=0|1|hybrid`) all pass with identical output.
-        let strategy = match std::env::var("VADALOG_WCOJ") {
-            Ok(v) => match v.trim() {
-                "0" | "false" | "off" | "no" => "binary",
-                "hybrid" => "hybrid",
-                _ => "wcoj",
-            },
-            Err(_) => "hybrid",
-        };
-        match strategy {
-            "hybrid" => {
-                assert!(field("% hybrid activations:") > 0, "{out}");
-                assert_eq!(field("% wcoj activations:"), 0, "{out}");
-            }
-            "wcoj" => {
-                assert!(field("% wcoj activations:") > 0, "{out}");
-                assert_eq!(field("% hybrid activations:"), 0, "{out}");
-            }
-            _ => {
-                assert_eq!(field("% hybrid activations:"), 0, "{out}");
-                assert_eq!(field("% wcoj activations:"), 0, "{out}");
-            }
-        }
+        assert!(field("% hybrid activations:") > 0, "{out}");
+        assert_eq!(field("% wcoj activations:"), 0, "{out}");
         // A flat one-shot store indexes its tries directly: the hash-trie
         // counters are surfaced and zero (they fire on layered session
         // bases — see the engine's session tests).

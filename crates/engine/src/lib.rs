@@ -83,28 +83,32 @@
 //! guards) — disable with [`ReasonerOptions::adaptive_ranges`] for the
 //! ablation.
 //!
-//! # Join-strategy selection: binary joins vs. worst-case-optimal joins
+//! # Join plan and executor
 //!
-//! The execution optimizer picks **per rule body** between two join
-//! strategies:
+//! Every rule body runs through **one stage interpreter** over a
+//! per-delta-position plan: after the delta scan, a sequence of stages,
+//! each either *probe one atom on its bound columns* or *intersect the
+//! cyclic core's trie cursors level by level*. The execution optimizer
+//! picks the stage kinds **per rule body** from GYO ear reduction
+//! ([`vadalog_analysis::cyclic_core`]):
 //!
-//! * **Binary joins** (the default): the greedy bound-variables-first
-//!   order of [`plan::JoinOrder`], one probe step per body atom. This is
-//!   the right plan for the α-acyclic bodies that dominate ontological
-//!   programs — every step narrows the candidate set.
-//! * **Worst-case-optimal leapfrog triejoin**: taken when the body's join
-//!   hypergraph is **cyclic** — GYO reduction
-//!   ([`vadalog_analysis::rule_body_is_cyclic`]) leaves a residue, as for
-//!   triangles and cliques. Cyclic bodies are exactly where any binary
-//!   plan must materialise an open path (e.g. the 2-paths of a triangle
-//!   query) that the closing atom then discards, an intermediate that can
-//!   be asymptotically larger than the AGM output bound; the leapfrog
-//!   driver instead intersects the candidates of **one variable at a
-//!   time** across every atom containing it, staying inside the bound.
-//!   [`plan::WcojPlan`] records the chosen variable order (delta-bound
-//!   variables first, then free variables by descending atom degree) and,
-//!   per non-delta atom, the composite sorted-run index whose column order
-//!   matches it.
+//! * **Acyclic body → all probe stages**: the greedy
+//!   bound-variables-first order of [`plan::JoinOrder`], one probe stage
+//!   per body atom. This is the right plan for the α-acyclic bodies that
+//!   dominate ontological programs — every stage narrows the candidate
+//!   set.
+//! * **Cyclic core → one intersect stage** ([`plan::HybridPlan`]). Cyclic
+//!   bodies are exactly where any binary plan must materialise an open
+//!   path (e.g. the 2-paths of a triangle query) that the closing atom
+//!   then discards, an intermediate that can be asymptotically larger than
+//!   the AGM output bound; the intersect stage instead intersects the
+//!   candidates of **one variable at a time** across every core atom
+//!   containing it, staying inside the bound. Only the *cyclic core* — the
+//!   irreducible residue of the reduction — leapfrogs; the acyclic ears
+//!   around it keep probe stages: prefix ears bind the core tries' open
+//!   prefixes, the core's free variables leapfrog (by descending atom
+//!   degree), and suffix ears enumerate under each core match. A fully
+//!   cyclic body (triangle, clique) is the plan with no ears.
 //!
 //! The trie side lives in `vadalog-storage`: a
 //! [`vadalog_storage::TrieCursor`] walks a composite sorted-run index as a
@@ -115,27 +119,24 @@
 //! at every level is ascending `ValueId` with ties broken by run age.
 //! Because the cursors are pure functions of the frozen store, the
 //! leapfrog intersection ([`vadalog_storage::leapfrog_join`]) enumerates
-//! bindings in a canonical order; the pipeline driver then sorts each
-//! delta row's matches by their support-fact vectors, which restores the
-//! binary enumeration order **exactly** — so the strategy choice is
-//! invisible downstream: same rows in the same `FactId` order, same
-//! labelled-null ids, same deterministic statistics, at every thread
-//! count and chunk size. The knob is [`ReasonerOptions::join_strategy`] /
-//! [`Pipeline::with_join_strategy`] (env `VADALOG_WCOJ` with
-//! `0`/`1`/`hybrid`; see [`pipeline::default_join_strategy`]); acyclic
-//! bodies ignore it and always run binary joins. The default `hybrid`
-//! strategy ([`pipeline::JoinStrategy::Hybrid`]) leapfrogs only a body's
-//! *cyclic core* — the irreducible residue of GYO ear reduction — while
-//! the acyclic ears around it keep binary probe steps: binary prefix ears
-//! bind the core tries' open prefixes, the core's free variables leapfrog,
-//! and suffix ears enumerate under each core match. Tries whose relation
+//! bindings in a canonical order; every stage records its support fact,
+//! and a plan with an intersect stage sorts each delta row's matches by
+//! their support-fact vectors, which restores the all-probe enumeration
+//! order **exactly** — so the plan shape is invisible downstream: same
+//! rows in the same `FactId` order, same labelled-null ids, same
+//! deterministic statistics, at every thread count and chunk size.
+//! [`ReasonerOptions::join_strategy`] / [`Pipeline::with_join_strategy`]
+//! can force the all-probe plan everywhere
+//! ([`pipeline::JoinStrategy::Binary`]) — the reference the property
+//! suites compare against. Tries whose relation
 //! lacks a matching composite run (layered session bases) are served by
 //! on-demand [`vadalog_storage::HashTrie`] builds under the identical
 //! cursor contract, cached per pipeline and — via
 //! [`vadalog_storage::HashTrieCache`] — across the queries and forks of a
-//! session. Activations and per-variable intersection work are surfaced as
-//! [`PipelineStats::wcoj_activations`],
-//! [`PipelineStats::hybrid_activations`], [`PipelineStats::wcoj_seeks`],
+//! session. Plans and per-variable intersection work are surfaced as
+//! [`PipelineStats::wcoj_activations`] (fully cyclic body, no ears),
+//! [`PipelineStats::hybrid_activations`] (cyclic core with ears),
+//! [`PipelineStats::wcoj_seeks`],
 //! [`PipelineStats::wcoj_intersections`],
 //! [`PipelineStats::hashtrie_builds`] and
 //! [`PipelineStats::hashtrie_reuses`] (CLI `--stats`).
@@ -170,12 +171,12 @@ pub mod session;
 pub use aggregate::{AggregateState, GroupKey};
 pub use pipeline::{
     default_compact_layers, default_cone_cache, default_cone_cache_bytes, default_cone_cache_cap,
-    default_intra_filter, default_ivm, default_join_strategy, default_parallelism, JoinStrategy,
-    Pipeline, PipelineStats, SuspendedPipeline, BATCH_WIDTH_BUCKETS,
+    default_intra_filter, default_ivm, default_parallelism, JoinStrategy, Pipeline, PipelineStats,
+    SuspendedPipeline, BATCH_WIDTH_BUCKETS,
 };
 pub use plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,
-    JoinOrder, PushedCondition, RangeCandidate, StepPlan, StepProbe, WcojPlan,
+    JoinOrder, PushedCondition, RangeCandidate, StepPlan, StepProbe,
 };
 pub use reasoner::{
     QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats, TerminationKind,

@@ -76,7 +76,7 @@ use vadalog_storage::{
 
 use crate::aggregate::AggregateState;
 use crate::plan::{
-    chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, HybridPlan, RangeCandidate, WcojPlan,
+    chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, HybridPlan, RangeCandidate,
 };
 
 /// Default worker count for the parallel sweep: the `VADALOG_PARALLELISM`
@@ -107,38 +107,20 @@ pub fn default_intra_filter() -> usize {
     }
 }
 
-/// Join-strategy selection for cyclic rule bodies. Acyclic bodies always
-/// keep the binary join pipeline; the knob only decides how a body *with* a
-/// cyclic core is routed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// How rule bodies with a cyclic core are joined. Acyclic bodies always run
+/// the all-probe plan; the final instance is bit-identical either way.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum JoinStrategy {
-    /// Binary probe joins everywhere (the `VADALOG_WCOJ=0` ablation
-    /// baseline).
+    /// The free-join executor (the default): leapfrog the cyclic core — the
+    /// irreducible residue of GYO ear reduction, which for a fully cyclic
+    /// body is every atom — while acyclic ears keep binary probe stages
+    /// before and after it.
+    #[default]
+    FreeJoin,
+    /// The all-probe plan for every body: the reference the property
+    /// suites and `bench_gate`'s ablation compare the free-join executor
+    /// against.
     Binary,
-    /// Full worst-case-optimal leapfrog over every body atom of a cyclic
-    /// body (`VADALOG_WCOJ=1`).
-    Wcoj,
-    /// Free-join hybrid (`VADALOG_WCOJ=hybrid`, the default): leapfrog only
-    /// the cyclic core — the irreducible residue of GYO ear reduction —
-    /// while acyclic ears keep binary probe steps before and after it.
-    /// Bodies whose core covers every atom (or is empty) route exactly as
-    /// [`JoinStrategy::Wcoj`] would.
-    Hybrid,
-}
-
-/// Default join strategy: the `VADALOG_WCOJ` environment variable —
-/// `0`/`false`/`off`/`no` selects [`JoinStrategy::Binary`], `hybrid`
-/// selects [`JoinStrategy::Hybrid`], any other set value selects
-/// [`JoinStrategy::Wcoj`] — otherwise **hybrid**.
-pub fn default_join_strategy() -> JoinStrategy {
-    match std::env::var("VADALOG_WCOJ") {
-        Ok(v) => match v.trim() {
-            "0" | "false" | "off" | "no" => JoinStrategy::Binary,
-            "hybrid" => JoinStrategy::Hybrid,
-            _ => JoinStrategy::Wcoj,
-        },
-        Err(_) => JoinStrategy::Hybrid,
-    }
 }
 
 /// Default for incremental view maintenance on session appends: the
@@ -218,7 +200,7 @@ struct JoinCounters {
     index_probes: u64,
     range_probes: u64,
     scan_fallbacks: u64,
-    /// Leapfrog cursor seeks (worst-case-optimal path only).
+    /// Leapfrog cursor seeks (intersect stages only).
     wcoj_seeks: u64,
     /// Values surviving a full leapfrog intersection.
     wcoj_intersections: u64,
@@ -250,31 +232,6 @@ struct Chunk {
     delta_idx: usize,
     from: usize,
     to: usize,
-}
-
-/// Chunk-scoped scratch of the free-join hybrid driver, reused across
-/// delta rows: the support-fact vector of the current partial match, the
-/// flat buffers decoupling the leapfrog stage from the suffix-ear
-/// recursion, and the per-row pending-match buffers of the
-/// order-restoring sort.
-struct HybridScratch {
-    /// Support facts of the current partial match, one per non-delta
-    /// sequence step (sequence step `s` writes slot `s − 1`).
-    seqfacts: Vec<FactId>,
-    /// Flat (levels-wide per match) leapfrog values of the current
-    /// prefix-combination's core matches.
-    corevals: Vec<ValueId>,
-    /// Flat (tries-wide per match) core support facts, parallel to
-    /// `corevals`.
-    corefacts: Vec<FactId>,
-    /// Flat ((n−1)-wide per match) support vectors of the current delta
-    /// row's accepted full matches.
-    keybuf: Vec<FactId>,
-    /// `(keybuf offset, binding)` of accepted matches, sorted by support
-    /// vector before emission.
-    pending: Vec<(usize, Binding)>,
-    /// Leaf-facts buffer of the core support-fact filter.
-    leaves: Vec<FactId>,
 }
 
 /// One entry of a batch's work queue: a chunk of a job, or (for unsharded
@@ -360,10 +317,10 @@ enum TrieBackend {
     Hash(Arc<HashTrie>),
 }
 
-/// One trie of a compiled worst-case-optimal join: the body atom it
-/// matches and the composite index column list its [`TrieCursor`] walks —
-/// the delta-bound prefix first, then the free-variable columns in the
-/// activation's final variable order.
+/// One trie of a compiled intersect stage: the body atom it matches and the
+/// composite index column list its [`TrieCursor`] walks — the bound prefix
+/// first, then the free-variable columns in the activation's final
+/// variable order.
 #[derive(Clone, Debug)]
 struct CompiledTrie {
     /// Body-atom position this trie matches.
@@ -371,45 +328,36 @@ struct CompiledTrie {
     /// Full index column list (covers every column of the atom).
     cols: Box<[usize]>,
     /// How many leading `cols` are bound before the leapfrog (constants,
-    /// delta variables and — on the hybrid path — prefix-ear variables):
-    /// the cursor's `open` prefix.
+    /// delta variables and prefix-ear variables): the cursor's `open`
+    /// prefix.
     prefix_len: usize,
     /// Cursor backend serving this trie.
     backend: TrieBackend,
 }
 
-/// One delta position's compiled worst-case-optimal join: fixed variable
-/// order, one trie per non-delta atom (in binary step order, so support
-/// facts sort into the binary enumeration order), and the pushed-condition
-/// guards re-placed at the earliest leapfrog level where they are
-/// checkable.
-#[derive(Clone, Debug)]
-struct CompiledWcoj {
-    /// Tries in binary step order (`delta_steps[d][1..]` order).
-    tries: Vec<CompiledTrie>,
-    /// Leapfrog levels in the final variable order.
-    levels: Vec<WcojLevel>,
-    /// Guards whose slots are all bound by the delta row (only possible
-    /// when the body has no free variables at all).
-    pre_guards: Box<[CompiledCond]>,
-    /// Per-level guards, checked as soon as the level's variable binds.
-    level_guards: Vec<Box<[CompiledCond]>>,
+/// One stage of a delta position's join plan, run after the delta scan.
+#[derive(Clone, Copy, Debug)]
+enum Stage {
+    /// Probe one atom on its bound columns: the [`CompiledStep`] at this
+    /// index of `delta_steps[d]`.
+    Probe(usize),
+    /// Intersect the core's cursors level by level (see [`CompiledHybrid`]).
+    Intersect,
 }
 
-/// One delta position's compiled free-join hybrid: binary probe steps over
-/// the acyclic ears before (`prefix_steps`) and after (`suffix_steps`) a
-/// leapfrog stage over only the cyclic-core atoms. Ear steps keep their
+/// One delta position's compiled free-join plan: probe stages over the
+/// acyclic ears before and after one intersect stage over the cyclic-core
+/// atoms (no ears at all for a fully cyclic body). Ear stages keep their
 /// original [`CompiledStep`] probes and guards — every guard that was
 /// checkable at an ear's binary sequence position is still checkable at its
-/// hybrid position, because the hybrid bound-set at that point is a
-/// superset of the binary one. Core-step guards are re-placed onto the
-/// leapfrog levels; a core guard also involving an interleaved-suffix-ear
-/// variable is deferred to full match depth.
+/// stage, because the bound-set at that point is a superset of the binary
+/// one. Core-step guards are re-placed onto the leapfrog levels; a core
+/// guard also involving an interleaved-suffix-ear variable is deferred to
+/// full match depth.
 #[derive(Clone, Debug)]
 struct CompiledHybrid {
-    /// Binary sequence positions (indices into `delta_steps[d]`) evaluated
-    /// before the leapfrog, in sequence order.
-    prefix_steps: Box<[usize]>,
+    /// Prefix-ear probes, the intersect stage, suffix-ear probes.
+    stages: Box<[Stage]>,
     /// Core tries in binary step order.
     tries: Vec<CompiledTrie>,
     /// For each core trie, the binary sequence position of its atom —
@@ -427,9 +375,6 @@ struct CompiledHybrid {
     /// Core guards involving a variable only a suffix ear binds, checked at
     /// full match depth.
     deferred_guards: Box<[CompiledCond]>,
-    /// Binary sequence positions evaluated after the leapfrog, in sequence
-    /// order.
-    suffix_steps: Box<[usize]>,
 }
 
 /// One prepared activation: everything the (read-only) join phase needs,
@@ -454,18 +399,50 @@ struct FilterJob {
     /// Body-literal indices of conditions enforced inside the join; the
     /// residual evaluation in emission skips exactly these.
     pushed_literals: Box<[usize]>,
-    /// Per-delta-position worst-case-optimal join, compiled when the body
-    /// is cyclic and the knob is on; `delta_steps` stays the always-valid
-    /// binary fallback.
-    wcoj: Vec<Option<CompiledWcoj>>,
-    /// Per-delta-position free-join hybrid, compiled under
-    /// [`JoinStrategy::Hybrid`] when the body has both a cyclic core and
-    /// acyclic ears; takes precedence over `wcoj` when present.
+    /// The all-probe plan of every delta position: one probe stage per
+    /// non-delta step of `delta_steps[d]`.
+    probe_stages: Box<[Stage]>,
+    /// Per-delta-position free-join plan, compiled under
+    /// [`JoinStrategy::FreeJoin`] when the body has a cyclic core; the
+    /// all-probe plan stays the always-valid fallback.
     hybrid: Vec<Option<CompiledHybrid>>,
     /// The activation's shard plan: every non-empty delta window split into
     /// cost-sized contiguous chunks, in `(delta_idx, from)` order. Empty when
     /// intra-filter sharding is off — the activation then runs as one item.
     chunks: Vec<Chunk>,
+}
+
+impl FilterJob {
+    /// Semi-naive row limit of body position `pos` when `delta_idx` drives
+    /// the join: positions strictly before the delta position are
+    /// restricted to old facts, so each new combination is seen exactly
+    /// once.
+    fn limit(&self, pos: usize, delta_idx: usize) -> usize {
+        if pos < delta_idx {
+            self.deltas[pos].0
+        } else {
+            self.deltas[pos].1
+        }
+    }
+}
+
+/// What every stage of one chunk's join reads: the frozen store, the job,
+/// the delta position and the stage list chosen for it.
+struct JoinCx<'a, 'r> {
+    store: &'r FactStore,
+    use_indices: bool,
+    job: &'a FilterJob,
+    delta_idx: usize,
+    /// The delta position's compiled steps (`job.delta_steps[delta_idx]`).
+    steps: &'a [CompiledStep],
+    /// The plan's stages after the delta scan.
+    stages: &'a [Stage],
+    /// The compiled free-join plan `stages` belongs to; `None` for the
+    /// all-probe plan.
+    core: Option<&'a CompiledHybrid>,
+    /// Relation and semi-naive limit of each core trie, parallel to
+    /// `core.tries`.
+    core_rels: &'a [(&'r Relation, usize)],
 }
 
 /// Statistics of a pipeline run.
@@ -505,18 +482,18 @@ pub struct PipelineStats {
     /// workers − 1). A scheduling diagnostic: unlike every other counter it
     /// depends on thread timing and is **not** deterministic across runs.
     pub steals: u64,
-    /// Delta plans executed through the worst-case-optimal (leapfrog
-    /// triejoin) path instead of binary joins: cyclic rule bodies with the
-    /// `wcoj` knob on.
+    /// Delta plans compiled with an intersect stage and no ears: fully
+    /// cyclic rule bodies, every non-delta atom a leapfrog trie.
     pub wcoj_activations: u64,
-    /// Leapfrog cursor seeks performed on the worst-case-optimal path. A
-    /// pure function of the store contents — deterministic at every thread
+    /// Leapfrog cursor seeks performed by intersect stages. A pure function
+    /// of the store contents — deterministic at every thread
     /// count and chunk size.
     pub wcoj_seeks: u64,
     /// Values that survived a full per-variable leapfrog intersection.
     pub wcoj_intersections: u64,
-    /// Delta plans executed through the free-join hybrid path: bodies with
-    /// both a cyclic core and acyclic ears under [`JoinStrategy::Hybrid`].
+    /// Delta plans compiled with an intersect stage over a proper cyclic
+    /// core: bodies with acyclic ears around it (probed before or after the
+    /// leapfrog, or scanned as the delta atom).
     pub hybrid_activations: u64,
     /// On-demand [`HashTrie`] builds for leapfrog tries whose relation had
     /// no matching composite sorted run (layered relations where
@@ -654,9 +631,8 @@ pub struct Pipeline<'a> {
     /// always probe the planner's static first choice — the ablation
     /// baseline of `bench_gate --intra-ablation`).
     adaptive_ranges: bool,
-    /// How cyclic rule bodies are joined (default [`default_join_strategy`],
-    /// env `VADALOG_WCOJ`). The final instance is bit-identical at every
-    /// setting — only the join algorithm moves.
+    /// How rule bodies with a cyclic core are joined. The final instance is
+    /// bit-identical at either setting — only the join algorithm moves.
     join_strategy: JoinStrategy,
     /// Pipeline-local cache of on-demand [`HashTrie`] builds, keyed by
     /// `(predicate, columns)` and validated against the relation's current
@@ -709,7 +685,7 @@ impl<'a> Pipeline<'a> {
             intra_filter: default_intra_filter(),
             chunk_min_rows: None,
             adaptive_ranges: true,
-            join_strategy: default_join_strategy(),
+            join_strategy: JoinStrategy::default(),
             hashtrie_local: HashMap::new(),
             hashtrie_shared: None,
             measured_cost: vec![None; n],
@@ -769,11 +745,11 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Select the join strategy for cyclic rule bodies (default
-    /// [`default_join_strategy`]; env `VADALOG_WCOJ` with `0`/`1`/`hybrid`).
-    /// Acyclic bodies always run binary joins. The final instance — rows,
-    /// `FactId`s, labelled-null ids — is bit-identical at every setting;
-    /// only the probe/seek counters reflect which algorithm ran.
+    /// Select the join strategy for rule bodies with a cyclic core (default
+    /// [`JoinStrategy::FreeJoin`]; [`JoinStrategy::Binary`] is the
+    /// reference the property suites compare against). The final instance
+    /// — rows, `FactId`s, labelled-null ids — is bit-identical at either
+    /// setting; only the probe/seek counters reflect which plan ran.
     pub fn with_join_strategy(mut self, strategy: JoinStrategy) -> Self {
         self.join_strategy = strategy;
         self
@@ -1302,35 +1278,27 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        // Leapfrog alternative per delta position: present only for cyclic
-        // bodies (the planner's GYO check) with the knob on and indices
-        // available. Under [`JoinStrategy::Hybrid`] a body with both a
-        // cyclic core and acyclic ears compiles the free-join hybrid
-        // (leapfrog over the core only); a fully cyclic body falls through
-        // to the full worst-case-optimal compile either way. Compiling
-        // fixes the final variable order from run-directory selectivity,
-        // builds (or hash-trie-backs) each trie's composite index, and
-        // re-places the pushed-condition guards at leapfrog levels — all on
-        // this sequential path, so the route taken (and hence the
-        // enumeration) is a pure function of the store and the knobs.
-        let mut wcoj: Vec<Option<CompiledWcoj>> = vec![None; filter.delta_plans.len()];
+        // Free-join alternative per delta position: present only for bodies
+        // with a cyclic core (the planner's GYO check), with indices
+        // available. Compiling fixes the final variable order from
+        // run-directory selectivity, builds (or hash-trie-backs) each
+        // trie's composite index, and re-places the pushed-condition guards
+        // at leapfrog levels — all on this sequential path, so the plan
+        // taken (and hence the enumeration) is a pure function of the store
+        // and the knobs.
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
-        if self.join_strategy != JoinStrategy::Binary && self.use_indices {
+        if self.join_strategy == JoinStrategy::FreeJoin && self.use_indices {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
-                if self.join_strategy == JoinStrategy::Hybrid {
-                    if let Some(hp) = &dp.hybrid {
-                        hybrid[d] =
-                            Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
-                        continue;
+                if let Some(hp) = &dp.hybrid {
+                    hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
+                    if hp.has_ears() {
+                        self.stats.hybrid_activations += 1;
+                    } else {
+                        self.stats.wcoj_activations += 1;
                     }
-                }
-                if let Some(wp) = &dp.wcoj {
-                    wcoj[d] = Some(self.compile_wcoj(wp, &patterns, &slots, &delta_steps[d]));
                 }
             }
         }
-        self.stats.wcoj_activations += wcoj.iter().filter(|w| w.is_some()).count() as u64;
-        self.stats.hybrid_activations += hybrid.iter().filter(|h| h.is_some()).count() as u64;
 
         // Shard plan: split every non-empty delta window into contiguous
         // chunks sized by the cost estimate — the measured per-delta-row
@@ -1374,131 +1342,28 @@ impl<'a> Pipeline<'a> {
             slots,
             delta_steps,
             pushed_literals,
-            wcoj,
+            probe_stages: (1..body_atoms.len()).map(Stage::Probe).collect(),
             hybrid,
             chunks,
         })
     }
 
-    /// Compile one delta position's worst-case-optimal join (see
-    /// [`WcojPlan`]): re-rank the plan's descending-degree variable order by
-    /// run-directory selectivity (stably, within equal degrees: a variable
-    /// whose narrowest single-column directory holds fewer distinct keys
-    /// has a smaller candidate domain and intersects first), derive each
-    /// trie's composite column list under that order, build and flush the
-    /// indices the cursors will walk, and assign every non-delta guard to
-    /// the earliest level where all its slots are bound. Sequential-path
-    /// only: index builds and statistics reads happen in a fixed order.
-    fn compile_wcoj(
-        &mut self,
-        wp: &WcojPlan,
-        patterns: &[RowPattern],
-        slots: &HashMap<Var, usize>,
-        steps: &[CompiledStep],
-    ) -> CompiledWcoj {
-        let mut ranked: Vec<(usize, usize)> = Vec::with_capacity(wp.var_order.len());
-        for (i, (v, _)) in wp.var_order.iter().enumerate() {
-            let mut estimate = usize::MAX;
-            for trie in &wp.tries {
-                for (u, col) in &trie.var_cols {
-                    if u == v {
-                        let rel = self.store.relation_mut(patterns[trie.atom].predicate);
-                        let stats = match rel.index_stats(&[*col]) {
-                            Some(stats) => stats,
-                            None => {
-                                rel.ensure_index(&[*col]);
-                                rel.index_stats(&[*col]).unwrap_or_default()
-                            }
-                        };
-                        estimate = estimate.min(stats.distinct_keys);
-                    }
-                }
-            }
-            ranked.push((i, estimate));
-        }
-        // Stable sort: degree descending (the plan's primary key), then the
-        // selectivity estimate ascending, then plan order.
-        ranked.sort_by_key(|&(i, est)| (std::cmp::Reverse(wp.var_order[i].1), est));
-        let order: Vec<Var> = ranked.iter().map(|&(i, _)| wp.var_order[i].0).collect();
-
-        let levels: Vec<WcojLevel> = order
-            .iter()
-            .map(|v| WcojLevel {
-                slot: slots[v],
-                cursors: wp
-                    .tries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.var_cols.iter().any(|(u, _)| u == v))
-                    .map(|(i, _)| i)
-                    .collect(),
-            })
-            .collect();
-
-        let mut tries = Vec::with_capacity(wp.tries.len());
-        for tp in &wp.tries {
-            let cols = WcojPlan::trie_cols(tp, &order);
-            let backend = self.trie_backend(patterns[tp.atom].predicate, &cols);
-            tries.push(CompiledTrie {
-                atom: tp.atom,
-                prefix_len: tp.bound_cols.len(),
-                cols: cols.into_boxed_slice(),
-                backend,
-            });
-        }
-
-        // Guard placement: every guard the binary plan checks at a joined
-        // step moves to the earliest leapfrog level at which all its slots
-        // are bound (delta-bound slots count as always bound). Checking
-        // earlier than the binary step only prunes sooner — guards are pure
-        // binding predicates, so the surviving match set is identical.
-        let delta_bound: Vec<usize> = patterns[steps[0].atom]
-            .slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Var(i) => Some(*i),
-                Slot::Const(_) => None,
-            })
-            .collect();
-        let mut pre_guards = Vec::new();
-        let mut level_guards: Vec<Vec<CompiledCond>> = vec![Vec::new(); levels.len()];
-        for step in &steps[1..] {
-            for g in step.guards.iter() {
-                let mut involved = vec![g.slot];
-                if let Slot::Var(s) = g.bound {
-                    involved.push(s);
-                }
-                let placed = (0..levels.len()).find(|&i| {
-                    involved.iter().all(|s| {
-                        delta_bound.contains(s) || levels[..=i].iter().any(|l| l.slot == *s)
-                    })
-                });
-                match placed {
-                    Some(i) => level_guards[i].push(*g),
-                    None => pre_guards.push(*g),
-                }
-            }
-        }
-        CompiledWcoj {
-            tries,
-            levels,
-            pre_guards: pre_guards.into_boxed_slice(),
-            level_guards: level_guards
-                .into_iter()
-                .map(Vec::into_boxed_slice)
-                .collect(),
-        }
-    }
-
-    /// Compile one delta position's free-join hybrid (see [`HybridPlan`]):
-    /// the same selectivity re-rank, level derivation and trie-column
-    /// construction as [`Pipeline::compile_wcoj`], but over the cyclic-core
-    /// atoms only. Ear steps keep their original [`CompiledStep`]s (indexed
+    /// Compile one delta position's free-join plan (see [`HybridPlan`]):
+    /// re-rank the plan's descending-degree variable order by run-directory
+    /// selectivity (stably, within equal degrees: a variable whose
+    /// narrowest single-column directory holds fewer distinct keys has a
+    /// smaller candidate domain and intersects first), derive each core
+    /// trie's composite column list under that order, build and flush (or
+    /// hash-trie-back) the indices the cursors will walk, and lay out the
+    /// stage list. Ear steps keep their original [`CompiledStep`]s (indexed
     /// by sequence position); only the *core* steps' guards are re-placed —
     /// onto the earliest leapfrog level where every involved slot is bound
     /// by the delta row, a prefix ear or the levels so far, or deferred to
-    /// full match depth when a suffix-ear variable is involved. Sequential
-    /// path only.
+    /// full match depth when a suffix-ear variable is involved. Checking
+    /// earlier than the binary step only prunes sooner — guards are pure
+    /// binding predicates, so the surviving match set is identical.
+    /// Sequential-path only: index builds and statistics reads happen in a
+    /// fixed order.
     fn compile_hybrid(
         &mut self,
         hp: &HybridPlan,
@@ -1526,6 +1391,8 @@ impl<'a> Pipeline<'a> {
             }
             ranked.push((i, estimate));
         }
+        // Stable sort: degree descending (the plan's primary key), then the
+        // selectivity estimate ascending, then plan order.
         ranked.sort_by_key(|&(i, est)| (std::cmp::Reverse(hp.var_order[i].1), est));
         let order: Vec<Var> = ranked.iter().map(|&(i, _)| hp.var_order[i].0).collect();
 
@@ -1546,7 +1413,7 @@ impl<'a> Pipeline<'a> {
         let mut tries = Vec::with_capacity(hp.tries.len());
         let mut trie_seq = Vec::with_capacity(hp.tries.len());
         for tp in &hp.tries {
-            let cols = WcojPlan::trie_cols(tp, &order);
+            let cols = HybridPlan::trie_cols(tp, &order);
             let backend = self.trie_backend(patterns[tp.atom].predicate, &cols);
             tries.push(CompiledTrie {
                 atom: tp.atom,
@@ -1564,34 +1431,25 @@ impl<'a> Pipeline<'a> {
 
         // Slots bound before the leapfrog opens: the delta atom's variables
         // plus every prefix ear's variables.
-        let mut bound_pre: Vec<usize> = patterns[steps[0].atom]
-            .slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Var(i) => Some(*i),
-                Slot::Const(_) => None,
-            })
+        let var_slots = |step: usize| {
+            patterns[steps[step].atom]
+                .slots
+                .iter()
+                .filter_map(|s| match s {
+                    Slot::Var(i) => Some(*i),
+                    Slot::Const(_) => None,
+                })
+        };
+        let bound_pre: Vec<usize> = std::iter::once(0)
+            .chain(hp.prefix_steps.iter().copied())
+            .flat_map(var_slots)
             .collect();
-        for &sp in &hp.prefix_steps {
-            bound_pre.extend(
-                patterns[steps[sp].atom]
-                    .slots
-                    .iter()
-                    .filter_map(|s| match s {
-                        Slot::Var(i) => Some(*i),
-                        Slot::Const(_) => None,
-                    }),
-            );
-        }
 
         let mut pre_guards = Vec::new();
         let mut level_guards: Vec<Vec<CompiledCond>> = vec![Vec::new(); levels.len()];
         let mut deferred_guards = Vec::new();
-        for (s, step) in steps.iter().enumerate().skip(1) {
-            if hp.prefix_steps.contains(&s) || hp.suffix_steps.contains(&s) {
-                continue; // ear steps keep their own guards
-            }
-            for g in step.guards.iter() {
+        for &s in trie_seq.iter() {
+            for g in steps[s].guards.iter() {
                 let mut involved = vec![g.slot];
                 if let Slot::Var(sl) = g.bound {
                     involved.push(sl);
@@ -1611,8 +1469,12 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
+        let probes = |steps: &[usize]| steps.iter().map(|&s| Stage::Probe(s)).collect::<Vec<_>>();
+        let mut stages = probes(&hp.prefix_steps);
+        stages.push(Stage::Intersect);
+        stages.extend(probes(&hp.suffix_steps));
         CompiledHybrid {
-            prefix_steps: hp.prefix_steps.clone().into_boxed_slice(),
+            stages: stages.into_boxed_slice(),
             tries,
             trie_seq: trie_seq.into_boxed_slice(),
             levels,
@@ -1622,7 +1484,6 @@ impl<'a> Pipeline<'a> {
                 .map(Vec::into_boxed_slice)
                 .collect(),
             deferred_guards: deferred_guards.into_boxed_slice(),
-            suffix_steps: hp.suffix_steps.clone().into_boxed_slice(),
         }
     }
 
@@ -2138,20 +1999,34 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Semi-naive slot-machine join over one delta-window chunk: scan rows
-    /// `[from, to)` of body position `delta_idx` and join each with the
-    /// other positions along the planner's per-delta evaluation order —
-    /// composite index probes with pushed range conditions where planned,
-    /// scans otherwise. Each new combination is enumerated exactly once
-    /// across the window's chunks, and postings always arrive in ascending
-    /// `FactId` order, so enumeration (and therefore emission) order is
+    /// `[from, to)` of body position `delta_idx` and run each through the
+    /// delta position's stage list ([`Pipeline::join_stage`]) — the
+    /// free-join plan when one was compiled and the frozen store can hand
+    /// out its trie cursors, the all-probe plan otherwise. Each new
+    /// combination is enumerated exactly once across the window's chunks,
+    /// and the matches of one delta row always land in `results` in the
+    /// all-probe plan's enumeration order, so emission order is
     /// deterministic and chunk concatenation equals the unsharded scan.
+    ///
+    /// **One order for every plan.** Under set semantics each full binding
+    /// is supported by exactly one fact per atom, and the all-probe nested
+    /// loop enumerates a delta row's matches in ascending lexicographic
+    /// order of the (n−1)-wide support vector over sequence steps `1..n`
+    /// (postings are `FactId`-ascending at every step) — so it pushes
+    /// straight into `results`. A plan with an intersect stage enumerates
+    /// the same match set in leapfrog value order instead; every stage
+    /// writes its support fact at the atom's binary sequence position, and
+    /// the row's matches are sorted by that vector before they are
+    /// appended, which restores the all-probe order exactly. Semi-naive
+    /// limits apply per stage: probes cut postings at their atom's limit,
+    /// core support facts are filtered at the leaf.
     ///
     /// The whole join runs at the id level: patterns are matched against
     /// **borrowed** rows with the worker's [`JoinScratch`] (binding array,
-    /// undo trail, per-depth postings buffers, probe-key buffer) — zero
-    /// `Fact` clones, no steady-state allocation across chunks. Only
-    /// accepted full matches clone the (small, `Copy`-element) binding
-    /// vector.
+    /// undo trail, per-stage postings buffers, probe-key buffer, support
+    /// vector and the intersect stage's match buffers) — zero `Fact`
+    /// clones, no steady-state allocation across chunks. Only accepted full
+    /// matches clone the (small, `Copy`-element) binding vector.
     #[allow(clippy::too_many_arguments)]
     fn collect_chunk(
         store: &FactStore,
@@ -2168,38 +2043,64 @@ impl<'a> Pipeline<'a> {
             return;
         };
         counters.delta_rows += to.min(rel.len()).saturating_sub(from) as u64;
-        if let Some(ch) = job.hybrid[delta_idx].as_ref() {
-            // Free-join hybrid route for this delta position: binary ears
-            // around a leapfrog over the cyclic core. `false` means a trie
-            // cursor was unavailable — a property of the frozen store,
-            // identical for every chunk of the window, so the binary
-            // fallback below is taken deterministically.
-            if Self::collect_chunk_hybrid(
-                store,
-                counters,
-                use_indices,
-                job,
-                ch,
-                delta_idx,
-                from,
-                to,
-                js,
-                results,
-            ) {
-                return;
+        let mut core = job.hybrid[delta_idx].as_ref();
+        let mut core_rels: Vec<(&Relation, usize)> = Vec::new();
+        let mut cursors: Vec<TrieCursor<'_>> = Vec::new();
+        if let Some(ch) = core {
+            for trie in &ch.tries {
+                let limit = job.limit(trie.atom, delta_idx);
+                let Some(rel) = store.relation(job.patterns[trie.atom].predicate) else {
+                    return; // a body relation with no facts: the join is empty
+                };
+                if limit == 0 {
+                    return;
+                }
+                core_rels.push((rel, limit));
             }
-        } else if let Some(cw) = job.wcoj[delta_idx].as_ref() {
-            // Worst-case-optimal route for this (cyclic) delta position.
-            // `false` means a trie cursor was unavailable — a property of
-            // the frozen store, identical for every chunk of the window, so
-            // the binary fallback below is taken deterministically.
-            if Self::collect_chunk_wcoj(store, counters, job, cw, delta_idx, from, to, js, results)
-            {
-                return;
+            for (trie, (rel, _)) in ch.tries.iter().zip(&core_rels) {
+                match &trie.backend {
+                    TrieBackend::Indexed => match rel.trie_cursor(&trie.cols) {
+                        Some(c) => cursors.push(c),
+                        None => {
+                            // Unflushed tails or a missing composite index
+                            // on a shared snapshot base: run the all-probe
+                            // plan instead. A property of the frozen store,
+                            // identical for every chunk of the window, so
+                            // the fallback is taken deterministically.
+                            core = None;
+                            cursors.clear();
+                            break;
+                        }
+                    },
+                    TrieBackend::Hash(ht) => cursors.push(ht.cursor()),
+                }
+            }
+        }
+        js.reset(job.slots.len(), job.patterns.len());
+        if core.is_some() {
+            // Re-adopt the open-span memos of this work item's previous
+            // chunk: one filter activation re-opens the same bound prefixes
+            // across its chunks (and once per prefix-ear combination within
+            // one), and the store is frozen for the whole batch, so
+            // memoised spans stay valid. Memos only speed `open` up — they
+            // never change what a cursor enumerates.
+            let bank = js.memo_bank((job.f_idx, delta_idx), cursors.len());
+            for (cursor, memo) in cursors.iter_mut().zip(bank) {
+                cursor.adopt_memo(std::mem::take(memo));
             }
         }
         let steps = &job.delta_steps[delta_idx];
-        js.reset(job.slots.len(), job.patterns.len());
+        let cx = JoinCx {
+            store,
+            use_indices,
+            job,
+            delta_idx,
+            steps,
+            stages: core.map_or(&job.probe_stages, |ch| &ch.stages),
+            core,
+            core_rels: &core_rels,
+        };
+        let width = steps.len() - 1;
         // positions before delta_idx only use old facts, positions after
         // it use everything up to the snapshot.
         for fact_pos in from..to.min(rel.len()) {
@@ -2207,604 +2108,107 @@ impl<'a> Pipeline<'a> {
             counters.join_probes += 1;
             if job.patterns[delta_idx].match_row(row, &mut js.binding, &mut js.trail) {
                 if Self::check_guards(&steps[0].guards, &js.binding) {
-                    Self::join_rest(
-                        store,
-                        counters,
-                        use_indices,
-                        job,
-                        steps,
-                        1,
-                        delta_idx,
-                        js,
-                        results,
-                    );
+                    Self::join_stage(&cx, 0, &mut cursors, counters, js, results);
+                    if core.is_some() {
+                        let JoinScratch {
+                            keybuf, pending, ..
+                        } = js;
+                        pending.sort_by(|a, b| {
+                            keybuf[a.0..a.0 + width].cmp(&keybuf[b.0..b.0 + width])
+                        });
+                        results.extend(pending.drain(..).map(|(_, b)| b));
+                        keybuf.clear();
+                    }
                 }
                 undo_to(&mut js.binding, &mut js.trail, 0);
             }
         }
-    }
-
-    /// One delta-window chunk through the worst-case-optimal path: per
-    /// delta row, open one [`TrieCursor`] per non-delta atom on its
-    /// delta-bound prefix and leapfrog the free variables, intersecting
-    /// every atom's candidate values per variable (AGM-bounded — no 2-path
-    /// blowup on triangles and cliques).
-    ///
-    /// Byte-identical to the binary join: under set semantics each full
-    /// binding is supported by exactly one fact per atom, and the binary
-    /// nested loop enumerates a delta row's matches in ascending
-    /// lexicographic order of that support-fact vector (postings are
-    /// `FactId`-ascending at every step). The leapfrog emits the same match
-    /// set in value order instead, so each row's matches are sorted by
-    /// their support vector before appending — restoring the binary
-    /// enumeration order exactly. Semi-naive limits are enforced at the
-    /// leaf: a support fact at or past its atom's limit disqualifies the
-    /// match, just as the binary probe's partition-point cut would.
-    ///
-    /// Returns `false` (without touching `results`) when a trie cursor is
-    /// unavailable — unflushed tails or a missing composite index on a
-    /// shared snapshot base — in which case the caller runs the binary
-    /// fallback. The decision is a pure function of the frozen store.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_chunk_wcoj(
-        store: &FactStore,
-        counters: &mut JoinCounters,
-        job: &FilterJob,
-        cw: &CompiledWcoj,
-        delta_idx: usize,
-        from: usize,
-        to: usize,
-        js: &mut JoinScratch,
-        results: &mut Vec<Binding>,
-    ) -> bool {
-        let Some(delta_rel) = store.relation(job.patterns[delta_idx].predicate) else {
-            return true;
-        };
-        let mut rels = Vec::with_capacity(cw.tries.len());
-        for trie in &cw.tries {
-            // Semi-naive limit: positions strictly before the delta position
-            // are restricted to old facts (each new combination seen once).
-            let limit = if trie.atom < delta_idx {
-                job.deltas[trie.atom].0
-            } else {
-                job.deltas[trie.atom].1
-            };
-            let Some(rel) = store.relation(job.patterns[trie.atom].predicate) else {
-                return true; // a body relation with no facts: the join is empty
-            };
-            if limit == 0 {
-                return true;
-            }
-            rels.push((rel, limit));
-        }
-        let mut cursors: Vec<TrieCursor<'_>> = Vec::with_capacity(cw.tries.len());
-        for (trie, (rel, _)) in cw.tries.iter().zip(&rels) {
-            match &trie.backend {
-                TrieBackend::Indexed => match rel.trie_cursor(&trie.cols) {
-                    Some(c) => cursors.push(c),
-                    None => return false,
-                },
-                TrieBackend::Hash(ht) => cursors.push(ht.cursor()),
-            }
-        }
-        js.reset(job.slots.len(), job.patterns.len());
-        // Re-adopt the open-span memos of this work item's previous chunk:
-        // one filter activation re-opens the same delta-bound prefixes
-        // across its chunks, and the store is frozen for the whole batch,
-        // so memoised spans stay valid. Memos only speed `open` up — they
-        // never change what a cursor enumerates.
-        for (cursor, memo) in cursors
-            .iter_mut()
-            .zip(js.memo_bank((job.f_idx, delta_idx), cw.tries.len()))
-        {
-            cursor.adopt_memo(std::mem::take(memo));
-        }
-        let mut wc = WcojCounters::default();
-        // Chunk-scoped scratch, reused across rows: a flat support-key
-        // buffer, the pending (key offset, binding) matches of the current
-        // row, and the leaf-facts buffer.
-        let k = cw.tries.len();
-        let mut keybuf: Vec<FactId> = Vec::new();
-        let mut pending: Vec<(usize, Binding)> = Vec::new();
-        let mut leaves: Vec<FactId> = Vec::new();
-        for fact_pos in from..to.min(delta_rel.len()) {
-            let row = delta_rel.row(FactId(fact_pos as u32));
-            counters.join_probes += 1;
-            if !job.patterns[delta_idx].match_row(row, &mut js.binding, &mut js.trail) {
-                continue;
-            }
-            if Self::check_guards(&job.delta_steps[delta_idx][0].guards, &js.binding)
-                && Self::check_guards(&cw.pre_guards, &js.binding)
-            {
-                let mut all_open = true;
-                for (trie, cursor) in cw.tries.iter().zip(cursors.iter_mut()) {
-                    let filled = job.patterns[trie.atom].fill_probe_key(
-                        &trie.cols[..trie.prefix_len],
-                        &js.binding,
-                        &mut js.key,
-                    );
-                    debug_assert!(filled, "trie prefixes are delta-bound by construction");
-                    if !(filled && cursor.open(&js.key)) {
-                        all_open = false; // empty prefix span: zero matches
-                        break;
-                    }
-                }
-                if all_open {
-                    keybuf.clear();
-                    pending.clear();
-                    leapfrog_join(
-                        &mut cursors,
-                        &cw.levels,
-                        &mut js.binding,
-                        &mut wc,
-                        &mut |li, binding| Self::check_guards(&cw.level_guards[li], binding),
-                        &mut |binding, cursors| {
-                            let start = keybuf.len();
-                            for (cursor, (rel, limit)) in cursors.iter().zip(&rels) {
-                                leaves.clear();
-                                cursor.leaf_facts(&mut leaves);
-                                // Set semantics: at most one stored row has
-                                // these column values at this arity; wider
-                                // or narrower rows sharing the leaf span
-                                // are other facts entirely.
-                                let support = leaves.iter().copied().find(|f| {
-                                    f.index() < *limit && rel.row(*f).len() == cursor.arity()
-                                });
-                                match support {
-                                    Some(f) => keybuf.push(f),
-                                    None => {
-                                        keybuf.truncate(start);
-                                        return;
-                                    }
-                                }
-                            }
-                            pending.push((start, binding.to_vec()));
-                        },
-                    );
-                    pending.sort_by(|a, b| keybuf[a.0..a.0 + k].cmp(&keybuf[b.0..b.0 + k]));
-                    results.extend(pending.drain(..).map(|(_, b)| b));
-                }
-            }
-            undo_to(&mut js.binding, &mut js.trail, 0);
-        }
-        counters.wcoj_seeks += wc.seeks;
-        counters.wcoj_intersections += wc.intersections;
         // Hand the open-span memos back for the item's next chunk.
         for (cursor, memo) in cursors.iter_mut().zip(js.trie_memos.iter_mut()) {
             *memo = cursor.take_memo();
         }
-        true
     }
 
-    /// One delta-window chunk through the free-join hybrid path: per delta
-    /// row, binary probe steps walk the acyclic prefix ears exactly as
-    /// [`Pipeline::join_rest`] would; at the prefix leaf, one [`TrieCursor`]
-    /// per cyclic-core atom opens on its (delta ∪ prefix)-bound columns and
-    /// the core's free variables leapfrog; each core match then binds its
-    /// level values and the binary suffix ears enumerate underneath it.
-    ///
-    /// Byte-identity with the binary join follows the same argument as
-    /// [`Pipeline::collect_chunk_wcoj`], extended to the three-stage shape:
-    /// under set semantics each full binding is supported by exactly one
-    /// fact per atom, and the binary nested loop enumerates a delta row's
-    /// matches in ascending lexicographic order of the (n−1)-wide support
-    /// vector over sequence steps `1..n`. The hybrid records every accepted
-    /// match's full support vector (prefix ears, core tries and suffix ears
-    /// written at their binary sequence positions) and sorts the row's
-    /// matches by it before appending — restoring the binary enumeration
-    /// order exactly, whatever order the leapfrog emitted core matches in.
-    /// Semi-naive limits apply per stage: ear probes cut postings at their
-    /// atom's limit, core support facts are filtered at the leaf.
-    ///
-    /// Returns `false` (without touching `results`) when an indexed-backend
-    /// trie cursor is unavailable; hash-trie backends always serve. The
-    /// decision is a pure function of the frozen store.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_chunk_hybrid(
-        store: &FactStore,
+    /// The stage interpreter: run stage `stage` of the chunk's plan under
+    /// the current partial binding, recursing into the next stage once per
+    /// extension. Past the last stage the binding is a full match: the
+    /// all-probe plan pushes it straight into `results` (its enumeration
+    /// order *is* the emission order); a plan with an intersect stage
+    /// checks the deferred core guards and records the binding with its
+    /// support vector for the per-row order-restoring sort in
+    /// [`Pipeline::collect_chunk`].
+    #[inline(always)]
+    fn join_stage<'r>(
+        cx: &JoinCx<'_, 'r>,
+        stage: usize,
+        cursors: &mut [TrieCursor<'r>],
         counters: &mut JoinCounters,
-        use_indices: bool,
-        job: &FilterJob,
-        ch: &CompiledHybrid,
-        delta_idx: usize,
-        from: usize,
-        to: usize,
         js: &mut JoinScratch,
         results: &mut Vec<Binding>,
-    ) -> bool {
-        let Some(delta_rel) = store.relation(job.patterns[delta_idx].predicate) else {
-            return true;
-        };
-        let mut rels = Vec::with_capacity(ch.tries.len());
-        for trie in &ch.tries {
-            let limit = if trie.atom < delta_idx {
-                job.deltas[trie.atom].0
-            } else {
-                job.deltas[trie.atom].1
-            };
-            let Some(rel) = store.relation(job.patterns[trie.atom].predicate) else {
-                return true; // a body relation with no facts: the join is empty
-            };
-            if limit == 0 {
-                return true;
+    ) {
+        match (cx.stages.get(stage), cx.core) {
+            (Some(Stage::Probe(step)), _) => {
+                Self::probe_stage(cx, stage, *step, cursors, counters, js, results)
             }
-            rels.push((rel, limit));
-        }
-        let mut cursors: Vec<TrieCursor<'_>> = Vec::with_capacity(ch.tries.len());
-        for (trie, (rel, _)) in ch.tries.iter().zip(&rels) {
-            match &trie.backend {
-                TrieBackend::Indexed => match rel.trie_cursor(&trie.cols) {
-                    Some(c) => cursors.push(c),
-                    None => return false,
-                },
-                TrieBackend::Hash(ht) => cursors.push(ht.cursor()),
+            (Some(Stage::Intersect), Some(ch)) => {
+                Self::intersect_stage(cx, stage, ch, cursors, counters, js, results)
+            }
+            (Some(Stage::Intersect), None) => {
+                unreachable!("only a compiled free-join plan has an intersect stage")
+            }
+            (None, None) => results.push(js.binding.clone()),
+            (None, Some(ch)) => {
+                if Self::check_guards(&ch.deferred_guards, &js.binding) {
+                    let start = js.keybuf.len();
+                    js.keybuf.extend_from_slice(&js.support);
+                    js.pending.push((start, js.binding.clone()));
+                }
             }
         }
-        js.reset(job.slots.len(), job.patterns.len());
-        // Re-adopt the previous chunk's open-span memos (see
-        // [`Pipeline::collect_chunk_wcoj`]); the hybrid re-opens core
-        // prefixes once per prefix-ear combination, so the memo pays off
-        // even within one chunk.
-        for (cursor, memo) in cursors
-            .iter_mut()
-            .zip(js.memo_bank((job.f_idx, delta_idx), ch.tries.len()))
-        {
-            cursor.adopt_memo(std::mem::take(memo));
-        }
-        let mut wc = WcojCounters::default();
-        let n_steps = job.delta_steps[delta_idx].len();
-        let mut hs = HybridScratch {
-            seqfacts: vec![FactId(0); n_steps - 1],
-            corevals: Vec::new(),
-            corefacts: Vec::new(),
-            keybuf: Vec::new(),
-            pending: Vec::new(),
-            leaves: Vec::new(),
-        };
-        for fact_pos in from..to.min(delta_rel.len()) {
-            let row = delta_rel.row(FactId(fact_pos as u32));
-            counters.join_probes += 1;
-            if !job.patterns[delta_idx].match_row(row, &mut js.binding, &mut js.trail) {
-                continue;
-            }
-            if Self::check_guards(&job.delta_steps[delta_idx][0].guards, &js.binding) {
-                hs.keybuf.clear();
-                hs.pending.clear();
-                Self::hybrid_ears(
-                    store,
-                    counters,
-                    use_indices,
-                    job,
-                    ch,
-                    delta_idx,
-                    false,
-                    0,
-                    &mut cursors,
-                    &rels,
-                    &mut wc,
-                    js,
-                    &mut hs,
-                );
-                let k = n_steps - 1;
-                let HybridScratch {
-                    keybuf, pending, ..
-                } = &mut hs;
-                pending.sort_by(|a, b| keybuf[a.0..a.0 + k].cmp(&keybuf[b.0..b.0 + k]));
-                results.extend(pending.drain(..).map(|(_, b)| b));
-            }
-            undo_to(&mut js.binding, &mut js.trail, 0);
-        }
-        counters.wcoj_seeks += wc.seeks;
-        counters.wcoj_intersections += wc.intersections;
-        for (cursor, memo) in cursors.iter_mut().zip(js.trie_memos.iter_mut()) {
-            *memo = cursor.take_memo();
-        }
-        true
     }
 
-    /// Binary ear recursion of the hybrid driver: walk the prefix
-    /// (`suffix == false`) or suffix (`suffix == true`) ear steps in
-    /// sequence order, probing and guarding each exactly as
-    /// [`Pipeline::join_rest`] does, and record every matched support fact
-    /// at its binary sequence position. A completed prefix opens the
-    /// leapfrog stage ([`Pipeline::hybrid_core`]); a completed suffix is a
-    /// full match — the deferred core guards run and the support vector is
-    /// recorded for the per-row order-restoring sort.
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_ears(
-        store: &FactStore,
+    /// Probe stage: match one atom on its bound columns — the planner's
+    /// composite prefix and (optional) pushed range condition, whose index
+    /// the activation pre-pass built and flushed, so with indices enabled
+    /// the probe hits; a scan otherwise — and run the next stage under
+    /// every extension that passes the step's guards, recording the matched
+    /// support fact at the step's binary sequence position.
+    fn probe_stage<'r>(
+        cx: &JoinCx<'_, 'r>,
+        stage: usize,
+        step_pos: usize,
+        cursors: &mut [TrieCursor<'r>],
         counters: &mut JoinCounters,
-        use_indices: bool,
-        job: &FilterJob,
-        ch: &CompiledHybrid,
-        delta_idx: usize,
-        suffix: bool,
-        idx: usize,
-        cursors: &mut [TrieCursor<'_>],
-        rels: &[(&Relation, usize)],
-        wc: &mut WcojCounters,
         js: &mut JoinScratch,
-        hs: &mut HybridScratch,
+        results: &mut Vec<Binding>,
     ) {
-        let ear_steps: &[usize] = if suffix {
-            &ch.suffix_steps
-        } else {
-            &ch.prefix_steps
-        };
-        if idx == ear_steps.len() {
-            if suffix {
-                if Self::check_guards(&ch.deferred_guards, &js.binding) {
-                    let start = hs.keybuf.len();
-                    hs.keybuf.extend_from_slice(&hs.seqfacts);
-                    hs.pending.push((start, js.binding.clone()));
-                }
-            } else {
-                Self::hybrid_core(
-                    store,
-                    counters,
-                    use_indices,
-                    job,
-                    ch,
-                    delta_idx,
-                    cursors,
-                    rels,
-                    wc,
-                    js,
-                    hs,
-                );
-            }
-            return;
-        }
-        let step_pos = ear_steps[idx];
-        let step = &job.delta_steps[delta_idx][step_pos];
-        let pos = step.atom;
-        let pattern = &job.patterns[pos];
-        let limit = if pos < delta_idx {
-            job.deltas[pos].0
-        } else {
-            job.deltas[pos].1
-        };
+        let step = &cx.steps[step_pos];
+        let pattern = &cx.job.patterns[step.atom];
+        let limit = cx.job.limit(step.atom, cx.delta_idx);
         if limit == 0 {
             return;
         }
-        let Some(rel) = store.relation(pattern.predicate) else {
+        let Some(rel) = cx.store.relation(pattern.predicate) else {
             return;
         };
         let mark = js.trail.len();
+        let extend = |id: FactId,
+                      cursors: &mut [TrieCursor<'r>],
+                      counters: &mut JoinCounters,
+                      js: &mut JoinScratch,
+                      results: &mut Vec<Binding>| {
+            counters.join_probes += 1;
+            if pattern.match_row(rel.row(id), &mut js.binding, &mut js.trail) {
+                if Self::check_guards(&step.guards, &js.binding) {
+                    js.support[step_pos - 1] = id;
+                    Self::join_stage(cx, stage + 1, cursors, counters, js, results);
+                }
+                undo_to(&mut js.binding, &mut js.trail, mark);
+            }
+        };
         let mut scratch = std::mem::take(&mut js.postings[step_pos]);
         let mut ranged = false;
-        let probed = if use_indices && !step.index_cols.is_empty() {
-            let range_filter = step.range.as_ref().and_then(|r| r.filter(&js.binding));
-            ranged = range_filter.is_some();
-            let JoinScratch { binding, key, .. } = js;
-            pattern.probe(
-                rel,
-                &step.index_cols,
-                step.prefix_len,
-                range_filter.as_ref(),
-                key,
-                binding,
-                &mut scratch,
-            )
-        } else {
-            None
-        };
-        match probed {
-            Some(probe) => {
-                counters.index_probes += 1;
-                if ranged {
-                    counters.range_probes += 1;
-                }
-                let ids = probe.as_slice(&scratch);
-                let cut = ids.partition_point(|id| id.index() < limit);
-                for id in &ids[..cut] {
-                    counters.join_probes += 1;
-                    if pattern.match_row(rel.row(*id), &mut js.binding, &mut js.trail) {
-                        if Self::check_guards(&step.guards, &js.binding) {
-                            hs.seqfacts[step_pos - 1] = *id;
-                            Self::hybrid_ears(
-                                store,
-                                counters,
-                                use_indices,
-                                job,
-                                ch,
-                                delta_idx,
-                                suffix,
-                                idx + 1,
-                                cursors,
-                                rels,
-                                wc,
-                                js,
-                                hs,
-                            );
-                        }
-                        undo_to(&mut js.binding, &mut js.trail, mark);
-                    }
-                }
-            }
-            None => {
-                counters.scan_fallbacks += 1;
-                for i in 0..limit.min(rel.len()) {
-                    counters.join_probes += 1;
-                    let id = FactId(i as u32);
-                    if pattern.match_row(rel.row(id), &mut js.binding, &mut js.trail) {
-                        if Self::check_guards(&step.guards, &js.binding) {
-                            hs.seqfacts[step_pos - 1] = id;
-                            Self::hybrid_ears(
-                                store,
-                                counters,
-                                use_indices,
-                                job,
-                                ch,
-                                delta_idx,
-                                suffix,
-                                idx + 1,
-                                cursors,
-                                rels,
-                                wc,
-                                js,
-                                hs,
-                            );
-                        }
-                        undo_to(&mut js.binding, &mut js.trail, mark);
-                    }
-                }
-            }
-        }
-        scratch.clear();
-        js.postings[step_pos] = scratch;
-    }
-
-    /// Leapfrog stage of the hybrid driver, entered once per prefix-ear
-    /// combination: open every core trie on its (delta ∪ prefix)-bound
-    /// columns, leapfrog the core's free variables, and buffer each core
-    /// match's level values and support facts. Phase two then replays the
-    /// buffered matches — binding the level slots and writing the core
-    /// support facts at their sequence positions — and runs the suffix-ear
-    /// recursion underneath each. Buffering decouples the leapfrog's cursor
-    /// borrow from the suffix recursion's scratch use; the per-row sort in
-    /// the caller makes the emission order independent of it either way.
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_core(
-        store: &FactStore,
-        counters: &mut JoinCounters,
-        use_indices: bool,
-        job: &FilterJob,
-        ch: &CompiledHybrid,
-        delta_idx: usize,
-        cursors: &mut [TrieCursor<'_>],
-        rels: &[(&Relation, usize)],
-        wc: &mut WcojCounters,
-        js: &mut JoinScratch,
-        hs: &mut HybridScratch,
-    ) {
-        if !Self::check_guards(&ch.pre_guards, &js.binding) {
-            return;
-        }
-        for (trie, cursor) in ch.tries.iter().zip(cursors.iter_mut()) {
-            let filled = job.patterns[trie.atom].fill_probe_key(
-                &trie.cols[..trie.prefix_len],
-                &js.binding,
-                &mut js.key,
-            );
-            debug_assert!(filled, "hybrid trie prefixes are bound before the leapfrog");
-            if !(filled && cursor.open(&js.key)) {
-                return; // empty prefix span: zero core matches
-            }
-        }
-        hs.corevals.clear();
-        hs.corefacts.clear();
-        let n_levels = ch.levels.len();
-        let n_tries = ch.tries.len();
-        {
-            let HybridScratch {
-                corevals,
-                corefacts,
-                leaves,
-                ..
-            } = hs;
-            leapfrog_join(
-                cursors,
-                &ch.levels,
-                &mut js.binding,
-                wc,
-                &mut |li, binding| Self::check_guards(&ch.level_guards[li], binding),
-                &mut |binding, cursors| {
-                    let start = corefacts.len();
-                    for (cursor, (rel, limit)) in cursors.iter().zip(rels) {
-                        leaves.clear();
-                        cursor.leaf_facts(leaves);
-                        // Set semantics: at most one stored row has these
-                        // column values at this arity (see
-                        // `collect_chunk_wcoj`).
-                        let support = leaves
-                            .iter()
-                            .copied()
-                            .find(|f| f.index() < *limit && rel.row(*f).len() == cursor.arity());
-                        match support {
-                            Some(f) => corefacts.push(f),
-                            None => {
-                                corefacts.truncate(start);
-                                return;
-                            }
-                        }
-                    }
-                    for level in &ch.levels {
-                        corevals
-                            .push(binding[level.slot].expect("leapfrog binds every level slot"));
-                    }
-                },
-            );
-        }
-        let matches = hs.corefacts.len() / n_tries.max(1);
-        for m in 0..matches {
-            for (t, seq) in ch.trie_seq.iter().enumerate() {
-                hs.seqfacts[seq - 1] = hs.corefacts[m * n_tries + t];
-            }
-            let mark = js.trail.len();
-            for (li, level) in ch.levels.iter().enumerate() {
-                js.binding[level.slot] = Some(hs.corevals[m * n_levels + li]);
-                js.trail.push(level.slot);
-            }
-            Self::hybrid_ears(
-                store,
-                counters,
-                use_indices,
-                job,
-                ch,
-                delta_idx,
-                true,
-                0,
-                cursors,
-                rels,
-                wc,
-                js,
-                hs,
-            );
-            undo_to(&mut js.binding, &mut js.trail, mark);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn join_rest(
-        store: &FactStore,
-        counters: &mut JoinCounters,
-        use_indices: bool,
-        job: &FilterJob,
-        steps: &[CompiledStep],
-        depth: usize,
-        delta_idx: usize,
-        js: &mut JoinScratch,
-        results: &mut Vec<Binding>,
-    ) {
-        if depth == steps.len() {
-            results.push(js.binding.clone());
-            return;
-        }
-        let step = &steps[depth];
-        let pos = step.atom;
-        let pattern = &job.patterns[pos];
-        // Positions strictly before the delta position are restricted to old
-        // facts so that each new combination is seen exactly once.
-        let limit = if pos < delta_idx {
-            job.deltas[pos].0
-        } else {
-            job.deltas[pos].1
-        };
-        if limit == 0 {
-            return;
-        }
-        let Some(rel) = store.relation(pattern.predicate) else {
-            return;
-        };
-
-        let mark = js.trail.len();
-        // The planner chose this step's composite prefix and (optional)
-        // pushed range condition; the activation pre-pass built and flushed
-        // exactly that index, so with indices enabled the probe hits.
-        let mut scratch = std::mem::take(&mut js.postings[depth]);
-        let mut ranged = false;
-        let probed = if use_indices && !step.index_cols.is_empty() {
+        let probed = if cx.use_indices && !step.index_cols.is_empty() {
             let range_filter = step.range.as_ref().and_then(|r| r.filter(&js.binding));
             ranged = range_filter.is_some();
             let JoinScratch { binding, key, .. } = js;
@@ -2831,51 +2235,116 @@ impl<'a> Pipeline<'a> {
                 // semi-naive limit instead of filtering per id.
                 let cut = ids.partition_point(|id| id.index() < limit);
                 for id in &ids[..cut] {
-                    counters.join_probes += 1;
-                    if pattern.match_row(rel.row(*id), &mut js.binding, &mut js.trail) {
-                        if Self::check_guards(&step.guards, &js.binding) {
-                            Self::join_rest(
-                                store,
-                                counters,
-                                use_indices,
-                                job,
-                                steps,
-                                depth + 1,
-                                delta_idx,
-                                js,
-                                results,
-                            );
-                        }
-                        undo_to(&mut js.binding, &mut js.trail, mark);
-                    }
+                    extend(*id, cursors, counters, js, results);
                 }
             }
             None => {
                 counters.scan_fallbacks += 1;
                 for i in 0..limit.min(rel.len()) {
-                    counters.join_probes += 1;
-                    if pattern.match_row(rel.row(FactId(i as u32)), &mut js.binding, &mut js.trail)
-                    {
-                        if Self::check_guards(&step.guards, &js.binding) {
-                            Self::join_rest(
-                                store,
-                                counters,
-                                use_indices,
-                                job,
-                                steps,
-                                depth + 1,
-                                delta_idx,
-                                js,
-                                results,
-                            );
-                        }
-                        undo_to(&mut js.binding, &mut js.trail, mark);
-                    }
+                    extend(FactId(i as u32), cursors, counters, js, results);
                 }
             }
         }
         scratch.clear();
-        js.postings[depth] = scratch;
+        js.postings[step_pos] = scratch;
+    }
+
+    /// Intersect stage, entered once per prefix-ear combination: open every
+    /// core trie on its (delta ∪ prefix)-bound columns, leapfrog the core's
+    /// free variables (AGM-bounded — no 2-path blowup on triangles and
+    /// cliques), and buffer each core match's level values and support
+    /// facts. Phase two then replays the buffered matches — binding the
+    /// level slots and writing the core support facts at their sequence
+    /// positions — and runs the next stage underneath each. Buffering
+    /// decouples the leapfrog's cursor borrow from the later stages'
+    /// scratch use; the per-row sort in [`Pipeline::collect_chunk`] makes
+    /// the emission order independent of it either way.
+    fn intersect_stage<'r>(
+        cx: &JoinCx<'_, 'r>,
+        stage: usize,
+        ch: &CompiledHybrid,
+        cursors: &mut [TrieCursor<'r>],
+        counters: &mut JoinCounters,
+        js: &mut JoinScratch,
+        results: &mut Vec<Binding>,
+    ) {
+        if !Self::check_guards(&ch.pre_guards, &js.binding) {
+            return;
+        }
+        for (trie, cursor) in ch.tries.iter().zip(cursors.iter_mut()) {
+            let filled = cx.job.patterns[trie.atom].fill_probe_key(
+                &trie.cols[..trie.prefix_len],
+                &js.binding,
+                &mut js.key,
+            );
+            debug_assert!(filled, "trie prefixes are bound before the leapfrog");
+            if !(filled && cursor.open(&js.key)) {
+                return; // empty prefix span: zero core matches
+            }
+        }
+        js.corevals.clear();
+        js.corefacts.clear();
+        let mut wc = WcojCounters::default();
+        {
+            let JoinScratch {
+                binding,
+                corevals,
+                corefacts,
+                leaves,
+                ..
+            } = js;
+            leapfrog_join(
+                cursors,
+                &ch.levels,
+                binding,
+                &mut wc,
+                &mut |li, binding| Self::check_guards(&ch.level_guards[li], binding),
+                &mut |binding, cursors| {
+                    let start = corefacts.len();
+                    for (cursor, (rel, limit)) in cursors.iter().zip(cx.core_rels) {
+                        leaves.clear();
+                        cursor.leaf_facts(leaves);
+                        // Set semantics: at most one stored row has these
+                        // column values at this arity; wider or narrower
+                        // rows sharing the leaf span are other facts
+                        // entirely. A support fact at or past its atom's
+                        // semi-naive limit disqualifies the match, just as
+                        // a probe's partition-point cut would.
+                        let support = leaves
+                            .iter()
+                            .copied()
+                            .find(|f| f.index() < *limit && rel.row(*f).len() == cursor.arity());
+                        match support {
+                            Some(f) => corefacts.push(f),
+                            None => {
+                                corefacts.truncate(start);
+                                return;
+                            }
+                        }
+                    }
+                    for level in &ch.levels {
+                        corevals
+                            .push(binding[level.slot].expect("leapfrog binds every level slot"));
+                    }
+                },
+            );
+        }
+        counters.wcoj_seeks += wc.seeks;
+        counters.wcoj_intersections += wc.intersections;
+        let n_levels = ch.levels.len();
+        let n_tries = ch.tries.len();
+        for m in 0..js.corefacts.len() / n_tries {
+            for (t, seq) in ch.trie_seq.iter().enumerate() {
+                js.support[seq - 1] = js.corefacts[m * n_tries + t];
+            }
+            let mark = js.trail.len();
+            for (li, level) in ch.levels.iter().enumerate() {
+                js.binding[level.slot] = Some(js.corevals[m * n_levels + li]);
+                js.trail.push(level.slot);
+            }
+            Self::join_stage(cx, stage + 1, cursors, counters, js, results);
+            undo_to(&mut js.binding, &mut js.trail, mark);
+        }
     }
 }
 
@@ -3146,9 +2615,9 @@ mod tests {
     }
 
     #[test]
-    fn wcoj_routes_cyclic_bodies_and_matches_binary_joins_exactly() {
+    fn cyclic_bodies_leapfrog_and_match_binary_joins_exactly() {
         // A recursive program whose cyclic (triangle) body keeps growing:
-        // Edge feeds Triangle, Triangle feeds Edge back, so the WCOJ path
+        // Edge feeds Triangle, Triangle feeds Edge back, so the intersect stage
         // sees deltas at every body position across several iterations. A
         // pushed condition rides along to exercise the level guards.
         let mut src = String::from(
@@ -3170,12 +2639,7 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
-        let run = |wcoj: bool, threads: usize, intra: usize| {
-            let strategy = if wcoj {
-                JoinStrategy::Wcoj
-            } else {
-                JoinStrategy::Binary
-            };
+        let run = |strategy: JoinStrategy, threads: usize, intra: usize| {
             let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new()))
                 .with_join_strategy(strategy)
                 .with_parallelism(threads)
@@ -3185,7 +2649,7 @@ mod tests {
             p.run();
             p
         };
-        let binary = run(false, 1, 1);
+        let binary = run(JoinStrategy::Binary, 1, 1);
         assert_eq!(binary.stats().wcoj_activations, 0);
         assert_eq!(binary.stats().wcoj_intersections, 0);
         assert!(
@@ -3193,7 +2657,7 @@ mod tests {
             "the generated graph must contain triangles"
         );
         for (threads, intra) in [(1, 1), (4, 4), (8, 2)] {
-            let wcoj = run(true, threads, intra);
+            let wcoj = run(JoinStrategy::FreeJoin, threads, intra);
             for pred in ["Raw", "Edge", "Triangle", "Lt"] {
                 // Exact Vec equality: same rows in the same FactId order.
                 assert_eq!(
@@ -3211,14 +2675,14 @@ mod tests {
             assert_eq!(binary.stats().sweep_batches, wcoj.stats().sweep_batches);
             assert!(
                 wcoj.stats().wcoj_activations > 0,
-                "cyclic bodies must route through the WCOJ path"
+                "fully cyclic bodies must compile an intersect stage with no ears"
             );
             assert!(wcoj.stats().wcoj_intersections > 0);
         }
-        // The WCOJ path is itself bit-identical across thread counts at a
+        // The intersect stage is itself bit-identical across thread counts at a
         // fixed chunk layout, deterministic counters included.
-        let a = run(true, 1, 4);
-        let b = run(true, 8, 4);
+        let a = run(JoinStrategy::FreeJoin, 1, 4);
+        let b = run(JoinStrategy::FreeJoin, 8, 4);
         assert_eq!(a.stats().join_probes, b.stats().join_probes);
         assert_eq!(a.stats().wcoj_seeks, b.stats().wcoj_seeks);
         assert_eq!(a.stats().wcoj_intersections, b.stats().wcoj_intersections);
@@ -3228,7 +2692,7 @@ mod tests {
     }
 
     #[test]
-    fn acyclic_bodies_never_take_the_wcoj_path() {
+    fn acyclic_bodies_never_get_an_intersect_stage() {
         let (_, stats, _) = run_pipeline(
             "Edge(\"a\", \"b\"). Edge(\"b\", \"c\").\n\
              Edge(x, y) -> Reach(x, y).\n\

@@ -155,15 +155,15 @@ pub struct StepPlan {
     pub guards: Vec<usize>,
 }
 
-/// One atom's trie in a worst-case-optimal join: which columns the delta
-/// binding determines up front (the cursor's `open` prefix) and which carry
-/// the free variables the leapfrog intersects.
+/// One atom's trie in the intersect stage of a free-join plan: which columns
+/// are determined before the stage opens (the cursor's `open` prefix) and
+/// which carry the free variables the leapfrog intersects.
 #[derive(Clone, Debug)]
 pub struct TriePlan {
     /// Body-atom position this trie matches.
     pub atom: usize,
     /// Columns bound before the leapfrog runs — constants and variables of
-    /// the delta atom — in ascending column order.
+    /// the delta atom or a prefix ear — in ascending column order.
     pub bound_cols: Vec<usize>,
     /// The remaining columns, keyed by their variable. The trie's index
     /// column list is `bound_cols` followed by these columns ordered by the
@@ -171,32 +171,59 @@ pub struct TriePlan {
     pub var_cols: Vec<(Var, usize)>,
 }
 
-/// The worst-case-optimal (leapfrog-triejoin) plan of one delta position:
-/// chosen by the planner when the body's join hypergraph is **cyclic** (GYO
-/// reduction leaves a residue — triangles, cliques, longer cycles), where
-/// binary joins pay the classic intermediate-result blowup. Acyclic bodies
-/// keep the binary step plan, which is already worst-case optimal for them.
+/// The **free-join** plan of one delta position, chosen by the planner when
+/// the body's join hypergraph is cyclic: binary probe steps for the acyclic
+/// *ears* of the body, wrapped around a leapfrog stage over only the
+/// **cyclic core** (the irreducible residue of GYO ear reduction — see
+/// `vadalog_analysis::cyclic_core`), where binary joins pay the classic
+/// intermediate-result blowup. A lollipop body (triangle plus a pendant
+/// path) runs the triangle worst-case-optimally while the pendant atoms
+/// keep their cheap index probes; a fully cyclic body (triangle, clique)
+/// is the degenerate case with no ears — every non-delta atom is a core
+/// trie. Acyclic bodies have no such plan: the all-probe step list is
+/// already worst-case optimal for them.
 #[derive(Clone, Debug)]
-pub struct WcojPlan {
-    /// Free variables (not bound by the delta atom) with their degree — the
-    /// number of tries containing them — in descending degree order,
-    /// first-occurrence tie-break. The pipeline stably re-ranks equal-degree
-    /// runs by run-directory selectivity (`index_stats`) at prepare time;
-    /// higher degree first maximises early intersection pruning.
+pub struct HybridPlan {
+    /// Step indices (into [`DeltaPlan::steps`]) of the leading ear steps
+    /// probed binary-style *before* the leapfrog, in evaluation order. Their
+    /// variables count as bound in the core tries' `bound_cols`.
+    pub prefix_steps: Vec<usize>,
+    /// Free variables of the core tries with their degree (number of core
+    /// tries containing them), descending degree, first-occurrence
+    /// tie-break. The pipeline stably re-ranks equal-degree runs by
+    /// run-directory selectivity (`index_stats`) at prepare time; higher
+    /// degree first maximises early intersection pruning.
     pub var_order: Vec<(Var, usize)>,
-    /// One trie per non-delta body atom, in **binary step order** — the
-    /// order the fallback plan's steps probe them, which is also the sort
-    /// key order that makes the WCOJ emission byte-identical to the binary
-    /// join's enumeration.
+    /// One trie per core atom other than the delta atom, in evaluation
+    /// order. `bound_cols` covers constants plus variables bound by the
+    /// delta atom or a prefix step (never by a suffix ear, even when that
+    /// ear precedes the core atom in the binary sequence — the executor
+    /// runs every suffix ear after the leapfrog).
     pub tries: Vec<TriePlan>,
+    /// Step indices of the remaining ear steps, probed binary-style *after*
+    /// the leapfrog, in evaluation order. Every variable a suffix step's
+    /// probe or guards need is bound by then: the executor runs all
+    /// sequence-earlier atoms (prefix, core, earlier suffix ears) first, a
+    /// superset of the binary plan's bound set at that step.
+    pub suffix_steps: Vec<usize>,
+    /// Body atoms outside the cyclic core: the prefix and suffix steps,
+    /// plus the delta atom when it is an ear itself. 0 for a fully cyclic
+    /// body.
+    pub ears: usize,
 }
 
-impl WcojPlan {
-    /// The plan-time variable order: descending degree, first occurrence
-    /// within equal degrees (the order before the prepare-time selectivity
-    /// re-rank).
+impl HybridPlan {
+    /// The plan-time core variable order: descending degree, first
+    /// occurrence within equal degrees (the order before the prepare-time
+    /// selectivity re-rank).
     pub fn static_order(&self) -> Vec<Var> {
         self.var_order.iter().map(|(v, _)| *v).collect()
+    }
+
+    /// Does the body have acyclic ears around the core? `false` for a fully
+    /// cyclic body, whose every atom is a core atom.
+    pub fn has_ears(&self) -> bool {
+        self.ears > 0
     }
 
     /// The index column list of `trie` under the final variable order:
@@ -221,46 +248,6 @@ impl WcojPlan {
     }
 }
 
-/// The **hybrid free-join** plan of one delta position: binary probe steps
-/// for the acyclic *ears* of the body, wrapped around a leapfrog stage over
-/// only the **cyclic core** (the irreducible residue of GYO ear reduction —
-/// see `vadalog_analysis::cyclic_core`). A lollipop body (triangle plus a
-/// pendant path) runs the triangle worst-case-optimally while the pendant
-/// atoms keep their cheap index probes, instead of paying trie builds and
-/// leapfrog overhead over the whole body.
-#[derive(Clone, Debug)]
-pub struct HybridPlan {
-    /// Step indices (into [`DeltaPlan::steps`]) of the leading ear steps
-    /// probed binary-style *before* the leapfrog, in evaluation order. Their
-    /// variables count as bound in the core tries' `bound_cols`.
-    pub prefix_steps: Vec<usize>,
-    /// Free variables of the core tries with their degree (number of core
-    /// tries containing them), descending degree, first-occurrence
-    /// tie-break — the same ranking [`WcojPlan::var_order`] uses, restricted
-    /// to the core.
-    pub var_order: Vec<(Var, usize)>,
-    /// One trie per core atom other than the delta atom, in evaluation
-    /// order. `bound_cols` covers constants plus variables bound by the
-    /// delta atom or a prefix step (never by a suffix ear, even when that
-    /// ear precedes the core atom in the binary sequence — the hybrid
-    /// driver runs every suffix ear after the leapfrog).
-    pub tries: Vec<TriePlan>,
-    /// Step indices of the remaining ear steps, probed binary-style *after*
-    /// the leapfrog, in evaluation order. Every variable a suffix step's
-    /// probe or guards need is bound by then: the hybrid driver executes
-    /// all sequence-earlier atoms (prefix, core, earlier suffix ears)
-    /// first, a superset of the binary plan's bound set at that step.
-    pub suffix_steps: Vec<usize>,
-}
-
-impl HybridPlan {
-    /// The plan-time core variable order (before the prepare-time
-    /// selectivity re-rank on equal-degree ties).
-    pub fn static_order(&self) -> Vec<Var> {
-        self.var_order.iter().map(|(v, _)| *v).collect()
-    }
-}
-
 /// The planned evaluation order for one delta position of the semi-naive
 /// join: the delta atom first, then the remaining atoms in join order, each
 /// with its probe and guards.
@@ -268,17 +255,10 @@ impl HybridPlan {
 pub struct DeltaPlan {
     /// Steps in evaluation order; `steps[0]` scans the delta window.
     pub steps: Vec<StepPlan>,
-    /// The worst-case-optimal alternative to `steps[1..]`, present iff the
-    /// body is cyclic and every non-delta atom is trie-compatible (no
-    /// repeated variables). The pipeline takes it when the `wcoj` knob is
-    /// on and the stores can hand out trie cursors; `steps` remains the
-    /// always-valid fallback.
-    pub wcoj: Option<WcojPlan>,
-    /// The hybrid free-join alternative, present iff the cyclic core is a
-    /// **proper** subset of the body and the core (minus the delta atom)
-    /// yields at least two trie-compatible atoms. Preferred over `wcoj`
-    /// under the `hybrid` join strategy; `steps` remains the always-valid
-    /// fallback.
+    /// The free-join alternative to `steps[1..]`, present iff the body has
+    /// a cyclic core whose non-delta atoms are all trie-compatible (no
+    /// repeated variables). The pipeline takes it when the stores can hand
+    /// out trie cursors; `steps` remains the always-valid fallback.
     pub hybrid: Option<HybridPlan>,
 }
 
@@ -463,69 +443,17 @@ fn classify_conditions(rule: &Rule) -> Vec<PushedCondition> {
     pushed
 }
 
-/// Plan the probe and guard placement for every delta position of the
-/// semi-naive join: for each evaluation order (`[delta] ++ join order`),
-/// pick per step the exact composite prefix (bound variables and constants,
-/// ascending columns, capped at [`MAX_PROBE_PREFIX`]), attach at most one
-/// rangeable pushed condition on a free column whose bound side is already
-/// determined, and schedule every pushed condition as a guard at the first
-/// step where all its variables are bound.
-/// The worst-case-optimal plan for one delta position, or `None` when the
-/// body is not cyclic or some non-delta atom is trie-incompatible (repeated
+/// The free-join plan for one delta position, or `None` when the cyclic
+/// `core` (body-atom positions, from `vadalog_analysis::cyclic_core`) is
+/// empty or some non-delta core atom is trie-incompatible (repeated
 /// variables — a trie column cannot enforce intra-atom equality).
 /// `sequence` is the binary evaluation order (`[delta] ++ join order`);
-/// tries follow it so the WCOJ emission can sort per-delta-row matches into
-/// exactly the binary join's enumeration order.
-fn plan_wcoj(rule: &Rule, sequence: &[usize], cyclic: bool) -> Option<WcojPlan> {
-    if !cyclic {
-        return None;
-    }
-    let atoms = rule.body_atoms();
-    let delta_vars = atoms[sequence[0]].variable_set();
-    let mut tries = Vec::with_capacity(sequence.len() - 1);
-    for &pos in &sequence[1..] {
-        let atom = atoms[pos];
-        let mut seen = BTreeSet::new();
-        if atom.variables().any(|v| !seen.insert(v)) {
-            return None;
-        }
-        let mut bound_cols = Vec::new();
-        let mut var_cols = Vec::new();
-        for (col, t) in atom.terms.iter().enumerate() {
-            match t {
-                Term::Const(_) => bound_cols.push(col),
-                Term::Var(v) if delta_vars.contains(v) => bound_cols.push(col),
-                Term::Var(v) => var_cols.push((*v, col)),
-            }
-        }
-        tries.push(TriePlan {
-            atom: pos,
-            bound_cols,
-            var_cols,
-        });
-    }
-    // Free variables in first-occurrence (trie) order, with their degree;
-    // descending degree, stable within equal degrees.
-    let mut var_order: Vec<(Var, usize)> = Vec::new();
-    for trie in &tries {
-        for (v, _) in &trie.var_cols {
-            match var_order.iter_mut().find(|(u, _)| u == v) {
-                Some((_, d)) => *d += 1,
-                None => var_order.push((*v, 1)),
-            }
-        }
-    }
-    var_order.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
-    Some(WcojPlan { var_order, tries })
-}
-
-/// The hybrid free-join plan for one delta position, or `None` when the
-/// cyclic `core` (body-atom positions, from `vadalog_analysis::cyclic_core`)
-/// is empty or covers the whole body (full WCOJ already routes those), or
-/// when fewer than two non-delta core atoms are trie-compatible.
+/// ears and tries follow it so the executor can sort each delta row's
+/// matches into exactly the binary join's enumeration order. A core that
+/// covers the whole body yields the plan with no ears.
 fn plan_hybrid(rule: &Rule, sequence: &[usize], core: &[usize]) -> Option<HybridPlan> {
     let atoms = rule.body_atoms();
-    if core.is_empty() || core.len() == atoms.len() {
+    if core.is_empty() {
         return None;
     }
     let is_core = |pos: usize| core.contains(&pos);
@@ -569,6 +497,8 @@ fn plan_hybrid(rule: &Rule, sequence: &[usize], core: &[usize]) -> Option<Hybrid
     if tries.len() < 2 {
         return None;
     }
+    // Free variables in first-occurrence (trie) order, with their degree;
+    // descending degree, stable within equal degrees.
     let mut var_order: Vec<(Var, usize)> = Vec::new();
     for trie in &tries {
         for (v, _) in &trie.var_cols {
@@ -584,9 +514,18 @@ fn plan_hybrid(rule: &Rule, sequence: &[usize], core: &[usize]) -> Option<Hybrid
         var_order,
         tries,
         suffix_steps,
+        ears: atoms.len() - core.len(),
     })
 }
 
+/// Plan the probe and guard placement for every delta position of the
+/// semi-naive join: for each evaluation order (`[delta] ++ join order`),
+/// pick per step the exact composite prefix (bound variables and constants,
+/// ascending columns, capped at [`MAX_PROBE_PREFIX`]), attach at most one
+/// rangeable pushed condition on a free column whose bound side is already
+/// determined, and schedule every pushed condition as a guard at the first
+/// step where all its variables are bound. Bodies with a cyclic core also
+/// get the free-join alternative (see [`plan_hybrid`]).
 fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) -> Vec<DeltaPlan> {
     let atoms = rule.body_atoms();
     let core = if atoms.len() >= 3 {
@@ -594,7 +533,6 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
     } else {
         Vec::new()
     };
-    let cyclic = !core.is_empty();
     let mut plans = Vec::with_capacity(atoms.len());
     for delta in 0..atoms.len() {
         let sequence: Vec<usize> = std::iter::once(delta)
@@ -692,13 +630,8 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
             pending.is_empty(),
             "pushable conditions are positively bound by construction"
         );
-        let wcoj = plan_wcoj(rule, &sequence, cyclic);
         let hybrid = plan_hybrid(rule, &sequence, &core);
-        plans.push(DeltaPlan {
-            steps,
-            wcoj,
-            hybrid,
-        });
+        plans.push(DeltaPlan { steps, hybrid });
     }
     plans
 }
@@ -780,31 +713,24 @@ impl AccessPlan {
         for filter in &self.filters {
             let atoms = filter.rule.body_atoms();
             for dp in &filter.delta_plans {
-                if let Some(wp) = &dp.wcoj {
-                    // The trie column lists under the static variable order
-                    // (the prepare-time selectivity re-rank may deviate on
-                    // equal-degree ties; the binary-step lists below remain
-                    // the guaranteed fallback), plus the single-column
-                    // statistics indexes the re-rank consults.
-                    let order = wp.static_order();
-                    for trie in &wp.tries {
-                        let predicate = atoms[trie.atom].predicate;
-                        add(&mut out, predicate, WcojPlan::trie_cols(trie, &order));
-                        for (_, col) in &trie.var_cols {
-                            add(&mut out, predicate, vec![*col]);
-                        }
-                    }
-                }
                 if let Some(hp) = &dp.hybrid {
-                    // Only the single-column statistics indexes the
-                    // prepare-time re-rank consults. The hybrid core's
-                    // multi-column trie lists are deliberately left out:
-                    // on a layered read-only base they are served by the
-                    // stamp-keyed `HashTrieCache` (built once per layer
-                    // stamp, invalidated precisely on append) instead of
-                    // a base-covering sorted-run build.
+                    // The single-column statistics indexes the prepare-time
+                    // re-rank consults, and — for a fully cyclic body — the
+                    // trie column lists under the static variable order
+                    // (the re-rank may deviate on equal-degree ties; the
+                    // binary-step lists below remain the guaranteed
+                    // fallback). A core wrapped in ears deliberately leaves
+                    // its multi-column trie lists out: on a layered
+                    // read-only base they are served by the stamp-keyed
+                    // `HashTrieCache` (built once per layer stamp,
+                    // invalidated precisely on append) instead of a
+                    // base-covering sorted-run build.
+                    let order = hp.static_order();
                     for trie in &hp.tries {
                         let predicate = atoms[trie.atom].predicate;
+                        if !hp.has_ears() {
+                            add(&mut out, predicate, HybridPlan::trie_cols(trie, &order));
+                        }
                         for (_, col) in &trie.var_cols {
                             add(&mut out, predicate, vec![*col]);
                         }
@@ -1065,7 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_bodies_get_a_wcoj_plan_acyclic_bodies_do_not() {
+    fn fully_cyclic_bodies_get_the_plan_with_no_ears_acyclic_bodies_none() {
         let program = parse_program(
             "Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).\n\
              Edge(x, y), Edge(y, z) -> Path(x, z).",
@@ -1074,16 +1000,17 @@ mod tests {
         let plan = AccessPlan::compile(&program);
         let tri = &plan.filters[0];
         for dp in &tri.delta_plans {
-            let wp = dp.wcoj.as_ref().expect("the triangle body is cyclic");
-            assert_eq!(wp.tries.len(), 2);
+            let hp = dp.hybrid.as_ref().expect("the triangle body is cyclic");
+            assert!(!hp.has_ears(), "the core covers the whole body");
+            assert_eq!(hp.tries.len(), 2);
             // The delta atom binds two of the three variables; the third is
             // free and occurs in both remaining tries.
-            assert_eq!(wp.var_order.len(), 1);
-            assert_eq!(wp.var_order[0].1, 2);
-            let order = wp.static_order();
-            for trie in &wp.tries {
+            assert_eq!(hp.var_order.len(), 1);
+            assert_eq!(hp.var_order[0].1, 2);
+            let order = hp.static_order();
+            for trie in &hp.tries {
                 assert_eq!(trie.bound_cols.len(), 1);
-                assert_eq!(WcojPlan::trie_cols(trie, &order).len(), 2);
+                assert_eq!(HybridPlan::trie_cols(trie, &order).len(), 2);
             }
         }
         // Binary step plans stay planned alongside as the fallback.
@@ -1091,30 +1018,30 @@ mod tests {
         assert!(plan.filters[1]
             .delta_plans
             .iter()
-            .all(|dp| dp.wcoj.is_none()));
+            .all(|dp| dp.hybrid.is_none()));
         // The trie column lists are registered for session pre-builds.
         let planned = plan.planned_index_cols();
         assert!(planned[&intern("Edge")].contains(&vec![0usize, 1]));
     }
 
     #[test]
-    fn lollipop_bodies_get_a_hybrid_plan_over_the_core_only() {
+    fn lollipop_bodies_leapfrog_the_core_only() {
         let program = parse_program(
             "E(x, y), E(y, z), E(x, z), P(z, w), Q(w, u) -> T(x, w, u).\n\
-             E(x, y), E(y, z), E(x, z) -> Tri(x, y, z).\n\
-             E(x, y), E(y, z), P(z, w) -> Path(x, w).",
+             E(x, y), E(y, z), P(z, w) -> Path(x, w).\n\
+             E(x, y), E(y, z), E(x, z), K(\"hub\", x) -> HubTri(x, y, z).",
         )
         .unwrap();
         let plan = AccessPlan::compile(&program);
-        // Lollipop: every delta position hybridises — the triangle core
+        // Lollipop: every delta position gets the plan — the triangle core
         // minus the delta atom always leaves at least two tries.
         let lolli = &plan.filters[0];
         for (delta, dp) in lolli.delta_plans.iter().enumerate() {
-            let hp = dp.hybrid.as_ref().expect("lollipop core is proper");
-            assert!(dp.wcoj.is_some(), "full plan stays alongside");
+            let hp = dp.hybrid.as_ref().expect("lollipop body has a core");
+            assert!(hp.has_ears());
             let seq_atoms: Vec<usize> = dp.steps.iter().map(|s| s.atom).collect();
             // Core tries cover exactly the triangle atoms {0, 1, 2} minus
-            // the delta; pendant atoms 3 and 4 stay binary suffix steps.
+            // the delta; pendant atoms 3 and 4 stay binary ear steps.
             let mut core_atoms: Vec<usize> = hp.tries.iter().map(|t| t.atom).collect();
             core_atoms.sort_unstable();
             let expect: Vec<usize> = [0usize, 1, 2].into_iter().filter(|p| *p != delta).collect();
@@ -1129,33 +1056,44 @@ mod tests {
             );
             assert!(!hp.var_order.is_empty());
         }
-        // Pure triangle: the core covers the whole body — full WCOJ
-        // already handles it, no hybrid plan.
+        // Acyclic body: no plan.
         assert!(plan.filters[1]
             .delta_plans
             .iter()
-            .all(|dp| { dp.wcoj.is_some() && dp.hybrid.is_none() }));
-        // Acyclic body: neither plan.
-        assert!(plan.filters[2]
-            .delta_plans
-            .iter()
-            .all(|dp| { dp.wcoj.is_none() && dp.hybrid.is_none() }));
-        // Hybrid trie column lists are registered for session pre-builds.
+            .all(|dp| dp.hybrid.is_none()));
+        // The join order puts the constant-bearing `K` atom first, so with a
+        // triangle atom as the delta it is probed *before* the leapfrog and
+        // its variables count as bound in the core tries.
+        let hub = plan.filters[2].delta_plans[0].hybrid.as_ref().unwrap();
+        assert_eq!(hub.prefix_steps, vec![1]);
+        assert!(hub.suffix_steps.is_empty());
+        // The core's multi-column trie lists are left to the hash-trie
+        // cache; only the statistics singles are registered for them.
         let planned = plan.planned_index_cols();
-        assert!(planned[&intern("E")].contains(&vec![0usize, 1]));
+        assert!(planned[&intern("E")].contains(&vec![0usize]));
+        assert!(planned[&intern("E")].contains(&vec![1usize]));
     }
 
     #[test]
-    fn repeated_variables_disable_the_wcoj_plan_per_delta() {
-        let program = parse_program("E(x, y), E(y, z), E(x, z), L(z, z) -> T(x).").unwrap();
+    fn repeated_variables_in_a_core_atom_disable_the_plan_per_delta() {
+        let program = parse_program(
+            "E(x, y), E(y, z), L(x, z, z) -> T(x).\n\
+             E(x, y), E(y, z), E(x, z), L(z, z) -> T(x).",
+        )
+        .unwrap();
         let plan = AccessPlan::compile(&program);
-        let dps = &plan.filters[0].delta_plans;
-        // Whenever L(z, z) is a non-delta atom its repeated variable makes
-        // the body trie-incompatible; with L as the delta the remaining
-        // triangle is fine.
-        for (delta, dp) in dps.iter().enumerate() {
-            assert_eq!(dp.wcoj.is_some(), delta == 3, "delta {delta}");
+        // Whenever L(x, z, z) is a non-delta core atom its repeated
+        // variable makes the core trie-incompatible; with L as the delta
+        // the remaining two atoms are fine.
+        for (delta, dp) in plan.filters[0].delta_plans.iter().enumerate() {
+            assert_eq!(dp.hybrid.is_some(), delta == 2, "delta {delta}");
         }
+        // A repeated-variable *ear* is probed binary-style and never
+        // becomes a trie, so it disables nothing.
+        assert!(plan.filters[1]
+            .delta_plans
+            .iter()
+            .all(|dp| dp.hybrid.is_some()));
     }
 
     #[test]

@@ -55,13 +55,12 @@ pub struct ReasonerOptions {
     /// variable and falls back to the worker count; see
     /// [`crate::pipeline::default_intra_filter`].
     pub intra_filter_parallelism: usize,
-    /// How cyclic rule bodies (joins whose hypergraph fails the GYO
-    /// acyclicity test) are executed: binary probe joins, a full
-    /// worst-case-optimal leapfrog, or the free-join hybrid that leapfrogs
-    /// only the cyclic core (the default; env `VADALOG_WCOJ` with
-    /// `0`/`1`/`hybrid`, see [`crate::pipeline::default_join_strategy`]).
-    /// Acyclic bodies always run binary joins. The final instance is
-    /// bit-identical at every setting.
+    /// How rule bodies with a cyclic core (joins whose hypergraph fails the
+    /// GYO acyclicity test) are executed: the free-join plan that leapfrogs
+    /// the core between binary ear probes (the default), or binary probe
+    /// joins everywhere — the reference the property suites compare
+    /// against. Acyclic bodies always run binary joins. The final instance
+    /// is bit-identical at either setting.
     pub join_strategy: crate::pipeline::JoinStrategy,
     /// Re-pick the pushed range condition per activation from the run
     /// directories' group-width statistics when a join step has several
@@ -128,7 +127,7 @@ impl Default for ReasonerOptions {
             condition_pushdown: true,
             parallelism: crate::pipeline::default_parallelism(),
             intra_filter_parallelism: crate::pipeline::default_intra_filter(),
-            join_strategy: crate::pipeline::default_join_strategy(),
+            join_strategy: crate::pipeline::JoinStrategy::default(),
             adaptive_ranges: true,
             max_iterations: 100_000,
             max_facts: 20_000_000,

@@ -1732,32 +1732,20 @@ mod tests {
                 Term::var("w"),
             ],
         };
-        // The hash-trie path belongs to the hybrid route: the CI strategy
-        // legs (`VADALOG_WCOJ=0|1`) compile binary/full-leapfrog plans
-        // whose trie columns are all pre-ensured, so only the counter
-        // assertions are gated — answers are checked under every leg.
-        let hybrid_on = match std::env::var("VADALOG_WCOJ") {
-            Ok(v) => v.trim() == "hybrid",
-            Err(_) => true,
-        };
         let first = session.query(&query(0)).unwrap();
         let s = &first.run.stats.pipeline;
         assert!(!first.answers.is_empty());
-        if hybrid_on {
-            assert!(
-                s.hashtrie_builds > 0,
-                "layered cyclic query must build hash tries (stats: {s:?})"
-            );
-        }
+        assert!(
+            s.hashtrie_builds > 0,
+            "layered cyclic query must build hash tries (stats: {s:?})"
+        );
         // A different bound constant is a different cone, so the pipeline
         // runs again — but the tries are served from the shared cache.
         let second = session.query(&query(1)).unwrap();
         let s2 = &second.run.stats.pipeline;
         assert!(!second.answers.is_empty());
-        if hybrid_on {
-            assert_eq!(s2.hashtrie_builds, 0, "same stamp must reuse, not rebuild");
-            assert!(s2.hashtrie_reuses > 0, "stats: {s2:?}");
-        }
+        assert_eq!(s2.hashtrie_builds, 0, "same stamp must reuse, not rebuild");
+        assert!(s2.hashtrie_reuses > 0, "stats: {s2:?}");
         // An append moves the stamp: the old generation is dropped and the
         // next query rebuilds against the new layer chain.
         let batch2 = [
@@ -1768,9 +1756,7 @@ mod tests {
         ];
         session.append_facts(batch2.clone()).unwrap();
         let third = session.query(&query(2)).unwrap();
-        if hybrid_on {
-            assert!(third.run.stats.pipeline.hashtrie_builds > 0);
-        }
+        assert!(third.run.stats.pipeline.hashtrie_builds > 0);
         // Answers stay correct throughout: compare against a fresh run on
         // the union EDB.
         let mut union_program = program.clone();

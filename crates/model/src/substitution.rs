@@ -8,8 +8,8 @@ use std::fmt;
 /// A substitution σ: a partial mapping from variables to values.
 ///
 /// Backed by a `BTreeMap` so iteration is deterministic — determinism of rule
-/// application order is what makes the chase (and therefore every number in
-/// EXPERIMENTS.md) reproducible.
+/// application order is what makes the chase (and therefore every count in
+/// `benchmark/RESULTS.md`) reproducible.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Substitution {
     bindings: BTreeMap<Var, Value>,

@@ -58,7 +58,8 @@ pub struct ProbeBuffers {
 
 /// Reusable per-worker join state for the engine's chunked slot-machine
 /// join: the binding array, the undo trail, one postings scratch buffer per
-/// join depth and the composite probe-key buffer. A worker holds one
+/// join depth, the composite probe-key buffer, and the support-vector and
+/// match buffers of plans with a leapfrog stage. A worker holds one
 /// `JoinScratch` for its whole lifetime and [`JoinScratch::reset`]s it per
 /// (filter, chunk) work item, so processing any number of chunks allocates
 /// nothing in the steady state — the chunk-scoped counterpart of
@@ -73,6 +74,23 @@ pub struct JoinScratch {
     pub postings: Vec<Vec<FactId>>,
     /// Composite probe-key buffer (see [`RowPattern::fill_probe_key`]).
     pub key: Vec<ValueId>,
+    /// Support facts of the current partial match, one per non-delta join
+    /// step (sequence step `s` writes slot `s − 1`).
+    pub support: Vec<FactId>,
+    /// Flat (levels-wide per match) leapfrog values of the current
+    /// leapfrog stage's matches.
+    pub corevals: Vec<ValueId>,
+    /// Flat (tries-wide per match) leapfrog support facts, parallel to
+    /// `corevals`.
+    pub corefacts: Vec<FactId>,
+    /// Flat (`support`-wide per match) support vectors of the current
+    /// delta row's accepted full matches.
+    pub keybuf: Vec<FactId>,
+    /// `(keybuf offset, binding)` of the current delta row's accepted
+    /// matches, sorted by support vector before emission.
+    pub pending: Vec<(usize, Vec<Option<ValueId>>)>,
+    /// Leaf-facts buffer of the leapfrog's support-fact filter.
+    pub leaves: Vec<FactId>,
     /// Hoisted trie open-span memos, one per leapfrog trie of the work item
     /// identified by [`JoinScratch::memo_token`]. Trie cursors are created
     /// fresh per chunk, but consecutive chunks of one filter activation
@@ -92,8 +110,9 @@ pub struct JoinScratch {
 impl JoinScratch {
     /// Prepare for a job with `slots` variables and `depths` join steps:
     /// every slot unbound, the trail empty, one (cleared) postings buffer
-    /// available per depth. Capacity is retained across resets; the trie
-    /// memo bank survives too (see [`JoinScratch::trie_memos`]).
+    /// available per depth, one support slot per non-delta step, the match
+    /// buffers empty. Capacity is retained across resets; the trie memo
+    /// bank survives too (see [`JoinScratch::trie_memos`]).
     pub fn reset(&mut self, slots: usize, depths: usize) {
         self.binding.clear();
         self.binding.resize(slots, None);
@@ -105,6 +124,13 @@ impl JoinScratch {
             buf.clear();
         }
         self.key.clear();
+        self.support.clear();
+        self.support.resize(depths.saturating_sub(1), FactId(0));
+        self.corevals.clear();
+        self.corefacts.clear();
+        self.keybuf.clear();
+        self.pending.clear();
+        self.leaves.clear();
     }
 
     /// Borrow the memo bank for the work item identified by `token`: on a

@@ -12,11 +12,10 @@
 //! This module holds only the algorithm: [`leapfrog_join`] drives one
 //! [`TrieCursor`] per atom through the per-variable intersection, calling
 //! back into the owner for guard checks and leaf emission. Planning (which
-//! bodies are cyclic, the variable order, the per-atom column orders) lives
-//! in `vadalog-engine`; the chase reuses the same driver so engine-vs-chase
-//! parity holds. Both callers seed the cursors via [`TrieCursor::open`]
-//! with the columns their outer loop (delta row / first-atom candidate)
-//! already binds.
+//! atoms form the cyclic core, the variable order, the per-atom column
+//! orders) lives in `vadalog-engine`, whose intersect stage is the one
+//! caller: it seeds the cursors via [`TrieCursor::open`] with the columns
+//! the delta row and the prefix-ear probes already bind.
 //!
 //! Determinism: values are enumerated in ascending `(OrderKey, ValueId)`
 //! order — a pure function of the store contents — and leaf facts come back

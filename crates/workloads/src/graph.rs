@@ -12,7 +12,7 @@
 //! per-variable intersection skips the dense block in a single seek —
 //! layer ids are contiguous, so `out(a) = B ∪ {few c}` leapfrogs past
 //! all of `B` at once when intersected with `out(b) = C` — making these
-//! generators the instance family where `--wcoj-ablation` measures the
+//! generators the instance family where `--hybrid-ablation` measures the
 //! worst-case gap. [`random_edges`] is the plain uniform variant used by
 //! the correctness tests.
 
@@ -142,13 +142,13 @@ pub fn pendant_fan(pred: &str, from: usize, count: usize, fan: usize) -> Vec<Fac
 /// The lollipop program alone: a triangle core with an attributed two-hop
 /// pendant tail (`z → w → u`, the midpoint `w` carrying a label and a
 /// weight — the usual knowledge-graph shape of an entity hanging off a
-/// cyclic motif). GYO strips the whole tail, so the hybrid route leapfrogs
-/// only the three `Edge` atoms and finishes the tail with binary probes.
-/// The full-WCOJ route drags the tail atoms into the leapfrog, where `w`'s
-/// four occurrences outrank the core variable `z` in the degree-ordered
-/// level sequence: the leapfrog enumerates every pendant midpoint before
-/// the core has constrained it. The binary route enumerates the dense open
-/// path of the triangle.
+/// cyclic motif). GYO strips the whole tail, so the free-join plan
+/// leapfrogs only the three `Edge` atoms and finishes the tail with binary
+/// probes. Dragging the tail atoms into the leapfrog would let `w`'s four
+/// occurrences outrank the core variable `z` in the degree-ordered level
+/// sequence — the leapfrog would enumerate every pendant midpoint before
+/// the core has constrained it — and the all-probe plan enumerates the
+/// dense open path of the triangle.
 pub fn lollipop_program() -> Program {
     parse_program(
         "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w), Label(w, a), Weight(w, b), Hop(w, u) \
@@ -231,9 +231,9 @@ pub fn diamond(m: usize, closing: usize, fan: usize, seed: u64) -> Program {
     program
 }
 
-/// The 5-cycle program alone: fully cyclic (its own GYO residue), so the
-/// hybrid planner declines it and the strategy knob falls through to the
-/// full leapfrog — planner-coverage workload, not an ablation target.
+/// The 5-cycle program alone: fully cyclic (its own GYO residue), so its
+/// plan is one intersect stage with no ears — planner-coverage workload,
+/// not an ablation target.
 pub fn five_cycle_program() -> Program {
     parse_program(
         "Edge(a, b), Edge(b, c), Edge(c, d), Edge(d, e), Edge(a, e) \
@@ -271,9 +271,23 @@ mod tests {
         }
     }
 
+    /// One run under the given join strategy, default options otherwise.
+    fn run(
+        program: &vadalog_model::prelude::Program,
+        strategy: vadalog_engine::JoinStrategy,
+    ) -> vadalog_engine::RunResult {
+        vadalog_engine::Reasoner::with_options(vadalog_engine::ReasonerOptions {
+            join_strategy: strategy,
+            ..Default::default()
+        })
+        .reason(program)
+        .expect("run failed")
+    }
+
     #[test]
-    fn triangle_bodies_are_cyclic_and_route_through_wcoj() {
+    fn triangle_bodies_are_cyclic_and_leapfrog() {
         use vadalog_analysis::rule_body_is_cyclic;
+        use vadalog_engine::JoinStrategy;
         let tri = triangle(12, 40, 11);
         let clique = four_clique(8, 60, 11);
         assert!(rule_body_is_cyclic(&tri.rules[0]));
@@ -284,81 +298,44 @@ mod tests {
             .iter()
             .map(|f| f.args.clone())
             .collect();
-        // Engine smoke: the WCOJ path activates and agrees with the
-        // binary-join plan exactly. Explicit knob so the test holds even
-        // under a `VADALOG_WCOJ=0` CI leg.
-        let wcoj = vadalog_engine::Reasoner::with_options(vadalog_engine::ReasonerOptions {
-            join_strategy: vadalog_engine::JoinStrategy::Wcoj,
-            ..Default::default()
-        })
-        .reason(&tri)
-        .expect("wcoj run failed");
-        assert!(wcoj.stats.pipeline.wcoj_activations > 0);
-        assert!(wcoj.stats.pipeline.wcoj_intersections > 0);
-        assert_eq!(wcoj.output("Triangle").len(), distinct_closing.len() * 12);
-        let binary = vadalog_engine::Reasoner::with_options(vadalog_engine::ReasonerOptions {
-            join_strategy: vadalog_engine::JoinStrategy::Binary,
-            ..Default::default()
-        })
-        .reason(&tri)
-        .expect("binary run failed");
+        // Engine smoke: the intersect stage runs and agrees with the
+        // binary-join reference exactly.
+        let free = run(&tri, JoinStrategy::FreeJoin);
+        assert!(free.stats.pipeline.wcoj_activations > 0);
+        assert!(free.stats.pipeline.wcoj_intersections > 0);
+        assert_eq!(free.output("Triangle").len(), distinct_closing.len() * 12);
+        let binary = run(&tri, JoinStrategy::Binary);
         assert_eq!(binary.stats.pipeline.wcoj_activations, 0);
-        assert_eq!(wcoj.output("Triangle"), binary.output("Triangle"));
-        assert!(!wcoj.output("Triangle").is_empty());
+        assert_eq!(free.output("Triangle"), binary.output("Triangle"));
+        assert!(!free.output("Triangle").is_empty());
     }
 
     #[test]
-    fn hybrid_workloads_route_and_agree_across_all_strategies() {
-        use vadalog_engine::{JoinStrategy, Reasoner, ReasonerOptions};
-        let run = |program: &vadalog_model::prelude::Program, strategy: JoinStrategy| {
-            Reasoner::with_options(ReasonerOptions {
-                join_strategy: strategy,
-                ..Default::default()
-            })
-            .reason(program)
-            .expect("run failed")
-        };
+    fn mixed_workloads_leapfrog_their_core_and_agree_with_binary() {
+        use vadalog_engine::JoinStrategy;
         // Lollipop and diamond have a proper cyclic core plus acyclic
-        // ears: the hybrid strategy must activate its route and agree
-        // bit-for-bit with both pure strategies.
-        for (program, out, expect) in [
-            (lollipop(8, 20, 2, 7), "Lollipop", None),
-            // Each distinct L0 → L3 closing skip closes m² quadrangles,
-            // times the fan.
-            (diamond(6, 30, 2, 7), "Diamond", None),
-            // Each distinct L0 → L4 closing skip closes m³ pentagons.
-            (five_cycle(4, 20, 7), "Penta", None),
+        // ears: the plan must wrap an intersect stage in ear probes and
+        // agree bit-for-bit with the binary reference. The fully cyclic
+        // five-cycle is the plan with no ears.
+        for (program, out) in [
+            (lollipop(8, 20, 2, 7), "Lollipop"),
+            (diamond(6, 30, 2, 7), "Diamond"),
+            (five_cycle(4, 20, 7), "Penta"),
         ] {
-            let hybrid = run(&program, JoinStrategy::Hybrid);
-            let wcoj = run(&program, JoinStrategy::Wcoj);
+            let free = run(&program, JoinStrategy::FreeJoin);
             let binary = run(&program, JoinStrategy::Binary);
-            assert!(!hybrid.output(out).is_empty(), "{out} output is empty");
-            assert_eq!(
-                hybrid.output(out),
-                wcoj.output(out),
-                "{out}: hybrid vs wcoj"
-            );
-            assert_eq!(
-                hybrid.output(out),
-                binary.output(out),
-                "{out}: hybrid vs binary"
-            );
+            assert!(!free.output(out).is_empty(), "{out} output is empty");
+            assert_eq!(free.output(out), binary.output(out), "{out}");
             assert_eq!(binary.stats.pipeline.wcoj_activations, 0);
             assert_eq!(binary.stats.pipeline.hybrid_activations, 0);
             if out == "Penta" {
-                // Fully cyclic: the hybrid planner declines and the knob
-                // falls through to the full leapfrog.
-                assert_eq!(hybrid.stats.pipeline.hybrid_activations, 0);
-                assert!(hybrid.stats.pipeline.wcoj_activations > 0);
+                assert_eq!(free.stats.pipeline.hybrid_activations, 0);
+                assert!(free.stats.pipeline.wcoj_activations > 0);
             } else {
                 assert!(
-                    hybrid.stats.pipeline.hybrid_activations > 0,
-                    "{out} must take the hybrid route"
+                    free.stats.pipeline.hybrid_activations > 0,
+                    "{out} must wrap its core in ear probes"
                 );
-                assert!(wcoj.stats.pipeline.wcoj_activations > 0);
-            }
-            if let Some(expect) = expect {
-                assert_eq!(hybrid.output(out).len(), expect);
             }
         }
     }

@@ -21,10 +21,11 @@
 //! | Repeated overlapping server queries (shared cone-cache ablation) | [`serve`] |
 //! | Durable appends + cold WAL replay (crash-recovery workload) | [`recover`] |
 //!
-//! All generators take explicit seeds and sizes so that EXPERIMENTS.md
-//! numbers are reproducible; the real DBpedia dumps and the proprietary
-//! European ownership graph are replaced by synthetic equivalents with the
-//! same shape parameters (see DESIGN.md, "Substitutions").
+//! All generators take explicit seeds and sizes so that the numbers in
+//! `benchmark/RESULTS.md` are reproducible; the real DBpedia dumps and the
+//! proprietary European ownership graph are replaced by synthetic
+//! equivalents with the same shape parameters (see DESIGN.md,
+//! "Substitutions").
 
 pub mod chasebench;
 pub mod dbpedia;
