@@ -208,7 +208,7 @@ fn report_range_ablation(iters: usize) {
 /// Best-of-`iters` wall-clock under arbitrary reasoner options (one warm-up
 /// run first).
 fn time_with(program: &Program, options: &ReasonerOptions, iters: usize) -> f64 {
-    let reasoner = Reasoner::with_options(options.clone());
+    let reasoner = Reasoner::with_options(*options);
     best_of(iters, || {
         let result = reasoner.reason(program).expect("engine run failed");
         std::hint::black_box(result.stats.total_facts);
@@ -428,7 +428,7 @@ const STREAM_BATCH_SIZE: usize = 4;
 
 /// Best-of-`iters` wall-clock of the full streaming schedule: session build
 /// and initial materialisation, then append + re-materialise per batch.
-/// `incremental = false` is the `VADALOG_IVM=0` ablation — appends drop the
+/// `incremental = false` is the rebuild ablation — appends drop the
 /// live instance and every `materialise` runs the chase from the layered
 /// EDB again.
 fn time_stream(program: &Program, schedule: &[Vec<Fact>], incremental: bool, iters: usize) -> f64 {
@@ -615,7 +615,7 @@ fn time_recover_replay(
     };
     let t = best_of(iters, || {
         let (mut session, report) =
-            QuerySession::recover(program, options.clone(), &path).expect("recovery failed");
+            QuerySession::recover(program, options, &path).expect("recovery failed");
         assert_eq!(report.batches_replayed, schedule.len(), "lost a batch");
         let answers = session.query(probe).expect("probe query failed").answers;
         std::hint::black_box(answers.len());

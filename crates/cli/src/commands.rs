@@ -9,8 +9,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, PredicateGraph};
 use vadalog_engine::{
-    AccessPlan, QuerySession, Reasoner, ReasonerError, RecoveryReport, RunResult,
+    AccessPlan, QuerySession, Reasoner, ReasonerError, ReasonerOptions, RecoveryReport, RunResult,
 };
+use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, parse_rule, rule_to_text, ParseError};
 use vadalog_rewrite::prepare_for_execution;
@@ -35,6 +36,15 @@ pub enum CliError {
     CsvOut(String),
     /// The `VADALOG_FAULTS` fault-injection spec did not parse.
     BadFaultSpec(String),
+    /// A `VADALOG_*` engine variable held a value outside its domain.
+    BadEnv {
+        /// The variable.
+        var: &'static str,
+        /// Its value.
+        value: String,
+        /// What the variable accepts.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -48,6 +58,11 @@ impl fmt::Display for CliError {
             CliError::BadAppend(m) => write!(f, "bad append: {m}"),
             CliError::CsvOut(m) => write!(f, "cannot write CSV output: {m}"),
             CliError::BadFaultSpec(m) => write!(f, "bad VADALOG_FAULTS spec: {m}"),
+            CliError::BadEnv {
+                var,
+                value,
+                expected,
+            } => write!(f, "bad {var} value `{value}`: expected {expected}"),
         }
     }
 }
@@ -72,32 +87,99 @@ impl From<ReasonerError> for CliError {
     }
 }
 
-/// Arm the process-lifetime fault-injection schedule from `VADALOG_FAULTS`,
-/// if set (the CI fault legs drive the binary this way). The scenario guard
-/// is leaked on purpose: the schedule stays armed until the process exits.
-pub fn arm_faults_from_env() -> Result<(), CliError> {
-    match vadalog_fault::arm_from_env() {
-        Ok(Some(scenario)) => {
-            std::mem::forget(scenario);
-            Ok(())
-        }
-        Ok(None) => Ok(()),
-        Err(m) => Err(CliError::BadFaultSpec(m)),
+/// What the `vadalog` binary takes from its environment, resolved once at
+/// startup by [`resolve_env`].
+#[derive(Debug)]
+pub struct EnvConfig {
+    /// The engine options with the `VADALOG_*` variables applied.
+    pub options: ReasonerOptions,
+    /// The `VADALOG_FAULTS` schedule (empty when unset), for the binary to
+    /// arm for its whole lifetime.
+    pub faults: Vec<FaultRule>,
+}
+
+/// Resolve the `vadalog` binary's environment on top of `base` — the one
+/// place the engine's `VADALOG_*` variables are read. `lookup` returns a
+/// variable's value (`main.rs` passes `std::env::var`; tests inject a map,
+/// so no test mutates the process environment). An unset or blank variable
+/// leaves `base` alone; any other value outside the variable's domain is a
+/// typed error:
+///
+/// * `VADALOG_PARALLELISM` — worker count, a positive integer; it also sets
+///   the intra-filter shard bound, which defaults to the worker count;
+/// * `VADALOG_CONE_CACHE_CAP`, `VADALOG_CONE_CACHE_BYTES` — cone-cache entry
+///   cap and byte budget, non-negative integers (`0` = unbounded);
+/// * `VADALOG_COMPACT_LAYERS` — layer-compaction threshold, a non-negative
+///   integer (`0` = off);
+/// * `VADALOG_FAULTS` — a `vadalog_fault::parse_spec` schedule.
+pub fn resolve_env(
+    base: ReasonerOptions,
+    lookup: impl Fn(&str) -> Option<String>,
+) -> Result<EnvConfig, CliError> {
+    let var = |name: &'static str| {
+        lookup(name)
+            .map(|v| v.trim().to_owned())
+            .filter(|v| !v.is_empty())
+            .map(|v| (name, v))
+    };
+    let mut options = base;
+    if let Some(v) = var("VADALOG_PARALLELISM") {
+        options.parallelism = env_count(v, 1)?;
+        options.intra_filter_parallelism = options.parallelism;
+    }
+    if let Some(v) = var("VADALOG_CONE_CACHE_CAP") {
+        options.cone_cache_cap = env_count(v, 0)?;
+    }
+    if let Some(v) = var("VADALOG_CONE_CACHE_BYTES") {
+        options.cone_cache_bytes = env_count(v, 0)?;
+    }
+    if let Some(v) = var("VADALOG_COMPACT_LAYERS") {
+        options.compact_layers = env_count(v, 0)?;
+    }
+    let faults = match var("VADALOG_FAULTS") {
+        Some((_, spec)) => vadalog_fault::parse_spec(&spec).map_err(CliError::BadFaultSpec)?,
+        None => Vec::new(),
+    };
+    Ok(EnvConfig { options, faults })
+}
+
+/// A `VADALOG_*` variable's value as a count of at least `min`.
+fn env_count((var, value): (&'static str, String), min: usize) -> Result<usize, CliError> {
+    match value.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(CliError::BadEnv {
+            var,
+            value,
+            expected: if min == 0 {
+                "a non-negative integer"
+            } else {
+                "a positive integer"
+            },
+        }),
     }
 }
 
-/// Entry point used by `main.rs`: parse arguments, dispatch, return the text
-/// to print.
+/// Parse arguments, dispatch, return the text to print — under
+/// [`ReasonerOptions::default`]. See [`run_cli_with`].
 pub fn run_cli(args: &[String]) -> Result<String, CliError> {
+    run_cli_with(args, ReasonerOptions::default())
+}
+
+/// The CLI with its engine options supplied: `base` is what the command
+/// line's flags apply on top of. `main.rs` passes the defaults under the
+/// resolved environment ([`resolve_env`]); the root `config_matrix` test
+/// drives every configuration axis through here in-process.
+pub fn run_cli_with(args: &[String], base: ReasonerOptions) -> Result<String, CliError> {
     let options = CliOptions::parse(args)?;
+    let engine = options.reasoner_options(base);
     match &options.command {
         CliCommand::Help => Ok(USAGE.to_string()),
         CliCommand::Version => Ok(format!("vadalog {}", env!("CARGO_PKG_VERSION"))),
-        CliCommand::Run => cmd_run(&options),
+        CliCommand::Run => cmd_run(&options, engine),
         CliCommand::Classify => cmd_classify(&options),
         CliCommand::Explain => cmd_explain(&options),
-        CliCommand::Query { atoms } => cmd_query(&options, atoms),
-        CliCommand::Serve { atoms } => cmd_serve(&options, atoms),
+        CliCommand::Query { atoms } => cmd_query(&options, engine, atoms),
+        CliCommand::Serve { atoms } => cmd_serve(&options, engine, atoms),
     }
 }
 
@@ -109,9 +191,9 @@ fn load_program(options: &CliOptions) -> Result<Program, CliError> {
 
 // ------------------------------------------------------------------- run
 
-fn cmd_run(options: &CliOptions) -> Result<String, CliError> {
+fn cmd_run(options: &CliOptions, engine: ReasonerOptions) -> Result<String, CliError> {
     let program = load_program(options)?;
-    let reasoner = Reasoner::with_options(options.reasoner_options());
+    let reasoner = Reasoner::with_options(engine);
     let result = reasoner.reason(&program)?;
     let mut out = String::new();
     render_outputs(&mut out, &result, options)?;
@@ -435,7 +517,11 @@ fn parse_append_fact(text: &str) -> Result<Fact, CliError> {
     })
 }
 
-fn cmd_query(options: &CliOptions, atom_texts: &[String]) -> Result<String, CliError> {
+fn cmd_query(
+    options: &CliOptions,
+    engine: ReasonerOptions,
+    atom_texts: &[String],
+) -> Result<String, CliError> {
     let program = load_program(options)?;
     // All arguments are parsed up front (a bad atom or append fails the
     // whole command before any reasoning starts), then processed in
@@ -457,15 +543,12 @@ fn cmd_query(options: &CliOptions, atom_texts: &[String]) -> Result<String, CliE
     let mut out = String::new();
     let mut session = match &options.wal {
         Some(path) => {
-            let (session, report) = QuerySession::recover(
-                &program,
-                options.reasoner_options(),
-                std::path::Path::new(path),
-            )?;
+            let (session, report) =
+                QuerySession::recover(&program, engine, std::path::Path::new(path))?;
             render_recovery(&mut out, path, &report);
             session
         }
-        None => Reasoner::with_options(options.reasoner_options()).session(&program)?,
+        None => Reasoner::with_options(engine).session(&program)?,
     };
 
     let mut answered = 0usize;
@@ -598,7 +681,11 @@ fn render_recovery(out: &mut String, path: &str, report: &RecoveryReport) {
 /// responses print in submission order. With `--workers 1` the single
 /// worker drains the queue FIFO, so effects are sequentially ordered like
 /// `query`; with more workers the interleaving is the server's.
-fn cmd_serve(options: &CliOptions, atom_texts: &[String]) -> Result<String, CliError> {
+fn cmd_serve(
+    options: &CliOptions,
+    engine: ReasonerOptions,
+    atom_texts: &[String],
+) -> Result<String, CliError> {
     use vadalog_server::{
         depth_bucket_label, ReasoningServer, Request, Response, ServerConfig, Ticket,
         QUEUE_DEPTH_BUCKETS,
@@ -619,7 +706,7 @@ fn cmd_serve(options: &CliOptions, atom_texts: &[String]) -> Result<String, CliE
         workers: options.workers,
         queue_cap: options.queue_cap,
         timeout: std::time::Duration::from_millis(options.timeout_ms),
-        options: options.reasoner_options(),
+        options: engine,
         ..ServerConfig::default()
     };
     let mut out = String::new();
@@ -1361,6 +1448,86 @@ mod tests {
         let err = run_cli(&args(&["run", &path, "--require-warded"])).unwrap_err();
         assert!(matches!(err, CliError::Reasoner(_)));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// [`resolve_env`] over a fixed variable map, recording every name it
+    /// looks up.
+    fn resolve(vars: &[(&str, &str)]) -> (Result<EnvConfig, CliError>, Vec<String>) {
+        let asked = std::cell::RefCell::new(Vec::new());
+        let result = resolve_env(ReasonerOptions::default(), |name| {
+            asked.borrow_mut().push(name.to_owned());
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        });
+        (result, asked.into_inner())
+    }
+
+    #[test]
+    fn env_resolver_applies_the_engine_variables() {
+        let defaults = ReasonerOptions::default();
+        let (env, asked) = resolve(&[]);
+        let env = env.unwrap();
+        assert_eq!(env.options.parallelism, defaults.parallelism);
+        assert_eq!(env.options.cone_cache_cap, defaults.cone_cache_cap);
+        assert!(env.faults.is_empty());
+        // Exactly the five surviving variables are read.
+        assert_eq!(
+            asked,
+            [
+                "VADALOG_PARALLELISM",
+                "VADALOG_CONE_CACHE_CAP",
+                "VADALOG_CONE_CACHE_BYTES",
+                "VADALOG_COMPACT_LAYERS",
+                "VADALOG_FAULTS"
+            ]
+        );
+
+        let (env, _) = resolve(&[
+            ("VADALOG_PARALLELISM", " 3 "),
+            ("VADALOG_CONE_CACHE_CAP", "0"),
+            ("VADALOG_CONE_CACHE_BYTES", "4096"),
+            ("VADALOG_COMPACT_LAYERS", ""),
+            ("VADALOG_FAULTS", "wal.fsync@1=error"),
+            ("VADALOG_IVM", "0"),
+        ]);
+        let env = env.unwrap();
+        assert_eq!(env.options.parallelism, 3);
+        assert_eq!(env.options.intra_filter_parallelism, 3);
+        assert_eq!(env.options.cone_cache_cap, 0);
+        assert_eq!(env.options.cone_cache_bytes, 4096);
+        // Blank = unset; retired variables are not read at all.
+        assert_eq!(env.options.compact_layers, defaults.compact_layers);
+        assert!(env.options.incremental);
+        assert_eq!(env.faults.len(), 1);
+        assert_eq!(env.faults[0].point, "wal.fsync");
+    }
+
+    #[test]
+    fn env_resolver_rejects_malformed_values() {
+        for (var, value) in [
+            ("VADALOG_PARALLELISM", "abc"),
+            ("VADALOG_PARALLELISM", "0"),
+            ("VADALOG_CONE_CACHE_CAP", "lots"),
+            ("VADALOG_CONE_CACHE_BYTES", "-1"),
+            ("VADALOG_COMPACT_LAYERS", "1.5"),
+        ] {
+            match resolve(&[(var, value)]).0 {
+                Err(CliError::BadEnv {
+                    var: v, value: got, ..
+                }) => {
+                    assert_eq!((v, got.as_str()), (var, value));
+                }
+                other => panic!("{var}={value} must be rejected, got {other:?}"),
+            }
+        }
+        let err = resolve(&[("VADALOG_FAULTS", "nonsense")]).0.unwrap_err();
+        assert!(matches!(err, CliError::BadFaultSpec(_)), "{err:?}");
+        let err = resolve(&[("VADALOG_PARALLELISM", "abc")]).0.unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad VADALOG_PARALLELISM value `abc`: expected a positive integer"
+        );
     }
 
     #[test]

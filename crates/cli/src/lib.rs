@@ -18,12 +18,14 @@
 //! environment knob — is documented in `docs/CLI.md`.
 //!
 //! All functionality lives in this library crate (so it can be unit-tested);
-//! `src/main.rs` is a thin wrapper around [`run_cli`].
+//! `src/main.rs` is a thin wrapper that reads the environment once through
+//! [`resolve_env`] and hands the result to [`run_cli_with`]. No other crate
+//! of the workspace reads `VADALOG_*` variables.
 
 #![warn(missing_docs)]
 
 pub mod commands;
 pub mod options;
 
-pub use commands::{run_cli, CliError};
+pub use commands::{resolve_env, run_cli, run_cli_with, CliError, EnvConfig};
 pub use options::{CliCommand, CliOptions};

@@ -1,12 +1,20 @@
-//! The `vadalog` binary: a thin wrapper around [`vadalog_cli::run_cli`].
+//! The `vadalog` binary: reads the environment once ([`resolve_env`]) and
+//! runs [`run_cli_with`] under it.
+
+use vadalog_cli::{resolve_env, run_cli_with};
+use vadalog_engine::ReasonerOptions;
 
 fn main() {
-    if let Err(e) = vadalog_cli::commands::arm_faults_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match vadalog_cli::run_cli(&args) {
+    let result =
+        resolve_env(ReasonerOptions::default(), |var| std::env::var(var).ok()).and_then(|env| {
+            if !env.faults.is_empty() {
+                // Armed for the process lifetime: the guard is leaked.
+                std::mem::forget(vadalog_fault::Scenario::arm_rules(env.faults));
+            }
+            run_cli_with(&args, env.options)
+        });
+    match result {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("error: {e}");

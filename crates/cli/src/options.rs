@@ -160,8 +160,7 @@ COMMANDS:
                                 runs on a copy-on-write snapshot of it.
                                 An argument of the form +Fact(\"a\", 1) APPENDS
                                 that ground fact to the session EDB before the
-                                atoms after it run (incremental maintenance;
-                                VADALOG_IVM=0 falls back to full rebuilds)
+                                atoms after it run (incremental maintenance)
     serve     <file> <atom>...  answer the atoms through the concurrent
                                 reasoning server: a bounded worker pool over
                                 ONE shared session, queries running
@@ -318,8 +317,9 @@ impl CliOptions {
         Ok(options)
     }
 
-    /// The [`ReasonerOptions`] these CLI options denote.
-    pub fn reasoner_options(&self) -> ReasonerOptions {
+    /// The [`ReasonerOptions`] these CLI options denote: `base` (the
+    /// defaults, with the binary's environment applied) under the flags.
+    pub fn reasoner_options(&self, base: ReasonerOptions) -> ReasonerOptions {
         let mut out = ReasonerOptions {
             termination: match self.termination.as_str() {
                 "trivial-iso" => TerminationKind::TrivialIso,
@@ -329,7 +329,7 @@ impl CliOptions {
             apply_rewriting: !self.no_rewriting,
             certain_answers_only: self.certain,
             require_warded: self.require_warded,
-            ..ReasonerOptions::default()
+            ..base
         };
         if let Some(n) = self.max_facts {
             out.max_facts = n;
@@ -384,7 +384,7 @@ mod tests {
         assert_eq!(options.termination, "trivial-iso");
         assert!(options.no_rewriting && options.certain && options.require_warded && options.stats);
         assert_eq!(options.max_facts, Some(1000));
-        let ropts = options.reasoner_options();
+        let ropts = options.reasoner_options(ReasonerOptions::default());
         assert_eq!(ropts.termination, TerminationKind::TrivialIso);
         assert!(!ropts.apply_rewriting);
         assert!(ropts.certain_answers_only);
@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(ok.timeout_ms, 500);
         assert_eq!(ok.repeat, 3);
         assert!(ok.no_cone_cache && ok.stats);
-        assert!(!ok.reasoner_options().cone_cache);
+        assert!(!ok.reasoner_options(ReasonerOptions::default()).cone_cache);
 
         // serve needs at least one atom, and zero workers/repeats are
         // rejected up front.

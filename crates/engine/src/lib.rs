@@ -66,15 +66,16 @@
 //! same rows in the same `FactId` order, same labelled-null ids, same
 //! statistics (the one exception is the [`PipelineStats::steals`]
 //! scheduling diagnostic). The knobs are
-//! [`ReasonerOptions::parallelism`] / [`Pipeline::with_parallelism`] for
-//! the worker pool (env `VADALOG_PARALLELISM`, then
-//! [`std::thread::available_parallelism`]; see
-//! [`pipeline::default_parallelism`]) and
-//! [`ReasonerOptions::intra_filter_parallelism`] /
-//! [`Pipeline::with_intra_filter_parallelism`] for the chunk bound (env
-//! `VADALOG_INTRA_FILTER`, then the worker count; see
-//! [`pipeline::default_intra_filter`]; 1 = whole activations). Parallelism
-//! 1 runs every join inline with zero threading overhead.
+//! [`ReasonerOptions::parallelism`] for the worker pool (default
+//! [`pipeline::default_parallelism`], i.e.
+//! [`std::thread::available_parallelism`]) and
+//! [`ReasonerOptions::intra_filter_parallelism`] for the chunk bound
+//! (default the worker count; 1 = whole activations), handed to a pipeline
+//! with [`Pipeline::with_options`]. Parallelism 1 runs every join inline
+//! with zero threading overhead. [`ReasonerOptions`] is the only place the
+//! execution knobs live, and this crate reads no environment: the `vadalog`
+//! binary resolves its `VADALOG_*` variables into a `ReasonerOptions` at
+//! startup.
 //!
 //! When a join step has **several pushable range conditions**, the planner
 //! records every candidate and the pipeline re-picks per activation from
@@ -125,8 +126,7 @@
 //! order **exactly** — so the plan shape is invisible downstream: same
 //! rows in the same `FactId` order, same labelled-null ids, same
 //! deterministic statistics, at every thread count and chunk size.
-//! [`ReasonerOptions::join_strategy`] / [`Pipeline::with_join_strategy`]
-//! can force the all-probe plan everywhere
+//! [`ReasonerOptions::join_strategy`] can force the all-probe plan everywhere
 //! ([`pipeline::JoinStrategy::Binary`]) — the reference the property
 //! suites compare against. Tries whose relation
 //! lacks a matching composite run (layered session bases) are served by
@@ -170,9 +170,8 @@ pub mod session;
 
 pub use aggregate::{AggregateState, GroupKey};
 pub use pipeline::{
-    default_compact_layers, default_cone_cache, default_cone_cache_bytes, default_cone_cache_cap,
-    default_intra_filter, default_ivm, default_parallelism, JoinStrategy, Pipeline, PipelineStats,
-    SuspendedPipeline, BATCH_WIDTH_BUCKETS,
+    default_parallelism, JoinStrategy, Pipeline, PipelineStats, SuspendedPipeline,
+    BATCH_WIDTH_BUCKETS,
 };
 pub use plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,

@@ -52,11 +52,11 @@
 //! chunk size, including the fully sequential one; the workers only move
 //! the (dominant) read-only join work off the critical path. The only
 //! scheduling-dependent observable is the [`PipelineStats::steals`]
-//! diagnostic. Knobs: [`Pipeline::with_parallelism`] for the worker pool
-//! and [`Pipeline::with_intra_filter_parallelism`] (env
-//! `VADALOG_INTRA_FILTER`, default [`default_intra_filter`]) for the chunk
-//! bound, with 1 disabling sharding (whole activations, the PR 3
-//! granularity).
+//! diagnostic. Knobs: [`ReasonerOptions::parallelism`] for the worker pool
+//! and [`ReasonerOptions::intra_filter_parallelism`] for the chunk bound
+//! (both default to [`default_parallelism`]), with 1 disabling sharding
+//! (whole activations, the PR 3 granularity); a pipeline takes them through
+//! [`Pipeline::with_options`] and reads no environment.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -78,33 +78,16 @@ use crate::aggregate::AggregateState;
 use crate::plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, HybridPlan, RangeCandidate,
 };
+use crate::reasoner::ReasonerOptions;
 
-/// Default worker count for the parallel sweep: the `VADALOG_PARALLELISM`
-/// environment variable when set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`] (1 if that is unavailable).
+/// Default worker count for the parallel sweep:
+/// [`std::thread::available_parallelism`] (1 if that is unavailable). Reads
+/// no environment; the `vadalog` binary resolves `VADALOG_PARALLELISM` on top
+/// of it.
 pub fn default_parallelism() -> usize {
-    match std::env::var("VADALOG_PARALLELISM")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
-}
-
-/// Default intra-filter shard bound: the `VADALOG_INTRA_FILTER` environment
-/// variable when set to a positive integer, otherwise [`default_parallelism`]
-/// (chunks beyond the worker count only add merge bookkeeping).
-pub fn default_intra_filter() -> usize {
-    match std::env::var("VADALOG_INTRA_FILTER")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => default_parallelism(),
-    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// How rule bodies with a cyclic core are joined. Acyclic bodies always run
@@ -121,69 +104,6 @@ pub enum JoinStrategy {
     /// suites and `bench_gate`'s ablation compare the free-join executor
     /// against.
     Binary,
-}
-
-/// Default for incremental view maintenance on session appends: the
-/// `VADALOG_IVM` environment variable (`0`/`false`/`off` disables it),
-/// otherwise **on**. With it off a `QuerySession` drops its live
-/// materialised instance on every `append_facts`, so the next
-/// materialisation recomputes the fixpoint from scratch over the layered
-/// base — the `bench_gate --ivm-ablation` baseline. The facts of the final
-/// instance are identical either way.
-pub fn default_ivm() -> bool {
-    match std::env::var("VADALOG_IVM") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
-/// Default for the shared magic-cone derivation cache: the
-/// `VADALOG_CONE_CACHE` environment variable (`0`/`false`/`off` disables
-/// it), otherwise **on**. With it off every session query re-derives its
-/// magic cone from scratch — the `bench_gate --serve-ablation` baseline.
-/// The answers are identical either way.
-pub fn default_cone_cache() -> bool {
-    match std::env::var("VADALOG_CONE_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
-/// Default layer-compaction threshold for session bases: the
-/// `VADALOG_COMPACT_LAYERS` environment variable when set (0 disables
-/// compaction), otherwise 16. When an `append_facts` promotion pushes a
-/// relation's layer chain past the threshold, the chain is merged back into
-/// one plain snapshot (`vadalog_storage::StoreBase::compact`) — identical
-/// rows under identical `FactId`s, so results are bit-identical across
-/// compaction points.
-pub fn default_compact_layers() -> usize {
-    std::env::var("VADALOG_COMPACT_LAYERS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(16)
-}
-
-/// Default entry cap of the shared magic-cone cache: the
-/// `VADALOG_CONE_CACHE_CAP` environment variable when set (0 = unbounded),
-/// otherwise 1024 entries. Past the cap the least-recently-hit entry is
-/// evicted, bounding a long-lived server's cache growth; an evicted cone
-/// only ever costs re-derivation on its next query.
-pub fn default_cone_cache_cap() -> usize {
-    std::env::var("VADALOG_CONE_CACHE_CAP")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1024)
-}
-
-/// Default approximate-bytes budget of the shared magic-cone cache: the
-/// `VADALOG_CONE_CACHE_BYTES` environment variable when set (0 = unbounded),
-/// otherwise 64 MiB. Entry sizes are estimated from the cached answer and
-/// output rows; eviction is LRU, as for [`default_cone_cache_cap`].
-pub fn default_cone_cache_bytes() -> usize {
-    std::env::var("VADALOG_CONE_CACHE_BYTES")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(64 * 1024 * 1024)
 }
 
 /// A join binding: one slot per rule variable, bound during matching.
@@ -566,20 +486,12 @@ pub struct SuspendedPipeline {
     cursors: Vec<Vec<usize>>,
     agg_states: Vec<AggregateState>,
     skolems: HashMap<(Sym, Vec<Value>), Value>,
-    use_indices: bool,
-    push_conditions: bool,
-    parallelism: usize,
-    intra_filter: usize,
-    chunk_min_rows: Option<usize>,
-    adaptive_ranges: bool,
-    join_strategy: JoinStrategy,
+    options: ReasonerOptions,
     hashtrie_local: HashMap<(Sym, Box<[usize]>), Arc<HashTrie>>,
     hashtrie_shared: Option<(Arc<HashTrieCache>, u64)>,
     measured_cost: Vec<Option<f64>>,
     awake: Vec<bool>,
     stats: PipelineStats,
-    max_iterations: usize,
-    max_facts: usize,
 }
 
 impl SuspendedPipeline {
@@ -607,33 +519,9 @@ pub struct Pipeline<'a> {
     agg_states: Vec<AggregateState>,
     /// Deterministic Skolem-term cache: (function, arguments) -> labelled null.
     skolems: HashMap<(Sym, Vec<Value>), Value>,
-    /// Use dynamic indices for join probes (disabling this is the ablation
-    /// benchmark `ablation_join`).
-    use_indices: bool,
-    /// Push classified conditions into the join (index range probes plus
-    /// id-level guards). Disabling this is the post-filter ablation: every
-    /// condition is evaluated over a materialised substitution after the
-    /// join, as the seed engine did.
-    push_conditions: bool,
-    /// Worker threads for the batch join phase (1 = run joins inline).
-    /// Results are bit-identical at every setting; see the module docs.
-    parallelism: usize,
-    /// Maximum chunks one delta window is split into for the intra-filter
-    /// parallel join (1 = whole activations, the pre-sharding granularity).
-    /// Results are bit-identical at every setting.
-    intra_filter: usize,
-    /// Override for the cost-derived minimum rows per chunk (`None` =
-    /// derive from the planned probe's mean postings width; tests use
-    /// `Some(1)` to force single-row chunks).
-    chunk_min_rows: Option<usize>,
-    /// Re-pick the pushed range condition per activation from run-directory
-    /// statistics when a step has several candidates (default on; off =
-    /// always probe the planner's static first choice — the ablation
-    /// baseline of `bench_gate --intra-ablation`).
-    adaptive_ranges: bool,
-    /// How rule bodies with a cyclic core are joined. The final instance is
-    /// bit-identical at either setting — only the join algorithm moves.
-    join_strategy: JoinStrategy,
+    /// The execution knobs (see [`ReasonerOptions`]); every setting yields
+    /// the same final instance, only the access paths and scheduling move.
+    options: ReasonerOptions,
     /// Pipeline-local cache of on-demand [`HashTrie`] builds, keyed by
     /// `(predicate, columns)` and validated against the relation's current
     /// row count, so repeated activations over an unchanged relation reuse
@@ -659,12 +547,11 @@ pub struct Pipeline<'a> {
     /// sweep to the filters the appended predicates actually reach.
     awake: Vec<bool>,
     stats: PipelineStats,
-    max_iterations: usize,
-    max_facts: usize,
 }
 
 impl<'a> Pipeline<'a> {
-    /// Build a pipeline over a plan with the given termination strategy.
+    /// Build a pipeline over a plan with the given termination strategy,
+    /// under [`ReasonerOptions::default`] with no sweep cap.
     pub fn new(plan: &'a AccessPlan, strategy: Box<dyn TerminationStrategy>) -> Self {
         let n = plan.filters.len();
         Pipeline {
@@ -679,79 +566,38 @@ impl<'a> Pipeline<'a> {
             store: FactStore::new(),
             nulls: NullFactory::new(),
             skolems: HashMap::new(),
-            use_indices: true,
-            push_conditions: true,
-            parallelism: default_parallelism(),
-            intra_filter: default_intra_filter(),
-            chunk_min_rows: None,
-            adaptive_ranges: true,
-            join_strategy: JoinStrategy::default(),
+            options: ReasonerOptions {
+                max_iterations: usize::MAX,
+                ..ReasonerOptions::default()
+            },
             hashtrie_local: HashMap::new(),
             hashtrie_shared: None,
             measured_cost: vec![None; n],
             awake: vec![true; n],
             stats: PipelineStats::default(),
-            max_iterations: usize::MAX,
-            max_facts: 20_000_000,
         }
     }
 
-    /// Disable dynamic join indices (every probe becomes a scan).
-    pub fn with_indices(mut self, enabled: bool) -> Self {
-        self.use_indices = enabled;
+    /// Run under `options`' execution knobs: indices, condition pushdown,
+    /// worker count, intra-filter shard bound, adaptive ranges, join
+    /// strategy, chunk override and the sweep/fact caps (worker count, shard
+    /// bound and chunk override clamped to ≥ 1). The final instance — rows, `FactId`s, labelled-null
+    /// ids — is bit-identical at every setting of the first six; only the
+    /// probe/seek counters reflect which access paths ran.
+    pub fn with_options(mut self, options: &ReasonerOptions) -> Self {
+        self.options = ReasonerOptions {
+            parallelism: options.parallelism.max(1),
+            intra_filter_parallelism: options.intra_filter_parallelism.max(1),
+            chunk_min_rows: options.chunk_min_rows.map(|rows| rows.max(1)),
+            ..*options
+        };
         self
     }
 
-    /// Enable or disable condition pushdown (default on). With pushdown off,
-    /// all conditions are post-filters over materialised substitutions — the
-    /// baseline the range-condition benchmarks compare against. The final
-    /// instance is identical either way.
-    pub fn with_condition_pushdown(mut self, enabled: bool) -> Self {
-        self.push_conditions = enabled;
-        self
-    }
-
-    /// Set the worker count for the parallel sweep (clamped to ≥ 1; 1 runs
-    /// every join inline). The final instance is bit-identical at every
-    /// setting.
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
-        self
-    }
-
-    /// Set the intra-filter shard bound: the maximum number of contiguous
-    /// chunks one delta window is split into (clamped to ≥ 1; 1 disables
-    /// sharding and runs each activation as a single work item). The final
-    /// instance, and every statistic except the [`PipelineStats::steals`]
-    /// diagnostic, is bit-identical at every setting.
-    pub fn with_intra_filter_parallelism(mut self, chunks: usize) -> Self {
-        self.intra_filter = chunks.max(1);
-        self
-    }
-
-    /// Override the cost-derived minimum rows per chunk (a test/tuning
-    /// knob: `1` forces single-row chunks wherever the shard bound allows).
+    /// Override the cost-derived minimum rows per chunk (a test knob: `1`
+    /// forces single-row chunks wherever the shard bound allows).
     pub fn with_chunk_min_rows(mut self, rows: usize) -> Self {
-        self.chunk_min_rows = Some(rows.max(1));
-        self
-    }
-
-    /// Enable or disable the per-activation adaptive range selection
-    /// (default on). With it off, steps with several pushable ranges always
-    /// probe the planner's static first choice. The final instance is
-    /// identical either way — only the access path moves.
-    pub fn with_adaptive_ranges(mut self, enabled: bool) -> Self {
-        self.adaptive_ranges = enabled;
-        self
-    }
-
-    /// Select the join strategy for rule bodies with a cyclic core (default
-    /// [`JoinStrategy::FreeJoin`]; [`JoinStrategy::Binary`] is the
-    /// reference the property suites compare against). The final instance
-    /// — rows, `FactId`s, labelled-null ids — is bit-identical at either
-    /// setting; only the probe/seek counters reflect which plan ran.
-    pub fn with_join_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.join_strategy = strategy;
+        self.options.chunk_min_rows = Some(rows.max(1));
         self
     }
 
@@ -793,13 +639,7 @@ impl<'a> Pipeline<'a> {
 
     /// Cap the number of round-robin sweeps.
     pub fn with_max_iterations(mut self, max: usize) -> Self {
-        self.max_iterations = max;
-        self
-    }
-
-    /// Cap the number of stored facts.
-    pub fn with_max_facts(mut self, max: usize) -> Self {
-        self.max_facts = max;
+        self.options.max_iterations = max;
         self
     }
 
@@ -876,7 +716,9 @@ impl<'a> Pipeline<'a> {
 
         let n_filters = self.plan.filters.len();
         loop {
-            if self.stats.iterations >= self.max_iterations || self.store.len() >= self.max_facts {
+            if self.stats.iterations >= self.options.max_iterations
+                || self.store.len() >= self.options.max_facts
+            {
                 break;
             }
             self.stats.iterations += 1;
@@ -949,12 +791,16 @@ impl<'a> Pipeline<'a> {
 
         // Check constraints and EGDs on the final instance (probe buffers
         // shared across all checks, chase-side sharding under this
-        // pipeline's own intra-filter bound rather than the env default).
+        // pipeline's own intra-filter bound).
         let mut violations = Vec::new();
         let mut check_bufs = MatchBuffers::default();
         for (_, rule) in &self.plan.checks {
-            let matches =
-                find_matches_with_chunks(rule, &self.store, self.intra_filter, &mut check_bufs);
+            let matches = find_matches_with_chunks(
+                rule,
+                &self.store,
+                self.options.intra_filter_parallelism,
+                &mut check_bufs,
+            );
             for m in matches {
                 match &rule.head {
                     RuleHead::Falsum => {
@@ -1005,20 +851,12 @@ impl<'a> Pipeline<'a> {
             cursors: self.cursors,
             agg_states: self.agg_states,
             skolems: self.skolems,
-            use_indices: self.use_indices,
-            push_conditions: self.push_conditions,
-            parallelism: self.parallelism,
-            intra_filter: self.intra_filter,
-            chunk_min_rows: self.chunk_min_rows,
-            adaptive_ranges: self.adaptive_ranges,
-            join_strategy: self.join_strategy,
+            options: self.options,
             hashtrie_local: self.hashtrie_local,
             hashtrie_shared: self.hashtrie_shared,
             measured_cost: self.measured_cost,
             awake: self.awake,
             stats: self.stats,
-            max_iterations: self.max_iterations,
-            max_facts: self.max_facts,
         }
     }
 
@@ -1043,20 +881,12 @@ impl<'a> Pipeline<'a> {
             cursors: state.cursors,
             agg_states: state.agg_states,
             skolems: state.skolems,
-            use_indices: state.use_indices,
-            push_conditions: state.push_conditions,
-            parallelism: state.parallelism,
-            intra_filter: state.intra_filter,
-            chunk_min_rows: state.chunk_min_rows,
-            adaptive_ranges: state.adaptive_ranges,
-            join_strategy: state.join_strategy,
+            options: state.options,
             hashtrie_local: state.hashtrie_local,
             hashtrie_shared: state.hashtrie_shared,
             measured_cost: state.measured_cost,
             awake: state.awake,
             stats: state.stats,
-            max_iterations: state.max_iterations,
-            max_facts: state.max_facts,
         }
     }
 
@@ -1165,7 +995,7 @@ impl<'a> Pipeline<'a> {
         // Compile the planner's pushed conditions and per-delta probe/guard
         // placement to the id level (bound constants interned here, on the
         // sequential path).
-        let pushdown = self.push_conditions;
+        let pushdown = self.options.condition_pushdown;
         let compiled_pushed: Vec<CompiledCond> = if pushdown {
             filter
                 .pushed
@@ -1243,7 +1073,7 @@ impl<'a> Pipeline<'a> {
         // Pre-build every index the planned probes will touch (and flush
         // their tails), so the batch's workers never hit the
         // `probe_if_indexed` miss path against the frozen store.
-        if self.use_indices {
+        if self.options.use_indices {
             for steps in &delta_steps {
                 for step in steps.iter().skip(1) {
                     if !step.index_cols.is_empty() {
@@ -1287,7 +1117,7 @@ impl<'a> Pipeline<'a> {
         // taken (and hence the enumeration) is a pure function of the store
         // and the knobs.
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
-        if self.join_strategy == JoinStrategy::FreeJoin && self.use_indices {
+        if self.options.join_strategy == JoinStrategy::FreeJoin && self.options.use_indices {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
                 if let Some(hp) = &dp.hybrid {
                     hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
@@ -1308,7 +1138,7 @@ impl<'a> Pipeline<'a> {
         // just flushed). Computed here, on the sequential path, so the
         // layout is a function of the data and the knobs only.
         let mut chunks = Vec::new();
-        if self.intra_filter > 1 {
+        if self.options.intra_filter_parallelism > 1 {
             let measured = self.measured_cost[f_idx];
             for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
                 if from >= to {
@@ -1319,10 +1149,15 @@ impl<'a> Pipeline<'a> {
                         &self.store,
                         &patterns,
                         &delta_steps[delta_idx],
-                        self.use_indices,
+                        self.options.use_indices,
                     )
                 });
-                let k = plan_chunk_count(to - from, width, self.intra_filter, self.chunk_min_rows);
+                let k = plan_chunk_count(
+                    to - from,
+                    width,
+                    self.options.intra_filter_parallelism,
+                    self.options.chunk_min_rows,
+                );
                 for (a, b) in chunk_windows(from, to, k) {
                     chunks.push(Chunk {
                         delta_idx,
@@ -1543,7 +1378,7 @@ impl<'a> Pipeline<'a> {
         candidates: &[RangeCandidate],
         pattern: &RowPattern,
     ) -> Option<RangeCandidate> {
-        if candidates.len() <= 1 || !self.use_indices || !self.adaptive_ranges {
+        if candidates.len() <= 1 || !self.options.use_indices || !self.options.adaptive_ranges {
             return candidates.first().copied();
         }
         let mut best: Option<(usize, RangeCandidate)> = None;
@@ -1625,7 +1460,7 @@ impl<'a> Pipeline<'a> {
                 }
             })
             .collect();
-        let workers = self.parallelism.min(items.len());
+        let workers = self.options.parallelism.min(items.len());
         // Thread spawn costs ~tens of µs; a batch whose delta windows hold
         // only a handful of new rows joins faster inline. The cutover only
         // affects scheduling, never results.
@@ -1653,7 +1488,7 @@ impl<'a> Pipeline<'a> {
                     &self.store,
                     &jobs[item.job],
                     item.chunk,
-                    self.use_indices,
+                    self.options.use_indices,
                     &mut scratch,
                     matches,
                     counters,
@@ -1666,7 +1501,7 @@ impl<'a> Pipeline<'a> {
             return (out, exec);
         }
         let store = &self.store;
-        let use_indices = self.use_indices;
+        let use_indices = self.options.use_indices;
         let next_item = AtomicUsize::new(0);
         // Per-item result slots: (matches, counters, claiming worker).
         type ItemResult = (Vec<Binding>, JoinCounters, usize);
@@ -2462,7 +2297,11 @@ mod tests {
         let mut with = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
         with.load_facts(program.facts.clone());
         with.run();
-        let mut without = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_indices(false);
+        let mut without =
+            Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(&ReasonerOptions {
+                use_indices: false,
+                ..ReasonerOptions::default()
+            });
         without.load_facts(program.facts.clone());
         without.run();
         assert_eq!(
@@ -2481,8 +2320,12 @@ mod tests {
         let program = parse_program(src).unwrap();
         let plan = AccessPlan::compile(&program);
         let run = |threads: usize| {
-            let mut p =
-                Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_parallelism(threads);
+            let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
+                &ReasonerOptions {
+                    parallelism: threads,
+                    ..ReasonerOptions::default()
+                },
+            );
             p.load_facts(program.facts.clone());
             p.run();
             p
@@ -2542,7 +2385,10 @@ mod tests {
         // The choice is an access path, never a filter: the post-filter
         // baseline agrees exactly.
         let mut baseline =
-            Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_condition_pushdown(false);
+            Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(&ReasonerOptions {
+                condition_pushdown: false,
+                ..ReasonerOptions::default()
+            });
         baseline.load_facts(program.facts.clone());
         baseline.run();
         assert_eq!(baseline.stats().adaptive_range_picks, 0);
@@ -2566,12 +2412,14 @@ mod tests {
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
         let run = |intra: usize, min_rows: Option<usize>, threads: usize| {
-            let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new()))
-                .with_parallelism(threads)
-                .with_intra_filter_parallelism(intra);
-            if let Some(rows) = min_rows {
-                p = p.with_chunk_min_rows(rows);
-            }
+            let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
+                &ReasonerOptions {
+                    parallelism: threads,
+                    intra_filter_parallelism: intra,
+                    chunk_min_rows: min_rows,
+                    ..ReasonerOptions::default()
+                },
+            );
             p.load_facts(program.facts.clone());
             p.run();
             p
@@ -2641,9 +2489,12 @@ mod tests {
         let plan = AccessPlan::compile(&program);
         let run = |strategy: JoinStrategy, threads: usize, intra: usize| {
             let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new()))
-                .with_join_strategy(strategy)
-                .with_parallelism(threads)
-                .with_intra_filter_parallelism(intra)
+                .with_options(&ReasonerOptions {
+                    join_strategy: strategy,
+                    parallelism: threads,
+                    intra_filter_parallelism: intra,
+                    ..ReasonerOptions::default()
+                })
                 .with_chunk_min_rows(1);
             p.load_facts(program.facts.clone());
             p.run();

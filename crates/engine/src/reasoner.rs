@@ -24,8 +24,14 @@ pub enum TerminationKind {
     ExactDedup,
 }
 
-/// Reasoner configuration.
-#[derive(Clone, Debug)]
+/// Reasoner configuration: the one place the execution knobs live. A
+/// [`Pipeline`] holds a copy ([`Pipeline::with_options`]), a
+/// [`crate::QuerySession`] and the reasoning server hand theirs down.
+/// [`ReasonerOptions::default`] is constants plus
+/// [`std::thread::available_parallelism`]; no library crate reads the
+/// environment — the `vadalog` binary resolves its `VADALOG_*` variables on
+/// top of the defaults (`docs/CLI.md`).
+#[derive(Clone, Copy, Debug)]
 pub struct ReasonerOptions {
     /// Termination strategy.
     pub termination: TerminationKind,
@@ -40,10 +46,8 @@ pub struct ReasonerOptions {
     pub condition_pushdown: bool,
     /// Worker threads for the parallel filter sweep (1 = fully sequential).
     /// The final instance is bit-identical at every setting — parallelism
-    /// only accelerates the read-only join phase of each sweep batch. The
-    /// default honours the `VADALOG_PARALLELISM` environment variable and
-    /// falls back to [`std::thread::available_parallelism`]; see
-    /// [`crate::pipeline::default_parallelism`].
+    /// only accelerates the read-only join phase of each sweep batch.
+    /// Default [`crate::pipeline::default_parallelism`].
     pub parallelism: usize,
     /// Intra-filter shard bound: the maximum number of contiguous chunks
     /// one filter's delta window is split into per activation, so a batch
@@ -51,10 +55,13 @@ pub struct ReasonerOptions {
     /// (1 = whole activations, sharding off). The final instance — and
     /// every statistic except the scheduling diagnostic
     /// [`crate::PipelineStats::steals`] — is bit-identical at every
-    /// setting. The default honours the `VADALOG_INTRA_FILTER` environment
-    /// variable and falls back to the worker count; see
-    /// [`crate::pipeline::default_intra_filter`].
+    /// setting. Default: the worker count.
     pub intra_filter_parallelism: usize,
+    /// Override for the cost-derived minimum rows per intra-filter chunk
+    /// (`None`, the default, derives it from the planned probe's mean
+    /// postings width). A test knob: `Some(1)` forces single-row chunks
+    /// wherever the shard bound allows; see [`Pipeline::with_chunk_min_rows`].
+    pub chunk_min_rows: Option<usize>,
     /// How rule bodies with a cyclic core (joins whose hypergraph fails the
     /// GYO acyclicity test) are executed: the free-join plan that leapfrogs
     /// the core between binary ear probes (the default), or binary probe
@@ -82,8 +89,7 @@ pub struct ReasonerOptions {
     /// each group.
     pub final_aggregates_only: bool,
     /// Maintain a session's live materialised instance incrementally across
-    /// `append_facts` calls (default on; env `VADALOG_IVM`, see
-    /// [`crate::pipeline::default_ivm`]). Off = drop the live instance on
+    /// `append_facts` calls (default on). Off = drop the live instance on
     /// every append so the next materialisation recomputes the fixpoint
     /// from scratch over the layered base — the `bench_gate --ivm-ablation`
     /// baseline. The facts of the final instance are identical either way.
@@ -92,41 +98,39 @@ pub struct ReasonerOptions {
     /// across every session forked from it): subsumption-checked
     /// `(predicate, pattern)` → answers entries kept valid by the base
     /// layer stamp and invalidated precisely by `append_facts` promotions
-    /// that reach the cone (default on; env `VADALOG_CONE_CACHE`, see
-    /// [`crate::pipeline::default_cone_cache`]). Off = every query
-    /// re-derives its cone — the `bench_gate --serve-ablation` baseline.
+    /// that reach the cone (default on). Off = every query re-derives its
+    /// cone — the `bench_gate --serve-ablation` baseline.
     /// The answers are identical either way.
     pub cone_cache: bool,
     /// Cap on the number of entries the shared cone cache retains
-    /// (0 = unbounded; default [`crate::pipeline::default_cone_cache_cap`],
-    /// env `VADALOG_CONE_CACHE_CAP`). Past the cap the least-recently-hit
+    /// (0 = unbounded; default 1024). Past the cap the least-recently-hit
     /// entry is evicted — the monotonic-growth guard of a long-lived
     /// reasoning server. Eviction only ever costs re-derivation; answers
     /// are identical at every setting.
     pub cone_cache_cap: usize,
     /// Approximate-bytes budget of the shared cone cache (0 = unbounded;
-    /// default [`crate::pipeline::default_cone_cache_bytes`], env
-    /// `VADALOG_CONE_CACHE_BYTES`). Sizes are estimated from cached answer
-    /// and output rows; eviction is LRU, same as the entry cap.
+    /// default 64 MiB). Sizes are estimated from cached answer and output
+    /// rows; eviction is LRU, same as the entry cap.
     pub cone_cache_bytes: usize,
     /// Merge a session relation's base layer chain back into one plain
     /// snapshot whenever an append pushes it past this many layers
-    /// (0 disables compaction; default 16, env `VADALOG_COMPACT_LAYERS`,
-    /// see [`crate::pipeline::default_compact_layers`]). Compaction
-    /// preserves rows and `FactId`s exactly, so results are bit-identical
-    /// across compaction points.
+    /// (0 disables compaction; default 16). Compaction preserves rows and
+    /// `FactId`s exactly, so results are bit-identical across compaction
+    /// points.
     pub compact_layers: usize,
 }
 
 impl Default for ReasonerOptions {
     fn default() -> Self {
+        let parallelism = crate::pipeline::default_parallelism();
         ReasonerOptions {
             termination: TerminationKind::Warded,
             apply_rewriting: true,
             use_indices: true,
             condition_pushdown: true,
-            parallelism: crate::pipeline::default_parallelism(),
-            intra_filter_parallelism: crate::pipeline::default_intra_filter(),
+            parallelism,
+            intra_filter_parallelism: parallelism,
+            chunk_min_rows: None,
             join_strategy: crate::pipeline::JoinStrategy::default(),
             adaptive_ranges: true,
             max_iterations: 100_000,
@@ -134,11 +138,11 @@ impl Default for ReasonerOptions {
             require_warded: false,
             certain_answers_only: false,
             final_aggregates_only: true,
-            incremental: crate::pipeline::default_ivm(),
-            cone_cache: crate::pipeline::default_cone_cache(),
-            cone_cache_cap: crate::pipeline::default_cone_cache_cap(),
-            cone_cache_bytes: crate::pipeline::default_cone_cache_bytes(),
-            compact_layers: crate::pipeline::default_compact_layers(),
+            incremental: true,
+            cone_cache: true,
+            cone_cache_cap: 1024,
+            cone_cache_bytes: 64 * 1024 * 1024,
+            compact_layers: 16,
         }
     }
 }
@@ -302,15 +306,7 @@ impl Reasoner {
         // Steps 2-4: access plan + executable pipeline.
         let plan = AccessPlan::compile(&compiled);
         let strategy = make_strategy(self.options.termination);
-        let mut pipeline = Pipeline::new(&plan, strategy)
-            .with_indices(self.options.use_indices)
-            .with_condition_pushdown(self.options.condition_pushdown)
-            .with_parallelism(self.options.parallelism)
-            .with_intra_filter_parallelism(self.options.intra_filter_parallelism)
-            .with_join_strategy(self.options.join_strategy)
-            .with_adaptive_ranges(self.options.adaptive_ranges)
-            .with_max_iterations(self.options.max_iterations)
-            .with_max_facts(self.options.max_facts);
+        let mut pipeline = Pipeline::new(&plan, strategy).with_options(&self.options);
 
         // Load the extensional database: inline facts + @bind CSV sources.
         pipeline.load_facts(compiled.facts.iter().cloned());
@@ -405,7 +401,7 @@ impl Reasoner {
         &self,
         program: &Program,
     ) -> Result<crate::session::QuerySession, ReasonerError> {
-        crate::session::QuerySession::new(program, self.options.clone())
+        crate::session::QuerySession::new(program, self.options)
     }
 }
 

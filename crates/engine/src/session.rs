@@ -623,7 +623,7 @@ impl QuerySession {
             }
         }
         let core = SessionCore {
-            options: options.clone(),
+            options,
             base: store.freeze(),
             strategy_template: strategy,
             compiled: HashMap::new(),
@@ -754,7 +754,7 @@ impl QuerySession {
     /// next query, and a cone derived by one worker is a cache hit for all.
     pub fn fork(&self) -> QuerySession {
         QuerySession {
-            options: self.options.clone(),
+            options: self.options,
             program: Arc::clone(&self.program),
             rules_only: Arc::clone(&self.rules_only),
             live: None,
@@ -1061,15 +1061,8 @@ impl QuerySession {
                 let mut p =
                     crate::Pipeline::new(&compiled.plan, core.strategy_template.clone_box())
                         .with_store(core.base.overlay())
-                        .with_indices(self.options.use_indices)
-                        .with_condition_pushdown(self.options.condition_pushdown)
-                        .with_parallelism(self.options.parallelism)
-                        .with_intra_filter_parallelism(self.options.intra_filter_parallelism)
-                        .with_join_strategy(self.options.join_strategy)
-                        .with_hashtrie_cache(core.hashtries.clone(), stamp)
-                        .with_adaptive_ranges(self.options.adaptive_ranges)
-                        .with_max_iterations(self.options.max_iterations)
-                        .with_max_facts(self.options.max_facts);
+                        .with_options(&self.options)
+                        .with_hashtrie_cache(core.hashtries.clone(), stamp);
                 if let Some(costs) = warm {
                     p = p.with_warm_costs(costs);
                 }
@@ -1296,15 +1289,8 @@ impl QuerySession {
         let exec_start = Instant::now();
         let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
             .with_store(overlay)
-            .with_indices(self.options.use_indices)
-            .with_condition_pushdown(self.options.condition_pushdown)
-            .with_parallelism(self.options.parallelism)
-            .with_intra_filter_parallelism(self.options.intra_filter_parallelism)
-            .with_join_strategy(self.options.join_strategy)
-            .with_hashtrie_cache(hashtries, trie_stamp)
-            .with_adaptive_ranges(self.options.adaptive_ranges)
-            .with_max_iterations(self.options.max_iterations)
-            .with_max_facts(self.options.max_facts);
+            .with_options(&self.options)
+            .with_hashtrie_cache(hashtries, trie_stamp);
         if let Some(costs) = warm {
             pipeline = pipeline.with_warm_costs(costs);
         }

@@ -174,7 +174,7 @@ proptest! {
             parallelism: threads,
             ..ReasonerOptions::default()
         };
-        let mut session = Reasoner::with_options(options.clone())
+        let mut session = Reasoner::with_options(options)
             .session(&program)
             .unwrap();
         // interleave a query before the appends: the promoted layers must
@@ -215,13 +215,13 @@ proptest! {
             parallelism: threads,
             ..ReasonerOptions::default()
         };
-        let mut incremental = Reasoner::with_options(options.clone())
+        let mut incremental = Reasoner::with_options(options)
             .session(&program)
             .unwrap();
         incremental.materialise().unwrap();
         let mut ablation = Reasoner::with_options(ReasonerOptions {
             incremental: false,
-            ..options.clone()
+            ..options
         })
         .session(&program)
         .unwrap();

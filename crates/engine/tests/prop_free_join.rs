@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use vadalog_chase::WardedStrategy;
-use vadalog_engine::{AccessPlan, JoinStrategy, Pipeline, PipelineStats};
+use vadalog_engine::{AccessPlan, JoinStrategy, Pipeline, PipelineStats, ReasonerOptions};
 use vadalog_model::prelude::*;
 use vadalog_storage::FactStore;
 
@@ -81,9 +81,12 @@ fn run(
     let plan = AccessPlan::compile(p);
     let (intra, min_rows) = chunks.unwrap_or((1, 1));
     let mut pipeline = Pipeline::new(&plan, Box::new(WardedStrategy::new()))
-        .with_join_strategy(strategy)
-        .with_parallelism(threads)
-        .with_intra_filter_parallelism(intra)
+        .with_options(&ReasonerOptions {
+            join_strategy: strategy,
+            parallelism: threads,
+            intra_filter_parallelism: intra,
+            ..ReasonerOptions::default()
+        })
         .with_chunk_min_rows(min_rows);
     pipeline.load_facts(p.facts.clone());
     let violations = pipeline.run();

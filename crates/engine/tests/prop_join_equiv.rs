@@ -328,15 +328,17 @@ proptest! {
     #[test]
     fn intra_filter_sharding_is_bit_identical(p in guarded_program()) {
         use vadalog_chase::WardedStrategy;
-        use vadalog_engine::{AccessPlan, Pipeline};
+        use vadalog_engine::{AccessPlan, Pipeline, ReasonerOptions};
         let plan = AccessPlan::compile(&p);
         let run = |intra: usize, min_rows: Option<usize>, threads: usize| {
-            let mut pipe = Pipeline::new(&plan, Box::new(WardedStrategy::new()))
-                .with_parallelism(threads)
-                .with_intra_filter_parallelism(intra);
-            if let Some(rows) = min_rows {
-                pipe = pipe.with_chunk_min_rows(rows);
-            }
+            let mut pipe = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
+                &ReasonerOptions {
+                    parallelism: threads,
+                    intra_filter_parallelism: intra,
+                    chunk_min_rows: min_rows,
+                    ..ReasonerOptions::default()
+                },
+            );
             pipe.load_facts(p.facts.clone());
             pipe.run();
             pipe

@@ -25,10 +25,11 @@
 //! next scenario arms.
 //!
 //! For out-of-process harnesses (the CI fault leg drives the CLI binary) the
-//! same schedules can be armed from the environment: `VADALOG_FAULTS` holds
-//! `;`-separated rules `name@hit=error|panic`, e.g.
-//! `VADALOG_FAULTS="wal.fsync@1=error;session.promote@0=panic"`. Call
-//! [`arm_from_env`] once at process start (the CLI does).
+//! same schedules have a text form: `;`-separated rules
+//! `name@hit=error|panic`, e.g. `wal.fsync@1=error;session.promote@0=panic`.
+//! [`parse_spec`] reads it and [`Scenario::arm_rules`] arms the result; this
+//! crate reads no environment — the `vadalog` binary takes the spec from
+//! `VADALOG_FAULTS` at startup.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,28 +137,14 @@ impl Scenario {
         Scenario { _guard: guard }
     }
 
-    /// Arm a scenario from `;`-separated `name@hit=error|panic` rules (the
-    /// `VADALOG_FAULTS` syntax). Unparsable rules are reported as `Err`.
-    pub fn arm_from_spec(spec: &str) -> Result<Scenario, String> {
+    /// Take the global fault lock and arm `rules` (typically from
+    /// [`parse_spec`]).
+    pub fn arm_rules(rules: Vec<FaultRule>) -> Scenario {
         let scenario = Scenario::arm();
-        for rule in spec.split(';').map(str::trim).filter(|r| !r.is_empty()) {
-            let (target, action) = rule
-                .split_once('=')
-                .ok_or_else(|| format!("fault rule `{rule}` is missing `=`"))?;
-            let (name, hit) = target
-                .split_once('@')
-                .ok_or_else(|| format!("fault rule `{rule}` is missing `@hit`"))?;
-            let hit: u64 = hit
-                .parse()
-                .map_err(|_| format!("fault rule `{rule}` has a non-numeric hit index"))?;
-            let action = match action.trim() {
-                "error" => Action::Error,
-                "panic" => Action::Panic,
-                other => return Err(format!("fault rule `{rule}`: unknown action `{other}`")),
-            };
-            scenario.add_rule(name.trim().to_owned(), hit, action);
+        for rule in rules {
+            scenario.add_rule(rule.point, rule.hit, rule.action);
         }
-        Ok(scenario)
+        scenario
     }
 
     /// Make `name` fire `action` at its `hit`-th invocation (zero-based).
@@ -169,7 +156,7 @@ impl Scenario {
     }
 
     fn add_rule(&self, name: String, hit: u64, action: Action) {
-        // Point names arrive as `&'static str` from call sites; env-supplied
+        // Point names arrive as `&'static str` from call sites; spec-supplied
         // names are interned by leaking (bounded by the number of distinct
         // rules in a test process).
         let name: &'static str = Box::leak(name.into_boxed_str());
@@ -186,14 +173,46 @@ impl Drop for Scenario {
     }
 }
 
-/// Arm a process-lifetime scenario from `VADALOG_FAULTS`, if set. Returns
-/// the scenario guard (leaked by the CLI for process lifetime) or `None`
-/// when the variable is unset/empty; malformed specs are returned as `Err`.
-pub fn arm_from_env() -> Result<Option<Scenario>, String> {
-    match std::env::var("VADALOG_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => Scenario::arm_from_spec(&spec).map(Some),
-        _ => Ok(None),
-    }
+/// One rule of a fault spec: fire `action` at the `hit`-th (zero-based)
+/// invocation of the fault point named `point`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct FaultRule {
+    /// Fault point name.
+    pub point: String,
+    /// Zero-based hit index.
+    pub hit: u64,
+    /// What the point does at that hit.
+    pub action: Action,
+}
+
+/// Parse `;`-separated `name@hit=error|panic` rules without arming them.
+/// Empty rules are skipped; a malformed rule is reported as `Err`.
+pub fn parse_spec(spec: &str) -> Result<Vec<FaultRule>, String> {
+    spec.split(';')
+        .map(str::trim)
+        .filter(|r| !r.is_empty())
+        .map(|rule| {
+            let (target, action) = rule
+                .split_once('=')
+                .ok_or_else(|| format!("fault rule `{rule}` is missing `=`"))?;
+            let (name, hit) = target
+                .split_once('@')
+                .ok_or_else(|| format!("fault rule `{rule}` is missing `@hit`"))?;
+            let hit: u64 = hit
+                .parse()
+                .map_err(|_| format!("fault rule `{rule}` has a non-numeric hit index"))?;
+            let action = match action.trim() {
+                "error" => Action::Error,
+                "panic" => Action::Panic,
+                other => return Err(format!("fault rule `{rule}`: unknown action `{other}`")),
+            };
+            Ok(FaultRule {
+                point: name.trim().to_owned(),
+                hit,
+                action,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -231,12 +250,21 @@ mod tests {
 
     #[test]
     fn spec_parsing_round_trips() {
-        let scenario =
-            Scenario::arm_from_spec("a.b@0=error; c.d@2=panic").expect("spec should parse");
+        let rules = parse_spec("a.b@0=error; c.d@2=panic").expect("spec should parse");
+        assert_eq!(
+            rules[1],
+            FaultRule {
+                point: "c.d".to_owned(),
+                hit: 2,
+                action: Action::Panic
+            }
+        );
+        let scenario = Scenario::arm_rules(rules);
         assert!(point("a.b").is_err());
         drop(scenario);
-        assert!(Scenario::arm_from_spec("nonsense").is_err());
-        assert!(Scenario::arm_from_spec("a@x=error").is_err());
-        assert!(Scenario::arm_from_spec("a@1=explode").is_err());
+        assert_eq!(parse_spec(" ; "), Ok(Vec::new()));
+        assert!(parse_spec("nonsense").is_err());
+        assert!(parse_spec("a@x=error").is_err());
+        assert!(parse_spec("a@1=explode").is_err());
     }
 }

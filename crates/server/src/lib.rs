@@ -324,7 +324,7 @@ pub struct ServerStats {
     /// Cone entries dropped by append invalidation.
     pub cone_invalidations: u64,
     /// Cone entries evicted by the LRU cap/bytes budget
-    /// (`VADALOG_CONE_CACHE_CAP` / `VADALOG_CONE_CACHE_BYTES`).
+    /// (`ReasonerOptions::cone_cache_cap` / `cone_cache_bytes`).
     pub cone_evictions: u64,
     /// Cone entries currently cached.
     pub cone_entries: usize,
@@ -365,7 +365,7 @@ impl ReasoningServer {
         program: &Program,
         config: ServerConfig,
     ) -> Result<ReasoningServer, ReasonerError> {
-        let session = Reasoner::with_options(config.options.clone()).session(program)?;
+        let session = Reasoner::with_options(config.options).session(program)?;
         Ok(Self::from_session(session, config))
     }
 
@@ -381,7 +381,7 @@ impl ReasoningServer {
         config: ServerConfig,
         wal_path: &Path,
     ) -> Result<(ReasoningServer, RecoveryReport), ReasonerError> {
-        let (session, report) = QuerySession::recover(program, config.options.clone(), wal_path)?;
+        let (session, report) = QuerySession::recover(program, config.options, wal_path)?;
         Ok((Self::from_session(session, config), report))
     }
 

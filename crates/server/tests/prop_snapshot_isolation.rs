@@ -12,12 +12,13 @@
 //!   snapshot containing precisely the batches promoted at stamps
 //!   `1..=s` — no torn reads of a half-promoted batch, no lost layers.
 //!
-//! Run with `VADALOG_PARALLELISM=1` and `=4` in CI: worker concurrency
-//! (tested here at 2 and 8 workers) composes with intra-query parallelism.
+//! Worker concurrency (2 and 8 workers) is drawn next to intra-query
+//! parallelism (1 and 4 threads per query): the two must compose.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
+use vadalog_engine::ReasonerOptions;
 use vadalog_model::prelude::*;
 use vadalog_server::{ReasoningServer, Request, Response, ServerConfig};
 
@@ -77,6 +78,7 @@ proptest! {
         ),
         query_sources in prop::collection::vec(0usize..10, 4..10),
         workers in prop::sample::select(vec![2usize, 8]),
+        parallelism in prop::sample::select(vec![1usize, 4]),
         shuffle_seed in any::<u32>(),
     ) {
         let batches: Vec<Vec<Fact>> = batches
@@ -113,6 +115,11 @@ proptest! {
             ServerConfig {
                 workers,
                 queue_cap: 1024,
+                options: ReasonerOptions {
+                    parallelism,
+                    intra_filter_parallelism: parallelism,
+                    ..ReasonerOptions::default()
+                },
                 ..ServerConfig::default()
             },
         )

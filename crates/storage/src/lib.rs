@@ -1,8 +1,8 @@
 //! # vadalog-storage
 //!
 //! The storage substrate of the Vadalog reproduction (Section 4 of the
-//! paper: record managers, dynamic in-memory indices, buffer cache and
-//! memory management):
+//! paper: record managers, dynamic in-memory indices and memory
+//! management):
 //!
 //! * [`store`] — the in-memory [`store::FactStore`]: one relation per
 //!   predicate with set semantics, per-column *dynamic hash indices* built
@@ -17,10 +17,7 @@
 //! * [`domain`] — maintenance of the active constant domain `ACDom` /
 //!   `Dom` (Section 2), used to guard the grounded copies produced by
 //!   harmful-join elimination and to restrict EGD/constraint checking to
-//!   ground values;
-//! * [`cache`] — a small fragmented buffer cache with LRU eviction,
-//!   mirroring the paper's per-filter buffer segments; the engine wraps each
-//!   pipeline filter in one segment.
+//!   ground values.
 //!
 //! # Storage layout and interning design
 //!
@@ -149,7 +146,6 @@
 //! [`StoreBase::ensure_index`]: store::StoreBase::ensure_index
 //! [`StoreBase::promote`]: store::StoreBase::promote
 
-pub mod cache;
 pub mod csv;
 pub mod domain;
 pub mod hashtrie;
@@ -158,7 +154,6 @@ pub mod store;
 pub mod wal;
 pub mod wcoj;
 
-pub use cache::{BufferCache, CacheStats, EvictionPolicy};
 pub use csv::{read_csv_facts, write_csv_facts, CsvError};
 pub use domain::ActiveDomain;
 pub use hashtrie::{HashTrie, HashTrieCache};

@@ -1,12 +1,10 @@
 //! Property-based tests for the storage substrate: relations with dynamic
-//! indices, the fact store, the active domain, the buffer cache and the CSV
-//! record manager.
+//! indices, the fact store, the active domain and the CSV record manager.
 
 use proptest::prelude::*;
 use vadalog_model::prelude::*;
 use vadalog_storage::{
-    read_csv_facts, write_csv_facts, ActiveDomain, BufferCache, EvictionPolicy, FactStore,
-    RangeFilter, Relation,
+    read_csv_facts, write_csv_facts, ActiveDomain, FactStore, RangeFilter, Relation,
 };
 
 // ---------------------------------------------------------------- strategies
@@ -304,43 +302,6 @@ proptest! {
             prop_assert_eq!(f.arity(), 1);
             prop_assert!(dom.contains(&f.args[0]));
         }
-    }
-
-    // ---------------------------------------------------------- buffer cache
-
-    /// Whatever fits in a segment can be read back; capacity is never
-    /// exceeded; reads of present keys are hits and of absent keys misses.
-    #[test]
-    fn cache_put_get(facts in prop::collection::vec(fact(1..3), 1..20), capacity in 1usize..32) {
-        let cache = BufferCache::new(capacity, EvictionPolicy::Lru);
-        for (i, f) in facts.iter().enumerate() {
-            cache.put(0, i as u64, f.clone());
-            prop_assert!(cache.segment_len(0) <= capacity);
-        }
-        if facts.len() <= capacity {
-            // nothing was evicted: every position must hit and return the
-            // exact fact that was stored
-            for (i, f) in facts.iter().enumerate() {
-                prop_assert_eq!(cache.get(0, i as u64), Some(f.clone()));
-            }
-            prop_assert_eq!(cache.stats().evictions, 0);
-        }
-        // absent positions miss
-        prop_assert_eq!(cache.get(0, 10_000), None);
-        let stats = cache.stats();
-        prop_assert!(stats.misses >= 1);
-    }
-
-    /// Segments are independent: filling one segment never evicts another.
-    #[test]
-    fn cache_segments_are_independent(facts in prop::collection::vec(fact(1..3), 1..10)) {
-        let cache = BufferCache::new(2, EvictionPolicy::Lfu);
-        let pinned = Fact::new("Pinned", vec![Value::Int(1)]);
-        cache.put(7, 0, pinned.clone());
-        for (i, f) in facts.iter().enumerate() {
-            cache.put(1, i as u64, f.clone());
-        }
-        prop_assert_eq!(cache.get(7, 0), Some(pinned));
     }
 
     // ------------------------------------------------------------------ CSV

@@ -15,9 +15,8 @@
 //! * the **incremental** session re-derives `O(chain length)` facts per
 //!   batch — the wake-list re-activates only the `Edge`/`Reach` readers and
 //!   the persistent cursors skip everything already at fixpoint — while
-//! * the **rebuild** ablation (`ReasonerOptions::incremental = false`,
-//!   env `VADALOG_IVM=0`) pays the full `O(chain length²)` closure again on
-//!   every batch.
+//! * the **rebuild** ablation (`ReasonerOptions::incremental = false`)
+//!   pays the full `O(chain length²)` closure again on every batch.
 //!
 //! With `b` batches the rebuild does `Θ(b)`× the incremental join work, so
 //! the measured separation grows with the schedule length — the acceptance

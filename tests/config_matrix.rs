@@ -1,0 +1,199 @@
+//! The determinism contract as one matrix: every combination of the engine
+//! configuration axes below must make the `vadalog` CLI print byte-identical
+//! output on three programs — a triangle + lollipop `run`, a four-atom
+//! `query` session and a query/append schedule. The CLI is driven in-process
+//! through `run_cli_with`, the seam `main.rs` wraps, so the matrix runs under
+//! the root `cargo test` with no process environment involved.
+//!
+//! An axis is a row of [`AXES`]: deleting an option field deletes its row
+//! and the matrix shrinks with it.
+
+use vadalog::engine::JoinStrategy;
+use vadalog::ReasonerOptions;
+use vadalog_cli::run_cli_with;
+
+/// Applies one axis point to the options.
+type Setter = fn(&mut ReasonerOptions);
+
+/// The configuration axes and the points each takes.
+const AXES: &[(&str, &[(&str, Setter)])] = &[
+    (
+        "parallelism",
+        &[("1", |o| o.parallelism = 1), ("4", |o| o.parallelism = 4)],
+    ),
+    (
+        "intra_filter",
+        &[
+            ("1", |o| o.intra_filter_parallelism = 1),
+            ("4", |o| o.intra_filter_parallelism = 4),
+        ],
+    ),
+    (
+        "join_strategy",
+        &[
+            ("FreeJoin", |o| o.join_strategy = JoinStrategy::FreeJoin),
+            ("Binary", |o| o.join_strategy = JoinStrategy::Binary),
+        ],
+    ),
+    (
+        "incremental",
+        &[
+            ("on", |o| o.incremental = true),
+            ("off", |o| o.incremental = false),
+        ],
+    ),
+];
+
+/// Every point of the product of [`AXES`], labelled `axis=point,...`.
+fn configurations() -> Vec<(String, ReasonerOptions)> {
+    let mut configs = vec![(String::new(), ReasonerOptions::default())];
+    for (axis, points) in AXES {
+        configs = configs
+            .iter()
+            .flat_map(|(label, options)| {
+                points.iter().map(move |(point, set)| {
+                    let mut options = *options;
+                    set(&mut options);
+                    let sep = if label.is_empty() { "" } else { "," };
+                    (format!("{label}{sep}{axis}={point}"), options)
+                })
+            })
+            .collect();
+    }
+    configs
+}
+
+/// Write `lines` as a program file and return its path.
+fn program_file(name: &str, lines: &[String]) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "vadalog_config_matrix_{}_{name}.vada",
+        std::process::id()
+    ));
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+/// Run `args` (with the program path first after the command) under every
+/// configuration and require each output to equal the first one byte for
+/// byte. Returns that output.
+fn assert_identical_across_matrix(command: &str, path: &str, rest: &[&str]) -> String {
+    let mut args = vec![command.to_owned(), path.to_owned()];
+    args.extend(rest.iter().map(|a| a.to_string()));
+    let configs = configurations();
+    assert_eq!(configs.len(), 16);
+    let mut outputs = configs.iter().map(|(label, options)| {
+        let out = run_cli_with(&args, *options)
+            .unwrap_or_else(|e| panic!("`{command}` failed under {label}: {e}"));
+        (label, out)
+    });
+    let (first_label, first) = outputs.next().unwrap();
+    for (label, out) in outputs {
+        assert!(
+            out == first,
+            "`{command}` output under {label} differs from {first_label}:\n\
+             --- {first_label}\n{first}\n--- {label}\n{out}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+    first
+}
+
+/// The chain-plus-shortcuts reachability program the two session programs
+/// share: a recursive rule and an existential `Owner` head.
+fn reach_rules() -> Vec<String> {
+    [
+        "Edge(x, y) -> Reach(x, y).",
+        "Reach(x, y), Edge(y, z) -> Reach(x, z).",
+        "Reach(x, y) -> Owner(p, y).",
+        "Owner(p, x), Edge(x, y) -> Owner(p, y).",
+        "@output(\"Reach\").",
+    ]
+    .map(String::from)
+    .to_vec()
+}
+
+#[test]
+fn run_of_cyclic_bodies_is_identical_across_the_matrix() {
+    // A fully cyclic triangle body and a lollipop (triangle core + pendant
+    // tail), recursion feeding derived edges and tails back through both,
+    // and existential heads carrying labelled-null ids.
+    let mut lines: Vec<String> = [
+        "Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).",
+        "Triangle(x, y, z) -> Edge(z, x).",
+        "Triangle(x, y, z) -> Owner(p, x).",
+        "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).",
+        "Lolli(x, y, z, w) -> Pend(x, w).",
+        "Lolli(x, y, z, w) -> Owner(p, w).",
+        "@output(\"Triangle\").",
+        "@output(\"Lolli\").",
+        "@output(\"Owner\").",
+    ]
+    .map(String::from)
+    .to_vec();
+    for x in 0..12 {
+        for y in 0..12 {
+            if (x * 5 + y * 3) % 7 < 3 {
+                lines.push(format!("Edge({x}, {y})."));
+            }
+        }
+    }
+    lines.extend((0..12).map(|z| format!("Pend({z}, {}).", z + 100)));
+    let path = program_file("joins", &lines);
+    let out = assert_identical_across_matrix("run", &path, &[]);
+    assert!(out.contains("\nTriangle("), "{out}");
+    assert!(out.contains("\nLolli("), "{out}");
+    assert!(
+        out.contains("_:ν"),
+        "labelled nulls are part of the contract"
+    );
+}
+
+#[test]
+fn query_session_is_identical_across_the_matrix() {
+    let mut lines = reach_rules();
+    lines.extend((0..40).map(|i| format!("Edge(\"n{i}\", \"n{}\").", i + 1)));
+    lines.extend(
+        (0..40)
+            .step_by(3)
+            .map(|i| format!("Edge(\"n{i}\", \"n{}\").", (i * 7) % 40)),
+    );
+    let path = program_file("qsession", &lines);
+    let out = assert_identical_across_matrix(
+        "query",
+        &path,
+        &[
+            "Reach(\"n0\", y)",
+            "Reach(x, \"n5\")",
+            "Owner(p, \"n3\")",
+            "Reach(\"n2\", y)",
+        ],
+    );
+    assert_eq!(out.matches("% query ").count(), 4, "{out}");
+    // The existential query falls back to bottom-up and answers with nulls.
+    assert!(out.contains("Owner(\"_:ν"), "{out}");
+}
+
+#[test]
+fn append_schedule_is_identical_across_the_matrix() {
+    // Queries interleaved with appends that promote overlay layers into
+    // the session base: layered probes, the wake-list scheduler and (with
+    // `incremental` off) the full rebuild must be invisible in the output.
+    let mut lines = reach_rules();
+    lines.extend((0..30).map(|i| format!("Edge(\"n{i}\", \"n{}\").", i + 1)));
+    let path = program_file("append", &lines);
+    let out = assert_identical_across_matrix(
+        "query",
+        &path,
+        &[
+            "Reach(\"n0\", y)",
+            "+Edge(\"n30\", \"n31\")",
+            "+Edge(\"n31\", \"n32\")",
+            "Reach(\"n0\", y)",
+            "Owner(p, \"n31\")",
+            "+Edge(\"n32\", \"n0\")",
+            "Reach(\"n5\", y)",
+        ],
+    );
+    assert_eq!(out.matches("% append ").count(), 3, "{out}");
+    assert!(out.contains("Reach(\"n0\", \"n32\")."), "{out}");
+}

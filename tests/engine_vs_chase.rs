@@ -84,9 +84,7 @@ fn parallel_sweep_agrees_with_chase_and_itself_at_every_thread_count() {
     // The same parity source as above, run through the engine at several
     // worker counts: every run must be bit-identical (same facts in the same
     // insertion order, same null ids), and all of them must agree with the
-    // terminating chase on ground answers. The CI `parallel-determinism` job
-    // additionally runs this whole test binary under VADALOG_PARALLELISM=1
-    // and =4 and diffs the outputs.
+    // terminating chase on ground answers.
     let src = "Company(\"a\"). Company(\"b\"). Control(\"a\", \"b\"). KeyPerson(\"kim\", \"a\").\n\
                Company(x) -> KeyPerson(p, x).\n\
                Control(x, y), KeyPerson(p, x) -> KeyPerson(p, y).\n\
