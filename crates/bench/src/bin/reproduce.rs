@@ -2,14 +2,15 @@
 //! table and figure of the paper's evaluation (Section 6), as single-shot
 //! wall-clock measurements.
 //!
-//! Criterion benches (one per figure, `cargo bench --workspace`) provide the
-//! statistically robust timings; this binary provides the *shape* of every
-//! experiment quickly; the measured, paper-scale numbers are in
-//! `benchmark/RESULTS.md`.
+//! This binary provides the *shape* of every experiment quickly; the
+//! measured, paper-scale numbers come from the repo benchmark
+//! (`benchmark/`, results in `benchmark/RESULTS.md`).
 //!
 //! Usage: `reproduce [--experiment <id>] [--scale <f64>]` where `<id>` is one
 //! of `fig5a`, `fig5b`, `fig5c`, `fig5d`, `fig5ef`, `fig5ghi`, `fig6`,
-//! `fig7`, `fig8`, `memory`, or `all` (default).
+//! `fig7`, `fig8`, `memory`, or `all` (default), and the scale (default 1.0)
+//! is a positive factor on every instance size. Bad arguments print the
+//! usage line to stderr and exit 2.
 
 use std::time::Instant;
 use vadalog_analysis::classify;
@@ -19,60 +20,76 @@ use vadalog_model::{Fact, Program};
 use vadalog_workloads::iwarded::Scenario;
 use vadalog_workloads::{chasebench, dbpedia, ibench, ownership, scaling};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let experiment = flag_value(&args, "--experiment").unwrap_or_else(|| "all".to_string());
-    let scale: f64 = flag_value(&args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+const USAGE: &str = "usage: reproduce [--experiment fig5a|fig5b|fig5c|fig5d|fig5ef|fig5ghi|fig6|fig7|fig8|memory|all] [--scale <positive f64>]";
 
-    let all = experiment == "all";
-    if all || experiment == "fig6" {
-        fig6();
-        println!();
-    }
-    if all || experiment == "fig5a" {
-        fig5a(scale);
-        println!();
-    }
-    if all || experiment == "fig5b" {
-        fig5b(scale);
-        println!();
-    }
-    if all || experiment == "fig5c" {
-        fig5c(scale);
-        println!();
-    }
-    if all || experiment == "fig5d" {
-        fig5d(scale);
-        println!();
-    }
-    if all || experiment == "fig5ef" {
-        fig5ef(scale);
-        println!();
-    }
-    if all || experiment == "fig5ghi" {
-        fig5ghi(scale);
-        println!();
-    }
-    if all || experiment == "fig7" {
-        fig7(scale);
-        println!();
-    }
-    if all || experiment == "fig8" {
-        fig8(scale);
-        println!();
-    }
-    if all || experiment == "memory" {
-        memory();
+/// An experiment id and its driver, called with the scale factor.
+type Experiment = (&'static str, fn(f64));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 10] = [
+    ("fig6", |_| fig6()),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig5c", fig5c),
+    ("fig5d", fig5d),
+    ("fig5ef", fig5ef),
+    ("fig5ghi", fig5ghi),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("memory", |_| memory()),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (experiment, scale) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("reproduce: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let selected = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| experiment.is_none_or(|e| e == *id));
+    for (i, (_, run)) in selected.enumerate() {
+        if i > 0 {
+            println!();
+        }
+        run(scale);
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Parse the command line (without the program name) into the selected
+/// experiment (`None` = all) and the scale factor.
+fn parse_args(args: &[String]) -> Result<(Option<&'static str>, f64), String> {
+    let mut experiment = None;
+    let mut scale = 1.0;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = match flag.as_str() {
+            "--experiment" | "--scale" => args
+                .next()
+                .ok_or_else(|| format!("`{flag}` needs a value"))?,
+            other => return Err(format!("unknown argument `{other}`")),
+        };
+        if flag == "--scale" {
+            scale = value
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .ok_or_else(|| format!("`--scale {value}` is not a positive number"))?;
+        } else if value == "all" {
+            experiment = None;
+        } else {
+            let id = EXPERIMENTS
+                .iter()
+                .map(|(id, _)| *id)
+                .find(|id| id == value)
+                .ok_or_else(|| format!("unknown experiment `{value}`"))?;
+            experiment = Some(id);
+        }
+    }
+    Ok((experiment, scale))
 }
 
 fn with_facts(mut program: Program, facts: Vec<Fact>) -> Program {
@@ -438,5 +455,39 @@ fn memory() {
             result.stats.pipeline.strategy.isomorphism_checks,
             elapsed.as_millis(),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<(Option<&'static str>, f64), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_valid_flags_parse() {
+        assert_eq!(parse(&[]), Ok((None, 1.0)));
+        assert_eq!(
+            parse(&["--experiment", "fig5a", "--scale", "0.05"]),
+            Ok((Some("fig5a"), 0.05))
+        );
+        assert_eq!(parse(&["--experiment", "all"]), Ok((None, 1.0)));
+    }
+
+    #[test]
+    fn bad_experiments_and_scales_are_errors() {
+        for bad in [
+            &["--experiment", "fig9"][..],
+            &["--scale", "abc"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "NaN"],
+            &["--scale"],
+            &["--quick"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

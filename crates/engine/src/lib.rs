@@ -81,8 +81,7 @@
 //! records every candidate and the pipeline re-picks per activation from
 //! the same run-directory statistics (most distinct keys = finest
 //! granularity wins; the demoted candidates stay enforced as id-level
-//! guards) — disable with [`ReasonerOptions::adaptive_ranges`] for the
-//! ablation.
+//! guards).
 //!
 //! # Join plan and executor
 //!

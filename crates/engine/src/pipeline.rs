@@ -101,7 +101,7 @@ pub enum JoinStrategy {
     #[default]
     FreeJoin,
     /// The all-probe plan for every body: the reference the property
-    /// suites and `bench_gate`'s ablation compare the free-join executor
+    /// suites and `tests/config_matrix.rs` compare the free-join executor
     /// against.
     Binary,
 }
@@ -350,7 +350,6 @@ impl FilterJob {
 /// the delta position and the stage list chosen for it.
 struct JoinCx<'a, 'r> {
     store: &'r FactStore,
-    use_indices: bool,
     job: &'a FilterJob,
     delta_idx: usize,
     /// The delta position's compiled steps (`job.delta_steps[delta_idx]`).
@@ -578,11 +577,11 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Run under `options`' execution knobs: indices, condition pushdown,
-    /// worker count, intra-filter shard bound, adaptive ranges, join
-    /// strategy, chunk override and the sweep/fact caps (worker count, shard
-    /// bound and chunk override clamped to ≥ 1). The final instance — rows, `FactId`s, labelled-null
-    /// ids — is bit-identical at every setting of the first six; only the
+    /// Run under `options`' execution knobs: worker count, intra-filter
+    /// shard bound, join strategy, chunk override and the sweep/fact caps
+    /// (worker count, shard bound and chunk override clamped to ≥ 1). The
+    /// final instance — rows, `FactId`s, labelled-null ids — is
+    /// bit-identical at every setting of the first four; only the
     /// probe/seek counters reflect which access paths ran.
     pub fn with_options(mut self, options: &ReasonerOptions) -> Self {
         self.options = ReasonerOptions {
@@ -995,129 +994,107 @@ impl<'a> Pipeline<'a> {
         // Compile the planner's pushed conditions and per-delta probe/guard
         // placement to the id level (bound constants interned here, on the
         // sequential path).
-        let pushdown = self.options.condition_pushdown;
-        let compiled_pushed: Vec<CompiledCond> = if pushdown {
-            filter
-                .pushed
-                .iter()
-                .map(|p| CompiledCond {
-                    slot: slots[&p.var],
-                    op: p.op,
-                    bound: match &p.bound {
-                        BoundTerm::Const(c) => Slot::Const(intern_value(c)),
-                        BoundTerm::Var(u) => Slot::Var(slots[u]),
-                    },
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let compiled_pushed: Vec<CompiledCond> = filter
+            .pushed
+            .iter()
+            .map(|p| CompiledCond {
+                slot: slots[&p.var],
+                op: p.op,
+                bound: match &p.bound {
+                    BoundTerm::Const(c) => Slot::Const(intern_value(c)),
+                    BoundTerm::Var(u) => Slot::Var(slots[u]),
+                },
+            })
+            .collect();
         let mut delta_steps: Vec<Vec<CompiledStep>> = Vec::with_capacity(filter.delta_plans.len());
         for dp in &filter.delta_plans {
             let mut steps = Vec::with_capacity(dp.steps.len());
             for sp in &dp.steps {
                 let mut index_cols = sp.probe.prefix_cols.clone();
-                let range = if pushdown {
-                    self.pick_range_candidate(&sp.probe.range_candidates, &patterns[sp.atom])
-                        .and_then(|cand| {
-                            let c = compiled_pushed[cand.cond];
-                            let range = if cand.flipped {
-                                // Mirrored var-var orientation: probe the
-                                // bound-side variable with the flipped op.
-                                match c.bound {
-                                    Slot::Var(_) => Some(CompiledRange::Var {
-                                        slot: c.slot,
-                                        op: c.op.flipped(),
-                                    }),
-                                    Slot::Const(_) => None,
-                                }
-                            } else {
-                                Some(match c.bound {
-                                    // Constant bound: one RangeFilter per
-                                    // activation, reused by every probe.
-                                    Slot::Const(id) => {
-                                        CompiledRange::Const(RangeFilter::new(c.op, id))
-                                    }
-                                    Slot::Var(slot) => CompiledRange::Var { slot, op: c.op },
-                                })
-                            };
-                            if range.is_some() {
-                                index_cols.push(cand.col);
+                let range = self
+                    .pick_range_candidate(&sp.probe.range_candidates, &patterns[sp.atom])
+                    .and_then(|cand| {
+                        let c = compiled_pushed[cand.cond];
+                        let range = if cand.flipped {
+                            // Mirrored var-var orientation: probe the
+                            // bound-side variable with the flipped op.
+                            match c.bound {
+                                Slot::Var(_) => Some(CompiledRange::Var {
+                                    slot: c.slot,
+                                    op: c.op.flipped(),
+                                }),
+                                Slot::Const(_) => None,
                             }
-                            range
-                        })
-                } else {
-                    None
-                };
-                let guards: Box<[CompiledCond]> = if pushdown {
-                    sp.guards.iter().map(|g| compiled_pushed[*g]).collect()
-                } else {
-                    Box::default()
-                };
+                        } else {
+                            Some(match c.bound {
+                                // Constant bound: one RangeFilter per
+                                // activation, reused by every probe.
+                                Slot::Const(id) => CompiledRange::Const(RangeFilter::new(c.op, id)),
+                                Slot::Var(slot) => CompiledRange::Var { slot, op: c.op },
+                            })
+                        };
+                        if range.is_some() {
+                            index_cols.push(cand.col);
+                        }
+                        range
+                    });
                 steps.push(CompiledStep {
                     atom: sp.atom,
                     prefix_len: sp.probe.prefix_cols.len(),
                     index_cols: index_cols.into_boxed_slice(),
                     range,
-                    guards,
+                    guards: sp.guards.iter().map(|g| compiled_pushed[*g]).collect(),
                 });
             }
             delta_steps.push(steps);
         }
-        let pushed_literals: Box<[usize]> = if pushdown {
-            filter.pushed.iter().map(|p| p.literal).collect()
-        } else {
-            Box::default()
-        };
+        let pushed_literals: Box<[usize]> = filter.pushed.iter().map(|p| p.literal).collect();
 
         // Pre-build every index the planned probes will touch (and flush
         // their tails), so the batch's workers never hit the
         // `probe_if_indexed` miss path against the frozen store.
-        if self.options.use_indices {
-            for steps in &delta_steps {
-                for step in steps.iter().skip(1) {
-                    if !step.index_cols.is_empty() {
-                        self.store
-                            .relation_mut(patterns[step.atom].predicate)
-                            .ensure_index(&step.index_cols);
-                    }
+        for steps in &delta_steps {
+            for step in steps.iter().skip(1) {
+                if !step.index_cols.is_empty() {
+                    self.store
+                        .relation_mut(patterns[step.atom].predicate)
+                        .ensure_index(&step.index_cols);
                 }
             }
-            for atom in &negated_atoms {
-                // Negation probe columns: constants and variables bound by
-                // the positive body — singles plus the composite the
-                // negation probe prefers.
-                let mut determined: Vec<usize> = Vec::new();
-                for (col, term) in atom.terms.iter().enumerate() {
-                    let worth_indexing = match term {
-                        Term::Const(_) => true,
-                        Term::Var(v) => body_atoms
-                            .iter()
-                            .any(|other| other.variables().any(|w| w == *v)),
-                    };
-                    if worth_indexing {
-                        self.store.relation_mut(atom.predicate).ensure_index(&[col]);
-                        determined.push(col);
-                    }
+        }
+        for atom in &negated_atoms {
+            // Negation probe columns: constants and variables bound by
+            // the positive body — singles plus the composite the
+            // negation probe prefers.
+            let mut determined: Vec<usize> = Vec::new();
+            for (col, term) in atom.terms.iter().enumerate() {
+                let worth_indexing = match term {
+                    Term::Const(_) => true,
+                    Term::Var(v) => body_atoms
+                        .iter()
+                        .any(|other| other.variables().any(|w| w == *v)),
+                };
+                if worth_indexing {
+                    self.store.relation_mut(atom.predicate).ensure_index(&[col]);
+                    determined.push(col);
                 }
-                if determined.len() > 1 {
-                    self.store
-                        .relation_mut(atom.predicate)
-                        .ensure_index(&determined);
-                }
+            }
+            if determined.len() > 1 {
+                self.store
+                    .relation_mut(atom.predicate)
+                    .ensure_index(&determined);
             }
         }
 
         // Free-join alternative per delta position: present only for bodies
-        // with a cyclic core (the planner's GYO check), with indices
-        // available. Compiling fixes the final variable order from
-        // run-directory selectivity, builds (or hash-trie-backs) each
-        // trie's composite index, and re-places the pushed-condition guards
-        // at leapfrog levels — all on this sequential path, so the plan
-        // taken (and hence the enumeration) is a pure function of the store
-        // and the knobs.
+        // with a cyclic core (the planner's GYO check). Compiling fixes the
+        // final variable order from run-directory selectivity, builds (or
+        // hash-trie-backs) each trie's composite index, and re-places the
+        // pushed-condition guards at leapfrog levels — all on this
+        // sequential path, so the plan taken (and hence the enumeration) is
+        // a pure function of the store and the knobs.
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
-        if self.options.join_strategy == JoinStrategy::FreeJoin && self.options.use_indices {
+        if self.options.join_strategy == JoinStrategy::FreeJoin {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
                 if let Some(hp) = &dp.hybrid {
                     hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
@@ -1145,12 +1122,7 @@ impl<'a> Pipeline<'a> {
                     continue;
                 }
                 let width = measured.unwrap_or_else(|| {
-                    Self::probe_width_estimate(
-                        &self.store,
-                        &patterns,
-                        &delta_steps[delta_idx],
-                        self.options.use_indices,
-                    )
+                    Self::probe_width_estimate(&self.store, &patterns, &delta_steps[delta_idx])
                 });
                 let k = plan_chunk_count(
                     to - from,
@@ -1366,8 +1338,8 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The pushed range condition this activation probes with: the
-    /// planner's static default when at most one candidate exists (or when
-    /// indices are off — no statistics to consult), otherwise the candidate
+    /// planner's static default when at most one candidate exists, otherwise
+    /// the candidate
     /// whose single-column run directory holds the most distinct keys, i.e.
     /// the smallest mean postings-group width and therefore the finest
     /// range granularity. Ties resolve in body order, so the choice is
@@ -1378,7 +1350,7 @@ impl<'a> Pipeline<'a> {
         candidates: &[RangeCandidate],
         pattern: &RowPattern,
     ) -> Option<RangeCandidate> {
-        if candidates.len() <= 1 || !self.options.use_indices || !self.options.adaptive_ranges {
+        if candidates.len() <= 1 {
             return candidates.first().copied();
         }
         let mut best: Option<(usize, RangeCandidate)> = None;
@@ -1415,7 +1387,6 @@ impl<'a> Pipeline<'a> {
         store: &FactStore,
         patterns: &[RowPattern],
         steps: &[CompiledStep],
-        use_indices: bool,
     ) -> f64 {
         let Some(step) = steps.get(1) else {
             return 1.0;
@@ -1423,7 +1394,7 @@ impl<'a> Pipeline<'a> {
         let Some(rel) = store.relation(patterns[step.atom].predicate) else {
             return 1.0;
         };
-        if use_indices && !step.index_cols.is_empty() {
+        if !step.index_cols.is_empty() {
             rel.index_stats(&step.index_cols)
                 .map(|s| s.mean_group_width())
                 .unwrap_or(1.0)
@@ -1488,7 +1459,6 @@ impl<'a> Pipeline<'a> {
                     &self.store,
                     &jobs[item.job],
                     item.chunk,
-                    self.options.use_indices,
                     &mut scratch,
                     matches,
                     counters,
@@ -1501,7 +1471,6 @@ impl<'a> Pipeline<'a> {
             return (out, exec);
         }
         let store = &self.store;
-        let use_indices = self.options.use_indices;
         let next_item = AtomicUsize::new(0);
         // Per-item result slots: (matches, counters, claiming worker).
         type ItemResult = (Vec<Binding>, JoinCounters, usize);
@@ -1524,7 +1493,6 @@ impl<'a> Pipeline<'a> {
                             store,
                             &jobs[item.job],
                             item.chunk,
-                            use_indices,
                             &mut scratch,
                             &mut matches,
                             &mut counters,
@@ -1571,12 +1539,10 @@ impl<'a> Pipeline<'a> {
     /// Run one work item: a single delta-window chunk, or — for jobs
     /// without a shard plan — every delta window of the activation in
     /// order. Appends to the caller's match buffer and counters.
-    #[allow(clippy::too_many_arguments)]
     fn collect_item(
         store: &FactStore,
         job: &FilterJob,
         chunk: Option<usize>,
-        use_indices: bool,
         scratch: &mut JoinScratch,
         results: &mut Vec<Binding>,
         counters: &mut JoinCounters,
@@ -1587,7 +1553,6 @@ impl<'a> Pipeline<'a> {
                 Self::collect_chunk(
                     store,
                     counters,
-                    use_indices,
                     job,
                     ch.delta_idx,
                     ch.from,
@@ -1602,15 +1567,7 @@ impl<'a> Pipeline<'a> {
                         continue;
                     }
                     Self::collect_chunk(
-                        store,
-                        counters,
-                        use_indices,
-                        job,
-                        delta_idx,
-                        from,
-                        to,
-                        scratch,
-                        results,
+                        store, counters, job, delta_idx, from, to, scratch, results,
                     );
                 }
             }
@@ -1866,7 +1823,6 @@ impl<'a> Pipeline<'a> {
     fn collect_chunk(
         store: &FactStore,
         counters: &mut JoinCounters,
-        use_indices: bool,
         job: &FilterJob,
         delta_idx: usize,
         from: usize,
@@ -1927,7 +1883,6 @@ impl<'a> Pipeline<'a> {
         let steps = &job.delta_steps[delta_idx];
         let cx = JoinCx {
             store,
-            use_indices,
             job,
             delta_idx,
             steps,
@@ -2043,7 +1998,7 @@ impl<'a> Pipeline<'a> {
         };
         let mut scratch = std::mem::take(&mut js.postings[step_pos]);
         let mut ranged = false;
-        let probed = if cx.use_indices && !step.index_cols.is_empty() {
+        let probed = if !step.index_cols.is_empty() {
             let range_filter = step.range.as_ref().and_then(|r| r.filter(&js.binding));
             ranged = range_filter.is_some();
             let JoinScratch { binding, key, .. } = js;
@@ -2186,7 +2141,7 @@ impl<'a> Pipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vadalog_chase::WardedStrategy;
+    use vadalog_chase::{run_chase, ChaseOptions, WardedStrategy};
     use vadalog_parser::parse_program;
 
     fn run_pipeline(src: &str) -> (FactStore, PipelineStats, Vec<String>) {
@@ -2288,30 +2243,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_indices_still_gives_the_same_answer() {
-        let src = "Edge(\"a\", \"b\"). Edge(\"b\", \"c\"). Edge(\"c\", \"d\").\n\
-                   Edge(x, y) -> Reach(x, y).\n\
-                   Reach(x, y), Edge(y, z) -> Reach(x, z).";
-        let program = parse_program(src).unwrap();
-        let plan = AccessPlan::compile(&program);
-        let mut with = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
-        with.load_facts(program.facts.clone());
-        with.run();
-        let mut without =
-            Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(&ReasonerOptions {
-                use_indices: false,
-                ..ReasonerOptions::default()
-            });
-        without.load_facts(program.facts.clone());
-        without.run();
-        assert_eq!(
-            with.store().facts_of(intern("Reach")).len(),
-            without.store().facts_of(intern("Reach")).len()
-        );
-        assert_eq!(without.stats().index_probes, 0);
-    }
-
-    #[test]
     fn parallel_sweep_is_bit_identical_and_batches_independent_filters() {
         let src = "Edge(\"a\", \"b\"). Edge(\"b\", \"c\"). Edge(\"c\", \"d\"). Mark(\"a\").\n\
                    Edge(x, y) -> Reach(x, y).\n\
@@ -2382,19 +2313,17 @@ mod tests {
             "the finer y-range must replace the planner's default w-range"
         );
         assert!(adaptive.stats().range_probes > 0);
-        // The choice is an access path, never a filter: the post-filter
-        // baseline agrees exactly.
-        let mut baseline =
-            Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(&ReasonerOptions {
-                condition_pushdown: false,
-                ..ReasonerOptions::default()
-            });
-        baseline.load_facts(program.facts.clone());
-        baseline.run();
-        assert_eq!(baseline.stats().adaptive_range_picks, 0);
+        // The choice is an access path, never a filter: the chase's naive
+        // matcher (no indexes, conditions evaluated after matching) agrees.
+        let chase = run_chase(
+            &program,
+            &mut WardedStrategy::new(),
+            &ChaseOptions::default(),
+        );
+        let as_set = |facts: Vec<Fact>| facts.into_iter().collect::<BTreeSet<Fact>>();
         assert_eq!(
-            adaptive.store().facts_of(intern("Control")),
-            baseline.store().facts_of(intern("Control"))
+            as_set(adaptive.store().facts_of(intern("Control"))),
+            as_set(chase.facts_of("Control"))
         );
     }
 

@@ -37,13 +37,6 @@ pub struct ReasonerOptions {
     pub termination: TerminationKind,
     /// Apply the logic optimizer + harmful-join elimination before compiling.
     pub apply_rewriting: bool,
-    /// Use dynamic in-memory indices in the slot-machine join.
-    pub use_indices: bool,
-    /// Push classified comparison conditions into the join as index range
-    /// probes and id-level guards (default on). Off = the post-filter
-    /// baseline: conditions evaluated over materialised substitutions after
-    /// the join. The final instance is identical either way.
-    pub condition_pushdown: bool,
     /// Worker threads for the parallel filter sweep (1 = fully sequential).
     /// The final instance is bit-identical at every setting — parallelism
     /// only accelerates the read-only join phase of each sweep batch.
@@ -69,12 +62,6 @@ pub struct ReasonerOptions {
     /// against. Acyclic bodies always run binary joins. The final instance
     /// is bit-identical at either setting.
     pub join_strategy: crate::pipeline::JoinStrategy,
-    /// Re-pick the pushed range condition per activation from the run
-    /// directories' group-width statistics when a join step has several
-    /// pushable ranges (default on). Off always probes the planner's static
-    /// first choice — the `bench_gate --intra-ablation` baseline. The final
-    /// instance is identical either way.
-    pub adaptive_ranges: bool,
     /// Cap on round-robin sweeps (safety valve for unsupported programs).
     pub max_iterations: usize,
     /// Cap on stored facts.
@@ -91,16 +78,16 @@ pub struct ReasonerOptions {
     /// Maintain a session's live materialised instance incrementally across
     /// `append_facts` calls (default on). Off = drop the live instance on
     /// every append so the next materialisation recomputes the fixpoint
-    /// from scratch over the layered base — the `bench_gate --ivm-ablation`
-    /// baseline. The facts of the final instance are identical either way.
+    /// from scratch over the layered base — the reference `prop_append`
+    /// checks the incremental path against. The facts of the final instance
+    /// are identical either way.
     pub incremental: bool,
     /// Share magic-cone derivations across the queries of a session (and
     /// across every session forked from it): subsumption-checked
     /// `(predicate, pattern)` → answers entries kept valid by the base
     /// layer stamp and invalidated precisely by `append_facts` promotions
     /// that reach the cone (default on). Off = every query re-derives its
-    /// cone — the `bench_gate --serve-ablation` baseline.
-    /// The answers are identical either way.
+    /// cone. The answers are identical either way.
     pub cone_cache: bool,
     /// Cap on the number of entries the shared cone cache retains
     /// (0 = unbounded; default 1024). Past the cap the least-recently-hit
@@ -126,13 +113,10 @@ impl Default for ReasonerOptions {
         ReasonerOptions {
             termination: TerminationKind::Warded,
             apply_rewriting: true,
-            use_indices: true,
-            condition_pushdown: true,
             parallelism,
             intra_filter_parallelism: parallelism,
             chunk_min_rows: None,
             join_strategy: crate::pipeline::JoinStrategy::default(),
-            adaptive_ranges: true,
             max_iterations: 100_000,
             max_facts: 20_000_000,
             require_warded: false,
@@ -262,7 +246,7 @@ pub struct Reasoner {
 
 impl Reasoner {
     /// A reasoner with default options (warded termination strategy,
-    /// rewriting enabled, dynamic indices on).
+    /// rewriting enabled).
     pub fn new() -> Self {
         Reasoner {
             options: ReasonerOptions::default(),

@@ -765,8 +765,7 @@ impl QuerySession {
 
     /// Enable or disable the magic-sets rewrite (default on). With it off
     /// every query runs the full program bottom-up against the shared
-    /// snapshot and post-filters — the magic half of the
-    /// `bench_gate --query-ablation` matrix. Shared across forks.
+    /// snapshot and post-filters. Shared across forks.
     pub fn with_magic(self, enabled: bool) -> Self {
         self.core().use_magic = enabled;
         self

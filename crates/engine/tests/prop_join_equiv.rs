@@ -4,8 +4,9 @@
 //!
 //! Three equivalences are checked on randomly generated programs:
 //!
-//! 1. **indices on vs. off** — dynamic index probes and plain scans
-//!    enumerate the same matches, so final instances agree;
+//! 1. **engine vs. chase** — the indexed, condition-pushing engine and the
+//!    chase's naive matcher (no indexes, no pushdown) derive the same ground
+//!    facts, so the access paths never filter;
 //! 2. **ID-based join vs. Fact-level reference join** — `find_matches`
 //!    (interned patterns over borrowed rows) agrees with a straightforward
 //!    `facts_of` + `match_fact` implementation of the same semantics, rule by
@@ -17,6 +18,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use vadalog_chase::chase::find_matches;
+use vadalog_chase::{run_chase, ChaseOptions, WardedStrategy};
 use vadalog_engine::{Reasoner, ReasonerOptions};
 use vadalog_model::prelude::*;
 use vadalog_storage::{FactStore, Relation};
@@ -196,8 +198,15 @@ fn subst_key(s: &Substitution) -> BTreeSet<(String, Value)> {
     s.iter().map(|(v, val)| (v.name(), val.clone())).collect()
 }
 
-fn instance_set(result: &vadalog_engine::RunResult, pred: &str) -> BTreeSet<Fact> {
-    result.facts_of(pred).into_iter().collect()
+fn ground_set(facts: Vec<Fact>) -> BTreeSet<Fact> {
+    facts.into_iter().filter(|f| f.is_ground()).collect()
+}
+
+/// The independent oracle: the chase's naive left-to-right matcher under the
+/// same termination strategy — no indexes, conditions evaluated after
+/// matching.
+fn chase(p: &Program) -> vadalog_chase::ChaseResult {
+    run_chase(p, &mut WardedStrategy::new(), &ChaseOptions::default())
 }
 
 // ----------------------------------------------------------------- properties
@@ -205,28 +214,24 @@ fn instance_set(result: &vadalog_engine::RunResult, pred: &str) -> BTreeSet<Fact
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dynamic index probes and plain scans produce identical final
-    /// instances — the index is an access path, never a filter.
+    /// Index probes and pushed conditions produce the ground instance of
+    /// the chase's naive matcher — the index is an access path, never a
+    /// filter.
     #[test]
     fn indices_do_not_change_the_instance(p in warded_program()) {
-        let with = Reasoner::new().reason(&p).expect("indexed run failed");
-        let without = Reasoner::with_options(ReasonerOptions {
-            use_indices: false,
-            ..ReasonerOptions::default()
-        })
-        .reason(&p)
-        .expect("scan run failed");
-        prop_assert_eq!(without.stats.pipeline.index_probes, 0);
+        let engine = Reasoner::new().reason(&p).expect("engine run failed");
+        let oracle = chase(&p);
+        prop_assert!(engine.stats.pipeline.index_probes > 0);
         for pred in ["Reach", "Open", "Edge", "Blocked"] {
             prop_assert_eq!(
-                instance_set(&with, pred),
-                instance_set(&without, pred),
-                "instances diverge on {} with indices toggled",
+                ground_set(engine.facts_of(pred)),
+                ground_set(oracle.facts_of(pred)),
+                "engine and chase diverge on {}",
                 pred
             );
         }
         // null-producing predicates may differ in null ids but not in count
-        prop_assert_eq!(with.facts_of("Sponsor").len(), without.facts_of("Sponsor").len());
+        prop_assert_eq!(engine.facts_of("Sponsor").len(), oracle.facts_of("Sponsor").len());
     }
 
     /// The parallel sweep is bit-identical to the sequential one at every
@@ -278,44 +283,53 @@ proptest! {
     }
 
     /// Condition pushdown (sorted-run range probes + id-level guards) is
-    /// bit-identical to the post-filter baseline — same rows in the same
-    /// insertion order, same labelled-null ids — at thread counts 1, 2
-    /// and 8, and the pushed path actually exercises range probes.
+    /// bit-identical at thread counts 1, 2 and 8 — same rows in the same
+    /// insertion order, same labelled-null ids — agrees with the chase's
+    /// post-matching condition evaluation on every ground fact, and
+    /// actually exercises range probes.
     #[test]
-    fn condition_pushdown_is_bit_identical_across_thread_counts(p in guarded_program()) {
-        let run = |pushdown: bool, threads: usize| {
+    fn pushed_conditions_are_bit_identical_across_thread_counts(p in guarded_program()) {
+        let run = |threads: usize| {
             Reasoner::with_options(ReasonerOptions {
-                condition_pushdown: pushdown,
                 parallelism: threads,
                 ..ReasonerOptions::default()
             })
             .reason(&p)
             .expect("guarded run failed")
         };
-        let baseline = run(false, 1);
-        for &(pushdown, threads) in &[(true, 1), (true, 2), (true, 8), (false, 8)] {
-            let r = run(pushdown, threads);
+        let first = run(1);
+        let oracle = chase(&p);
+        for pred in ["Own", "Control", "Mutual"] {
+            prop_assert_eq!(
+                ground_set(first.facts_of(pred)),
+                ground_set(oracle.facts_of(pred)),
+                "engine and chase diverge on {}",
+                pred
+            );
+        }
+        // The Mutual join always range-probes (`w <= v` in the mirrored
+        // orientation) since Own is never empty.
+        prop_assert!(first.stats.pipeline.range_probes > 0,
+            "pushdown runs must push a guard into the index");
+        for threads in [2, 8] {
+            let r = run(threads);
             for pred in ["Own", "Control", "Mutual", "Sponsor"] {
                 // Exact Vec equality: facts, FactId order and null ids.
                 prop_assert_eq!(
-                    baseline.facts_of(pred),
+                    first.facts_of(pred),
                     r.facts_of(pred),
-                    "instances diverge on {} (pushdown={}, threads={})",
-                    pred, pushdown, threads
+                    "instances diverge on {} (threads={})",
+                    pred, threads
                 );
             }
             prop_assert_eq!(
-                baseline.stats.pipeline.facts_derived,
+                first.stats.pipeline.facts_derived,
                 r.stats.pipeline.facts_derived
             );
-            if pushdown {
-                // The Mutual join always range-probes (`w <= v` in the
-                // mirrored orientation) since Own is never empty.
-                prop_assert!(r.stats.pipeline.range_probes > 0,
-                    "pushdown runs must push a guard into the index");
-            } else {
-                prop_assert_eq!(r.stats.pipeline.range_probes, 0);
-            }
+            prop_assert_eq!(
+                first.stats.pipeline.range_probes,
+                r.stats.pipeline.range_probes
+            );
         }
     }
 
@@ -327,7 +341,6 @@ proptest! {
     /// the `steals` scheduling diagnostic may differ between chunk layouts.
     #[test]
     fn intra_filter_sharding_is_bit_identical(p in guarded_program()) {
-        use vadalog_chase::WardedStrategy;
         use vadalog_engine::{AccessPlan, Pipeline, ReasonerOptions};
         let plan = AccessPlan::compile(&p);
         let run = |intra: usize, min_rows: Option<usize>, threads: usize| {

@@ -81,8 +81,8 @@ pub fn triangle_program() -> Program {
 }
 
 /// Triangle enumeration over the 3-layer worst-case instance — the
-/// canonical cyclic-body workload (`fig10_graph/triangle` in the bench
-/// gate). `2m²` dense core edges plus `closing` sparse `A → C` edges;
+/// canonical cyclic-body workload. `2m²` dense core edges plus `closing`
+/// sparse `A → C` edges;
 /// each distinct closing edge yields exactly `m` triangles.
 pub fn triangle(m: usize, closing: usize, seed: u64) -> Program {
     let mut program = triangle_program();

@@ -4,8 +4,8 @@
 //! The program is a long `Edge` chain closed transitively into `Reach`: a
 //! full bottom-up run derives the quadratic closure (`n·(n+1)/2` facts),
 //! while a bound query `Reach("n_i", y)` only needs the linear suffix from
-//! its source. Answering many such queries therefore separates the four
-//! execution modes of `bench_gate --query-ablation` sharply:
+//! its source. Answering many such queries therefore separates four
+//! execution modes sharply:
 //!
 //! * *session + magic* — one EDB intern/index build, per-query magic runs
 //!   over copy-on-write snapshots (the tentpole configuration);

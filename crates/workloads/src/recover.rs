@@ -1,6 +1,6 @@
 //! Crash-recovery workload: **durable appends and cold replay** over a
 //! growing EDB — the regime of `QuerySession::recover` and the write-ahead
-//! log (`bench_gate --recover-ablation`).
+//! log.
 //!
 //! A reasoning server that survives restarts pays for durability twice:
 //! once on the hot path (every acknowledged append is fsync'd to the log
@@ -14,13 +14,12 @@
 //!
 //! The chain shape is deliberate: each appended edge derives the linear
 //! `Reach` suffix behind it, so replay cost is dominated by the same
-//! incremental maintenance work the live session did, and the gated
-//! `fig13_recover/replay` entry measures recovery end to end — open the
-//! log, verify checksums, replay every batch through the layered base,
-//! answer a probe query. The ablation report adds the two comparison
-//! points: the same appends without a log attached (the durability
-//! premium) and a from-scratch rebuild that re-derives everything
-//! (what a restart would cost with no log at all).
+//! incremental maintenance work the live session did. Recovery end to end
+//! is: open the log, verify checksums, replay every batch through the
+//! layered base, answer a probe query. The two natural comparison points
+//! are the same appends without a log attached (the durability premium)
+//! and a from-scratch rebuild that re-derives everything (what a restart
+//! would cost with no log at all).
 
 use vadalog_model::prelude::*;
 

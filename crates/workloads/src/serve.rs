@@ -12,11 +12,8 @@
 //! serves `distinct · (repeats − 1)` of the `distinct · repeats` queries
 //! from stored derivations.
 //!
-//! `bench_gate --serve-ablation` runs this stream through a
-//! [`ReasoningServer`]-style session with the cone cache on and off (the
-//! gated `fig12_serve/cone_cache` entry times the cache-on configuration).
-//!
-//! [`ReasoningServer`]: https://docs.rs/vadalog-server
+//! `benchmark/`'s `serve.hot` and `serve.mixed` workloads measure the same
+//! cache through the reasoning server.
 
 use vadalog_model::prelude::*;
 

@@ -1,6 +1,6 @@
 //! Streaming-append workload: incremental view maintenance over a growing
 //! EDB, the regime the layered-base `QuerySession::append_facts` machinery
-//! targets (`bench_gate --ivm-ablation`).
+//! targets.
 //!
 //! The program closes an `Edge` chain transitively into `Reach` and folds a
 //! per-source `mcount` out-degree aggregate, so appends exercise both the
@@ -19,8 +19,7 @@
 //!   pays the full `O(chain length²)` closure again on every batch.
 //!
 //! With `b` batches the rebuild does `Θ(b)`× the incremental join work, so
-//! the measured separation grows with the schedule length — the acceptance
-//! bar (≥3× at the largest gated size) sits well inside that envelope.
+//! the separation grows with the schedule length.
 
 use vadalog_model::prelude::*;
 
