@@ -137,6 +137,12 @@ pub struct StrategyStats {
 /// server hands every worker its own clone per run).
 pub trait TerminationStrategy: Send {
     /// Register an extensional (database) fact before the chase starts.
+    ///
+    /// The engine pipeline registers only when its run can hold a labelled
+    /// null — a plan that invents nulls, or a store holding one; a
+    /// null-free run never calls the strategy at all. Registration order
+    /// fixes only internal ids, so it matters just for the bit-identical
+    /// replay of null-inventing programs.
     fn register_base(&mut self, fact: &Fact);
 
     /// Clone this strategy, state included, behind a fresh box. Query
@@ -278,20 +284,6 @@ impl WardedStrategy {
     /// Number of trees currently in the warded forest.
     pub fn warded_tree_count(&self) -> usize {
         self.ground.len()
-    }
-
-    /// Number of patterns currently in the lifted linear forest.
-    pub fn pattern_count(&self) -> usize {
-        self.summary.len()
-    }
-
-    /// Approximate memory footprint of the guide structures, in number of
-    /// stored facts plus stored provenance entries (used by the memory
-    /// experiment E13).
-    pub fn footprint(&self) -> (usize, usize) {
-        let ground: usize = self.ground.values().map(Vec::len).sum();
-        let summary: usize = self.summary.values().map(Vec::len).sum();
-        (ground, summary)
     }
 }
 

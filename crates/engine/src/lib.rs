@@ -18,7 +18,8 @@
 //!    pipeline: slot-machine joins with dynamic in-memory indices,
 //!    non-blocking monotonic aggregation ([`aggregate`]), Skolem functions,
 //!    and a termination-strategy wrapper around every filter
-//!    (`vadalog-chase`'s Algorithm 1).
+//!    (`vadalog-chase`'s Algorithm 1) whenever the run can hold a labelled
+//!    null — a null-free run admits through the store's own dedup.
 //!
 //! Filters are scheduled round-robin and consume their predecessors' new
 //! facts incrementally until every filter reports a *real miss* (no further
@@ -56,7 +57,9 @@
 //! order** through the emission path (negation probes, conditions,
 //! monotonic aggregation, labelled-null and Skolem invention,
 //! termination-strategy admission), with each filter's admitted head rows
-//! applied to the store as one [`vadalog_storage::DeltaBatch`] pass.
+//! applied to the store as one [`vadalog_storage::DeltaBatch`] pass — on a
+//! null-free run every head row, the store's dedup being the admission
+//! test.
 //!
 //! **Determinism guarantee:** batch boundaries, the chunk layout (a
 //! function of the data and the intra-filter knob, never of the worker

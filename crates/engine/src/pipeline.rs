@@ -57,6 +57,23 @@
 //! (both default to [`default_parallelism`]), with 1 disabling sharding
 //! (whole activations, the PR 3 granularity); a pipeline takes them through
 //! [`Pipeline::with_options`] and reads no environment.
+//!
+//! # Null-free runs skip the termination strategy
+//!
+//! Algorithm 1 cuts chase branches that repeat *labelled nulls*. A run that
+//! can never hold one gives it nothing to decide: a ground candidate is
+//! isomorphic to a fact only when it equals it, so no stop provenance is
+//! ever learnt and the strategy's answer is exactly "not a duplicate". A
+//! pipeline is therefore **null-free** while its plan cannot invent a null
+//! ([`AccessPlan::invents_nulls`]) and its store holds none
+//! ([`FactStore::holds_nulls`]); it then never calls its
+//! [`TerminationStrategy`]: emission hands every head row to the
+//! [`DeltaBatch`] merge and [`Relation::insert_row`]'s own duplicate test
+//! is the admission decision, counted into [`PipelineStats::strategy`] as
+//! `admitted` / `duplicates` (every other strategy counter stays 0).
+//! Loading a fact that carries a null ends the mode: the store's current
+//! rows are registered with the strategy as base facts and admission
+//! continues under it (see [`Pipeline::load_facts`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -490,6 +507,8 @@ pub struct SuspendedPipeline {
     hashtrie_shared: Option<(Arc<HashTrieCache>, u64)>,
     measured_cost: Vec<Option<f64>>,
     awake: Vec<bool>,
+    null_free: bool,
+    dedup_stats: StrategyStats,
     stats: PipelineStats,
 }
 
@@ -545,6 +564,14 @@ pub struct Pipeline<'a> {
     /// scheduling exactly — on a resumed session run it is what scopes the
     /// sweep to the filters the appended predicates actually reach.
     awake: Vec<bool>,
+    /// Admission mode (see the module docs): `true` while the plan cannot
+    /// invent a null and the store holds none, so the strategy is never
+    /// called and the store's dedup admits.
+    null_free: bool,
+    /// `admitted` / `duplicates` decided by the store's dedup while
+    /// `null_free`, added to the strategy's own counts in
+    /// [`PipelineStats::strategy`].
+    dedup_stats: StrategyStats,
     stats: PipelineStats,
 }
 
@@ -573,6 +600,8 @@ impl<'a> Pipeline<'a> {
             hashtrie_shared: None,
             measured_cost: vec![None; n],
             awake: vec![true; n],
+            null_free: !plan.invents_nulls,
+            dedup_stats: StrategyStats::default(),
             stats: PipelineStats::default(),
         }
     }
@@ -645,10 +674,30 @@ impl<'a> Pipeline<'a> {
     /// Load the extensional database. On a resumed pipeline the loaded
     /// predicates' readers are woken, so the next [`Pipeline::run`] treats
     /// the new rows as deltas.
+    ///
+    /// Facts are registered with the termination strategy only when the run
+    /// can hold a labelled null (see the module docs). The first fact that
+    /// carries a null ends a null-free run: every row the store holds at
+    /// that point is registered as a base fact, then loading continues
+    /// under the strategy. Before the first [`Pipeline::run`] that is exact
+    /// — registration order only fixes the strategy's internal ids, and
+    /// tree membership and dedup are sets. On a pipeline that has already
+    /// derived facts it is a weakening: those facts enter the strategy as
+    /// base facts (each the root of its own tree, no linear provenance)
+    /// instead of where a run under the strategy from the start would
+    /// have placed them.
     pub fn load_facts<I: IntoIterator<Item = Fact>>(&mut self, facts: I) {
         let mut preds: BTreeSet<Sym> = BTreeSet::new();
         for f in facts {
-            self.strategy.register_base(&f);
+            if self.null_free && !f.is_ground() {
+                for fact in self.store.iter() {
+                    self.strategy.register_base(&fact);
+                }
+                self.null_free = false;
+            }
+            if !self.null_free {
+                self.strategy.register_base(&f);
+            }
             preds.insert(f.predicate);
             self.store.insert(f);
         }
@@ -672,12 +721,15 @@ impl<'a> Pipeline<'a> {
 
     /// Start from a pre-populated store — typically a copy-on-write overlay
     /// over a session's frozen EDB base (see
-    /// [`vadalog_storage::StoreBase::overlay`]). The caller is responsible
-    /// for pairing it with a termination strategy that has the same facts
-    /// registered (a session keeps a pre-registered template and clones it
-    /// per run); facts loaded afterwards via [`Pipeline::load_facts`] go on
-    /// top.
+    /// [`vadalog_storage::StoreBase::overlay`]). The admission mode is
+    /// re-decided from the plan and [`FactStore::holds_nulls`]: a run that
+    /// can hold a labelled null needs a termination strategy with the
+    /// store's facts registered, which the caller supplies (a session keeps
+    /// a pre-registered template and clones it per run); a null-free run
+    /// never calls the strategy, so an empty one will do. Facts loaded
+    /// afterwards via [`Pipeline::load_facts`] go on top.
     pub fn with_store(mut self, store: FactStore) -> Self {
+        self.null_free = !self.plan.invents_nulls && !store.holds_nulls();
         self.store = store;
         self
     }
@@ -703,7 +755,9 @@ impl<'a> Pipeline<'a> {
             let dom = ActiveDomain::from_facts(self.store.iter());
             let mut grew = false;
             for f in dom.to_facts(vadalog_rewrite::DOM_PREDICATE) {
-                self.strategy.register_base(&f);
+                if !self.null_free {
+                    self.strategy.register_base(&f);
+                }
                 grew |= self.store.insert(f);
             }
             if grew {
@@ -785,7 +839,12 @@ impl<'a> Pipeline<'a> {
         }
 
         self.stats.nulls_invented = self.nulls.produced();
-        self.stats.strategy = self.strategy.stats();
+        let strategy = self.strategy.stats();
+        self.stats.strategy = StrategyStats {
+            admitted: strategy.admitted + self.dedup_stats.admitted,
+            duplicates: strategy.duplicates + self.dedup_stats.duplicates,
+            ..strategy
+        };
         self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
 
         // Check constraints and EGDs on the final instance (probe buffers
@@ -855,6 +914,8 @@ impl<'a> Pipeline<'a> {
             hashtrie_shared: self.hashtrie_shared,
             measured_cost: self.measured_cost,
             awake: self.awake,
+            null_free: self.null_free,
+            dedup_stats: self.dedup_stats,
             stats: self.stats,
         }
     }
@@ -885,6 +946,8 @@ impl<'a> Pipeline<'a> {
             hashtrie_shared: state.hashtrie_shared,
             measured_cost: state.measured_cost,
             awake: state.awake,
+            null_free: state.null_free,
+            dedup_stats: state.dedup_stats,
             stats: state.stats,
         }
     }
@@ -1577,8 +1640,9 @@ impl<'a> Pipeline<'a> {
     /// Merge one filter's collected matches into the instance: post-join
     /// literals (negation, conditions, assignments incl. aggregation), null
     /// and Skolem invention, termination-strategy admission and the
-    /// delta-batch row merge. Runs sequentially in filter-index order.
-    /// Returns whether any new fact was admitted.
+    /// delta-batch row merge, whose dedup is the whole admission test on a
+    /// null-free run. Runs sequentially in filter-index order. Returns
+    /// whether any new fact was admitted.
     fn emit(&mut self, job: &FilterJob, matches: Vec<Binding>) -> bool {
         let plan = self.plan;
         let f_idx = job.f_idx;
@@ -1622,7 +1686,8 @@ impl<'a> Pipeline<'a> {
         // `apply_delta` pass over the store at the end of this filter's
         // emission — unless the rule negates one of its own head predicates,
         // in which case every admitted row must be visible to the next
-        // match's negation probe immediately.
+        // match's negation probe immediately. On a null-free run the merge
+        // is the admission test: `apply_delta` dedups inside the batch too.
         let buffer_rows = neg_patterns
             .iter()
             .all(|np| head_patterns.iter().all(|hp| hp.predicate != np.predicate));
@@ -1704,13 +1769,13 @@ impl<'a> Pipeline<'a> {
 
             // Parents for the termination wrapper, in row form (the body
             // patterns are fully bound after the join, so instantiation
-            // cannot fail).
-            let linear_row = if kind == RuleKind::Linear {
+            // cannot fail); a null-free run never asks for them.
+            let linear_row = if kind == RuleKind::Linear && !self.null_free {
                 patterns.first().and_then(|p| p.instantiate(&binding))
             } else {
                 None
             };
-            let ward_row = if kind == RuleKind::Warded {
+            let ward_row = if kind == RuleKind::Warded && !self.null_free {
                 ward_index
                     .and_then(|w| patterns.get(w))
                     .and_then(|p| p.instantiate(&binding))
@@ -1730,32 +1795,55 @@ impl<'a> Pipeline<'a> {
                 binding[*slot] = Some(intern_value(&self.nulls.fresh_value()));
             }
 
-            // Head emission: rows instantiated from the binding; the
-            // candidate fact is only materialised if the termination
-            // strategy's isomorphism machinery asks for it.
+            // Head emission: rows instantiated from the binding. The
+            // strategy admits (the candidate fact is only materialised if
+            // its isomorphism machinery asks for it) — or, on a null-free
+            // run, every row goes to the store, whose dedup decides.
             for hp in head_patterns {
-                if let Some(row) = hp.instantiate(&binding) {
+                let Some(row) = hp.instantiate(&binding) else {
+                    continue;
+                };
+                if !self.null_free {
                     let candidate = Candidate::from_row(hp.predicate, &row);
                     let admitted =
                         self.strategy
                             .admit(&candidate, rule_id, kind, linear_parent, ward_parent);
                     drop(candidate);
-                    if admitted {
-                        self.stats.facts_derived += 1;
-                        if buffer_rows {
-                            delta.push(hp.predicate, row);
-                        } else {
-                            self.store.relation_mut(hp.predicate).insert_row(row);
-                        }
-                        produced = true;
-                    } else {
+                    if !admitted {
                         self.stats.facts_suppressed += 1;
+                        continue;
+                    }
+                    self.stats.facts_derived += 1;
+                    produced = true;
+                }
+                if buffer_rows {
+                    delta.push(hp.predicate, row);
+                } else {
+                    let fresh = self.store.relation_mut(hp.predicate).insert_row(row);
+                    if self.null_free {
+                        produced |= self.count_dedup(usize::from(fresh.is_some()), 1);
                     }
                 }
             }
         }
-        self.store.apply_delta(delta);
+        let offered = delta.len();
+        let fresh = self.store.apply_delta(delta);
+        if self.null_free {
+            produced |= self.count_dedup(fresh, offered);
+        }
         produced
+    }
+
+    /// Record that the store's dedup admitted `fresh` of `offered` head
+    /// rows on a null-free run (the rest were exact duplicates, inside this
+    /// emission or of stored facts). Returns whether any row was new.
+    fn count_dedup(&mut self, fresh: usize, offered: usize) -> bool {
+        let duplicates = offered - fresh;
+        self.stats.facts_derived += fresh;
+        self.stats.facts_suppressed += duplicates;
+        self.dedup_stats.admitted += fresh as u64;
+        self.dedup_stats.duplicates += duplicates as u64;
+        fresh > 0
     }
 
     fn eval_with_skolems(&mut self, expr: &Expr, subst: &Substitution) -> Option<Value> {

@@ -650,6 +650,19 @@ pub struct AccessPlan {
     pub checks: Vec<(u32, Rule)>,
     /// The wardedness analysis of the compiled program (rule kinds, wards).
     pub analysis: ProgramWardedness,
+    /// Can some filter mint a labelled null ([`rule_invents_nulls`])? A
+    /// plan that cannot, run over a store holding no null, never needs the
+    /// termination strategy: its pipeline admits through the store's own
+    /// exact-duplicate test.
+    pub invents_nulls: bool,
+}
+
+/// Can firing `rule` mint a labelled null? True for a TGD with an
+/// existential head variable or with an assignment whose expression holds a
+/// Skolem term — the pipeline's only two null factories.
+pub fn rule_invents_nulls(rule: &Rule) -> bool {
+    rule.is_tgd()
+        && (rule.has_existentials() || rule.assignments().iter().any(|a| a.expr.contains_skolem()))
 }
 
 impl AccessPlan {
@@ -685,6 +698,7 @@ impl AccessPlan {
             }
         }
         AccessPlan {
+            invents_nulls: filters.iter().any(|f| rule_invents_nulls(&f.rule)),
             filters,
             sources: program.edb_predicates(),
             sinks: program.output_predicates(),

@@ -14,6 +14,10 @@ use crate::pipeline::{Pipeline, PipelineStats};
 use crate::plan::AccessPlan;
 
 /// Which termination strategy the reasoner wraps around its filters.
+///
+/// The kind only matters when a run can hold a labelled null: a program
+/// whose rules invent none, over data that holds none, is admitted by the
+/// store's exact-duplicate test under every kind (see [`crate::pipeline`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TerminationKind {
     /// Algorithm 1 (warded forest + lifted linear forest). The default.

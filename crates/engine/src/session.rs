@@ -4,8 +4,9 @@
 //! [`Reasoner::reason_query`] pays three per-query costs a servable engine
 //! cannot: it re-runs the magic-sets rewrite and recompiles the plan, it
 //! re-interns and re-indexes the entire extensional database into a fresh
-//! store, and it re-registers every EDB fact with the termination strategy.
-//! A [`QuerySession`] amortises all three across any number of query atoms:
+//! store, and — for a program that can hold a labelled null — it
+//! re-registers every EDB fact with the termination strategy. A
+//! [`QuerySession`] amortises all three across any number of query atoms:
 //!
 //! * **Storage** — the EDB is interned once, its planned indexes are built
 //!   once, and the whole store is frozen into a shareable
@@ -24,10 +25,13 @@
 //! * **Engine** — the plan's EDB index column lists
 //!   ([`AccessPlan::planned_index_cols`]) are ensured on the shared base
 //!   between queries, so the per-batch `ensure_index` pre-pass only ever
-//!   flushes overlay tails; base runs are never re-sorted. The termination
-//!   strategy is pre-registered once and cloned per run
+//!   flushes overlay tails; base runs are never re-sorted. When the rules
+//!   invent nulls or the EDB holds one, the termination strategy is
+//!   pre-registered once and cloned per run
 //!   ([`vadalog_chase::TerminationStrategy::clone_box`]), preserving null
-//!   ids and admission decisions exactly.
+//!   ids and admission decisions exactly. Otherwise every run is null-free
+//!   and never calls the strategy (see [`crate::pipeline`]), so the
+//!   template stays empty and the per-run clone copies nothing.
 //!
 //! # The shared session core and the cone cache
 //!
@@ -322,8 +326,12 @@ struct SessionCore {
     /// The frozen EDB: interned rows + pre-flushed sorted runs, shared by
     /// every query's overlay store.
     base: StoreBase,
-    /// Termination strategy with the EDB pre-registered, cloned per run.
+    /// Termination strategy with the EDB pre-registered (when
+    /// [`SessionCore::registers_edb`]), cloned per run.
     strategy_template: Box<dyn TerminationStrategy>,
+    /// Can some rule of the program mint a labelled null
+    /// ([`crate::plan::rule_invents_nulls`])?
+    rules_invent_nulls: bool,
     /// (predicate, adornment) → compiled artefact.
     compiled: HashMap<(Sym, Adornment), CompiledKind>,
     /// The shared bottom-up fallback compilation, built on first need.
@@ -382,6 +390,14 @@ struct SessionCore {
 }
 
 impl SessionCore {
+    /// Must EDB facts be registered with the strategy template? Only when
+    /// some run over this session can hold a labelled null — the test each
+    /// pipeline applies to its own plan and store: a null-free run never
+    /// reads the template, so registering for it would be pure cost.
+    fn registers_edb(&self) -> bool {
+        self.rules_invent_nulls || self.base.holds_nulls()
+    }
+
     /// The transitive input predicates of `predicate` (itself included):
     /// every predicate whose facts can reach it through the rules. Appends
     /// outside this set provably cannot change the predicate's cone.
@@ -597,17 +613,30 @@ impl QuerySession {
     /// Open a session: normalise the program, intern the extensional
     /// database (inline facts plus `@bind` CSV sources, in program order —
     /// the one EDB intern pass of the session), register it with the
-    /// termination strategy template, and freeze the store into the shared
-    /// base.
+    /// termination strategy template when some run can hold a labelled
+    /// null, and freeze the store into the shared base.
     pub fn new(program: &Program, options: ReasonerOptions) -> Result<QuerySession, ReasonerError> {
         let normalised = prepare_for_execution(program);
         let mut edb: Vec<Fact> = normalised.facts.clone();
         edb.extend(crate::reasoner::load_bound_facts(&normalised)?);
         let mut store = FactStore::new();
-        let mut strategy = make_strategy(options.termination);
         for f in &edb {
-            strategy.register_base(f);
             store.insert(f.clone());
+        }
+        // Every plan the session runs is compiled from `program` (the
+        // bottom-up fallback, without rewriting when that is off) or from
+        // its normalised rules (the magic rewrites), so checking both covers
+        // each pipeline's own `invents_nulls` test.
+        let rules_invent_nulls = program
+            .rules
+            .iter()
+            .chain(&normalised.rules)
+            .any(crate::plan::rule_invents_nulls);
+        let mut strategy = make_strategy(options.termination);
+        if rules_invent_nulls || store.holds_nulls() {
+            for f in &edb {
+                strategy.register_base(f);
+            }
         }
         let mut rules_only = normalised;
         rules_only.facts.clear();
@@ -626,6 +655,7 @@ impl QuerySession {
             options,
             base: store.freeze(),
             strategy_template: strategy,
+            rules_invent_nulls,
             compiled: HashMap::new(),
             fallback: None,
             use_magic: true,
@@ -935,8 +965,8 @@ impl QuerySession {
         // in-memory state moves, so a failed log write aborts the append
         // with the core untouched, and a crash anywhere after this line is
         // replayed on recovery. The *submitted* batch is logged verbatim —
-        // duplicates included — because replay must feed the strategy
-        // template the exact registration sequence the live session saw.
+        // duplicates included — because replay must feed a registering
+        // strategy template the exact sequence the live session saw.
         if log {
             if let Some(wal) = core.wal.as_mut() {
                 wal.append_batch(&facts).map_err(ReasonerError::Wal)?;
@@ -945,12 +975,16 @@ impl QuerySession {
         crash_point("session.register");
         let stamp_before = core.base.stamp();
         let mut overlay = core.base.overlay();
+        // Mirror `QuerySession::new`: when the session registers its EDB,
+        // every appended fact registers with the strategy template
+        // (duplicates included), so the layered session replays the
+        // registration order of a fresh session over the union EDB exactly.
+        // Appends are ground, so they never change whether it registers.
+        let register = core.registers_edb();
         for f in &facts {
-            // Mirror `QuerySession::new`: every appended fact registers
-            // with the strategy template (duplicates included), so the
-            // layered session replays the registration order of a fresh
-            // session over the union EDB exactly.
-            core.strategy_template.register_base(f);
+            if register {
+                core.strategy_template.register_base(f);
+            }
             if overlay.insert(f.clone()) {
                 report.appended += 1;
             } else {
@@ -1014,9 +1048,10 @@ impl QuerySession {
         let reactivated = pipeline.wake_readers(&preds);
         core.delta_reactivations += reactivated;
         let derived_before = pipeline.stats().facts_derived;
-        // The appended facts were already registered with the *template*;
-        // the live pipeline's own strategy clone needs them too, which
-        // `load_facts` does along with waking the readers.
+        // The live pipeline holds its own strategy clone, not the template:
+        // `load_facts` registers the appended facts with it when its run can
+        // hold a null (a null-free live instance skips that), along with
+        // waking the readers.
         pipeline.load_facts(facts.iter().cloned());
         pipeline.run();
         let derived = pipeline.stats().facts_derived - derived_before;
@@ -1284,7 +1319,7 @@ impl QuerySession {
         let compile_time = compile_start.elapsed();
 
         // Execute against the copy-on-write overlay, with a clone of the
-        // pre-registered strategy template.
+        // strategy template (empty, and never called, on a null-free run).
         let exec_start = Instant::now();
         let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
             .with_store(overlay)

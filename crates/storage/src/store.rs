@@ -1461,6 +1461,10 @@ impl DeltaBatch {
 #[derive(Clone, Debug, Default)]
 pub struct FactStore {
     relations: BTreeMap<Sym, Relation>,
+    /// Some fact inserted through [`FactStore::insert`] (here or in the
+    /// snapshot this store overlays) carried a labelled null. See
+    /// [`FactStore::holds_nulls`].
+    holds_nulls: bool,
 }
 
 impl FactStore {
@@ -1480,10 +1484,22 @@ impl FactStore {
 
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
+        self.holds_nulls |= !fact.is_ground();
         self.relations
             .entry(fact.predicate)
             .or_default()
             .insert(fact)
+    }
+
+    /// Did a fact carrying a labelled null enter through
+    /// [`FactStore::insert`] — into this store or, for an overlay, into the
+    /// snapshot below it? That Fact-level path is how extensional data
+    /// arrives; rows written through [`FactStore::relation_mut`] (a
+    /// pipeline's derived rows) never set the bit, so a store whose nulls
+    /// were all invented by rules reports `false`. The reasoning pipeline
+    /// uses it to decide whether a run can hold a null at all.
+    pub fn holds_nulls(&self) -> bool {
+        self.holds_nulls
     }
 
     /// Does the store contain the fact?
@@ -1611,6 +1627,7 @@ impl FactStore {
                 .map(|(p, r)| (p, Arc::new(r)))
                 .collect(),
             stamp: 0,
+            holds_nulls: self.holds_nulls,
         }
     }
 }
@@ -1637,6 +1654,9 @@ pub struct StoreBase {
     /// Monotonic layer stamp: bumped by every [`StoreBase::promote`] that
     /// adds a layer.
     stamp: u64,
+    /// [`FactStore::holds_nulls`] of every store frozen or promoted into
+    /// this base.
+    holds_nulls: bool,
 }
 
 impl StoreBase {
@@ -1649,7 +1669,15 @@ impl StoreBase {
                 .iter()
                 .map(|(p, r)| (*p, Relation::with_base(Arc::clone(r))))
                 .collect(),
+            holds_nulls: self.holds_nulls,
         }
+    }
+
+    /// Does the snapshot hold a fact that carried a labelled null (see
+    /// [`FactStore::holds_nulls`])? Overlays inherit the bit, promotions
+    /// merge it in, compaction keeps it.
+    pub fn holds_nulls(&self) -> bool {
+        self.holds_nulls
     }
 
     /// Build (or flush) the index over `cols` on the base relation of
@@ -1691,6 +1719,7 @@ impl StoreBase {
     /// Returns the number of relations that gained a layer; when that is
     /// non-zero the [`StoreBase::stamp`] is bumped.
     pub fn promote(&mut self, store: FactStore) -> usize {
+        self.holds_nulls |= store.holds_nulls;
         let mut promoted = 0;
         for (p, mut rel) in store.relations {
             if rel.overlay_row_count() == 0 {
@@ -2399,5 +2428,30 @@ mod tests {
         overlay.insert(Fact::new("G", vec![Value::str("g")]));
         assert_eq!(base.promote(overlay), 1);
         assert_eq!(base.relation(intern("G")).unwrap().layer_depth(), 0);
+    }
+
+    /// The labelled-null bit is set by Fact-level inserts only and survives
+    /// freeze, overlay, promote and compact.
+    #[test]
+    fn holds_nulls_travels_with_the_snapshot() {
+        let mut store = FactStore::new();
+        store.insert(Fact::new("E", vec![Value::str("a"), Value::str("b")]));
+        let row = vec![intern_value(&Value::Null(NullId(3)))].into_boxed_slice();
+        store.relation_mut(intern("D")).insert_row(row);
+        assert!(!store.holds_nulls(), "row-level writes never set the bit");
+        let mut base = store.freeze();
+        assert!(!base.holds_nulls() && !base.overlay().holds_nulls());
+
+        let mut overlay = base.overlay();
+        overlay.insert(Fact::new(
+            "E",
+            vec![Value::str("b"), Value::Null(NullId(4))],
+        ));
+        assert!(overlay.holds_nulls());
+        base.promote(overlay);
+        assert!(base.holds_nulls());
+        assert!(base.overlay().holds_nulls());
+        base.compact(1);
+        assert!(base.overlay().holds_nulls());
     }
 }

@@ -8,7 +8,9 @@
 //! FactIds and labelled-null ids come out bit-identical to the never-crashed
 //! session — the log records *submitted* batches verbatim (duplicates
 //! included) precisely because replay must feed the termination strategy the
-//! same sequence it saw live.
+//! same sequence it saw live. (A session registers appends with its strategy
+//! only for programs that can hold a labelled null; for the rest the order
+//! is moot, but the log does not need to know which kind it serves.)
 //!
 //! ## On-disk format
 //!

@@ -89,6 +89,21 @@ pub fn all_psc_program() -> Program {
     .expect("static program parses")
 }
 
+/// AllPSC with the strong-links program's existential
+/// `Company(x) -> PSC(x, p)`: every company gets an anonymous person of
+/// significant control that propagates down its control chains, so the
+/// termination strategy has labelled nulls to compare (Figure 7).
+pub fn all_psc_anonymous_program() -> Program {
+    parse_program(
+        "KeyPerson(x, p), Person(p) -> PSC(x, p).\n\
+         Company(x) -> PSC(x, p).\n\
+         Control(y, x), PSC(y, p) -> PSC(x, p).\n\
+         PSC(x, p), j = munion(p) -> AllPSC(x, j).\n\
+         @output(\"AllPSC\").",
+    )
+    .expect("static program parses")
+}
+
 /// The strong-links program (Example 13): companies sharing at least
 /// `min_shared` persons of significant control, with an existential PSC for
 /// companies that have none.

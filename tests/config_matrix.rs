@@ -1,9 +1,11 @@
 //! The determinism contract as one matrix: every combination of the engine
 //! configuration axes below must make the `vadalog` CLI print byte-identical
 //! output on three programs — a triangle + lollipop `run`, a four-atom
-//! `query` session and a query/append schedule. The CLI is driven in-process
-//! through `run_cli_with`, the seam `main.rs` wraps, so the matrix runs under
-//! the root `cargo test` with no process environment involved.
+//! `query` session and a query/append schedule — and on their null-free
+//! variants, which the engine admits without the termination strategy. The
+//! CLI is driven in-process through `run_cli_with`, the seam `main.rs`
+//! wraps, so the matrix runs under the root `cargo test` with no process
+//! environment involved.
 //!
 //! An axis is a row of [`AXES`]: deleting an option field deletes its row
 //! and the matrix shrinks with it.
@@ -171,6 +173,70 @@ fn query_session_is_identical_across_the_matrix() {
     assert_eq!(out.matches("% query ").count(), 4, "{out}");
     // The existential query falls back to bottom-up and answers with nulls.
     assert!(out.contains("Owner(\"_:ν"), "{out}");
+}
+
+/// The three programs above without their existential `Owner(p, …)`
+/// rules: runs that can never hold a labelled null, so admission is the
+/// store's own dedup instead of the termination strategy.
+#[test]
+fn null_free_programs_are_identical_across_the_matrix() {
+    let mut joins: Vec<String> = [
+        "Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).",
+        "Triangle(x, y, z) -> Edge(z, x).",
+        "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).",
+        "Lolli(x, y, z, w) -> Pend(x, w).",
+        "@output(\"Triangle\").",
+        "@output(\"Lolli\").",
+    ]
+    .map(String::from)
+    .to_vec();
+    for x in 0..12 {
+        for y in 0..12 {
+            if (x * 5 + y * 3) % 7 < 3 {
+                joins.push(format!("Edge({x}, {y})."));
+            }
+        }
+    }
+    joins.extend((0..12).map(|z| format!("Pend({z}, {}).", z + 100)));
+    let run = assert_identical_across_matrix("run", &program_file("nf_joins", &joins), &[]);
+    assert!(
+        run.contains("\nTriangle(") && run.contains("\nLolli("),
+        "{run}"
+    );
+
+    let mut reach: Vec<String> = reach_rules()
+        .into_iter()
+        .filter(|rule| !rule.contains("Owner"))
+        .collect();
+    reach.extend((0..30).map(|i| format!("Edge(\"n{i}\", \"n{}\").", i + 1)));
+    reach.extend(
+        (0..30)
+            .step_by(3)
+            .map(|i| format!("Edge(\"n{i}\", \"n{}\").", (i * 7) % 30)),
+    );
+    let queries = assert_identical_across_matrix(
+        "query",
+        &program_file("nf_qsession", &reach),
+        &["Reach(\"n0\", y)", "Reach(x, \"n5\")", "Reach(\"n2\", y)"],
+    );
+    assert_eq!(queries.matches("% query ").count(), 3, "{queries}");
+    let appends = assert_identical_across_matrix(
+        "query",
+        &program_file("nf_append", &reach),
+        &[
+            "Reach(\"n0\", y)",
+            "+Edge(\"n30\", \"n31\")",
+            "+Edge(\"n31\", \"n32\")",
+            "Reach(\"n0\", y)",
+            "+Edge(\"n32\", \"n0\")",
+            "Reach(\"n5\", y)",
+        ],
+    );
+    assert_eq!(appends.matches("% append ").count(), 3, "{appends}");
+    assert!(appends.contains("Reach(\"n0\", \"n32\")."), "{appends}");
+    for out in [&run, &queries, &appends] {
+        assert!(!out.contains("_:ν"), "no labelled nulls: {out}");
+    }
 }
 
 #[test]
