@@ -197,22 +197,14 @@ fn vadalog_rewrite_dom_name() -> &'static str {
 
 /// Reusable buffers for [`find_matches`]: the composite-probe scratch
 /// ([`vadalog_storage::ProbeBuffers`]: probe columns, key and postings) plus the match undo
-/// trail. One worker — a chase round, or one shard of a sharded match —
+/// trail. A caller — a chase round, or the engine's constraint checks —
 /// holds a single `MatchBuffers` across any number of calls, so the probe
-/// path allocates nothing in the steady state (the buffers used to be
-/// re-allocated on every `find_matches` call).
+/// path allocates nothing in the steady state.
 #[derive(Default, Debug)]
 pub struct MatchBuffers {
     probe: vadalog_storage::ProbeBuffers,
     trail: Vec<usize>,
 }
-
-/// Minimum first-atom candidates per shard: below this, scheduling a thread
-/// costs more than the join it would run.
-const CHASE_SHARD_MIN_ROWS: usize = 128;
-
-/// A partial join binding: one slot per rule variable.
-type ShardBinding = Vec<Option<ValueId>>;
 
 /// Find all substitutions satisfying the body of `rule` in `store`
 /// (positive atoms joined left-to-right, then negated atoms, conditions and
@@ -223,10 +215,8 @@ type ShardBinding = Vec<Option<ValueId>>;
 /// the negation checks. Sorted-run indices are used opportunistically: the
 /// probe prefers one composite probe over all determined columns (constants
 /// and already-bound variables), then any single determined column's index,
-/// and falls back to a scan when neither index exists.
-///
-/// Runs sequentially; callers with a shard bound of their own pass it
-/// through [`find_matches_with_chunks`].
+/// and falls back to a scan when neither index exists. Runs on the calling
+/// thread.
 pub fn find_matches(rule: &Rule, store: &FactStore) -> Vec<Substitution> {
     find_matches_with(rule, store, &mut MatchBuffers::default())
 }
@@ -239,41 +229,21 @@ pub fn find_matches_with(
     store: &FactStore,
     bufs: &mut MatchBuffers,
 ) -> Vec<Substitution> {
-    find_matches_impl(rule, store, 1, CHASE_SHARD_MIN_ROWS, bufs)
+    find_matches_shard(rule, store, 0, 1, bufs)
 }
 
-/// [`find_matches_with`] under a caller-supplied shard bound — how the
-/// engine propagates its `intra_filter_parallelism` knob to the
-/// constraint/EGD checks it runs through the chase matcher. Large
-/// first-atom candidate sets are sharded into contiguous chunks joined on a
-/// scoped worker pool and concatenated in chunk order — the same
-/// delta-window discipline as the engine's intra-filter parallel join, and
-/// bit-identical to the sequential enumeration (see
-/// [`find_matches_sharded`]). The minimum-rows cutover still applies, so
-/// small candidate sets run inline.
-pub fn find_matches_with_chunks(
+/// The matches of [`find_matches_with`] whose first positive atom binds to
+/// shard `shard` of `shards` contiguous, near-equal slices of that atom's
+/// candidate rows. Concatenating the results of shards `0..shards` in order
+/// reproduces the unsharded result exactly, contents and order, because
+/// every extension of a first-atom binding stays contiguous. Callers with
+/// worker threads of their own (the engine's constraint checks) run the
+/// shards in parallel.
+pub fn find_matches_shard(
     rule: &Rule,
     store: &FactStore,
-    max_chunks: usize,
-    bufs: &mut MatchBuffers,
-) -> Vec<Substitution> {
-    find_matches_impl(rule, store, max_chunks, CHASE_SHARD_MIN_ROWS, bufs)
-}
-
-/// [`find_matches`] with an explicit shard bound and no minimum chunk size:
-/// the first positive atom's candidate list is split into up to `chunks`
-/// contiguous shards regardless of its length. The result — contents *and*
-/// order — is identical to the sequential enumeration at every chunk count;
-/// tests pin that equivalence.
-pub fn find_matches_sharded(rule: &Rule, store: &FactStore, chunks: usize) -> Vec<Substitution> {
-    find_matches_impl(rule, store, chunks, 1, &mut MatchBuffers::default())
-}
-
-fn find_matches_impl(
-    rule: &Rule,
-    store: &FactStore,
-    max_chunks: usize,
-    min_rows: usize,
+    shard: usize,
+    shards: usize,
     bufs: &mut MatchBuffers,
 ) -> Vec<Substitution> {
     use vadalog_storage::{materialise, number_variables, undo_to, FactId, Relation, RowPattern};
@@ -303,157 +273,62 @@ fn find_matches_impl(
             None => return Vec::new(),
         }
     }
-    let neg_rels: Vec<Option<&Relation>> = neg_patterns
-        .iter()
-        .map(|p| store.relation(p.predicate))
-        .collect();
+    // A body without positive atoms has one (empty) first binding: shard 0's.
+    if patterns.is_empty() && shard > 0 {
+        return Vec::new();
+    }
 
-    // Joins each initial binding (a first-atom match) through the remaining
-    // positive atoms left-to-right, breadth-first, then filters it through
-    // the negated atoms. Extensions of one binding stay contiguous and in
-    // enumeration order, so concatenating the results of contiguous
-    // first-atom shards reproduces the unsharded order exactly.
-    let join_tail = |mut bindings: Vec<ShardBinding>,
-                     bufs: &mut MatchBuffers|
-     -> Vec<ShardBinding> {
-        for (idx, pattern) in patterns.iter().enumerate().skip(1) {
-            if bindings.is_empty() {
-                return bindings;
-            }
-            let rel = rels[idx];
-            let mut next = Vec::new();
-            for binding in &mut bindings {
-                // Composite probe over every determined column, then singles.
-                let MatchBuffers { probe, trail } = bufs;
-                match pattern.probe_determined(rel, binding, probe) {
-                    Some(hit) => {
-                        for id in hit.as_slice(&probe.scratch) {
-                            if pattern.match_row(rel.row(*id), binding, trail) {
-                                next.push(binding.clone());
-                                undo_to(binding, trail, 0);
-                            }
-                        }
-                    }
-                    None => {
-                        for i in 0..rel.len() {
-                            if pattern.match_row(rel.row(FactId(i as u32)), binding, trail) {
-                                next.push(binding.clone());
-                                undo_to(binding, trail, 0);
-                            }
-                        }
-                    }
-                }
-            }
-            bindings = next;
-        }
-        // Negated atoms: keep bindings with no matching row.
-        for (idx, pattern) in neg_patterns.iter().enumerate() {
-            if bindings.is_empty() {
-                break;
-            }
-            let Some(rel) = neg_rels[idx] else {
-                continue;
-            };
-            bindings.retain_mut(|binding| !pattern.any_match_with(rel, binding, &mut bufs.probe));
-        }
-        bindings
-    };
-
-    // Matches of the first atom over one contiguous candidate shard: either
-    // a slice of probed postings (FactId-ascending) or a row range.
-    let match_first = |ids: Option<&[FactId]>,
-                       range: std::ops::Range<usize>,
-                       trail: &mut Vec<usize>|
-     -> Vec<ShardBinding> {
-        let rel = rels[0];
-        let pattern = &patterns[0];
-        let mut binding = vec![None; slots.len()];
-        let mut out = Vec::new();
-        let mut push_if_match =
-            |row: &[ValueId], binding: &mut Vec<Option<ValueId>>, trail: &mut Vec<usize>| {
-                if pattern.match_row(row, binding, trail) {
-                    out.push(binding.clone());
-                    undo_to(binding, trail, 0);
-                }
-            };
-        match ids {
-            Some(ids) => {
-                for id in &ids[range] {
-                    push_if_match(rel.row(*id), &mut binding, trail);
-                }
-            }
-            None => {
-                for i in range {
-                    push_if_match(rel.row(FactId(i as u32)), &mut binding, trail);
-                }
-            }
-        }
-        out
-    };
-
-    let bindings: Vec<ShardBinding> = if patterns.is_empty() {
-        join_tail(vec![vec![None; slots.len()]], bufs)
-    } else {
-        // First-atom candidates, through the reusable probe scratch.
-        let empty = vec![None; slots.len()];
-        let probed = patterns[0].probe_determined(rels[0], &empty, &mut bufs.probe);
-        let total = match &probed {
-            Some(hit) => hit.as_slice(&bufs.probe.scratch).len(),
-            None => rels[0].len(),
-        };
-        let chunks = if max_chunks > 1 {
-            (total / min_rows.max(1)).clamp(1, max_chunks)
+    // Positive atoms left-to-right, breadth-first: every binding so far is
+    // extended through the next atom, in enumeration order. The first atom
+    // reads only its shard of the candidate rows.
+    let window = |len: usize, first: bool| {
+        if first {
+            len * shard / shards.max(1)..len * (shard + 1) / shards.max(1)
         } else {
-            1
-        };
-        if chunks <= 1 {
-            // Inline path: no shard, no copies — the candidate slice is read
-            // straight from the probe scratch.
-            let initial = match &probed {
+            0..len
+        }
+    };
+    let mut bindings: Vec<Vec<Option<ValueId>>> = vec![vec![None; slots.len()]];
+    for (idx, (pattern, rel)) in patterns.iter().zip(&rels).enumerate() {
+        if bindings.is_empty() {
+            break;
+        }
+        let mut next = Vec::new();
+        for binding in &mut bindings {
+            // Composite probe over every determined column, then singles.
+            let MatchBuffers { probe, trail } = &mut *bufs;
+            match pattern.probe_determined(rel, binding, probe) {
                 Some(hit) => {
-                    let MatchBuffers { probe, trail } = bufs;
-                    match_first(Some(hit.as_slice(&probe.scratch)), 0..total, trail)
+                    let ids = hit.as_slice(&probe.scratch);
+                    for id in &ids[window(ids.len(), idx == 0)] {
+                        if pattern.match_row(rel.row(*id), binding, trail) {
+                            next.push(binding.clone());
+                            undo_to(binding, trail, 0);
+                        }
+                    }
                 }
-                None => match_first(None, 0..total, &mut bufs.trail),
-            };
-            join_tail(initial, bufs)
-        } else {
-            // Sharded: own the candidate list, split it into contiguous
-            // chunks, join each on its own worker with private buffers, and
-            // concatenate in chunk order — bit-identical to the inline path.
-            let ids: Option<Vec<FactId>> = probed
-                .as_ref()
-                .map(|hit| hit.as_slice(&bufs.probe.scratch).to_vec());
-            let windows: Vec<std::ops::Range<usize>> =
-                vadalog_storage::chunk_windows(0, total, chunks)
-                    .into_iter()
-                    .map(|(a, b)| a..b)
-                    .collect();
-            let results: Vec<std::sync::Mutex<Option<Vec<ShardBinding>>>> = windows
-                .iter()
-                .map(|_| std::sync::Mutex::new(None))
-                .collect();
-            std::thread::scope(|scope| {
-                for (slot, window) in results.iter().zip(windows) {
-                    let (ids, match_first, join_tail) = (&ids, &match_first, &join_tail);
-                    scope.spawn(move || {
-                        let mut wbufs = MatchBuffers::default();
-                        let initial = match_first(ids.as_deref(), window, &mut wbufs.trail);
-                        let joined = join_tail(initial, &mut wbufs);
-                        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(joined);
-                    });
+                None => {
+                    for i in window(rel.len(), idx == 0) {
+                        if pattern.match_row(rel.row(FactId(i as u32)), binding, trail) {
+                            next.push(binding.clone());
+                            undo_to(binding, trail, 0);
+                        }
+                    }
                 }
-            });
-            results
-                .into_iter()
-                .flat_map(|slot| {
-                    slot.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .expect("every shard produces a result")
-                })
-                .collect()
+            }
         }
-    };
+        bindings = next;
+    }
+    // Negated atoms: keep bindings with no matching row.
+    for pattern in &neg_patterns {
+        if bindings.is_empty() {
+            break;
+        }
+        let Some(rel) = store.relation(pattern.predicate) else {
+            continue;
+        };
+        bindings.retain_mut(|binding| !pattern.any_match_with(rel, binding, &mut bufs.probe));
+    }
 
     // Materialise substitutions at the boundary.
     let mut results: Vec<Substitution> = bindings.iter().map(|b| materialise(&slots, b)).collect();
@@ -774,9 +649,11 @@ mod tests {
     fn sharded_find_matches_is_identical_to_sequential() {
         // Enough first-atom candidates to split meaningfully, plus negation,
         // a repeated-variable join and a condition, so every literal kind
-        // crosses the shard boundary.
+        // crosses the shard boundary; the second rule's first atom is
+        // probed (a constant), not scanned, once `Edge` is indexed.
         let mut program = parse_program(
             "Edge(x, y), Edge(y, z), not Blocked(z), x != z -> Two(x, z).\n\
+             Edge(1, y), Edge(y, z) -> Hop(z).\n\
              Blocked(9). Blocked(3).",
         )
         .unwrap();
@@ -787,25 +664,33 @@ mod tests {
             ));
         }
         let store = FactStore::from_facts(program.facts.clone());
-        let rule = &program.rules[0];
-        let sequential = find_matches_sharded(rule, &store, 1);
-        assert!(!sequential.is_empty());
-        for chunks in [2usize, 3, 8, 64] {
-            let sharded = find_matches_sharded(rule, &store, chunks);
-            // Exact Vec equality: same substitutions in the same
-            // enumeration order, not merely the same set.
-            assert_eq!(sequential, sharded, "order diverges at {chunks} chunks");
+        for rule in &program.rules {
+            let sequential = find_matches(rule, &store);
+            assert!(!sequential.is_empty());
+            let mut bufs = MatchBuffers::default();
+            let sharded = |store: &FactStore, shards: usize, bufs: &mut MatchBuffers| {
+                (0..shards)
+                    .flat_map(|shard| find_matches_shard(rule, store, shard, shards, bufs))
+                    .collect::<Vec<_>>()
+            };
+            for shards in [2usize, 3, 8, 64, 1000] {
+                // Exact Vec equality: same substitutions in the same
+                // enumeration order, not merely the same set.
+                assert_eq!(
+                    sequential,
+                    sharded(&store, shards, &mut bufs),
+                    "order diverges at {shards} shards"
+                );
+            }
+            // The buffer-reusing entry point agrees too, through warm buffers
+            // and with indices built so the probe path is exercised.
+            assert_eq!(sequential, find_matches_with(rule, &store, &mut bufs));
+            let mut indexed = store.clone();
+            indexed.relation_mut(intern("Edge")).ensure_index(&[0]);
+            indexed.relation_mut(intern("Blocked")).ensure_index(&[0]);
+            assert_eq!(sequential, find_matches_with(rule, &indexed, &mut bufs));
+            assert_eq!(sequential, sharded(&indexed, 8, &mut bufs));
         }
-        // The buffer-reusing entry point agrees too.
-        let mut bufs = MatchBuffers::default();
-        assert_eq!(sequential, find_matches_with(rule, &store, &mut bufs));
-        // ...including on a second call through the same (now warm) buffers,
-        // and with indices built so the probe path is exercised.
-        let mut indexed = store.clone();
-        indexed.relation_mut(intern("Edge")).ensure_index(&[0]);
-        indexed.relation_mut(intern("Blocked")).ensure_index(&[0]);
-        assert_eq!(sequential, find_matches_with(rule, &indexed, &mut bufs));
-        assert_eq!(sequential, find_matches_sharded(rule, &indexed, 8));
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! * [`chase`] — a breadth-first (round-robin in the paper's terms) chase
 //!   engine parameterised by a termination strategy, supporting the
 //!   oblivious and restricted chase variants, negative constraints and EGDs
-//!   under the `Dom` discipline.
+//!   under the `Dom` discipline. Its matcher ([`find_matches`]) is the
+//!   naive left-to-right id-level join and runs on the calling thread: it
+//!   is the independent oracle the engine's parallel sweep is checked
+//!   against. The engine's constraint and EGD checks call it directly, one
+//!   first-atom shard per worker ([`find_matches_shard`]).
 //! * [`baselines`] — the comparison engines used in the evaluation:
 //!   the trivial-isomorphism chase, the restricted chase with homomorphism
 //!   checks, and a Skolemizing semi-naive Datalog engine standing in for
@@ -27,8 +31,8 @@ pub mod chase;
 pub mod strategy;
 
 pub use chase::{
-    find_matches, find_matches_sharded, find_matches_with, find_matches_with_chunks, run_chase,
-    ChaseOptions, ChaseResult, ChaseStats, ChaseVariant, MatchBuffers,
+    find_matches, find_matches_shard, find_matches_with, run_chase, ChaseOptions, ChaseResult,
+    ChaseStats, ChaseVariant, MatchBuffers,
 };
 pub use strategy::{
     Candidate, ExactDedupStrategy, ParentRef, StrategyStats, TerminationStrategy,

@@ -105,8 +105,8 @@ pub struct EnvConfig {
 /// leaves `base` alone; any other value outside the variable's domain is a
 /// typed error:
 ///
-/// * `VADALOG_PARALLELISM` — worker count, a positive integer; it also sets
-///   the intra-filter shard bound, which defaults to the worker count;
+/// * `VADALOG_PARALLELISM` — worker count (also the intra-filter shard
+///   bound), a positive integer;
 /// * `VADALOG_CONE_CACHE_CAP`, `VADALOG_CONE_CACHE_BYTES` — cone-cache entry
 ///   cap and byte budget, non-negative integers (`0` = unbounded);
 /// * `VADALOG_COMPACT_LAYERS` — layer-compaction threshold, a non-negative
@@ -125,7 +125,6 @@ pub fn resolve_env(
     let mut options = base;
     if let Some(v) = var("VADALOG_PARALLELISM") {
         options.parallelism = env_count(v, 1)?;
-        options.intra_filter_parallelism = options.parallelism;
     }
     if let Some(v) = var("VADALOG_CONE_CACHE_CAP") {
         options.cone_cache_cap = env_count(v, 0)?;
@@ -1493,12 +1492,10 @@ mod tests {
         ]);
         let env = env.unwrap();
         assert_eq!(env.options.parallelism, 3);
-        assert_eq!(env.options.intra_filter_parallelism, 3);
         assert_eq!(env.options.cone_cache_cap, 0);
         assert_eq!(env.options.cone_cache_bytes, 4096);
-        // Blank = unset; retired variables are not read at all.
+        // Blank = unset; a retired variable (`VADALOG_IVM`) is ignored.
         assert_eq!(env.options.compact_layers, defaults.compact_layers);
-        assert!(env.options.incremental);
         assert_eq!(env.faults.len(), 1);
         assert_eq!(env.faults[0].point, "wal.fsync");
     }

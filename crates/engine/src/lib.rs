@@ -62,20 +62,20 @@
 //! test.
 //!
 //! **Determinism guarantee:** batch boundaries, the chunk layout (a
-//! function of the data and the intra-filter knob, never of the worker
-//! count), per-chunk match enumeration order and both merge orders are all
-//! functions of the plan and the data, never of worker scheduling — so a
-//! run is *bit-identical* at every parallelism level and every chunk size:
-//! same rows in the same `FactId` order, same labelled-null ids, same
-//! statistics (the one exception is the [`PipelineStats::steals`]
-//! scheduling diagnostic). The knobs are
-//! [`ReasonerOptions::parallelism`] for the worker pool (default
+//! function of the data, the worker count and the chunk override),
+//! per-chunk match enumeration order and both merge orders are all
+//! functions of the plan, the data and the options, never of worker
+//! scheduling — so a run is *bit-identical* at every parallelism level and
+//! every chunk size: same rows in the same `FactId` order, same
+//! labelled-null ids, same instance statistics (the layout diagnostics
+//! [`PipelineStats::intra_filter_chunks`] / `batch_width_hist` follow the
+//! worker count, and [`PipelineStats::steals`] follows scheduling). The
+//! knob is [`ReasonerOptions::parallelism`] (default
 //! [`pipeline::default_parallelism`], i.e.
-//! [`std::thread::available_parallelism`]) and
-//! [`ReasonerOptions::intra_filter_parallelism`] for the chunk bound
-//! (default the worker count; 1 = whole activations), handed to a pipeline
-//! with [`Pipeline::with_options`]. Parallelism 1 runs every join inline
-//! with zero threading overhead. [`ReasonerOptions`] is the only place the
+//! [`std::thread::available_parallelism`]): it sizes the worker pool and
+//! bounds the chunks per delta window (1 = whole activations, inline, with
+//! zero threading overhead), handed to a pipeline with
+//! [`Pipeline::with_options`]. [`ReasonerOptions`] is the only place the
 //! execution knobs live, and this crate reads no environment: the `vadalog`
 //! binary resolves its `VADALOG_*` variables into a `ReasonerOptions` at
 //! startup.

@@ -44,18 +44,19 @@
 //! aggregation, Skolem/null invention, termination-strategy admission and
 //! the [`DeltaBatch`] row merge).
 //!
-//! Because batch boundaries, the chunk layout (a function of the data and
-//! the intra-filter knob, never of the worker count), match enumeration
-//! order and the merge order are all independent of worker scheduling, a run
-//! is bit-identical — same rows, same `FactId`s, same labelled null ids,
-//! same deterministic statistics — at every parallelism level and every
-//! chunk size, including the fully sequential one; the workers only move
-//! the (dominant) read-only join work off the critical path. The only
-//! scheduling-dependent observable is the [`PipelineStats::steals`]
-//! diagnostic. Knobs: [`ReasonerOptions::parallelism`] for the worker pool
-//! and [`ReasonerOptions::intra_filter_parallelism`] for the chunk bound
-//! (both default to [`default_parallelism`]), with 1 disabling sharding
-//! (whole activations, the PR 3 granularity); a pipeline takes them through
+//! Because batch boundaries, the chunk layout (a function of the data, the
+//! worker count and the chunk override), match enumeration order and the
+//! merge order are all independent of worker scheduling, a run is
+//! bit-identical — same rows, same `FactId`s, same labelled null ids, same
+//! instance statistics — at every parallelism level and every chunk size,
+//! including the fully sequential one; the workers only move the (dominant)
+//! read-only join work off the critical path. Only the layout diagnostics
+//! ([`PipelineStats::intra_filter_chunks`],
+//! [`PipelineStats::batch_width_hist`]) follow the worker count, and only
+//! [`PipelineStats::steals`] follows scheduling. The knob is
+//! [`ReasonerOptions::parallelism`] (default [`default_parallelism`]): it
+//! sizes the worker pool and bounds the chunks per delta window, with 1
+//! running whole activations sequentially; a pipeline takes it through
 //! [`Pipeline::with_options`] and reads no environment.
 //!
 //! # Null-free runs skip the termination strategy
@@ -79,7 +80,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use vadalog_analysis::RuleKind;
-use vadalog_chase::chase::find_matches_with_chunks;
+use vadalog_chase::chase::{find_matches_shard, find_matches_with};
 use vadalog_chase::{Candidate, MatchBuffers, ParentRef, StrategyStats, TerminationStrategy};
 use vadalog_model::prelude::*;
 use vadalog_storage::{
@@ -408,10 +409,10 @@ pub struct PipelineStats {
     /// Labelled nulls invented.
     pub nulls_invented: u64,
     /// Join work items executed across all batches: delta-window chunks, or
-    /// whole activations when intra-filter sharding is off. With sharding
-    /// on, `intra_filter_chunks / productive_activations` measures the
-    /// intra-filter parallel slack. A function of the data and the chunk
-    /// knobs only — independent of the worker count.
+    /// whole activations at one worker. With more workers,
+    /// `intra_filter_chunks / productive_activations` measures the
+    /// intra-filter parallel slack. A function of the data, the worker count
+    /// (the shard bound) and the chunk override — repeatable run to run.
     pub intra_filter_chunks: u64,
     /// Chunks picked up by a worker other than the one that claimed their
     /// filter's first chunk (per filter and batch: distinct claiming
@@ -499,37 +500,6 @@ pub struct SuspendedPipeline {
     strategy: Box<dyn TerminationStrategy>,
     store: FactStore,
     nulls: NullFactory,
-    cursors: Vec<Vec<usize>>,
-    agg_states: Vec<AggregateState>,
-    skolems: HashMap<(Sym, Vec<Value>), Value>,
-    options: ReasonerOptions,
-    hashtrie_local: HashMap<(Sym, Box<[usize]>), Arc<HashTrie>>,
-    hashtrie_shared: Option<(Arc<HashTrieCache>, u64)>,
-    measured_cost: Vec<Option<f64>>,
-    awake: Vec<bool>,
-    null_free: bool,
-    dedup_stats: StrategyStats,
-    stats: PipelineStats,
-}
-
-impl SuspendedPipeline {
-    /// The suspended instance (read-only; resume the pipeline to mutate).
-    pub fn store(&self) -> &FactStore {
-        &self.store
-    }
-
-    /// Statistics accumulated across all runs of the suspended pipeline.
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-}
-
-/// A runnable pipeline over an [`AccessPlan`].
-pub struct Pipeline<'a> {
-    plan: &'a AccessPlan,
-    strategy: Box<dyn TerminationStrategy>,
-    store: FactStore,
-    nulls: NullFactory,
     /// cursors[filter][body_atom_position] = facts of that predicate already
     /// consumed by the filter at that position.
     cursors: Vec<Vec<usize>>,
@@ -575,57 +545,71 @@ pub struct Pipeline<'a> {
     stats: PipelineStats,
 }
 
+impl SuspendedPipeline {
+    /// The suspended instance (read-only; resume the pipeline to mutate).
+    pub fn store(&self) -> &FactStore {
+        &self.store
+    }
+
+    /// Statistics accumulated across all runs of the suspended pipeline.
+    pub fn stats(&self) -> PipelineStats {
+        self.stats
+    }
+}
+
+/// A runnable pipeline over an [`AccessPlan`]: the plan borrow plus the
+/// run state, which [`Pipeline::suspend`] and [`Pipeline::resume`] move out
+/// and back in whole.
+pub struct Pipeline<'a> {
+    plan: &'a AccessPlan,
+    state: SuspendedPipeline,
+}
+
 impl<'a> Pipeline<'a> {
     /// Build a pipeline over a plan with the given termination strategy,
     /// under [`ReasonerOptions::default`] with no sweep cap.
     pub fn new(plan: &'a AccessPlan, strategy: Box<dyn TerminationStrategy>) -> Self {
         let n = plan.filters.len();
         Pipeline {
-            cursors: plan
-                .filters
-                .iter()
-                .map(|f| vec![0; f.rule.body_atoms().len()])
-                .collect(),
-            agg_states: (0..n).map(|_| AggregateState::new()).collect(),
             plan,
-            strategy,
-            store: FactStore::new(),
-            nulls: NullFactory::new(),
-            skolems: HashMap::new(),
-            options: ReasonerOptions {
-                max_iterations: usize::MAX,
-                ..ReasonerOptions::default()
+            state: SuspendedPipeline {
+                strategy,
+                store: FactStore::new(),
+                nulls: NullFactory::new(),
+                cursors: plan
+                    .filters
+                    .iter()
+                    .map(|f| vec![0; f.rule.body_atoms().len()])
+                    .collect(),
+                agg_states: (0..n).map(|_| AggregateState::new()).collect(),
+                skolems: HashMap::new(),
+                options: ReasonerOptions {
+                    max_iterations: usize::MAX,
+                    ..ReasonerOptions::default()
+                },
+                hashtrie_local: HashMap::new(),
+                hashtrie_shared: None,
+                measured_cost: vec![None; n],
+                awake: vec![true; n],
+                null_free: !plan.invents_nulls,
+                dedup_stats: StrategyStats::default(),
+                stats: PipelineStats::default(),
             },
-            hashtrie_local: HashMap::new(),
-            hashtrie_shared: None,
-            measured_cost: vec![None; n],
-            awake: vec![true; n],
-            null_free: !plan.invents_nulls,
-            dedup_stats: StrategyStats::default(),
-            stats: PipelineStats::default(),
         }
     }
 
-    /// Run under `options`' execution knobs: worker count, intra-filter
-    /// shard bound, join strategy, chunk override and the sweep/fact caps
-    /// (worker count, shard bound and chunk override clamped to ≥ 1). The
-    /// final instance — rows, `FactId`s, labelled-null ids — is
-    /// bit-identical at every setting of the first four; only the
-    /// probe/seek counters reflect which access paths ran.
+    /// Run under `options`' execution knobs: worker count (also the shard
+    /// bound), join strategy, chunk override and the sweep/fact caps
+    /// (worker count and chunk override clamped to ≥ 1). The final
+    /// instance — rows, `FactId`s, labelled-null ids — is bit-identical at
+    /// every setting of the first three; only the probe/seek counters
+    /// reflect which access paths ran.
     pub fn with_options(mut self, options: &ReasonerOptions) -> Self {
-        self.options = ReasonerOptions {
+        self.state.options = ReasonerOptions {
             parallelism: options.parallelism.max(1),
-            intra_filter_parallelism: options.intra_filter_parallelism.max(1),
             chunk_min_rows: options.chunk_min_rows.map(|rows| rows.max(1)),
             ..*options
         };
-        self
-    }
-
-    /// Override the cost-derived minimum rows per chunk (a test knob: `1`
-    /// forces single-row chunks wherever the shard bound allows).
-    pub fn with_chunk_min_rows(mut self, rows: usize) -> Self {
-        self.options.chunk_min_rows = Some(rows.max(1));
         self
     }
 
@@ -637,7 +621,7 @@ impl<'a> Pipeline<'a> {
     /// session prunes stale generations with
     /// [`HashTrieCache::retain_stamp`].
     pub fn with_hashtrie_cache(mut self, cache: Arc<HashTrieCache>, stamp: u64) -> Self {
-        self.hashtrie_shared = Some((cache, stamp));
+        self.state.hashtrie_shared = Some((cache, stamp));
         self
     }
 
@@ -650,8 +634,8 @@ impl<'a> Pipeline<'a> {
     /// bit-identical with or without seeding (chunk layout never affects
     /// results, only scheduling granularity).
     pub fn with_warm_costs(mut self, costs: Vec<Option<f64>>) -> Self {
-        if costs.len() == self.measured_cost.len() {
-            self.measured_cost = costs;
+        if costs.len() == self.state.measured_cost.len() {
+            self.state.measured_cost = costs;
         }
         self
     }
@@ -662,12 +646,12 @@ impl<'a> Pipeline<'a> {
     /// persisting and re-seeding them keeps the chunk layout a pure function
     /// of the run history.
     pub fn measured_costs(&self) -> &[Option<f64>] {
-        &self.measured_cost
+        &self.state.measured_cost
     }
 
     /// Cap the number of round-robin sweeps.
     pub fn with_max_iterations(mut self, max: usize) -> Self {
-        self.options.max_iterations = max;
+        self.state.options.max_iterations = max;
         self
     }
 
@@ -689,17 +673,17 @@ impl<'a> Pipeline<'a> {
     pub fn load_facts<I: IntoIterator<Item = Fact>>(&mut self, facts: I) {
         let mut preds: BTreeSet<Sym> = BTreeSet::new();
         for f in facts {
-            if self.null_free && !f.is_ground() {
-                for fact in self.store.iter() {
-                    self.strategy.register_base(&fact);
+            if self.state.null_free && !f.is_ground() {
+                for fact in self.state.store.iter() {
+                    self.state.strategy.register_base(&fact);
                 }
-                self.null_free = false;
+                self.state.null_free = false;
             }
-            if !self.null_free {
-                self.strategy.register_base(&f);
+            if !self.state.null_free {
+                self.state.strategy.register_base(&f);
             }
             preds.insert(f.predicate);
-            self.store.insert(f);
+            self.state.store.insert(f);
         }
         self.wake_readers(&preds);
     }
@@ -711,8 +695,8 @@ impl<'a> Pipeline<'a> {
         let plan = self.plan;
         let mut woke = 0;
         for (g, filter) in plan.filters.iter().enumerate() {
-            if !self.awake[g] && filter.reads_any(preds) {
-                self.awake[g] = true;
+            if !self.state.awake[g] && filter.reads_any(preds) {
+                self.state.awake[g] = true;
                 woke += 1;
             }
         }
@@ -729,16 +713,16 @@ impl<'a> Pipeline<'a> {
     /// never calls the strategy, so an empty one will do. Facts loaded
     /// afterwards via [`Pipeline::load_facts`] go on top.
     pub fn with_store(mut self, store: FactStore) -> Self {
-        self.null_free = !self.plan.invents_nulls && !store.holds_nulls();
-        self.store = store;
+        self.state.null_free = !self.plan.invents_nulls && !store.holds_nulls();
+        self.state.store = store;
         self
     }
 
     /// Run the pipeline to its fixpoint; returns the violations of the
     /// plan's constraint/EGD checks.
     pub fn run(&mut self) -> Vec<String> {
-        self.stats.edb_rows_reused = self.store.base_rows() as u64;
-        self.stats.base_layers = self.store.max_layer_depth() as u64;
+        self.state.stats.edb_rows_reused = self.state.store.base_rows() as u64;
+        self.state.stats.base_layers = self.state.store.max_layer_depth() as u64;
         // Populate the Dom relation when the plan references it.
         let dom_sym = intern(vadalog_rewrite::DOM_PREDICATE);
         if self
@@ -752,13 +736,13 @@ impl<'a> Pipeline<'a> {
                 .iter()
                 .any(|(_, r)| r.body_predicates().contains(&dom_sym))
         {
-            let dom = ActiveDomain::from_facts(self.store.iter());
+            let dom = ActiveDomain::from_facts(self.state.store.iter());
             let mut grew = false;
             for f in dom.to_facts(vadalog_rewrite::DOM_PREDICATE) {
-                if !self.null_free {
-                    self.strategy.register_base(&f);
+                if !self.state.null_free {
+                    self.state.strategy.register_base(&f);
                 }
-                grew |= self.store.insert(f);
+                grew |= self.state.store.insert(f);
             }
             if grew {
                 // On a resumed run, new constants may extend Dom: its
@@ -769,12 +753,12 @@ impl<'a> Pipeline<'a> {
 
         let n_filters = self.plan.filters.len();
         loop {
-            if self.stats.iterations >= self.options.max_iterations
-                || self.store.len() >= self.options.max_facts
+            if self.state.stats.iterations >= self.state.options.max_iterations
+                || self.state.store.len() >= self.state.options.max_facts
             {
                 break;
             }
-            self.stats.iterations += 1;
+            self.state.stats.iterations += 1;
             let mut any = false;
             // Round-robin sweep: every filter gets one activation per sweep,
             // in a fixed order, which the paper found to balance the workload
@@ -791,18 +775,18 @@ impl<'a> Pipeline<'a> {
                 if jobs.is_empty() {
                     continue;
                 }
-                self.stats.sweep_batches += 1;
+                self.state.stats.sweep_batches += 1;
                 let (results, exec) = self.collect_batch(&jobs);
-                self.stats.intra_filter_chunks += exec.items as u64;
-                self.stats.steals += exec.steals;
-                self.stats.batch_width_hist[batch_width_bucket(exec.items)] += 1;
+                self.state.stats.intra_filter_chunks += exec.items as u64;
+                self.state.stats.steals += exec.steals;
+                self.state.stats.batch_width_hist[batch_width_bucket(exec.items)] += 1;
                 for (job, (matches, counters)) in jobs.iter().zip(results) {
-                    self.stats.join_probes += counters.join_probes;
-                    self.stats.index_probes += counters.index_probes;
-                    self.stats.range_probes += counters.range_probes;
-                    self.stats.scan_fallbacks += counters.scan_fallbacks;
-                    self.stats.wcoj_seeks += counters.wcoj_seeks;
-                    self.stats.wcoj_intersections += counters.wcoj_intersections;
+                    self.state.stats.join_probes += counters.join_probes;
+                    self.state.stats.index_probes += counters.index_probes;
+                    self.state.stats.range_probes += counters.range_probes;
+                    self.state.stats.scan_fallbacks += counters.scan_fallbacks;
+                    self.state.stats.wcoj_seeks += counters.wcoj_seeks;
+                    self.state.stats.wcoj_intersections += counters.wcoj_intersections;
                     // Shard-planner feedback: the activation's measured
                     // per-delta-row work replaces the static postings-width
                     // estimate the next time this filter is chunked. Built
@@ -815,19 +799,19 @@ impl<'a> Pipeline<'a> {
                             + counters.scan_fallbacks
                             + counters.wcoj_seeks
                             + counters.wcoj_intersections;
-                        self.measured_cost[job.f_idx] =
+                        self.state.measured_cost[job.f_idx] =
                             Some(work.max(1) as f64 / counters.delta_rows as f64);
                     }
                     if self.emit(job, matches) {
                         any = true;
-                        self.stats.productive_activations += 1;
+                        self.state.stats.productive_activations += 1;
                         // The filter wrote rows: wake the readers of its
                         // head predicates so their next prepare sees the
                         // delta even if they had gone quiescent.
                         let outputs = &self.plan.filters[job.f_idx].outputs;
-                        for g in 0..self.awake.len() {
-                            if !self.awake[g] && self.plan.filters[g].reads_any(outputs) {
-                                self.awake[g] = true;
+                        for g in 0..self.state.awake.len() {
+                            if !self.state.awake[g] && self.plan.filters[g].reads_any(outputs) {
+                                self.state.awake[g] = true;
                             }
                         }
                     }
@@ -838,27 +822,55 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        self.stats.nulls_invented = self.nulls.produced();
-        let strategy = self.strategy.stats();
-        self.stats.strategy = StrategyStats {
-            admitted: strategy.admitted + self.dedup_stats.admitted,
-            duplicates: strategy.duplicates + self.dedup_stats.duplicates,
+        self.state.stats.nulls_invented = self.state.nulls.produced();
+        let strategy = self.state.strategy.stats();
+        self.state.stats.strategy = StrategyStats {
+            admitted: strategy.admitted + self.state.dedup_stats.admitted,
+            duplicates: strategy.duplicates + self.state.dedup_stats.duplicates,
             ..strategy
         };
-        self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
+        self.state.stats.snapshot_overlay_rows = self.state.store.overlay_rows() as u64;
 
-        // Check constraints and EGDs on the final instance (probe buffers
-        // shared across all checks, chase-side sharding under this
-        // pipeline's own intra-filter bound).
+        // Check constraints and EGDs on the final instance. A check whose
+        // first positive atom holds enough rows is split into contiguous
+        // first-atom shards, one per worker, and the shard results are
+        // concatenated in order — the sequential enumeration exactly.
         let mut violations = Vec::new();
         let mut check_bufs = MatchBuffers::default();
+        let store = &self.state.store;
         for (_, rule) in &self.plan.checks {
-            let matches = find_matches_with_chunks(
-                rule,
-                &self.store,
-                self.options.intra_filter_parallelism,
-                &mut check_bufs,
+            // Cost per first-atom row: the second atom's length, the work
+            // of a scan (as the sweep estimates a scanning probe).
+            let rows = |i: usize| {
+                rule.body_atoms()
+                    .get(i)
+                    .and_then(|atom| store.relation(atom.predicate))
+                    .map_or(0, Relation::len)
+            };
+            let shards = plan_chunk_count(
+                rows(0),
+                rows(1) as f64,
+                self.state.options.parallelism,
+                self.state.options.chunk_min_rows,
             );
+            let matches = if shards <= 1 {
+                find_matches_with(rule, store, &mut check_bufs)
+            } else {
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = (0..shards)
+                        .map(|shard| {
+                            scope.spawn(move || {
+                                let mut bufs = MatchBuffers::default();
+                                find_matches_shard(rule, store, shard, shards, &mut bufs)
+                            })
+                        })
+                        .collect();
+                    workers
+                        .into_iter()
+                        .flat_map(|w| w.join().expect("a check shard panicked"))
+                        .collect()
+                })
+            };
             for m in matches {
                 match &rule.head {
                     RuleHead::Falsum => {
@@ -884,17 +896,17 @@ impl<'a> Pipeline<'a> {
 
     /// The final instance.
     pub fn store(&self) -> &FactStore {
-        &self.store
+        &self.state.store
     }
 
     /// Consume the pipeline, returning the final instance.
     pub fn into_store(self) -> FactStore {
-        self.store
+        self.state.store
     }
 
     /// Run statistics.
     pub fn stats(&self) -> PipelineStats {
-        self.stats
+        self.state.stats
     }
 
     /// Detach the run state from the plan borrow (see
@@ -902,22 +914,7 @@ impl<'a> Pipeline<'a> {
     /// plan later with [`Pipeline::resume`] and continue semi-naive exactly
     /// where it stopped.
     pub fn suspend(self) -> SuspendedPipeline {
-        SuspendedPipeline {
-            strategy: self.strategy,
-            store: self.store,
-            nulls: self.nulls,
-            cursors: self.cursors,
-            agg_states: self.agg_states,
-            skolems: self.skolems,
-            options: self.options,
-            hashtrie_local: self.hashtrie_local,
-            hashtrie_shared: self.hashtrie_shared,
-            measured_cost: self.measured_cost,
-            awake: self.awake,
-            null_free: self.null_free,
-            dedup_stats: self.dedup_stats,
-            stats: self.stats,
-        }
+        self.state
     }
 
     /// Re-attach suspended run state to `plan` — which must be the plan the
@@ -933,23 +930,7 @@ impl<'a> Pipeline<'a> {
             state.cursors.len(),
             "resumed against a different plan"
         );
-        Pipeline {
-            plan,
-            strategy: state.strategy,
-            store: state.store,
-            nulls: state.nulls,
-            cursors: state.cursors,
-            agg_states: state.agg_states,
-            skolems: state.skolems,
-            options: state.options,
-            hashtrie_local: state.hashtrie_local,
-            hashtrie_shared: state.hashtrie_shared,
-            measured_cost: state.measured_cost,
-            awake: state.awake,
-            null_free: state.null_free,
-            dedup_stats: state.dedup_stats,
-            stats: state.stats,
-        }
+        Pipeline { plan, state }
     }
 
     /// Final per-group aggregate values of a filter (used by the output
@@ -959,7 +940,7 @@ impl<'a> Pipeline<'a> {
         filter_idx: usize,
         func: AggFunc,
     ) -> BTreeMap<Vec<Value>, Value> {
-        self.agg_states[filter_idx].finals(func)
+        self.state.agg_states[filter_idx].finals(func)
     }
 
     /// Build one sweep batch starting at filter `start`: scan filters in
@@ -992,12 +973,12 @@ impl<'a> Pipeline<'a> {
     /// last activation) — at fixpoint approach most filters are quiescent in
     /// every sweep, and skip all per-activation work.
     fn prepare(&mut self, f_idx: usize) -> Option<FilterJob> {
-        if !self.awake[f_idx] {
+        if !self.state.awake[f_idx] {
             // No input grew since the filter last went quiescent: skip it
             // without even snapshotting its delta windows. Equivalent to
             // the cursor check below (asleep implies empty deltas), so the
             // activation set — and the final instance — is unchanged.
-            self.stats.asleep_skips += 1;
+            self.state.stats.asleep_skips += 1;
             return None;
         }
         let filter = &self.plan.filters[f_idx];
@@ -1012,19 +993,20 @@ impl<'a> Pipeline<'a> {
         let snapshot: Vec<usize> = body_atoms
             .iter()
             .map(|a| {
-                self.store
+                self.state
+                    .store
                     .relation(a.predicate)
                     .map(|r| r.len())
                     .unwrap_or(0)
             })
             .collect();
-        let deltas: Vec<(usize, usize)> = self.cursors[f_idx]
+        let deltas: Vec<(usize, usize)> = self.state.cursors[f_idx]
             .iter()
             .zip(snapshot.iter())
             .map(|(from, to)| (*from, *to))
             .collect();
         if deltas.iter().all(|(from, to)| from >= to) {
-            self.awake[f_idx] = false;
+            self.state.awake[f_idx] = false;
             return None;
         }
 
@@ -1119,7 +1101,8 @@ impl<'a> Pipeline<'a> {
         for steps in &delta_steps {
             for step in steps.iter().skip(1) {
                 if !step.index_cols.is_empty() {
-                    self.store
+                    self.state
+                        .store
                         .relation_mut(patterns[step.atom].predicate)
                         .ensure_index(&step.index_cols);
                 }
@@ -1138,12 +1121,16 @@ impl<'a> Pipeline<'a> {
                         .any(|other| other.variables().any(|w| w == *v)),
                 };
                 if worth_indexing {
-                    self.store.relation_mut(atom.predicate).ensure_index(&[col]);
+                    self.state
+                        .store
+                        .relation_mut(atom.predicate)
+                        .ensure_index(&[col]);
                     determined.push(col);
                 }
             }
             if determined.len() > 1 {
-                self.store
+                self.state
+                    .store
                     .relation_mut(atom.predicate)
                     .ensure_index(&determined);
             }
@@ -1157,14 +1144,14 @@ impl<'a> Pipeline<'a> {
         // sequential path, so the plan taken (and hence the enumeration) is
         // a pure function of the store and the knobs.
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
-        if self.options.join_strategy == JoinStrategy::FreeJoin {
+        if self.state.options.join_strategy == JoinStrategy::FreeJoin {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
                 if let Some(hp) = &dp.hybrid {
                     hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
                     if hp.has_ears() {
-                        self.stats.hybrid_activations += 1;
+                        self.state.stats.hybrid_activations += 1;
                     } else {
-                        self.stats.wcoj_activations += 1;
+                        self.state.stats.wcoj_activations += 1;
                     }
                 }
             }
@@ -1178,20 +1165,24 @@ impl<'a> Pipeline<'a> {
         // just flushed). Computed here, on the sequential path, so the
         // layout is a function of the data and the knobs only.
         let mut chunks = Vec::new();
-        if self.options.intra_filter_parallelism > 1 {
-            let measured = self.measured_cost[f_idx];
+        if self.state.options.parallelism > 1 {
+            let measured = self.state.measured_cost[f_idx];
             for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
                 if from >= to {
                     continue;
                 }
                 let width = measured.unwrap_or_else(|| {
-                    Self::probe_width_estimate(&self.store, &patterns, &delta_steps[delta_idx])
+                    Self::probe_width_estimate(
+                        &self.state.store,
+                        &patterns,
+                        &delta_steps[delta_idx],
+                    )
                 });
                 let k = plan_chunk_count(
                     to - from,
                     width,
-                    self.options.intra_filter_parallelism,
-                    self.options.chunk_min_rows,
+                    self.state.options.parallelism,
+                    self.state.options.chunk_min_rows,
                 );
                 for (a, b) in chunk_windows(from, to, k) {
                     chunks.push(Chunk {
@@ -1247,7 +1238,7 @@ impl<'a> Pipeline<'a> {
             for trie in &hp.tries {
                 for (u, col) in &trie.var_cols {
                     if u == v {
-                        let rel = self.store.relation_mut(patterns[trie.atom].predicate);
+                        let rel = self.state.store.relation_mut(patterns[trie.atom].predicate);
                         let stats = match rel.index_stats(&[*col]) {
                             Some(stats) => stats,
                             None => {
@@ -1369,34 +1360,38 @@ impl<'a> Pipeline<'a> {
     /// when a valid build exists, built (and published to both) otherwise.
     /// Runs on the sequential prepare path only.
     fn trie_backend(&mut self, predicate: Sym, cols: &[usize]) -> TrieBackend {
-        let rel = self.store.relation_mut(predicate);
+        let rel = self.state.store.relation_mut(predicate);
         if rel.has_index(cols) || rel.layer_depth() == 0 || rel.overlay_row_count() > 0 {
             rel.ensure_index(cols);
             return TrieBackend::Indexed;
         }
         let rows = rel.len();
-        if let Some((cache, stamp)) = &self.hashtrie_shared {
+        if let Some((cache, stamp)) = &self.state.hashtrie_shared {
             if let Some(ht) = cache.get(predicate, cols, *stamp) {
                 if ht.rows() == rows {
-                    self.stats.hashtrie_reuses += 1;
+                    self.state.stats.hashtrie_reuses += 1;
                     return TrieBackend::Hash(ht);
                 }
             }
         }
         let key = (predicate, cols.to_vec().into_boxed_slice());
-        if let Some(ht) = self.hashtrie_local.get(&key) {
+        if let Some(ht) = self.state.hashtrie_local.get(&key) {
             if ht.rows() == rows {
-                self.stats.hashtrie_reuses += 1;
+                self.state.stats.hashtrie_reuses += 1;
                 return TrieBackend::Hash(ht.clone());
             }
         }
-        let rel = self.store.relation(predicate).expect("relation exists");
+        let rel = self
+            .state
+            .store
+            .relation(predicate)
+            .expect("relation exists");
         let ht = Arc::new(HashTrie::build(rel, cols));
-        self.stats.hashtrie_builds += 1;
-        if let Some((cache, stamp)) = &self.hashtrie_shared {
+        self.state.stats.hashtrie_builds += 1;
+        if let Some((cache, stamp)) = &self.state.hashtrie_shared {
             cache.insert(predicate, cols, *stamp, ht.clone());
         }
-        self.hashtrie_local.insert(key, ht.clone());
+        self.state.hashtrie_local.insert(key, ht.clone());
         TrieBackend::Hash(ht)
     }
 
@@ -1418,7 +1413,7 @@ impl<'a> Pipeline<'a> {
         }
         let mut best: Option<(usize, RangeCandidate)> = None;
         for cand in candidates {
-            let rel = self.store.relation_mut(pattern.predicate);
+            let rel = self.state.store.relation_mut(pattern.predicate);
             // Build the stats index once per (relation, column); later
             // activations read the directories as-is — unflushed tail rows
             // count one key each, an upper bound that is close enough for a
@@ -1437,7 +1432,7 @@ impl<'a> Pipeline<'a> {
         }
         let chosen = best.map(|(_, c)| c);
         if chosen != candidates.first().copied() {
-            self.stats.adaptive_range_picks += 1;
+            self.state.stats.adaptive_range_picks += 1;
         }
         chosen
     }
@@ -1494,7 +1489,7 @@ impl<'a> Pipeline<'a> {
                 }
             })
             .collect();
-        let workers = self.options.parallelism.min(items.len());
+        let workers = self.state.options.parallelism.min(items.len());
         // Thread spawn costs ~tens of µs; a batch whose delta windows hold
         // only a handful of new rows joins faster inline. The cutover only
         // affects scheduling, never results.
@@ -1519,7 +1514,7 @@ impl<'a> Pipeline<'a> {
             for item in &items {
                 let (matches, counters) = &mut out[item.job];
                 Self::collect_item(
-                    &self.store,
+                    &self.state.store,
                     &jobs[item.job],
                     item.chunk,
                     &mut scratch,
@@ -1533,7 +1528,7 @@ impl<'a> Pipeline<'a> {
             };
             return (out, exec);
         }
-        let store = &self.store;
+        let store = &self.state.store;
         let next_item = AtomicUsize::new(0);
         // Per-item result slots: (matches, counters, claiming worker).
         type ItemResult = (Vec<Binding>, JoinCounters, usize);
@@ -1656,7 +1651,7 @@ impl<'a> Pipeline<'a> {
             ..
         } = job;
         for (pos, (_, to)) in deltas.iter().enumerate() {
-            self.cursors[f_idx][pos] = *to;
+            self.state.cursors[f_idx][pos] = *to;
         }
         if matches.is_empty() {
             return false;
@@ -1701,7 +1696,7 @@ impl<'a> Pipeline<'a> {
             // materialised, let alone the whole relation, and the probe
             // buffers are shared across all matches of the activation.
             for np in neg_patterns {
-                if let Some(rel) = self.store.relation(np.predicate) {
+                if let Some(rel) = self.state.store.relation(np.predicate) {
                     if np.any_match_with(rel, &mut binding, &mut neg_bufs) {
                         continue 'matches;
                     }
@@ -1733,7 +1728,7 @@ impl<'a> Pipeline<'a> {
                                     Ok(v) => v,
                                     Err(_) => continue 'matches,
                                 };
-                                match self.agg_states[f_idx].update(
+                                match self.state.agg_states[f_idx].update(
                                     agg.func,
                                     group,
                                     contributors,
@@ -1770,12 +1765,12 @@ impl<'a> Pipeline<'a> {
             // Parents for the termination wrapper, in row form (the body
             // patterns are fully bound after the join, so instantiation
             // cannot fail); a null-free run never asks for them.
-            let linear_row = if kind == RuleKind::Linear && !self.null_free {
+            let linear_row = if kind == RuleKind::Linear && !self.state.null_free {
                 patterns.first().and_then(|p| p.instantiate(&binding))
             } else {
                 None
             };
-            let ward_row = if kind == RuleKind::Warded && !self.null_free {
+            let ward_row = if kind == RuleKind::Warded && !self.state.null_free {
                 ward_index
                     .and_then(|w| patterns.get(w))
                     .and_then(|p| p.instantiate(&binding))
@@ -1792,7 +1787,7 @@ impl<'a> Pipeline<'a> {
             // Existential witnesses: fresh nulls, interned straight into the
             // binding (a null id hashes as two integers).
             for slot in &existential_slots {
-                binding[*slot] = Some(intern_value(&self.nulls.fresh_value()));
+                binding[*slot] = Some(intern_value(&self.state.nulls.fresh_value()));
             }
 
             // Head emission: rows instantiated from the binding. The
@@ -1803,32 +1798,36 @@ impl<'a> Pipeline<'a> {
                 let Some(row) = hp.instantiate(&binding) else {
                     continue;
                 };
-                if !self.null_free {
+                if !self.state.null_free {
                     let candidate = Candidate::from_row(hp.predicate, &row);
-                    let admitted =
-                        self.strategy
-                            .admit(&candidate, rule_id, kind, linear_parent, ward_parent);
+                    let admitted = self.state.strategy.admit(
+                        &candidate,
+                        rule_id,
+                        kind,
+                        linear_parent,
+                        ward_parent,
+                    );
                     drop(candidate);
                     if !admitted {
-                        self.stats.facts_suppressed += 1;
+                        self.state.stats.facts_suppressed += 1;
                         continue;
                     }
-                    self.stats.facts_derived += 1;
+                    self.state.stats.facts_derived += 1;
                     produced = true;
                 }
                 if buffer_rows {
                     delta.push(hp.predicate, row);
                 } else {
-                    let fresh = self.store.relation_mut(hp.predicate).insert_row(row);
-                    if self.null_free {
+                    let fresh = self.state.store.relation_mut(hp.predicate).insert_row(row);
+                    if self.state.null_free {
                         produced |= self.count_dedup(usize::from(fresh.is_some()), 1);
                     }
                 }
             }
         }
         let offered = delta.len();
-        let fresh = self.store.apply_delta(delta);
-        if self.null_free {
+        let fresh = self.state.store.apply_delta(delta);
+        if self.state.null_free {
             produced |= self.count_dedup(fresh, offered);
         }
         produced
@@ -1839,10 +1838,10 @@ impl<'a> Pipeline<'a> {
     /// emission or of stored facts). Returns whether any row was new.
     fn count_dedup(&mut self, fresh: usize, offered: usize) -> bool {
         let duplicates = offered - fresh;
-        self.stats.facts_derived += fresh;
-        self.stats.facts_suppressed += duplicates;
-        self.dedup_stats.admitted += fresh as u64;
-        self.dedup_stats.duplicates += duplicates as u64;
+        self.state.stats.facts_derived += fresh;
+        self.state.stats.facts_suppressed += duplicates;
+        self.state.dedup_stats.admitted += fresh as u64;
+        self.state.dedup_stats.duplicates += duplicates as u64;
         fresh > 0
     }
 
@@ -1854,11 +1853,11 @@ impl<'a> Pipeline<'a> {
                     values.push(self.eval_with_skolems(a, subst)?);
                 }
                 let key = (*name, values);
-                if let Some(v) = self.skolems.get(&key) {
+                if let Some(v) = self.state.skolems.get(&key) {
                     return Some(v.clone());
                 }
-                let null = self.nulls.fresh_value();
-                self.skolems.insert(key, null.clone());
+                let null = self.state.nulls.fresh_value();
+                self.state.skolems.insert(key, null.clone());
                 Some(null)
             }
             other => other.eval(subst).ok(),
@@ -2428,11 +2427,10 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
-        let run = |intra: usize, min_rows: Option<usize>, threads: usize| {
+        let run = |min_rows: Option<usize>, threads: usize| {
             let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
                 &ReasonerOptions {
                     parallelism: threads,
-                    intra_filter_parallelism: intra,
                     chunk_min_rows: min_rows,
                     ..ReasonerOptions::default()
                 },
@@ -2441,24 +2439,24 @@ mod tests {
             p.run();
             p
         };
-        let base = run(1, None, 1);
-        // With sharding off, every batch runs whole activations: one item
-        // per prepared job, all recorded in the width histogram.
+        let base = run(None, 1);
+        // At one worker every batch runs whole activations: one item per
+        // prepared job, all recorded in the width histogram.
         assert_eq!(
             base.stats().batch_width_hist.iter().sum::<u64>() as usize,
             base.stats().sweep_batches
         );
-        for (intra, min_rows, threads) in [(4, Some(1), 1), (4, Some(1), 4), (8, Some(3), 8)] {
-            let sharded = run(intra, min_rows, threads);
+        for (min_rows, threads) in [(Some(1), 2), (Some(1), 4), (Some(3), 8)] {
+            let sharded = run(min_rows, threads);
             for pred in ["Edge", "Reach"] {
                 // Exact Vec equality: same facts in the same FactId order.
                 assert_eq!(
                     base.store().facts_of(intern(pred)),
                     sharded.store().facts_of(intern(pred)),
-                    "instances diverge on {pred} (intra={intra}, threads={threads})"
+                    "instances diverge on {pred} (threads={threads})"
                 );
             }
-            // Every deterministic statistic is split-invariant.
+            // Every instance statistic is split-invariant.
             assert_eq!(base.stats().facts_derived, sharded.stats().facts_derived);
             assert_eq!(base.stats().join_probes, sharded.stats().join_probes);
             assert_eq!(base.stats().index_probes, sharded.stats().index_probes);
@@ -2471,10 +2469,10 @@ mod tests {
                 base.stats().intra_filter_chunks
             );
         }
-        // The chunk layout is thread-count independent: identical knobs give
-        // identical chunk counts (and histograms) at 1 and 8 workers.
-        let a = run(4, Some(1), 1);
-        let b = run(4, Some(1), 8);
+        // The chunk layout is repeatable: identical options give identical
+        // chunk counts (and histograms) run after run.
+        let a = run(Some(1), 4);
+        let b = run(Some(1), 4);
         assert_eq!(a.stats().intra_filter_chunks, b.stats().intra_filter_chunks);
         assert_eq!(a.stats().batch_width_hist, b.stats().batch_width_hist);
     }
@@ -2504,34 +2502,34 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
-        let run = |strategy: JoinStrategy, threads: usize, intra: usize| {
-            let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new()))
-                .with_options(&ReasonerOptions {
+        let run = |strategy: JoinStrategy, threads: usize| {
+            let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
+                &ReasonerOptions {
                     join_strategy: strategy,
                     parallelism: threads,
-                    intra_filter_parallelism: intra,
+                    chunk_min_rows: Some(1),
                     ..ReasonerOptions::default()
-                })
-                .with_chunk_min_rows(1);
+                },
+            );
             p.load_facts(program.facts.clone());
             p.run();
             p
         };
-        let binary = run(JoinStrategy::Binary, 1, 1);
+        let binary = run(JoinStrategy::Binary, 1);
         assert_eq!(binary.stats().wcoj_activations, 0);
         assert_eq!(binary.stats().wcoj_intersections, 0);
         assert!(
             !binary.store().facts_of(intern("Triangle")).is_empty(),
             "the generated graph must contain triangles"
         );
-        for (threads, intra) in [(1, 1), (4, 4), (8, 2)] {
-            let wcoj = run(JoinStrategy::FreeJoin, threads, intra);
+        for threads in [1, 4, 8] {
+            let wcoj = run(JoinStrategy::FreeJoin, threads);
             for pred in ["Raw", "Edge", "Triangle", "Lt"] {
                 // Exact Vec equality: same rows in the same FactId order.
                 assert_eq!(
                     binary.store().facts_of(intern(pred)),
                     wcoj.store().facts_of(intern(pred)),
-                    "instances diverge on {pred} (threads={threads}, intra={intra})"
+                    "instances diverge on {pred} (threads={threads})"
                 );
             }
             assert_eq!(binary.stats().facts_derived, wcoj.stats().facts_derived);
@@ -2547,16 +2545,17 @@ mod tests {
             );
             assert!(wcoj.stats().wcoj_intersections > 0);
         }
-        // The intersect stage is itself bit-identical across thread counts at a
-        // fixed chunk layout, deterministic counters included.
-        let a = run(JoinStrategy::FreeJoin, 1, 4);
-        let b = run(JoinStrategy::FreeJoin, 8, 4);
+        // The intersect stage's work counters are identical across thread
+        // counts, and its chunk layout repeats at a fixed thread count.
+        let a = run(JoinStrategy::FreeJoin, 1);
+        let b = run(JoinStrategy::FreeJoin, 8);
+        let c = run(JoinStrategy::FreeJoin, 8);
         assert_eq!(a.stats().join_probes, b.stats().join_probes);
         assert_eq!(a.stats().wcoj_seeks, b.stats().wcoj_seeks);
         assert_eq!(a.stats().wcoj_intersections, b.stats().wcoj_intersections);
         assert_eq!(a.stats().wcoj_activations, b.stats().wcoj_activations);
-        assert_eq!(a.stats().intra_filter_chunks, b.stats().intra_filter_chunks);
-        assert_eq!(a.stats().batch_width_hist, b.stats().batch_width_hist);
+        assert_eq!(b.stats().intra_filter_chunks, c.stats().intra_filter_chunks);
+        assert_eq!(b.stats().batch_width_hist, c.stats().batch_width_hist);
     }
 
     #[test]

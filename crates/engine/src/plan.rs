@@ -285,13 +285,14 @@ const CHUNK_MIN_ROWS_CEIL: usize = 1024;
 /// `mean_width` is the cost estimate per delta row — the mean postings-group
 /// width of the activation's planned probe (from the run directory), or the
 /// probed relation's length when the join would scan. `max_chunks` is the
-/// [`intra-filter parallelism`](crate::ReasonerOptions::intra_filter_parallelism)
-/// knob (1 disables sharding); `min_rows` overrides the cost-derived minimum
-/// chunk size (tests use it to force tiny chunks).
+/// worker count ([`crate::ReasonerOptions::parallelism`]; 1 disables
+/// sharding); `min_rows` overrides the cost-derived minimum chunk size
+/// (tests use it to force tiny chunks).
 ///
-/// The count is a pure function of the window and the (deterministic) cost
-/// estimate — never of the worker count — so the chunk layout, and with it
-/// every merged buffer and statistic, is identical at every thread count.
+/// The count is a pure function of the window, the (deterministic) cost
+/// estimate and the bound — never of scheduling — and chunks are
+/// re-concatenated in order, so every merged buffer and instance statistic
+/// is identical at every thread count.
 pub fn plan_chunk_count(
     delta_len: usize,
     mean_width: f64,
@@ -310,11 +311,23 @@ pub fn plan_chunk_count(
     (delta_len / min_rows).clamp(1, max_chunks)
 }
 
-// The window-split half of the shard planner lives in `vadalog-storage`
-// (next to the chunk scratch types) because the chase's sharded
-// `find_matches` uses the identical split — one implementation keeps the
-// engine-vs-chase bit-identity contract in one place.
-pub use vadalog_storage::chunk_windows;
+/// Split the window `[from, to)` into `chunks` contiguous, near-equal-length
+/// windows, earlier windows absorbing the remainder. Concatenating the
+/// windows in order reproduces `[from, to)` exactly — the property that
+/// makes a chunked join's merge bit-identical to the sequential scan.
+pub fn chunk_windows(from: usize, to: usize, chunks: usize) -> Vec<(usize, usize)> {
+    let len = to.saturating_sub(from);
+    let k = chunks.clamp(1, len.max(1));
+    let (base, rem) = (len / k, len % k);
+    let mut out = Vec::with_capacity(k);
+    let mut start = from;
+    for i in 0..k {
+        let size = base + usize::from(i < rem);
+        out.push((start, start + size));
+        start += size;
+    }
+    out
+}
 
 /// One filter of the reasoning access plan (a node of the pipeline).
 #[derive(Clone, Debug)]

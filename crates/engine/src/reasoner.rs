@@ -42,22 +42,21 @@ pub struct ReasonerOptions {
     /// Apply the logic optimizer + harmful-join elimination before compiling.
     pub apply_rewriting: bool,
     /// Worker threads for the parallel filter sweep (1 = fully sequential).
-    /// The final instance is bit-identical at every setting — parallelism
-    /// only accelerates the read-only join phase of each sweep batch.
-    /// Default [`crate::pipeline::default_parallelism`].
+    /// Parallelism only accelerates the read-only join phase of each sweep
+    /// batch. Default [`crate::pipeline::default_parallelism`].
+    ///
+    /// The worker count is also the intra-filter shard bound: with more
+    /// than one worker, one filter's delta window is split into at most
+    /// this many contiguous chunks per activation, so a batch dominated by
+    /// a single join-heavy filter still loads every worker. The final
+    /// instance — and every statistic except the chunk-layout diagnostics
+    /// and the scheduling diagnostic [`crate::PipelineStats::steals`] — is
+    /// bit-identical at every setting.
     pub parallelism: usize,
-    /// Intra-filter shard bound: the maximum number of contiguous chunks
-    /// one filter's delta window is split into per activation, so a batch
-    /// dominated by a single join-heavy filter still loads every worker
-    /// (1 = whole activations, sharding off). The final instance — and
-    /// every statistic except the scheduling diagnostic
-    /// [`crate::PipelineStats::steals`] — is bit-identical at every
-    /// setting. Default: the worker count.
-    pub intra_filter_parallelism: usize,
     /// Override for the cost-derived minimum rows per intra-filter chunk
     /// (`None`, the default, derives it from the planned probe's mean
     /// postings width). A test knob: `Some(1)` forces single-row chunks
-    /// wherever the shard bound allows; see [`Pipeline::with_chunk_min_rows`].
+    /// wherever the shard bound allows.
     pub chunk_min_rows: Option<usize>,
     /// How rule bodies with a cyclic core (joins whose hypergraph fails the
     /// GYO acyclicity test) are executed: the free-join plan that leapfrogs
@@ -76,16 +75,6 @@ pub struct ReasonerOptions {
     /// Drop facts containing labelled nulls from the outputs (certain-answer
     /// post-processing, the paper's `@post` directive).
     pub certain_answers_only: bool,
-    /// For aggregate-defined outputs, keep only the final aggregate value of
-    /// each group.
-    pub final_aggregates_only: bool,
-    /// Maintain a session's live materialised instance incrementally across
-    /// `append_facts` calls (default on). Off = drop the live instance on
-    /// every append so the next materialisation recomputes the fixpoint
-    /// from scratch over the layered base — the reference `prop_append`
-    /// checks the incremental path against. The facts of the final instance
-    /// are identical either way.
-    pub incremental: bool,
     /// Share magic-cone derivations across the queries of a session (and
     /// across every session forked from it): subsumption-checked
     /// `(predicate, pattern)` → answers entries kept valid by the base
@@ -113,20 +102,16 @@ pub struct ReasonerOptions {
 
 impl Default for ReasonerOptions {
     fn default() -> Self {
-        let parallelism = crate::pipeline::default_parallelism();
         ReasonerOptions {
             termination: TerminationKind::Warded,
             apply_rewriting: true,
-            parallelism,
-            intra_filter_parallelism: parallelism,
+            parallelism: crate::pipeline::default_parallelism(),
             chunk_min_rows: None,
             join_strategy: crate::pipeline::JoinStrategy::default(),
             max_iterations: 100_000,
             max_facts: 20_000_000,
             require_warded: false,
             certain_answers_only: false,
-            final_aggregates_only: true,
-            incremental: true,
             cone_cache: true,
             cone_cache_cap: 1024,
             cone_cache_bytes: 64 * 1024 * 1024,
@@ -435,10 +420,8 @@ pub(crate) fn collect_outputs(
     let mut outputs = BTreeMap::new();
     for sink in &plan.sinks {
         let mut facts = store.facts_of(*sink);
-        if options.final_aggregates_only {
-            if let Some((group_positions, agg_position, increasing)) = aggregate_outputs.get(sink) {
-                facts = keep_final_per_group(facts, group_positions, *agg_position, *increasing);
-            }
+        if let Some((group_positions, agg_position, increasing)) = aggregate_outputs.get(sink) {
+            facts = keep_final_per_group(facts, group_positions, *agg_position, *increasing);
         }
         if options.certain_answers_only
             || compiled.annotations.iter().any(|a| {

@@ -528,9 +528,8 @@ pub struct QuerySession {
     rules_only: Arc<Program>,
     /// The live materialised instance: the fallback pipeline's complete run
     /// state, suspended between [`QuerySession::materialise`] calls.
-    /// [`QuerySession::append_facts`] advances it incrementally (when
-    /// [`ReasonerOptions::incremental`] is on) by resuming it, loading the
-    /// appended facts and re-running — only the filters the appended
+    /// [`QuerySession::append_facts`] advances it incrementally by resuming
+    /// it, loading the appended facts and re-running — only the filters the appended
     /// predicates reach wake up, and aggregates fold just the new
     /// contributions. Per fork (the one piece of state that is): a fork's
     /// live instance goes stale when a *sibling* appends, which the
@@ -554,7 +553,7 @@ pub struct AppendReport {
     pub base_layers: usize,
     /// Filters of the live materialised instance woken because their
     /// inputs intersect the appended predicates (0 when no live instance
-    /// exists or incremental maintenance is off).
+    /// exists).
     pub reactivated_filters: usize,
     /// Facts the live instance derived while folding in the delta.
     pub derived: usize,
@@ -925,13 +924,11 @@ impl QuerySession {
     /// revalidated at the new stamp.
     ///
     /// When a live materialised instance exists (see
-    /// [`QuerySession::materialise`]) and [`ReasonerOptions::incremental`]
-    /// is on, the instance is advanced **incrementally**: the appended
-    /// facts are loaded as deltas, only the filters whose inputs intersect
-    /// the appended predicates re-activate, and aggregate states fold the
-    /// new contributions instead of re-grouping. With incremental
-    /// maintenance off the live instance is dropped and the next
-    /// materialisation recomputes from scratch (the ablation baseline).
+    /// [`QuerySession::materialise`]), the instance is advanced
+    /// **incrementally**: the appended facts are loaded as deltas, only the
+    /// filters whose inputs intersect the appended predicates re-activate,
+    /// and aggregate states fold the new contributions instead of
+    /// re-grouping.
     ///
     /// Returns [`ReasonerError::NonGroundAppend`] when a fact contains a
     /// labelled null or other non-ground value — appends extend the EDB
@@ -1007,20 +1004,16 @@ impl QuerySession {
                 report.compacted_relations = core.base.compact(core.options.compact_layers);
                 core.compactions += report.compacted_relations;
             }
-            if self.options.incremental {
-                if self.live.is_some() && self.live_stamp == stamp_before {
-                    let (reactivated, derived) = Self::advance_live(core, &mut self.live, &facts);
-                    report.reactivated_filters = reactivated;
-                    report.derived = derived;
-                    self.live_stamp = new_stamp;
-                } else {
-                    // A sibling fork appended since this fork's instance
-                    // was materialised: the resume would miss that delta,
-                    // so rebuild from the layered base on next use.
-                    self.live = None;
-                }
+            if self.live.is_some() && self.live_stamp == stamp_before {
+                let (reactivated, derived) = Self::advance_live(core, &mut self.live, &facts);
+                report.reactivated_filters = reactivated;
+                report.derived = derived;
+                self.live_stamp = new_stamp;
             } else {
-                // Ablation: invalidate instead of maintaining.
+                // No live instance yet, or a sibling fork appended since
+                // this fork's instance was materialised: the resume would
+                // miss that delta, so rebuild from the layered base on
+                // next use.
                 self.live = None;
             }
         }
@@ -1064,8 +1057,7 @@ impl QuerySession {
     /// kept **live** across [`QuerySession::append_facts`] calls. The first
     /// call compiles the fallback plan and runs from the layered base;
     /// subsequent calls resume the suspended pipeline and are no-op sweeps
-    /// unless appends arrived in between (or incremental maintenance is
-    /// off, in which case each call after an append rebuilds from scratch).
+    /// unless appends arrived in between.
     pub fn materialise(&mut self) -> Result<MaterialiseReport, ReasonerError> {
         // As in `append_facts`: lock through a clone of the Arc so `self.live`
         // stays mutably borrowable while the core is locked.
@@ -1878,44 +1870,6 @@ mod tests {
             "wake-list must have skipped filters"
         );
         assert!(session.delta_reactivations() > 0);
-    }
-
-    /// With incremental maintenance off (the ablation), appends drop the
-    /// live instance and materialisation rebuilds — same facts, more work.
-    #[test]
-    fn ablation_rebuild_produces_the_same_instance() {
-        let program = chain_program(6);
-        let edge = |a: &str, b: &str| Fact::new("Edge", vec![Value::str(a), Value::str(b)]);
-
-        let mut incremental = Reasoner::new().session(&program).unwrap();
-        incremental.materialise().unwrap();
-        let mut rebuild = Reasoner::with_options(ReasonerOptions {
-            incremental: false,
-            ..Default::default()
-        })
-        .session(&program)
-        .unwrap();
-        rebuild.materialise().unwrap();
-
-        for (a, b) in [("n6", "n7"), ("n7", "n8")] {
-            incremental.append_facts([edge(a, b)]).unwrap();
-            let report = rebuild.append_facts([edge(a, b)]).unwrap();
-            assert_eq!(
-                report.reactivated_filters, 0,
-                "ablation must not maintain the live instance"
-            );
-        }
-        let canon = |m: BTreeMap<Sym, Vec<Fact>>| -> BTreeMap<Sym, Vec<Fact>> {
-            m.into_iter()
-                .map(|(p, mut fs)| {
-                    fs.sort();
-                    (p, fs)
-                })
-                .collect()
-        };
-        let a = canon(incremental.outputs().unwrap());
-        let b = canon(rebuild.outputs().unwrap());
-        assert_eq!(a, b, "ablation and incremental instances diverge");
     }
 
     #[test]

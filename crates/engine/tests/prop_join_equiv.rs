@@ -336,18 +336,18 @@ proptest! {
     /// Intra-filter delta-window sharding is bit-identical to
     /// whole-activation joins: same facts in the same `FactId` (insertion)
     /// order, same labelled-null ids, same deterministic statistics — across
-    /// worker counts 1/2/8, forced chunk sizes 1 and 3, and the whole-delta
-    /// (sharding-off) baseline. Only the chunk-count accounting itself and
-    /// the `steals` scheduling diagnostic may differ between chunk layouts.
+    /// worker counts 2/8 (the shard bound), forced chunk sizes 1 and 3 and
+    /// the cost-derived size, against the sequential (sharding-off)
+    /// baseline. Only the chunk-count accounting itself and the `steals`
+    /// scheduling diagnostic may differ between chunk layouts.
     #[test]
     fn intra_filter_sharding_is_bit_identical(p in guarded_program()) {
         use vadalog_engine::{AccessPlan, Pipeline, ReasonerOptions};
         let plan = AccessPlan::compile(&p);
-        let run = |intra: usize, min_rows: Option<usize>, threads: usize| {
+        let run = |min_rows: Option<usize>, threads: usize| {
             let mut pipe = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
                 &ReasonerOptions {
                     parallelism: threads,
-                    intra_filter_parallelism: intra,
                     chunk_min_rows: min_rows,
                     ..ReasonerOptions::default()
                 },
@@ -357,21 +357,21 @@ proptest! {
             pipe
         };
         // Sharding off, fully sequential: the reference enumeration.
-        let base = run(1, None, 1);
-        for &threads in &[1usize, 2, 8] {
-            for &(intra, min_rows) in &[
-                (1usize, None),      // whole-delta activations
-                (8, Some(1)),        // single-row chunks
-                (8, Some(3)),        // three-row chunks
+        let base = run(None, 1);
+        for &threads in &[2usize, 8] {
+            for &min_rows in &[
+                None,    // cost-derived chunk size
+                Some(1), // single-row chunks
+                Some(3), // three-row chunks
             ] {
-                let r = run(intra, min_rows, threads);
+                let r = run(min_rows, threads);
                 for pred in ["Own", "Control", "Mutual", "Sponsor"] {
                     // Exact Vec equality: facts, FactId order and null ids.
                     prop_assert_eq!(
                         base.store().facts_of(vadalog_model::intern(pred)),
                         r.store().facts_of(vadalog_model::intern(pred)),
-                        "instances diverge on {} (intra={}, min_rows={:?}, threads={})",
-                        pred, intra, min_rows, threads
+                        "instances diverge on {} (min_rows={:?}, threads={})",
+                        pred, min_rows, threads
                     );
                 }
                 let (a, b) = (base.stats(), r.stats());
@@ -385,12 +385,12 @@ proptest! {
                 prop_assert_eq!(a.iterations, b.iterations);
             }
         }
-        // The chunk layout itself is worker-independent: identical knobs at
-        // different thread counts produce identical work-item counts.
-        let one = run(8, Some(1), 1);
-        let eight = run(8, Some(1), 8);
-        prop_assert_eq!(one.stats().intra_filter_chunks, eight.stats().intra_filter_chunks);
-        prop_assert_eq!(one.stats().batch_width_hist, eight.stats().batch_width_hist);
+        // The chunk layout itself repeats: identical options produce
+        // identical work-item counts run after run.
+        let a = run(Some(1), 8);
+        let b = run(Some(1), 8);
+        prop_assert_eq!(a.stats().intra_filter_chunks, b.stats().intra_filter_chunks);
+        prop_assert_eq!(a.stats().batch_width_hist, b.stats().batch_width_hist);
     }
 
     /// The ID-based `find_matches` enumerates exactly the substitutions the

@@ -117,7 +117,6 @@ proptest! {
                 queue_cap: 1024,
                 options: ReasonerOptions {
                     parallelism,
-                    intra_filter_parallelism: parallelism,
                     ..ReasonerOptions::default()
                 },
                 ..ServerConfig::default()

@@ -158,8 +158,7 @@ pub use csv::{read_csv_facts, write_csv_facts, CsvError};
 pub use domain::ActiveDomain;
 pub use hashtrie::{HashTrie, HashTrieCache};
 pub use pattern::{
-    chunk_windows, materialise, number_variables, undo_to, JoinScratch, ProbeBuffers, RowPattern,
-    Slot,
+    materialise, number_variables, undo_to, JoinScratch, ProbeBuffers, RowPattern, Slot,
 };
 pub use store::{
     DeltaBatch, FactId, FactStore, IndexStats, OpenSpans, Probe, RangeFilter, Relation, StoreBase,

@@ -151,26 +151,6 @@ impl JoinScratch {
     }
 }
 
-/// Split the window `[from, to)` into `chunks` contiguous, near-equal-length
-/// windows, earlier windows absorbing the remainder. Concatenating the
-/// windows in order reproduces `[from, to)` exactly — the property that
-/// makes a chunked join's merge bit-identical to the sequential scan. Shared
-/// by the engine's intra-filter shard planner and the chase's sharded
-/// `find_matches`, so both sides split identically.
-pub fn chunk_windows(from: usize, to: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let len = to.saturating_sub(from);
-    let k = chunks.clamp(1, len.max(1));
-    let (base, rem) = (len / k, len % k);
-    let mut out = Vec::with_capacity(k);
-    let mut start = from;
-    for i in 0..k {
-        let size = base + usize::from(i < rem);
-        out.push((start, start + size));
-        start += size;
-    }
-    out
-}
-
 /// Assign a dense slot number to every distinct variable of `atoms`
 /// (first-occurrence order), shared by all patterns of one rule.
 pub fn number_variables(atoms: &[&Atom]) -> HashMap<Var, usize> {

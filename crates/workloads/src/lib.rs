@@ -17,7 +17,7 @@
 //! | Range-guarded control (`w > θ` pushdown vs post-filter) | [`range`] |
 //! | Triangle / 4-clique cyclic joins (WCOJ vs binary-join ablation) | [`graph`] |
 //! | Repeated bound queries over a large EDB (query sessions / magic sets) | [`query`] |
-//! | Streaming appends over a growing EDB (incremental maintenance ablation) | [`stream`] |
+//! | Streaming appends over a growing EDB (incremental maintenance) | [`stream`] |
 //! | Repeated overlapping server queries (shared cone-cache ablation) | [`serve`] |
 //! | Durable appends + cold WAL replay (crash-recovery workload) | [`recover`] |
 //!

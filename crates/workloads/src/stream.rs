@@ -10,16 +10,13 @@
 //!
 //! Extending the chain *at the end* is the sharply separating shape: every
 //! appended edge `n_k → n_{k+1}` derives the `k` new `Reach(n_i, n_{k+1})`
-//! suffix facts and nothing else, so
-//!
-//! * the **incremental** session re-derives `O(chain length)` facts per
-//!   batch — the wake-list re-activates only the `Edge`/`Reach` readers and
-//!   the persistent cursors skip everything already at fixpoint — while
-//! * the **rebuild** ablation (`ReasonerOptions::incremental = false`)
-//!   pays the full `O(chain length²)` closure again on every batch.
-//!
-//! With `b` batches the rebuild does `Θ(b)`× the incremental join work, so
-//! the separation grows with the schedule length.
+//! suffix facts and nothing else, so a session's live instance re-derives
+//! `O(chain length)` facts per batch — the wake-list re-activates only the
+//! `Edge`/`Reach` readers and the persistent cursors skip everything
+//! already at fixpoint — where a fresh session over the union EDB (the
+//! reference its outputs are checked against) pays the full
+//! `O(chain length²)` closure. [`expected_reach_facts`] gives the size of
+//! that closure after the whole schedule.
 
 use vadalog_model::prelude::*;
 

@@ -8,7 +8,9 @@
 //! environment involved.
 //!
 //! An axis is a row of [`AXES`]: deleting an option field deletes its row
-//! and the matrix shrinks with it.
+//! and the matrix shrinks with it. Two axes remain, four configurations:
+//! `parallelism` (the worker count, which is also the intra-filter shard
+//! bound, so 4 shards delta windows and 1 does not) and `join_strategy`.
 
 use vadalog::engine::JoinStrategy;
 use vadalog::ReasonerOptions;
@@ -24,24 +26,10 @@ const AXES: &[(&str, &[(&str, Setter)])] = &[
         &[("1", |o| o.parallelism = 1), ("4", |o| o.parallelism = 4)],
     ),
     (
-        "intra_filter",
-        &[
-            ("1", |o| o.intra_filter_parallelism = 1),
-            ("4", |o| o.intra_filter_parallelism = 4),
-        ],
-    ),
-    (
         "join_strategy",
         &[
             ("FreeJoin", |o| o.join_strategy = JoinStrategy::FreeJoin),
             ("Binary", |o| o.join_strategy = JoinStrategy::Binary),
-        ],
-    ),
-    (
-        "incremental",
-        &[
-            ("on", |o| o.incremental = true),
-            ("off", |o| o.incremental = false),
         ],
     ),
 ];
@@ -82,7 +70,7 @@ fn assert_identical_across_matrix(command: &str, path: &str, rest: &[&str]) -> S
     let mut args = vec![command.to_owned(), path.to_owned()];
     args.extend(rest.iter().map(|a| a.to_string()));
     let configs = configurations();
-    assert_eq!(configs.len(), 16);
+    assert_eq!(configs.len(), 4);
     let mut outputs = configs.iter().map(|(label, options)| {
         let out = run_cli_with(&args, *options)
             .unwrap_or_else(|e| panic!("`{command}` failed under {label}: {e}"));
@@ -242,8 +230,8 @@ fn null_free_programs_are_identical_across_the_matrix() {
 #[test]
 fn append_schedule_is_identical_across_the_matrix() {
     // Queries interleaved with appends that promote overlay layers into
-    // the session base: layered probes, the wake-list scheduler and (with
-    // `incremental` off) the full rebuild must be invisible in the output.
+    // the session base: layered probes and the wake-list scheduler must be
+    // invisible in the output.
     let mut lines = reach_rules();
     lines.extend((0..30).map(|i| format!("Edge(\"n{i}\", \"n{}\").", i + 1)));
     let path = program_file("append", &lines);

@@ -105,6 +105,47 @@ fn egds_hold_when_the_equated_values_coincide() {
     assert!(result.violations.is_empty());
 }
 
+#[test]
+fn violation_lists_are_identical_across_worker_counts() {
+    // A constraint over 210 `Own` rows and an EGD over 150 `Incorp` rows.
+    // At four workers with 16-row chunks, both checks split their first
+    // atom into four shards; they must report the same violations in the
+    // same order as the one-worker run.
+    let mut src = String::from(
+        "Own(x, x, w) -> false.\n\
+         Incorp(y, z), Own(x1, y, w1), Own(x2, z, w2) -> x1 = x2.\n\
+         Own(x, y, w), w > 0.5 -> Control(x, y).\n\
+         @output(\"Control\").\n",
+    );
+    // Companies c2k and c2k+1 share the owner ok, so only the odd
+    // incorporations (c2k+1 into c2k+2) break the EGD: 75 of them.
+    for j in 0..200 {
+        src.push_str(&format!("Own(\"o{}\", \"c{j}\", 0.6).\n", j / 2));
+    }
+    for i in 0..150 {
+        src.push_str(&format!("Incorp(\"c{i}\", \"c{}\").\n", i + 1));
+    }
+    // Ten self-owned companies break the constraint.
+    for k in 0..10 {
+        src.push_str(&format!("Own(\"s{k}\", \"s{k}\", 0.2).\n"));
+    }
+    let violations = |parallelism: usize| {
+        Reasoner::with_options(ReasonerOptions {
+            parallelism,
+            chunk_min_rows: Some(16),
+            ..ReasonerOptions::default()
+        })
+        .reason_text(&src)
+        .unwrap()
+        .violations
+    };
+    let sequential = violations(1);
+    let count = |prefix: &str| sequential.iter().filter(|v| v.starts_with(prefix)).count();
+    assert_eq!(count("constraint violated:"), 10, "{sequential:#?}");
+    assert_eq!(count("egd violated:"), 75, "{sequential:#?}");
+    assert_eq!(sequential, violations(4));
+}
+
 // ------------------------------------------------------------------ Dom(*)
 
 #[test]
