@@ -99,8 +99,9 @@ pub fn run_chase(
 
     // Load the extensional database.
     for f in &program.facts {
-        store.insert(f.clone());
-        strategy.register_base(f);
+        let row = f.intern_args();
+        strategy.register_base(f.predicate, &row);
+        store.insert_row(f.predicate, row, f.is_ground());
     }
     // Populate the active-domain predicate if the program refers to it.
     let dom_sym = intern(vadalog_rewrite_dom_name());
@@ -111,8 +112,9 @@ pub fn run_chase(
     {
         let dom = ActiveDomain::from_facts(program.facts.iter());
         for f in dom.to_facts(&dom_sym.as_str()) {
-            store.insert(f.clone());
-            strategy.register_base(&f);
+            let row = f.intern_args();
+            strategy.register_base(f.predicate, &row);
+            store.insert_row(f.predicate, row, true);
         }
     }
 

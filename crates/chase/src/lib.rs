@@ -13,6 +13,12 @@
 //!     isomorphism checking over every generated fact;
 //!   * [`strategy::ExactDedupStrategy`] admits anything that is not an exact
 //!     duplicate — the behaviour of engines without null-aware termination.
+//!
+//!   All three decide on interned rows: a [`Candidate`], a [`ParentRef`]
+//!   and a registered base fact are each a predicate plus a `ValueId` row,
+//!   and no strategy ever resolves a value. The warded strategy stores
+//!   each registered fact once, in a row arena shared with its
+//!   exact-duplicate test.
 //! * [`chase`] — a breadth-first (round-robin in the paper's terms) chase
 //!   engine parameterised by a termination strategy, supporting the
 //!   oblivious and restricted chase variants, negative constraints and EGDs

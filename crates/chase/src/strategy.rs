@@ -1,48 +1,33 @@
 //! Termination strategies (Section 3.4, Algorithm 1) and the guide
 //! structures they maintain: the warded forest (ground structure `G`) and the
 //! lifted linear forest (summary structure `S`).
+//!
+//! Strategies decide on interned rows. A candidate is a predicate and a
+//! borrowed `ValueId` row, and so is every parent. The exact-duplicate test
+//! hashes a handful of `u32`s, and the isomorphism and pattern canonical
+//! forms are built from the row ([`row_iso_key`], [`row_pattern_key`]), so
+//! no value is ever resolved. [`WardedStrategy`] keeps each registered fact
+//! exactly once: its row in one append-only arena, plus a fixed-size
+//! record of three ids. Canonical forms are cached only for the facts that need
+//! them: linear-forest roots and tree members that took part in a check.
 
-use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use vadalog_analysis::RuleKind;
-use vadalog_model::iso::{facts_isomorphic, iso_key, pattern_key, IsoKey, PatternKey};
+use vadalog_model::iso::{row_iso_key, row_pattern_key, PatternKey, RowIsoKey};
 use vadalog_model::prelude::*;
 
-/// A candidate fact offered to a termination strategy, carried primarily in
-/// interned-row form.
-///
-/// The hot producer (the engine pipeline) builds candidates directly from
-/// `ValueId` rows, so exact-duplicate bookkeeping hashes a handful of `u32`s
-/// and never touches a string. The materialised [`Fact`] — which the
-/// isomorphism machinery of Algorithm 1 needs — is created lazily via
-/// [`Candidate::fact`] and cached, so a candidate rejected as an exact
-/// duplicate costs no materialisation at all.
+/// A candidate fact offered to a termination strategy: a predicate and an
+/// interned row borrowed from the producer.
+#[derive(Clone, Copy)]
 pub struct Candidate<'a> {
     predicate: Sym,
     row: &'a [ValueId],
-    fact: OnceCell<Fact>,
 }
 
 impl<'a> Candidate<'a> {
-    /// A candidate from an interned row (the zero-clone producer path).
+    /// A candidate from an interned row.
     pub fn from_row(predicate: Sym, row: &'a [ValueId]) -> Candidate<'a> {
-        Candidate {
-            predicate,
-            row,
-            fact: OnceCell::new(),
-        }
-    }
-
-    /// A candidate from a materialised fact and its pre-interned row (the
-    /// chase producer path, where the fact already exists).
-    pub fn from_fact(fact: &Fact, row: &'a [ValueId]) -> Candidate<'a> {
-        let cell = OnceCell::new();
-        let _ = cell.set(fact.clone());
-        Candidate {
-            predicate: fact.predicate,
-            row,
-            fact: cell,
-        }
+        Candidate { predicate, row }
     }
 
     /// The candidate's predicate.
@@ -53,12 +38,6 @@ impl<'a> Candidate<'a> {
     /// The candidate's interned row.
     pub fn row(&self) -> &[ValueId] {
         self.row
-    }
-
-    /// The materialised fact (resolved out of the value table on first use).
-    pub fn fact(&self) -> &Fact {
-        self.fact
-            .get_or_init(|| Fact::new_sym(self.predicate, resolve_values(self.row)))
     }
 }
 
@@ -80,28 +59,78 @@ impl<'a> ParentRef<'a> {
     }
 }
 
-/// Per-predicate row → fact-structure-id map: the strategies' exact-identity
-/// bookkeeping. Lookups borrow a candidate's row (`Box<[ValueId]>:
-/// Borrow<[ValueId]>`), so probing never allocates.
-#[derive(Clone, Default)]
-struct RowIds {
-    by_predicate: FxHashMap<Sym, FxHashMap<Box<[ValueId]>, usize>>,
+/// End of a [`RowTable`] hash chain.
+const NO_FACT: u32 = u32::MAX;
+
+/// One registered fact of a [`RowTable`].
+#[derive(Clone, Copy)]
+struct RowEntry {
+    predicate: Sym,
+    /// Where the fact's row starts in the arena; it ends where the next
+    /// fact's row starts.
+    start: u32,
+    /// The previously registered fact with the same row hash, or `NO_FACT`.
+    chain: u32,
 }
 
-impl RowIds {
-    fn get(&self, predicate: Sym, row: &[ValueId]) -> Option<usize> {
-        self.by_predicate.get(&predicate)?.get(row).copied()
+/// Registered facts, each kept once: their rows concatenated in one
+/// append-only `ValueId` arena, with dense fact ids (registration order),
+/// found through a row-hash → id chain. This is the strategies'
+/// exact-identity bookkeeping; a probe hashes the borrowed row and
+/// allocates nothing.
+#[derive(Clone, Default)]
+struct RowTable {
+    values: Vec<ValueId>,
+    entries: Vec<RowEntry>,
+    /// Row hash → the last fact registered with that hash.
+    heads: FxHashMap<u64, u32>,
+}
+
+impl RowTable {
+    /// The id the next registered fact gets.
+    fn next_id(&self) -> u32 {
+        u32::try_from(self.entries.len()).expect("strategy fact ids exceed u32")
     }
 
-    fn contains(&self, predicate: Sym, row: &[ValueId]) -> bool {
-        self.get(predicate, row).is_some()
+    fn predicate(&self, id: u32) -> Sym {
+        self.entries[id as usize].predicate
     }
 
-    fn insert(&mut self, predicate: Sym, row: Box<[ValueId]>, id: usize) {
-        self.by_predicate
-            .entry(predicate)
-            .or_default()
-            .insert(row, id);
+    fn row(&self, id: u32) -> &[ValueId] {
+        let start = self.entries[id as usize].start as usize;
+        let end = self
+            .entries
+            .get(id as usize + 1)
+            .map_or(self.values.len(), |next| next.start as usize);
+        &self.values[start..end]
+    }
+
+    /// The id of a registered fact, or the row hash to register it under.
+    fn lookup(&self, predicate: Sym, row: &[ValueId]) -> Result<u32, u64> {
+        let hash = FxBuildHasher::default().hash_one((predicate, row));
+        let mut id = self.heads.get(&hash).copied().unwrap_or(NO_FACT);
+        while id != NO_FACT {
+            if self.predicate(id) == predicate && self.row(id) == row {
+                return Ok(id);
+            }
+            id = self.entries[id as usize].chain;
+        }
+        Err(hash)
+    }
+
+    /// Register a fact that [`RowTable::lookup`] did not find, under the
+    /// hash it returned.
+    fn push(&mut self, hash: u64, predicate: Sym, row: &[ValueId]) -> u32 {
+        let id = self.next_id();
+        let start = u32::try_from(self.values.len()).expect("strategy row arena exceeds u32");
+        self.values.extend_from_slice(row);
+        let chain = self.heads.insert(hash, id).unwrap_or(NO_FACT);
+        self.entries.push(RowEntry {
+            predicate,
+            start,
+            chain,
+        });
+        id
     }
 }
 
@@ -136,27 +165,26 @@ pub struct StrategyStats {
 /// session core and be cloned into worker threads (the concurrent reasoning
 /// server hands every worker its own clone per run).
 pub trait TerminationStrategy: Send {
-    /// Register an extensional (database) fact before the chase starts.
+    /// Register an extensional (database) fact, as an interned row, before
+    /// the chase starts.
     ///
     /// The engine pipeline registers only when its run can hold a labelled
     /// null — a plan that invents nulls, or a store holding one; a
     /// null-free run never calls the strategy at all. Registration order
     /// fixes only internal ids, so it matters just for the bit-identical
     /// replay of null-inventing programs.
-    fn register_base(&mut self, fact: &Fact);
+    fn register_base(&mut self, predicate: Sym, row: &[ValueId]);
 
     /// Clone this strategy, state included, behind a fresh box. Query
     /// sessions register the (large, shared) extensional database once into
     /// a template strategy and clone it per query run — a structure copy
-    /// instead of re-materialising and re-hashing every EDB fact — so each
-    /// run still starts from exactly the state a fresh
-    /// [`TerminationStrategy::register_base`] pass would have produced.
+    /// instead of re-hashing every EDB fact — so each run still starts from
+    /// exactly the state a fresh [`TerminationStrategy::register_base`]
+    /// pass would have produced.
     fn clone_box(&self) -> Box<dyn TerminationStrategy>;
 
     /// Decide whether the candidate should be produced. Returns `true` to
-    /// admit. Exact-duplicate checks run on the candidate's interned row;
-    /// [`Candidate::fact`] is only materialised when the isomorphism
-    /// machinery actually needs a value-level view.
+    /// admit.
     fn admit(
         &mut self,
         candidate: &Candidate<'_>,
@@ -180,7 +208,7 @@ pub trait TerminationStrategy: Send {
         let linear_row = linear_parent.map(|p| (p.predicate, p.intern_args()));
         let ward_row = ward_parent.map(|p| (p.predicate, p.intern_args()));
         self.admit(
-            &Candidate::from_fact(fact, &row),
+            &Candidate::from_row(fact.predicate, &row),
             rule_id,
             kind,
             linear_row.as_ref().map(|(p, r)| ParentRef::new(*p, r)),
@@ -195,16 +223,128 @@ pub trait TerminationStrategy: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Per-fact bookkeeping of Algorithm 1's *fact structure*.
-#[derive(Clone, Debug)]
+/// Per-fact bookkeeping of Algorithm 1's *fact structure*: three ids, no
+/// heap.
+#[derive(Clone, Copy, Debug)]
 struct FactMeta {
     /// Root of this fact's tree in the linear forest.
-    l_root: usize,
+    l_root: u32,
     /// Root of this fact's tree in the warded forest.
-    w_root: usize,
+    w_root: u32,
     /// Rules applied from `l_root` to reach this fact (the provenance in the
-    /// linear forest).
-    provenance: Vec<u32>,
+    /// linear forest), as a node of the [`ProvenanceTrie`].
+    provenance: u32,
+}
+
+/// Every rule sequence the lifted linear forest has seen, hash-consed into
+/// a trie: a provenance is one node id, the empty sequence is
+/// [`ProvenanceTrie::EMPTY`], and "is a prefix of" is an ancestor test.
+#[derive(Clone)]
+struct ProvenanceTrie {
+    /// Per node: its parent (the sequence without its last rule) and its
+    /// length. The empty sequence is its own parent.
+    nodes: Vec<(u32, u32)>,
+    /// (sequence, rule) → the sequence extended by the rule.
+    children: FxHashMap<(u32, u32), u32>,
+}
+
+impl Default for ProvenanceTrie {
+    fn default() -> Self {
+        ProvenanceTrie {
+            nodes: vec![(Self::EMPTY, 0)],
+            children: FxHashMap::default(),
+        }
+    }
+}
+
+impl ProvenanceTrie {
+    /// The empty rule sequence.
+    const EMPTY: u32 = 0;
+
+    /// The sequence `node` followed by `rule`.
+    fn extend(&mut self, node: u32, rule: u32) -> u32 {
+        let nodes = &mut self.nodes;
+        *self.children.entry((node, rule)).or_insert_with(|| {
+            let child = u32::try_from(nodes.len()).expect("provenance trie exceeds u32");
+            let len = nodes[node as usize].1 + 1;
+            nodes.push((node, len));
+            child
+        })
+    }
+
+    fn len(&self, node: u32) -> u32 {
+        self.nodes[node as usize].1
+    }
+
+    /// Is `prefix` an ordered left-subsequence (prefix) of `seq`?
+    fn is_prefix(&self, prefix: u32, mut seq: u32) -> bool {
+        let len = self.len(prefix);
+        if len > self.len(seq) {
+            return false;
+        }
+        while self.len(seq) > len {
+            seq = self.nodes[seq as usize].0;
+        }
+        seq == prefix
+    }
+
+    /// Is `prefix` a prefix of `seq` and strictly shorter?
+    fn is_strict_prefix(&self, prefix: u32, seq: u32) -> bool {
+        self.len(prefix) < self.len(seq) && self.is_prefix(prefix, seq)
+    }
+}
+
+/// The ground structure `G`: the trees of the warded forest, by root.
+#[derive(Clone, Default)]
+struct WardedForest {
+    /// Root → the tree's members other than the root. A fact that roots
+    /// its own tree is a member of it without an entry here, so a tree with
+    /// no other member has no entry at all.
+    members: FxHashMap<u32, Vec<u32>>,
+    /// Roots that are not members of their own tree. A fact admitted
+    /// strictly within a stop provenance is registered (a later candidate
+    /// may name it as its parent) but joins no tree.
+    detached_roots: FxHashSet<u32>,
+    /// Isomorphism canonical form of each member that took part in a
+    /// check, computed on first use (most registered facts never do).
+    iso_keys: FxHashMap<u32, RowIsoKey>,
+}
+
+impl WardedForest {
+    /// Add registered fact `id` to the tree rooted at `root`.
+    fn add(&mut self, root: u32, id: u32) {
+        if id != root {
+            self.members.entry(root).or_default().push(id);
+        }
+    }
+
+    /// Does the tree rooted at `root` hold a fact isomorphic to the
+    /// candidate? `root` may be the candidate's own id, not yet registered,
+    /// when the candidate would root a fresh tree.
+    fn holds_isomorph(
+        &mut self,
+        rows: &RowTable,
+        root: u32,
+        predicate: Sym,
+        row: &[ValueId],
+    ) -> bool {
+        let root_member = root < rows.next_id() && !self.detached_roots.contains(&root);
+        let others = self.members.get(&root).map_or(&[][..], Vec::as_slice);
+        let mut candidate_key = None;
+        for &id in root_member.then_some(&root).into_iter().chain(others) {
+            if rows.predicate(id) != predicate || rows.row(id).len() != row.len() {
+                continue;
+            }
+            let key = self
+                .iso_keys
+                .entry(id)
+                .or_insert_with(|| row_iso_key(predicate, rows.row(id)));
+            if *key == *candidate_key.get_or_insert_with(|| row_iso_key(predicate, row)) {
+                return true;
+            }
+        }
+        false
+    }
 }
 
 /// Algorithm 1: the warded termination strategy.
@@ -215,81 +355,37 @@ struct FactMeta {
 /// to the stop-provenances learnt for it, so that whole chase branches are
 /// cut without any isomorphism check once the same rule sequence is attempted
 /// from a pattern-isomorphic root (the lifted linear forest).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct WardedStrategy {
-    facts: Vec<Fact>,
-    /// Isomorphism canonical form of each registered fact, computed lazily
-    /// the first time the fact takes part in a tree membership check (most
-    /// registered facts never do).
-    iso_keys: Vec<OnceCell<IsoKey>>,
-    /// Pattern canonical form of each registered fact, filled in lazily the
-    /// first time the fact serves as a linear-forest root.
-    pattern_keys: Vec<Option<PatternKey>>,
+    rows: RowTable,
+    /// Per registered fact, by id.
     metas: Vec<FactMeta>,
-    ids: RowIds,
-    /// w_root -> members of that warded-forest tree.
-    ground: HashMap<usize, Vec<usize>>,
-    /// pattern of l_root -> stop provenances.
-    summary: HashMap<PatternKey, Vec<Vec<u32>>>,
+    ground: WardedForest,
+    provenances: ProvenanceTrie,
+    /// Pattern canonical form of each registered fact that served as a
+    /// linear-forest root, computed on first use.
+    root_patterns: FxHashMap<u32, PatternKey>,
+    /// Pattern of a linear-forest root → stop provenances.
+    summary: FxHashMap<PatternKey, Vec<u32>>,
     stats: StrategyStats,
-}
-
-impl Default for WardedStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl WardedStrategy {
     /// Create an empty strategy.
     pub fn new() -> Self {
-        WardedStrategy {
-            facts: Vec::new(),
-            iso_keys: Vec::new(),
-            pattern_keys: Vec::new(),
-            metas: Vec::new(),
-            ids: RowIds::default(),
-            ground: HashMap::new(),
-            summary: HashMap::new(),
-            stats: StrategyStats::default(),
-        }
+        Self::default()
     }
 
-    fn register(&mut self, fact: Fact, row: Box<[ValueId]>, meta: FactMeta) -> usize {
-        let id = self.facts.len();
-        self.ids.insert(fact.predicate, row, id);
-        self.iso_keys.push(OnceCell::new());
-        self.pattern_keys.push(None);
-        self.facts.push(fact);
+    fn register(&mut self, hash: u64, predicate: Sym, row: &[ValueId], meta: FactMeta) -> u32 {
+        let id = self.rows.push(hash, predicate, row);
         self.metas.push(meta);
         id
     }
 
-    fn meta_of(&self, parent: ParentRef<'_>) -> Option<(usize, &FactMeta)> {
-        self.ids
-            .get(parent.predicate, parent.row)
-            .map(|id| (id, &self.metas[id]))
+    fn meta_of(&self, parent: ParentRef<'_>) -> Option<FactMeta> {
+        let id = self.rows.lookup(parent.predicate, parent.row).ok()?;
+        Some(self.metas[id as usize])
     }
-
-    /// Pattern key of registered fact `id`, computed on first use.
-    fn pattern_key_of(&mut self, id: usize) -> PatternKey {
-        if let Some(k) = &self.pattern_keys[id] {
-            return k.clone();
-        }
-        let k = pattern_key(&self.facts[id]);
-        self.pattern_keys[id] = Some(k.clone());
-        k
-    }
-
-    /// Number of trees currently in the warded forest.
-    pub fn warded_tree_count(&self) -> usize {
-        self.ground.len()
-    }
-}
-
-/// Is `prefix` an ordered left-subsequence (prefix) of `longer`?
-fn is_prefix(prefix: &[u32], longer: &[u32]) -> bool {
-    prefix.len() <= longer.len() && prefix.iter().zip(longer.iter()).all(|(a, b)| a == b)
 }
 
 impl TerminationStrategy for WardedStrategy {
@@ -297,19 +393,16 @@ impl TerminationStrategy for WardedStrategy {
         Box::new(self.clone())
     }
 
-    fn register_base(&mut self, fact: &Fact) {
-        let row = fact.intern_args();
-        if self.ids.contains(fact.predicate, &row) {
-            return;
+    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
+        if let Err(hash) = self.rows.lookup(predicate, row) {
+            let id = self.rows.next_id();
+            let meta = FactMeta {
+                l_root: id,
+                w_root: id,
+                provenance: ProvenanceTrie::EMPTY,
+            };
+            self.register(hash, predicate, row, meta);
         }
-        let id = self.facts.len();
-        let meta = FactMeta {
-            l_root: id,
-            w_root: id,
-            provenance: Vec::new(),
-        };
-        self.register(fact.clone(), row, meta);
-        self.ground.entry(id).or_default().push(id);
     }
 
     fn admit(
@@ -320,152 +413,108 @@ impl TerminationStrategy for WardedStrategy {
         linear_parent: Option<ParentRef<'_>>,
         ward_parent: Option<ParentRef<'_>>,
     ) -> bool {
+        let (predicate, row) = (candidate.predicate(), candidate.row());
         // Exact duplicates never contribute anything new to the answer.
-        // This is the hot exit: a row-map probe, no materialisation.
-        if self.ids.contains(candidate.predicate(), candidate.row()) {
-            self.stats.duplicates += 1;
-            return false;
-        }
-
-        // Compute the fact structure from the relevant parent.
-        let next_id = self.facts.len();
-        let (meta, effective_kind) = match kind {
-            RuleKind::Linear => {
-                let parent = linear_parent.and_then(|p| self.meta_of(p));
-                match parent {
-                    Some((_, pm)) => {
-                        let mut provenance = pm.provenance.clone();
-                        provenance.push(rule_id);
-                        (
-                            FactMeta {
-                                l_root: pm.l_root,
-                                w_root: pm.w_root,
-                                provenance,
-                            },
-                            RuleKind::Linear,
-                        )
-                    }
-                    None => (
-                        FactMeta {
-                            l_root: next_id,
-                            w_root: next_id,
-                            provenance: vec![rule_id],
-                        },
-                        RuleKind::Linear,
-                    ),
-                }
+        // This is the hot exit: one hash-chain probe.
+        let hash = match self.rows.lookup(predicate, row) {
+            Ok(_) => {
+                self.stats.duplicates += 1;
+                return false;
             }
-            RuleKind::Warded => {
-                let parent = ward_parent.and_then(|p| self.meta_of(p));
-                match parent {
-                    Some((_, pm)) => (
-                        FactMeta {
-                            l_root: next_id,
-                            w_root: pm.w_root,
-                            provenance: Vec::new(),
-                        },
-                        RuleKind::Warded,
-                    ),
-                    None => (
-                        FactMeta {
-                            l_root: next_id,
-                            w_root: next_id,
-                            provenance: Vec::new(),
-                        },
-                        RuleKind::Warded,
-                    ),
-                }
-            }
-            RuleKind::NonLinear => (
-                FactMeta {
-                    l_root: next_id,
-                    w_root: next_id,
-                    provenance: Vec::new(),
-                },
-                RuleKind::NonLinear,
-            ),
+            Err(hash) => hash,
         };
 
-        match effective_kind {
-            RuleKind::Linear | RuleKind::Warded => {
-                // Pattern of the linear-forest root: the candidate's own
-                // pattern when it roots a fresh tree, otherwise the cached
-                // pattern of the registered root.
-                let pattern = if meta.l_root == next_id {
-                    pattern_key(candidate.fact())
-                } else {
-                    self.pattern_key_of(meta.l_root)
-                };
-                if let Some(stops) = self.summary.get(&pattern) {
-                    // Beyond a learnt stop provenance: cut without checking.
-                    if stops.iter().any(|s| is_prefix(s, &meta.provenance)) {
-                        self.stats.pruned_by_provenance += 1;
-                        self.stats.suppressed += 1;
-                        return false;
-                    }
-                    // Strictly within a stop provenance: keep exploring, no
-                    // isomorphism check needed.
-                    if stops
-                        .iter()
-                        .any(|s| meta.provenance.len() < s.len() && is_prefix(&meta.provenance, s))
-                    {
-                        self.stats.admitted += 1;
-                        self.register(
-                            candidate.fact().clone(),
-                            candidate.row().to_vec().into_boxed_slice(),
-                            meta,
-                        );
-                        return true;
-                    }
-                }
-                // Local detection: isomorphism check against the fact's tree
-                // in the warded forest, comparing cached canonical forms.
-                let fact = candidate.fact();
-                self.stats.isomorphism_checks += 1;
-                let candidate_key = iso_key(fact);
-                let found_iso = self.ground.get(&meta.w_root).is_some_and(|tree| {
-                    tree.iter().any(|id| {
-                        let g = &self.facts[*id];
-                        g.predicate == fact.predicate
-                            && g.args.len() == fact.args.len()
-                            && *self.iso_keys[*id].get_or_init(|| iso_key(g)) == candidate_key
-                            && facts_isomorphic(g, fact)
-                    })
-                });
-                if found_iso {
-                    // Learn the stop provenance for this pattern.
-                    self.summary
-                        .entry(pattern)
-                        .or_default()
-                        .push(meta.provenance.clone());
-                    self.stats.stop_provenances += 1;
-                    self.stats.suppressed += 1;
-                    false
-                } else {
-                    let w_root = meta.w_root;
-                    let id = self.register(
-                        fact.clone(),
-                        candidate.row().to_vec().into_boxed_slice(),
-                        meta,
-                    );
-                    self.ground.entry(w_root).or_default().push(id);
-                    self.stats.admitted += 1;
-                    true
-                }
-            }
+        // Compute the fact structure from the relevant parent.
+        let next_id = self.rows.next_id();
+        let own_root = FactMeta {
+            l_root: next_id,
+            w_root: next_id,
+            provenance: ProvenanceTrie::EMPTY,
+        };
+        let meta = match kind {
+            RuleKind::Linear => match linear_parent.and_then(|p| self.meta_of(p)) {
+                Some(pm) => FactMeta {
+                    provenance: self.provenances.extend(pm.provenance, rule_id),
+                    ..pm
+                },
+                None => FactMeta {
+                    provenance: self.provenances.extend(ProvenanceTrie::EMPTY, rule_id),
+                    ..own_root
+                },
+            },
+            RuleKind::Warded => match ward_parent.and_then(|p| self.meta_of(p)) {
+                Some(pm) => FactMeta {
+                    w_root: pm.w_root,
+                    ..own_root
+                },
+                None => own_root,
+            },
             RuleKind::NonLinear => {
                 // Other non-linear rules open a new tree of the warded
                 // forest; exact duplicates were already filtered above, so
                 // the tree is new by construction.
-                let id = self.register(
-                    candidate.fact().clone(),
-                    candidate.row().to_vec().into_boxed_slice(),
-                    meta,
-                );
-                self.ground.entry(id).or_default().push(id);
+                self.register(hash, predicate, row, own_root);
                 self.stats.admitted += 1;
-                true
+                return true;
             }
+        };
+
+        // Pattern of the linear-forest root: the candidate's own pattern
+        // when it roots a fresh tree, otherwise the cached pattern of the
+        // registered root.
+        let own_pattern;
+        let pattern = if meta.l_root == next_id {
+            own_pattern = row_pattern_key(predicate, row);
+            &own_pattern
+        } else {
+            let rows = &self.rows;
+            &*self.root_patterns.entry(meta.l_root).or_insert_with(|| {
+                row_pattern_key(rows.predicate(meta.l_root), rows.row(meta.l_root))
+            })
+        };
+        if let Some(stops) = self.summary.get(pattern) {
+            let trie = &self.provenances;
+            // Beyond a learnt stop provenance: cut without checking.
+            if stops.iter().any(|&s| trie.is_prefix(s, meta.provenance)) {
+                self.stats.pruned_by_provenance += 1;
+                self.stats.suppressed += 1;
+                return false;
+            }
+            // Strictly within a stop provenance: keep exploring, no
+            // isomorphism check needed. The fact can be a parent, but it
+            // joins no tree of the warded forest.
+            if stops
+                .iter()
+                .any(|&s| trie.is_strict_prefix(meta.provenance, s))
+            {
+                self.stats.admitted += 1;
+                let id = self.register(hash, predicate, row, meta);
+                if meta.w_root == id {
+                    self.ground.detached_roots.insert(id);
+                }
+                return true;
+            }
+        }
+        // Local detection: isomorphism check against the fact's tree in the
+        // warded forest, comparing cached canonical forms.
+        self.stats.isomorphism_checks += 1;
+        if self
+            .ground
+            .holds_isomorph(&self.rows, meta.w_root, predicate, row)
+        {
+            // Learn the stop provenance for this pattern.
+            self.summary
+                .entry(pattern.clone())
+                .or_default()
+                .push(meta.provenance);
+            self.stats.stop_provenances += 1;
+            self.stats.suppressed += 1;
+            false
+        } else {
+            let id = self.register(hash, predicate, row, meta);
+            self.ground.add(meta.w_root, id);
+            self.stats.admitted += 1;
+            true
         }
     }
 
@@ -482,25 +531,16 @@ impl TerminationStrategy for WardedStrategy {
 /// checked for isomorphism against *all* previously generated facts (hash
 /// indexed by isomorphism canonical form, as the paper's "carefully
 /// optimized" trivial technique).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TrivialIsoStrategy {
-    seen: HashSet<IsoKey>,
+    seen: FxHashSet<RowIsoKey>,
     stats: StrategyStats,
-}
-
-impl Default for TrivialIsoStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TrivialIsoStrategy {
     /// Create an empty strategy.
     pub fn new() -> Self {
-        TrivialIsoStrategy {
-            seen: HashSet::new(),
-            stats: StrategyStats::default(),
-        }
+        Self::default()
     }
 
     /// Number of canonical facts stored.
@@ -514,8 +554,8 @@ impl TerminationStrategy for TrivialIsoStrategy {
         Box::new(self.clone())
     }
 
-    fn register_base(&mut self, fact: &Fact) {
-        self.seen.insert(iso_key(fact));
+    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
+        self.seen.insert(row_iso_key(predicate, row));
     }
 
     fn admit(
@@ -527,7 +567,10 @@ impl TerminationStrategy for TrivialIsoStrategy {
         _ward_parent: Option<ParentRef<'_>>,
     ) -> bool {
         self.stats.isomorphism_checks += 1;
-        if self.seen.insert(iso_key(candidate.fact())) {
+        if self
+            .seen
+            .insert(row_iso_key(candidate.predicate(), candidate.row()))
+        {
             self.stats.admitted += 1;
             true
         } else {
@@ -548,25 +591,16 @@ impl TerminationStrategy for TrivialIsoStrategy {
 /// Admit everything that is not an exact duplicate. This is what an engine
 /// without null-aware termination does; it terminates only on programs whose
 /// chase is finite (e.g. plain Datalog after Skolemization).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ExactDedupStrategy {
-    seen: RowIds,
+    seen: RowTable,
     stats: StrategyStats,
-}
-
-impl Default for ExactDedupStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ExactDedupStrategy {
     /// Create an empty strategy.
     pub fn new() -> Self {
-        ExactDedupStrategy {
-            seen: RowIds::default(),
-            stats: StrategyStats::default(),
-        }
+        Self::default()
     }
 }
 
@@ -575,8 +609,10 @@ impl TerminationStrategy for ExactDedupStrategy {
         Box::new(self.clone())
     }
 
-    fn register_base(&mut self, fact: &Fact) {
-        self.seen.insert(fact.predicate, fact.intern_args(), 0);
+    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
+        if let Err(hash) = self.seen.lookup(predicate, row) {
+            self.seen.push(hash, predicate, row);
+        }
     }
 
     fn admit(
@@ -587,17 +623,16 @@ impl TerminationStrategy for ExactDedupStrategy {
         _linear_parent: Option<ParentRef<'_>>,
         _ward_parent: Option<ParentRef<'_>>,
     ) -> bool {
-        if self.seen.contains(candidate.predicate(), candidate.row()) {
-            self.stats.duplicates += 1;
-            false
-        } else {
-            self.seen.insert(
-                candidate.predicate(),
-                candidate.row().to_vec().into_boxed_slice(),
-                0,
-            );
-            self.stats.admitted += 1;
-            true
+        match self.seen.lookup(candidate.predicate(), candidate.row()) {
+            Ok(_) => {
+                self.stats.duplicates += 1;
+                false
+            }
+            Err(hash) => {
+                self.seen.push(hash, candidate.predicate(), candidate.row());
+                self.stats.admitted += 1;
+                true
+            }
         }
     }
 
@@ -621,11 +656,19 @@ mod tests {
         )
     }
 
+    fn fact(predicate: &str, null: u64, c: &str) -> Fact {
+        Fact::new(predicate, vec![Value::Null(NullId(null)), c.into()])
+    }
+
+    fn register(strategy: &mut dyn TerminationStrategy, fact: &Fact) {
+        strategy.register_base(fact.predicate, &fact.intern_args());
+    }
+
     #[test]
     fn warded_strategy_cuts_isomorphic_linear_chains() {
         let mut strategy = WardedStrategy::new();
         let company = Fact::new("Company", vec!["HSBC".into()]);
-        strategy.register_base(&company);
+        register(&mut strategy, &company);
 
         // Company(HSBC) --rule0--> Owns(ν0, ν1, HSBC)
         let o1 = owns(0, 1, "HSBC");
@@ -646,8 +689,8 @@ mod tests {
         let mut strategy = WardedStrategy::new();
         let c1 = Fact::new("Company", vec!["HSBC".into()]);
         let c2 = Fact::new("Company", vec!["IBA".into()]);
-        strategy.register_base(&c1);
-        strategy.register_base(&c2);
+        register(&mut strategy, &c1);
+        register(&mut strategy, &c2);
 
         // Learn the stop provenance on the HSBC tree.
         assert!(strategy.admit_fact(&owns(0, 1, "HSBC"), 0, RuleKind::Linear, Some(&c1), None));
@@ -666,23 +709,92 @@ mod tests {
     }
 
     #[test]
+    fn steps_within_a_stop_provenance_are_parents_but_not_tree_members() {
+        let mut strategy = WardedStrategy::new();
+        let hsbc = Fact::new("Company", vec!["HSBC".into()]);
+        let iba = Fact::new("Company", vec!["IBA".into()]);
+        register(&mut strategy, &hsbc);
+        register(&mut strategy, &iba);
+
+        // Learn the stop provenance [0, 1] on the HSBC root: rule 1 after
+        // rule 0 gives a fact isomorphic to the one rule 0 gave.
+        let p1 = fact("P", 1, "HSBC");
+        assert!(strategy.admit_fact(&p1, 0, RuleKind::Linear, Some(&hsbc), None));
+        assert!(!strategy.admit_fact(&fact("P", 2, "HSBC"), 1, RuleKind::Linear, Some(&p1), None));
+        assert_eq!(strategy.stats().stop_provenances, 1);
+
+        // From the pattern-isomorphic IBA root, rule 0 is a step strictly
+        // within [0, 1]: admitted without an isomorphism check.
+        let before = strategy.stats();
+        let p3 = fact("P", 3, "IBA");
+        assert!(strategy.admit_fact(&p3, 0, RuleKind::Linear, Some(&iba), None));
+        let after = strategy.stats();
+        assert_eq!(after.isomorphism_checks, before.isomorphism_checks);
+        assert_eq!(after.admitted, before.admitted + 1);
+
+        // It is a usable parent: rule 1 from it completes the stop
+        // provenance of its root's pattern and is pruned.
+        assert!(!strategy.admit_fact(&fact("P", 4, "IBA"), 1, RuleKind::Linear, Some(&p3), None));
+        assert_eq!(
+            strategy.stats().pruned_by_provenance,
+            after.pruned_by_provenance + 1
+        );
+
+        // It is not a member of the IBA tree: an isomorphic fact attached to
+        // that tree finds nothing to be isomorphic to.
+        let checks = strategy.stats().isomorphism_checks;
+        assert!(strategy.admit_fact(&fact("P", 5, "IBA"), 3, RuleKind::Warded, None, Some(&iba)));
+        assert_eq!(strategy.stats().isomorphism_checks, checks + 1);
+    }
+
+    #[test]
+    fn a_root_admitted_within_a_stop_provenance_is_not_in_its_own_tree() {
+        let mut strategy = WardedStrategy::new();
+        let root = fact("S", 0, "a");
+        register(&mut strategy, &root);
+        // Rule 5 from the root gives a fact isomorphic to the root itself:
+        // stop provenance [5] for the pattern S(null, constant).
+        assert!(!strategy.admit_fact(&fact("S", 1, "a"), 5, RuleKind::Linear, Some(&root), None));
+        assert_eq!(strategy.stats().stop_provenances, 1);
+
+        // A warded fact without a registered ward roots its own linear and
+        // warded trees with the empty provenance, strictly within [5]:
+        // admitted unchecked.
+        let detached = fact("S", 2, "b");
+        assert!(strategy.admit_fact(&detached, 3, RuleKind::Warded, None, None));
+        // A linear step from it lands in its warded tree, where the root is
+        // not a member: no isomorphic fact, so it is admitted.
+        let checks = strategy.stats().isomorphism_checks;
+        assert!(strategy.admit_fact(
+            &fact("S", 3, "b"),
+            6,
+            RuleKind::Linear,
+            Some(&detached),
+            None
+        ));
+        assert_eq!(strategy.stats().isomorphism_checks, checks + 1);
+    }
+
+    #[test]
     fn warded_rules_attach_to_the_ward_parents_tree() {
         let mut strategy = WardedStrategy::new();
         let psc_x = Fact::new("PSC", vec!["HSBC".into(), Value::Null(NullId(0))]);
-        strategy.register_base(&Fact::new("Controls", vec!["HSBC".into(), "HSB".into()]));
-        strategy.register_base(&psc_x);
-        let trees_before = strategy.warded_tree_count();
+        let psc_y = Fact::new("PSC", vec!["IBA".into(), Value::Null(NullId(1))]);
+        register(
+            &mut strategy,
+            &Fact::new("Controls", vec!["HSBC".into(), "HSB".into()]),
+        );
+        register(&mut strategy, &psc_x);
+        register(&mut strategy, &psc_y);
 
         // PSC(HSBC, ν0), Controls(HSBC, HSB) → Owns(ν0, ν9, HSB): warded rule
         // whose ward parent is the PSC fact.
-        let new_owns = Fact::new(
-            "Owns",
-            vec![Value::Null(NullId(0)), Value::Null(NullId(9)), "HSB".into()],
-        );
-        assert!(strategy.admit_fact(&new_owns, 3, RuleKind::Warded, None, Some(&psc_x)));
-        // No new tree of the warded forest is created: the fact joins the
-        // ward's tree.
-        assert_eq!(strategy.warded_tree_count(), trees_before);
+        assert!(strategy.admit_fact(&owns(0, 9, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
+        // The fact joined the ward's tree: an isomorphic fact under another
+        // ward is admitted, under the same ward it is suppressed.
+        assert!(strategy.admit_fact(&owns(0, 11, "HSB"), 3, RuleKind::Warded, None, Some(&psc_y)));
+        assert!(!strategy.admit_fact(&owns(0, 10, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
+        assert_eq!(strategy.stats().isomorphism_checks, 3);
     }
 
     #[test]
@@ -697,7 +809,7 @@ mod tests {
     #[test]
     fn trivial_strategy_checks_globally() {
         let mut strategy = TrivialIsoStrategy::new();
-        strategy.register_base(&Fact::new("Company", vec!["HSBC".into()]));
+        register(&mut strategy, &Fact::new("Company", vec!["HSBC".into()]));
         let a = owns(0, 1, "HSBC");
         let b = owns(5, 6, "HSBC");
         assert!(strategy.admit_fact(&a, 0, RuleKind::Linear, None, None));
@@ -720,11 +832,38 @@ mod tests {
     }
 
     #[test]
+    fn row_table_keeps_each_row_once_across_hash_chains() {
+        let mut table = RowTable::default();
+        let p = intern("P");
+        let q = intern("Q");
+        let row = [intern_value(&Value::Int(1)), intern_value(&Value::Int(2))];
+        let hash = table.lookup(p, &row).unwrap_err();
+        let id = table.push(hash, p, &row);
+        assert_eq!(table.lookup(p, &row), Ok(id));
+        assert!(table.lookup(q, &row).is_err());
+        // A forced collision chains behind the first fact and both resolve.
+        let other = [intern_value(&Value::Int(3))];
+        let second = table.push(hash, q, &other);
+        assert_eq!(table.row(second), &other);
+        assert_eq!(table.row(id), &row);
+        assert_eq!(table.entries[second as usize].chain, id);
+    }
+
+    #[test]
     fn prefix_relation() {
-        assert!(is_prefix(&[], &[1, 2]));
-        assert!(is_prefix(&[1], &[1, 2]));
-        assert!(is_prefix(&[1, 2], &[1, 2]));
-        assert!(!is_prefix(&[2], &[1, 2]));
-        assert!(!is_prefix(&[1, 2, 3], &[1, 2]));
+        let mut trie = ProvenanceTrie::default();
+        let empty = ProvenanceTrie::EMPTY;
+        let one = trie.extend(empty, 1);
+        let one_two = trie.extend(one, 2);
+        let two = trie.extend(empty, 2);
+        let one_two_three = trie.extend(one_two, 3);
+        assert_eq!(trie.extend(one, 2), one_two);
+        assert!(trie.is_prefix(empty, one_two));
+        assert!(trie.is_prefix(one, one_two));
+        assert!(trie.is_prefix(one_two, one_two));
+        assert!(!trie.is_prefix(two, one_two));
+        assert!(!trie.is_prefix(one_two_three, one_two));
+        assert!(trie.is_strict_prefix(one, one_two));
+        assert!(!trie.is_strict_prefix(one_two, one_two));
     }
 }

@@ -673,17 +673,19 @@ impl<'a> Pipeline<'a> {
     pub fn load_facts<I: IntoIterator<Item = Fact>>(&mut self, facts: I) {
         let mut preds: BTreeSet<Sym> = BTreeSet::new();
         for f in facts {
-            if self.state.null_free && !f.is_ground() {
-                for fact in self.state.store.iter() {
-                    self.state.strategy.register_base(&fact);
+            let ground = f.is_ground();
+            if self.state.null_free && !ground {
+                for (predicate, row) in self.state.store.rows() {
+                    self.state.strategy.register_base(predicate, row);
                 }
                 self.state.null_free = false;
             }
+            let row = f.intern_args();
             if !self.state.null_free {
-                self.state.strategy.register_base(&f);
+                self.state.strategy.register_base(f.predicate, &row);
             }
             preds.insert(f.predicate);
-            self.state.store.insert(f);
+            self.state.store.insert_row(f.predicate, row, ground);
         }
         self.wake_readers(&preds);
     }
@@ -739,10 +741,11 @@ impl<'a> Pipeline<'a> {
             let dom = ActiveDomain::from_facts(self.state.store.iter());
             let mut grew = false;
             for f in dom.to_facts(vadalog_rewrite::DOM_PREDICATE) {
+                let row = f.intern_args();
                 if !self.state.null_free {
-                    self.state.strategy.register_base(&f);
+                    self.state.strategy.register_base(f.predicate, &row);
                 }
-                grew |= self.state.store.insert(f);
+                grew |= self.state.store.insert_row(f.predicate, row, true);
             }
             if grew {
                 // On a resumed run, new constants may extend Dom: its
@@ -1791,23 +1794,20 @@ impl<'a> Pipeline<'a> {
             }
 
             // Head emission: rows instantiated from the binding. The
-            // strategy admits (the candidate fact is only materialised if
-            // its isomorphism machinery asks for it) — or, on a null-free
-            // run, every row goes to the store, whose dedup decides.
+            // strategy admits on the row itself — or, on a null-free run,
+            // every row goes to the store, whose dedup decides.
             for hp in head_patterns {
                 let Some(row) = hp.instantiate(&binding) else {
                     continue;
                 };
                 if !self.state.null_free {
-                    let candidate = Candidate::from_row(hp.predicate, &row);
                     let admitted = self.state.strategy.admit(
-                        &candidate,
+                        &Candidate::from_row(hp.predicate, &row),
                         rule_id,
                         kind,
                         linear_parent,
                         ward_parent,
                     );
-                    drop(candidate);
                     if !admitted {
                         self.state.stats.facts_suppressed += 1;
                         continue;

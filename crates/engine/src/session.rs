@@ -618,10 +618,6 @@ impl QuerySession {
         let normalised = prepare_for_execution(program);
         let mut edb: Vec<Fact> = normalised.facts.clone();
         edb.extend(crate::reasoner::load_bound_facts(&normalised)?);
-        let mut store = FactStore::new();
-        for f in &edb {
-            store.insert(f.clone());
-        }
         // Every plan the session runs is compiled from `program` (the
         // bottom-up fallback, without rewriting when that is off) or from
         // its normalised rules (the magic rewrites), so checking both covers
@@ -632,10 +628,14 @@ impl QuerySession {
             .chain(&normalised.rules)
             .any(crate::plan::rule_invents_nulls);
         let mut strategy = make_strategy(options.termination);
-        if rules_invent_nulls || store.holds_nulls() {
-            for f in &edb {
-                strategy.register_base(f);
+        let register = rules_invent_nulls || edb.iter().any(|f| !f.is_ground());
+        let mut store = FactStore::new();
+        for f in &edb {
+            let row = f.intern_args();
+            if register {
+                strategy.register_base(f.predicate, &row);
             }
+            store.insert_row(f.predicate, row, f.is_ground());
         }
         let mut rules_only = normalised;
         rules_only.facts.clear();
@@ -979,10 +979,11 @@ impl QuerySession {
         // Appends are ground, so they never change whether it registers.
         let register = core.registers_edb();
         for f in &facts {
+            let row = f.intern_args();
             if register {
-                core.strategy_template.register_base(f);
+                core.strategy_template.register_base(f.predicate, &row);
             }
-            if overlay.insert(f.clone()) {
+            if overlay.insert_row(f.predicate, row, f.is_ground()) {
                 report.appended += 1;
             } else {
                 report.duplicates += 1;

@@ -17,12 +17,20 @@ use vadalog_parser::parse_program;
 use vadalog_rewrite::prepare_for_execution;
 use vadalog_storage::FactStore;
 
+/// The fact an interned row stands for.
+fn as_fact(predicate: Sym, row: &[ValueId]) -> Fact {
+    Fact::new_sym(predicate, resolve_values(row))
+}
+
 /// A strategy a null-free run must never touch.
 struct Forbidden;
 
 impl TerminationStrategy for Forbidden {
-    fn register_base(&mut self, fact: &Fact) {
-        panic!("register_base({fact}) on a null-free run");
+    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
+        panic!(
+            "register_base({}) on a null-free run",
+            as_fact(predicate, row)
+        );
     }
 
     fn clone_box(&self) -> Box<dyn TerminationStrategy> {
@@ -37,7 +45,10 @@ impl TerminationStrategy for Forbidden {
         _linear_parent: Option<ParentRef<'_>>,
         _ward_parent: Option<ParentRef<'_>>,
     ) -> bool {
-        panic!("admit({}) on a null-free run", candidate.fact());
+        panic!(
+            "admit({}) on a null-free run",
+            as_fact(candidate.predicate(), candidate.row())
+        );
     }
 
     fn stats(&self) -> StrategyStats {
@@ -56,9 +67,12 @@ struct Recording {
 }
 
 impl TerminationStrategy for Recording {
-    fn register_base(&mut self, fact: &Fact) {
-        self.registered.lock().unwrap().push(fact.clone());
-        self.inner.register_base(fact);
+    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
+        self.registered
+            .lock()
+            .unwrap()
+            .push(as_fact(predicate, row));
+        self.inner.register_base(predicate, row);
     }
 
     fn clone_box(&self) -> Box<dyn TerminationStrategy> {

@@ -15,10 +15,17 @@
 //! equality of the canonical form coincides with the relation; the canonical
 //! forms are `Hash + Eq` and can be used directly as keys of the ground and
 //! summary structures of Algorithm 1.
+//!
+//! Each form has a value-level constructor over a [`Fact`] and a row-level
+//! one over an interned row (`row_iso_key`, `row_pattern_key`). The row
+//! forms never resolve a value: the interner makes `ValueId` equality equal
+//! to [`Value`] equality, so constants compare as ids, and a position holds
+//! a labelled null exactly when its order key is in the null class. A
+//! composite value holding a null is a constant in both forms.
 
 use crate::fact::Fact;
 use crate::symbol::Sym;
-use crate::value::{NullId, Value};
+use crate::value::{order_keys_of, NullId, Value, ValueId};
 use std::collections::HashMap;
 
 /// Canonical form of a fact up to renaming of labelled nulls.
@@ -106,6 +113,74 @@ pub fn pattern_key(fact: &Fact) -> PatternKey {
         predicate: fact.predicate,
         args,
     }
+}
+
+/// Canonical form of an interned row up to renaming of labelled nulls: the
+/// row-level [`IsoKey`]. Two rows have equal `RowIsoKey`s iff the facts
+/// they intern are isomorphic.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct RowIsoKey {
+    /// The predicate.
+    pub predicate: Sym,
+    /// Canonicalised arguments.
+    pub args: Vec<RowCanonTerm>,
+}
+
+/// One argument position of a [`RowIsoKey`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum RowCanonTerm {
+    /// A constant, kept as its interned id.
+    Const(ValueId),
+    /// The i-th distinct labelled null of the row.
+    Null(u32),
+}
+
+/// Canonicalise an interned row: each distinct id gets the number of its
+/// first occurrence among the ids of its class (labelled nulls, or
+/// constants), and `term(is_null, id, number)` builds its argument. Rows
+/// are short, so an earlier occurrence is found by a scan instead of a map.
+fn canonical_row<T: Copy>(row: &[ValueId], term: impl Fn(bool, ValueId, u32) -> T) -> Vec<T> {
+    let keys = order_keys_of(row);
+    let mut args: Vec<T> = Vec::with_capacity(row.len());
+    let mut next = [0u32; 2];
+    for (i, (&id, key)) in row.iter().zip(keys).enumerate() {
+        match row[..i].iter().position(|&e| e == id) {
+            Some(j) => args.push(args[j]),
+            None => {
+                let null = key.is_null_class();
+                let number = &mut next[usize::from(null)];
+                args.push(term(null, id, *number));
+                *number += 1;
+            }
+        }
+    }
+    args
+}
+
+/// Compute the isomorphism canonical form of an interned row.
+pub fn row_iso_key(predicate: Sym, row: &[ValueId]) -> RowIsoKey {
+    let args = canonical_row(row, |null, id, number| {
+        if null {
+            RowCanonTerm::Null(number)
+        } else {
+            RowCanonTerm::Const(id)
+        }
+    });
+    RowIsoKey { predicate, args }
+}
+
+/// Compute the pattern-isomorphism canonical form of an interned row. It is
+/// the same [`PatternKey`] that [`pattern_key`] gives for the fact the row
+/// interns.
+pub fn row_pattern_key(predicate: Sym, row: &[ValueId]) -> PatternKey {
+    let args = canonical_row(row, |null, _, number| {
+        if null {
+            PatternTerm::Null(number)
+        } else {
+            PatternTerm::Const(number)
+        }
+    });
+    PatternKey { predicate, args }
 }
 
 /// Are two facts isomorphic (Section 3.1)?

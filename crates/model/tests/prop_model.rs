@@ -10,7 +10,10 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use vadalog_model::prelude::*;
-use vadalog_model::{facts_isomorphic, facts_pattern_isomorphic, iso_key, pattern_key};
+use vadalog_model::{
+    facts_isomorphic, facts_pattern_isomorphic, iso_key, pattern_key, row_iso_key, row_pattern_key,
+    PatternKey, RowIsoKey,
+};
 
 /// A small pool of predicate names so that collisions are frequent enough to
 /// be interesting.
@@ -45,6 +48,40 @@ fn fact_with_nulls() -> impl Strategy<Value = Fact> {
         .prop_map(|(p, args)| Fact::new(&p, args))
 }
 
+/// Values whose equality the interner must get right: `Int(2)` and
+/// `Float(2.0)` are one value, and a list holding a null is a constant
+/// (renaming the null inside it changes the value).
+fn tricky_value() -> impl Strategy<Value = Value> {
+    prop::sample::select(vec![
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::List(vec![Value::Null(NullId(1))]),
+        Value::List(vec![Value::Null(NullId(2))]),
+    ])
+}
+
+/// Facts mixing [`value_with_nulls`] with [`tricky_value`]s, over a
+/// small predicate pool so key comparisons often meet equal predicates.
+fn fact_for_keys() -> impl Strategy<Value = Fact> {
+    (
+        prop::sample::select(vec!["P", "Q"]),
+        prop::collection::vec(
+            prop_oneof![3 => value_with_nulls(), 1 => tricky_value()],
+            1..5,
+        ),
+    )
+        .prop_map(|(p, args)| Fact::new(p, args))
+}
+
+/// The row-level canonical forms of a fact, built from its interned row.
+fn row_keys(f: &Fact) -> (RowIsoKey, PatternKey) {
+    let row = f.intern_args();
+    (
+        row_iso_key(f.predicate, &row),
+        row_pattern_key(f.predicate, &row),
+    )
+}
+
 fn ground_fact() -> impl Strategy<Value = Fact> {
     (
         predicate_name(),
@@ -72,6 +109,7 @@ proptest! {
     fn iso_is_reflexive(f in fact_with_nulls()) {
         prop_assert!(facts_isomorphic(&f, &f));
         prop_assert_eq!(iso_key(&f), iso_key(&f));
+        prop_assert_eq!(row_keys(&f), row_keys(&f));
     }
 
     /// Bijectively renaming labelled nulls never changes the isomorphism
@@ -82,6 +120,7 @@ proptest! {
         let renamed = rename_nulls_bijectively(&f, offset);
         prop_assert!(facts_isomorphic(&f, &renamed));
         prop_assert_eq!(iso_key(&f), iso_key(&renamed));
+        prop_assert_eq!(row_keys(&f).0, row_keys(&renamed).0);
     }
 
     /// Isomorphic facts agree on predicate, arity and on every constant
@@ -105,10 +144,13 @@ proptest! {
     }
 
     /// iso_key equality and facts_isomorphic agree (the key is a canonical
-    /// form, which is what lets the ground structure use it as a hash key).
+    /// form, which is what lets the ground structure use it as a hash key),
+    /// and so does the row-level key the warded strategy compares.
     #[test]
-    fn iso_key_agrees_with_predicate(a in fact_with_nulls(), b in fact_with_nulls()) {
-        prop_assert_eq!(iso_key(&a) == iso_key(&b), facts_isomorphic(&a, &b));
+    fn iso_key_agrees_with_predicate(a in fact_for_keys(), b in fact_for_keys()) {
+        let iso = facts_isomorphic(&a, &b);
+        prop_assert_eq!(iso_key(&a) == iso_key(&b), iso);
+        prop_assert_eq!(row_keys(&a).0 == row_keys(&b).0, iso);
     }
 
     // ------------------------------------------------------- pattern iso
@@ -120,15 +162,17 @@ proptest! {
         let renamed = rename_nulls_bijectively(&f, offset);
         prop_assert!(facts_pattern_isomorphic(&f, &renamed));
         prop_assert_eq!(pattern_key(&f), pattern_key(&renamed));
+        prop_assert_eq!(row_keys(&f).1, row_keys(&renamed).1);
     }
 
-    /// pattern_key equality and facts_pattern_isomorphic agree.
+    /// pattern_key equality and facts_pattern_isomorphic agree, and so does
+    /// the row-level key, which is the value-level key itself.
     #[test]
-    fn pattern_key_agrees_with_predicate(a in fact_with_nulls(), b in fact_with_nulls()) {
-        prop_assert_eq!(
-            pattern_key(&a) == pattern_key(&b),
-            facts_pattern_isomorphic(&a, &b)
-        );
+    fn pattern_key_agrees_with_predicate(a in fact_for_keys(), b in fact_for_keys()) {
+        let pattern_iso = facts_pattern_isomorphic(&a, &b);
+        prop_assert_eq!(pattern_key(&a) == pattern_key(&b), pattern_iso);
+        prop_assert_eq!(row_keys(&a).1 == row_keys(&b).1, pattern_iso);
+        prop_assert_eq!(row_keys(&a).1, pattern_key(&a));
     }
 
     /// Renaming *constants* bijectively preserves the pattern class: the

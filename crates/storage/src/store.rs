@@ -1484,11 +1484,26 @@ impl FactStore {
 
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        self.holds_nulls |= !fact.is_ground();
+        let ground = fact.is_ground();
+        self.insert_row(fact.predicate, fact.intern_args(), ground)
+    }
+
+    /// Insert a fact its caller has already interned; `ground` says whether
+    /// the fact is free of labelled nulls ([`Fact::is_ground`]). Returns
+    /// `true` if it was new. This is [`FactStore::insert`] for a loader
+    /// that also hands the row to someone else, so it interns once.
+    pub fn insert_row(&mut self, predicate: Sym, row: Box<[ValueId]>, ground: bool) -> bool {
+        self.holds_nulls |= !ground;
+        self.relation_mut(predicate).insert_row(row).is_some()
+    }
+
+    /// Every stored row with its predicate, predicate-ordered and in
+    /// `FactId` order within a predicate: [`FactStore::iter`] without
+    /// materialising.
+    pub fn rows(&self) -> impl Iterator<Item = (Sym, &[ValueId])> + '_ {
         self.relations
-            .entry(fact.predicate)
-            .or_default()
-            .insert(fact)
+            .iter()
+            .flat_map(|(p, r)| r.iter_rows().map(move |row| (*p, row)))
     }
 
     /// Did a fact carrying a labelled null enter through
