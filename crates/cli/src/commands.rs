@@ -1440,6 +1440,48 @@ mod tests {
     }
 
     #[test]
+    fn an_aggregate_inside_a_larger_expression_is_a_parse_error() {
+        let src = "P(1, \"a\"). P(1, \"b\"). P(2, \"c\").\n\
+                   P(x, y), w = mcount(y) * 10 -> Q(x, w).\n\
+                   @output(\"Q\").";
+        let path = temp_program("nested_aggregate.vada", src);
+        let err = run_cli(&args(&["run", &path])).unwrap_err();
+        let CliError::Parse(parse) = &err else {
+            panic!("expected a parse error, got {err}");
+        };
+        assert_eq!(
+            parse.kind,
+            vadalog_parser::ParseErrorKind::MisplacedAggregate {
+                rule: "P(x, y), w = (mcount(y) * 10) -> Q(x, w)".to_string()
+            }
+        );
+        assert_eq!(parse.line, 2);
+        assert!(err.to_string().contains("w = (mcount(y) * 10)"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn query_answers_equal_run_answers_when_a_derived_predicate_has_facts() {
+        // `Edge` is both stored and derived (by a rule that never fires):
+        // the magic rewrite must still read its stored rows.
+        let src = "Edge(0, 1). Edge(1, 2). Edge(2, 3). Edge(3, 0).\n\
+                   Triangle(x, y, z) -> Edge(z, x).\n\
+                   Edge(x, y) -> Reach(x, y).\n\
+                   Reach(x, y), Edge(y, z) -> Reach(x, z).\n\
+                   @output(\"Reach\").";
+        let path = temp_program("stored_and_derived.vada", src);
+        let run = run_cli(&args(&["run", &path])).unwrap();
+        let query = run_cli(&args(&["query", &path, "Reach(0, y)"])).unwrap();
+        assert!(query.contains("with magic sets (4 answers)"), "{query}");
+        for y in 0..4 {
+            let fact = format!("Reach(0, {y}).");
+            assert!(run.contains(&fact), "{run}");
+            assert!(query.contains(&fact), "{query}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn require_warded_rejects_unsupported_programs() {
         let src =
             "A(x) -> B(x, n).\nC(x) -> D(x, m).\nB(x, n), D(x, m) -> E(n, m).\n@output(\"E\").";

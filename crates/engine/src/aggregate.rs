@@ -8,28 +8,49 @@
 //! windowing: for each distinct contributor tuple only its best (largest for
 //! increasing functions, smallest for decreasing ones) argument value enters
 //! the aggregate.
+//!
+//! The state is keyed on interned ids, like the join that feeds it: a group
+//! is the [`ValueId`]s of its group-by slots, and `mcount` / `munion` keep
+//! their distinct members as ids (equal values intern to equal ids, so the
+//! counts are those of the values). Only what the result needs is resolved:
+//! the numeric argument of `msum`, `mprod`, `mmin` and `mmax`, the
+//! contributor tuple of `msum` / `mprod` (their windowing map iterates in
+//! value order, which fixes the floating-point summation order), and a new
+//! `munion` member.
 
 use std::collections::{BTreeMap, BTreeSet};
+use vadalog_model::fxhash::{FxHashMap, FxHashSet};
 use vadalog_model::prelude::*;
 
-/// A group key: the values of the group-by arguments.
-pub type GroupKey = Vec<Value>;
-
-/// Running state of one aggregation occurrence (one per aggregate rule).
+/// Running state of one aggregation occurrence: the groups it has seen.
 #[derive(Clone, Debug, Default)]
 pub struct AggregateState {
-    groups: BTreeMap<GroupKey, GroupState>,
+    /// Group key → group number (index into `groups`).
+    index: FxHashMap<Box<[ValueId]>, usize>,
+    groups: Vec<Group>,
+    /// `(group number, member)` pairs: the distinct ids of `mcount` over
+    /// single ids and of `munion`, for all groups in one table.
+    members: FxHashSet<(usize, ValueId)>,
 }
 
-#[derive(Clone, Debug, Default)]
-struct GroupState {
-    /// contributor tuple -> best argument value seen so far.
-    contributions: BTreeMap<Vec<Value>, f64>,
-    /// distinct argument values (for mcount / munion).
-    distinct: BTreeSet<Value>,
-    /// current minimum / maximum for mmin / mmax.
-    current_min: Option<f64>,
-    current_max: Option<f64>,
+/// One group's state; the variant follows the occurrence's function.
+#[derive(Clone, Debug)]
+enum Group {
+    /// `mcount` over single ids (the argument, or a sole contributor): the
+    /// number of the group's pairs in `members`.
+    Count(usize),
+    /// `mcount` over contributor tuples.
+    Tuples(FxHashSet<Box<[ValueId]>>),
+    /// `msum` / `mprod`: contributor tuple → best argument seen.
+    Window(BTreeMap<Vec<Value>, f64>),
+    /// `mmin` / `mmax`: the extreme so far.
+    Extreme(f64),
+    /// `munion`: the member values and the id of the set last emitted
+    /// (`None` until the first member).
+    Union {
+        values: BTreeSet<Value>,
+        set: Option<ValueId>,
+    },
 }
 
 impl AggregateState {
@@ -38,90 +59,104 @@ impl AggregateState {
         Self::default()
     }
 
-    /// Feed one matched row into the aggregation and return the updated
-    /// aggregate value for its group.
-    ///
-    /// `group` are the group-by values, `contributors` the values of the
-    /// contributor variables (the windowing key; may be empty), `arg` the
-    /// evaluated aggregation argument.
-    pub fn update(
+    /// The number of `group`, whose state `init` creates on first sight.
+    fn group(&mut self, group: &[ValueId], init: impl FnOnce() -> Group) -> usize {
+        if let Some(&g) = self.index.get(group) {
+            return g;
+        }
+        self.index.insert(group.into(), self.groups.len());
+        self.groups.push(init());
+        self.groups.len() - 1
+    }
+
+    /// `mcount`: fold `key` — the argument's id, or the contributor tuple's
+    /// ids — into `group` and return its number of distinct keys.
+    pub fn count(&mut self, group: &[ValueId], key: &[ValueId]) -> usize {
+        let init = || match key {
+            [_] => Group::Count(0),
+            _ => Group::Tuples(FxHashSet::default()),
+        };
+        let g = self.group(group, init);
+        match (&mut self.groups[g], key) {
+            (Group::Count(n), [id]) => {
+                if self.members.insert((g, *id)) {
+                    *n += 1;
+                }
+                *n
+            }
+            (Group::Tuples(tuples), _) => {
+                if !tuples.contains(key) {
+                    tuples.insert(key.into());
+                }
+                tuples.len()
+            }
+            (other, _) => unreachable!("mcount on a {other:?} group"),
+        }
+    }
+
+    /// `msum` / `mprod` / `mmin` / `mmax`: fold the numeric argument `x`
+    /// into `group` and return the updated aggregate. For `msum` and
+    /// `mprod` each `contributors` tuple (empty without windowing) counts
+    /// with its largest argument, and the result combines the tuples in
+    /// value order.
+    pub fn fold(
         &mut self,
         func: AggFunc,
-        group: GroupKey,
+        group: &[ValueId],
         contributors: Vec<Value>,
-        arg: &Value,
-    ) -> Option<Value> {
-        let state = self.groups.entry(group).or_default();
-        match func {
-            AggFunc::MSum | AggFunc::MProd => {
-                let x = arg.as_f64()?;
-                let entry = state.contributions.entry(contributors).or_insert(x);
-                // Windowing: for a monotonically increasing aggregate each
-                // contributor counts with its maximum seen value.
-                if x > *entry {
-                    *entry = x;
+        x: f64,
+    ) -> f64 {
+        let init = || match func {
+            AggFunc::MSum | AggFunc::MProd => Group::Window(BTreeMap::new()),
+            _ => Group::Extreme(x),
+        };
+        let g = self.group(group, init);
+        match (&mut self.groups[g], func) {
+            (Group::Window(window), AggFunc::MSum | AggFunc::MProd) => {
+                let best = window.entry(contributors).or_insert(x);
+                if x > *best {
+                    *best = x;
                 }
-                let combined: f64 = if func == AggFunc::MSum {
-                    state.contributions.values().sum()
+                if func == AggFunc::MSum {
+                    window.values().sum()
                 } else {
-                    state.contributions.values().product()
-                };
-                Some(Value::Float(combined))
-            }
-            AggFunc::MCount => {
-                if contributors.is_empty() {
-                    state.distinct.insert(arg.clone());
-                } else {
-                    state.distinct.insert(Value::List(contributors));
+                    window.values().product()
                 }
-                Some(Value::Int(state.distinct.len() as i64))
             }
-            AggFunc::MMin => {
-                let x = arg.as_f64()?;
-                let m = state.current_min.map_or(x, |m| m.min(x));
-                state.current_min = Some(m);
-                Some(Value::Float(m))
+            (Group::Extreme(m), AggFunc::MMin) => {
+                *m = m.min(x);
+                *m
             }
-            AggFunc::MMax => {
-                let x = arg.as_f64()?;
-                let m = state.current_max.map_or(x, |m| m.max(x));
-                state.current_max = Some(m);
-                Some(Value::Float(m))
+            (Group::Extreme(m), AggFunc::MMax) => {
+                *m = m.max(x);
+                *m
             }
-            AggFunc::MUnion => {
-                state.distinct.insert(arg.clone());
-                Some(Value::Set(state.distinct.clone()))
-            }
+            (other, _) => unreachable!("{func} on a {other:?} group"),
         }
     }
 
-    /// The final aggregate value of each group (used by the post-processor to
-    /// keep only the paper's "final value" per group).
-    pub fn finals(&self, func: AggFunc) -> BTreeMap<GroupKey, Value> {
-        let mut out = BTreeMap::new();
-        for (k, state) in &self.groups {
-            let v = match func {
-                AggFunc::MSum => Value::Float(state.contributions.values().sum()),
-                AggFunc::MProd => Value::Float(state.contributions.values().product()),
-                AggFunc::MCount => Value::Int(state.distinct.len() as i64),
-                AggFunc::MMin => match state.current_min {
-                    Some(m) => Value::Float(m),
-                    None => continue,
-                },
-                AggFunc::MMax => match state.current_max {
-                    Some(m) => Value::Float(m),
-                    None => continue,
-                },
-                AggFunc::MUnion => Value::Set(state.distinct.clone()),
-            };
-            out.insert(k.clone(), v);
+    /// `munion`: add `member` to `group`'s set and return the interned set.
+    /// `value` resolves the member and runs only when it is new; a member
+    /// already present returns the id emitted last, which is the same set.
+    pub fn union(
+        &mut self,
+        group: &[ValueId],
+        member: ValueId,
+        value: impl FnOnce() -> Value,
+    ) -> ValueId {
+        let init = || Group::Union {
+            values: BTreeSet::new(),
+            set: None,
+        };
+        let g = self.group(group, init);
+        let Group::Union { values, set } = &mut self.groups[g] else {
+            unreachable!("munion on a non-union group")
+        };
+        if self.members.insert((g, member)) {
+            values.insert(value());
+            *set = Some(intern_value(&Value::Set(values.clone())));
         }
-        out
-    }
-
-    /// Number of groups seen so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
+        set.expect("the group has a member")
     }
 }
 
@@ -129,117 +164,96 @@ impl AggregateState {
 mod tests {
     use super::*;
 
+    fn ids(values: &[Value]) -> Vec<ValueId> {
+        values.iter().map(intern_value).collect()
+    }
+
     #[test]
     fn example10_msum_with_contributor_windowing() {
         // P(1,2,5). P(1,2,3). P(1,3,7). P(2,4,2). P(2,4,3). P(2,5,1).
         // P(x, y, w), j = msum(w, <y>) -> Q(x, j).
         let mut state = AggregateState::new();
-        let g1 = vec![Value::Int(1)];
-        let g2 = vec![Value::Int(2)];
-        let upd = |s: &mut AggregateState, g: &GroupKey, y: i64, w: f64| {
-            s.update(
-                AggFunc::MSum,
-                g.clone(),
-                vec![Value::Int(y)],
-                &Value::Float(w),
-            )
-            .unwrap()
-        };
-        assert_eq!(upd(&mut state, &g1, 2, 5.0), Value::Float(5.0));
+        let g1 = ids(&[Value::Int(1)]);
+        let g2 = ids(&[Value::Int(2)]);
+        let mut upd =
+            |g: &[ValueId], y: i64, w: f64| state.fold(AggFunc::MSum, g, vec![Value::Int(y)], w);
+        assert_eq!(upd(&g1, 2, 5.0), 5.0);
         // same contributor 2 with a smaller value: max(5, 3) keeps 5
-        assert_eq!(upd(&mut state, &g1, 2, 3.0), Value::Float(5.0));
+        assert_eq!(upd(&g1, 2, 3.0), 5.0);
         // new contributor 3: sum becomes 12
-        assert_eq!(upd(&mut state, &g1, 3, 7.0), Value::Float(12.0));
+        assert_eq!(upd(&g1, 3, 7.0), 12.0);
         // second group
-        assert_eq!(upd(&mut state, &g2, 4, 2.0), Value::Float(2.0));
-        assert_eq!(upd(&mut state, &g2, 4, 3.0), Value::Float(3.0));
-        assert_eq!(upd(&mut state, &g2, 5, 1.0), Value::Float(4.0));
-        // final values per group
-        let finals = state.finals(AggFunc::MSum);
-        assert_eq!(finals[&g1], Value::Float(12.0));
-        assert_eq!(finals[&g2], Value::Float(4.0));
-        assert_eq!(state.group_count(), 2);
+        assert_eq!(upd(&g2, 4, 2.0), 2.0);
+        assert_eq!(upd(&g2, 4, 3.0), 3.0);
+        assert_eq!(upd(&g2, 5, 1.0), 4.0);
     }
 
     #[test]
     fn msum_order_independence_of_final_value() {
         // The intermediate values depend on the order, the final one must not.
-        let rows = vec![(2, 5.0), (2, 3.0), (3, 7.0)];
-        let mut forward = AggregateState::new();
-        let mut backward = AggregateState::new();
-        let g = vec![Value::Int(1)];
-        for (y, w) in &rows {
-            forward.update(
-                AggFunc::MSum,
-                g.clone(),
-                vec![Value::Int(*y)],
-                &Value::Float(*w),
-            );
-        }
-        for (y, w) in rows.iter().rev() {
-            backward.update(
-                AggFunc::MSum,
-                g.clone(),
-                vec![Value::Int(*y)],
-                &Value::Float(*w),
-            );
-        }
-        assert_eq!(
-            forward.finals(AggFunc::MSum)[&g],
-            backward.finals(AggFunc::MSum)[&g]
-        );
+        let rows = [(2, 5.0), (2, 3.0), (3, 7.0)];
+        let g = ids(&[Value::Int(1)]);
+        let run = |order: &mut dyn Iterator<Item = &(i64, f64)>| {
+            let mut state = AggregateState::new();
+            let mut last = 0.0;
+            for (y, w) in order {
+                last = state.fold(AggFunc::MSum, &g, vec![Value::Int(*y)], *w);
+            }
+            last
+        };
+        assert_eq!(run(&mut rows.iter()), run(&mut rows.iter().rev()));
     }
 
     #[test]
     fn mcount_counts_distinct_contributions() {
         let mut state = AggregateState::new();
-        let g = vec![Value::str("acme")];
-        let mut last = Value::Int(0);
+        let g = ids(&[Value::str("acme")]);
+        let mut last = 0;
         for p in ["alice", "bob", "alice", "carol"] {
-            last = state
-                .update(AggFunc::MCount, g.clone(), vec![], &Value::str(p))
-                .unwrap();
+            last = state.count(&g, &[intern_value(&Value::str(p))]);
         }
-        assert_eq!(last, Value::Int(3));
+        assert_eq!(last, 3);
+        // Int(2) and Float(2.0) are one value, so one member.
+        let mut numbers = AggregateState::new();
+        numbers.count(&g, &ids(&[Value::Int(2)]));
+        assert_eq!(numbers.count(&g, &ids(&[Value::Float(2.0)])), 1);
+    }
+
+    #[test]
+    fn mcount_counts_distinct_contributor_tuples() {
+        let mut state = AggregateState::new();
+        let g = ids(&[Value::str("acme")]);
+        let pair = |a: i64, b: i64| ids(&[Value::Int(a), Value::Int(b)]);
+        assert_eq!(state.count(&g, &pair(1, 2)), 1);
+        assert_eq!(state.count(&g, &pair(1, 2)), 1);
+        assert_eq!(state.count(&g, &pair(2, 1)), 2);
     }
 
     #[test]
     fn mmin_and_mmax_track_extremes() {
         let mut state = AggregateState::new();
-        let g: GroupKey = vec![];
-        state.update(AggFunc::MMax, g.clone(), vec![], &Value::Float(3.0));
-        let v = state
-            .update(AggFunc::MMax, g.clone(), vec![], &Value::Float(1.0))
-            .unwrap();
-        assert_eq!(v, Value::Float(3.0));
+        state.fold(AggFunc::MMax, &[], vec![], 3.0);
+        assert_eq!(state.fold(AggFunc::MMax, &[], vec![], 1.0), 3.0);
 
         let mut state2 = AggregateState::new();
-        state2.update(AggFunc::MMin, g.clone(), vec![], &Value::Float(3.0));
-        let v2 = state2
-            .update(AggFunc::MMin, g.clone(), vec![], &Value::Float(1.0))
-            .unwrap();
-        assert_eq!(v2, Value::Float(1.0));
+        state2.fold(AggFunc::MMin, &[], vec![], 3.0);
+        assert_eq!(state2.fold(AggFunc::MMin, &[], vec![], 1.0), 1.0);
     }
 
     #[test]
-    fn munion_accumulates_sets() {
+    fn munion_accumulates_sets_and_reuses_the_last_id() {
         let mut state = AggregateState::new();
-        let g = vec![Value::str("x")];
-        state.update(AggFunc::MUnion, g.clone(), vec![], &Value::str("p1"));
-        let v = state
-            .update(AggFunc::MUnion, g.clone(), vec![], &Value::str("p2"))
-            .unwrap();
-        match v {
+        let g = ids(&[Value::str("x")]);
+        let mut add = |p: &str| {
+            let v = Value::str(p);
+            state.union(&g, intern_value(&v), || v)
+        };
+        add("p1");
+        let both = add("p2");
+        assert_eq!(add("p1"), both, "an old member re-emits the same set");
+        match resolve_value(both) {
             Value::Set(s) => assert_eq!(s.len(), 2),
             other => panic!("expected set, got {other}"),
         }
-    }
-
-    #[test]
-    fn non_numeric_argument_to_numeric_aggregate_is_rejected() {
-        let mut state = AggregateState::new();
-        assert!(state
-            .update(AggFunc::MSum, vec![], vec![], &Value::str("oops"))
-            .is_none());
     }
 }

@@ -170,7 +170,6 @@ pub mod plan;
 pub mod reasoner;
 pub mod session;
 
-pub use aggregate::{AggregateState, GroupKey};
 pub use pipeline::{
     default_parallelism, JoinStrategy, Pipeline, PipelineStats, SuspendedPipeline,
     BATCH_WIDTH_BUCKETS,

@@ -11,11 +11,13 @@
 //! column (`w > 0.5` becomes part of the index access instead of a
 //! post-join filter). Pushed conditions are additionally enforced as
 //! id-level **guards** (order-key comparisons, resolving only on key ties)
-//! at the first step where both sides are bound, so the residual,
-//! substitution-level evaluation in emission only ever sees the narrowed
-//! candidate set — and rules whose conditions all pushed never materialise
-//! a substitution at all. Probe results arrive in ascending `FactId` order
-//! by construction, which keeps enumeration deterministic.
+//! at the first step where both sides are bound, so the residual
+//! literals evaluated in emission only ever see the narrowed candidate set.
+//! Those run on the binding too: a comparison of variables and constants is
+//! the same id-level check, an aggregate keys its state on ids, and only an
+//! expression (arithmetic, a call, a Skolem term) resolves the variables it
+//! reads. Probe results arrive in ascending `FactId` order by construction,
+//! which keeps enumeration deterministic.
 //!
 //! # Two-level parallel sweeps: batches of chunks
 //!
@@ -76,7 +78,7 @@
 //! rows are registered with the strategy as base facts and admission
 //! continues under it (see [`Pipeline::load_facts`]).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use vadalog_analysis::RuleKind;
@@ -84,8 +86,8 @@ use vadalog_chase::chase::{find_matches_shard, find_matches_with};
 use vadalog_chase::{Candidate, MatchBuffers, ParentRef, StrategyStats, TerminationStrategy};
 use vadalog_model::prelude::*;
 use vadalog_storage::{
-    materialise, number_variables, undo_to, ActiveDomain, DeltaBatch, FactId, FactStore,
-    JoinScratch, ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
+    number_variables, undo_to, ActiveDomain, DeltaBatch, FactId, FactStore, JoinScratch,
+    ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
 };
 
 use vadalog_storage::{
@@ -94,7 +96,8 @@ use vadalog_storage::{
 
 use crate::aggregate::AggregateState;
 use crate::plan::{
-    chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, HybridPlan, RangeCandidate,
+    chunk_windows, literal_constant, plan_chunk_count, AccessPlan, BoundTerm, HybridPlan,
+    PushedCondition, RangeCandidate,
 };
 use crate::reasoner::ReasonerOptions;
 
@@ -224,6 +227,240 @@ impl CompiledRange {
     }
 }
 
+/// Where emission reads a variable that an expression mentions.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// A binding slot, resolved when read (unbound slots are skipped).
+    Slot(usize),
+    /// The result of the residual literal at this index: an assignment
+    /// earlier in the body, read exactly as computed — `Float(2.0)` stays a
+    /// float even where `Int(2)` owns the interned id.
+    Assigned(usize),
+}
+
+/// An expression with the variables it reads: it is evaluated over a
+/// substitution holding those only.
+#[derive(Clone, Debug)]
+struct CompiledExpr {
+    expr: Expr,
+    reads: Box<[(Var, Source)]>,
+}
+
+impl CompiledExpr {
+    fn compile(expr: &Expr, source: impl Fn(Var) -> Option<Source>) -> Self {
+        CompiledExpr {
+            expr: expr.clone(),
+            reads: expr
+                .variables()
+                .into_iter()
+                .filter_map(|v| source(v).map(|src| (v, src)))
+                .collect(),
+        }
+    }
+
+    /// The substitution the expression is evaluated over.
+    fn subst(&self, binding: &[Option<ValueId>], assigned: &[Option<Datum>]) -> Substitution {
+        let mut subst = Substitution::new();
+        for &(var, src) in self.reads.iter() {
+            if let Some(value) = read_value(src, binding, assigned) {
+                subst.bind(var, value);
+            }
+        }
+        subst
+    }
+}
+
+/// An aggregation argument or an assignment's result: an interned id, or a
+/// value not interned (yet).
+enum Datum {
+    Id(ValueId),
+    Value(Value),
+}
+
+impl Datum {
+    fn id(&self) -> ValueId {
+        match self {
+            Datum::Id(id) => *id,
+            Datum::Value(value) => intern_value(value),
+        }
+    }
+
+    fn value(&self) -> Value {
+        match self {
+            Datum::Id(id) => resolve_value(*id),
+            Datum::Value(value) => value.clone(),
+        }
+    }
+}
+
+/// The value of `src` in the current match (`None`: unbound).
+fn read_value(
+    src: Source,
+    binding: &[Option<ValueId>],
+    assigned: &[Option<Datum>],
+) -> Option<Value> {
+    match src {
+        Source::Slot(slot) => binding[slot].map(resolve_value),
+        Source::Assigned(r) => assigned[r].as_ref().map(Datum::value),
+    }
+}
+
+/// The id of `src` in the current match (`None`: unbound).
+fn read_id(
+    src: Source,
+    binding: &[Option<ValueId>],
+    assigned: &[Option<Datum>],
+) -> Option<ValueId> {
+    match src {
+        Source::Slot(slot) => binding[slot],
+        Source::Assigned(r) => assigned[r].as_ref().map(Datum::id),
+    }
+}
+
+/// An aggregation's argument.
+#[derive(Clone, Debug)]
+enum AggArg {
+    /// A body variable: its binding slot, read as an id.
+    Slot(usize),
+    /// Anything else, evaluated.
+    Expr(CompiledExpr),
+}
+
+/// A residual body literal — a condition the join did not enforce, or an
+/// assignment — compiled against the rule's slot numbering. Emission runs a
+/// filter's residuals in body order on each match's binding; an
+/// assignment's result goes to its variable's binding slot, when an atom
+/// mentions the variable (`slot`), and to the match's assigned results.
+#[derive(Clone, Debug)]
+enum Residual {
+    /// A comparison of variables and constants, checked on ids.
+    Cond(CompiledCond),
+    /// A comparison with an expression operand, evaluated on values.
+    Test {
+        op: CmpOp,
+        left: CompiledExpr,
+        right: CompiledExpr,
+    },
+    /// `var = expr`: arithmetic, calls, Skolem terms.
+    Assign {
+        expr: CompiledExpr,
+        slot: Option<usize>,
+    },
+    /// `var = maggr(arg, <contributors>)`.
+    Aggregate {
+        func: AggFunc,
+        arg: AggArg,
+        /// Group-by slots: the head variables other than `var` bound here.
+        group: Box<[usize]>,
+        contributors: Box<[Source]>,
+        slot: Option<usize>,
+        /// Index of the occurrence's state among the filter's aggregates.
+        state: usize,
+    },
+}
+
+/// Compile `rule`'s residual literals — its assignments, and its
+/// conditions other than the `pushed` ones — in body order against
+/// `slots`. Constants are interned here, on the sequential path.
+fn compile_residuals(
+    rule: &Rule,
+    slots: &HashMap<Var, usize>,
+    pushed: &[PushedCondition],
+) -> Box<[Residual]> {
+    let positive: BTreeSet<Var> = rule
+        .body_atoms()
+        .iter()
+        .flat_map(|a| a.variables())
+        .collect();
+    let head = rule.head_variables();
+    // variable -> index of the residual that last assigned it.
+    let mut assigned: HashMap<Var, usize> = HashMap::new();
+    let mut out: Vec<Residual> = Vec::new();
+    let mut aggregates = 0;
+    for (i, literal) in rule.body.iter().enumerate() {
+        let source = |v: Var| match assigned.get(&v) {
+            Some(&r) => Some(Source::Assigned(r)),
+            None => slots.get(&v).map(|&slot| Source::Slot(slot)),
+        };
+        let residual = match literal {
+            Literal::Condition(cond) if !pushed.iter().any(|p| p.literal == i) => {
+                // An id operand: a constant, or a variable whose current
+                // value sits in its binding slot (an assigned variable's
+                // slot holds the interned result, and ids compare like
+                // the values they intern).
+                let operand = |e: &Expr| match e {
+                    Expr::Term(Term::Var(v)) => slots.get(v).map(|&slot| Slot::Var(slot)),
+                    other => literal_constant(other).map(|c| Slot::Const(intern_value(&c))),
+                };
+                match (operand(&cond.left), operand(&cond.right)) {
+                    (Some(Slot::Var(slot)), Some(bound)) => Residual::Cond(CompiledCond {
+                        slot,
+                        op: cond.op,
+                        bound,
+                    }),
+                    (Some(bound @ Slot::Const(_)), Some(Slot::Var(slot))) => {
+                        Residual::Cond(CompiledCond {
+                            slot,
+                            op: cond.op.flipped(),
+                            bound,
+                        })
+                    }
+                    _ => Residual::Test {
+                        op: cond.op,
+                        left: CompiledExpr::compile(&cond.left, source),
+                        right: CompiledExpr::compile(&cond.right, source),
+                    },
+                }
+            }
+            Literal::Assignment(asg) => {
+                let slot = slots.get(&asg.var).copied();
+                let residual = match asg.aggregate() {
+                    Some(agg) => {
+                        let bound = |v: &Var| positive.contains(v) || assigned.contains_key(v);
+                        // A body variable is read as its id; anything
+                        // else (an assigned variable included) evaluated.
+                        let arg_source = match agg.arg.as_ref() {
+                            Expr::Term(Term::Var(v)) => source(*v),
+                            _ => None,
+                        };
+                        let arg = match arg_source {
+                            Some(Source::Slot(slot)) => AggArg::Slot(slot),
+                            _ => AggArg::Expr(CompiledExpr::compile(&agg.arg, source)),
+                        };
+                        let state = aggregates;
+                        aggregates += 1;
+                        Residual::Aggregate {
+                            func: agg.func,
+                            arg,
+                            group: head
+                                .iter()
+                                .filter(|v| **v != asg.var && bound(v))
+                                .filter_map(|v| slots.get(v).copied())
+                                .collect(),
+                            contributors: agg
+                                .contributors
+                                .iter()
+                                .filter_map(|c| source(*c))
+                                .collect(),
+                            slot,
+                            state,
+                        }
+                    }
+                    None => Residual::Assign {
+                        expr: CompiledExpr::compile(&asg.expr, source),
+                        slot,
+                    },
+                };
+                assigned.insert(asg.var, out.len());
+                residual
+            }
+            _ => continue,
+        };
+        out.push(residual);
+    }
+    out.into_boxed_slice()
+}
+
 /// One join step compiled against the rule's slot numbering: the body atom
 /// it matches, the planner-chosen index probe and the id-level guards that
 /// become checkable once the step's variables are bound.
@@ -334,9 +571,9 @@ struct FilterJob {
     /// Per-delta-position evaluation orders with compiled probes and guards
     /// (`delta_steps[d][0]` scans the delta window of body position `d`).
     delta_steps: Vec<Vec<CompiledStep>>,
-    /// Body-literal indices of conditions enforced inside the join; the
-    /// residual evaluation in emission skips exactly these.
-    pushed_literals: Box<[usize]>,
+    /// The rule's residual literals, in body order: every assignment and
+    /// every condition the join does not enforce.
+    residuals: Box<[Residual]>,
     /// The all-probe plan of every delta position: one probe stage per
     /// non-delta step of `delta_steps[d]`.
     probe_stages: Box<[Stage]>,
@@ -503,8 +740,8 @@ pub struct SuspendedPipeline {
     /// cursors[filter][body_atom_position] = facts of that predicate already
     /// consumed by the filter at that position.
     cursors: Vec<Vec<usize>>,
-    /// Aggregation state, one per filter with an aggregate rule.
-    agg_states: Vec<AggregateState>,
+    /// Aggregation state: per filter, one per aggregate of its rule.
+    agg_states: Vec<Vec<AggregateState>>,
     /// Deterministic Skolem-term cache: (function, arguments) -> labelled null.
     skolems: HashMap<(Sym, Vec<Value>), Value>,
     /// The execution knobs (see [`ReasonerOptions`]); every setting yields
@@ -581,7 +818,7 @@ impl<'a> Pipeline<'a> {
                     .iter()
                     .map(|f| vec![0; f.rule.body_atoms().len()])
                     .collect(),
-                agg_states: (0..n).map(|_| AggregateState::new()).collect(),
+                agg_states: vec![Vec::new(); n],
                 skolems: HashMap::new(),
                 options: ReasonerOptions {
                     max_iterations: usize::MAX,
@@ -936,16 +1173,6 @@ impl<'a> Pipeline<'a> {
         Pipeline { plan, state }
     }
 
-    /// Final per-group aggregate values of a filter (used by the output
-    /// post-processor).
-    pub fn aggregate_finals(
-        &self,
-        filter_idx: usize,
-        func: AggFunc,
-    ) -> BTreeMap<Vec<Value>, Value> {
-        self.state.agg_states[filter_idx].finals(func)
-    }
-
     /// Build one sweep batch starting at filter `start`: scan filters in
     /// index order, preparing every non-quiescent one, and stop at the first
     /// filter whose inputs (positive or negated body predicates) intersect
@@ -1096,7 +1323,14 @@ impl<'a> Pipeline<'a> {
             }
             delta_steps.push(steps);
         }
-        let pushed_literals: Box<[usize]> = filter.pushed.iter().map(|p| p.literal).collect();
+        let residuals = compile_residuals(rule, &slots, &filter.pushed);
+        let aggregates = residuals
+            .iter()
+            .filter(|r| matches!(r, Residual::Aggregate { .. }))
+            .count();
+        if self.state.agg_states[f_idx].len() < aggregates {
+            self.state.agg_states[f_idx].resize_with(aggregates, AggregateState::new);
+        }
 
         // Pre-build every index the planned probes will touch (and flush
         // their tails), so the batch's workers never hit the
@@ -1205,7 +1439,7 @@ impl<'a> Pipeline<'a> {
             head_patterns,
             slots,
             delta_steps,
-            pushed_literals,
+            residuals,
             probe_stages: (1..body_atoms.len()).map(Stage::Probe).collect(),
             hybrid,
             chunks,
@@ -1651,6 +1885,7 @@ impl<'a> Pipeline<'a> {
             neg_patterns,
             head_patterns,
             slots,
+            residuals,
             ..
         } = job;
         for (pos, (_, to)) in deltas.iter().enumerate() {
@@ -1660,23 +1895,12 @@ impl<'a> Pipeline<'a> {
             return false;
         }
 
-        let rule = filter.rule.clone();
         let rule_id = filter.rule_id;
         let kind = plan.analysis.rules[rule_id as usize].kind;
         let ward_index = plan.analysis.rules[rule_id as usize].ward;
-        let existentials = rule.existential_variables();
-        // Value-level evaluation (a materialised substitution) is only
-        // needed when the rule carries assignments or *residual* conditions;
-        // pushed conditions were already enforced at the id level inside the
-        // join, so a rule whose conditions all pushed emits straight from
-        // the binding without materialising anything.
-        let is_pushed = |i: usize| job.pushed_literals.contains(&i);
-        let has_value_literals = rule.body.iter().enumerate().any(|(i, l)| match l {
-            Literal::Assignment(_) => true,
-            Literal::Condition(_) => !is_pushed(i),
-            _ => false,
-        });
-        let existential_slots: Vec<usize> = existentials
+        let existential_slots: Vec<usize> = filter
+            .rule
+            .existential_variables()
             .iter()
             .filter_map(|v| slots.get(v).copied())
             .collect();
@@ -1693,6 +1917,11 @@ impl<'a> Pipeline<'a> {
         let mut produced = false;
 
         let mut neg_bufs = ProbeBuffers::default();
+        // Per-match scratch of the residual literals: their results, and
+        // the group and mcount keys of an aggregate.
+        let mut assigned: Vec<Option<Datum>> = (0..residuals.len()).map(|_| None).collect();
+        let mut group_ids: Vec<ValueId> = Vec::new();
+        let mut key_ids: Vec<ValueId> = Vec::new();
         'matches: for mut binding in matches {
             // Negated atoms: reject if any match exists right now. Probed at
             // the id level against the relation's rows/indices — no fact is
@@ -1705,64 +1934,94 @@ impl<'a> Pipeline<'a> {
                     }
                 }
             }
-            // Residual conditions and assignments in body order, evaluated
-            // over a substitution materialised only for rules that need one
-            // — and only for the candidate set the pushed conditions already
-            // narrowed. Assignment results flow back into the id binding so
-            // head emission stays row-based.
-            if has_value_literals {
-                let mut subst = materialise(slots, &binding);
-                for (lit_idx, literal) in rule.body.iter().enumerate() {
-                    match literal {
-                        Literal::Assignment(asg) => {
-                            let value = if let Some(agg) = asg.expr.find_aggregate() {
-                                let group: Vec<Value> = rule
-                                    .head_variables()
-                                    .into_iter()
-                                    .filter(|v| *v != asg.var)
-                                    .filter_map(|v| subst.get(v).cloned())
-                                    .collect();
-                                let contributors: Vec<Value> = agg
-                                    .contributors
-                                    .iter()
-                                    .filter_map(|c| subst.get(*c).cloned())
-                                    .collect();
-                                let arg = match agg.arg.eval(&subst) {
-                                    Ok(v) => v,
-                                    Err(_) => continue 'matches,
-                                };
-                                match self.state.agg_states[f_idx].update(
-                                    agg.func,
-                                    group,
-                                    contributors,
-                                    &arg,
-                                ) {
-                                    Some(v) => v,
-                                    None => continue 'matches,
-                                }
-                            } else {
-                                match self.eval_with_skolems(&asg.expr, &subst) {
-                                    Some(v) => v,
-                                    None => continue 'matches,
-                                }
-                            };
-                            if let Some(slot) = slots.get(&asg.var) {
-                                binding[*slot] = Some(intern_value(&value));
-                            }
-                            subst.bind(asg.var, value);
+            // Residual conditions and assignments in body order, on the
+            // binding: comparisons of variables and constants on ids, and
+            // aggregates keyed on ids; an expression resolves only the
+            // variables it reads. Results are interned into their slots,
+            // so head emission stays row-based.
+            for (r, residual) in residuals.iter().enumerate() {
+                let (result, slot) = match residual {
+                    Residual::Cond(cond) => {
+                        if !Self::check_guards(std::slice::from_ref(cond), &binding) {
+                            continue 'matches;
                         }
-                        Literal::Condition(cond) if !is_pushed(lit_idx) => {
-                            let ok = match (cond.left.eval(&subst), cond.right.eval(&subst)) {
-                                (Ok(l), Ok(r)) => cond.op.eval(&l, &r),
-                                _ => false,
-                            };
-                            if !ok {
-                                continue 'matches;
-                            }
-                        }
-                        _ => {}
+                        continue;
                     }
+                    Residual::Test { op, left, right } => {
+                        let l = left.expr.eval(&left.subst(&binding, &assigned));
+                        let r = right.expr.eval(&right.subst(&binding, &assigned));
+                        match (l, r) {
+                            (Ok(l), Ok(r)) if op.eval(&l, &r) => continue,
+                            _ => continue 'matches,
+                        }
+                    }
+                    Residual::Assign { expr, slot } => {
+                        let subst = expr.subst(&binding, &assigned);
+                        match self.eval_with_skolems(&expr.expr, &subst) {
+                            Some(value) => (Datum::Value(value), slot),
+                            None => continue 'matches,
+                        }
+                    }
+                    Residual::Aggregate {
+                        func,
+                        arg,
+                        group,
+                        contributors,
+                        slot,
+                        state,
+                    } => {
+                        let arg = match arg {
+                            AggArg::Slot(slot) => match binding[*slot] {
+                                Some(id) => Datum::Id(id),
+                                None => continue 'matches,
+                            },
+                            AggArg::Expr(e) => match e.expr.eval(&e.subst(&binding, &assigned)) {
+                                Ok(value) => Datum::Value(value),
+                                Err(_) => continue 'matches,
+                            },
+                        };
+                        group_ids.clear();
+                        group_ids.extend(group.iter().filter_map(|slot| binding[*slot]));
+                        let aggregate = &mut self.state.agg_states[f_idx][*state];
+                        let result = match func {
+                            AggFunc::MCount => {
+                                // Distinct contributor tuples, or distinct
+                                // arguments without (bound) contributors.
+                                key_ids.clear();
+                                key_ids.extend(
+                                    contributors
+                                        .iter()
+                                        .filter_map(|c| read_id(*c, &binding, &assigned)),
+                                );
+                                if key_ids.is_empty() {
+                                    key_ids.push(arg.id());
+                                }
+                                let count = aggregate.count(&group_ids, &key_ids);
+                                Datum::Value(Value::Int(count as i64))
+                            }
+                            AggFunc::MUnion => {
+                                let member = arg.id();
+                                Datum::Id(aggregate.union(&group_ids, member, || arg.value()))
+                            }
+                            AggFunc::MSum | AggFunc::MProd | AggFunc::MMin | AggFunc::MMax => {
+                                let Some(x) = arg.value().as_f64() else {
+                                    continue 'matches;
+                                };
+                                let window = contributors
+                                    .iter()
+                                    .filter_map(|c| read_value(*c, &binding, &assigned))
+                                    .collect();
+                                let folded = aggregate.fold(*func, &group_ids, window, x);
+                                Datum::Value(Value::Float(folded))
+                            }
+                        };
+                        (result, slot)
+                    }
+                };
+                if let Some(slot) = slot {
+                    binding[*slot] = Some(result.id());
                 }
+                assigned[r] = Some(result);
             }
 
             // Parents for the termination wrapper, in row form (the body

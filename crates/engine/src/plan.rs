@@ -345,8 +345,10 @@ pub struct FilterNode {
     /// Does the rule carry a monotonic aggregation?
     pub has_aggregation: bool,
     /// Conditions classified as index-pushable (see [`PushedCondition`]);
-    /// the remaining conditions stay residual and are evaluated over a
-    /// materialised substitution on the narrowed candidate set only.
+    /// the remaining conditions stay residual and are evaluated in emission,
+    /// on the narrowed candidate set only: on ids when both sides are
+    /// variables or constants, otherwise over the values of the variables
+    /// they read.
     pub pushed: Vec<PushedCondition>,
     /// Per-delta-position probe/guard plans, indexed by body-atom position.
     pub delta_plans: Vec<DeltaPlan>,
@@ -377,7 +379,8 @@ impl FilterNode {
 /// aggregation or Skolem term, whose evaluation order is observable)
 /// occurring earlier in the body: pushing a condition past one would change
 /// which matches feed the aggregate/Skolem state. Everything else stays
-/// residual and is evaluated over a materialised substitution in body order.
+/// residual and is evaluated in body order by emission, on the match's id
+/// binding (an expression operand resolves only the variables it reads).
 fn classify_conditions(rule: &Rule) -> Vec<PushedCondition> {
     let positive: BTreeSet<Var> = rule
         .body_atoms()
@@ -402,19 +405,6 @@ fn classify_conditions(rule: &Rule) -> Vec<PushedCondition> {
         .unwrap_or(usize::MAX);
 
     let joinable = |v: &Var| positive.contains(v) && !assigned.contains(v);
-    // A literal constant, folding the parser's `Unary(Neg, Const)` shape for
-    // negative numbers.
-    let const_of = |e: &Expr| -> Option<Value> {
-        match e {
-            Expr::Term(Term::Const(c)) => Some(c.clone()),
-            Expr::Unary(UnaryOp::Neg, inner) => match inner.as_ref() {
-                Expr::Term(Term::Const(Value::Int(i))) => Some(Value::Int(-i)),
-                Expr::Term(Term::Const(Value::Float(f))) => Some(Value::Float(-f)),
-                _ => None,
-            },
-            _ => None,
-        }
-    };
     let mut pushed = Vec::new();
     for (literal, l) in rule.body.iter().enumerate() {
         let Literal::Condition(cond) = l else {
@@ -428,10 +418,10 @@ fn classify_conditions(rule: &Rule) -> Vec<PushedCondition> {
                 Some((*v, cond.op, BoundTerm::Var(*u)))
             }
             (Expr::Term(Term::Var(v)), rhs) => {
-                const_of(rhs).map(|c| (*v, cond.op, BoundTerm::Const(c)))
+                literal_constant(rhs).map(|c| (*v, cond.op, BoundTerm::Const(c)))
             }
             (lhs, Expr::Term(Term::Var(v))) => {
-                const_of(lhs).map(|c| (*v, cond.op.flipped(), BoundTerm::Const(c)))
+                literal_constant(lhs).map(|c| (*v, cond.op.flipped(), BoundTerm::Const(c)))
             }
             _ => None,
         };
@@ -454,6 +444,20 @@ fn classify_conditions(rule: &Rule) -> Vec<PushedCondition> {
         });
     }
     pushed
+}
+
+/// The literal constant an expression denotes, folding the parser's
+/// `Unary(Neg, Const)` shape for negative numbers.
+pub(crate) fn literal_constant(e: &Expr) -> Option<Value> {
+    match e {
+        Expr::Term(Term::Const(c)) => Some(c.clone()),
+        Expr::Unary(UnaryOp::Neg, inner) => match inner.as_ref() {
+            Expr::Term(Term::Const(Value::Int(i))) => Some(Value::Int(-i)),
+            Expr::Term(Term::Const(Value::Float(f))) => Some(Value::Float(-f)),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// The free-join plan for one delta position, or `None` when the cyclic

@@ -1,7 +1,7 @@
 //! The public [`Reasoner`] facade: parse → analyse → rewrite → compile →
 //! execute → post-process, end to end.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, Fragment};
 use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
@@ -345,7 +345,20 @@ impl Reasoner {
         // that, so run it first on a copy used only for the applicability
         // check and the transformation itself.
         let normalised = prepare_for_execution(program);
-        let (to_run, used_magic_sets) = match vadalog_rewrite::magic_sets(&normalised, query) {
+        let edb: BTreeSet<Sym> = normalised
+            .facts
+            .iter()
+            .map(|f| f.predicate)
+            .chain(
+                normalised
+                    .annotations
+                    .iter()
+                    .filter(|a| a.kind == AnnotationKind::Bind)
+                    .map(|a| a.predicate),
+            )
+            .collect();
+        let (to_run, used_magic_sets) = match vadalog_rewrite::magic_sets(&normalised, query, &edb)
+        {
             Ok(magic) => (magic.program, true),
             Err(_) => (program.clone(), false),
         };
@@ -513,7 +526,7 @@ fn aggregate_output_shape(plan: &AccessPlan) -> BTreeMap<Sym, (Vec<usize>, usize
             continue;
         }
         for assignment in filter.rule.assignments() {
-            let Some(agg) = assignment.expr.find_aggregate() else {
+            let Some(agg) = assignment.aggregate() else {
                 continue;
             };
             for head in filter.rule.head_atoms() {

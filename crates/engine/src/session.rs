@@ -369,6 +369,10 @@ struct SessionCore {
     /// rule-graph edges head predicate → body predicates, for the precise
     /// cone invalidation of [`QuerySession::append_facts`].
     rule_inputs: HashMap<Sym, BTreeSet<Sym>>,
+    /// Predicates holding rows in the base: the magic rewrite bridges the
+    /// stored rows of those that rules also derive (see
+    /// [`vadalog_rewrite::magic_sets`]).
+    edb_predicates: BTreeSet<Sym>,
     /// Memo: predicate → its transitive input predicates (itself included).
     deps: HashMap<Sym, BTreeSet<Sym>>,
     /// The session's write-ahead log, when durability is on: every accepted
@@ -438,6 +442,24 @@ impl SessionCore {
                     e.stamp = new_stamp;
                 }
             }
+        }
+    }
+
+    /// Record that `appended` predicates hold rows. A rule-derived one
+    /// holding its first rows changes the magic rewrite (it now needs its
+    /// bridge), so every magic compile, with its ensure-index memo and warm
+    /// costs, is dropped and recompiled on next use.
+    fn note_edb_predicates(&mut self, appended: &BTreeSet<Sym>) {
+        let mut first_derived_rows = false;
+        for p in appended {
+            first_derived_rows |=
+                self.edb_predicates.insert(*p) && self.rule_inputs.contains_key(p);
+        }
+        if first_derived_rows {
+            self.compiled
+                .retain(|_, kind| matches!(kind, CompiledKind::Fallback));
+            self.ensured_stamps.clear();
+            self.warm_costs.clear();
         }
     }
 
@@ -665,6 +687,7 @@ impl QuerySession {
             warm_costs: HashMap::new(),
             fallback_costs: None,
             rule_inputs,
+            edb_predicates: edb.iter().map(|f| f.predicate).collect(),
             deps: HashMap::new(),
             wal: None,
             poison_heals: 0,
@@ -998,6 +1021,7 @@ impl QuerySession {
             let new_stamp = core.base.stamp();
             let appended_preds: BTreeSet<Sym> = facts.iter().map(|f| f.predicate).collect();
             core.invalidate_cones(&appended_preds, new_stamp);
+            core.note_edb_predicates(&appended_preds);
             core.hashtries.retain_stamp(new_stamp);
             if core.options.compact_layers > 0
                 && core.base.layer_count() > core.options.compact_layers
@@ -1179,7 +1203,7 @@ impl QuerySession {
             core_ref.magic_cache_hits += 1;
         } else {
             let kind = if core_ref.use_magic {
-                match magic_sets(&self.rules_only, query) {
+                match magic_sets(&self.rules_only, query, &core_ref.edb_predicates) {
                     Ok(magic) => {
                         let seed = magic
                             .program
@@ -1692,6 +1716,51 @@ mod tests {
         // layered probes report their composition in the run stats
         let run = session.query(&reach_query("n0")).unwrap();
         assert!(run.run.stats.pipeline.base_layers >= 3);
+    }
+
+    /// A predicate that rules derive and facts also populate: the magic
+    /// rewrite must read its stored rows, both when the session opens with
+    /// them and when an append gives the predicate its first rows after a
+    /// query was compiled without them.
+    #[test]
+    fn stored_rows_of_a_derived_predicate_reach_magic_answers() {
+        let rules = "Triangle(x, y, z) -> Edge(z, x).\n\
+                     Edge(x, y) -> Reach(x, y).\n\
+                     Reach(x, y), Edge(y, z) -> Reach(x, z).\n\
+                     @output(\"Reach\").";
+        let edges: Vec<Fact> = [(0, 1), (1, 2), (2, 3), (3, 0)]
+            .iter()
+            .map(|&(a, b)| Fact::new("Edge", vec![Value::Int(a), Value::Int(b)]))
+            .collect();
+        let query = Atom::new("Reach", vec![Term::Const(Value::Int(0)), Term::var("y")]);
+        let mut with_facts = parse_program(rules).unwrap();
+        for e in &edges {
+            with_facts.add_fact(e.clone());
+        }
+        let run = Reasoner::new().reason(&with_facts).unwrap();
+        let expected: Vec<Fact> = run
+            .output("Reach")
+            .iter()
+            .filter(|f| f.args[0] == Value::Int(0))
+            .cloned()
+            .collect();
+        assert_eq!(expected.len(), 4);
+
+        let one_shot = Reasoner::new().reason_query(&with_facts, &query).unwrap();
+        assert!(one_shot.used_magic_sets);
+        assert_eq!(one_shot.answers, expected);
+        let mut opened = Reasoner::new().session(&with_facts).unwrap();
+        assert_eq!(opened.query(&query).unwrap().answers, expected);
+
+        let mut program = parse_program(rules).unwrap();
+        program.add_fact(Fact::new("Other", vec![Value::Int(9)]));
+        let mut session = Reasoner::new().session(&program).unwrap();
+        let before = session.query(&query).unwrap();
+        assert!(before.used_magic_sets && before.answers.is_empty());
+        session.append_facts(edges).unwrap();
+        let after = session.query(&query).unwrap();
+        assert!(after.used_magic_sets);
+        assert_eq!(after.answers, expected);
     }
 
     /// A cyclic query over a layered (appended-to) base routes its

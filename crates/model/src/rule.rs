@@ -3,7 +3,7 @@
 //! conditions and assignments (Section 2 and Section 5 of the paper).
 
 use crate::atom::Atom;
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{Aggregation, CmpOp, Expr};
 use crate::term::{Term, Var};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -71,6 +71,16 @@ impl Assignment {
     /// Convenience constructor.
     pub fn new(var: Var, expr: Expr) -> Self {
         Assignment { var, expr }
+    }
+
+    /// The aggregation this assignment defines, when it has the paper's
+    /// form `z = maggr(x, ⟨c̄⟩)`: the aggregation is the whole right-hand
+    /// side.
+    pub fn aggregate(&self) -> Option<&Aggregation> {
+        match &self.expr {
+            Expr::Aggregate(agg) => Some(agg),
+            _ => None,
+        }
     }
 }
 
@@ -350,6 +360,22 @@ impl Rule {
         self.assignments()
             .iter()
             .any(|a| a.expr.contains_aggregate())
+    }
+
+    /// The first monotonic aggregation the rule places anywhere but as the
+    /// whole right-hand side of an assignment (see
+    /// [`Assignment::aggregate`]): inside a larger expression, inside
+    /// another aggregation's argument, or in a condition. `None` when every
+    /// aggregation has the paper's form.
+    pub fn misplaced_aggregate(&self) -> Option<&Aggregation> {
+        self.body.iter().find_map(|l| match l {
+            Literal::Assignment(a) => match &a.expr {
+                Expr::Aggregate(agg) => agg.arg.find_aggregate(),
+                other => other.find_aggregate(),
+            },
+            Literal::Condition(c) => c.left.find_aggregate().or_else(|| c.right.find_aggregate()),
+            Literal::Atom(_) | Literal::Negated(_) => None,
+        })
     }
 
     /// Predicates appearing in positive body atoms.

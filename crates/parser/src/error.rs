@@ -6,6 +6,8 @@ use std::fmt;
 /// detected.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParseError {
+    /// What kind of error this is.
+    pub kind: ParseErrorKind,
     /// Human-readable description of what went wrong.
     pub message: String,
     /// 1-based line.
@@ -14,10 +16,26 @@ pub struct ParseError {
     pub column: usize,
 }
 
+/// The kinds of [`ParseError`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum ParseErrorKind {
+    /// The text does not follow the grammar.
+    Syntax,
+    /// A rule places a monotonic aggregation anywhere but as the whole
+    /// right-hand side of an assignment `z = maggr(x, <c̄>)` — the only form
+    /// whose value the engine can emit as the aggregate of a group.
+    /// `rule` is the offending rule as printed.
+    MisplacedAggregate {
+        /// The rule, in surface syntax.
+        rule: String,
+    },
+}
+
 impl ParseError {
-    /// Build an error at a position.
+    /// Build a [`ParseErrorKind::Syntax`] error at a position.
     pub fn new(message: impl Into<String>, line: usize, column: usize) -> Self {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.into(),
             line,
             column,

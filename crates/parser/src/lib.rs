@@ -34,7 +34,7 @@ pub mod lexer;
 pub mod parser;
 pub mod pretty;
 
-pub use error::ParseError;
+pub use error::{ParseError, ParseErrorKind};
 pub use parser::{parse_program, parse_rule, Parser};
 pub use pretty::{fact_to_text, program_to_text, rule_to_text};
 

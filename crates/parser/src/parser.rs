@@ -1,6 +1,6 @@
 //! Recursive-descent parser producing [`vadalog_model::Program`]s.
 
-use crate::error::ParseError;
+use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::{tokenize, SpannedToken, Token};
 use vadalog_model::prelude::*;
 
@@ -100,17 +100,21 @@ impl Parser {
             return Ok(Statement::Annotation(self.annotation()?));
         }
         // Parse a conjunct list, then decide what kind of clause this is.
+        let start = self.pos;
         let first = self.conjunct_list()?;
         match self.peek().clone() {
             Token::Arrow => {
                 self.bump();
                 let head = self.head()?;
                 self.expect_clause_end()?;
-                Ok(Statement::Rule(Rule {
-                    label: None,
-                    body: first,
-                    head,
-                }))
+                self.checked_rule(
+                    start,
+                    Rule {
+                        label: None,
+                        body: first,
+                        head,
+                    },
+                )
             }
             Token::ColonDash => {
                 self.bump();
@@ -128,11 +132,14 @@ impl Parser {
                 }
                 let body = self.conjunct_list()?;
                 self.expect_clause_end()?;
-                Ok(Statement::Rule(Rule {
-                    label: None,
-                    body,
-                    head: RuleHead::Atoms(head_atoms),
-                }))
+                self.checked_rule(
+                    start,
+                    Rule {
+                        label: None,
+                        body,
+                        head: RuleHead::Atoms(head_atoms),
+                    },
+                )
             }
             Token::Dot | Token::Eof => {
                 self.expect_clause_end()?;
@@ -153,6 +160,26 @@ impl Parser {
             }
             other => Err(self.error_here(format!("expected '->', ':-' or '.', found '{other}'"))),
         }
+    }
+
+    /// Accept a parsed rule, or reject one that places an aggregation
+    /// outside the form `z = maggr(x, <c̄>)` (the error points at the rule's
+    /// first token, token index `start`).
+    fn checked_rule(&self, start: usize, rule: Rule) -> Result<Statement, ParseError> {
+        let Some(agg) = rule.misplaced_aggregate() else {
+            return Ok(Statement::Rule(rule));
+        };
+        let t = &self.tokens[start];
+        let text = rule.to_string();
+        Err(ParseError {
+            kind: ParseErrorKind::MisplacedAggregate { rule: text.clone() },
+            message: format!(
+                "aggregation `{agg}` must be the whole right-hand side of an assignment \
+                 `z = maggr(x, <c>)`, in rule `{text}`"
+            ),
+            line: t.line,
+            column: t.column,
+        })
     }
 
     fn expect_clause_end(&mut self) -> Result<(), ParseError> {
@@ -737,6 +764,42 @@ mod tests {
     fn rejects_conditions_in_heads() {
         let err = parse_program("Q(x), x > 1 :- P(x).").unwrap_err();
         assert!(err.message.contains("only atoms"));
+    }
+
+    #[test]
+    fn aggregations_outside_an_assignment_of_their_own_are_rejected() {
+        for (src, rule) in [
+            (
+                "P(x, y), w = mcount(y) * 10 -> Q(x, w).",
+                "P(x, y), w = (mcount(y) * 10) -> Q(x, w)",
+            ),
+            (
+                "P(x, y), mcount(y) > 1 -> Q(x).",
+                "P(x, y), mcount(y) > 1 -> Q(x)",
+            ),
+            (
+                "P(x, y), w = msum(mcount(y)) -> Q(x, w).",
+                "P(x, y), w = msum(mcount(y)) -> Q(x, w)",
+            ),
+            (
+                "Q(x, w) :- P(x, y), w = 1 + mmax(y).",
+                "P(x, y), w = (1 + mmax(y)) -> Q(x, w)",
+            ),
+        ] {
+            let err = parse_program(&format!("P(1, 2).\n{src}")).unwrap_err();
+            assert_eq!(
+                err.kind,
+                ParseErrorKind::MisplacedAggregate {
+                    rule: rule.to_string()
+                },
+                "{src}"
+            );
+            assert_eq!((err.line, err.column), (2, 1), "{src}");
+            assert!(err.message.contains(rule), "{}", err.message);
+        }
+        // The paper's form, and an aggregate feeding later arithmetic.
+        let ok = parse_program("P(x, y), w = mcount(y), v = w * 10 -> Q(x, v).").unwrap();
+        assert!(ok.rules[0].misplaced_aggregate().is_none());
     }
 
     #[test]

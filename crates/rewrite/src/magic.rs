@@ -121,9 +121,10 @@ impl std::error::Error for MagicSetError {}
 /// The result of the transformation.
 #[derive(Clone, Debug)]
 pub struct MagicProgram {
-    /// The rewritten program: adorned rules, magic rules, the magic seed
-    /// fact, the original EDB facts, and a bridge rule from the adorned query
-    /// predicate back to the original query predicate name.
+    /// The rewritten program: adorned rules, magic rules, the bridges that
+    /// feed stored rows of derived predicates into their adorned copies, the
+    /// magic seed fact, the original EDB facts, and a bridge rule from the
+    /// adorned query predicate back to the original query predicate name.
     pub program: Program,
     /// The adorned name of the query predicate (`p__bf` style).
     pub adorned_query: Sym,
@@ -216,7 +217,19 @@ fn check_applicable(program: &Program, query: &Atom) -> Result<(), MagicSetError
 /// On success the returned program derives, for the *original* query
 /// predicate name, exactly the query-relevant subset of the facts the full
 /// program would derive (see the property tests).
-pub fn magic_sets(program: &Program, query: &Atom) -> Result<MagicProgram, MagicSetError> {
+///
+/// `edb` names the predicates that hold extensional rows when the program
+/// runs — its facts, `@bind` sources, or a session's stored base; the
+/// program itself may carry no facts. An adorned predicate `p` that rules
+/// derive *and* rows populate gets the bridge rule
+/// `m_p__a(b̄), p(x̄) -> p__a(x̄)`, so its stored rows reach the adorned
+/// copy; without one only the derived rows would. Other predicates get no
+/// bridge, so a program without that shape rewrites exactly as before.
+pub fn magic_sets(
+    program: &Program,
+    query: &Atom,
+    edb: &BTreeSet<Sym>,
+) -> Result<MagicProgram, MagicSetError> {
     check_applicable(program, query)?;
 
     let idb = intensional_predicates(program);
@@ -234,6 +247,33 @@ pub fn magic_sets(program: &Program, query: &Atom) -> Result<MagicProgram, Magic
     while let Some((predicate, adornment)) = pending.pop_front() {
         if !seen.insert((predicate, adornment.clone())) {
             continue;
+        }
+        if edb.contains(&predicate) {
+            let vars: Vec<Term> = (0..adornment.0.len())
+                .map(|i| Term::var(&format!("v{i}")))
+                .collect();
+            let magic_atom = Atom {
+                predicate: intern(&magic_name(predicate, &adornment)),
+                terms: vars
+                    .iter()
+                    .zip(&adornment.0)
+                    .filter(|(_, bound)| **bound)
+                    .map(|(t, _)| t.clone())
+                    .collect(),
+            };
+            out.add_rule(Rule::new(
+                vec![
+                    Literal::Atom(magic_atom),
+                    Literal::Atom(Atom {
+                        predicate,
+                        terms: vars.clone(),
+                    }),
+                ],
+                Atom {
+                    predicate: intern(&adorned_name(predicate, &adornment)),
+                    terms: vars,
+                },
+            ));
         }
         for rule in &program.rules {
             let Some(head) = rule.head_atoms().first().copied().cloned() else {
@@ -421,7 +461,7 @@ mod tests {
     #[test]
     fn transformation_produces_magic_and_adorned_rules() {
         let program = chain_program(5);
-        let magic = magic_sets(&program, &query_from("n0")).unwrap();
+        let magic = magic_sets(&program, &query_from("n0"), &BTreeSet::new()).unwrap();
         assert!(magic.adorned_rules >= 2, "both Reach rules must be adorned");
         assert!(
             magic.magic_rules >= 1,
@@ -446,7 +486,7 @@ mod tests {
             predicate: intern("Reach"),
             terms: vec![Term::var("x"), Term::Const(Value::str("n4"))],
         };
-        let magic = magic_sets(&program, &q).unwrap();
+        let magic = magic_sets(&program, &q, &BTreeSet::new()).unwrap();
         assert!(magic.program.rules.iter().any(|r| r
             .head_atoms()
             .iter()
@@ -458,7 +498,7 @@ mod tests {
         let program = chain_program(3);
         let q = Atom::vars("Reach", &["x", "y"]);
         assert!(matches!(
-            magic_sets(&program, &q),
+            magic_sets(&program, &q, &BTreeSet::new()),
             Err(MagicSetError::NoBoundArguments)
         ));
     }
@@ -471,7 +511,7 @@ mod tests {
             terms: vec![Term::Const(Value::str("n0")), Term::var("y")],
         };
         assert!(matches!(
-            magic_sets(&program, &q),
+            magic_sets(&program, &q, &BTreeSet::new()),
             Err(MagicSetError::QueryIsExtensional(_))
         ));
     }
@@ -488,7 +528,7 @@ mod tests {
             terms: vec![Term::Const(Value::str("acme")), Term::var("p")],
         };
         assert!(matches!(
-            magic_sets(&program, &q),
+            magic_sets(&program, &q, &BTreeSet::new()),
             Err(MagicSetError::ExistentialRule(_))
         ));
     }
@@ -498,6 +538,37 @@ mod tests {
         // The existential rule defines a predicate the query never touches.
         let mut program = chain_program(3);
         program.add_rule(parse_program("Company(x) -> Owns(p, s, x).").unwrap().rules[0].clone());
-        assert!(magic_sets(&program, &query_from("n0")).is_ok());
+        assert!(magic_sets(&program, &query_from("n0"), &BTreeSet::new()).is_ok());
+    }
+
+    #[test]
+    fn stored_rows_of_derived_predicates_are_bridged_into_their_adorned_copies() {
+        let rules = |program: &Program| -> Vec<String> {
+            program.rules.iter().map(ToString::to_string).collect()
+        };
+        let edge = BTreeSet::from([intern("Edge")]);
+        // `Edge` only stored: the same rules with or without the EDB set.
+        let program = chain_program(3);
+        let plain = magic_sets(&program, &query_from("n0"), &BTreeSet::new()).unwrap();
+        let with_edb = magic_sets(&program, &query_from("n0"), &edge).unwrap();
+        assert_eq!(rules(&plain.program), rules(&with_edb.program));
+
+        // `Edge` stored and derived: its adorned copy reads the stored rows.
+        let mut program = chain_program(3);
+        program.add_rule(
+            parse_program("Triangle(x, y, z) -> Edge(z, x).")
+                .unwrap()
+                .rules[0]
+                .clone(),
+        );
+        let magic = magic_sets(&program, &query_from("n0"), &edge).unwrap();
+        let bridge = "m_Edge__bf(v0), Edge(v0, v1) -> Edge__bf(v0, v1)";
+        assert!(
+            rules(&magic.program).iter().any(|r| r == bridge),
+            "{:#?}",
+            rules(&magic.program)
+        );
+        let without = magic_sets(&program, &query_from("n0"), &BTreeSet::new()).unwrap();
+        assert_eq!(without.program.rules.len() + 1, magic.program.rules.len());
     }
 }

@@ -1,8 +1,18 @@
 //! Integration tests for monotonic aggregation (Section 5, Example 10 and
 //! the aggregation-based scenarios of Section 6.3).
+//!
+//! The `pinned_*` tests fix what each aggregate function emits, match by
+//! match: a digest of the whole final instance (every intermediate aggregate
+//! fact, in `FactId` order), a digest of the post-processed outputs and the
+//! admission counters, all recorded before emission moved from materialised
+//! substitutions to interned ids. A faster emission path may not change
+//! any of them.
 
-use vadalog_engine::{Reasoner, ReasonerOptions, TerminationKind};
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use vadalog_engine::{Reasoner, ReasonerOptions, RunResult, TerminationKind};
 use vadalog_model::prelude::*;
+use vadalog_model::FxHasher;
 
 /// Example 10: msum with contributor windowing, final values per group.
 #[test]
@@ -87,4 +97,208 @@ fn msum_inside_recursion_terminates() {
             .iter()
             .any(|f| f.args[0] == Value::str("a") && f.args[1] == Value::str("t")));
     }
+}
+
+/// What a run emitted.
+#[derive(Debug, PartialEq, Eq)]
+struct Emitted {
+    /// Every relation of the final instance, by predicate name, facts in
+    /// `FactId` order.
+    instance_digest: u64,
+    /// The post-processed `@output` facts.
+    output_digest: u64,
+    facts_derived: usize,
+    facts_suppressed: usize,
+}
+
+/// Digest of named fact lists. Values are fed through [`Value`]'s own
+/// `Hash`, which hashes `Int(2)` like `Float(2.0)`: the digest does not
+/// depend on which of two equal values the process interned first, but a
+/// different float (another summation order) changes it.
+fn digest<'a>(relations: impl IntoIterator<Item = (String, &'a [Fact])>) -> u64 {
+    let by_name: BTreeMap<String, &[Fact]> = relations.into_iter().collect();
+    let mut h = FxHasher::default();
+    for (predicate, facts) in by_name {
+        predicate.hash(&mut h);
+        facts.len().hash(&mut h);
+        for f in facts {
+            f.args.hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+fn outputs_digest(outputs: &BTreeMap<Sym, Vec<Fact>>) -> u64 {
+    digest(outputs.iter().map(|(p, f)| (p.to_string(), f.as_slice())))
+}
+
+fn emitted(run: &RunResult) -> Emitted {
+    let relations: Vec<(String, Vec<Fact>)> = run
+        .store
+        .predicates()
+        .into_iter()
+        .map(|p| (p.to_string(), run.store.facts_of(p)))
+        .collect();
+    Emitted {
+        instance_digest: digest(relations.iter().map(|(p, f)| (p.clone(), f.as_slice()))),
+        output_digest: outputs_digest(&run.outputs),
+        facts_derived: run.stats.pipeline.facts_derived,
+        facts_suppressed: run.stats.pipeline.facts_suppressed,
+    }
+}
+
+fn run(src: &str) -> RunResult {
+    Reasoner::new().reason_text(src).expect("program runs")
+}
+
+/// `mcount` without contributors counts distinct arguments — `2` and `2.0`
+/// are one — and with contributors distinct contributor tuples.
+#[test]
+fn pinned_mcount_with_and_without_contributors() {
+    let result = run(
+        "P(1, \"a\", 2). P(1, \"b\", 2.0). P(1, \"c\", 3). P(1, \"c\", 2).\n\
+         P(2, \"a\", 2.0). P(2, \"b\", 4.5).\n\
+         P(x, k, y), c = mcount(y) -> Distinct(x, c).\n\
+         P(x, k, y), c = mcount(y, <k>) -> ByKey(x, c).\n\
+         P(x, k, y), c = mcount(k, <k, y>) -> ByPair(x, c).\n\
+         P(x, k, y), c = mcount(k, <y>) -> ByNumber(x, c).\n\
+         @output(\"Distinct\"). @output(\"ByKey\"). @output(\"ByPair\"). @output(\"ByNumber\").",
+    );
+    assert!(result
+        .output("Distinct")
+        .contains(&Fact::new("Distinct", vec![Value::Int(1), Value::Int(2)])));
+    assert!(result
+        .output("ByNumber")
+        .contains(&Fact::new("ByNumber", vec![Value::Int(1), Value::Int(2)])));
+    assert_eq!(
+        emitted(&result),
+        Emitted {
+            instance_digest: 18228211933821192899,
+            output_digest: 2155989388906976771,
+            facts_derived: 19,
+            facts_suppressed: 5,
+        }
+    );
+}
+
+/// `msum` / `mprod` with contributors over fractional weights: each
+/// contributor counts with its largest weight, and the tuples combine in
+/// value order, which fixes the rounding.
+#[test]
+fn pinned_msum_windowing_over_fractional_weights() {
+    let result = run(
+        "W(\"g\", \"c\", 0.3). W(\"g\", \"a\", 0.1). W(\"g\", \"b\", 0.2).\n\
+         W(\"g\", \"a\", 0.05). W(\"g\", \"d\", 0.7). W(\"h\", \"a\", 1.1). W(\"h\", \"b\", 2.2).\n\
+         W(g, k, w), s = msum(w, <k>) -> Total(g, s).\n\
+         W(g, k, w), p = mprod(w, <k>) -> Product(g, p).\n\
+         @output(\"Total\"). @output(\"Product\").",
+    );
+    assert_eq!(
+        emitted(&result),
+        Emitted {
+            instance_digest: 5538112262654542639,
+            output_digest: 18004652553895151236,
+            facts_derived: 12,
+            facts_suppressed: 2,
+        }
+    );
+}
+
+#[test]
+fn pinned_mmin_mmax_and_munion() {
+    let result = run(
+        "V(\"a\", 3). V(\"a\", 1.5). V(\"a\", 7). V(\"a\", 3.0). V(\"b\", 2). V(\"b\", \"x\").\n\
+         V(g, x), lo = mmin(x) -> Low(g, lo).\n\
+         V(g, x), hi = mmax(x) -> High(g, hi).\n\
+         V(g, x), u = munion(x) -> Members(g, u).\n\
+         @output(\"Low\"). @output(\"High\"). @output(\"Members\").",
+    );
+    assert_eq!(
+        emitted(&result),
+        Emitted {
+            instance_digest: 1944319091516788258,
+            output_digest: 1708041951854196503,
+            facts_derived: 11,
+            facts_suppressed: 2,
+        }
+    );
+}
+
+/// Conditions on the aggregate's output: one on ids (`w >= 2`), one over
+/// an expression (`w * 10 != 30`).
+#[test]
+fn pinned_residual_conditions_on_the_aggregate_output() {
+    let result = run(
+        "S(\"x\", \"p1\"). S(\"x\", \"p2\"). S(\"x\", \"p3\"). S(\"x\", \"p4\").\n\
+         S(\"y\", \"p1\"). S(\"y\", \"p2\"). S(\"y\", \"p3\"). S(\"y\", \"p4\").\n\
+         S(\"z\", \"p1\"). S(\"z\", \"p2\"). S(\"w\", \"p3\").\n\
+         S(a, p), S(b, p), a > b, w = mcount(p), w >= 2, w * 10 != 30 -> Link(a, b, w).\n\
+         @output(\"Link\").",
+    );
+    assert_eq!(
+        emitted(&result),
+        Emitted {
+            instance_digest: 901721804888771115,
+            output_digest: 14389421118856466723,
+            facts_derived: 4,
+            facts_suppressed: 0,
+        }
+    );
+}
+
+/// Arithmetic reads the aggregate's value as computed: `s` is a float, so
+/// `t = s + 1` and `h = s / 4` are float operations even where the equal
+/// integer owns the interned id (`6` is stored before the sum `6.0`
+/// exists, and `6 / 4` would be the integer `1`, failing `h > 1`).
+#[test]
+fn pinned_arithmetic_after_an_aggregate() {
+    let result = run(
+        "N(\"g\", 1). N(\"g\", 2). N(\"g\", 2). N(\"g\", 3). N(\"h\", 1). N(\"h\", 5). N(\"k\", 6).\n\
+         N(g, y), s = msum(y, <y>), t = s + 1, t > 3.5 -> Out(g, s, t).\n\
+         N(g, y), s = msum(y, <y>), h = s / 4, h > 1 -> Half(g, s).\n\
+         @output(\"Out\"). @output(\"Half\").",
+    );
+    assert_eq!(
+        emitted(&result),
+        Emitted {
+            instance_digest: 4279142778321606164,
+            output_digest: 5613074700475302165,
+            facts_derived: 7,
+            facts_suppressed: 0,
+        }
+    );
+}
+
+/// A session's live instance folds appended contributions into the groups
+/// it already holds instead of regrouping.
+#[test]
+fn pinned_append_folds_into_existing_groups() {
+    let src = "E(\"a\", \"b\", 0.4). E(\"a\", \"c\", 0.3). E(\"d\", \"b\", 1.0).\n\
+               E(x, y, w), s = msum(w, <y>) -> Weight(x, s).\n\
+               E(x, y, w), n = mcount(y) -> Degree(x, n).\n\
+               E(x, y, w), u = munion(y) -> Targets(x, u).\n\
+               @output(\"Weight\"). @output(\"Degree\"). @output(\"Targets\").";
+    let mut session = Reasoner::new().session_text(src).unwrap();
+    session.materialise().unwrap();
+    let edge = |x: &str, y: &str, w: f64| {
+        Fact::new("E", vec![Value::str(x), Value::str(y), Value::Float(w)])
+    };
+    let report = session
+        .append_facts([
+            edge("a", "b", 0.6),
+            edge("a", "e", 0.25),
+            edge("f", "b", 2.0),
+        ])
+        .unwrap();
+    let outputs = session.outputs().unwrap();
+    let stats = session.materialise().unwrap().stats;
+    assert_eq!(
+        (
+            report.derived,
+            outputs_digest(&outputs),
+            stats.facts_derived,
+            stats.facts_suppressed
+        ),
+        (7, 12428835063035610314, 16, 2)
+    );
 }

@@ -1,8 +1,10 @@
 //! The determinism contract as one matrix: every combination of the engine
 //! configuration axes below must make the `vadalog` CLI print byte-identical
-//! output on three programs — a triangle + lollipop `run`, a four-atom
-//! `query` session and a query/append schedule — and on their null-free
-//! variants, which the engine admits without the termination strategy. The
+//! output on five programs — `run`s of a triangle + lollipop, of strong
+//! links (`mcount`) and of company control (`msum`), a four-atom `query`
+//! session and a query/append schedule — and on null-free variants of the
+//! first and the last two, which the engine admits without the termination
+//! strategy. The
 //! CLI is driven in-process through `run_cli_with`, the seam `main.rs`
 //! wraps, so the matrix runs under the root `cargo test` with no process
 //! environment involved.
@@ -136,6 +138,51 @@ fn run_of_cyclic_bodies_is_identical_across_the_matrix() {
         out.contains("_:ν"),
         "labelled nulls are part of the contract"
     );
+
+    // Aggregates behind the join: strong links (`mcount` over persons that
+    // include invented nulls, a pushed `x > y`, a residual `w >= 2`) and
+    // company control (`msum` windowed by contributor, feeding recursion).
+    let mut links: Vec<String> = [
+        "KeyPerson(x, p) -> PSC(x, p).",
+        "Company(x) -> PSC(x, p).",
+        "Control(y, x), PSC(y, p) -> PSC(x, p).",
+        "PSC(x, p), PSC(y, p), x > y, w = mcount(p), w >= 2 -> StrongLink(x, y, w).",
+        "@output(\"StrongLink\").",
+    ]
+    .map(String::from)
+    .to_vec();
+    for c in 0..24 {
+        links.push(format!("Company(\"c{c}\")."));
+        for j in 0..3 {
+            links.push(format!(
+                "KeyPerson(\"c{c}\", \"p{}\").",
+                (c * 7 + j * 5) % 17
+            ));
+        }
+        if c % 3 != 0 {
+            links.push(format!("Control(\"c{}\", \"c{c}\").", (c * 5) % 24));
+        }
+    }
+    let links = assert_identical_across_matrix("run", &program_file("links", &links), &[]);
+    assert!(links.contains("\nStrongLink("), "{links}");
+
+    let mut ownership: Vec<String> = [
+        "Own(x, y, w), w > 0.5 -> Control(x, y).",
+        "Control(x, y), Own(y, z, w), v = msum(w, <y>), v > 0.5 -> Control(x, z).",
+        "@output(\"Control\").",
+    ]
+    .map(String::from)
+    .to_vec();
+    for x in 0..20 {
+        for k in 1..4 {
+            let y = (x * 3 + k * 7) % 20;
+            let w = [0.15, 0.3, 0.55][(x + k) % 3];
+            ownership.push(format!("Own(\"o{x}\", \"o{y}\", {w})."));
+        }
+    }
+    let control =
+        assert_identical_across_matrix("run", &program_file("ownership", &ownership), &[]);
+    assert!(control.contains("\nControl("), "{control}");
 }
 
 #[test]
