@@ -14,7 +14,7 @@ use vadalog_engine::{
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, parse_rule, rule_to_text, ParseError};
-use vadalog_rewrite::prepare_for_execution;
+use vadalog_rewrite::prepare_rules;
 use vadalog_storage::write_csv_facts;
 
 /// Errors surfaced to the user by the CLI.
@@ -254,6 +254,7 @@ fn render_stats(out: &mut String, result: &RunResult) {
     }
     let _ = writeln!(out, "% compiled rules:      {}", stats.compiled_rules);
     let _ = writeln!(out, "% compile time:        {:?}", stats.compile_time);
+    let _ = writeln!(out, "% load time:           {:?}", stats.load_time);
     let _ = writeln!(out, "% execution time:      {:?}", stats.execution_time);
     let _ = writeln!(out, "% total facts:         {}", stats.total_facts);
     let _ = writeln!(
@@ -425,7 +426,7 @@ fn cmd_classify(options: &CliOptions) -> Result<String, CliError> {
 
 fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
     let program = load_program(options)?;
-    let rewritten = prepare_for_execution(&program);
+    let rewritten = prepare_rules(&program);
     let plan = AccessPlan::compile(&rewritten);
 
     let mut out = String::new();
@@ -894,6 +895,8 @@ mod tests {
         assert!(out.contains("Control(\"acme\", \"sub\")."));
         assert!(out.contains("Control(\"acme\", \"leaf\")."));
         assert!(out.contains("% fragment:"));
+        assert!(out.contains("% compile time:"));
+        assert!(out.contains("% load time:"));
         assert!(out.contains("% index probes:"));
         assert!(out.contains("% range probes:"));
         assert!(out.contains("% scan fallbacks:"));
@@ -1436,6 +1439,29 @@ mod tests {
         let path = temp_program("broken.vada", "Own(x y) -> Control.");
         let err = run_cli(&args(&["run", &path])).unwrap_err();
         assert!(matches!(err, CliError::Parse(_)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn i64_min_round_trips_through_run_and_its_magnitude_alone_is_a_parse_error() {
+        let src = "P(-9223372036854775808). P(9223372036854775807).\n\
+                   P(x) -> Q(x).\n\
+                   @output(\"Q\").";
+        let path = temp_program("i64_bounds.vada", src);
+        let out = run_cli(&args(&["run", &path])).unwrap();
+        assert!(out.contains("Q(-9223372036854775808)."), "{out}");
+        assert!(out.contains("Q(9223372036854775807)."), "{out}");
+        std::fs::remove_file(&path).ok();
+
+        let path = temp_program("i64_overflow.vada", "P(1).\nP(9223372036854775808).");
+        let err = run_cli(&args(&["run", &path])).unwrap_err();
+        let CliError::Parse(parse) = &err else {
+            panic!("expected a parse error, got {err}");
+        };
+        assert_eq!((parse.line, parse.column), (2, 3));
+        assert!(parse
+            .message
+            .contains("invalid integer literal 9223372036854775808"));
         std::fs::remove_file(&path).ok();
     }
 

@@ -78,6 +78,7 @@
 //! rows are registered with the strategy as base facts and admission
 //! continues under it (see [`Pipeline::load_facts`]).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -907,23 +908,26 @@ impl<'a> Pipeline<'a> {
     /// base facts (each the root of its own tree, no linear provenance)
     /// instead of where a run under the strategy from the start would
     /// have placed them.
-    pub fn load_facts<I: IntoIterator<Item = Fact>>(&mut self, facts: I) {
+    pub fn load_facts<I>(&mut self, facts: I)
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Fact>,
+    {
         let mut preds: BTreeSet<Sym> = BTreeSet::new();
-        for f in facts {
-            let ground = f.is_ground();
-            if self.state.null_free && !ground {
-                for (predicate, row) in self.state.store.rows() {
-                    self.state.strategy.register_base(predicate, row);
+        let state = &mut self.state;
+        let (strategy, null_free) = (&mut state.strategy, &mut state.null_free);
+        state.store.load_facts(facts, |store, f, row| {
+            if *null_free && !f.is_ground() {
+                for (predicate, row) in store.rows() {
+                    strategy.register_base(predicate, row);
                 }
-                self.state.null_free = false;
+                *null_free = false;
             }
-            let row = f.intern_args();
-            if !self.state.null_free {
-                self.state.strategy.register_base(f.predicate, &row);
+            if !*null_free {
+                strategy.register_base(f.predicate, row);
             }
             preds.insert(f.predicate);
-            self.state.store.insert_row(f.predicate, row, ground);
-        }
+        });
         self.wake_readers(&preds);
     }
 
@@ -975,15 +979,15 @@ impl<'a> Pipeline<'a> {
                 .iter()
                 .any(|(_, r)| r.body_predicates().contains(&dom_sym))
         {
-            let dom = ActiveDomain::from_facts(self.state.store.iter());
-            let mut grew = false;
-            for f in dom.to_facts(vadalog_rewrite::DOM_PREDICATE) {
-                let row = f.intern_args();
-                if !self.state.null_free {
-                    self.state.strategy.register_base(f.predicate, &row);
+            let dom = ActiveDomain::from_facts(self.state.store.iter())
+                .to_facts(vadalog_rewrite::DOM_PREDICATE);
+            let state = &mut self.state;
+            let (strategy, null_free) = (&mut state.strategy, state.null_free);
+            let grew = state.store.load_facts(&dom, |_, f, row| {
+                if !null_free {
+                    strategy.register_base(f.predicate, row);
                 }
-                grew |= self.state.store.insert_row(f.predicate, row, true);
-            }
+            }) > 0;
             if grew {
                 // On a resumed run, new constants may extend Dom: its
                 // readers must see the delta.

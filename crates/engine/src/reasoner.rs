@@ -7,7 +7,7 @@ use vadalog_analysis::{classify, Fragment};
 use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, ParseError};
-use vadalog_rewrite::prepare_for_execution;
+use vadalog_rewrite::prepare_rules;
 use vadalog_storage::read_csv_facts;
 
 use crate::pipeline::{Pipeline, PipelineStats};
@@ -179,6 +179,10 @@ impl From<ParseError> for ReasonerError {
 pub struct RunStats {
     /// Wall-clock time spent rewriting and compiling.
     pub compile_time: Duration,
+    /// Wall-clock time spent interning and loading the extensional
+    /// database (inline facts and `@bind` sources). Zero for session runs,
+    /// whose EDB was loaded once when the session opened.
+    pub load_time: Duration,
     /// Wall-clock time spent executing the pipeline.
     pub execution_time: Duration,
     /// Number of rules after rewriting.
@@ -260,6 +264,18 @@ impl Reasoner {
 
     /// Run a parsed program.
     pub fn reason(&self, program: &Program) -> Result<RunResult, ReasonerError> {
+        self.reason_with_edb(program, &[])
+    }
+
+    /// Run `program` over its own facts followed by `extra_edb` (a query
+    /// run's magic program carries only the seed; the EDB stays in the
+    /// source program). Neither is copied: the rewrites see rules and
+    /// annotations only, and the loader reads the facts where they are.
+    fn reason_with_edb(
+        &self,
+        program: &Program,
+        extra_edb: &[Fact],
+    ) -> Result<RunResult, ReasonerError> {
         let compile_start = Instant::now();
 
         let report = classify(program);
@@ -270,21 +286,25 @@ impl Reasoner {
         }
 
         // Step 1: logic optimizer (+ harmful-join elimination).
+        let rewritten;
         let compiled = if self.options.apply_rewriting {
-            prepare_for_execution(program)
+            rewritten = prepare_rules(program);
+            &rewritten
         } else {
-            program.clone()
+            program
         };
 
         // Steps 2-4: access plan + executable pipeline.
-        let plan = AccessPlan::compile(&compiled);
+        let plan = AccessPlan::compile(compiled);
         let strategy = make_strategy(self.options.termination);
         let mut pipeline = Pipeline::new(&plan, strategy).with_options(&self.options);
+        let compile_time = compile_start.elapsed();
 
         // Load the extensional database: inline facts + @bind CSV sources.
-        pipeline.load_facts(compiled.facts.iter().cloned());
-        pipeline.load_facts(load_bound_facts(&compiled)?);
-        let compile_time = compile_start.elapsed();
+        let load_start = Instant::now();
+        pipeline.load_facts(program.facts.iter().chain(extra_edb));
+        pipeline.load_facts(load_bound_facts(compiled)?);
+        let load_time = load_start.elapsed();
 
         // Execute.
         let exec_start = Instant::now();
@@ -294,13 +314,14 @@ impl Reasoner {
         // Collect and post-process outputs.
         let pipeline_stats = pipeline.stats();
         let store = pipeline.into_store();
-        let outputs = collect_outputs(&compiled, &plan, &store, &self.options);
+        let outputs = collect_outputs(compiled, &plan, &store, &self.options);
 
         Ok(RunResult {
             outputs,
             violations,
             stats: RunStats {
                 compile_time,
+                load_time,
                 execution_time,
                 compiled_rules: compiled.rules.len(),
                 fragment: Some(report.primary()),
@@ -343,9 +364,12 @@ impl Reasoner {
     ) -> Result<QueryResult, ReasonerError> {
         // Magic sets need single-atom heads; the logic optimizer establishes
         // that, so run it first on a copy used only for the applicability
-        // check and the transformation itself.
-        let normalised = prepare_for_execution(program);
-        let edb: BTreeSet<Sym> = normalised
+        // check and the transformation itself. The rewritten rules carry no
+        // facts: the magic program holds only its seed, and the run loads
+        // the EDB from `program` after it — the order a magic program
+        // holding a copy of the EDB would load.
+        let normalised = prepare_rules(program);
+        let edb: BTreeSet<Sym> = program
             .facts
             .iter()
             .map(|f| f.predicate)
@@ -357,13 +381,12 @@ impl Reasoner {
                     .map(|a| a.predicate),
             )
             .collect();
-        let (to_run, used_magic_sets) = match vadalog_rewrite::magic_sets(&normalised, query, &edb)
+        let (mut run, used_magic_sets) = match vadalog_rewrite::magic_sets(&normalised, query, &edb)
         {
-            Ok(magic) => (magic.program, true),
-            Err(_) => (program.clone(), false),
+            Ok(magic) => (self.reason_with_edb(&magic.program, &program.facts)?, true),
+            Err(_) => (self.reason(program)?, false),
         };
 
-        let mut run = self.reason(&to_run)?;
         // Answer via an id-level probe on the query's bound positions: only
         // the matching rows are materialised (the outputs entry shares them
         // when no @output annotation already collected the predicate).

@@ -74,12 +74,12 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, Fragment};
 use vadalog_chase::TerminationStrategy;
 use vadalog_fault as fault;
 use vadalog_model::prelude::*;
-use vadalog_rewrite::{magic_sets, prepare_for_execution, Adornment, ConePattern};
+use vadalog_rewrite::{magic_sets, prepare_rules, Adornment, ConePattern};
 use vadalog_storage::{
     costs_path, load_costs, save_costs, FactStore, StoreBase, TornTail, Wal, WarmCosts,
 };
@@ -542,11 +542,12 @@ fn crash_point(name: &'static str) {
 /// derivation cache. See the [module docs](self).
 pub struct QuerySession {
     options: ReasonerOptions,
-    /// The original program (compiled once for the bottom-up fallback).
+    /// The original program's rules and annotations (compiled once for the
+    /// bottom-up fallback); its facts live in the base.
     program: Arc<Program>,
-    /// `prepare_for_execution(program)` with the facts stripped: the input
-    /// of the magic-sets rewrite (facts live in the base, seeds are minted
-    /// by the rewrite).
+    /// `prepare_rules(program)`, which carries no facts: the input of the
+    /// magic-sets rewrite (facts live in the base, seeds are minted by the
+    /// rewrite).
     rules_only: Arc<Program>,
     /// The live materialised instance: the fallback pipeline's complete run
     /// state, suspended between [`QuerySession::materialise`] calls.
@@ -637,9 +638,9 @@ impl QuerySession {
     /// termination strategy template when some run can hold a labelled
     /// null, and freeze the store into the shared base.
     pub fn new(program: &Program, options: ReasonerOptions) -> Result<QuerySession, ReasonerError> {
-        let normalised = prepare_for_execution(program);
-        let mut edb: Vec<Fact> = normalised.facts.clone();
-        edb.extend(crate::reasoner::load_bound_facts(&normalised)?);
+        let rules_only = prepare_rules(program);
+        let bound = crate::reasoner::load_bound_facts(&rules_only)?;
+        let edb = || program.facts.iter().chain(&bound);
         // Every plan the session runs is compiled from `program` (the
         // bottom-up fallback, without rewriting when that is off) or from
         // its normalised rules (the magic rewrites), so checking both covers
@@ -647,20 +648,16 @@ impl QuerySession {
         let rules_invent_nulls = program
             .rules
             .iter()
-            .chain(&normalised.rules)
+            .chain(&rules_only.rules)
             .any(crate::plan::rule_invents_nulls);
         let mut strategy = make_strategy(options.termination);
-        let register = rules_invent_nulls || edb.iter().any(|f| !f.is_ground());
+        let register = rules_invent_nulls || edb().any(|f| !f.is_ground());
         let mut store = FactStore::new();
-        for f in &edb {
-            let row = f.intern_args();
+        store.load_facts(edb(), |_, f, row| {
             if register {
-                strategy.register_base(f.predicate, &row);
+                strategy.register_base(f.predicate, row);
             }
-            store.insert_row(f.predicate, row, f.is_ground());
-        }
-        let mut rules_only = normalised;
-        rules_only.facts.clear();
+        });
         // head predicate → body predicates, for precise cone invalidation.
         let mut rule_inputs: HashMap<Sym, BTreeSet<Sym>> = HashMap::new();
         for rule in &rules_only.rules {
@@ -687,7 +684,7 @@ impl QuerySession {
             warm_costs: HashMap::new(),
             fallback_costs: None,
             rule_inputs,
-            edb_predicates: edb.iter().map(|f| f.predicate).collect(),
+            edb_predicates: edb().map(|f| f.predicate).collect(),
             deps: HashMap::new(),
             wal: None,
             poison_heals: 0,
@@ -702,7 +699,11 @@ impl QuerySession {
         };
         Ok(QuerySession {
             options,
-            program: Arc::new(program.clone()),
+            program: Arc::new(Program {
+                rules: program.rules.clone(),
+                facts: Vec::new(),
+                annotations: program.annotations.clone(),
+            }),
             rules_only: Arc::new(rules_only),
             live: None,
             live_stamp: 0,
@@ -1001,17 +1002,13 @@ impl QuerySession {
         // registration order of a fresh session over the union EDB exactly.
         // Appends are ground, so they never change whether it registers.
         let register = core.registers_edb();
-        for f in &facts {
-            let row = f.intern_args();
+        let strategy = &mut core.strategy_template;
+        report.appended = overlay.load_facts(&facts, |_, f, row| {
             if register {
-                core.strategy_template.register_base(f.predicate, &row);
+                strategy.register_base(f.predicate, row);
             }
-            if overlay.insert_row(f.predicate, row, f.is_ground()) {
-                report.appended += 1;
-            } else {
-                report.duplicates += 1;
-            }
-        }
+        });
+        report.duplicates = facts.len() - report.appended;
         if report.appended > 0 {
             crash_point("session.promote");
             core.base.promote(overlay);
@@ -1407,6 +1404,7 @@ impl QuerySession {
                 violations,
                 stats: RunStats {
                     compile_time,
+                    load_time: Duration::ZERO,
                     execution_time,
                     compiled_rules: compiled.program.rules.len(),
                     fragment: Some(compiled.fragment),
@@ -1453,7 +1451,8 @@ impl QuerySession {
                 violations: Vec::new(),
                 stats: RunStats {
                     compile_time: compile_start.elapsed(),
-                    execution_time: std::time::Duration::ZERO,
+                    load_time: Duration::ZERO,
+                    execution_time: Duration::ZERO,
                     compiled_rules,
                     fragment: Some(fragment),
                     pipeline: pipeline_stats,
@@ -1475,7 +1474,7 @@ impl QuerySession {
     ) -> CompiledQuery {
         let report = classify(program);
         let compiled = if options.apply_rewriting {
-            prepare_for_execution(program)
+            prepare_rules(program)
         } else {
             program.clone()
         };

@@ -54,8 +54,8 @@ pub use substitution::Substitution;
 pub use symbol::{intern, resolve, Sym};
 pub use term::{Term, Var};
 pub use value::{
-    find_value_id, intern_value, intern_values, order_key_of, order_keys_of, resolve_value,
-    resolve_values, NullFactory, NullId, OrderKey, Value, ValueId,
+    find_value_id, intern_rows, intern_value, intern_values, order_key_of, order_keys_of,
+    resolve_value, resolve_values, NullFactory, NullId, OrderKey, Value, ValueId,
 };
 
 /// Convenience prelude re-exporting the most common types.
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::symbol::{intern, resolve, Sym};
     pub use crate::term::{Term, Var};
     pub use crate::value::{
-        find_value_id, intern_value, intern_values, order_key_of, order_keys_of, resolve_value,
-        resolve_values, NullFactory, NullId, OrderKey, Value, ValueId,
+        find_value_id, intern_rows, intern_value, intern_values, order_key_of, order_keys_of,
+        resolve_value, resolve_values, NullFactory, NullId, OrderKey, Value, ValueId,
     };
 }

@@ -1,68 +1,134 @@
 //! Recursive-descent parser producing [`vadalog_model::Program`]s.
+//!
+//! The parser pulls tokens from a streaming [`Lexer`] with one token of
+//! lookahead and builds a ground clause's [`Fact`] directly from the
+//! literal values, without an intermediate atom.
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::{tokenize, SpannedToken, Token};
+use crate::lexer::{Lexer, SpannedToken, Token};
 use vadalog_model::prelude::*;
 
 /// The recursive-descent parser.
 ///
-/// Most users should call [`parse_program`] or [`parse_rule`]; the struct is
-/// public so that embedders can parse single statements incrementally.
-pub struct Parser {
-    tokens: Vec<SpannedToken>,
-    pos: usize,
+/// Most users should call [`parse_program`] or [`parse_rule`].
+pub struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token and the one after it — all the lookahead the
+    /// grammar needs.
+    cur: SpannedToken<'a>,
+    next: SpannedToken<'a>,
+    /// Position of the token [`Parser::bump`] returned last.
+    prev: (usize, usize),
+    /// The first lexical error. Lexing stops there (the parser sees
+    /// `Eof`), and the error wins over any parse result: a program with a
+    /// lexical error anywhere reports that error.
+    lex_error: Option<ParseError>,
+    /// Arguments of the atom being parsed; a fact takes them over as they
+    /// are.
+    args: Vec<Value>,
+    /// The predicate of the last fact, so a run of facts over one
+    /// predicate interns its name once.
+    last_predicate: Option<(&'a str, Sym)>,
 }
 
 /// Parse a whole program (annotations, facts, rules).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    Parser::new(src)?.program()
+    Parser::new(src).program()
 }
 
 /// Parse a single rule (without the trailing period being mandatory).
 pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
-    let mut p = Parser::new(src)?;
-    let stmt = p.statement()?;
-    match stmt {
-        Statement::Rule(r) => Ok(r),
-        Statement::Facts(_) => Err(p.error_here("expected a rule, found a fact")),
-        Statement::Annotation(_) => Err(p.error_here("expected a rule, found an annotation")),
-    }
+    let mut p = Parser::new(src);
+    let rule = match p.statement() {
+        Ok(Statement::Rule(r)) => Ok(r),
+        Ok(Statement::Fact(_) | Statement::Facts(_)) => {
+            Err(p.error_here("expected a rule, found a fact"))
+        }
+        Ok(Statement::Annotation(_)) => Err(p.error_here("expected a rule, found an annotation")),
+        Err(e) => Err(e),
+    };
+    p.finish(rule)
 }
 
 /// A parsed top-level statement.
 enum Statement {
     Rule(Rule),
+    Fact(Fact),
     Facts(Vec<Fact>),
     Annotation(Annotation),
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Create a parser over source text.
-    pub fn new(src: &str) -> Result<Self, ParseError> {
-        Ok(Parser {
-            tokens: tokenize(src)?,
-            pos: 0,
-        })
+    pub fn new(src: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(src),
+            cur: SpannedToken {
+                token: Token::Eof,
+                line: 1,
+                column: 1,
+            },
+            next: SpannedToken {
+                token: Token::Eof,
+                line: 1,
+                column: 1,
+            },
+            prev: (1, 1),
+            lex_error: None,
+            args: Vec::new(),
+            last_predicate: None,
+        };
+        parser.cur = parser.lex();
+        parser.next = parser.lex();
+        parser
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos].token
-    }
-
-    fn peek_at(&self, offset: usize) -> &Token {
-        let idx = (self.pos + offset).min(self.tokens.len() - 1);
-        &self.tokens[idx].token
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// The next token from the lexer; `Eof` from the first lexical error on.
+    fn lex(&mut self) -> SpannedToken<'a> {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(t) => return t,
+                Err(e) => self.lex_error = Some(e),
+            }
         }
-        t
+        let e = self.lex_error.as_ref().expect("set above");
+        SpannedToken {
+            token: Token::Eof,
+            line: e.line,
+            column: e.column,
+        }
     }
 
-    fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
+    /// Settle a parse result: a lexical error anywhere in the input wins,
+    /// so the rest of the input is lexed (not parsed) before `result` is
+    /// returned.
+    fn finish<T>(mut self, result: Result<T, ParseError>) -> Result<T, ParseError> {
+        while self.lex_error.is_none() && self.next.token != Token::Eof {
+            self.next = self.lex();
+        }
+        match self.lex_error {
+            Some(e) => Err(e),
+            None => result,
+        }
+    }
+
+    fn peek(&self) -> &Token<'a> {
+        &self.cur.token
+    }
+
+    fn peek_next(&self) -> &Token<'a> {
+        &self.next.token
+    }
+
+    fn bump(&mut self) -> Token<'a> {
+        let after = self.lex();
+        let next = std::mem::replace(&mut self.next, after);
+        let t = std::mem::replace(&mut self.cur, next);
+        self.prev = (t.line, t.column);
+        t.token
+    }
+
+    fn expect(&mut self, expected: &Token<'_>) -> Result<(), ParseError> {
         if self.peek() == expected {
             self.bump();
             Ok(())
@@ -72,18 +138,41 @@ impl Parser {
     }
 
     fn error_here(&self, message: impl Into<String>) -> ParseError {
-        let t = &self.tokens[self.pos.min(self.tokens.len() - 1)];
-        ParseError::new(message, t.line, t.column)
+        ParseError::new(message, self.cur.line, self.cur.column)
+    }
+
+    /// An integer literal's value: its magnitude, negated when `negative`,
+    /// with a checked conversion (an out-of-range literal is an error at
+    /// the literal, the token [`Parser::bump`] returned last).
+    fn int_value(&self, magnitude: u64, negative: bool) -> Result<i64, ParseError> {
+        let signed = if negative {
+            -i128::from(magnitude)
+        } else {
+            i128::from(magnitude)
+        };
+        i64::try_from(signed).map_err(|_| {
+            ParseError::new(
+                format!("invalid integer literal {magnitude}"),
+                self.prev.0,
+                self.prev.1,
+            )
+        })
     }
 
     /// Parse a complete program.
-    pub fn program(&mut self) -> Result<Program, ParseError> {
+    pub fn program(mut self) -> Result<Program, ParseError> {
         let mut program = Program::new();
+        let result = self.statements(&mut program);
+        self.finish(result.map(|()| program))
+    }
+
+    fn statements(&mut self, program: &mut Program) -> Result<(), ParseError> {
         while *self.peek() != Token::Eof {
             match self.statement()? {
                 Statement::Rule(r) => {
                     program.add_rule(r);
                 }
+                Statement::Fact(f) => program.add_fact(f),
                 Statement::Facts(fs) => {
                     for f in fs {
                         program.add_fact(f);
@@ -92,17 +181,36 @@ impl Parser {
                 Statement::Annotation(a) => program.add_annotation(a),
             }
         }
-        Ok(program)
+        Ok(())
     }
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
         if *self.peek() == Token::At {
             return Ok(Statement::Annotation(self.annotation()?));
         }
-        // Parse a conjunct list, then decide what kind of clause this is.
-        let start = self.pos;
-        let first = self.conjunct_list()?;
-        match self.peek().clone() {
+        let start = (self.cur.line, self.cur.column);
+        let first = if self.at_atom() {
+            let (name, idents) = self.atom_parts()?;
+            if matches!(self.peek(), Token::Dot | Token::Eof) {
+                // A ground clause of one atom: the fact takes the values.
+                self.expect_clause_end()?;
+                let predicate = self.predicate(name);
+                let args = self.args.drain(..).collect();
+                return Ok(Statement::Fact(Fact::new_sym(predicate, args)));
+            }
+            let atom = self.take_atom(name, &idents);
+            self.atom_literal(atom)?
+        } else {
+            self.conjunct()?
+        };
+        // Parse the rest of the conjunct list, then decide what kind of
+        // clause this is.
+        let mut first = vec![first];
+        while *self.peek() == Token::Comma {
+            self.bump();
+            first.push(self.conjunct()?);
+        }
+        match self.peek() {
             Token::Arrow => {
                 self.bump();
                 let head = self.head()?;
@@ -148,9 +256,7 @@ impl Parser {
                 let mut facts = Vec::with_capacity(first.len());
                 for lit in first {
                     match lit {
-                        Literal::Atom(a) => {
-                            facts.push(atom_to_fact(&a).map_err(|m| self.error_here(m))?)
-                        }
+                        Literal::Atom(a) => facts.push(atom_to_fact(&a)),
                         other => {
                             return Err(self.error_here(format!("expected a fact, found '{other}'")))
                         }
@@ -164,12 +270,11 @@ impl Parser {
 
     /// Accept a parsed rule, or reject one that places an aggregation
     /// outside the form `z = maggr(x, <c̄>)` (the error points at the rule's
-    /// first token, token index `start`).
-    fn checked_rule(&self, start: usize, rule: Rule) -> Result<Statement, ParseError> {
+    /// first token, at `start`).
+    fn checked_rule(&self, start: (usize, usize), rule: Rule) -> Result<Statement, ParseError> {
         let Some(agg) = rule.misplaced_aggregate() else {
             return Ok(Statement::Rule(rule));
         };
-        let t = &self.tokens[start];
         let text = rule.to_string();
         Err(ParseError {
             kind: ParseErrorKind::MisplacedAggregate { rule: text.clone() },
@@ -177,8 +282,8 @@ impl Parser {
                 "aggregation `{agg}` must be the whole right-hand side of an assignment \
                  `z = maggr(x, <c>)`, in rule `{text}`"
             ),
-            line: t.line,
-            column: t.column,
+            line: start.0,
+            column: start.1,
         })
     }
 
@@ -201,15 +306,15 @@ impl Parser {
                 return Err(self.error_here(format!("expected annotation name, found '{other}'")))
             }
         };
-        let kind = AnnotationKind::from_keyword(&kw)
+        let kind = AnnotationKind::from_keyword(kw)
             .ok_or_else(|| self.error_here(format!("unknown annotation '@{kw}'")))?;
         self.expect(&Token::LParen)?;
         let mut args: Vec<String> = Vec::new();
         loop {
             match self.bump() {
-                Token::Str(s) => args.push(s),
-                Token::Ident(s) => args.push(s),
-                Token::Int(i) => args.push(i.to_string()),
+                Token::Str(s) => args.push(s.into_owned()),
+                Token::Ident(s) => args.push(s.to_string()),
+                Token::Int(i) => args.push(self.int_value(i, false)?.to_string()),
                 Token::Float(f) => args.push(f.to_string()),
                 other => {
                     return Err(
@@ -236,22 +341,22 @@ impl Parser {
     fn head(&mut self) -> Result<RuleHead, ParseError> {
         // Falsum head: `false` / `bottom` not followed by '('.
         if let Token::Ident(name) = self.peek() {
-            if (name == "false" || name == "bottom") && *self.peek_at(1) != Token::LParen {
+            if (*name == "false" || *name == "bottom") && *self.peek_next() != Token::LParen {
                 self.bump();
                 return Ok(RuleHead::Falsum);
             }
         }
         // Equality head (EGD): ident = ident, with no '(' after the first.
-        if matches!(self.peek(), Token::Ident(_)) && *self.peek_at(1) == Token::Assign {
+        if matches!(self.peek(), Token::Ident(_)) && *self.peek_next() == Token::Assign {
             let left = match self.bump() {
-                Token::Ident(s) => Term::var(&s),
+                Token::Ident(s) => Term::var(s),
                 _ => unreachable!(),
             };
             self.bump(); // '='
             let right = match self.bump() {
-                Token::Ident(s) => Term::var(&s),
-                Token::Str(s) => Term::Const(Value::string(s)),
-                Token::Int(i) => Term::Const(Value::Int(i)),
+                Token::Ident(s) => Term::var(s),
+                Token::Str(s) => Term::Const(Value::str(&s)),
+                Token::Int(i) => Term::Const(Value::Int(self.int_value(i, false)?)),
                 Token::Float(f) => Term::Const(Value::Float(f)),
                 other => {
                     return Err(self.error_here(format!(
@@ -279,22 +384,29 @@ impl Parser {
         Ok(out)
     }
 
+    /// Does an atom start here: an identifier that is not an aggregation,
+    /// followed by `(`?
+    fn at_atom(&self) -> bool {
+        matches!(self.peek(), Token::Ident(name) if AggFunc::from_name(name).is_none())
+            && *self.peek_next() == Token::LParen
+    }
+
     fn conjunct(&mut self) -> Result<Literal, ParseError> {
         // negation: `not P(x)` or `!P(x)`
         if let Token::Ident(name) = self.peek() {
-            if name == "not" && matches!(self.peek_at(1), Token::Ident(_)) {
+            if *name == "not" && matches!(self.peek_next(), Token::Ident(_)) {
                 self.bump();
                 return Ok(Literal::Negated(self.atom()?));
             }
         }
-        if *self.peek() == Token::Bang && matches!(self.peek_at(1), Token::Ident(_)) {
+        if *self.peek() == Token::Bang && matches!(self.peek_next(), Token::Ident(_)) {
             self.bump();
             return Ok(Literal::Negated(self.atom()?));
         }
         // assignment: `v = expr`
-        if matches!(self.peek(), Token::Ident(_)) && *self.peek_at(1) == Token::Assign {
+        if matches!(self.peek(), Token::Ident(_)) && *self.peek_next() == Token::Assign {
             let var = match self.bump() {
-                Token::Ident(s) => Var::new(&s),
+                Token::Ident(s) => Var::new(s),
                 _ => unreachable!(),
             };
             self.bump(); // '='
@@ -303,26 +415,9 @@ impl Parser {
         }
         // atom: Ident '(' ...  (unless the ident is an aggregation/builtin
         // used in a condition, which would be written on the RHS instead)
-        if matches!(self.peek(), Token::Ident(_)) && *self.peek_at(1) == Token::LParen {
-            let name = match self.peek() {
-                Token::Ident(s) => s.clone(),
-                _ => unreachable!(),
-            };
-            if AggFunc::from_name(&name).is_none() {
-                let atom = self.atom()?;
-                // If a comparison operator follows, the user wrote a
-                // condition with a function-style LHS; re-interpret it.
-                if let Some(op) = self.peek_cmp_op() {
-                    self.bump();
-                    let right = self.expr()?;
-                    let left = Expr::Call(
-                        atom.predicate,
-                        atom.terms.iter().map(|t| Expr::Term(t.clone())).collect(),
-                    );
-                    return Ok(Literal::Condition(Condition::new(left, op, right)));
-                }
-                return Ok(Literal::Atom(atom));
-            }
+        if self.at_atom() {
+            let atom = self.atom()?;
+            return self.atom_literal(atom);
         }
         // otherwise: a condition `expr cmp expr`
         let left = self.expr()?;
@@ -334,6 +429,22 @@ impl Parser {
         })?;
         self.bump();
         let right = self.expr()?;
+        Ok(Literal::Condition(Condition::new(left, op, right)))
+    }
+
+    /// A parsed body atom as a literal: the atom itself, or — when a
+    /// comparison operator follows — a condition with a function-style
+    /// left-hand side.
+    fn atom_literal(&mut self, atom: Atom) -> Result<Literal, ParseError> {
+        let Some(op) = self.peek_cmp_op() else {
+            return Ok(Literal::Atom(atom));
+        };
+        self.bump();
+        let right = self.expr()?;
+        let left = Expr::Call(
+            atom.predicate,
+            atom.terms.into_iter().map(Expr::Term).collect(),
+        );
         Ok(Literal::Condition(Condition::new(left, op, right)))
     }
 
@@ -350,6 +461,15 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Atom, ParseError> {
+        let (name, idents) = self.atom_parts()?;
+        Ok(self.take_atom(name, &idents))
+    }
+
+    /// Parse `name(t1, ..., tn)`, leaving the argument values in
+    /// `self.args`. Returns the name and the positions of bare identifiers
+    /// (held as string values): variables in a rule, string constants in a
+    /// fact — which one is known only at the end of the clause.
+    fn atom_parts(&mut self) -> Result<(&'a str, Vec<usize>), ParseError> {
         let name = match self.bump() {
             Token::Ident(s) => s,
             other => {
@@ -357,10 +477,36 @@ impl Parser {
             }
         };
         self.expect(&Token::LParen)?;
-        let mut terms = Vec::new();
+        self.args.clear();
+        let mut idents = Vec::new();
         if *self.peek() != Token::RParen {
             loop {
-                terms.push(self.term()?);
+                let value = match self.bump() {
+                    Token::Ident("true") => Value::Bool(true),
+                    Token::Ident("false") => Value::Bool(false),
+                    Token::Ident(s) => {
+                        // Interned as a variable name whether the clause
+                        // turns out a rule or a fact, so symbol numbering —
+                        // and every `Sym`-ordered output — does not depend
+                        // on how the clause ends.
+                        intern(s);
+                        idents.push(self.args.len());
+                        Value::str(s)
+                    }
+                    Token::Str(s) => Value::str(&s),
+                    Token::Int(i) => Value::Int(self.int_value(i, false)?),
+                    Token::Float(f) => Value::Float(f),
+                    Token::Minus => match self.bump() {
+                        Token::Int(i) => Value::Int(self.int_value(i, true)?),
+                        Token::Float(f) => Value::Float(-f),
+                        other => {
+                            return Err(self
+                                .error_here(format!("expected number after '-', found '{other}'")))
+                        }
+                    },
+                    other => return Err(self.error_here(format!("expected term, found '{other}'"))),
+                };
+                self.args.push(value);
                 match self.bump() {
                     Token::Comma => continue,
                     Token::RParen => break,
@@ -372,30 +518,36 @@ impl Parser {
         } else {
             self.bump();
         }
-        Ok(Atom {
-            predicate: intern(&name),
-            terms,
-        })
+        Ok((name, idents))
     }
 
-    fn term(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            Token::Ident(s) => match s.as_str() {
-                "true" => Ok(Term::Const(Value::Bool(true))),
-                "false" => Ok(Term::Const(Value::Bool(false))),
-                _ => Ok(Term::var(&s)),
-            },
-            Token::Str(s) => Ok(Term::Const(Value::string(s))),
-            Token::Int(i) => Ok(Term::Const(Value::Int(i))),
-            Token::Float(f) => Ok(Term::Const(Value::Float(f))),
-            Token::Minus => match self.bump() {
-                Token::Int(i) => Ok(Term::Const(Value::Int(-i))),
-                Token::Float(f) => Ok(Term::Const(Value::Float(-f))),
-                other => {
-                    Err(self.error_here(format!("expected number after '-', found '{other}'")))
-                }
-            },
-            other => Err(self.error_here(format!("expected term, found '{other}'"))),
+    /// The rule atom of [`Parser::atom_parts`]: bare identifiers become
+    /// variables, interned before the predicate, in argument order.
+    fn take_atom(&mut self, name: &'a str, idents: &[usize]) -> Atom {
+        let terms = self
+            .args
+            .drain(..)
+            .enumerate()
+            .map(|(i, value)| match value {
+                Value::Str(s) if idents.contains(&i) => Term::var(&s),
+                value => Term::Const(value),
+            })
+            .collect();
+        Atom {
+            predicate: self.predicate(name),
+            terms,
+        }
+    }
+
+    /// Intern a predicate name, reusing the last one's symbol.
+    fn predicate(&mut self, name: &'a str) -> Sym {
+        match self.last_predicate {
+            Some((last, sym)) if last == name => sym,
+            _ => {
+                let sym = intern(name);
+                self.last_predicate = Some((name, sym));
+                sym
+            }
         }
     }
 
@@ -488,9 +640,9 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
-            Token::Int(i) => Ok(Expr::constant(i)),
+            Token::Int(i) => Ok(Expr::constant(self.int_value(i, false)?)),
             Token::Float(f) => Ok(Expr::constant(f)),
-            Token::Str(s) => Ok(Expr::Term(Term::Const(Value::string(s)))),
+            Token::Str(s) => Ok(Expr::Term(Term::Const(Value::str(&s)))),
             Token::Hash => {
                 // Skolem term #f(args)
                 let name = match self.bump() {
@@ -502,20 +654,20 @@ impl Parser {
                     }
                 };
                 let args = self.call_args()?;
-                Ok(Expr::skolem(&name, args))
+                Ok(Expr::skolem(name, args))
             }
             Token::Ident(name) => {
                 if *self.peek() == Token::LParen {
-                    if let Some(func) = AggFunc::from_name(&name) {
+                    if let Some(func) = AggFunc::from_name(name) {
                         return self.aggregation(func);
                     }
                     let args = self.call_args()?;
-                    return Ok(Expr::call(&name, args));
+                    return Ok(Expr::call(name, args));
                 }
-                match name.as_str() {
+                match name {
                     "true" => Ok(Expr::constant(true)),
                     "false" => Ok(Expr::constant(false)),
-                    _ => Ok(Expr::var(&name)),
+                    _ => Ok(Expr::var(name)),
                 }
             }
             other => Err(self.error_here(format!("expected expression, found '{other}'"))),
@@ -552,7 +704,7 @@ impl Parser {
             self.expect(&Token::Lt)?;
             loop {
                 match self.bump() {
-                    Token::Ident(s) => contributors.push(Var::new(&s)),
+                    Token::Ident(s) => contributors.push(Var::new(s)),
                     other => {
                         return Err(self
                             .error_here(format!("expected contributor variable, found '{other}'")))
@@ -578,15 +730,16 @@ impl Parser {
 
 /// Convert a ground clause atom to a fact, reading bare identifiers as
 /// string constants (so `Company(HSBC).` works as written in the paper).
-fn atom_to_fact(atom: &Atom) -> Result<Fact, String> {
-    let mut args = Vec::with_capacity(atom.terms.len());
-    for t in &atom.terms {
-        match t {
-            Term::Const(v) => args.push(v.clone()),
-            Term::Var(v) => args.push(Value::string(v.name())),
-        }
-    }
-    Ok(Fact::new_sym(atom.predicate, args))
+fn atom_to_fact(atom: &Atom) -> Fact {
+    let args = atom
+        .terms
+        .iter()
+        .map(|t| match t {
+            Term::Const(v) => v.clone(),
+            Term::Var(v) => Value::string(v.name()),
+        })
+        .collect();
+    Fact::new_sym(atom.predicate, args)
 }
 
 #[cfg(test)]
@@ -806,6 +959,31 @@ mod tests {
     fn empty_argument_atom_is_allowed() {
         let p = parse_program("Tick() -> Tock().").unwrap();
         assert_eq!(p.rules[0].body_atoms()[0].arity(), 0);
+    }
+
+    #[test]
+    fn i64_min_parses_and_its_bare_magnitude_is_an_error() {
+        let p = parse_program("P(-9223372036854775808). P(9223372036854775807).").unwrap();
+        assert_eq!(p.facts[0].args[0], Value::Int(i64::MIN));
+        assert_eq!(p.facts[1].args[0], Value::Int(i64::MAX));
+        let reparsed = parse_program(&crate::program_to_text(&p)).unwrap();
+        assert_eq!(reparsed.facts, p.facts);
+
+        let err = parse_program("P(1).\nP(9223372036854775808).").unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::Syntax);
+        assert_eq!((err.line, err.column), (2, 3));
+        assert_eq!(err.message, "invalid integer literal 9223372036854775808");
+        for src in [
+            "P(-9223372036854775809).",
+            "P(x), y = 9223372036854775808 -> Q(y).",
+            "@output(\"P\", 9223372036854775808).",
+        ] {
+            let err = parse_program(src).unwrap_err();
+            assert!(
+                err.message.contains("invalid integer literal"),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

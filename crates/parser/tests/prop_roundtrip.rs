@@ -108,6 +108,74 @@ fn program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// Every ground value with a surface form: integers including both `i64`
+/// bounds, negative and whole-number floats, strings holding `"`, `\\` and
+/// line breaks, identifier-like strings (`true` and `false` among them) and
+/// booleans.
+fn any_ground_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        prop::sample::select(vec![
+            i64::MIN,
+            i64::MIN + 1,
+            -1,
+            0,
+            1,
+            i64::MAX - 1,
+            i64::MAX
+        ])
+        .prop_map(Value::Int),
+        any::<i64>().prop_map(Value::Int),
+        (-1_000_000i64..1_000_000).prop_map(|i| Value::Float(i as f64 / 8.0)),
+        (-50i64..50).prop_map(|i| Value::Float(i as f64)),
+        prop::sample::select(vec![-1e300, -2.5e-7, 1e21, 0.1, -0.0]).prop_map(Value::Float),
+        prop::sample::select(vec![
+            "",
+            "HSBC",
+            "c_12",
+            "true",
+            "false",
+            "Città",
+            "quote \" inside",
+            "back\\slash",
+            "\\\"",
+            "two\nlines",
+            "tab\tand % not a comment // either",
+            "ends with backslash \\",
+        ])
+        .prop_map(Value::str),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+}
+
+/// Programs of ground facts only.
+fn ground_facts_program() -> impl Strategy<Value = Program> {
+    prop::collection::vec(
+        (
+            predicate_name(),
+            prop::collection::vec(any_ground_value(), 0..5),
+        )
+            .prop_map(|(p, args)| Fact::new(&p, args)),
+        0..12,
+    )
+    .prop_map(|facts| Program {
+        rules: Vec::new(),
+        facts,
+        annotations: Vec::new(),
+    })
+}
+
+/// A string value the parser also reads when written bare: an identifier
+/// other than the boolean keywords.
+fn bare_identifier(v: &Value) -> Option<&str> {
+    let Value::Str(s) = v else { return None };
+    let mut chars = s.chars();
+    let first = chars.next()?;
+    let ident = (first.is_alphabetic() || first == '_')
+        && chars.all(|c| c.is_alphanumeric() || c == '_')
+        && !matches!(&**s, "true" | "false");
+    ident.then_some(&**s)
+}
+
 // ----------------------------------------------------------------- properties
 
 proptest! {
@@ -174,6 +242,39 @@ proptest! {
         let reparsed = parse_program(&text)
             .unwrap_or_else(|e| panic!("escaped text failed to parse: {e}\n{text}"));
         prop_assert_eq!(reparsed.facts, vec![f]);
+    }
+
+    /// `parse_program(program_to_text(p)) == p` for ground facts over every
+    /// value with a surface form, and writing identifier-like strings bare
+    /// reads back the same facts.
+    #[test]
+    fn ground_facts_roundtrip(p in ground_facts_program()) {
+        let text = program_to_text(&p);
+        let reparsed = parse_program(&text)
+            .unwrap_or_else(|e| panic!("pretty output failed to parse: {e}\n{text}"));
+        prop_assert_eq!(&reparsed, &p, "facts changed\n{}", text);
+        let bare: String = p
+            .facts
+            .iter()
+            .map(|f| {
+                let args: Vec<String> = f
+                    .args
+                    .iter()
+                    .map(|v| match bare_identifier(v) {
+                        Some(ident) => ident.to_string(),
+                        None => {
+                            let one = Fact::new("X", vec![v.clone()]);
+                            let text = vadalog_parser::fact_to_text(&one);
+                            text["X(".len()..text.len() - ").".len()].to_string()
+                        }
+                    })
+                    .collect();
+                format!("{}({}).\n", f.predicate, args.join(", "))
+            })
+            .collect();
+        let reparsed = parse_program(&bare)
+            .unwrap_or_else(|e| panic!("bare identifiers failed to parse: {e}\n{bare}"));
+        prop_assert_eq!(&reparsed.facts, &p.facts, "bare identifiers changed\n{}", bare);
     }
 
     /// Garbage that is not a valid program yields an error rather than a

@@ -492,7 +492,8 @@ fn classify_pending(rule: &SRule, affected: &AffectedPositions) -> Pending {
     Pending::Clean
 }
 
-/// Eliminate harmful joins from a (warded) program.
+/// Eliminate harmful joins from a (warded) program. Rewrites rules and
+/// annotations only: the outcome's program carries no facts.
 pub fn eliminate_harmful_joins(program: &Program) -> HjeOutcome {
     let affected = affected_positions(program);
 
@@ -596,7 +597,7 @@ pub fn eliminate_harmful_joins(program: &Program) -> HjeOutcome {
 
     let mut out = Program {
         rules: final_rules,
-        facts: program.facts.clone(),
+        facts: Vec::new(),
         annotations: program.annotations.clone(),
     };
     // Deduplicate once more at the model level (different variable names can

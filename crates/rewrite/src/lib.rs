@@ -38,8 +38,10 @@
 //! derived exactly when the call site is reachable, so free calls restrict
 //! nothing but never block evaluation either.
 //!
-//! [`prepare_for_execution`] chains these passes in the order the engine
-//! expects.
+//! [`prepare_rules`] chains these passes in the order the engine expects.
+//! The passes rewrite rules and annotations only — none copies the facts;
+//! [`prepare_for_execution`] adds one copy for callers that want a
+//! self-contained program.
 
 pub mod cone;
 pub mod hje;
@@ -55,17 +57,29 @@ pub use optimizer::{
 
 use vadalog_model::Program;
 
-/// Run the full pre-execution rewriting pipeline:
+/// Run the full pre-execution rewriting pipeline over the rules:
 /// multiple-head elimination → existential isolation → harmful-join
 /// elimination → redundancy elimination.
 ///
 /// The output program is harmless warded whenever the input was warded (up to
 /// the bounded-effort caveat documented on [`eliminate_harmful_joins`]), has
 /// single-atom heads, and confines existentials to linear rules — exactly the
-/// preconditions of the termination strategy in `vadalog-chase`.
-pub fn prepare_for_execution(program: &Program) -> Program {
+/// preconditions of the termination strategy in `vadalog-chase`. It carries
+/// the rewritten rules and the annotations but **no facts**: no pass copies
+/// the extensional database, and the engine loads it from the source
+/// program.
+pub fn prepare_rules(program: &Program) -> Program {
     let p = eliminate_multiple_heads(program);
     let p = isolate_existentials(&p);
     let outcome = eliminate_harmful_joins(&p);
     eliminate_redundancies(&outcome.program)
+}
+
+/// [`prepare_rules`] plus one copy of the program's facts: a self-contained
+/// runnable program, for callers that run or load the prepared program as
+/// it is (the chase, staged replays of the engine's steps).
+pub fn prepare_for_execution(program: &Program) -> Program {
+    let mut prepared = prepare_rules(program);
+    prepared.facts = program.facts.clone();
+    prepared
 }

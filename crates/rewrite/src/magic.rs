@@ -15,7 +15,7 @@
 //!   or transitively) define the query predicate,
 //! * no aggregation, negation, EGDs or negative constraints on that slice,
 //! * single-atom heads (run [`crate::eliminate_multiple_heads`] first —
-//!   [`crate::prepare_for_execution`] already does).
+//!   [`crate::prepare_rules`] already does).
 //!
 //! Programs outside this slice are reported via [`MagicSetError`], and the
 //! engine then simply answers the query bottom-up without the optimization.
@@ -123,8 +123,10 @@ impl std::error::Error for MagicSetError {}
 pub struct MagicProgram {
     /// The rewritten program: adorned rules, magic rules, the bridges that
     /// feed stored rows of derived predicates into their adorned copies, the
-    /// magic seed fact, the original EDB facts, and a bridge rule from the
-    /// adorned query predicate back to the original query predicate name.
+    /// magic seed fact, a copy of the input program's facts (none when it
+    /// carries none — the engine passes rules only and loads the EDB
+    /// itself), and a bridge rule from the adorned query predicate back to
+    /// the original query predicate name.
     pub program: Program,
     /// The adorned name of the query predicate (`p__bf` style).
     pub adorned_query: Sym,

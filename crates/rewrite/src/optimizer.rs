@@ -1,5 +1,9 @@
 //! Elementary logic rewritings: multiple-head elimination, existential
 //! isolation and redundancy elimination.
+//!
+//! Every pass rewrites rules and annotations only: its output carries no
+//! facts, so a pass never copies the extensional database. Callers load the
+//! EDB from the source program (see [`crate::prepare_rules`]).
 
 use std::collections::BTreeSet;
 use vadalog_model::prelude::*;
@@ -32,7 +36,7 @@ impl LogicOptimizer {
 
     /// Apply multiple-head elimination, existential isolation and redundancy
     /// elimination (without harmful-join elimination, which is a separate,
-    /// more expensive pass).
+    /// more expensive pass). Like every pass, the result carries no facts.
     pub fn optimize(&self, program: &Program) -> Program {
         let p = eliminate_multiple_heads(program);
         let p = isolate_existentials(&p);
@@ -57,7 +61,7 @@ pub fn eliminate_multiple_heads(program: &Program) -> Program {
     let mut fresh = FreshNames::default();
     let mut out = Program {
         rules: Vec::new(),
-        facts: program.facts.clone(),
+        facts: Vec::new(),
         annotations: program.annotations.clone(),
     };
     for rule in &program.rules {
@@ -129,7 +133,7 @@ pub fn isolate_existentials(program: &Program) -> Program {
     let mut fresh = FreshNames::default();
     let mut out = Program {
         rules: Vec::new(),
-        facts: program.facts.clone(),
+        facts: Vec::new(),
         annotations: program.annotations.clone(),
     };
     for rule in &program.rules {
@@ -167,7 +171,7 @@ pub fn eliminate_redundancies(program: &Program) -> Program {
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut out = Program {
         rules: Vec::new(),
-        facts: program.facts.clone(),
+        facts: Vec::new(),
         annotations: program.annotations.clone(),
     };
     for rule in &program.rules {
@@ -277,13 +281,14 @@ mod tests {
     }
 
     #[test]
-    fn facts_and_annotations_are_preserved() {
+    fn annotations_are_preserved_and_facts_left_to_the_caller() {
         let p = parse_program(
             "@input(\"Own\").\nOwn(\"a\", \"b\", 0.6).\nOwn(x, y, w) -> SoftLink(x, y).",
         )
         .unwrap();
         let out = LogicOptimizer::new().optimize(&p);
-        assert_eq!(out.facts.len(), 1);
+        assert!(out.facts.is_empty());
         assert_eq!(out.annotations.len(), 1);
+        assert_eq!(out.rules.len(), 1);
     }
 }

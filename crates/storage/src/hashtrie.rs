@@ -51,23 +51,16 @@ impl HashTrie {
     /// for the column list are skipped — they can never match a probe of
     /// this width, exactly as [`Relation::ensure_index`] skips them.
     pub fn build(relation: &Relation, cols: &[usize]) -> HashTrie {
-        let rows = relation.len();
-        let k = cols.len();
-        let mut ids: Vec<ValueId> = Vec::new();
-        let mut facts: Vec<FactId> = Vec::new();
-        for (i, row) in relation.iter_rows().enumerate() {
-            if cols.iter().all(|c| *c < row.len()) {
-                for c in cols {
-                    ids.push(row[*c]);
-                }
-                facts.push(FactId(i as u32));
-            }
-        }
-        let keys: Vec<(OrderKey, ValueId)> = order_keys_of(&ids).into_iter().zip(ids).collect();
         HashTrie {
             cols: cols.into(),
-            rows,
-            run: SortedRun::from_entries(k, keys, facts),
+            rows: relation.len(),
+            run: SortedRun::from_rows(
+                cols,
+                relation
+                    .iter_rows()
+                    .enumerate()
+                    .map(|(i, row)| (FactId(i as u32), row)),
+            ),
         }
     }
 

@@ -60,10 +60,17 @@
 //!   back in ascending `FactId` order: the enumeration order that keeps the
 //!   engine's parallel sweep bit-identical at every worker count.
 //!
-//! Maintenance is amortised: inserts append to an index **tail** that probes
-//! scan linearly; [`Relation::ensure_index`] (the engine calls it while
-//! preparing each batch, before freezing the store for the worker pool)
-//! flushes the tail into a fresh run and merges adjacent runs size-tiered.
+//! An index over rows that already exist — the loaded EDB, a compacted
+//! layer chain, a fallback over a shared base — is built as **one run** by
+//! one sort: each column's distinct ids get dense ranks in
+//! `(OrderKey, ValueId)` order, a `u32` permutation is counting-sorted by
+//! the rank tuples, and keys, `FactId`s and the directory are written once,
+//! the directory sized to the group count. Tails remain the incremental
+//! path: inserts into an indexed relation append to an index **tail** that
+//! probes scan linearly; a full tail, or [`Relation::ensure_index`] on an
+//! existing index (the engine calls it while preparing each batch, before
+//! freezing the store for the worker pool), flushes the tail into a fresh
+//! run by the same build and merges adjacent runs size-tiered.
 //! [`Relation::probe_if_indexed`] yields postings either borrowed straight
 //! from a single run ([`Probe::Run`]) or collected into a caller-owned
 //! scratch buffer, so the hot exact probe stays allocation-free.

@@ -34,10 +34,14 @@
 //!   inside the key range is emitted without resolving a value, only entries
 //!   whose key ties the bound's key are checked exactly (and labelled nulls,
 //!   which never satisfy an ordering comparison, are skipped by class);
-//! * inserts append to the index's **tail**; [`Relation::ensure_index`]
-//!   flushes the tail into a fresh run and merges adjacent runs size-tiered,
-//!   so maintenance stays amortised `O(log n)` per row. Probes scan the
-//!   (small) tail linearly, so an unflushed index is still exact;
+//! * an index built over existing rows ([`Relation::ensure_index`]) is
+//!   **one** run, made by one sort over per-column dense ranks;
+//! * inserts into an indexed relation append to the index's **tail** — the
+//!   incremental path. A full tail, or [`Relation::ensure_index`] on an
+//!   existing index, flushes it into a fresh run (the same one-sort build)
+//!   and merges adjacent runs size-tiered, so maintenance stays amortised
+//!   `O(log n)` per row. Probes scan the (small) tail linearly, so an
+//!   unflushed index is still exact;
 //! * probes spanning several runs are **merged by `FactId`**: runs cover
 //!   disjoint ascending insertion ranges, so results are always yielded in
 //!   `FactId` order — the enumeration order the engine's deterministic
@@ -48,6 +52,7 @@
 //! common exact probe costs one hash of the composite key and zero
 //! allocations.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
@@ -83,6 +88,10 @@ fn ids_hash(ids: &[ValueId]) -> u64 {
 /// without an [`Relation::ensure_index`] call, bounding the linear tail scan
 /// every probe performs.
 const TAIL_AUTO_FLUSH: usize = 4096;
+
+/// Facts [`FactStore::load_facts`] interns per batch: bounds the interned
+/// rows held before insertion and how long the interner stays locked.
+const LOAD_CHUNK: usize = 4096;
 
 /// A pushed-down comparison condition, evaluated by the index: keeps the
 /// bound's interned id and order key so range scans can binary-search by key
@@ -219,34 +228,139 @@ impl SortedRun {
         self.entry(k, i).iter().zip(ids).all(|((_, v), id)| v == id)
     }
 
-    /// Build a run from unsorted entries (one `k`-pair chunk per fact).
-    pub(crate) fn from_entries(
-        k: usize,
-        keys: Vec<(OrderKey, ValueId)>,
-        facts: Vec<FactId>,
-    ) -> SortedRun {
-        let n = facts.len();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            keys[a * k..(a + 1) * k]
-                .cmp(&keys[b * k..(b + 1) * k])
-                .then_with(|| facts[a].cmp(&facts[b]))
-        });
-        let mut sorted_keys = Vec::with_capacity(keys.len());
-        let mut sorted_facts = Vec::with_capacity(n);
-        for &p in &perm {
-            let p = p as usize;
-            sorted_keys.extend_from_slice(&keys[p * k..(p + 1) * k]);
-            sorted_facts.push(facts[p]);
+    /// Build a run from unsorted entries — each a `FactId` and its `k` ids —
+    /// given in ascending `FactId` order, with **one sort**: every column's
+    /// distinct ids get dense ranks in `(OrderKey, ValueId)` order, a `u32`
+    /// permutation is sorted by the rank tuples (a stable counting pass per
+    /// column, last column first, so insertion order is the final
+    /// tie-break), and keys, facts and the directory are written once, in
+    /// final order. Besides the run itself the build holds `O(n)` `u32`s
+    /// (ranks, permutation, scratch) plus one rank table per column.
+    pub(crate) fn from_entries<I, R>(k: usize, entries: I) -> SortedRun
+    where
+        I: IntoIterator<Item = (FactId, R)>,
+        R: IntoIterator<Item = ValueId>,
+    {
+        let entries = entries.into_iter();
+        let (lower, _) = entries.size_hint();
+        let mut columns: Vec<(FxHashMap<ValueId, u32>, Vec<ValueId>)> =
+            (0..k).map(|_| Default::default()).collect();
+        let mut ranks: Vec<u32> = Vec::with_capacity(lower * k);
+        let mut facts: Vec<FactId> = Vec::with_capacity(lower);
+        for (fact, ids) in entries {
+            assert!(
+                facts.last().is_none_or(|last| *last < fact),
+                "entries come in ascending FactId order"
+            );
+            facts.push(fact);
+            for ((slot_of, distinct), id) in columns.iter_mut().zip(ids) {
+                let next = distinct.len() as u32;
+                let slot = *slot_of.entry(id).or_insert(next);
+                if slot == next {
+                    distinct.push(id);
+                }
+                ranks.push(slot);
+            }
         }
+        let n = facts.len();
+        assert_eq!(ranks.len(), n * k, "every entry carries k ids");
+
+        // First-seen slots -> ranks in (OrderKey, ValueId) order, per column.
+        let mut pairs: Vec<Vec<(OrderKey, ValueId)>> = Vec::with_capacity(k);
+        for (c, (_, distinct)) in columns.into_iter().enumerate() {
+            let keys = order_keys_of(&distinct);
+            let pair = |slot: u32| (keys[slot as usize], distinct[slot as usize]);
+            let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+            order.sort_unstable_by_key(|&slot| pair(slot));
+            let mut rank_of = vec![0u32; order.len()];
+            for (rank, &slot) in order.iter().enumerate() {
+                rank_of[slot as usize] = rank as u32;
+            }
+            for r in ranks.iter_mut().skip(c).step_by(k) {
+                *r = rank_of[*r as usize];
+            }
+            pairs.push(order.into_iter().map(pair).collect());
+        }
+
+        // LSD counting sort of the permutation by rank tuple.
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut scratch: Vec<u32> = vec![0; n];
+        let mut starts: Vec<u32> = Vec::new();
+        for c in (0..k).rev() {
+            let distinct = pairs[c].len();
+            if distinct <= 1 {
+                continue;
+            }
+            let rank = |p: u32| ranks[p as usize * k + c] as usize;
+            starts.clear();
+            starts.resize(distinct + 1, 0);
+            for &p in &perm {
+                starts[rank(p) + 1] += 1;
+            }
+            for r in 1..=distinct {
+                starts[r] += starts[r - 1];
+            }
+            for &p in &perm {
+                let slot = &mut starts[rank(p)];
+                scratch[*slot as usize] = p;
+                *slot += 1;
+            }
+            std::mem::swap(&mut perm, &mut scratch);
+        }
+        drop(scratch);
+
+        // Write the run in final order; group boundaries are rank changes.
+        let tuple = |p: u32| &ranks[p as usize * k..(p as usize + 1) * k];
+        let groups = usize::from(n > 0)
+            + perm
+                .windows(2)
+                .filter(|w| tuple(w[0]) != tuple(w[1]))
+                .count();
         let mut run = SortedRun {
-            keys: sorted_keys,
-            facts: sorted_facts,
-            dir: FxHashMap::default(),
+            keys: Vec::with_capacity(n * k),
+            facts: Vec::with_capacity(n),
+            dir: FxHashMap::with_capacity_and_hasher(groups, Default::default()),
         };
-        run.rebuild_dir(k);
+        let mut ids: Vec<ValueId> = Vec::with_capacity(k);
+        let mut group_start = 0;
+        for (i, &p) in perm.iter().enumerate() {
+            if i > 0 && tuple(perm[i - 1]) != tuple(p) {
+                run.insert_group(k, group_start, i, &mut ids);
+                group_start = i;
+            }
+            run.keys
+                .extend(tuple(p).iter().zip(&pairs).map(|(r, col)| col[*r as usize]));
+            run.facts.push(facts[p as usize]);
+        }
+        if n > 0 {
+            run.insert_group(k, group_start, n, &mut ids);
+        }
         run
+    }
+
+    /// Build a run over `rows` (each with its `FactId`, ascending) projected
+    /// on `cols`. Rows too narrow for the column list are skipped — they can
+    /// never match a probe of this width.
+    pub(crate) fn from_rows<'a>(
+        cols: &[usize],
+        rows: impl IntoIterator<Item = (FactId, &'a [ValueId])>,
+    ) -> SortedRun {
+        SortedRun::from_entries(
+            cols.len(),
+            rows.into_iter()
+                .filter(|(_, row)| cols.iter().all(|c| *c < row.len()))
+                .map(|(id, row)| (id, cols.iter().map(move |c| row[*c]))),
+        )
+    }
+
+    /// Record the entry group `[start, end)` in the directory. On a hash
+    /// collision the later group wins (probes for the other fall back to
+    /// binary search).
+    fn insert_group(&mut self, k: usize, start: usize, end: usize, ids: &mut Vec<ValueId>) {
+        ids.clear();
+        ids.extend(self.entry(k, start).iter().map(|(_, v)| *v));
+        self.dir
+            .insert(ids_hash(ids), (start as u32, (end - start) as u32));
     }
 
     /// Merge two sorted runs covering adjacent insertion ranges.
@@ -295,10 +409,7 @@ impl SortedRun {
             while end < n && self.entry(k, start) == self.entry(k, end) {
                 end += 1;
             }
-            ids.clear();
-            ids.extend(self.entry(k, start).iter().map(|(_, v)| *v));
-            self.dir
-                .insert(ids_hash(&ids), (start as u32, (end - start) as u32));
+            self.insert_group(k, start, end, &mut ids);
             start = end;
         }
     }
@@ -415,13 +526,15 @@ impl SortedIndex {
             return;
         }
         let k = self.k();
-        let order_keys = order_keys_of(&self.tail_ids);
-        let keys: Vec<(OrderKey, ValueId)> = order_keys
-            .into_iter()
-            .zip(self.tail_ids.drain(..))
-            .collect();
-        let facts = std::mem::take(&mut self.tail_facts);
-        self.runs.push(SortedRun::from_entries(k, keys, facts));
+        let tail_ids = std::mem::take(&mut self.tail_ids);
+        let tail_facts = std::mem::take(&mut self.tail_facts);
+        self.runs.push(SortedRun::from_entries(
+            k,
+            tail_facts
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (*f, tail_ids[i * k..(i + 1) * k].iter().copied())),
+        ));
         while self.runs.len() >= 2 {
             let n = self.runs.len();
             if self.runs[n - 2].facts.len() <= self.runs[n - 1].facts.len() * 2 {
@@ -1041,7 +1154,9 @@ impl Relation {
     /// column or a composite prefix, probe-order). If the index already
     /// exists its tail is flushed, so subsequent probes run entirely on
     /// sorted runs — the pre-pass the engine performs before freezing a
-    /// store for a parallel batch.
+    /// store for a parallel batch. A new index over existing rows is built
+    /// as **one** run by one sort (`SortedRun::from_entries`); only rows
+    /// inserted afterwards go through the tail.
     ///
     /// On a copy-on-write overlay only the **overlay's** tail is ever
     /// flushed; the shared base's runs are immutable and reused as-is. When
@@ -1057,19 +1172,31 @@ impl Relation {
         let base_len = self.base_row_count();
         let base_has = self.base.as_ref().is_some_and(|b| b.has_index(cols));
         let mut index = SortedIndex::new(cols);
-        if let Some(base) = &self.base {
-            if !base_has {
+        let base_rows = match &self.base {
+            Some(base) if !base_has => {
                 index.covers_base = true;
                 self.full_index_builds += 1;
-                for (i, row) in base.iter_rows().enumerate() {
-                    index.push_row(FactId(i as u32), row);
-                }
+                Some(base.iter_rows())
             }
+            _ => None,
+        };
+        let own_rows = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| (base_len + i, &**row));
+        let run = SortedRun::from_rows(
+            cols,
+            base_rows
+                .into_iter()
+                .flatten()
+                .enumerate()
+                .chain(own_rows)
+                .map(|(i, row)| (FactId(i as u32), row)),
+        );
+        if !run.facts.is_empty() {
+            index.runs.push(run);
         }
-        for (i, row) in self.rows.iter().enumerate() {
-            index.push_row(FactId((base_len + i) as u32), row);
-        }
-        index.flush();
         self.indices.push(index);
     }
 
@@ -1495,6 +1622,42 @@ impl FactStore {
     pub fn insert_row(&mut self, predicate: Sym, row: Box<[ValueId]>, ground: bool) -> bool {
         self.holds_nulls |= !ground;
         self.relation_mut(predicate).insert_row(row).is_some()
+    }
+
+    /// Intern and insert a batch of facts, in order: the one loader of
+    /// extensional data (inline facts, `@bind` sources, a session's base
+    /// and its appends, the `Dom` relation). Facts may be owned or borrowed;
+    /// none is copied. Values are interned 4,096 facts at a time
+    /// with every interner shard locked once per chunk ([`intern_rows`]),
+    /// and `before_insert` sees the store, each fact and its interned row
+    /// just before the row is inserted — the caller's hook to register base
+    /// facts with a termination strategy in insertion order. Returns the
+    /// number of rows that were new.
+    pub fn load_facts<I>(
+        &mut self,
+        facts: I,
+        mut before_insert: impl FnMut(&FactStore, &Fact, &[ValueId]),
+    ) -> usize
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Fact>,
+    {
+        let mut facts = facts.into_iter();
+        let mut chunk: Vec<I::Item> = Vec::new();
+        let mut fresh = 0;
+        loop {
+            chunk.clear();
+            chunk.extend(facts.by_ref().take(LOAD_CHUNK));
+            if chunk.is_empty() {
+                return fresh;
+            }
+            let rows = intern_rows(chunk.iter().map(|f| f.borrow().args.as_slice()));
+            for (fact, row) in chunk.iter().zip(rows) {
+                let fact = fact.borrow();
+                before_insert(self, fact, &row);
+                fresh += usize::from(self.insert_row(fact.predicate, row, fact.is_ground()));
+            }
+        }
     }
 
     /// Every stored row with its predicate, predicate-ordered and in
