@@ -320,12 +320,17 @@ fn fig5ef(scale: f64) {
 /// Figure 5(g,h,i): Doctors / DoctorsFD / LUBM vs the chase baselines
 /// (paper: Vadalog 3.5× faster than RDFox on DoctorsFD, within 2× of RDFox
 /// on Doctors/LUBM because magic-set-style optimizations are missing).
+///
+/// The violations column counts the engine's constraint/EGD violations.
+/// The generated data is clean, so a DoctorsFD violation is a wrong answer
+/// of the check path: the process then exits 1.
 fn fig5ghi(scale: f64) {
     println!("Figure 5(g,h,i) — ChaseBench-style scenarios vs baselines");
     println!(
-        "{:<12} {:>10} {:>14} {:>16} {:>16}",
-        "scenario", "size", "vadalog ms", "restricted ms", "seminaive ms"
+        "{:<12} {:>10} {:>14} {:>16} {:>16} {:>11}",
+        "scenario", "size", "vadalog ms", "restricted ms", "seminaive ms", "violations"
     );
+    let mut fd_violations = 0;
     for &doctors in &[200usize, 1_000] {
         let doctors = ((doctors as f64) * scale).max(50.0) as usize;
         let facts = chasebench::doctors_facts(doctors, 17);
@@ -334,25 +339,40 @@ fn fig5ghi(scale: f64) {
             ("DoctorsFD", chasebench::doctors_fd_program()),
         ] {
             let program = with_facts(program, facts.clone());
-            let (engine_ms, _) = run_engine(&program);
+            let (engine_ms, result) = run_engine(&program);
             let (restricted_ms, _) = run_restricted(&program);
             let (sn_ms, _) = run_seminaive(&program);
+            let violations = result.violations.len();
+            if name == "DoctorsFD" {
+                fd_violations += violations;
+            }
             println!(
-                "{:<12} {:>10} {:>14.1} {:>16.1} {:>16.1}",
-                name, doctors, engine_ms, restricted_ms, sn_ms
+                "{:<12} {:>10} {:>14.1} {:>16.1} {:>16.1} {:>11}",
+                name, doctors, engine_ms, restricted_ms, sn_ms, violations
             );
         }
     }
     for &universities in &[1usize, 3] {
         let facts = chasebench::lubm_facts(universities, 19);
         let program = with_facts(chasebench::lubm_program(), facts);
-        let (engine_ms, _) = run_engine(&program);
+        let (engine_ms, result) = run_engine(&program);
         let (restricted_ms, _) = run_restricted(&program);
         let (sn_ms, _) = run_seminaive(&program);
         println!(
-            "{:<12} {:>10} {:>14.1} {:>16.1} {:>16.1}",
-            "LUBM", universities, engine_ms, restricted_ms, sn_ms
+            "{:<12} {:>10} {:>14.1} {:>16.1} {:>16.1} {:>11}",
+            "LUBM",
+            universities,
+            engine_ms,
+            restricted_ms,
+            sn_ms,
+            result.violations.len()
         );
+    }
+    if fd_violations > 0 {
+        eprintln!(
+            "reproduce: fig5ghi: DoctorsFD reported {fd_violations} violations on clean data"
+        );
+        std::process::exit(1);
     }
 }
 

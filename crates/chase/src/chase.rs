@@ -198,10 +198,10 @@ fn vadalog_rewrite_dom_name() -> &'static str {
 }
 
 /// Reusable buffers for [`find_matches`]: the composite-probe scratch
-/// ([`vadalog_storage::ProbeBuffers`]: probe columns, key and postings) plus the match undo
-/// trail. A caller — a chase round, or the engine's constraint checks —
-/// holds a single `MatchBuffers` across any number of calls, so the probe
-/// path allocates nothing in the steady state.
+/// ([`vadalog_storage::ProbeBuffers`]: probe columns, key and postings) plus
+/// the match undo trail. The chase's round loop holds a single
+/// `MatchBuffers` across all its calls, so the probe path allocates nothing
+/// in the steady state.
 #[derive(Default, Debug)]
 pub struct MatchBuffers {
     probe: vadalog_storage::ProbeBuffers,
@@ -218,34 +218,17 @@ pub struct MatchBuffers {
 /// probe prefers one composite probe over all determined columns (constants
 /// and already-bound variables), then any single determined column's index,
 /// and falls back to a scan when neither index exists. Runs on the calling
-/// thread.
+/// thread. This is the oracle's matcher: the engine joins with its own
+/// executor, so the two are independent.
 pub fn find_matches(rule: &Rule, store: &FactStore) -> Vec<Substitution> {
     find_matches_with(rule, store, &mut MatchBuffers::default())
 }
 
-/// [`find_matches`] with caller-owned reusable buffers: callers issuing many
-/// matches (the chase round loop, the engine's constraint checks) hold one
-/// [`MatchBuffers`] across all calls.
+/// [`find_matches`] with caller-owned reusable buffers: the chase's round
+/// loop holds one [`MatchBuffers`] across all calls.
 pub fn find_matches_with(
     rule: &Rule,
     store: &FactStore,
-    bufs: &mut MatchBuffers,
-) -> Vec<Substitution> {
-    find_matches_shard(rule, store, 0, 1, bufs)
-}
-
-/// The matches of [`find_matches_with`] whose first positive atom binds to
-/// shard `shard` of `shards` contiguous, near-equal slices of that atom's
-/// candidate rows. Concatenating the results of shards `0..shards` in order
-/// reproduces the unsharded result exactly, contents and order, because
-/// every extension of a first-atom binding stays contiguous. Callers with
-/// worker threads of their own (the engine's constraint checks) run the
-/// shards in parallel.
-pub fn find_matches_shard(
-    rule: &Rule,
-    store: &FactStore,
-    shard: usize,
-    shards: usize,
     bufs: &mut MatchBuffers,
 ) -> Vec<Substitution> {
     use vadalog_storage::{materialise, number_variables, undo_to, FactId, Relation, RowPattern};
@@ -275,23 +258,12 @@ pub fn find_matches_shard(
             None => return Vec::new(),
         }
     }
-    // A body without positive atoms has one (empty) first binding: shard 0's.
-    if patterns.is_empty() && shard > 0 {
-        return Vec::new();
-    }
 
     // Positive atoms left-to-right, breadth-first: every binding so far is
-    // extended through the next atom, in enumeration order. The first atom
-    // reads only its shard of the candidate rows.
-    let window = |len: usize, first: bool| {
-        if first {
-            len * shard / shards.max(1)..len * (shard + 1) / shards.max(1)
-        } else {
-            0..len
-        }
-    };
+    // extended through the next atom, in enumeration order. A body without
+    // positive atoms has one (empty) binding.
     let mut bindings: Vec<Vec<Option<ValueId>>> = vec![vec![None; slots.len()]];
-    for (idx, (pattern, rel)) in patterns.iter().zip(&rels).enumerate() {
+    for (pattern, rel) in patterns.iter().zip(&rels) {
         if bindings.is_empty() {
             break;
         }
@@ -302,7 +274,7 @@ pub fn find_matches_shard(
             match pattern.probe_determined(rel, binding, probe) {
                 Some(hit) => {
                     let ids = hit.as_slice(&probe.scratch);
-                    for id in &ids[window(ids.len(), idx == 0)] {
+                    for id in ids {
                         if pattern.match_row(rel.row(*id), binding, trail) {
                             next.push(binding.clone());
                             undo_to(binding, trail, 0);
@@ -310,7 +282,7 @@ pub fn find_matches_shard(
                     }
                 }
                 None => {
-                    for i in window(rel.len(), idx == 0) {
+                    for i in 0..rel.len() {
                         if pattern.match_row(rel.row(FactId(i as u32)), binding, trail) {
                             next.push(binding.clone());
                             undo_to(binding, trail, 0);
@@ -645,54 +617,6 @@ mod tests {
         let mut warded = WardedStrategy::new();
         let finite = run_chase(&program, &mut warded, &ChaseOptions::default());
         assert!(finite.stats.rounds < 10);
-    }
-
-    #[test]
-    fn sharded_find_matches_is_identical_to_sequential() {
-        // Enough first-atom candidates to split meaningfully, plus negation,
-        // a repeated-variable join and a condition, so every literal kind
-        // crosses the shard boundary; the second rule's first atom is
-        // probed (a constant), not scanned, once `Edge` is indexed.
-        let mut program = parse_program(
-            "Edge(x, y), Edge(y, z), not Blocked(z), x != z -> Two(x, z).\n\
-             Edge(1, y), Edge(y, z) -> Hop(z).\n\
-             Blocked(9). Blocked(3).",
-        )
-        .unwrap();
-        for i in 0..300i64 {
-            program.add_fact(Fact::new(
-                "Edge",
-                vec![Value::Int(i % 20), Value::Int((i * 7 + 3) % 20)],
-            ));
-        }
-        let store = FactStore::from_facts(program.facts.clone());
-        for rule in &program.rules {
-            let sequential = find_matches(rule, &store);
-            assert!(!sequential.is_empty());
-            let mut bufs = MatchBuffers::default();
-            let sharded = |store: &FactStore, shards: usize, bufs: &mut MatchBuffers| {
-                (0..shards)
-                    .flat_map(|shard| find_matches_shard(rule, store, shard, shards, bufs))
-                    .collect::<Vec<_>>()
-            };
-            for shards in [2usize, 3, 8, 64, 1000] {
-                // Exact Vec equality: same substitutions in the same
-                // enumeration order, not merely the same set.
-                assert_eq!(
-                    sequential,
-                    sharded(&store, shards, &mut bufs),
-                    "order diverges at {shards} shards"
-                );
-            }
-            // The buffer-reusing entry point agrees too, through warm buffers
-            // and with indices built so the probe path is exercised.
-            assert_eq!(sequential, find_matches_with(rule, &store, &mut bufs));
-            let mut indexed = store.clone();
-            indexed.relation_mut(intern("Edge")).ensure_index(&[0]);
-            indexed.relation_mut(intern("Blocked")).ensure_index(&[0]);
-            assert_eq!(sequential, find_matches_with(rule, &indexed, &mut bufs));
-            assert_eq!(sequential, sharded(&indexed, 8, &mut bufs));
-        }
     }
 
     #[test]

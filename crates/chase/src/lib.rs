@@ -24,9 +24,8 @@
 //!   oblivious and restricted chase variants, negative constraints and EGDs
 //!   under the `Dom` discipline. Its matcher ([`find_matches`]) is the
 //!   naive left-to-right id-level join and runs on the calling thread: it
-//!   is the independent oracle the engine's parallel sweep is checked
-//!   against. The engine's constraint and EGD checks call it directly, one
-//!   first-atom shard per worker ([`find_matches_shard`]).
+//!   is the independent oracle the engine is checked against, its sweeps
+//!   and its constraint and EGD checks alike. The engine never calls it.
 //! * [`baselines`] — the comparison engines used in the evaluation:
 //!   the trivial-isomorphism chase, the restricted chase with homomorphism
 //!   checks, and a Skolemizing semi-naive Datalog engine standing in for
@@ -37,8 +36,8 @@ pub mod chase;
 pub mod strategy;
 
 pub use chase::{
-    find_matches, find_matches_shard, find_matches_with, run_chase, ChaseOptions, ChaseResult,
-    ChaseStats, ChaseVariant, MatchBuffers,
+    find_matches, find_matches_with, run_chase, ChaseOptions, ChaseResult, ChaseStats,
+    ChaseVariant, MatchBuffers,
 };
 pub use strategy::{
     Candidate, ExactDedupStrategy, ParentRef, StrategyStats, TerminationStrategy,

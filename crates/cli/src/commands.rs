@@ -469,8 +469,13 @@ fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
     }
     if !plan.checks.is_empty() {
         let _ = writeln!(out, "checks:  {}", plan.checks.len());
-        for (id, rule) in &plan.checks {
-            let _ = writeln!(out, "  check {id}: {}", rule_to_text(rule));
+        for check in &plan.checks {
+            let _ = writeln!(
+                out,
+                "  check {}: {}",
+                check.rule_id,
+                rule_to_text(&check.rule)
+            );
         }
     }
     Ok(out)

@@ -83,12 +83,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use vadalog_analysis::RuleKind;
-use vadalog_chase::chase::{find_matches_shard, find_matches_with};
-use vadalog_chase::{Candidate, MatchBuffers, ParentRef, StrategyStats, TerminationStrategy};
+use vadalog_chase::{Candidate, ParentRef, StrategyStats, TerminationStrategy};
 use vadalog_model::prelude::*;
 use vadalog_storage::{
-    number_variables, undo_to, ActiveDomain, DeltaBatch, FactId, FactStore, JoinScratch,
-    ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
+    materialise, number_variables, undo_to, ActiveDomain, DeltaBatch, FactId, FactStore,
+    JoinScratch, ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
 };
 
 use vadalog_storage::{
@@ -97,8 +96,8 @@ use vadalog_storage::{
 
 use crate::aggregate::AggregateState;
 use crate::plan::{
-    chunk_windows, literal_constant, plan_chunk_count, AccessPlan, BoundTerm, HybridPlan,
-    PushedCondition, RangeCandidate,
+    chunk_windows, literal_constant, plan_chunk_count, AccessPlan, BoundTerm, FilterNode,
+    HybridPlan, PushedCondition, RangeCandidate,
 };
 use crate::reasoner::ReasonerOptions;
 
@@ -184,16 +183,6 @@ struct WorkItem {
     job: usize,
     /// Index into the job's shard plan; `None` = run every delta window.
     chunk: Option<usize>,
-}
-
-/// Execution record of one batch's join phase, folded into
-/// [`PipelineStats`] by the caller.
-struct BatchExec {
-    /// Work items the batch queued (its parallel width).
-    items: usize,
-    /// Distinct extra workers that picked up chunks of an already-started
-    /// filter (scheduling-dependent diagnostic).
-    steals: u64,
 }
 
 /// A pushed condition compiled to the id level: `binding[slot] op bound`,
@@ -318,6 +307,17 @@ fn read_id(
     }
 }
 
+/// Per-match scratch of [`Pipeline::accept`], reused across matches: the
+/// residual literals' results, the group and mcount keys of an aggregate,
+/// and the negation probes' buffers.
+#[derive(Default)]
+struct ResidualScratch {
+    assigned: Vec<Option<Datum>>,
+    group_ids: Vec<ValueId>,
+    key_ids: Vec<ValueId>,
+    neg_bufs: ProbeBuffers,
+}
+
 /// An aggregation's argument.
 #[derive(Clone, Debug)]
 enum AggArg {
@@ -344,6 +344,7 @@ enum Residual {
     },
     /// `var = expr`: arithmetic, calls, Skolem terms.
     Assign {
+        var: Var,
         expr: CompiledExpr,
         slot: Option<usize>,
     },
@@ -448,6 +449,7 @@ fn compile_residuals(
                         }
                     }
                     None => Residual::Assign {
+                        var: asg.var,
                         expr: CompiledExpr::compile(&asg.expr, source),
                         slot,
                     },
@@ -557,7 +559,8 @@ struct CompiledHybrid {
 /// compiled sequentially so interner writes stay deterministic, and shipped
 /// to a sweep worker by reference.
 struct FilterJob {
-    /// Index of the filter in the plan.
+    /// Index of the filter in the plan; check `c` runs as job
+    /// `filters.len() + c`.
     f_idx: usize,
     /// Per-body-position `(consumed, snapshot)` delta windows.
     deltas: Vec<(usize, usize)>,
@@ -626,7 +629,8 @@ pub struct PipelineStats {
     /// Round-robin sweeps over the filters.
     pub iterations: usize,
     /// Disjoint-input filter batches executed across all sweeps (each batch
-    /// is one parallel join fan-out followed by one deterministic merge).
+    /// is one parallel join fan-out followed by one deterministic merge),
+    /// plus the one batch of constraint/EGD checks when the plan has any.
     pub sweep_batches: usize,
     /// Filter activations that produced at least one new fact.
     pub productive_activations: usize,
@@ -977,7 +981,7 @@ impl<'a> Pipeline<'a> {
                 .plan
                 .checks
                 .iter()
-                .any(|(_, r)| r.body_predicates().contains(&dom_sym))
+                .any(|c| c.rule.body_predicates().contains(&dom_sym))
         {
             let dom = ActiveDomain::from_facts(self.state.store.iter())
                 .to_facts(vadalog_rewrite::DOM_PREDICATE);
@@ -1019,18 +1023,8 @@ impl<'a> Pipeline<'a> {
                 if jobs.is_empty() {
                     continue;
                 }
-                self.state.stats.sweep_batches += 1;
-                let (results, exec) = self.collect_batch(&jobs);
-                self.state.stats.intra_filter_chunks += exec.items as u64;
-                self.state.stats.steals += exec.steals;
-                self.state.stats.batch_width_hist[batch_width_bucket(exec.items)] += 1;
+                let results = self.collect_batch(&jobs);
                 for (job, (matches, counters)) in jobs.iter().zip(results) {
-                    self.state.stats.join_probes += counters.join_probes;
-                    self.state.stats.index_probes += counters.index_probes;
-                    self.state.stats.range_probes += counters.range_probes;
-                    self.state.stats.scan_fallbacks += counters.scan_fallbacks;
-                    self.state.stats.wcoj_seeks += counters.wcoj_seeks;
-                    self.state.stats.wcoj_intersections += counters.wcoj_intersections;
                     // Shard-planner feedback: the activation's measured
                     // per-delta-row work replaces the static postings-width
                     // estimate the next time this filter is chunked. Built
@@ -1075,47 +1069,63 @@ impl<'a> Pipeline<'a> {
         };
         self.state.stats.snapshot_overlay_rows = self.state.store.overlay_rows() as u64;
 
-        // Check constraints and EGDs on the final instance. A check whose
-        // first positive atom holds enough rows is split into contiguous
-        // first-atom shards, one per worker, and the shard results are
-        // concatenated in order — the sequential enumeration exactly.
-        let mut violations = Vec::new();
-        let mut check_bufs = MatchBuffers::default();
-        let store = &self.state.store;
-        for (_, rule) in &self.plan.checks {
-            // Cost per first-atom row: the second atom's length, the work
-            // of a scan (as the sweep estimates a scanning probe).
-            let rows = |i: usize| {
-                rule.body_atoms()
-                    .get(i)
-                    .and_then(|atom| store.relation(atom.predicate))
-                    .map_or(0, Relation::len)
-            };
-            let shards = plan_chunk_count(
-                rows(0),
-                rows(1) as f64,
-                self.state.options.parallelism,
-                self.state.options.chunk_min_rows,
-            );
-            let matches = if shards <= 1 {
-                find_matches_with(rule, store, &mut check_bufs)
-            } else {
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = (0..shards)
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                let mut bufs = MatchBuffers::default();
-                                find_matches_shard(rule, store, shard, shards, &mut bufs)
-                            })
-                        })
-                        .collect();
-                    workers
-                        .into_iter()
-                        .flat_map(|w| w.join().expect("a check shard panicked"))
-                        .collect()
+        self.run_checks()
+    }
+
+    /// Check the plan's constraints and EGDs on the final instance, as one
+    /// batch on the join executor. A check is compiled like a filter and
+    /// driven by its join order's first atom; every position reads its
+    /// whole relation. A check with no positive atom is evaluated once, on
+    /// the empty binding. Violations come in check order, and within a
+    /// check in the executor's enumeration order, which no worker count or
+    /// join strategy changes.
+    fn run_checks(&mut self) -> Vec<String> {
+        let plan = self.plan;
+        if plan.checks.is_empty() {
+            return Vec::new();
+        }
+        // Check jobs are numbered after the filters, so the executor's
+        // per-job state (its trie memos) never mixes the two.
+        let first = plan.filters.len();
+        let mut jobs = Vec::with_capacity(plan.checks.len());
+        for (c, check) in plan.checks.iter().enumerate() {
+            let driver = check.join_order.0.first().copied();
+            let deltas = check
+                .rule
+                .body_atoms()
+                .iter()
+                .enumerate()
+                .map(|(pos, atom)| {
+                    let len = self
+                        .state
+                        .store
+                        .relation(atom.predicate)
+                        .map_or(0, Relation::len);
+                    (if Some(pos) == driver { 0 } else { len }, len)
                 })
-            };
-            for m in matches {
+                .collect();
+            jobs.push(self.compile_job(check, first + c, deltas, None));
+        }
+        let results = self.collect_batch(&jobs);
+        let mut violations = Vec::new();
+        let mut scratch = ResidualScratch::default();
+        for (job, (mut matches, _)) in jobs.iter().zip(results) {
+            if job.patterns.is_empty() {
+                matches = vec![vec![None; job.slots.len()]];
+            }
+            let rule = &plan.checks[job.f_idx - first].rule;
+            for mut binding in matches {
+                if !self.accept(job, false, &mut binding, &mut scratch) {
+                    continue;
+                }
+                // The substitution the message prints: the binding, with
+                // each assigned variable read exactly as computed.
+                let mut m = materialise(&job.slots, &binding);
+                for (residual, value) in job.residuals.iter().zip(&scratch.assigned) {
+                    if let (Residual::Assign { var, .. }, Some(value)) = (residual, value) {
+                        m.bind(*var, value.value());
+                    }
+                }
                 match &rule.head {
                     RuleHead::Falsum => {
                         violations.push(format!("constraint violated: {rule} under {m}"))
@@ -1216,14 +1226,10 @@ impl<'a> Pipeline<'a> {
             return None;
         }
         let filter = &self.plan.filters[f_idx];
-        let rule = &filter.rule;
-        let body_atoms: Vec<Atom> = rule.body_atoms().into_iter().cloned().collect();
-
+        let body_atoms = filter.rule.body_atoms();
         if body_atoms.is_empty() {
             return None;
         }
-        let negated_atoms: Vec<Atom> = rule.negated_atoms().into_iter().cloned().collect();
-
         let snapshot: Vec<usize> = body_atoms
             .iter()
             .map(|a| {
@@ -1243,6 +1249,33 @@ impl<'a> Pipeline<'a> {
             self.state.awake[f_idx] = false;
             return None;
         }
+        let job = self.compile_job(filter, f_idx, deltas, self.state.measured_cost[f_idx]);
+        let aggregates = job
+            .residuals
+            .iter()
+            .filter(|r| matches!(r, Residual::Aggregate { .. }))
+            .count();
+        if self.state.agg_states[f_idx].len() < aggregates {
+            self.state.agg_states[f_idx].resize_with(aggregates, AggregateState::new);
+        }
+        Some(job)
+    }
+
+    /// Compile `filter` for a run over the delta windows `deltas`, as job
+    /// `f_idx`: its patterns, per-delta-position probes and guards, residual
+    /// literals and free-join plans, the indices those will probe, and the
+    /// shard plan, sized by `measured` when the filter has run before.
+    /// Sweeps and checks share it; it stays on the sequential path.
+    fn compile_job(
+        &mut self,
+        filter: &FilterNode,
+        f_idx: usize,
+        deltas: Vec<(usize, usize)>,
+        measured: Option<f64>,
+    ) -> FilterJob {
+        let rule = &filter.rule;
+        let body_atoms: Vec<Atom> = rule.body_atoms().into_iter().cloned().collect();
+        let negated_atoms: Vec<Atom> = rule.negated_atoms().into_iter().cloned().collect();
 
         // Compile the rule to the id level: one dense variable numbering
         // shared by all patterns (body, negation and heads — head-only
@@ -1328,13 +1361,6 @@ impl<'a> Pipeline<'a> {
             delta_steps.push(steps);
         }
         let residuals = compile_residuals(rule, &slots, &filter.pushed);
-        let aggregates = residuals
-            .iter()
-            .filter(|r| matches!(r, Residual::Aggregate { .. }))
-            .count();
-        if self.state.agg_states[f_idx].len() < aggregates {
-            self.state.agg_states[f_idx].resize_with(aggregates, AggregateState::new);
-        }
 
         // Pre-build every index the planned probes will touch (and flush
         // their tails), so the batch's workers never hit the
@@ -1407,7 +1433,6 @@ impl<'a> Pipeline<'a> {
         // layout is a function of the data and the knobs only.
         let mut chunks = Vec::new();
         if self.state.options.parallelism > 1 {
-            let measured = self.state.measured_cost[f_idx];
             for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
                 if from >= to {
                     continue;
@@ -1435,7 +1460,7 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        Some(FilterJob {
+        FilterJob {
             f_idx,
             deltas,
             patterns,
@@ -1447,7 +1472,7 @@ impl<'a> Pipeline<'a> {
             probe_stages: (1..body_atoms.len()).map(Stage::Probe).collect(),
             hybrid,
             chunks,
-        })
+        }
     }
 
     /// Compile one delta position's free-join plan (see [`HybridPlan`]):
@@ -1709,8 +1734,9 @@ impl<'a> Pipeline<'a> {
     /// jobs. Items run on a scoped worker pool when more than one worker is
     /// configured; each item's matches land in its own slot and are merged
     /// per filter **in chunk order**, so the merged buffers (and every
-    /// counter total) are independent of worker scheduling.
-    fn collect_batch(&self, jobs: &[FilterJob]) -> (Vec<CollectedJob>, BatchExec) {
+    /// counter total) are independent of worker scheduling. The batch's
+    /// work items, steals and join counters are folded into the statistics.
+    fn collect_batch(&mut self, jobs: &[FilterJob]) -> Vec<CollectedJob> {
         let items: Vec<WorkItem> = jobs
             .iter()
             .enumerate()
@@ -1763,11 +1789,8 @@ impl<'a> Pipeline<'a> {
                     counters,
                 );
             }
-            let exec = BatchExec {
-                items: items.len(),
-                steals: 0,
-            };
-            return (out, exec);
+            self.record_batch(items.len(), 0, &out);
+            return out;
         }
         let store = &self.state.store;
         let next_item = AtomicUsize::new(0);
@@ -1825,14 +1848,31 @@ impl<'a> Pipeline<'a> {
                 claimers[item.job].push(worker);
             }
         }
-        let exec = BatchExec {
-            items: items.len(),
-            steals: claimers
-                .iter()
-                .map(|c| c.len().saturating_sub(1) as u64)
-                .sum(),
-        };
-        (out, exec)
+        let steals = claimers
+            .iter()
+            .map(|c| c.len().saturating_sub(1) as u64)
+            .sum();
+        self.record_batch(items.len(), steals, &out);
+        out
+    }
+
+    /// Fold one batch's execution record into the statistics: the batch,
+    /// its work items (its parallel width), its steals and every job's join
+    /// counters.
+    fn record_batch(&mut self, items: usize, steals: u64, out: &[CollectedJob]) {
+        let stats = &mut self.state.stats;
+        stats.sweep_batches += 1;
+        stats.intra_filter_chunks += items as u64;
+        stats.steals += steals;
+        stats.batch_width_hist[batch_width_bucket(items)] += 1;
+        for (_, counters) in out {
+            stats.join_probes += counters.join_probes;
+            stats.index_probes += counters.index_probes;
+            stats.range_probes += counters.range_probes;
+            stats.scan_fallbacks += counters.scan_fallbacks;
+            stats.wcoj_seeks += counters.wcoj_seeks;
+            stats.wcoj_intersections += counters.wcoj_intersections;
+        }
     }
 
     /// Run one work item: a single delta-window chunk, or — for jobs
@@ -1889,7 +1929,6 @@ impl<'a> Pipeline<'a> {
             neg_patterns,
             head_patterns,
             slots,
-            residuals,
             ..
         } = job;
         for (pos, (_, to)) in deltas.iter().enumerate() {
@@ -1920,112 +1959,10 @@ impl<'a> Pipeline<'a> {
         let mut delta = DeltaBatch::new();
         let mut produced = false;
 
-        let mut neg_bufs = ProbeBuffers::default();
-        // Per-match scratch of the residual literals: their results, and
-        // the group and mcount keys of an aggregate.
-        let mut assigned: Vec<Option<Datum>> = (0..residuals.len()).map(|_| None).collect();
-        let mut group_ids: Vec<ValueId> = Vec::new();
-        let mut key_ids: Vec<ValueId> = Vec::new();
-        'matches: for mut binding in matches {
-            // Negated atoms: reject if any match exists right now. Probed at
-            // the id level against the relation's rows/indices — no fact is
-            // materialised, let alone the whole relation, and the probe
-            // buffers are shared across all matches of the activation.
-            for np in neg_patterns {
-                if let Some(rel) = self.state.store.relation(np.predicate) {
-                    if np.any_match_with(rel, &mut binding, &mut neg_bufs) {
-                        continue 'matches;
-                    }
-                }
-            }
-            // Residual conditions and assignments in body order, on the
-            // binding: comparisons of variables and constants on ids, and
-            // aggregates keyed on ids; an expression resolves only the
-            // variables it reads. Results are interned into their slots,
-            // so head emission stays row-based.
-            for (r, residual) in residuals.iter().enumerate() {
-                let (result, slot) = match residual {
-                    Residual::Cond(cond) => {
-                        if !Self::check_guards(std::slice::from_ref(cond), &binding) {
-                            continue 'matches;
-                        }
-                        continue;
-                    }
-                    Residual::Test { op, left, right } => {
-                        let l = left.expr.eval(&left.subst(&binding, &assigned));
-                        let r = right.expr.eval(&right.subst(&binding, &assigned));
-                        match (l, r) {
-                            (Ok(l), Ok(r)) if op.eval(&l, &r) => continue,
-                            _ => continue 'matches,
-                        }
-                    }
-                    Residual::Assign { expr, slot } => {
-                        let subst = expr.subst(&binding, &assigned);
-                        match self.eval_with_skolems(&expr.expr, &subst) {
-                            Some(value) => (Datum::Value(value), slot),
-                            None => continue 'matches,
-                        }
-                    }
-                    Residual::Aggregate {
-                        func,
-                        arg,
-                        group,
-                        contributors,
-                        slot,
-                        state,
-                    } => {
-                        let arg = match arg {
-                            AggArg::Slot(slot) => match binding[*slot] {
-                                Some(id) => Datum::Id(id),
-                                None => continue 'matches,
-                            },
-                            AggArg::Expr(e) => match e.expr.eval(&e.subst(&binding, &assigned)) {
-                                Ok(value) => Datum::Value(value),
-                                Err(_) => continue 'matches,
-                            },
-                        };
-                        group_ids.clear();
-                        group_ids.extend(group.iter().filter_map(|slot| binding[*slot]));
-                        let aggregate = &mut self.state.agg_states[f_idx][*state];
-                        let result = match func {
-                            AggFunc::MCount => {
-                                // Distinct contributor tuples, or distinct
-                                // arguments without (bound) contributors.
-                                key_ids.clear();
-                                key_ids.extend(
-                                    contributors
-                                        .iter()
-                                        .filter_map(|c| read_id(*c, &binding, &assigned)),
-                                );
-                                if key_ids.is_empty() {
-                                    key_ids.push(arg.id());
-                                }
-                                let count = aggregate.count(&group_ids, &key_ids);
-                                Datum::Value(Value::Int(count as i64))
-                            }
-                            AggFunc::MUnion => {
-                                let member = arg.id();
-                                Datum::Id(aggregate.union(&group_ids, member, || arg.value()))
-                            }
-                            AggFunc::MSum | AggFunc::MProd | AggFunc::MMin | AggFunc::MMax => {
-                                let Some(x) = arg.value().as_f64() else {
-                                    continue 'matches;
-                                };
-                                let window = contributors
-                                    .iter()
-                                    .filter_map(|c| read_value(*c, &binding, &assigned))
-                                    .collect();
-                                let folded = aggregate.fold(*func, &group_ids, window, x);
-                                Datum::Value(Value::Float(folded))
-                            }
-                        };
-                        (result, slot)
-                    }
-                };
-                if let Some(slot) = slot {
-                    binding[*slot] = Some(result.id());
-                }
-                assigned[r] = Some(result);
+        let mut scratch = ResidualScratch::default();
+        for mut binding in matches {
+            if !self.accept(job, true, &mut binding, &mut scratch) {
+                continue;
             }
 
             // Parents for the termination wrapper, in row form (the body
@@ -2094,6 +2031,134 @@ impl<'a> Pipeline<'a> {
             produced |= self.count_dedup(fresh, offered);
         }
         produced
+    }
+
+    /// Does a match survive its job's negated atoms (probed at the id level
+    /// against the current store) and residual literals? The residuals run
+    /// in body order on the binding: comparisons of variables and constants
+    /// on ids, aggregates keyed on ids, and an expression resolves only the
+    /// variables it reads. Results are interned into their slots, so head
+    /// emission stays row-based, and kept as computed in `scratch.assigned`.
+    ///
+    /// `fire` is set for a filter activation: its aggregates fold into the
+    /// filter's state and its Skolem terms mint nulls. A check changes no
+    /// state and follows the oracle: it skips aggregates, and a Skolem term
+    /// rejects the match.
+    fn accept(
+        &mut self,
+        job: &FilterJob,
+        fire: bool,
+        binding: &mut Binding,
+        scratch: &mut ResidualScratch,
+    ) -> bool {
+        for np in &job.neg_patterns {
+            if let Some(rel) = self.state.store.relation(np.predicate) {
+                if np.any_match_with(rel, binding, &mut scratch.neg_bufs) {
+                    return false;
+                }
+            }
+        }
+        let ResidualScratch {
+            assigned,
+            group_ids,
+            key_ids,
+            ..
+        } = scratch;
+        assigned.resize_with(job.residuals.len(), || None);
+        for (r, residual) in job.residuals.iter().enumerate() {
+            let (result, slot) = match residual {
+                Residual::Cond(cond) => {
+                    if !Self::check_guards(std::slice::from_ref(cond), binding) {
+                        return false;
+                    }
+                    continue;
+                }
+                Residual::Test { op, left, right } => {
+                    let l = left.expr.eval(&left.subst(binding, assigned));
+                    let r = right.expr.eval(&right.subst(binding, assigned));
+                    match (l, r) {
+                        (Ok(l), Ok(r)) if op.eval(&l, &r) => continue,
+                        _ => return false,
+                    }
+                }
+                Residual::Assign { expr, slot, .. } => {
+                    let subst = expr.subst(binding, assigned);
+                    let value = if fire {
+                        self.eval_with_skolems(&expr.expr, &subst)
+                    } else {
+                        expr.expr.eval(&subst).ok()
+                    };
+                    match value {
+                        Some(value) => (Datum::Value(value), slot),
+                        None => return false,
+                    }
+                }
+                Residual::Aggregate { .. } if !fire => {
+                    assigned[r] = None;
+                    continue;
+                }
+                Residual::Aggregate {
+                    func,
+                    arg,
+                    group,
+                    contributors,
+                    slot,
+                    state,
+                } => {
+                    let arg = match arg {
+                        AggArg::Slot(slot) => match binding[*slot] {
+                            Some(id) => Datum::Id(id),
+                            None => return false,
+                        },
+                        AggArg::Expr(e) => match e.expr.eval(&e.subst(binding, assigned)) {
+                            Ok(value) => Datum::Value(value),
+                            Err(_) => return false,
+                        },
+                    };
+                    group_ids.clear();
+                    group_ids.extend(group.iter().filter_map(|slot| binding[*slot]));
+                    let aggregate = &mut self.state.agg_states[job.f_idx][*state];
+                    let result = match func {
+                        AggFunc::MCount => {
+                            // Distinct contributor tuples, or distinct
+                            // arguments without (bound) contributors.
+                            key_ids.clear();
+                            key_ids.extend(
+                                contributors
+                                    .iter()
+                                    .filter_map(|c| read_id(*c, binding, assigned)),
+                            );
+                            if key_ids.is_empty() {
+                                key_ids.push(arg.id());
+                            }
+                            let count = aggregate.count(group_ids, key_ids);
+                            Datum::Value(Value::Int(count as i64))
+                        }
+                        AggFunc::MUnion => {
+                            let member = arg.id();
+                            Datum::Id(aggregate.union(group_ids, member, || arg.value()))
+                        }
+                        AggFunc::MSum | AggFunc::MProd | AggFunc::MMin | AggFunc::MMax => {
+                            let Some(x) = arg.value().as_f64() else {
+                                return false;
+                            };
+                            let window = contributors
+                                .iter()
+                                .filter_map(|c| read_value(*c, binding, assigned))
+                                .collect();
+                            let folded = aggregate.fold(*func, group_ids, window, x);
+                            Datum::Value(Value::Float(folded))
+                        }
+                    };
+                    (result, slot)
+                }
+            };
+            if let Some(slot) = slot {
+                binding[*slot] = Some(result.id());
+            }
+            assigned[r] = Some(result);
+        }
+        true
     }
 
     /// Record that the store's dedup admitted `fresh` of `offered` head

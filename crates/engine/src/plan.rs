@@ -355,6 +355,29 @@ pub struct FilterNode {
 }
 
 impl FilterNode {
+    /// Compile rule `rule_id` into a filter: its pipes, join order, pushed
+    /// conditions and per-delta-position probe plans. TGDs and checks
+    /// (constraints, EGDs) compile alike; a check has no outputs.
+    fn compile(rule_id: u32, rule: &Rule) -> FilterNode {
+        let join_order = JoinOrder::optimize(rule);
+        let pushed = classify_conditions(rule);
+        let delta_plans = plan_deltas(rule, &join_order, &pushed);
+        FilterNode {
+            rule_id,
+            inputs: rule
+                .body_predicates()
+                .into_iter()
+                .chain(rule.negated_atoms().iter().map(|a| a.predicate))
+                .collect(),
+            outputs: rule.head_predicates().into_iter().collect(),
+            join_order,
+            has_aggregation: rule.has_aggregation(),
+            pushed,
+            delta_plans,
+            rule: rule.clone(),
+        }
+    }
+
     /// Would this filter read any of `outputs`? Used by the parallel sweep
     /// to bound a batch: a filter whose inputs (positive or negated body
     /// predicates) intersect the outputs already produced inside the batch
@@ -662,9 +685,9 @@ pub struct AccessPlan {
     pub sources: BTreeSet<Sym>,
     /// Sink predicates (`@output`, or derived as in [`Program::output_predicates`]).
     pub sinks: BTreeSet<Sym>,
-    /// Constraint / EGD rules, checked after the pipeline reaches its
-    /// fixpoint (they never produce facts).
-    pub checks: Vec<(u32, Rule)>,
+    /// Constraint / EGD rules, compiled like the filters and checked after
+    /// the pipeline reaches its fixpoint (they never produce facts).
+    pub checks: Vec<FilterNode>,
     /// The wardedness analysis of the compiled program (rule kinds, wards).
     pub analysis: ProgramWardedness,
     /// Can some filter mint a labelled null ([`rule_invents_nulls`])? A
@@ -686,34 +709,12 @@ impl AccessPlan {
     /// Compile a program into an access plan.
     pub fn compile(program: &Program) -> AccessPlan {
         let analysis = analyze_program(program);
-        let mut filters = Vec::new();
-        let mut checks = Vec::new();
-        for (idx, rule) in program.rules.iter().enumerate() {
-            let rule_id = idx as u32;
-            if rule.is_tgd() {
-                let inputs: BTreeSet<Sym> = rule
-                    .body_predicates()
-                    .into_iter()
-                    .chain(rule.negated_atoms().iter().map(|a| a.predicate))
-                    .collect();
-                let outputs: BTreeSet<Sym> = rule.head_predicates().into_iter().collect();
-                let join_order = JoinOrder::optimize(rule);
-                let pushed = classify_conditions(rule);
-                let delta_plans = plan_deltas(rule, &join_order, &pushed);
-                filters.push(FilterNode {
-                    rule_id,
-                    join_order,
-                    inputs,
-                    outputs,
-                    has_aggregation: rule.has_aggregation(),
-                    pushed,
-                    delta_plans,
-                    rule: rule.clone(),
-                });
-            } else {
-                checks.push((rule_id, rule.clone()));
-            }
-        }
+        let (filters, checks): (Vec<FilterNode>, Vec<FilterNode>) = program
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(idx, rule)| FilterNode::compile(idx as u32, rule))
+            .partition(|f| f.rule.is_tgd());
         AccessPlan {
             invents_nulls: filters.iter().any(|f| rule_invents_nulls(&f.rule)),
             filters,
@@ -729,7 +730,8 @@ impl AccessPlan {
     /// the exact composite prefix, the prefix extended by each viable range
     /// candidate's column (the adaptive selection may pick any of them), the
     /// single-column statistics indexes that selection consults, and the
-    /// negation probes' single/composite column sets.
+    /// negation probes' single/composite column sets — for the filters and
+    /// the checks alike.
     ///
     /// A query session pre-builds exactly these lists on its frozen EDB
     /// base (see `vadalog_storage::StoreBase::ensure_index`), so per-query
@@ -741,7 +743,7 @@ impl AccessPlan {
                 out.entry(p).or_default().insert(cols);
             }
         };
-        for filter in &self.filters {
+        for filter in self.filters.iter().chain(&self.checks) {
             let atoms = filter.rule.body_atoms();
             for dp in &filter.delta_plans {
                 if let Some(hp) = &dp.hybrid {

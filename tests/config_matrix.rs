@@ -108,7 +108,8 @@ fn reach_rules() -> Vec<String> {
 fn run_of_cyclic_bodies_is_identical_across_the_matrix() {
     // A fully cyclic triangle body and a lollipop (triangle core + pendant
     // tail), recursion feeding derived edges and tails back through both,
-    // and existential heads carrying labelled-null ids.
+    // and existential heads carrying labelled-null ids. A triangle
+    // constraint checks on the leapfrog stage, an EGD on probe stages.
     let mut lines: Vec<String> = [
         "Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).",
         "Triangle(x, y, z) -> Edge(z, x).",
@@ -116,6 +117,8 @@ fn run_of_cyclic_bodies_is_identical_across_the_matrix() {
         "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).",
         "Lolli(x, y, z, w) -> Pend(x, w).",
         "Lolli(x, y, z, w) -> Owner(p, w).",
+        "Edge(x, y), Edge(y, z), Edge(x, z), x < y, y < z -> false.",
+        "Pend(z, w), Pend(z, v), z > 9, w < v -> w = v.",
         "@output(\"Triangle\").",
         "@output(\"Lolli\").",
         "@output(\"Owner\").",
@@ -134,6 +137,8 @@ fn run_of_cyclic_bodies_is_identical_across_the_matrix() {
     let out = assert_identical_across_matrix("run", &path, &[]);
     assert!(out.contains("\nTriangle("), "{out}");
     assert!(out.contains("\nLolli("), "{out}");
+    assert!(out.contains("constraint violated:"), "{out}");
+    assert!(out.contains("egd violated:"), "{out}");
     assert!(
         out.contains("_:ν"),
         "labelled nulls are part of the contract"

@@ -124,16 +124,102 @@ fn parallel_sweep_agrees_with_chase_and_itself_at_every_thread_count() {
     }
 }
 
+/// A constraint/EGD program, the number of violations it has, and the
+/// exact messages among them that the row pins.
+type ViolationRow = (&'static str, usize, &'static [&'static str]);
+
+/// Programs whose checks exercise every path of the engine's check
+/// evaluation: residual literals, negation, EGD heads, a `Dom` guard, the
+/// intersect stage, an empty positive body, and the assignment kinds the
+/// oracle evaluates, skips or rejects.
+const VIOLATION_TABLE: &[ViolationRow] = &[
+    // A residual (expression) condition and a negated atom.
+    (
+        "Own(\"a\", \"b\", 0.9). Own(\"b\", \"c\", 0.4). Own(\"c\", \"c\", 0.8).\n\
+         Own(\"d\", \"a\", 0.7). Listed(\"a\").\n\
+         Own(x, y, w), not Listed(x), w * 2 > 1.0 -> false.",
+        2,
+        &[],
+    ),
+    // A plain EGD, violated both ways.
+    ("A(1, 2). A(1, 3). A(x, y), A(x, z) -> y = z.", 2, &[]),
+    // DoctorsFD's shape: a `Dom`-guarded EGD over constant hospital ids.
+    (
+        "TargetHospital(\"h1\", \"ann\", \"rome\"). TargetHospital(\"h2\", \"ann\", \"oslo\").\n\
+         TargetHospital(\"h3\", \"bob\", \"rome\"). TargetHospital(\"h3\", \"cy\", \"rome\").\n\
+         Dom(h1), Dom(h2), TargetHospital(h1, n, c1), TargetHospital(h2, n, c2) -> h1 = h2.",
+        2,
+        &[],
+    ),
+    // A triangle body: the intersect stage under `FreeJoin`.
+    (
+        "Edge(1, 2). Edge(2, 3). Edge(1, 3). Edge(3, 4). Edge(2, 4). Edge(4, 1).\n\
+         Edge(x, y), Edge(y, z), Edge(x, z) -> false.",
+        2,
+        &[],
+    ),
+    // No positive atom: evaluated once, on the empty binding.
+    (
+        "A(1). not A(2) -> false.",
+        1,
+        &["constraint violated: not A(2) -> ⊥ under {}"],
+    ),
+    // An assignment shows up in the message.
+    (
+        "A(1). A(2). A(x), y = x + 1, y > 2 -> false.",
+        1,
+        &["constraint violated: A(x), y = (x + 1), y > 2 -> ⊥ under {y ↦ 3, x ↦ 2}"],
+    ),
+    // An aggregate assignment is skipped, so `c` stays unbound.
+    (
+        "A(1, 2). A(1, 3). A(x, y), A(x, z), c = mcount(y) -> c = 1.",
+        0,
+        &[],
+    ),
+    // A Skolem assignment rejects the match.
+    ("A(1). A(x), y = #f(x) -> false.", 0, &[]),
+];
+
 #[test]
 fn violations_agree_between_engine_and_chase() {
-    let src = "Own(\"a\", \"a\", 0.2). Own(\"a\", \"b\", 0.9).\n\
-               Own(x, y, w) -> SoftLink(x, y).\n\
-               Own(x, x, w) -> false.\n\
-               @output(\"SoftLink\").";
-    let program = parse_program(src).unwrap();
-    let engine = Reasoner::new().reason(&program).unwrap();
-    let mut strategy = WardedStrategy::new();
-    let chase = run_chase(&program, &mut strategy, &ChaseOptions::default());
-    assert_eq!(engine.violations.len(), 1);
-    assert_eq!(chase.violations.len(), 1);
+    use vadalog_engine::{JoinStrategy, ReasonerOptions};
+    for &(src, count, pinned) in VIOLATION_TABLE {
+        let program = parse_program(src).unwrap();
+        let mut strategy = WardedStrategy::new();
+        let mut expected = run_chase(&program, &mut strategy, &ChaseOptions::default()).violations;
+        expected.sort();
+        assert_eq!(expected.len(), count, "{src}\n{expected:#?}");
+        for message in pinned {
+            assert!(
+                expected.iter().any(|v| v == message),
+                "{src}\n{expected:#?}"
+            );
+        }
+        // The engine's list is one list at every worker count (with
+        // single-row chunks) and join strategy, and as a multiset it is the
+        // chase's.
+        let mut lists = Vec::new();
+        for parallelism in [1, 4] {
+            for join_strategy in [JoinStrategy::FreeJoin, JoinStrategy::Binary] {
+                let options = ReasonerOptions {
+                    parallelism,
+                    chunk_min_rows: Some(1),
+                    join_strategy,
+                    ..ReasonerOptions::default()
+                };
+                lists.push(
+                    Reasoner::with_options(options)
+                        .reason(&program)
+                        .unwrap()
+                        .violations,
+                );
+            }
+        }
+        for list in &lists[1..] {
+            assert_eq!(&lists[0], list, "{src}");
+        }
+        let mut engine = lists.swap_remove(0);
+        engine.sort();
+        assert_eq!(engine, expected, "{src}");
+    }
 }

@@ -3,7 +3,7 @@
 //! equality-generating dependencies, and the `Dom(*)` active-domain guard of
 //! Example 6.
 
-use vadalog_engine::{Reasoner, ReasonerOptions};
+use vadalog_engine::{JoinStrategy, Reasoner, ReasonerOptions};
 use vadalog_model::prelude::*;
 use vadalog_parser::parse_program;
 
@@ -108,9 +108,10 @@ fn egds_hold_when_the_equated_values_coincide() {
 #[test]
 fn violation_lists_are_identical_across_worker_counts() {
     // A constraint over 210 `Own` rows and an EGD over 150 `Incorp` rows.
-    // At four workers with 16-row chunks, both checks split their first
-    // atom into four shards; they must report the same violations in the
-    // same order as the one-worker run.
+    // At four workers with 16-row chunks, both checks split the rows of
+    // the atom that drives their join into chunks; they must report the
+    // same violations in the same order as the one-worker run, under both
+    // join strategies.
     let mut src = String::from(
         "Own(x, x, w) -> false.\n\
          Incorp(y, z), Own(x1, y, w1), Own(x2, z, w2) -> x1 = x2.\n\
@@ -129,21 +130,24 @@ fn violation_lists_are_identical_across_worker_counts() {
     for k in 0..10 {
         src.push_str(&format!("Own(\"s{k}\", \"s{k}\", 0.2).\n"));
     }
-    let violations = |parallelism: usize| {
+    let violations = |parallelism: usize, join_strategy: JoinStrategy| {
         Reasoner::with_options(ReasonerOptions {
             parallelism,
             chunk_min_rows: Some(16),
+            join_strategy,
             ..ReasonerOptions::default()
         })
         .reason_text(&src)
         .unwrap()
         .violations
     };
-    let sequential = violations(1);
+    let sequential = violations(1, JoinStrategy::FreeJoin);
     let count = |prefix: &str| sequential.iter().filter(|v| v.starts_with(prefix)).count();
     assert_eq!(count("constraint violated:"), 10, "{sequential:#?}");
     assert_eq!(count("egd violated:"), 75, "{sequential:#?}");
-    assert_eq!(sequential, violations(4));
+    assert_eq!(sequential, violations(4, JoinStrategy::FreeJoin));
+    assert_eq!(sequential, violations(1, JoinStrategy::Binary));
+    assert_eq!(sequential, violations(4, JoinStrategy::Binary));
 }
 
 // ------------------------------------------------------------------ Dom(*)
