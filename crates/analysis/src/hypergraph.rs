@@ -45,7 +45,7 @@ pub fn cyclic_core(atoms: &[&Atom]) -> Vec<usize> {
     loop {
         let mut changed = false;
         // Remove edges contained in another remaining edge (duplicates
-        // count: one of two equal edges subsumes the other).
+        // count: one of two equal edges contains the other).
         let mut keep: Vec<(usize, BTreeSet<Var>)> = Vec::with_capacity(edges.len());
         for (i, (pos, e)) in edges.iter().enumerate() {
             let subsumed = edges
@@ -109,7 +109,7 @@ mod tests {
         assert!(!cyclic("Reach(x, y), Edge(y, z) -> Reach(x, z)"));
         assert!(!cyclic("A(x, y), B(y, z), C(z, w) -> D(x, w)"));
         assert!(!cyclic("Hub(h), A(h, x), B(h, y), C(h, z) -> Out(x, y, z)"));
-        // A guarded body: the guard edge subsumes everything.
+        // A guarded body: the guard edge contains every other edge.
         assert!(!cyclic("G(x, y, z), A(x, y), B(y, z) -> Out(x, z)"));
     }
 

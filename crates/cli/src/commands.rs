@@ -314,16 +314,6 @@ fn render_stats(out: &mut String, result: &RunResult) {
     );
     let _ = writeln!(
         out,
-        "% hashtrie builds:     {} (hash tries built for unindexed layered atoms)",
-        stats.pipeline.hashtrie_builds
-    );
-    let _ = writeln!(
-        out,
-        "% hashtrie reuses:     {} (hash tries served from the stamp-keyed cache)",
-        stats.pipeline.hashtrie_reuses
-    );
-    let _ = writeln!(
-        out,
         "% adaptive ranges:     {} (activations re-picking the pushed range)",
         stats.pipeline.adaptive_range_picks
     );
@@ -812,11 +802,7 @@ fn cmd_serve(
             .map(|i| format!("{}:{}", depth_bucket_label(i), stats.queue_depth_hist[i]))
             .collect();
         let _ = writeln!(out, "% queue depth hist:    {}", hist.join(" "));
-        let _ = writeln!(
-            out,
-            "% cone cache hits:     {} exact, {} by subsumption",
-            stats.cone_hits, stats.cone_subsumption_hits
-        );
+        let _ = writeln!(out, "% cone cache hits:     {}", stats.cone_hits);
         let _ = writeln!(out, "% cone cache misses:   {}", stats.cone_misses);
         let _ = writeln!(
             out,
@@ -1009,7 +995,7 @@ mod tests {
     fn stats_report_hybrid_counters_on_mixed_bodies() {
         // A triangle with a pendant tail: the body compiles to binary ear
         // probes around a leapfrog over the core, and --stats must surface
-        // the hybrid and hash-trie counters.
+        // the hybrid counters.
         let mut src = String::from(
             "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).\n\
              @output(\"Lolli\").\n",
@@ -1033,11 +1019,6 @@ mod tests {
         };
         assert!(field("% hybrid activations:") > 0, "{out}");
         assert_eq!(field("% wcoj activations:"), 0, "{out}");
-        // A flat one-shot store indexes its tries directly: the hash-trie
-        // counters are surfaced and zero (they fire on layered session
-        // bases — see the engine's session tests).
-        assert_eq!(field("% hashtrie builds:"), 0, "{out}");
-        assert_eq!(field("% hashtrie reuses:"), 0, "{out}");
         assert!(out.contains("Lolli(1, 2, 3, 30)"), "{out}");
         std::fs::remove_file(&path).ok();
     }
@@ -1383,27 +1364,6 @@ mod tests {
         // the append invalidated the first query's cone entry
         assert!(out.contains("% cone invalidations:  1"), "{out}");
         assert!(out.contains("% base stamp:          1"), "{out}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn serve_without_cone_cache_still_answers() {
-        let path = temp_program("servenocache.vada", CHAIN_PROGRAM);
-        let out = run_cli(&args(&[
-            "serve",
-            &path,
-            "Reach(\"n0\", y)",
-            "--repeat",
-            "2",
-            "--no-cone-cache",
-            "--stats",
-        ]))
-        .unwrap();
-        assert_eq!(out.matches("(2 answers").count(), 2, "{out}");
-        assert!(
-            out.contains("% cone cache hits:     0 exact, 0 by subsumption"),
-            "{out}"
-        );
         std::fs::remove_file(&path).ok();
     }
 

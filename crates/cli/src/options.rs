@@ -75,8 +75,6 @@ pub struct CliOptions {
     pub timeout_ms: u64,
     /// `serve`: submit the whole atom/append argument list this many times.
     pub repeat: usize,
-    /// `serve`: disable the shared cone derivation cache.
-    pub no_cone_cache: bool,
     /// `query` / `serve`: attach a write-ahead log at this path. Appends are
     /// fsync'd to the log before they are acknowledged, and a restart over
     /// the same path replays them into a bit-identical session.
@@ -100,7 +98,6 @@ impl Default for CliOptions {
             queue_cap: 128,
             timeout_ms: 30_000,
             repeat: 1,
-            no_cone_cache: false,
             wal: None,
         }
     }
@@ -197,7 +194,6 @@ FLAGS (serve only):
     --timeout-ms <N>            per-request queueing deadline (default: 30000)
     --repeat <N>                submit the whole atom/append list N times —
                                 repeated appends deduplicate (default: 1)
-    --no-cone-cache             disable the shared cone derivation cache
 ";
 
 impl CliOptions {
@@ -306,7 +302,6 @@ impl CliOptions {
                     let v = iter.next().ok_or(OptionError::MissingValue(flag.clone()))?;
                     options.wal = Some(v.clone());
                 }
-                "--no-cone-cache" => options.no_cone_cache = true,
                 "--no-rewriting" => options.no_rewriting = true,
                 "--certain" => options.certain = true,
                 "--require-warded" => options.require_warded = true,
@@ -333,9 +328,6 @@ impl CliOptions {
         };
         if let Some(n) = self.max_facts {
             out.max_facts = n;
-        }
-        if self.no_cone_cache {
-            out.cone_cache = false;
         }
         out
     }
@@ -439,7 +431,6 @@ mod tests {
             "500",
             "--repeat",
             "3",
-            "--no-cone-cache",
             "--stats",
         ]))
         .unwrap();
@@ -456,8 +447,7 @@ mod tests {
         assert_eq!(ok.queue_cap, 16);
         assert_eq!(ok.timeout_ms, 500);
         assert_eq!(ok.repeat, 3);
-        assert!(ok.no_cone_cache && ok.stats);
-        assert!(!ok.reasoner_options(ReasonerOptions::default()).cone_cache);
+        assert!(ok.stats);
 
         // serve needs at least one atom, and zero workers/repeats are
         // rejected up front.

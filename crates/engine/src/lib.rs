@@ -130,18 +130,16 @@
 //! deterministic statistics, at every thread count and chunk size.
 //! [`ReasonerOptions::join_strategy`] can force the all-probe plan everywhere
 //! ([`pipeline::JoinStrategy::Binary`]) — the reference the property
-//! suites compare against. Tries whose relation
-//! lacks a matching composite run (layered session bases) are served by
-//! on-demand [`vadalog_storage::HashTrie`] builds under the identical
-//! cursor contract, cached per pipeline and — via
-//! [`vadalog_storage::HashTrieCache`] — across the queries and forks of a
-//! session. Plans and per-variable intersection work are surfaced as
+//! suites compare against. Every trie walks its relation's own index,
+//! built on demand like any probe index; a query session pre-builds the
+//! static-order trie lists on its shared base once per layer stamp
+//! ([`AccessPlan::planned_index_cols`]), so sibling queries and forks
+//! mount their tries on the same runs. Plans and per-variable
+//! intersection work are surfaced as
 //! [`PipelineStats::wcoj_activations`] (fully cyclic body, no ears),
 //! [`PipelineStats::hybrid_activations`] (cyclic core with ears),
-//! [`PipelineStats::wcoj_seeks`],
-//! [`PipelineStats::wcoj_intersections`],
-//! [`PipelineStats::hashtrie_builds`] and
-//! [`PipelineStats::hashtrie_reuses`] (CLI `--stats`).
+//! [`PipelineStats::wcoj_seeks`] and
+//! [`PipelineStats::wcoj_intersections`] (CLI `--stats`).
 //!
 //! The determinism guarantees above are instances of the workspace-wide
 //! bit-identity contract, stated once in `docs/ARCHITECTURE.md` together

@@ -81,7 +81,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use vadalog_analysis::RuleKind;
 use vadalog_chase::{Candidate, ParentRef, StrategyStats, TerminationStrategy};
 use vadalog_model::prelude::*;
@@ -90,9 +90,7 @@ use vadalog_storage::{
     JoinScratch, ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
 };
 
-use vadalog_storage::{
-    leapfrog_join, HashTrie, HashTrieCache, TrieCursor, WcojCounters, WcojLevel,
-};
+use vadalog_storage::{leapfrog_join, TrieCursor, WcojCounters, WcojLevel};
 
 use crate::aggregate::AggregateState;
 use crate::plan::{
@@ -482,19 +480,6 @@ struct CompiledStep {
     guards: Box<[CompiledCond]>,
 }
 
-/// Where a compiled trie's [`TrieCursor`] comes from: the relation's own
-/// sorted-run index, or an on-demand [`HashTrie`] built when materialising
-/// the index would force a base-covering rebuild on a layered relation.
-/// Both backends obey the identical cursor contract, so the choice never
-/// changes results or leapfrog counters.
-#[derive(Clone, Debug)]
-enum TrieBackend {
-    /// `Relation::trie_cursor` over the relation's own index.
-    Indexed,
-    /// Cursor over a cached per-(relation, column-order) hash trie.
-    Hash(Arc<HashTrie>),
-}
-
 /// One trie of a compiled intersect stage: the body atom it matches and the
 /// composite index column list its [`TrieCursor`] walks — the bound prefix
 /// first, then the free-variable columns in the activation's final
@@ -509,8 +494,6 @@ struct CompiledTrie {
     /// delta variables and prefix-ear variables): the cursor's `open`
     /// prefix.
     prefix_len: usize,
-    /// Cursor backend serving this trie.
-    backend: TrieBackend,
 }
 
 /// One stage of a delta position's join plan, run after the delta scan.
@@ -674,12 +657,11 @@ pub struct PipelineStats {
     /// core: bodies with acyclic ears around it (probed before or after the
     /// leapfrog, or scanned as the delta atom).
     pub hybrid_activations: u64,
-    /// On-demand [`HashTrie`] builds for leapfrog tries whose relation had
-    /// no matching composite sorted run (layered relations where
-    /// `ensure_index` would force a base-covering rebuild).
+    /// Always 0: every leapfrog trie walks its relation's own sorted-run
+    /// index. Kept only for the benchmark's API footprint.
     pub hashtrie_builds: u64,
-    /// Leapfrog tries served from a cached [`HashTrie`] (pipeline-local or
-    /// session-shared) instead of rebuilding it.
+    /// Always 0, like [`PipelineStats::hashtrie_builds`]. Kept only for the
+    /// benchmark's API footprint.
     pub hashtrie_reuses: u64,
     /// Activations where the adaptive range selection chose a different
     /// pushed range condition than the planner's static default, based on
@@ -752,16 +734,6 @@ pub struct SuspendedPipeline {
     /// The execution knobs (see [`ReasonerOptions`]); every setting yields
     /// the same final instance, only the access paths and scheduling move.
     options: ReasonerOptions,
-    /// Pipeline-local cache of on-demand [`HashTrie`] builds, keyed by
-    /// `(predicate, columns)` and validated against the relation's current
-    /// row count, so repeated activations over an unchanged relation reuse
-    /// one build.
-    hashtrie_local: HashMap<(Sym, Box<[usize]>), Arc<HashTrie>>,
-    /// Session-shared [`HashTrieCache`] plus the base stamp this pipeline
-    /// runs over; tries over pure base views (zero overlay rows) are
-    /// published here so forked sessions over the same frozen base reuse
-    /// each other's builds.
-    hashtrie_shared: Option<(Arc<HashTrieCache>, u64)>,
     /// Measured per-delta-row join work of each filter's most recent
     /// activation (probe + seek counters over delta rows), replacing the
     /// static postings-width estimate in the shard planner once available.
@@ -829,8 +801,6 @@ impl<'a> Pipeline<'a> {
                     max_iterations: usize::MAX,
                     ..ReasonerOptions::default()
                 },
-                hashtrie_local: HashMap::new(),
-                hashtrie_shared: None,
                 measured_cost: vec![None; n],
                 awake: vec![true; n],
                 null_free: !plan.invents_nulls,
@@ -852,18 +822,6 @@ impl<'a> Pipeline<'a> {
             chunk_min_rows: options.chunk_min_rows.map(|rows| rows.max(1)),
             ..*options
         };
-        self
-    }
-
-    /// Attach a session-shared [`HashTrieCache`] together with the base
-    /// stamp this pipeline's store is layered over. On-demand hash-trie
-    /// builds over pure base views are published to (and served from) the
-    /// cache, so session forks and successive queries over the same frozen
-    /// base reuse one build; a base promotion bumps the stamp and the
-    /// session prunes stale generations with
-    /// [`HashTrieCache::retain_stamp`].
-    pub fn with_hashtrie_cache(mut self, cache: Arc<HashTrieCache>, stamp: u64) -> Self {
-        self.state.hashtrie_shared = Some((cache, stamp));
         self
     }
 
@@ -1405,11 +1363,11 @@ impl<'a> Pipeline<'a> {
 
         // Free-join alternative per delta position: present only for bodies
         // with a cyclic core (the planner's GYO check). Compiling fixes the
-        // final variable order from run-directory selectivity, builds (or
-        // hash-trie-backs) each trie's composite index, and re-places the
-        // pushed-condition guards at leapfrog levels — all on this
-        // sequential path, so the plan taken (and hence the enumeration) is
-        // a pure function of the store and the knobs.
+        // final variable order from run-directory selectivity, builds each
+        // trie's composite index, and re-places the pushed-condition guards
+        // at leapfrog levels — all on this sequential path, so the plan
+        // taken (and hence the enumeration) is a pure function of the store
+        // and the knobs.
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
         if self.state.options.join_strategy == JoinStrategy::FreeJoin {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
@@ -1480,11 +1438,11 @@ impl<'a> Pipeline<'a> {
     /// selectivity (stably, within equal degrees: a variable whose
     /// narrowest single-column directory holds fewer distinct keys has a
     /// smaller candidate domain and intersects first), derive each core
-    /// trie's composite column list under that order, build and flush (or
-    /// hash-trie-back) the indices the cursors will walk, and lay out the
-    /// stage list. Ear steps keep their original [`CompiledStep`]s (indexed
-    /// by sequence position); only the *core* steps' guards are re-placed —
-    /// onto the earliest leapfrog level where every involved slot is bound
+    /// trie's composite column list under that order, build and flush the
+    /// indices the cursors will walk, and lay out the stage list. Ear steps
+    /// keep their original [`CompiledStep`]s (indexed by sequence
+    /// position); only the *core* steps' guards are re-placed — onto the
+    /// earliest leapfrog level where every involved slot is bound
     /// by the delta row, a prefix ear or the levels so far, or deferred to
     /// full match depth when a suffix-ear variable is involved. Checking
     /// earlier than the binary step only prunes sooner — guards are pure
@@ -1541,12 +1499,14 @@ impl<'a> Pipeline<'a> {
         let mut trie_seq = Vec::with_capacity(hp.tries.len());
         for tp in &hp.tries {
             let cols = HybridPlan::trie_cols(tp, &order);
-            let backend = self.trie_backend(patterns[tp.atom].predicate, &cols);
+            self.state
+                .store
+                .relation_mut(patterns[tp.atom].predicate)
+                .ensure_index(&cols);
             tries.push(CompiledTrie {
                 atom: tp.atom,
                 prefix_len: tp.bound_cols.len(),
                 cols: cols.into_boxed_slice(),
-                backend,
             });
             trie_seq.push(
                 steps
@@ -1612,53 +1572,6 @@ impl<'a> Pipeline<'a> {
                 .collect(),
             deferred_guards: deferred_guards.into_boxed_slice(),
         }
-    }
-
-    /// Pick the cursor backend for a leapfrog trie over `predicate`'s
-    /// column list `cols`. The relation's own index serves whenever it
-    /// already has the composite run somewhere in its layer chain, the
-    /// relation is plain (an `ensure_index` is then an ordinary build), or
-    /// the overlay holds its own rows (the welded base-covering index pays
-    /// off across activations as the relation grows). Otherwise — a layered
-    /// read-only view with no matching run — an on-demand [`HashTrie`] over
-    /// the same rows avoids the base-covering rebuild entirely: served from
-    /// the session-shared stamp-keyed cache or the pipeline-local cache
-    /// when a valid build exists, built (and published to both) otherwise.
-    /// Runs on the sequential prepare path only.
-    fn trie_backend(&mut self, predicate: Sym, cols: &[usize]) -> TrieBackend {
-        let rel = self.state.store.relation_mut(predicate);
-        if rel.has_index(cols) || rel.layer_depth() == 0 || rel.overlay_row_count() > 0 {
-            rel.ensure_index(cols);
-            return TrieBackend::Indexed;
-        }
-        let rows = rel.len();
-        if let Some((cache, stamp)) = &self.state.hashtrie_shared {
-            if let Some(ht) = cache.get(predicate, cols, *stamp) {
-                if ht.rows() == rows {
-                    self.state.stats.hashtrie_reuses += 1;
-                    return TrieBackend::Hash(ht);
-                }
-            }
-        }
-        let key = (predicate, cols.to_vec().into_boxed_slice());
-        if let Some(ht) = self.state.hashtrie_local.get(&key) {
-            if ht.rows() == rows {
-                self.state.stats.hashtrie_reuses += 1;
-                return TrieBackend::Hash(ht.clone());
-            }
-        }
-        let rel = self
-            .state
-            .store
-            .relation(predicate)
-            .expect("relation exists");
-        let ht = Arc::new(HashTrie::build(rel, cols));
-        self.state.stats.hashtrie_builds += 1;
-        if let Some((cache, stamp)) = &self.state.hashtrie_shared {
-            cache.insert(predicate, cols, *stamp, ht.clone());
-        }
-        self.state.hashtrie_local.insert(key, ht.clone());
-        TrieBackend::Hash(ht)
     }
 
     /// The pushed range condition this activation probes with: the
@@ -2264,21 +2177,18 @@ impl<'a> Pipeline<'a> {
                 core_rels.push((rel, limit));
             }
             for (trie, (rel, _)) in ch.tries.iter().zip(&core_rels) {
-                match &trie.backend {
-                    TrieBackend::Indexed => match rel.trie_cursor(&trie.cols) {
-                        Some(c) => cursors.push(c),
-                        None => {
-                            // Unflushed tails or a missing composite index
-                            // on a shared snapshot base: run the all-probe
-                            // plan instead. A property of the frozen store,
-                            // identical for every chunk of the window, so
-                            // the fallback is taken deterministically.
-                            core = None;
-                            cursors.clear();
-                            break;
-                        }
-                    },
-                    TrieBackend::Hash(ht) => cursors.push(ht.cursor()),
+                match rel.trie_cursor(&trie.cols) {
+                    Some(c) => cursors.push(c),
+                    None => {
+                        // Unflushed tails or a missing composite index on a
+                        // shared snapshot base: run the all-probe plan
+                        // instead. A property of the frozen store, identical
+                        // for every chunk of the window, so the fallback is
+                        // taken deterministically.
+                        core = None;
+                        cursors.clear();
+                        break;
+                    }
                 }
             }
         }

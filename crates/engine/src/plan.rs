@@ -729,9 +729,9 @@ impl AccessPlan {
     /// `ensure_index` for this plan, keyed by predicate: for each join step
     /// the exact composite prefix, the prefix extended by each viable range
     /// candidate's column (the adaptive selection may pick any of them), the
-    /// single-column statistics indexes that selection consults, and the
-    /// negation probes' single/composite column sets — for the filters and
-    /// the checks alike.
+    /// single-column statistics indexes that selection consults, each
+    /// cyclic core's leapfrog trie column lists, and the negation probes'
+    /// single/composite column sets — for the filters and the checks alike.
     ///
     /// A query session pre-builds exactly these lists on its frozen EDB
     /// base (see `vadalog_storage::StoreBase::ensure_index`), so per-query
@@ -748,22 +748,15 @@ impl AccessPlan {
             for dp in &filter.delta_plans {
                 if let Some(hp) = &dp.hybrid {
                     // The single-column statistics indexes the prepare-time
-                    // re-rank consults, and — for a fully cyclic body — the
-                    // trie column lists under the static variable order
-                    // (the re-rank may deviate on equal-degree ties; the
-                    // binary-step lists below remain the guaranteed
-                    // fallback). A core wrapped in ears deliberately leaves
-                    // its multi-column trie lists out: on a layered
-                    // read-only base they are served by the stamp-keyed
-                    // `HashTrieCache` (built once per layer stamp,
-                    // invalidated precisely on append) instead of a
-                    // base-covering sorted-run build.
+                    // re-rank consults, and the core's trie column lists
+                    // under the static variable order, whether or not ears
+                    // wrap the core (the re-rank may deviate on equal-degree
+                    // ties; the binary-step lists below remain the
+                    // guaranteed fallback).
                     let order = hp.static_order();
                     for trie in &hp.tries {
                         let predicate = atoms[trie.atom].predicate;
-                        if !hp.has_ears() {
-                            add(&mut out, predicate, HybridPlan::trie_cols(trie, &order));
-                        }
+                        add(&mut out, predicate, HybridPlan::trie_cols(trie, &order));
                         for (_, col) in &trie.var_cols {
                             add(&mut out, predicate, vec![*col]);
                         }
@@ -1100,11 +1093,16 @@ mod tests {
         let hub = plan.filters[2].delta_plans[0].hybrid.as_ref().unwrap();
         assert_eq!(hub.prefix_steps, vec![1]);
         assert!(hub.suffix_steps.is_empty());
-        // The core's multi-column trie lists are left to the hash-trie
-        // cache; only the statistics singles are registered for them.
+        // An ear-wrapped core registers its statistics singles and its
+        // static-order trie lists for session pre-builds, like a fully
+        // cyclic body.
         let planned = plan.planned_index_cols();
         assert!(planned[&intern("E")].contains(&vec![0usize]));
         assert!(planned[&intern("E")].contains(&vec![1usize]));
+        let order = hub.static_order();
+        for trie in &hub.tries {
+            assert!(planned[&intern("E")].contains(&HybridPlan::trie_cols(trie, &order)));
+        }
     }
 
     #[test]

@@ -75,13 +75,6 @@ pub struct ReasonerOptions {
     /// Drop facts containing labelled nulls from the outputs (certain-answer
     /// post-processing, the paper's `@post` directive).
     pub certain_answers_only: bool,
-    /// Share magic-cone derivations across the queries of a session (and
-    /// across every session forked from it): subsumption-checked
-    /// `(predicate, pattern)` → answers entries kept valid by the base
-    /// layer stamp and invalidated precisely by `append_facts` promotions
-    /// that reach the cone (default on). Off = every query re-derives its
-    /// cone. The answers are identical either way.
-    pub cone_cache: bool,
     /// Cap on the number of entries the shared cone cache retains
     /// (0 = unbounded; default 1024). Past the cap the least-recently-hit
     /// entry is evicted — the monotonic-growth guard of a long-lived
@@ -112,7 +105,6 @@ impl Default for ReasonerOptions {
             max_facts: 20_000_000,
             require_warded: false,
             certain_answers_only: false,
-            cone_cache: true,
             cone_cache_cap: 1024,
             cone_cache_bytes: 64 * 1024 * 1024,
             compact_layers: 16,

@@ -23,9 +23,11 @@
 //!   of each magic predicate reaches the planner like any other bound
 //!   column set — a composite-probe prefix over the sorted runs.
 //! * **Engine** — the plan's EDB index column lists
-//!   ([`AccessPlan::planned_index_cols`]) are ensured on the shared base
-//!   between queries, so the per-batch `ensure_index` pre-pass only ever
-//!   flushes overlay tails; base runs are never re-sorted. When the rules
+//!   ([`AccessPlan::planned_index_cols`]: probe prefixes, and the leapfrog
+//!   trie lists of every cyclic core, ears or not) are ensured on the
+//!   shared base once per layer stamp, so the per-batch `ensure_index`
+//!   pre-pass only ever flushes overlay tails; base runs are never
+//!   re-sorted. When the rules
 //!   invent nulls or the EDB holds one, the termination strategy is
 //!   pre-registered once and cloned per run
 //!   ([`vadalog_chase::TerminationStrategy::clone_box`]), preserving null
@@ -46,12 +48,12 @@
 //! than a promotion takes.
 //!
 //! The **magic-cone derivation cache** is the perf headline of the shared
-//! core: per `(predicate, `[`ConePattern`]`)` it stores the answers the
-//! magic evaluation derived, keyed to the base [`StoreBase::stamp`]. A
-//! repeat query returns the cached answers without running anything; a
-//! *more-bound* query whose pattern is [subsumed] by a cached freer cone is
-//! answered by filtering the cached answers ([`ConePattern::admits`]) —
-//! sound and exact on the plain-Datalog slices the magic rewrite accepts.
+//! core: per predicate and exact query key (the query's constants, its
+//! variables numbered by first occurrence) it stores the answers the magic
+//! evaluation derived, keyed to the base [`StoreBase::stamp`]. A repeat
+//! query returns the cached answers verbatim, in the order the run produced
+//! them, without running anything; any other query runs, so a query's
+//! answers never depend on which queries the session saw before.
 //! [`QuerySession::append_facts`] invalidates precisely: entries whose cone
 //! (the transitive rule dependencies of their predicate) intersects the
 //! appended predicates are dropped, every other entry is revalidated
@@ -63,7 +65,6 @@
 //! [`crate::reasoner`]'s `query_answers` — only matching rows are ever
 //! materialised.
 //!
-//! [subsumed]: ConePattern::subsumes
 //! [`Reasoner::reason_query`]: crate::Reasoner::reason_query
 //! [`StoreBase::overlay`]: vadalog_storage::StoreBase::overlay
 //! [`StoreBase::stamp`]: vadalog_storage::StoreBase::stamp
@@ -79,7 +80,7 @@ use vadalog_analysis::{classify, Fragment};
 use vadalog_chase::TerminationStrategy;
 use vadalog_fault as fault;
 use vadalog_model::prelude::*;
-use vadalog_rewrite::{magic_sets, prepare_rules, Adornment, ConePattern};
+use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
 use vadalog_storage::{
     costs_path, load_costs, save_costs, FactStore, StoreBase, TornTail, Wal, WarmCosts,
 };
@@ -123,17 +124,54 @@ enum CompiledKind {
     Fallback,
 }
 
+/// One position of a [`ConeKey`].
+#[derive(Clone, PartialEq, Eq)]
+enum ConeTerm {
+    /// A bound constant.
+    Bound(Value),
+    /// A free position, numbered by the first occurrence of its variable in
+    /// the atom (repeated variables share a number).
+    Free(usize),
+}
+
+/// The exact cache key of one magic cone within its predicate: the query's
+/// bound values and its shape, with variable identity reduced to
+/// first-occurrence numbering. `Reach(x, y)` and `Reach(u, v)` share a key;
+/// `Reach(x, x)` has another, because its repeated variable restricts the
+/// answers although the adornment is the same.
+#[derive(Clone, PartialEq, Eq)]
+struct ConeKey(Vec<ConeTerm>);
+
+impl ConeKey {
+    fn of_query(query: &Atom) -> ConeKey {
+        let mut seen: Vec<Var> = Vec::new();
+        let terms = query
+            .terms
+            .iter()
+            .map(|t| match t {
+                Term::Const(v) => ConeTerm::Bound(v.clone()),
+                Term::Var(v) => match seen.iter().position(|s| s == v) {
+                    Some(i) => ConeTerm::Free(i),
+                    None => {
+                        seen.push(*v);
+                        ConeTerm::Free(seen.len() - 1)
+                    }
+                },
+            })
+            .collect();
+        ConeKey(terms)
+    }
+}
+
 /// One cached magic-cone derivation: the answers (and output post-
-/// processing) of a query pattern, valid exactly while `stamp` matches the
+/// processing) of a query key, valid exactly while `stamp` matches the
 /// shared base.
 struct ConeEntry {
-    pattern: ConePattern,
+    key: ConeKey,
     /// The base layer stamp the answers were derived against. Refreshed by
     /// appends that provably cannot reach this cone, dropped otherwise.
     stamp: u64,
-    /// The cached answers, in the original run's deterministic order
-    /// (direct entries) or canonically sorted (entries derived by
-    /// subsumption filtering).
+    /// The cached answers, in the original run's deterministic order.
     answers: Vec<Fact>,
     /// The run's post-processed `@output` map.
     outputs: BTreeMap<Sym, Vec<Fact>>,
@@ -164,7 +202,6 @@ struct ConeCache {
     /// touched entry as `last_hit`.
     tick: u64,
     hits: u64,
-    subsumption_hits: u64,
     misses: u64,
     invalidations: u64,
     evictions: u64,
@@ -188,13 +225,13 @@ impl ConeCache {
         entry.last_hit = *tick;
     }
 
-    /// Exact-pattern entry at `stamp`, if cached; refreshes its LRU clock.
-    fn hit_exact(&mut self, predicate: Sym, pattern: &ConePattern, stamp: u64) -> Option<ConeHit> {
+    /// The entry for `key` at `stamp`, if cached; refreshes its LRU clock.
+    fn hit(&mut self, predicate: Sym, key: &ConeKey, stamp: u64) -> Option<ConeHit> {
         let entry = self
             .entries
             .get_mut(&predicate)?
             .iter_mut()
-            .find(|e| e.stamp == stamp && e.pattern == *pattern)?;
+            .find(|e| e.stamp == stamp && e.key == *key)?;
         Self::touch(&mut self.tick, entry);
         Some((
             entry.answers.clone(),
@@ -204,29 +241,7 @@ impl ConeCache {
         ))
     }
 
-    /// A cached entry whose (freer) pattern subsumes `pattern` at `stamp`;
-    /// refreshes its LRU clock.
-    fn hit_subsuming(
-        &mut self,
-        predicate: Sym,
-        pattern: &ConePattern,
-        stamp: u64,
-    ) -> Option<ConeHit> {
-        let entry = self
-            .entries
-            .get_mut(&predicate)?
-            .iter_mut()
-            .find(|e| e.stamp == stamp && e.pattern.subsumes(pattern))?;
-        Self::touch(&mut self.tick, entry);
-        Some((
-            entry.answers.clone(),
-            entry.outputs.clone(),
-            entry.fragment,
-            entry.compiled_rules,
-        ))
-    }
-
-    /// Insert an entry unless an exact-pattern entry at the same stamp
+    /// Insert an entry unless an entry for the same key at the same stamp
     /// already exists (first write wins, keeping repeat hits consistent),
     /// then evict least-recently-hit entries until the cache is back under
     /// its cap and bytes budget.
@@ -234,7 +249,7 @@ impl ConeCache {
         let entries = self.entries.entry(predicate).or_default();
         if entries
             .iter()
-            .any(|e| e.stamp == entry.stamp && e.pattern == entry.pattern)
+            .any(|e| e.stamp == entry.stamp && e.key == entry.key)
         {
             return;
         }
@@ -311,7 +326,7 @@ fn approx_entry_bytes(entry: &ConeEntry) -> usize {
         .values()
         .flat_map(|facts| facts.iter().map(fact_bytes))
         .sum();
-    64 + entry.pattern.arity() * 16 + answers + outputs
+    64 + entry.key.0.len() * 16 + answers + outputs
 }
 
 /// The state shared by every fork of a session (see
@@ -354,12 +369,6 @@ struct SessionCore {
     fallback_ensured_stamp: Option<u64>,
     /// The shared magic-cone derivation cache.
     cones: ConeCache,
-    /// Session-shared cache of on-demand hash-trie builds, stamp-keyed
-    /// like the ensure-index memo and handed to every pipeline the session
-    /// builds, so the forks of one base reuse each other's builds (see
-    /// [`vadalog_storage::HashTrieCache`]). `append_facts` promotions
-    /// prune stale generations via `retain_stamp`.
-    hashtries: Arc<vadalog_storage::HashTrieCache>,
     /// Per compiled magic shape: the filters' measured per-delta-row join
     /// costs from the most recent run, seeding the shard planner of the
     /// next run of the same shape ([`crate::Pipeline::with_warm_costs`]).
@@ -538,8 +547,8 @@ fn crash_point(name: &'static str) {
 /// and indexed exactly once, every query atom runs against a copy-on-write
 /// snapshot of that base, adorned programs are compiled once per
 /// `(predicate, adornment)` pair, and derived magic cones are shared across
-/// queries — and across every fork — through the subsumption-checked
-/// derivation cache. See the [module docs](self).
+/// queries — and across every fork — through the exact-key derivation
+/// cache. See the [module docs](self).
 pub struct QuerySession {
     options: ReasonerOptions,
     /// The original program's rules and annotations (compiled once for the
@@ -680,7 +689,6 @@ impl QuerySession {
             ensured_stamps: HashMap::new(),
             fallback_ensured_stamp: None,
             cones: ConeCache::new(options.cone_cache_cap, options.cone_cache_bytes),
-            hashtries: Arc::new(vadalog_storage::HashTrieCache::new()),
             warm_costs: HashMap::new(),
             fallback_costs: None,
             rule_inputs,
@@ -875,19 +883,13 @@ impl QuerySession {
         self.core().delta_reactivations
     }
 
-    /// Queries answered straight from the cone cache (exact pattern match
-    /// at the current stamp), across all forks.
+    /// Queries answered straight from the cone cache (same predicate and
+    /// key at the current stamp), across all forks.
     pub fn cone_cache_hits(&self) -> u64 {
         self.core().cones.hits
     }
 
-    /// Queries answered by filtering a cached **subsuming** (freer) cone
-    /// down to the query pattern, across all forks.
-    pub fn cone_cache_subsumption_hits(&self) -> u64 {
-        self.core().cones.subsumption_hits
-    }
-
-    /// Magic-path queries that found no usable cone entry and derived their
+    /// Magic-path queries that found no cone entry and derived their
     /// cone by running the pipeline.
     pub fn cone_cache_misses(&self) -> u64 {
         self.core().cones.misses
@@ -1019,7 +1021,6 @@ impl QuerySession {
             let appended_preds: BTreeSet<Sym> = facts.iter().map(|f| f.predicate).collect();
             core.invalidate_cones(&appended_preds, new_stamp);
             core.note_edb_predicates(&appended_preds);
-            core.hashtries.retain_stamp(new_stamp);
             if core.options.compact_layers > 0
                 && core.base.layer_count() > core.options.compact_layers
             {
@@ -1109,8 +1110,7 @@ impl QuerySession {
                 let mut p =
                     crate::Pipeline::new(&compiled.plan, core.strategy_template.clone_box())
                         .with_store(core.base.overlay())
-                        .with_options(&self.options)
-                        .with_hashtrie_cache(core.hashtries.clone(), stamp);
+                        .with_options(&self.options);
                 if let Some(costs) = warm {
                     p = p.with_warm_costs(costs);
                 }
@@ -1187,10 +1187,10 @@ impl QuerySession {
     /// bound arguments, variables free ones — `Control("hsbc", y)` asks
     /// which companies `hsbc` controls. Results (facts *and* labelled-null
     /// ids) are identical to a fresh [`Reasoner::reason_query`] over the
-    /// same program, at every parallelism level. Magic-path answers may be
-    /// served from the shared cone cache: exact repeats return the cached
-    /// run verbatim, more-bound queries filter a cached subsuming cone
-    /// (answers canonically sorted).
+    /// same program, at every parallelism level, whatever the session was
+    /// asked before. A magic-path query that repeats a cached cone (same
+    /// predicate and constants, same variable pattern, same base stamp)
+    /// returns the cached run's answers verbatim; every other query runs.
     pub fn query(&mut self, query: &Atom) -> Result<QueryResult, ReasonerError> {
         let compile_start = Instant::now();
         let key = (query.predicate, Adornment::of_query(query));
@@ -1242,10 +1242,10 @@ impl QuerySession {
         let stamp = core_ref.base.stamp();
         // The shared derivation cache: magic cones only (fallback answers
         // may carry labelled nulls whose ids depend on run history).
-        let pattern = ConePattern::of_query(query);
-        if used_magic_sets && self.options.cone_cache {
+        let cone_key = ConeKey::of_query(query);
+        if used_magic_sets {
             if let Some((answers, outputs, fragment, compiled_rules)) =
-                core_ref.cones.hit_exact(query.predicate, &pattern, stamp)
+                core_ref.cones.hit(query.predicate, &cone_key, stamp)
             {
                 let result = Self::cached_result(
                     core_ref,
@@ -1258,50 +1258,6 @@ impl QuerySession {
                     compile_start,
                 );
                 core_ref.cones.hits += 1;
-                core_ref.queries_answered += 1;
-                return Ok(result);
-            }
-            if let Some((cone_answers, _, fragment, compiled_rules)) =
-                core_ref
-                    .cones
-                    .hit_subsuming(query.predicate, &pattern, stamp)
-            {
-                // Specialise the freer cone: filter, then sort canonically
-                // (the filtered subsequence follows the *subsuming* run's
-                // order, which is not the order a direct run of this query
-                // would produce — sorting makes the result a function of
-                // the answer set alone).
-                let mut answers: Vec<Fact> = cone_answers
-                    .into_iter()
-                    .filter(|f| pattern.admits(f))
-                    .collect();
-                answers.sort();
-                let mut outputs = BTreeMap::new();
-                outputs.insert(query.predicate, answers.clone());
-                core_ref.cones.insert(
-                    query.predicate,
-                    ConeEntry {
-                        pattern: pattern.clone(),
-                        stamp,
-                        answers: answers.clone(),
-                        outputs: outputs.clone(),
-                        fragment,
-                        compiled_rules,
-                        last_hit: 0,
-                        approx_bytes: 0,
-                    },
-                );
-                let result = Self::cached_result(
-                    core_ref,
-                    query,
-                    answers,
-                    outputs,
-                    fragment,
-                    compiled_rules,
-                    stamp,
-                    compile_start,
-                );
-                core_ref.cones.subsumption_hits += 1;
                 core_ref.queries_answered += 1;
                 return Ok(result);
             }
@@ -1327,8 +1283,6 @@ impl QuerySession {
             core_ref.fallback_costs.clone()
         };
         let magic_hits_snapshot = core_ref.magic_cache_hits;
-        let hashtries = core_ref.hashtries.clone();
-        let trie_stamp = core_ref.base.stamp();
         drop(core);
         let compile_time = compile_start.elapsed();
 
@@ -1337,8 +1291,7 @@ impl QuerySession {
         let exec_start = Instant::now();
         let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
             .with_store(overlay)
-            .with_options(&self.options)
-            .with_hashtrie_cache(hashtries, trie_stamp);
+            .with_options(&self.options);
         if let Some(costs) = warm {
             pipeline = pipeline.with_warm_costs(costs);
         }
@@ -1374,15 +1327,11 @@ impl QuerySession {
         } else {
             core.fallback_costs = Some(measured);
         }
-        if used_magic_sets
-            && self.options.cone_cache
-            && violations.is_empty()
-            && core.base.stamp() == stamp
-        {
+        if used_magic_sets && violations.is_empty() && core.base.stamp() == stamp {
             core.cones.insert(
                 query.predicate,
                 ConeEntry {
-                    pattern,
+                    key: cone_key,
                     stamp,
                     answers: answers.clone(),
                     outputs: outputs.clone(),
@@ -1762,18 +1711,19 @@ mod tests {
         assert_eq!(after.answers, expected);
     }
 
-    /// A cyclic query over a layered (appended-to) base routes its
-    /// leapfrog tries through the session's stamp-keyed [`HashTrieCache`]:
-    /// the first query after an append builds hash tries for the layered
-    /// `Edge` view, sibling query shapes at the same stamp reuse them, and
-    /// the next append invalidates the whole generation.
+    /// A cyclic query over a layered (appended-to) base mounts its leapfrog
+    /// tries on sorted runs the session built on the base: the first query
+    /// after an append builds the plan's indexes (the ear-wrapped core's
+    /// trie lists included) once for the new stamp, and a sibling query at
+    /// the same stamp builds nothing — neither on the base nor as a
+    /// base-covering rebuild in its overlay.
     #[test]
-    fn layered_cyclic_queries_build_and_reuse_hash_tries() {
+    fn layered_cyclic_queries_mount_tries_on_base_indexes() {
         // A ternary core atom in a cyclic triangle with binary companions:
         // the `T` trie walks a three-column permutation the binary probe
         // steps never plan (their prefixes follow the step-order variable
-        // determination, not the leapfrog level ranking) — exactly the
-        // unindexed-atom case the hash-trie build path covers.
+        // determination, not the leapfrog level ranking), so only the
+        // planned trie lists put it on the base.
         let mut program = parse_program(
             "T(x, y, u), A(y, v), B(u, v), Pend(x, w) \
              -> Out(x, y, u, v, w).\n\
@@ -1793,16 +1743,14 @@ mod tests {
             program.add_fact(f);
         }
         let mut session = Reasoner::new().session(&program).unwrap();
-        // Promote a layer so the core views are layered and read-only — the
-        // regime where the pipeline builds hash tries instead of composite
-        // sorted runs over the whole chain.
-        let batch1 = [
+        // Promote a layer so the core views are layered and read-only.
+        let batch = [
             t(1, 5, 6),
             bin("A", 5, 7),
             bin("B", 6, 7),
             bin("Pend", 1, 101),
         ];
-        session.append_facts(batch1.clone()).unwrap();
+        session.append_facts(batch.clone()).unwrap();
         let query = |x: i64| Atom {
             predicate: intern("Out"),
             terms: vec![
@@ -1813,45 +1761,38 @@ mod tests {
                 Term::var("w"),
             ],
         };
+        let mut union_program = program.clone();
+        for f in batch {
+            union_program.add_fact(f);
+        }
+        let builds_before = session.base_index_builds();
         let first = session.query(&query(0)).unwrap();
         let s = &first.run.stats.pipeline;
         assert!(!first.answers.is_empty());
+        assert!(s.hybrid_activations > 0, "stats: {s:?}");
         assert!(
-            s.hashtrie_builds > 0,
-            "layered cyclic query must build hash tries (stats: {s:?})"
+            session.base_index_builds() > builds_before,
+            "the first query after an append builds the plan's base indexes"
         );
         // A different bound constant is a different cone, so the pipeline
-        // runs again — but the tries are served from the shared cache.
+        // runs again — over the indexes already on the base.
+        let builds_before = session.base_index_builds();
         let second = session.query(&query(1)).unwrap();
         let s2 = &second.run.stats.pipeline;
         assert!(!second.answers.is_empty());
-        assert_eq!(s2.hashtrie_builds, 0, "same stamp must reuse, not rebuild");
-        assert!(s2.hashtrie_reuses > 0, "stats: {s2:?}");
-        // An append moves the stamp: the old generation is dropped and the
-        // next query rebuilds against the new layer chain.
-        let batch2 = [
-            t(2, 9, 10),
-            bin("A", 9, 11),
-            bin("B", 10, 11),
-            bin("Pend", 2, 102),
-        ];
-        session.append_facts(batch2.clone()).unwrap();
-        let third = session.query(&query(2)).unwrap();
-        assert!(third.run.stats.pipeline.hashtrie_builds > 0);
-        // Answers stay correct throughout: compare against a fresh run on
-        // the union EDB.
-        let mut union_program = program.clone();
-        for f in batch1.into_iter().chain(batch2) {
-            union_program.add_fact(f);
+        assert!(s2.hybrid_activations > 0, "stats: {s2:?}");
+        assert_eq!(session.base_index_builds(), builds_before);
+        for p in ["T", "A", "B", "Pend"] {
+            let rel = second.run.store.relation(intern(p)).unwrap();
+            assert_eq!(rel.full_index_builds(), 0, "{p} rebuilt over the base");
         }
-        let fresh = Reasoner::new()
-            .reason_query(&union_program, &query(2))
-            .unwrap();
-        let sort = |mut v: Vec<Fact>| {
-            v.sort();
-            v
-        };
-        assert_eq!(sort(third.answers), sort(fresh.answers));
+        // Answers equal a fresh run on the union EDB, order included.
+        for (x, got) in [(0, first), (1, second)] {
+            let fresh = Reasoner::new()
+                .reason_query(&union_program, &query(x))
+                .unwrap();
+            assert_eq!(got.answers, fresh.answers, "query Out({x}, ..)");
+        }
     }
 
     #[test]
@@ -1977,51 +1918,66 @@ mod tests {
         // ...but the snapshot stats still report the shared base.
         assert_eq!(repeat.run.stats.pipeline.edb_rows_reused, 8);
         assert_eq!(session.cone_cache_entries(), 1);
-
-        // With the cache disabled, repeats re-run and never hit.
-        let mut cold = Reasoner::with_options(ReasonerOptions {
-            cone_cache: false,
-            ..Default::default()
-        })
-        .session(&program)
-        .unwrap();
-        cold.query(&reach_query("n0")).unwrap();
-        let rerun = cold.query(&reach_query("n0")).unwrap();
-        assert_eq!(cold.cone_cache_hits(), 0);
-        assert!(rerun.run.stats.pipeline.snapshot_overlay_rows > 0);
     }
 
-    /// A more-bound query is answered by filtering a cached subsuming
-    /// (freer) cone — no pipeline run — and matches a fresh direct run.
     #[test]
-    fn cone_cache_subsumption_specialises_a_freer_cone() {
-        let program = chain_program(8);
-        let mut session = Reasoner::new().session(&program).unwrap();
-        // seed the cache with the freer bound-free cone of n3
-        let free = session.query(&reach_query("n3")).unwrap();
-        assert!(free.used_magic_sets);
-        assert_eq!(session.cone_cache_misses(), 1);
+    fn cone_keys_number_variables_by_first_occurrence() {
+        let key = |a: &str, b: &str| {
+            ConeKey::of_query(&Atom {
+                predicate: intern("P"),
+                terms: vec![Term::var(a), Term::var(b)],
+            })
+        };
+        assert!(
+            key("x", "y") == key("u", "v"),
+            "variable names must not matter"
+        );
+        assert!(
+            key("x", "y") != key("x", "x"),
+            "repeated variables are another key"
+        );
+    }
 
-        // the fully-bound query Reach("n3", "n6") is subsumed by it
-        let bound_query = Atom {
-            predicate: intern("Reach"),
-            terms: vec![Term::Const(Value::str("n3")), Term::Const(Value::str("n6"))],
+    /// A query's answers do not depend on what the session was asked
+    /// before: a bound query after a freer one over the same predicate runs
+    /// its own cone and returns what a cold session and a one-shot
+    /// [`Reasoner::reason_query`] return, order included.
+    #[test]
+    fn session_answers_do_not_depend_on_history() {
+        let program = parse_program(
+            "E(0, 9, 1). E(1, 3, 2). E(2, 9, 3). E(3, 1, 4). E(4, 9, 0). E(0, 5, 7).\n\
+             E(x, y, z) -> R(x, y, z).\n\
+             R(x, y, z), E(z, w, v) -> R(x, w, v).\n\
+             @output(\"R\").",
+        )
+        .unwrap();
+        let r = |terms: Vec<Term>| Atom {
+            predicate: intern("R"),
+            terms,
         };
-        let bound = session.query(&bound_query).unwrap();
-        assert_eq!(session.cone_cache_subsumption_hits(), 1);
-        assert_eq!(bound.run.stats.pipeline.facts_derived, 0);
-        let fresh = Reasoner::new()
-            .reason_query(&program, &bound_query)
+        let freer = r(vec![
+            Term::Const(Value::Int(0)),
+            Term::var("y"),
+            Term::var("z"),
+        ]);
+        let bound = r(vec![
+            Term::Const(Value::Int(0)),
+            Term::Const(Value::Int(9)),
+            Term::var("z"),
+        ]);
+        let mut session = Reasoner::new().session(&program).unwrap();
+        assert!(session.query(&freer).unwrap().used_magic_sets);
+        let warm = session.query(&bound).unwrap();
+        assert!(warm.used_magic_sets);
+        let cold = Reasoner::new()
+            .session(&program)
+            .unwrap()
+            .query(&bound)
             .unwrap();
-        let sort = |mut v: Vec<Fact>| {
-            v.sort();
-            v
-        };
-        assert_eq!(sort(bound.answers.clone()), sort(fresh.answers));
-        assert_eq!(bound.answers.len(), 1);
-        // the specialised cone was cached: an exact repeat now hits
-        session.query(&bound_query).unwrap();
-        assert_eq!(session.cone_cache_hits(), 1);
+        let one_shot = Reasoner::new().reason_query(&program, &bound).unwrap();
+        assert_eq!(warm.answers.len(), 3);
+        assert_eq!(warm.answers, cold.answers);
+        assert_eq!(warm.answers, one_shot.answers);
     }
 
     /// Forks share everything: the base, the compiled plans, the cone

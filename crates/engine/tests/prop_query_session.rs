@@ -103,8 +103,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Datalog slice: session answers (magic on and off) equal the fresh
-    /// bottom-up + post-filter reference at every thread count, and repeat
-    /// queries hit the compile cache without changing anything.
+    /// bottom-up + post-filter reference at every thread count, repeat
+    /// queries hit the compile cache without changing anything, and a
+    /// session that first answered a freer variant of the query answers
+    /// exactly what a cold session answers, order included.
     #[test]
     fn session_answers_equal_fresh_post_filtering(
         program in chain_join_program(false),
@@ -133,6 +135,27 @@ proptest! {
                 session.query(&query).unwrap().answers.into_iter().collect();
             prop_assert_eq!(&again, &reference, "repeat query drifts (magic={})", magic);
             prop_assert_eq!(session.edb_builds(), 1);
+        }
+        // History independence: free the first bound position, ask that
+        // freer query first, then the query itself.
+        if let Some(pos) = query.terms.iter().position(|t| matches!(t, Term::Const(_))) {
+            let mut freer = query.clone();
+            freer.terms[pos] = Term::var("freed");
+            let reasoner = Reasoner::with_options(ReasonerOptions {
+                parallelism: threads,
+                ..ReasonerOptions::default()
+            });
+            let mut warm = reasoner.session(&program).unwrap();
+            warm.query(&freer).unwrap();
+            let after_freer = warm.query(&query).unwrap().answers;
+            let cold = reasoner.session(&program).unwrap().query(&query).unwrap().answers;
+            prop_assert_eq!(
+                after_freer,
+                cold,
+                "answers after {} differ from a cold session's at {} threads",
+                freer,
+                threads
+            );
         }
     }
 

@@ -43,12 +43,10 @@
 //! [`prepare_for_execution`] adds one copy for callers that want a
 //! self-contained program.
 
-pub mod cone;
 pub mod hje;
 pub mod magic;
 pub mod optimizer;
 
-pub use cone::{ConePattern, ConeTerm};
 pub use hje::{eliminate_harmful_joins, HjeOutcome, DOM_PREDICATE};
 pub use magic::{magic_sets, Adornment, MagicProgram, MagicSetError};
 pub use optimizer::{

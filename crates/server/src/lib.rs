@@ -12,9 +12,9 @@
 //!   program and [`QuerySession::fork`]s it once per worker. Forks share
 //!   the layered EDB base, the compiled-plan cache, the ensure-index memos
 //!   and — the perf headline — the *magic-cone derivation cache*: a cone
-//!   derived by any worker is a cache hit for every later query of that
-//!   shape (exact repeats return it verbatim; more-bound queries are
-//!   answered by subsumption filtering). Reads run against copy-on-write
+//!   derived by any worker is a cache hit for every later query with the
+//!   same predicate, constants and variable pattern, which gets the cached
+//!   answers verbatim. Reads run against copy-on-write
 //!   overlays and never block appends; appends promote new immutable base
 //!   layers and invalidate exactly the cones they can reach.
 //! * **Admission control.** The submission queue is bounded
@@ -317,7 +317,8 @@ pub struct ServerStats {
     pub queue_depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
     /// Cone-cache exact hits across all workers.
     pub cone_hits: u64,
-    /// Cone-cache subsumption hits across all workers.
+    /// Always 0: the cone cache answers exact repeats only. Kept only for
+    /// the benchmark's API footprint.
     pub cone_subsumption_hits: u64,
     /// Cone-cache misses (queries that derived their cone).
     pub cone_misses: u64,
@@ -485,7 +486,6 @@ impl ReasoningServer {
             max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
             queue_depth_hist: hist,
             cone_hits: self.session.cone_cache_hits(),
-            cone_subsumption_hits: self.session.cone_cache_subsumption_hits(),
             cone_misses: self.session.cone_cache_misses(),
             cone_invalidations: self.session.cone_cache_invalidations(),
             cone_evictions: self.session.cone_cache_evictions(),
@@ -496,6 +496,7 @@ impl ReasoningServer {
             compactions: self.session.compactions(),
             base_stamp: self.session.base_stamp(),
             base_layers: self.session.base_layers(),
+            ..ServerStats::default()
         }
     }
 

@@ -155,7 +155,6 @@
 
 pub mod csv;
 pub mod domain;
-pub mod hashtrie;
 pub mod pattern;
 pub mod store;
 pub mod wal;
@@ -163,7 +162,6 @@ pub mod wcoj;
 
 pub use csv::{read_csv_facts, write_csv_facts, CsvError};
 pub use domain::ActiveDomain;
-pub use hashtrie::{HashTrie, HashTrieCache};
 pub use pattern::{
     materialise, number_variables, undo_to, JoinScratch, ProbeBuffers, RowPattern, Slot,
 };

@@ -4,8 +4,8 @@
 //! links (`mcount`) and of company control (`msum`), a four-atom `query`
 //! session and a query/append schedule — and on null-free variants of the
 //! first and the last two, which the engine admits without the termination
-//! strategy. The
-//! CLI is driven in-process through `run_cli_with`, the seam `main.rs`
+//! strategy, plus a null-free lollipop query/append schedule whose leapfrog
+//! tries walk sorted runs on a layered session base. The CLI is driven in-process through `run_cli_with`, the seam `main.rs`
 //! wraps, so the matrix runs under the root `cargo test` with no process
 //! environment involved.
 //!
@@ -274,7 +274,32 @@ fn null_free_programs_are_identical_across_the_matrix() {
     );
     assert_eq!(appends.matches("% append ").count(), 3, "{appends}");
     assert!(appends.contains("Reach(\"n0\", \"n32\")."), "{appends}");
-    for out in [&run, &queries, &appends] {
+
+    // The lollipop rule alone keeps `Edge` and `Pend` pure EDB, so after
+    // the appends promote base layers the bound queries leapfrog their
+    // triangle core over tries mounted on the layered base.
+    let lolli: Vec<String> = joins
+        .iter()
+        .filter(|l| !l.contains("Triangle") && !l.starts_with("Lolli("))
+        .cloned()
+        .collect();
+    let layered = assert_identical_across_matrix(
+        "query",
+        &program_file("nf_lolli", &lolli),
+        &[
+            "Lolli(0, y, z, w)",
+            "+Edge(0, 20)",
+            "+Edge(20, 5)",
+            "+Edge(20, 1)",
+            "+Pend(20, 120)",
+            "Lolli(0, y, z, w)",
+            "Lolli(20, y, z, w)",
+        ],
+    );
+    assert_eq!(layered.matches("% append ").count(), 4, "{layered}");
+    assert!(layered.contains("Lolli(0, 20, 5, 105)."), "{layered}");
+    assert!(layered.contains("Lolli(20, 5, 1, 101)."), "{layered}");
+    for out in [&run, &queries, &appends, &layered] {
         assert!(!out.contains("_:ν"), "no labelled nulls: {out}");
     }
 }

@@ -1,8 +1,8 @@
 //! Tier-1 smoke for the join executor: every stage kind of the stage
 //! interpreter — all-probe plans, an intersect stage between ear probes, an
-//! intersect stage alone, and the hash-trie cursor backend — runs under the
-//! root `cargo test`, each checked against the naive chase and the `Binary`
-//! reference.
+//! intersect stage alone, and an intersect stage over tries mounted on a
+//! layered session base — runs under the root `cargo test`, each checked
+//! against the naive chase and the `Binary` reference.
 
 use std::collections::BTreeSet;
 use vadalog::engine::JoinStrategy;
@@ -82,10 +82,10 @@ fn triangle_bodies_are_one_intersect_stage() {
 }
 
 #[test]
-fn layered_session_queries_take_the_hash_trie_backend() {
+fn layered_session_queries_leapfrog_on_base_indexes() {
     // The `T` trie walks a three-column permutation no binary probe plans,
-    // and after an append the base is a layer chain: the core's cursors
-    // come from on-demand hash tries instead of a base-covering index.
+    // and after an append the base is a layer chain: the session builds the
+    // core's trie lists on the base, and the cursors walk those runs.
     let src = "T(0, 2, 3). A(2, 4). B(3, 4). Pend(0, 100).\n\
                T(x, y, u), A(y, v), B(u, v), Pend(x, w) -> Out(x, y, u, v, w).\n\
                @output(\"Out\").";
@@ -106,7 +106,7 @@ fn layered_session_queries_take_the_hash_trie_backend() {
             .collect(),
     };
     let answer = session.query(&query).unwrap();
-    assert!(answer.run.stats.pipeline.hashtrie_builds > 0);
+    assert!(answer.run.stats.pipeline.hybrid_activations > 0);
 
     let mut union = program.clone();
     for f in batch {
