@@ -9,7 +9,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, PredicateGraph};
 use vadalog_engine::{
-    AccessPlan, QuerySession, Reasoner, ReasonerError, ReasonerOptions, RecoveryReport, RunResult,
+    AccessPlan, FilterNode, QuerySession, Reasoner, ReasonerError, ReasonerOptions, RecoveryReport,
+    RunResult,
 };
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
@@ -456,6 +457,7 @@ fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
             },
             rule_to_text(&filter.rule)
         );
+        write_probe_orders(&mut out, filter, None);
     }
     if !plan.checks.is_empty() {
         let _ = writeln!(out, "checks:  {}", plan.checks.len());
@@ -466,9 +468,45 @@ fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
                 check.rule_id,
                 rule_to_text(&check.rule)
             );
+            write_probe_orders(&mut out, check, check.check_driver());
         }
     }
     Ok(out)
+}
+
+/// One line per delta position of `node` (only position `only` when set,
+/// a check's driver): the atoms in probe order, each with the columns it
+/// probes exactly (`[..]`, or `scan`) and its range column, a `*` on each
+/// step the delta-aware order moved off its canonical position, and the
+/// leapfrog core when the position has a free-join plan.
+fn write_probe_orders(out: &mut String, node: &FilterNode, only: Option<usize>) {
+    let atoms = node.rule.body_atoms();
+    for (d, dp) in node.delta_plans.iter().enumerate() {
+        if only.is_some_and(|o| o != d) {
+            continue;
+        }
+        let mut line = format!("    delta {}", atoms[d]);
+        for (i, step) in dp.steps.iter().enumerate().skip(1) {
+            let probe = &step.probe;
+            let cols = if probe.prefix_cols.is_empty() {
+                "scan".to_string()
+            } else {
+                format!("{:?}", probe.prefix_cols)
+            };
+            let _ = write!(line, " -> {} {cols}", atoms[step.atom]);
+            if let Some((col, _)) = probe.range {
+                let _ = write!(line, " range {col}");
+            }
+            if step.canonical != i {
+                line.push_str(" *");
+            }
+        }
+        if let Some(hp) = &dp.hybrid {
+            let core: Vec<String> = hp.tries.iter().map(|t| atoms[t.atom].to_string()).collect();
+            let _ = write!(line, " | leapfrog core: {}", core.join(", "));
+        }
+        let _ = writeln!(out, "{line}");
+    }
 }
 
 // ----------------------------------------------------------------- query
@@ -1057,11 +1095,26 @@ mod tests {
 
     #[test]
     fn explain_shows_plan_and_rules() {
-        let path = temp_program("explain.vada", CONTROL_PROGRAM);
+        let program = format!(
+            "{CONTROL_PROGRAM}\
+             Control(a, b), KeyPerson(a, p), PSC(y, p), b > y -> S(b, y).\n"
+        );
+        let path = temp_program("explain.vada", &program);
         let out = run_cli(&args(&["explain", &path])).unwrap();
         assert!(out.contains("reasoning access plan"));
         assert!(out.contains("sinks:   Control"));
         assert!(out.contains("filters: "));
+        // The PSC delta probes outward: KeyPerson (sharing `p`) before
+        // Control, which the join order puts first; both are marked moved.
+        let psc = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("delta PSC(y, p)"))
+            .expect("a probe-order line for the PSC delta");
+        assert_eq!(
+            psc.trim(),
+            "delta PSC(y, p) -> KeyPerson(a, p) [1] * -> Control(a, b) [0] range 1 *"
+        );
+        assert!(out.contains("    delta Control(x, y) -> Control(y, z) [0]\n"));
         std::fs::remove_file(&path).ok();
     }
 

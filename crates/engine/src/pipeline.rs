@@ -468,6 +468,9 @@ fn compile_residuals(
 struct CompiledStep {
     /// Body-atom position this step matches.
     atom: usize,
+    /// The atom's position in the canonical sequence (see
+    /// [`StepPlan::canonical`]): its support fact lands at `canonical - 1`.
+    canonical: usize,
     /// Column list of the index to probe: exact prefix columns followed by
     /// the range column, if any. Empty = scan.
     index_cols: Box<[usize]>,
@@ -521,7 +524,7 @@ struct CompiledHybrid {
     stages: Box<[Stage]>,
     /// Core tries in binary step order.
     tries: Vec<CompiledTrie>,
-    /// For each core trie, the binary sequence position of its atom —
+    /// For each core trie, the canonical sequence position of its atom —
     /// where its support fact lands in the (n−1)-wide support vector.
     trie_seq: Box<[usize]>,
     /// Leapfrog levels in the final variable order (core free variables
@@ -557,7 +560,13 @@ struct FilterJob {
     slots: HashMap<Var, usize>,
     /// Per-delta-position evaluation orders with compiled probes and guards
     /// (`delta_steps[d][0]` scans the delta window of body position `d`).
+    /// Empty for a position the job never drives (a check's non-driver
+    /// positions).
     delta_steps: Vec<Vec<CompiledStep>>,
+    /// Per delta position: do its steps run out of canonical order
+    /// ([`DeltaPlan::reordered`])? Its matches are then sorted per delta
+    /// row by their canonical support vectors.
+    reordered: Vec<bool>,
     /// The rule's residual literals, in body order: every assignment and
     /// every condition the join does not enforce.
     residuals: Box<[Residual]>,
@@ -596,6 +605,10 @@ struct JoinCx<'a, 'r> {
     delta_idx: usize,
     /// The delta position's compiled steps (`job.delta_steps[delta_idx]`).
     steps: &'a [CompiledStep],
+    /// Are full matches buffered with their support vectors and sorted per
+    /// delta row (an intersect stage or a reordered plan), rather than
+    /// pushed straight into the results in enumeration order?
+    restore_order: bool,
     /// The plan's stages after the delta scan.
     stages: &'a [Stage],
     /// The compiled free-join plan `stages` belongs to; `None` for the
@@ -1031,12 +1044,13 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Check the plan's constraints and EGDs on the final instance, as one
-    /// batch on the join executor. A check is compiled like a filter and
-    /// driven by its join order's first atom; every position reads its
-    /// whole relation. A check with no positive atom is evaluated once, on
-    /// the empty binding. Violations come in check order, and within a
-    /// check in the executor's enumeration order, which no worker count or
-    /// join strategy changes.
+    /// batch on the join executor. A check is compiled like a filter but
+    /// only for its driver ([`FilterNode::check_driver`]), the one delta
+    /// position it runs; every position reads its whole relation. A check
+    /// with no positive atom is evaluated once, on the empty binding.
+    /// Violations come in check order, and within a check in the
+    /// executor's enumeration order, which no worker count or join strategy
+    /// changes.
     fn run_checks(&mut self) -> Vec<String> {
         let plan = self.plan;
         if plan.checks.is_empty() {
@@ -1047,7 +1061,7 @@ impl<'a> Pipeline<'a> {
         let first = plan.filters.len();
         let mut jobs = Vec::with_capacity(plan.checks.len());
         for (c, check) in plan.checks.iter().enumerate() {
-            let driver = check.join_order.0.first().copied();
+            let driver = check.check_driver();
             let deltas = check
                 .rule
                 .body_atoms()
@@ -1062,7 +1076,7 @@ impl<'a> Pipeline<'a> {
                     (if Some(pos) == driver { 0 } else { len }, len)
                 })
                 .collect();
-            jobs.push(self.compile_job(check, first + c, deltas, None));
+            jobs.push(self.compile_job(check, first + c, deltas, None, driver));
         }
         let results = self.collect_batch(&jobs);
         let mut violations = Vec::new();
@@ -1207,7 +1221,7 @@ impl<'a> Pipeline<'a> {
             self.state.awake[f_idx] = false;
             return None;
         }
-        let job = self.compile_job(filter, f_idx, deltas, self.state.measured_cost[f_idx]);
+        let job = self.compile_job(filter, f_idx, deltas, self.state.measured_cost[f_idx], None);
         let aggregates = job
             .residuals
             .iter()
@@ -1223,14 +1237,19 @@ impl<'a> Pipeline<'a> {
     /// `f_idx`: its patterns, per-delta-position probes and guards, residual
     /// literals and free-join plans, the indices those will probe, and the
     /// shard plan, sized by `measured` when the filter has run before.
-    /// Sweeps and checks share it; it stays on the sequential path.
+    /// `only` restricts the per-position plans (and their indices and
+    /// activation counts) to that one delta position, the only one a check
+    /// drives; `None` compiles every position. Sweeps and checks share it;
+    /// it stays on the sequential path.
     fn compile_job(
         &mut self,
         filter: &FilterNode,
         f_idx: usize,
         deltas: Vec<(usize, usize)>,
         measured: Option<f64>,
+        only: Option<usize>,
     ) -> FilterJob {
+        let compiled = |d: usize| only.is_none_or(|o| o == d);
         let rule = &filter.rule;
         let body_atoms: Vec<Atom> = rule.body_atoms().into_iter().cloned().collect();
         let negated_atoms: Vec<Atom> = rule.negated_atoms().into_iter().cloned().collect();
@@ -1277,7 +1296,11 @@ impl<'a> Pipeline<'a> {
             })
             .collect();
         let mut delta_steps: Vec<Vec<CompiledStep>> = Vec::with_capacity(filter.delta_plans.len());
-        for dp in &filter.delta_plans {
+        for (d, dp) in filter.delta_plans.iter().enumerate() {
+            if !compiled(d) {
+                delta_steps.push(Vec::new());
+                continue;
+            }
             let mut steps = Vec::with_capacity(dp.steps.len());
             for sp in &dp.steps {
                 let mut index_cols = sp.probe.prefix_cols.clone();
@@ -1310,6 +1333,7 @@ impl<'a> Pipeline<'a> {
                     });
                 steps.push(CompiledStep {
                     atom: sp.atom,
+                    canonical: sp.canonical,
                     prefix_len: sp.probe.prefix_cols.len(),
                     index_cols: index_cols.into_boxed_slice(),
                     range,
@@ -1371,7 +1395,7 @@ impl<'a> Pipeline<'a> {
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
         if self.state.options.join_strategy == JoinStrategy::FreeJoin {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
-                if let Some(hp) = &dp.hybrid {
+                if let Some(hp) = dp.hybrid.as_ref().filter(|_| compiled(d)) {
                     hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
                     if hp.has_ears() {
                         self.state.stats.hybrid_activations += 1;
@@ -1426,6 +1450,7 @@ impl<'a> Pipeline<'a> {
             head_patterns,
             slots,
             delta_steps,
+            reordered: filter.delta_plans.iter().map(|dp| dp.reordered).collect(),
             residuals,
             probe_stages: (1..body_atoms.len()).map(Stage::Probe).collect(),
             hybrid,
@@ -1511,8 +1536,9 @@ impl<'a> Pipeline<'a> {
             trie_seq.push(
                 steps
                     .iter()
-                    .position(|s| s.atom == tp.atom)
-                    .expect("core atom has a binary step"),
+                    .find(|s| s.atom == tp.atom)
+                    .expect("core atom has a binary step")
+                    .canonical,
             );
         }
 
@@ -2125,19 +2151,21 @@ impl<'a> Pipeline<'a> {
     /// out its trie cursors, the all-probe plan otherwise. Each new
     /// combination is enumerated exactly once across the window's chunks,
     /// and the matches of one delta row always land in `results` in the
-    /// all-probe plan's enumeration order, so emission order is
+    /// canonical all-probe plan's enumeration order, so emission order is
     /// deterministic and chunk concatenation equals the unsharded scan.
     ///
     /// **One order for every plan.** Under set semantics each full binding
     /// is supported by exactly one fact per atom, and the all-probe nested
-    /// loop enumerates a delta row's matches in ascending lexicographic
-    /// order of the (n−1)-wide support vector over sequence steps `1..n`
-    /// (postings are `FactId`-ascending at every step) — so it pushes
-    /// straight into `results`. A plan with an intersect stage enumerates
-    /// the same match set in leapfrog value order instead; every stage
-    /// writes its support fact at the atom's binary sequence position, and
+    /// loop in canonical sequence (`[delta] ++ join order`) enumerates a
+    /// delta row's matches in ascending lexicographic order of the
+    /// (n−1)-wide support vector over canonical positions `1..n` (postings
+    /// are `FactId`-ascending at every step) — so that plan pushes straight
+    /// into `results`. A plan with an intersect stage enumerates the same
+    /// match set in leapfrog value order, and a reordered plan (probing
+    /// outward from the delta atom) in its own nested-loop order; every
+    /// stage writes its support fact at its atom's canonical position, and
     /// the row's matches are sorted by that vector before they are
-    /// appended, which restores the all-probe order exactly. Semi-naive
+    /// appended, which restores the canonical order exactly. Semi-naive
     /// limits apply per stage: probes cut postings at their atom's limit,
     /// core support facts are filtered at the leaf.
     ///
@@ -2211,6 +2239,7 @@ impl<'a> Pipeline<'a> {
             job,
             delta_idx,
             steps,
+            restore_order: core.is_some() || job.reordered[delta_idx],
             stages: core.map_or(&job.probe_stages, |ch| &ch.stages),
             core,
             core_rels: &core_rels,
@@ -2224,7 +2253,7 @@ impl<'a> Pipeline<'a> {
             if job.patterns[delta_idx].match_row(row, &mut js.binding, &mut js.trail) {
                 if Self::check_guards(&steps[0].guards, &js.binding) {
                     Self::join_stage(&cx, 0, &mut cursors, counters, js, results);
-                    if core.is_some() {
+                    if cx.restore_order {
                         let JoinScratch {
                             keybuf, pending, ..
                         } = js;
@@ -2246,12 +2275,12 @@ impl<'a> Pipeline<'a> {
 
     /// The stage interpreter: run stage `stage` of the chunk's plan under
     /// the current partial binding, recursing into the next stage once per
-    /// extension. Past the last stage the binding is a full match: the
-    /// all-probe plan pushes it straight into `results` (its enumeration
-    /// order *is* the emission order); a plan with an intersect stage
-    /// checks the deferred core guards and records the binding with its
-    /// support vector for the per-row order-restoring sort in
-    /// [`Pipeline::collect_chunk`].
+    /// extension. Past the last stage the binding is a full match: a plan
+    /// with an intersect stage first checks the deferred core guards. The
+    /// canonical all-probe plan pushes the match straight into `results`
+    /// (its enumeration order *is* the emission order); an intersect or
+    /// reordered plan records the binding with its support vector for the
+    /// per-row order-restoring sort in [`Pipeline::collect_chunk`].
     #[inline(always)]
     fn join_stage<'r>(
         cx: &JoinCx<'_, 'r>,
@@ -2271,12 +2300,16 @@ impl<'a> Pipeline<'a> {
             (Some(Stage::Intersect), None) => {
                 unreachable!("only a compiled free-join plan has an intersect stage")
             }
-            (None, None) => results.push(js.binding.clone()),
-            (None, Some(ch)) => {
-                if Self::check_guards(&ch.deferred_guards, &js.binding) {
+            (None, core) => {
+                if core.is_some_and(|ch| !Self::check_guards(&ch.deferred_guards, &js.binding)) {
+                    return;
+                }
+                if cx.restore_order {
                     let start = js.keybuf.len();
                     js.keybuf.extend_from_slice(&js.support);
                     js.pending.push((start, js.binding.clone()));
+                } else {
+                    results.push(js.binding.clone());
                 }
             }
         }
@@ -2287,7 +2320,7 @@ impl<'a> Pipeline<'a> {
     /// the activation pre-pass built and flushed, so with indices enabled
     /// the probe hits; a scan otherwise — and run the next stage under
     /// every extension that passes the step's guards, recording the matched
-    /// support fact at the step's binary sequence position.
+    /// support fact at its atom's canonical sequence position.
     fn probe_stage<'r>(
         cx: &JoinCx<'_, 'r>,
         stage: usize,
@@ -2315,7 +2348,7 @@ impl<'a> Pipeline<'a> {
             counters.join_probes += 1;
             if pattern.match_row(rel.row(id), &mut js.binding, &mut js.trail) {
                 if Self::check_guards(&step.guards, &js.binding) {
-                    js.support[step_pos - 1] = id;
+                    js.support[step.canonical - 1] = id;
                     Self::join_stage(cx, stage + 1, cursors, counters, js, results);
                 }
                 undo_to(&mut js.binding, &mut js.trail, mark);
@@ -2565,6 +2598,41 @@ mod tests {
              Own(x, x, w) -> false.",
         );
         assert_eq!(violations.len(), 1);
+    }
+
+    #[test]
+    fn checks_compile_index_and_count_only_their_driver() {
+        let src = "A(1, 2). B(2, 3). C(3, 1). A(4, 5). B(5, 6). C(6, 4). A(7, 8).\n\
+                   A(x, y), B(y, z), C(z, x) -> false.";
+        let (_, stats, violations) = run_pipeline(src);
+        let program = parse_program(src).unwrap();
+        let chase = run_chase(
+            &program,
+            &mut WardedStrategy::new(),
+            &ChaseOptions::default(),
+        );
+        assert_eq!(violations.len(), 2);
+        let sorted = |v: &[String]| v.iter().cloned().collect::<BTreeSet<String>>();
+        assert_eq!(sorted(&violations), sorted(&chase.violations));
+        // The triangle check runs one cyclic plan, its driver's; the other
+        // two delta positions are neither compiled nor counted.
+        assert_eq!((stats.wcoj_activations, stats.hybrid_activations), (1, 0));
+
+        // Only the driver's (atom `A`'s) column lists are planned for
+        // session pre-builds: `A` itself is never probed.
+        let plan = AccessPlan::compile(&program);
+        assert_eq!(plan.checks[0].check_driver(), Some(0));
+        let planned = plan.planned_index_cols();
+        let lists = |cols: &[&[usize]]| -> BTreeSet<Vec<usize>> {
+            cols.iter().map(|c| c.to_vec()).collect()
+        };
+        assert_eq!(
+            planned,
+            std::collections::BTreeMap::from([
+                (intern("B"), lists(&[&[0, 1], &[1]])),
+                (intern("C"), lists(&[&[0], &[1], &[1, 0]])),
+            ])
+        );
     }
 
     #[test]

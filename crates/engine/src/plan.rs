@@ -147,6 +147,11 @@ impl StepProbe {
 pub struct StepPlan {
     /// Body-atom position this step matches.
     pub atom: usize,
+    /// Position of the atom in the delta position's canonical sequence
+    /// (`[delta] ++ join order`): where the step's support fact lands in
+    /// the support vector that fixes the emission order. Equal to the step
+    /// index unless the plan was reordered.
+    pub canonical: usize,
     /// The chosen index probe (empty for the delta scan at step 0).
     pub probe: StepProbe,
     /// Pushed conditions (indices into the filter's `pushed` list) whose
@@ -249,8 +254,14 @@ impl HybridPlan {
 }
 
 /// The planned evaluation order for one delta position of the semi-naive
-/// join: the delta atom first, then the remaining atoms in join order, each
-/// with its probe and guards.
+/// join, probing outward from the delta atom: the delta atom first, then
+/// the remaining atoms in join order, except that an atom with no
+/// determined column (no constant, no variable bound so far) is put off
+/// while a remaining atom has one. A position with a free-join plan keeps
+/// the canonical sequence (`[delta] ++ join order`) unchanged. Each step
+/// carries its probe, its guards and its atom's canonical position, which
+/// keeps the support vector, and with it the emission order, that of the
+/// canonical plan.
 #[derive(Clone, Debug)]
 pub struct DeltaPlan {
     /// Steps in evaluation order; `steps[0]` scans the delta window.
@@ -258,8 +269,13 @@ pub struct DeltaPlan {
     /// The free-join alternative to `steps[1..]`, present iff the body has
     /// a cyclic core whose non-delta atoms are all trie-compatible (no
     /// repeated variables). The pipeline takes it when the stores can hand
-    /// out trie cursors; `steps` remains the always-valid fallback.
+    /// out trie cursors; `steps` remains the always-valid fallback, and
+    /// keeps the canonical sequence.
     pub hybrid: Option<HybridPlan>,
+    /// Do the steps run in an order other than the canonical sequence? The
+    /// executor then sorts each delta row's matches by their canonical
+    /// support vector, as it does for an intersect stage.
+    pub reordered: bool,
 }
 
 /// Longest composite prefix the planner probes (diminishing selectivity
@@ -384,6 +400,13 @@ impl FilterNode {
     /// must not share it — it has to see those inserts before joining.
     pub fn reads_any(&self, outputs: &BTreeSet<Sym>) -> bool {
         self.inputs.intersection(outputs).next().is_some()
+    }
+
+    /// The body position a check is driven by: its join order's first
+    /// atom, the one delta position a check's run compiles and probes
+    /// from. `None` for a body with no positive atom.
+    pub fn check_driver(&self) -> Option<usize> {
+        self.join_order.0.first().copied()
     }
 
     /// Body-literal indices of the pushed conditions (the residual
@@ -558,14 +581,43 @@ fn plan_hybrid(rule: &Rule, sequence: &[usize], core: &[usize]) -> Option<Hybrid
     })
 }
 
+/// The delta-aware probe order of one delta position: walk the canonical
+/// sequence (`[delta] ++ join order`) from the delta atom, taking next the
+/// first remaining atom with a determined column (a constant, or a variable
+/// bound so far), and only when none has one the first remaining atom. An
+/// atom that shares nothing with the bindings so far would otherwise scan
+/// (or range-scan) its whole relation once per partial match, leaving the
+/// rejection to a later atom.
+fn probe_outward(atoms: &[&Atom], canonical: &[usize]) -> Vec<usize> {
+    let mut bound = atoms[canonical[0]].variable_set();
+    let mut remaining = canonical[1..].to_vec();
+    let mut sequence = vec![canonical[0]];
+    while !remaining.is_empty() {
+        let next = remaining
+            .iter()
+            .position(|&pos| {
+                atoms[pos].terms.iter().any(|t| match t {
+                    Term::Const(_) => true,
+                    Term::Var(v) => bound.contains(v),
+                })
+            })
+            .unwrap_or(0);
+        let pos = remaining.remove(next);
+        bound.extend(atoms[pos].variables());
+        sequence.push(pos);
+    }
+    sequence
+}
+
 /// Plan the probe and guard placement for every delta position of the
-/// semi-naive join: for each evaluation order (`[delta] ++ join order`),
-/// pick per step the exact composite prefix (bound variables and constants,
-/// ascending columns, capped at [`MAX_PROBE_PREFIX`]), attach at most one
-/// rangeable pushed condition on a free column whose bound side is already
+/// semi-naive join: for each evaluation order — the canonical sequence
+/// (`[delta] ++ join order`) when the body gets a free-join plan there (see
+/// [`plan_hybrid`]), its [`probe_outward`] order otherwise — pick per step
+/// the exact composite prefix (bound variables and constants, ascending
+/// columns, capped at [`MAX_PROBE_PREFIX`]), attach at most one rangeable
+/// pushed condition on a free column whose bound side is already
 /// determined, and schedule every pushed condition as a guard at the first
-/// step where all its variables are bound. Bodies with a cyclic core also
-/// get the free-join alternative (see [`plan_hybrid`]).
+/// step where all its variables are bound.
 fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) -> Vec<DeltaPlan> {
     let atoms = rule.body_atoms();
     let core = if atoms.len() >= 3 {
@@ -575,9 +627,15 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
     };
     let mut plans = Vec::with_capacity(atoms.len());
     for delta in 0..atoms.len() {
-        let sequence: Vec<usize> = std::iter::once(delta)
+        let canonical: Vec<usize> = std::iter::once(delta)
             .chain(join_order.0.iter().copied().filter(|p| *p != delta))
             .collect();
+        let hybrid = plan_hybrid(rule, &canonical, &core);
+        let sequence = if hybrid.is_some() {
+            canonical.clone()
+        } else {
+            probe_outward(&atoms, &canonical)
+        };
         let mut bound: BTreeSet<Var> = BTreeSet::new();
         let mut pending: Vec<usize> = (0..pushed.len()).collect();
         let mut steps = Vec::with_capacity(sequence.len());
@@ -662,6 +720,10 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
             pending = waiting;
             steps.push(StepPlan {
                 atom: atom_idx,
+                canonical: canonical
+                    .iter()
+                    .position(|&p| p == atom_idx)
+                    .expect("the sequence permutes the canonical one"),
                 probe,
                 guards: ready,
             });
@@ -670,8 +732,11 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
             pending.is_empty(),
             "pushable conditions are positively bound by construction"
         );
-        let hybrid = plan_hybrid(rule, &sequence, &core);
-        plans.push(DeltaPlan { steps, hybrid });
+        plans.push(DeltaPlan {
+            steps,
+            hybrid,
+            reordered: sequence != canonical,
+        });
     }
     plans
 }
@@ -731,7 +796,8 @@ impl AccessPlan {
     /// candidate's column (the adaptive selection may pick any of them), the
     /// single-column statistics indexes that selection consults, each
     /// cyclic core's leapfrog trie column lists, and the negation probes'
-    /// single/composite column sets — for the filters and the checks alike.
+    /// single/composite column sets — for every delta position of a filter,
+    /// and for a check only its driver's ([`FilterNode::check_driver`]).
     ///
     /// A query session pre-builds exactly these lists on its frozen EDB
     /// base (see `vadalog_storage::StoreBase::ensure_index`), so per-query
@@ -743,9 +809,15 @@ impl AccessPlan {
                 out.entry(p).or_default().insert(cols);
             }
         };
-        for filter in self.filters.iter().chain(&self.checks) {
+        let checks = self.checks.iter().map(|c| (c, c.check_driver()));
+        for (filter, only) in self.filters.iter().map(|f| (f, None)).chain(checks) {
             let atoms = filter.rule.body_atoms();
-            for dp in &filter.delta_plans {
+            let driven = filter
+                .delta_plans
+                .iter()
+                .enumerate()
+                .filter(|(d, _)| only.is_none_or(|o| o == *d));
+            for (_, dp) in driven {
                 if let Some(hp) = &dp.hybrid {
                     // The single-column statistics indexes the prepare-time
                     // re-rank consults, and the core's trie column lists
@@ -1125,6 +1197,97 @@ mod tests {
             .delta_plans
             .iter()
             .all(|dp| dp.hybrid.is_some()));
+    }
+
+    /// The shape of the HJE-unrolled strong-links rules: a `PSC` delta
+    /// shares nothing with `Control`, which the join order puts next.
+    const REPRODUCER: &str = "Control(a, b), KeyPerson(a, p), PSC(y, p), b > y -> S(b, y).";
+
+    #[test]
+    fn deltas_probe_outward_and_keep_canonical_positions() {
+        let plan = AccessPlan::compile(&parse_program(REPRODUCER).unwrap());
+        let filter = &plan.filters[0];
+        assert_eq!(filter.join_order.0, vec![0, 1, 2]);
+        let psc = &filter.delta_plans[2];
+        let atoms: Vec<usize> = psc.steps.iter().map(|s| s.atom).collect();
+        assert_eq!(atoms, vec![2, 1, 0], "PSC, KeyPerson, Control");
+        let canonical: Vec<usize> = psc.steps.iter().map(|s| s.canonical).collect();
+        assert_eq!(canonical, vec![0, 2, 1]);
+        assert!(psc.reordered);
+        // `KeyPerson` probes `p` (column 1); `Control` then probes `a`
+        // (column 0) and ranges `b > y` on column 1 instead of scanning.
+        assert_eq!(psc.steps[1].probe.prefix_cols, vec![1]);
+        assert_eq!(psc.steps[2].probe.prefix_cols, vec![0]);
+        assert_eq!(psc.steps[2].probe.range, Some((1, 0)));
+        // Deltas whose next atom in join order is already connected keep
+        // the canonical sequence.
+        for dp in &filter.delta_plans[..2] {
+            assert!(!dp.reordered);
+            assert!(dp.steps.iter().enumerate().all(|(i, s)| s.canonical == i));
+        }
+    }
+
+    #[test]
+    fn no_step_scans_while_a_connected_atom_waits() {
+        // `vadalog_workloads::dbpedia::strong_links_program(3)`, whose
+        // HJE-unrolled rules are where the canonical order scanned.
+        let program = parse_program(
+            "KeyPerson(x, p) -> PSC(x, p).\n\
+             Company(x) -> PSC(x, p).\n\
+             Control(y, x), PSC(y, p) -> PSC(x, p).\n\
+             PSC(x, p), PSC(y, p), x > y, w = mcount(p), w >= 3 -> StrongLink(x, y, w).\n\
+             @output(\"StrongLink\").",
+        )
+        .unwrap();
+        let plan = AccessPlan::compile(&vadalog_rewrite::prepare_rules(&program));
+        let mut reordered = 0;
+        for filter in &plan.filters {
+            let atoms = filter.rule.body_atoms();
+            for dp in &filter.delta_plans {
+                reordered += usize::from(dp.reordered);
+                let mut bound = atoms[dp.steps[0].atom].variable_set();
+                for (s, step) in dp.steps.iter().enumerate().skip(1) {
+                    if step.probe.prefix_cols.is_empty() {
+                        let waiting = dp.steps[s + 1..].iter().find(|later| {
+                            atoms[later.atom].terms.iter().any(|t| match t {
+                                Term::Const(_) => true,
+                                Term::Var(v) => bound.contains(v),
+                            })
+                        });
+                        assert!(
+                            waiting.is_none(),
+                            "rule {}: step {s} scans while atom {} is connected",
+                            filter.rule_id,
+                            waiting.unwrap().atom
+                        );
+                    }
+                    bound.extend(atoms[step.atom].variables());
+                }
+            }
+        }
+        assert!(reordered > 0, "the unrolled rules need the outward order");
+    }
+
+    #[test]
+    fn cyclic_cores_keep_the_canonical_sequence() {
+        let program =
+            parse_program("E(x, y), E(y, z), E(x, z), P(z, w), Q(w, u) -> T(x, w, u).").unwrap();
+        let plan = AccessPlan::compile(&program);
+        let filter = &plan.filters[0];
+        let atoms = filter.rule.body_atoms();
+        let mut would_move = 0;
+        for (delta, dp) in filter.delta_plans.iter().enumerate() {
+            assert!(dp.hybrid.is_some());
+            assert!(!dp.reordered, "delta {delta}");
+            let canonical: Vec<usize> = std::iter::once(delta)
+                .chain(filter.join_order.0.iter().copied().filter(|p| *p != delta))
+                .collect();
+            let sequence: Vec<usize> = dp.steps.iter().map(|s| s.atom).collect();
+            assert_eq!(sequence, canonical, "delta {delta}");
+            would_move += usize::from(probe_outward(&atoms, &canonical) != canonical);
+        }
+        // The `Q` delta would move `P` forward in an acyclic body.
+        assert!(would_move > 0);
     }
 
     #[test]

@@ -130,8 +130,9 @@ type ViolationRow = (&'static str, usize, &'static [&'static str]);
 
 /// Programs whose checks exercise every path of the engine's check
 /// evaluation: residual literals, negation, EGD heads, a `Dom` guard, the
-/// intersect stage, an empty positive body, and the assignment kinds the
-/// oracle evaluates, skips or rejects.
+/// intersect stage, an empty positive body, the assignment kinds the
+/// oracle evaluates, skips or rejects, and a check over a rule whose delta
+/// plan probes out of join order.
 const VIOLATION_TABLE: &[ViolationRow] = &[
     // A residual (expression) condition and a negated atom.
     (
@@ -178,6 +179,19 @@ const VIOLATION_TABLE: &[ViolationRow] = &[
     ),
     // A Skolem assignment rejects the match.
     ("A(1). A(x), y = #f(x) -> false.", 0, &[]),
+    // The strong-links reproducer: on the recursive `PSC` delta the planner
+    // probes `KeyPerson` (sharing `p`) before `Control`, which the join
+    // order puts next; the matches must come out as the canonical order's.
+    (
+        "Control(1, 2). Control(2, 3). Control(1, 4). KeyPerson(1, \"ann\").\n\
+         KeyPerson(2, \"bob\"). Seed(0, \"ann\"). Seed(1, \"bob\").\n\
+         Seed(x, p) -> PSC(x, p).\n\
+         Control(a, b), KeyPerson(a, p), PSC(y, p), b > y -> S(b, y).\n\
+         Control(y, x), PSC(y, p) -> PSC(x, p).\n\
+         S(b, y) -> false.",
+        4,
+        &[],
+    ),
 ];
 
 #[test]
