@@ -184,8 +184,7 @@ FLAGS (query / serve):
                                 acknowledged, and rerunning over the same
                                 path replays the log into a bit-identical
                                 session (a torn tail from a crash is
-                                truncated with a warning). The measured
-                                warm-cost table persists in <PATH>.costs
+                                truncated with a warning)
 
 FLAGS (serve only):
     --workers <N>               worker threads in the pool (default: 4)

@@ -42,9 +42,9 @@
 //! **Level 2 — chunks within a filter.** The unit of parallel work inside a
 //! batch is the **(filter, chunk)** pair: every activation's delta windows
 //! (the `FactId`-ascending slices of new rows driving it) are split into
-//! contiguous chunks sized by a cost estimate — delta length × the mean
-//! postings-group width of the planned probe, read from the sorted runs'
-//! directories ([`plan::plan_chunk_count`]). All chunks of all filters in
+//! contiguous chunks by one rule: `rows / CHUNK_MIN_ROWS` chunks, clamped to
+//! `[1, parallelism]` ([`plan::plan_chunk_count`]), so the layout depends on
+//! the window's row count and the worker count alone. All chunks of all filters in
 //! the batch share one work-stealing queue, so a batch dominated by a
 //! single join-heavy filter (the fig8c regime) still loads every worker.
 //! Each worker claims items against the shared frozen `&FactStore` with a
@@ -62,11 +62,10 @@
 //! test.
 //!
 //! **Determinism guarantee:** batch boundaries, the chunk layout (a
-//! function of the data, the worker count and the chunk override),
-//! per-chunk match enumeration order and both merge orders are all
-//! functions of the plan, the data and the options, never of worker
-//! scheduling — so a run is *bit-identical* at every parallelism level and
-//! every chunk size: same rows in the same `FactId` order, same
+//! function of the delta row counts and the worker count), per-chunk match
+//! enumeration order and both merge orders are all functions of the plan,
+//! the data and the options, never of worker scheduling — so a run is
+//! *bit-identical* at every parallelism level: same rows in the same `FactId` order, same
 //! labelled-null ids, same instance statistics (the layout diagnostics
 //! [`PipelineStats::intra_filter_chunks`] / `batch_width_hist` follow the
 //! worker count, and [`PipelineStats::steals`] follows scheduling). The

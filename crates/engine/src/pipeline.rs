@@ -31,12 +31,12 @@
 //! Within a batch the unit of parallel work is not the filter but the
 //! **(filter, chunk)** pair: every non-quiescent filter's delta windows (the
 //! `FactId`-ascending slices of new rows driving its activation) are split
-//! into contiguous chunks sized by a cost estimate — delta length × the mean
-//! postings-group width of the activation's planned probe, read from the
-//! sorted runs' directories (see [`crate::plan::plan_chunk_count`]). All
-//! chunks of all filters in the batch go onto one work-stealing queue, so a
-//! batch dominated by a single join-heavy filter still loads every worker:
-//! its chunks interleave with the other filters' jobs. Each worker claims
+//! into contiguous chunks by one rule: a window of `rows` rows becomes
+//! `rows / CHUNK_MIN_ROWS` chunks, clamped to `[1, parallelism]` (see
+//! [`crate::plan::plan_chunk_count`]). All chunks of all filters in the
+//! batch go onto one work-stealing queue, so a batch dominated by a single
+//! join-heavy filter still loads every worker: its chunks interleave with
+//! the other filters' jobs. Each worker claims
 //! items against the frozen `&FactStore` with a private match buffer,
 //! private probe/range counters and a reusable
 //! [`vadalog_storage::JoinScratch`]; afterwards each filter's chunk buffers
@@ -46,13 +46,13 @@
 //! aggregation, Skolem/null invention, termination-strategy admission and
 //! the [`DeltaBatch`] row merge).
 //!
-//! Because batch boundaries, the chunk layout (a function of the data, the
-//! worker count and the chunk override), match enumeration order and the
+//! Because batch boundaries, the chunk layout (a function of the delta row
+//! counts and the worker count only), match enumeration order and the
 //! merge order are all independent of worker scheduling, a run is
 //! bit-identical — same rows, same `FactId`s, same labelled null ids, same
-//! instance statistics — at every parallelism level and every chunk size,
-//! including the fully sequential one; the workers only move the (dominant)
-//! read-only join work off the critical path. Only the layout diagnostics
+//! instance statistics — at every parallelism level, including the fully
+//! sequential one; the workers only move the (dominant) read-only join work
+//! off the critical path. Only the layout diagnostics
 //! ([`PipelineStats::intra_filter_chunks`],
 //! [`PipelineStats::batch_width_hist`]) follow the worker count, and only
 //! [`PipelineStats::steals`] follows scheduling. The knob is
@@ -128,11 +128,9 @@ pub enum JoinStrategy {
 /// A join binding: one slot per rule variable, bound during matching.
 type Binding = Vec<Option<ValueId>>;
 
-/// One job's join output: the accepted matches plus the worker's counters.
-type CollectedJob = (Vec<Binding>, JoinCounters);
-
-/// Per-worker join statistics, merged into [`PipelineStats`] in filter-index
-/// order so totals match the sequential engine exactly.
+/// Per-item join statistics, summed per batch into [`PipelineStats`]; the
+/// sums do not depend on how the work was chunked, so totals match the
+/// sequential engine exactly.
 #[derive(Clone, Copy, Default)]
 struct JoinCounters {
     join_probes: u64,
@@ -143,9 +141,6 @@ struct JoinCounters {
     wcoj_seeks: u64,
     /// Values surviving a full leapfrog intersection.
     wcoj_intersections: u64,
-    /// Delta rows this item scanned — the denominator of the measured
-    /// per-row join cost fed back into the shard planner.
-    delta_rows: u64,
 }
 
 impl JoinCounters {
@@ -158,7 +153,6 @@ impl JoinCounters {
         self.scan_fallbacks += other.scan_fallbacks;
         self.wcoj_seeks += other.wcoj_seeks;
         self.wcoj_intersections += other.wcoj_intersections;
-        self.delta_rows += other.delta_rows;
     }
 }
 
@@ -649,8 +643,8 @@ pub struct PipelineStats {
     /// Join work items executed across all batches: delta-window chunks, or
     /// whole activations at one worker. With more workers,
     /// `intra_filter_chunks / productive_activations` measures the
-    /// intra-filter parallel slack. A function of the data, the worker count
-    /// (the shard bound) and the chunk override — repeatable run to run.
+    /// intra-filter parallel slack. A function of the delta window sizes and
+    /// the worker count (the shard bound) — repeatable run to run.
     pub intra_filter_chunks: u64,
     /// Chunks picked up by a worker other than the one that claimed their
     /// filter's first chunk (per filter and batch: distinct claiming
@@ -747,12 +741,6 @@ pub struct SuspendedPipeline {
     /// The execution knobs (see [`ReasonerOptions`]); every setting yields
     /// the same final instance, only the access paths and scheduling move.
     options: ReasonerOptions,
-    /// Measured per-delta-row join work of each filter's most recent
-    /// activation (probe + seek counters over delta rows), replacing the
-    /// static postings-width estimate in the shard planner once available.
-    /// Derived from deterministic counters only, so the chunk layout stays
-    /// a pure function of the data and the knobs.
-    measured_cost: Vec<Option<f64>>,
     /// Wake-list of the semi-naive scheduler: `awake[f] == false` means no
     /// input of filter `f` has grown since it last went quiescent, so the
     /// sweep skips it without snapshotting its delta windows. Writes wake
@@ -814,7 +802,6 @@ impl<'a> Pipeline<'a> {
                     max_iterations: usize::MAX,
                     ..ReasonerOptions::default()
                 },
-                measured_cost: vec![None; n],
                 awake: vec![true; n],
                 null_free: !plan.invents_nulls,
                 dedup_stats: StrategyStats::default(),
@@ -824,42 +811,16 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Run under `options`' execution knobs: worker count (also the shard
-    /// bound), join strategy, chunk override and the sweep/fact caps
-    /// (worker count and chunk override clamped to ≥ 1). The final
-    /// instance — rows, `FactId`s, labelled-null ids — is bit-identical at
-    /// every setting of the first three; only the probe/seek counters
-    /// reflect which access paths ran.
+    /// bound), join strategy and the sweep/fact caps (worker count clamped
+    /// to ≥ 1). The final instance — rows, `FactId`s, labelled-null ids —
+    /// is bit-identical at every setting of the first two; only the
+    /// probe/seek counters reflect which access paths ran.
     pub fn with_options(mut self, options: &ReasonerOptions) -> Self {
         self.state.options = ReasonerOptions {
             parallelism: options.parallelism.max(1),
-            chunk_min_rows: options.chunk_min_rows.map(|rows| rows.max(1)),
             ..*options
         };
         self
-    }
-
-    /// Seed the shard planner with per-filter measured per-delta-row join
-    /// costs from an earlier run of the **same plan** (see
-    /// [`Pipeline::measured_costs`]) — a session's shared derivation cache
-    /// persists them across query runs so the planner starts warm instead of
-    /// falling back to the static postings-width estimate. Ignored when the
-    /// length does not match the plan's filter count. The final instance is
-    /// bit-identical with or without seeding (chunk layout never affects
-    /// results, only scheduling granularity).
-    pub fn with_warm_costs(mut self, costs: Vec<Option<f64>>) -> Self {
-        if costs.len() == self.state.measured_cost.len() {
-            self.state.measured_cost = costs;
-        }
-        self
-    }
-
-    /// The per-filter measured per-delta-row join work of the most recent
-    /// activations (`None` for filters that never activated). Derived from
-    /// deterministic probe/seek counters only — never wall-clock — so
-    /// persisting and re-seeding them keeps the chunk layout a pure function
-    /// of the run history.
-    pub fn measured_costs(&self) -> &[Option<f64>] {
-        &self.state.measured_cost
     }
 
     /// Cap the number of round-robin sweeps.
@@ -995,22 +956,7 @@ impl<'a> Pipeline<'a> {
                     continue;
                 }
                 let results = self.collect_batch(&jobs);
-                for (job, (matches, counters)) in jobs.iter().zip(results) {
-                    // Shard-planner feedback: the activation's measured
-                    // per-delta-row work replaces the static postings-width
-                    // estimate the next time this filter is chunked. Built
-                    // from deterministic counters (never wall-clock), so
-                    // the layout stays thread-invariant.
-                    if counters.delta_rows > 0 {
-                        let work = counters.join_probes
-                            + counters.index_probes
-                            + counters.range_probes
-                            + counters.scan_fallbacks
-                            + counters.wcoj_seeks
-                            + counters.wcoj_intersections;
-                        self.state.measured_cost[job.f_idx] =
-                            Some(work.max(1) as f64 / counters.delta_rows as f64);
-                    }
+                for (job, matches) in jobs.iter().zip(results) {
                     if self.emit(job, matches) {
                         any = true;
                         self.state.stats.productive_activations += 1;
@@ -1076,12 +1022,12 @@ impl<'a> Pipeline<'a> {
                     (if Some(pos) == driver { 0 } else { len }, len)
                 })
                 .collect();
-            jobs.push(self.compile_job(check, first + c, deltas, None, driver));
+            jobs.push(self.compile_job(check, first + c, deltas, driver));
         }
         let results = self.collect_batch(&jobs);
         let mut violations = Vec::new();
         let mut scratch = ResidualScratch::default();
-        for (job, (mut matches, _)) in jobs.iter().zip(results) {
+        for (job, mut matches) in jobs.iter().zip(results) {
             if job.patterns.is_empty() {
                 matches = vec![vec![None; job.slots.len()]];
             }
@@ -1221,7 +1167,7 @@ impl<'a> Pipeline<'a> {
             self.state.awake[f_idx] = false;
             return None;
         }
-        let job = self.compile_job(filter, f_idx, deltas, self.state.measured_cost[f_idx], None);
+        let job = self.compile_job(filter, f_idx, deltas, None);
         let aggregates = job
             .residuals
             .iter()
@@ -1236,17 +1182,15 @@ impl<'a> Pipeline<'a> {
     /// Compile `filter` for a run over the delta windows `deltas`, as job
     /// `f_idx`: its patterns, per-delta-position probes and guards, residual
     /// literals and free-join plans, the indices those will probe, and the
-    /// shard plan, sized by `measured` when the filter has run before.
-    /// `only` restricts the per-position plans (and their indices and
-    /// activation counts) to that one delta position, the only one a check
-    /// drives; `None` compiles every position. Sweeps and checks share it;
-    /// it stays on the sequential path.
+    /// shard plan. `only` restricts the per-position plans (and their
+    /// indices and activation counts) to that one delta position, the only
+    /// one a check drives; `None` compiles every position. Sweeps and checks
+    /// share it; it stays on the sequential path.
     fn compile_job(
         &mut self,
         filter: &FilterNode,
         f_idx: usize,
         deltas: Vec<(usize, usize)>,
-        measured: Option<f64>,
         only: Option<usize>,
     ) -> FilterJob {
         let compiled = |d: usize| only.is_none_or(|o| o == d);
@@ -1407,31 +1351,15 @@ impl<'a> Pipeline<'a> {
         }
 
         // Shard plan: split every non-empty delta window into contiguous
-        // chunks sized by the cost estimate — the measured per-delta-row
-        // work of the filter's previous activation when one exists,
-        // otherwise the static estimate (delta rows × mean postings width
-        // of the planned probe, read from the run directories the pre-pass
-        // just flushed). Computed here, on the sequential path, so the
-        // layout is a function of the data and the knobs only.
+        // chunks by its row count and the worker count alone
+        // ([`plan_chunk_count`]).
         let mut chunks = Vec::new();
         if self.state.options.parallelism > 1 {
             for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
                 if from >= to {
                     continue;
                 }
-                let width = measured.unwrap_or_else(|| {
-                    Self::probe_width_estimate(
-                        &self.state.store,
-                        &patterns,
-                        &delta_steps[delta_idx],
-                    )
-                });
-                let k = plan_chunk_count(
-                    to - from,
-                    width,
-                    self.state.options.parallelism,
-                    self.state.options.chunk_min_rows,
-                );
+                let k = plan_chunk_count(to - from, self.state.options.parallelism);
                 for (a, b) in chunk_windows(from, to, k) {
                     chunks.push(Chunk {
                         delta_idx,
@@ -1642,30 +1570,6 @@ impl<'a> Pipeline<'a> {
         chosen
     }
 
-    /// Per-delta-row join cost estimate for the shard planner: the mean
-    /// postings-group width of the first joined step's planned probe, or
-    /// the probed relation's size when that step would scan (every delta
-    /// row then walks the whole table). Single-atom rules cost 1 per row.
-    fn probe_width_estimate(
-        store: &FactStore,
-        patterns: &[RowPattern],
-        steps: &[CompiledStep],
-    ) -> f64 {
-        let Some(step) = steps.get(1) else {
-            return 1.0;
-        };
-        let Some(rel) = store.relation(patterns[step.atom].predicate) else {
-            return 1.0;
-        };
-        if !step.index_cols.is_empty() {
-            rel.index_stats(&step.index_cols)
-                .map(|s| s.mean_group_width())
-                .unwrap_or(1.0)
-        } else {
-            rel.len() as f64
-        }
-    }
-
     /// Run the (read-only) join phase of one batch at (filter, chunk)
     /// granularity: every work item — a delta-window chunk, or a whole
     /// activation for unsharded jobs — goes onto one shared queue, so
@@ -1675,7 +1579,7 @@ impl<'a> Pipeline<'a> {
     /// per filter **in chunk order**, so the merged buffers (and every
     /// counter total) are independent of worker scheduling. The batch's
     /// work items, steals and join counters are folded into the statistics.
-    fn collect_batch(&mut self, jobs: &[FilterJob]) -> Vec<CollectedJob> {
+    fn collect_batch(&mut self, jobs: &[FilterJob]) -> Vec<Vec<Binding>> {
         let items: Vec<WorkItem> = jobs
             .iter()
             .enumerate()
@@ -1712,23 +1616,20 @@ impl<'a> Pipeline<'a> {
         if workers <= 1 || delta_rows < PARALLEL_MIN_DELTA_ROWS {
             // Inline: run the items in queue order with one reusable
             // scratch, accumulating straight into the per-job buffers.
-            let mut out: Vec<CollectedJob> = jobs
-                .iter()
-                .map(|_| (Vec::new(), JoinCounters::default()))
-                .collect();
+            let mut out: Vec<Vec<Binding>> = vec![Vec::new(); jobs.len()];
+            let mut counters = JoinCounters::default();
             let mut scratch = JoinScratch::default();
             for item in &items {
-                let (matches, counters) = &mut out[item.job];
                 Self::collect_item(
                     &self.state.store,
                     &jobs[item.job],
                     item.chunk,
                     &mut scratch,
-                    matches,
-                    counters,
+                    &mut out[item.job],
+                    &mut counters,
                 );
             }
-            self.record_batch(items.len(), 0, &out);
+            self.record_batch(items.len(), 0, counters);
             return out;
         }
         let store = &self.state.store;
@@ -1766,17 +1667,15 @@ impl<'a> Pipeline<'a> {
         });
         // Merge per job in item (= chunk) order: concatenation restores the
         // sequential enumeration order, counter sums are split-invariant.
-        let mut out: Vec<CollectedJob> = jobs
-            .iter()
-            .map(|_| (Vec::new(), JoinCounters::default()))
-            .collect();
+        let mut out: Vec<Vec<Binding>> = vec![Vec::new(); jobs.len()];
+        let mut totals = JoinCounters::default();
         let mut claimers: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
         for (item, slot) in items.iter().zip(results) {
             let (matches, counters, worker) = slot
                 .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
                 .expect("every work item is claimed by exactly one worker");
-            let (buffer, totals) = &mut out[item.job];
+            let buffer = &mut out[item.job];
             if buffer.is_empty() {
                 *buffer = matches;
             } else {
@@ -1791,27 +1690,25 @@ impl<'a> Pipeline<'a> {
             .iter()
             .map(|c| c.len().saturating_sub(1) as u64)
             .sum();
-        self.record_batch(items.len(), steals, &out);
+        self.record_batch(items.len(), steals, totals);
         out
     }
 
     /// Fold one batch's execution record into the statistics: the batch,
-    /// its work items (its parallel width), its steals and every job's join
-    /// counters.
-    fn record_batch(&mut self, items: usize, steals: u64, out: &[CollectedJob]) {
+    /// its work items (its parallel width), its steals and the join
+    /// counters summed over its items.
+    fn record_batch(&mut self, items: usize, steals: u64, counters: JoinCounters) {
         let stats = &mut self.state.stats;
         stats.sweep_batches += 1;
         stats.intra_filter_chunks += items as u64;
         stats.steals += steals;
         stats.batch_width_hist[batch_width_bucket(items)] += 1;
-        for (_, counters) in out {
-            stats.join_probes += counters.join_probes;
-            stats.index_probes += counters.index_probes;
-            stats.range_probes += counters.range_probes;
-            stats.scan_fallbacks += counters.scan_fallbacks;
-            stats.wcoj_seeks += counters.wcoj_seeks;
-            stats.wcoj_intersections += counters.wcoj_intersections;
-        }
+        stats.join_probes += counters.join_probes;
+        stats.index_probes += counters.index_probes;
+        stats.range_probes += counters.range_probes;
+        stats.scan_fallbacks += counters.scan_fallbacks;
+        stats.wcoj_seeks += counters.wcoj_seeks;
+        stats.wcoj_intersections += counters.wcoj_intersections;
     }
 
     /// Run one work item: a single delta-window chunk, or — for jobs
@@ -2189,7 +2086,6 @@ impl<'a> Pipeline<'a> {
         let Some(rel) = store.relation(job.patterns[delta_idx].predicate) else {
             return;
         };
-        counters.delta_rows += to.min(rel.len()).saturating_sub(from) as u64;
         let mut core = job.hybrid[delta_idx].as_ref();
         let mut core_rels: Vec<(&Relation, usize)> = Vec::new();
         let mut cursors: Vec<TrieCursor<'_>> = Vec::new();
@@ -2733,11 +2629,10 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
-        let run = |min_rows: Option<usize>, threads: usize| {
+        let run = |threads: usize| {
             let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
                 &ReasonerOptions {
                     parallelism: threads,
-                    chunk_min_rows: min_rows,
                     ..ReasonerOptions::default()
                 },
             );
@@ -2745,15 +2640,15 @@ mod tests {
             p.run();
             p
         };
-        let base = run(None, 1);
+        let base = run(1);
         // At one worker every batch runs whole activations: one item per
         // prepared job, all recorded in the width histogram.
         assert_eq!(
             base.stats().batch_width_hist.iter().sum::<u64>() as usize,
             base.stats().sweep_batches
         );
-        for (min_rows, threads) in [(Some(1), 2), (Some(1), 4), (Some(3), 8)] {
-            let sharded = run(min_rows, threads);
+        for threads in [2, 4, 8] {
+            let sharded = run(threads);
             for pred in ["Edge", "Reach"] {
                 // Exact Vec equality: same facts in the same FactId order.
                 assert_eq!(
@@ -2777,8 +2672,8 @@ mod tests {
         }
         // The chunk layout is repeatable: identical options give identical
         // chunk counts (and histograms) run after run.
-        let a = run(Some(1), 4);
-        let b = run(Some(1), 4);
+        let a = run(4);
+        let b = run(4);
         assert_eq!(a.stats().intra_filter_chunks, b.stats().intra_filter_chunks);
         assert_eq!(a.stats().batch_width_hist, b.stats().batch_width_hist);
     }
@@ -2813,7 +2708,6 @@ mod tests {
                 &ReasonerOptions {
                     join_strategy: strategy,
                     parallelism: threads,
-                    chunk_min_rows: Some(1),
                     ..ReasonerOptions::default()
                 },
             );
@@ -2828,8 +2722,16 @@ mod tests {
             !binary.store().facts_of(intern("Triangle")).is_empty(),
             "the generated graph must contain triangles"
         );
-        for threads in [1, 4, 8] {
+        let sequential = run(JoinStrategy::FreeJoin, 1);
+        for threads in [1, 2, 4, 8] {
             let wcoj = run(JoinStrategy::FreeJoin, threads);
+            if threads > 1 {
+                // Some activation split, the intersect stage's included.
+                assert!(
+                    wcoj.stats().intra_filter_chunks > sequential.stats().intra_filter_chunks,
+                    "no activation split at {threads} workers"
+                );
+            }
             for pred in ["Raw", "Edge", "Triangle", "Lt"] {
                 // Exact Vec equality: same rows in the same FactId order.
                 assert_eq!(
@@ -2853,7 +2755,7 @@ mod tests {
         }
         // The intersect stage's work counters are identical across thread
         // counts, and its chunk layout repeats at a fixed thread count.
-        let a = run(JoinStrategy::FreeJoin, 1);
+        let a = sequential;
         let b = run(JoinStrategy::FreeJoin, 8);
         let c = run(JoinStrategy::FreeJoin, 8);
         assert_eq!(a.stats().join_probes, b.stats().join_probes);

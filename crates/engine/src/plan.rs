@@ -282,49 +282,21 @@ pub struct DeltaPlan {
 /// returns against index build cost beyond a few columns).
 const MAX_PROBE_PREFIX: usize = 3;
 
-/// Estimated join cost one intra-filter chunk should carry, in
-/// delta-rows × mean-postings-width units. A chunk cheaper than this costs
-/// more to schedule than to run inline, so the shard planner derives the
-/// minimum rows per chunk from this target and the probe's mean group width
-/// (wide postings → each delta row is expensive → fewer rows per chunk).
-const CHUNK_COST_TARGET: f64 = 256.0;
+/// Fewest delta rows an intra-filter chunk carries: a chunk smaller than
+/// this costs more to schedule than to join inline.
+const CHUNK_MIN_ROWS: usize = 8;
 
-/// Bounds on the derived minimum rows per chunk: never split below
-/// [`CHUNK_MIN_ROWS_FLOOR`] rows however wide the postings, never demand
-/// more than [`CHUNK_MIN_ROWS_CEIL`] rows however narrow.
-const CHUNK_MIN_ROWS_FLOOR: usize = 8;
-const CHUNK_MIN_ROWS_CEIL: usize = 1024;
-
-/// Number of contiguous chunks one delta window of `delta_len` rows is
-/// split into for the intra-filter parallel join.
+/// Number of contiguous chunks a delta window of `rows` rows is split into
+/// for the intra-filter parallel join: `rows / CHUNK_MIN_ROWS`, clamped to
+/// `[1, parallelism]`. `parallelism` is the worker count
+/// ([`crate::ReasonerOptions::parallelism`]); 1 disables sharding.
 ///
-/// `mean_width` is the cost estimate per delta row — the mean postings-group
-/// width of the activation's planned probe (from the run directory), or the
-/// probed relation's length when the join would scan. `max_chunks` is the
-/// worker count ([`crate::ReasonerOptions::parallelism`]; 1 disables
-/// sharding); `min_rows` overrides the cost-derived minimum chunk size
-/// (tests use it to force tiny chunks).
-///
-/// The count is a pure function of the window, the (deterministic) cost
-/// estimate and the bound — never of scheduling — and chunks are
-/// re-concatenated in order, so every merged buffer and instance statistic
-/// is identical at every thread count.
-pub fn plan_chunk_count(
-    delta_len: usize,
-    mean_width: f64,
-    max_chunks: usize,
-    min_rows: Option<usize>,
-) -> usize {
-    if max_chunks <= 1 || delta_len == 0 {
-        return 1;
-    }
-    let min_rows = min_rows
-        .unwrap_or_else(|| {
-            let derived = (CHUNK_COST_TARGET / mean_width.max(1.0)).ceil() as usize;
-            derived.clamp(CHUNK_MIN_ROWS_FLOOR, CHUNK_MIN_ROWS_CEIL)
-        })
-        .max(1);
-    (delta_len / min_rows).clamp(1, max_chunks)
+/// The count depends on the window length and the worker count alone —
+/// never on the plan, index statistics, run history or scheduling — and
+/// chunks are re-concatenated in order, so every merged buffer and instance
+/// statistic is identical at every thread count.
+pub fn plan_chunk_count(rows: usize, parallelism: usize) -> usize {
+    (rows / CHUNK_MIN_ROWS).clamp(1, parallelism.max(1))
 }
 
 /// Split the window `[from, to)` into `chunks` contiguous, near-equal-length
@@ -1031,19 +1003,19 @@ mod tests {
     }
 
     #[test]
-    fn chunk_planning_is_cost_driven_and_order_preserving() {
-        // max_chunks = 1 disables sharding outright.
-        assert_eq!(plan_chunk_count(10_000, 4.0, 1, None), 1);
-        // Narrow postings (width 1) derive a large minimum chunk: 256 rows.
-        assert_eq!(plan_chunk_count(1_000, 1.0, 64, None), 3);
-        // Wide postings shrink the minimum towards the floor of 8 rows.
-        assert_eq!(plan_chunk_count(1_000, 64.0, 64, None), 64);
-        assert_eq!(plan_chunk_count(1_000, 64.0, 8, None), 8);
-        // An explicit min_rows override wins (the test knob).
-        assert_eq!(plan_chunk_count(9, 1.0, 100, Some(1)), 9);
-        assert_eq!(plan_chunk_count(9, 1.0, 100, Some(3)), 3);
-        // Tiny windows never split below one row per chunk.
-        assert_eq!(plan_chunk_count(0, 1.0, 8, Some(1)), 1);
+    fn chunk_count_follows_rows_and_workers_only() {
+        // An empty window, and parallelism 1, never split.
+        assert_eq!(plan_chunk_count(0, 8), 1);
+        assert_eq!(plan_chunk_count(10_000, 1), 1);
+        // Fewer than two chunks' worth of rows stays whole.
+        assert_eq!(plan_chunk_count(CHUNK_MIN_ROWS - 1, 8), 1);
+        assert_eq!(plan_chunk_count(2 * CHUNK_MIN_ROWS - 1, 8), 1);
+        assert_eq!(plan_chunk_count(2 * CHUNK_MIN_ROWS, 8), 2);
+        assert_eq!(plan_chunk_count(5 * CHUNK_MIN_ROWS + 3, 8), 5);
+        // The worker count caps the split.
+        assert_eq!(plan_chunk_count(1_000, 2), 2);
+        assert_eq!(plan_chunk_count(400, 64), 400 / CHUNK_MIN_ROWS);
+        assert_eq!(plan_chunk_count(10_000, 64), 64);
         let windows = chunk_windows(10, 21, 4);
         assert_eq!(windows, vec![(10, 13), (13, 16), (16, 19), (19, 21)]);
         // Concatenation reproduces the window exactly, chunks never empty.

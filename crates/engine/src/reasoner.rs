@@ -53,11 +53,6 @@ pub struct ReasonerOptions {
     /// and the scheduling diagnostic [`crate::PipelineStats::steals`] — is
     /// bit-identical at every setting.
     pub parallelism: usize,
-    /// Override for the cost-derived minimum rows per intra-filter chunk
-    /// (`None`, the default, derives it from the planned probe's mean
-    /// postings width). A test knob: `Some(1)` forces single-row chunks
-    /// wherever the shard bound allows.
-    pub chunk_min_rows: Option<usize>,
     /// How rule bodies with a cyclic core (joins whose hypergraph fails the
     /// GYO acyclicity test) are executed: the free-join plan that leapfrogs
     /// the core between binary ear probes (the default), or binary probe
@@ -99,7 +94,6 @@ impl Default for ReasonerOptions {
             termination: TerminationKind::Warded,
             apply_rewriting: true,
             parallelism: crate::pipeline::default_parallelism(),
-            chunk_min_rows: None,
             join_strategy: crate::pipeline::JoinStrategy::default(),
             max_iterations: 100_000,
             max_facts: 20_000_000,

@@ -57,9 +57,10 @@
 //! [`QuerySession::append_facts`] invalidates precisely: entries whose cone
 //! (the transitive rule dependencies of their predicate) intersects the
 //! appended predicates are dropped, every other entry is revalidated
-//! against the new stamp. The same cache persists each filter's measured
-//! per-delta-row join cost across runs ([`Pipeline::measured_costs`]), so
-//! the shard planner starts warm on repeat shapes.
+//! against the new stamp. Nothing else carries over from run to run: a
+//! run's delta windows split into chunks by their row counts and the
+//! worker count alone ([`crate::plan::plan_chunk_count`]), so a query's
+//! chunk layout is the same in a warm session as in a cold one.
 //!
 //! Answers are extracted with the id-level bound-position probe of
 //! [`crate::reasoner`]'s `query_answers` — only matching rows are ever
@@ -70,7 +71,6 @@
 //! [`StoreBase::stamp`]: vadalog_storage::StoreBase::stamp
 //! [`PipelineStats::magic_compile_cache_hits`]: crate::PipelineStats::magic_compile_cache_hits
 //! [`AccessPlan::planned_index_cols`]: crate::AccessPlan::planned_index_cols
-//! [`Pipeline::measured_costs`]: crate::Pipeline::measured_costs
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -81,9 +81,7 @@ use vadalog_chase::TerminationStrategy;
 use vadalog_fault as fault;
 use vadalog_model::prelude::*;
 use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
-use vadalog_storage::{
-    costs_path, load_costs, save_costs, FactStore, StoreBase, TornTail, Wal, WarmCosts,
-};
+use vadalog_storage::{FactStore, StoreBase, TornTail, Wal};
 
 use crate::pipeline::{PipelineStats, SuspendedPipeline};
 use crate::plan::AccessPlan;
@@ -351,30 +349,19 @@ struct SessionCore {
     compiled: HashMap<(Sym, Adornment), CompiledKind>,
     /// The shared bottom-up fallback compilation, built on first need.
     fallback: Option<Arc<CompiledQuery>>,
-    /// Apply the magic-sets rewrite when the query slice allows it (default
-    /// on; off = always bottom-up — the session half of the query ablation).
-    /// Shared across forks so an ablation toggles the whole server.
-    use_magic: bool,
     /// Layer-stamp memo of the per-plan ensure-index pass: the base stamp
-    /// at which each compiled magic shape last had its planned EDB indexes
-    /// ensured. A repeat query skips the whole walk until `append_facts`
+    /// at which each compiled plan — a magic shape, or `None` for the
+    /// bottom-up fallback — last had its planned EDB indexes ensured. A
+    /// repeat query skips the whole walk until `append_facts`
     /// promotes a new layer ([`StoreBase::stamp`] moves) — the cache
     /// invalidation key of the layered-base scheme. Living in the shared
     /// core, the memo covers **every** fork: a warm server performs zero
     /// redundant `ensure_index` passes no matter which worker compiled the
     /// shape first (previously the memo was per session, so each new
     /// session re-walked every plan once).
-    ensured_stamps: HashMap<(Sym, Adornment), u64>,
-    /// Same memo for the shared bottom-up fallback plan.
-    fallback_ensured_stamp: Option<u64>,
+    ensured_stamps: HashMap<Option<(Sym, Adornment)>, u64>,
     /// The shared magic-cone derivation cache.
     cones: ConeCache,
-    /// Per compiled magic shape: the filters' measured per-delta-row join
-    /// costs from the most recent run, seeding the shard planner of the
-    /// next run of the same shape ([`crate::Pipeline::with_warm_costs`]).
-    warm_costs: HashMap<(Sym, Adornment), Vec<Option<f64>>>,
-    /// Same persistence for the shared bottom-up fallback plan.
-    fallback_costs: Option<Vec<Option<f64>>>,
     /// rule-graph edges head predicate → body predicates, for the precise
     /// cone invalidation of [`QuerySession::append_facts`].
     rule_inputs: HashMap<Sym, BTreeSet<Sym>>,
@@ -456,8 +443,8 @@ impl SessionCore {
 
     /// Record that `appended` predicates hold rows. A rule-derived one
     /// holding its first rows changes the magic rewrite (it now needs its
-    /// bridge), so every magic compile, with its ensure-index memo and warm
-    /// costs, is dropped and recompiled on next use.
+    /// bridge), so every magic compile, with its ensure-index memo, is
+    /// dropped and recompiled on next use.
     fn note_edb_predicates(&mut self, appended: &BTreeSet<Sym>) {
         let mut first_derived_rows = false;
         for p in appended {
@@ -467,20 +454,15 @@ impl SessionCore {
         if first_derived_rows {
             self.compiled
                 .retain(|_, kind| matches!(kind, CompiledKind::Fallback));
-            self.ensured_stamps.clear();
-            self.warm_costs.clear();
+            self.ensured_stamps.retain(|key, _| key.is_none());
         }
     }
 
     /// Walk a compiled plan's EDB index column lists on the shared base,
     /// memoised against the base stamp (`key = None` is the fallback plan).
-    fn ensure_plan_indexes(&mut self, key: Option<&(Sym, Adornment)>, compiled: &CompiledQuery) {
+    fn ensure_plan_indexes(&mut self, key: Option<(Sym, Adornment)>, compiled: &CompiledQuery) {
         let stamp = self.base.stamp();
-        let ensured = match key {
-            Some(k) => self.ensured_stamps.get(k).copied(),
-            None => self.fallback_ensured_stamp,
-        };
-        if ensured == Some(stamp) {
+        if self.ensured_stamps.get(&key) == Some(&stamp) {
             return;
         }
         let mut fresh_builds = 0;
@@ -492,12 +474,7 @@ impl SessionCore {
             }
         }
         self.base_index_builds += fresh_builds;
-        match key {
-            Some(k) => {
-                self.ensured_stamps.insert(k.clone(), stamp);
-            }
-            None => self.fallback_ensured_stamp = Some(stamp),
-        }
+        self.ensured_stamps.insert(key, stamp);
     }
 
     /// The poison-heal policy: a panic while the core was locked may have
@@ -513,7 +490,6 @@ impl SessionCore {
         self.base.bump_stamp();
         self.cones.clear_all();
         self.ensured_stamps.clear();
-        self.fallback_ensured_stamp = None;
     }
 }
 
@@ -610,14 +586,6 @@ pub struct RecoveryReport {
     /// Present when the log ended in a torn/corrupt record that was
     /// truncated away (the classic partial-write-then-crash tail).
     pub torn_tail: Option<TornTail>,
-    /// Adorned plans whose measured warm costs were restored from the
-    /// sidecar (cross-restart warmth for the shard planner).
-    pub warm_plans: usize,
-    /// Whether the bottom-up fallback plan's costs were restored.
-    pub warm_fallback: bool,
-    /// The warm-cost sidecar existed but was corrupt and ignored — recovery
-    /// proceeds cold, it never blocks on advisory state.
-    pub corrupt_costs: bool,
 }
 
 /// One planned EDB index on the layered base, as reported by
@@ -685,12 +653,8 @@ impl QuerySession {
             rules_invent_nulls,
             compiled: HashMap::new(),
             fallback: None,
-            use_magic: true,
             ensured_stamps: HashMap::new(),
-            fallback_ensured_stamp: None,
             cones: ConeCache::new(options.cone_cache_cap, options.cone_cache_bytes),
-            warm_costs: HashMap::new(),
-            fallback_costs: None,
             rule_inputs,
             edb_predicates: edb().map(|f| f.predicate).collect(),
             deps: HashMap::new(),
@@ -730,9 +694,8 @@ impl QuerySession {
     /// the durable prefix: same stamps, same `FactId`s, same labelled-null
     /// ids, same answers. A torn or corrupt tail record — a crash mid-write
     /// — is detected by checksum, truncated, and reported as
-    /// [`RecoveryReport::torn_tail`]; the warm measured-cost sidecar
-    /// (`<wal>.costs`, see [`QuerySession::persist_warm_costs`]) is restored
-    /// when present so the shard planner starts warm across restarts.
+    /// [`RecoveryReport::torn_tail`]. The log is the only file recovery
+    /// reads.
     pub fn recover(
         program: &Program,
         options: ReasonerOptions,
@@ -749,50 +712,8 @@ impl QuerySession {
             report.facts_replayed += batch.len();
             session.append_inner(batch, false)?;
         }
-        match load_costs(&costs_path(wal_path)) {
-            Ok(Some(warm)) => {
-                let mut core = session.core();
-                for (pred, adornment, costs) in warm.per_plan {
-                    core.warm_costs
-                        .insert((intern(&pred), Adornment(adornment)), costs);
-                    report.warm_plans += 1;
-                }
-                if let Some(fallback) = warm.fallback {
-                    core.fallback_costs = Some(fallback);
-                    report.warm_fallback = true;
-                }
-            }
-            Ok(None) => {}
-            Err(_) => report.corrupt_costs = true,
-        }
         session.core().wal = Some(open.wal);
         Ok((session, report))
-    }
-
-    /// Persist the measured warm-cost table to the WAL's sidecar
-    /// (`<wal>.costs`) so the next [`QuerySession::recover`] seeds its shard
-    /// planner warm. Returns `Ok(false)` when no WAL is attached (nothing to
-    /// persist alongside). Called by the CLI at session end; safe to call at
-    /// any quiescent point.
-    pub fn persist_warm_costs(&self) -> Result<bool, ReasonerError> {
-        let core = self.core();
-        let Some(wal) = core.wal.as_ref() else {
-            return Ok(false);
-        };
-        let mut per_plan: Vec<(String, Vec<bool>, Vec<Option<f64>>)> = core
-            .warm_costs
-            .iter()
-            .map(|((pred, adornment), costs)| (pred.as_str(), adornment.0.clone(), costs.clone()))
-            .collect();
-        // The in-memory table is a HashMap; sort so the sidecar bytes are a
-        // function of its contents alone.
-        per_plan.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        let warm = WarmCosts {
-            per_plan,
-            fallback: core.fallback_costs.clone(),
-        };
-        save_costs(&costs_path(wal.path()), &warm).map_err(ReasonerError::Wal)?;
-        Ok(true)
     }
 
     /// Whether a write-ahead log is attached (appends are durable).
@@ -822,14 +743,6 @@ impl QuerySession {
             live_stamp: 0,
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Enable or disable the magic-sets rewrite (default on). With it off
-    /// every query runs the full program bottom-up against the shared
-    /// snapshot and post-filters. Shared across forks.
-    pub fn with_magic(self, enabled: bool) -> Self {
-        self.core().use_magic = enabled;
-        self
     }
 
     /// Number of EDB intern-and-freeze passes this session performed
@@ -1103,26 +1016,17 @@ impl QuerySession {
             // A sibling fork appended: this handle's instance is stale.
             self.live = None;
         }
-        let warm = core.fallback_costs.clone();
         let mut pipeline = match self.live.take() {
             Some(state) => crate::Pipeline::resume(&compiled.plan, state),
-            None => {
-                let mut p =
-                    crate::Pipeline::new(&compiled.plan, core.strategy_template.clone_box())
-                        .with_store(core.base.overlay())
-                        .with_options(&self.options);
-                if let Some(costs) = warm {
-                    p = p.with_warm_costs(costs);
-                }
-                p
-            }
+            None => crate::Pipeline::new(&compiled.plan, core.strategy_template.clone_box())
+                .with_store(core.base.overlay())
+                .with_options(&self.options),
         };
         drop(core);
         let derived_before = pipeline.stats().facts_derived;
         let violations = pipeline.run();
         let stats = pipeline.stats();
         let total_facts = pipeline.store().len();
-        self.core().fallback_costs = Some(pipeline.measured_costs().to_vec());
         self.live = Some(pipeline.suspend());
         self.live_stamp = stamp;
         Ok(MaterialiseReport {
@@ -1199,25 +1103,21 @@ impl QuerySession {
         if core_ref.compiled.contains_key(&key) {
             core_ref.magic_cache_hits += 1;
         } else {
-            let kind = if core_ref.use_magic {
-                match magic_sets(&self.rules_only, query, &core_ref.edb_predicates) {
-                    Ok(magic) => {
-                        let seed = magic
-                            .program
-                            .facts
-                            .first()
-                            .map(|f| f.predicate)
-                            .expect("magic rewrites always mint a seed fact");
-                        CompiledKind::Magic(Arc::new(Self::compile(
-                            &magic.program,
-                            Some(seed),
-                            &self.options,
-                        )))
-                    }
-                    Err(_) => CompiledKind::Fallback,
+            let kind = match magic_sets(&self.rules_only, query, &core_ref.edb_predicates) {
+                Ok(magic) => {
+                    let seed = magic
+                        .program
+                        .facts
+                        .first()
+                        .map(|f| f.predicate)
+                        .expect("magic rewrites always mint a seed fact");
+                    CompiledKind::Magic(Arc::new(Self::compile(
+                        &magic.program,
+                        Some(seed),
+                        &self.options,
+                    )))
                 }
-            } else {
-                CompiledKind::Fallback
+                Err(_) => CompiledKind::Fallback,
             };
             if matches!(kind, CompiledKind::Fallback) && core_ref.fallback.is_none() {
                 core_ref.fallback =
@@ -1270,18 +1170,13 @@ impl QuerySession {
         // `append_facts` promotion (stamp bump) invalidates the memo so
         // freshly layered relations get their planned indexes
         // flushed/built.
-        core_ref.ensure_plan_indexes(used_magic_sets.then_some(&key), &compiled);
+        core_ref.ensure_plan_indexes(used_magic_sets.then_some(key), &compiled);
 
         // Snapshot everything the run needs, then release the lock: the
         // pipeline executes against its private copy-on-write overlay, so
         // concurrent appends and other workers' queries proceed meanwhile.
         let overlay = core_ref.base.overlay();
         let strategy = core_ref.strategy_template.clone_box();
-        let warm = if used_magic_sets {
-            core_ref.warm_costs.get(&key).cloned()
-        } else {
-            core_ref.fallback_costs.clone()
-        };
         let magic_hits_snapshot = core_ref.magic_cache_hits;
         drop(core);
         let compile_time = compile_start.elapsed();
@@ -1292,9 +1187,6 @@ impl QuerySession {
         let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
             .with_store(overlay)
             .with_options(&self.options);
-        if let Some(costs) = warm {
-            pipeline = pipeline.with_warm_costs(costs);
-        }
         if let Some(seed) = compiled.seed_predicate {
             // The magic seed: the query's bound constants, interned directly.
             let seed_args: Vec<Value> = query
@@ -1310,7 +1202,6 @@ impl QuerySession {
 
         let mut pipeline_stats = pipeline.stats();
         pipeline_stats.magic_compile_cache_hits = magic_hits_snapshot;
-        let measured = pipeline.measured_costs().to_vec();
         let mut store = pipeline.into_store();
         let answers = query_answers(&mut store, query);
         let mut outputs = collect_outputs(&compiled.program, &compiled.plan, &store, &self.options);
@@ -1318,15 +1209,10 @@ impl QuerySession {
             .entry(query.predicate)
             .or_insert_with(|| answers.clone());
 
-        // Publish: warm costs always; the derived cone only when the base
-        // has not moved meanwhile (a concurrent append would make the
-        // entry stale the moment it lands) and the run was clean.
+        // Publish the derived cone only when the base has not moved
+        // meanwhile (a concurrent append would make the entry stale the
+        // moment it lands) and the run was clean.
         let mut core = self.core();
-        if used_magic_sets {
-            core.warm_costs.insert(key.clone(), measured);
-        } else {
-            core.fallback_costs = Some(measured);
-        }
         if used_magic_sets && violations.is_empty() && core.base.stamp() == stamp {
             core.cones.insert(
                 query.predicate,
@@ -1613,11 +1499,18 @@ mod tests {
 
     #[test]
     fn disabling_magic_still_answers_from_the_snapshot() {
+        // A fully free query has nothing to bind: the session runs the
+        // bottom-up fallback over the shared snapshot and post-filters.
         let program = chain_program(8);
-        let mut session = Reasoner::new().session(&program).unwrap().with_magic(false);
-        let result = session.query(&reach_query("n0")).unwrap();
+        let mut session = Reasoner::new().session(&program).unwrap();
+        let free = Atom {
+            predicate: intern("Reach"),
+            terms: vec![Term::var("x"), Term::var("y")],
+        };
+        let result = session.query(&free).unwrap();
         assert!(!result.used_magic_sets);
-        assert_eq!(result.answers.len(), 8);
+        // every ordered pair along the 9-node chain
+        assert_eq!(result.answers.len(), 8 * 9 / 2);
         assert_eq!(result.run.stats.pipeline.edb_rows_reused, 8);
     }
 
@@ -2073,7 +1966,6 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("vadalog-session-wal-{}-{name}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(costs_path(&path));
         path
     }
 
@@ -2118,28 +2010,51 @@ mod tests {
         assert_eq!(recovered_answers.len(), 7);
     }
 
-    /// The measured warm-cost table survives a restart through the sidecar.
+    /// A run's chunk layout depends on its delta windows and the worker
+    /// count alone: after other queries (the same magic shape with another
+    /// constant, and the bottom-up fallback) have run, a query splits its
+    /// windows exactly as it does in a cold session.
     #[test]
-    fn warm_costs_persist_across_recovery() {
-        let path = temp_wal("warm");
-        let program = chain_program(8);
-        {
-            let (mut session, _) =
-                QuerySession::recover(&program, ReasonerOptions::default(), &path).unwrap();
-            session.query(&reach_query("n0")).unwrap();
-            assert!(session.persist_warm_costs().unwrap());
+    fn chunk_layout_does_not_depend_on_session_history() {
+        // A hub with 300 successors, each with one successor of its own.
+        let mut program = chain_program(0);
+        for i in 0..300 {
+            let (mid, leaf) = (Value::str(&format!("m{i}")), Value::str(&format!("k{i}")));
+            program.add_fact(Fact::new("Edge", vec![Value::str("hub"), mid.clone()]));
+            program.add_fact(Fact::new("Edge", vec![mid, leaf]));
         }
-        let (_, report) =
-            QuerySession::recover(&program, ReasonerOptions::default(), &path).unwrap();
-        assert!(report.warm_plans >= 1, "adorned plan costs restored");
-        assert!(!report.corrupt_costs);
-        // corrupt sidecar: recovery proceeds cold with the flag set
-        let sidecar = costs_path(&path);
-        std::fs::write(&sidecar, b"garbage").unwrap();
-        let (_, report) =
-            QuerySession::recover(&program, ReasonerOptions::default(), &path).unwrap();
-        assert!(report.corrupt_costs);
-        assert_eq!(report.warm_plans, 0);
+        let options = |parallelism| ReasonerOptions {
+            parallelism,
+            ..ReasonerOptions::default()
+        };
+        let chunks = |session: &mut QuerySession, source: &str| {
+            let result = session.query(&reach_query(source)).unwrap();
+            assert!(result.used_magic_sets);
+            result.run.stats.pipeline.intra_filter_chunks
+        };
+        let cold = chunks(
+            &mut Reasoner::with_options(options(4))
+                .session(&program)
+                .unwrap(),
+            "m3",
+        );
+        let sequential = chunks(
+            &mut Reasoner::with_options(options(1))
+                .session(&program)
+                .unwrap(),
+            "m3",
+        );
+        assert!(cold > sequential, "some delta window must split");
+        let mut warm = Reasoner::with_options(options(4))
+            .session(&program)
+            .unwrap();
+        chunks(&mut warm, "hub");
+        let free = Atom {
+            predicate: intern("Reach"),
+            terms: vec![Term::var("x"), Term::var("y")],
+        };
+        assert!(!warm.query(&free).unwrap().used_magic_sets);
+        assert_eq!(chunks(&mut warm, "m3"), cold);
     }
 
     /// The cone cache evicts least-recently-hit entries past the entry cap

@@ -48,7 +48,6 @@ fn temp_wal(name: &str) -> std::path::PathBuf {
     let path =
         std::env::temp_dir().join(format!("vadalog-fault-wal-{}-{name}", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(vadalog_storage::costs_path(&path));
     path
 }
 

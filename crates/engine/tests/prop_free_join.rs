@@ -4,11 +4,11 @@
 //! stage and nothing else), the free-join plans must be **bit-identical**
 //! to the all-probe `Binary` reference — same facts in the same `FactId`
 //! (insertion) order, same labelled-null ids, same deterministic statistics
-//! — at every thread count and chunk size. The plan shape is an access
-//! decision, never a semantics change: the per-row support-vector ordering
-//! restores the all-probe enumeration order exactly, so nothing downstream
-//! (dedup, null invention, violation reporting) may observe which stages
-//! ran.
+//! — at every thread count, and so at every chunk layout. The plan shape is
+//! an access decision, never a semantics change: the per-row
+//! support-vector ordering restores the all-probe enumeration order
+//! exactly, so nothing downstream (dedup, null invention, violation
+//! reporting) may observe which stages ran.
 
 use proptest::prelude::*;
 use vadalog_chase::WardedStrategy;
@@ -21,7 +21,10 @@ use vadalog_storage::FactStore;
 /// same core behind a constant-bearing prefix ear (the join order puts the
 /// most-constant atom first), an acyclic body, recursion feeding derived
 /// edges and pendants back through the cyclic joins, conditions, negation,
-/// and existential heads so labelled-null identity is observable.
+/// and existential heads so labelled-null identity is observable. Every
+/// program also holds a 24-node `Raw` ring (no triangle, no pendant), so
+/// the `Edge` windows are wide enough to split into chunks at more than
+/// one worker.
 fn mixed_program() -> impl Strategy<Value = Program> {
     (
         prop::collection::vec((0usize..6, 0usize..6), 1..24),
@@ -54,6 +57,9 @@ fn mixed_program() -> impl Strategy<Value = Program> {
             for (a, b) in edges {
                 program.add_fact(pair("Raw", a, b));
             }
+            for k in 0..RING {
+                program.add_fact(pair("Raw", 100 + k, 100 + (k + 1) % RING));
+            }
             for (a, b) in pends {
                 program.add_fact(pair("Pend", a, b));
             }
@@ -70,20 +76,20 @@ fn mixed_program() -> impl Strategy<Value = Program> {
         })
 }
 
-/// One run: the strategy, the worker count (also the shard bound), and the
-/// forced minimum rows per chunk (`None` = the cost-derived minimum).
+/// Nodes of the padding ring every program holds.
+const RING: usize = 24;
+
+/// One run: the strategy and the worker count (also the shard bound).
 fn run(
     p: &Program,
     strategy: JoinStrategy,
     threads: usize,
-    min_rows: Option<usize>,
 ) -> (FactStore, PipelineStats, Vec<String>) {
     let plan = AccessPlan::compile(p);
     let mut pipeline =
         Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(&ReasonerOptions {
             join_strategy: strategy,
             parallelism: threads,
-            chunk_min_rows: min_rows,
             ..ReasonerOptions::default()
         });
     pipeline.load_facts(p.facts.clone());
@@ -100,33 +106,34 @@ const PREDS: [&str; 13] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Free-join × binary, threads 1/2/8 × chunk layouts: exact instance
-    /// equality (facts, FactId order, labelled-null ids) and pinned
-    /// deterministic stats against the sequential binary-join reference.
+    /// Free-join × binary, threads 1/2/4/8: exact instance equality (facts,
+    /// FactId order, labelled-null ids) and pinned deterministic stats
+    /// against the sequential binary-join reference.
     #[test]
     fn free_join_is_bit_identical_to_binary(p in mixed_program()) {
-        let (ref_store, ref_stats, ref_violations) = run(&p, JoinStrategy::Binary, 1, None);
+        let (ref_store, ref_stats, ref_violations) = run(&p, JoinStrategy::Binary, 1);
         prop_assert_eq!(ref_stats.hybrid_activations, 0);
         prop_assert_eq!(ref_stats.wcoj_activations, 0);
         prop_assert_eq!(ref_stats.wcoj_seeks, 0);
         prop_assert_eq!(ref_stats.wcoj_intersections, 0);
         let matrix = [
-            (JoinStrategy::FreeJoin, 1, None),
-            (JoinStrategy::FreeJoin, 2, Some(1)),
-            (JoinStrategy::FreeJoin, 8, Some(3)),
-            (JoinStrategy::FreeJoin, 8, None),
-            (JoinStrategy::Binary, 8, Some(1)),
+            (JoinStrategy::FreeJoin, 1),
+            (JoinStrategy::FreeJoin, 2),
+            (JoinStrategy::FreeJoin, 4),
+            (JoinStrategy::FreeJoin, 8),
+            (JoinStrategy::Binary, 2),
+            (JoinStrategy::Binary, 8),
         ];
-        for &(strategy, threads, min_rows) in &matrix {
-            let (store, stats, violations) = run(&p, strategy, threads, min_rows);
+        for &(strategy, threads) in &matrix {
+            let (store, stats, violations) = run(&p, strategy, threads);
             for pred in PREDS {
                 // Exact Vec equality: same facts, same insertion order,
                 // same null ids — bit-identical, not merely isomorphic.
                 prop_assert_eq!(
                     ref_store.facts_of(intern(pred)),
                     store.facts_of(intern(pred)),
-                    "instances diverge on {} ({:?}, threads={}, min_rows={:?})",
-                    pred, strategy, threads, min_rows
+                    "instances diverge on {} ({:?}, threads={})",
+                    pred, strategy, threads
                 );
             }
             prop_assert_eq!(&ref_violations, &violations);
@@ -135,6 +142,10 @@ proptest! {
             prop_assert_eq!(ref_stats.nulls_invented, stats.nulls_invented);
             prop_assert_eq!(ref_stats.iterations, stats.iterations);
             prop_assert_eq!(ref_stats.sweep_batches, stats.sweep_batches);
+            if threads > 1 {
+                // Some activation split: more work items than activations.
+                prop_assert!(stats.intra_filter_chunks > ref_stats.intra_filter_chunks);
+            }
             match strategy {
                 JoinStrategy::FreeJoin => {
                     // Every stage layout is exercised in one run: cores
@@ -158,9 +169,9 @@ proptest! {
         }
         // The work counters do not depend on the chunk layout (chunk merges
         // are deterministic sums of per-delta-row work): whole activations
-        // at one worker and single-row chunks at eight agree...
-        let (_, a, _) = run(&p, JoinStrategy::FreeJoin, 1, Some(1));
-        let (_, b, _) = run(&p, JoinStrategy::FreeJoin, 8, Some(1));
+        // at one worker and chunks at eight agree...
+        let (_, a, _) = run(&p, JoinStrategy::FreeJoin, 1);
+        let (_, b, _) = run(&p, JoinStrategy::FreeJoin, 8);
         prop_assert_eq!(a.join_probes, b.join_probes);
         prop_assert_eq!(a.index_probes, b.index_probes);
         prop_assert_eq!(a.scan_fallbacks, b.scan_fallbacks);
@@ -169,7 +180,7 @@ proptest! {
         prop_assert_eq!(a.wcoj_seeks, b.wcoj_seeks);
         prop_assert_eq!(a.wcoj_intersections, b.wcoj_intersections);
         // ...and the layout itself repeats run to run at one setting.
-        let (_, c, _) = run(&p, JoinStrategy::FreeJoin, 8, Some(1));
+        let (_, c, _) = run(&p, JoinStrategy::FreeJoin, 8);
         prop_assert_eq!(b.intra_filter_chunks, c.intra_filter_chunks);
         prop_assert_eq!(&b.batch_width_hist, &c.batch_width_hist);
     }

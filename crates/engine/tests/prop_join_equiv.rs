@@ -336,19 +336,31 @@ proptest! {
     /// Intra-filter delta-window sharding is bit-identical to
     /// whole-activation joins: same facts in the same `FactId` (insertion)
     /// order, same labelled-null ids, same deterministic statistics — across
-    /// worker counts 2/8 (the shard bound), forced chunk sizes 1 and 3 and
-    /// the cost-derived size, against the sequential (sharding-off)
-    /// baseline. Only the chunk-count accounting itself and the `steals`
-    /// scheduling diagnostic may differ between chunk layouts.
+    /// worker counts 2/4/8 (the shard bound, and so the chunk layout),
+    /// against the sequential (sharding-off) baseline. Only the chunk-count
+    /// accounting itself and the `steals` scheduling diagnostic may differ
+    /// between chunk layouts.
     #[test]
     fn intra_filter_sharding_is_bit_identical(p in guarded_program()) {
         use vadalog_engine::{AccessPlan, Pipeline, ReasonerOptions};
+        // A 16-link ownership chain above every threshold, so the `Own`
+        // and `Control` windows are wide enough to split.
+        let mut p = p;
+        for k in 0..16 {
+            p.add_fact(Fact::new(
+                "Own",
+                vec![
+                    Value::str(&format!("p{k}")),
+                    Value::str(&format!("p{}", k + 1)),
+                    Value::Int(4),
+                ],
+            ));
+        }
         let plan = AccessPlan::compile(&p);
-        let run = |min_rows: Option<usize>, threads: usize| {
+        let run = |threads: usize| {
             let mut pipe = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
                 &ReasonerOptions {
                     parallelism: threads,
-                    chunk_min_rows: min_rows,
                     ..ReasonerOptions::default()
                 },
             );
@@ -357,38 +369,34 @@ proptest! {
             pipe
         };
         // Sharding off, fully sequential: the reference enumeration.
-        let base = run(None, 1);
-        for &threads in &[2usize, 8] {
-            for &min_rows in &[
-                None,    // cost-derived chunk size
-                Some(1), // single-row chunks
-                Some(3), // three-row chunks
-            ] {
-                let r = run(min_rows, threads);
-                for pred in ["Own", "Control", "Mutual", "Sponsor"] {
-                    // Exact Vec equality: facts, FactId order and null ids.
-                    prop_assert_eq!(
-                        base.store().facts_of(vadalog_model::intern(pred)),
-                        r.store().facts_of(vadalog_model::intern(pred)),
-                        "instances diverge on {} (min_rows={:?}, threads={})",
-                        pred, min_rows, threads
-                    );
-                }
-                let (a, b) = (base.stats(), r.stats());
-                prop_assert_eq!(a.facts_derived, b.facts_derived);
-                prop_assert_eq!(a.facts_suppressed, b.facts_suppressed);
-                prop_assert_eq!(a.join_probes, b.join_probes);
-                prop_assert_eq!(a.index_probes, b.index_probes);
-                prop_assert_eq!(a.range_probes, b.range_probes);
-                prop_assert_eq!(a.scan_fallbacks, b.scan_fallbacks);
-                prop_assert_eq!(a.sweep_batches, b.sweep_batches);
-                prop_assert_eq!(a.iterations, b.iterations);
+        let base = run(1);
+        for threads in [2usize, 4, 8] {
+            let r = run(threads);
+            for pred in ["Own", "Control", "Mutual", "Sponsor"] {
+                // Exact Vec equality: facts, FactId order and null ids.
+                prop_assert_eq!(
+                    base.store().facts_of(vadalog_model::intern(pred)),
+                    r.store().facts_of(vadalog_model::intern(pred)),
+                    "instances diverge on {} (threads={})",
+                    pred, threads
+                );
             }
+            let (a, b) = (base.stats(), r.stats());
+            // Some activation split: more work items than activations.
+            prop_assert!(b.intra_filter_chunks > a.intra_filter_chunks);
+            prop_assert_eq!(a.facts_derived, b.facts_derived);
+            prop_assert_eq!(a.facts_suppressed, b.facts_suppressed);
+            prop_assert_eq!(a.join_probes, b.join_probes);
+            prop_assert_eq!(a.index_probes, b.index_probes);
+            prop_assert_eq!(a.range_probes, b.range_probes);
+            prop_assert_eq!(a.scan_fallbacks, b.scan_fallbacks);
+            prop_assert_eq!(a.sweep_batches, b.sweep_batches);
+            prop_assert_eq!(a.iterations, b.iterations);
         }
         // The chunk layout itself repeats: identical options produce
         // identical work-item counts run after run.
-        let a = run(Some(1), 8);
-        let b = run(Some(1), 8);
+        let a = run(8);
+        let b = run(8);
         prop_assert_eq!(a.stats().intra_filter_chunks, b.stats().intra_filter_chunks);
         prop_assert_eq!(a.stats().batch_width_hist, b.stats().batch_width_hist);
     }

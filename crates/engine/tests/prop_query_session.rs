@@ -102,11 +102,13 @@ fn fresh_post_filter(program: &Program, query: &Atom, threads: usize) -> BTreeSe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Datalog slice: session answers (magic on and off) equal the fresh
-    /// bottom-up + post-filter reference at every thread count, repeat
-    /// queries hit the compile cache without changing anything, and a
-    /// session that first answered a freer variant of the query answers
-    /// exactly what a cold session answers, order included.
+    /// Datalog slice: session answers equal the fresh bottom-up +
+    /// post-filter reference at every thread count — through magic sets
+    /// for a query with a bound position, through the bottom-up fallback
+    /// for a fully free one — repeat queries hit the compile cache without
+    /// changing anything, and a session that first answered a freer variant
+    /// of the query answers exactly what a cold session answers, order
+    /// included.
     #[test]
     fn session_answers_equal_fresh_post_filtering(
         program in chain_join_program(false),
@@ -114,28 +116,23 @@ proptest! {
         threads in prop::sample::select(vec![1usize, 2, 8]),
     ) {
         let reference = fresh_post_filter(&program, &query, threads);
-        for magic in [true, false] {
-            let reasoner = Reasoner::with_options(ReasonerOptions {
-                parallelism: threads,
-                ..ReasonerOptions::default()
-            });
-            let mut session = reasoner.session(&program).unwrap().with_magic(magic);
-            let first: BTreeSet<Fact> =
-                session.query(&query).unwrap().answers.into_iter().collect();
-            prop_assert_eq!(
-                &first,
-                &reference,
-                "session (magic={}) diverges from fresh post-filter at {} threads",
-                magic,
-                threads
-            );
-            // a repeat on the same session is served from the caches and
-            // must not drift
-            let again: BTreeSet<Fact> =
-                session.query(&query).unwrap().answers.into_iter().collect();
-            prop_assert_eq!(&again, &reference, "repeat query drifts (magic={})", magic);
-            prop_assert_eq!(session.edb_builds(), 1);
-        }
+        let reasoner = Reasoner::with_options(ReasonerOptions {
+            parallelism: threads,
+            ..ReasonerOptions::default()
+        });
+        let mut session = reasoner.session(&program).unwrap();
+        let first: BTreeSet<Fact> = session.query(&query).unwrap().answers.into_iter().collect();
+        prop_assert_eq!(
+            &first,
+            &reference,
+            "session diverges from fresh post-filter at {} threads",
+            threads
+        );
+        // a repeat on the same session is served from the caches and must
+        // not drift
+        let again: BTreeSet<Fact> = session.query(&query).unwrap().answers.into_iter().collect();
+        prop_assert_eq!(&again, &reference, "repeat query drifts");
+        prop_assert_eq!(session.edb_builds(), 1);
         // History independence: free the first bound position, ask that
         // freer query first, then the query itself.
         if let Some(pos) = query.terms.iter().position(|t| matches!(t, Term::Const(_))) {

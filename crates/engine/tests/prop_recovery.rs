@@ -96,7 +96,6 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(vadalog_storage::costs_path(&path));
         let program = chain_program(3);
         let batches: Vec<Vec<Fact>> = schedule
             .iter()
@@ -157,6 +156,5 @@ proptest! {
         }
 
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(vadalog_storage::costs_path(&path));
     }
 }

@@ -48,8 +48,7 @@
 //!   over a write-ahead log: every accepted append is fsync'd before its
 //!   promotion is acknowledged, and a restart replays the log into a
 //!   bit-identical session (see `vadalog_engine::QuerySession::recover`).
-//!   Shutdown persists the warm measured-cost table alongside the log so
-//!   the next incarnation starts warm.
+//!   The log is the server's only file: shutdown writes nothing beside it.
 //! * **Per-client fairness.** [`ReasoningServer::submit_from`] tags each
 //!   request with a client id; one client may only hold
 //!   [`ServerConfig::client_quota`] queue slots, so a hot client is shed
@@ -375,8 +374,7 @@ impl ReasoningServer {
     /// incarnation (bit-identical recovery — see
     /// [`QuerySession::recover`]), then start the worker pool. Subsequent
     /// accepted appends are fsync'd to the log before their promotion is
-    /// acknowledged, and [`ReasoningServer::shutdown`] persists the warm
-    /// measured-cost table alongside the log.
+    /// acknowledged.
     pub fn recover(
         program: &Program,
         config: ServerConfig,
@@ -501,10 +499,8 @@ impl ReasoningServer {
     }
 
     /// Orderly shutdown: workers finish their in-flight request, queued
-    /// requests are shed with a typed [`Response::ShedAtShutdown`] reply,
-    /// all threads are joined, and — when a write-ahead log is attached —
-    /// the warm measured-cost table is persisted alongside the log so the
-    /// next incarnation starts warm.
+    /// requests are shed with a typed [`Response::ShedAtShutdown`] reply
+    /// and all threads are joined.
     pub fn shutdown(mut self) {
         {
             let mut down = self
@@ -518,8 +514,6 @@ impl ReasoningServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Best-effort cross-restart warmth; shutdown itself never fails.
-        let _ = self.session.persist_warm_costs();
         // Reply to anything still queued: an orderly drain, typed so the
         // caller can distinguish it from a vanished server.
         let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());

@@ -131,7 +131,6 @@ fn a_wal_append_failure_is_a_typed_error_not_a_crash() {
     let path =
         std::env::temp_dir().join(format!("vadalog-server-fault-wal-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(vadalog_storage::costs_path(&path));
     let program = vadalog_parser::parse_program(&chain_src(3)).unwrap();
     let (server, report) = ReasoningServer::recover(
         &program,

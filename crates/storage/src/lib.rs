@@ -169,5 +169,5 @@ pub use store::{
     DeltaBatch, FactId, FactStore, IndexStats, OpenSpans, Probe, RangeFilter, Relation, StoreBase,
     TrieCursor,
 };
-pub use wal::{costs_path, load_costs, save_costs, TornTail, Wal, WalError, WalOpen, WarmCosts};
+pub use wal::{TornTail, Wal, WalError, WalOpen};
 pub use wcoj::{leapfrog_join, WcojCounters, WcojLevel};

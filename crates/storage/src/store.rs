@@ -139,11 +139,8 @@ impl RangeFilter {
 
 /// Aggregate statistics of one materialised sorted-run index, read from its
 /// run directories: how many rows it indexes and how many distinct composite
-/// keys they group into. The ratio `entries / distinct_keys` is the **mean
-/// postings-group width** — the expected number of rows one exact probe
-/// yields — which the engine uses as the per-delta-row cost estimate when
-/// sizing intra-filter chunks and as the selectivity estimate when choosing
-/// between several pushable range conditions.
+/// keys they group into — the selectivity estimate the engine reads when
+/// choosing between several pushable range conditions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexStats {
     /// Indexed rows across all sorted runs and the unflushed tail.
@@ -152,18 +149,6 @@ pub struct IndexStats {
     /// split across runs counts once per run). Unflushed tail rows count as
     /// one key each — an upper bound that vanishes after a flush.
     pub distinct_keys: usize,
-}
-
-impl IndexStats {
-    /// Mean postings-group width: rows per distinct composite key (≥ 1.0
-    /// whenever the index is non-empty, 1.0 when it is empty).
-    pub fn mean_group_width(&self) -> f64 {
-        if self.distinct_keys == 0 {
-            1.0
-        } else {
-            self.entries as f64 / self.distinct_keys as f64
-        }
-    }
 }
 
 /// The result of an index probe: postings in ascending [`FactId`] order.
@@ -2143,9 +2128,7 @@ mod tests {
         let narrow = rel.index_stats(&[1]).unwrap();
         assert_eq!(wide.entries, 6);
         assert_eq!(wide.distinct_keys, 2);
-        assert_eq!(wide.mean_group_width(), 3.0);
         assert_eq!(narrow.distinct_keys, 6);
-        assert_eq!(narrow.mean_group_width(), 1.0);
         // tail rows count as one key each until the next flush
         rel.insert(Fact::new("P", vec![Value::Int(0), Value::Int(99)]));
         let with_tail = rel.index_stats(&[0]).unwrap();

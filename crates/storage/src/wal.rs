@@ -1,4 +1,4 @@
-//! Write-ahead log for append batches, plus the warm-cost sidecar.
+//! Write-ahead log for append batches.
 //!
 //! Every `append_facts` batch a session accepts is appended here **before**
 //! the in-memory layer promotion is acknowledged: serialize the batch
@@ -29,15 +29,12 @@
 //! [`TornTail`] warning is returned. Everything before the tear is trusted
 //! (each record's checksum covers its payload).
 //!
-//! The **warm-cost sidecar** (`<wal>.costs`) persists the session's measured
-//! per-plan access costs so a recovered session starts warm (cross-restart
-//! warmth). It is advisory: a missing or corrupt sidecar never blocks
-//! recovery — [`load_costs`] distinguishes "absent" (`Ok(None)`) from
-//! "corrupt" (`Err`) so callers can warn.
+//! The log is the only file a session writes or recovers from; a recovered
+//! session rebuilds all of its in-memory state by replay.
 //!
-//! Fault points (`wal.append`, `wal.partial_write`, `wal.fsync`,
-//! `wal.costs_write`) let the crash-recovery property tests fail or kill a
-//! session at every interesting instant; see `vadalog_fault`.
+//! Fault points (`wal.append`, `wal.partial_write`, `wal.fsync`) let the
+//! crash-recovery property tests fail or kill a session at every
+//! interesting instant; see `vadalog_fault`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -48,16 +45,13 @@ use vadalog_model::{Fact, Value};
 
 /// Magic header of a WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"VADWAL1\0";
-/// Magic header of a warm-cost sidecar file.
-pub const COSTS_MAGIC: [u8; 8] = *b"VADCST1\0";
 
-/// Errors from WAL and sidecar I/O.
+/// Errors from WAL I/O.
 #[derive(Debug)]
 pub enum WalError {
     /// Underlying file I/O failed.
     Io(std::io::Error),
-    /// The file exists but does not start with [`WAL_MAGIC`] (or the sidecar
-    /// with [`COSTS_MAGIC`]).
+    /// The file exists but does not start with [`WAL_MAGIC`].
     BadMagic(PathBuf),
     /// A batch contained a labelled null; only ground facts are appendable,
     /// so only ground facts are loggable.
@@ -223,93 +217,6 @@ impl Wal {
     }
 }
 
-/// Warm measured-cost table in crate-neutral form: per adorned plan the
-/// predicate name, the adornment (`true` = bound position) and the measured
-/// per-rule costs, plus the unadorned fallback plan's costs.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct WarmCosts {
-    /// `(predicate, adornment, per-rule costs)` per compiled plan.
-    pub per_plan: Vec<(String, Vec<bool>, Vec<Option<f64>>)>,
-    /// Costs of the unadorned fallback plan, when measured.
-    pub fallback: Option<Vec<Option<f64>>>,
-}
-
-/// Sidecar path for a WAL path: `<wal>.costs`.
-pub fn costs_path(wal_path: &Path) -> PathBuf {
-    let mut name = wal_path.as_os_str().to_owned();
-    name.push(".costs");
-    PathBuf::from(name)
-}
-
-/// Persist the warm-cost table (whole-file rewrite; the table is tiny).
-pub fn save_costs(path: &Path, costs: &WarmCosts) -> Result<(), WalError> {
-    fault::point("wal.costs_write")?;
-    let mut payload = Vec::new();
-    put_u32(&mut payload, costs.per_plan.len() as u32);
-    for (pred, adornment, plan_costs) in &costs.per_plan {
-        put_str16(&mut payload, pred);
-        put_u16(&mut payload, adornment.len() as u16);
-        payload.extend(adornment.iter().map(|&b| b as u8));
-        put_costs(&mut payload, plan_costs);
-    }
-    match &costs.fallback {
-        None => payload.push(0),
-        Some(fb) => {
-            payload.push(1);
-            put_costs(&mut payload, fb);
-        }
-    }
-    let mut bytes = Vec::with_capacity(COSTS_MAGIC.len() + 8 + payload.len());
-    bytes.extend_from_slice(&COSTS_MAGIC);
-    bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let mut file = File::create(path)?;
-    file.write_all(&bytes)?;
-    file.sync_data()?;
-    Ok(())
-}
-
-/// Load the warm-cost sidecar. `Ok(None)` when the file does not exist;
-/// `Err` when it exists but is corrupt (callers warn and start cold).
-pub fn load_costs(path: &Path) -> Result<Option<WarmCosts>, WalError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => f.read_to_end(&mut bytes)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let corrupt = || WalError::BadMagic(path.to_owned());
-    if bytes.len() < COSTS_MAGIC.len() + 8 || bytes[..COSTS_MAGIC.len()] != COSTS_MAGIC {
-        return Err(corrupt());
-    }
-    let checksum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let payload = &bytes[16..];
-    if fnv64(payload) != checksum {
-        return Err(corrupt());
-    }
-    let mut c = Cursor::new(payload);
-    let parse = |c: &mut Cursor| -> Option<WarmCosts> {
-        let plans = c.u32()?;
-        let mut per_plan = Vec::with_capacity(plans as usize);
-        for _ in 0..plans {
-            let pred = c.str16()?;
-            let alen = c.u16()? as usize;
-            let adornment = c.take(alen)?.iter().map(|&b| b != 0).collect();
-            per_plan.push((pred, adornment, c.costs()?));
-        }
-        let fallback = match c.u8()? {
-            0 => None,
-            _ => Some(c.costs()?),
-        };
-        c.done()?;
-        Some(WarmCosts { per_plan, fallback })
-    };
-    match parse(&mut c) {
-        Some(costs) => Ok(Some(costs)),
-        None => Err(corrupt()),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // record encoding
 // ---------------------------------------------------------------------------
@@ -461,18 +368,6 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).ok()
     }
 
-    fn costs(&mut self) -> Option<Vec<Option<f64>>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(match self.u8()? {
-                0 => None,
-                _ => Some(f64::from_bits(self.u64()?)),
-            });
-        }
-        Some(out)
-    }
-
     fn value(&mut self) -> Option<Value> {
         Some(match self.u8()? {
             0 => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
@@ -520,19 +415,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 fn put_str16(out: &mut Vec<u8>, s: &str) {
     put_u16(out, s.len() as u16);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_costs(out: &mut Vec<u8>, costs: &[Option<f64>]) {
-    put_u32(out, costs.len() as u32);
-    for cost in costs {
-        match cost {
-            None => out.push(0),
-            Some(c) => {
-                out.push(1);
-                out.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
-        }
-    }
 }
 
 /// FNV-1a 64 — stable, dependency-free, plenty for torn-write detection.
@@ -669,28 +551,6 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             WAL_MAGIC.len() as u64
         );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn costs_sidecar_round_trips_and_detects_corruption() {
-        let wal_path = temp_path("costs");
-        let path = costs_path(&wal_path);
-        assert!(load_costs(&path).unwrap().is_none());
-        let costs = WarmCosts {
-            per_plan: vec![
-                ("Reach".into(), vec![true, false], vec![Some(1.5), None]),
-                ("Edge".into(), vec![false, false], vec![]),
-            ],
-            fallback: Some(vec![None, Some(0.25)]),
-        };
-        save_costs(&path, &costs).unwrap();
-        assert_eq!(load_costs(&path).unwrap(), Some(costs.clone()));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_costs(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -197,8 +197,31 @@ const VIOLATION_TABLE: &[ViolationRow] = &[
 #[test]
 fn violations_agree_between_engine_and_chase() {
     use vadalog_engine::{JoinStrategy, ReasonerOptions};
-    for &(src, count, pinned) in VIOLATION_TABLE {
-        let program = parse_program(src).unwrap();
+    // The plain EGD and the triangle again over a larger EDB, so that at
+    // more than one worker the checks' driving windows split into chunks.
+    // Neither padding adds a violation: each padded `x` has one `y`, and a
+    // chain has no triangle.
+    let pad = |fact: fn(usize) -> String, src: &str| -> String {
+        (10..40).map(fact).collect::<String>() + src
+    };
+    let grown = [
+        (
+            pad(|k| format!("A({k}, {k}). "), VIOLATION_TABLE[1].0),
+            VIOLATION_TABLE[1].1,
+        ),
+        (
+            pad(|k| format!("Edge({k}, {}). ", k + 1), VIOLATION_TABLE[3].0),
+            VIOLATION_TABLE[3].1,
+        ),
+    ];
+    let rows = VIOLATION_TABLE
+        .iter()
+        .map(|&(src, count, pinned)| (src.to_string(), count, pinned))
+        .chain(grown.into_iter().map(|(src, count)| (src, count, &[][..])));
+    // Total work items per worker count, over every program.
+    let mut chunks = [0u64; 2];
+    for (src, count, pinned) in rows {
+        let program = parse_program(&src).unwrap();
         let mut strategy = WardedStrategy::new();
         let mut expected = run_chase(&program, &mut strategy, &ChaseOptions::default()).violations;
         expected.sort();
@@ -209,24 +232,19 @@ fn violations_agree_between_engine_and_chase() {
                 "{src}\n{expected:#?}"
             );
         }
-        // The engine's list is one list at every worker count (with
-        // single-row chunks) and join strategy, and as a multiset it is the
-        // chase's.
+        // The engine's list is one list at every worker count and join
+        // strategy, and as a multiset it is the chase's.
         let mut lists = Vec::new();
-        for parallelism in [1, 4] {
+        for (p, parallelism) in [1, 4].into_iter().enumerate() {
             for join_strategy in [JoinStrategy::FreeJoin, JoinStrategy::Binary] {
                 let options = ReasonerOptions {
                     parallelism,
-                    chunk_min_rows: Some(1),
                     join_strategy,
                     ..ReasonerOptions::default()
                 };
-                lists.push(
-                    Reasoner::with_options(options)
-                        .reason(&program)
-                        .unwrap()
-                        .violations,
-                );
+                let result = Reasoner::with_options(options).reason(&program).unwrap();
+                chunks[p] += result.stats.pipeline.intra_filter_chunks;
+                lists.push(result.violations);
             }
         }
         for list in &lists[1..] {
@@ -236,4 +254,5 @@ fn violations_agree_between_engine_and_chase() {
         engine.sort();
         assert_eq!(engine, expected, "{src}");
     }
+    assert!(chunks[1] > chunks[0], "no check window split: {chunks:?}");
 }
