@@ -614,14 +614,11 @@ fn cmd_query(
                 let report = session.append_facts([fact.clone()])?;
                 let _ = writeln!(
                     out,
-                    "% append {} stored {} ({} duplicate, {} base layers, \
-                     {} filters woken, {} facts derived)",
+                    "% append {} stored {} ({} duplicate, {} base layers)",
                     &atom_text[1..],
                     report.appended,
                     report.duplicates,
-                    report.base_layers,
-                    report.reactivated_filters,
-                    report.derived
+                    report.base_layers
                 );
             }
         }
@@ -646,11 +643,6 @@ fn cmd_query(
             out,
             "% store layers:        {} (immutable base layers beneath the query overlays)",
             session.base_layers()
-        );
-        let _ = writeln!(
-            out,
-            "% delta reactivations: {} (filters woken by appended predicates)",
-            session.delta_reactivations()
         );
         for (pred, cols, layers) in session.layer_index_stats() {
             if layers.len() < 2 {
@@ -1209,18 +1201,19 @@ mod tests {
         assert!(after.contains("Reach(\"n0\", \"n3\")."), "{out}");
         // the duplicate second append stores nothing
         assert!(
-            after.starts_with(" Edge(\"n2\", \"n3\") stored 1 (0 duplicate"),
+            after.starts_with(" Edge(\"n2\", \"n3\") stored 1 (0 duplicate, 2 base layers)\n"),
             "{out}"
         );
         assert!(
-            after.contains("Edge(\"n2\", \"n3\") stored 0 (1 duplicate"),
+            after.contains("Edge(\"n2\", \"n3\") stored 0 (1 duplicate, 2 base layers)\n"),
             "{out}"
         );
-        // the session block surfaces the layer and reactivation counters
-        // (the duplicate append promoted nothing, so one append sticks)
+        // the session block surfaces the layer counters (the duplicate
+        // append promoted nothing, so one append sticks)
         assert!(out.contains("% appends:             1"), "{out}");
         assert!(out.contains("% appended rows:       1"), "{out}");
         assert!(out.contains("% store layers:        2"), "{out}");
+        assert!(!out.contains("reactivations"), "{out}");
         // the post-append run composes the promoted layer
         assert!(out.contains("% base layers:         1"), "{out}");
         std::fs::remove_file(&path).ok();

@@ -157,7 +157,7 @@ COMMANDS:
                                 runs on a copy-on-write snapshot of it.
                                 An argument of the form +Fact(\"a\", 1) APPENDS
                                 that ground fact to the session EDB before the
-                                atoms after it run (incremental maintenance)
+                                atoms after it run
     serve     <file> <atom>...  answer the atoms through the concurrent
                                 reasoning server: a bounded worker pool over
                                 ONE shared session, queries running

@@ -168,8 +168,7 @@ pub mod reasoner;
 pub mod session;
 
 pub use pipeline::{
-    default_parallelism, JoinStrategy, Pipeline, PipelineStats, SuspendedPipeline,
-    BATCH_WIDTH_BUCKETS,
+    default_parallelism, JoinStrategy, Pipeline, PipelineStats, BATCH_WIDTH_BUCKETS,
 };
 pub use plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,
@@ -178,4 +177,4 @@ pub use plan::{
 pub use reasoner::{
     QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats, TerminationKind,
 };
-pub use session::{AppendReport, LayerIndexStats, MaterialiseReport, QuerySession, RecoveryReport};
+pub use session::{AppendReport, LayerIndexStats, QuerySession, RecoveryReport};

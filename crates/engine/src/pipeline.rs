@@ -718,16 +718,11 @@ fn batch_width_bucket(items: usize) -> usize {
     }
 }
 
-/// A pipeline's complete run state detached from its plan borrow: the
-/// store, termination strategy, per-filter cursors, aggregate states,
-/// skolem/null factories, wake list and statistics. A `QuerySession` keeps
-/// its live materialised instance in this form between appends and
-/// re-attaches it with [`Pipeline::resume`]: the resumed run continues
-/// semi-naive exactly where the previous one stopped — appended facts are
-/// processed as deltas (only the filters whose inputs they reach wake up,
-/// and [`crate::aggregate::AggregateState`]s fold just the new
-/// contributions) instead of recomputing the fixpoint from scratch.
-pub struct SuspendedPipeline {
+/// A runnable pipeline over an [`AccessPlan`]: the plan borrow plus the
+/// run state — store, termination strategy, per-filter cursors, aggregate
+/// states, skolem/null factories, wake list and statistics.
+pub struct Pipeline<'a> {
+    plan: &'a AccessPlan,
     strategy: Box<dyn TerminationStrategy>,
     store: FactStore,
     nulls: NullFactory,
@@ -746,8 +741,7 @@ pub struct SuspendedPipeline {
     /// sweep skips it without snapshotting its delta windows. Writes wake
     /// readers (via [`FilterNode::reads_any`]), so the flag is a pure
     /// function of the data and the activation set matches cursor-only
-    /// scheduling exactly — on a resumed session run it is what scopes the
-    /// sweep to the filters the appended predicates actually reach.
+    /// scheduling exactly.
     awake: Vec<bool>,
     /// Admission mode (see the module docs): `true` while the plan cannot
     /// invent a null and the store holds none, so the strategy is never
@@ -760,26 +754,6 @@ pub struct SuspendedPipeline {
     stats: PipelineStats,
 }
 
-impl SuspendedPipeline {
-    /// The suspended instance (read-only; resume the pipeline to mutate).
-    pub fn store(&self) -> &FactStore {
-        &self.store
-    }
-
-    /// Statistics accumulated across all runs of the suspended pipeline.
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-}
-
-/// A runnable pipeline over an [`AccessPlan`]: the plan borrow plus the
-/// run state, which [`Pipeline::suspend`] and [`Pipeline::resume`] move out
-/// and back in whole.
-pub struct Pipeline<'a> {
-    plan: &'a AccessPlan,
-    state: SuspendedPipeline,
-}
-
 impl<'a> Pipeline<'a> {
     /// Build a pipeline over a plan with the given termination strategy,
     /// under [`ReasonerOptions::default`] with no sweep cap.
@@ -787,26 +761,24 @@ impl<'a> Pipeline<'a> {
         let n = plan.filters.len();
         Pipeline {
             plan,
-            state: SuspendedPipeline {
-                strategy,
-                store: FactStore::new(),
-                nulls: NullFactory::new(),
-                cursors: plan
-                    .filters
-                    .iter()
-                    .map(|f| vec![0; f.rule.body_atoms().len()])
-                    .collect(),
-                agg_states: vec![Vec::new(); n],
-                skolems: HashMap::new(),
-                options: ReasonerOptions {
-                    max_iterations: usize::MAX,
-                    ..ReasonerOptions::default()
-                },
-                awake: vec![true; n],
-                null_free: !plan.invents_nulls,
-                dedup_stats: StrategyStats::default(),
-                stats: PipelineStats::default(),
+            strategy,
+            store: FactStore::new(),
+            nulls: NullFactory::new(),
+            cursors: plan
+                .filters
+                .iter()
+                .map(|f| vec![0; f.rule.body_atoms().len()])
+                .collect(),
+            agg_states: vec![Vec::new(); n],
+            skolems: HashMap::new(),
+            options: ReasonerOptions {
+                max_iterations: usize::MAX,
+                ..ReasonerOptions::default()
             },
+            awake: vec![true; n],
+            null_free: !plan.invents_nulls,
+            dedup_stats: StrategyStats::default(),
+            stats: PipelineStats::default(),
         }
     }
 
@@ -816,7 +788,7 @@ impl<'a> Pipeline<'a> {
     /// is bit-identical at every setting of the first two; only the
     /// probe/seek counters reflect which access paths ran.
     pub fn with_options(mut self, options: &ReasonerOptions) -> Self {
-        self.state.options = ReasonerOptions {
+        self.options = ReasonerOptions {
             parallelism: options.parallelism.max(1),
             ..*options
         };
@@ -825,13 +797,13 @@ impl<'a> Pipeline<'a> {
 
     /// Cap the number of round-robin sweeps.
     pub fn with_max_iterations(mut self, max: usize) -> Self {
-        self.state.options.max_iterations = max;
+        self.options.max_iterations = max;
         self
     }
 
-    /// Load the extensional database. On a resumed pipeline the loaded
-    /// predicates' readers are woken, so the next [`Pipeline::run`] treats
-    /// the new rows as deltas.
+    /// Load the extensional database. The loaded predicates' readers are
+    /// woken, so a [`Pipeline::run`] after an earlier one treats the new
+    /// rows as deltas.
     ///
     /// Facts are registered with the termination strategy only when the run
     /// can hold a labelled null (see the module docs). The first fact that
@@ -850,9 +822,8 @@ impl<'a> Pipeline<'a> {
         I::Item: Borrow<Fact>,
     {
         let mut preds: BTreeSet<Sym> = BTreeSet::new();
-        let state = &mut self.state;
-        let (strategy, null_free) = (&mut state.strategy, &mut state.null_free);
-        state.store.load_facts(facts, |store, f, row| {
+        let (strategy, null_free) = (&mut self.strategy, &mut self.null_free);
+        self.store.load_facts(facts, |store, f, row| {
             if *null_free && !f.is_ground() {
                 for (predicate, row) in store.rows() {
                     strategy.register_base(predicate, row);
@@ -868,18 +839,13 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Wake every filter reading one of `preds` (their delta windows may
-    /// have grown). Returns the number of filters that were asleep and
-    /// woke — the session's "delta re-activation" counter.
-    pub fn wake_readers(&mut self, preds: &BTreeSet<Sym>) -> usize {
-        let plan = self.plan;
-        let mut woke = 0;
-        for (g, filter) in plan.filters.iter().enumerate() {
-            if !self.state.awake[g] && filter.reads_any(preds) {
-                self.state.awake[g] = true;
-                woke += 1;
+    /// have grown).
+    fn wake_readers(&mut self, preds: &BTreeSet<Sym>) {
+        for (g, filter) in self.plan.filters.iter().enumerate() {
+            if !self.awake[g] && filter.reads_any(preds) {
+                self.awake[g] = true;
             }
         }
-        woke
     }
 
     /// Start from a pre-populated store — typically a copy-on-write overlay
@@ -892,16 +858,16 @@ impl<'a> Pipeline<'a> {
     /// never calls the strategy, so an empty one will do. Facts loaded
     /// afterwards via [`Pipeline::load_facts`] go on top.
     pub fn with_store(mut self, store: FactStore) -> Self {
-        self.state.null_free = !self.plan.invents_nulls && !store.holds_nulls();
-        self.state.store = store;
+        self.null_free = !self.plan.invents_nulls && !store.holds_nulls();
+        self.store = store;
         self
     }
 
     /// Run the pipeline to its fixpoint; returns the violations of the
     /// plan's constraint/EGD checks.
     pub fn run(&mut self) -> Vec<String> {
-        self.state.stats.edb_rows_reused = self.state.store.base_rows() as u64;
-        self.state.stats.base_layers = self.state.store.max_layer_depth() as u64;
+        self.stats.edb_rows_reused = self.store.base_rows() as u64;
+        self.stats.base_layers = self.store.max_layer_depth() as u64;
         // Populate the Dom relation when the plan references it.
         let dom_sym = intern(vadalog_rewrite::DOM_PREDICATE);
         if self
@@ -915,30 +881,29 @@ impl<'a> Pipeline<'a> {
                 .iter()
                 .any(|c| c.rule.body_predicates().contains(&dom_sym))
         {
-            let dom = ActiveDomain::from_facts(self.state.store.iter())
+            let dom = ActiveDomain::from_facts(self.store.iter())
                 .to_facts(vadalog_rewrite::DOM_PREDICATE);
-            let state = &mut self.state;
-            let (strategy, null_free) = (&mut state.strategy, state.null_free);
-            let grew = state.store.load_facts(&dom, |_, f, row| {
+            let (strategy, null_free) = (&mut self.strategy, self.null_free);
+            let grew = self.store.load_facts(&dom, |_, f, row| {
                 if !null_free {
                     strategy.register_base(f.predicate, row);
                 }
             }) > 0;
             if grew {
-                // On a resumed run, new constants may extend Dom: its
-                // readers must see the delta.
+                // On a run after more loads, new constants may extend Dom:
+                // its readers must see the delta.
                 self.wake_readers(&BTreeSet::from([dom_sym]));
             }
         }
 
         let n_filters = self.plan.filters.len();
         loop {
-            if self.state.stats.iterations >= self.state.options.max_iterations
-                || self.state.store.len() >= self.state.options.max_facts
+            if self.stats.iterations >= self.options.max_iterations
+                || self.store.len() >= self.options.max_facts
             {
                 break;
             }
-            self.state.stats.iterations += 1;
+            self.stats.iterations += 1;
             let mut any = false;
             // Round-robin sweep: every filter gets one activation per sweep,
             // in a fixed order, which the paper found to balance the workload
@@ -959,16 +924,12 @@ impl<'a> Pipeline<'a> {
                 for (job, matches) in jobs.iter().zip(results) {
                     if self.emit(job, matches) {
                         any = true;
-                        self.state.stats.productive_activations += 1;
+                        self.stats.productive_activations += 1;
                         // The filter wrote rows: wake the readers of its
                         // head predicates so their next prepare sees the
                         // delta even if they had gone quiescent.
-                        let outputs = &self.plan.filters[job.f_idx].outputs;
-                        for g in 0..self.state.awake.len() {
-                            if !self.state.awake[g] && self.plan.filters[g].reads_any(outputs) {
-                                self.state.awake[g] = true;
-                            }
-                        }
+                        let plan = self.plan;
+                        self.wake_readers(&plan.filters[job.f_idx].outputs);
                     }
                 }
             }
@@ -977,14 +938,14 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        self.state.stats.nulls_invented = self.state.nulls.produced();
-        let strategy = self.state.strategy.stats();
-        self.state.stats.strategy = StrategyStats {
-            admitted: strategy.admitted + self.state.dedup_stats.admitted,
-            duplicates: strategy.duplicates + self.state.dedup_stats.duplicates,
+        self.stats.nulls_invented = self.nulls.produced();
+        let strategy = self.strategy.stats();
+        self.stats.strategy = StrategyStats {
+            admitted: strategy.admitted + self.dedup_stats.admitted,
+            duplicates: strategy.duplicates + self.dedup_stats.duplicates,
             ..strategy
         };
-        self.state.stats.snapshot_overlay_rows = self.state.store.overlay_rows() as u64;
+        self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
 
         self.run_checks()
     }
@@ -1014,11 +975,7 @@ impl<'a> Pipeline<'a> {
                 .iter()
                 .enumerate()
                 .map(|(pos, atom)| {
-                    let len = self
-                        .state
-                        .store
-                        .relation(atom.predicate)
-                        .map_or(0, Relation::len);
+                    let len = self.store.relation(atom.predicate).map_or(0, Relation::len);
                     (if Some(pos) == driver { 0 } else { len }, len)
                 })
                 .collect();
@@ -1068,41 +1025,17 @@ impl<'a> Pipeline<'a> {
 
     /// The final instance.
     pub fn store(&self) -> &FactStore {
-        &self.state.store
+        &self.store
     }
 
     /// Consume the pipeline, returning the final instance.
     pub fn into_store(self) -> FactStore {
-        self.state.store
+        self.store
     }
 
     /// Run statistics.
     pub fn stats(&self) -> PipelineStats {
-        self.state.stats
-    }
-
-    /// Detach the run state from the plan borrow (see
-    /// [`SuspendedPipeline`]). The pipeline can be re-attached to the same
-    /// plan later with [`Pipeline::resume`] and continue semi-naive exactly
-    /// where it stopped.
-    pub fn suspend(self) -> SuspendedPipeline {
-        self.state
-    }
-
-    /// Re-attach suspended run state to `plan` — which must be the plan the
-    /// state was created under (the filter count is checked). The returned
-    /// pipeline keeps the suspended store, per-filter cursors, aggregate
-    /// contributor sets, skolem/null factories, wake list and statistics:
-    /// a subsequent [`Pipeline::run`] only processes deltas that appeared
-    /// since the suspension (typically rows appended via
-    /// [`Pipeline::load_facts`]).
-    pub fn resume(plan: &'a AccessPlan, state: SuspendedPipeline) -> Pipeline<'a> {
-        assert_eq!(
-            plan.filters.len(),
-            state.cursors.len(),
-            "resumed against a different plan"
-        );
-        Pipeline { plan, state }
+        self.stats
     }
 
     /// Build one sweep batch starting at filter `start`: scan filters in
@@ -1135,12 +1068,12 @@ impl<'a> Pipeline<'a> {
     /// last activation) — at fixpoint approach most filters are quiescent in
     /// every sweep, and skip all per-activation work.
     fn prepare(&mut self, f_idx: usize) -> Option<FilterJob> {
-        if !self.state.awake[f_idx] {
+        if !self.awake[f_idx] {
             // No input grew since the filter last went quiescent: skip it
             // without even snapshotting its delta windows. Equivalent to
             // the cursor check below (asleep implies empty deltas), so the
             // activation set — and the final instance — is unchanged.
-            self.state.stats.asleep_skips += 1;
+            self.stats.asleep_skips += 1;
             return None;
         }
         let filter = &self.plan.filters[f_idx];
@@ -1151,20 +1084,19 @@ impl<'a> Pipeline<'a> {
         let snapshot: Vec<usize> = body_atoms
             .iter()
             .map(|a| {
-                self.state
-                    .store
+                self.store
                     .relation(a.predicate)
                     .map(|r| r.len())
                     .unwrap_or(0)
             })
             .collect();
-        let deltas: Vec<(usize, usize)> = self.state.cursors[f_idx]
+        let deltas: Vec<(usize, usize)> = self.cursors[f_idx]
             .iter()
             .zip(snapshot.iter())
             .map(|(from, to)| (*from, *to))
             .collect();
         if deltas.iter().all(|(from, to)| from >= to) {
-            self.state.awake[f_idx] = false;
+            self.awake[f_idx] = false;
             return None;
         }
         let job = self.compile_job(filter, f_idx, deltas, None);
@@ -1173,8 +1105,8 @@ impl<'a> Pipeline<'a> {
             .iter()
             .filter(|r| matches!(r, Residual::Aggregate { .. }))
             .count();
-        if self.state.agg_states[f_idx].len() < aggregates {
-            self.state.agg_states[f_idx].resize_with(aggregates, AggregateState::new);
+        if self.agg_states[f_idx].len() < aggregates {
+            self.agg_states[f_idx].resize_with(aggregates, AggregateState::new);
         }
         Some(job)
     }
@@ -1294,8 +1226,7 @@ impl<'a> Pipeline<'a> {
         for steps in &delta_steps {
             for step in steps.iter().skip(1) {
                 if !step.index_cols.is_empty() {
-                    self.state
-                        .store
+                    self.store
                         .relation_mut(patterns[step.atom].predicate)
                         .ensure_index(&step.index_cols);
                 }
@@ -1314,16 +1245,12 @@ impl<'a> Pipeline<'a> {
                         .any(|other| other.variables().any(|w| w == *v)),
                 };
                 if worth_indexing {
-                    self.state
-                        .store
-                        .relation_mut(atom.predicate)
-                        .ensure_index(&[col]);
+                    self.store.relation_mut(atom.predicate).ensure_index(&[col]);
                     determined.push(col);
                 }
             }
             if determined.len() > 1 {
-                self.state
-                    .store
+                self.store
                     .relation_mut(atom.predicate)
                     .ensure_index(&determined);
             }
@@ -1337,14 +1264,14 @@ impl<'a> Pipeline<'a> {
         // taken (and hence the enumeration) is a pure function of the store
         // and the knobs.
         let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
-        if self.state.options.join_strategy == JoinStrategy::FreeJoin {
+        if self.options.join_strategy == JoinStrategy::FreeJoin {
             for (d, dp) in filter.delta_plans.iter().enumerate() {
                 if let Some(hp) = dp.hybrid.as_ref().filter(|_| compiled(d)) {
                     hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
                     if hp.has_ears() {
-                        self.state.stats.hybrid_activations += 1;
+                        self.stats.hybrid_activations += 1;
                     } else {
-                        self.state.stats.wcoj_activations += 1;
+                        self.stats.wcoj_activations += 1;
                     }
                 }
             }
@@ -1354,12 +1281,12 @@ impl<'a> Pipeline<'a> {
         // chunks by its row count and the worker count alone
         // ([`plan_chunk_count`]).
         let mut chunks = Vec::new();
-        if self.state.options.parallelism > 1 {
+        if self.options.parallelism > 1 {
             for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
                 if from >= to {
                     continue;
                 }
-                let k = plan_chunk_count(to - from, self.state.options.parallelism);
+                let k = plan_chunk_count(to - from, self.options.parallelism);
                 for (a, b) in chunk_windows(from, to, k) {
                     chunks.push(Chunk {
                         delta_idx,
@@ -1415,7 +1342,7 @@ impl<'a> Pipeline<'a> {
             for trie in &hp.tries {
                 for (u, col) in &trie.var_cols {
                     if u == v {
-                        let rel = self.state.store.relation_mut(patterns[trie.atom].predicate);
+                        let rel = self.store.relation_mut(patterns[trie.atom].predicate);
                         let stats = match rel.index_stats(&[*col]) {
                             Some(stats) => stats,
                             None => {
@@ -1452,8 +1379,7 @@ impl<'a> Pipeline<'a> {
         let mut trie_seq = Vec::with_capacity(hp.tries.len());
         for tp in &hp.tries {
             let cols = HybridPlan::trie_cols(tp, &order);
-            self.state
-                .store
+            self.store
                 .relation_mut(patterns[tp.atom].predicate)
                 .ensure_index(&cols);
             tries.push(CompiledTrie {
@@ -1546,7 +1472,7 @@ impl<'a> Pipeline<'a> {
         }
         let mut best: Option<(usize, RangeCandidate)> = None;
         for cand in candidates {
-            let rel = self.state.store.relation_mut(pattern.predicate);
+            let rel = self.store.relation_mut(pattern.predicate);
             // Build the stats index once per (relation, column); later
             // activations read the directories as-is — unflushed tail rows
             // count one key each, an upper bound that is close enough for a
@@ -1565,7 +1491,7 @@ impl<'a> Pipeline<'a> {
         }
         let chosen = best.map(|(_, c)| c);
         if chosen != candidates.first().copied() {
-            self.state.stats.adaptive_range_picks += 1;
+            self.stats.adaptive_range_picks += 1;
         }
         chosen
     }
@@ -1599,7 +1525,7 @@ impl<'a> Pipeline<'a> {
                 }
             })
             .collect();
-        let workers = self.state.options.parallelism.min(items.len());
+        let workers = self.options.parallelism.min(items.len());
         // Thread spawn costs ~tens of µs; a batch whose delta windows hold
         // only a handful of new rows joins faster inline. The cutover only
         // affects scheduling, never results.
@@ -1621,7 +1547,7 @@ impl<'a> Pipeline<'a> {
             let mut scratch = JoinScratch::default();
             for item in &items {
                 Self::collect_item(
-                    &self.state.store,
+                    &self.store,
                     &jobs[item.job],
                     item.chunk,
                     &mut scratch,
@@ -1632,7 +1558,7 @@ impl<'a> Pipeline<'a> {
             self.record_batch(items.len(), 0, counters);
             return out;
         }
-        let store = &self.state.store;
+        let store = &self.store;
         let next_item = AtomicUsize::new(0);
         // Per-item result slots: (matches, counters, claiming worker).
         type ItemResult = (Vec<Binding>, JoinCounters, usize);
@@ -1698,7 +1624,7 @@ impl<'a> Pipeline<'a> {
     /// its work items (its parallel width), its steals and the join
     /// counters summed over its items.
     fn record_batch(&mut self, items: usize, steals: u64, counters: JoinCounters) {
-        let stats = &mut self.state.stats;
+        let stats = &mut self.stats;
         stats.sweep_batches += 1;
         stats.intra_filter_chunks += items as u64;
         stats.steals += steals;
@@ -1768,7 +1694,7 @@ impl<'a> Pipeline<'a> {
             ..
         } = job;
         for (pos, (_, to)) in deltas.iter().enumerate() {
-            self.state.cursors[f_idx][pos] = *to;
+            self.cursors[f_idx][pos] = *to;
         }
         if matches.is_empty() {
             return false;
@@ -1804,12 +1730,12 @@ impl<'a> Pipeline<'a> {
             // Parents for the termination wrapper, in row form (the body
             // patterns are fully bound after the join, so instantiation
             // cannot fail); a null-free run never asks for them.
-            let linear_row = if kind == RuleKind::Linear && !self.state.null_free {
+            let linear_row = if kind == RuleKind::Linear && !self.null_free {
                 patterns.first().and_then(|p| p.instantiate(&binding))
             } else {
                 None
             };
-            let ward_row = if kind == RuleKind::Warded && !self.state.null_free {
+            let ward_row = if kind == RuleKind::Warded && !self.null_free {
                 ward_index
                     .and_then(|w| patterns.get(w))
                     .and_then(|p| p.instantiate(&binding))
@@ -1826,7 +1752,7 @@ impl<'a> Pipeline<'a> {
             // Existential witnesses: fresh nulls, interned straight into the
             // binding (a null id hashes as two integers).
             for slot in &existential_slots {
-                binding[*slot] = Some(intern_value(&self.state.nulls.fresh_value()));
+                binding[*slot] = Some(intern_value(&self.nulls.fresh_value()));
             }
 
             // Head emission: rows instantiated from the binding. The
@@ -1836,8 +1762,8 @@ impl<'a> Pipeline<'a> {
                 let Some(row) = hp.instantiate(&binding) else {
                     continue;
                 };
-                if !self.state.null_free {
-                    let admitted = self.state.strategy.admit(
+                if !self.null_free {
+                    let admitted = self.strategy.admit(
                         &Candidate::from_row(hp.predicate, &row),
                         rule_id,
                         kind,
@@ -1845,25 +1771,25 @@ impl<'a> Pipeline<'a> {
                         ward_parent,
                     );
                     if !admitted {
-                        self.state.stats.facts_suppressed += 1;
+                        self.stats.facts_suppressed += 1;
                         continue;
                     }
-                    self.state.stats.facts_derived += 1;
+                    self.stats.facts_derived += 1;
                     produced = true;
                 }
                 if buffer_rows {
                     delta.push(hp.predicate, row);
                 } else {
-                    let fresh = self.state.store.relation_mut(hp.predicate).insert_row(row);
-                    if self.state.null_free {
+                    let fresh = self.store.relation_mut(hp.predicate).insert_row(row);
+                    if self.null_free {
                         produced |= self.count_dedup(usize::from(fresh.is_some()), 1);
                     }
                 }
             }
         }
         let offered = delta.len();
-        let fresh = self.state.store.apply_delta(delta);
-        if self.state.null_free {
+        let fresh = self.store.apply_delta(delta);
+        if self.null_free {
             produced |= self.count_dedup(fresh, offered);
         }
         produced
@@ -1888,7 +1814,7 @@ impl<'a> Pipeline<'a> {
         scratch: &mut ResidualScratch,
     ) -> bool {
         for np in &job.neg_patterns {
-            if let Some(rel) = self.state.store.relation(np.predicate) {
+            if let Some(rel) = self.store.relation(np.predicate) {
                 if np.any_match_with(rel, binding, &mut scratch.neg_bufs) {
                     return false;
                 }
@@ -1953,7 +1879,7 @@ impl<'a> Pipeline<'a> {
                     };
                     group_ids.clear();
                     group_ids.extend(group.iter().filter_map(|slot| binding[*slot]));
-                    let aggregate = &mut self.state.agg_states[job.f_idx][*state];
+                    let aggregate = &mut self.agg_states[job.f_idx][*state];
                     let result = match func {
                         AggFunc::MCount => {
                             // Distinct contributor tuples, or distinct
@@ -2002,10 +1928,10 @@ impl<'a> Pipeline<'a> {
     /// emission or of stored facts). Returns whether any row was new.
     fn count_dedup(&mut self, fresh: usize, offered: usize) -> bool {
         let duplicates = offered - fresh;
-        self.state.stats.facts_derived += fresh;
-        self.state.stats.facts_suppressed += duplicates;
-        self.state.dedup_stats.admitted += fresh as u64;
-        self.state.dedup_stats.duplicates += duplicates as u64;
+        self.stats.facts_derived += fresh;
+        self.stats.facts_suppressed += duplicates;
+        self.dedup_stats.admitted += fresh as u64;
+        self.dedup_stats.duplicates += duplicates as u64;
         fresh > 0
     }
 
@@ -2017,11 +1943,11 @@ impl<'a> Pipeline<'a> {
                     values.push(self.eval_with_skolems(a, subst)?);
                 }
                 let key = (*name, values);
-                if let Some(v) = self.state.skolems.get(&key) {
+                if let Some(v) = self.skolems.get(&key) {
                     return Some(v.clone());
                 }
-                let null = self.state.nulls.fresh_value();
-                self.state.skolems.insert(key, null.clone());
+                let null = self.nulls.fresh_value();
+                self.skolems.insert(key, null.clone());
                 Some(null)
             }
             other => other.eval(subst).ok(),

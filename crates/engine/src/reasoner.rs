@@ -1,7 +1,7 @@
 //! The public [`Reasoner`] facade: parse → analyse → rewrite → compile →
 //! execute → post-process, end to end.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, Fragment};
 use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
@@ -250,18 +250,6 @@ impl Reasoner {
 
     /// Run a parsed program.
     pub fn reason(&self, program: &Program) -> Result<RunResult, ReasonerError> {
-        self.reason_with_edb(program, &[])
-    }
-
-    /// Run `program` over its own facts followed by `extra_edb` (a query
-    /// run's magic program carries only the seed; the EDB stays in the
-    /// source program). Neither is copied: the rewrites see rules and
-    /// annotations only, and the loader reads the facts where they are.
-    fn reason_with_edb(
-        &self,
-        program: &Program,
-        extra_edb: &[Fact],
-    ) -> Result<RunResult, ReasonerError> {
         let compile_start = Instant::now();
 
         let report = classify(program);
@@ -288,7 +276,7 @@ impl Reasoner {
 
         // Load the extensional database: inline facts + @bind CSV sources.
         let load_start = Instant::now();
-        pipeline.load_facts(program.facts.iter().chain(extra_edb));
+        pipeline.load_facts(&program.facts);
         pipeline.load_facts(load_bound_facts(compiled)?);
         let load_time = load_start.elapsed();
 
@@ -343,48 +331,15 @@ impl Reasoner {
     /// controls. When magic sets do not apply (existentials, aggregation or
     /// negation in the relevant slice, or a fully free query) the program is
     /// evaluated bottom-up as usual and the answers are filtered.
+    ///
+    /// This is a one-shot [`crate::session::QuerySession`]: the session
+    /// path is the one place queries are compiled and answered.
     pub fn reason_query(
         &self,
         program: &Program,
         query: &Atom,
     ) -> Result<QueryResult, ReasonerError> {
-        // Magic sets need single-atom heads; the logic optimizer establishes
-        // that, so run it first on a copy used only for the applicability
-        // check and the transformation itself. The rewritten rules carry no
-        // facts: the magic program holds only its seed, and the run loads
-        // the EDB from `program` after it — the order a magic program
-        // holding a copy of the EDB would load.
-        let normalised = prepare_rules(program);
-        let edb: BTreeSet<Sym> = program
-            .facts
-            .iter()
-            .map(|f| f.predicate)
-            .chain(
-                normalised
-                    .annotations
-                    .iter()
-                    .filter(|a| a.kind == AnnotationKind::Bind)
-                    .map(|a| a.predicate),
-            )
-            .collect();
-        let (mut run, used_magic_sets) = match vadalog_rewrite::magic_sets(&normalised, query, &edb)
-        {
-            Ok(magic) => (self.reason_with_edb(&magic.program, &program.facts)?, true),
-            Err(_) => (self.reason(program)?, false),
-        };
-
-        // Answer via an id-level probe on the query's bound positions: only
-        // the matching rows are materialised (the outputs entry shares them
-        // when no @output annotation already collected the predicate).
-        let answers = query_answers(&mut run.store, query);
-        run.outputs
-            .entry(query.predicate)
-            .or_insert_with(|| answers.clone());
-        Ok(QueryResult {
-            answers,
-            used_magic_sets,
-            run,
-        })
+        crate::session::QuerySession::new(program, self.options)?.query(query)
     }
 
     /// Open a [`crate::session::QuerySession`] over `program` with this

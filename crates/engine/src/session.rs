@@ -1,16 +1,18 @@
 //! Query sessions: copy-on-write EDB snapshots with id-level magic sets and
 //! a shared magic-cone derivation cache.
 //!
-//! [`Reasoner::reason_query`] pays three per-query costs a servable engine
-//! cannot: it re-runs the magic-sets rewrite and recompiles the plan, it
-//! re-interns and re-indexes the entire extensional database into a fresh
-//! store, and — for a program that can hold a labelled null — it
-//! re-registers every EDB fact with the termination strategy. A
-//! [`QuerySession`] amortises all three across any number of query atoms:
+//! A [`QuerySession`] evaluates one program over an EDB that grows by
+//! appends. It answers query atoms ([`QuerySession::query`]) and computes
+//! the full instance ([`QuerySession::reason`]) the same way: each call
+//! compiles (or reuses) a plan and runs it to its fixpoint over a fresh
+//! snapshot of the current EDB. Nothing derived is kept between runs
+//! except the exact-key cone cache below. A one-shot
+//! [`Reasoner::reason_query`] is a session that answers one query. Three
+//! costs are paid once per session rather than once per query:
 //!
 //! * **Storage** — the EDB is interned once, its planned indexes are built
 //!   once, and the whole store is frozen into a shareable
-//!   [`vadalog_storage::StoreBase`]. Every query runs against a
+//!   [`vadalog_storage::StoreBase`]. Every run reads a
 //!   copy-on-write [`StoreBase::overlay`]: base rows and sorted runs are
 //!   shared by reference, derived (IDB) rows land in per-query overlays,
 //!   and probes compose the two in ascending `FactId` order — so a session
@@ -67,6 +69,7 @@
 //! materialised.
 //!
 //! [`Reasoner::reason_query`]: crate::Reasoner::reason_query
+//! [`Reasoner::reason`]: crate::Reasoner::reason
 //! [`StoreBase::overlay`]: vadalog_storage::StoreBase::overlay
 //! [`StoreBase::stamp`]: vadalog_storage::StoreBase::stamp
 //! [`PipelineStats::magic_compile_cache_hits`]: crate::PipelineStats::magic_compile_cache_hits
@@ -83,7 +86,7 @@ use vadalog_model::prelude::*;
 use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
 use vadalog_storage::{FactStore, StoreBase, TornTail, Wal};
 
-use crate::pipeline::{PipelineStats, SuspendedPipeline};
+use crate::pipeline::PipelineStats;
 use crate::plan::AccessPlan;
 use crate::reasoner::{
     collect_outputs, make_strategy, query_answers, QueryResult, Reasoner, ReasonerError,
@@ -385,7 +388,6 @@ struct SessionCore {
     queries_answered: usize,
     appends: usize,
     appended_rows: usize,
-    delta_reactivations: usize,
     compactions: usize,
 }
 
@@ -493,23 +495,6 @@ impl SessionCore {
     }
 }
 
-/// Lock the shared core. A poisoned lock — some worker panicked while
-/// holding it — is **healed deliberately** rather than silently swallowed:
-/// [`SessionCore::heal_after_poison`] invalidates every memo keyed to the
-/// possibly-half-mutated state, the poison flag is cleared so later lockers
-/// see a clean mutex, and a stat counter records the event.
-fn lock_core(shared: &Mutex<SessionCore>) -> MutexGuard<'_, SessionCore> {
-    match shared.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            let mut core = poisoned.into_inner();
-            core.heal_after_poison();
-            shared.clear_poison();
-            core
-        }
-    }
-}
-
 /// A fault point inside the append commit section, where returning an error
 /// would leave the core half-mutated: any injected schedule here crashes the
 /// thread (the crash-recovery tests' kill switch), it never returns.
@@ -534,17 +519,6 @@ pub struct QuerySession {
     /// magic-sets rewrite (facts live in the base, seeds are minted by the
     /// rewrite).
     rules_only: Arc<Program>,
-    /// The live materialised instance: the fallback pipeline's complete run
-    /// state, suspended between [`QuerySession::materialise`] calls.
-    /// [`QuerySession::append_facts`] advances it incrementally by resuming
-    /// it, loading the appended facts and re-running — only the filters the appended
-    /// predicates reach wake up, and aggregates fold just the new
-    /// contributions. Per fork (the one piece of state that is): a fork's
-    /// live instance goes stale when a *sibling* appends, which the
-    /// `live_stamp` check below detects and discards.
-    live: Option<SuspendedPipeline>,
-    /// The base stamp the live instance is current at.
-    live_stamp: u64,
     /// Everything else — see [`SessionCore`].
     shared: Arc<Mutex<SessionCore>>,
 }
@@ -559,12 +533,6 @@ pub struct AppendReport {
     /// Base layers composed after this append (deepest relation chain;
     /// 1 = the original snapshot only).
     pub base_layers: usize,
-    /// Filters of the live materialised instance woken because their
-    /// inputs intersect the appended predicates (0 when no live instance
-    /// exists).
-    pub reactivated_filters: usize,
-    /// Facts the live instance derived while folding in the delta.
-    pub derived: usize,
     /// The base layer stamp after this append: unchanged when nothing
     /// promoted, bumped by one otherwise. Responses tagged with an
     /// observed stamp `>= this` reflect the appended facts.
@@ -593,20 +561,6 @@ pub struct RecoveryReport {
 /// list, and per-layer `(entries, distinct_keys)` pairs deepest (oldest)
 /// layer first.
 pub type LayerIndexStats = (String, Vec<usize>, Vec<(usize, usize)>);
-
-/// Report of one [`QuerySession::materialise`] pass.
-#[derive(Clone, Debug, Default)]
-pub struct MaterialiseReport {
-    /// Facts in the live instance after the pass (EDB + derived).
-    pub total_facts: usize,
-    /// Facts derived by this pass (0 when the instance was already at its
-    /// fixpoint — repeat materialisations are cheap no-op sweeps).
-    pub derived: usize,
-    /// Constraint/EGD violations of the instance.
-    pub violations: Vec<String>,
-    /// Cumulative pipeline statistics of the live instance.
-    pub stats: PipelineStats,
-}
 
 impl QuerySession {
     /// Open a session: normalise the program, intern the extensional
@@ -666,7 +620,6 @@ impl QuerySession {
             queries_answered: 0,
             appends: 0,
             appended_rows: 0,
-            delta_reactivations: 0,
             compactions: 0,
         };
         Ok(QuerySession {
@@ -677,8 +630,6 @@ impl QuerySession {
                 annotations: program.annotations.clone(),
             }),
             rules_only: Arc::new(rules_only),
-            live: None,
-            live_stamp: 0,
             shared: Arc::new(Mutex::new(core)),
         })
     }
@@ -688,7 +639,7 @@ impl QuerySession {
     /// every future [`QuerySession::append_facts`] batch is fsync'd before
     /// its promotion is acknowledged.
     ///
-    /// Replay drives the replayed batches through the exact live append
+    /// Replay drives the replayed batches through the exact append
     /// path (registration order, promotions, compaction points), so the
     /// recovered session is **bit-identical** to the never-crashed one on
     /// the durable prefix: same stamps, same `FactId`s, same labelled-null
@@ -721,26 +672,36 @@ impl QuerySession {
         self.core().wal.is_some()
     }
 
-    /// Lock the shared core, healing a poisoned lock deliberately — see
-    /// [`lock_core`].
+    /// Lock the shared core. A poisoned lock — some worker panicked while
+    /// holding it — is **healed deliberately** rather than silently
+    /// swallowed: [`SessionCore::heal_after_poison`] invalidates every memo
+    /// keyed to the possibly-half-mutated state, the poison flag is cleared
+    /// so later lockers see a clean mutex, and a stat counter records the
+    /// event.
     fn core(&self) -> MutexGuard<'_, SessionCore> {
-        lock_core(&self.shared)
+        match self.shared.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                let mut core = poisoned.into_inner();
+                core.heal_after_poison();
+                self.shared.clear_poison();
+                core
+            }
+        }
     }
 
     /// A second handle onto the **same** session: shared EDB base, strategy
-    /// template, compiled-plan cache, ensure-index memos and cone cache —
-    /// everything except the live materialised instance, which stays per
-    /// handle. Forks are how the reasoning server gives each worker thread
-    /// its own `&mut` session while all of them answer over one knowledge
-    /// graph: appends through any fork are visible to every other fork's
-    /// next query, and a cone derived by one worker is a cache hit for all.
+    /// template, compiled-plan cache, ensure-index memos and cone cache; a
+    /// handle holds nothing of its own. Forks are how the reasoning server
+    /// gives each worker thread its own `&mut` session while all of them
+    /// answer over one knowledge graph: appends through any fork are
+    /// visible to every other fork's next query, and a cone derived by one
+    /// worker is a cache hit for all.
     pub fn fork(&self) -> QuerySession {
         QuerySession {
             options: self.options,
             program: Arc::clone(&self.program),
             rules_only: Arc::clone(&self.rules_only),
-            live: None,
-            live_stamp: 0,
             shared: Arc::clone(&self.shared),
         }
     }
@@ -788,12 +749,6 @@ impl QuerySession {
     /// Monotonic layer stamp of the shared base (see [`StoreBase::stamp`]).
     pub fn base_stamp(&self) -> u64 {
         self.core().base.stamp()
-    }
-
-    /// Filters of the live instance woken by appended deltas across all
-    /// appends — the "work scoped to what the append reaches" counter.
-    pub fn delta_reactivations(&self) -> usize {
-        self.core().delta_reactivations
     }
 
     /// Queries answered straight from the cone cache (same predicate and
@@ -862,13 +817,6 @@ impl QuerySession {
     /// depends on an appended predicate are dropped, all others are
     /// revalidated at the new stamp.
     ///
-    /// When a live materialised instance exists (see
-    /// [`QuerySession::materialise`]), the instance is advanced
-    /// **incrementally**: the appended facts are loaded as deltas, only the
-    /// filters whose inputs intersect the appended predicates re-activate,
-    /// and aggregate states fold the new contributions instead of
-    /// re-grouping.
-    ///
     /// Returns [`ReasonerError::NonGroundAppend`] when a fact contains a
     /// labelled null or other non-ground value — appends extend the EDB
     /// and must be ground.
@@ -891,11 +839,7 @@ impl QuerySession {
             }
         }
         let mut report = AppendReport::default();
-        // Lock through a clone of the Arc so the guard does not borrow
-        // `self` — the live-instance maintenance below needs `&mut
-        // self.live` while the core stays locked.
-        let shared = Arc::clone(&self.shared);
-        let mut core = lock_core(&shared);
+        let mut core = self.core();
         let core = &mut *core;
         // Durability first: the batch is fsync'd into the WAL before any
         // in-memory state moves, so a failed log write aborts the append
@@ -909,7 +853,6 @@ impl QuerySession {
             }
         }
         crash_point("session.register");
-        let stamp_before = core.base.stamp();
         let mut overlay = core.base.overlay();
         // Mirror `QuerySession::new`: when the session registers its EDB,
         // every appended fact registers with the strategy template
@@ -940,125 +883,29 @@ impl QuerySession {
                 report.compacted_relations = core.base.compact(core.options.compact_layers);
                 core.compactions += report.compacted_relations;
             }
-            if self.live.is_some() && self.live_stamp == stamp_before {
-                let (reactivated, derived) = Self::advance_live(core, &mut self.live, &facts);
-                report.reactivated_filters = reactivated;
-                report.derived = derived;
-                self.live_stamp = new_stamp;
-            } else {
-                // No live instance yet, or a sibling fork appended since
-                // this fork's instance was materialised: the resume would
-                // miss that delta, so rebuild from the layered base on
-                // next use.
-                self.live = None;
-            }
         }
         report.base_layers = core.base.layer_count();
         report.stamp = core.base.stamp();
         Ok(report)
     }
 
-    /// Advance the live instance by the appended delta: resume the
-    /// suspended fallback pipeline, wake the readers of the appended
-    /// predicates, load the facts and re-run to the new fixpoint.
-    fn advance_live(
-        core: &mut SessionCore,
-        live: &mut Option<SuspendedPipeline>,
-        facts: &[Fact],
-    ) -> (usize, usize) {
-        let compiled = Arc::clone(
-            core.fallback
-                .as_ref()
-                .expect("a live instance implies a compiled fallback"),
-        );
-        let state = live.take().expect("caller checked live.is_some()");
-        let mut pipeline = crate::Pipeline::resume(&compiled.plan, state);
-        let preds: BTreeSet<Sym> = facts.iter().map(|f| f.predicate).collect();
-        let reactivated = pipeline.wake_readers(&preds);
-        core.delta_reactivations += reactivated;
-        let derived_before = pipeline.stats().facts_derived;
-        // The live pipeline holds its own strategy clone, not the template:
-        // `load_facts` registers the appended facts with it when its run can
-        // hold a null (a null-free live instance skips that), along with
-        // waking the readers.
-        pipeline.load_facts(facts.iter().cloned());
-        pipeline.run();
-        let derived = pipeline.stats().facts_derived - derived_before;
-        *live = Some(pipeline.suspend());
-        (reactivated, derived)
-    }
-
-    /// Materialise (or incrementally refresh) the session's full bottom-up
-    /// instance — the whole-program fixpoint [`Reasoner::reason`] computes,
-    /// kept **live** across [`QuerySession::append_facts`] calls. The first
-    /// call compiles the fallback plan and runs from the layered base;
-    /// subsequent calls resume the suspended pipeline and are no-op sweeps
-    /// unless appends arrived in between.
-    pub fn materialise(&mut self) -> Result<MaterialiseReport, ReasonerError> {
-        // As in `append_facts`: lock through a clone of the Arc so `self.live`
-        // stays mutably borrowable while the core is locked.
-        let shared = Arc::clone(&self.shared);
-        let mut core = lock_core(&shared);
-        if core.fallback.is_none() {
-            core.fallback = Some(Arc::new(Self::compile(&self.program, None, &self.options)));
-        }
-        let compiled = Arc::clone(core.fallback.as_ref().expect("built above"));
+    /// Compute the session's full bottom-up instance over the current EDB:
+    /// what [`Reasoner::reason`] returns for the program with every
+    /// appended fact added to its facts, in append order — the same facts,
+    /// `FactId`s and labelled-null ids, and the same post-processed
+    /// `@output`s. Each call runs the bottom-up fallback plan (the one a
+    /// query outside the magic fragment runs) afresh over a snapshot of
+    /// the base.
+    pub fn reason(&mut self) -> Result<RunResult, ReasonerError> {
+        let compile_start = Instant::now();
+        let mut core = self.core();
+        let compiled = self.fallback(&mut core);
         if self.options.require_warded && !compiled.supported {
             return Err(ReasonerError::Unsupported {
                 fragment: compiled.fragment,
             });
         }
-        // Ensure the plan's EDB indexes on the base, unless already ensured
-        // at this layer stamp.
-        core.ensure_plan_indexes(None, &compiled);
-        let stamp = core.base.stamp();
-        if self.live.is_some() && self.live_stamp != stamp {
-            // A sibling fork appended: this handle's instance is stale.
-            self.live = None;
-        }
-        let mut pipeline = match self.live.take() {
-            Some(state) => crate::Pipeline::resume(&compiled.plan, state),
-            None => crate::Pipeline::new(&compiled.plan, core.strategy_template.clone_box())
-                .with_store(core.base.overlay())
-                .with_options(&self.options),
-        };
-        drop(core);
-        let derived_before = pipeline.stats().facts_derived;
-        let violations = pipeline.run();
-        let stats = pipeline.stats();
-        let total_facts = pipeline.store().len();
-        self.live = Some(pipeline.suspend());
-        self.live_stamp = stamp;
-        Ok(MaterialiseReport {
-            total_facts,
-            derived: stats.facts_derived - derived_before,
-            violations,
-            stats,
-        })
-    }
-
-    /// The `@output` predicates of the live instance, post-processed the
-    /// way [`Reasoner::reason`] post-processes them (final-aggregate
-    /// reduction, certain-answer filtering). Materialises first when
-    /// needed.
-    pub fn outputs(&mut self) -> Result<BTreeMap<Sym, Vec<Fact>>, ReasonerError> {
-        self.materialise()?;
-        let compiled = Arc::clone(
-            self.core()
-                .fallback
-                .as_ref()
-                .expect("materialise compiled the fallback"),
-        );
-        let live = self
-            .live
-            .as_ref()
-            .expect("materialise left a live instance");
-        Ok(collect_outputs(
-            &compiled.program,
-            &compiled.plan,
-            live.store(),
-            &self.options,
-        ))
+        Ok(self.run_snapshot(core, None, &compiled, None, compile_start))
     }
 
     /// Per-layer statistics of every planned EDB index on the layered base,
@@ -1090,11 +937,11 @@ impl QuerySession {
     /// Answer one query atom against the session snapshot. Constants are
     /// bound arguments, variables free ones — `Control("hsbc", y)` asks
     /// which companies `hsbc` controls. Results (facts *and* labelled-null
-    /// ids) are identical to a fresh [`Reasoner::reason_query`] over the
-    /// same program, at every parallelism level, whatever the session was
-    /// asked before. A magic-path query that repeats a cached cone (same
-    /// predicate and constants, same variable pattern, same base stamp)
-    /// returns the cached run's answers verbatim; every other query runs.
+    /// ids, in order) are identical to a cold session's over the same EDB,
+    /// at every parallelism level, whatever the session was asked before.
+    /// A magic-path query that repeats a cached cone (same predicate and
+    /// constants, same variable pattern, same base stamp) returns the
+    /// cached run's answers verbatim; every other query runs.
     pub fn query(&mut self, query: &Atom) -> Result<QueryResult, ReasonerError> {
         let compile_start = Instant::now();
         let key = (query.predicate, Adornment::of_query(query));
@@ -1119,19 +966,12 @@ impl QuerySession {
                 }
                 Err(_) => CompiledKind::Fallback,
             };
-            if matches!(kind, CompiledKind::Fallback) && core_ref.fallback.is_none() {
-                core_ref.fallback =
-                    Some(Arc::new(Self::compile(&self.program, None, &self.options)));
-            }
             core_ref.compiled.insert(key.clone(), kind);
         }
         let (compiled, used_magic_sets): (Arc<CompiledQuery>, bool) = match &core_ref.compiled[&key]
         {
             CompiledKind::Magic(c) => (Arc::clone(c), true),
-            CompiledKind::Fallback => (
-                Arc::clone(core_ref.fallback.as_ref().expect("built above")),
-                false,
-            ),
+            CompiledKind::Fallback => (self.fallback(core_ref), false),
         };
         if self.options.require_warded && !compiled.supported {
             return Err(ReasonerError::Unsupported {
@@ -1164,48 +1004,20 @@ impl QuerySession {
             core_ref.cones.misses += 1;
         }
 
-        // Ensure the plan's EDB indexes exist on the shared base. The walk
-        // is memoised per plan shape against the base's layer stamp: a
-        // repeat query — through *any* fork — skips it entirely, and an
-        // `append_facts` promotion (stamp bump) invalidates the memo so
-        // freshly layered relations get their planned indexes
-        // flushed/built.
-        core_ref.ensure_plan_indexes(used_magic_sets.then_some(key), &compiled);
-
-        // Snapshot everything the run needs, then release the lock: the
-        // pipeline executes against its private copy-on-write overlay, so
-        // concurrent appends and other workers' queries proceed meanwhile.
-        let overlay = core_ref.base.overlay();
-        let strategy = core_ref.strategy_template.clone_box();
-        let magic_hits_snapshot = core_ref.magic_cache_hits;
-        drop(core);
-        let compile_time = compile_start.elapsed();
-
-        // Execute against the copy-on-write overlay, with a clone of the
-        // strategy template (empty, and never called, on a null-free run).
-        let exec_start = Instant::now();
-        let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
-            .with_store(overlay)
-            .with_options(&self.options);
-        if let Some(seed) = compiled.seed_predicate {
-            // The magic seed: the query's bound constants, interned directly.
-            let seed_args: Vec<Value> = query
-                .terms
-                .iter()
-                .filter_map(Term::as_const)
-                .cloned()
-                .collect();
-            pipeline.load_facts([Fact::new_sym(seed, seed_args)]);
-        }
-        let violations = pipeline.run();
-        let execution_time = exec_start.elapsed();
-
-        let mut pipeline_stats = pipeline.stats();
-        pipeline_stats.magic_compile_cache_hits = magic_hits_snapshot;
-        let mut store = pipeline.into_store();
-        let answers = query_answers(&mut store, query);
-        let mut outputs = collect_outputs(&compiled.program, &compiled.plan, &store, &self.options);
-        outputs
+        // The magic seed: the query's bound constants, interned directly.
+        let seed = compiled.seed_predicate.map(|seed| {
+            let args = query.terms.iter().filter_map(Term::as_const).cloned();
+            Fact::new_sym(seed, args.collect())
+        });
+        let mut run = self.run_snapshot(
+            core,
+            used_magic_sets.then_some(key),
+            &compiled,
+            seed,
+            compile_start,
+        );
+        let answers = query_answers(&mut run.store, query);
+        run.outputs
             .entry(query.predicate)
             .or_insert_with(|| answers.clone());
 
@@ -1213,14 +1025,14 @@ impl QuerySession {
         // meanwhile (a concurrent append would make the entry stale the
         // moment it lands) and the run was clean.
         let mut core = self.core();
-        if used_magic_sets && violations.is_empty() && core.base.stamp() == stamp {
+        if used_magic_sets && run.violations.is_empty() && core.base.stamp() == stamp {
             core.cones.insert(
                 query.predicate,
                 ConeEntry {
                     key: cone_key,
                     stamp,
                     answers: answers.clone(),
-                    outputs: outputs.clone(),
+                    outputs: run.outputs.clone(),
                     fragment: compiled.fragment,
                     compiled_rules: compiled.program.rules.len(),
                     last_hit: 0,
@@ -1234,22 +1046,70 @@ impl QuerySession {
         Ok(QueryResult {
             answers,
             used_magic_sets,
-            run: RunResult {
-                outputs,
-                violations,
-                stats: RunStats {
-                    compile_time,
-                    load_time: Duration::ZERO,
-                    execution_time,
-                    compiled_rules: compiled.program.rules.len(),
-                    fragment: Some(compiled.fragment),
-                    pipeline: pipeline_stats,
-                    total_facts: store.len(),
-                    base_stamp: stamp,
-                },
-                store,
-            },
+            run,
         })
+    }
+
+    /// Run `compiled` to its fixpoint over a fresh copy-on-write overlay of
+    /// the base, with a clone of the strategy template (empty, and never
+    /// called, on a null-free run), and collect its outputs the way
+    /// [`Reasoner::reason`] does. `plan_key` names the plan's ensure-index
+    /// memo (`None` is the bottom-up fallback); `seed` is the magic seed
+    /// fact, loaded on top of the overlay.
+    ///
+    /// The lock is held only to ensure the plan's indexes and snapshot the
+    /// run's inputs: the pipeline runs outside it, so concurrent appends
+    /// and other workers' queries proceed meanwhile.
+    fn run_snapshot(
+        &self,
+        mut core: MutexGuard<'_, SessionCore>,
+        plan_key: Option<(Sym, Adornment)>,
+        compiled: &CompiledQuery,
+        seed: Option<Fact>,
+        compile_start: Instant,
+    ) -> RunResult {
+        // The walk is memoised per plan shape against the base's layer
+        // stamp: a repeat run — through *any* fork — skips it entirely, and
+        // an `append_facts` promotion (stamp bump) invalidates the memo so
+        // freshly layered relations get their planned indexes
+        // flushed/built.
+        core.ensure_plan_indexes(plan_key, compiled);
+        let stamp = core.base.stamp();
+        let overlay = core.base.overlay();
+        let strategy = core.strategy_template.clone_box();
+        let magic_hits_snapshot = core.magic_cache_hits;
+        drop(core);
+        let compile_time = compile_start.elapsed();
+
+        let exec_start = Instant::now();
+        let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
+            .with_store(overlay)
+            .with_options(&self.options);
+        if let Some(seed) = seed {
+            pipeline.load_facts([seed]);
+        }
+        let violations = pipeline.run();
+        let execution_time = exec_start.elapsed();
+
+        let mut pipeline_stats = pipeline.stats();
+        pipeline_stats.magic_compile_cache_hits = magic_hits_snapshot;
+        let store = pipeline.into_store();
+        let outputs = collect_outputs(&compiled.program, &compiled.plan, &store, &self.options);
+        RunResult {
+            outputs,
+            violations,
+            stats: RunStats {
+                compile_time,
+                load_time: Duration::ZERO,
+                execution_time,
+                compiled_rules: compiled.program.rules.len(),
+                fragment: Some(compiled.fragment),
+                pipeline: pipeline_stats,
+                total_facts: store.len(),
+                base_stamp: stamp,
+            },
+            store,
+        }
     }
 
     /// Assemble a [`QueryResult`] for a cone-cache hit: the cached answers
@@ -1297,6 +1157,12 @@ impl QuerySession {
                 store,
             },
         }
+    }
+
+    /// The shared bottom-up fallback compilation, built on first need.
+    fn fallback(&self, core: &mut SessionCore) -> Arc<CompiledQuery> {
+        let compile = || Arc::new(Self::compile(&self.program, None, &self.options));
+        Arc::clone(core.fallback.get_or_insert_with(compile))
     }
 
     /// Compile one runnable program exactly the way [`Reasoner::reason`]
@@ -1364,24 +1230,24 @@ mod tests {
         }
     }
 
+    /// Query answers hold what a bottom-up [`Reasoner::reason`] run
+    /// derives for the query predicate, filtered by the query.
     #[test]
-    fn session_answers_match_fresh_query_runs() {
+    fn session_answers_match_the_filtered_run() {
         let program = chain_program(12);
+        let run = Reasoner::new().reason(&program).unwrap();
         let mut session = Reasoner::new().session(&program).unwrap();
         for source in ["n0", "n5", "n11", "n3", "n0"] {
-            let query = reach_query(source);
-            let fresh = Reasoner::new().reason_query(&program, &query).unwrap();
-            let live = session.query(&query).unwrap();
-            assert_eq!(live.used_magic_sets, fresh.used_magic_sets);
-            let sort = |mut v: Vec<Fact>| {
-                v.sort();
-                v
-            };
-            assert_eq!(
-                sort(live.answers),
-                sort(fresh.answers),
-                "answers diverge for source {source}"
-            );
+            let mut expected: Vec<Fact> = run
+                .output("Reach")
+                .into_iter()
+                .filter(|f| f.args[0] == Value::str(source))
+                .collect();
+            let mut answers = session.query(&reach_query(source)).unwrap().answers;
+            assert!(!expected.is_empty());
+            expected.sort();
+            answers.sort();
+            assert_eq!(answers, expected, "answers diverge for source {source}");
         }
     }
 
@@ -1486,14 +1352,20 @@ mod tests {
             terms: vec![Term::Const(Value::str("sub")), Term::var("p")],
         };
         let mut session = Reasoner::new().session(&program).unwrap();
-        let live = session.query(&query).unwrap();
-        let fresh = Reasoner::new().reason_query(&program, &query).unwrap();
-        assert!(!live.used_magic_sets);
+        let answered = session.query(&query).unwrap();
+        let run = Reasoner::new().reason(&program).unwrap();
+        let expected: Vec<Fact> = run
+            .facts_of("PSC")
+            .into_iter()
+            .filter(|f| f.args[0] == Value::str("sub"))
+            .collect();
+        assert!(!answered.used_magic_sets);
+        assert!(!expected.is_empty());
         // exact equality including labelled-null ids: the cloned strategy
-        // template and the shared overlay replay the fresh run bit for bit
-        assert_eq!(live.answers, fresh.answers);
+        // template and the shared overlay replay the plain run bit for bit
+        assert_eq!(answered.answers, expected);
         let repeat = session.query(&query).unwrap();
-        assert_eq!(repeat.answers, fresh.answers);
+        assert_eq!(repeat.answers, expected);
         assert_eq!(session.magic_compile_cache_hits(), 1);
     }
 
@@ -1547,10 +1419,10 @@ mod tests {
         union_program.add_fact(edge("n8", "n9"));
         let mut rebuilt = Reasoner::new().session(&union_program).unwrap();
         for source in ["n0", "n8", "n5", "n10"] {
-            let live = session.query(&reach_query(source)).unwrap();
+            let layered = session.query(&reach_query(source)).unwrap();
             let fresh = rebuilt.query(&reach_query(source)).unwrap();
             assert_eq!(
-                live.answers, fresh.answers,
+                layered.answers, fresh.answers,
                 "layered session diverges from union rebuild at {source}"
             );
         }
@@ -1702,12 +1574,11 @@ mod tests {
         assert_eq!(session.base_stamp(), 0);
     }
 
-    /// The live materialised instance is maintained incrementally: appends
-    /// wake only the filters they reach, aggregates fold the delta, and
-    /// the resulting outputs equal a from-scratch materialisation over the
-    /// union EDB.
+    /// The full instance after appends is what a plain run over the union
+    /// EDB computes: the same outputs, in the same order, and the same
+    /// work.
     #[test]
-    fn incremental_materialisation_matches_rebuild() {
+    fn reason_after_appends_equals_a_run_over_the_union() {
         let src = "Edge(x, y) -> Reach(x, y).\n\
                    Reach(x, y), Edge(y, z) -> Reach(x, z).\n\
                    Reach(x, y), c = mcount(y) -> OutDegree(x, c).\n\
@@ -1715,13 +1586,7 @@ mod tests {
                    @output(\"Reach\"). @output(\"OutDegree\"). @output(\"Island\").";
         let mut program = parse_program(src).unwrap();
         for i in 0..6 {
-            program.add_fact(Fact::new(
-                "Edge",
-                vec![
-                    Value::str(&format!("n{i}")),
-                    Value::str(&format!("n{}", i + 1)),
-                ],
-            ));
+            program.add_fact(edge(i));
         }
         program.add_fact(Fact::new(
             "Unrelated",
@@ -1729,50 +1594,32 @@ mod tests {
         ));
 
         let mut session = Reasoner::new().session(&program).unwrap();
-        let first = session.materialise().unwrap();
-        assert!(first.derived > 0);
-        // at fixpoint, a repeat materialise is a no-op sweep
-        let repeat = session.materialise().unwrap();
-        assert_eq!(repeat.derived, 0);
-        assert_eq!(repeat.total_facts, first.total_facts);
-
-        let edge = |a: &str, b: &str| Fact::new("Edge", vec![Value::str(a), Value::str(b)]);
-        let mut union_program = program.clone();
-        for (a, b) in [("n6", "n7"), ("n7", "n8")] {
-            let report = session.append_facts([edge(a, b)]).unwrap();
-            assert!(report.appended == 1);
-            assert!(
-                report.reactivated_filters > 0,
-                "append must wake the Edge readers"
-            );
-            assert!(report.derived > 0, "the delta must derive new reach facts");
-            union_program.add_fact(edge(a, b));
-        }
-        let incremental = session.outputs().unwrap();
-
-        let mut rebuilt = Reasoner::new().session(&union_program).unwrap();
-        let scratch = rebuilt.outputs().unwrap();
-        let canon = |m: &BTreeMap<Sym, Vec<Fact>>| -> BTreeMap<Sym, Vec<Fact>> {
-            m.iter()
-                .map(|(p, fs)| {
-                    let mut fs = fs.clone();
-                    fs.sort();
-                    (*p, fs)
-                })
-                .collect()
-        };
+        let before = session.reason().unwrap();
         assert_eq!(
-            canon(&incremental),
-            canon(&scratch),
-            "incremental maintenance diverges from rebuild"
+            before.outputs,
+            Reasoner::new().reason(&program).unwrap().outputs
         );
-        // the delta runs skipped the quiescent filters wholesale
-        let stats = session.materialise().unwrap().stats;
-        assert!(
-            stats.asleep_skips > 0,
-            "wake-list must have skipped filters"
+        let mut union_program = program.clone();
+        for i in 6..8 {
+            let report = session.append_facts([edge(i)]).unwrap();
+            assert_eq!(report.appended, 1);
+            union_program.add_fact(edge(i));
+        }
+        let after = session.reason().unwrap();
+        assert_eq!(after.stats.base_stamp, 2);
+        let plain = Reasoner::new().reason(&union_program).unwrap();
+        assert_eq!(after.outputs, plain.outputs);
+        assert_eq!(after.output("Reach").len(), 8 * 9 / 2);
+        assert_eq!(
+            after.stats.pipeline.facts_derived,
+            plain.stats.pipeline.facts_derived
         );
-        assert!(session.delta_reactivations() > 0);
+        let rebuilt = Reasoner::new()
+            .session(&union_program)
+            .unwrap()
+            .reason()
+            .unwrap();
+        assert_eq!(after.outputs, rebuilt.outputs);
     }
 
     #[test]
@@ -1833,8 +1680,8 @@ mod tests {
 
     /// A query's answers do not depend on what the session was asked
     /// before: a bound query after a freer one over the same predicate runs
-    /// its own cone and returns what a cold session and a one-shot
-    /// [`Reasoner::reason_query`] return, order included.
+    /// its own cone and returns what a cold session returns, order
+    /// included.
     #[test]
     fn session_answers_do_not_depend_on_history() {
         let program = parse_program(
@@ -1867,10 +1714,8 @@ mod tests {
             .unwrap()
             .query(&bound)
             .unwrap();
-        let one_shot = Reasoner::new().reason_query(&program, &bound).unwrap();
         assert_eq!(warm.answers.len(), 3);
         assert_eq!(warm.answers, cold.answers);
-        assert_eq!(warm.answers, one_shot.answers);
     }
 
     /// Forks share everything: the base, the compiled plans, the cone
@@ -1951,15 +1796,11 @@ mod tests {
         );
         assert!(session.compactions() > 0);
         assert_eq!(session.base_stamp(), 8, "compaction never bumps the stamp");
-        let live = session.query(&reach_query("n0")).unwrap();
+        let compacted = session.query(&reach_query("n0")).unwrap();
         let fresh = Reasoner::new()
             .reason_query(&union_program, &reach_query("n0"))
             .unwrap();
-        let sort = |mut v: Vec<Fact>| {
-            v.sort();
-            v
-        };
-        assert_eq!(sort(live.answers), sort(fresh.answers));
+        assert_eq!(compacted.answers, fresh.answers);
     }
 
     fn temp_wal(name: &str) -> std::path::PathBuf {
@@ -1986,7 +1827,7 @@ mod tests {
     fn wal_recovery_is_bit_identical_to_the_live_session() {
         let path = temp_wal("bitident");
         let program = chain_program(4);
-        let (live_answers, live_stamp, live_layers) = {
+        let (uncrashed_answers, uncrashed_stamp, uncrashed_layers) = {
             let (mut session, report) =
                 QuerySession::recover(&program, ReasonerOptions::default(), &path).unwrap();
             assert_eq!(report.batches_replayed, 0);
@@ -2003,10 +1844,13 @@ mod tests {
         assert_eq!(report.batches_replayed, 3);
         assert_eq!(report.facts_replayed, 4);
         assert!(report.torn_tail.is_none());
-        assert_eq!(recovered.base_stamp(), live_stamp);
-        assert_eq!(recovered.base_layers(), live_layers);
+        assert_eq!(recovered.base_stamp(), uncrashed_stamp);
+        assert_eq!(recovered.base_layers(), uncrashed_layers);
         let recovered_answers = recovered.query(&reach_query("n0")).unwrap().answers;
-        assert_eq!(recovered_answers, live_answers, "recovered answers diverge");
+        assert_eq!(
+            recovered_answers, uncrashed_answers,
+            "recovered answers diverge"
+        );
         assert_eq!(recovered_answers.len(), 7);
     }
 

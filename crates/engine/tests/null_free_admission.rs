@@ -122,8 +122,8 @@ fn contents(store: &FactStore) -> BTreeMap<String, BTreeSet<Fact>> {
     out
 }
 
-/// (a) A null-free program runs through `Pipeline` — load, run, suspend,
-/// resume, load more ground facts, run — without a single strategy call,
+/// (a) A null-free program runs through `Pipeline` — load, run, load more
+/// ground facts into the same pipeline, run — without a single strategy call,
 /// and ends with the instance the reference chase under Algorithm 1
 /// computes.
 #[test]
@@ -148,7 +148,6 @@ fn null_free_runs_never_call_the_strategy() {
     let mut pipeline = Pipeline::new(&plan, Box::new(Forbidden));
     pipeline.load_facts(first.iter().cloned());
     pipeline.run();
-    let mut pipeline = Pipeline::resume(&plan, pipeline.suspend());
     pipeline.load_facts(second.iter().cloned());
     pipeline.run();
 
@@ -169,7 +168,7 @@ fn null_free_runs_never_call_the_strategy() {
 /// (b) EDB nulls under rules that invent none: the run can hold a null, so
 /// Algorithm 1 still decides, and the swap `E(ν2, ν1)` of the stored
 /// `E(ν1, ν2)` is suppressed as isomorphic — through `Reasoner::reason`
-/// and through a query session's `query` and `materialise`.
+/// and through a query session's `query` and `reason`.
 #[test]
 fn edb_nulls_keep_the_strategy_without_existentials() {
     let mut program = parse_program("E(x, y) -> E(y, x).\n@output(\"E\").").unwrap();
@@ -218,20 +217,17 @@ fn edb_nulls_keep_the_strategy_without_existentials() {
         predicate: intern("E"),
         terms: vec![Term::Const(Value::str("a")), Term::var("y")],
     };
-    let fresh = Reasoner::new().reason_query(&program, &bound).unwrap();
-    assert_eq!(session.query(&bound).unwrap().answers, fresh.answers);
+    let from_run: Vec<Fact> = run
+        .output("E")
+        .into_iter()
+        .filter(|f| f.args[0] == Value::str("a"))
+        .collect();
+    assert_eq!(session.query(&bound).unwrap().answers, from_run);
 
-    let report = session.materialise().unwrap();
-    assert_eq!(report.total_facts, 3);
-    assert_eq!(report.stats.strategy.suppressed, 1);
-    let outputs = session.outputs().unwrap();
-    assert_eq!(
-        outputs[&intern("E")]
-            .iter()
-            .cloned()
-            .collect::<BTreeSet<_>>(),
-        expected
-    );
+    let full = session.reason().unwrap();
+    assert_eq!(full.stats.total_facts, 3);
+    assert_eq!(full.stats.pipeline.strategy.suppressed, 1);
+    assert_eq!(full.outputs, run.outputs);
 }
 
 /// (c) Two matches of one emission produce the same head row, a third
@@ -276,8 +272,8 @@ fn duplicates_inside_one_emission_are_counted_once_each() {
     assert_eq!(trivial.facts_of("B"), run.facts_of("B"));
 }
 
-/// (d) The documented weakening: a resumed null-free pipeline that loads a
-/// null-carrying fact registers every row it holds — derived ones included
+/// (d) The documented weakening: a null-free pipeline that has run and then
+/// loads a null-carrying fact registers every row it holds — derived ones included
 /// — as a base fact, then runs under the strategy. Here the instance still
 /// equals a run under the strategy from the start.
 #[test]
@@ -296,7 +292,6 @@ fn a_null_ends_the_null_free_mode_by_registering_the_store() {
     assert!(registered.lock().unwrap().is_empty(), "null-free so far");
     assert_eq!(pipeline.stats().facts_derived, 1);
 
-    let mut pipeline = Pipeline::resume(&plan, pipeline.suspend());
     let with_nulls = Fact::new("E", vec![null(1), null(2)]);
     pipeline.load_facts([with_nulls.clone()]);
     let registered_now: BTreeSet<Fact> = registered.lock().unwrap().iter().cloned().collect();

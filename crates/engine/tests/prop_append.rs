@@ -1,32 +1,32 @@
 //! Property tests for [`vadalog_engine::QuerySession::append_facts`]: a
-//! session maintained through a random schedule of EDB appends — overlay
-//! promotions into immutable base layers, delta-driven re-activation of the
-//! live instance — must be **observationally identical** to a fresh session
-//! built over the union EDB (initial facts, then every appended fact, in
-//! exactly the append order).
+//! session grown through a random schedule of EDB appends — overlay
+//! promotions into immutable base layers — must be **observationally
+//! identical** to a fresh session built over the union EDB (initial facts,
+//! then every appended fact, in exactly the append order).
 //!
-//! Two levels of "identical" are checked:
+//! Both of a session's evaluations are checked *byte-identically* — the
+//! same facts in the same order with the same labelled-null ids, at thread
+//! counts 1, 2 and 8, since every run reads a fresh overlay whose insertion
+//! history replays the union session's exactly:
 //!
-//! * **query answers** are *byte-identical* — the same facts in the same
-//!   order with the same labelled-null ids, for random query adornments and
-//!   at thread counts 1, 2 and 8 (queries run on fresh overlays whose
-//!   insertion history replays the union session's exactly);
-//! * **materialised outputs** are *set-identical* — the incrementally
-//!   maintained live instance derives facts in delta order, so `FactId`
-//!   layout differs, but the instance itself (including aggregate results)
-//!   must match a from-scratch materialisation, with the rebuild ablation
-//!   (`incremental = false`) agreeing as well.
+//! * **query answers**, for random query adornments; they must also hold
+//!   what [`vadalog_engine::Reasoner::reason`] derives over the union EDB,
+//!   filtered by the query;
+//! * **the full instance** ([`vadalog_engine::QuerySession::reason`]): its
+//!   `@output`s and its work equal a plain run over the union EDB.
+//!
+//! The rules negate an appendable EDB predicate, so an append can remove
+//! an output fact.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use vadalog_engine::{Reasoner, ReasonerOptions};
+use vadalog_engine::{Reasoner, ReasonerOptions, RunResult};
 use vadalog_model::prelude::*;
 
 // ---------------------------------------------------------------- generators
 
 /// The rule set shared by every case: transitive closure, a join against
-/// `Mark`, and an `mcount` aggregate folding the closure — so appends
-/// exercise the delta join path and the monotonic-aggregate path. With
+/// `Mark`, its negation, and an `mcount` aggregate folding the closure — so
+/// appended `Mark` facts both add `Hit` facts and remove `Unmarked` ones. With
 /// `existential` the query slice invents labelled nulls, putting sessions
 /// on the bottom-up fallback where null ids become observable.
 fn rules(existential: bool) -> String {
@@ -34,13 +34,15 @@ fn rules(existential: bool) -> String {
         "Edge(x, y) -> Reach(x, y).\n\
          Reach(x, y), Edge(y, z) -> Reach(x, z).\n\
          Reach(x, y), Mark(y) -> Hit(x, y).\n\
+         Reach(x, y), not Mark(y) -> Unmarked(x, y).\n\
          Reach(x, y), c = mcount(y) -> OutDegree(x, c).\n",
     );
     if existential {
         src.push_str("Hit(x, y) -> Cert(c, x).\n");
         src.push_str("Cert(c, x), Reach(x, y) -> Cert(c, y).\n");
     }
-    src.push_str("@output(\"Reach\").\n@output(\"Hit\").\n@output(\"OutDegree\").\n");
+    src.push_str("@output(\"Reach\").\n@output(\"Hit\").\n@output(\"Unmarked\").\n");
+    src.push_str("@output(\"OutDegree\").\n");
     src
 }
 
@@ -95,7 +97,7 @@ fn program_and_schedule(existential: bool) -> impl Strategy<Value = (Program, Ve
 /// variables sometimes repeated).
 fn random_query() -> impl Strategy<Value = Atom> {
     (
-        prop::sample::select(vec!["Reach", "Hit", "Cert"]),
+        prop::sample::select(vec!["Reach", "Hit", "Unmarked", "Cert"]),
         prop::collection::vec((any::<bool>(), 0usize..8), 2),
         any::<bool>(),
     )
@@ -132,13 +134,40 @@ fn union_program(program: &Program, schedule: &[Vec<Fact>]) -> Program {
     union
 }
 
-fn canon(m: BTreeMap<Sym, Vec<Fact>>) -> BTreeMap<Sym, Vec<Fact>> {
-    m.into_iter()
-        .map(|(p, mut fs)| {
-            fs.sort();
-            (p, fs)
+/// `program`'s facts under the rule set `existential` selects (the
+/// generator's rule choice must not correlate with the schedule).
+fn with_rules(program: Program, existential: bool) -> Program {
+    if !existential {
+        return program;
+    }
+    let mut p = vadalog_parser::parse_program(&rules(true)).unwrap();
+    for f in &program.facts {
+        p.add_fact(f.clone());
+    }
+    p
+}
+
+/// The facts of `query`'s predicate in `run`'s instance that match the
+/// query atom, sorted: constants agree, repeated variables bind equal
+/// values.
+fn filtered(run: &RunResult, query: &Atom) -> Vec<Fact> {
+    let mut facts: Vec<Fact> = run
+        .store
+        .facts_of(query.predicate)
+        .into_iter()
+        .filter(|f| {
+            query.terms.iter().enumerate().all(|(i, t)| match t {
+                Term::Const(c) => f.args[i] == *c,
+                Term::Var(v) => query
+                    .terms
+                    .iter()
+                    .enumerate()
+                    .all(|(j, u)| u.as_var() != Some(*v) || f.args[j] == f.args[i]),
+            })
         })
-        .collect()
+        .collect();
+    facts.sort();
+    facts
 }
 
 // ----------------------------------------------------------------- properties
@@ -150,7 +179,8 @@ proptest! {
     /// answers are byte-identical — same facts, same order, same null ids —
     /// to a fresh session on the union EDB, at every thread count, on both
     /// the magic-sets path (plain Datalog slice) and the bottom-up fallback
-    /// (existential slice).
+    /// (existential or negated slice), and they are what a plain run over
+    /// the union EDB derives, filtered by the query.
     #[test]
     fn append_is_equivalent_to_rebuild(
         program_schedule in program_and_schedule(false),
@@ -159,17 +189,7 @@ proptest! {
         threads in prop::sample::select(vec![1usize, 2, 8]),
     ) {
         let (program, schedule) = program_schedule;
-        // rebuild the same EDB onto the existential rule set when selected
-        // (the generator's rule choice must not correlate with the schedule)
-        let program = if existential {
-            let mut p = vadalog_parser::parse_program(&rules(true)).unwrap();
-            for f in &program.facts {
-                p.add_fact(f.clone());
-            }
-            p
-        } else {
-            program
-        };
+        let program = with_rules(program, existential);
         let options = ReasonerOptions {
             parallelism: threads,
             ..ReasonerOptions::default()
@@ -183,53 +203,69 @@ proptest! {
         for batch in &schedule {
             session.append_facts(batch.iter().cloned()).unwrap();
         }
-        let mut rebuilt = Reasoner::with_options(options)
-            .session(&union_program(&program, &schedule))
-            .unwrap();
-        let live = session.query(&query).unwrap();
+        let union = union_program(&program, &schedule);
+        let mut rebuilt = Reasoner::with_options(options).session(&union).unwrap();
+        let layered = session.query(&query).unwrap();
         let fresh = rebuilt.query(&query).unwrap();
         prop_assert_eq!(
-            &live.answers,
+            &layered.answers,
             &fresh.answers,
             "layered session diverges from union rebuild (threads={}, existential={})",
             threads,
             existential
         );
-        prop_assert_eq!(live.used_magic_sets, fresh.used_magic_sets);
+        prop_assert_eq!(layered.used_magic_sets, fresh.used_magic_sets);
+        let mut answers = layered.answers.clone();
+        answers.sort();
+        let plain = Reasoner::with_options(options).reason(&union).unwrap();
+        prop_assert_eq!(answers, filtered(&plain, &query), "answers diverge from the run");
         // and a repeat query on the layered session must not drift
         let again = session.query(&query).unwrap();
         prop_assert_eq!(&again.answers, &fresh.answers, "repeat layered query drifts");
     }
 
-    /// The maintained live instance: materialise → append* → outputs equals
-    /// a from-scratch materialisation of the union EDB (set-level — the
-    /// delta derivation order differs). Null-free slice, so set equality is
-    /// exact.
+    /// The full instance after appends: `reason` → append* → `reason`
+    /// returns the `@output`s of a plain run over the union EDB — the same
+    /// facts in the same order, aggregates folded and negated `Mark`s
+    /// removed — and the same derivation work, as does a fresh session.
     #[test]
-    fn incremental_materialisation_equals_rebuild(
+    fn full_instance_after_appends_equals_rebuild(
         program_schedule in program_and_schedule(false),
+        existential in any::<bool>(),
         threads in prop::sample::select(vec![1usize, 2, 8]),
     ) {
         let (program, schedule) = program_schedule;
+        let program = with_rules(program, existential);
         let options = ReasonerOptions {
             parallelism: threads,
             ..ReasonerOptions::default()
         };
-        let mut incremental = Reasoner::with_options(options)
+        let mut session = Reasoner::with_options(options)
             .session(&program)
             .unwrap();
-        incremental.materialise().unwrap();
+        session.reason().unwrap();
         for batch in &schedule {
-            incremental.append_facts(batch.iter().cloned()).unwrap();
+            session.append_facts(batch.iter().cloned()).unwrap();
         }
+        let layered = session.reason().unwrap();
         let union = union_program(&program, &schedule);
-        let mut scratch = Reasoner::with_options(options).session(&union).unwrap();
-        let reference = canon(scratch.outputs().unwrap());
+        let plain = Reasoner::with_options(options).reason(&union).unwrap();
         prop_assert_eq!(
-            canon(incremental.outputs().unwrap()),
-            reference,
-            "incremental maintenance diverges from scratch (threads={})",
-            threads
+            &layered.outputs,
+            &plain.outputs,
+            "layered full instance diverges from a plain run (threads={}, existential={})",
+            threads,
+            existential
         );
+        prop_assert_eq!(
+            layered.stats.pipeline.facts_derived,
+            plain.stats.pipeline.facts_derived
+        );
+        let rebuilt = Reasoner::with_options(options)
+            .session(&union)
+            .unwrap()
+            .reason()
+            .unwrap();
+        prop_assert_eq!(&layered.outputs, &rebuilt.outputs);
     }
 }

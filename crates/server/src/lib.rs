@@ -395,7 +395,7 @@ impl ReasoningServer {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 // Fork *before* spawning: the fork shares the session core,
-                // the worker owns its handle (and its live instance).
+                // the worker owns its handle.
                 let fork = session.fork();
                 std::thread::spawn(move || worker_loop(shared, fork))
             })

@@ -17,7 +17,6 @@
 //! | Range-guarded control (`w > θ` pushdown vs post-filter) | [`range`] |
 //! | Triangle / 4-clique cyclic joins (WCOJ vs binary-join ablation) | [`graph`] |
 //! | Repeated bound queries over a large EDB (query sessions / magic sets) | [`query`] |
-//! | Streaming appends over a growing EDB (incremental maintenance) | [`stream`] |
 //! | Repeated overlapping server queries (shared cone-cache ablation) | [`serve`] |
 //! | Durable appends + cold WAL replay (crash-recovery workload) | [`recover`] |
 //!
@@ -38,6 +37,5 @@ pub mod range;
 pub mod recover;
 pub mod scaling;
 pub mod serve;
-pub mod stream;
 
 pub use iwarded::{IWardedSpec, Scenario};

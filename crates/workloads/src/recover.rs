@@ -12,9 +12,9 @@
 //! replay — the check that recovery produced an answerable session, not
 //! just a parsed log.
 //!
-//! The chain shape is deliberate: each appended edge derives the linear
-//! `Reach` suffix behind it, so replay cost is dominated by the same
-//! incremental maintenance work the live session did. Recovery end to end
+//! The chain shape is deliberate: each appended edge extends the linear
+//! `Reach` suffix behind it, so a probe query after replay derives over
+//! every replayed layer. Recovery end to end
 //! is: open the log, verify checksums, replay every batch through the
 //! layered base, answer a probe query. The two natural comparison points
 //! are the same appends without a log attached (the durability premium)

@@ -112,7 +112,12 @@ fn layered_session_queries_leapfrog_on_base_indexes() {
     for f in batch {
         union.add_fact(f);
     }
-    let fresh = Reasoner::new().reason_query(&union, &query).unwrap();
-    assert_eq!(answer.answers, fresh.answers);
+    let run = Reasoner::new().reason(&union).unwrap();
+    let from_run: Vec<Fact> = run
+        .output("Out")
+        .into_iter()
+        .filter(|f| f.args[0] == Value::Int(1))
+        .collect();
+    assert_eq!(answer.answers, from_run);
     assert_eq!(answer.answers, vec![int("Out", &[1, 5, 6, 7, 101])]);
 }

@@ -39,6 +39,30 @@ fn negation_composes_with_recursion_across_strata() {
     assert_eq!(isolated, vec![Fact::new("Isolated", vec!["d".into()])]);
 }
 
+/// An appended fact of a negated EDB predicate removes the output facts it
+/// blocks: a session's full instance after the append is computed over the
+/// grown EDB, exactly as a fresh session over the union EDB computes it.
+#[test]
+fn appending_a_negated_fact_removes_the_output_it_blocks() {
+    let src = "A(1). A(2).\n\
+               A(x), not B(x) -> C(x).\n\
+               @output(\"C\").";
+    let c = |n: i64| Fact::new("C", vec![Value::Int(n)]);
+    let b1 = Fact::new("B", vec![Value::Int(1)]);
+    let mut session = Reasoner::new().session_text(src).unwrap();
+    assert_eq!(session.reason().unwrap().output("C"), vec![c(1), c(2)]);
+    session.append_facts([b1.clone()]).unwrap();
+    let after = session.reason().unwrap().output("C");
+    assert_eq!(after, vec![c(2)]);
+
+    let mut union = parse_program(src).unwrap();
+    union.add_fact(b1);
+    let fresh = Reasoner::new().session(&union).unwrap().reason().unwrap();
+    assert_eq!(after, fresh.output("C"));
+    let query = Atom::new("C", vec![Term::var("x")]);
+    assert_eq!(session.query(&query).unwrap().answers, after);
+}
+
 #[test]
 fn non_stratifiable_negation_is_detected_by_the_analysis() {
     use vadalog_analysis::PredicateGraph;
