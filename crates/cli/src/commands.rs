@@ -177,7 +177,7 @@ pub fn run_cli_with(args: &[String], base: ReasonerOptions) -> Result<String, Cl
         CliCommand::Version => Ok(format!("vadalog {}", env!("CARGO_PKG_VERSION"))),
         CliCommand::Run => cmd_run(&options, engine),
         CliCommand::Classify => cmd_classify(&options),
-        CliCommand::Explain => cmd_explain(&options),
+        CliCommand::Explain => cmd_explain(&options, engine),
         CliCommand::Query { atoms } => cmd_query(&options, engine, atoms),
         CliCommand::Serve { atoms } => cmd_serve(&options, engine, atoms),
     }
@@ -415,10 +415,22 @@ fn cmd_classify(options: &CliOptions) -> Result<String, CliError> {
 
 // --------------------------------------------------------------- explain
 
-fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
+fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, CliError> {
     let program = load_program(options)?;
     let rewritten = prepare_rules(&program);
     let plan = AccessPlan::compile(&rewritten);
+    // A final-stratum filter is driven from its smallest body relation
+    // after the fixpoint, which only a run can tell: run the program (with
+    // the rewriting shown here) for the relation sizes.
+    let store = if plan.filters.iter().any(|f| f.final_stratum) {
+        let engine = ReasonerOptions {
+            apply_rewriting: true,
+            ..engine
+        };
+        Some(Reasoner::with_options(engine).reason(&program)?.store)
+    } else {
+        None
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -443,7 +455,7 @@ fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
     for filter in &plan.filters {
         let _ = writeln!(
             out,
-            "  filter {} [{}{}]: {}",
+            "  filter {} [{}{}{}]: {}",
             filter.rule_id,
             if filter.rule.is_linear() {
                 "linear"
@@ -455,9 +467,21 @@ fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
             } else {
                 ""
             },
+            if filter.final_stratum { ", final" } else { "" },
             rule_to_text(&filter.rule)
         );
-        write_probe_orders(&mut out, filter, None);
+        match &store {
+            Some(store) if filter.final_stratum => {
+                let rows: Vec<usize> = filter
+                    .rule
+                    .body_atoms()
+                    .iter()
+                    .map(|a| store.relation(a.predicate).map_or(0, |r| r.len()))
+                    .collect();
+                write_probe_orders(&mut out, filter, filter.final_driver(&rows));
+            }
+            _ => write_probe_orders(&mut out, filter, None),
+        }
     }
     if !plan.checks.is_empty() {
         let _ = writeln!(out, "checks:  {}", plan.checks.len());
@@ -475,17 +499,23 @@ fn cmd_explain(options: &CliOptions) -> Result<String, CliError> {
 }
 
 /// One line per delta position of `node` (only position `only` when set,
-/// a check's driver): the atoms in probe order, each with the columns it
-/// probes exactly (`[..]`, or `scan`) and its range column, a `*` on each
-/// step the delta-aware order moved off its canonical position, and the
-/// leapfrog core when the position has a free-join plan.
+/// the driver of a check or a final-stratum filter): the atoms in probe
+/// order, each with the columns it probes exactly (`[..]`, or `scan`) and
+/// its range column, a `*` on each step the delta-aware order moved off its
+/// canonical position, and the leapfrog core when the position has a
+/// free-join plan. A final-stratum filter's line starts with `driver`.
 fn write_probe_orders(out: &mut String, node: &FilterNode, only: Option<usize>) {
     let atoms = node.rule.body_atoms();
+    let lead = if node.final_stratum {
+        "driver"
+    } else {
+        "delta"
+    };
     for (d, dp) in node.delta_plans.iter().enumerate() {
         if only.is_some_and(|o| o != d) {
             continue;
         }
-        let mut line = format!("    delta {}", atoms[d]);
+        let mut line = format!("    {lead} {}", atoms[d]);
         for (i, step) in dp.steps.iter().enumerate().skip(1) {
             let probe = &step.probe;
             let cols = if probe.prefix_cols.is_empty() {
@@ -1071,7 +1101,8 @@ mod tests {
     fn explain_shows_plan_and_rules() {
         let program = format!(
             "{CONTROL_PROGRAM}\
-             Control(a, b), KeyPerson(a, p), PSC(y, p), b > y -> S(b, y).\n"
+             Control(a, b), KeyPerson(a, p), PSC(y, p), b > y -> S(b, y).\n\
+             Control(x, y), Own(x, y, w), n = mcount(y), n >= 1 -> Holdings(x, n).\n"
         );
         let path = temp_program("explain.vada", &program);
         let out = run_cli(&args(&["explain", &path])).unwrap();
@@ -1089,6 +1120,19 @@ mod tests {
             "delta PSC(y, p) -> KeyPerson(a, p) [1] * -> Control(a, b) [0] range 1 *"
         );
         assert!(out.contains("    delta Control(x, y) -> Control(y, z) [0]\n"));
+        // The sink aggregate runs in the final stratum, driven from `Own`
+        // (2 rows) rather than `Control` (3 rows after the fixpoint): one
+        // `driver` line instead of one line per delta position.
+        let mut holdings = out
+            .lines()
+            .skip_while(|l| !(l.starts_with("  filter") && l.contains("Holdings")));
+        let filter = holdings.next().expect("a filter line for Holdings");
+        assert!(filter.contains("[join, aggregate, final]"), "{out}");
+        let probe_lines: Vec<&str> = holdings.take_while(|l| l.starts_with("    ")).collect();
+        assert_eq!(
+            probe_lines,
+            ["    driver Own(x, y, w) -> Control(x, y) [0, 1]"]
+        );
         std::fs::remove_file(&path).ok();
     }
 

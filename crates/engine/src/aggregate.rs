@@ -9,6 +9,15 @@
 //! increasing functions, smallest for decreasing ones) argument value enters
 //! the aggregate.
 //!
+//! A **sink** aggregate has no downstream filter to feed, so it does not
+//! stream: when no filter or check reads its head and its rule has the shape
+//! [`crate::plan::folds_to_final`] accepts (`mcount`, `mmax`, `mmin` or
+//! `munion`, only growing thresholds after it), the pipeline skips it during
+//! the sweeps and runs it once after the fixpoint. That pass folds every
+//! match into the state, then emits once per group, from the group's first
+//! match, whose re-fold reads the final value: folding a member twice leaves
+//! these four aggregates unchanged.
+//!
 //! The state is keyed on interned ids, like the join that feeds it: a group
 //! is the [`ValueId`]s of its group-by slots, and `mcount` / `munion` keep
 //! their distinct members as ids (equal values intern to equal ids, so the
@@ -45,8 +54,8 @@ enum Group {
     Window(BTreeMap<Vec<Value>, f64>),
     /// `mmin` / `mmax`: the extreme so far.
     Extreme(f64),
-    /// `munion`: the member values and the id of the set last emitted
-    /// (`None` until the first member).
+    /// `munion`: the member values and the id of the set last returned
+    /// (`None` until it is asked for, and again after a new member).
     Union {
         values: BTreeSet<Value>,
         set: Option<ValueId>,
@@ -135,15 +144,36 @@ impl AggregateState {
         }
     }
 
+    /// `munion`: add `member` to `group`'s set. `value` resolves the member
+    /// and runs only when it is new.
+    pub fn add_member(
+        &mut self,
+        group: &[ValueId],
+        member: ValueId,
+        value: impl FnOnce() -> Value,
+    ) {
+        self.add(group, member, value);
+    }
+
     /// `munion`: add `member` to `group`'s set and return the interned set.
-    /// `value` resolves the member and runs only when it is new; a member
-    /// already present returns the id emitted last, which is the same set.
+    /// The set is interned when it changed since it was last returned; a
+    /// member already present returns the same id.
     pub fn union(
         &mut self,
         group: &[ValueId],
         member: ValueId,
         value: impl FnOnce() -> Value,
     ) -> ValueId {
+        let g = self.add(group, member, value);
+        let Group::Union { values, set } = &mut self.groups[g] else {
+            unreachable!("munion on a non-union group")
+        };
+        *set.get_or_insert_with(|| intern_value(&Value::Set(values.clone())))
+    }
+
+    /// Add a `munion` member and return the group's number; a new member
+    /// drops the group's interned set.
+    fn add(&mut self, group: &[ValueId], member: ValueId, value: impl FnOnce() -> Value) -> usize {
         let init = || Group::Union {
             values: BTreeSet::new(),
             set: None,
@@ -154,9 +184,14 @@ impl AggregateState {
         };
         if self.members.insert((g, member)) {
             values.insert(value());
-            *set = Some(intern_value(&Value::Set(values.clone())));
+            *set = None;
         }
-        set.expect("the group has a member")
+        g
+    }
+
+    /// The number of groups folded so far.
+    pub fn groups(&self) -> usize {
+        self.groups.len()
     }
 }
 

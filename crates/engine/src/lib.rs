@@ -26,7 +26,9 @@
 //! facts can ever arrive), which is the same fixpoint the paper's pull-based
 //! volcano iterators reach when every `next()` chain bottoms out; the
 //! differences between the two scheduling disciplines are discussed in
-//! DESIGN.md.
+//! DESIGN.md. A sink aggregate ([`FilterNode::final_stratum`]) sits the
+//! sweeps out and runs once after the fixpoint, emitting one fact per
+//! group (see [`pipeline`]'s "The final stratum").
 //!
 //! # The two-level scheduler: batches of chunks, deterministic merges
 //!

@@ -77,6 +77,19 @@
 //! Loading a fact that carries a null ends the mode: the store's current
 //! rows are registered with the strategy as base facts and admission
 //! continues under it (see [`Pipeline::load_facts`]).
+//!
+//! # The final stratum
+//!
+//! A filter the plan marks [`FilterNode::final_stratum`] — a sink aggregate
+//! whose head nothing reads — takes no part in the sweeps. After the
+//! fixpoint, before the checks, each runs once over the complete instance,
+//! as a batch of its own: driven from the body position whose relation has
+//! the fewest rows ([`FilterNode::final_driver`]), every other position
+//! reading its whole relation, as a check does. Every match folds into a
+//! fresh aggregate state and stops there; then the first match of each
+//! group, in first-seen order, goes through the ordinary emission path,
+//! where re-folding it reads the group's final value. One fact per group is
+//! offered, instead of one per match that improves the value.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
@@ -297,6 +310,19 @@ fn read_id(
         Source::Slot(slot) => binding[slot],
         Source::Assigned(r) => assigned[r].as_ref().map(Datum::id),
     }
+}
+
+/// What [`Pipeline::accept`] runs a match for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Pass {
+    /// A sweep activation: aggregates fold into the filter's state and
+    /// Skolem terms mint nulls.
+    Fire,
+    /// The final stratum's fold: like [`Pass::Fire`], but the match stops
+    /// at the (single) aggregate once it has folded.
+    Fold,
+    /// A constraint / EGD check: no state changes.
+    Check,
 }
 
 /// Per-match scratch of [`Pipeline::accept`], reused across matches: the
@@ -620,7 +646,8 @@ pub struct PipelineStats {
     pub iterations: usize,
     /// Disjoint-input filter batches executed across all sweeps (each batch
     /// is one parallel join fan-out followed by one deterministic merge),
-    /// plus the one batch of constraint/EGD checks when the plan has any.
+    /// plus one batch per final-stratum filter pass and the one batch of
+    /// constraint/EGD checks when the plan has any.
     pub sweep_batches: usize,
     /// Filter activations that produced at least one new fact.
     pub productive_activations: usize,
@@ -938,6 +965,8 @@ impl<'a> Pipeline<'a> {
             }
         }
 
+        self.run_final_stratum();
+
         self.stats.nulls_invented = self.nulls.produced();
         let strategy = self.strategy.stats();
         self.stats.strategy = StrategyStats {
@@ -950,26 +979,60 @@ impl<'a> Pipeline<'a> {
         self.run_checks()
     }
 
-    /// Check the plan's constraints and EGDs on the final instance, as one
-    /// batch on the join executor. A check is compiled like a filter but
-    /// only for its driver ([`FilterNode::check_driver`]), the one delta
-    /// position it runs; every position reads its whole relation. A check
-    /// with no positive atom is evaluated once, on the empty binding.
-    /// Violations come in check order, and within a check in the
-    /// executor's enumeration order, which no worker count or join strategy
-    /// changes.
-    fn run_checks(&mut self) -> Vec<String> {
+    /// Run the final stratum (see the module docs): each
+    /// [`FilterNode::final_stratum`] filter whose body relations grew since
+    /// its last pass runs once over the complete instance, in filter order,
+    /// one batch per filter.
+    fn run_final_stratum(&mut self) {
         let plan = self.plan;
-        if plan.checks.is_empty() {
-            return Vec::new();
+        for (f_idx, filter) in plan.filters.iter().enumerate() {
+            if !filter.final_stratum {
+                continue;
+            }
+            let rows: Vec<usize> = filter
+                .rule
+                .body_atoms()
+                .iter()
+                .map(|atom| self.store.relation(atom.predicate).map_or(0, Relation::len))
+                .collect();
+            // The last pass's emission left the cursors at the lengths it read.
+            if rows == self.cursors[f_idx] {
+                continue;
+            }
+            let driver = filter.final_driver(&rows);
+            let (job, matches) = self
+                .run_whole(&[(filter, f_idx, driver)])
+                .pop()
+                .expect("one run gives one job");
+            self.agg_states[f_idx] = vec![AggregateState::new()];
+            let mut firsts = Vec::new();
+            let mut scratch = ResidualScratch::default();
+            for mut binding in matches {
+                let groups = self.agg_states[f_idx][0].groups();
+                if self.accept(&job, Pass::Fold, &mut binding, &mut scratch)
+                    && self.agg_states[f_idx][0].groups() > groups
+                {
+                    firsts.push(binding);
+                }
+            }
+            if self.emit(&job, firsts) {
+                self.stats.productive_activations += 1;
+            }
         }
-        // Check jobs are numbered after the filters, so the executor's
-        // per-job state (its trie memos) never mixes the two.
-        let first = plan.filters.len();
-        let mut jobs = Vec::with_capacity(plan.checks.len());
-        for (c, check) in plan.checks.iter().enumerate() {
-            let driver = check.check_driver();
-            let deltas = check
+    }
+
+    /// Compile each `(node, job number, driver)` for one run over the
+    /// complete instance and collect them as one batch. The driver's window
+    /// is its whole relation, and every other position reads its whole
+    /// relation; only the driver's plan is compiled. Returns each job with
+    /// its matches, in order. The checks and the final stratum share it.
+    fn run_whole(
+        &mut self,
+        runs: &[(&FilterNode, usize, Option<usize>)],
+    ) -> Vec<(FilterJob, Vec<Binding>)> {
+        let mut jobs = Vec::with_capacity(runs.len());
+        for &(node, f_idx, driver) in runs {
+            let deltas = node
                 .rule
                 .body_atoms()
                 .iter()
@@ -979,18 +1042,42 @@ impl<'a> Pipeline<'a> {
                     (if Some(pos) == driver { 0 } else { len }, len)
                 })
                 .collect();
-            jobs.push(self.compile_job(check, first + c, deltas, driver));
+            jobs.push(self.compile_job(node, f_idx, deltas, driver));
         }
         let results = self.collect_batch(&jobs);
+        jobs.into_iter().zip(results).collect()
+    }
+
+    /// Check the plan's constraints and EGDs on the final instance, as one
+    /// batch on the join executor ([`Pipeline::run_whole`]), each driven
+    /// from its [`FilterNode::check_driver`]. A check with no positive atom
+    /// is evaluated once, on the empty binding. Violations come in check
+    /// order, and within a check in the executor's enumeration order, which
+    /// no worker count or join strategy changes.
+    fn run_checks(&mut self) -> Vec<String> {
+        let plan = self.plan;
+        if plan.checks.is_empty() {
+            return Vec::new();
+        }
+        // Check jobs are numbered after the filters, so the executor's
+        // per-job state (its trie memos) never mixes the two.
+        let first = plan.filters.len();
+        let runs: Vec<(&FilterNode, usize, Option<usize>)> = plan
+            .checks
+            .iter()
+            .enumerate()
+            .map(|(c, check)| (check, first + c, check.check_driver()))
+            .collect();
+        let results = self.run_whole(&runs);
         let mut violations = Vec::new();
         let mut scratch = ResidualScratch::default();
-        for (job, mut matches) in jobs.iter().zip(results) {
+        for (job, mut matches) in results {
             if job.patterns.is_empty() {
                 matches = vec![vec![None; job.slots.len()]];
             }
             let rule = &plan.checks[job.f_idx - first].rule;
             for mut binding in matches {
-                if !self.accept(job, false, &mut binding, &mut scratch) {
+                if !self.accept(&job, Pass::Check, &mut binding, &mut scratch) {
                     continue;
                 }
                 // The substitution the message prints: the binding, with
@@ -1050,6 +1137,10 @@ impl<'a> Pipeline<'a> {
         let mut i = start;
         while i < self.plan.filters.len() {
             let filter = &self.plan.filters[i];
+            if filter.final_stratum {
+                i += 1;
+                continue;
+            }
             if !jobs.is_empty() && filter.reads_any(&batch_outputs) {
                 break;
             }
@@ -1723,7 +1814,7 @@ impl<'a> Pipeline<'a> {
 
         let mut scratch = ResidualScratch::default();
         for mut binding in matches {
-            if !self.accept(job, true, &mut binding, &mut scratch) {
+            if !self.accept(job, Pass::Fire, &mut binding, &mut scratch) {
                 continue;
             }
 
@@ -1802,14 +1893,16 @@ impl<'a> Pipeline<'a> {
     /// variables it reads. Results are interned into their slots, so head
     /// emission stays row-based, and kept as computed in `scratch.assigned`.
     ///
-    /// `fire` is set for a filter activation: its aggregates fold into the
-    /// filter's state and its Skolem terms mint nulls. A check changes no
-    /// state and follows the oracle: it skips aggregates, and a Skolem term
-    /// rejects the match.
+    /// Under [`Pass::Fire`] the aggregates fold into the filter's state and
+    /// the Skolem terms mint nulls; [`Pass::Fold`] does the same but accepts
+    /// the match as soon as its aggregate has folded, without interning the
+    /// result or running the literals after it. A [`Pass::Check`] changes
+    /// no state and follows the oracle: it skips aggregates, and a Skolem
+    /// term rejects the match.
     fn accept(
         &mut self,
         job: &FilterJob,
-        fire: bool,
+        pass: Pass,
         binding: &mut Binding,
         scratch: &mut ResidualScratch,
     ) -> bool {
@@ -1845,7 +1938,7 @@ impl<'a> Pipeline<'a> {
                 }
                 Residual::Assign { expr, slot, .. } => {
                     let subst = expr.subst(binding, assigned);
-                    let value = if fire {
+                    let value = if pass != Pass::Check {
                         self.eval_with_skolems(&expr.expr, &subst)
                     } else {
                         expr.expr.eval(&subst).ok()
@@ -1855,7 +1948,7 @@ impl<'a> Pipeline<'a> {
                         None => return false,
                     }
                 }
-                Residual::Aggregate { .. } if !fire => {
+                Residual::Aggregate { .. } if pass == Pass::Check => {
                     assigned[r] = None;
                     continue;
                 }
@@ -1896,6 +1989,10 @@ impl<'a> Pipeline<'a> {
                             let count = aggregate.count(group_ids, key_ids);
                             Datum::Value(Value::Int(count as i64))
                         }
+                        AggFunc::MUnion if pass == Pass::Fold => {
+                            aggregate.add_member(group_ids, arg.id(), || arg.value());
+                            return true;
+                        }
                         AggFunc::MUnion => {
                             let member = arg.id();
                             Datum::Id(aggregate.union(group_ids, member, || arg.value()))
@@ -1912,6 +2009,9 @@ impl<'a> Pipeline<'a> {
                             Datum::Value(Value::Float(folded))
                         }
                     };
+                    if pass == Pass::Fold {
+                        return true;
+                    }
                     (result, slot)
                 }
             };
@@ -2321,6 +2421,7 @@ impl<'a> Pipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reasoner::collect_outputs;
     use vadalog_chase::{run_chase, ChaseOptions, WardedStrategy};
     use vadalog_parser::parse_program;
 
@@ -2702,6 +2803,49 @@ mod tests {
         assert_eq!(stats.wcoj_activations, 0);
         assert_eq!(stats.wcoj_seeks, 0);
         assert_eq!(stats.wcoj_intersections, 0);
+    }
+
+    #[test]
+    fn final_stratum_reruns_give_the_aggregates_of_a_fresh_run_over_the_union() {
+        // Sink aggregates over an EDB predicate and over a derived one, a
+        // threshold included: they run in the final stratum.
+        let rules = "E(x, y) -> R(x, y).\n\
+                     R(x, y), E(y, z) -> R(x, z).\n\
+                     E(x, y), n = mcount(y) -> Degree(x, n).\n\
+                     R(x, y), n = mcount(y), n >= 2 -> Reach2(x, n).\n\
+                     E(x, y), u = munion(y) -> Targets(x, u).\n\
+                     @output(\"Degree\"). @output(\"Reach2\"). @output(\"Targets\").";
+        let edge = |a: &str, b: &str| Fact::new("E", vec![Value::str(a), Value::str(b)]);
+        let first = [edge("a", "b"), edge("b", "c")];
+        let more = [edge("a", "d"), edge("c", "e"), edge("f", "a")];
+        let program = parse_program(rules).unwrap();
+        let plan = AccessPlan::compile(&program);
+        assert_eq!(
+            plan.filters.iter().filter(|f| f.final_stratum).count(),
+            3,
+            "every aggregate is a sink"
+        );
+        let options = ReasonerOptions::default();
+        let outputs = |p: &Pipeline| collect_outputs(&program, &plan, p.store(), &options);
+
+        let mut grown = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
+        grown.load_facts(first.iter());
+        grown.run();
+        grown.load_facts(more.iter());
+        grown.run();
+        let mut fresh = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
+        fresh.load_facts(first.iter().chain(&more));
+        fresh.run();
+        assert_eq!(outputs(&grown), outputs(&fresh));
+        let reach2 = &outputs(&fresh)[&intern("Reach2")];
+        assert!(reach2.contains(&Fact::new("Reach2", vec![Value::str("a"), Value::Int(4)])));
+
+        // A run with nothing new leaves the final stratum idle.
+        let (facts, batches) = (grown.stats().facts_derived, grown.stats().sweep_batches);
+        grown.run();
+        assert_eq!(grown.stats().facts_derived, facts);
+        assert_eq!(grown.stats().sweep_batches, batches);
+        assert_eq!(outputs(&grown), outputs(&fresh));
     }
 
     #[test]

@@ -332,6 +332,13 @@ pub struct FilterNode {
     pub outputs: BTreeSet<Sym>,
     /// Does the rule carry a monotonic aggregation?
     pub has_aggregation: bool,
+    /// Does the filter run in the final stratum: skipped by the sweeps,
+    /// then run once over the complete instance after the fixpoint,
+    /// emitting one fact per aggregate group? Set by
+    /// [`AccessPlan::compile`] for a sink aggregate (see [`folds_to_final`]
+    /// for the rule's shape) whose head predicates no filter or check
+    /// reads.
+    pub final_stratum: bool,
     /// Conditions classified as index-pushable (see [`PushedCondition`]);
     /// the remaining conditions stay residual and are evaluated in emission,
     /// on the narrowed candidate set only: on ids when both sides are
@@ -360,6 +367,7 @@ impl FilterNode {
             outputs: rule.head_predicates().into_iter().collect(),
             join_order,
             has_aggregation: rule.has_aggregation(),
+            final_stratum: false,
             pushed,
             delta_plans,
             rule: rule.clone(),
@@ -381,11 +389,65 @@ impl FilterNode {
         self.join_order.0.first().copied()
     }
 
+    /// The body position a final-stratum run drives from: the one whose
+    /// relation has the fewest rows (`rows[pos]`), the first on ties.
+    /// `None` for a body with no positive atom.
+    pub fn final_driver(&self, rows: &[usize]) -> Option<usize> {
+        (0..rows.len()).min_by_key(|&pos| rows[pos])
+    }
+
     /// Body-literal indices of the pushed conditions (the residual
     /// evaluation in emission skips exactly these).
     pub fn pushed_literals(&self) -> BTreeSet<usize> {
         self.pushed.iter().map(|p| p.literal).collect()
     }
+}
+
+/// Is `rule` shaped so that its aggregate's final value per group is the
+/// only value a sink needs, computed by one pass over the complete
+/// relations? It has exactly one aggregate, `mcount`, `mmax`, `mmin` or
+/// `munion`; every body literal after the aggregate is a positive atom or a
+/// comparison of the aggregate variable with a constant that stays true as
+/// the value grows (`>`/`>=` for `mcount` and `mmax`, `<`/`<=` for `mmin`,
+/// none for `munion`), in either operand order; no atom is negated; and the
+/// rule invents no null. Folding a member twice leaves these four
+/// aggregates unchanged, so re-running a group's first match after the
+/// pass reads the final value.
+pub fn folds_to_final(rule: &Rule) -> bool {
+    if !rule.negated_atoms().is_empty() || rule_invents_nulls(rule) {
+        return false;
+    }
+    let mut aggregates = rule.body.iter().enumerate().filter_map(|(i, l)| match l {
+        Literal::Assignment(a) if a.expr.contains_aggregate() => Some((i, a)),
+        _ => None,
+    });
+    let (Some((at, assignment)), None) = (aggregates.next(), aggregates.next()) else {
+        return false;
+    };
+    let Some(aggregate) = assignment.aggregate() else {
+        return false;
+    };
+    let growing: &[CmpOp] = match aggregate.func {
+        AggFunc::MCount | AggFunc::MMax => &[CmpOp::Gt, CmpOp::Ge],
+        AggFunc::MMin => &[CmpOp::Lt, CmpOp::Le],
+        AggFunc::MUnion => &[],
+        AggFunc::MSum | AggFunc::MProd => return false,
+    };
+    let is_var = |e: &Expr| matches!(e, Expr::Term(Term::Var(v)) if *v == assignment.var);
+    rule.body[at + 1..].iter().all(|l| match l {
+        Literal::Atom(_) => true,
+        Literal::Condition(c) => {
+            let op = if is_var(&c.left) && literal_constant(&c.right).is_some() {
+                Some(c.op)
+            } else if is_var(&c.right) && literal_constant(&c.left).is_some() {
+                Some(c.op.flipped())
+            } else {
+                None
+            };
+            op.is_some_and(|op| growing.contains(&op))
+        }
+        _ => false,
+    })
 }
 
 /// Classify the rule's conditions into index-pushable vs residual.
@@ -746,12 +808,21 @@ impl AccessPlan {
     /// Compile a program into an access plan.
     pub fn compile(program: &Program) -> AccessPlan {
         let analysis = analyze_program(program);
-        let (filters, checks): (Vec<FilterNode>, Vec<FilterNode>) = program
+        let (mut filters, checks): (Vec<FilterNode>, Vec<FilterNode>) = program
             .rules
             .iter()
             .enumerate()
             .map(|(idx, rule)| FilterNode::compile(idx as u32, rule))
             .partition(|f| f.rule.is_tgd());
+        let read: BTreeSet<Sym> = filters
+            .iter()
+            .chain(&checks)
+            .flat_map(|f| f.inputs.iter().copied())
+            .collect();
+        for filter in &mut filters {
+            filter.final_stratum =
+                folds_to_final(&filter.rule) && filter.outputs.is_disjoint(&read);
+        }
         AccessPlan {
             invents_nulls: filters.iter().any(|f| rule_invents_nulls(&f.rule)),
             filters,
@@ -961,6 +1032,66 @@ mod tests {
         .unwrap();
         let plan = AccessPlan::compile(&program);
         assert!(plan.filters[0].has_aggregation);
+    }
+
+    #[test]
+    fn sink_aggregates_qualify_for_the_final_stratum_by_shape() {
+        // (rules, does filter 0 run in the final stratum?). Filter 0 writes
+        // `L`; a second rule or a check reads it where the row says so.
+        let table = [
+            // One qualifying row per function and threshold operator,
+            // either operand order.
+            ("S(a, p), w = mcount(p) -> L(a, w).", true),
+            ("S(a, p), w = mcount(p), w > 1 -> L(a, w).", true),
+            ("S(a, p), w = mcount(p), w >= 2 -> L(a, w).", true),
+            ("S(a, p), w = mcount(p), 2 <= w -> L(a, w).", true),
+            ("S(a, p), w = mcount(p, <a>), 1 < w -> L(p, w).", true),
+            ("V(g, x), w = mmax(x), w > 3 -> L(g, w).", true),
+            ("V(g, x), w = mmax(x), 3 <= w -> L(g, w).", true),
+            ("V(g, x), w = mmin(x), w < 3 -> L(g, w).", true),
+            ("V(g, x), w = mmin(x), 3 >= w -> L(g, w).", true),
+            ("V(g, x), w = munion(x) -> L(g, w).", true),
+            // Atoms after the aggregate, conditions and assignments before.
+            (
+                "S(a, p), a != \"z\", k = p, w = mcount(k), T(a), w >= 2 -> L(a, w).",
+                true,
+            ),
+            // The rows that must not qualify.
+            ("V(g, x), w = msum(x) -> L(g, w).", false),
+            ("V(g, x), w = mprod(x) -> L(g, w).", false),
+            ("S(a, p), w = mcount(p), w * 10 != 30 -> L(a, w).", false),
+            ("S(a, p), w = mcount(p), w <= 3 -> L(a, w).", false),
+            ("S(a, p), w = mcount(p), w == 3 -> L(a, w).", false),
+            ("V(g, x), w = mmin(x), w > 3 -> L(g, w).", false),
+            ("V(g, x), w = munion(x), w > 3 -> L(g, w).", false),
+            ("S(a, p), w = mcount(p), a > \"b\" -> L(a, w).", false),
+            ("S(a, p), not T(a), w = mcount(p) -> L(a, w).", false),
+            (
+                "S(a, p), w = mcount(p) -> L(a, w).\nL(a, w) -> M(a).",
+                false,
+            ),
+            (
+                "S(a, p), w = mcount(p) -> L(a, w).\nL(a, w), w > 9 -> false.",
+                false,
+            ),
+            ("S(a, p), w = mcount(p) -> L(a, w, n).", false),
+        ];
+        for (src, expected) in table {
+            let plan = AccessPlan::compile(&parse_program(src).unwrap());
+            assert_eq!(plan.filters[0].final_stratum, expected, "{src}");
+        }
+    }
+
+    #[test]
+    fn final_drivers_are_the_smallest_relation_first_on_ties() {
+        let plan = AccessPlan::compile(
+            &parse_program("A(x), B(x, y), C(y), w = mcount(y) -> L(x, w).").unwrap(),
+        );
+        let filter = &plan.filters[0];
+        assert_eq!(filter.final_driver(&[5, 3, 4]), Some(1));
+        assert_eq!(filter.final_driver(&[3, 3, 4]), Some(0));
+        assert_eq!(filter.final_driver(&[5, 4, 4]), Some(1));
+        assert_eq!(filter.final_driver(&[]), None);
     }
 
     #[test]

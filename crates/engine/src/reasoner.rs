@@ -1,7 +1,7 @@
 //! The public [`Reasoner`] facade: parse → analyse → rewrite → compile →
 //! execute → post-process, end to end.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, Fragment};
 use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
@@ -312,7 +312,9 @@ impl Reasoner {
 #[derive(Clone, Debug)]
 pub struct QueryResult {
     /// The facts of the query predicate that match the query atom (bound
-    /// positions agree with the query constants).
+    /// positions agree with the query constants); on a predicate an
+    /// aggregate writes, each group's final value only, as in
+    /// [`RunResult::outputs`].
     pub answers: Vec<Fact>,
     /// Whether the magic-sets transformation was applied.
     pub used_magic_sets: bool,
@@ -414,6 +416,29 @@ pub(crate) fn collect_outputs(
     outputs
 }
 
+/// The answers to `query` over a finished run of `plan`: what
+/// [`collect_outputs`] would return for its predicate, filtered by the
+/// query, in `FactId` order. On a predicate an aggregate writes, only the
+/// facts [`keep_final_per_group`] keeps answer, as in the outputs.
+pub(crate) fn query_answers(
+    store: &mut vadalog_storage::FactStore,
+    plan: &AccessPlan,
+    query: &Atom,
+) -> Vec<Fact> {
+    let mut answers = matching_facts(store, query);
+    if let Some((group_positions, agg_position, increasing)) =
+        aggregate_output_shape(plan).get(&query.predicate)
+    {
+        let facts = store.facts_of(query.predicate);
+        let finals: BTreeSet<Fact> =
+            keep_final_per_group(facts, group_positions, *agg_position, *increasing)
+                .into_iter()
+                .collect();
+        answers.retain(|f| finals.contains(f));
+    }
+    answers
+}
+
 /// Materialise exactly the facts of `query.predicate` that match the query
 /// atom, via an **id-level probe on the bound argument positions**: the
 /// constant columns are probed as a composite index prefix (built on demand
@@ -421,7 +446,7 @@ pub(crate) fn collect_outputs(
 /// equalities, and only the matching rows are resolved into [`Fact`]s — the
 /// whole-relation materialise-and-filter the old answer extraction paid is
 /// gone.
-pub(crate) fn query_answers(store: &mut vadalog_storage::FactStore, query: &Atom) -> Vec<Fact> {
+fn matching_facts(store: &mut vadalog_storage::FactStore, query: &Atom) -> Vec<Fact> {
     // Bound columns and their interned ids. A constant that was never
     // interned cannot occur in any stored row.
     let mut cols: Vec<usize> = Vec::new();

@@ -1016,7 +1016,7 @@ impl QuerySession {
             seed,
             compile_start,
         );
-        let answers = query_answers(&mut run.store, query);
+        let answers = query_answers(&mut run.store, &compiled.plan, query);
         run.outputs
             .entry(query.predicate)
             .or_insert_with(|| answers.clone());

@@ -25,8 +25,10 @@ use vadalog_model::prelude::*;
 // ---------------------------------------------------------------- generators
 
 /// The rule set shared by every case: transitive closure, a join against
-/// `Mark`, its negation, and an `mcount` aggregate folding the closure — so
-/// appended `Mark` facts both add `Hit` facts and remove `Unmarked` ones. With
+/// `Mark`, its negation, and two `mcount` sinks, one folding the closure and
+/// one folding the appendable `Edge` itself — so appended `Mark` facts both
+/// add `Hit` facts and remove `Unmarked` ones, and appended edges grow
+/// aggregate groups the EDB already holds. With
 /// `existential` the query slice invents labelled nulls, putting sessions
 /// on the bottom-up fallback where null ids become observable.
 fn rules(existential: bool) -> String {
@@ -35,14 +37,15 @@ fn rules(existential: bool) -> String {
          Reach(x, y), Edge(y, z) -> Reach(x, z).\n\
          Reach(x, y), Mark(y) -> Hit(x, y).\n\
          Reach(x, y), not Mark(y) -> Unmarked(x, y).\n\
-         Reach(x, y), c = mcount(y) -> OutDegree(x, c).\n",
+         Reach(x, y), c = mcount(y) -> OutDegree(x, c).\n\
+         Edge(x, y), d = mcount(y), d >= 2 -> Fanout(x, d).\n",
     );
     if existential {
         src.push_str("Hit(x, y) -> Cert(c, x).\n");
         src.push_str("Cert(c, x), Reach(x, y) -> Cert(c, y).\n");
     }
     src.push_str("@output(\"Reach\").\n@output(\"Hit\").\n@output(\"Unmarked\").\n");
-    src.push_str("@output(\"OutDegree\").\n");
+    src.push_str("@output(\"OutDegree\").\n@output(\"Fanout\").\n");
     src
 }
 
@@ -97,7 +100,14 @@ fn program_and_schedule(existential: bool) -> impl Strategy<Value = (Program, Ve
 /// variables sometimes repeated).
 fn random_query() -> impl Strategy<Value = Atom> {
     (
-        prop::sample::select(vec!["Reach", "Hit", "Unmarked", "Cert"]),
+        prop::sample::select(vec![
+            "Reach",
+            "Hit",
+            "Unmarked",
+            "Cert",
+            "OutDegree",
+            "Fanout",
+        ]),
         prop::collection::vec((any::<bool>(), 0usize..8), 2),
         any::<bool>(),
     )

@@ -1,12 +1,14 @@
 //! Integration tests for monotonic aggregation (Section 5, Example 10 and
 //! the aggregation-based scenarios of Section 6.3).
 //!
-//! The `pinned_*` tests fix what each aggregate function emits, match by
-//! match: a digest of the whole final instance (every intermediate aggregate
-//! fact, in `FactId` order), a digest of the post-processed outputs and the
-//! admission counters, all recorded before emission moved from materialised
-//! substitutions to interned ids. A faster emission path may not change
-//! any of them.
+//! The `pinned_*` tests fix what each aggregate function emits: a digest of
+//! the whole final instance (every aggregate fact, in `FactId` order), a
+//! digest of the post-processed outputs and the admission counters. An
+//! aggregate that streams emits a fact per match that improves its value; a
+//! sink aggregate in the final stratum emits one per group, so its instance
+//! digest and counters were re-pinned when that stratum came in, while
+//! every output digest stayed as first recorded. A faster emission path may
+//! not change any of them.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -173,10 +175,10 @@ fn pinned_mcount_with_and_without_contributors() {
     assert_eq!(
         emitted(&result),
         Emitted {
-            instance_digest: 18228211933821192899,
+            instance_digest: 589411345675403032,
             output_digest: 2155989388906976771,
-            facts_derived: 19,
-            facts_suppressed: 5,
+            facts_derived: 8,
+            facts_suppressed: 0,
         }
     );
 }
@@ -216,10 +218,10 @@ fn pinned_mmin_mmax_and_munion() {
     assert_eq!(
         emitted(&result),
         Emitted {
-            instance_digest: 1944319091516788258,
+            instance_digest: 16706786491915116506,
             output_digest: 1708041951854196503,
-            facts_derived: 11,
-            facts_suppressed: 2,
+            facts_derived: 6,
+            facts_suppressed: 0,
         }
     );
 }
@@ -292,4 +294,173 @@ fn pinned_append_folds_into_existing_groups() {
         .unwrap();
     let outputs = session.reason().unwrap().outputs;
     assert_eq!(outputs_digest(&outputs), 12428835063035610314);
+}
+
+/// Sink aggregates for the query test: an `mcount` with a threshold (it
+/// runs in the final stratum) and an `msum` (it keeps monotonic emission).
+const SINKS: &str = "S(\"x\", \"p1\"). S(\"x\", \"p2\"). S(\"x\", \"p3\"). S(\"x\", \"p4\").\n\
+     S(\"y\", \"p1\"). S(\"y\", \"p2\"). S(\"y\", \"p3\"). S(\"y\", \"p4\").\n\
+     S(\"z\", \"p1\"). S(\"z\", \"p2\").\n\
+     W(\"g\", \"a\", 0.5). W(\"g\", \"b\", 0.25). W(\"g\", \"a\", 0.125). W(\"h\", \"a\", 1.5).\n\
+     S(a, p), S(b, p), a > b, w = mcount(p), w >= 2 -> Link(a, b, w).\n\
+     W(g, k, v), t = msum(v, <k>) -> Total(g, t).\n\
+     @output(\"Link\"). @output(\"Total\").";
+
+/// The answers each query must give, written by hand: the final value per
+/// group, as `run` reports it, filtered by the query.
+fn expected_sink_answers() -> Vec<(&'static str, Vec<&'static str>)> {
+    vec![
+        (
+            "Link(a, b, w)",
+            vec![
+                "Link(\"y\", \"x\", 4)",
+                "Link(\"z\", \"x\", 2)",
+                "Link(\"z\", \"y\", 2)",
+            ],
+        ),
+        (
+            "Link(a, b, 2)",
+            vec!["Link(\"z\", \"x\", 2)", "Link(\"z\", \"y\", 2)"],
+        ),
+        ("Link(\"y\", b, w)", vec!["Link(\"y\", \"x\", 4)"]),
+        ("Link(a, b, 3)", vec![]),
+        (
+            "Total(g, t)",
+            vec!["Total(\"g\", 0.75)", "Total(\"h\", 1.5)"],
+        ),
+        ("Total(\"g\", t)", vec!["Total(\"g\", 0.75)"]),
+        ("Total(g, 0.5)", vec![]),
+    ]
+}
+
+/// Query answers on an aggregate sink are the final value per group, the
+/// answers `run` gives, never an intermediate value, through the session
+/// and through the CLI.
+#[test]
+fn query_answers_on_aggregate_sinks_equal_run_answers() {
+    let run = run(SINKS);
+    let mut session = Reasoner::new().session_text(SINKS).unwrap();
+    for (query, expected) in expected_sink_answers() {
+        let atom = vadalog_cli::commands::parse_query_atom(query).unwrap();
+        let mut answers: Vec<String> = session
+            .query(&atom)
+            .unwrap()
+            .answers
+            .iter()
+            .map(Fact::to_string)
+            .collect();
+        answers.sort();
+        assert_eq!(answers, expected, "session query {query}");
+        // Every query here binds constants only (no repeated variable).
+        let mut from_run: Vec<String> = run
+            .output(&atom.predicate.to_string())
+            .iter()
+            .filter(|f| {
+                atom.terms
+                    .iter()
+                    .zip(&f.args)
+                    .all(|(t, v)| t.as_const().is_none_or(|c| c == v))
+            })
+            .map(Fact::to_string)
+            .collect();
+        from_run.sort();
+        assert_eq!(from_run, expected, "run outputs for {query}");
+    }
+
+    let path = std::env::temp_dir().join(format!(
+        "vadalog_aggregation_semantics_{}_sinks.vada",
+        std::process::id()
+    ));
+    std::fs::write(&path, SINKS).unwrap();
+    let queries = expected_sink_answers();
+    let mut args = vec!["query".to_string(), path.to_string_lossy().into_owned()];
+    args.extend(queries.iter().map(|(q, _)| q.to_string()));
+    let out = vadalog_cli::run_cli(&args).unwrap();
+    std::fs::remove_file(&path).ok();
+    // One `% query ...` header per atom, then its answers, one per line.
+    let mut blocks: Vec<Vec<String>> = Vec::new();
+    for line in out.lines() {
+        if line.starts_with("% query ") {
+            blocks.push(Vec::new());
+        } else if let Some(block) = blocks.last_mut() {
+            block.push(line.trim_end_matches('.').to_string());
+        }
+    }
+    assert_eq!(blocks.len(), queries.len(), "{out}");
+    for (mut block, (query, expected)) in blocks.into_iter().zip(queries) {
+        block.sort();
+        assert_eq!(block, expected, "CLI query {query}:\n{out}");
+    }
+}
+
+/// A sink aggregate in the final stratum reports what monotonic emission
+/// reports. Each program runs as is, where its aggregate filters qualify
+/// for the final stratum, and again with one rule that reads the aggregate
+/// head, which keeps them on monotonic emission: the aggregate `@output`
+/// facts must be equal, in order.
+#[test]
+fn final_stratum_outputs_equal_monotonic_emission() {
+    let data = "S(\"x\", \"p1\"). S(\"x\", \"p2\"). S(\"x\", \"p3\"). S(\"y\", \"p1\").\n\
+                S(\"y\", \"p2\"). S(\"y\", \"p3\"). S(\"z\", \"p1\"). S(\"z\", \"p3\").\n\
+                V(\"a\", 3). V(\"a\", 1.5). V(\"a\", 7). V(\"b\", 2). V(\"b\", 6). V(\"c\", 9).\n\
+                E(\"n1\", \"n2\"). E(\"n2\", \"n3\"). E(\"n3\", \"n4\"). E(\"n2\", \"n5\"). E(\"n5\", \"n1\").\n";
+    // (head, rules, a rule reading the head)
+    let programs = [
+        (
+            "Link",
+            "S(a, p), S(b, p), a > b, w = mcount(p), w >= 2 -> Link(a, b, w).",
+            "Link(a, b, w) -> Seen(a).",
+        ),
+        (
+            "Link",
+            "S(a, p), S(b, p), a > b, w = mcount(p, <p>), 2 < w -> Link(a, b, w).",
+            "Link(a, b, w) -> Seen(a).",
+        ),
+        (
+            "High",
+            "V(g, x), hi = mmax(x), 2 <= hi -> High(g, hi).",
+            "High(g, hi) -> Seen(g).",
+        ),
+        (
+            "Low",
+            "V(g, x), lo = mmin(x), lo < 5 -> Low(g, lo).",
+            "Low(g, lo) -> Seen(g).",
+        ),
+        (
+            "Members",
+            "V(g, x), u = munion(x) -> Members(g, u).",
+            "Members(g, u) -> Seen(g).",
+        ),
+        (
+            "Reach2",
+            "E(x, y) -> R(x, y).\n\
+             R(x, y), E(y, z) -> R(x, z).\n\
+             R(x, y), n = mcount(y), n > 1 -> Reach2(x, n).",
+            "Reach2(x, n) -> Seen(x).",
+        ),
+        (
+            "Degree",
+            "E(x, y), n = mcount(y) -> Degree(x, n).\n\
+             E(y, x), n = mcount(y) -> Degree(x, n).",
+            "Degree(x, n) -> Seen(x).",
+        ),
+    ];
+    for (head, rules, reader) in programs {
+        let sink = format!("{data}{rules}\n@output(\"{head}\").");
+        let read = format!("{sink}\n{reader}");
+        let finals = |src: &str| {
+            let program = vadalog_parser::parse_program(src).unwrap();
+            let plan =
+                vadalog_engine::AccessPlan::compile(&vadalog_rewrite::prepare_rules(&program));
+            plan.filters
+                .iter()
+                .filter(|f| f.has_aggregation && f.final_stratum)
+                .count()
+        };
+        assert!(finals(&sink) > 0, "{rules} runs in the final stratum");
+        assert_eq!(finals(&read), 0, "{reader} keeps {rules} monotonic");
+        let (once, streamed) = (run(&sink).output(head), run(&read).output(head));
+        assert!(!once.is_empty(), "{rules}");
+        assert_eq!(once, streamed, "{rules}");
+    }
 }

@@ -98,14 +98,14 @@ fn strong_links_decisions_are_pinned() {
         got,
         Decisions {
             strategy: StrategyStats {
-                admitted: 1169,
-                duplicates: 3523,
+                admitted: 1070,
+                duplicates: 1800,
                 suppressed: 0,
                 isomorphism_checks: 401,
                 pruned_by_provenance: 0,
                 stop_provenances: 0,
             },
-            facts_derived: 1169,
+            facts_derived: 1070,
             nulls_invented: 30,
             output_digest: 18100805031557413824,
         }
@@ -119,14 +119,14 @@ fn anonymous_all_psc_decisions_are_pinned() {
         got,
         Decisions {
             strategy: StrategyStats {
-                admitted: 802,
+                admitted: 431,
                 duplicates: 1,
                 suppressed: 0,
-                isomorphism_checks: 775,
+                isomorphism_checks: 404,
                 pruned_by_provenance: 0,
                 stop_provenances: 0,
             },
-            facts_derived: 802,
+            facts_derived: 431,
             nulls_invented: 30,
             output_digest: 14592421061452714142,
         }
