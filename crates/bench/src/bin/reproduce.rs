@@ -466,13 +466,23 @@ fn fig8(scale: f64) {
 // -------------------------------------------------------------------- memory
 
 /// Memory-footprint experiment: run each scenario at bench scale and report
-/// instance sizes and termination-strategy statistics (Section 6.1's <400 MB
-/// claim, reported here as structure sizes and fact counts).
+/// instance sizes, termination-strategy statistics and the final store's
+/// heap bytes (Section 6.1's <400 MB claim): row arenas, dedup tables and
+/// sorted-run indexes, counted by capacity, and their total per fact.
 fn memory() {
     println!("Section 6.1 memory-footprint check (bench scale)");
     println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10}",
-        "scenario", "facts", "derived", "suppressed", "iso checks", "time ms"
+        "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "scenario",
+        "facts",
+        "derived",
+        "suppressed",
+        "iso checks",
+        "time ms",
+        "rows B",
+        "dedup B",
+        "index B",
+        "B/fact"
     );
     for scenario in Scenario::all() {
         let mut spec = scenario.spec();
@@ -482,14 +492,19 @@ fn memory() {
         let start = Instant::now();
         let result = Reasoner::new().reason(&program).expect("run failed");
         let elapsed = start.elapsed();
+        let bytes = result.store.heap_bytes().total();
         println!(
-            "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10}",
+            "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8.1}",
             scenario.name(),
             result.stats.total_facts,
             result.stats.pipeline.facts_derived,
             result.stats.pipeline.facts_suppressed,
             result.stats.pipeline.strategy.isomorphism_checks,
             elapsed.as_millis(),
+            bytes.rows,
+            bytes.dedup,
+            bytes.indexes,
+            bytes.total() as f64 / result.store.len().max(1) as f64,
         );
     }
 }

@@ -101,7 +101,7 @@ pub fn run_chase(
     for f in &program.facts {
         let row = f.intern_args();
         strategy.register_base(f.predicate, &row);
-        store.insert_row(f.predicate, row, f.is_ground());
+        store.insert_row(f.predicate, &row, f.is_ground());
     }
     // Populate the active-domain predicate if the program refers to it.
     let dom_sym = intern(vadalog_rewrite_dom_name());
@@ -114,7 +114,7 @@ pub fn run_chase(
         for f in dom.to_facts(&dom_sym.as_str()) {
             let row = f.intern_args();
             strategy.register_base(f.predicate, &row);
-            store.insert_row(f.predicate, row, true);
+            store.insert_row(f.predicate, &row, true);
         }
     }
 

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, PredicateGraph};
 use vadalog_engine::{
     AccessPlan, FilterNode, QuerySession, Reasoner, ReasonerError, ReasonerOptions, RecoveryReport,
-    RunResult,
+    RunCap, RunResult,
 };
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
@@ -46,6 +46,14 @@ pub enum CliError {
         /// What the variable accepts.
         expected: &'static str,
     },
+    /// A run stopped at a cap before reaching its fixpoint: `output` is
+    /// what the command rendered from the truncated instance.
+    Truncated {
+        /// The rendered (partial) output.
+        output: String,
+        /// The cap that stopped the run.
+        cap: RunCap,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -64,6 +72,15 @@ impl fmt::Display for CliError {
                 value,
                 expected,
             } => write!(f, "bad {var} value `{value}`: expected {expected}"),
+            CliError::Truncated { cap, .. } => {
+                match cap {
+                    RunCap::Facts(n) => {
+                        write!(f, "the run reached the fact cap ({n}, --max-facts)")?
+                    }
+                    RunCap::Iterations(n) => write!(f, "the run reached the sweep cap ({n})")?,
+                }
+                write!(f, " before its fixpoint: the output is truncated")
+            }
         }
     }
 }
@@ -200,7 +217,16 @@ fn cmd_run(options: &CliOptions, engine: ReasonerOptions) -> Result<String, CliE
     if options.stats {
         render_stats(&mut out, &result);
     }
-    Ok(out)
+    finish(out, result.stats.pipeline.capped)
+}
+
+/// A command's result: its output, or [`CliError::Truncated`] carrying it
+/// when a run stopped at a cap.
+fn finish(output: String, capped: Option<RunCap>) -> Result<String, CliError> {
+    match capped {
+        None => Ok(output),
+        Some(cap) => Err(CliError::Truncated { output, cap }),
+    }
 }
 
 fn selected_outputs(result: &RunResult, options: &CliOptions) -> Vec<(String, Vec<Fact>)> {
@@ -258,6 +284,19 @@ fn render_stats(out: &mut String, result: &RunResult) {
     let _ = writeln!(out, "% load time:           {:?}", stats.load_time);
     let _ = writeln!(out, "% execution time:      {:?}", stats.execution_time);
     let _ = writeln!(out, "% total facts:         {}", stats.total_facts);
+    let bytes = result.store.heap_bytes();
+    let (own, base) = (bytes.own, bytes.base);
+    let _ = writeln!(
+        out,
+        "% store bytes:         rows {} / dedup {} / indexes {} (base layers: rows {} / dedup {} / indexes {}), {:.1} B/fact",
+        own.rows,
+        own.dedup,
+        own.indexes,
+        base.rows,
+        base.dedup,
+        base.indexes,
+        bytes.total().total() as f64 / result.store.len().max(1) as f64
+    );
     let _ = writeln!(
         out,
         "% facts derived:       {}",
@@ -615,11 +654,13 @@ fn cmd_query(
     };
 
     let mut answered = 0usize;
+    let mut capped = None;
     for (atom_text, step) in atom_texts.iter().zip(&steps) {
         match step {
             QueryStep::Answer(query) => {
                 let result = session.query(query)?;
                 answered += 1;
+                capped = capped.or(result.run.stats.pipeline.capped);
                 let _ = writeln!(
                     out,
                     "% query {} answered {} magic sets ({} answers)",
@@ -691,7 +732,7 @@ fn cmd_query(
             );
         }
     }
-    Ok(out)
+    finish(out, capped)
 }
 
 /// Render a [`RecoveryReport`] (the `--wal` startup lines) into `out`.

@@ -1,7 +1,7 @@
 //! The `vadalog` binary: reads the environment once ([`resolve_env`]) and
 //! runs [`run_cli_with`] under it.
 
-use vadalog_cli::{resolve_env, run_cli_with};
+use vadalog_cli::{resolve_env, run_cli_with, CliError};
 use vadalog_engine::ReasonerOptions;
 
 fn main() {
@@ -17,6 +17,12 @@ fn main() {
     match result {
         Ok(text) => print!("{text}"),
         Err(e) => {
+            if let CliError::Truncated { output, .. } = &e {
+                // A capped run still prints what it derived.
+                print!("{output}");
+                eprintln!("warning: {e}");
+                std::process::exit(3);
+            }
             eprintln!("error: {e}");
             std::process::exit(1);
         }

@@ -170,7 +170,7 @@ pub mod reasoner;
 pub mod session;
 
 pub use pipeline::{
-    default_parallelism, JoinStrategy, Pipeline, PipelineStats, BATCH_WIDTH_BUCKETS,
+    default_parallelism, JoinStrategy, Pipeline, PipelineStats, RunCap, BATCH_WIDTH_BUCKETS,
 };
 pub use plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,

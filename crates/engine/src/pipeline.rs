@@ -728,6 +728,22 @@ pub struct PipelineStats {
     pub batch_width_hist: [u64; BATCH_WIDTH_BUCKETS],
     /// Termination-strategy statistics.
     pub strategy: StrategyStats,
+    /// The cap that stopped the sweeps while they were still deriving
+    /// facts: the instance is then a truncated prefix of the fixpoint, not
+    /// the fixpoint. `None` when the last sweep derived nothing. A run that
+    /// meets a cap exactly at its fixpoint still reports it: the sweep that
+    /// would have confirmed the fixpoint never ran.
+    pub capped: Option<RunCap>,
+}
+
+/// A [`ReasonerOptions`] cap that stopped a run before its fixpoint (see
+/// [`PipelineStats::capped`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunCap {
+    /// `max_iterations` round-robin sweeps ran.
+    Iterations(usize),
+    /// The store held at least `max_facts` facts.
+    Facts(usize),
 }
 
 /// Number of buckets in [`PipelineStats::batch_width_hist`]: widths 1, 2–3,
@@ -924,10 +940,14 @@ impl<'a> Pipeline<'a> {
         }
 
         let n_filters = self.plan.filters.len();
+        self.stats.capped = None;
         loop {
-            if self.stats.iterations >= self.options.max_iterations
-                || self.store.len() >= self.options.max_facts
-            {
+            if self.stats.iterations >= self.options.max_iterations {
+                self.stats.capped = Some(RunCap::Iterations(self.options.max_iterations));
+                break;
+            }
+            if self.store.len() >= self.options.max_facts {
+                self.stats.capped = Some(RunCap::Facts(self.options.max_facts));
                 break;
             }
             self.stats.iterations += 1;
@@ -1813,32 +1833,32 @@ impl<'a> Pipeline<'a> {
         let mut produced = false;
 
         let mut scratch = ResidualScratch::default();
+        let (mut linear_row, mut ward_row) = (Vec::new(), Vec::new());
         for mut binding in matches {
             if !self.accept(job, Pass::Fire, &mut binding, &mut scratch) {
                 continue;
             }
 
-            // Parents for the termination wrapper, in row form (the body
-            // patterns are fully bound after the join, so instantiation
-            // cannot fail); a null-free run never asks for them.
-            let linear_row = if kind == RuleKind::Linear && !self.null_free {
-                patterns.first().and_then(|p| p.instantiate(&binding))
-            } else {
-                None
+            // Parents for the termination wrapper, in row form, written into
+            // reused scratch (the body patterns are fully bound after the
+            // join, so instantiation cannot fail); a null-free run never
+            // asks for them.
+            let linear_parent = match patterns.first() {
+                Some(p) if kind == RuleKind::Linear && !self.null_free => {
+                    linear_row.clear();
+                    p.instantiate_into(&binding, &mut linear_row)
+                        .then(|| ParentRef::new(p.predicate, &linear_row))
+                }
+                _ => None,
             };
-            let ward_row = if kind == RuleKind::Warded && !self.null_free {
-                ward_index
-                    .and_then(|w| patterns.get(w))
-                    .and_then(|p| p.instantiate(&binding))
-            } else {
-                None
+            let ward_parent = match ward_index.and_then(|w| patterns.get(w)) {
+                Some(p) if kind == RuleKind::Warded && !self.null_free => {
+                    ward_row.clear();
+                    p.instantiate_into(&binding, &mut ward_row)
+                        .then(|| ParentRef::new(p.predicate, &ward_row))
+                }
+                _ => None,
             };
-            let linear_parent = linear_row
-                .as_deref()
-                .map(|r| ParentRef::new(patterns[0].predicate, r));
-            let ward_parent = ward_row
-                .as_deref()
-                .map(|r| ParentRef::new(patterns[ward_index.unwrap_or_default()].predicate, r));
 
             // Existential witnesses: fresh nulls, interned straight into the
             // binding (a null id hashes as two integers).
@@ -1846,32 +1866,36 @@ impl<'a> Pipeline<'a> {
                 binding[*slot] = Some(intern_value(&self.nulls.fresh_value()));
             }
 
-            // Head emission: rows instantiated from the binding. The
-            // strategy admits on the row itself — or, on a null-free run,
-            // every row goes to the store, whose dedup decides.
+            // Head emission: each row is written in place into the batch's
+            // buffer for its predicate. The strategy admits on the row
+            // itself — or, on a null-free run, every row goes to the store,
+            // whose dedup decides. A row the strategy rejects, or one that
+            // must reach the store at once, leaves the batch again.
             for hp in head_patterns {
-                let Some(row) = hp.instantiate(&binding) else {
+                let rows = delta.rows_mut(hp.predicate);
+                if !rows.push_with(|out| hp.instantiate_into(&binding, out)) {
                     continue;
-                };
+                }
+                let row = rows.last().expect("a row was just pushed");
                 if !self.null_free {
                     let admitted = self.strategy.admit(
-                        &Candidate::from_row(hp.predicate, &row),
+                        &Candidate::from_row(hp.predicate, row),
                         rule_id,
                         kind,
                         linear_parent,
                         ward_parent,
                     );
                     if !admitted {
+                        rows.pop();
                         self.stats.facts_suppressed += 1;
                         continue;
                     }
                     self.stats.facts_derived += 1;
                     produced = true;
                 }
-                if buffer_rows {
-                    delta.push(hp.predicate, row);
-                } else {
+                if !buffer_rows {
                     let fresh = self.store.relation_mut(hp.predicate).insert_row(row);
+                    rows.pop();
                     if self.null_free {
                         produced |= self.count_dedup(usize::from(fresh.is_some()), 1);
                     }

@@ -280,47 +280,50 @@ pub fn intern_values(values: &[Value]) -> Box<[ValueId]> {
     values.iter().map(intern_value).collect()
 }
 
-/// Intern the argument rows of a batch, in order, taking every shard's lock
-/// once for the whole batch: the bulk-load form of [`intern_values`]. Ids
-/// are exactly those repeated [`intern_values`] calls would assign — values
-/// new to the table are interned in row order, argument order. A batch of
-/// known values runs under read guards; from the first unknown value on,
-/// the rest of the batch runs under write guards. Guards are taken in
-/// ascending shard order, like [`resolve_values`].
-pub fn intern_rows<'a, I>(rows: I) -> Vec<Box<[ValueId]>>
+/// Intern the argument rows of a batch, in order, appending every row's ids
+/// back to back to `out` (a flat chunk: the caller splits it by the rows'
+/// lengths), taking every shard's lock once for the whole batch: the
+/// bulk-load form of [`intern_values`]. Ids are exactly those repeated
+/// [`intern_values`] calls would assign — values new to the table are
+/// interned in row order, argument order. A batch of known values runs under
+/// read guards; from the first unknown value on, the rest of the batch runs
+/// under write guards. Guards are taken in ascending shard order, like
+/// [`resolve_values`].
+pub fn intern_rows<'a, I>(rows: I, out: &mut Vec<ValueId>)
 where
     I: IntoIterator<Item = &'a [Value]>,
 {
     let interner = value_interner();
     let rows: Vec<&[Value]> = rows.into_iter().collect();
-    let mut out: Vec<Box<[ValueId]>> = Vec::with_capacity(rows.len());
+    let mut done = 0;
     {
         let guards: [std::sync::RwLockReadGuard<'_, ValueShard>; VALUE_SHARDS] =
             std::array::from_fn(|shard_no| interner.shards[shard_no].read());
         'rows: for row in &rows {
-            let mut ids = Vec::with_capacity(row.len());
+            let start = out.len();
             for v in *row {
                 let shard_no = value_shard_of(v);
                 match guards[shard_no as usize].map.get(v) {
-                    Some(&local) => ids.push(ValueId::compose(shard_no, local)),
-                    None => break 'rows,
+                    Some(&local) => out.push(ValueId::compose(shard_no, local)),
+                    None => {
+                        out.truncate(start);
+                        break 'rows;
+                    }
                 }
             }
-            out.push(ids.into_boxed_slice());
+            done += 1;
         }
     }
-    if out.len() < rows.len() {
+    if done < rows.len() {
         let mut guards: [std::sync::RwLockWriteGuard<'_, ValueShard>; VALUE_SHARDS] =
             std::array::from_fn(|shard_no| interner.shards[shard_no].write());
-        for row in &rows[out.len()..] {
-            let ids = row.iter().map(|v| {
+        for row in &rows[done..] {
+            out.extend(row.iter().map(|v| {
                 let shard_no = value_shard_of(v);
                 guards[shard_no as usize].intern(shard_no, v)
-            });
-            out.push(ids.collect());
+            }));
         }
     }
-    out
 }
 
 impl Value {

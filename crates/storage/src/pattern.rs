@@ -218,19 +218,23 @@ impl RowPattern {
         true
     }
 
-    /// Instantiate this pattern under `binding` into a concrete row:
-    /// constants copy their interned id, variables copy their bound id.
-    /// `None` if any variable slot is unbound (mirrors `Atom::apply`
-    /// returning `None` on an incomplete substitution).
-    pub fn instantiate(&self, binding: &[Option<ValueId>]) -> Option<Box<[ValueId]>> {
-        self.slots
-            .iter()
-            .map(|s| match s {
-                Slot::Const(c) => Some(*c),
-                Slot::Var(v) => binding[*v],
-            })
-            .collect::<Option<Vec<ValueId>>>()
-            .map(Vec::into_boxed_slice)
+    /// Instantiate this pattern under `binding` into a concrete row,
+    /// appended to `out`: constants copy their interned id, variables copy
+    /// their bound id. Returns `false`, with `out` as it was, if any
+    /// variable slot is unbound (mirrors `Atom::apply` returning `None` on an
+    /// incomplete substitution).
+    pub fn instantiate_into(&self, binding: &[Option<ValueId>], out: &mut Vec<ValueId>) -> bool {
+        let start = out.len();
+        for slot in self.slots.iter() {
+            match slot.value(binding) {
+                Some(id) => out.push(id),
+                None => {
+                    out.truncate(start);
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Fill `key` with the probe key of `cols` under `binding`: the id each

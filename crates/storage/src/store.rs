@@ -12,11 +12,12 @@
 //! # Storage layout
 //!
 //! The store never holds a [`Fact`] at rest. Each relation stores its tuples
-//! as **rows**: boxed `[ValueId]` slices over the global value interner of
-//! `vadalog-model`, identified by a [`FactId`] equal to the row's insertion
-//! position. Set-semantics deduplication is a row-hash → `FactId` map (the
-//! row bytes exist exactly once, in the row table; the dedup map holds only
-//! hashes and ids).
+//! as **rows** of [`ValueId`]s over the global value interner of
+//! `vadalog-model`, back to back in one flat [`RowArena`], identified by a
+//! [`FactId`] equal to the row's insertion position. Set-semantics
+//! deduplication is an open-addressed table of 8-byte slots, each a hash tag
+//! next to a row position: the row ids exist exactly once, in the arena, and
+//! no row has an allocation of its own.
 //!
 //! # Sorted-run indices
 //!
@@ -53,15 +54,11 @@
 //! allocations.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
+use std::mem::size_of;
 use std::sync::Arc;
 use vadalog_model::prelude::*;
-
-/// Hash map from pre-computed row hashes to postings: the key *is* the hash,
-/// so the map uses a pass-through hasher (one multiply via Fx, no SipHash).
-type DedupMap = HashMap<u64, Vec<FactId>, FxBuildHasher>;
 
 /// Identifier of a stored row within one [`Relation`]: its insertion
 /// position. `Copy`, 4 bytes, and totally ordered by insertion time.
@@ -75,8 +72,11 @@ impl FactId {
     }
 }
 
-fn row_hash(row: &[ValueId]) -> u64 {
-    FxBuildHasher::default().hash_one(row)
+/// The 32-bit dedup tag of a row: its Fx hash, folded so the top bits (the
+/// [`DedupTable`]'s home slot) depend on every id.
+fn row_tag(row: &[ValueId]) -> u32 {
+    let h = FxBuildHasher::default().hash_one(row);
+    ((h ^ (h >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
 }
 
 /// Hash of a composite key (the raw ids), used by the per-run directory.
@@ -880,7 +880,250 @@ impl<'r> TrieCursor<'r> {
     }
 }
 
+/// Rows of mixed arity in one flat buffer: every row's ids back to back in
+/// one `Vec<ValueId>`, plus each row's end offset (row `i` spans
+/// `ends[i - 1]..ends[i]`, row 0 starts at 0). A row costs its ids and one
+/// `u32`, with no allocation of its own. This is the layout of a relation's
+/// rows and of a [`DeltaBatch`]'s per-predicate buffers.
+#[derive(Clone, Debug, Default)]
+pub struct RowArena {
+    values: Vec<ValueId>,
+    ends: Vec<u32>,
+}
+
+impl RowArena {
+    /// An empty arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Does the arena hold no row?
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Row `i`, in push order.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn row(&self, i: usize) -> &[ValueId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.values[start..self.ends[i] as usize]
+    }
+
+    /// Every row, in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[ValueId]> + '_ {
+        (0..self.len()).map(move |i| self.row(i))
+    }
+
+    /// The most recently pushed row.
+    pub fn last(&self) -> Option<&[ValueId]> {
+        self.len().checked_sub(1).map(|i| self.row(i))
+    }
+
+    /// Append a copy of `row`.
+    pub fn push(&mut self, row: &[ValueId]) {
+        self.values.extend_from_slice(row);
+        self.close_row();
+    }
+
+    /// Append one row that `fill` writes in place onto the end of the id
+    /// buffer (it may only append). When `fill` returns `false`, whatever it
+    /// wrote is dropped and no row is added. Returns whether a row was added.
+    pub fn push_with(&mut self, fill: impl FnOnce(&mut Vec<ValueId>) -> bool) -> bool {
+        let start = self.values.len();
+        let keep = fill(&mut self.values);
+        assert!(self.values.len() >= start, "push_with may only append");
+        if keep {
+            self.close_row();
+        } else {
+            self.values.truncate(start);
+        }
+        keep
+    }
+
+    /// Remove the most recently pushed row (a no-op on an empty arena).
+    pub fn pop(&mut self) {
+        if self.ends.pop().is_some() {
+            self.values
+                .truncate(self.ends.last().map_or(0, |end| *end as usize));
+        }
+    }
+
+    fn close_row(&mut self) {
+        let end = u32::try_from(self.values.len()).expect("row arena overflow: u32 offsets");
+        self.ends.push(end);
+    }
+
+    /// Heap bytes held, counted by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.values.capacity() * size_of::<ValueId>() + self.ends.capacity() * size_of::<u32>()
+    }
+}
+
+/// A layer's set-semantics dedup: an open-addressed, linear-probing table of
+/// its own rows' positions. Each 8-byte slot packs a row's 32-bit hash tag
+/// (high half) next to its local position + 1 (low half; 0 marks an empty
+/// slot), so a probe compares tags and reads a row from the arena only on a
+/// tag match. A row's home slot is the top bits of its tag, so growing
+/// re-places every slot from its tag alone, without touching a row. The
+/// table is a power of two at most 7/8 full.
+#[derive(Clone, Debug, Default)]
+struct DedupTable {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl DedupTable {
+    /// A table that holds `rows` entries without growing.
+    fn with_capacity(rows: usize) -> DedupTable {
+        let mut table = DedupTable::default();
+        if rows > 0 {
+            table.slots = vec![0; (rows * 8).div_ceil(7).next_power_of_two().max(16)];
+        }
+        table
+    }
+
+    fn home(&self, tag: u32) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (((tag as u64) << 32) >> (64 - bits)) as usize
+    }
+
+    /// Look for an entry under `tag` whose row `eq` accepts: `Ok(local)` when
+    /// found, else `Err(slot)`, the empty slot that ended the probe (where
+    /// [`DedupTable::insert_at`] puts a new entry under `tag`).
+    fn find(&self, tag: u32, mut eq: impl FnMut(usize) -> bool) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            if (slot >> 32) as u32 == tag && eq((slot as u32 - 1) as usize) {
+                return Ok((slot as u32 - 1) as usize);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Record local row `local` under `tag` at `slot`, the empty slot a
+    /// failed [`DedupTable::find`] for `tag` returned.
+    fn insert_at(&mut self, mut slot: usize, tag: u32, local: usize) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+            slot = self.find(tag, |_| false).expect_err("no entry matches");
+        }
+        self.slots[slot] = (tag as u64) << 32 | (local as u64 + 1);
+        self.len += 1;
+    }
+
+    /// Double the table (16 slots at least) and re-place every entry.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![0; cap]);
+        let mask = cap - 1;
+        for slot in old.into_iter().filter(|s| *s != 0) {
+            let mut i = self.home((slot >> 32) as u32);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<u64>()
+    }
+}
+
+/// Heap bytes of store structures, counted by capacity: row arenas, dedup
+/// tables, and sorted-run indexes (runs, directories and tails). Hash-map
+/// directories are estimated from their capacity.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// Row arenas: ids plus row ends.
+    pub rows: usize,
+    /// Dedup tables.
+    pub dedup: usize,
+    /// Sorted-run indexes.
+    pub indexes: usize,
+}
+
+impl HeapBytes {
+    /// Sum of the three parts.
+    pub fn total(&self) -> usize {
+        self.rows + self.dedup + self.indexes
+    }
+}
+
+impl std::ops::AddAssign for HeapBytes {
+    fn add_assign(&mut self, other: HeapBytes) {
+        self.rows += other.rows;
+        self.dedup += other.dedup;
+        self.indexes += other.indexes;
+    }
+}
+
+/// [`HeapBytes`] of a relation or a store, the layers it owns listed apart
+/// from the shared immutable base layers below them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoreBytes {
+    /// The relation's own rows, dedup and indexes (all of a plain one).
+    pub own: HeapBytes,
+    /// Every layer of the copy-on-write base chain.
+    pub base: HeapBytes,
+}
+
+impl StoreBytes {
+    /// Own plus base.
+    pub fn total(&self) -> HeapBytes {
+        let mut total = self.own;
+        total += self.base;
+        total
+    }
+}
+
+/// Estimated heap bytes of a hash map: a power-of-two bucket count at most
+/// 7/8 full, each bucket one entry plus one control byte.
+fn map_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    match map.capacity() {
+        0 => 0,
+        cap => (cap * 8 / 7).next_power_of_two() * (size_of::<(K, V)>() + 1),
+    }
+}
+
+impl SortedIndex {
+    fn heap_bytes(&self) -> usize {
+        let runs: usize = self
+            .runs
+            .iter()
+            .map(|run| {
+                run.keys.capacity() * size_of::<(OrderKey, ValueId)>()
+                    + run.facts.capacity() * size_of::<FactId>()
+                    + map_bytes(&run.dir)
+            })
+            .sum();
+        runs + self.runs.capacity() * size_of::<SortedRun>()
+            + self.tail_ids.capacity() * size_of::<ValueId>()
+            + self.tail_facts.capacity() * size_of::<FactId>()
+    }
+}
+
 /// A single relation: all rows of one predicate.
+///
+/// Every layer keeps its own rows in one [`RowArena`] (rows of any arity
+/// back to back, no allocation per row) and deduplicates them through an
+/// open-addressed table of row positions; rows are compared in the arena,
+/// never boxed. [`Relation::heap_bytes`] reports what the layers hold.
 ///
 /// A relation is either **plain** (it owns every row, `base` is `None`) or a
 /// **copy-on-write overlay** over a shared, immutable base relation: the base
@@ -896,14 +1139,13 @@ pub struct Relation {
     /// base may itself be an overlay: promoted layers form a chain (oldest
     /// layer at the bottom), and every composed operation walks it.
     base: Option<Arc<Relation>>,
-    /// Row table: the single copy of every tuple owned by *this* relation,
-    /// in insertion order (overlay rows only, when `base` is set).
-    rows: Vec<Box<[ValueId]>>,
-    /// Set-semantics dedup: row hash -> ids of rows with that hash. Almost
-    /// every bucket has exactly one entry; collisions fall back to comparing
-    /// rows in the row table. Covers only this relation's own rows; the
-    /// base's dedup map is consulted first.
-    dedup: DedupMap,
+    /// Row arena: the single copy of every tuple owned by *this* relation,
+    /// in insertion order (overlay rows only, when `base` is set). Row `i`
+    /// of the arena is `FactId(base_row_count() + i)`.
+    rows: RowArena,
+    /// Set-semantics dedup over this relation's own rows (arena positions,
+    /// not `FactId`s); the base chain's tables are consulted first.
+    dedup: DedupTable,
     /// Dynamic sorted-run indices, one per requested column list. In an
     /// overlay they usually cover only the overlay rows (the base brings its
     /// own runs); a [`SortedIndex::covers_base`] index is the fallback for
@@ -921,7 +1163,7 @@ impl Relation {
     }
 
     /// Create an empty overlay over a shared immutable base: the
-    /// copy-on-write snapshot entry point. The base's rows, dedup map and
+    /// copy-on-write snapshot entry point. The base's rows, dedup table and
     /// sorted-run indexes are reused as-is; inserts land in the overlay. The
     /// base may itself be a promoted layer chain (see
     /// [`StoreBase::promote`]).
@@ -962,6 +1204,29 @@ impl Relation {
         self.full_index_builds
     }
 
+    /// Heap bytes of this relation's own layer and, apart, of every layer of
+    /// its base chain, counted by capacity.
+    pub fn heap_bytes(&self) -> StoreBytes {
+        let mut bytes = StoreBytes {
+            own: self.layer_bytes(),
+            base: HeapBytes::default(),
+        };
+        let mut base = self.base.as_deref();
+        while let Some(layer) = base {
+            bytes.base += layer.layer_bytes();
+            base = layer.base.as_deref();
+        }
+        bytes
+    }
+
+    fn layer_bytes(&self) -> HeapBytes {
+        HeapBytes {
+            rows: self.rows.heap_bytes(),
+            dedup: self.dedup.heap_bytes(),
+            indexes: self.indices.iter().map(SortedIndex::heap_bytes).sum(),
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.base_row_count() + self.rows.len()
@@ -974,38 +1239,24 @@ impl Relation {
 
     /// Insert a row; returns its fresh [`FactId`], or `None` if an equal row
     /// is already present (in the shared base or in this relation).
-    pub fn insert_row(&mut self, row: Box<[ValueId]>) -> Option<FactId> {
+    pub fn insert_row(&mut self, row: &[ValueId]) -> Option<FactId> {
         let base_len = self.base_row_count();
+        let local = self.rows.len();
         assert!(
-            base_len + self.rows.len() < u32::MAX as usize,
+            base_len + local < u32::MAX as usize,
             "relation overflow: FactId space exhausted"
         );
-        let hash = row_hash(&row);
-        if self.base_chain_contains(hash, &row) {
+        let tag = row_tag(row);
+        if self.base_chain_contains(tag, row) {
             return None;
         }
-        match self.dedup.entry(hash) {
-            Entry::Occupied(mut e) => {
-                if e.get()
-                    .iter()
-                    .any(|id| *self.rows[id.index() - base_len] == *row)
-                {
-                    return None;
-                }
-                let id = FactId((base_len + self.rows.len()) as u32);
-                e.get_mut().push(id);
-                self.index_new_row(id, &row);
-                self.rows.push(row);
-                Some(id)
-            }
-            Entry::Vacant(e) => {
-                let id = FactId((base_len + self.rows.len()) as u32);
-                e.insert(vec![id]);
-                self.index_new_row(id, &row);
-                self.rows.push(row);
-                Some(id)
-            }
-        }
+        let rows = &self.rows;
+        let slot = self.dedup.find(tag, |i| rows.row(i) == row).err()?;
+        self.dedup.insert_at(slot, tag, local);
+        let id = FactId((base_len + local) as u32);
+        self.index_new_row(id, row);
+        self.rows.push(row);
+        Some(id)
     }
 
     /// Keep the already-materialised indices up to date with a new row (the
@@ -1019,41 +1270,38 @@ impl Relation {
 
     /// Insert a fact (interning its arguments); returns `true` if it was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        self.insert_row(fact.intern_args()).is_some()
+        self.insert_row(&fact.intern_args()).is_some()
     }
 
-    /// Insert a batch of rows in order, in one pass: dedup, row table and
-    /// every materialised index are updated per row exactly as repeated
-    /// [`Relation::insert_row`] calls would, but the relation is resolved
-    /// once and the row table grows by one reservation. Returns the number
-    /// of rows that were new.
+    /// Insert a batch of rows in order: dedup, row arena and every
+    /// materialised index are updated per row exactly as repeated
+    /// [`Relation::insert_row`] calls would. Returns the number of rows that
+    /// were new.
     pub fn insert_rows<I>(&mut self, rows: I) -> usize
     where
-        I: IntoIterator<Item = Box<[ValueId]>>,
+        I: IntoIterator,
+        I::Item: AsRef<[ValueId]>,
     {
-        let rows = rows.into_iter();
-        let (lower, _) = rows.size_hint();
-        self.rows.reserve(lower);
         let mut fresh = 0;
         for row in rows {
-            if self.insert_row(row).is_some() {
+            if self.insert_row(row.as_ref()).is_some() {
                 fresh += 1;
             }
         }
         fresh
     }
 
+    /// Does this relation's own arena (not its base chain) hold `row`?
+    fn own_contains(&self, tag: u32, row: &[ValueId]) -> bool {
+        self.dedup.find(tag, |i| self.rows.row(i) == row).is_ok()
+    }
+
     /// Does any layer of the base chain (not this relation's own rows)
-    /// contain `row`? Each layer's dedup ids live in that layer's own id
-    /// space, so they index its row table offset by its own base length.
-    fn base_chain_contains(&self, hash: u64, row: &[ValueId]) -> bool {
+    /// contain `row`? Each layer's table indexes its own arena.
+    fn base_chain_contains(&self, tag: u32, row: &[ValueId]) -> bool {
         let mut base = self.base.as_deref();
         while let Some(layer) = base {
-            let layer_start = layer.base_row_count();
-            if layer.dedup.get(&hash).is_some_and(|ids| {
-                ids.iter()
-                    .any(|id| *layer.rows[id.index() - layer_start] == *row)
-            }) {
+            if layer.own_contains(tag, row) {
                 return true;
             }
             base = layer.base.as_deref();
@@ -1063,15 +1311,8 @@ impl Relation {
 
     /// Does the relation contain exactly this row?
     pub fn contains_row(&self, row: &[ValueId]) -> bool {
-        let hash = row_hash(row);
-        if self.base_chain_contains(hash, row) {
-            return true;
-        }
-        let base_len = self.base_row_count();
-        self.dedup.get(&hash).is_some_and(|ids| {
-            ids.iter()
-                .any(|id| *self.rows[id.index() - base_len] == *row)
-        })
+        let tag = row_tag(row);
+        self.own_contains(tag, row) || self.base_chain_contains(tag, row)
     }
 
     /// Does the relation contain exactly this fact?
@@ -1097,7 +1338,7 @@ impl Relation {
         loop {
             let layer_start = rel.base_row_count();
             if i >= layer_start {
-                return &rel.rows[i - layer_start];
+                return rel.rows.row(i - layer_start);
             }
             rel = rel
                 .base
@@ -1116,10 +1357,7 @@ impl Relation {
             layers.push(b);
             base = b.base.as_deref();
         }
-        layers
-            .into_iter()
-            .rev()
-            .flat_map(|layer| layer.rows.iter().map(|r| &**r))
+        layers.into_iter().rev().flat_map(|layer| layer.rows.iter())
     }
 
     /// Materialise the fact stored at `id`.
@@ -1169,7 +1407,7 @@ impl Relation {
             .rows
             .iter()
             .enumerate()
-            .map(|(i, row)| (base_len + i, &**row));
+            .map(|(i, row)| (base_len + i, row));
         let run = SortedRun::from_rows(
             cols,
             base_rows
@@ -1507,10 +1745,16 @@ impl Relation {
     /// bounded (see `StoreBase::compact`); retained overlays of the old
     /// chain keep their `Arc`s and are unaffected.
     pub fn compacted(&self) -> Relation {
-        let mut flat = Relation::new();
-        flat.rows.reserve(self.len());
+        let mut flat = Relation {
+            dedup: DedupTable::with_capacity(self.len()),
+            ..Relation::new()
+        };
+        flat.rows
+            .values
+            .reserve_exact(self.iter_rows().map(<[ValueId]>::len).sum());
+        flat.rows.ends.reserve_exact(self.len());
         for row in self.iter_rows() {
-            let inserted = flat.insert_row(row.into());
+            let inserted = flat.insert_row(row);
             debug_assert!(inserted.is_some(), "layers never share a row");
         }
         for cols in self.indexed_col_lists() {
@@ -1529,13 +1773,14 @@ impl Relation {
 /// one pass — one `relation_mut` resolution per predicate, with per-row
 /// dedup and index maintenance preserved exactly (rows are applied in the
 /// order they were pushed, so `FactId` assignment matches insert-as-you-go).
+/// Each predicate's rows sit in one flat [`RowArena`], which emission
+/// writes head rows into in place ([`DeltaBatch::rows_mut`]).
 #[derive(Clone, Debug, Default)]
 pub struct DeltaBatch {
     /// predicate -> rows pushed for it, in push order. A `Vec` (not a map)
-    /// keyed by first-push order keeps the batch allocation-light for the
+    /// keyed by first-use order keeps the batch allocation-light for the
     /// common one-or-two-head-predicates case.
-    buffers: Vec<(Sym, Vec<Box<[ValueId]>>)>,
-    rows: usize,
+    buffers: Vec<(Sym, RowArena)>,
 }
 
 impl DeltaBatch {
@@ -1545,27 +1790,39 @@ impl DeltaBatch {
     }
 
     /// Append one derived row for `predicate`.
-    pub fn push(&mut self, predicate: Sym, row: Box<[ValueId]>) {
-        self.rows += 1;
-        match self.buffers.iter_mut().find(|(p, _)| *p == predicate) {
-            Some((_, rows)) => rows.push(row),
-            None => self.buffers.push((predicate, vec![row])),
-        }
+    pub fn push(&mut self, predicate: Sym, row: &[ValueId]) {
+        self.rows_mut(predicate).push(row);
+    }
+
+    /// The buffer of `predicate`'s rows, for writing a row in place
+    /// ([`RowArena::push_with`]) and taking it back ([`RowArena::pop`]).
+    pub fn rows_mut(&mut self, predicate: Sym) -> &mut RowArena {
+        let i = match self.buffers.iter().position(|(p, _)| *p == predicate) {
+            Some(i) => i,
+            None => {
+                self.buffers.push((predicate, RowArena::new()));
+                self.buffers.len() - 1
+            }
+        };
+        &mut self.buffers[i].1
     }
 
     /// Total number of buffered rows (before dedup).
     pub fn len(&self) -> usize {
-        self.rows
+        self.buffers.iter().map(|(_, rows)| rows.len()).sum()
     }
 
     /// Is the batch empty?
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.buffers.iter().all(|(_, rows)| rows.is_empty())
     }
 
-    /// The predicates with at least one buffered row, in first-push order.
+    /// The predicates with at least one buffered row, in first-use order.
     pub fn predicates(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.buffers.iter().map(|(p, _)| *p)
+        self.buffers
+            .iter()
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(p, _)| *p)
     }
 }
 
@@ -1597,14 +1854,14 @@ impl FactStore {
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
         let ground = fact.is_ground();
-        self.insert_row(fact.predicate, fact.intern_args(), ground)
+        self.insert_row(fact.predicate, &fact.intern_args(), ground)
     }
 
     /// Insert a fact its caller has already interned; `ground` says whether
     /// the fact is free of labelled nulls ([`Fact::is_ground`]). Returns
     /// `true` if it was new. This is [`FactStore::insert`] for a loader
     /// that also hands the row to someone else, so it interns once.
-    pub fn insert_row(&mut self, predicate: Sym, row: Box<[ValueId]>, ground: bool) -> bool {
+    pub fn insert_row(&mut self, predicate: Sym, row: &[ValueId], ground: bool) -> bool {
         self.holds_nulls |= !ground;
         self.relation_mut(predicate).insert_row(row).is_some()
     }
@@ -1612,12 +1869,13 @@ impl FactStore {
     /// Intern and insert a batch of facts, in order: the one loader of
     /// extensional data (inline facts, `@bind` sources, a session's base
     /// and its appends, the `Dom` relation). Facts may be owned or borrowed;
-    /// none is copied. Values are interned 4,096 facts at a time
-    /// with every interner shard locked once per chunk ([`intern_rows`]),
-    /// and `before_insert` sees the store, each fact and its interned row
-    /// just before the row is inserted — the caller's hook to register base
-    /// facts with a termination strategy in insertion order. Returns the
-    /// number of rows that were new.
+    /// none is copied. Values are interned 4,096 facts at a time into one
+    /// flat id buffer, reused across chunks, with every interner shard
+    /// locked once per chunk ([`intern_rows`]), and `before_insert` sees the
+    /// store, each fact and its interned row just before the row is
+    /// inserted — the caller's hook to register base facts with a
+    /// termination strategy in insertion order. Returns the number of rows
+    /// that were new.
     pub fn load_facts<I>(
         &mut self,
         facts: I,
@@ -1629,6 +1887,7 @@ impl FactStore {
     {
         let mut facts = facts.into_iter();
         let mut chunk: Vec<I::Item> = Vec::new();
+        let mut ids: Vec<ValueId> = Vec::new();
         let mut fresh = 0;
         loop {
             chunk.clear();
@@ -1636,10 +1895,14 @@ impl FactStore {
             if chunk.is_empty() {
                 return fresh;
             }
-            let rows = intern_rows(chunk.iter().map(|f| f.borrow().args.as_slice()));
-            for (fact, row) in chunk.iter().zip(rows) {
+            ids.clear();
+            intern_rows(chunk.iter().map(|f| f.borrow().args.as_slice()), &mut ids);
+            let mut start = 0;
+            for fact in &chunk {
                 let fact = fact.borrow();
-                before_insert(self, fact, &row);
+                let row = &ids[start..start + fact.args.len()];
+                start += fact.args.len();
+                before_insert(self, fact, row);
                 fresh += usize::from(self.insert_row(fact.predicate, row, fact.is_ground()));
             }
         }
@@ -1683,17 +1946,31 @@ impl FactStore {
         self.relations.entry(predicate).or_default()
     }
 
-    /// Apply a merged delta batch in one pass: for each predicate, resolve
-    /// its relation once and bulk-insert the buffered rows (dedup, row table
-    /// and postings updates per row, in push order — `FactId` assignment is
-    /// identical to inserting the rows one at a time). Consumes the batch
-    /// and returns the number of rows that were new.
+    /// Apply a merged delta batch in one pass: for each predicate with
+    /// buffered rows, resolve its relation once and insert the rows (dedup,
+    /// row arena and postings updates per row, in push order — `FactId`
+    /// assignment is identical to inserting the rows one at a time).
+    /// Consumes the batch and returns the number of rows that were new.
     pub fn apply_delta(&mut self, batch: DeltaBatch) -> usize {
         let mut fresh = 0;
         for (predicate, rows) in batch.buffers {
-            fresh += self.relation_mut(predicate).insert_rows(rows);
+            if !rows.is_empty() {
+                fresh += self.relation_mut(predicate).insert_rows(rows.iter());
+            }
         }
         fresh
+    }
+
+    /// Heap bytes of every relation, own layers apart from base layers,
+    /// counted by capacity ([`Relation::heap_bytes`]).
+    pub fn heap_bytes(&self) -> StoreBytes {
+        let mut bytes = StoreBytes::default();
+        for rel in self.relations.values() {
+            let r = rel.heap_bytes();
+            bytes.own += r.own;
+            bytes.base += r.base;
+        }
+        bytes
     }
 
     /// Facts of a predicate, materialised in insertion order (empty if
@@ -1797,7 +2074,7 @@ impl FactStore {
 
 /// A shareable, immutable EDB snapshot: the copy-on-write base of a query
 /// session. Holds one `Arc`'d [`Relation`] per predicate — interned rows,
-/// dedup map and pre-flushed sorted runs included — and hands out cheap
+/// dedup table and pre-flushed sorted runs included — and hands out cheap
 /// [`StoreBase::overlay`] stores whose relations write only to their
 /// private overlays. Between runs (when no overlay is alive) the owner can
 /// still extend the base's *index set* in place via
@@ -2219,7 +2496,7 @@ mod tests {
         batched.relation_mut(intern("P")).ensure_index(&[0]);
         let mut delta = DeltaBatch::new();
         for (p, args) in &rows {
-            delta.push(intern(p), Fact::new(p, args.clone()).intern_args());
+            delta.push(intern(p), &Fact::new(p, args.clone()).intern_args());
         }
         assert_eq!(delta.len(), 5);
         assert_eq!(delta.predicates().count(), 2);
@@ -2253,6 +2530,23 @@ mod tests {
         ];
         assert_eq!(rel.insert_rows(batch), 1);
         assert_eq!(rel.len(), 2);
+    }
+
+    /// The flat layout's footprint, counted by capacity: an arity-3 row
+    /// costs 12 B of ids, 4 B of end offset and its share of dedup slots.
+    #[test]
+    fn arena_rows_and_dedup_take_at_most_40_bytes_per_row() {
+        let ids: Vec<ValueId> = (0..100i64).map(|i| Value::Int(i).interned()).collect();
+        let mut rel = Relation::new();
+        for i in 0..100_000 {
+            let row = [ids[i % 100], ids[i / 100 % 100], ids[i / 10_000]];
+            assert_eq!(rel.insert_row(&row), Some(FactId(i as u32)));
+        }
+        let bytes = rel.heap_bytes();
+        assert_eq!(bytes.base, HeapBytes::default());
+        assert_eq!(bytes.own.indexes, 0);
+        let per_row = (bytes.own.rows + bytes.own.dedup) as f64 / 100_000.0;
+        assert!(per_row <= 40.0, "{per_row} B/row");
     }
 
     #[test]
@@ -2598,7 +2892,7 @@ mod tests {
         let mut store = FactStore::new();
         store.insert(Fact::new("E", vec![Value::str("a"), Value::str("b")]));
         let row = vec![intern_value(&Value::Null(NullId(3)))].into_boxed_slice();
-        store.relation_mut(intern("D")).insert_row(row);
+        store.relation_mut(intern("D")).insert_row(&row);
         assert!(!store.holds_nulls(), "row-level writes never set the bit");
         let mut base = store.freeze();
         assert!(!base.holds_nulls() && !base.overlay().holds_nulls());

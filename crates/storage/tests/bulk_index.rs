@@ -150,7 +150,7 @@ proptest! {
         let predicate = intern("BulkR");
         let mut store = FactStore::new();
         for row in &ids[..half] {
-            store.insert_row(predicate, row.clone(), true);
+            store.insert_row(predicate, row, true);
         }
         let mut base = store.freeze();
         for cols in &lists {
@@ -158,7 +158,7 @@ proptest! {
         }
         let mut overlay = base.overlay();
         for row in &ids[half..] {
-            overlay.insert_row(predicate, row.clone(), true);
+            overlay.insert_row(predicate, row, true);
         }
         base.promote(overlay);
         let promoted = base.overlay();
