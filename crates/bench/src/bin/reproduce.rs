@@ -468,11 +468,12 @@ fn fig8(scale: f64) {
 /// Memory-footprint experiment: run each scenario at bench scale and report
 /// instance sizes, termination-strategy statistics and the final store's
 /// heap bytes (Section 6.1's <400 MB claim): row arenas, dedup tables and
-/// sorted-run indexes, counted by capacity, and their total per fact.
+/// sorted-run indexes, counted by capacity, and their total per fact, then
+/// the termination strategy's heap bytes at the end of the run.
 fn memory() {
     println!("Section 6.1 memory-footprint check (bench scale)");
     println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8} {:>11}",
         "scenario",
         "facts",
         "derived",
@@ -482,7 +483,8 @@ fn memory() {
         "rows B",
         "dedup B",
         "index B",
-        "B/fact"
+        "B/fact",
+        "strategy B"
     );
     for scenario in Scenario::all() {
         let mut spec = scenario.spec();
@@ -494,7 +496,7 @@ fn memory() {
         let elapsed = start.elapsed();
         let bytes = result.store.heap_bytes().total();
         println!(
-            "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8.1}",
+            "{:<8} {:>10} {:>12} {:>12} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8.1} {:>11}",
             scenario.name(),
             result.stats.total_facts,
             result.stats.pipeline.facts_derived,
@@ -505,6 +507,7 @@ fn memory() {
             bytes.dedup,
             bytes.indexes,
             bytes.total() as f64 / result.store.len().max(1) as f64,
+            result.stats.pipeline.strategy_bytes,
         );
     }
 }

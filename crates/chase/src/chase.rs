@@ -2,17 +2,19 @@
 //! the paper, with the naïve step replaced by breadth-first rounds).
 //!
 //! The engine applies rules in rounds: in each round every rule is matched
-//! against the current instance (the paper's round-robin, breadth-first
-//! discipline), candidate facts are passed through the termination strategy,
-//! and admitted facts are added. The chase stops when a round admits nothing
-//! or a configured cap is reached.
+//! against the instance as it stood when the round started (the paper's
+//! round-robin, breadth-first discipline); then the round's chase steps
+//! fire in match order, each candidate fact is offered to the store
+//! ([`offer_row`]: exact duplicates are cut there, the termination strategy
+//! decides the rest) and admitted facts are inserted at once. The chase
+//! stops when a round admits nothing or a configured cap is reached.
 
 use std::collections::{BTreeSet, HashSet};
 use vadalog_analysis::{analyze_program, ProgramWardedness, RuleKind};
 use vadalog_model::prelude::*;
 use vadalog_storage::{ActiveDomain, FactStore};
 
-use crate::strategy::{StrategyStats, TerminationStrategy};
+use crate::strategy::{offer_row, FactRef, Offer, Step, StrategyStats, TerminationStrategy};
 
 /// Which chase variant to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -98,11 +100,7 @@ pub fn run_chase(
     let nulls = NullFactory::new();
 
     // Load the extensional database.
-    for f in &program.facts {
-        let row = f.intern_args();
-        strategy.register_base(f.predicate, &row);
-        store.insert_row(f.predicate, &row, f.is_ground());
-    }
+    store.load_facts(&program.facts);
     // Populate the active-domain predicate if the program refers to it.
     let dom_sym = intern(vadalog_rewrite_dom_name());
     if program
@@ -111,11 +109,7 @@ pub fn run_chase(
         .any(|r| r.body_predicates().contains(&dom_sym))
     {
         let dom = ActiveDomain::from_facts(program.facts.iter());
-        for f in dom.to_facts(&dom_sym.as_str()) {
-            let row = f.intern_args();
-            strategy.register_base(f.predicate, &row);
-            store.insert_row(f.predicate, &row, true);
-        }
+        store.load_facts(dom.to_facts(&dom_sym.as_str()));
     }
 
     let max_rounds = options.max_rounds.unwrap_or(usize::MAX);
@@ -133,8 +127,9 @@ pub fn run_chase(
             break;
         }
         stats.rounds += 1;
-        let mut new_facts: Vec<Fact> = Vec::new();
-
+        // Match every rule against the instance as the round found it: the
+        // round's TGD triggers fire only once all rules are matched.
+        let mut triggers: Vec<(usize, Substitution)> = Vec::new();
         for (rule_idx, rule) in program.rules.iter().enumerate() {
             if rule.has_aggregation() {
                 if stats.rounds == 1 {
@@ -142,8 +137,7 @@ pub fn run_chase(
                 }
                 continue;
             }
-            let matches = find_matches_with(rule, &store, &mut match_bufs);
-            for m in matches {
+            for m in find_matches_with(rule, &store, &mut match_bufs) {
                 let trigger = (rule_idx as u32, m.to_string());
                 if !fired.insert(trigger) {
                     continue;
@@ -156,34 +150,40 @@ pub fn run_chase(
                     RuleHead::Equality(a, b) => {
                         check_egd(rule, a, b, &m, &mut violations);
                     }
-                    RuleHead::Atoms(_) => {
-                        apply_tgd(
-                            rule,
-                            rule_idx as u32,
-                            &m,
-                            &analysis,
-                            &nulls,
-                            strategy,
-                            &store,
-                            options.variant,
-                            &mut new_facts,
-                            &mut stats,
-                        );
-                    }
+                    // Restricted chase: skip if the head is already satisfied.
+                    RuleHead::Atoms(_)
+                        if options.variant == ChaseVariant::Restricted
+                            && head_satisfied(rule, &m, &store) => {}
+                    RuleHead::Atoms(_) => triggers.push((rule_idx, m)),
                 }
             }
         }
 
-        if new_facts.is_empty() {
-            break;
+        let generated = stats.facts_generated;
+        for (rule_idx, m) in &triggers {
+            let rule = &program.rules[*rule_idx];
+            apply_tgd(
+                rule,
+                *rule_idx as u32,
+                m,
+                &analysis,
+                &nulls,
+                strategy,
+                &mut store,
+                &mut stats,
+            );
         }
-        for f in new_facts {
-            store.insert(f);
+        if stats.facts_generated == generated {
+            break;
         }
     }
 
     stats.nulls_invented = nulls.produced();
-    stats.strategy = strategy.stats();
+    // The strategy never sees a duplicate: `apply_tgd` counted those.
+    stats.strategy = StrategyStats {
+        duplicates: stats.strategy.duplicates,
+        ..strategy.stats()
+    };
     ChaseResult {
         store,
         stats,
@@ -334,6 +334,8 @@ pub fn find_matches_with(
     results
 }
 
+/// Fire one TGD trigger: invent its nulls and offer each head fact to the
+/// store ([`offer_row`]), which inserts the admitted ones at once.
 #[allow(clippy::too_many_arguments)]
 fn apply_tgd(
     rule: &Rule,
@@ -342,18 +344,11 @@ fn apply_tgd(
     analysis: &ProgramWardedness,
     nulls: &NullFactory,
     strategy: &mut dyn TerminationStrategy,
-    store: &FactStore,
-    variant: ChaseVariant,
-    new_facts: &mut Vec<Fact>,
+    store: &mut FactStore,
     stats: &mut ChaseStats,
 ) {
     let rule_info = &analysis.rules[rule_id as usize];
     let kind = rule_info.kind;
-
-    // Restricted chase: skip if the head is already satisfied.
-    if variant == ChaseVariant::Restricted && head_satisfied(rule, subst, store) {
-        return;
-    }
 
     // Invent one fresh null per existential variable for this application.
     let mut extended = subst.clone();
@@ -362,36 +357,37 @@ fn apply_tgd(
         extended.bind(*v, nulls.fresh_value());
     }
 
-    // Identify the parents the termination strategy needs.
+    // The stored parents the termination strategy needs.
     let body_atoms = rule.body_atoms();
-    let linear_parent = if kind == RuleKind::Linear {
-        body_atoms.first().and_then(|a| a.apply(subst))
-    } else {
-        None
+    let parent = |atom: Option<&&Atom>| {
+        let fact = atom?.apply(subst)?;
+        FactRef::find(store, fact.predicate, &fact.intern_args())
     };
-    let ward_parent = if kind == RuleKind::Warded {
-        rule_info
-            .ward
-            .and_then(|w| body_atoms.get(w))
-            .and_then(|a| a.apply(subst))
-    } else {
-        None
+    let step = Step {
+        rule_id,
+        kind,
+        linear_parent: if kind == RuleKind::Linear {
+            parent(body_atoms.first())
+        } else {
+            None
+        },
+        ward_parent: if kind == RuleKind::Warded {
+            parent(rule_info.ward.and_then(|w| body_atoms.get(w)))
+        } else {
+            None
+        },
     };
 
     for head in rule.head_atoms() {
         if let Some(fact) = head.apply(&extended) {
-            let admitted = strategy.admit_fact(
-                &fact,
-                rule_id,
-                kind,
-                linear_parent.as_ref(),
-                ward_parent.as_ref(),
-            );
-            if admitted {
-                stats.facts_generated += 1;
-                new_facts.push(fact);
-            } else {
-                stats.facts_suppressed += 1;
+            let row = fact.intern_args();
+            match offer_row(store, Some(&mut *strategy), fact.predicate, &row, &step) {
+                Offer::Admitted => stats.facts_generated += 1,
+                Offer::Duplicate => {
+                    stats.strategy.duplicates += 1;
+                    stats.facts_suppressed += 1;
+                }
+                Offer::Suppressed => stats.facts_suppressed += 1,
             }
         }
     }

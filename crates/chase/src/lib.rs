@@ -14,11 +14,11 @@
 //!   * [`strategy::ExactDedupStrategy`] admits anything that is not an exact
 //!     duplicate — the behaviour of engines without null-aware termination.
 //!
-//!   All three decide on interned rows: a [`Candidate`], a [`ParentRef`]
-//!   and a registered base fact are each a predicate plus a `ValueId` row,
-//!   and no strategy ever resolves a value. The warded strategy stores
-//!   each registered fact once, in a row arena shared with its
-//!   exact-duplicate test.
+//!   The store decides exact duplicates ([`offer_row`]); a strategy is
+//!   asked only about rows the store does not hold. It names facts by the
+//!   store's identity ([`FactRef`]: a predicate and a `FactId`) and reads
+//!   rows from the store, so no strategy keeps a copy of the facts or
+//!   ever resolves a value.
 //! * [`chase`] — a breadth-first (round-robin in the paper's terms) chase
 //!   engine parameterised by a termination strategy, supporting the
 //!   oblivious and restricted chase variants, negative constraints and EGDs
@@ -40,6 +40,6 @@ pub use chase::{
     ChaseVariant, MatchBuffers,
 };
 pub use strategy::{
-    Candidate, ExactDedupStrategy, ParentRef, StrategyStats, TerminationStrategy,
-    TrivialIsoStrategy, WardedStrategy,
+    offer_row, Candidate, ExactDedupStrategy, FactRef, Offer, Step, StrategyStats,
+    TerminationStrategy, TrivialIsoStrategy, WardedStrategy,
 };

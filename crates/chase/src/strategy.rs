@@ -2,37 +2,79 @@
 //! structures they maintain: the warded forest (ground structure `G`) and the
 //! lifted linear forest (summary structure `S`).
 //!
-//! Strategies decide on interned rows. A candidate is a predicate and a
-//! borrowed `ValueId` row, and so is every parent. The exact-duplicate test
-//! hashes a handful of `u32`s, and the isomorphism and pattern canonical
-//! forms are built from the row ([`row_iso_key`], [`row_pattern_key`]), so
-//! no value is ever resolved. [`WardedStrategy`] keeps each registered fact
-//! exactly once: its row in one append-only arena, plus a fixed-size
-//! record of three ids. Canonical forms are cached only for the facts that need
-//! them: linear-forest roots and tree members that took part in a check.
+//! The store decides exact duplicates; a strategy decides only on rows the
+//! store does not hold yet ([`offer_row`]). It names every fact by the
+//! store's identity, a predicate and a [`FactId`] ([`FactRef`]), and reads
+//! rows from the [`FactStore`] it is passed, so it keeps no copy of them. A
+//! candidate is offered with the `FactId` it will get, and its parents by
+//! theirs. The isomorphism and pattern canonical forms are built from rows
+//! ([`row_iso_key`], [`row_pattern_key`]), so no value is ever resolved.
+//! [`WardedStrategy`] keeps only Algorithm 1's metadata: a record of three
+//! ids per fact that needs one, the members of each warded tree, and the
+//! canonical forms of the facts that took part in a check.
 
-use std::hash::BuildHasher;
+use std::mem::size_of;
 use vadalog_analysis::RuleKind;
-use vadalog_model::iso::{row_iso_key, row_pattern_key, PatternKey, RowIsoKey};
+use vadalog_model::iso::{
+    row_iso_key, row_pattern_key, PatternKey, PatternTerm, RowCanonTerm, RowIsoKey,
+};
 use vadalog_model::prelude::*;
+use vadalog_storage::{table_bytes, FactId, FactStore};
 
-/// A candidate fact offered to a termination strategy: a predicate and an
-/// interned row borrowed from the producer.
+/// A stored fact, named by the store: its predicate and its [`FactId`] in
+/// that predicate's relation.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct FactRef {
+    /// The fact's predicate.
+    pub predicate: Sym,
+    /// The fact's id in the predicate's relation.
+    pub id: FactId,
+}
+
+impl FactRef {
+    /// The stored fact with this row, if `store` holds it.
+    pub fn find(store: &FactStore, predicate: Sym, row: &[ValueId]) -> Option<FactRef> {
+        let id = store.relation(predicate)?.find_row(row)?;
+        Some(FactRef { predicate, id })
+    }
+
+    /// The fact's row in `store`.
+    ///
+    /// # Panics
+    /// Panics if `store` does not hold the fact.
+    fn row(self, store: &FactStore) -> &[ValueId] {
+        store
+            .relation(self.predicate)
+            .expect("a named fact is stored")
+            .row(self.id)
+    }
+}
+
+/// A candidate fact offered to a termination strategy: a row its relation
+/// does not hold yet, with the [`FactId`] it gets if admitted.
 #[derive(Clone, Copy)]
 pub struct Candidate<'a> {
-    predicate: Sym,
+    fact: FactRef,
     row: &'a [ValueId],
 }
 
 impl<'a> Candidate<'a> {
-    /// A candidate from an interned row.
-    pub fn from_row(predicate: Sym, row: &'a [ValueId]) -> Candidate<'a> {
-        Candidate { predicate, row }
+    /// The candidate `row` of `predicate`, to be stored as `id`.
+    pub fn new(predicate: Sym, id: FactId, row: &'a [ValueId]) -> Candidate<'a> {
+        Candidate {
+            fact: FactRef { predicate, id },
+            row,
+        }
+    }
+
+    /// The fact the candidate becomes if admitted.
+    pub fn fact(&self) -> FactRef {
+        self.fact
     }
 
     /// The candidate's predicate.
     pub fn predicate(&self) -> Sym {
-        self.predicate
+        self.fact.predicate
     }
 
     /// The candidate's interned row.
@@ -41,97 +83,62 @@ impl<'a> Candidate<'a> {
     }
 }
 
-/// A body fact the candidate was derived from, in interned-row form: the
-/// linear parent or the ward. Strategies only ever use parents as lookup
-/// keys into their fact structures, so no materialised fact is needed.
-#[derive(Clone, Copy)]
-pub struct ParentRef<'a> {
-    /// The parent's predicate.
-    pub predicate: Sym,
-    /// The parent's interned row.
-    pub row: &'a [ValueId],
+/// The chase step a candidate comes from: the rule, its kind, and the
+/// stored body facts the strategy attaches the candidate to. For a linear
+/// rule that is its single body fact, for a warded rule the fact bound to
+/// the ward.
+#[derive(Clone, Copy, Debug)]
+pub struct Step {
+    /// The rule's id in the program's wardedness analysis.
+    pub rule_id: u32,
+    /// The rule's kind.
+    pub kind: RuleKind,
+    /// The linear parent (linear rules only).
+    pub linear_parent: Option<FactRef>,
+    /// The ward parent (warded rules only).
+    pub ward_parent: Option<FactRef>,
 }
 
-impl<'a> ParentRef<'a> {
-    /// A parent reference from predicate and row.
-    pub fn new(predicate: Sym, row: &'a [ValueId]) -> ParentRef<'a> {
-        ParentRef { predicate, row }
-    }
+/// What became of a derived row offered to the store ([`offer_row`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Offer {
+    /// The relation already held the row.
+    Duplicate,
+    /// The termination strategy rejected the row.
+    Suppressed,
+    /// The row was inserted.
+    Admitted,
 }
 
-/// End of a [`RowTable`] hash chain.
-const NO_FACT: u32 = u32::MAX;
-
-/// One registered fact of a [`RowTable`].
-#[derive(Clone, Copy)]
-struct RowEntry {
+/// Offer one derived row to the store. A row its relation already holds is
+/// a duplicate. Otherwise `strategy`, when there is one, decides, and an
+/// admitted row is inserted at once, as the `FactId` it was offered with.
+/// Without a strategy (a run that can hold no labelled null) the store's
+/// dedup is the whole decision.
+pub fn offer_row(
+    store: &mut FactStore,
+    strategy: Option<&mut dyn TerminationStrategy>,
     predicate: Sym,
-    /// Where the fact's row starts in the arena; it ends where the next
-    /// fact's row starts.
-    start: u32,
-    /// The previously registered fact with the same row hash, or `NO_FACT`.
-    chain: u32,
-}
-
-/// Registered facts, each kept once: their rows concatenated in one
-/// append-only `ValueId` arena, with dense fact ids (registration order),
-/// found through a row-hash → id chain. This is the strategies'
-/// exact-identity bookkeeping; a probe hashes the borrowed row and
-/// allocates nothing.
-#[derive(Clone, Default)]
-struct RowTable {
-    values: Vec<ValueId>,
-    entries: Vec<RowEntry>,
-    /// Row hash → the last fact registered with that hash.
-    heads: FxHashMap<u64, u32>,
-}
-
-impl RowTable {
-    /// The id the next registered fact gets.
-    fn next_id(&self) -> u32 {
-        u32::try_from(self.entries.len()).expect("strategy fact ids exceed u32")
+    row: &[ValueId],
+    step: &Step,
+) -> Offer {
+    let Some(strategy) = strategy else {
+        return match store.relation_mut(predicate).insert_row(row) {
+            Some(_) => Offer::Admitted,
+            None => Offer::Duplicate,
+        };
+    };
+    let id = match store.relation(predicate) {
+        Some(rel) if rel.contains_row(row) => return Offer::Duplicate,
+        Some(rel) => FactId(u32::try_from(rel.len()).expect("FactId space exhausted")),
+        None => FactId(0),
+    };
+    if !strategy.admit(store, &Candidate::new(predicate, id, row), step) {
+        return Offer::Suppressed;
     }
-
-    fn predicate(&self, id: u32) -> Sym {
-        self.entries[id as usize].predicate
-    }
-
-    fn row(&self, id: u32) -> &[ValueId] {
-        let start = self.entries[id as usize].start as usize;
-        let end = self
-            .entries
-            .get(id as usize + 1)
-            .map_or(self.values.len(), |next| next.start as usize);
-        &self.values[start..end]
-    }
-
-    /// The id of a registered fact, or the row hash to register it under.
-    fn lookup(&self, predicate: Sym, row: &[ValueId]) -> Result<u32, u64> {
-        let hash = FxBuildHasher::default().hash_one((predicate, row));
-        let mut id = self.heads.get(&hash).copied().unwrap_or(NO_FACT);
-        while id != NO_FACT {
-            if self.predicate(id) == predicate && self.row(id) == row {
-                return Ok(id);
-            }
-            id = self.entries[id as usize].chain;
-        }
-        Err(hash)
-    }
-
-    /// Register a fact that [`RowTable::lookup`] did not find, under the
-    /// hash it returned.
-    fn push(&mut self, hash: u64, predicate: Sym, row: &[ValueId]) -> u32 {
-        let id = self.next_id();
-        let start = u32::try_from(self.values.len()).expect("strategy row arena exceeds u32");
-        self.values.extend_from_slice(row);
-        let chain = self.heads.insert(hash, id).unwrap_or(NO_FACT);
-        self.entries.push(RowEntry {
-            predicate,
-            start,
-            chain,
-        });
-        id
-    }
+    let inserted = store.relation_mut(predicate).insert_row(row);
+    debug_assert_eq!(inserted, Some(id));
+    Offer::Admitted
 }
 
 /// Statistics collected by a termination strategy.
@@ -139,7 +146,9 @@ impl RowTable {
 pub struct StrategyStats {
     /// Facts admitted (chase steps allowed to fire).
     pub admitted: u64,
-    /// Facts suppressed because they were exact duplicates.
+    /// Facts suppressed because they were exact duplicates. The store
+    /// decides these before any strategy is asked, so the producer counts
+    /// them ([`Offer::Duplicate`]).
     pub duplicates: u64,
     /// Facts suppressed by the termination logic (isomorphism / stop
     /// provenance / redundant tree).
@@ -156,86 +165,50 @@ pub struct StrategyStats {
 /// A termination strategy decides whether each candidate fact produced by a
 /// chase step (or by a pipeline filter) should be kept.
 ///
-/// `parents` are the body facts the step joined; for linear rules the single
-/// parent, for warded rules the fact bound to the ward must be passed as
-/// `ward_parent` so the strategy can attach the new fact to the right tree of
-/// the warded forest.
-///
-/// Strategies are `Send` so a boxed template can live inside a shared
-/// session core and be cloned into worker threads (the concurrent reasoning
-/// server hands every worker its own clone per run).
+/// It is asked only about rows the store does not hold ([`offer_row`]),
+/// and reads every row it needs from the store it is passed. A stored fact
+/// the strategy never admitted (an extensional fact, say) is the root of its
+/// own trees with the empty provenance.
 pub trait TerminationStrategy: Send {
-    /// Register an extensional (database) fact, as an interned row, before
-    /// the chase starts.
-    ///
-    /// The engine pipeline registers only when its run can hold a labelled
-    /// null — a plan that invents nulls, or a store holding one; a
-    /// null-free run never calls the strategy at all. Registration order
-    /// fixes only internal ids, so it matters just for the bit-identical
-    /// replay of null-inventing programs.
-    fn register_base(&mut self, predicate: Sym, row: &[ValueId]);
-
-    /// Clone this strategy, state included, behind a fresh box. Query
-    /// sessions register the (large, shared) extensional database once into
-    /// a template strategy and clone it per query run — a structure copy
-    /// instead of re-hashing every EDB fact — so each run still starts from
-    /// exactly the state a fresh [`TerminationStrategy::register_base`]
-    /// pass would have produced.
-    fn clone_box(&self) -> Box<dyn TerminationStrategy>;
-
     /// Decide whether the candidate should be produced. Returns `true` to
-    /// admit.
-    fn admit(
-        &mut self,
-        candidate: &Candidate<'_>,
-        rule_id: u32,
-        kind: RuleKind,
-        linear_parent: Option<ParentRef<'_>>,
-        ward_parent: Option<ParentRef<'_>>,
-    ) -> bool;
-
-    /// Convenience wrapper for fact-level producers (the plain chase): admit
-    /// a materialised fact, interning its row on the spot.
-    fn admit_fact(
-        &mut self,
-        fact: &Fact,
-        rule_id: u32,
-        kind: RuleKind,
-        linear_parent: Option<&Fact>,
-        ward_parent: Option<&Fact>,
-    ) -> bool {
-        let row = fact.intern_args();
-        let linear_row = linear_parent.map(|p| (p.predicate, p.intern_args()));
-        let ward_row = ward_parent.map(|p| (p.predicate, p.intern_args()));
-        self.admit(
-            &Candidate::from_row(fact.predicate, &row),
-            rule_id,
-            kind,
-            linear_row.as_ref().map(|(p, r)| ParentRef::new(*p, r)),
-            ward_row.as_ref().map(|(p, r)| ParentRef::new(*p, r)),
-        )
-    }
+    /// admit; the producer then stores it as [`Candidate::fact`].
+    fn admit(&mut self, store: &FactStore, candidate: &Candidate<'_>, step: &Step) -> bool;
 
     /// Statistics snapshot.
     fn stats(&self) -> StrategyStats;
+
+    /// Heap bytes the strategy holds, counted by capacity (hash tables
+    /// estimated with [`table_bytes`]).
+    fn heap_bytes(&self) -> usize;
 
     /// Human-readable name (used in benchmark output).
     fn name(&self) -> &'static str;
 }
 
 /// Per-fact bookkeeping of Algorithm 1's *fact structure*: three ids, no
-/// heap.
-#[derive(Clone, Copy, Debug)]
+/// heap. A stored fact without a record has [`FactMeta::root`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct FactMeta {
     /// Root of this fact's tree in the linear forest.
-    l_root: u32,
+    l_root: FactRef,
     /// Root of this fact's tree in the warded forest.
-    w_root: u32,
+    w_root: FactRef,
     /// Rules applied from `l_root` to reach this fact (the provenance in the
     /// linear forest), as a node of the [`ProvenanceTrie`].
     provenance: u32,
 }
 
+impl FactMeta {
+    /// The record of a fact that roots its own linear and warded trees,
+    /// with the empty provenance.
+    fn root(fact: FactRef) -> FactMeta {
+        FactMeta {
+            l_root: fact,
+            w_root: fact,
+            provenance: ProvenanceTrie::EMPTY,
+        }
+    }
+}
 /// Every rule sequence the lifted linear forest has seen, hash-consed into
 /// a trie: a provenance is one node id, the empty sequence is
 /// [`ProvenanceTrie::EMPTY`], and "is a prefix of" is an ancestor test.
@@ -292,6 +265,11 @@ impl ProvenanceTrie {
     fn is_strict_prefix(&self, prefix: u32, seq: u32) -> bool {
         self.len(prefix) < self.len(seq) && self.is_prefix(prefix, seq)
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<(u32, u32)>()
+            + table_bytes(self.children.capacity(), size_of::<((u32, u32), u32)>())
+    }
 }
 
 /// The ground structure `G`: the trees of the warded forest, by root.
@@ -300,50 +278,73 @@ struct WardedForest {
     /// Root → the tree's members other than the root. A fact that roots
     /// its own tree is a member of it without an entry here, so a tree with
     /// no other member has no entry at all.
-    members: FxHashMap<u32, Vec<u32>>,
+    members: FxHashMap<FactRef, Vec<FactRef>>,
     /// Roots that are not members of their own tree. A fact admitted
-    /// strictly within a stop provenance is registered (a later candidate
+    /// strictly within a stop provenance is stored (a later candidate
     /// may name it as its parent) but joins no tree.
-    detached_roots: FxHashSet<u32>,
+    detached_roots: FxHashSet<FactRef>,
     /// Isomorphism canonical form of each member that took part in a
-    /// check, computed on first use (most registered facts never do).
-    iso_keys: FxHashMap<u32, RowIsoKey>,
+    /// check, computed on first use (most stored facts never do).
+    iso_keys: FxHashMap<FactRef, RowIsoKey>,
 }
 
 impl WardedForest {
-    /// Add registered fact `id` to the tree rooted at `root`.
-    fn add(&mut self, root: u32, id: u32) {
-        if id != root {
-            self.members.entry(root).or_default().push(id);
+    /// Add `fact` to the tree rooted at `root`.
+    fn add(&mut self, root: FactRef, fact: FactRef) {
+        if fact != root {
+            self.members.entry(root).or_default().push(fact);
         }
     }
 
     /// Does the tree rooted at `root` hold a fact isomorphic to the
-    /// candidate? `root` may be the candidate's own id, not yet registered,
-    /// when the candidate would root a fresh tree.
+    /// candidate? `root` is the candidate itself, not yet stored, when the
+    /// candidate would root a fresh tree.
     fn holds_isomorph(
         &mut self,
-        rows: &RowTable,
-        root: u32,
-        predicate: Sym,
-        row: &[ValueId],
+        store: &FactStore,
+        root: FactRef,
+        candidate: &Candidate<'_>,
     ) -> bool {
-        let root_member = root < rows.next_id() && !self.detached_roots.contains(&root);
+        let (predicate, row) = (candidate.predicate(), candidate.row());
+        // Only facts of the candidate's predicate can be isomorphic to it.
+        let Some(rel) = store.relation(predicate) else {
+            return false;
+        };
+        let root_member = root != candidate.fact() && !self.detached_roots.contains(&root);
         let others = self.members.get(&root).map_or(&[][..], Vec::as_slice);
         let mut candidate_key = None;
-        for &id in root_member.then_some(&root).into_iter().chain(others) {
-            if rows.predicate(id) != predicate || rows.row(id).len() != row.len() {
+        for &fact in root_member.then_some(&root).into_iter().chain(others) {
+            if fact.predicate != predicate {
+                continue;
+            }
+            let stored = rel.row(fact.id);
+            if stored.len() != row.len() {
                 continue;
             }
             let key = self
                 .iso_keys
-                .entry(id)
-                .or_insert_with(|| row_iso_key(predicate, rows.row(id)));
+                .entry(fact)
+                .or_insert_with(|| row_iso_key(predicate, stored));
             if *key == *candidate_key.get_or_insert_with(|| row_iso_key(predicate, row)) {
                 return true;
             }
         }
         false
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let members: usize = self.members.values().map(|m| m.capacity()).sum();
+        table_bytes(
+            self.members.capacity(),
+            size_of::<(FactRef, Vec<FactRef>)>(),
+        ) + members * size_of::<FactRef>()
+            + table_bytes(self.detached_roots.capacity(), size_of::<FactRef>())
+            + table_bytes(self.iso_keys.capacity(), size_of::<(FactRef, RowIsoKey)>())
+            + self
+                .iso_keys
+                .values()
+                .map(|key| key.args.capacity() * size_of::<RowCanonTerm>())
+                .sum::<usize>()
     }
 }
 
@@ -357,14 +358,14 @@ impl WardedForest {
 /// from a pattern-isomorphic root (the lifted linear forest).
 #[derive(Clone, Default)]
 pub struct WardedStrategy {
-    rows: RowTable,
-    /// Per registered fact, by id.
-    metas: Vec<FactMeta>,
+    /// The fact structure of every admitted fact whose record is not
+    /// [`FactMeta::root`].
+    metas: FxHashMap<FactRef, FactMeta>,
     ground: WardedForest,
     provenances: ProvenanceTrie,
-    /// Pattern canonical form of each registered fact that served as a
+    /// Pattern canonical form of each stored fact that served as a
     /// linear-forest root, computed on first use.
-    root_patterns: FxHashMap<u32, PatternKey>,
+    root_patterns: FxHashMap<FactRef, PatternKey>,
     /// Pattern of a linear-forest root → stop provenances.
     summary: FxHashMap<PatternKey, Vec<u32>>,
     stats: StrategyStats,
@@ -376,84 +377,51 @@ impl WardedStrategy {
         Self::default()
     }
 
-    fn register(&mut self, hash: u64, predicate: Sym, row: &[ValueId], meta: FactMeta) -> u32 {
-        let id = self.rows.push(hash, predicate, row);
-        self.metas.push(meta);
-        id
+    fn meta_of(&self, fact: FactRef) -> FactMeta {
+        self.metas
+            .get(&fact)
+            .copied()
+            .unwrap_or_else(|| FactMeta::root(fact))
     }
 
-    fn meta_of(&self, parent: ParentRef<'_>) -> Option<FactMeta> {
-        let id = self.rows.lookup(parent.predicate, parent.row).ok()?;
-        Some(self.metas[id as usize])
+    /// Record an admitted fact's structure; a root needs no record.
+    fn record(&mut self, fact: FactRef, meta: FactMeta) {
+        if meta != FactMeta::root(fact) {
+            self.metas.insert(fact, meta);
+        }
     }
 }
 
 impl TerminationStrategy for WardedStrategy {
-    fn clone_box(&self) -> Box<dyn TerminationStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
-        if let Err(hash) = self.rows.lookup(predicate, row) {
-            let id = self.rows.next_id();
-            let meta = FactMeta {
-                l_root: id,
-                w_root: id,
-                provenance: ProvenanceTrie::EMPTY,
-            };
-            self.register(hash, predicate, row, meta);
-        }
-    }
-
-    fn admit(
-        &mut self,
-        candidate: &Candidate<'_>,
-        rule_id: u32,
-        kind: RuleKind,
-        linear_parent: Option<ParentRef<'_>>,
-        ward_parent: Option<ParentRef<'_>>,
-    ) -> bool {
-        let (predicate, row) = (candidate.predicate(), candidate.row());
-        // Exact duplicates never contribute anything new to the answer.
-        // This is the hot exit: one hash-chain probe.
-        let hash = match self.rows.lookup(predicate, row) {
-            Ok(_) => {
-                self.stats.duplicates += 1;
-                return false;
-            }
-            Err(hash) => hash,
-        };
-
+    fn admit(&mut self, store: &FactStore, candidate: &Candidate<'_>, step: &Step) -> bool {
+        let fact = candidate.fact();
         // Compute the fact structure from the relevant parent.
-        let next_id = self.rows.next_id();
-        let own_root = FactMeta {
-            l_root: next_id,
-            w_root: next_id,
-            provenance: ProvenanceTrie::EMPTY,
-        };
-        let meta = match kind {
-            RuleKind::Linear => match linear_parent.and_then(|p| self.meta_of(p)) {
-                Some(pm) => FactMeta {
-                    provenance: self.provenances.extend(pm.provenance, rule_id),
-                    ..pm
-                },
+        let own_root = FactMeta::root(fact);
+        let meta = match step.kind {
+            RuleKind::Linear => match step.linear_parent {
+                Some(parent) => {
+                    let pm = self.meta_of(parent);
+                    FactMeta {
+                        provenance: self.provenances.extend(pm.provenance, step.rule_id),
+                        ..pm
+                    }
+                }
                 None => FactMeta {
-                    provenance: self.provenances.extend(ProvenanceTrie::EMPTY, rule_id),
+                    provenance: self.provenances.extend(ProvenanceTrie::EMPTY, step.rule_id),
                     ..own_root
                 },
             },
-            RuleKind::Warded => match ward_parent.and_then(|p| self.meta_of(p)) {
-                Some(pm) => FactMeta {
-                    w_root: pm.w_root,
+            RuleKind::Warded => match step.ward_parent {
+                Some(parent) => FactMeta {
+                    w_root: self.meta_of(parent).w_root,
                     ..own_root
                 },
                 None => own_root,
             },
             RuleKind::NonLinear => {
                 // Other non-linear rules open a new tree of the warded
-                // forest; exact duplicates were already filtered above, so
-                // the tree is new by construction.
-                self.register(hash, predicate, row, own_root);
+                // forest; the store already cut exact duplicates, so the
+                // tree is new by construction, and its root needs no record.
                 self.stats.admitted += 1;
                 return true;
             }
@@ -461,16 +429,17 @@ impl TerminationStrategy for WardedStrategy {
 
         // Pattern of the linear-forest root: the candidate's own pattern
         // when it roots a fresh tree, otherwise the cached pattern of the
-        // registered root.
+        // stored root.
         let own_pattern;
-        let pattern = if meta.l_root == next_id {
-            own_pattern = row_pattern_key(predicate, row);
+        let pattern = if meta.l_root == fact {
+            own_pattern = row_pattern_key(fact.predicate, candidate.row());
             &own_pattern
         } else {
-            let rows = &self.rows;
-            &*self.root_patterns.entry(meta.l_root).or_insert_with(|| {
-                row_pattern_key(rows.predicate(meta.l_root), rows.row(meta.l_root))
-            })
+            let root = meta.l_root;
+            &*self
+                .root_patterns
+                .entry(root)
+                .or_insert_with(|| row_pattern_key(root.predicate, root.row(store)))
         };
         if let Some(stops) = self.summary.get(pattern) {
             let trie = &self.provenances;
@@ -488,9 +457,9 @@ impl TerminationStrategy for WardedStrategy {
                 .any(|&s| trie.is_strict_prefix(meta.provenance, s))
             {
                 self.stats.admitted += 1;
-                let id = self.register(hash, predicate, row, meta);
-                if meta.w_root == id {
-                    self.ground.detached_roots.insert(id);
+                self.record(fact, meta);
+                if meta.w_root == fact {
+                    self.ground.detached_roots.insert(fact);
                 }
                 return true;
             }
@@ -498,10 +467,7 @@ impl TerminationStrategy for WardedStrategy {
         // Local detection: isomorphism check against the fact's tree in the
         // warded forest, comparing cached canonical forms.
         self.stats.isomorphism_checks += 1;
-        if self
-            .ground
-            .holds_isomorph(&self.rows, meta.w_root, predicate, row)
-        {
+        if self.ground.holds_isomorph(store, meta.w_root, candidate) {
             // Learn the stop provenance for this pattern.
             self.summary
                 .entry(pattern.clone())
@@ -511,8 +477,8 @@ impl TerminationStrategy for WardedStrategy {
             self.stats.suppressed += 1;
             false
         } else {
-            let id = self.register(hash, predicate, row, meta);
-            self.ground.add(meta.w_root, id);
+            self.record(fact, meta);
+            self.ground.add(meta.w_root, fact);
             self.stats.admitted += 1;
             true
         }
@@ -522,18 +488,45 @@ impl TerminationStrategy for WardedStrategy {
         self.stats
     }
 
+    fn heap_bytes(&self) -> usize {
+        let pattern_bytes = |key: &PatternKey| key.args.capacity() * size_of::<PatternTerm>();
+        let summary: usize = self
+            .summary
+            .iter()
+            .map(|(key, stops)| pattern_bytes(key) + stops.capacity() * size_of::<u32>())
+            .sum();
+        table_bytes(self.metas.capacity(), size_of::<(FactRef, FactMeta)>())
+            + self.ground.heap_bytes()
+            + self.provenances.heap_bytes()
+            + table_bytes(
+                self.root_patterns.capacity(),
+                size_of::<(FactRef, PatternKey)>(),
+            )
+            + self
+                .root_patterns
+                .values()
+                .map(pattern_bytes)
+                .sum::<usize>()
+            + table_bytes(self.summary.capacity(), size_of::<(PatternKey, Vec<u32>)>())
+            + summary
+    }
+
     fn name(&self) -> &'static str {
         "warded (Algorithm 1)"
     }
 }
 
-/// The §6.6 baseline: every generated fact is stored and every candidate is
-/// checked for isomorphism against *all* previously generated facts (hash
-/// indexed by isomorphism canonical form, as the paper's "carefully
-/// optimized" trivial technique).
+/// The §6.6 baseline: every candidate is checked for isomorphism against
+/// *all* stored facts of its predicate (hash indexed by isomorphism
+/// canonical form, as the paper's "carefully optimized" trivial technique).
+/// The key set is filled from the store: before each check it takes in the
+/// rows of the candidate's predicate stored since the last one, loaded and
+/// admitted alike.
 #[derive(Clone, Default)]
 pub struct TrivialIsoStrategy {
     seen: FxHashSet<RowIsoKey>,
+    /// Per predicate: how many of its stored rows `seen` holds.
+    read: FxHashMap<Sym, usize>,
     stats: StrategyStats,
 }
 
@@ -550,32 +543,23 @@ impl TrivialIsoStrategy {
 }
 
 impl TerminationStrategy for TrivialIsoStrategy {
-    fn clone_box(&self) -> Box<dyn TerminationStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
-        self.seen.insert(row_iso_key(predicate, row));
-    }
-
-    fn admit(
-        &mut self,
-        candidate: &Candidate<'_>,
-        _rule_id: u32,
-        _kind: RuleKind,
-        _linear_parent: Option<ParentRef<'_>>,
-        _ward_parent: Option<ParentRef<'_>>,
-    ) -> bool {
+    fn admit(&mut self, store: &FactStore, candidate: &Candidate<'_>, _step: &Step) -> bool {
+        let predicate = candidate.predicate();
+        if let Some(rel) = store.relation(predicate) {
+            let read = self.read.entry(predicate).or_default();
+            for id in *read..rel.len() {
+                self.seen
+                    .insert(row_iso_key(predicate, rel.row(FactId(id as u32))));
+            }
+            *read = rel.len();
+        }
         self.stats.isomorphism_checks += 1;
-        if self
-            .seen
-            .insert(row_iso_key(candidate.predicate(), candidate.row()))
-        {
-            self.stats.admitted += 1;
-            true
-        } else {
+        if self.seen.contains(&row_iso_key(predicate, candidate.row())) {
             self.stats.suppressed += 1;
             false
+        } else {
+            self.stats.admitted += 1;
+            true
         }
     }
 
@@ -583,17 +567,28 @@ impl TerminationStrategy for TrivialIsoStrategy {
         self.stats
     }
 
+    fn heap_bytes(&self) -> usize {
+        table_bytes(self.seen.capacity(), size_of::<RowIsoKey>())
+            + self
+                .seen
+                .iter()
+                .map(|key| key.args.capacity() * size_of::<RowCanonTerm>())
+                .sum::<usize>()
+            + table_bytes(self.read.capacity(), size_of::<(Sym, usize)>())
+    }
+
     fn name(&self) -> &'static str {
         "trivial isomorphism check"
     }
 }
 
-/// Admit everything that is not an exact duplicate. This is what an engine
-/// without null-aware termination does; it terminates only on programs whose
-/// chase is finite (e.g. plain Datalog after Skolemization).
+/// Admit everything that is not an exact duplicate: the store has already
+/// cut those, so this strategy admits every candidate it is offered. This
+/// is what an engine without null-aware termination does; it terminates
+/// only on programs whose chase is finite (e.g. plain Datalog after
+/// Skolemization).
 #[derive(Clone, Default)]
 pub struct ExactDedupStrategy {
-    seen: RowTable,
     stats: StrategyStats,
 }
 
@@ -605,39 +600,17 @@ impl ExactDedupStrategy {
 }
 
 impl TerminationStrategy for ExactDedupStrategy {
-    fn clone_box(&self) -> Box<dyn TerminationStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
-        if let Err(hash) = self.seen.lookup(predicate, row) {
-            self.seen.push(hash, predicate, row);
-        }
-    }
-
-    fn admit(
-        &mut self,
-        candidate: &Candidate<'_>,
-        _rule_id: u32,
-        _kind: RuleKind,
-        _linear_parent: Option<ParentRef<'_>>,
-        _ward_parent: Option<ParentRef<'_>>,
-    ) -> bool {
-        match self.seen.lookup(candidate.predicate(), candidate.row()) {
-            Ok(_) => {
-                self.stats.duplicates += 1;
-                false
-            }
-            Err(hash) => {
-                self.seen.push(hash, candidate.predicate(), candidate.row());
-                self.stats.admitted += 1;
-                true
-            }
-        }
+    fn admit(&mut self, _store: &FactStore, _candidate: &Candidate<'_>, _step: &Step) -> bool {
+        self.stats.admitted += 1;
+        true
     }
 
     fn stats(&self) -> StrategyStats {
         self.stats
+    }
+
+    fn heap_bytes(&self) -> usize {
+        0
     }
 
     fn name(&self) -> &'static str {
@@ -660,193 +633,300 @@ mod tests {
         Fact::new(predicate, vec![Value::Null(NullId(null)), c.into()])
     }
 
-    fn register(strategy: &mut dyn TerminationStrategy, fact: &Fact) {
-        strategy.register_base(fact.predicate, &fact.intern_args());
+    /// A store and a strategy, driven the way producers drive them: every
+    /// derived fact through [`offer_row`].
+    struct Harness<S> {
+        store: FactStore,
+        strategy: S,
+    }
+
+    impl<S: TerminationStrategy> Harness<S> {
+        fn new(strategy: S) -> Self {
+            Harness {
+                store: FactStore::new(),
+                strategy,
+            }
+        }
+
+        /// Store an extensional fact; the strategy never sees it.
+        fn base(&mut self, fact: &Fact) {
+            self.store.insert(fact.clone());
+        }
+
+        /// The store's name for a stored fact.
+        fn stored(&self, fact: &Fact) -> FactRef {
+            FactRef::find(&self.store, fact.predicate, &fact.intern_args()).expect("stored")
+        }
+
+        fn offer(
+            &mut self,
+            fact: &Fact,
+            rule_id: u32,
+            kind: RuleKind,
+            linear_parent: Option<&Fact>,
+            ward_parent: Option<&Fact>,
+        ) -> Offer {
+            let step = Step {
+                rule_id,
+                kind,
+                linear_parent: linear_parent.map(|f| self.stored(f)),
+                ward_parent: ward_parent.map(|f| self.stored(f)),
+            };
+            let row = fact.intern_args();
+            offer_row(
+                &mut self.store,
+                Some(&mut self.strategy),
+                fact.predicate,
+                &row,
+                &step,
+            )
+        }
+
+        fn admit(
+            &mut self,
+            fact: &Fact,
+            rule_id: u32,
+            kind: RuleKind,
+            linear_parent: Option<&Fact>,
+            ward_parent: Option<&Fact>,
+        ) -> bool {
+            self.offer(fact, rule_id, kind, linear_parent, ward_parent) == Offer::Admitted
+        }
+
+        fn stats(&self) -> StrategyStats {
+            self.strategy.stats()
+        }
     }
 
     #[test]
     fn warded_strategy_cuts_isomorphic_linear_chains() {
-        let mut strategy = WardedStrategy::new();
+        let mut h = Harness::new(WardedStrategy::new());
         let company = Fact::new("Company", vec!["HSBC".into()]);
-        register(&mut strategy, &company);
+        h.base(&company);
 
         // Company(HSBC) --rule0--> Owns(ν0, ν1, HSBC)
         let o1 = owns(0, 1, "HSBC");
-        assert!(strategy.admit_fact(&o1, 0, RuleKind::Linear, Some(&company), None));
-        // Owns --rule7--> Company(HSBC): duplicate of the base fact.
-        assert!(!strategy.admit_fact(&company, 7, RuleKind::Linear, Some(&o1), None));
+        assert!(h.admit(&o1, 0, RuleKind::Linear, Some(&company), None));
+        // Owns --rule7--> Company(HSBC): the store holds it already.
+        assert_eq!(
+            h.offer(&company, 7, RuleKind::Linear, Some(&o1), None),
+            Offer::Duplicate
+        );
         // Applying rule0 again from the same root with fresh nulls gives an
         // isomorphic fact in the same warded tree: suppressed, stop
         // provenance learnt.
         let o2 = owns(10, 11, "HSBC");
-        assert!(!strategy.admit_fact(&o2, 0, RuleKind::Linear, Some(&company), None));
-        assert_eq!(strategy.stats().stop_provenances, 1);
-        assert!(strategy.stats().suppressed >= 1);
+        assert!(!h.admit(&o2, 0, RuleKind::Linear, Some(&company), None));
+        assert_eq!(h.stats().stop_provenances, 1);
+        assert!(h.stats().suppressed >= 1);
     }
 
     #[test]
     fn warded_strategy_reuses_stop_provenance_across_patterns() {
-        let mut strategy = WardedStrategy::new();
+        let mut h = Harness::new(WardedStrategy::new());
         let c1 = Fact::new("Company", vec!["HSBC".into()]);
         let c2 = Fact::new("Company", vec!["IBA".into()]);
-        register(&mut strategy, &c1);
-        register(&mut strategy, &c2);
+        h.base(&c1);
+        h.base(&c2);
 
         // Learn the stop provenance on the HSBC tree.
-        assert!(strategy.admit_fact(&owns(0, 1, "HSBC"), 0, RuleKind::Linear, Some(&c1), None));
-        assert!(!strategy.admit_fact(&owns(2, 3, "HSBC"), 0, RuleKind::Linear, Some(&c1), None));
-        let checks_before = strategy.stats().isomorphism_checks;
-        assert_eq!(strategy.stats().stop_provenances, 1);
+        assert!(h.admit(&owns(0, 1, "HSBC"), 0, RuleKind::Linear, Some(&c1), None));
+        assert!(!h.admit(&owns(2, 3, "HSBC"), 0, RuleKind::Linear, Some(&c1), None));
+        let checks_before = h.stats().isomorphism_checks;
+        assert_eq!(h.stats().stop_provenances, 1);
 
         // The IBA root is pattern-isomorphic to the HSBC one, so attempting
         // the same rule sequence from it is pruned horizontally without any
         // further isomorphism check (Algorithm 1, line 3 after line 9 stored
         // the provenance keyed by the root's pattern).
-        assert!(!strategy.admit_fact(&owns(4, 5, "IBA"), 0, RuleKind::Linear, Some(&c2), None));
-        let after = strategy.stats();
+        assert!(!h.admit(&owns(4, 5, "IBA"), 0, RuleKind::Linear, Some(&c2), None));
+        let after = h.stats();
         assert!(after.pruned_by_provenance >= 1);
         assert_eq!(after.isomorphism_checks, checks_before);
     }
 
     #[test]
     fn steps_within_a_stop_provenance_are_parents_but_not_tree_members() {
-        let mut strategy = WardedStrategy::new();
+        let mut h = Harness::new(WardedStrategy::new());
         let hsbc = Fact::new("Company", vec!["HSBC".into()]);
         let iba = Fact::new("Company", vec!["IBA".into()]);
-        register(&mut strategy, &hsbc);
-        register(&mut strategy, &iba);
+        h.base(&hsbc);
+        h.base(&iba);
 
         // Learn the stop provenance [0, 1] on the HSBC root: rule 1 after
         // rule 0 gives a fact isomorphic to the one rule 0 gave.
         let p1 = fact("P", 1, "HSBC");
-        assert!(strategy.admit_fact(&p1, 0, RuleKind::Linear, Some(&hsbc), None));
-        assert!(!strategy.admit_fact(&fact("P", 2, "HSBC"), 1, RuleKind::Linear, Some(&p1), None));
-        assert_eq!(strategy.stats().stop_provenances, 1);
+        assert!(h.admit(&p1, 0, RuleKind::Linear, Some(&hsbc), None));
+        assert!(!h.admit(&fact("P", 2, "HSBC"), 1, RuleKind::Linear, Some(&p1), None));
+        assert_eq!(h.stats().stop_provenances, 1);
 
         // From the pattern-isomorphic IBA root, rule 0 is a step strictly
         // within [0, 1]: admitted without an isomorphism check.
-        let before = strategy.stats();
+        let before = h.stats();
         let p3 = fact("P", 3, "IBA");
-        assert!(strategy.admit_fact(&p3, 0, RuleKind::Linear, Some(&iba), None));
-        let after = strategy.stats();
+        assert!(h.admit(&p3, 0, RuleKind::Linear, Some(&iba), None));
+        let after = h.stats();
         assert_eq!(after.isomorphism_checks, before.isomorphism_checks);
         assert_eq!(after.admitted, before.admitted + 1);
 
         // It is a usable parent: rule 1 from it completes the stop
         // provenance of its root's pattern and is pruned.
-        assert!(!strategy.admit_fact(&fact("P", 4, "IBA"), 1, RuleKind::Linear, Some(&p3), None));
+        assert!(!h.admit(&fact("P", 4, "IBA"), 1, RuleKind::Linear, Some(&p3), None));
         assert_eq!(
-            strategy.stats().pruned_by_provenance,
+            h.stats().pruned_by_provenance,
             after.pruned_by_provenance + 1
         );
 
         // It is not a member of the IBA tree: an isomorphic fact attached to
         // that tree finds nothing to be isomorphic to.
-        let checks = strategy.stats().isomorphism_checks;
-        assert!(strategy.admit_fact(&fact("P", 5, "IBA"), 3, RuleKind::Warded, None, Some(&iba)));
-        assert_eq!(strategy.stats().isomorphism_checks, checks + 1);
+        let checks = h.stats().isomorphism_checks;
+        assert!(h.admit(&fact("P", 5, "IBA"), 3, RuleKind::Warded, None, Some(&iba)));
+        assert_eq!(h.stats().isomorphism_checks, checks + 1);
     }
 
     #[test]
     fn a_root_admitted_within_a_stop_provenance_is_not_in_its_own_tree() {
-        let mut strategy = WardedStrategy::new();
+        let mut h = Harness::new(WardedStrategy::new());
         let root = fact("S", 0, "a");
-        register(&mut strategy, &root);
+        h.base(&root);
         // Rule 5 from the root gives a fact isomorphic to the root itself:
         // stop provenance [5] for the pattern S(null, constant).
-        assert!(!strategy.admit_fact(&fact("S", 1, "a"), 5, RuleKind::Linear, Some(&root), None));
-        assert_eq!(strategy.stats().stop_provenances, 1);
+        assert!(!h.admit(&fact("S", 1, "a"), 5, RuleKind::Linear, Some(&root), None));
+        assert_eq!(h.stats().stop_provenances, 1);
 
-        // A warded fact without a registered ward roots its own linear and
+        // A warded fact without a ward roots its own linear and
         // warded trees with the empty provenance, strictly within [5]:
         // admitted unchecked.
         let detached = fact("S", 2, "b");
-        assert!(strategy.admit_fact(&detached, 3, RuleKind::Warded, None, None));
+        assert!(h.admit(&detached, 3, RuleKind::Warded, None, None));
         // A linear step from it lands in its warded tree, where the root is
         // not a member: no isomorphic fact, so it is admitted.
-        let checks = strategy.stats().isomorphism_checks;
-        assert!(strategy.admit_fact(
+        let checks = h.stats().isomorphism_checks;
+        assert!(h.admit(
             &fact("S", 3, "b"),
             6,
             RuleKind::Linear,
             Some(&detached),
             None
         ));
-        assert_eq!(strategy.stats().isomorphism_checks, checks + 1);
+        assert_eq!(h.stats().isomorphism_checks, checks + 1);
     }
 
     #[test]
     fn warded_rules_attach_to_the_ward_parents_tree() {
-        let mut strategy = WardedStrategy::new();
+        let mut h = Harness::new(WardedStrategy::new());
         let psc_x = Fact::new("PSC", vec!["HSBC".into(), Value::Null(NullId(0))]);
         let psc_y = Fact::new("PSC", vec!["IBA".into(), Value::Null(NullId(1))]);
-        register(
-            &mut strategy,
-            &Fact::new("Controls", vec!["HSBC".into(), "HSB".into()]),
-        );
-        register(&mut strategy, &psc_x);
-        register(&mut strategy, &psc_y);
+        h.base(&Fact::new("Controls", vec!["HSBC".into(), "HSB".into()]));
+        h.base(&psc_x);
+        h.base(&psc_y);
 
         // PSC(HSBC, ν0), Controls(HSBC, HSB) → Owns(ν0, ν9, HSB): warded rule
         // whose ward parent is the PSC fact.
-        assert!(strategy.admit_fact(&owns(0, 9, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
+        assert!(h.admit(&owns(0, 9, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
         // The fact joined the ward's tree: an isomorphic fact under another
         // ward is admitted, under the same ward it is suppressed.
-        assert!(strategy.admit_fact(&owns(0, 11, "HSB"), 3, RuleKind::Warded, None, Some(&psc_y)));
-        assert!(!strategy.admit_fact(&owns(0, 10, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
-        assert_eq!(strategy.stats().isomorphism_checks, 3);
+        assert!(h.admit(&owns(0, 11, "HSB"), 3, RuleKind::Warded, None, Some(&psc_y)));
+        assert!(!h.admit(&owns(0, 10, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
+        assert_eq!(h.stats().isomorphism_checks, 3);
     }
 
     #[test]
-    fn non_linear_rules_start_new_trees_and_duplicates_are_cut() {
-        let mut strategy = WardedStrategy::new();
+    fn non_linear_rules_start_new_trees_and_the_store_cuts_duplicates() {
+        let mut h = Harness::new(WardedStrategy::new());
         let sl = Fact::new("StrongLink", vec!["a".into(), "b".into()]);
-        assert!(strategy.admit_fact(&sl, 4, RuleKind::NonLinear, None, None));
-        assert!(!strategy.admit_fact(&sl, 4, RuleKind::NonLinear, None, None));
-        assert_eq!(strategy.stats().duplicates, 1);
+        assert!(h.admit(&sl, 4, RuleKind::NonLinear, None, None));
+        assert_eq!(
+            h.offer(&sl, 4, RuleKind::NonLinear, None, None),
+            Offer::Duplicate
+        );
+        assert_eq!(h.stats().admitted, 1);
+        // A fresh tree's root needs no record.
+        assert!(h.strategy.metas.is_empty());
     }
 
     #[test]
     fn trivial_strategy_checks_globally() {
-        let mut strategy = TrivialIsoStrategy::new();
-        register(&mut strategy, &Fact::new("Company", vec!["HSBC".into()]));
+        let mut h = Harness::new(TrivialIsoStrategy::new());
+        h.base(&Fact::new("Company", vec!["HSBC".into()]));
         let a = owns(0, 1, "HSBC");
         let b = owns(5, 6, "HSBC");
-        assert!(strategy.admit_fact(&a, 0, RuleKind::Linear, None, None));
+        assert!(h.admit(&a, 0, RuleKind::Linear, None, None));
         // isomorphic to a, regardless of any tree structure
-        assert!(!strategy.admit_fact(&b, 3, RuleKind::Warded, None, None));
-        assert_eq!(strategy.stored(), 2);
-        assert_eq!(strategy.stats().suppressed, 1);
+        assert!(!h.admit(&b, 3, RuleKind::Warded, None, None));
+        // The key set holds the stored rows of the predicates it was asked
+        // about: the one Owns row, not the Company row.
+        assert_eq!(h.strategy.stored(), 1);
+        assert_eq!(h.stats().suppressed, 1);
+        assert_eq!(h.stats().isomorphism_checks, 2);
     }
 
     #[test]
     fn exact_dedup_admits_isomorphic_but_distinct_nulls() {
-        let mut strategy = ExactDedupStrategy::new();
+        let mut h = Harness::new(ExactDedupStrategy::new());
         let a = owns(0, 1, "HSBC");
         let b = owns(5, 6, "HSBC");
-        assert!(strategy.admit_fact(&a, 0, RuleKind::Linear, None, None));
-        assert!(strategy.admit_fact(&b, 0, RuleKind::Linear, None, None));
-        assert!(!strategy.admit_fact(&a, 0, RuleKind::Linear, None, None));
-        assert_eq!(strategy.stats().admitted, 2);
-        assert_eq!(strategy.stats().duplicates, 1);
+        assert!(h.admit(&a, 0, RuleKind::Linear, None, None));
+        assert!(h.admit(&b, 0, RuleKind::Linear, None, None));
+        assert_eq!(
+            h.offer(&a, 0, RuleKind::Linear, None, None),
+            Offer::Duplicate
+        );
+        assert_eq!(h.stats().admitted, 2);
     }
 
     #[test]
-    fn row_table_keeps_each_row_once_across_hash_chains() {
-        let mut table = RowTable::default();
-        let p = intern("P");
-        let q = intern("Q");
-        let row = [intern_value(&Value::Int(1)), intern_value(&Value::Int(2))];
-        let hash = table.lookup(p, &row).unwrap_err();
-        let id = table.push(hash, p, &row);
-        assert_eq!(table.lookup(p, &row), Ok(id));
-        assert!(table.lookup(q, &row).is_err());
-        // A forced collision chains behind the first fact and both resolve.
-        let other = [intern_value(&Value::Int(3))];
-        let second = table.push(hash, q, &other);
-        assert_eq!(table.row(second), &other);
-        assert_eq!(table.row(id), &row);
-        assert_eq!(table.entries[second as usize].chain, id);
+    fn a_fact_only_the_store_holds_roots_its_linear_and_warded_trees() {
+        let mut h = Harness::new(WardedStrategy::new());
+        let company = Fact::new("Company", vec!["HSBC".into()]);
+        h.base(&company);
+        let root = h.stored(&company);
+        // The strategy never saw the stored fact and holds nothing for it.
+        assert!(h.strategy.metas.is_empty());
+        assert_eq!(h.strategy.meta_of(root), FactMeta::root(root));
+
+        // Company(HSBC) --rule0--> Owns(ν0, ν1, HSBC): the stored parent
+        // roots the new fact's linear tree and its warded tree.
+        let o1 = owns(0, 1, "HSBC");
+        assert!(h.admit(&o1, 0, RuleKind::Linear, Some(&company), None));
+        let meta = h.strategy.meta_of(h.stored(&o1));
+        assert_eq!((meta.l_root, meta.w_root), (root, root));
+        assert_eq!(h.strategy.provenances.len(meta.provenance), 1);
+
+        // As in `warded_strategy_cuts_isomorphic_linear_chains`: rule0 again
+        // from the same root is isomorphic within the root's warded tree,
+        // so it is suppressed and the stop provenance [0] is learnt.
+        assert!(!h.admit(
+            &owns(10, 11, "HSBC"),
+            0,
+            RuleKind::Linear,
+            Some(&company),
+            None
+        ));
+        assert_eq!(h.stats().stop_provenances, 1);
+        assert_eq!(h.stats().isomorphism_checks, 2);
+
+        // The learnt provenance is keyed by the stored root's pattern: from
+        // another stored, pattern-isomorphic root the step is pruned
+        // without a check.
+        let iba = Fact::new("Company", vec!["IBA".into()]);
+        h.base(&iba);
+        assert!(!h.admit(&owns(12, 13, "IBA"), 0, RuleKind::Linear, Some(&iba), None));
+        let s = h.stats();
+        assert_eq!((s.pruned_by_provenance, s.suppressed), (1, 2));
+        assert_eq!(s.isomorphism_checks, 2);
+
+        // A warded step whose ward is the stored root joins the same warded
+        // tree, where Owns(ν0, ν1, HSBC) is isomorphic to it.
+        assert!(!h.admit(
+            &owns(14, 15, "HSBC"),
+            3,
+            RuleKind::Warded,
+            None,
+            Some(&company)
+        ));
+        assert_eq!(h.stats().isomorphism_checks, 3);
+        assert_eq!(h.stats().admitted, 1);
     }
 
     #[test]

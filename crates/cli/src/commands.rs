@@ -75,7 +75,7 @@ impl fmt::Display for CliError {
             CliError::Truncated { cap, .. } => {
                 match cap {
                     RunCap::Facts(n) => {
-                        write!(f, "the run reached the fact cap ({n}, --max-facts)")?
+                        write!(f, "the run stored more than {n} facts (--max-facts)")?
                     }
                     RunCap::Iterations(n) => write!(f, "the run reached the sweep cap ({n})")?,
                 }
@@ -296,6 +296,12 @@ fn render_stats(out: &mut String, result: &RunResult) {
         base.dedup,
         base.indexes,
         bytes.total().total() as f64 / result.store.len().max(1) as f64
+    );
+    let _ = writeln!(
+        out,
+        "% strategy bytes:      {}, {:.1} B/fact",
+        stats.pipeline.strategy_bytes,
+        stats.pipeline.strategy_bytes as f64 / result.store.len().max(1) as f64
     );
     let _ = writeln!(
         out,

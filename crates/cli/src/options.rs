@@ -175,7 +175,7 @@ FLAGS (run / query / serve):
     --no-rewriting              skip the logic optimizer / harmful-join elimination
     --certain                   drop facts containing labelled nulls from outputs
     --require-warded            refuse programs outside Warded Datalog±
-    --max-facts <N>             abort after N stored facts
+    --max-facts <N>             stop once more than N facts are stored (exit 3)
     --stats                     print run statistics
 
 FLAGS (query / serve):

@@ -58,10 +58,9 @@
 //! exactly — and the filters are merged **sequentially in filter-index
 //! order** through the emission path (negation probes, conditions,
 //! monotonic aggregation, labelled-null and Skolem invention,
-//! termination-strategy admission), with each filter's admitted head rows
-//! applied to the store as one [`vadalog_storage::DeltaBatch`] pass — on a
-//! null-free run every head row, the store's dedup being the admission
-//! test.
+//! admission), each head row offered to the store: a row its relation
+//! holds is a duplicate, a new one goes to the termination strategy (on a
+//! run that can hold a null) and an admitted one is inserted at once.
 //!
 //! **Determinism guarantee:** batch boundaries, the chunk layout (a
 //! function of the delta row counts and the worker count), per-chunk match

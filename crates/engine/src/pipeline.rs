@@ -43,8 +43,8 @@
 //! are concatenated **in chunk order** (which restores the sequential
 //! delta-scan order exactly) and the filters are merged **sequentially in
 //! filter-index order** through the emission path (negation, conditions,
-//! aggregation, Skolem/null invention, termination-strategy admission and
-//! the [`DeltaBatch`] row merge).
+//! aggregation, Skolem/null invention, then each head row offered to the
+//! store, which cuts exact duplicates and inserts admitted rows at once).
 //!
 //! Because batch boundaries, the chunk layout (a function of the delta row
 //! counts and the worker count only), match enumeration order and the
@@ -70,13 +70,18 @@
 //! pipeline is therefore **null-free** while its plan cannot invent a null
 //! ([`AccessPlan::invents_nulls`]) and its store holds none
 //! ([`FactStore::holds_nulls`]); it then never calls its
-//! [`TerminationStrategy`]: emission hands every head row to the
-//! [`DeltaBatch`] merge and [`Relation::insert_row`]'s own duplicate test
+//! [`TerminationStrategy`]: [`Relation::insert_row`]'s own duplicate test
 //! is the admission decision, counted into [`PipelineStats::strategy`] as
 //! `admitted` / `duplicates` (every other strategy counter stays 0).
-//! Loading a fact that carries a null ends the mode: the store's current
-//! rows are registered with the strategy as base facts and admission
-//! continues under it (see [`Pipeline::load_facts`]).
+//!
+//! On every run the store decides exact duplicates: a head row its relation
+//! already holds is counted as a duplicate and never reaches the strategy
+//! ([`offer_row`]). The strategy names facts by the store's `(predicate,
+//! FactId)` and reads rows from the store, so a stored fact it never saw is
+//! simply the root of its own trees. Loading a fact that carries a null
+//! therefore ends the null-free mode without registering anything: the
+//! facts stored so far, derived ones included, are roots to the strategy,
+//! and admission continues under it (see [`Pipeline::load_facts`]).
 //!
 //! # The final stratum
 //!
@@ -96,11 +101,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use vadalog_analysis::RuleKind;
-use vadalog_chase::{Candidate, ParentRef, StrategyStats, TerminationStrategy};
+use vadalog_chase::{offer_row, FactRef, Offer, Step, StrategyStats, TerminationStrategy};
 use vadalog_model::prelude::*;
 use vadalog_storage::{
-    materialise, number_variables, undo_to, ActiveDomain, DeltaBatch, FactId, FactStore,
-    JoinScratch, ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
+    materialise, number_variables, undo_to, ActiveDomain, FactId, FactStore, JoinScratch,
+    ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
 };
 
 use vadalog_storage::{leapfrog_join, TrieCursor, WcojCounters, WcojLevel};
@@ -286,6 +291,22 @@ impl Datum {
             Datum::Value(value) => value.clone(),
         }
     }
+}
+
+/// The stored fact `pattern` matched under `binding`, named by the store.
+/// A body pattern is fully bound after the join, so instantiating it into
+/// `row` (scratch) cannot fail.
+fn stored_parent(
+    store: &FactStore,
+    pattern: &RowPattern,
+    binding: &Binding,
+    row: &mut Vec<ValueId>,
+) -> Option<FactRef> {
+    row.clear();
+    if !pattern.instantiate_into(binding, row) {
+        return None;
+    }
+    FactRef::find(store, pattern.predicate, row)
 }
 
 /// The value of `src` in the current match (`None`: unbound).
@@ -730,10 +751,15 @@ pub struct PipelineStats {
     pub strategy: StrategyStats,
     /// The cap that stopped the sweeps while they were still deriving
     /// facts: the instance is then a truncated prefix of the fixpoint, not
-    /// the fixpoint. `None` when the last sweep derived nothing. A run that
-    /// meets a cap exactly at its fixpoint still reports it: the sweep that
-    /// would have confirmed the fixpoint never ran.
+    /// the fixpoint. `None` when the last sweep derived nothing. The fact
+    /// cap fires only once the store holds more than `max_facts` facts, so
+    /// a fixpoint of at most `max_facts` facts is never reported capped; a
+    /// run that meets the sweep cap exactly at its fixpoint still reports
+    /// it, as the sweep that would have confirmed the fixpoint never ran.
     pub capped: Option<RunCap>,
+    /// Heap bytes the termination strategy held at the end of the run,
+    /// counted by capacity ([`TerminationStrategy::heap_bytes`]).
+    pub strategy_bytes: u64,
 }
 
 /// A [`ReasonerOptions`] cap that stopped a run before its fixpoint (see
@@ -742,7 +768,7 @@ pub struct PipelineStats {
 pub enum RunCap {
     /// `max_iterations` round-robin sweeps ran.
     Iterations(usize),
-    /// The store held at least `max_facts` facts.
+    /// The store held more than `max_facts` facts.
     Facts(usize),
 }
 
@@ -790,8 +816,8 @@ pub struct Pipeline<'a> {
     /// invent a null and the store holds none, so the strategy is never
     /// called and the store's dedup admits.
     null_free: bool,
-    /// `admitted` / `duplicates` decided by the store's dedup while
-    /// `null_free`, added to the strategy's own counts in
+    /// Rows the store's dedup decided: every `duplicates`, and the
+    /// `admitted` of a null-free run. Added to the strategy's own counts in
     /// [`PipelineStats::strategy`].
     dedup_stats: StrategyStats,
     stats: PipelineStats,
@@ -848,36 +874,25 @@ impl<'a> Pipeline<'a> {
     /// woken, so a [`Pipeline::run`] after an earlier one treats the new
     /// rows as deltas.
     ///
-    /// Facts are registered with the termination strategy only when the run
-    /// can hold a labelled null (see the module docs). The first fact that
-    /// carries a null ends a null-free run: every row the store holds at
-    /// that point is registered as a base fact, then loading continues
-    /// under the strategy. Before the first [`Pipeline::run`] that is exact
-    /// — registration order only fixes the strategy's internal ids, and
-    /// tree membership and dedup are sets. On a pipeline that has already
-    /// derived facts it is a weakening: those facts enter the strategy as
-    /// base facts (each the root of its own tree, no linear provenance)
-    /// instead of where a run under the strategy from the start would
-    /// have placed them.
+    /// The first fact that carries a labelled null ends a null-free run
+    /// (see the module docs). Nothing is registered with the strategy: it
+    /// reads stored facts from the store, and a fact it never admitted is
+    /// the root of its own trees with the empty provenance. Before the
+    /// first [`Pipeline::run`] that is exactly what a run under the
+    /// strategy from the start would see. On a pipeline that has already
+    /// derived facts under the null-free mode it is a weakening: those
+    /// facts are roots, instead of where a run under the strategy from the
+    /// start would have placed them.
     pub fn load_facts<I>(&mut self, facts: I)
     where
         I: IntoIterator,
         I::Item: Borrow<Fact>,
     {
         let mut preds: BTreeSet<Sym> = BTreeSet::new();
-        let (strategy, null_free) = (&mut self.strategy, &mut self.null_free);
-        self.store.load_facts(facts, |store, f, row| {
-            if *null_free && !f.is_ground() {
-                for (predicate, row) in store.rows() {
-                    strategy.register_base(predicate, row);
-                }
-                *null_free = false;
-            }
-            if !*null_free {
-                strategy.register_base(f.predicate, row);
-            }
-            preds.insert(f.predicate);
-        });
+        self.store.load_facts(facts.into_iter().inspect(|f| {
+            preds.insert(f.borrow().predicate);
+        }));
+        self.null_free &= !self.store.holds_nulls();
         self.wake_readers(&preds);
     }
 
@@ -894,12 +909,10 @@ impl<'a> Pipeline<'a> {
     /// Start from a pre-populated store — typically a copy-on-write overlay
     /// over a session's frozen EDB base (see
     /// [`vadalog_storage::StoreBase::overlay`]). The admission mode is
-    /// re-decided from the plan and [`FactStore::holds_nulls`]: a run that
-    /// can hold a labelled null needs a termination strategy with the
-    /// store's facts registered, which the caller supplies (a session keeps
-    /// a pre-registered template and clones it per run); a null-free run
-    /// never calls the strategy, so an empty one will do. Facts loaded
-    /// afterwards via [`Pipeline::load_facts`] go on top.
+    /// re-decided from the plan and [`FactStore::holds_nulls`]. The
+    /// strategy needs nothing registered: it reads the store's facts as
+    /// roots. Facts loaded afterwards via [`Pipeline::load_facts`] go on
+    /// top.
     pub fn with_store(mut self, store: FactStore) -> Self {
         self.null_free = !self.plan.invents_nulls && !store.holds_nulls();
         self.store = store;
@@ -926,13 +939,7 @@ impl<'a> Pipeline<'a> {
         {
             let dom = ActiveDomain::from_facts(self.store.iter())
                 .to_facts(vadalog_rewrite::DOM_PREDICATE);
-            let (strategy, null_free) = (&mut self.strategy, self.null_free);
-            let grew = self.store.load_facts(&dom, |_, f, row| {
-                if !null_free {
-                    strategy.register_base(f.predicate, row);
-                }
-            }) > 0;
-            if grew {
+            if self.store.load_facts(&dom) > 0 {
                 // On a run after more loads, new constants may extend Dom:
                 // its readers must see the delta.
                 self.wake_readers(&BTreeSet::from([dom_sym]));
@@ -946,7 +953,7 @@ impl<'a> Pipeline<'a> {
                 self.stats.capped = Some(RunCap::Iterations(self.options.max_iterations));
                 break;
             }
-            if self.store.len() >= self.options.max_facts {
+            if self.store.len() > self.options.max_facts {
                 self.stats.capped = Some(RunCap::Facts(self.options.max_facts));
                 break;
             }
@@ -994,6 +1001,7 @@ impl<'a> Pipeline<'a> {
             duplicates: strategy.duplicates + self.dedup_stats.duplicates,
             ..strategy
         };
+        self.stats.strategy_bytes = self.strategy.heap_bytes() as u64;
         self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
 
         self.run_checks()
@@ -1788,10 +1796,12 @@ impl<'a> Pipeline<'a> {
 
     /// Merge one filter's collected matches into the instance: post-join
     /// literals (negation, conditions, assignments incl. aggregation), null
-    /// and Skolem invention, termination-strategy admission and the
-    /// delta-batch row merge, whose dedup is the whole admission test on a
-    /// null-free run. Runs sequentially in filter-index order. Returns
-    /// whether any new fact was admitted.
+    /// and Skolem invention, then each head row offered to the store
+    /// ([`offer_row`]): a row its relation holds is a duplicate, a new one
+    /// goes to the termination strategy unless the run is null-free, and an
+    /// admitted row is inserted at once, so the next match's negation probe
+    /// sees it. Runs sequentially in filter-index order. Returns whether
+    /// any new fact was admitted.
     fn emit(&mut self, job: &FilterJob, matches: Vec<Binding>) -> bool {
         let plan = self.plan;
         let f_idx = job.f_idx;
@@ -1799,7 +1809,6 @@ impl<'a> Pipeline<'a> {
         let FilterJob {
             deltas,
             patterns,
-            neg_patterns,
             head_patterns,
             slots,
             ..
@@ -1820,44 +1829,33 @@ impl<'a> Pipeline<'a> {
             .iter()
             .filter_map(|v| slots.get(v).copied())
             .collect();
-        // Admitted head rows are merged through a DeltaBatch — one
-        // `apply_delta` pass over the store at the end of this filter's
-        // emission — unless the rule negates one of its own head predicates,
-        // in which case every admitted row must be visible to the next
-        // match's negation probe immediately. On a null-free run the merge
-        // is the admission test: `apply_delta` dedups inside the batch too.
-        let buffer_rows = neg_patterns
-            .iter()
-            .all(|np| head_patterns.iter().all(|hp| hp.predicate != np.predicate));
-        let mut delta = DeltaBatch::new();
         let mut produced = false;
 
         let mut scratch = ResidualScratch::default();
-        let (mut linear_row, mut ward_row) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
         for mut binding in matches {
             if !self.accept(job, Pass::Fire, &mut binding, &mut scratch) {
                 continue;
             }
 
-            // Parents for the termination wrapper, in row form, written into
-            // reused scratch (the body patterns are fully bound after the
-            // join, so instantiation cannot fail); a null-free run never
-            // asks for them.
-            let linear_parent = match patterns.first() {
-                Some(p) if kind == RuleKind::Linear && !self.null_free => {
-                    linear_row.clear();
-                    p.instantiate_into(&binding, &mut linear_row)
-                        .then(|| ParentRef::new(p.predicate, &linear_row))
-                }
-                _ => None,
-            };
-            let ward_parent = match ward_index.and_then(|w| patterns.get(w)) {
-                Some(p) if kind == RuleKind::Warded && !self.null_free => {
-                    ward_row.clear();
-                    p.instantiate_into(&binding, &mut ward_row)
-                        .then(|| ParentRef::new(p.predicate, &ward_row))
-                }
-                _ => None,
+            // The stored parents for the termination strategy, found by
+            // their rows; a null-free run never asks for them.
+            let parent =
+                |wanted: RuleKind, pattern: Option<&RowPattern>, row: &mut Vec<ValueId>| {
+                    if kind != wanted || self.null_free {
+                        return None;
+                    }
+                    stored_parent(&self.store, pattern?, &binding, row)
+                };
+            let step = Step {
+                rule_id,
+                kind,
+                linear_parent: parent(RuleKind::Linear, patterns.first(), &mut row),
+                ward_parent: parent(
+                    RuleKind::Warded,
+                    ward_index.and_then(|w| patterns.get(w)),
+                    &mut row,
+                ),
             };
 
             // Existential witnesses: fresh nulls, interned straight into the
@@ -1866,46 +1864,31 @@ impl<'a> Pipeline<'a> {
                 binding[*slot] = Some(intern_value(&self.nulls.fresh_value()));
             }
 
-            // Head emission: each row is written in place into the batch's
-            // buffer for its predicate. The strategy admits on the row
-            // itself — or, on a null-free run, every row goes to the store,
-            // whose dedup decides. A row the strategy rejects, or one that
-            // must reach the store at once, leaves the batch again.
             for hp in head_patterns {
-                let rows = delta.rows_mut(hp.predicate);
-                if !rows.push_with(|out| hp.instantiate_into(&binding, out)) {
+                row.clear();
+                if !hp.instantiate_into(&binding, &mut row) {
                     continue;
                 }
-                let row = rows.last().expect("a row was just pushed");
-                if !self.null_free {
-                    let admitted = self.strategy.admit(
-                        &Candidate::from_row(hp.predicate, row),
-                        rule_id,
-                        kind,
-                        linear_parent,
-                        ward_parent,
-                    );
-                    if !admitted {
-                        rows.pop();
+                let strategy: Option<&mut dyn TerminationStrategy> = if self.null_free {
+                    None
+                } else {
+                    Some(&mut *self.strategy)
+                };
+                match offer_row(&mut self.store, strategy, hp.predicate, &row, &step) {
+                    Offer::Admitted => {
+                        self.stats.facts_derived += 1;
+                        if self.null_free {
+                            self.dedup_stats.admitted += 1;
+                        }
+                        produced = true;
+                    }
+                    Offer::Duplicate => {
                         self.stats.facts_suppressed += 1;
-                        continue;
+                        self.dedup_stats.duplicates += 1;
                     }
-                    self.stats.facts_derived += 1;
-                    produced = true;
-                }
-                if !buffer_rows {
-                    let fresh = self.store.relation_mut(hp.predicate).insert_row(row);
-                    rows.pop();
-                    if self.null_free {
-                        produced |= self.count_dedup(usize::from(fresh.is_some()), 1);
-                    }
+                    Offer::Suppressed => self.stats.facts_suppressed += 1,
                 }
             }
-        }
-        let offered = delta.len();
-        let fresh = self.store.apply_delta(delta);
-        if self.null_free {
-            produced |= self.count_dedup(fresh, offered);
         }
         produced
     }
@@ -2045,18 +2028,6 @@ impl<'a> Pipeline<'a> {
             assigned[r] = Some(result);
         }
         true
-    }
-
-    /// Record that the store's dedup admitted `fresh` of `offered` head
-    /// rows on a null-free run (the rest were exact duplicates, inside this
-    /// emission or of stored facts). Returns whether any row was new.
-    fn count_dedup(&mut self, fresh: usize, offered: usize) -> bool {
-        let duplicates = offered - fresh;
-        self.stats.facts_derived += fresh;
-        self.stats.facts_suppressed += duplicates;
-        self.dedup_stats.admitted += fresh as u64;
-        self.dedup_stats.duplicates += duplicates as u64;
-        fresh > 0
     }
 
     fn eval_with_skolems(&mut self, expr: &Expr, subst: &Substitution) -> Option<Value> {
@@ -2881,5 +2852,42 @@ mod tests {
         pipeline.load_facts(program.facts.clone());
         pipeline.run();
         assert!(pipeline.stats().iterations <= 5);
+    }
+
+    #[test]
+    fn trivial_iso_reads_rows_loaded_after_its_last_check_from_the_store() {
+        let program = parse_program("P(x) -> Q(x, n).\nQ(x, n) -> R(x, n).").unwrap();
+        let plan = AccessPlan::compile(&program);
+        let strategy = crate::reasoner::make_strategy(crate::TerminationKind::TrivialIso);
+        let mut pipeline = Pipeline::new(&plan, strategy);
+        pipeline.load_facts([Fact::new("P", vec![Value::str("a")])]);
+        pipeline.run();
+        // Q(a, ν) and R(a, ν): two checks, both admitted.
+        let first = pipeline.stats().strategy;
+        assert_eq!(
+            (first.admitted, first.suppressed, first.isomorphism_checks),
+            (2, 0, 2)
+        );
+
+        // R(b, ν1000) is loaded after the strategy last read R's rows; the
+        // next run derives R(b, ν) from P(b), isomorphic to it.
+        pipeline.load_facts([
+            Fact::new("R", vec![Value::str("b"), Value::Null(NullId(1000))]),
+            Fact::new("P", vec![Value::str("b")]),
+        ]);
+        pipeline.run();
+        let second = pipeline.stats().strategy;
+        assert_eq!(
+            (
+                second.admitted,
+                second.duplicates,
+                second.suppressed,
+                second.isomorphism_checks
+            ),
+            (3, 0, 1, 4),
+            "Q(b, ν) is admitted, R(b, ν) is suppressed"
+        );
+        let r = pipeline.store().facts_of(intern("R"));
+        assert_eq!(r.len(), 2, "{r:?}");
     }
 }

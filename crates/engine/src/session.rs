@@ -29,23 +29,20 @@
 //!   trie lists of every cyclic core, ears or not) are ensured on the
 //!   shared base once per layer stamp, so the per-batch `ensure_index`
 //!   pre-pass only ever flushes overlay tails; base runs are never
-//!   re-sorted. When the rules
-//!   invent nulls or the EDB holds one, the termination strategy is
-//!   pre-registered once and cloned per run
-//!   ([`vadalog_chase::TerminationStrategy::clone_box`]), preserving null
-//!   ids and admission decisions exactly. Otherwise every run is null-free
-//!   and never calls the strategy (see [`crate::pipeline`]), so the
-//!   template stays empty and the per-run clone copies nothing.
+//!   re-sorted. Each run gets a fresh termination strategy
+//!   ([`crate::reasoner`]'s `make_strategy`): the strategy names facts by
+//!   the store's `FactId`s and reads the EDB from the run's overlay, where
+//!   a fact it never admitted is a root, so nothing is registered per
+//!   session or per run (see [`crate::pipeline`]).
 //!
 //! # The shared session core and the cone cache
 //!
 //! All of the above state lives in one **shared core** behind an
 //! `Arc<Mutex<..>>`: [`QuerySession::fork`] hands out additional handles to
-//! the *same* base, strategy template, compiled-plan cache, ensure-index
-//! memos and derivation cache, so a pool of worker threads (the
-//! `vadalog-server` crate) serves many concurrent callers over one
-//! knowledge graph. Queries hold the lock only to snapshot (overlay +
-//! strategy clone + compiled `Arc`) and to publish results — the pipeline
+//! the *same* base, compiled-plan cache, ensure-index memos and derivation
+//! cache, so a pool of worker threads (the `vadalog-server` crate) serves
+//! many concurrent callers over one knowledge graph. Queries hold the lock
+//! only to snapshot (overlay + compiled `Arc`) and to publish results — the pipeline
 //! itself runs outside the lock, so reads never block appends for longer
 //! than a promotion takes.
 //!
@@ -80,7 +77,6 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, Fragment};
-use vadalog_chase::TerminationStrategy;
 use vadalog_fault as fault;
 use vadalog_model::prelude::*;
 use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
@@ -331,23 +327,17 @@ fn approx_entry_bytes(entry: &ConeEntry) -> usize {
 }
 
 /// The state shared by every fork of a session (see
-/// [`QuerySession::fork`]): the layered EDB base, the pre-registered
-/// termination-strategy template, the compiled-plan and ensure-index
-/// caches, the cone derivation cache and the session counters. One mutex
-/// guards it all — queries snapshot under the lock and run outside it, so
-/// the critical sections stay short; the boxed strategy template is the
-/// reason for `Mutex` over `RwLock` (it is `Send` but not `Sync`).
+/// [`QuerySession::fork`]): the layered EDB base, the compiled-plan and
+/// ensure-index caches, the cone derivation cache and the session counters.
+/// One mutex guards it all — queries snapshot under the lock and run
+/// outside it, so the critical sections stay short. A `Mutex`, not an
+/// `RwLock`: nearly every locker writes (the ensure-index memo, the plan
+/// and cone caches, the counters), so shared reads would rarely apply.
 struct SessionCore {
     options: ReasonerOptions,
     /// The frozen EDB: interned rows + pre-flushed sorted runs, shared by
     /// every query's overlay store.
     base: StoreBase,
-    /// Termination strategy with the EDB pre-registered (when
-    /// [`SessionCore::registers_edb`]), cloned per run.
-    strategy_template: Box<dyn TerminationStrategy>,
-    /// Can some rule of the program mint a labelled null
-    /// ([`crate::plan::rule_invents_nulls`])?
-    rules_invent_nulls: bool,
     /// (predicate, adornment) → compiled artefact.
     compiled: HashMap<(Sym, Adornment), CompiledKind>,
     /// The shared bottom-up fallback compilation, built on first need.
@@ -392,14 +382,6 @@ struct SessionCore {
 }
 
 impl SessionCore {
-    /// Must EDB facts be registered with the strategy template? Only when
-    /// some run over this session can hold a labelled null — the test each
-    /// pipeline applies to its own plan and store: a null-free run never
-    /// reads the template, so registering for it would be pure cost.
-    fn registers_edb(&self) -> bool {
-        self.rules_invent_nulls || self.base.holds_nulls()
-    }
-
     /// The transitive input predicates of `predicate` (itself included):
     /// every predicate whose facts can reach it through the rules. Appends
     /// outside this set provably cannot change the predicate's cone.
@@ -481,7 +463,7 @@ impl SessionCore {
 
     /// The poison-heal policy: a panic while the core was locked may have
     /// interrupted a mutation mid-flight (a half-promoted append, a
-    /// half-registered strategy batch), so nothing derived from the old
+    /// half-filled cache entry), so nothing derived from the old
     /// state may be reused. Bump the base stamp — the invalidation key every
     /// memo hangs off — and drop the cone cache and ensure-index memos
     /// outright. This restores **availability** (the server keeps answering
@@ -565,30 +547,14 @@ pub type LayerIndexStats = (String, Vec<usize>, Vec<(usize, usize)>);
 impl QuerySession {
     /// Open a session: normalise the program, intern the extensional
     /// database (inline facts plus `@bind` CSV sources, in program order —
-    /// the one EDB intern pass of the session), register it with the
-    /// termination strategy template when some run can hold a labelled
-    /// null, and freeze the store into the shared base.
+    /// the one EDB intern pass of the session) and freeze the store into
+    /// the shared base.
     pub fn new(program: &Program, options: ReasonerOptions) -> Result<QuerySession, ReasonerError> {
         let rules_only = prepare_rules(program);
         let bound = crate::reasoner::load_bound_facts(&rules_only)?;
         let edb = || program.facts.iter().chain(&bound);
-        // Every plan the session runs is compiled from `program` (the
-        // bottom-up fallback, without rewriting when that is off) or from
-        // its normalised rules (the magic rewrites), so checking both covers
-        // each pipeline's own `invents_nulls` test.
-        let rules_invent_nulls = program
-            .rules
-            .iter()
-            .chain(&rules_only.rules)
-            .any(crate::plan::rule_invents_nulls);
-        let mut strategy = make_strategy(options.termination);
-        let register = rules_invent_nulls || edb().any(|f| !f.is_ground());
         let mut store = FactStore::new();
-        store.load_facts(edb(), |_, f, row| {
-            if register {
-                strategy.register_base(f.predicate, row);
-            }
-        });
+        store.load_facts(edb());
         // head predicate → body predicates, for precise cone invalidation.
         let mut rule_inputs: HashMap<Sym, BTreeSet<Sym>> = HashMap::new();
         for rule in &rules_only.rules {
@@ -603,8 +569,6 @@ impl QuerySession {
         let core = SessionCore {
             options,
             base: store.freeze(),
-            strategy_template: strategy,
-            rules_invent_nulls,
             compiled: HashMap::new(),
             fallback: None,
             ensured_stamps: HashMap::new(),
@@ -640,7 +604,7 @@ impl QuerySession {
     /// its promotion is acknowledged.
     ///
     /// Replay drives the replayed batches through the exact append
-    /// path (registration order, promotions, compaction points), so the
+    /// path (insertion order, promotions, compaction points), so the
     /// recovered session is **bit-identical** to the never-crashed one on
     /// the durable prefix: same stamps, same `FactId`s, same labelled-null
     /// ids, same answers. A torn or corrupt tail record — a crash mid-write
@@ -845,8 +809,8 @@ impl QuerySession {
         // in-memory state moves, so a failed log write aborts the append
         // with the core untouched, and a crash anywhere after this line is
         // replayed on recovery. The *submitted* batch is logged verbatim —
-        // duplicates included — because replay must feed a registering
-        // strategy template the exact sequence the live session saw.
+        // duplicates included — and replay loads it through the same dedup,
+        // so the rebuilt layers hold the same rows in the same order.
         if log {
             if let Some(wal) = core.wal.as_mut() {
                 wal.append_batch(&facts).map_err(ReasonerError::Wal)?;
@@ -854,18 +818,7 @@ impl QuerySession {
         }
         crash_point("session.register");
         let mut overlay = core.base.overlay();
-        // Mirror `QuerySession::new`: when the session registers its EDB,
-        // every appended fact registers with the strategy template
-        // (duplicates included), so the layered session replays the
-        // registration order of a fresh session over the union EDB exactly.
-        // Appends are ground, so they never change whether it registers.
-        let register = core.registers_edb();
-        let strategy = &mut core.strategy_template;
-        report.appended = overlay.load_facts(&facts, |_, f, row| {
-            if register {
-                strategy.register_base(f.predicate, row);
-            }
-        });
+        report.appended = overlay.load_facts(&facts);
         report.duplicates = facts.len() - report.appended;
         if report.appended > 0 {
             crash_point("session.promote");
@@ -1051,8 +1004,8 @@ impl QuerySession {
     }
 
     /// Run `compiled` to its fixpoint over a fresh copy-on-write overlay of
-    /// the base, with a clone of the strategy template (empty, and never
-    /// called, on a null-free run), and collect its outputs the way
+    /// the base, with a fresh termination strategy (never called on a
+    /// null-free run), and collect its outputs the way
     /// [`Reasoner::reason`] does. `plan_key` names the plan's ensure-index
     /// memo (`None` is the bottom-up fallback); `seed` is the magic seed
     /// fact, loaded on top of the overlay.
@@ -1076,12 +1029,12 @@ impl QuerySession {
         core.ensure_plan_indexes(plan_key, compiled);
         let stamp = core.base.stamp();
         let overlay = core.base.overlay();
-        let strategy = core.strategy_template.clone_box();
         let magic_hits_snapshot = core.magic_cache_hits;
         drop(core);
         let compile_time = compile_start.elapsed();
 
         let exec_start = Instant::now();
+        let strategy = make_strategy(self.options.termination);
         let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
             .with_store(overlay)
             .with_options(&self.options);
@@ -1361,8 +1314,8 @@ mod tests {
             .collect();
         assert!(!answered.used_magic_sets);
         assert!(!expected.is_empty());
-        // exact equality including labelled-null ids: the cloned strategy
-        // template and the shared overlay replay the plain run bit for bit
+        // exact equality including labelled-null ids: a fresh strategy over
+        // the shared overlay replays the plain run bit for bit
         assert_eq!(answered.answers, expected);
         let repeat = session.query(&query).unwrap();
         assert_eq!(repeat.answers, expected);
@@ -1832,8 +1785,8 @@ mod tests {
                 QuerySession::recover(&program, ReasonerOptions::default(), &path).unwrap();
             assert_eq!(report.batches_replayed, 0);
             session.append_facts([edge(4), edge(5)]).unwrap();
-            // a duplicate batch: promotes nothing, but still registers —
-            // the log must replay it for registration-order identity
+            // a duplicate batch: promotes nothing, but is still logged —
+            // the log replays every submitted batch verbatim
             session.append_facts([edge(4)]).unwrap();
             session.append_facts([edge(6)]).unwrap();
             let answers = session.query(&reach_query("n0")).unwrap().answers;

@@ -5,11 +5,8 @@
 //! terms, or EDB nulls under plain rules — keeps Algorithm 1.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
-use vadalog_analysis::RuleKind;
 use vadalog_chase::{
-    run_chase, Candidate, ChaseOptions, ParentRef, StrategyStats, TerminationStrategy,
-    WardedStrategy,
+    run_chase, Candidate, ChaseOptions, Step, StrategyStats, TerminationStrategy, WardedStrategy,
 };
 use vadalog_engine::{AccessPlan, Pipeline, Reasoner, ReasonerOptions, TerminationKind};
 use vadalog_model::prelude::*;
@@ -17,37 +14,14 @@ use vadalog_parser::parse_program;
 use vadalog_rewrite::prepare_for_execution;
 use vadalog_storage::FactStore;
 
-/// The fact an interned row stands for.
-fn as_fact(predicate: Sym, row: &[ValueId]) -> Fact {
-    Fact::new_sym(predicate, resolve_values(row))
-}
-
 /// A strategy a null-free run must never touch.
 struct Forbidden;
 
 impl TerminationStrategy for Forbidden {
-    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
-        panic!(
-            "register_base({}) on a null-free run",
-            as_fact(predicate, row)
-        );
-    }
-
-    fn clone_box(&self) -> Box<dyn TerminationStrategy> {
-        Box::new(Forbidden)
-    }
-
-    fn admit(
-        &mut self,
-        candidate: &Candidate<'_>,
-        _rule_id: u32,
-        _kind: RuleKind,
-        _linear_parent: Option<ParentRef<'_>>,
-        _ward_parent: Option<ParentRef<'_>>,
-    ) -> bool {
+    fn admit(&mut self, _store: &FactStore, candidate: &Candidate<'_>, _step: &Step) -> bool {
         panic!(
             "admit({}) on a null-free run",
-            as_fact(candidate.predicate(), candidate.row())
+            Fact::new_sym(candidate.predicate(), resolve_values(candidate.row()))
         );
     }
 
@@ -55,51 +29,12 @@ impl TerminationStrategy for Forbidden {
         StrategyStats::default()
     }
 
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+
     fn name(&self) -> &'static str {
         "forbidden"
-    }
-}
-
-/// Algorithm 1, with every `register_base` recorded.
-struct Recording {
-    inner: WardedStrategy,
-    registered: Arc<Mutex<Vec<Fact>>>,
-}
-
-impl TerminationStrategy for Recording {
-    fn register_base(&mut self, predicate: Sym, row: &[ValueId]) {
-        self.registered
-            .lock()
-            .unwrap()
-            .push(as_fact(predicate, row));
-        self.inner.register_base(predicate, row);
-    }
-
-    fn clone_box(&self) -> Box<dyn TerminationStrategy> {
-        Box::new(Recording {
-            inner: self.inner.clone(),
-            registered: Arc::clone(&self.registered),
-        })
-    }
-
-    fn admit(
-        &mut self,
-        candidate: &Candidate<'_>,
-        rule_id: u32,
-        kind: RuleKind,
-        linear_parent: Option<ParentRef<'_>>,
-        ward_parent: Option<ParentRef<'_>>,
-    ) -> bool {
-        self.inner
-            .admit(candidate, rule_id, kind, linear_parent, ward_parent)
-    }
-
-    fn stats(&self) -> StrategyStats {
-        self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "recording"
     }
 }
 
@@ -273,42 +208,37 @@ fn duplicates_inside_one_emission_are_counted_once_each() {
 }
 
 /// (d) The documented weakening: a null-free pipeline that has run and then
-/// loads a null-carrying fact registers every row it holds — derived ones included
-/// — as a base fact, then runs under the strategy. Here the instance still
-/// equals a run under the strategy from the start.
+/// loads a null-carrying fact registers nothing. Every fact it stores —
+/// the derived one included — is a root to the strategy, and the next run
+/// decides under it. Here the instance still equals a run under the
+/// strategy from the start.
 #[test]
-fn a_null_ends_the_null_free_mode_by_registering_the_store() {
+fn a_null_ends_the_null_free_mode_without_registering_the_store() {
     let rules = parse_program("E(x, y) -> E(y, x).").unwrap();
     let compiled = prepare_for_execution(&rules);
     let plan = AccessPlan::compile(&compiled);
-    let registered = Arc::new(Mutex::new(Vec::new()));
-    let strategy = Recording {
-        inner: WardedStrategy::new(),
-        registered: Arc::clone(&registered),
-    };
-    let mut pipeline = Pipeline::new(&plan, Box::new(strategy));
+    let mut pipeline = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
     pipeline.load_facts([str_fact("E", &["a", "b"])]);
     pipeline.run();
-    assert!(registered.lock().unwrap().is_empty(), "null-free so far");
-    assert_eq!(pipeline.stats().facts_derived, 1);
+    let s = pipeline.stats();
+    assert_eq!(s.facts_derived, 1);
+    assert_eq!(
+        s.strategy,
+        StrategyStats {
+            admitted: 1,
+            duplicates: 1,
+            ..StrategyStats::default()
+        },
+        "null-free so far: the store's dedup decided"
+    );
 
     let with_nulls = Fact::new("E", vec![null(1), null(2)]);
     pipeline.load_facts([with_nulls.clone()]);
-    let registered_now: BTreeSet<Fact> = registered.lock().unwrap().iter().cloned().collect();
-    assert_eq!(
-        registered_now,
-        [
-            str_fact("E", &["a", "b"]),
-            str_fact("E", &["b", "a"]),
-            with_nulls.clone()
-        ]
-        .into(),
-        "the derived E(b, a) enters the strategy as a base fact"
-    );
     pipeline.run();
     let s = pipeline.stats();
     assert_eq!(s.strategy.suppressed, 1, "the swap is isomorphic");
     assert_eq!(s.strategy.isomorphism_checks, 1);
+    assert_eq!(s.facts_derived, 1);
 
     let mut union = rules.clone();
     union.add_fact(str_fact("E", &["a", "b"]));

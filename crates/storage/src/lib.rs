@@ -169,7 +169,7 @@ pub use pattern::{
     materialise, number_variables, undo_to, JoinScratch, ProbeBuffers, RowPattern, Slot,
 };
 pub use store::{
-    DeltaBatch, FactId, FactStore, HeapBytes, IndexStats, OpenSpans, Probe, RangeFilter, Relation,
+    table_bytes, FactId, FactStore, HeapBytes, IndexStats, OpenSpans, Probe, RangeFilter, Relation,
     RowArena, StoreBase, StoreBytes, TrieCursor,
 };
 pub use wal::{TornTail, Wal, WalError, WalOpen};

@@ -884,7 +884,7 @@ impl<'r> TrieCursor<'r> {
 /// one `Vec<ValueId>`, plus each row's end offset (row `i` spans
 /// `ends[i - 1]..ends[i]`, row 0 starts at 0). A row costs its ids and one
 /// `u32`, with no allocation of its own. This is the layout of a relation's
-/// rows and of a [`DeltaBatch`]'s per-predicate buffers.
+/// rows.
 #[derive(Clone, Debug, Default)]
 pub struct RowArena {
     values: Vec<ValueId>,
@@ -921,38 +921,10 @@ impl RowArena {
         (0..self.len()).map(move |i| self.row(i))
     }
 
-    /// The most recently pushed row.
-    pub fn last(&self) -> Option<&[ValueId]> {
-        self.len().checked_sub(1).map(|i| self.row(i))
-    }
-
     /// Append a copy of `row`.
     pub fn push(&mut self, row: &[ValueId]) {
         self.values.extend_from_slice(row);
         self.close_row();
-    }
-
-    /// Append one row that `fill` writes in place onto the end of the id
-    /// buffer (it may only append). When `fill` returns `false`, whatever it
-    /// wrote is dropped and no row is added. Returns whether a row was added.
-    pub fn push_with(&mut self, fill: impl FnOnce(&mut Vec<ValueId>) -> bool) -> bool {
-        let start = self.values.len();
-        let keep = fill(&mut self.values);
-        assert!(self.values.len() >= start, "push_with may only append");
-        if keep {
-            self.close_row();
-        } else {
-            self.values.truncate(start);
-        }
-        keep
-    }
-
-    /// Remove the most recently pushed row (a no-op on an empty arena).
-    pub fn pop(&mut self) {
-        if self.ends.pop().is_some() {
-            self.values
-                .truncate(self.ends.last().map_or(0, |end| *end as usize));
-        }
     }
 
     fn close_row(&mut self) {
@@ -1092,13 +1064,19 @@ impl StoreBytes {
     }
 }
 
-/// Estimated heap bytes of a hash map: a power-of-two bucket count at most
-/// 7/8 full, each bucket one entry plus one control byte.
-fn map_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
-    match map.capacity() {
+/// Estimated heap bytes of a hash table that holds `capacity` entries of
+/// `entry` bytes: a power-of-two bucket count at most 7/8 full, each bucket
+/// one entry plus one control byte.
+pub fn table_bytes(capacity: usize, entry: usize) -> usize {
+    match capacity {
         0 => 0,
-        cap => (cap * 8 / 7).next_power_of_two() * (size_of::<(K, V)>() + 1),
+        cap => (cap * 8 / 7).next_power_of_two() * (entry + 1),
     }
+}
+
+/// Estimated heap bytes of a hash map ([`table_bytes`]).
+fn map_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    table_bytes(map.capacity(), size_of::<(K, V)>())
 }
 
 impl SortedIndex {
@@ -1247,7 +1225,7 @@ impl Relation {
             "relation overflow: FactId space exhausted"
         );
         let tag = row_tag(row);
-        if self.base_chain_contains(tag, row) {
+        if self.base_chain_find(tag, row).is_some() {
             return None;
         }
         let rows = &self.rows;
@@ -1291,28 +1269,37 @@ impl Relation {
         fresh
     }
 
-    /// Does this relation's own arena (not its base chain) hold `row`?
-    fn own_contains(&self, tag: u32, row: &[ValueId]) -> bool {
-        self.dedup.find(tag, |i| self.rows.row(i) == row).is_ok()
+    /// The `FactId` of `row` in this relation's own arena (not its base
+    /// chain), if it holds it.
+    fn own_find(&self, tag: u32, row: &[ValueId]) -> Option<FactId> {
+        let local = self.dedup.find(tag, |i| self.rows.row(i) == row).ok()?;
+        Some(FactId((self.base_row_count() + local) as u32))
     }
 
-    /// Does any layer of the base chain (not this relation's own rows)
-    /// contain `row`? Each layer's table indexes its own arena.
-    fn base_chain_contains(&self, tag: u32, row: &[ValueId]) -> bool {
+    /// The `FactId` of `row` in some layer of the base chain (not this
+    /// relation's own rows). Each layer's table indexes its own arena.
+    fn base_chain_find(&self, tag: u32, row: &[ValueId]) -> Option<FactId> {
         let mut base = self.base.as_deref();
         while let Some(layer) = base {
-            if layer.own_contains(tag, row) {
-                return true;
+            if let Some(id) = layer.own_find(tag, row) {
+                return Some(id);
             }
             base = layer.base.as_deref();
         }
-        false
+        None
+    }
+
+    /// The `FactId` of exactly this row, if the relation (or its base
+    /// chain) holds it.
+    pub fn find_row(&self, row: &[ValueId]) -> Option<FactId> {
+        let tag = row_tag(row);
+        self.own_find(tag, row)
+            .or_else(|| self.base_chain_find(tag, row))
     }
 
     /// Does the relation contain exactly this row?
     pub fn contains_row(&self, row: &[ValueId]) -> bool {
-        let tag = row_tag(row);
-        self.own_contains(tag, row) || self.base_chain_contains(tag, row)
+        self.find_row(row).is_some()
     }
 
     /// Does the relation contain exactly this fact?
@@ -1765,67 +1752,6 @@ impl Relation {
     }
 }
 
-/// A buffered batch of derived rows, grouped by predicate in emission order.
-///
-/// This is the merge currency of the parallel sweep: each filter's admitted
-/// head rows accumulate here instead of being inserted one relation lookup
-/// at a time, and [`FactStore::apply_delta`] then applies the whole batch in
-/// one pass — one `relation_mut` resolution per predicate, with per-row
-/// dedup and index maintenance preserved exactly (rows are applied in the
-/// order they were pushed, so `FactId` assignment matches insert-as-you-go).
-/// Each predicate's rows sit in one flat [`RowArena`], which emission
-/// writes head rows into in place ([`DeltaBatch::rows_mut`]).
-#[derive(Clone, Debug, Default)]
-pub struct DeltaBatch {
-    /// predicate -> rows pushed for it, in push order. A `Vec` (not a map)
-    /// keyed by first-use order keeps the batch allocation-light for the
-    /// common one-or-two-head-predicates case.
-    buffers: Vec<(Sym, RowArena)>,
-}
-
-impl DeltaBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one derived row for `predicate`.
-    pub fn push(&mut self, predicate: Sym, row: &[ValueId]) {
-        self.rows_mut(predicate).push(row);
-    }
-
-    /// The buffer of `predicate`'s rows, for writing a row in place
-    /// ([`RowArena::push_with`]) and taking it back ([`RowArena::pop`]).
-    pub fn rows_mut(&mut self, predicate: Sym) -> &mut RowArena {
-        let i = match self.buffers.iter().position(|(p, _)| *p == predicate) {
-            Some(i) => i,
-            None => {
-                self.buffers.push((predicate, RowArena::new()));
-                self.buffers.len() - 1
-            }
-        };
-        &mut self.buffers[i].1
-    }
-
-    /// Total number of buffered rows (before dedup).
-    pub fn len(&self) -> usize {
-        self.buffers.iter().map(|(_, rows)| rows.len()).sum()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.buffers.iter().all(|(_, rows)| rows.is_empty())
-    }
-
-    /// The predicates with at least one buffered row, in first-use order.
-    pub fn predicates(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.buffers
-            .iter()
-            .filter(|(_, rows)| !rows.is_empty())
-            .map(|(p, _)| *p)
-    }
-}
-
 /// The fact store: a map from predicate symbols to relations.
 #[derive(Clone, Debug, Default)]
 pub struct FactStore {
@@ -1871,16 +1797,10 @@ impl FactStore {
     /// and its appends, the `Dom` relation). Facts may be owned or borrowed;
     /// none is copied. Values are interned 4,096 facts at a time into one
     /// flat id buffer, reused across chunks, with every interner shard
-    /// locked once per chunk ([`intern_rows`]), and `before_insert` sees the
-    /// store, each fact and its interned row just before the row is
-    /// inserted — the caller's hook to register base facts with a
-    /// termination strategy in insertion order. Returns the number of rows
-    /// that were new.
-    pub fn load_facts<I>(
-        &mut self,
-        facts: I,
-        mut before_insert: impl FnMut(&FactStore, &Fact, &[ValueId]),
-    ) -> usize
+    /// locked once per chunk ([`intern_rows`]). A fact carrying a labelled
+    /// null sets [`FactStore::holds_nulls`]. Returns the number of rows that
+    /// were new.
+    pub fn load_facts<I>(&mut self, facts: I) -> usize
     where
         I: IntoIterator,
         I::Item: Borrow<Fact>,
@@ -1902,19 +1822,9 @@ impl FactStore {
                 let fact = fact.borrow();
                 let row = &ids[start..start + fact.args.len()];
                 start += fact.args.len();
-                before_insert(self, fact, row);
                 fresh += usize::from(self.insert_row(fact.predicate, row, fact.is_ground()));
             }
         }
-    }
-
-    /// Every stored row with its predicate, predicate-ordered and in
-    /// `FactId` order within a predicate: [`FactStore::iter`] without
-    /// materialising.
-    pub fn rows(&self) -> impl Iterator<Item = (Sym, &[ValueId])> + '_ {
-        self.relations
-            .iter()
-            .flat_map(|(p, r)| r.iter_rows().map(move |row| (*p, row)))
     }
 
     /// Did a fact carrying a labelled null enter through
@@ -1944,21 +1854,6 @@ impl FactStore {
     /// Mutable access to the relation of `predicate`, creating it if needed.
     pub fn relation_mut(&mut self, predicate: Sym) -> &mut Relation {
         self.relations.entry(predicate).or_default()
-    }
-
-    /// Apply a merged delta batch in one pass: for each predicate with
-    /// buffered rows, resolve its relation once and insert the rows (dedup,
-    /// row arena and postings updates per row, in push order — `FactId`
-    /// assignment is identical to inserting the rows one at a time).
-    /// Consumes the batch and returns the number of rows that were new.
-    pub fn apply_delta(&mut self, batch: DeltaBatch) -> usize {
-        let mut fresh = 0;
-        for (predicate, rows) in batch.buffers {
-            if !rows.is_empty() {
-                fresh += self.relation_mut(predicate).insert_rows(rows.iter());
-            }
-        }
-        fresh
     }
 
     /// Heap bytes of every relation, own layers apart from base layers,
@@ -2474,49 +2369,6 @@ mod tests {
             Probe::Run(ids) => assert_eq!(ids, &[FactId(0)]),
             Probe::Buffered => panic!("single-run exact probe must borrow"),
         }
-    }
-
-    #[test]
-    fn delta_batch_applies_like_insert_as_you_go() {
-        let rows: Vec<(&str, Vec<Value>)> = vec![
-            ("P", vec!["a".into(), 1i64.into()]),
-            ("Q", vec!["b".into()]),
-            ("P", vec!["a".into(), 2i64.into()]),
-            ("P", vec!["a".into(), 1i64.into()]), // duplicate
-            ("Q", vec!["c".into()]),
-        ];
-        // Reference: one insert per fact.
-        let mut reference = FactStore::new();
-        reference.relation_mut(intern("P")).ensure_index(&[0]);
-        for (p, args) in &rows {
-            reference.insert(Fact::new(p, args.clone()));
-        }
-        // Batched: same rows through a DeltaBatch.
-        let mut batched = FactStore::new();
-        batched.relation_mut(intern("P")).ensure_index(&[0]);
-        let mut delta = DeltaBatch::new();
-        for (p, args) in &rows {
-            delta.push(intern(p), &Fact::new(p, args.clone()).intern_args());
-        }
-        assert_eq!(delta.len(), 5);
-        assert_eq!(delta.predicates().count(), 2);
-        let fresh = batched.apply_delta(delta);
-        assert_eq!(fresh, 4, "the duplicate row must be deduplicated");
-        // Same contents, same FactId order, same maintained indices.
-        for pred in [intern("P"), intern("Q")] {
-            assert_eq!(batched.facts_of(pred), reference.facts_of(pred));
-        }
-        let key = Value::str("a").interned();
-        assert_eq!(
-            batched
-                .relation(intern("P"))
-                .unwrap()
-                .lookup_if_indexed(0, key),
-            reference
-                .relation(intern("P"))
-                .unwrap()
-                .lookup_if_indexed(0, key),
-        );
     }
 
     #[test]

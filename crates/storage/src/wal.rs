@@ -6,11 +6,9 @@
 //! `write_all`, `fsync`, and only then promote. A session recovered from the
 //! log replays the same batches through the same append path, so stamps,
 //! FactIds and labelled-null ids come out bit-identical to the never-crashed
-//! session — the log records *submitted* batches verbatim (duplicates
-//! included) precisely because replay must feed the termination strategy the
-//! same sequence it saw live. (A session registers appends with its strategy
-//! only for programs that can hold a labelled null; for the rest the order
-//! is moot, but the log does not need to know which kind it serves.)
+//! session. The log records *submitted* batches verbatim (duplicates
+//! included); replay loads them through the same dedup, so the rebuilt
+//! layers hold the same rows in the same order.
 //!
 //! ## On-disk format
 //!

@@ -2,14 +2,13 @@
 //! rows in insertion order. Over random insert sequences of mixed arity
 //! (0 to 3), with duplicates inside one batch and across layers, and long
 //! enough to grow the dedup table several times, every dedup decision,
-//! `FactId`, `row`, `contains_row`, `iter_rows` and `len` must equal the
-//! model's. The same sequence runs into a plain relation, through
-//! `DeltaBatch`es, and into a layer chain (freeze, overlay, promote) that is
-//! then compacted.
+//! `FactId`, `row`, `find_row`, `contains_row`, `iter_rows` and `len` must
+//! equal the model's. The same sequence runs into a plain relation and into
+//! a layer chain (freeze, overlay, promote) that is then compacted.
 
 use proptest::prelude::*;
 use vadalog_model::prelude::*;
-use vadalog_storage::{DeltaBatch, FactId, FactStore, Relation, StoreBase};
+use vadalog_storage::{FactId, FactStore, Relation, StoreBase};
 
 /// Row values: mostly from a small pool (so rows repeat), sometimes from a
 /// wide one (so most arity-3 rows are distinct and the table grows).
@@ -57,9 +56,11 @@ fn assert_matches(rel: &Relation, model: &[Vec<ValueId>], absent: &[Vec<ValueId>
     assert_eq!(stored, model);
     for (i, row) in model.iter().enumerate() {
         assert_eq!(rel.row(FactId(i as u32)), &row[..]);
+        assert_eq!(rel.find_row(row), Some(FactId(i as u32)));
         assert!(rel.contains_row(row));
     }
     for row in absent {
+        assert_eq!(rel.find_row(row), None);
         assert!(!rel.contains_row(row));
     }
 }
@@ -87,23 +88,7 @@ proptest! {
         }
         assert_matches(&plain, &model, &absent);
 
-        // The same rows through one DeltaBatch per segment: duplicates
-        // inside a batch and against earlier batches.
         let segs = segments(rows.len(), &splits);
-        let mut batched = FactStore::new();
-        for seg in &segs {
-            let mut delta = DeltaBatch::new();
-            for row in &rows[seg.clone()] {
-                delta.push(p, row);
-            }
-            assert_eq!(delta.len(), seg.len());
-            let fresh = expected[seg.clone()].iter().filter(|id| id.is_some()).count();
-            assert_eq!(batched.apply_delta(delta), fresh);
-        }
-        if let Some(rel) = batched.relation(p) {
-            assert_matches(rel, &model, &absent);
-        }
-
         // A layer chain: the first segment frozen, each later one appended
         // on an overlay and promoted, so duplicates cross layers.
         let mut base: Option<StoreBase> = None;

@@ -19,8 +19,8 @@ use vadalog_model::prelude::*;
 /// The chain program: `n` `Edge` facts `n0 → n1 → … → n_n`, transitive
 /// closure rules, an `@output` annotation, and `bulk_rows` extra `Attr`
 /// facts. The bulk rows model the realistic large-EDB regime: no query
-/// touches them, but every **fresh** run re-interns, re-registers and
-/// re-stores all of them, while a session pays that cost exactly once and
+/// touches them, but every **fresh** run re-interns, re-stores and
+/// re-indexes all of them, while a session pays that cost exactly once and
 /// shares the frozen rows by reference.
 pub fn chain(n: usize, bulk_rows: usize) -> Program {
     let mut program = vadalog_parser::parse_program(

@@ -72,7 +72,20 @@ fn uncapped_run_reports_no_cap() {
     let full = Reasoner::new().reason(&program).unwrap();
     assert_eq!(full.stats.pipeline.capped, None);
     assert_eq!(full.output("Reach").len(), 15);
-    // A cap the run never reaches is no cap.
-    let out = run_cli(&["--max-facts", "21"]).unwrap();
+    // A cap the run's fixpoint does not exceed is no cap, even when the
+    // fixpoint holds exactly that many facts.
+    let out = run_cli(&["--max-facts", "20"]).unwrap();
     assert!(out.starts_with("% Reach (15 facts)\n"), "{out}");
+}
+
+#[test]
+fn fact_cap_one_below_the_fixpoint_is_recorded() {
+    let program = parse_program(CHAIN).unwrap();
+    let capped = Reasoner::with_options(ReasonerOptions {
+        max_facts: 19,
+        ..ReasonerOptions::default()
+    })
+    .reason(&program)
+    .unwrap();
+    assert_eq!(capped.stats.pipeline.capped, Some(RunCap::Facts(19)));
 }
