@@ -86,22 +86,6 @@ impl PredicateGraph {
         self.nodes.iter()
     }
 
-    /// Predicates that `predicate` directly depends on (its body predicates).
-    pub fn dependencies_of(&self, predicate: Sym) -> Vec<Sym> {
-        self.predecessors
-            .get(&predicate)
-            .map(|s| s.iter().map(|(p, _)| *p).collect())
-            .unwrap_or_default()
-    }
-
-    /// Predicates that directly depend on `predicate`.
-    pub fn dependents_of(&self, predicate: Sym) -> Vec<Sym> {
-        self.successors
-            .get(&predicate)
-            .map(|s| s.iter().map(|(p, _)| *p).collect())
-            .unwrap_or_default()
-    }
-
     /// Strongly connected components (Tarjan), in reverse topological order
     /// (a component is listed after the components it depends on).
     pub fn sccs(&self) -> Vec<Vec<Sym>> {
@@ -272,8 +256,9 @@ mod tests {
     #[test]
     fn edges_follow_body_to_head() {
         let g = graph("Own(x, y, w), w > 0.5 -> Control(x, y).");
-        assert_eq!(g.dependencies_of(intern("Control")), vec![intern("Own")]);
-        assert_eq!(g.dependents_of(intern("Own")), vec![intern("Control")]);
+        let edge = |p: &str| BTreeSet::from([(intern(p), EdgeKind::Positive)]);
+        assert_eq!(g.predecessors[&intern("Control")], edge("Own"));
+        assert_eq!(g.successors[&intern("Own")], edge("Control"));
     }
 
     #[test]

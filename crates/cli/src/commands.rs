@@ -360,11 +360,6 @@ fn render_stats(out: &mut String, result: &RunResult) {
     );
     let _ = writeln!(
         out,
-        "% adaptive ranges:     {} (activations re-picking the pushed range)",
-        stats.pipeline.adaptive_range_picks
-    );
-    let _ = writeln!(
-        out,
         "% edb rows reused:     {} (interned snapshot rows shared from the session base)",
         stats.pipeline.edb_rows_reused
     );
@@ -1008,8 +1003,7 @@ mod tests {
     #[test]
     fn stats_report_intra_filter_chunks_and_batch_widths() {
         // A join-heavy recursive program: --stats must surface the two-level
-        // scheduler's counters (work items, steals, width histogram) and the
-        // adaptive-range counter.
+        // scheduler's counters (work items, steals, width histogram).
         let mut src = String::from(
             "Edge(x, y) -> Reach(x, y).\n\
              Reach(x, y), Edge(y, z) -> Reach(x, z).\n\
@@ -1035,10 +1029,8 @@ mod tests {
             field("% join chunks:") > 0,
             "every activation runs as at least one work item:\n{out}"
         );
-        // steals and adaptive ranges are present (values are run-dependent
-        // and zero respectively here).
+        // steals is present (its value is run-dependent).
         field("% chunk steals:");
-        assert_eq!(field("% adaptive ranges:"), 0);
         assert!(out.contains("% batch width hist:    1:"), "{out}");
         // The transitive-closure body is acyclic: the WCOJ counters must be
         // surfaced and zero.
@@ -1149,7 +1141,8 @@ mod tests {
         let program = format!(
             "{CONTROL_PROGRAM}\
              Control(a, b), KeyPerson(a, p), PSC(y, p), b > y -> S(b, y).\n\
-             Control(x, y), Own(x, y, w), n = mcount(y), n >= 1 -> Holdings(x, n).\n"
+             Control(x, y), Own(x, y, w), n = mcount(y), n >= 1 -> Holdings(x, n).\n\
+             Control(x, y), Own(y, z, w), w > 0.5, z < \"zz\" -> Deep(x, z).\n"
         );
         let path = temp_program("explain.vada", &program);
         let out = run_cli(&args(&["explain", &path])).unwrap();
@@ -1167,6 +1160,12 @@ mod tests {
             "delta PSC(y, p) -> KeyPerson(a, p) [1] * -> Control(a, b) [0] range 1 *"
         );
         assert!(out.contains("    delta Control(x, y) -> Control(y, z) [0]\n"));
+        // Two pushable ranges on the Own step: it ranges over the first in
+        // body order (`w`, column 2), and `z < "zz"` stays a guard.
+        assert!(
+            out.contains("    delta Control(x, y) -> Own(y, z, w) [0] range 2\n"),
+            "{out}"
+        );
         // The sink aggregate runs in the final stratum, driven from `Own`
         // (2 rows) rather than `Control` (3 rows after the fixpoint): one
         // `driver` line instead of one line per delta position.

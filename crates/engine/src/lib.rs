@@ -80,11 +80,10 @@
 //! binary resolves its `VADALOG_*` variables into a `ReasonerOptions` at
 //! startup.
 //!
-//! When a join step has **several pushable range conditions**, the planner
-//! records every candidate and the pipeline re-picks per activation from
-//! the same run-directory statistics (most distinct keys = finest
-//! granularity wins; the demoted candidates stay enforced as id-level
-//! guards).
+//! When a join step has **several pushable range conditions**, it probes
+//! the first in body order and checks the others as id-level guards. The
+//! plan is fixed when it is compiled: no run statistics re-pick a range or
+//! re-rank a leapfrog order, so `vadalog explain` prints exactly what runs.
 //!
 //! # Join plan and executor
 //!
@@ -132,7 +131,7 @@
 //! ([`pipeline::JoinStrategy::Binary`]) — the reference the property
 //! suites compare against. Every trie walks its relation's own index,
 //! built on demand like any probe index; a query session pre-builds the
-//! static-order trie lists on its shared base once per layer stamp
+//! plan's trie lists on its shared base once per layer stamp
 //! ([`AccessPlan::planned_index_cols`]), so sibling queries and forks
 //! mount their tries on the same runs. Plans and per-variable
 //! intersection work are surfaced as
@@ -173,7 +172,7 @@ pub use pipeline::{
 };
 pub use plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,
-    JoinOrder, PushedCondition, RangeCandidate, StepPlan, StepProbe,
+    JoinOrder, PushedCondition, StepPlan, StepProbe,
 };
 pub use reasoner::{
     QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats, TerminationKind,

@@ -113,7 +113,7 @@ use vadalog_storage::{leapfrog_join, TrieCursor, WcojCounters, WcojLevel};
 use crate::aggregate::AggregateState;
 use crate::plan::{
     chunk_windows, literal_constant, plan_chunk_count, AccessPlan, BoundTerm, FilterNode,
-    HybridPlan, PushedCondition, RangeCandidate,
+    HybridPlan, PushedCondition,
 };
 use crate::reasoner::ReasonerOptions;
 
@@ -718,9 +718,9 @@ pub struct PipelineStats {
     /// Always 0, like [`PipelineStats::hashtrie_builds`]. Kept only for the
     /// benchmark's API footprint.
     pub hashtrie_reuses: u64,
-    /// Activations where the adaptive range selection chose a different
-    /// pushed range condition than the planner's static default, based on
-    /// the run directories' group-width statistics.
+    /// Always 0: a step probes the pushed range its plan names. Kept only
+    /// for the benchmark's API footprint, like
+    /// [`PipelineStats::hashtrie_builds`].
     pub adaptive_range_picks: u64,
     /// Interned EDB rows reused from a shared copy-on-write snapshot base
     /// (see [`vadalog_storage::StoreBase`]): rows this run read without
@@ -1299,33 +1299,31 @@ impl<'a> Pipeline<'a> {
             let mut steps = Vec::with_capacity(dp.steps.len());
             for sp in &dp.steps {
                 let mut index_cols = sp.probe.prefix_cols.clone();
-                let range = self
-                    .pick_range_candidate(&sp.probe.range_candidates, &patterns[sp.atom])
-                    .and_then(|cand| {
-                        let c = compiled_pushed[cand.cond];
-                        let range = if cand.flipped {
-                            // Mirrored var-var orientation: probe the
-                            // bound-side variable with the flipped op.
-                            match c.bound {
-                                Slot::Var(_) => Some(CompiledRange::Var {
-                                    slot: c.slot,
-                                    op: c.op.flipped(),
-                                }),
-                                Slot::Const(_) => None,
-                            }
-                        } else {
-                            Some(match c.bound {
-                                // Constant bound: one RangeFilter per
-                                // activation, reused by every probe.
-                                Slot::Const(id) => CompiledRange::Const(RangeFilter::new(c.op, id)),
-                                Slot::Var(slot) => CompiledRange::Var { slot, op: c.op },
-                            })
-                        };
-                        if range.is_some() {
-                            index_cols.push(cand.col);
+                let range = sp.probe.range.and_then(|(col, cond)| {
+                    let c = compiled_pushed[cond];
+                    let range = if sp.probe.range_flipped {
+                        // Mirrored var-var orientation: probe the
+                        // bound-side variable with the flipped op.
+                        match c.bound {
+                            Slot::Var(_) => Some(CompiledRange::Var {
+                                slot: c.slot,
+                                op: c.op.flipped(),
+                            }),
+                            Slot::Const(_) => None,
                         }
-                        range
-                    });
+                    } else {
+                        Some(match c.bound {
+                            // Constant bound: one RangeFilter per
+                            // activation, reused by every probe.
+                            Slot::Const(id) => CompiledRange::Const(RangeFilter::new(c.op, id)),
+                            Slot::Var(slot) => CompiledRange::Var { slot, op: c.op },
+                        })
+                    };
+                    if range.is_some() {
+                        index_cols.push(col);
+                    }
+                    range
+                });
                 steps.push(CompiledStep {
                     atom: sp.atom,
                     canonical: sp.canonical,
@@ -1433,21 +1431,17 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Compile one delta position's free-join plan (see [`HybridPlan`]):
-    /// re-rank the plan's descending-degree variable order by run-directory
-    /// selectivity (stably, within equal degrees: a variable whose
-    /// narrowest single-column directory holds fewer distinct keys has a
-    /// smaller candidate domain and intersects first), derive each core
-    /// trie's composite column list under that order, build and flush the
-    /// indices the cursors will walk, and lay out the stage list. Ear steps
-    /// keep their original [`CompiledStep`]s (indexed by sequence
+    /// one leapfrog level per variable of the plan's order, each core
+    /// trie's composite column list under that order, the indices the
+    /// cursors will walk (built and flushed here), and the stage list. Ear
+    /// steps keep their original [`CompiledStep`]s (indexed by sequence
     /// position); only the *core* steps' guards are re-placed — onto the
-    /// earliest leapfrog level where every involved slot is bound
-    /// by the delta row, a prefix ear or the levels so far, or deferred to
-    /// full match depth when a suffix-ear variable is involved. Checking
+    /// earliest leapfrog level where every involved slot is bound by the
+    /// delta row, a prefix ear or the levels so far, or deferred to full
+    /// match depth when a suffix-ear variable is involved. Checking
     /// earlier than the binary step only prunes sooner — guards are pure
     /// binding predicates, so the surviving match set is identical.
-    /// Sequential-path only: index builds and statistics reads happen in a
-    /// fixed order.
+    /// Sequential-path only: index builds happen in a fixed order.
     fn compile_hybrid(
         &mut self,
         hp: &HybridPlan,
@@ -1455,31 +1449,7 @@ impl<'a> Pipeline<'a> {
         slots: &HashMap<Var, usize>,
         steps: &[CompiledStep],
     ) -> CompiledHybrid {
-        let mut ranked: Vec<(usize, usize)> = Vec::with_capacity(hp.var_order.len());
-        for (i, (v, _)) in hp.var_order.iter().enumerate() {
-            let mut estimate = usize::MAX;
-            for trie in &hp.tries {
-                for (u, col) in &trie.var_cols {
-                    if u == v {
-                        let rel = self.store.relation_mut(patterns[trie.atom].predicate);
-                        let stats = match rel.index_stats(&[*col]) {
-                            Some(stats) => stats,
-                            None => {
-                                rel.ensure_index(&[*col]);
-                                rel.index_stats(&[*col]).unwrap_or_default()
-                            }
-                        };
-                        estimate = estimate.min(stats.distinct_keys);
-                    }
-                }
-            }
-            ranked.push((i, estimate));
-        }
-        // Stable sort: degree descending (the plan's primary key), then the
-        // selectivity estimate ascending, then plan order.
-        ranked.sort_by_key(|&(i, est)| (std::cmp::Reverse(hp.var_order[i].1), est));
-        let order: Vec<Var> = ranked.iter().map(|&(i, _)| hp.var_order[i].0).collect();
-
+        let order = hp.static_order();
         let levels: Vec<WcojLevel> = order
             .iter()
             .map(|v| WcojLevel {
@@ -1571,48 +1541,6 @@ impl<'a> Pipeline<'a> {
                 .collect(),
             deferred_guards: deferred_guards.into_boxed_slice(),
         }
-    }
-
-    /// The pushed range condition this activation probes with: the
-    /// planner's static default when at most one candidate exists, otherwise
-    /// the candidate
-    /// whose single-column run directory holds the most distinct keys, i.e.
-    /// the smallest mean postings-group width and therefore the finest
-    /// range granularity. Ties resolve in body order, so the choice is
-    /// deterministic; the demoted candidates stay enforced as id-level
-    /// guards. Runs on the sequential prepare path.
-    fn pick_range_candidate(
-        &mut self,
-        candidates: &[RangeCandidate],
-        pattern: &RowPattern,
-    ) -> Option<RangeCandidate> {
-        if candidates.len() <= 1 {
-            return candidates.first().copied();
-        }
-        let mut best: Option<(usize, RangeCandidate)> = None;
-        for cand in candidates {
-            let rel = self.store.relation_mut(pattern.predicate);
-            // Build the stats index once per (relation, column); later
-            // activations read the directories as-is — unflushed tail rows
-            // count one key each, an upper bound that is close enough for a
-            // relative comparison and avoids a flush/merge per activation.
-            let stats = match rel.index_stats(&[cand.col]) {
-                Some(stats) => stats,
-                None => {
-                    rel.ensure_index(&[cand.col]);
-                    rel.index_stats(&[cand.col]).unwrap_or_default()
-                }
-            };
-            let distinct = stats.distinct_keys;
-            if best.is_none_or(|(d, _)| distinct > d) {
-                best = Some((distinct, *cand));
-            }
-        }
-        let chosen = best.map(|(_, c)| c);
-        if chosen != candidates.first().copied() {
-            self.stats.adaptive_range_picks += 1;
-        }
-        chosen
     }
 
     /// Run the (read-only) join phase of one batch at (filter, chunk)
@@ -2537,7 +2465,10 @@ mod tests {
         assert_eq!((stats.wcoj_activations, stats.hybrid_activations), (1, 0));
 
         // Only the driver's (atom `A`'s) column lists are planned for
-        // session pre-builds: `A` itself is never probed.
+        // session pre-builds: `A` itself is never probed. The core tries
+        // are `B` over `[0, 1]` and `C` over `[1, 0]` (`z`, the one free
+        // variable, last); the binary fallback probes `C` on `x` (`[1]`),
+        // then `B` on `y` and `z` (`[0, 1]`).
         let plan = AccessPlan::compile(&program);
         assert_eq!(plan.checks[0].check_driver(), Some(0));
         let planned = plan.planned_index_cols();
@@ -2547,8 +2478,8 @@ mod tests {
         assert_eq!(
             planned,
             std::collections::BTreeMap::from([
-                (intern("B"), lists(&[&[0, 1], &[1]])),
-                (intern("C"), lists(&[&[0], &[1], &[1, 0]])),
+                (intern("B"), lists(&[&[0, 1]])),
+                (intern("C"), lists(&[&[1], &[1, 0]])),
             ])
         );
     }
@@ -2602,10 +2533,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_range_selection_picks_the_more_selective_condition() {
+    fn steps_probe_the_planned_range_and_guard_the_other_conditions() {
         // Two pushable ranges on the Own step: `w > 0.5` over a 2-distinct
-        // column and `y < 50` over a 100-distinct column. The run directory
-        // stats must demote the coarse w-range to a guard and probe y.
+        // column and `y < 50` over a 100-distinct column. The step probes
+        // the planner's range, the first in body order (`w`), whatever the
+        // data; `y < 50` is checked as an id-level guard.
         let mut src = String::from("Mark(x), Own(x, y, w), w > 0.5, y < 50 -> Control(x, y).\n");
         for i in 0..5 {
             src.push_str(&format!("Mark(\"c{i}\").\n"));
@@ -2616,15 +2548,20 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
-        let mut adaptive = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
-        adaptive.load_facts(program.facts.clone());
-        adaptive.run();
-        assert!(
-            adaptive.stats().adaptive_range_picks >= 1,
-            "the finer y-range must replace the planner's default w-range"
-        );
-        assert!(adaptive.stats().range_probes > 0);
-        // The choice is an access path, never a filter: the chase's naive
+        let own_step = &plan.filters[0].delta_plans[0].steps[1];
+        assert_eq!(own_step.atom, 1);
+        assert_eq!(own_step.probe.range, Some((2, 0)), "the w-range");
+        assert_eq!(plan.filters[0].pushed[1].var, Var::new("y"));
+        assert!(own_step.guards.contains(&1), "y < 50 is a guard");
+        let mut pipeline = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
+        pipeline.load_facts(program.facts.clone());
+        pipeline.run();
+        assert!(pipeline.stats().range_probes > 0);
+        assert_eq!(pipeline.stats().adaptive_range_picks, 0);
+        let control = pipeline.store().facts_of(intern("Control"));
+        // Even y with w = 0.7 below 50: the guard cut y >= 50.
+        assert_eq!(control.len(), 25);
+        // The probe is an access path, never a filter: the chase's naive
         // matcher (no indexes, conditions evaluated after matching) agrees.
         let chase = run_chase(
             &program,
@@ -2632,10 +2569,7 @@ mod tests {
             &ChaseOptions::default(),
         );
         let as_set = |facts: Vec<Fact>| facts.into_iter().collect::<BTreeSet<Fact>>();
-        assert_eq!(
-            as_set(adaptive.store().facts_of(intern("Control"))),
-            as_set(chase.facts_of("Control"))
-        );
+        assert_eq!(as_set(control), as_set(chase.facts_of("Control")));
     }
 
     #[test]

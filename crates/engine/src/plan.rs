@@ -86,20 +86,6 @@ impl PushedCondition {
     }
 }
 
-/// One viable pushed-range choice for a join step: the column it ranges
-/// over, the index of the condition in the filter's `pushed` list, and
-/// whether the condition is used in the mirrored var-var orientation
-/// (`w <= v` probing `v >= w`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RangeCandidate {
-    /// Column of the step's atom the range scans.
-    pub col: usize,
-    /// Index into the filter's `pushed` list.
-    pub cond: usize,
-    /// Probe the condition's *bound* variable with the flipped operator.
-    pub flipped: bool,
-}
-
 /// The probe the planner chose for one join step: an exact composite prefix
 /// over the columns already determined when the step runs, plus at most one
 /// pushed range condition on a free column.
@@ -108,19 +94,13 @@ pub struct StepProbe {
     /// Columns probed exactly (constants and variables bound by earlier
     /// steps), in ascending column order.
     pub prefix_cols: Vec<usize>,
-    /// A pushed range condition on `range_col`, as an index into the
-    /// filter's `pushed` list, with the column it ranges over. This is the
-    /// *default* choice (the first viable candidate in body order); when
-    /// several candidates exist the pipeline re-picks per activation from
-    /// the run directory's group-width statistics.
+    /// The pushed range condition this step probes with, as `(column,
+    /// index into the filter's `pushed` list)`: the first viable one in
+    /// body order. Every other pushable condition stays an id-level guard.
     pub range: Option<(usize, usize)>,
     /// The range probes the condition's *bound* variable (var-var condition
     /// used in the mirrored orientation: `w <= v` probing `v >= w`).
     pub range_flipped: bool,
-    /// Every viable range choice for this step, in body order (the default
-    /// `range` is the first entry). The demoted candidates stay enforced as
-    /// id-level guards.
-    pub range_candidates: Vec<RangeCandidate>,
 }
 
 impl StepProbe {
@@ -132,11 +112,6 @@ impl StepProbe {
             cols.push(col);
         }
         cols
-    }
-
-    /// Does the probe select anything at all (otherwise the step scans)?
-    pub fn is_probing(&self) -> bool {
-        !self.prefix_cols.is_empty() || self.range.is_some()
     }
 }
 
@@ -172,7 +147,7 @@ pub struct TriePlan {
     pub bound_cols: Vec<usize>,
     /// The remaining columns, keyed by their variable. The trie's index
     /// column list is `bound_cols` followed by these columns ordered by the
-    /// final variable order (fixed at prepare time).
+    /// plan's variable order ([`HybridPlan::trie_cols`]).
     pub var_cols: Vec<(Var, usize)>,
 }
 
@@ -195,9 +170,8 @@ pub struct HybridPlan {
     pub prefix_steps: Vec<usize>,
     /// Free variables of the core tries with their degree (number of core
     /// tries containing them), descending degree, first-occurrence
-    /// tie-break. The pipeline stably re-ranks equal-degree runs by
-    /// run-directory selectivity (`index_stats`) at prepare time; higher
-    /// degree first maximises early intersection pruning.
+    /// tie-break: the leapfrog's level order, as the pipeline runs it.
+    /// Higher degree first maximises early intersection pruning.
     pub var_order: Vec<(Var, usize)>,
     /// One trie per core atom other than the delta atom, in evaluation
     /// order. `bound_cols` covers constants plus variables bound by the
@@ -218,9 +192,8 @@ pub struct HybridPlan {
 }
 
 impl HybridPlan {
-    /// The plan-time core variable order: descending degree, first
-    /// occurrence within equal degrees (the order before the prepare-time
-    /// selectivity re-rank).
+    /// The core variable order of [`HybridPlan::var_order`] without the
+    /// degrees: descending degree, first occurrence within equal degrees.
     pub fn static_order(&self) -> Vec<Var> {
         self.var_order.iter().map(|(v, _)| *v).collect()
     }
@@ -231,7 +204,7 @@ impl HybridPlan {
         self.ears > 0
     }
 
-    /// The index column list of `trie` under the final variable order:
+    /// The index column list of `trie` under the variable order `order`:
     /// the bound prefix, then the variable columns sorted by their
     /// variable's position in `order`.
     pub fn trie_cols(trie: &TriePlan, order: &[Var]) -> Vec<usize> {
@@ -394,12 +367,6 @@ impl FilterNode {
     /// `None` for a body with no positive atom.
     pub fn final_driver(&self, rows: &[usize]) -> Option<usize> {
         (0..rows.len()).min_by_key(|&pos| rows[pos])
-    }
-
-    /// Body-literal indices of the pushed conditions (the residual
-    /// evaluation in emission skips exactly these).
-    pub fn pushed_literals(&self) -> BTreeSet<usize> {
-        self.pushed.iter().map(|p| p.literal).collect()
     }
 }
 
@@ -702,44 +669,32 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
                             .then_some(col)
                     })
                 };
-                let range_candidates: Vec<RangeCandidate> = pending
-                    .iter()
-                    .copied()
-                    .filter_map(|c| {
-                        let cond = &pushed[c];
-                        if !cond.is_rangeable() {
-                            return None;
-                        }
-                        let forward = range_col(
-                            cond.var,
-                            match &cond.bound {
-                                BoundTerm::Const(_) => true,
-                                BoundTerm::Var(u) => bound.contains(u),
-                            },
-                        );
-                        let flipped = match &cond.bound {
-                            BoundTerm::Var(u) => range_col(*u, bound.contains(&cond.var)),
-                            BoundTerm::Const(_) => None,
-                        };
-                        forward
-                            .map(|col| RangeCandidate {
-                                col,
-                                cond: c,
-                                flipped: false,
-                            })
-                            .or(flipped.map(|col| RangeCandidate {
-                                col,
-                                cond: c,
-                                flipped: true,
-                            }))
-                    })
-                    .collect();
-                let first = range_candidates.first().copied();
+                // The first viable condition in body order; a var-var one
+                // ranges forward when it can, mirrored otherwise.
+                let range = pending.iter().copied().find_map(|c| {
+                    let cond = &pushed[c];
+                    if !cond.is_rangeable() {
+                        return None;
+                    }
+                    let forward = range_col(
+                        cond.var,
+                        match &cond.bound {
+                            BoundTerm::Const(_) => true,
+                            BoundTerm::Var(u) => bound.contains(u),
+                        },
+                    );
+                    let flipped = match &cond.bound {
+                        BoundTerm::Var(u) => range_col(*u, bound.contains(&cond.var)),
+                        BoundTerm::Const(_) => None,
+                    };
+                    forward
+                        .map(|col| (col, c, false))
+                        .or(flipped.map(|col| (col, c, true)))
+                });
                 StepProbe {
                     prefix_cols,
-                    range: first.map(|r| (r.col, r.cond)),
-                    range_flipped: first.is_some_and(|r| r.flipped),
-                    range_candidates,
+                    range: range.map(|(col, c, _)| (col, c)),
+                    range_flipped: range.is_some_and(|(_, _, flipped)| flipped),
                 }
             };
             bound.extend(atom.variables());
@@ -833,12 +788,11 @@ impl AccessPlan {
         }
     }
 
-    /// Every index column list the pipeline's per-activation pre-pass may
-    /// `ensure_index` for this plan, keyed by predicate: for each join step
-    /// the exact composite prefix, the prefix extended by each viable range
-    /// candidate's column (the adaptive selection may pick any of them), the
-    /// single-column statistics indexes that selection consults, each
-    /// cyclic core's leapfrog trie column lists, and the negation probes'
+    /// Every index column list the pipeline's per-activation pre-pass
+    /// `ensure_index`es for this plan, keyed by predicate: for each join
+    /// step the exact composite prefix and the prefix extended by its
+    /// pushed range column, each cyclic core's leapfrog trie column lists
+    /// under the plan's variable order, and the negation probes'
     /// single/composite column sets — for every delta position of a filter,
     /// and for a check only its driver's ([`FilterNode::check_driver`]).
     ///
@@ -862,32 +816,19 @@ impl AccessPlan {
                 .filter(|(d, _)| only.is_none_or(|o| o == *d));
             for (_, dp) in driven {
                 if let Some(hp) = &dp.hybrid {
-                    // The single-column statistics indexes the prepare-time
-                    // re-rank consults, and the core's trie column lists
-                    // under the static variable order, whether or not ears
-                    // wrap the core (the re-rank may deviate on equal-degree
-                    // ties; the binary-step lists below remain the
-                    // guaranteed fallback).
+                    // The core's trie column lists, whether or not ears
+                    // wrap the core; the binary-step lists below stay the
+                    // fallback.
                     let order = hp.static_order();
                     for trie in &hp.tries {
                         let predicate = atoms[trie.atom].predicate;
                         add(&mut out, predicate, HybridPlan::trie_cols(trie, &order));
-                        for (_, col) in &trie.var_cols {
-                            add(&mut out, predicate, vec![*col]);
-                        }
                     }
                 }
                 for sp in dp.steps.iter().skip(1) {
                     let predicate = atoms[sp.atom].predicate;
                     add(&mut out, predicate, sp.probe.prefix_cols.clone());
-                    for cand in &sp.probe.range_candidates {
-                        let mut cols = sp.probe.prefix_cols.clone();
-                        cols.push(cand.col);
-                        add(&mut out, predicate, cols);
-                        if sp.probe.range_candidates.len() > 1 {
-                            add(&mut out, predicate, vec![cand.col]);
-                        }
-                    }
+                    add(&mut out, predicate, sp.probe.index_cols());
                 }
             }
             for atom in filter.rule.negated_atoms() {
@@ -1110,7 +1051,10 @@ mod tests {
         assert!(f0.pushed[0].is_rangeable());
         assert_eq!(f0.pushed[0].var, Var::new("w"));
         assert!(!f0.pushed[1].is_rangeable()); // != is guard-only
-        assert_eq!(f0.pushed_literals(), BTreeSet::from([1, 2]));
+        assert_eq!(
+            f0.pushed.iter().map(|p| p.literal).collect::<BTreeSet<_>>(),
+            BTreeSet::from([1, 2])
+        );
         // `v > 0.5` reads an aggregate-assigned variable: residual.
         assert!(plan.filters[1].pushed.is_empty());
         // variable-variable comparison across atoms is pushable
@@ -1162,33 +1106,22 @@ mod tests {
     }
 
     #[test]
-    fn steps_with_several_pushable_ranges_record_all_candidates() {
+    fn steps_with_several_pushable_ranges_probe_the_first_and_guard_all() {
         let program =
             parse_program("Control(x, y), Own(y, z, w), w > 0.5, z < 100 -> Control(x, z).")
                 .unwrap();
         let plan = AccessPlan::compile(&program);
         let own_step = &plan.filters[0].delta_plans[0].steps[1];
-        // Both `w > 0.5` (col 2) and `z < 100` (col 1) can range this step;
-        // the default is the first in body order, both stay recorded so the
-        // pipeline can re-pick per activation from index statistics.
+        // Both `w > 0.5` (col 2) and `z < 100` (col 1) could range this
+        // step; the plan probes the first in body order, and only its
+        // column extends the index list.
         assert_eq!(own_step.probe.range, Some((2, 0)));
-        assert_eq!(
-            own_step.probe.range_candidates,
-            vec![
-                RangeCandidate {
-                    col: 2,
-                    cond: 0,
-                    flipped: false
-                },
-                RangeCandidate {
-                    col: 1,
-                    cond: 1,
-                    flipped: false
-                },
-            ]
-        );
-        // Both conditions are still guarded at this step.
+        assert!(!own_step.probe.range_flipped);
+        assert_eq!(own_step.probe.index_cols(), vec![0, 2]);
+        // Both conditions are guarded at this step.
         assert_eq!(own_step.guards, vec![0, 1]);
+        let planned = plan.planned_index_cols();
+        assert!(!planned[&intern("Own")].contains(&vec![0usize, 1]));
     }
 
     #[test]
@@ -1268,12 +1201,9 @@ mod tests {
         let hub = plan.filters[2].delta_plans[0].hybrid.as_ref().unwrap();
         assert_eq!(hub.prefix_steps, vec![1]);
         assert!(hub.suffix_steps.is_empty());
-        // An ear-wrapped core registers its statistics singles and its
-        // static-order trie lists for session pre-builds, like a fully
-        // cyclic body.
+        // An ear-wrapped core registers its trie lists under the plan's
+        // order for session pre-builds, like a fully cyclic body.
         let planned = plan.planned_index_cols();
-        assert!(planned[&intern("E")].contains(&vec![0usize]));
-        assert!(planned[&intern("E")].contains(&vec![1usize]));
         let order = hub.static_order();
         for trie in &hub.tries {
             assert!(planned[&intern("E")].contains(&HybridPlan::trie_cols(trie, &order)));
@@ -1405,7 +1335,10 @@ mod tests {
         // column 2 — one composite index instead of probe-then-filter.
         let d0 = &filter.delta_plans[0];
         assert_eq!(d0.steps[0].atom, 0);
-        assert!(!d0.steps[0].probe.is_probing(), "delta step scans");
+        assert!(
+            d0.steps[0].probe.index_cols().is_empty(),
+            "delta step scans"
+        );
         let own_step = &d0.steps[1];
         assert_eq!(own_step.atom, 1);
         assert_eq!(own_step.probe.prefix_cols, vec![0]);

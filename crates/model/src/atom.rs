@@ -51,15 +51,6 @@ impl Atom {
         self.variables().collect()
     }
 
-    /// Positions (0-based) at which `var` occurs in this atom.
-    pub fn positions_of(&self, var: Var) -> Vec<usize> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (t.as_var() == Some(var)).then_some(i))
-            .collect()
-    }
-
     /// Apply a substitution, producing a ground [`Fact`] if every variable is
     /// bound, `None` otherwise.
     pub fn apply(&self, subst: &Substitution) -> Option<Fact> {
@@ -71,25 +62,6 @@ impl Atom {
             }
         }
         Some(Fact::new_sym(self.predicate, values))
-    }
-
-    /// Apply a substitution partially: bound variables are replaced by their
-    /// values, unbound variables are left in place.
-    pub fn apply_partial(&self, subst: &Substitution) -> Atom {
-        Atom {
-            predicate: self.predicate,
-            terms: self
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => match subst.get(*v) {
-                        Some(val) => Term::Const(val.clone()),
-                        None => t.clone(),
-                    },
-                    Term::Const(_) => t.clone(),
-                })
-                .collect(),
-        }
     }
 
     /// Try to extend `subst` so that this atom matches `fact`. Returns the
@@ -222,24 +194,6 @@ mod tests {
         let f = a.apply(&s).unwrap();
         assert_eq!(f.args.len(), 3);
         assert_eq!(f.predicate, intern("Own"));
-    }
-
-    #[test]
-    fn apply_partial_leaves_unbound_vars() {
-        let a = own_atom();
-        let mut s = Substitution::new();
-        s.bind(Var::new("x"), Value::str("a"));
-        let partial = a.apply_partial(&s);
-        assert!(partial.terms[0].is_const());
-        assert!(partial.terms[1].is_var());
-    }
-
-    #[test]
-    fn positions_of_repeated_variable() {
-        let a = Atom::vars("P", &["x", "y", "x"]);
-        assert_eq!(a.positions_of(Var::new("x")), vec![0, 2]);
-        assert_eq!(a.positions_of(Var::new("y")), vec![1]);
-        assert!(a.positions_of(Var::new("z")).is_empty());
     }
 
     #[test]

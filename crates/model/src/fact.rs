@@ -52,11 +52,6 @@ impl Fact {
         out
     }
 
-    /// Whether this fact mentions the given null.
-    pub fn mentions_null(&self, null: NullId) -> bool {
-        self.nulls().contains(&null)
-    }
-
     /// Replace every occurrence of labelled nulls according to `rename`,
     /// leaving unmapped nulls untouched.
     pub fn rename_nulls(&self, rename: &std::collections::HashMap<NullId, Value>) -> Fact {
@@ -149,8 +144,6 @@ mod tests {
             ],
         );
         assert_eq!(f.nulls(), vec![NullId(5), NullId(2)]);
-        assert!(f.mentions_null(NullId(2)));
-        assert!(!f.mentions_null(NullId(9)));
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod fxhash;
 pub mod iso;
 pub mod program;
 pub mod rule;
-pub mod schema;
 pub mod substitution;
 pub mod symbol;
 pub mod sync;
@@ -49,7 +48,6 @@ pub use iso::{
 };
 pub use program::{Annotation, AnnotationKind, Program};
 pub use rule::{Assignment, Condition, HeadAtom, Literal, Rule, RuleHead, RuleId};
-pub use schema::Schema;
 pub use substitution::Substitution;
 pub use symbol::{intern, resolve, Sym};
 pub use term::{Term, Var};
@@ -66,7 +64,6 @@ pub mod prelude {
     pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
     pub use crate::program::{Annotation, AnnotationKind, Program};
     pub use crate::rule::{Assignment, Condition, HeadAtom, Literal, Rule, RuleHead, RuleId};
-    pub use crate::schema::Schema;
     pub use crate::substitution::Substitution;
     pub use crate::symbol::{intern, resolve, Sym};
     pub use crate::term::{Term, Var};

@@ -131,14 +131,6 @@ impl Program {
         self.rules.get(id.0 as usize)
     }
 
-    /// Iterate over `(RuleId, &Rule)` pairs.
-    pub fn rules_with_ids(&self) -> impl Iterator<Item = (RuleId, &Rule)> {
-        self.rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (RuleId(i as u32), r))
-    }
-
     /// Predicates marked `@input`.
     pub fn input_predicates(&self) -> BTreeSet<Sym> {
         self.annotated(AnnotationKind::Input)
@@ -194,15 +186,6 @@ impl Program {
             }
         }
         out.extend(bodies.difference(&heads).copied());
-        out
-    }
-
-    /// Intensional predicates: those appearing in some rule head.
-    pub fn idb_predicates(&self) -> BTreeSet<Sym> {
-        let mut out = BTreeSet::new();
-        for r in &self.rules {
-            out.extend(r.head_predicates());
-        }
         out
     }
 
@@ -293,13 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn edb_and_idb_are_derived_from_rule_structure() {
+    fn edb_is_derived_from_rule_structure() {
         let p = example3();
         let edb: Vec<String> = p.edb_predicates().iter().map(|s| s.as_str()).collect();
-        let idb: Vec<String> = p.idb_predicates().iter().map(|s| s.as_str()).collect();
         assert!(edb.contains(&"Company".to_string()));
         assert!(edb.contains(&"Control".to_string()));
-        assert_eq!(idb, vec!["KeyPerson".to_string()]);
+        // KeyPerson is a head predicate (it also appears in a body).
+        assert!(!edb.contains(&"KeyPerson".to_string()));
     }
 
     #[test]

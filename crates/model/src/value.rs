@@ -42,13 +42,6 @@ impl NullFactory {
         }
     }
 
-    /// Create a factory whose first null will be `start`.
-    pub fn starting_at(start: u64) -> Self {
-        Self {
-            next: AtomicU64::new(start),
-        }
-    }
-
     /// Mint a fresh labelled null.
     pub fn fresh(&self) -> NullId {
         NullId(self.next.fetch_add(1, AtomicOrdering::Relaxed))
@@ -528,22 +521,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean view of the value, if it is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The null id, if this value is a labelled null.
-    pub fn as_null(&self) -> Option<NullId> {
-        match self {
-            Value::Null(n) => Some(*n),
             _ => None,
         }
     }

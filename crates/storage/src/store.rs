@@ -139,8 +139,9 @@ impl RangeFilter {
 
 /// Aggregate statistics of one materialised sorted-run index, read from its
 /// run directories: how many rows it indexes and how many distinct composite
-/// keys they group into — the selectivity estimate the engine reads when
-/// choosing between several pushable range conditions.
+/// keys they group into. Read per layer by
+/// [`Relation::index_stats_per_layer`], which `vadalog query --stats`
+/// prints; no plan reads it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexStats {
     /// Indexed rows across all sorted runs and the unflushed tail.
@@ -1621,23 +1622,11 @@ impl Relation {
         stats
     }
 
-    /// Run-directory statistics of the index over `cols`, if materialised.
-    /// `None` on an index miss, like [`Relation::probe_if_indexed`]. On an
-    /// overlay every layer's directories are summed; rows a layer never
-    /// indexed count as one key each, like an unflushed tail.
-    pub fn index_stats(&self, cols: &[usize]) -> Option<IndexStats> {
-        let per_layer = self.index_stats_per_layer(cols)?;
-        let mut stats = IndexStats::default();
-        for layer in per_layer {
-            stats.entries += layer.entries;
-            stats.distinct_keys += layer.distinct_keys;
-        }
-        Some(stats)
-    }
-
-    /// Like [`Relation::index_stats`] but itemised per layer, deepest layer
-    /// first and this relation's own contribution last — the composition a
-    /// probe actually walks. `None` on an index miss anywhere in the chain.
+    /// Run-directory statistics of the index over `cols`, itemised per
+    /// layer, deepest layer first and this relation's own contribution last
+    /// — the composition a probe actually walks. `None` on an index miss
+    /// anywhere in the chain, like [`Relation::probe_if_indexed`]. Rows a
+    /// layer never indexed count as one key each, like an unflushed tail.
     pub fn index_stats_per_layer(&self, cols: &[usize]) -> Option<Vec<IndexStats>> {
         if !self.has_index(cols) {
             return None;
@@ -2125,12 +2114,6 @@ impl StoreBase {
             .unwrap_or(1)
     }
 
-    /// Total promoted layers beyond each relation's original snapshot,
-    /// summed across relations — the `--stats` layer counter.
-    pub fn promoted_layers(&self) -> usize {
-        self.relations.values().map(|r| r.layer_depth()).sum()
-    }
-
     /// The base relation of `predicate`, if any facts exist for it.
     pub fn relation(&self, predicate: Sym) -> Option<&Relation> {
         self.relations.get(&predicate).map(Arc::as_ref)
@@ -2164,6 +2147,16 @@ mod tests {
 
     fn own(a: &str, b: &str, w: f64) -> Fact {
         Fact::new("Own", vec![a.into(), b.into(), Value::Float(w)])
+    }
+
+    /// The index statistics over `cols` with every layer summed.
+    fn summed_stats(rel: &Relation, cols: &[usize]) -> Option<IndexStats> {
+        let mut stats = IndexStats::default();
+        for layer in rel.index_stats_per_layer(cols)? {
+            stats.entries += layer.entries;
+            stats.distinct_keys += layer.distinct_keys;
+        }
+        Some(stats)
     }
 
     #[test]
@@ -2291,26 +2284,26 @@ mod tests {
             ));
         }
         assert!(
-            rel.index_stats(&[0]).is_none(),
+            summed_stats(&rel, &[0]).is_none(),
             "unbuilt index has no stats"
         );
         rel.ensure_index(&[0]);
         rel.ensure_index(&[1]);
-        let wide = rel.index_stats(&[0]).unwrap();
-        let narrow = rel.index_stats(&[1]).unwrap();
+        let wide = summed_stats(&rel, &[0]).unwrap();
+        let narrow = summed_stats(&rel, &[1]).unwrap();
         assert_eq!(wide.entries, 6);
         assert_eq!(wide.distinct_keys, 2);
         assert_eq!(narrow.distinct_keys, 6);
         // tail rows count as one key each until the next flush
         rel.insert(Fact::new("P", vec![Value::Int(0), Value::Int(99)]));
-        let with_tail = rel.index_stats(&[0]).unwrap();
+        let with_tail = summed_stats(&rel, &[0]).unwrap();
         assert_eq!(with_tail.entries, 7);
         assert_eq!(with_tail.distinct_keys, 3);
         // after a flush the new row lives in its own run (too small to be
         // size-tier merged), so its key still counts once per run it spans
         rel.ensure_index(&[0]);
-        assert_eq!(rel.index_stats(&[0]).unwrap().distinct_keys, 3);
-        assert_eq!(rel.index_stats(&[0]).unwrap().entries, 7);
+        assert_eq!(summed_stats(&rel, &[0]).unwrap().distinct_keys, 3);
+        assert_eq!(summed_stats(&rel, &[0]).unwrap().entries, 7);
     }
 
     #[test]
@@ -2483,8 +2476,8 @@ mod tests {
             }
         }
         assert_eq!(
-            plain.index_stats(&[0, 1]).map(|s| s.entries),
-            overlay.index_stats(&[0, 1]).map(|s| s.entries)
+            summed_stats(&plain, &[0, 1]).map(|s| s.entries),
+            summed_stats(&overlay, &[0, 1]).map(|s| s.entries)
         );
     }
 
@@ -2636,7 +2629,6 @@ mod tests {
         }
         assert_eq!(base.stamp(), 3);
         assert_eq!(base.layer_count(), 4);
-        assert_eq!(base.promoted_layers(), 3);
 
         let layered = base.relation(intern("Own")).unwrap();
         assert_eq!(layered.len(), plain.len());
@@ -2694,8 +2686,8 @@ mod tests {
             }
         }
         assert_eq!(
-            plain.index_stats(&[0]).map(|s| s.entries),
-            layered.index_stats(&[0]).map(|s| s.entries)
+            summed_stats(&plain, &[0]).map(|s| s.entries),
+            summed_stats(layered, &[0]).map(|s| s.entries)
         );
     }
 

@@ -14,11 +14,7 @@
 //! | Industrial ownership graphs + scale-free synthetic graphs (Fig. 5e,f) | [`ownership`] |
 //! | Doctors / DoctorsFD / LUBM-style ChaseBench scenarios (Fig. 5g-i) | [`chasebench`] |
 //! | DbSize / Rule# / Atom# / Arity scalability variants (Fig. 8) | [`scaling`] |
-//! | Range-guarded control (`w > θ` pushdown vs post-filter) | [`range`] |
 //! | Triangle / 4-clique cyclic joins (WCOJ vs binary-join ablation) | [`graph`] |
-//! | Repeated bound queries over a large EDB (query sessions / magic sets) | [`query`] |
-//! | Repeated overlapping server queries (shared cone-cache ablation) | [`serve`] |
-//! | Durable appends + cold WAL replay (crash-recovery workload) | [`recover`] |
 //!
 //! All generators take explicit seeds and sizes so that the numbers in
 //! `benchmark/RESULTS.md` are reproducible; the real DBpedia dumps and the
@@ -32,10 +28,6 @@ pub mod graph;
 pub mod ibench;
 pub mod iwarded;
 pub mod ownership;
-pub mod query;
-pub mod range;
-pub mod recover;
 pub mod scaling;
-pub mod serve;
 
 pub use iwarded::{IWardedSpec, Scenario};
