@@ -3,23 +3,26 @@
 //! lifted linear forest (summary structure `S`).
 //!
 //! The store decides exact duplicates; a strategy decides only on rows the
-//! store does not hold yet ([`offer_row`]). It names every fact by the
-//! store's identity, a predicate and a [`FactId`] ([`FactRef`]), and reads
-//! rows from the [`FactStore`] it is passed, so it keeps no copy of them. A
-//! candidate is offered with the `FactId` it will get, and its parents by
-//! theirs. The isomorphism and pattern canonical forms are built from rows
-//! ([`row_iso_key`], [`row_pattern_key`]), so no value is ever resolved.
-//! [`WardedStrategy`] keeps only Algorithm 1's metadata: a record of three
-//! ids per fact that needs one, the members of each warded tree, and the
-//! canonical forms of the facts that took part in a check.
+//! store does not hold yet ([`offer_row`], which hashes and probes each
+//! offered row once). It names every fact by the store's identity, a
+//! predicate and a [`FactId`] ([`FactRef`]), and reads rows from the
+//! [`FactStore`] it is passed, so it keeps no copy of them. A candidate is
+//! offered with the `FactId` it will get, and its parents by theirs.
+//! Isomorphism is decided on rows: a `ValueId` says whether it is a labelled
+//! null, so no value is resolved and the interner is never asked.
+//! [`WardedStrategy`] compares the candidate's row with each tree member's
+//! stored row ([`rows_isomorphic`]), allocating nothing, and keeps only
+//! Algorithm 1's metadata: a record of three ids per fact that needs one,
+//! the members of each warded tree, and the pattern forms
+//! ([`row_pattern_key`]) of linear-forest roots and stop provenances.
 
 use std::mem::size_of;
 use vadalog_analysis::RuleKind;
 use vadalog_model::iso::{
-    row_iso_key, row_pattern_key, PatternKey, PatternTerm, RowCanonTerm, RowIsoKey,
+    row_iso_key, row_pattern_key, rows_isomorphic, PatternKey, PatternTerm, RowCanonTerm, RowIsoKey,
 };
 use vadalog_model::prelude::*;
-use vadalog_storage::{table_bytes, FactId, FactStore};
+use vadalog_storage::{table_bytes, FactId, FactStore, Relation};
 
 /// A stored fact, named by the store: its predicate and its [`FactId`] in
 /// that predicate's relation.
@@ -114,7 +117,9 @@ pub enum Offer {
 /// a duplicate. Otherwise `strategy`, when there is one, decides, and an
 /// admitted row is inserted at once, as the `FactId` it was offered with.
 /// Without a strategy (a run that can hold no labelled null) the store's
-/// dedup is the whole decision.
+/// dedup is the whole decision. Either way the row is hashed and probed
+/// once: the strategy reads the store only through `&FactStore`, so the
+/// [`Relation::vacancy`] taken before it decides is still valid after.
 pub fn offer_row(
     store: &mut FactStore,
     strategy: Option<&mut dyn TerminationStrategy>,
@@ -128,16 +133,17 @@ pub fn offer_row(
             None => Offer::Duplicate,
         };
     };
-    let id = match store.relation(predicate) {
-        Some(rel) if rel.contains_row(row) => return Offer::Duplicate,
-        Some(rel) => FactId(u32::try_from(rel.len()).expect("FactId space exhausted")),
-        None => FactId(0),
+    let vacancy = match store.relation(predicate) {
+        Some(rel) => rel.vacancy(row),
+        None => Relation::new().vacancy(row),
     };
-    if !strategy.admit(store, &Candidate::new(predicate, id, row), step) {
+    let Some(vacancy) = vacancy else {
+        return Offer::Duplicate;
+    };
+    if !strategy.admit(store, &Candidate::new(predicate, vacancy.id(), row), step) {
         return Offer::Suppressed;
     }
-    let inserted = store.relation_mut(predicate).insert_row(row);
-    debug_assert_eq!(inserted, Some(id));
+    store.relation_mut(predicate).fill(vacancy, row);
     Offer::Admitted
 }
 
@@ -180,6 +186,15 @@ pub trait TerminationStrategy: Send {
     /// Heap bytes the strategy holds, counted by capacity (hash tables
     /// estimated with [`table_bytes`]).
     fn heap_bytes(&self) -> usize;
+
+    /// Stored rows compared with candidates, summed over every isomorphism
+    /// check: the work the checks did, where [`StrategyStats`] counts the
+    /// checks. The warded strategy compares with tree members of the
+    /// candidate's predicate and arity; a strategy that decides by one hash
+    /// probe (or by none) compares with no row.
+    fn iso_comparisons(&self) -> u64 {
+        0
+    }
 
     /// Human-readable name (used in benchmark output).
     fn name(&self) -> &'static str;
@@ -272,7 +287,10 @@ impl ProvenanceTrie {
     }
 }
 
-/// The ground structure `G`: the trees of the warded forest, by root.
+/// The ground structure `G`: the trees of the warded forest, by root. A tree
+/// is a list of [`FactRef`]s; a check reads each member's row from the store
+/// and compares it with the candidate's in place, so no canonical form is
+/// built or kept.
 #[derive(Clone, Default)]
 struct WardedForest {
     /// Root → the tree's members other than the root. A fact that roots
@@ -283,9 +301,6 @@ struct WardedForest {
     /// strictly within a stop provenance is stored (a later candidate
     /// may name it as its parent) but joins no tree.
     detached_roots: FxHashSet<FactRef>,
-    /// Isomorphism canonical form of each member that took part in a
-    /// check, computed on first use (most stored facts never do).
-    iso_keys: FxHashMap<FactRef, RowIsoKey>,
 }
 
 impl WardedForest {
@@ -298,12 +313,15 @@ impl WardedForest {
 
     /// Does the tree rooted at `root` hold a fact isomorphic to the
     /// candidate? `root` is the candidate itself, not yet stored, when the
-    /// candidate would root a fresh tree.
+    /// candidate would root a fresh tree. Every member row of the
+    /// candidate's predicate and arity that is compared counts in
+    /// `comparisons`.
     fn holds_isomorph(
-        &mut self,
+        &self,
         store: &FactStore,
         root: FactRef,
         candidate: &Candidate<'_>,
+        comparisons: &mut u64,
     ) -> bool {
         let (predicate, row) = (candidate.predicate(), candidate.row());
         // Only facts of the candidate's predicate can be isomorphic to it.
@@ -312,24 +330,17 @@ impl WardedForest {
         };
         let root_member = root != candidate.fact() && !self.detached_roots.contains(&root);
         let others = self.members.get(&root).map_or(&[][..], Vec::as_slice);
-        let mut candidate_key = None;
-        for &fact in root_member.then_some(&root).into_iter().chain(others) {
-            if fact.predicate != predicate {
-                continue;
-            }
-            let stored = rel.row(fact.id);
-            if stored.len() != row.len() {
-                continue;
-            }
-            let key = self
-                .iso_keys
-                .entry(fact)
-                .or_insert_with(|| row_iso_key(predicate, stored));
-            if *key == *candidate_key.get_or_insert_with(|| row_iso_key(predicate, row)) {
-                return true;
-            }
-        }
-        false
+        root_member
+            .then_some(&root)
+            .into_iter()
+            .chain(others)
+            .filter(|fact| fact.predicate == predicate)
+            .map(|fact| rel.row(fact.id))
+            .filter(|stored| stored.len() == row.len())
+            .any(|stored| {
+                *comparisons += 1;
+                rows_isomorphic(stored, row)
+            })
     }
 
     fn heap_bytes(&self) -> usize {
@@ -339,12 +350,6 @@ impl WardedForest {
             size_of::<(FactRef, Vec<FactRef>)>(),
         ) + members * size_of::<FactRef>()
             + table_bytes(self.detached_roots.capacity(), size_of::<FactRef>())
-            + table_bytes(self.iso_keys.capacity(), size_of::<(FactRef, RowIsoKey)>())
-            + self
-                .iso_keys
-                .values()
-                .map(|key| key.args.capacity() * size_of::<RowCanonTerm>())
-                .sum::<usize>()
     }
 }
 
@@ -369,6 +374,8 @@ pub struct WardedStrategy {
     /// Pattern of a linear-forest root → stop provenances.
     summary: FxHashMap<PatternKey, Vec<u32>>,
     stats: StrategyStats,
+    /// See [`TerminationStrategy::iso_comparisons`].
+    iso_comparisons: u64,
 }
 
 impl WardedStrategy {
@@ -465,9 +472,12 @@ impl TerminationStrategy for WardedStrategy {
             }
         }
         // Local detection: isomorphism check against the fact's tree in the
-        // warded forest, comparing cached canonical forms.
+        // warded forest, comparing rows in place.
         self.stats.isomorphism_checks += 1;
-        if self.ground.holds_isomorph(store, meta.w_root, candidate) {
+        if self
+            .ground
+            .holds_isomorph(store, meta.w_root, candidate, &mut self.iso_comparisons)
+        {
             // Learn the stop provenance for this pattern.
             self.summary
                 .entry(pattern.clone())
@@ -509,6 +519,10 @@ impl TerminationStrategy for WardedStrategy {
                 .sum::<usize>()
             + table_bytes(self.summary.capacity(), size_of::<(PatternKey, Vec<u32>)>())
             + summary
+    }
+
+    fn iso_comparisons(&self) -> u64 {
+        self.iso_comparisons
     }
 
     fn name(&self) -> &'static str {
@@ -829,6 +843,9 @@ mod tests {
         assert!(h.admit(&owns(0, 11, "HSB"), 3, RuleKind::Warded, None, Some(&psc_y)));
         assert!(!h.admit(&owns(0, 10, "HSB"), 3, RuleKind::Warded, None, Some(&psc_x)));
         assert_eq!(h.stats().isomorphism_checks, 3);
+        // Only the third check met a member of its predicate: the roots are
+        // PSC facts, so the first two compared no row.
+        assert_eq!(h.strategy.iso_comparisons(), 1);
     }
 
     #[test]

@@ -394,6 +394,11 @@ fn render_stats(out: &mut String, result: &RunResult) {
         "% isomorphism checks:  {}",
         stats.pipeline.strategy.isomorphism_checks
     );
+    let _ = writeln!(
+        out,
+        "% iso comparisons:     {}",
+        stats.pipeline.iso_comparisons
+    );
 }
 
 // -------------------------------------------------------------- classify

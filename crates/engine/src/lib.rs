@@ -24,11 +24,10 @@
 //! Filters are scheduled round-robin and consume their predecessors' new
 //! facts incrementally until every filter reports a *real miss* (no further
 //! facts can ever arrive), which is the same fixpoint the paper's pull-based
-//! volcano iterators reach when every `next()` chain bottoms out; the
-//! differences between the two scheduling disciplines are discussed in
-//! DESIGN.md. A sink aggregate ([`FilterNode::final_stratum`]) sits the
-//! sweeps out and runs once after the fixpoint, emitting one fact per
-//! group (see [`pipeline`]'s "The final stratum").
+//! volcano iterators reach when every `next()` chain bottoms out. A sink
+//! aggregate ([`FilterNode::final_stratum`]) sits the sweeps out and runs
+//! once after the fixpoint, emitting one fact per group (see
+//! [`pipeline`]'s "The final stratum").
 //!
 //! # The two-level scheduler: batches of chunks, deterministic merges
 //!

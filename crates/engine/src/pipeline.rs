@@ -760,6 +760,10 @@ pub struct PipelineStats {
     /// Heap bytes the termination strategy held at the end of the run,
     /// counted by capacity ([`TerminationStrategy::heap_bytes`]).
     pub strategy_bytes: u64,
+    /// Stored rows the termination strategy compared candidates with
+    /// ([`TerminationStrategy::iso_comparisons`]): the work behind
+    /// `strategy.isomorphism_checks`.
+    pub iso_comparisons: u64,
 }
 
 /// A [`ReasonerOptions`] cap that stopped a run before its fixpoint (see
@@ -1002,6 +1006,7 @@ impl<'a> Pipeline<'a> {
             ..strategy
         };
         self.stats.strategy_bytes = self.strategy.heap_bytes() as u64;
+        self.stats.iso_comparisons = self.strategy.iso_comparisons();
         self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
 
         self.run_checks()

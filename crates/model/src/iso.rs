@@ -18,14 +18,16 @@
 //!
 //! Each form has a value-level constructor over a [`Fact`] and a row-level
 //! one over an interned row (`row_iso_key`, `row_pattern_key`). The row
-//! forms never resolve a value: the interner makes `ValueId` equality equal
-//! to [`Value`] equality, so constants compare as ids, and a position holds
-//! a labelled null exactly when its order key is in the null class. A
-//! composite value holding a null is a constant in both forms.
+//! forms never resolve a value and never consult the interner: `ValueId`
+//! equality is [`Value`] equality, so constants compare as ids, and a
+//! position holds a labelled null exactly when its id says so
+//! ([`ValueId::is_null`]). A composite value holding a null is a constant
+//! in both forms. [`rows_isomorphic`] decides isomorphism of two rows
+//! directly, without building either form.
 
 use crate::fact::Fact;
 use crate::symbol::Sym;
-use crate::value::{order_keys_of, NullId, Value, ValueId};
+use crate::value::{NullId, Value, ValueId};
 use std::collections::HashMap;
 
 /// Canonical form of a fact up to renaming of labelled nulls.
@@ -140,14 +142,13 @@ pub enum RowCanonTerm {
 /// constants), and `term(is_null, id, number)` builds its argument. Rows
 /// are short, so an earlier occurrence is found by a scan instead of a map.
 fn canonical_row<T: Copy>(row: &[ValueId], term: impl Fn(bool, ValueId, u32) -> T) -> Vec<T> {
-    let keys = order_keys_of(row);
     let mut args: Vec<T> = Vec::with_capacity(row.len());
     let mut next = [0u32; 2];
-    for (i, (&id, key)) in row.iter().zip(keys).enumerate() {
+    for (i, &id) in row.iter().enumerate() {
         match row[..i].iter().position(|&e| e == id) {
             Some(j) => args.push(args[j]),
             None => {
-                let null = key.is_null_class();
+                let null = id.is_null();
                 let number = &mut next[usize::from(null)];
                 args.push(term(null, id, *number));
                 *number += 1;
@@ -167,6 +168,22 @@ pub fn row_iso_key(predicate: Sym, row: &[ValueId]) -> RowIsoKey {
         }
     });
     RowIsoKey { predicate, args }
+}
+
+/// Are two interned rows of one predicate isomorphic? They are when they
+/// hold the same constants at the same positions, labelled nulls at the
+/// same positions, and each null first occurs where its counterpart does.
+/// Equal to `row_iso_key(p, a) == row_iso_key(p, b)`, without allocating.
+pub fn rows_isomorphic(a: &[ValueId], b: &[ValueId]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).enumerate().all(|(i, (&x, &y))| {
+            if !x.is_null() {
+                return x == y;
+            }
+            // Rows are short, so the first occurrence is found by a scan.
+            let first = |row: &[ValueId], id| row[..i].iter().position(|&e| e == id);
+            y.is_null() && first(a, x) == first(b, y)
+        })
 }
 
 /// Compute the pattern-isomorphism canonical form of an interned row. It is

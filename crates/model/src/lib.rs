@@ -43,8 +43,8 @@ pub use fact::Fact;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use iso::{
     facts_isomorphic, facts_pattern_isomorphic, find_homomorphism, homomorphically_equivalent,
-    is_homomorphic, iso_key, pattern_key, row_iso_key, row_pattern_key, IsoKey, PatternKey,
-    RowCanonTerm, RowIsoKey,
+    is_homomorphic, iso_key, pattern_key, row_iso_key, row_pattern_key, rows_isomorphic, IsoKey,
+    PatternKey, RowCanonTerm, RowIsoKey,
 };
 pub use program::{Annotation, AnnotationKind, Program};
 pub use rule::{Assignment, Condition, HeadAtom, Literal, Rule, RuleHead, RuleId};

@@ -68,16 +68,27 @@ impl NullFactory {
 /// slot-machine join compares ids, materialising `Value`s only at the API
 /// boundary. Obtain one with [`intern_value`] and convert back with
 /// [`resolve_value`].
+///
+/// The id of a labelled null has its top bit set ([`ValueId::is_null`]), so
+/// the termination check learns which positions of a row hold nulls from the
+/// ids alone, without the interner.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ValueId(u32);
 
 impl ValueId {
     /// Raw bits of this id. The table is sharded by value hash, so this is
-    /// an opaque encoding (shard number in the low bits, position within the
-    /// shard above them), not a dense insertion index — use it only as a
-    /// compact key.
+    /// an opaque encoding (the null flag in the top bit, the shard number in
+    /// the low bits, the position within the shard between them), not a
+    /// dense insertion index — use it only as a compact key.
     pub fn index(self) -> u32 {
         self.0
+    }
+
+    /// Does this id intern a labelled null ([`Value::Null`])? A composite
+    /// value holding a null is not one.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        self.0 & VALUE_NULL_FLAG != 0
     }
 }
 
@@ -87,11 +98,17 @@ const VALUE_SHARD_BITS: u32 = 4;
 /// Number of interner shards (a power of two so `hash & mask` selects one).
 const VALUE_SHARDS: usize = 1 << VALUE_SHARD_BITS;
 const VALUE_SHARD_MASK: u32 = (VALUE_SHARDS as u32) - 1;
+/// Top bit of a [`ValueId`]: set exactly on the ids of labelled nulls.
+const VALUE_NULL_FLAG: u32 = 1 << 31;
+/// Values one shard can hold: the local index sits between the shard number
+/// and the null flag.
+const VALUE_SHARD_CAPACITY: usize = 1 << (31 - VALUE_SHARD_BITS);
 
 #[derive(Default)]
 struct ValueShard {
-    /// value -> local index within this shard's `values` table.
-    map: HashMap<Value, u32>,
+    /// value -> its id (this shard's number, its local index within
+    /// `values`, and the null flag).
+    map: HashMap<Value, ValueId>,
     values: Vec<Value>,
     /// Order key of each value, computed once at intern time so probe paths
     /// can compare ids order-wise without resolving (see [`order_key_of`]).
@@ -101,20 +118,20 @@ struct ValueShard {
 impl ValueShard {
     /// Intern under an already-held write lock on this shard.
     fn intern(&mut self, shard_no: u32, v: &Value) -> ValueId {
-        match self.map.get(v) {
-            Some(&local) => ValueId::compose(shard_no, local),
-            None => {
-                assert!(
-                    self.values.len() < (u32::MAX >> VALUE_SHARD_BITS) as usize,
-                    "value interner shard overflow"
-                );
-                let local = self.values.len() as u32;
-                self.keys.push(v.order_key());
-                self.values.push(v.clone());
-                self.map.insert(v.clone(), local);
-                ValueId::compose(shard_no, local)
-            }
+        if let Some(&id) = self.map.get(v) {
+            return id;
         }
+        assert!(
+            self.values.len() < VALUE_SHARD_CAPACITY,
+            "value interner shard overflow"
+        );
+        let local = self.values.len() as u32;
+        let flag = if v.is_null() { VALUE_NULL_FLAG } else { 0 };
+        let id = ValueId((local << VALUE_SHARD_BITS) | shard_no | flag);
+        self.keys.push(v.order_key());
+        self.values.push(v.clone());
+        self.map.insert(v.clone(), id);
+        id
     }
 }
 
@@ -144,18 +161,13 @@ fn value_shard_of(v: &Value) -> u32 {
 
 impl ValueId {
     #[inline]
-    fn compose(shard_no: u32, local: u32) -> ValueId {
-        ValueId((local << VALUE_SHARD_BITS) | shard_no)
-    }
-
-    #[inline]
     fn shard_no(self) -> u32 {
         self.0 & VALUE_SHARD_MASK
     }
 
     #[inline]
     fn local(self) -> u32 {
-        self.0 >> VALUE_SHARD_BITS
+        (self.0 & !VALUE_NULL_FLAG) >> VALUE_SHARD_BITS
     }
 }
 
@@ -178,8 +190,8 @@ pub fn intern_value(v: &Value) -> ValueId {
     let shard = &value_interner().shards[shard_no as usize];
     {
         let guard = shard.read();
-        if let Some(&local) = guard.map.get(v) {
-            return ValueId::compose(shard_no, local);
+        if let Some(&id) = guard.map.get(v) {
+            return id;
         }
     }
     shard.write().intern(shard_no, v)
@@ -195,7 +207,6 @@ pub fn find_value_id(v: &Value) -> Option<ValueId> {
         .map
         .get(v)
         .copied()
-        .map(|local| ValueId::compose(shard_no, local))
 }
 
 /// Resolve a [`ValueId`] back to the value it interns (a clone out of the
@@ -259,7 +270,7 @@ pub fn intern_values(values: &[Value]) -> Box<[ValueId]> {
         for (v, &shard_no) in values.iter().zip(&shards) {
             let guard = guards[shard_no as usize].as_ref().expect("guard held");
             match guard.map.get(v) {
-                Some(&local) => out.push(ValueId::compose(shard_no, local)),
+                Some(&id) => out.push(id),
                 None => {
                     all_known = false;
                     break;
@@ -297,7 +308,7 @@ where
             for v in *row {
                 let shard_no = value_shard_of(v);
                 match guards[shard_no as usize].map.get(v) {
-                    Some(&local) => out.push(ValueId::compose(shard_no, local)),
+                    Some(&id) => out.push(id),
                     None => {
                         out.truncate(start);
                         break 'rows;
@@ -790,8 +801,13 @@ mod tests {
 
     #[test]
     fn concurrent_interning_across_shards_is_consistent() {
+        // Constants and labelled nulls mixed, so both kinds race for the
+        // same shards' local indices.
         let values: Vec<Value> = (0..64)
-            .map(|i| Value::str(&format!("shard-stress-{i}")))
+            .map(|i| match i % 2 {
+                0 => Value::str(&format!("shard-stress-{i}")),
+                _ => Value::Null(NullId(u64::MAX / 2 + i)),
+            })
             .collect();
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -806,6 +822,7 @@ mod tests {
         for (v, id) in values.iter().zip(&ids[0]) {
             assert_eq!(&resolve_value(*id), v);
             assert_eq!(find_value_id(v), Some(*id));
+            assert_eq!(id.is_null(), v.is_null(), "null flag of {v}");
         }
     }
 

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use vadalog_model::prelude::*;
 use vadalog_model::{
     facts_isomorphic, facts_pattern_isomorphic, iso_key, pattern_key, row_iso_key, row_pattern_key,
-    PatternKey, RowIsoKey,
+    rows_isomorphic, PatternKey, RowIsoKey,
 };
 
 /// A small pool of predicate names so that collisions are frequent enough to
@@ -151,6 +151,39 @@ proptest! {
         let iso = facts_isomorphic(&a, &b);
         prop_assert_eq!(iso_key(&a) == iso_key(&b), iso);
         prop_assert_eq!(row_keys(&a).0 == row_keys(&b).0, iso);
+    }
+
+    /// The allocation-free row comparison the warded strategy runs decides
+    /// exactly what comparing row-level keys decides, on unrelated pairs
+    /// and on bijective null renamings of one fact (mostly isomorphic).
+    #[test]
+    fn rows_isomorphic_agrees_with_row_iso_keys(
+        a in fact_for_keys(),
+        b in fact_for_keys(),
+        offset in 100u64..200,
+    ) {
+        let renamed = rename_nulls_bijectively(&a, offset);
+        let (ra, rb, rr) = (a.intern_args(), b.intern_args(), renamed.intern_args());
+        let p = a.predicate;
+        for (x, y) in [(&ra, &rb), (&rb, &ra), (&ra, &rr), (&rr, &rb), (&ra, &ra)] {
+            prop_assert_eq!(
+                rows_isomorphic(x, y),
+                row_iso_key(p, x) == row_iso_key(p, y)
+            );
+        }
+        // The renaming reaches nulls inside lists too, which changes those
+        // constants: the renamed fact is isomorphic only without them.
+        prop_assert_eq!(rows_isomorphic(&ra, &rr), facts_isomorphic(&a, &renamed));
+    }
+
+    /// An id carries the null flag exactly when it interns a labelled null;
+    /// a composite holding a null is a constant.
+    #[test]
+    fn null_flag_matches_the_interned_value(f in fact_for_keys()) {
+        for v in &f.args {
+            let id = intern_value(v);
+            prop_assert_eq!(id.is_null(), matches!(resolve_value(id), Value::Null(_)));
+        }
     }
 
     // ------------------------------------------------------- pattern iso

@@ -59,7 +59,8 @@ const MAX_SKOLEM_DEPTH: usize = 4;
 /// by the budget keep their grounded copy, so the output is always
 /// harmless-warded; the price is that null-joins reachable only through
 /// longer propagation chains are not rewritten (the outcome is flagged
-/// `complete = false` and the deviation is recorded in DESIGN.md).
+/// `complete = false`; ROADMAP.md tracks the answers this loses as open
+/// item 2, "Harmful-join elimination that loses no answers").
 const UNFOLD_BUDGET: usize = 6;
 
 /// Result of harmful-join elimination.

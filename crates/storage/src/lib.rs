@@ -170,7 +170,7 @@ pub use pattern::{
 };
 pub use store::{
     table_bytes, FactId, FactStore, HeapBytes, IndexStats, OpenSpans, Probe, RangeFilter, Relation,
-    RowArena, StoreBase, StoreBytes, TrieCursor,
+    RowArena, StoreBase, StoreBytes, TrieCursor, Vacancy,
 };
 pub use wal::{TornTail, Wal, WalError, WalOpen};
 pub use wcoj::{leapfrog_join, WcojCounters, WcojLevel};

@@ -1097,6 +1097,22 @@ impl SortedIndex {
     }
 }
 
+/// Room for a row its relation does not hold: what [`Relation::vacancy`]
+/// found and [`Relation::fill`] uses, so the row is hashed and probed once.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Vacancy {
+    tag: u32,
+    slot: usize,
+    id: FactId,
+}
+
+impl Vacancy {
+    /// The [`FactId`] the row gets when it is filled in.
+    pub fn id(&self) -> FactId {
+        self.id
+    }
+}
+
 /// A single relation: all rows of one predicate.
 ///
 /// Every layer keeps its own rows in one [`RowArena`] (rows of any arity
@@ -1219,23 +1235,45 @@ impl Relation {
     /// Insert a row; returns its fresh [`FactId`], or `None` if an equal row
     /// is already present (in the shared base or in this relation).
     pub fn insert_row(&mut self, row: &[ValueId]) -> Option<FactId> {
-        let base_len = self.base_row_count();
-        let local = self.rows.len();
+        let vacancy = self.vacancy(row)?;
+        Some(self.fill(vacancy, row))
+    }
+
+    /// Where `row` would go: `None` when some layer holds it, otherwise the
+    /// row's dedup tag, the free slot of this layer's table that ended the
+    /// probe, and the [`FactId`] the row gets. [`Relation::fill`] stores it
+    /// there, so a caller that decides in between (a termination strategy,
+    /// which only reads the store) hashes and probes the row once.
+    pub fn vacancy(&self, row: &[ValueId]) -> Option<Vacancy> {
         assert!(
-            base_len + local < u32::MAX as usize,
+            self.len() < u32::MAX as usize,
             "relation overflow: FactId space exhausted"
         );
+        let id = FactId(self.len() as u32);
         let tag = row_tag(row);
         if self.base_chain_find(tag, row).is_some() {
             return None;
         }
-        let rows = &self.rows;
-        let slot = self.dedup.find(tag, |i| rows.row(i) == row).err()?;
-        self.dedup.insert_at(slot, tag, local);
-        let id = FactId((base_len + local) as u32);
+        let slot = self.dedup.find(tag, |i| self.rows.row(i) == row).err()?;
+        Some(Vacancy { tag, slot, id })
+    }
+
+    /// Insert `row` where [`Relation::vacancy`] found room for it, growing
+    /// the dedup table if it is full, and return its [`FactId`].
+    ///
+    /// # Panics
+    /// Panics if the relation changed since `vacancy` was taken.
+    pub fn fill(&mut self, vacancy: Vacancy, row: &[ValueId]) -> FactId {
+        let Vacancy { tag, slot, id } = vacancy;
+        assert_eq!(
+            id.index(),
+            self.len(),
+            "a vacancy is filled before any other insert"
+        );
+        self.dedup.insert_at(slot, tag, self.rows.len());
         self.index_new_row(id, row);
         self.rows.push(row);
-        Some(id)
+        id
     }
 
     /// Keep the already-materialised indices up to date with a new row (the
@@ -1768,16 +1806,15 @@ impl FactStore {
 
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        let ground = fact.is_ground();
-        self.insert_row(fact.predicate, &fact.intern_args(), ground)
+        self.insert_row(fact.predicate, &fact.intern_args())
     }
 
-    /// Insert a fact its caller has already interned; `ground` says whether
-    /// the fact is free of labelled nulls ([`Fact::is_ground`]). Returns
-    /// `true` if it was new. This is [`FactStore::insert`] for a loader
-    /// that also hands the row to someone else, so it interns once.
-    pub fn insert_row(&mut self, predicate: Sym, row: &[ValueId], ground: bool) -> bool {
-        self.holds_nulls |= !ground;
+    /// Insert a fact its caller has already interned; returns `true` if it
+    /// was new. A row holding a labelled null ([`ValueId::is_null`]) sets
+    /// [`FactStore::holds_nulls`]. This is [`FactStore::insert`] for a
+    /// loader that also hands the row to someone else, so it interns once.
+    pub fn insert_row(&mut self, predicate: Sym, row: &[ValueId]) -> bool {
+        self.holds_nulls |= row.iter().any(|id| id.is_null());
         self.relation_mut(predicate).insert_row(row).is_some()
     }
 
@@ -1811,14 +1848,15 @@ impl FactStore {
                 let fact = fact.borrow();
                 let row = &ids[start..start + fact.args.len()];
                 start += fact.args.len();
-                fresh += usize::from(self.insert_row(fact.predicate, row, fact.is_ground()));
+                fresh += usize::from(self.insert_row(fact.predicate, row));
             }
         }
     }
 
     /// Did a fact carrying a labelled null enter through
-    /// [`FactStore::insert`] — into this store or, for an overlay, into the
-    /// snapshot below it? That Fact-level path is how extensional data
+    /// [`FactStore::insert`] or [`FactStore::insert_row`] — into this store
+    /// or, for an overlay, into the snapshot below it? That path is how
+    /// extensional data
     /// arrives; rows written through [`FactStore::relation_mut`] (a
     /// pipeline's derived rows) never set the bit, so a store whose nulls
     /// were all invented by rules reports `false`. The reasoning pipeline
@@ -2375,6 +2413,39 @@ mod tests {
         ];
         assert_eq!(rel.insert_rows(batch), 1);
         assert_eq!(rel.len(), 2);
+    }
+
+    /// A vacancy is found once and filled where its probe ended, also when
+    /// the fill grows the dedup table; a row some layer holds has none.
+    #[test]
+    fn a_vacancy_is_filled_where_the_probe_ended() {
+        let held = own("a", "b", 0.6).intern_args();
+        let mut base = Relation::new();
+        base.insert_row(&held);
+        let mut rel = Relation::with_base(Arc::new(base));
+        assert_eq!(rel.vacancy(&held), None, "the base holds it");
+        for i in 1..=100u32 {
+            let row = own(&format!("v{i}"), "b", 0.6).intern_args();
+            let vacancy = rel.vacancy(&row).expect("a new row");
+            assert_eq!(vacancy.id(), FactId(i));
+            assert_eq!(rel.fill(vacancy, &row), FactId(i));
+            assert_eq!(rel.vacancy(&row), None);
+            assert_eq!(rel.find_row(&row), Some(FactId(i)));
+        }
+        assert_eq!(rel.len(), 101);
+    }
+
+    #[test]
+    #[should_panic(expected = "a vacancy is filled before any other insert")]
+    fn a_stale_vacancy_is_refused() {
+        let mut rel = Relation::new();
+        let (a, b) = (
+            own("a", "b", 0.6).intern_args(),
+            own("c", "d", 0.5).intern_args(),
+        );
+        let vacancy = rel.vacancy(&a).expect("empty relation");
+        rel.insert_row(&b);
+        rel.fill(vacancy, &a);
     }
 
     /// The flat layout's footprint, counted by capacity: an arity-3 row

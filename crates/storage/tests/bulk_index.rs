@@ -150,7 +150,7 @@ proptest! {
         let predicate = intern("BulkR");
         let mut store = FactStore::new();
         for row in &ids[..half] {
-            store.insert_row(predicate, row, true);
+            store.insert_row(predicate, row);
         }
         let mut base = store.freeze();
         for cols in &lists {
@@ -158,7 +158,7 @@ proptest! {
         }
         let mut overlay = base.overlay();
         for row in &ids[half..] {
-            overlay.insert_row(predicate, row, true);
+            overlay.insert_row(predicate, row);
         }
         base.promote(overlay);
         let promoted = base.overlay();

@@ -4,7 +4,7 @@
 //! The real DBpedia dump (~67K companies, ~1.5M persons) is replaced by a
 //! seeded synthetic generator with the same shape: a control DAG built from
 //! parent-company chains plus a key-person relation assigning persons to
-//! companies (see DESIGN.md, "Substitutions").
+//! companies.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

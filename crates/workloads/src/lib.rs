@@ -19,8 +19,7 @@
 //! All generators take explicit seeds and sizes so that the numbers in
 //! `benchmark/RESULTS.md` are reproducible; the real DBpedia dumps and the
 //! proprietary European ownership graph are replaced by synthetic
-//! equivalents with the same shape parameters (see DESIGN.md,
-//! "Substitutions").
+//! equivalents with the same shape parameters.
 
 pub mod chasebench;
 pub mod dbpedia;
