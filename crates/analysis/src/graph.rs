@@ -31,11 +31,12 @@ pub struct PredicateGraph {
     predecessors: BTreeMap<Sym, BTreeSet<(Sym, EdgeKind)>>,
 }
 
-/// Error returned when a program cannot be stratified (a negated dependency
-/// participates in a cycle).
+/// Error returned when a program cannot be stratified: a predicate is
+/// negated inside its own strongly connected component, so it depends on
+/// its own negation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StratificationError {
-    /// A predicate on the offending negative cycle.
+    /// The predicate negated inside its own component.
     pub predicate: String,
 }
 
@@ -43,7 +44,7 @@ impl fmt::Display for StratificationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "program is not stratifiable: negation through recursion involving predicate {}",
+            "program is not stratifiable: predicate {} is negated inside its own recursion",
             self.predicate
         )
     }
@@ -86,8 +87,11 @@ impl PredicateGraph {
         self.nodes.iter()
     }
 
-    /// Strongly connected components (Tarjan), in reverse topological order
-    /// (a component is listed after the components it depends on).
+    /// Strongly connected components (Tarjan), each sorted, in dependency
+    /// order: a component is listed after every component it depends on
+    /// (the component of a rule's body predicate comes no later than its
+    /// head's). Tarjan finishes dependents first; the list is that order
+    /// reversed, the order [`PredicateGraph::stratify`] assigns strata in.
     pub fn sccs(&self) -> Vec<Vec<Sym>> {
         // Iterative Tarjan to avoid recursion limits on large programs.
         #[derive(Default, Clone)]
@@ -168,6 +172,7 @@ impl PredicateGraph {
                 }
             }
         }
+        sccs.reverse();
         sccs
     }
 
@@ -198,50 +203,56 @@ impl PredicateGraph {
         !self.recursive_predicates().is_empty()
     }
 
-    /// Compute a stratification: a mapping from predicates to stratum
-    /// numbers such that positive dependencies never decrease the stratum and
-    /// negative dependencies strictly increase it. Fails when negation occurs
-    /// inside a cycle.
+    /// Each predicate's stratum, from the condensation of
+    /// [`PredicateGraph::sccs`]: the components in dependency order, each
+    /// at the lowest stratum that is at least every positive predecessor's
+    /// and above every negated one's. A stratum therefore rises only across
+    /// a negated edge, and a negation-free program is one stratum, 0.
+    /// Fails when a negated edge stays inside one component, naming the
+    /// negated predicate.
     pub fn stratify(&self) -> Result<BTreeMap<Sym, usize>, StratificationError> {
-        let mut stratum: BTreeMap<Sym, usize> = self.nodes.iter().map(|n| (*n, 0usize)).collect();
-        let n = self.nodes.len().max(1);
-        // Bellman-Ford-style relaxation; more than n*n updates means a
-        // negative cycle (negation through recursion).
-        for iteration in 0..=(n * n) {
-            let mut changed = false;
-            for (from, edges) in &self.successors {
-                for (to, kind) in edges {
-                    let required = match kind {
-                        EdgeKind::Positive => stratum[from],
-                        EdgeKind::Negative => stratum[from] + 1,
-                    };
-                    if stratum[to] < required {
-                        stratum.insert(*to, required);
-                        changed = true;
-                        if stratum[to] > n {
+        let mut stratum: BTreeMap<Sym, usize> = BTreeMap::new();
+        for component in self.sccs() {
+            let mut level = 0;
+            for q in &component {
+                for (p, kind) in self.predecessors.get(q).into_iter().flatten() {
+                    let negated = *kind == EdgeKind::Negative;
+                    match stratum.get(p) {
+                        Some(s) => level = level.max(s + usize::from(negated)),
+                        // Not yet placed, so `p` is in this component.
+                        None if negated => {
                             return Err(StratificationError {
-                                predicate: to.as_str(),
-                            });
+                                predicate: p.as_str(),
+                            })
                         }
+                        None => {}
                     }
                 }
             }
-            if !changed {
-                return Ok(stratum);
-            }
-            if iteration == n * n {
-                break;
-            }
+            stratum.extend(component.into_iter().map(|q| (q, level)));
         }
-        Err(StratificationError {
-            predicate: self
-                .nodes
-                .iter()
-                .next()
-                .map(|s| s.as_str())
-                .unwrap_or_default(),
-        })
+        Ok(stratum)
     }
+}
+
+/// The strata every evaluator of `program` runs, lowest first: each the
+/// ascending indices into `program.rules` of the rules it evaluates, with
+/// strata that hold no rule dropped. A rule belongs to the lowest stratum
+/// of its head predicates ([`PredicateGraph::stratify`]): its positive body
+/// predicates are at most that stratum and its negated ones strictly below
+/// it, so every relation the rule negates is complete once the strata
+/// below have reached their fixpoints. Constraints and EGDs have no head
+/// and belong to no stratum: they are checked on the final instance. A
+/// negation-free program is one stratum holding every rule with a head.
+pub fn rule_strata(program: &Program) -> Result<Vec<Vec<usize>>, StratificationError> {
+    let strata = PredicateGraph::build(program).stratify()?;
+    let mut rules: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (r, rule) in program.rules.iter().enumerate() {
+        if let Some(s) = rule.head_atoms().iter().map(|h| strata[&h.predicate]).min() {
+            rules.entry(s).or_default().push(r);
+        }
+    }
+    Ok(rules.into_values().collect())
 }
 
 #[cfg(test)]
@@ -296,15 +307,21 @@ mod tests {
         let g = graph(
             "A(x) -> B(x).\n\
              B(x) -> C(x).\n\
-             C(x) -> B(x).",
+             C(x) -> B(x).\n\
+             C(x) -> D(x).",
         );
-        let sccs = g.sccs();
-        // the {B, C} component must come after {A} is... (reverse topological:
-        // component listed after the ones it depends on). Find positions.
-        let pos_a = sccs.iter().position(|c| c.contains(&intern("A"))).unwrap();
-        let pos_bc = sccs.iter().position(|c| c.contains(&intern("B"))).unwrap();
-        assert!(sccs[pos_bc].contains(&intern("C")));
-        assert!(pos_a < pos_bc || sccs[pos_bc].len() == 2);
+        // Components sort by symbol id, which other tests' interning order
+        // decides: compare each as a set of names.
+        let names: Vec<BTreeSet<String>> = g
+            .sccs()
+            .iter()
+            .map(|c| c.iter().map(|p| p.as_str()).collect())
+            .collect();
+        let expected: Vec<BTreeSet<String>> = [&["A"][..], &["B", "C"], &["D"]]
+            .iter()
+            .map(|c| c.iter().map(|p| p.to_string()).collect())
+            .collect();
+        assert_eq!(names, expected);
     }
 
     #[test]
@@ -312,20 +329,47 @@ mod tests {
         let g = graph(
             "Company(x), not Dissolved(x) -> Active(x).\n\
              Active(x), Owns(x, y) -> Reach(x, y).\n\
-             Reach(x, y), Owns(y, z) -> Reach(x, z).",
+             Reach(x, y), Owns(y, z) -> Reach(x, z).\n\
+             Company(x), not Reach(x, x) -> Acyclic(x).",
         );
         let strata = g.stratify().unwrap();
-        assert!(strata[&intern("Active")] > strata[&intern("Dissolved")]);
-        assert!(strata[&intern("Reach")] >= strata[&intern("Active")]);
+        let at = |p: &str| strata[&intern(p)];
+        assert_eq!(
+            ["Company", "Dissolved", "Owns", "Active", "Reach", "Acyclic"].map(at),
+            [0, 0, 0, 1, 1, 2]
+        );
     }
 
     #[test]
-    fn negation_in_a_cycle_is_rejected() {
-        let g = graph(
-            "P(x), not Q(x) -> R(x).\n\
-             R(x) -> Q(x).",
+    fn negation_in_a_cycle_is_rejected_naming_the_negated_predicate() {
+        for src in [
+            "P(x), not Q(x) -> R(x).\nR(x) -> Q(x).",
+            "A(x), not Q(x) -> Q(x).",
+        ] {
+            let err = graph(src).stratify().unwrap_err();
+            assert_eq!(err.predicate, "Q", "{src}");
+        }
+    }
+
+    #[test]
+    fn rules_run_in_the_lowest_stratum_of_their_heads() {
+        let program = parse_program(
+            "V(x), not Isolated(x) -> Member(x).\n\
+             V(x), not Touched(x) -> Isolated(x).\n\
+             T(x, y) -> Touched(x).\n\
+             T(x, y) -> Touched(y).\n\
+             E(x, y) -> T(x, y).\n\
+             T(x, y), E(y, z) -> T(x, z).\n\
+             Member(x) -> false.",
+        )
+        .unwrap();
+        assert_eq!(
+            rule_strata(&program).unwrap(),
+            [vec![2, 3, 4, 5], vec![1], vec![0]]
         );
-        assert!(g.stratify().is_err());
+        // Negation-free: one stratum of every rule with a head.
+        let program = parse_program("E(x, y) -> T(x, y).\nT(x, x) -> false.").unwrap();
+        assert_eq!(rule_strata(&program).unwrap(), [vec![0]]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   hierarchy of Figure 1 (Datalog, Linear, Guarded, Warded,
 //!   Harmless-Warded, Weakly-Frontier-Guarded),
 //! * [`graph`] — the predicate dependency graph, strongly connected
-//!   components, recursion detection and stratification of negation; this is
-//!   also the skeleton the engine compiles its pipeline from,
+//!   components, recursion detection and stratification of negation
+//!   ([`rule_strata`]: the strata the engine's pipeline, both chase
+//!   baselines and `vadalog classify` all use),
 //! * [`hypergraph`] — GYO α-acyclicity of a rule body's join hypergraph,
 //!   used by the engine to route cyclic bodies (triangles, cliques) to the
 //!   worst-case-optimal join path.
@@ -30,7 +31,7 @@ pub mod variables;
 pub mod wardedness;
 
 pub use fragment::{classify, Fragment, FragmentReport};
-pub use graph::{PredicateGraph, StratificationError};
+pub use graph::{rule_strata, PredicateGraph, StratificationError};
 pub use hypergraph::{atoms_are_cyclic, cyclic_core, rule_body_is_cyclic};
 pub use positions::{affected_positions, AffectedPositions, Position};
 pub use variables::{classify_rule_variables, VariableRole, VariableRoles};

@@ -1,16 +1,21 @@
 //! A chase engine driven by a pluggable termination strategy (Algorithm 2 of
 //! the paper, with the naïve step replaced by breadth-first rounds).
 //!
-//! The engine applies rules in rounds: in each round every rule is matched
-//! against the instance as it stood when the round started (the paper's
-//! round-robin, breadth-first discipline); then the round's chase steps
-//! fire in match order, each candidate fact is offered to the store
-//! ([`offer_row`]: exact duplicates are cut there, the termination strategy
-//! decides the rest) and admitted facts are inserted at once. The chase
-//! stops when a round admits nothing or a configured cap is reached.
+//! The engine runs the program's strata ([`rule_strata`]) in order, each to
+//! its fixpoint, so a negated atom is matched against a complete relation.
+//! Within a stratum it applies rules in rounds: in each round every rule of
+//! the stratum is matched against the instance as it stood when the round
+//! started (the paper's round-robin, breadth-first discipline); then the
+//! round's chase steps fire in match order, each candidate fact is offered
+//! to the store ([`offer_row`]: exact duplicates are cut there, the
+//! termination strategy decides the rest) and admitted facts are inserted
+//! at once. A stratum is done when a round admits nothing; the chase stops
+//! after the last stratum or when a configured cap is reached (rounds
+//! count over all strata), and then checks the constraints and EGDs once
+//! on the instance it reached.
 
 use std::collections::{BTreeSet, HashSet};
-use vadalog_analysis::{analyze_program, ProgramWardedness, RuleKind};
+use vadalog_analysis::{analyze_program, rule_strata, ProgramWardedness, RuleKind};
 use vadalog_model::prelude::*;
 use vadalog_storage::{ActiveDomain, FactStore};
 
@@ -88,11 +93,17 @@ impl ChaseResult {
 }
 
 /// Run the chase of `program` under the given termination strategy.
+///
+/// # Panics
+///
+/// On a program with no stratification (a predicate negated inside its
+/// own recursion).
 pub fn run_chase(
     program: &Program,
     strategy: &mut dyn TerminationStrategy,
     options: &ChaseOptions,
 ) -> ChaseResult {
+    let strata = rule_strata(program).unwrap_or_else(|e| panic!("run_chase: {e}"));
     let analysis = analyze_program(program);
     let mut store = FactStore::new();
     let mut stats = ChaseStats::default();
@@ -121,60 +132,73 @@ pub fn run_chase(
     let mut fired: HashSet<(u32, String)> = HashSet::new();
     // One probe-scratch set for the whole run: every match call reuses it.
     let mut match_bufs = MatchBuffers::default();
+    stats.aggregate_rules_skipped = program.rules.iter().filter(|r| r.has_aggregation()).count();
 
-    loop {
-        if stats.rounds >= max_rounds || store.len() >= max_facts {
-            break;
-        }
-        stats.rounds += 1;
-        // Match every rule against the instance as the round found it: the
-        // round's TGD triggers fire only once all rules are matched.
-        let mut triggers: Vec<(usize, Substitution)> = Vec::new();
-        for (rule_idx, rule) in program.rules.iter().enumerate() {
-            if rule.has_aggregation() {
-                if stats.rounds == 1 {
-                    stats.aggregate_rules_skipped += 1;
-                }
-                continue;
+    'strata: for stratum in &strata {
+        loop {
+            if stats.rounds >= max_rounds || store.len() >= max_facts {
+                break 'strata;
             }
-            for m in find_matches_with(rule, &store, &mut match_bufs) {
-                let trigger = (rule_idx as u32, m.to_string());
-                if !fired.insert(trigger) {
+            stats.rounds += 1;
+            // Match every rule of the stratum against the instance as the
+            // round found it: the round's triggers fire only once all its
+            // rules are matched.
+            let mut triggers: Vec<(usize, Substitution)> = Vec::new();
+            for &rule_idx in stratum {
+                let rule = &program.rules[rule_idx];
+                if rule.has_aggregation() {
                     continue;
                 }
-                stats.rule_applications += 1;
-                match &rule.head {
-                    RuleHead::Falsum => {
-                        violations.push(format!("constraint violated: {rule} under {m}"));
+                for m in find_matches_with(rule, &store, &mut match_bufs) {
+                    let trigger = (rule_idx as u32, m.to_string());
+                    if !fired.insert(trigger) {
+                        continue;
                     }
-                    RuleHead::Equality(a, b) => {
-                        check_egd(rule, a, b, &m, &mut violations);
-                    }
+                    stats.rule_applications += 1;
                     // Restricted chase: skip if the head is already satisfied.
-                    RuleHead::Atoms(_)
-                        if options.variant == ChaseVariant::Restricted
-                            && head_satisfied(rule, &m, &store) => {}
-                    RuleHead::Atoms(_) => triggers.push((rule_idx, m)),
+                    if options.variant == ChaseVariant::Restricted
+                        && head_satisfied(rule, &m, &store)
+                    {
+                        continue;
+                    }
+                    triggers.push((rule_idx, m));
                 }
             }
-        }
 
-        let generated = stats.facts_generated;
-        for (rule_idx, m) in &triggers {
-            let rule = &program.rules[*rule_idx];
-            apply_tgd(
-                rule,
-                *rule_idx as u32,
-                m,
-                &analysis,
-                &nulls,
-                strategy,
-                &mut store,
-                &mut stats,
-            );
+            let generated = stats.facts_generated;
+            for (rule_idx, m) in &triggers {
+                let rule = &program.rules[*rule_idx];
+                apply_tgd(
+                    rule,
+                    *rule_idx as u32,
+                    m,
+                    &analysis,
+                    &nulls,
+                    strategy,
+                    &mut store,
+                    &mut stats,
+                );
+            }
+            if stats.facts_generated == generated {
+                break;
+            }
         }
-        if stats.facts_generated == generated {
-            break;
+    }
+
+    // Constraints and EGDs, once, on the final instance.
+    for rule in &program.rules {
+        if rule.is_tgd() || rule.has_aggregation() {
+            continue;
+        }
+        for m in find_matches_with(rule, &store, &mut match_bufs) {
+            stats.rule_applications += 1;
+            match &rule.head {
+                RuleHead::Falsum => {
+                    violations.push(format!("constraint violated: {rule} under {m}"));
+                }
+                RuleHead::Equality(a, b) => check_egd(rule, a, b, &m, &mut violations),
+                RuleHead::Atoms(_) => unreachable!("TGDs run in the strata"),
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 use crate::options::{CliCommand, CliOptions, OptionError, USAGE};
 use std::fmt;
 use std::fmt::Write as _;
-use vadalog_analysis::{analyze_program, classify, PredicateGraph};
+use vadalog_analysis::{analyze_program, classify, rule_strata, PredicateGraph};
 use vadalog_engine::{
     AccessPlan, FilterNode, QuerySession, Reasoner, ReasonerError, ReasonerOptions, RecoveryReport,
     RunCap, RunResult,
@@ -435,10 +435,9 @@ fn cmd_classify(options: &CliOptions) -> Result<String, CliError> {
         analysis.harmful_join_count()
     );
     let _ = writeln!(out, "recursive:           {}", graph.is_recursive());
-    match graph.stratify() {
+    match rule_strata(&program) {
         Ok(strata) => {
-            let max = strata.values().max().copied().unwrap_or(0);
-            let _ = writeln!(out, "stratifiable:        true ({} strata)", max + 1);
+            let _ = writeln!(out, "stratifiable:        true ({} strata)", strata.len());
         }
         Err(e) => {
             let _ = writeln!(out, "stratifiable:        false ({e})");
@@ -462,12 +461,14 @@ fn cmd_classify(options: &CliOptions) -> Result<String, CliError> {
 
 fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, CliError> {
     let program = load_program(options)?;
+    rule_strata(&program).map_err(|e| CliError::Reasoner(ReasonerError::Unstratifiable(e)))?;
     let rewritten = prepare_rules(&program);
     let plan = AccessPlan::compile(&rewritten);
-    // A final-stratum filter is driven from its smallest body relation
+    // A fold-stratum filter is driven from its smallest body relation
     // after the fixpoint, which only a run can tell: run the program (with
     // the rewriting shown here) for the relation sizes.
-    let store = if plan.filters.iter().any(|f| f.final_stratum) {
+    let folds = plan.fold_stratum();
+    let store = if !folds.is_empty() {
         let engine = ReasonerOptions {
             apply_rewriting: true,
             ..engine
@@ -496,8 +497,23 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
     let sinks: Vec<String> = plan.sinks.iter().map(|s| s.as_str().to_string()).collect();
     let _ = writeln!(out, "sources: {}", sources.join(", "));
     let _ = writeln!(out, "sinks:   {}", sinks.join(", "));
+    let strata: Vec<String> = plan
+        .strata
+        .iter()
+        .map(|stratum| {
+            let ids: Vec<String> = stratum
+                .filters
+                .iter()
+                .map(|&f| plan.filters[f].rule_id.to_string())
+                .collect();
+            let tag = if stratum.fold { "final " } else { "" };
+            format!("{tag}[{}]", ids.join(", "))
+        })
+        .collect();
+    let _ = writeln!(out, "strata:  {}", strata.join(" "));
     let _ = writeln!(out, "filters: {}", plan.filters.len());
-    for filter in &plan.filters {
+    for (f, filter) in plan.filters.iter().enumerate() {
+        let fold = folds.contains(&f);
         let _ = writeln!(
             out,
             "  filter {} [{}{}{}]: {}",
@@ -512,20 +528,20 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
             } else {
                 ""
             },
-            if filter.final_stratum { ", final" } else { "" },
+            if fold { ", final" } else { "" },
             rule_to_text(&filter.rule)
         );
         match &store {
-            Some(store) if filter.final_stratum => {
+            Some(store) if fold => {
                 let rows: Vec<usize> = filter
                     .rule
                     .body_atoms()
                     .iter()
                     .map(|a| store.relation(a.predicate).map_or(0, |r| r.len()))
                     .collect();
-                write_probe_orders(&mut out, filter, filter.final_driver(&rows));
+                write_probe_orders(&mut out, filter, filter.final_driver(&rows), "driver");
             }
-            _ => write_probe_orders(&mut out, filter, None),
+            _ => write_probe_orders(&mut out, filter, None, "delta"),
         }
     }
     if !plan.checks.is_empty() {
@@ -537,25 +553,20 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
                 check.rule_id,
                 rule_to_text(&check.rule)
             );
-            write_probe_orders(&mut out, check, check.check_driver());
+            write_probe_orders(&mut out, check, check.check_driver(), "delta");
         }
     }
     Ok(out)
 }
 
 /// One line per delta position of `node` (only position `only` when set,
-/// the driver of a check or a final-stratum filter): the atoms in probe
-/// order, each with the columns it probes exactly (`[..]`, or `scan`) and
-/// its range column, a `*` on each step the delta-aware order moved off its
-/// canonical position, and the leapfrog core when the position has a
-/// free-join plan. A final-stratum filter's line starts with `driver`.
-fn write_probe_orders(out: &mut String, node: &FilterNode, only: Option<usize>) {
+/// the driver of a check or a fold-stratum filter), starting with `lead`:
+/// the atoms in probe order, each with the columns it probes exactly
+/// (`[..]`, or `scan`) and its range column, a `*` on each step the
+/// delta-aware order moved off its canonical position, and the leapfrog
+/// core when the position has a free-join plan.
+fn write_probe_orders(out: &mut String, node: &FilterNode, only: Option<usize>, lead: &str) {
     let atoms = node.rule.body_atoms();
-    let lead = if node.final_stratum {
-        "driver"
-    } else {
-        "delta"
-    };
     for (d, dp) in node.delta_plans.iter().enumerate() {
         if only.is_some_and(|o| o != d) {
             continue;
@@ -1138,6 +1149,39 @@ mod tests {
         assert!(out.contains("fragment:   Datalog"));
         assert!(out.contains("warded:              true"));
         assert!(out.contains("recursive:           true"));
+        assert!(
+            out.contains("stratifiable:        true (1 strata)"),
+            "{out}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn classify_and_explain_show_the_strata_negation_needs() {
+        let src = "E(1, 2). V(1). V(3).\n\
+                   V(x), not Touched(x) -> Isolated(x).\n\
+                   E(x, y) -> Touched(x).\n\
+                   Isolated(x), n = mcount(x) -> Count(n).\n";
+        let path = temp_program("strata.vada", src);
+        let out = run_cli(&args(&["classify", &path])).unwrap();
+        assert!(
+            out.contains("stratifiable:        true (2 strata)"),
+            "{out}"
+        );
+        let out = run_cli(&args(&["explain", &path])).unwrap();
+        assert!(out.contains("\nstrata:  [1] [0] final [2]\n"), "{out}");
+        std::fs::write(&path, "A(1). A(x), not Q(x) -> Q(x).\n").unwrap();
+        let out = run_cli(&args(&["classify", &path])).unwrap();
+        assert!(
+            out.contains("stratifiable:        false (program is not stratifiable: predicate Q")
+        );
+        for command in ["run", "explain"] {
+            let err = run_cli(&args(&[command, &path])).unwrap_err();
+            assert!(
+                matches!(err, CliError::Reasoner(ReasonerError::Unstratifiable(_))),
+                "{command}: {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1154,6 +1198,8 @@ mod tests {
         assert!(out.contains("reasoning access plan"));
         assert!(out.contains("sinks:   Control"));
         assert!(out.contains("filters: "));
+        // One swept stratum, then the sink aggregate's fold stratum.
+        assert!(out.contains("\nstrata:  [0, 1, 2, 4] final [3]\n"), "{out}");
         // The PSC delta probes outward: KeyPerson (sharing `p`) before
         // Control, which the join order puts first; both are marked moved.
         let psc = out
@@ -1171,7 +1217,7 @@ mod tests {
             out.contains("    delta Control(x, y) -> Own(y, z, w) [0] range 2\n"),
             "{out}"
         );
-        // The sink aggregate runs in the final stratum, driven from `Own`
+        // The sink aggregate runs in the fold stratum, driven from `Own`
         // (2 rows) rather than `Control` (3 rows after the fixpoint): one
         // `driver` line instead of one line per delta position.
         let mut holdings = out

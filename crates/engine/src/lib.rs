@@ -21,13 +21,19 @@
 //!    (`vadalog-chase`'s Algorithm 1) whenever the run can hold a labelled
 //!    null — a null-free run admits through the store's own dedup.
 //!
-//! Filters are scheduled round-robin and consume their predecessors' new
-//! facts incrementally until every filter reports a *real miss* (no further
-//! facts can ever arrive), which is the same fixpoint the paper's pull-based
-//! volcano iterators reach when every `next()` chain bottoms out. A sink
-//! aggregate ([`FilterNode::final_stratum`]) sits the sweeps out and runs
-//! once after the fixpoint, emitting one fact per group (see
-//! [`pipeline`]'s "The final stratum").
+//! The plan's strata ([`AccessPlan::strata`], from
+//! `vadalog_analysis::rule_strata`) run in order, lowest first. Within a
+//! stratum, filters are scheduled round-robin and consume their
+//! predecessors' new facts incrementally until every filter reports a
+//! *real miss* (no further facts can ever arrive), which is the same
+//! fixpoint the paper's pull-based volcano iterators reach when every
+//! `next()` chain bottoms out; then the next stratum starts, so a negated
+//! relation is complete before any filter reads it. A negation-free
+//! program is one stratum. Sink aggregates form the last, fold stratum:
+//! each runs once over the complete instance, emitting one fact per group
+//! (see [`pipeline`]'s "Strata"). A program that negates a predicate
+//! inside its own recursion is refused with
+//! [`ReasonerError::Unstratifiable`].
 //!
 //! # The two-level scheduler: batches of chunks, deterministic merges
 //!
@@ -171,7 +177,7 @@ pub use pipeline::{
 };
 pub use plan::{
     chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,
-    JoinOrder, PushedCondition, StepPlan, StepProbe,
+    JoinOrder, PushedCondition, StepPlan, StepProbe, Stratum,
 };
 pub use reasoner::{
     QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats, TerminationKind,

@@ -1,5 +1,6 @@
 //! The runnable pipeline: slot-machine joins, termination-strategy wrappers,
-//! monotonic aggregation and round-robin filter scheduling (Section 4).
+//! monotonic aggregation and a scheduler that runs the plan's strata in
+//! order, each swept round-robin to its fixpoint (Section 4).
 //!
 //! # Index-aware joins and condition pushdown
 //!
@@ -21,12 +22,13 @@
 //!
 //! # Two-level parallel sweeps: batches of chunks
 //!
-//! Each round-robin sweep is executed as a sequence of **batches**: the
-//! filters are scanned in index order, quiescent filters (no input grew
-//! since their last activation) are skipped, and a batch grows until it
-//! reaches a filter whose input predicates intersect the output predicates
-//! of a filter already in the batch — that filter starts the next batch, so
-//! within a batch every join reads only relations frozen at batch start.
+//! Each round-robin sweep of a stratum is executed as a sequence of
+//! **batches**: the stratum's filters are scanned in index order, quiescent
+//! filters (no input grew since their last activation) are skipped, and a
+//! batch grows until it reaches a filter whose input predicates intersect
+//! the output predicates of a filter already in the batch — that filter
+//! starts the next batch, so within a batch every join reads only
+//! relations frozen at batch start.
 //!
 //! Within a batch the unit of parallel work is not the filter but the
 //! **(filter, chunk)** pair: every non-quiescent filter's delta windows (the
@@ -83,18 +85,29 @@
 //! facts stored so far, derived ones included, are roots to the strategy,
 //! and admission continues under it (see [`Pipeline::load_facts`]).
 //!
-//! # The final stratum
+//! # Strata
 //!
-//! A filter the plan marks [`FilterNode::final_stratum`] — a sink aggregate
-//! whose head nothing reads — takes no part in the sweeps. After the
-//! fixpoint, before the checks, each runs once over the complete instance,
-//! as a batch of its own: driven from the body position whose relation has
-//! the fewest rows ([`FilterNode::final_driver`]), every other position
-//! reading its whole relation, as a check does. Every match folds into a
-//! fresh aggregate state and stops there; then the first match of each
-//! group, in first-seen order, goes through the ordinary emission path,
-//! where re-folding it reads the group's final value. One fact per group is
-//! offered, instead of one per match that improves the value.
+//! [`Pipeline::run`] is one loop over the plan's strata
+//! ([`AccessPlan::strata`]), lowest first. A swept stratum runs its filters
+//! round-robin, sweep after sweep, until a sweep derives nothing; only then
+//! does the next stratum start. A filter's negated relations lie in lower
+//! strata, so they are complete before it runs, and a negated atom is
+//! checked against its final relation. A negation-free program is one
+//! swept stratum. [`PipelineStats::iterations`] and the `max_iterations`
+//! cap count sweeps summed over all strata; a cap stops the run in the
+//! stratum where it fires, and no later stratum runs.
+//!
+//! The last stratum can be the fold stratum ([`crate::plan::Stratum::fold`]):
+//! sink aggregates, whose heads nothing reads. Each of its filters runs
+//! once over the complete instance, as a batch of its own: driven from the
+//! body position whose relation has the fewest rows
+//! ([`FilterNode::final_driver`]), every other position reading its whole
+//! relation, as a check does. Every match folds into a fresh aggregate
+//! state and stops there; then the first match of each group, in
+//! first-seen order, goes through the ordinary emission path, where
+//! re-folding it reads the group's final value. One fact per group is
+//! offered, instead of one per match that improves the value. The checks
+//! run after the last stratum.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
@@ -339,7 +352,7 @@ enum Pass {
     /// A sweep activation: aggregates fold into the filter's state and
     /// Skolem terms mint nulls.
     Fire,
-    /// The final stratum's fold: like [`Pass::Fire`], but the match stops
+    /// The fold stratum's fold: like [`Pass::Fire`], but the match stops
     /// at the (single) aggregate once it has folded.
     Fold,
     /// A constraint / EGD check: no state changes.
@@ -663,11 +676,11 @@ struct JoinCx<'a, 'r> {
 /// Statistics of a pipeline run.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct PipelineStats {
-    /// Round-robin sweeps over the filters.
+    /// Round-robin sweeps, summed over all swept strata.
     pub iterations: usize,
     /// Disjoint-input filter batches executed across all sweeps (each batch
     /// is one parallel join fan-out followed by one deterministic merge),
-    /// plus one batch per final-stratum filter pass and the one batch of
+    /// plus one batch per fold-stratum filter pass and the one batch of
     /// constraint/EGD checks when the plan has any.
     pub sweep_batches: usize,
     /// Filter activations that produced at least one new fact.
@@ -770,7 +783,7 @@ pub struct PipelineStats {
 /// [`PipelineStats::capped`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunCap {
-    /// `max_iterations` round-robin sweeps ran.
+    /// `max_iterations` sweeps ran, summed over the strata.
     Iterations(usize),
     /// The store held more than `max_facts` facts.
     Facts(usize),
@@ -868,7 +881,7 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Cap the number of round-robin sweeps.
+    /// Cap the number of sweeps, summed over the strata.
     pub fn with_max_iterations(mut self, max: usize) -> Self {
         self.options.max_iterations = max;
         self
@@ -876,7 +889,9 @@ impl<'a> Pipeline<'a> {
 
     /// Load the extensional database. The loaded predicates' readers are
     /// woken, so a [`Pipeline::run`] after an earlier one treats the new
-    /// rows as deltas.
+    /// rows as deltas. Such a run only adds facts: one derived earlier
+    /// through a negated atom the new rows now match stays, so it equals a
+    /// fresh run over all the rows only on a plan without negation.
     ///
     /// The first fact that carries a labelled null ends a null-free run
     /// (see the module docs). Nothing is registered with the strategy: it
@@ -923,8 +938,9 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Run the pipeline to its fixpoint; returns the violations of the
-    /// plan's constraint/EGD checks.
+    /// Run the plan's strata in order, each to its fixpoint (see the
+    /// module docs' "Strata"); returns the violations of the plan's
+    /// constraint/EGD checks.
     pub fn run(&mut self) -> Vec<String> {
         self.stats.edb_rows_reused = self.store.base_rows() as u64;
         self.stats.base_layers = self.store.max_layer_depth() as u64;
@@ -950,16 +966,47 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        let n_filters = self.plan.filters.len();
+        // One loop over the plan's strata, lowest first: a stratum starts
+        // once every stratum below it has reached its fixpoint, so each
+        // relation a filter negates is complete when the filter runs. A
+        // cap stops the run where it fires: no later stratum runs over an
+        // incomplete instance.
         self.stats.capped = None;
+        let plan = self.plan;
+        for stratum in &plan.strata {
+            if stratum.fold {
+                self.fold_stratum(&stratum.filters);
+            } else if !self.sweep_to_fixpoint(&stratum.filters) {
+                break;
+            }
+        }
+
+        self.stats.nulls_invented = self.nulls.produced();
+        let strategy = self.strategy.stats();
+        self.stats.strategy = StrategyStats {
+            admitted: strategy.admitted + self.dedup_stats.admitted,
+            duplicates: strategy.duplicates + self.dedup_stats.duplicates,
+            ..strategy
+        };
+        self.stats.strategy_bytes = self.strategy.heap_bytes() as u64;
+        self.stats.iso_comparisons = self.strategy.iso_comparisons();
+        self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
+
+        self.run_checks()
+    }
+
+    /// Sweep one stratum's `filters` round-robin until a sweep derives
+    /// nothing. Returns `false` when a cap stopped it first (see
+    /// [`PipelineStats::capped`]).
+    fn sweep_to_fixpoint(&mut self, filters: &[usize]) -> bool {
         loop {
             if self.stats.iterations >= self.options.max_iterations {
                 self.stats.capped = Some(RunCap::Iterations(self.options.max_iterations));
-                break;
+                return false;
             }
             if self.store.len() > self.options.max_facts {
                 self.stats.capped = Some(RunCap::Facts(self.options.max_facts));
-                break;
+                return false;
             }
             self.stats.iterations += 1;
             let mut any = false;
@@ -972,8 +1019,8 @@ impl<'a> Pipeline<'a> {
             // the result is bit-identical to activating the filters one at
             // a time.
             let mut next = 0;
-            while next < n_filters {
-                let (jobs, scanned_to) = self.build_batch(next);
+            while next < filters.len() {
+                let (jobs, scanned_to) = self.build_batch(filters, next);
                 next = scanned_to;
                 if jobs.is_empty() {
                     continue;
@@ -992,36 +1039,18 @@ impl<'a> Pipeline<'a> {
                 }
             }
             if !any {
-                break;
+                return true;
             }
         }
-
-        self.run_final_stratum();
-
-        self.stats.nulls_invented = self.nulls.produced();
-        let strategy = self.strategy.stats();
-        self.stats.strategy = StrategyStats {
-            admitted: strategy.admitted + self.dedup_stats.admitted,
-            duplicates: strategy.duplicates + self.dedup_stats.duplicates,
-            ..strategy
-        };
-        self.stats.strategy_bytes = self.strategy.heap_bytes() as u64;
-        self.stats.iso_comparisons = self.strategy.iso_comparisons();
-        self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
-
-        self.run_checks()
     }
 
-    /// Run the final stratum (see the module docs): each
-    /// [`FilterNode::final_stratum`] filter whose body relations grew since
-    /// its last pass runs once over the complete instance, in filter order,
-    /// one batch per filter.
-    fn run_final_stratum(&mut self) {
+    /// Run the fold stratum (see the module docs): each of its `filters`
+    /// whose body relations grew since its last pass runs once over the
+    /// complete instance, in filter order, one batch per filter.
+    fn fold_stratum(&mut self, filters: &[usize]) {
         let plan = self.plan;
-        for (f_idx, filter) in plan.filters.iter().enumerate() {
-            if !filter.final_stratum {
-                continue;
-            }
+        for &f_idx in filters {
+            let filter = &plan.filters[f_idx];
             let rows: Vec<usize> = filter
                 .rule
                 .body_atoms()
@@ -1058,7 +1087,7 @@ impl<'a> Pipeline<'a> {
     /// complete instance and collect them as one batch. The driver's window
     /// is its whole relation, and every other position reads its whole
     /// relation; only the driver's plan is compiled. Returns each job with
-    /// its matches, in order. The checks and the final stratum share it.
+    /// its matches, in order. The checks and the fold stratum share it.
     fn run_whole(
         &mut self,
         runs: &[(&FilterNode, usize, Option<usize>)],
@@ -1158,27 +1187,24 @@ impl<'a> Pipeline<'a> {
         self.stats
     }
 
-    /// Build one sweep batch starting at filter `start`: scan filters in
-    /// index order, preparing every non-quiescent one, and stop at the first
-    /// filter whose inputs (positive or negated body predicates) intersect
-    /// the outputs of a filter already in the batch — that filter must see
-    /// the batch's inserts, so it starts the next batch. Returns the
-    /// prepared jobs and the index the scan stopped at.
-    fn build_batch(&mut self, start: usize) -> (Vec<FilterJob>, usize) {
+    /// Build one sweep batch from a stratum's `filters`, starting at
+    /// position `start`: scan them in order, preparing every non-quiescent
+    /// one, and stop at the first filter whose inputs (positive or negated
+    /// body predicates) intersect the outputs of a filter already in the
+    /// batch — that filter must see the batch's inserts, so it starts the
+    /// next batch. Returns the prepared jobs and the position the scan
+    /// stopped at.
+    fn build_batch(&mut self, filters: &[usize], start: usize) -> (Vec<FilterJob>, usize) {
         let mut jobs = Vec::new();
         let mut batch_outputs: BTreeSet<Sym> = BTreeSet::new();
         let mut i = start;
-        while i < self.plan.filters.len() {
-            let filter = &self.plan.filters[i];
-            if filter.final_stratum {
-                i += 1;
-                continue;
-            }
+        while i < filters.len() {
+            let filter = &self.plan.filters[filters[i]];
             if !jobs.is_empty() && filter.reads_any(&batch_outputs) {
                 break;
             }
-            if let Some(job) = self.prepare(i) {
-                batch_outputs.extend(self.plan.filters[i].outputs.iter().copied());
+            if let Some(job) = self.prepare(filters[i]) {
+                batch_outputs.extend(filter.outputs.iter().copied());
                 jobs.push(job);
             }
             i += 1;
@@ -2742,7 +2768,7 @@ mod tests {
     #[test]
     fn final_stratum_reruns_give_the_aggregates_of_a_fresh_run_over_the_union() {
         // Sink aggregates over an EDB predicate and over a derived one, a
-        // threshold included: they run in the final stratum.
+        // threshold included: they run in the fold stratum.
         let rules = "E(x, y) -> R(x, y).\n\
                      R(x, y), E(y, z) -> R(x, z).\n\
                      E(x, y), n = mcount(y) -> Degree(x, n).\n\
@@ -2754,11 +2780,7 @@ mod tests {
         let more = [edge("a", "d"), edge("c", "e"), edge("f", "a")];
         let program = parse_program(rules).unwrap();
         let plan = AccessPlan::compile(&program);
-        assert_eq!(
-            plan.filters.iter().filter(|f| f.final_stratum).count(),
-            3,
-            "every aggregate is a sink"
-        );
+        assert_eq!(plan.fold_stratum(), [2, 3, 4], "every aggregate is a sink");
         let options = ReasonerOptions::default();
         let outputs = |p: &Pipeline| collect_outputs(&program, &plan, p.store(), &options);
 
@@ -2774,7 +2796,7 @@ mod tests {
         let reach2 = &outputs(&fresh)[&intern("Reach2")];
         assert!(reach2.contains(&Fact::new("Reach2", vec![Value::str("a"), Value::Int(4)])));
 
-        // A run with nothing new leaves the final stratum idle.
+        // A run with nothing new leaves the fold stratum idle.
         let (facts, batches) = (grown.stats().facts_derived, grown.stats().sweep_batches);
         grown.run();
         assert_eq!(grown.stats().facts_derived, facts);

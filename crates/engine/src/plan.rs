@@ -2,7 +2,7 @@
 //! (Section 4, steps 2 and 3).
 
 use std::collections::{BTreeMap, BTreeSet};
-use vadalog_analysis::{analyze_program, ProgramWardedness};
+use vadalog_analysis::{analyze_program, rule_strata, ProgramWardedness};
 use vadalog_model::prelude::*;
 
 /// The join order chosen for one rule: a permutation of the body-atom
@@ -305,13 +305,6 @@ pub struct FilterNode {
     pub outputs: BTreeSet<Sym>,
     /// Does the rule carry a monotonic aggregation?
     pub has_aggregation: bool,
-    /// Does the filter run in the final stratum: skipped by the sweeps,
-    /// then run once over the complete instance after the fixpoint,
-    /// emitting one fact per aggregate group? Set by
-    /// [`AccessPlan::compile`] for a sink aggregate (see [`folds_to_final`]
-    /// for the rule's shape) whose head predicates no filter or check
-    /// reads.
-    pub final_stratum: bool,
     /// Conditions classified as index-pushable (see [`PushedCondition`]);
     /// the remaining conditions stay residual and are evaluated in emission,
     /// on the narrowed candidate set only: on ids when both sides are
@@ -340,7 +333,6 @@ impl FilterNode {
             outputs: rule.head_predicates().into_iter().collect(),
             join_order,
             has_aggregation: rule.has_aggregation(),
-            final_stratum: false,
             pushed,
             delta_plans,
             rule: rule.clone(),
@@ -362,7 +354,7 @@ impl FilterNode {
         self.join_order.0.first().copied()
     }
 
-    /// The body position a final-stratum run drives from: the one whose
+    /// The body position a fold-stratum run drives from: the one whose
     /// relation has the fewest rows (`rows[pos]`), the first on ties.
     /// `None` for a body with no positive atom.
     pub fn final_driver(&self, rows: &[usize]) -> Option<usize> {
@@ -730,11 +722,33 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
     plans
 }
 
+/// One stratum of an [`AccessPlan`]'s schedule.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Stratum {
+    /// The stratum's filters, as ascending indices into
+    /// [`AccessPlan::filters`].
+    pub filters: Vec<usize>,
+    /// Is this the fold stratum? Its filters are sink aggregates (see
+    /// [`folds_to_final`] for the rule's shape) whose head predicates no
+    /// filter or check reads. Instead of being swept to a fixpoint, each
+    /// runs once over the complete instance and emits one fact per
+    /// aggregate group. Only the last stratum can be one.
+    pub fold: bool,
+}
+
 /// The reasoning access plan: filters, sources and sinks.
 #[derive(Clone, Debug)]
 pub struct AccessPlan {
     /// One filter per (TGD) rule, in rule order.
     pub filters: Vec<FilterNode>,
+    /// The schedule: the strata of [`vadalog_analysis::rule_strata`], in
+    /// order, each holding its filters except the sink aggregates, which
+    /// form the last, fold stratum. Strata left empty are dropped. A
+    /// negation-free program has one swept stratum, every filter but the
+    /// sink aggregates in filter order. An unstratifiable program, which
+    /// [`crate::Reasoner`] and [`crate::QuerySession`] refuse to run, gets
+    /// that one swept stratum too.
+    pub strata: Vec<Stratum>,
     /// Source predicates (extensional data enters the pipeline here).
     pub sources: BTreeSet<Sym>,
     /// Sink predicates (`@output`, or derived as in [`Program::output_predicates`]).
@@ -763,7 +777,7 @@ impl AccessPlan {
     /// Compile a program into an access plan.
     pub fn compile(program: &Program) -> AccessPlan {
         let analysis = analyze_program(program);
-        let (mut filters, checks): (Vec<FilterNode>, Vec<FilterNode>) = program
+        let (filters, checks): (Vec<FilterNode>, Vec<FilterNode>) = program
             .rules
             .iter()
             .enumerate()
@@ -774,17 +788,57 @@ impl AccessPlan {
             .chain(&checks)
             .flat_map(|f| f.inputs.iter().copied())
             .collect();
-        for filter in &mut filters {
-            filter.final_stratum =
-                folds_to_final(&filter.rule) && filter.outputs.is_disjoint(&read);
-        }
+        let folds: Vec<bool> = filters
+            .iter()
+            .map(|f| folds_to_final(&f.rule) && f.outputs.is_disjoint(&read))
+            .collect();
+        // Filters are the TGDs in rule order, so a rule's filter is found
+        // by its id.
+        let swept = match rule_strata(program) {
+            Ok(strata) => strata
+                .iter()
+                .map(|rules| {
+                    rules
+                        .iter()
+                        .map(|&r| {
+                            filters
+                                .binary_search_by_key(&(r as u32), |f| f.rule_id)
+                                .expect("a rule with a head is a filter")
+                        })
+                        .collect()
+                })
+                .collect(),
+            Err(_) => vec![(0..filters.len()).collect()],
+        };
+        let mut strata: Vec<Stratum> = swept
+            .into_iter()
+            .map(|members: Vec<usize>| Stratum {
+                filters: members.into_iter().filter(|&f| !folds[f]).collect(),
+                fold: false,
+            })
+            .chain([Stratum {
+                filters: (0..filters.len()).filter(|&f| folds[f]).collect(),
+                fold: true,
+            }])
+            .collect();
+        strata.retain(|s| !s.filters.is_empty());
         AccessPlan {
             invents_nulls: filters.iter().any(|f| rule_invents_nulls(&f.rule)),
             filters,
+            strata,
             sources: program.edb_predicates(),
             sinks: program.output_predicates(),
             checks,
             analysis,
+        }
+    }
+
+    /// The filters of the fold stratum (see [`Stratum::fold`]); empty when
+    /// the plan has none.
+    pub fn fold_stratum(&self) -> &[usize] {
+        match self.strata.last() {
+            Some(stratum) if stratum.fold => &stratum.filters,
+            _ => &[],
         }
     }
 
@@ -976,8 +1030,8 @@ mod tests {
     }
 
     #[test]
-    fn sink_aggregates_qualify_for_the_final_stratum_by_shape() {
-        // (rules, does filter 0 run in the final stratum?). Filter 0 writes
+    fn sink_aggregates_qualify_for_the_fold_stratum_by_shape() {
+        // (rules, does filter 0 run in the fold stratum?). Filter 0 writes
         // `L`; a second rule or a check reads it where the row says so.
         let table = [
             // One qualifying row per function and threshold operator,
@@ -1019,8 +1073,43 @@ mod tests {
         ];
         for (src, expected) in table {
             let plan = AccessPlan::compile(&parse_program(src).unwrap());
-            assert_eq!(plan.filters[0].final_stratum, expected, "{src}");
+            assert_eq!(plan.fold_stratum() == [0], expected, "{src}");
         }
+    }
+
+    #[test]
+    fn strata_follow_negation_and_end_with_the_fold_stratum() {
+        let strata = |src: &str| AccessPlan::compile(&parse_program(src).unwrap()).strata;
+        let swept = |filters: &[usize]| Stratum {
+            filters: filters.to_vec(),
+            fold: false,
+        };
+        let fold = |filters: &[usize]| Stratum {
+            filters: filters.to_vec(),
+            fold: true,
+        };
+        // Negation-free: one swept stratum in filter order (the check,
+        // rule 1, is no filter), then the sink aggregate, filter 1.
+        assert_eq!(
+            strata(
+                "E(x, y) -> T(x, y).\n\
+                 T(x, x) -> false.\n\
+                 T(x, y), n = mcount(y) -> D(x, n).\n\
+                 T(x, y), E(y, z) -> T(x, z)."
+            ),
+            [swept(&[0, 2]), fold(&[1])]
+        );
+        // Rules written top stratum first run bottom stratum first.
+        assert_eq!(
+            strata(
+                "V(x), not I(x) -> M(x).\n\
+                 V(x), not T(x) -> I(x).\n\
+                 E(x, y) -> T(x)."
+            ),
+            [swept(&[2]), swept(&[1]), swept(&[0])]
+        );
+        // An unstratifiable program compiles to one swept stratum.
+        assert_eq!(strata("A(x), not Q(x) -> Q(x)."), [swept(&[0])]);
     }
 
     #[test]

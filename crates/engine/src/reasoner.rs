@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
-use vadalog_analysis::{classify, Fragment};
+use vadalog_analysis::{classify, rule_strata, Fragment, StratificationError};
 use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, ParseError};
@@ -60,7 +60,8 @@ pub struct ReasonerOptions {
     /// against. Acyclic bodies always run binary joins. The final instance
     /// is bit-identical at either setting.
     pub join_strategy: crate::pipeline::JoinStrategy,
-    /// Cap on round-robin sweeps (safety valve for unsupported programs).
+    /// Cap on round-robin sweeps, summed over the strata (safety valve
+    /// for unsupported programs).
     pub max_iterations: usize,
     /// Cap on stored facts.
     pub max_facts: usize,
@@ -128,9 +129,13 @@ pub enum ReasonerError {
     },
     /// The session's write-ahead log could not be written or replayed. When
     /// this is returned from `QuerySession::append_facts` the append was
-    /// **not** applied: the in-memory base, strategy template and caches are
-    /// exactly as before the call.
+    /// **not** applied: the in-memory base and caches are exactly as before
+    /// the call.
     Wal(vadalog_storage::WalError),
+    /// The program negates a predicate inside its own recursion, so it has
+    /// no stratification (see `vadalog_analysis::rule_strata`) and no
+    /// stratum order would make its negation sound.
+    Unstratifiable(StratificationError),
 }
 
 impl std::fmt::Display for ReasonerError {
@@ -148,6 +153,7 @@ impl std::fmt::Display for ReasonerError {
                 write!(f, "append requires a ground fact, got `{atom}`")
             }
             ReasonerError::Wal(e) => write!(f, "{e}"),
+            ReasonerError::Unstratifiable(e) => write!(f, "{e}"),
         }
     }
 }
@@ -248,7 +254,8 @@ impl Reasoner {
         self.reason(&program)
     }
 
-    /// Run a parsed program.
+    /// Run a parsed program. A program with no stratification is refused
+    /// with [`ReasonerError::Unstratifiable`].
     pub fn reason(&self, program: &Program) -> Result<RunResult, ReasonerError> {
         let compile_start = Instant::now();
 
@@ -258,6 +265,7 @@ impl Reasoner {
                 fragment: report.primary(),
             });
         }
+        rule_strata(program).map_err(ReasonerError::Unstratifiable)?;
 
         // Step 1: logic optimizer (+ harmful-join elimination).
         let rewritten;

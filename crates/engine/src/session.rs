@@ -76,7 +76,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use vadalog_analysis::{classify, Fragment};
+use vadalog_analysis::{classify, rule_strata, Fragment};
 use vadalog_fault as fault;
 use vadalog_model::prelude::*;
 use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
@@ -548,8 +548,10 @@ impl QuerySession {
     /// Open a session: normalise the program, intern the extensional
     /// database (inline facts plus `@bind` CSV sources, in program order —
     /// the one EDB intern pass of the session) and freeze the store into
-    /// the shared base.
+    /// the shared base. A program with no stratification is refused with
+    /// [`ReasonerError::Unstratifiable`].
     pub fn new(program: &Program, options: ReasonerOptions) -> Result<QuerySession, ReasonerError> {
+        rule_strata(program).map_err(ReasonerError::Unstratifiable)?;
         let rules_only = prepare_rules(program);
         let bound = crate::reasoner::load_bound_facts(&rules_only)?;
         let edb = || program.facts.iter().chain(&bound);
@@ -654,9 +656,9 @@ impl QuerySession {
         }
     }
 
-    /// A second handle onto the **same** session: shared EDB base, strategy
-    /// template, compiled-plan cache, ensure-index memos and cone cache; a
-    /// handle holds nothing of its own. Forks are how the reasoning server
+    /// A second handle onto the **same** session: shared EDB base,
+    /// compiled-plan cache, ensure-index memos and cone cache; a handle
+    /// holds nothing of its own. Forks are how the reasoning server
     /// gives each worker thread its own `&mut` session while all of them
     /// answer over one knowledge graph: appends through any fork are
     /// visible to every other fork's next query, and a cone derived by one

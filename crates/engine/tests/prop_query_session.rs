@@ -1,9 +1,10 @@
 //! Property tests for [`vadalog_engine::QuerySession`]: answering a query
-//! atom on a session — copy-on-write EDB snapshot, cached adorned compile,
-//! cloned strategy template — must be **observationally identical** to a
-//! fresh bottom-up run of the whole program with value-level post-filtering,
-//! for random chain/join programs, random query adornments, every thread
-//! count and with the magic-sets rewrite both on and off.
+//! atom on a session — copy-on-write EDB snapshot, cached adorned
+//! compile, a fresh termination strategy per run — must be
+//! **observationally identical** to a fresh bottom-up run of the whole
+//! program with value-level post-filtering, for random chain/join
+//! programs, random query adornments, every thread count and with the
+//! magic-sets rewrite both on and off.
 //!
 //! "Identical" is exact: the same facts *including labelled-null ids* (the
 //! fallback path replays the fresh run's admission and invention order bit
@@ -158,8 +159,8 @@ proptest! {
 
     /// Existential slice (bottom-up fallback): answers — *including
     /// labelled-null ids* — equal the fresh reference exactly, at every
-    /// thread count. The cloned strategy template and the shared snapshot
-    /// must replay the fresh run's null invention order bit for bit.
+    /// thread count. The per-run strategy and the shared snapshot must
+    /// replay the fresh run's null invention order bit for bit.
     #[test]
     fn session_fallback_replays_nulls_exactly(
         program in chain_join_program(true),

@@ -452,9 +452,9 @@ fn final_stratum_outputs_equal_monotonic_emission() {
             let program = vadalog_parser::parse_program(src).unwrap();
             let plan =
                 vadalog_engine::AccessPlan::compile(&vadalog_rewrite::prepare_rules(&program));
-            plan.filters
+            plan.fold_stratum()
                 .iter()
-                .filter(|f| f.has_aggregation && f.final_stratum)
+                .filter(|&&f| plan.filters[f].has_aggregation)
                 .count()
         };
         assert!(finals(&sink) > 0, "{rules} runs in the final stratum");

@@ -5,7 +5,9 @@
 //! session and a query/append schedule — and on null-free variants of the
 //! first and the last two, which the engine admits without the termination
 //! strategy, plus a null-free lollipop query/append schedule whose leapfrog
-//! tries walk sorted runs on a layered session base. The CLI is driven in-process through `run_cli_with`, the seam `main.rs`
+//! tries walk sorted runs on a layered session base, and a three-stratum
+//! negation chain, whose output is also the same under every termination
+//! strategy. The CLI is driven in-process through `run_cli_with`, the seam `main.rs`
 //! wraps, so the matrix runs under the root `cargo test` with no process
 //! environment involved.
 //!
@@ -299,7 +301,36 @@ fn null_free_programs_are_identical_across_the_matrix() {
     assert_eq!(layered.matches("% append ").count(), 4, "{layered}");
     assert!(layered.contains("Lolli(0, 20, 5, 105)."), "{layered}");
     assert!(layered.contains("Lolli(20, 5, 1, 101)."), "{layered}");
-    for out in [&run, &queries, &appends, &layered] {
+    // Three strata, rules written top stratum first: the output is also
+    // the same under every termination strategy.
+    let strata: Vec<String> = [
+        "V(x), not Isolated(x) -> Member(x).",
+        "V(x), not Touched(x) -> Isolated(x).",
+        "T(x, y) -> Touched(x).",
+        "T(x, y) -> Touched(y).",
+        "E(x, y) -> T(x, y).",
+        "T(x, y), E(y, z) -> T(x, z).",
+        "E(1, 2). E(2, 3). V(1). V(2). V(3). V(4).",
+        "@output(\"Member\").",
+        "@output(\"Isolated\").",
+    ]
+    .map(String::from)
+    .to_vec();
+    let stratified: Vec<String> = ["warded", "trivial-iso", "exact-dedup"]
+        .iter()
+        .map(|kind| {
+            let path = program_file(&format!("strata_{kind}"), &strata);
+            assert_identical_across_matrix("run", &path, &["--termination", kind])
+        })
+        .collect();
+    assert!(stratified.iter().all(|out| *out == stratified[0]));
+    assert!(
+        stratified[0].contains("% Member (3 facts)\n") && stratified[0].contains("Isolated(4)."),
+        "{}",
+        stratified[0]
+    );
+
+    for out in [&run, &queries, &appends, &layered, &stratified[0]] {
         assert!(!out.contains("_:ν"), "no labelled nulls: {out}");
     }
 }

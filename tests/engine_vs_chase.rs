@@ -124,6 +124,63 @@ fn parallel_sweep_agrees_with_chase_and_itself_at_every_thread_count() {
     }
 }
 
+/// Stratified programs, and the answer of each to one of its predicates,
+/// stated by hand: (program, predicate, the values of its one column).
+/// Each negates a relation that only a later sweep or round completes.
+const STRATIFIED_TABLE: &[(&str, &str, &[i64])] = &[
+    // Reachability from `Start` and its complement.
+    (
+        "Node(1). Node(2). Node(3). Node(5). Node(9). Edge(1, 2). Edge(2, 3). Start(1).\n\
+         Start(x) -> Reach(x).\n\
+         Reach(x), Edge(x, y) -> Reach(y).\n\
+         Node(x), not Reach(x) -> Unreached(x).",
+        "Unreached",
+        &[5, 9],
+    ),
+    // Three strata, the top one's rule first.
+    (
+        "E(1, 2). E(2, 3). V(1). V(2). V(3). V(4).\n\
+         V(x), not Isolated(x) -> Member(x).\n\
+         V(x), not Touched(x) -> Isolated(x).\n\
+         T(x, y) -> Touched(x).\n\
+         T(x, y) -> Touched(y).\n\
+         E(x, y) -> T(x, y).\n\
+         T(x, y), E(y, z) -> T(x, z).",
+        "Member",
+        &[1, 2, 3],
+    ),
+];
+
+#[test]
+fn stratified_negation_agreement() {
+    for (src, predicate, values) in STRATIFIED_TABLE {
+        let program = parse_program(src).unwrap();
+        let expected: std::collections::BTreeSet<Fact> = values
+            .iter()
+            .map(|&v| Fact::new(predicate, vec![Value::Int(v)]))
+            .collect();
+        let engine = Reasoner::new().reason(&program).unwrap();
+        let mut strategy = WardedStrategy::new();
+        let chase = run_chase(&program, &mut strategy, &ChaseOptions::default());
+        let seminaive = seminaive_datalog(&program, 100);
+        assert_eq!(
+            ground_facts_of(&engine.facts_of(predicate)),
+            expected,
+            "{src}"
+        );
+        assert_eq!(
+            ground_facts_of(&chase.facts_of(predicate)),
+            expected,
+            "{src}"
+        );
+        assert_eq!(
+            ground_facts_of(&seminaive.facts_of(predicate)),
+            expected,
+            "{src}"
+        );
+    }
+}
+
 /// A constraint/EGD program, the number of violations it has, and the
 /// exact messages among them that the row pins.
 type ViolationRow = (&'static str, usize, &'static [&'static str]);

@@ -3,7 +3,7 @@
 //! equality-generating dependencies, and the `Dom(*)` active-domain guard of
 //! Example 6.
 
-use vadalog_engine::{JoinStrategy, Reasoner, ReasonerOptions};
+use vadalog_engine::{JoinStrategy, Reasoner, ReasonerError, ReasonerOptions};
 use vadalog_model::prelude::*;
 use vadalog_parser::parse_program;
 
@@ -61,6 +61,96 @@ fn appending_a_negated_fact_removes_the_output_it_blocks() {
     assert_eq!(after, fresh.output("C"));
     let query = Atom::new("C", vec![Term::var("x")]);
     assert_eq!(session.query(&query).unwrap().answers, after);
+}
+
+/// The `Int` facts of `predicate` for `values`, sorted like
+/// [`sorted_output`].
+fn ints(predicate: &str, values: &[i64]) -> Vec<Fact> {
+    let mut facts: Vec<Fact> = values
+        .iter()
+        .map(|&v| Fact::new(predicate, vec![Value::Int(v)]))
+        .collect();
+    facts.sort();
+    facts
+}
+
+fn sorted_output(result: &vadalog_engine::RunResult, predicate: &str) -> Vec<Fact> {
+    let mut facts = result.output(predicate);
+    facts.sort();
+    facts
+}
+
+/// `Unreached` negates the recursive `Reach`, so it may only run once
+/// `Reach` is complete: nodes 2 and 3 are reached in later sweeps than the
+/// first one that could fire the negation.
+#[test]
+fn negation_waits_for_the_recursion_it_negates() {
+    let src = "Node(1). Node(2). Node(3). Node(5). Node(9). Edge(1, 2). Edge(2, 3). Start(1).\n\
+               Start(x) -> Reach(x).\n\
+               Reach(x), Edge(x, y) -> Reach(y).\n\
+               Node(x), not Reach(x) -> Unreached(x).\n\
+               @output(\"Reach\"). @output(\"Unreached\").";
+    let result = Reasoner::new().reason_text(src).unwrap();
+    assert_eq!(sorted_output(&result, "Reach"), ints("Reach", &[1, 2, 3]));
+    assert_eq!(
+        sorted_output(&result, "Unreached"),
+        ints("Unreached", &[5, 9])
+    );
+}
+
+/// Three strata with the rules written top stratum first: `T` and
+/// `Touched` (stratum 0), `Isolated` negating `Touched` (1), `Member`
+/// negating `Isolated` (2). Node 4 touches no edge.
+#[test]
+fn three_strata_run_in_dependency_order_whatever_the_rule_order() {
+    let src = "E(1, 2). E(2, 3). V(1). V(2). V(3). V(4).\n\
+               V(x), not Isolated(x) -> Member(x).\n\
+               V(x), not Touched(x) -> Isolated(x).\n\
+               T(x, y) -> Touched(x).\n\
+               T(x, y) -> Touched(y).\n\
+               E(x, y) -> T(x, y).\n\
+               T(x, y), E(y, z) -> T(x, z).\n\
+               @output(\"Member\"). @output(\"Isolated\").";
+    let result = Reasoner::new().reason_text(src).unwrap();
+    assert_eq!(sorted_output(&result, "Member"), ints("Member", &[1, 2, 3]));
+    assert_eq!(sorted_output(&result, "Isolated"), ints("Isolated", &[4]));
+}
+
+/// `Q` negates itself: no stratum order makes that sound, so every public
+/// entry refuses the program, naming `Q`.
+#[test]
+fn unstratifiable_programs_are_refused_at_every_entry() {
+    let src = "A(1). A(2). A(x), not Q(x) -> Q(x). @output(\"Q\").";
+    let names_q = |err: ReasonerError| match err {
+        ReasonerError::Unstratifiable(e) => assert_eq!(e.predicate, "Q"),
+        other => panic!("expected Unstratifiable, got {other}"),
+    };
+    names_q(Reasoner::new().reason_text(src).unwrap_err());
+    names_q(Reasoner::new().session_text(src).err().unwrap());
+    let program = parse_program(src).unwrap();
+    names_q(
+        vadalog_server::ReasoningServer::start(&program, vadalog_server::ServerConfig::default())
+            .err()
+            .unwrap(),
+    );
+
+    // `vadalog run` fails (the binary exits 1 on any such error).
+    let path = std::env::temp_dir().join(format!(
+        "vadalog_unstratifiable_{}.vada",
+        std::process::id()
+    ));
+    std::fs::write(&path, src).unwrap();
+    let args = ["run".to_string(), path.to_string_lossy().into_owned()];
+    let err = vadalog_cli::run_cli_with(&args, ReasonerOptions::default()).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            err,
+            vadalog_cli::CliError::Reasoner(ReasonerError::Unstratifiable(_))
+        ),
+        "{err}"
+    );
+    assert!(err.to_string().contains("Q"), "{err}");
 }
 
 #[test]
