@@ -9,8 +9,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, rule_strata, PredicateGraph};
 use vadalog_engine::{
-    AccessPlan, FilterNode, QuerySession, Reasoner, ReasonerError, ReasonerOptions, RecoveryReport,
-    RunCap, RunResult,
+    AccessPlan, FilterNode, OutputFacts, QuerySession, Reasoner, ReasonerError, ReasonerOptions,
+    RecoveryReport, RunCap, RunResult,
 };
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
@@ -229,15 +229,15 @@ fn finish(output: String, capped: Option<RunCap>) -> Result<String, CliError> {
     }
 }
 
-fn selected_outputs(result: &RunResult, options: &CliOptions) -> Vec<(String, Vec<Fact>)> {
+fn selected_outputs<'r>(
+    result: &'r RunResult,
+    options: &'r CliOptions,
+) -> impl Iterator<Item = (String, &'r OutputFacts)> + 'r {
     result
         .outputs
         .iter()
-        .filter(|(p, _)| {
-            options.outputs.is_empty() || options.outputs.contains(&p.as_str().to_string())
-        })
-        .map(|(p, facts)| (p.as_str().to_string(), facts.clone()))
-        .collect()
+        .map(|(p, facts)| (p.as_str(), facts))
+        .filter(|(p, _)| options.outputs.is_empty() || options.outputs.contains(p))
 }
 
 fn render_outputs(
@@ -249,7 +249,7 @@ fn render_outputs(
         if let Some(dir) = &options.csv_dir {
             std::fs::create_dir_all(dir).map_err(|e| CliError::CsvOut(e.to_string()))?;
             let path = format!("{dir}/{predicate}.csv");
-            write_csv_facts(&path, &facts).map_err(|e| CliError::CsvOut(e.to_string()))?;
+            write_csv_facts(&path, facts).map_err(|e| CliError::CsvOut(e.to_string()))?;
             let _ = writeln!(
                 out,
                 "% {predicate}: {} facts written to {path}",
@@ -257,10 +257,10 @@ fn render_outputs(
             );
         } else {
             let _ = writeln!(out, "% {predicate} ({} facts)", facts.len());
-            let mut sorted = facts.clone();
+            let mut sorted: Vec<&Fact> = facts.iter().collect();
             sorted.sort();
             for f in sorted {
-                let _ = writeln!(out, "{}", vadalog_parser::fact_to_text(&f));
+                let _ = writeln!(out, "{}", vadalog_parser::fact_to_text(f));
             }
         }
     }

@@ -167,11 +167,13 @@
 //! ```
 
 pub mod aggregate;
+pub mod outputs;
 pub mod pipeline;
 pub mod plan;
 pub mod reasoner;
 pub mod session;
 
+pub use outputs::OutputFacts;
 pub use pipeline::{
     default_parallelism, JoinStrategy, Pipeline, PipelineStats, RunCap, BATCH_WIDTH_BUCKETS,
 };

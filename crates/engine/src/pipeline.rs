@@ -2375,7 +2375,7 @@ impl<'a> Pipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reasoner::collect_outputs;
+    use crate::outputs::collect_outputs;
     use vadalog_chase::{run_chase, ChaseOptions, WardedStrategy};
     use vadalog_parser::parse_program;
 
@@ -2782,7 +2782,14 @@ mod tests {
         let plan = AccessPlan::compile(&program);
         assert_eq!(plan.fold_stratum(), [2, 3, 4], "every aggregate is a sink");
         let options = ReasonerOptions::default();
-        let outputs = |p: &Pipeline| collect_outputs(&program, &plan, p.store(), &options);
+        let outputs = |p: &Pipeline| {
+            collect_outputs(
+                &program,
+                &plan,
+                &std::sync::Arc::new(p.store().clone()),
+                &options,
+            )
+        };
 
         let mut grown = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
         grown.load_facts(first.iter());
@@ -2793,7 +2800,8 @@ mod tests {
         fresh.load_facts(first.iter().chain(&more));
         fresh.run();
         assert_eq!(outputs(&grown), outputs(&fresh));
-        let reach2 = &outputs(&fresh)[&intern("Reach2")];
+        let fresh_outputs = outputs(&fresh);
+        let reach2 = fresh_outputs[&intern("Reach2")].as_slice();
         assert!(reach2.contains(&Fact::new("Reach2", vec![Value::str("a"), Value::Int(4)])));
 
         // A run with nothing new leaves the fold stratum idle.

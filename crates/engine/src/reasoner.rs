@@ -1,7 +1,8 @@
 //! The public [`Reasoner`] facade: parse → analyse → rewrite → compile →
 //! execute → post-process, end to end.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, rule_strata, Fragment, StratificationError};
 use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
@@ -10,6 +11,7 @@ use vadalog_parser::{parse_program, ParseError};
 use vadalog_rewrite::prepare_rules;
 use vadalog_storage::read_csv_facts;
 
+use crate::outputs::{collect_outputs, OutputFacts};
 use crate::pipeline::{Pipeline, PipelineStats};
 use crate::plan::AccessPlan;
 
@@ -195,12 +197,17 @@ pub struct RunStats {
 }
 
 /// The result of a reasoning run.
+///
+/// Its outputs are views over its final store ([`OutputFacts`]): a fact is
+/// resolved only when a caller reads it, and each view keeps the store
+/// alive, also after the result itself is dropped.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// Output facts per `@output` predicate (post-processed).
-    pub outputs: BTreeMap<Sym, Vec<Fact>>,
-    /// The full final instance.
-    pub store: vadalog_storage::FactStore,
+    /// Output facts per `@output` predicate (post-processed), each a view
+    /// over the run's final store.
+    pub outputs: BTreeMap<Sym, OutputFacts>,
+    /// The full final instance, shared with the output views.
+    pub store: Arc<vadalog_storage::FactStore>,
     /// Violated constraints / EGDs.
     pub violations: Vec<String>,
     /// Run statistics.
@@ -209,11 +216,11 @@ pub struct RunResult {
 
 impl RunResult {
     /// Output facts of one predicate (empty if it is not an output or has no
-    /// facts).
+    /// facts), copied out of its view.
     pub fn output(&self, predicate: &str) -> Vec<Fact> {
         self.outputs
             .get(&intern(predicate))
-            .cloned()
+            .map(OutputFacts::to_vec)
             .unwrap_or_default()
     }
 
@@ -295,7 +302,7 @@ impl Reasoner {
 
         // Collect and post-process outputs.
         let pipeline_stats = pipeline.stats();
-        let store = pipeline.into_store();
+        let store = Arc::new(pipeline.into_store());
         let outputs = collect_outputs(compiled, &plan, &store, &self.options);
 
         Ok(RunResult {
@@ -392,205 +399,6 @@ pub(crate) fn make_strategy(kind: TerminationKind) -> Box<dyn TerminationStrateg
         TerminationKind::TrivialIso => Box::new(TrivialIsoStrategy::new()),
         TerminationKind::ExactDedup => Box::new(ExactDedupStrategy::new()),
     }
-}
-
-/// Collect and post-process the `@output` predicates of a finished run
-/// (final-aggregate reduction, certain-answer filtering). Shared by
-/// [`Reasoner::reason`] and [`crate::session::QuerySession`].
-pub(crate) fn collect_outputs(
-    compiled: &Program,
-    plan: &AccessPlan,
-    store: &vadalog_storage::FactStore,
-    options: &ReasonerOptions,
-) -> BTreeMap<Sym, Vec<Fact>> {
-    let aggregate_outputs = aggregate_output_shape(plan);
-    let mut outputs = BTreeMap::new();
-    for sink in &plan.sinks {
-        let mut facts = store.facts_of(*sink);
-        if let Some((group_positions, agg_position, increasing)) = aggregate_outputs.get(sink) {
-            facts = keep_final_per_group(facts, group_positions, *agg_position, *increasing);
-        }
-        if options.certain_answers_only
-            || compiled.annotations.iter().any(|a| {
-                a.kind == AnnotationKind::Post
-                    && a.predicate == *sink
-                    && a.args.iter().any(|s| s == "certain")
-            })
-        {
-            facts.retain(Fact::is_ground);
-        }
-        outputs.insert(*sink, facts);
-    }
-    outputs
-}
-
-/// The answers to `query` over a finished run of `plan`: what
-/// [`collect_outputs`] would return for its predicate, filtered by the
-/// query, in `FactId` order. On a predicate an aggregate writes, only the
-/// facts [`keep_final_per_group`] keeps answer, as in the outputs.
-pub(crate) fn query_answers(
-    store: &mut vadalog_storage::FactStore,
-    plan: &AccessPlan,
-    query: &Atom,
-) -> Vec<Fact> {
-    let mut answers = matching_facts(store, query);
-    if let Some((group_positions, agg_position, increasing)) =
-        aggregate_output_shape(plan).get(&query.predicate)
-    {
-        let facts = store.facts_of(query.predicate);
-        let finals: BTreeSet<Fact> =
-            keep_final_per_group(facts, group_positions, *agg_position, *increasing)
-                .into_iter()
-                .collect();
-        answers.retain(|f| finals.contains(f));
-    }
-    answers
-}
-
-/// Materialise exactly the facts of `query.predicate` that match the query
-/// atom, via an **id-level probe on the bound argument positions**: the
-/// constant columns are probed as a composite index prefix (built on demand
-/// over the result store), repeated query variables are enforced as id
-/// equalities, and only the matching rows are resolved into [`Fact`]s — the
-/// whole-relation materialise-and-filter the old answer extraction paid is
-/// gone.
-fn matching_facts(store: &mut vadalog_storage::FactStore, query: &Atom) -> Vec<Fact> {
-    // Bound columns and their interned ids. A constant that was never
-    // interned cannot occur in any stored row.
-    let mut cols: Vec<usize> = Vec::new();
-    let mut key: Vec<ValueId> = Vec::new();
-    for (col, term) in query.terms.iter().enumerate() {
-        if let Term::Const(c) = term {
-            match find_value_id(c) {
-                Some(id) => {
-                    cols.push(col);
-                    key.push(id);
-                }
-                None => return Vec::new(),
-            }
-        }
-    }
-    // Positions sharing one query variable must carry equal ids.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    {
-        let mut by_var: BTreeMap<Var, Vec<usize>> = BTreeMap::new();
-        for (col, term) in query.terms.iter().enumerate() {
-            if let Term::Var(v) = term {
-                by_var.entry(*v).or_default().push(col);
-            }
-        }
-        groups.extend(by_var.into_values().filter(|g| g.len() > 1));
-    }
-    if store.relation(query.predicate).is_none() {
-        return Vec::new();
-    }
-    let arity = query.arity();
-    let ids: Vec<vadalog_storage::FactId> = if cols.is_empty() {
-        let rel = store.relation(query.predicate).expect("checked above");
-        (0..rel.len() as u32).map(vadalog_storage::FactId).collect()
-    } else {
-        store.relation_mut(query.predicate).ensure_index(&cols);
-        let rel = store.relation(query.predicate).expect("checked above");
-        let mut scratch = Vec::new();
-        let probe = rel
-            .probe_if_indexed(&cols, &key, None, &mut scratch)
-            .expect("index was just built");
-        probe.as_slice(&scratch).to_vec()
-    };
-    let rel = store.relation(query.predicate).expect("checked above");
-    let mut answers = Vec::new();
-    for id in ids {
-        let row = rel.row(id);
-        let ok = row.len() == arity
-            && cols.iter().zip(&key).all(|(c, k)| row[*c] == *k)
-            && groups
-                .iter()
-                .all(|g| g[1..].iter().all(|i| row[*i] == row[g[0]]));
-        if ok {
-            answers.push(rel.fact(query.predicate, id));
-        }
-    }
-    answers
-}
-
-/// For every sink predicate written by an aggregate rule whose aggregate
-/// variable appears in the head, work out the group positions, the aggregate
-/// position and the monotonicity direction.
-fn aggregate_output_shape(plan: &AccessPlan) -> BTreeMap<Sym, (Vec<usize>, usize, bool)> {
-    let mut out = BTreeMap::new();
-    for filter in &plan.filters {
-        if !filter.has_aggregation {
-            continue;
-        }
-        for assignment in filter.rule.assignments() {
-            let Some(agg) = assignment.aggregate() else {
-                continue;
-            };
-            for head in filter.rule.head_atoms() {
-                if let Some(agg_position) = head
-                    .terms
-                    .iter()
-                    .position(|t| t.as_var() == Some(assignment.var))
-                {
-                    let group_positions: Vec<usize> = (0..head.terms.len())
-                        .filter(|i| *i != agg_position)
-                        .collect();
-                    let increasing = !matches!(agg.func, AggFunc::MMin);
-                    out.insert(head.predicate, (group_positions, agg_position, increasing));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Keep, for each group, only the fact carrying the final (best) aggregate
-/// value.
-fn keep_final_per_group(
-    facts: Vec<Fact>,
-    group_positions: &[usize],
-    agg_position: usize,
-    increasing: bool,
-) -> Vec<Fact> {
-    let mut best: BTreeMap<Vec<Value>, Fact> = BTreeMap::new();
-    for f in facts {
-        if agg_position >= f.args.len() {
-            continue;
-        }
-        let key: Vec<Value> = group_positions
-            .iter()
-            .filter_map(|i| f.args.get(*i).cloned())
-            .collect();
-        match best.get(&key) {
-            Some(existing) => {
-                // Sets (munion) grow monotonically under ⊆: larger sets are
-                // later; every other aggregate compares by value.
-                let better = match (&f.args[agg_position], &existing.args[agg_position]) {
-                    (Value::Set(a), Value::Set(b)) => {
-                        if increasing {
-                            a.len() > b.len()
-                        } else {
-                            a.len() < b.len()
-                        }
-                    }
-                    (new, old) => {
-                        if increasing {
-                            new > old
-                        } else {
-                            new < old
-                        }
-                    }
-                };
-                if better {
-                    best.insert(key, f);
-                }
-            }
-            None => {
-                best.insert(key, f);
-            }
-        }
-    }
-    best.into_values().collect()
 }
 
 #[cfg(test)]

@@ -62,8 +62,10 @@
 //! chunk layout is the same in a warm session as in a cold one.
 //!
 //! Answers are extracted with the id-level bound-position probe of
-//! [`crate::reasoner`]'s `query_answers` — only matching rows are ever
-//! materialised.
+//! [`crate::outputs`]'s `query_answers` — only matching rows are ever
+//! materialised. A cone entry keeps its run's outputs as views over a
+//! store of their own rows only, and a hit hands out shared handles on the
+//! entry: it copies no fact under the session lock.
 //!
 //! [`Reasoner::reason_query`]: crate::Reasoner::reason_query
 //! [`Reasoner::reason`]: crate::Reasoner::reason
@@ -82,11 +84,11 @@ use vadalog_model::prelude::*;
 use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
 use vadalog_storage::{FactStore, StoreBase, TornTail, Wal};
 
+use crate::outputs::{answer_view, collect_outputs, detached, query_answers, OutputFacts};
 use crate::pipeline::PipelineStats;
 use crate::plan::AccessPlan;
 use crate::reasoner::{
-    collect_outputs, make_strategy, query_answers, QueryResult, Reasoner, ReasonerError,
-    ReasonerOptions, RunResult, RunStats,
+    make_strategy, QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats,
 };
 
 /// One executable compilation of a query shape: the program actually run
@@ -169,16 +171,17 @@ struct ConeEntry {
     /// appends that provably cannot reach this cone, dropped otherwise.
     stamp: u64,
     /// The cached answers, in the original run's deterministic order.
-    answers: Vec<Fact>,
-    /// The run's post-processed `@output` map.
-    outputs: BTreeMap<Sym, Vec<Fact>>,
+    answers: Arc<[Fact]>,
+    /// The run's post-processed `@output` map, as views over a store that
+    /// holds only their rows (see `outputs::detached`).
+    outputs: Arc<BTreeMap<Sym, OutputFacts>>,
     fragment: Fragment,
     compiled_rules: usize,
     /// Logical clock value of this entry's last hit (or its insertion) —
     /// the LRU eviction key.
     last_hit: u64,
-    /// Estimated heap footprint of the cached rows, counted against the
-    /// cache's bytes budget.
+    /// Estimated heap footprint of the cached answers and output rows,
+    /// counted against the cache's bytes budget.
     approx_bytes: usize,
 }
 
@@ -204,9 +207,14 @@ struct ConeCache {
     evictions: u64,
 }
 
-/// What a cone-cache hit hands back to the query path (cloned out of the
-/// entry so the cache can be touched mutably while the result is built).
-type ConeHit = (Vec<Fact>, BTreeMap<Sym, Vec<Fact>>, Fragment, usize);
+/// What a cone-cache hit hands back to the query path: shared handles on
+/// the entry's rows, so the hit copies no fact under the session lock.
+type ConeHit = (
+    Arc<[Fact]>,
+    Arc<BTreeMap<Sym, OutputFacts>>,
+    Fragment,
+    usize,
+);
 
 impl ConeCache {
     fn new(cap: usize, bytes_budget: usize) -> ConeCache {
@@ -231,8 +239,8 @@ impl ConeCache {
             .find(|e| e.stamp == stamp && e.key == *key)?;
         Self::touch(&mut self.tick, entry);
         Some((
-            entry.answers.clone(),
-            entry.outputs.clone(),
+            Arc::clone(&entry.answers),
+            Arc::clone(&entry.outputs),
             entry.fragment,
             entry.compiled_rules,
         ))
@@ -251,7 +259,6 @@ impl ConeCache {
             return;
         }
         Self::touch(&mut self.tick, &mut entry);
-        entry.approx_bytes = approx_entry_bytes(&entry);
         self.approx_bytes += entry.approx_bytes;
         entries.push(entry);
         self.evict_to_budget();
@@ -301,11 +308,16 @@ impl ConeCache {
     }
 }
 
-/// Estimated heap footprint of one cone entry: cached answer and output
-/// rows dominate, so strings and containers are costed and every other
-/// value is a word-sized constant. An estimate only — it gates the cache's
-/// bytes budget, nothing else.
-fn approx_entry_bytes(entry: &ConeEntry) -> usize {
+/// Estimated heap footprint of one cone entry: its cached answers, where
+/// strings and containers are costed and every other value is a word-sized
+/// constant, plus the heap of the one store its detached output views
+/// read. An estimate only — it gates the cache's bytes budget, nothing
+/// else.
+fn approx_entry_bytes(
+    key: &ConeKey,
+    answers: &[Fact],
+    outputs: &BTreeMap<Sym, OutputFacts>,
+) -> usize {
     fn value_bytes(v: &Value) -> usize {
         match v {
             Value::Str(s) => 24 + s.len(),
@@ -317,13 +329,12 @@ fn approx_entry_bytes(entry: &ConeEntry) -> usize {
     fn fact_bytes(f: &Fact) -> usize {
         32 + f.args.iter().map(value_bytes).sum::<usize>()
     }
-    let answers: usize = entry.answers.iter().map(fact_bytes).sum();
-    let outputs: usize = entry
-        .outputs
+    let answers: usize = answers.iter().map(fact_bytes).sum();
+    let rows = outputs
         .values()
-        .flat_map(|facts| facts.iter().map(fact_bytes))
-        .sum();
-    64 + entry.key.0.len() * 16 + answers + outputs
+        .next()
+        .map_or(0, |view| view.store().heap_bytes().own.total());
+    64 + key.0.len() * 16 + answers + rows
 }
 
 /// The state shared by every fork of a session (see
@@ -860,7 +871,9 @@ impl QuerySession {
                 fragment: compiled.fragment,
             });
         }
-        Ok(self.run_snapshot(core, None, &compiled, None, compile_start))
+        Ok(self
+            .run_snapshot(core, None, &compiled, None, compile_start)
+            .0)
     }
 
     /// Per-layer statistics of every planned EDB index on the layered base,
@@ -939,61 +952,40 @@ impl QuerySession {
         // may carry labelled nulls whose ids depend on run history).
         let cone_key = ConeKey::of_query(query);
         if used_magic_sets {
-            if let Some((answers, outputs, fragment, compiled_rules)) =
-                core_ref.cones.hit(query.predicate, &cone_key, stamp)
-            {
-                let result = Self::cached_result(
-                    core_ref,
-                    query,
-                    answers,
-                    outputs,
-                    fragment,
-                    compiled_rules,
-                    stamp,
-                    compile_start,
-                );
-                core_ref.cones.hits += 1;
-                core_ref.queries_answered += 1;
-                return Ok(result);
+            if let Some(hit) = core_ref.cones.hit(query.predicate, &cone_key, stamp) {
+                return Ok(Self::cached_result(core, hit, stamp, compile_start));
             }
             core_ref.cones.misses += 1;
         }
 
-        // The magic seed: the query's bound constants, interned directly.
-        let seed = compiled.seed_predicate.map(|seed| {
-            let args = query.terms.iter().filter_map(Term::as_const).cloned();
-            Fact::new_sym(seed, args.collect())
-        });
-        let mut run = self.run_snapshot(
+        let (run, answers) = self.run_snapshot(
             core,
             used_magic_sets.then_some(key),
             &compiled,
-            seed,
+            Some(query),
             compile_start,
         );
-        let answers = query_answers(&mut run.store, &compiled.plan, query);
-        run.outputs
-            .entry(query.predicate)
-            .or_insert_with(|| answers.clone());
 
         // Publish the derived cone only when the base has not moved
         // meanwhile (a concurrent append would make the entry stale the
-        // moment it lands) and the run was clean.
+        // moment it lands) and the run was clean. The entry is built
+        // outside the lock.
+        let entry = (used_magic_sets && run.violations.is_empty()).then(|| {
+            let outputs = detached(&run.outputs);
+            ConeEntry {
+                approx_bytes: approx_entry_bytes(&cone_key, &answers, &outputs),
+                key: cone_key,
+                stamp,
+                answers: answers.as_slice().into(),
+                outputs: Arc::new(outputs),
+                fragment: compiled.fragment,
+                compiled_rules: compiled.program.rules.len(),
+                last_hit: 0,
+            }
+        });
         let mut core = self.core();
-        if used_magic_sets && run.violations.is_empty() && core.base.stamp() == stamp {
-            core.cones.insert(
-                query.predicate,
-                ConeEntry {
-                    key: cone_key,
-                    stamp,
-                    answers: answers.clone(),
-                    outputs: run.outputs.clone(),
-                    fragment: compiled.fragment,
-                    compiled_rules: compiled.program.rules.len(),
-                    last_hit: 0,
-                    approx_bytes: 0,
-                },
-            );
+        if let Some(entry) = entry.filter(|_| core.base.stamp() == stamp) {
+            core.cones.insert(query.predicate, entry);
         }
         core.queries_answered += 1;
         drop(core);
@@ -1009,8 +1001,14 @@ impl QuerySession {
     /// the base, with a fresh termination strategy (never called on a
     /// null-free run), and collect its outputs the way
     /// [`Reasoner::reason`] does. `plan_key` names the plan's ensure-index
-    /// memo (`None` is the bottom-up fallback); `seed` is the magic seed
-    /// fact, loaded on top of the overlay.
+    /// memo (`None` is the bottom-up fallback).
+    ///
+    /// With a `query`, its bound constants seed a magic plan (loaded on top
+    /// of the overlay), its answers are returned beside the result, and
+    /// its predicate is listed among the outputs as the view of those
+    /// answers unless it is an output already. The answers are picked
+    /// before the store is shared with the output views, since the query
+    /// probe may build an index.
     ///
     /// The lock is held only to ensure the plan's indexes and snapshot the
     /// run's inputs: the pipeline runs outside it, so concurrent appends
@@ -1020,9 +1018,9 @@ impl QuerySession {
         mut core: MutexGuard<'_, SessionCore>,
         plan_key: Option<(Sym, Adornment)>,
         compiled: &CompiledQuery,
-        seed: Option<Fact>,
+        query: Option<&Atom>,
         compile_start: Instant,
-    ) -> RunResult {
+    ) -> (RunResult, Vec<Fact>) {
         // The walk is memoised per plan shape against the base's layer
         // stamp: a repeat run — through *any* fork — skips it entirely, and
         // an `append_facts` promotion (stamp bump) invalidates the memo so
@@ -1040,17 +1038,29 @@ impl QuerySession {
         let mut pipeline = crate::Pipeline::new(&compiled.plan, strategy)
             .with_store(overlay)
             .with_options(&self.options);
-        if let Some(seed) = seed {
-            pipeline.load_facts([seed]);
+        if let (Some(seed), Some(query)) = (compiled.seed_predicate, query) {
+            let args = query.terms.iter().filter_map(Term::as_const).cloned();
+            pipeline.load_facts([Fact::new_sym(seed, args.collect())]);
         }
         let violations = pipeline.run();
         let execution_time = exec_start.elapsed();
 
         let mut pipeline_stats = pipeline.stats();
         pipeline_stats.magic_compile_cache_hits = magic_hits_snapshot;
-        let store = pipeline.into_store();
-        let outputs = collect_outputs(&compiled.program, &compiled.plan, &store, &self.options);
-        RunResult {
+        let mut store = pipeline.into_store();
+        let answer_ids = query.map(|q| query_answers(&mut store, &compiled.plan, q));
+        let store = Arc::new(store);
+        let mut outputs = collect_outputs(&compiled.program, &compiled.plan, &store, &self.options);
+        let answers = match (query, answer_ids) {
+            (Some(query), Some(ids)) => {
+                let view = answer_view(&store, query.predicate, ids);
+                let answers = view.to_vec();
+                outputs.entry(query.predicate).or_insert(view);
+                answers
+            }
+            _ => Vec::new(),
+        };
+        let run = RunResult {
             outputs,
             violations,
             stats: RunStats {
@@ -1064,21 +1074,19 @@ impl QuerySession {
                 base_stamp: stamp,
             },
             store,
-        }
+        };
+        (run, answers)
     }
 
     /// Assemble a [`QueryResult`] for a cone-cache hit: the cached answers
     /// over a fresh overlay of the current base (no pipeline runs). The
     /// stats mirror what a run would report about the *snapshot* — EDB rows
-    /// reused, layers composed — with zero derivation work.
-    #[allow(clippy::too_many_arguments)]
+    /// reused, layers composed — with zero derivation work. The outputs are
+    /// the cached run's views, its answers among them. The hit is counted
+    /// and the lock released before the answers are copied out.
     fn cached_result(
-        core: &SessionCore,
-        query: &Atom,
-        answers: Vec<Fact>,
-        mut outputs: BTreeMap<Sym, Vec<Fact>>,
-        fragment: Fragment,
-        compiled_rules: usize,
+        mut core: MutexGuard<'_, SessionCore>,
+        (answers, outputs, fragment, compiled_rules): ConeHit,
         stamp: u64,
         compile_start: Instant,
     ) -> QueryResult {
@@ -1089,15 +1097,15 @@ impl QuerySession {
             magic_compile_cache_hits: core.magic_cache_hits,
             ..PipelineStats::default()
         };
-        outputs
-            .entry(query.predicate)
-            .or_insert_with(|| answers.clone());
+        core.cones.hits += 1;
+        core.queries_answered += 1;
+        drop(core);
         let total_facts = store.len();
         QueryResult {
-            answers,
+            answers: answers.to_vec(),
             used_magic_sets: true,
             run: RunResult {
-                outputs,
+                outputs: BTreeMap::clone(&outputs),
                 violations: Vec::new(),
                 stats: RunStats {
                     compile_time: compile_start.elapsed(),
@@ -1109,7 +1117,7 @@ impl QuerySession {
                     total_facts,
                     base_stamp: stamp,
                 },
-                store,
+                store: Arc::new(store),
             },
         }
     }

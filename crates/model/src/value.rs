@@ -9,9 +9,10 @@
 
 use crate::sync::RwLock;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
@@ -106,9 +107,13 @@ const VALUE_SHARD_CAPACITY: usize = 1 << (31 - VALUE_SHARD_BITS);
 
 #[derive(Default)]
 struct ValueShard {
-    /// value -> its id (this shard's number, its local index within
-    /// `values`, and the null flag).
-    map: HashMap<Value, ValueId>,
+    /// [`value_hash`] -> the id (this shard's number, its local index
+    /// within `values`, and the null flag) of the first value interned with
+    /// that hash. The value itself is kept once, in `values`.
+    by_hash: HashMap<u64, ValueId, BuildHasherDefault<HashMixer>>,
+    /// Values whose 64-bit hash an earlier value of this shard already
+    /// holds in `by_hash` (a full collision, which correctness must allow).
+    collided: HashMap<Value, ValueId>,
     values: Vec<Value>,
     /// Order key of each value, computed once at intern time so probe paths
     /// can compare ids order-wise without resolving (see [`order_key_of`]).
@@ -116,9 +121,19 @@ struct ValueShard {
 }
 
 impl ValueShard {
+    /// The id of `v`, whose [`value_hash`] is `hash`, if interned.
+    fn find(&self, hash: u64, v: &Value) -> Option<ValueId> {
+        let id = *self.by_hash.get(&hash)?;
+        if self.values[id.local() as usize] == *v {
+            Some(id)
+        } else {
+            self.collided.get(v).copied()
+        }
+    }
+
     /// Intern under an already-held write lock on this shard.
-    fn intern(&mut self, shard_no: u32, v: &Value) -> ValueId {
-        if let Some(&id) = self.map.get(v) {
+    fn intern(&mut self, shard_no: u32, hash: u64, v: &Value) -> ValueId {
+        if let Some(id) = self.find(hash, v) {
             return id;
         }
         assert!(
@@ -130,8 +145,37 @@ impl ValueShard {
         let id = ValueId((local << VALUE_SHARD_BITS) | shard_no | flag);
         self.keys.push(v.order_key());
         self.values.push(v.clone());
-        self.map.insert(v.clone(), id);
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => {
+                self.collided.insert(v.clone(), id);
+            }
+        }
         id
+    }
+}
+
+/// Hasher of the `by_hash` table's keys, which are already [`value_hash`]
+/// values: it only folds their high bits into the low ones, where the
+/// table picks its bucket (the low bits of an Fx hash are its weakest, and
+/// within one shard the lowest four are all equal).
+#[derive(Default)]
+struct HashMixer(u64);
+
+impl Hasher for HashMixer {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("by_hash keys are u64")
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let x = (x ^ (x >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 29);
     }
 }
 
@@ -150,13 +194,19 @@ fn value_interner() -> &'static ValueInterner {
     })
 }
 
-/// Shard selector. Derived from [`Value`]'s own `Hash`, which already
-/// normalises the cross-variant equality classes (`Int(2)` hashes like
-/// `Float(2.0)`), so equal values always land in the same shard.
-fn value_shard_of(v: &Value) -> u32 {
+/// The interner's hash of a value. Derived from [`Value`]'s own `Hash`,
+/// which already normalises the cross-variant equality classes (`Int(2)`
+/// hashes like `Float(2.0)`), so equal values always hash alike.
+fn value_hash(v: &Value) -> u64 {
     let mut h = crate::fxhash::FxHasher::default();
     v.hash(&mut h);
-    (std::hash::Hasher::finish(&h) as u32) & VALUE_SHARD_MASK
+    h.finish()
+}
+
+/// Shard selector: the low bits of [`value_hash`], so equal values always
+/// land in the same shard.
+fn shard_of(hash: u64) -> u32 {
+    (hash as u32) & VALUE_SHARD_MASK
 }
 
 impl ValueId {
@@ -168,6 +218,22 @@ impl ValueId {
     #[inline]
     fn local(self) -> u32 {
         (self.0 & !VALUE_NULL_FLAG) >> VALUE_SHARD_BITS
+    }
+
+    /// Is the value this id interns ground ([`Value::is_ground`])? Unlike
+    /// [`ValueId::is_null`] this also sees a null nested in a list or set:
+    /// a composite is read under its shard's lock, and no value is cloned.
+    pub fn is_ground(self) -> bool {
+        if self.is_null() {
+            return false;
+        }
+        match &value_interner().shards[self.shard_no() as usize]
+            .read()
+            .values[self.local() as usize]
+        {
+            composite @ (Value::List(_) | Value::Set(_)) => composite.is_ground(),
+            _ => true,
+        }
     }
 }
 
@@ -186,27 +252,23 @@ impl ValueId {
 /// termination strategy then suppresses stay in the table; a scoped
 /// (per-session) interner is a known follow-up (see ROADMAP "Performance").
 pub fn intern_value(v: &Value) -> ValueId {
-    let shard_no = value_shard_of(v);
+    let hash = value_hash(v);
+    let shard_no = shard_of(hash);
     let shard = &value_interner().shards[shard_no as usize];
-    {
-        let guard = shard.read();
-        if let Some(&id) = guard.map.get(v) {
-            return id;
-        }
+    if let Some(id) = shard.read().find(hash, v) {
+        return id;
     }
-    shard.write().intern(shard_no, v)
+    shard.write().intern(shard_no, hash, v)
 }
 
 /// Look up the id of a value **without** interning it: `None` means the
 /// value has never been interned, so no stored row can contain it — the
 /// fast negative path for membership probes.
 pub fn find_value_id(v: &Value) -> Option<ValueId> {
-    let shard_no = value_shard_of(v);
-    value_interner().shards[shard_no as usize]
+    let hash = value_hash(v);
+    value_interner().shards[shard_of(hash) as usize]
         .read()
-        .map
-        .get(v)
-        .copied()
+        .find(hash, v)
 }
 
 /// Resolve a [`ValueId`] back to the value it interns (a clone out of the
@@ -253,24 +315,26 @@ pub fn resolve_values(ids: &[ValueId]) -> Vec<Value> {
 /// back to per-value interning against the owning shards only.
 pub fn intern_values(values: &[Value]) -> Box<[ValueId]> {
     let interner = value_interner();
-    let shards: Vec<u32> = values.iter().map(value_shard_of).collect();
+    let hashes: Vec<u64> = values.iter().map(value_hash).collect();
     let mut out = Vec::with_capacity(values.len());
     {
         // Ascending-shard-order guard acquisition, for the same
         // deadlock-freedom argument as in [`resolve_values`].
         let mut needed = [false; VALUE_SHARDS];
-        for &shard_no in &shards {
-            needed[shard_no as usize] = true;
+        for &hash in &hashes {
+            needed[shard_of(hash) as usize] = true;
         }
         let guards: [Option<std::sync::RwLockReadGuard<'_, ValueShard>>; VALUE_SHARDS] =
             std::array::from_fn(|shard_no| {
                 needed[shard_no].then(|| interner.shards[shard_no].read())
             });
         let mut all_known = true;
-        for (v, &shard_no) in values.iter().zip(&shards) {
-            let guard = guards[shard_no as usize].as_ref().expect("guard held");
-            match guard.map.get(v) {
-                Some(&id) => out.push(id),
+        for (v, &hash) in values.iter().zip(&hashes) {
+            let guard = guards[shard_of(hash) as usize]
+                .as_ref()
+                .expect("guard held");
+            match guard.find(hash, v) {
+                Some(id) => out.push(id),
                 None => {
                     all_known = false;
                     break;
@@ -306,9 +370,9 @@ where
         'rows: for row in &rows {
             let start = out.len();
             for v in *row {
-                let shard_no = value_shard_of(v);
-                match guards[shard_no as usize].map.get(v) {
-                    Some(&id) => out.push(id),
+                let hash = value_hash(v);
+                match guards[shard_of(hash) as usize].find(hash, v) {
+                    Some(id) => out.push(id),
                     None => {
                         out.truncate(start);
                         break 'rows;
@@ -323,8 +387,9 @@ where
             std::array::from_fn(|shard_no| interner.shards[shard_no].write());
         for row in &rows[done..] {
             out.extend(row.iter().map(|v| {
-                let shard_no = value_shard_of(v);
-                guards[shard_no as usize].intern(shard_no, v)
+                let hash = value_hash(v);
+                let shard_no = shard_of(hash);
+                guards[shard_no as usize].intern(shard_no, hash, v)
             }));
         }
     }
@@ -739,6 +804,26 @@ mod tests {
         let non_ground = Value::List(vec![Value::Int(1), f.fresh_value()]);
         assert!(ground.is_ground());
         assert!(!non_ground.is_ground());
+        // The id-level test agrees, also where `ValueId::is_null` does not.
+        let (ground_id, non_ground_id) = (ground.interned(), non_ground.interned());
+        assert!(ground_id.is_ground() && !ground_id.is_null());
+        assert!(!non_ground_id.is_ground() && !non_ground_id.is_null());
+        assert!(!f.fresh_value().interned().is_ground());
+        assert!(Value::str("x").interned().is_ground());
+    }
+
+    #[test]
+    fn a_shard_keeps_values_whose_hashes_collide_apart() {
+        let mut shard = ValueShard::default();
+        let (a, b) = (Value::str("a"), Value::str("b"));
+        let id_a = shard.intern(3, 7, &a);
+        let id_b = shard.intern(3, 7, &b);
+        assert_ne!(id_a, id_b);
+        assert_eq!(shard.find(7, &a), Some(id_a));
+        assert_eq!(shard.find(7, &b), Some(id_b));
+        assert_eq!(shard.intern(3, 7, &b), id_b, "interning is idempotent");
+        assert_eq!(shard.find(7, &Value::str("c")), None);
+        assert_eq!(shard.find(8, &a), None);
     }
 
     #[test]

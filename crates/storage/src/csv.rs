@@ -155,12 +155,16 @@ pub fn format_field(v: &Value) -> String {
 }
 
 /// Write facts (all of the same arity) to a CSV file.
-pub fn write_csv_facts(path: impl AsRef<Path>, facts: &[Fact]) -> Result<(), CsvError> {
-    let mut file = std::fs::File::create(path)?;
+pub fn write_csv_facts<'a>(
+    path: impl AsRef<Path>,
+    facts: impl IntoIterator<Item = &'a Fact>,
+) -> Result<(), CsvError> {
+    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
     for f in facts {
         let row: Vec<String> = f.args.iter().map(format_field).collect();
         writeln!(file, "{}", row.join(","))?;
     }
+    file.flush()?;
     Ok(())
 }
 

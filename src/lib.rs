@@ -19,5 +19,5 @@ pub use vadalog_server as server;
 pub use vadalog_storage as storage;
 pub use vadalog_workloads as workloads;
 
-pub use vadalog_engine::{Reasoner, ReasonerOptions, RunResult};
+pub use vadalog_engine::{OutputFacts, Reasoner, ReasonerOptions, RunResult};
 pub use vadalog_server::{ReasoningServer, ServerConfig};

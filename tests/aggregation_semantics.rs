@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use vadalog_engine::{Reasoner, ReasonerOptions, RunResult, TerminationKind};
+use vadalog_engine::{OutputFacts, Reasoner, ReasonerOptions, RunResult, TerminationKind};
 use vadalog_model::prelude::*;
 use vadalog_model::FxHasher;
 
@@ -130,7 +130,7 @@ fn digest<'a>(relations: impl IntoIterator<Item = (String, &'a [Fact])>) -> u64 
     h.finish()
 }
 
-fn outputs_digest(outputs: &BTreeMap<Sym, Vec<Fact>>) -> u64 {
+fn outputs_digest(outputs: &BTreeMap<Sym, OutputFacts>) -> u64 {
     digest(outputs.iter().map(|(p, f)| (p.to_string(), f.as_slice())))
 }
 

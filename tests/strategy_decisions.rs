@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use vadalog_chase::StrategyStats;
-use vadalog_engine::Reasoner;
+use vadalog_engine::{OutputFacts, Reasoner};
 use vadalog_model::prelude::*;
 use vadalog_workloads::{dbpedia, scaling};
 
@@ -31,8 +31,8 @@ struct Decisions {
 /// FNV-1a over the rendered output facts: predicates by name (symbol ids
 /// depend on what the process interned first), facts in the order the run
 /// returns them.
-fn digest(outputs: &BTreeMap<Sym, Vec<Fact>>) -> u64 {
-    let by_name: BTreeMap<String, &Vec<Fact>> = outputs
+fn digest(outputs: &BTreeMap<Sym, OutputFacts>) -> u64 {
+    let by_name: BTreeMap<String, &OutputFacts> = outputs
         .iter()
         .map(|(p, facts)| (p.to_string(), facts))
         .collect();
