@@ -40,6 +40,6 @@ pub use chase::{
     ChaseVariant, MatchBuffers,
 };
 pub use strategy::{
-    offer_row, Candidate, ExactDedupStrategy, FactRef, Offer, Step, StrategyStats,
+    offer_row, Candidate, ExactDedupStrategy, FactRef, Offer, Step, StrategyHeap, StrategyStats,
     TerminationStrategy, TrivialIsoStrategy, WardedStrategy,
 };

@@ -168,6 +168,30 @@ pub struct StrategyStats {
     pub stop_provenances: u64,
 }
 
+/// A termination strategy's heap bytes by the structure holding them,
+/// counted by capacity (hash tables estimated with [`table_bytes`]). The
+/// parts sum to [`StrategyHeap::total`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct StrategyHeap {
+    /// Fact records: the warded strategy's per-fact metadata table.
+    pub facts: u64,
+    /// Forest members: the warded forest's tree member lists and detached
+    /// roots.
+    pub forest: u64,
+    /// The provenance trie.
+    pub provenance: u64,
+    /// Pattern forms: the cached patterns of linear-forest roots and the
+    /// summary structure (the trivial strategy's key set and read cursors).
+    pub patterns: u64,
+}
+
+impl StrategyHeap {
+    /// All parts together.
+    pub fn total(&self) -> u64 {
+        self.facts + self.forest + self.provenance + self.patterns
+    }
+}
+
 /// A termination strategy decides whether each candidate fact produced by a
 /// chase step (or by a pipeline filter) should be kept.
 ///
@@ -183,9 +207,8 @@ pub trait TerminationStrategy: Send {
     /// Statistics snapshot.
     fn stats(&self) -> StrategyStats;
 
-    /// Heap bytes the strategy holds, counted by capacity (hash tables
-    /// estimated with [`table_bytes`]).
-    fn heap_bytes(&self) -> usize;
+    /// Heap bytes the strategy holds, by structure.
+    fn heap_bytes(&self) -> StrategyHeap;
 
     /// Stored rows compared with candidates, summed over every isomorphism
     /// check: the work the checks did, where [`StrategyStats`] counts the
@@ -498,27 +521,29 @@ impl TerminationStrategy for WardedStrategy {
         self.stats
     }
 
-    fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> StrategyHeap {
         let pattern_bytes = |key: &PatternKey| key.args.capacity() * size_of::<PatternTerm>();
         let summary: usize = self
             .summary
             .iter()
             .map(|(key, stops)| pattern_bytes(key) + stops.capacity() * size_of::<u32>())
             .sum();
-        table_bytes(self.metas.capacity(), size_of::<(FactRef, FactMeta)>())
-            + self.ground.heap_bytes()
-            + self.provenances.heap_bytes()
-            + table_bytes(
-                self.root_patterns.capacity(),
-                size_of::<(FactRef, PatternKey)>(),
-            )
-            + self
-                .root_patterns
-                .values()
-                .map(pattern_bytes)
-                .sum::<usize>()
+        let patterns = table_bytes(
+            self.root_patterns.capacity(),
+            size_of::<(FactRef, PatternKey)>(),
+        ) + self
+            .root_patterns
+            .values()
+            .map(pattern_bytes)
+            .sum::<usize>()
             + table_bytes(self.summary.capacity(), size_of::<(PatternKey, Vec<u32>)>())
-            + summary
+            + summary;
+        StrategyHeap {
+            facts: table_bytes(self.metas.capacity(), size_of::<(FactRef, FactMeta)>()) as u64,
+            forest: self.ground.heap_bytes() as u64,
+            provenance: self.provenances.heap_bytes() as u64,
+            patterns: patterns as u64,
+        }
     }
 
     fn iso_comparisons(&self) -> u64 {
@@ -581,14 +606,18 @@ impl TerminationStrategy for TrivialIsoStrategy {
         self.stats
     }
 
-    fn heap_bytes(&self) -> usize {
-        table_bytes(self.seen.capacity(), size_of::<RowIsoKey>())
+    fn heap_bytes(&self) -> StrategyHeap {
+        let patterns = table_bytes(self.seen.capacity(), size_of::<RowIsoKey>())
             + self
                 .seen
                 .iter()
                 .map(|key| key.args.capacity() * size_of::<RowCanonTerm>())
                 .sum::<usize>()
-            + table_bytes(self.read.capacity(), size_of::<(Sym, usize)>())
+            + table_bytes(self.read.capacity(), size_of::<(Sym, usize)>());
+        StrategyHeap {
+            patterns: patterns as u64,
+            ..StrategyHeap::default()
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -623,8 +652,8 @@ impl TerminationStrategy for ExactDedupStrategy {
         self.stats
     }
 
-    fn heap_bytes(&self) -> usize {
-        0
+    fn heap_bytes(&self) -> StrategyHeap {
+        StrategyHeap::default()
     }
 
     fn name(&self) -> &'static str {

@@ -9,8 +9,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, rule_strata, PredicateGraph};
 use vadalog_engine::{
-    AccessPlan, FilterNode, OutputFacts, QuerySession, Reasoner, ReasonerError, ReasonerOptions,
-    RecoveryReport, RunCap, RunResult,
+    AccessPlan, FilterNode, JoinStrategy, OutputFacts, QuerySession, Reasoner, ReasonerError,
+    ReasonerOptions, RecoveryReport, RunCap, RunResult,
 };
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
@@ -297,9 +297,14 @@ fn render_stats(out: &mut String, result: &RunResult) {
         base.indexes,
         bytes.total().total() as f64 / result.store.len().max(1) as f64
     );
+    let heap = stats.pipeline.strategy_heap;
     let _ = writeln!(
         out,
-        "% strategy bytes:      {}, {:.1} B/fact",
+        "% strategy bytes:      facts {} / forest {} / provenance {} / patterns {}, {} total, {:.1} B/fact",
+        heap.facts,
+        heap.forest,
+        heap.provenance,
+        heap.patterns,
         stats.pipeline.strategy_bytes,
         stats.pipeline.strategy_bytes as f64 / result.store.len().max(1) as f64
     );
@@ -468,6 +473,7 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
     // after the fixpoint, which only a run can tell: run the program (with
     // the rewriting shown here) for the relation sizes.
     let folds = plan.fold_stratum();
+    let free_join = engine.join_strategy == JoinStrategy::FreeJoin;
     let store = if !folds.is_empty() {
         let engine = ReasonerOptions {
             apply_rewriting: true,
@@ -539,9 +545,10 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
                     .iter()
                     .map(|a| store.relation(a.predicate).map_or(0, |r| r.len()))
                     .collect();
-                write_probe_orders(&mut out, filter, filter.final_driver(&rows), "driver");
+                let driver = filter.final_driver(&rows);
+                write_probe_orders(&mut out, filter, driver, "driver", free_join);
             }
-            _ => write_probe_orders(&mut out, filter, None, "delta"),
+            _ => write_probe_orders(&mut out, filter, None, "delta", free_join),
         }
     }
     if !plan.checks.is_empty() {
@@ -553,46 +560,70 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
                 check.rule_id,
                 rule_to_text(&check.rule)
             );
-            write_probe_orders(&mut out, check, check.check_driver(), "delta");
+            write_probe_orders(&mut out, check, check.check_driver(), "delta", free_join);
         }
     }
     Ok(out)
 }
 
-/// One line per delta position of `node` (only position `only` when set,
-/// the driver of a check or a fold-stratum filter), starting with `lead`:
-/// the atoms in probe order, each with the columns it probes exactly
-/// (`[..]`, or `scan`) and its range column, a `*` on each step the
-/// delta-aware order moved off its canonical position, and the leapfrog
-/// core when the position has a free-join plan.
-fn write_probe_orders(out: &mut String, node: &FilterNode, only: Option<usize>, lead: &str) {
+/// One line per delta position of `node` that an activation driving
+/// `driver` runs (only that position when set: the driver of a check or a
+/// fold-stratum filter), starting with `lead`: the atoms in probe order,
+/// each with the columns it probes exactly (`[..]`, or `scan`) and its
+/// range column, a `*` on each step the delta-aware order moved off its
+/// canonical position, and the leapfrog core when the position has a
+/// free-join plan. Then one `indexes:` line: the index column lists those
+/// activations ensure, by predicate in first-use order, or `none`.
+fn write_probe_orders(
+    out: &mut String,
+    node: &FilterNode,
+    driver: Option<usize>,
+    lead: &str,
+    free_join: bool,
+) {
     let atoms = node.rule.body_atoms();
-    for (d, dp) in node.delta_plans.iter().enumerate() {
-        if only.is_some_and(|o| o != d) {
-            continue;
-        }
-        let mut line = format!("    {lead} {}", atoms[d]);
+    for dp in node.driven(driver) {
+        let mut line = format!("    {lead} {}", atoms[dp.steps[0].atom]);
         for (i, step) in dp.steps.iter().enumerate().skip(1) {
-            let probe = &step.probe;
-            let cols = if probe.prefix_cols.is_empty() {
+            let cols = if step.prefix_len == 0 {
                 "scan".to_string()
             } else {
-                format!("{:?}", probe.prefix_cols)
+                format!("{:?}", step.prefix_cols())
             };
             let _ = write!(line, " -> {} {cols}", atoms[step.atom]);
-            if let Some((col, _)) = probe.range {
+            if let Some(col) = step.range_col() {
                 let _ = write!(line, " range {col}");
             }
             if step.canonical != i {
                 line.push_str(" *");
             }
         }
-        if let Some(hp) = &dp.hybrid {
-            let core: Vec<String> = hp.tries.iter().map(|t| atoms[t.atom].to_string()).collect();
-            let _ = write!(line, " | leapfrog core: {}", core.join(", "));
+        if let Some(core) = &dp.core {
+            let tries: Vec<String> = core
+                .tries
+                .iter()
+                .map(|t| atoms[t.atom].to_string())
+                .collect();
+            let _ = write!(line, " | leapfrog core: {}", tries.join(", "));
         }
         let _ = writeln!(out, "{line}");
     }
+    let mut lists: Vec<(Sym, &[usize])> = Vec::new();
+    for list in node.index_lists(driver, free_join) {
+        if !lists.contains(&list) {
+            lists.push(list);
+        }
+    }
+    let lists: Vec<String> = lists
+        .iter()
+        .map(|(predicate, cols)| format!("{} {cols:?}", predicate.as_str()))
+        .collect();
+    let shown = if lists.is_empty() {
+        "none".to_string()
+    } else {
+        lists.join(", ")
+    };
+    let _ = writeln!(out, "    indexes: {shown}");
 }
 
 // ----------------------------------------------------------------- query
@@ -1017,6 +1048,36 @@ mod tests {
     }
 
     #[test]
+    fn stats_split_the_strategy_heap_into_parts_that_sum_to_its_total() {
+        // Example 7's existential rules run under Algorithm 1: every part
+        // of its bookkeeping holds something.
+        let src = "Company(\"HSBC\"). Company(\"HSB\"). Controls(\"HSBC\", \"HSB\").\n\
+                   Company(x) -> Owns(p, s, x).\n\
+                   Owns(p, s, x) -> Stock(x, s).\n\
+                   Owns(p, s, x) -> PSC(x, p).\n\
+                   PSC(x, p), Controls(x, y) -> Owns(p, s, y).\n\
+                   Stock(x, s) -> Company(x).\n\
+                   @output(\"PSC\").\n";
+        let path = temp_program("strategyheap.vada", src);
+        let out = run_cli(&args(&["run", &path, "--stats"])).unwrap();
+        let line = out
+            .lines()
+            .find_map(|l| l.strip_prefix("% strategy bytes:"))
+            .expect("strategy bytes line present");
+        let numbers: Vec<u64> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect();
+        let [facts, forest, provenance, patterns, total] = numbers[..5] else {
+            panic!("five byte counts expected: {line}");
+        };
+        assert!(line.trim_start().starts_with("facts "), "{line}");
+        assert_eq!(facts + forest + provenance + patterns, total, "{line}");
+        assert!(facts > 0 && provenance > 0, "{line}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn stats_report_intra_filter_chunks_and_batch_widths() {
         // A join-heavy recursive program: --stats must surface the two-level
         // scheduler's counters (work items, steals, width histogram).
@@ -1228,7 +1289,44 @@ mod tests {
         let probe_lines: Vec<&str> = holdings.take_while(|l| l.starts_with("    ")).collect();
         assert_eq!(
             probe_lines,
-            ["    driver Own(x, y, w) -> Control(x, y) [0, 1]"]
+            [
+                "    driver Own(x, y, w) -> Control(x, y) [0, 1]",
+                "    indexes: Control [0, 1]"
+            ]
+        );
+        // Each filter names the index lists its activations ensure; a
+        // filter that probes nothing says so.
+        assert!(
+            out.contains("    delta Own(x, y, w)\n    indexes: none\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("    delta Control(y, z) -> Control(x, y) [1]\n    indexes: Control [0], Control [1]\n"),
+            "{out}"
+        );
+        std::fs::remove_file(&path).ok();
+
+        // A ranged step ensures its prefix and range column as one list,
+        // and no list of the prefix alone.
+        let path = temp_program(
+            "explain_ranged.vada",
+            "Own(\"a\", \"b\", 0.7). Own(\"b\", \"c\", 0.8).\n\
+             Own(x, y, w), w > 0.5 -> Control(x, y).\n\
+             Control(x, y), Own(y, z, w), w > 0.5 -> Control(x, z).\n",
+        );
+        let out = run_cli(&args(&["explain", &path])).unwrap();
+        let ranged: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("  filter 1 "))
+            .skip(1)
+            .collect();
+        assert_eq!(
+            ranged,
+            [
+                "    delta Control(x, y) -> Own(y, z, w) [0] range 2",
+                "    delta Own(y, z, w) -> Control(x, y) [1]",
+                "    indexes: Own [0, 2], Control [1]"
+            ]
         );
         std::fs::remove_file(&path).ok();
     }

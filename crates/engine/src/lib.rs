@@ -13,11 +13,18 @@
 //!    unifies with another rule's head, source filters for `@input`
 //!    predicates and sinks for `@output` predicates;
 //! 3. the **execution optimizer** reorders joins inside each filter
-//!    (bound-variables-first greedy ordering) — see [`plan::JoinOrder`];
+//!    (bound-variables-first greedy ordering) — see [`plan::JoinOrder`] —
+//!    and compiles each filter, once, into the form the pipeline runs:
+//!    variable slots and, per delta position, probe steps, an optional
+//!    intersect stage and the index column lists its activation ensures
+//!    ([`plan::FilterNode`]); the id-level patterns, guards and residual
+//!    literals, which hold interned rule constants, are built once too, at
+//!    the filter's first activation ([`plan::Interned`]). `vadalog
+//!    explain` and a session's index pre-build read the same compiled form;
 //! 4. the **query compiler** ([`pipeline`]) instantiates the runnable
-//!    pipeline: slot-machine joins with dynamic in-memory indices,
-//!    non-blocking monotonic aggregation ([`aggregate`]), Skolem functions,
-//!    and a termination-strategy wrapper around every filter
+//!    pipeline over that plan: slot-machine joins with dynamic in-memory
+//!    indices, non-blocking monotonic aggregation ([`aggregate`]), Skolem
+//!    functions, and a termination-strategy wrapper around every filter
 //!    (`vadalog-chase`'s Algorithm 1) whenever the run can hold a labelled
 //!    null — a null-free run admits through the store's own dedup.
 //!
@@ -104,7 +111,7 @@
 //!   per body atom. This is the right plan for the α-acyclic bodies that
 //!   dominate ontological programs — every stage narrows the candidate
 //!   set.
-//! * **Cyclic core → one intersect stage** ([`plan::HybridPlan`]). Cyclic
+//! * **Cyclic core → one intersect stage** ([`plan::Core`]). Cyclic
 //!   bodies are exactly where any binary plan must materialise an open
 //!   path (e.g. the 2-paths of a triangle query) that the closing atom
 //!   then discards, an intermediate that can be asymptotically larger than
@@ -178,8 +185,8 @@ pub use pipeline::{
     default_parallelism, JoinStrategy, Pipeline, PipelineStats, RunCap, BATCH_WIDTH_BUCKETS,
 };
 pub use plan::{
-    chunk_windows, plan_chunk_count, AccessPlan, BoundTerm, DeltaPlan, FilterNode, HybridPlan,
-    JoinOrder, PushedCondition, StepPlan, StepProbe, Stratum,
+    chunk_windows, plan_chunk_count, AccessPlan, Core, DeltaPlan, FilterNode, Guard, Interned,
+    JoinOrder, ProbeStep, RangeBound, Stage, Stratum, Trie,
 };
 pub use reasoner::{
     QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats, TerminationKind,

@@ -4,13 +4,18 @@
 //!
 //! # Index-aware joins and condition pushdown
 //!
-//! Each join step follows the plan computed by [`crate::plan`]: the step
-//! probes its relation's **sorted-run index** on the composite prefix of
-//! columns already determined (constants and variables bound by earlier
-//! steps) and, where the planner classified a comparison condition as
-//! pushable, narrows the same probe with a **range filter** on the condition
-//! column (`w > 0.5` becomes part of the index access instead of a
-//! post-join filter). Pushed conditions are additionally enforced as
+//! The pipeline runs the filters [`AccessPlan::compile`] compiled once:
+//! an activation snapshots its delta windows, ensures the index lists its
+//! plan names ([`FilterNode::index_lists`]), splits its chunks and hands
+//! the workers a reference to the compiled filter. A filter's first
+//! activation also builds its constant-holding parts
+//! ([`FilterNode::interned`]); no later one compiles anything. Each join
+//! step probes its relation's **sorted-run index** on the composite prefix
+//! of columns already determined (constants and variables bound by
+//! earlier steps) and, where the planner classified a
+//! comparison condition as pushable, narrows the same probe with a
+//! **range filter** on the condition column (`w > 0.5` becomes part of
+//! the index access instead of a post-join filter). Pushed conditions are additionally enforced as
 //! id-level **guards** (order-key comparisons, resolving only on key ties)
 //! at the first step where both sides are bound, so the residual
 //! literals evaluated in emission only ever see the narrowed candidate set.
@@ -114,19 +119,19 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use vadalog_analysis::RuleKind;
-use vadalog_chase::{offer_row, FactRef, Offer, Step, StrategyStats, TerminationStrategy};
+use vadalog_chase::{
+    offer_row, FactRef, Offer, Step, StrategyHeap, StrategyStats, TerminationStrategy,
+};
 use vadalog_model::prelude::*;
 use vadalog_storage::{
-    materialise, number_variables, undo_to, ActiveDomain, FactId, FactStore, JoinScratch,
-    ProbeBuffers, RangeFilter, Relation, RowPattern, Slot,
+    leapfrog_join, materialise, undo_to, ActiveDomain, FactId, FactStore, JoinScratch,
+    ProbeBuffers, Relation, RowPattern, TrieCursor, WcojCounters,
 };
-
-use vadalog_storage::{leapfrog_join, TrieCursor, WcojCounters, WcojLevel};
 
 use crate::aggregate::AggregateState;
 use crate::plan::{
-    chunk_windows, literal_constant, plan_chunk_count, AccessPlan, BoundTerm, FilterNode,
-    HybridPlan, PushedCondition,
+    chunk_windows, plan_chunk_count, AccessPlan, AggArg, CompiledExpr, Core, FilterNode, Guard,
+    Interned, ProbeStep, Residual, Source, Stage,
 };
 use crate::reasoner::ReasonerOptions;
 
@@ -208,69 +213,7 @@ struct WorkItem {
     chunk: Option<usize>,
 }
 
-/// A pushed condition compiled to the id level: `binding[slot] op bound`,
-/// checked with [`CmpOp::eval_ids`] (order keys decide, ties resolve).
-#[derive(Clone, Copy, Debug)]
-struct CompiledCond {
-    /// Binding slot of the probed variable.
-    slot: usize,
-    op: CmpOp,
-    /// The bound side: an interned constant or another binding slot.
-    bound: Slot,
-}
-
-/// The range filter of a compiled probe: constant bounds are built once at
-/// compile time (one interner access per activation, not per probe);
-/// variable bounds are resolved from the binding per probe.
-enum CompiledRange {
-    /// Constant bound, prebuilt.
-    Const(RangeFilter),
-    /// Variable bound: the binding slot holding it, and the operator.
-    Var { slot: usize, op: CmpOp },
-}
-
-impl CompiledRange {
-    /// The filter to probe with under `binding` (`None` if the bound slot is
-    /// unbound — the probe then degrades to the exact prefix only).
-    fn filter(&self, binding: &Binding) -> Option<RangeFilter> {
-        match self {
-            CompiledRange::Const(f) => Some(*f),
-            CompiledRange::Var { slot, op } => binding[*slot].map(|id| RangeFilter::new(*op, id)),
-        }
-    }
-}
-
-/// Where emission reads a variable that an expression mentions.
-#[derive(Clone, Copy, Debug)]
-enum Source {
-    /// A binding slot, resolved when read (unbound slots are skipped).
-    Slot(usize),
-    /// The result of the residual literal at this index: an assignment
-    /// earlier in the body, read exactly as computed — `Float(2.0)` stays a
-    /// float even where `Int(2)` owns the interned id.
-    Assigned(usize),
-}
-
-/// An expression with the variables it reads: it is evaluated over a
-/// substitution holding those only.
-#[derive(Clone, Debug)]
-struct CompiledExpr {
-    expr: Expr,
-    reads: Box<[(Var, Source)]>,
-}
-
 impl CompiledExpr {
-    fn compile(expr: &Expr, source: impl Fn(Var) -> Option<Source>) -> Self {
-        CompiledExpr {
-            expr: expr.clone(),
-            reads: expr
-                .variables()
-                .into_iter()
-                .filter_map(|v| source(v).map(|src| (v, src)))
-                .collect(),
-        }
-    }
-
     /// The substitution the expression is evaluated over.
     fn subst(&self, binding: &[Option<ValueId>], assigned: &[Option<Datum>]) -> Substitution {
         let mut subst = Substitution::new();
@@ -370,274 +313,29 @@ struct ResidualScratch {
     neg_bufs: ProbeBuffers,
 }
 
-/// An aggregation's argument.
-#[derive(Clone, Debug)]
-enum AggArg {
-    /// A body variable: its binding slot, read as an id.
-    Slot(usize),
-    /// Anything else, evaluated.
-    Expr(CompiledExpr),
-}
-
-/// A residual body literal — a condition the join did not enforce, or an
-/// assignment — compiled against the rule's slot numbering. Emission runs a
-/// filter's residuals in body order on each match's binding; an
-/// assignment's result goes to its variable's binding slot, when an atom
-/// mentions the variable (`slot`), and to the match's assigned results.
-#[derive(Clone, Debug)]
-enum Residual {
-    /// A comparison of variables and constants, checked on ids.
-    Cond(CompiledCond),
-    /// A comparison with an expression operand, evaluated on values.
-    Test {
-        op: CmpOp,
-        left: CompiledExpr,
-        right: CompiledExpr,
-    },
-    /// `var = expr`: arithmetic, calls, Skolem terms.
-    Assign {
-        var: Var,
-        expr: CompiledExpr,
-        slot: Option<usize>,
-    },
-    /// `var = maggr(arg, <contributors>)`.
-    Aggregate {
-        func: AggFunc,
-        arg: AggArg,
-        /// Group-by slots: the head variables other than `var` bound here.
-        group: Box<[usize]>,
-        contributors: Box<[Source]>,
-        slot: Option<usize>,
-        /// Index of the occurrence's state among the filter's aggregates.
-        state: usize,
-    },
-}
-
-/// Compile `rule`'s residual literals — its assignments, and its
-/// conditions other than the `pushed` ones — in body order against
-/// `slots`. Constants are interned here, on the sequential path.
-fn compile_residuals(
-    rule: &Rule,
-    slots: &HashMap<Var, usize>,
-    pushed: &[PushedCondition],
-) -> Box<[Residual]> {
-    let positive: BTreeSet<Var> = rule
-        .body_atoms()
-        .iter()
-        .flat_map(|a| a.variables())
-        .collect();
-    let head = rule.head_variables();
-    // variable -> index of the residual that last assigned it.
-    let mut assigned: HashMap<Var, usize> = HashMap::new();
-    let mut out: Vec<Residual> = Vec::new();
-    let mut aggregates = 0;
-    for (i, literal) in rule.body.iter().enumerate() {
-        let source = |v: Var| match assigned.get(&v) {
-            Some(&r) => Some(Source::Assigned(r)),
-            None => slots.get(&v).map(|&slot| Source::Slot(slot)),
-        };
-        let residual = match literal {
-            Literal::Condition(cond) if !pushed.iter().any(|p| p.literal == i) => {
-                // An id operand: a constant, or a variable whose current
-                // value sits in its binding slot (an assigned variable's
-                // slot holds the interned result, and ids compare like
-                // the values they intern).
-                let operand = |e: &Expr| match e {
-                    Expr::Term(Term::Var(v)) => slots.get(v).map(|&slot| Slot::Var(slot)),
-                    other => literal_constant(other).map(|c| Slot::Const(intern_value(&c))),
-                };
-                match (operand(&cond.left), operand(&cond.right)) {
-                    (Some(Slot::Var(slot)), Some(bound)) => Residual::Cond(CompiledCond {
-                        slot,
-                        op: cond.op,
-                        bound,
-                    }),
-                    (Some(bound @ Slot::Const(_)), Some(Slot::Var(slot))) => {
-                        Residual::Cond(CompiledCond {
-                            slot,
-                            op: cond.op.flipped(),
-                            bound,
-                        })
-                    }
-                    _ => Residual::Test {
-                        op: cond.op,
-                        left: CompiledExpr::compile(&cond.left, source),
-                        right: CompiledExpr::compile(&cond.right, source),
-                    },
-                }
-            }
-            Literal::Assignment(asg) => {
-                let slot = slots.get(&asg.var).copied();
-                let residual = match asg.aggregate() {
-                    Some(agg) => {
-                        let bound = |v: &Var| positive.contains(v) || assigned.contains_key(v);
-                        // A body variable is read as its id; anything
-                        // else (an assigned variable included) evaluated.
-                        let arg_source = match agg.arg.as_ref() {
-                            Expr::Term(Term::Var(v)) => source(*v),
-                            _ => None,
-                        };
-                        let arg = match arg_source {
-                            Some(Source::Slot(slot)) => AggArg::Slot(slot),
-                            _ => AggArg::Expr(CompiledExpr::compile(&agg.arg, source)),
-                        };
-                        let state = aggregates;
-                        aggregates += 1;
-                        Residual::Aggregate {
-                            func: agg.func,
-                            arg,
-                            group: head
-                                .iter()
-                                .filter(|v| **v != asg.var && bound(v))
-                                .filter_map(|v| slots.get(v).copied())
-                                .collect(),
-                            contributors: agg
-                                .contributors
-                                .iter()
-                                .filter_map(|c| source(*c))
-                                .collect(),
-                            slot,
-                            state,
-                        }
-                    }
-                    None => Residual::Assign {
-                        var: asg.var,
-                        expr: CompiledExpr::compile(&asg.expr, source),
-                        slot,
-                    },
-                };
-                assigned.insert(asg.var, out.len());
-                residual
-            }
-            _ => continue,
-        };
-        out.push(residual);
-    }
-    out.into_boxed_slice()
-}
-
-/// One join step compiled against the rule's slot numbering: the body atom
-/// it matches, the planner-chosen index probe and the id-level guards that
-/// become checkable once the step's variables are bound.
-struct CompiledStep {
-    /// Body-atom position this step matches.
-    atom: usize,
-    /// The atom's position in the canonical sequence (see
-    /// [`StepPlan::canonical`]): its support fact lands at `canonical - 1`.
-    canonical: usize,
-    /// Column list of the index to probe: exact prefix columns followed by
-    /// the range column, if any. Empty = scan.
-    index_cols: Box<[usize]>,
-    /// How many of `index_cols` are exact-prefix columns.
-    prefix_len: usize,
-    /// Pushed range condition on `index_cols[prefix_len]` (the condition is
-    /// also re-checked by its guard).
-    range: Option<CompiledRange>,
-    /// Guards checked right after each successful match of this step.
-    guards: Box<[CompiledCond]>,
-}
-
-/// One trie of a compiled intersect stage: the body atom it matches and the
-/// composite index column list its [`TrieCursor`] walks — the bound prefix
-/// first, then the free-variable columns in the activation's final
-/// variable order.
-#[derive(Clone, Debug)]
-struct CompiledTrie {
-    /// Body-atom position this trie matches.
-    atom: usize,
-    /// Full index column list (covers every column of the atom).
-    cols: Box<[usize]>,
-    /// How many leading `cols` are bound before the leapfrog (constants,
-    /// delta variables and prefix-ear variables): the cursor's `open`
-    /// prefix.
-    prefix_len: usize,
-}
-
-/// One stage of a delta position's join plan, run after the delta scan.
-#[derive(Clone, Copy, Debug)]
-enum Stage {
-    /// Probe one atom on its bound columns: the [`CompiledStep`] at this
-    /// index of `delta_steps[d]`.
-    Probe(usize),
-    /// Intersect the core's cursors level by level (see [`CompiledHybrid`]).
-    Intersect,
-}
-
-/// One delta position's compiled free-join plan: probe stages over the
-/// acyclic ears before and after one intersect stage over the cyclic-core
-/// atoms (no ears at all for a fully cyclic body). Ear stages keep their
-/// original [`CompiledStep`] probes and guards — every guard that was
-/// checkable at an ear's binary sequence position is still checkable at its
-/// stage, because the bound-set at that point is a superset of the binary
-/// one. Core-step guards are re-placed onto the leapfrog levels; a core
-/// guard also involving an interleaved-suffix-ear variable is deferred to
-/// full match depth.
-#[derive(Clone, Debug)]
-struct CompiledHybrid {
-    /// Prefix-ear probes, the intersect stage, suffix-ear probes.
-    stages: Box<[Stage]>,
-    /// Core tries in binary step order.
-    tries: Vec<CompiledTrie>,
-    /// For each core trie, the canonical sequence position of its atom —
-    /// where its support fact lands in the (n−1)-wide support vector.
-    trie_seq: Box<[usize]>,
-    /// Leapfrog levels in the final variable order (core free variables
-    /// only).
-    levels: Vec<WcojLevel>,
-    /// Core guards checkable before the leapfrog opens (all slots bound by
-    /// the delta row or a prefix ear).
-    pre_guards: Box<[CompiledCond]>,
-    /// Per-level core guards, checked as soon as the level's variable
-    /// binds.
-    level_guards: Vec<Box<[CompiledCond]>>,
-    /// Core guards involving a variable only a suffix ear binds, checked at
-    /// full match depth.
-    deferred_guards: Box<[CompiledCond]>,
-}
-
-/// One prepared activation: everything the (read-only) join phase needs,
-/// compiled sequentially so interner writes stay deterministic, and shipped
-/// to a sweep worker by reference.
-struct FilterJob {
+/// One activation: the compiled filter it runs, its delta windows, its
+/// join strategy and its shard plan. Prepared sequentially and shipped to
+/// the sweep workers by reference.
+struct FilterJob<'p> {
     /// Index of the filter in the plan; check `c` runs as job
     /// `filters.len() + c`.
     f_idx: usize,
+    /// The compiled filter.
+    node: &'p FilterNode,
+    /// Its constant-holding parts.
+    interned: &'p Interned,
+    /// Do the positions with a [`Core`] run its intersect stage
+    /// (`JoinStrategy::FreeJoin`)? The all-probe steps otherwise.
+    free_join: bool,
     /// Per-body-position `(consumed, snapshot)` delta windows.
     deltas: Vec<(usize, usize)>,
-    /// Compiled positive body patterns, in body order.
-    patterns: Vec<RowPattern>,
-    /// Compiled negated patterns.
-    neg_patterns: Vec<RowPattern>,
-    /// Compiled head patterns.
-    head_patterns: Vec<RowPattern>,
-    /// The rule's shared variable numbering.
-    slots: HashMap<Var, usize>,
-    /// Per-delta-position evaluation orders with compiled probes and guards
-    /// (`delta_steps[d][0]` scans the delta window of body position `d`).
-    /// Empty for a position the job never drives (a check's non-driver
-    /// positions).
-    delta_steps: Vec<Vec<CompiledStep>>,
-    /// Per delta position: do its steps run out of canonical order
-    /// ([`DeltaPlan::reordered`])? Its matches are then sorted per delta
-    /// row by their canonical support vectors.
-    reordered: Vec<bool>,
-    /// The rule's residual literals, in body order: every assignment and
-    /// every condition the join does not enforce.
-    residuals: Box<[Residual]>,
-    /// The all-probe plan of every delta position: one probe stage per
-    /// non-delta step of `delta_steps[d]`.
-    probe_stages: Box<[Stage]>,
-    /// Per-delta-position free-join plan, compiled under
-    /// [`JoinStrategy::FreeJoin`] when the body has a cyclic core; the
-    /// all-probe plan stays the always-valid fallback.
-    hybrid: Vec<Option<CompiledHybrid>>,
-    /// The activation's shard plan: every non-empty delta window split into
-    /// cost-sized contiguous chunks, in `(delta_idx, from)` order. Empty when
-    /// intra-filter sharding is off — the activation then runs as one item.
+    /// Every non-empty delta window split into contiguous chunks, in
+    /// `(delta_idx, from)` order. Empty at one worker: the activation then
+    /// runs as one item.
     chunks: Vec<Chunk>,
 }
 
-impl FilterJob {
+impl FilterJob<'_> {
     /// Semi-naive row limit of body position `pos` when `delta_idx` drives
     /// the join: positions strictly before the delta position are
     /// restricted to old facts, so each new combination is seen exactly
@@ -655,19 +353,19 @@ impl FilterJob {
 /// the delta position and the stage list chosen for it.
 struct JoinCx<'a, 'r> {
     store: &'r FactStore,
-    job: &'a FilterJob,
+    job: &'a FilterJob<'a>,
     delta_idx: usize,
-    /// The delta position's compiled steps (`job.delta_steps[delta_idx]`).
-    steps: &'a [CompiledStep],
+    /// The delta position's steps.
+    steps: &'a [ProbeStep],
     /// Are full matches buffered with their support vectors and sorted per
     /// delta row (an intersect stage or a reordered plan), rather than
     /// pushed straight into the results in enumeration order?
     restore_order: bool,
     /// The plan's stages after the delta scan.
     stages: &'a [Stage],
-    /// The compiled free-join plan `stages` belongs to; `None` for the
-    /// all-probe plan.
-    core: Option<&'a CompiledHybrid>,
+    /// The free-join plan `stages` belongs to; `None` for the all-probe
+    /// plan.
+    core: Option<&'a Core>,
     /// Relation and semi-naive limit of each core trie, parallel to
     /// `core.tries`.
     core_rels: &'a [(&'r Relation, usize)],
@@ -712,8 +410,13 @@ pub struct PipelineStats {
     /// workers − 1). A scheduling diagnostic: unlike every other counter it
     /// depends on thread timing and is **not** deterministic across runs.
     pub steals: u64,
-    /// Delta plans compiled with an intersect stage and no ears: fully
-    /// cyclic rule bodies, every non-delta atom a leapfrog trie.
+    /// Delta positions with an intersect stage and no ears (fully cyclic
+    /// rule bodies, every non-delta atom a leapfrog trie), summed over the
+    /// activations that drive them under [`JoinStrategy::FreeJoin`]: a
+    /// sweep activation counts every such position of its filter, whether
+    /// or not its delta window holds rows; a check or fold-stratum run
+    /// counts its driver's. Not a count of plans compiled, nor of
+    /// productive activations.
     pub wcoj_activations: u64,
     /// Leapfrog cursor seeks performed by intersect stages. A pure function
     /// of the store contents — deterministic at every thread
@@ -721,9 +424,10 @@ pub struct PipelineStats {
     pub wcoj_seeks: u64,
     /// Values that survived a full per-variable leapfrog intersection.
     pub wcoj_intersections: u64,
-    /// Delta plans compiled with an intersect stage over a proper cyclic
-    /// core: bodies with acyclic ears around it (probed before or after the
-    /// leapfrog, or scanned as the delta atom).
+    /// Delta positions with an intersect stage over a proper cyclic core
+    /// (bodies with acyclic ears around it, probed before or after the
+    /// leapfrog, or scanned as the delta atom), summed over activations as
+    /// [`PipelineStats::wcoj_activations`] is.
     pub hybrid_activations: u64,
     /// Always 0: every leapfrog trie walks its relation's own sorted-run
     /// index. Kept only for the benchmark's API footprint.
@@ -771,8 +475,12 @@ pub struct PipelineStats {
     /// it, as the sweep that would have confirmed the fixpoint never ran.
     pub capped: Option<RunCap>,
     /// Heap bytes the termination strategy held at the end of the run,
-    /// counted by capacity ([`TerminationStrategy::heap_bytes`]).
+    /// counted by capacity: [`PipelineStats::strategy_heap`]'s total.
     pub strategy_bytes: u64,
+    /// [`PipelineStats::strategy_bytes`] by structure: fact records,
+    /// forest members, the provenance trie and pattern forms
+    /// ([`TerminationStrategy::heap_bytes`]).
+    pub strategy_heap: StrategyHeap,
     /// Stored rows the termination strategy compared candidates with
     /// ([`TerminationStrategy::iso_comparisons`]): the work behind
     /// `strategy.isomorphism_checks`.
@@ -988,7 +696,8 @@ impl<'a> Pipeline<'a> {
             duplicates: strategy.duplicates + self.dedup_stats.duplicates,
             ..strategy
         };
-        self.stats.strategy_bytes = self.strategy.heap_bytes() as u64;
+        self.stats.strategy_heap = self.strategy.heap_bytes();
+        self.stats.strategy_bytes = self.stats.strategy_heap.total();
         self.stats.iso_comparisons = self.strategy.iso_comparisons();
         self.stats.snapshot_overlay_rows = self.store.overlay_rows() as u64;
 
@@ -1083,28 +792,27 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Compile each `(node, job number, driver)` for one run over the
+    /// Activate each `(node, job number, driver)` for one run over the
     /// complete instance and collect them as one batch. The driver's window
     /// is its whole relation, and every other position reads its whole
-    /// relation; only the driver's plan is compiled. Returns each job with
-    /// its matches, in order. The checks and the fold stratum share it.
-    fn run_whole(
+    /// relation; only the driver's position runs. Returns each job with its
+    /// matches, in order. The checks and the fold stratum share it.
+    fn run_whole<'p>(
         &mut self,
-        runs: &[(&FilterNode, usize, Option<usize>)],
-    ) -> Vec<(FilterJob, Vec<Binding>)> {
+        runs: &[(&'p FilterNode, usize, Option<usize>)],
+    ) -> Vec<(FilterJob<'p>, Vec<Binding>)> {
         let mut jobs = Vec::with_capacity(runs.len());
         for &(node, f_idx, driver) in runs {
             let deltas = node
-                .rule
-                .body_atoms()
+                .body_predicates
                 .iter()
                 .enumerate()
-                .map(|(pos, atom)| {
-                    let len = self.store.relation(atom.predicate).map_or(0, Relation::len);
+                .map(|(pos, predicate)| {
+                    let len = self.store.relation(*predicate).map_or(0, Relation::len);
                     (if Some(pos) == driver { 0 } else { len }, len)
                 })
                 .collect();
-            jobs.push(self.compile_job(node, f_idx, deltas, driver));
+            jobs.push(self.activate(node, f_idx, deltas, driver));
         }
         let results = self.collect_batch(&jobs);
         jobs.into_iter().zip(results).collect()
@@ -1134,18 +842,19 @@ impl<'a> Pipeline<'a> {
         let mut violations = Vec::new();
         let mut scratch = ResidualScratch::default();
         for (job, mut matches) in results {
-            if job.patterns.is_empty() {
-                matches = vec![vec![None; job.slots.len()]];
+            let node = job.node;
+            if node.body_predicates.is_empty() {
+                matches = vec![vec![None; node.slots.len()]];
             }
-            let rule = &plan.checks[job.f_idx - first].rule;
+            let rule = &node.rule;
             for mut binding in matches {
                 if !self.accept(&job, Pass::Check, &mut binding, &mut scratch) {
                     continue;
                 }
                 // The substitution the message prints: the binding, with
                 // each assigned variable read exactly as computed.
-                let mut m = materialise(&job.slots, &binding);
-                for (residual, value) in job.residuals.iter().zip(&scratch.assigned) {
+                let mut m = materialise(&node.slots, &binding);
+                for (residual, value) in job.interned.residuals.iter().zip(&scratch.assigned) {
                     if let (Residual::Assign { var, .. }, Some(value)) = (residual, value) {
                         m.bind(*var, value.value());
                     }
@@ -1194,7 +903,7 @@ impl<'a> Pipeline<'a> {
     /// batch — that filter must see the batch's inserts, so it starts the
     /// next batch. Returns the prepared jobs and the position the scan
     /// stopped at.
-    fn build_batch(&mut self, filters: &[usize], start: usize) -> (Vec<FilterJob>, usize) {
+    fn build_batch(&mut self, filters: &[usize], start: usize) -> (Vec<FilterJob<'a>>, usize) {
         let mut jobs = Vec::new();
         let mut batch_outputs: BTreeSet<Sym> = BTreeSet::new();
         let mut i = start;
@@ -1212,12 +921,12 @@ impl<'a> Pipeline<'a> {
         (jobs, i)
     }
 
-    /// Prepare one filter for activation: snapshot its delta windows, build
-    /// the indices its join will probe, and compile the rule's patterns.
-    /// Returns `None` when the filter is quiescent (no input grew since its
-    /// last activation) — at fixpoint approach most filters are quiescent in
-    /// every sweep, and skip all per-activation work.
-    fn prepare(&mut self, f_idx: usize) -> Option<FilterJob> {
+    /// Prepare one filter for activation: snapshot its delta windows and
+    /// [`Pipeline::activate`] it. Returns `None` when the filter is
+    /// quiescent (no input grew since its last activation) — at fixpoint
+    /// approach most filters are quiescent in every sweep, and skip all
+    /// per-activation work.
+    fn prepare(&mut self, f_idx: usize) -> Option<FilterJob<'a>> {
         if !self.awake[f_idx] {
             // No input grew since the filter last went quiescent: skip it
             // without even snapshotting its delta windows. Equivalent to
@@ -1227,30 +936,24 @@ impl<'a> Pipeline<'a> {
             return None;
         }
         let filter = &self.plan.filters[f_idx];
-        let body_atoms = filter.rule.body_atoms();
-        if body_atoms.is_empty() {
+        if filter.body_predicates.is_empty() {
             return None;
         }
-        let snapshot: Vec<usize> = body_atoms
-            .iter()
-            .map(|a| {
-                self.store
-                    .relation(a.predicate)
-                    .map(|r| r.len())
-                    .unwrap_or(0)
-            })
-            .collect();
         let deltas: Vec<(usize, usize)> = self.cursors[f_idx]
             .iter()
-            .zip(snapshot.iter())
-            .map(|(from, to)| (*from, *to))
+            .zip(filter.body_predicates.iter())
+            .map(|(from, predicate)| {
+                let to = self.store.relation(*predicate).map_or(0, Relation::len);
+                (*from, to)
+            })
             .collect();
         if deltas.iter().all(|(from, to)| from >= to) {
             self.awake[f_idx] = false;
             return None;
         }
-        let job = self.compile_job(filter, f_idx, deltas, None);
+        let job = self.activate(filter, f_idx, deltas, None);
         let aggregates = job
+            .interned
             .residuals
             .iter()
             .filter(|r| matches!(r, Residual::Aggregate { .. }))
@@ -1261,173 +964,37 @@ impl<'a> Pipeline<'a> {
         Some(job)
     }
 
-    /// Compile `filter` for a run over the delta windows `deltas`, as job
-    /// `f_idx`: its patterns, per-delta-position probes and guards, residual
-    /// literals and free-join plans, the indices those will probe, and the
-    /// shard plan. `only` restricts the per-position plans (and their
-    /// indices and activation counts) to that one delta position, the only
-    /// one a check drives; `None` compiles every position. Sweeps and checks
-    /// share it; it stays on the sequential path.
-    fn compile_job(
+    /// Start an activation of `node`, as job `f_idx`, over the delta
+    /// windows `deltas`, driving `driver` (every delta position when
+    /// `None`): intern its constants at its first activation
+    /// ([`FilterNode::interned`]); ensure (and flush) the index lists its
+    /// driven positions probe ([`FilterNode::index_lists`]), so the batch's
+    /// workers never hit the `probe_if_indexed` miss path against the
+    /// frozen store; count its intersect stages; and split every non-empty
+    /// window into contiguous chunks by its row count and the worker count
+    /// alone ([`plan_chunk_count`]). Sequential-path only: interner writes
+    /// and index builds happen in a fixed order.
+    fn activate<'p>(
         &mut self,
-        filter: &FilterNode,
+        node: &'p FilterNode,
         f_idx: usize,
         deltas: Vec<(usize, usize)>,
-        only: Option<usize>,
-    ) -> FilterJob {
-        let compiled = |d: usize| only.is_none_or(|o| o == d);
-        let rule = &filter.rule;
-        let body_atoms: Vec<Atom> = rule.body_atoms().into_iter().cloned().collect();
-        let negated_atoms: Vec<Atom> = rule.negated_atoms().into_iter().cloned().collect();
-
-        // Compile the rule to the id level: one dense variable numbering
-        // shared by all patterns (body, negation and heads — head-only
-        // variables such as existentials and assignment targets get slots
-        // too), constants interned once per activation. Compilation stays on
-        // this (sequential) path so interner writes happen in a fixed order
-        // regardless of the worker count.
-        let head_atoms: Vec<Atom> = rule.head_atoms().into_iter().cloned().collect();
-        let all_atoms: Vec<&Atom> = body_atoms
-            .iter()
-            .chain(negated_atoms.iter())
-            .chain(head_atoms.iter())
-            .collect();
-        let slots = number_variables(&all_atoms);
-        let patterns: Vec<RowPattern> = body_atoms
-            .iter()
-            .map(|a| RowPattern::compile(a, &slots))
-            .collect();
-        let neg_patterns: Vec<RowPattern> = negated_atoms
-            .iter()
-            .map(|a| RowPattern::compile(a, &slots))
-            .collect();
-        let head_patterns: Vec<RowPattern> = head_atoms
-            .iter()
-            .map(|a| RowPattern::compile(a, &slots))
-            .collect();
-
-        // Compile the planner's pushed conditions and per-delta probe/guard
-        // placement to the id level (bound constants interned here, on the
-        // sequential path).
-        let compiled_pushed: Vec<CompiledCond> = filter
-            .pushed
-            .iter()
-            .map(|p| CompiledCond {
-                slot: slots[&p.var],
-                op: p.op,
-                bound: match &p.bound {
-                    BoundTerm::Const(c) => Slot::Const(intern_value(c)),
-                    BoundTerm::Var(u) => Slot::Var(slots[u]),
-                },
-            })
-            .collect();
-        let mut delta_steps: Vec<Vec<CompiledStep>> = Vec::with_capacity(filter.delta_plans.len());
-        for (d, dp) in filter.delta_plans.iter().enumerate() {
-            if !compiled(d) {
-                delta_steps.push(Vec::new());
-                continue;
-            }
-            let mut steps = Vec::with_capacity(dp.steps.len());
-            for sp in &dp.steps {
-                let mut index_cols = sp.probe.prefix_cols.clone();
-                let range = sp.probe.range.and_then(|(col, cond)| {
-                    let c = compiled_pushed[cond];
-                    let range = if sp.probe.range_flipped {
-                        // Mirrored var-var orientation: probe the
-                        // bound-side variable with the flipped op.
-                        match c.bound {
-                            Slot::Var(_) => Some(CompiledRange::Var {
-                                slot: c.slot,
-                                op: c.op.flipped(),
-                            }),
-                            Slot::Const(_) => None,
-                        }
-                    } else {
-                        Some(match c.bound {
-                            // Constant bound: one RangeFilter per
-                            // activation, reused by every probe.
-                            Slot::Const(id) => CompiledRange::Const(RangeFilter::new(c.op, id)),
-                            Slot::Var(slot) => CompiledRange::Var { slot, op: c.op },
-                        })
-                    };
-                    if range.is_some() {
-                        index_cols.push(col);
-                    }
-                    range
-                });
-                steps.push(CompiledStep {
-                    atom: sp.atom,
-                    canonical: sp.canonical,
-                    prefix_len: sp.probe.prefix_cols.len(),
-                    index_cols: index_cols.into_boxed_slice(),
-                    range,
-                    guards: sp.guards.iter().map(|g| compiled_pushed[*g]).collect(),
-                });
-            }
-            delta_steps.push(steps);
+        driver: Option<usize>,
+    ) -> FilterJob<'p> {
+        let interned = node.interned();
+        let free_join = self.options.join_strategy == JoinStrategy::FreeJoin;
+        for (predicate, cols) in node.index_lists(driver, free_join) {
+            self.store.relation_mut(predicate).ensure_index(cols);
         }
-        let residuals = compile_residuals(rule, &slots, &filter.pushed);
-
-        // Pre-build every index the planned probes will touch (and flush
-        // their tails), so the batch's workers never hit the
-        // `probe_if_indexed` miss path against the frozen store.
-        for steps in &delta_steps {
-            for step in steps.iter().skip(1) {
-                if !step.index_cols.is_empty() {
-                    self.store
-                        .relation_mut(patterns[step.atom].predicate)
-                        .ensure_index(&step.index_cols);
+        if free_join {
+            for core in node.driven(driver).filter_map(|dp| dp.core.as_ref()) {
+                if core.ears > 0 {
+                    self.stats.hybrid_activations += 1;
+                } else {
+                    self.stats.wcoj_activations += 1;
                 }
             }
         }
-        for atom in &negated_atoms {
-            // Negation probe columns: constants and variables bound by
-            // the positive body — singles plus the composite the
-            // negation probe prefers.
-            let mut determined: Vec<usize> = Vec::new();
-            for (col, term) in atom.terms.iter().enumerate() {
-                let worth_indexing = match term {
-                    Term::Const(_) => true,
-                    Term::Var(v) => body_atoms
-                        .iter()
-                        .any(|other| other.variables().any(|w| w == *v)),
-                };
-                if worth_indexing {
-                    self.store.relation_mut(atom.predicate).ensure_index(&[col]);
-                    determined.push(col);
-                }
-            }
-            if determined.len() > 1 {
-                self.store
-                    .relation_mut(atom.predicate)
-                    .ensure_index(&determined);
-            }
-        }
-
-        // Free-join alternative per delta position: present only for bodies
-        // with a cyclic core (the planner's GYO check). Compiling fixes the
-        // final variable order from run-directory selectivity, builds each
-        // trie's composite index, and re-places the pushed-condition guards
-        // at leapfrog levels — all on this sequential path, so the plan
-        // taken (and hence the enumeration) is a pure function of the store
-        // and the knobs.
-        let mut hybrid: Vec<Option<CompiledHybrid>> = vec![None; filter.delta_plans.len()];
-        if self.options.join_strategy == JoinStrategy::FreeJoin {
-            for (d, dp) in filter.delta_plans.iter().enumerate() {
-                if let Some(hp) = dp.hybrid.as_ref().filter(|_| compiled(d)) {
-                    hybrid[d] = Some(self.compile_hybrid(hp, &patterns, &slots, &delta_steps[d]));
-                    if hp.has_ears() {
-                        self.stats.hybrid_activations += 1;
-                    } else {
-                        self.stats.wcoj_activations += 1;
-                    }
-                }
-            }
-        }
-
-        // Shard plan: split every non-empty delta window into contiguous
-        // chunks by its row count and the worker count alone
-        // ([`plan_chunk_count`]).
         let mut chunks = Vec::new();
         if self.options.parallelism > 1 {
             for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
@@ -1444,133 +1011,13 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
-
         FilterJob {
             f_idx,
+            node,
+            interned,
+            free_join,
             deltas,
-            patterns,
-            neg_patterns,
-            head_patterns,
-            slots,
-            delta_steps,
-            reordered: filter.delta_plans.iter().map(|dp| dp.reordered).collect(),
-            residuals,
-            probe_stages: (1..body_atoms.len()).map(Stage::Probe).collect(),
-            hybrid,
             chunks,
-        }
-    }
-
-    /// Compile one delta position's free-join plan (see [`HybridPlan`]):
-    /// one leapfrog level per variable of the plan's order, each core
-    /// trie's composite column list under that order, the indices the
-    /// cursors will walk (built and flushed here), and the stage list. Ear
-    /// steps keep their original [`CompiledStep`]s (indexed by sequence
-    /// position); only the *core* steps' guards are re-placed — onto the
-    /// earliest leapfrog level where every involved slot is bound by the
-    /// delta row, a prefix ear or the levels so far, or deferred to full
-    /// match depth when a suffix-ear variable is involved. Checking
-    /// earlier than the binary step only prunes sooner — guards are pure
-    /// binding predicates, so the surviving match set is identical.
-    /// Sequential-path only: index builds happen in a fixed order.
-    fn compile_hybrid(
-        &mut self,
-        hp: &HybridPlan,
-        patterns: &[RowPattern],
-        slots: &HashMap<Var, usize>,
-        steps: &[CompiledStep],
-    ) -> CompiledHybrid {
-        let order = hp.static_order();
-        let levels: Vec<WcojLevel> = order
-            .iter()
-            .map(|v| WcojLevel {
-                slot: slots[v],
-                cursors: hp
-                    .tries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.var_cols.iter().any(|(u, _)| u == v))
-                    .map(|(i, _)| i)
-                    .collect(),
-            })
-            .collect();
-
-        let mut tries = Vec::with_capacity(hp.tries.len());
-        let mut trie_seq = Vec::with_capacity(hp.tries.len());
-        for tp in &hp.tries {
-            let cols = HybridPlan::trie_cols(tp, &order);
-            self.store
-                .relation_mut(patterns[tp.atom].predicate)
-                .ensure_index(&cols);
-            tries.push(CompiledTrie {
-                atom: tp.atom,
-                prefix_len: tp.bound_cols.len(),
-                cols: cols.into_boxed_slice(),
-            });
-            trie_seq.push(
-                steps
-                    .iter()
-                    .find(|s| s.atom == tp.atom)
-                    .expect("core atom has a binary step")
-                    .canonical,
-            );
-        }
-
-        // Slots bound before the leapfrog opens: the delta atom's variables
-        // plus every prefix ear's variables.
-        let var_slots = |step: usize| {
-            patterns[steps[step].atom]
-                .slots
-                .iter()
-                .filter_map(|s| match s {
-                    Slot::Var(i) => Some(*i),
-                    Slot::Const(_) => None,
-                })
-        };
-        let bound_pre: Vec<usize> = std::iter::once(0)
-            .chain(hp.prefix_steps.iter().copied())
-            .flat_map(var_slots)
-            .collect();
-
-        let mut pre_guards = Vec::new();
-        let mut level_guards: Vec<Vec<CompiledCond>> = vec![Vec::new(); levels.len()];
-        let mut deferred_guards = Vec::new();
-        for &s in trie_seq.iter() {
-            for g in steps[s].guards.iter() {
-                let mut involved = vec![g.slot];
-                if let Slot::Var(sl) = g.bound {
-                    involved.push(sl);
-                }
-                if involved.iter().all(|sl| bound_pre.contains(sl)) {
-                    pre_guards.push(*g);
-                    continue;
-                }
-                let placed = (0..levels.len()).find(|&i| {
-                    involved.iter().all(|sl| {
-                        bound_pre.contains(sl) || levels[..=i].iter().any(|l| l.slot == *sl)
-                    })
-                });
-                match placed {
-                    Some(i) => level_guards[i].push(*g),
-                    None => deferred_guards.push(*g),
-                }
-            }
-        }
-        let probes = |steps: &[usize]| steps.iter().map(|&s| Stage::Probe(s)).collect::<Vec<_>>();
-        let mut stages = probes(&hp.prefix_steps);
-        stages.push(Stage::Intersect);
-        stages.extend(probes(&hp.suffix_steps));
-        CompiledHybrid {
-            stages: stages.into_boxed_slice(),
-            tries,
-            trie_seq: trie_seq.into_boxed_slice(),
-            levels,
-            pre_guards: pre_guards.into_boxed_slice(),
-            level_guards: level_guards
-                .into_iter()
-                .map(Vec::into_boxed_slice)
-                .collect(),
-            deferred_guards: deferred_guards.into_boxed_slice(),
         }
     }
 
@@ -1762,32 +1209,18 @@ impl<'a> Pipeline<'a> {
     /// sees it. Runs sequentially in filter-index order. Returns whether
     /// any new fact was admitted.
     fn emit(&mut self, job: &FilterJob, matches: Vec<Binding>) -> bool {
-        let plan = self.plan;
         let f_idx = job.f_idx;
-        let filter = &plan.filters[f_idx];
-        let FilterJob {
-            deltas,
-            patterns,
-            head_patterns,
-            slots,
-            ..
-        } = job;
-        for (pos, (_, to)) in deltas.iter().enumerate() {
+        let node = job.node;
+        for (pos, (_, to)) in job.deltas.iter().enumerate() {
             self.cursors[f_idx][pos] = *to;
         }
         if matches.is_empty() {
             return false;
         }
 
-        let rule_id = filter.rule_id;
-        let kind = plan.analysis.rules[rule_id as usize].kind;
-        let ward_index = plan.analysis.rules[rule_id as usize].ward;
-        let existential_slots: Vec<usize> = filter
-            .rule
-            .existential_variables()
-            .iter()
-            .filter_map(|v| slots.get(v).copied())
-            .collect();
+        let rule = &self.plan.analysis.rules[node.rule_id as usize];
+        let (rule_id, kind, ward_index) = (node.rule_id, rule.kind, rule.ward);
+        let patterns = &job.interned.patterns;
         let mut produced = false;
 
         let mut scratch = ResidualScratch::default();
@@ -1819,11 +1252,11 @@ impl<'a> Pipeline<'a> {
 
             // Existential witnesses: fresh nulls, interned straight into the
             // binding (a null id hashes as two integers).
-            for slot in &existential_slots {
+            for slot in node.existential_slots.iter() {
                 binding[*slot] = Some(intern_value(&self.nulls.fresh_value()));
             }
 
-            for hp in head_patterns {
+            for hp in job.interned.head_patterns.iter() {
                 row.clear();
                 if !hp.instantiate_into(&binding, &mut row) {
                     continue;
@@ -1872,7 +1305,7 @@ impl<'a> Pipeline<'a> {
         binding: &mut Binding,
         scratch: &mut ResidualScratch,
     ) -> bool {
-        for np in &job.neg_patterns {
+        for np in job.interned.neg_patterns.iter() {
             if let Some(rel) = self.store.relation(np.predicate) {
                 if np.any_match_with(rel, binding, &mut scratch.neg_bufs) {
                     return false;
@@ -1885,11 +1318,11 @@ impl<'a> Pipeline<'a> {
             key_ids,
             ..
         } = scratch;
-        assigned.resize_with(job.residuals.len(), || None);
-        for (r, residual) in job.residuals.iter().enumerate() {
+        assigned.resize_with(job.interned.residuals.len(), || None);
+        for (r, residual) in job.interned.residuals.iter().enumerate() {
             let (result, slot) = match residual {
                 Residual::Cond(cond) => {
-                    if !Self::check_guards(std::slice::from_ref(cond), binding) {
+                    if !cond.holds(binding) {
                         return false;
                     }
                     continue;
@@ -2008,24 +1441,19 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Do all of the step's guards hold under `binding`? Pure id-level
-    /// comparisons: order keys decide, ties resolve, unbound slots reject
-    /// (mirroring the substitution evaluator, where an unbound variable
-    /// fails the condition).
-    fn check_guards(guards: &[CompiledCond], binding: &[Option<ValueId>]) -> bool {
-        guards
-            .iter()
-            .all(|g| match (binding[g.slot], g.bound.value(binding)) {
-                (Some(left), Some(right)) => g.op.eval_ids(left, right),
-                _ => false,
-            })
+    /// Do all of the guards `picked` (indices into `guards`) hold under
+    /// `binding`? Pure id-level comparisons ([`Guard::holds`]): order keys
+    /// decide, ties resolve, unbound slots reject.
+    fn check_guards(guards: &[Guard], picked: &[usize], binding: &[Option<ValueId>]) -> bool {
+        picked.iter().all(|&g| guards[g].holds(binding))
     }
 
     /// Semi-naive slot-machine join over one delta-window chunk: scan rows
     /// `[from, to)` of body position `delta_idx` and run each through the
     /// delta position's stage list ([`Pipeline::join_stage`]) — the
-    /// free-join plan when one was compiled and the frozen store can hand
-    /// out its trie cursors, the all-probe plan otherwise. Each new
+    /// free-join plan when the position has one, the strategy is
+    /// `FreeJoin` and the frozen store can hand out its trie cursors, the
+    /// all-probe plan otherwise. Each new
     /// combination is enumerated exactly once across the window's chunks,
     /// and the matches of one delta row always land in `results` in the
     /// canonical all-probe plan's enumeration order, so emission order is
@@ -2063,16 +1491,18 @@ impl<'a> Pipeline<'a> {
         js: &mut JoinScratch,
         results: &mut Vec<Binding>,
     ) {
-        let Some(rel) = store.relation(job.patterns[delta_idx].predicate) else {
+        let (node, interned) = (job.node, job.interned);
+        let Some(rel) = store.relation(node.body_predicates[delta_idx]) else {
             return;
         };
-        let mut core = job.hybrid[delta_idx].as_ref();
+        let plan = &node.deltas[delta_idx];
+        let mut core = plan.core.as_ref().filter(|_| job.free_join);
         let mut core_rels: Vec<(&Relation, usize)> = Vec::new();
         let mut cursors: Vec<TrieCursor<'_>> = Vec::new();
         if let Some(ch) = core {
             for trie in &ch.tries {
                 let limit = job.limit(trie.atom, delta_idx);
-                let Some(rel) = store.relation(job.patterns[trie.atom].predicate) else {
+                let Some(rel) = store.relation(node.body_predicates[trie.atom]) else {
                     return; // a body relation with no facts: the join is empty
                 };
                 if limit == 0 {
@@ -2096,7 +1526,7 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
-        js.reset(job.slots.len(), job.patterns.len());
+        js.reset(node.slots.len(), node.body_predicates.len());
         if core.is_some() {
             // Re-adopt the open-span memos of this work item's previous
             // chunk: one filter activation re-opens the same bound prefixes
@@ -2109,14 +1539,14 @@ impl<'a> Pipeline<'a> {
                 cursor.adopt_memo(std::mem::take(memo));
             }
         }
-        let steps = &job.delta_steps[delta_idx];
+        let steps = &plan.steps;
         let cx = JoinCx {
             store,
             job,
             delta_idx,
             steps,
-            restore_order: core.is_some() || job.reordered[delta_idx],
-            stages: core.map_or(&job.probe_stages, |ch| &ch.stages),
+            restore_order: core.is_some() || plan.reordered,
+            stages: core.map_or(&node.probe_stages, |ch| &ch.stages),
             core,
             core_rels: &core_rels,
         };
@@ -2126,8 +1556,8 @@ impl<'a> Pipeline<'a> {
         for fact_pos in from..to.min(rel.len()) {
             let row = rel.row(FactId(fact_pos as u32));
             counters.join_probes += 1;
-            if job.patterns[delta_idx].match_row(row, &mut js.binding, &mut js.trail) {
-                if Self::check_guards(&steps[0].guards, &js.binding) {
+            if interned.patterns[delta_idx].match_row(row, &mut js.binding, &mut js.trail) {
+                if Self::check_guards(&interned.guards, &steps[0].guards, &js.binding) {
                     Self::join_stage(&cx, 0, &mut cursors, counters, js, results);
                     if cx.restore_order {
                         let JoinScratch {
@@ -2174,10 +1604,13 @@ impl<'a> Pipeline<'a> {
                 Self::intersect_stage(cx, stage, ch, cursors, counters, js, results)
             }
             (Some(Stage::Intersect), None) => {
-                unreachable!("only a compiled free-join plan has an intersect stage")
+                unreachable!("only a free-join plan has an intersect stage")
             }
             (None, core) => {
-                if core.is_some_and(|ch| !Self::check_guards(&ch.deferred_guards, &js.binding)) {
+                let guards = &cx.job.interned.guards;
+                if core
+                    .is_some_and(|ch| !Self::check_guards(guards, &ch.deferred_guards, &js.binding))
+                {
                     return;
                 }
                 if cx.restore_order {
@@ -2193,8 +1626,8 @@ impl<'a> Pipeline<'a> {
 
     /// Probe stage: match one atom on its bound columns — the planner's
     /// composite prefix and (optional) pushed range condition, whose index
-    /// the activation pre-pass built and flushed, so with indices enabled
-    /// the probe hits; a scan otherwise — and run the next stage under
+    /// the activation ensured and flushed, so the probe hits; a scan when
+    /// the step has no bound column — and run the next stage under
     /// every extension that passes the step's guards, recording the matched
     /// support fact at its atom's canonical sequence position.
     fn probe_stage<'r>(
@@ -2207,7 +1640,8 @@ impl<'a> Pipeline<'a> {
         results: &mut Vec<Binding>,
     ) {
         let step = &cx.steps[step_pos];
-        let pattern = &cx.job.patterns[step.atom];
+        let interned = cx.job.interned;
+        let pattern = &interned.patterns[step.atom];
         let limit = cx.job.limit(step.atom, cx.delta_idx);
         if limit == 0 {
             return;
@@ -2223,7 +1657,7 @@ impl<'a> Pipeline<'a> {
                       results: &mut Vec<Binding>| {
             counters.join_probes += 1;
             if pattern.match_row(rel.row(id), &mut js.binding, &mut js.trail) {
-                if Self::check_guards(&step.guards, &js.binding) {
+                if Self::check_guards(&interned.guards, &step.guards, &js.binding) {
                     js.support[step.canonical - 1] = id;
                     Self::join_stage(cx, stage + 1, cursors, counters, js, results);
                 }
@@ -2233,7 +1667,7 @@ impl<'a> Pipeline<'a> {
         let mut scratch = std::mem::take(&mut js.postings[step_pos]);
         let mut ranged = false;
         let probed = if !step.index_cols.is_empty() {
-            let range_filter = step.range.as_ref().and_then(|r| r.filter(&js.binding));
+            let range_filter = step.range.and_then(|r| r.filter(interned, &js.binding));
             ranged = range_filter.is_some();
             let JoinScratch { binding, key, .. } = js;
             pattern.probe(
@@ -2286,17 +1720,18 @@ impl<'a> Pipeline<'a> {
     fn intersect_stage<'r>(
         cx: &JoinCx<'_, 'r>,
         stage: usize,
-        ch: &CompiledHybrid,
+        ch: &Core,
         cursors: &mut [TrieCursor<'r>],
         counters: &mut JoinCounters,
         js: &mut JoinScratch,
         results: &mut Vec<Binding>,
     ) {
-        if !Self::check_guards(&ch.pre_guards, &js.binding) {
+        let interned = cx.job.interned;
+        if !Self::check_guards(&interned.guards, &ch.pre_guards, &js.binding) {
             return;
         }
         for (trie, cursor) in ch.tries.iter().zip(cursors.iter_mut()) {
-            let filled = cx.job.patterns[trie.atom].fill_probe_key(
+            let filled = interned.patterns[trie.atom].fill_probe_key(
                 &trie.cols[..trie.prefix_len],
                 &js.binding,
                 &mut js.key,
@@ -2322,7 +1757,9 @@ impl<'a> Pipeline<'a> {
                 &ch.levels,
                 binding,
                 &mut wc,
-                &mut |li, binding| Self::check_guards(&ch.level_guards[li], binding),
+                &mut |li, binding| {
+                    Self::check_guards(&interned.guards, &ch.level_guards[li], binding)
+                },
                 &mut |binding, cursors| {
                     let start = corefacts.len();
                     for (cursor, (rel, limit)) in cursors.iter().zip(cx.core_rels) {
@@ -2358,8 +1795,8 @@ impl<'a> Pipeline<'a> {
         let n_levels = ch.levels.len();
         let n_tries = ch.tries.len();
         for m in 0..js.corefacts.len() / n_tries {
-            for (t, seq) in ch.trie_seq.iter().enumerate() {
-                js.support[seq - 1] = js.corefacts[m * n_tries + t];
+            for (t, trie) in ch.tries.iter().enumerate() {
+                js.support[trie.canonical - 1] = js.corefacts[m * n_tries + t];
             }
             let mark = js.trail.len();
             for (li, level) in ch.levels.iter().enumerate() {
@@ -2492,7 +1929,7 @@ mod tests {
         let sorted = |v: &[String]| v.iter().cloned().collect::<BTreeSet<String>>();
         assert_eq!(sorted(&violations), sorted(&chase.violations));
         // The triangle check runs one cyclic plan, its driver's; the other
-        // two delta positions are neither compiled nor counted.
+        // two delta positions neither run nor count.
         assert_eq!((stats.wcoj_activations, stats.hybrid_activations), (1, 0));
 
         // Only the driver's (atom `A`'s) column lists are planned for
@@ -2579,11 +2016,18 @@ mod tests {
         }
         let program = parse_program(&src).unwrap();
         let plan = AccessPlan::compile(&program);
-        let own_step = &plan.filters[0].delta_plans[0].steps[1];
+        let filter = &plan.filters[0];
+        let own_step = &filter.deltas[0].steps[1];
         assert_eq!(own_step.atom, 1);
-        assert_eq!(own_step.probe.range, Some((2, 0)), "the w-range");
-        assert_eq!(plan.filters[0].pushed[1].var, Var::new("y"));
-        assert!(own_step.guards.contains(&1), "y < 50 is a guard");
+        assert_eq!(own_step.range_col(), Some(2), "the w-range");
+        let y = filter.slots[&Var::new("y")];
+        assert!(
+            own_step
+                .guards
+                .iter()
+                .any(|&g| filter.interned().guards[g].slot == y),
+            "y < 50 is a guard"
+        );
         let mut pipeline = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
         pipeline.load_facts(program.facts.clone());
         pipeline.run();

@@ -1,9 +1,26 @@
 //! The reasoning access plan: the logic compiler and execution optimizer
 //! (Section 4, steps 2 and 3).
+//!
+//! [`AccessPlan::compile`] compiles each rule once into the form the
+//! pipeline runs: a [`FilterNode`] holds the rule's variable slots and,
+//! per delta position, a [`DeltaPlan`]: the probe [`ProbeStep`]s with their
+//! index columns, range bounds and guards, the optional intersect stage
+//! over the cyclic core ([`Core`]), and through them the index column
+//! lists that position's activation ensures ([`FilterNode::index_lists`]).
+//! The parts that hold rule constants — the body, negated and head
+//! [`RowPattern`]s, the pushed conditions at the id level and the residual
+//! literals ([`Interned`]) — are built once too, at the filter's first
+//! activation, so the data loaded before it decides how a number is
+//! interned, as it would without a plan. An activation only snapshots its
+//! delta windows, ensures its lists and splits its chunks; `vadalog
+//! explain` and a session's index pre-build
+//! ([`AccessPlan::planned_index_cols`]) read the same compiled form.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 use vadalog_analysis::{analyze_program, rule_strata, ProgramWardedness};
 use vadalog_model::prelude::*;
+use vadalog_storage::{number_variables, RangeFilter, RowPattern, Slot, WcojLevel};
 
 /// The join order chosen for one rule: a permutation of the body-atom
 /// indices, to be probed left to right.
@@ -53,202 +70,393 @@ impl JoinOrder {
 /// The bound side of a pushable condition: a constant, or a variable that is
 /// join-bound by the positive body.
 #[derive(Clone, Debug)]
-pub enum BoundTerm {
-    /// A constant bound, known at compile time.
+enum BoundTerm {
     Const(Value),
-    /// A variable bound, resolved from the join binding at probe time.
     Var(Var),
 }
 
-/// A body condition the planner classified as **index-pushable**: normalised
-/// to `var op bound`, with `var` bound by a positive body atom and `bound`
-/// either a constant or another join-bound variable. Pushed conditions are
-/// enforced at the id level inside the join (as index range probes where the
-/// operator is an ordering, as cheap id-comparison guards always) and are
-/// skipped by the residual, substitution-level evaluation in emission.
+/// A body condition classified as **index-pushable**: normalised to `var op
+/// bound`, with `var` bound by a positive body atom and `bound` either a
+/// constant or another join-bound variable. A pushed condition is enforced
+/// inside the join, as a [`Guard`] always and as an index range where the
+/// operator is an ordering, and emission skips it.
 #[derive(Clone, Debug)]
-pub struct PushedCondition {
+struct PushedCondition {
     /// Index of the condition in the rule's body literal list.
-    pub literal: usize,
-    /// The probed variable.
-    pub var: Var,
+    literal: usize,
+    var: Var,
     /// The comparison, normalised so it reads `var op bound`.
-    pub op: CmpOp,
-    /// The other side.
-    pub bound: BoundTerm,
+    op: CmpOp,
+    bound: BoundTerm,
 }
 
 impl PushedCondition {
     /// Can this condition drive an index range scan (ordering operators)?
     /// Equality/inequality conditions are guard-only.
-    pub fn is_rangeable(&self) -> bool {
+    fn is_rangeable(&self) -> bool {
         matches!(self.op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)
     }
 }
 
-/// The probe the planner chose for one join step: an exact composite prefix
-/// over the columns already determined when the step runs, plus at most one
-/// pushed range condition on a free column.
-#[derive(Clone, Debug, Default)]
-pub struct StepProbe {
-    /// Columns probed exactly (constants and variables bound by earlier
-    /// steps), in ascending column order.
-    pub prefix_cols: Vec<usize>,
-    /// The pushed range condition this step probes with, as `(column,
-    /// index into the filter's `pushed` list)`: the first viable one in
-    /// body order. Every other pushable condition stays an id-level guard.
-    pub range: Option<(usize, usize)>,
-    /// The range probes the condition's *bound* variable (var-var condition
-    /// used in the mirrored orientation: `w <= v` probing `v >= w`).
-    pub range_flipped: bool,
+/// A pushed condition compiled to the id level: `binding[slot] op bound`,
+/// checked with [`CmpOp::eval_ids`] (order keys decide, ties resolve).
+#[derive(Clone, Copy, Debug)]
+pub struct Guard {
+    /// Binding slot of the probed variable.
+    pub slot: usize,
+    /// The comparison, reading `binding[slot] op bound`.
+    pub op: CmpOp,
+    /// The bound side: an interned constant or another binding slot.
+    pub bound: Slot,
 }
 
-impl StepProbe {
-    /// The column list of the index this probe needs (prefix columns plus
-    /// the range column, if any).
-    pub fn index_cols(&self) -> Vec<usize> {
-        let mut cols = self.prefix_cols.clone();
-        if let Some((col, _)) = self.range {
-            cols.push(col);
+impl Guard {
+    /// Does the guard hold under `binding`? Unbound slots reject, as an
+    /// unbound variable fails a condition in the substitution evaluator.
+    pub fn holds(&self, binding: &[Option<ValueId>]) -> bool {
+        match (binding[self.slot], self.bound.value(binding)) {
+            (Some(left), Some(right)) => self.op.eval_ids(left, right),
+            _ => false,
         }
-        cols
     }
 }
 
-/// One step of a delta-join evaluation order: which body atom runs, how it
-/// is probed, and which pushed conditions become checkable once the step's
-/// variables are bound.
+/// The range bound of a step's probe: a constant bound is built once, at
+/// the filter's first activation ([`Interned::ranges`]); a variable bound
+/// is read from the binding per probe.
+#[derive(Clone, Copy, Debug)]
+pub enum RangeBound {
+    /// Constant bound: the index of its pushed condition (see
+    /// [`Interned::guards`]).
+    Const(usize),
+    /// Variable bound: the binding slot holding it, and the operator.
+    Var {
+        /// Binding slot of the bound.
+        slot: usize,
+        /// The comparison the probed column must satisfy against it.
+        op: CmpOp,
+    },
+}
+
+impl RangeBound {
+    /// The filter to probe with under `binding` (`None` if the bound slot is
+    /// unbound — the probe then degrades to the exact prefix only).
+    pub fn filter(&self, interned: &Interned, binding: &[Option<ValueId>]) -> Option<RangeFilter> {
+        match self {
+            RangeBound::Const(guard) => interned.ranges[*guard],
+            RangeBound::Var { slot, op } => binding[*slot].map(|id| RangeFilter::new(*op, id)),
+        }
+    }
+}
+
+/// One step of a delta position's evaluation order: the body atom it
+/// matches, the index it probes and the guards that become checkable once
+/// its variables are bound.
 #[derive(Clone, Debug)]
-pub struct StepPlan {
+pub struct ProbeStep {
     /// Body-atom position this step matches.
     pub atom: usize,
     /// Position of the atom in the delta position's canonical sequence
-    /// (`[delta] ++ join order`): where the step's support fact lands in
-    /// the support vector that fixes the emission order. Equal to the step
-    /// index unless the plan was reordered.
+    /// (`[delta] ++ join order`): its support fact lands at `canonical - 1`
+    /// of the support vector that fixes the emission order. Equal to the
+    /// step index unless the plan was reordered.
     pub canonical: usize,
-    /// The chosen index probe (empty for the delta scan at step 0).
-    pub probe: StepProbe,
-    /// Pushed conditions (indices into the filter's `pushed` list) whose
-    /// variables are all bound after this step — checked as id-level guards
-    /// immediately after each successful match of the step.
-    pub guards: Vec<usize>,
+    /// Column list of the index to probe: the exact prefix (constants and
+    /// variables bound by earlier steps, ascending, at most three columns)
+    /// followed by the range column, if any. Empty = scan (always for the
+    /// delta scan at step 0).
+    pub index_cols: Box<[usize]>,
+    /// How many of `index_cols` are exact-prefix columns.
+    pub prefix_len: usize,
+    /// The pushed range condition probed on `index_cols[prefix_len]`: the
+    /// first viable one in body order. Every pushed condition, this one
+    /// included, is also checked as a guard.
+    pub range: Option<RangeBound>,
+    /// Guards checked right after each successful match of this step: the
+    /// pushed conditions whose variables are all bound by then, as indices
+    /// into [`Interned::guards`].
+    pub guards: Box<[usize]>,
 }
 
-/// One atom's trie in the intersect stage of a free-join plan: which columns
-/// are determined before the stage opens (the cursor's `open` prefix) and
-/// which carry the free variables the leapfrog intersects.
+impl ProbeStep {
+    /// The exact-prefix columns of the probe.
+    pub fn prefix_cols(&self) -> &[usize] {
+        &self.index_cols[..self.prefix_len]
+    }
+
+    /// The column the probe ranges over, if any.
+    pub fn range_col(&self) -> Option<usize> {
+        self.range.map(|_| self.index_cols[self.prefix_len])
+    }
+}
+
+/// One trie of an intersect stage: the body atom it matches and the index
+/// column list its cursor walks — the columns bound before the leapfrog,
+/// then the free-variable columns in the core's level order.
 #[derive(Clone, Debug)]
-pub struct TriePlan {
+pub struct Trie {
     /// Body-atom position this trie matches.
     pub atom: usize,
-    /// Columns bound before the leapfrog runs — constants and variables of
-    /// the delta atom or a prefix ear — in ascending column order.
-    pub bound_cols: Vec<usize>,
-    /// The remaining columns, keyed by their variable. The trie's index
-    /// column list is `bound_cols` followed by these columns ordered by the
-    /// plan's variable order ([`HybridPlan::trie_cols`]).
-    pub var_cols: Vec<(Var, usize)>,
+    /// The atom's position in the canonical sequence (see
+    /// [`ProbeStep::canonical`]).
+    pub canonical: usize,
+    /// Full index column list (covers every column of the atom).
+    pub cols: Box<[usize]>,
+    /// How many leading `cols` are bound before the leapfrog (constants,
+    /// delta variables and prefix-ear variables): the cursor's `open`
+    /// prefix.
+    pub prefix_len: usize,
 }
 
-/// The **free-join** plan of one delta position, chosen by the planner when
-/// the body's join hypergraph is cyclic: binary probe steps for the acyclic
-/// *ears* of the body, wrapped around a leapfrog stage over only the
-/// **cyclic core** (the irreducible residue of GYO ear reduction — see
+/// One stage of a delta position's join, run after the delta scan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Probe one atom on its bound columns: the [`ProbeStep`] at this index of
+    /// [`DeltaPlan::steps`].
+    Probe(usize),
+    /// Intersect the core's tries level by level (see [`Core`]).
+    Intersect,
+}
+
+/// The **free-join** plan of one delta position, present when the body's
+/// join hypergraph has a cyclic core: probe stages for the acyclic *ears*
+/// of the body, wrapped around one intersect stage over only the **cyclic
+/// core** (the irreducible residue of GYO ear reduction — see
 /// `vadalog_analysis::cyclic_core`), where binary joins pay the classic
 /// intermediate-result blowup. A lollipop body (triangle plus a pendant
 /// path) runs the triangle worst-case-optimally while the pendant atoms
-/// keep their cheap index probes; a fully cyclic body (triangle, clique)
-/// is the degenerate case with no ears — every non-delta atom is a core
-/// trie. Acyclic bodies have no such plan: the all-probe step list is
-/// already worst-case optimal for them.
+/// keep their index probes; a fully cyclic body (triangle, clique) has no
+/// ears — every non-delta atom is a core trie. Acyclic bodies have no such
+/// plan: the all-probe step list is already worst-case optimal for them.
+///
+/// Ear stages run their [`ProbeStep`]s as planned: every guard checkable at an
+/// ear's sequence position is still checkable at its stage. The core
+/// steps' guards are re-placed onto the leapfrog levels; a core guard that
+/// also reads a variable only a suffix ear binds waits for the full match.
 #[derive(Clone, Debug)]
-pub struct HybridPlan {
-    /// Step indices (into [`DeltaPlan::steps`]) of the leading ear steps
-    /// probed binary-style *before* the leapfrog, in evaluation order. Their
-    /// variables count as bound in the core tries' `bound_cols`.
-    pub prefix_steps: Vec<usize>,
-    /// Free variables of the core tries with their degree (number of core
-    /// tries containing them), descending degree, first-occurrence
-    /// tie-break: the leapfrog's level order, as the pipeline runs it.
-    /// Higher degree first maximises early intersection pruning.
-    pub var_order: Vec<(Var, usize)>,
-    /// One trie per core atom other than the delta atom, in evaluation
-    /// order. `bound_cols` covers constants plus variables bound by the
-    /// delta atom or a prefix step (never by a suffix ear, even when that
-    /// ear precedes the core atom in the binary sequence — the executor
-    /// runs every suffix ear after the leapfrog).
-    pub tries: Vec<TriePlan>,
-    /// Step indices of the remaining ear steps, probed binary-style *after*
-    /// the leapfrog, in evaluation order. Every variable a suffix step's
-    /// probe or guards need is bound by then: the executor runs all
-    /// sequence-earlier atoms (prefix, core, earlier suffix ears) first, a
-    /// superset of the binary plan's bound set at that step.
-    pub suffix_steps: Vec<usize>,
-    /// Body atoms outside the cyclic core: the prefix and suffix steps,
-    /// plus the delta atom when it is an ear itself. 0 for a fully cyclic
-    /// body.
+pub struct Core {
+    /// Prefix-ear probes (the leading ear steps, whose variables count as
+    /// bound in the tries' prefixes), the intersect stage, then suffix-ear
+    /// probes.
+    pub stages: Box<[Stage]>,
+    /// One trie per core atom other than the delta atom, in sequence order.
+    pub tries: Box<[Trie]>,
+    /// Leapfrog levels: the tries' free variables by descending degree
+    /// (number of tries containing them), first occurrence within equal
+    /// degrees. Higher degree first prunes earliest.
+    pub levels: Box<[WcojLevel]>,
+    /// Core guards checkable before the leapfrog opens (all slots bound by
+    /// the delta row or a prefix ear). Core guards are indices into
+    /// [`Interned::guards`], as a step's are.
+    pub pre_guards: Box<[usize]>,
+    /// Per-level core guards, checked as soon as the level's variable binds.
+    pub level_guards: Box<[Box<[usize]>]>,
+    /// Core guards reading a variable only a suffix ear binds, checked at
+    /// full match depth.
+    pub deferred_guards: Box<[usize]>,
+    /// Body atoms outside the cyclic core: the ear steps, plus the delta
+    /// atom when it is an ear itself. 0 for a fully cyclic body.
     pub ears: usize,
 }
 
-impl HybridPlan {
-    /// The core variable order of [`HybridPlan::var_order`] without the
-    /// degrees: descending degree, first occurrence within equal degrees.
-    pub fn static_order(&self) -> Vec<Var> {
-        self.var_order.iter().map(|(v, _)| *v).collect()
-    }
-
-    /// Does the body have acyclic ears around the core? `false` for a fully
-    /// cyclic body, whose every atom is a core atom.
-    pub fn has_ears(&self) -> bool {
-        self.ears > 0
-    }
-
-    /// The index column list of `trie` under the variable order `order`:
-    /// the bound prefix, then the variable columns sorted by their
-    /// variable's position in `order`.
-    pub fn trie_cols(trie: &TriePlan, order: &[Var]) -> Vec<usize> {
-        let mut cols = trie.bound_cols.clone();
-        let mut vcols: Vec<(usize, usize)> = trie
-            .var_cols
-            .iter()
-            .map(|(v, c)| {
-                let rank = order
-                    .iter()
-                    .position(|u| u == v)
-                    .expect("every trie variable appears in the order");
-                (rank, *c)
-            })
-            .collect();
-        vcols.sort_unstable();
-        cols.extend(vcols.into_iter().map(|(_, c)| c));
-        cols
-    }
-}
-
-/// The planned evaluation order for one delta position of the semi-naive
-/// join, probing outward from the delta atom: the delta atom first, then
-/// the remaining atoms in join order, except that an atom with no
-/// determined column (no constant, no variable bound so far) is put off
-/// while a remaining atom has one. A position with a free-join plan keeps
-/// the canonical sequence (`[delta] ++ join order`) unchanged. Each step
-/// carries its probe, its guards and its atom's canonical position, which
-/// keeps the support vector, and with it the emission order, that of the
-/// canonical plan.
+/// The compiled evaluation of one delta position of the semi-naive join,
+/// probing outward from the delta atom: the delta atom first, then the
+/// remaining atoms in join order, except that an atom with no determined
+/// column (no constant, no variable bound so far) is put off while a
+/// remaining atom has one. A position with a [`Core`] keeps the canonical
+/// sequence (`[delta] ++ join order`).
 #[derive(Clone, Debug)]
 pub struct DeltaPlan {
-    /// Steps in evaluation order; `steps[0]` scans the delta window.
-    pub steps: Vec<StepPlan>,
-    /// The free-join alternative to `steps[1..]`, present iff the body has
-    /// a cyclic core whose non-delta atoms are all trie-compatible (no
-    /// repeated variables). The pipeline takes it when the stores can hand
-    /// out trie cursors; `steps` remains the always-valid fallback, and
-    /// keeps the canonical sequence.
-    pub hybrid: Option<HybridPlan>,
+    /// Steps in evaluation order; `steps[0]` scans the delta window. With a
+    /// [`Core`] they are also the all-probe fallback, taken under
+    /// `JoinStrategy::Binary` or when a store cannot hand out the tries.
+    pub steps: Box<[ProbeStep]>,
     /// Do the steps run in an order other than the canonical sequence? The
     /// executor then sorts each delta row's matches by their canonical
     /// support vector, as it does for an intersect stage.
     pub reordered: bool,
+    /// The free-join plan, present iff the body has a cyclic core whose
+    /// non-delta atoms are at least two and all trie-compatible (no
+    /// repeated variable: a trie column cannot enforce intra-atom equality).
+    pub core: Option<Core>,
+}
+
+/// Where emission reads a variable that an expression mentions.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Source {
+    /// A binding slot, resolved when read (unbound slots are skipped).
+    Slot(usize),
+    /// The result of the residual literal at this index: an assignment
+    /// earlier in the body, read exactly as computed — `Float(2.0)` stays a
+    /// float even where `Int(2)` owns the interned id.
+    Assigned(usize),
+}
+
+/// An expression with the variables it reads: it is evaluated over a
+/// substitution holding those only.
+#[derive(Clone, Debug)]
+pub(crate) struct CompiledExpr {
+    pub(crate) expr: Expr,
+    pub(crate) reads: Box<[(Var, Source)]>,
+}
+
+impl CompiledExpr {
+    fn compile(expr: &Expr, source: impl Fn(Var) -> Option<Source>) -> Self {
+        CompiledExpr {
+            expr: expr.clone(),
+            reads: expr
+                .variables()
+                .into_iter()
+                .filter_map(|v| source(v).map(|src| (v, src)))
+                .collect(),
+        }
+    }
+}
+
+/// An aggregation's argument.
+#[derive(Clone, Debug)]
+pub(crate) enum AggArg {
+    /// A body variable: its binding slot, read as an id.
+    Slot(usize),
+    /// Anything else, evaluated.
+    Expr(CompiledExpr),
+}
+
+/// A residual body literal — a condition the join does not enforce, or an
+/// assignment — compiled against the rule's slot numbering. Emission runs a
+/// filter's residuals in body order on each match's binding; an
+/// assignment's result goes to its variable's binding slot, when an atom
+/// mentions the variable (`slot`), and to the match's assigned results.
+#[derive(Clone, Debug)]
+pub(crate) enum Residual {
+    /// A comparison of variables and constants, checked on ids.
+    Cond(Guard),
+    /// A comparison with an expression operand, evaluated on values.
+    Test {
+        op: CmpOp,
+        left: CompiledExpr,
+        right: CompiledExpr,
+    },
+    /// `var = expr`: arithmetic, calls, Skolem terms.
+    Assign {
+        var: Var,
+        expr: CompiledExpr,
+        slot: Option<usize>,
+    },
+    /// `var = maggr(arg, <contributors>)`.
+    Aggregate {
+        func: AggFunc,
+        arg: AggArg,
+        /// Group-by slots: the head variables other than `var` bound here.
+        group: Box<[usize]>,
+        contributors: Box<[Source]>,
+        slot: Option<usize>,
+        /// Index of the occurrence's state among the filter's aggregates.
+        state: usize,
+    },
+}
+
+/// Compile `rule`'s residual literals — its assignments, and its
+/// conditions other than the `pushed` ones — in body order against
+/// `slots`, interning their constants.
+fn compile_residuals(
+    rule: &Rule,
+    slots: &HashMap<Var, usize>,
+    pushed: &[PushedCondition],
+) -> Box<[Residual]> {
+    let positive: BTreeSet<Var> = rule
+        .body_atoms()
+        .iter()
+        .flat_map(|a| a.variables())
+        .collect();
+    let head = rule.head_variables();
+    // variable -> index of the residual that last assigned it.
+    let mut assigned: HashMap<Var, usize> = HashMap::new();
+    let mut out: Vec<Residual> = Vec::new();
+    let mut aggregates = 0;
+    for (i, literal) in rule.body.iter().enumerate() {
+        let source = |v: Var| match assigned.get(&v) {
+            Some(&r) => Some(Source::Assigned(r)),
+            None => slots.get(&v).map(|&slot| Source::Slot(slot)),
+        };
+        let residual = match literal {
+            Literal::Condition(cond) if !pushed.iter().any(|p| p.literal == i) => {
+                // An id operand: a constant, or a variable whose current
+                // value sits in its binding slot (an assigned variable's
+                // slot holds the interned result, and ids compare like
+                // the values they intern).
+                let operand = |e: &Expr| match e {
+                    Expr::Term(Term::Var(v)) => slots.get(v).map(|&slot| Slot::Var(slot)),
+                    other => literal_constant(other).map(|c| Slot::Const(intern_value(&c))),
+                };
+                match (operand(&cond.left), operand(&cond.right)) {
+                    (Some(Slot::Var(slot)), Some(bound)) => Residual::Cond(Guard {
+                        slot,
+                        op: cond.op,
+                        bound,
+                    }),
+                    (Some(bound @ Slot::Const(_)), Some(Slot::Var(slot))) => {
+                        Residual::Cond(Guard {
+                            slot,
+                            op: cond.op.flipped(),
+                            bound,
+                        })
+                    }
+                    _ => Residual::Test {
+                        op: cond.op,
+                        left: CompiledExpr::compile(&cond.left, source),
+                        right: CompiledExpr::compile(&cond.right, source),
+                    },
+                }
+            }
+            Literal::Assignment(asg) => {
+                let slot = slots.get(&asg.var).copied();
+                let residual = match asg.aggregate() {
+                    Some(agg) => {
+                        let bound = |v: &Var| positive.contains(v) || assigned.contains_key(v);
+                        // A body variable is read as its id; anything
+                        // else (an assigned variable included) evaluated.
+                        let arg_source = match agg.arg.as_ref() {
+                            Expr::Term(Term::Var(v)) => source(*v),
+                            _ => None,
+                        };
+                        let arg = match arg_source {
+                            Some(Source::Slot(slot)) => AggArg::Slot(slot),
+                            _ => AggArg::Expr(CompiledExpr::compile(&agg.arg, source)),
+                        };
+                        let state = aggregates;
+                        aggregates += 1;
+                        Residual::Aggregate {
+                            func: agg.func,
+                            arg,
+                            group: head
+                                .iter()
+                                .filter(|v| **v != asg.var && bound(v))
+                                .filter_map(|v| slots.get(v).copied())
+                                .collect(),
+                            contributors: agg
+                                .contributors
+                                .iter()
+                                .filter_map(|c| source(*c))
+                                .collect(),
+                            slot,
+                            state,
+                        }
+                    }
+                    None => Residual::Assign {
+                        var: asg.var,
+                        expr: CompiledExpr::compile(&asg.expr, source),
+                        slot,
+                    },
+                };
+                assigned.insert(asg.var, out.len());
+                residual
+            }
+            _ => continue,
+        };
+        out.push(residual);
+    }
+    out.into_boxed_slice()
 }
 
 /// Longest composite prefix the planner probes (diminishing selectivity
@@ -290,7 +498,39 @@ pub fn chunk_windows(from: usize, to: usize, chunks: usize) -> Vec<(usize, usize
     out
 }
 
-/// One filter of the reasoning access plan (a node of the pipeline).
+/// The part of a filter's compiled form that holds interned rule
+/// constants: its patterns, its pushed conditions at the id level with the
+/// range filters of their constant bounds, and its residual literals.
+/// Built by [`FilterNode::interned`] at the filter's first activation, not
+/// by [`AccessPlan::compile`]: the interner keeps the representation of a
+/// number that arrives first (`Int(7)` or `Float(7.0)`), so a rule constant
+/// interned before the data would change how the data's numbers are
+/// stored, and what integer arithmetic on them derives.
+#[derive(Clone, Debug)]
+pub struct Interned {
+    /// Positive body patterns, in body order.
+    pub patterns: Box<[RowPattern]>,
+    /// Negated body patterns, in body order.
+    pub neg_patterns: Box<[RowPattern]>,
+    /// Head patterns.
+    pub head_patterns: Box<[RowPattern]>,
+    /// The pushed conditions, in body order; steps and cores name them by
+    /// index.
+    pub guards: Box<[Guard]>,
+    /// Per pushed condition, the range filter of its constant bound, when
+    /// it has one and its operator is an ordering.
+    pub ranges: Box<[Option<RangeFilter>]>,
+    /// The rule's residual literals, in body order: every assignment and
+    /// every condition the join does not enforce (on ids when both sides
+    /// are variables or constants, otherwise over the values of the
+    /// variables they read).
+    pub(crate) residuals: Box<[Residual]>,
+}
+
+/// One filter of the reasoning access plan (a node of the pipeline), in the
+/// form the pipeline runs: its rule compiled against one dense variable
+/// numbering shared by all patterns (body, negation and heads — head-only
+/// variables such as existentials and assignment targets get slots too).
 #[derive(Clone, Debug)]
 pub struct FilterNode {
     /// Index of the rule this filter evaluates.
@@ -305,38 +545,152 @@ pub struct FilterNode {
     pub outputs: BTreeSet<Sym>,
     /// Does the rule carry a monotonic aggregation?
     pub has_aggregation: bool,
-    /// Conditions classified as index-pushable (see [`PushedCondition`]);
-    /// the remaining conditions stay residual and are evaluated in emission,
-    /// on the narrowed candidate set only: on ids when both sides are
-    /// variables or constants, otherwise over the values of the variables
-    /// they read.
-    pub pushed: Vec<PushedCondition>,
-    /// Per-delta-position probe/guard plans, indexed by body-atom position.
-    pub delta_plans: Vec<DeltaPlan>,
+    /// The rule's variable numbering.
+    pub slots: HashMap<Var, usize>,
+    /// Positive body predicates, in body order.
+    pub body_predicates: Box<[Sym]>,
+    /// Binding slots of the existential head variables.
+    pub existential_slots: Box<[usize]>,
+    /// Per-delta-position plans, indexed by body-atom position.
+    pub deltas: Box<[DeltaPlan]>,
+    /// The all-probe stage list, shared by every delta position: one probe
+    /// stage per non-delta step.
+    pub(crate) probe_stages: Box<[Stage]>,
+    /// Index column lists of the negation probes: per negated atom, each
+    /// column holding a constant or a positively bound variable, then all
+    /// of them as one composite when there are several.
+    neg_index_cols: Box<[(Sym, Box<[usize]>)]>,
+    /// The index-pushable conditions, in body order.
+    pushed: Box<[PushedCondition]>,
+    /// The constant-holding parts, built at the first activation.
+    interned: OnceLock<Interned>,
 }
 
 impl FilterNode {
     /// Compile rule `rule_id` into a filter: its pipes, join order, pushed
-    /// conditions and per-delta-position probe plans. TGDs and checks
-    /// (constraints, EGDs) compile alike; a check has no outputs.
+    /// conditions, patterns, residual literals and per-delta-position
+    /// plans. TGDs and checks (constraints, EGDs) compile alike; a check
+    /// has no outputs.
     fn compile(rule_id: u32, rule: &Rule) -> FilterNode {
         let join_order = JoinOrder::optimize(rule);
         let pushed = classify_conditions(rule);
-        let delta_plans = plan_deltas(rule, &join_order, &pushed);
+        let body: Vec<&Atom> = rule.body_atoms();
+        let negated = rule.negated_atoms();
+        let head = rule.head_atoms();
+        let all: Vec<&Atom> = body.iter().chain(&negated).chain(&head).copied().collect();
+        let slots = number_variables(&all);
+        // Per pushed condition, the slots it reads: its variable's, and its
+        // bound variable's when the bound is not a constant.
+        let reads: Vec<(usize, Option<usize>)> = pushed
+            .iter()
+            .map(|p| match &p.bound {
+                BoundTerm::Const(_) => (slots[&p.var], None),
+                BoundTerm::Var(u) => (slots[&p.var], Some(slots[u])),
+            })
+            .collect();
+        // Per body atom, per column, the variable's slot (`None`: a constant).
+        let atom_slots: Vec<Vec<Option<usize>>> = body
+            .iter()
+            .map(|a| {
+                a.terms
+                    .iter()
+                    .map(|t| t.as_var().map(|v| slots[&v]))
+                    .collect()
+            })
+            .collect();
+        let deltas = plan_deltas(rule, &join_order, &pushed, &reads, &atom_slots);
+        let mut neg_index_cols = Vec::new();
+        for atom in &negated {
+            let determined: Vec<usize> = atom
+                .terms
+                .iter()
+                .enumerate()
+                .filter(|(_, term)| match term {
+                    Term::Const(_) => true,
+                    Term::Var(v) => body.iter().any(|other| other.variables().any(|w| w == *v)),
+                })
+                .map(|(col, _)| col)
+                .collect();
+            for col in &determined {
+                neg_index_cols.push((atom.predicate, Box::from([*col])));
+            }
+            if determined.len() > 1 {
+                neg_index_cols.push((atom.predicate, determined.into_boxed_slice()));
+            }
+        }
         FilterNode {
             rule_id,
             inputs: rule
                 .body_predicates()
                 .into_iter()
-                .chain(rule.negated_atoms().iter().map(|a| a.predicate))
+                .chain(negated.iter().map(|a| a.predicate))
                 .collect(),
             outputs: rule.head_predicates().into_iter().collect(),
             join_order,
             has_aggregation: rule.has_aggregation(),
-            pushed,
-            delta_plans,
+            existential_slots: rule
+                .existential_variables()
+                .iter()
+                .filter_map(|v| slots.get(v).copied())
+                .collect(),
+            probe_stages: (1..body.len()).map(Stage::Probe).collect(),
+            body_predicates: body.iter().map(|a| a.predicate).collect(),
+            slots,
+            deltas,
+            neg_index_cols: neg_index_cols.into_boxed_slice(),
+            pushed: pushed.into_boxed_slice(),
+            interned: OnceLock::new(),
             rule: rule.clone(),
         }
+    }
+
+    /// The filter's constant-holding parts ([`Interned`]), compiled and
+    /// their constants interned on the first call — the pipeline makes it
+    /// at the filter's first activation, on its sequential path, so
+    /// interner writes happen in a fixed order — and read on every later
+    /// one.
+    pub fn interned(&self) -> &Interned {
+        self.interned.get_or_init(|| {
+            let slots = &self.slots;
+            let compile = |atoms: Vec<&Atom>| -> Box<[RowPattern]> {
+                atoms
+                    .iter()
+                    .map(|a| RowPattern::compile(a, slots))
+                    .collect()
+            };
+            let patterns = compile(self.rule.body_atoms());
+            let neg_patterns = compile(self.rule.negated_atoms());
+            let head_patterns = compile(self.rule.head_atoms());
+            let guards: Box<[Guard]> = self
+                .pushed
+                .iter()
+                .map(|p| Guard {
+                    slot: slots[&p.var],
+                    op: p.op,
+                    bound: match &p.bound {
+                        BoundTerm::Const(c) => Slot::Const(intern_value(c)),
+                        BoundTerm::Var(u) => Slot::Var(slots[u]),
+                    },
+                })
+                .collect();
+            let ranges = self
+                .pushed
+                .iter()
+                .zip(&guards)
+                .map(|(p, g)| match g.bound {
+                    Slot::Const(id) if p.is_rangeable() => Some(RangeFilter::new(g.op, id)),
+                    _ => None,
+                })
+                .collect();
+            Interned {
+                patterns,
+                neg_patterns,
+                head_patterns,
+                guards,
+                ranges,
+                residuals: compile_residuals(&self.rule, slots, &self.pushed),
+            }
+        })
     }
 
     /// Would this filter read any of `outputs`? Used by the parallel sweep
@@ -348,8 +702,8 @@ impl FilterNode {
     }
 
     /// The body position a check is driven by: its join order's first
-    /// atom, the one delta position a check's run compiles and probes
-    /// from. `None` for a body with no positive atom.
+    /// atom, the one delta position a check's run drives. `None` for a
+    /// body with no positive atom.
     pub fn check_driver(&self) -> Option<usize> {
         self.join_order.0.first().copied()
     }
@@ -359,6 +713,43 @@ impl FilterNode {
     /// `None` for a body with no positive atom.
     pub fn final_driver(&self, rows: &[usize]) -> Option<usize> {
         (0..rows.len()).min_by_key(|&pos| rows[pos])
+    }
+
+    /// The delta positions an activation driving `driver` runs: that one,
+    /// or every position when `None` (a sweep activation).
+    pub fn driven(&self, driver: Option<usize>) -> impl Iterator<Item = &DeltaPlan> + '_ {
+        let only = driver.map_or(0..self.deltas.len(), |d| d..d + 1);
+        self.deltas[only].iter()
+    }
+
+    /// The index column lists an activation driving `driver` (see
+    /// [`FilterNode::driven`]) ensures, keyed by predicate, in order: per
+    /// driven position its probe steps' lists, then, with `free_join`, its
+    /// core tries' lists; then the negation probes' lists. Lists may
+    /// repeat. This is the one list: the pipeline ensures it, a session
+    /// pre-builds its union ([`AccessPlan::planned_index_cols`]) and
+    /// `vadalog explain` prints it.
+    pub fn index_lists(
+        &self,
+        driver: Option<usize>,
+        free_join: bool,
+    ) -> impl Iterator<Item = (Sym, &[usize])> + '_ {
+        let predicate = move |atom: usize| self.body_predicates[atom];
+        self.driven(driver)
+            .flat_map(move |dp| {
+                let probes = dp.steps[1..]
+                    .iter()
+                    .filter(|step| !step.index_cols.is_empty())
+                    .map(move |step| (predicate(step.atom), &*step.index_cols));
+                let tries = dp
+                    .core
+                    .iter()
+                    .filter(move |_| free_join)
+                    .flat_map(|core| core.tries.iter())
+                    .map(move |trie| (predicate(trie.atom), &*trie.cols));
+                probes.chain(tries)
+            })
+            .chain(self.neg_index_cols.iter().map(|(p, cols)| (*p, &**cols)))
     }
 }
 
@@ -487,7 +878,7 @@ fn classify_conditions(rule: &Rule) -> Vec<PushedCondition> {
 
 /// The literal constant an expression denotes, folding the parser's
 /// `Unary(Neg, Const)` shape for negative numbers.
-pub(crate) fn literal_constant(e: &Expr) -> Option<Value> {
+fn literal_constant(e: &Expr) -> Option<Value> {
     match e {
         Expr::Term(Term::Const(c)) => Some(c.clone()),
         Expr::Unary(UnaryOp::Neg, inner) => match inner.as_ref() {
@@ -499,79 +890,130 @@ pub(crate) fn literal_constant(e: &Expr) -> Option<Value> {
     }
 }
 
-/// The free-join plan for one delta position, or `None` when the cyclic
-/// `core` (body-atom positions, from `vadalog_analysis::cyclic_core`) is
-/// empty or some non-delta core atom is trie-incompatible (repeated
-/// variables — a trie column cannot enforce intra-atom equality).
-/// `sequence` is the binary evaluation order (`[delta] ++ join order`);
-/// ears and tries follow it so the executor can sort each delta row's
-/// matches into exactly the binary join's enumeration order. A core that
-/// covers the whole body yields the plan with no ears.
-fn plan_hybrid(rule: &Rule, sequence: &[usize], core: &[usize]) -> Option<HybridPlan> {
-    let atoms = rule.body_atoms();
-    if core.is_empty() {
-        return None;
-    }
-    let is_core = |pos: usize| core.contains(&pos);
-    // Variables bound before the leapfrog: the delta atom's, plus those of
-    // the maximal leading run of ear steps.
-    let mut bound = atoms[sequence[0]].variable_set();
-    let mut prefix_steps = Vec::new();
-    let mut s = 1;
-    while s < sequence.len() && !is_core(sequence[s]) {
-        prefix_steps.push(s);
-        bound.extend(atoms[sequence[s]].variables());
-        s += 1;
-    }
-    let mut tries = Vec::new();
-    let mut suffix_steps = Vec::new();
-    for (step, &pos) in sequence.iter().enumerate().skip(s) {
-        if !is_core(pos) {
-            suffix_steps.push(step);
-            continue;
-        }
-        let atom = atoms[pos];
-        let mut seen = BTreeSet::new();
-        if atom.variables().any(|v| !seen.insert(v)) {
-            return None;
-        }
-        let mut bound_cols = Vec::new();
-        let mut var_cols = Vec::new();
-        for (col, t) in atom.terms.iter().enumerate() {
-            match t {
-                Term::Const(_) => bound_cols.push(col),
-                Term::Var(v) if bound.contains(v) => bound_cols.push(col),
-                Term::Var(v) => var_cols.push((*v, col)),
-            }
-        }
-        tries.push(TriePlan {
-            atom: pos,
-            bound_cols,
-            var_cols,
-        });
-    }
-    if tries.len() < 2 {
-        return None;
-    }
-    // Free variables in first-occurrence (trie) order, with their degree;
-    // descending degree, stable within equal degrees.
-    let mut var_order: Vec<(Var, usize)> = Vec::new();
-    for trie in &tries {
-        for (v, _) in &trie.var_cols {
-            match var_order.iter_mut().find(|(u, _)| u == v) {
-                Some((_, d)) => *d += 1,
-                None => var_order.push((*v, 1)),
+/// Compile the free-join plan of one delta position from its `steps` (in
+/// the canonical sequence) and the body's cyclic `core` (body-atom
+/// positions): the leading ear steps become prefix probes, the core atoms
+/// tries, the other ear steps suffix probes. A trie's prefix holds its
+/// constants and the variables the delta atom or a prefix ear binds (never
+/// a suffix ear's, even when that ear precedes the core atom in the
+/// sequence: every suffix ear runs after the leapfrog), then its free
+/// variables in level order. Each core step's guards go to the earliest
+/// point where every slot they read is bound: before the leapfrog, at a
+/// level, or at full match depth. Checking earlier than the binary step
+/// only prunes sooner — guards are pure binding predicates, so the
+/// surviving match set is identical. `atom_slots` and `reads` are as in
+/// [`plan_deltas`].
+fn plan_core(
+    steps: &[ProbeStep],
+    atom_slots: &[Vec<Option<usize>>],
+    reads: &[(usize, Option<usize>)],
+    core: &[usize],
+    ears: usize,
+) -> Core {
+    let is_core = |step: usize| core.contains(&steps[step].atom);
+    let var_slots = |step: usize| atom_slots[steps[step].atom].iter().flatten().copied();
+    let prefix: Vec<usize> = (1..steps.len()).take_while(|&s| !is_core(s)).collect();
+    // Slots bound before the leapfrog opens: the delta atom's plus every
+    // prefix ear's.
+    let bound_pre: Vec<usize> = std::iter::once(0)
+        .chain(prefix.iter().copied())
+        .flat_map(var_slots)
+        .collect();
+    let core_steps: Vec<usize> = (prefix.len() + 1..steps.len())
+        .filter(|&s| is_core(s))
+        .collect();
+    // Free slots in first-occurrence (trie) order with their degree, then
+    // by descending degree, stable within equal degrees.
+    let mut order: Vec<(usize, usize)> = Vec::new();
+    for &s in &core_steps {
+        for slot in var_slots(s).filter(|slot| !bound_pre.contains(slot)) {
+            match order.iter_mut().find(|(u, _)| *u == slot) {
+                Some((_, degree)) => *degree += 1,
+                None => order.push((slot, 1)),
             }
         }
     }
-    var_order.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
-    Some(HybridPlan {
-        prefix_steps,
-        var_order,
+    order.sort_by_key(|(_, degree)| std::cmp::Reverse(*degree));
+    let rank = |slot: usize| order.iter().position(|(u, _)| *u == slot);
+    let tries: Box<[Trie]> = core_steps
+        .iter()
+        .map(|&s| {
+            let mut cols: Vec<usize> = Vec::new();
+            let mut free: Vec<(usize, usize)> = Vec::new();
+            for (col, slot) in atom_slots[steps[s].atom].iter().enumerate() {
+                match slot {
+                    Some(v) if !bound_pre.contains(v) => {
+                        free.push((rank(*v).expect("a free slot has a level"), col))
+                    }
+                    _ => cols.push(col),
+                }
+            }
+            let prefix_len = cols.len();
+            free.sort_unstable();
+            cols.extend(free.into_iter().map(|(_, col)| col));
+            Trie {
+                atom: steps[s].atom,
+                canonical: steps[s].canonical,
+                cols: cols.into_boxed_slice(),
+                prefix_len,
+            }
+        })
+        .collect();
+    let levels: Box<[WcojLevel]> = order
+        .iter()
+        .map(|&(slot, _)| WcojLevel {
+            slot,
+            cursors: core_steps
+                .iter()
+                .enumerate()
+                .filter(|(_, &s)| var_slots(s).any(|v| v == slot))
+                .map(|(i, _)| i)
+                .collect(),
+        })
+        .collect();
+
+    let mut pre_guards = Vec::new();
+    let mut level_guards: Vec<Vec<usize>> = vec![Vec::new(); levels.len()];
+    let mut deferred_guards = Vec::new();
+    for &s in &core_steps {
+        for &g in steps[s].guards.iter() {
+            let (slot, bound) = reads[g];
+            let involved: Vec<usize> = std::iter::once(slot).chain(bound).collect();
+            if involved.iter().all(|slot| bound_pre.contains(slot)) {
+                pre_guards.push(g);
+                continue;
+            }
+            let placed = (0..levels.len()).find(|&i| {
+                involved.iter().all(|slot| {
+                    bound_pre.contains(slot) || levels[..=i].iter().any(|l| l.slot == *slot)
+                })
+            });
+            match placed {
+                Some(i) => level_guards[i].push(g),
+                None => deferred_guards.push(g),
+            }
+        }
+    }
+    let suffix = (prefix.len() + 1..steps.len()).filter(|&s| !is_core(s));
+    let stages = prefix
+        .iter()
+        .copied()
+        .map(Stage::Probe)
+        .chain([Stage::Intersect])
+        .chain(suffix.map(Stage::Probe))
+        .collect();
+    Core {
+        stages,
         tries,
-        suffix_steps,
-        ears: atoms.len() - core.len(),
-    })
+        levels,
+        pre_guards: pre_guards.into_boxed_slice(),
+        level_guards: level_guards
+            .into_iter()
+            .map(Vec::into_boxed_slice)
+            .collect(),
+        deferred_guards: deferred_guards.into_boxed_slice(),
+        ears,
+    }
 }
 
 /// The delta-aware probe order of one delta position: walk the canonical
@@ -602,16 +1044,24 @@ fn probe_outward(atoms: &[&Atom], canonical: &[usize]) -> Vec<usize> {
     sequence
 }
 
-/// Plan the probe and guard placement for every delta position of the
-/// semi-naive join: for each evaluation order — the canonical sequence
-/// (`[delta] ++ join order`) when the body gets a free-join plan there (see
-/// [`plan_hybrid`]), its [`probe_outward`] order otherwise — pick per step
-/// the exact composite prefix (bound variables and constants, ascending
-/// columns, capped at [`MAX_PROBE_PREFIX`]), attach at most one rangeable
-/// pushed condition on a free column whose bound side is already
+/// Plan every delta position of the semi-naive join: for each evaluation
+/// order — the canonical sequence (`[delta] ++ join order`) when the
+/// position gets a [`Core`] (at least two non-delta core atoms, none with a
+/// repeated variable), its [`probe_outward`] order otherwise — pick per
+/// step the exact composite prefix (bound variables and constants,
+/// ascending columns, capped at [`MAX_PROBE_PREFIX`]), attach at most one
+/// rangeable pushed condition on a free column whose bound side is already
 /// determined, and schedule every pushed condition as a guard at the first
-/// step where all its variables are bound.
-fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) -> Vec<DeltaPlan> {
+/// step where all its variables are bound. `reads` holds per pushed
+/// condition its variable's slot and its bound variable's, `atom_slots`
+/// per body atom and column the variable's slot (`None`: a constant).
+fn plan_deltas(
+    rule: &Rule,
+    join_order: &JoinOrder,
+    pushed: &[PushedCondition],
+    reads: &[(usize, Option<usize>)],
+    atom_slots: &[Vec<Option<usize>>],
+) -> Box<[DeltaPlan]> {
     let atoms = rule.body_atoms();
     let core = if atoms.len() >= 3 {
         vadalog_analysis::cyclic_core(&atoms)
@@ -623,8 +1073,17 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
         let canonical: Vec<usize> = std::iter::once(delta)
             .chain(join_order.0.iter().copied().filter(|p| *p != delta))
             .collect();
-        let hybrid = plan_hybrid(rule, &canonical, &core);
-        let sequence = if hybrid.is_some() {
+        let tries: Vec<usize> = canonical[1..]
+            .iter()
+            .copied()
+            .filter(|p| core.contains(p))
+            .collect();
+        let has_core = tries.len() >= 2
+            && tries.iter().all(|&p| {
+                let mut seen = BTreeSet::new();
+                atoms[p].variables().all(|v| seen.insert(v))
+            });
+        let sequence = if has_core {
             canonical.clone()
         } else {
             probe_outward(&atoms, &canonical)
@@ -634,10 +1093,9 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
         let mut steps = Vec::with_capacity(sequence.len());
         for (s, &atom_idx) in sequence.iter().enumerate() {
             let atom = atoms[atom_idx];
-            let probe = if s == 0 {
-                StepProbe::default()
-            } else {
-                let prefix_cols: Vec<usize> = atom
+            let (mut index_cols, mut range) = (Vec::new(), None);
+            if s > 0 {
+                index_cols = atom
                     .terms
                     .iter()
                     .enumerate()
@@ -657,13 +1115,12 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
                         return None;
                     }
                     atom.terms.iter().enumerate().find_map(|(col, t)| {
-                        (t.as_var() == Some(probe_var) && !prefix_cols.contains(&col))
-                            .then_some(col)
+                        (t.as_var() == Some(probe_var) && !index_cols.contains(&col)).then_some(col)
                     })
                 };
                 // The first viable condition in body order; a var-var one
                 // ranges forward when it can, mirrored otherwise.
-                let range = pending.iter().copied().find_map(|c| {
+                let chosen = pending.iter().copied().find_map(|c| {
                     let cond = &pushed[c];
                     if !cond.is_rangeable() {
                         return None;
@@ -683,12 +1140,21 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
                         .map(|col| (col, c, false))
                         .or(flipped.map(|col| (col, c, true)))
                 });
-                StepProbe {
-                    prefix_cols,
-                    range: range.map(|(col, c, _)| (col, c)),
-                    range_flipped: range.is_some_and(|(_, _, flipped)| flipped),
+                if let Some((col, c, flipped)) = chosen {
+                    let (op, (slot, bound)) = (pushed[c].op, reads[c]);
+                    range = Some(match (flipped, bound) {
+                        // Mirrored var-var orientation: probe the bound-side
+                        // variable with the flipped op.
+                        (true, _) => RangeBound::Var {
+                            slot,
+                            op: op.flipped(),
+                        },
+                        (false, None) => RangeBound::Const(c),
+                        (false, Some(slot)) => RangeBound::Var { slot, op },
+                    });
+                    index_cols.push(col);
                 }
-            };
+            }
             bound.extend(atom.variables());
             let (ready, waiting): (Vec<usize>, Vec<usize>) = pending.iter().partition(|&&c| {
                 let cond = &pushed[c];
@@ -699,27 +1165,31 @@ fn plan_deltas(rule: &Rule, join_order: &JoinOrder, pushed: &[PushedCondition]) 
                     }
             });
             pending = waiting;
-            steps.push(StepPlan {
+            steps.push(ProbeStep {
                 atom: atom_idx,
                 canonical: canonical
                     .iter()
                     .position(|&p| p == atom_idx)
                     .expect("the sequence permutes the canonical one"),
-                probe,
-                guards: ready,
+                prefix_len: index_cols.len() - usize::from(range.is_some()),
+                index_cols: index_cols.into_boxed_slice(),
+                range,
+                guards: ready.into_boxed_slice(),
             });
         }
         debug_assert!(
             pending.is_empty(),
             "pushable conditions are positively bound by construction"
         );
+        let core =
+            has_core.then(|| plan_core(&steps, atom_slots, reads, &core, atoms.len() - core.len()));
         plans.push(DeltaPlan {
-            steps,
-            hybrid,
+            steps: steps.into_boxed_slice(),
             reordered: sequence != canonical,
+            core,
         });
     }
-    plans
+    plans.into_boxed_slice()
 }
 
 /// One stratum of an [`AccessPlan`]'s schedule.
@@ -842,67 +1312,26 @@ impl AccessPlan {
         }
     }
 
-    /// Every index column list the pipeline's per-activation pre-pass
-    /// `ensure_index`es for this plan, keyed by predicate: for each join
-    /// step the exact composite prefix and the prefix extended by its
-    /// pushed range column, each cyclic core's leapfrog trie column lists
-    /// under the plan's variable order, and the negation probes'
-    /// single/composite column sets — for every delta position of a filter,
-    /// and for a check only its driver's ([`FilterNode::check_driver`]).
+    /// Every index column list the plan's activations ensure, keyed by
+    /// predicate: the union of [`FilterNode::index_lists`] over every delta
+    /// position of every filter, and over each check's driver
+    /// ([`FilterNode::check_driver`]), with the core tries' lists. Two
+    /// kinds of list may go unprobed by a run: a fold-stratum filter's
+    /// driver depends on the data, so all its positions count, and the
+    /// core tries' lists count under `JoinStrategy::Binary` too.
     ///
-    /// A query session pre-builds exactly these lists on its frozen EDB
+    /// A query session pre-builds these lists on its frozen EDB
     /// base (see `vadalog_storage::StoreBase::ensure_index`), so per-query
     /// overlay runs never fall back to a full base-covering index build.
     pub fn planned_index_cols(&self) -> BTreeMap<Sym, BTreeSet<Vec<usize>>> {
         let mut out: BTreeMap<Sym, BTreeSet<Vec<usize>>> = BTreeMap::new();
-        let add = |out: &mut BTreeMap<Sym, BTreeSet<Vec<usize>>>, p: Sym, cols: Vec<usize>| {
-            if !cols.is_empty() {
-                out.entry(p).or_default().insert(cols);
-            }
-        };
-        let checks = self.checks.iter().map(|c| (c, c.check_driver()));
-        for (filter, only) in self.filters.iter().map(|f| (f, None)).chain(checks) {
-            let atoms = filter.rule.body_atoms();
-            let driven = filter
-                .delta_plans
-                .iter()
-                .enumerate()
-                .filter(|(d, _)| only.is_none_or(|o| o == *d));
-            for (_, dp) in driven {
-                if let Some(hp) = &dp.hybrid {
-                    // The core's trie column lists, whether or not ears
-                    // wrap the core; the binary-step lists below stay the
-                    // fallback.
-                    let order = hp.static_order();
-                    for trie in &hp.tries {
-                        let predicate = atoms[trie.atom].predicate;
-                        add(&mut out, predicate, HybridPlan::trie_cols(trie, &order));
-                    }
-                }
-                for sp in dp.steps.iter().skip(1) {
-                    let predicate = atoms[sp.atom].predicate;
-                    add(&mut out, predicate, sp.probe.prefix_cols.clone());
-                    add(&mut out, predicate, sp.probe.index_cols());
-                }
-            }
-            for atom in filter.rule.negated_atoms() {
-                let mut determined: Vec<usize> = Vec::new();
-                for (col, term) in atom.terms.iter().enumerate() {
-                    let worth_indexing = match term {
-                        Term::Const(_) => true,
-                        Term::Var(v) => {
-                            atoms.iter().any(|other| other.variables().any(|w| w == *v))
-                        }
-                    };
-                    if worth_indexing {
-                        add(&mut out, atom.predicate, vec![col]);
-                        determined.push(col);
-                    }
-                }
-                if determined.len() > 1 {
-                    add(&mut out, atom.predicate, determined);
-                }
-            }
+        let filters = self.filters.iter().map(|f| f.index_lists(None, true));
+        let checks = self
+            .checks
+            .iter()
+            .map(|c| c.index_lists(c.check_driver(), true));
+        for (predicate, cols) in filters.chain(checks).flatten() {
+            out.entry(predicate).or_default().insert(cols.to_vec());
         }
         out
     }
@@ -953,6 +1382,25 @@ mod tests {
     use super::*;
     use vadalog_parser::parse_program;
 
+    /// Do `step`'s guards probe the variables `names`, in that order?
+    fn guards_probe(filter: &FilterNode, step: &ProbeStep, names: &[&str]) -> bool {
+        let slots: Vec<usize> = names.iter().map(|n| filter.slots[&Var::new(n)]).collect();
+        let guards = &filter.interned().guards;
+        step.guards.iter().map(|&g| guards[g].slot).eq(slots)
+    }
+
+    /// Does `filter`'s `step` range with a constant bound that keeps `kept`
+    /// and drops `dropped`?
+    fn ranges_over(filter: &FilterNode, step: &ProbeStep, kept: Value, dropped: Value) -> bool {
+        match step.range {
+            Some(bound @ RangeBound::Const(_)) => {
+                let range = bound.filter(filter.interned(), &[]).unwrap();
+                range.matches(intern_value(&kept)) && !range.matches(intern_value(&dropped))
+            }
+            _ => false,
+        }
+    }
+
     #[test]
     fn join_order_prefers_constants_and_connected_atoms() {
         let rule = vadalog_parser::parse_rule(
@@ -963,6 +1411,24 @@ mod tests {
         // The constant-bearing Company atom goes first.
         assert_eq!(order.0[0], 1);
         assert_eq!(order.0.len(), 3);
+    }
+
+    #[test]
+    fn rule_constants_are_interned_at_the_first_activation() {
+        // Values no other test interns: the interner is process-global.
+        let bound = Value::Float(7907.25);
+        let head = Value::str("plan-time-constant-7907");
+        let program =
+            parse_program("N(x), x <= 7907.25, y = x + 1 -> Low(x, \"plan-time-constant-7907\").")
+                .unwrap();
+        let plan = AccessPlan::compile(&program);
+        assert_eq!(find_value_id(&bound), None);
+        assert_eq!(find_value_id(&head), None);
+        let interned = plan.filters[0].interned();
+        assert_eq!(interned.guards.len(), 1);
+        assert!(interned.ranges[0].is_some());
+        assert!(find_value_id(&bound).is_some());
+        assert!(find_value_id(&head).is_some());
     }
 
     #[test]
@@ -1133,23 +1599,24 @@ mod tests {
         )
         .unwrap();
         let plan = AccessPlan::compile(&program);
+        let pushed = |f: usize| classify_conditions(&plan.filters[f].rule);
         // `w > 0.5` and `x != y` are var-op-bound; `w * 2 > 1.0` is an
         // expression and stays residual.
-        let f0 = &plan.filters[0];
-        assert_eq!(f0.pushed.len(), 2);
-        assert!(f0.pushed[0].is_rangeable());
-        assert_eq!(f0.pushed[0].var, Var::new("w"));
-        assert!(!f0.pushed[1].is_rangeable()); // != is guard-only
+        let f0 = pushed(0);
+        assert_eq!(f0.len(), 2);
+        assert!(f0[0].is_rangeable());
+        assert_eq!(f0[0].var, Var::new("w"));
+        assert!(!f0[1].is_rangeable()); // != is guard-only
         assert_eq!(
-            f0.pushed.iter().map(|p| p.literal).collect::<BTreeSet<_>>(),
+            f0.iter().map(|p| p.literal).collect::<BTreeSet<_>>(),
             BTreeSet::from([1, 2])
         );
         // `v > 0.5` reads an aggregate-assigned variable: residual.
-        assert!(plan.filters[1].pushed.is_empty());
+        assert!(pushed(1).is_empty());
         // variable-variable comparison across atoms is pushable
-        let f2 = &plan.filters[2];
-        assert_eq!(f2.pushed.len(), 1);
-        assert!(matches!(f2.pushed[0].bound, BoundTerm::Var(u) if u == Var::new("y")));
+        let f2 = pushed(2);
+        assert_eq!(f2.len(), 1);
+        assert!(matches!(f2[0].bound, BoundTerm::Var(u) if u == Var::new("y")));
     }
 
     #[test]
@@ -1162,8 +1629,8 @@ mod tests {
         let plan = AccessPlan::compile(&program);
         // Pushing `s > 10` past the Skolem assignment would change which
         // matches mint nulls; before it, pushing is safe.
-        assert!(plan.filters[0].pushed.is_empty());
-        assert_eq!(plan.filters[1].pushed.len(), 1);
+        assert!(classify_conditions(&plan.filters[0].rule).is_empty());
+        assert_eq!(classify_conditions(&plan.filters[1].rule).len(), 1);
     }
 
     #[test]
@@ -1200,15 +1667,23 @@ mod tests {
             parse_program("Control(x, y), Own(y, z, w), w > 0.5, z < 100 -> Control(x, z).")
                 .unwrap();
         let plan = AccessPlan::compile(&program);
-        let own_step = &plan.filters[0].delta_plans[0].steps[1];
+        let filter = &plan.filters[0];
+        let own_step = &filter.deltas[0].steps[1];
         // Both `w > 0.5` (col 2) and `z < 100` (col 1) could range this
         // step; the plan probes the first in body order, and only its
         // column extends the index list.
-        assert_eq!(own_step.probe.range, Some((2, 0)));
-        assert!(!own_step.probe.range_flipped);
-        assert_eq!(own_step.probe.index_cols(), vec![0, 2]);
+        assert_eq!(own_step.range_col(), Some(2));
+        assert!(ranges_over(
+            filter,
+            own_step,
+            Value::Float(0.7),
+            Value::Float(0.3)
+        ));
+        // A constant bound: the forward orientation, never a flipped one.
+        assert!(matches!(own_step.range, Some(RangeBound::Const(_))));
+        assert_eq!(*own_step.index_cols, [0, 2]);
         // Both conditions are guarded at this step.
-        assert_eq!(own_step.guards, vec![0, 1]);
+        assert!(guards_probe(filter, own_step, &["w", "z"]));
         let planned = plan.planned_index_cols();
         assert!(!planned[&intern("Own")].contains(&vec![0usize, 1]));
     }
@@ -1222,26 +1697,22 @@ mod tests {
         .unwrap();
         let plan = AccessPlan::compile(&program);
         let tri = &plan.filters[0];
-        for dp in &tri.delta_plans {
-            let hp = dp.hybrid.as_ref().expect("the triangle body is cyclic");
-            assert!(!hp.has_ears(), "the core covers the whole body");
-            assert_eq!(hp.tries.len(), 2);
+        for dp in tri.deltas.iter() {
+            let core = dp.core.as_ref().expect("the triangle body is cyclic");
+            assert_eq!(core.ears, 0, "the core covers the whole body");
+            assert_eq!(core.tries.len(), 2);
             // The delta atom binds two of the three variables; the third is
             // free and occurs in both remaining tries.
-            assert_eq!(hp.var_order.len(), 1);
-            assert_eq!(hp.var_order[0].1, 2);
-            let order = hp.static_order();
-            for trie in &hp.tries {
-                assert_eq!(trie.bound_cols.len(), 1);
-                assert_eq!(HybridPlan::trie_cols(trie, &order).len(), 2);
+            assert_eq!(core.levels.len(), 1);
+            assert_eq!(core.levels[0].cursors.len(), 2);
+            for trie in core.tries.iter() {
+                assert_eq!(trie.prefix_len, 1);
+                assert_eq!(trie.cols.len(), 2);
             }
         }
         // Binary step plans stay planned alongside as the fallback.
-        assert_eq!(tri.delta_plans[0].steps.len(), 3);
-        assert!(plan.filters[1]
-            .delta_plans
-            .iter()
-            .all(|dp| dp.hybrid.is_none()));
+        assert_eq!(tri.deltas[0].steps.len(), 3);
+        assert!(plan.filters[1].deltas.iter().all(|dp| dp.core.is_none()));
         // The trie column lists are registered for session pre-builds.
         let planned = plan.planned_index_cols();
         assert!(planned[&intern("Edge")].contains(&vec![0usize, 1]));
@@ -1259,43 +1730,46 @@ mod tests {
         // Lollipop: every delta position gets the plan — the triangle core
         // minus the delta atom always leaves at least two tries.
         let lolli = &plan.filters[0];
-        for (delta, dp) in lolli.delta_plans.iter().enumerate() {
-            let hp = dp.hybrid.as_ref().expect("lollipop body has a core");
-            assert!(hp.has_ears());
+        for (delta, dp) in lolli.deltas.iter().enumerate() {
+            let core = dp.core.as_ref().expect("lollipop body has a core");
+            assert!(core.ears > 0);
             let seq_atoms: Vec<usize> = dp.steps.iter().map(|s| s.atom).collect();
             // Core tries cover exactly the triangle atoms {0, 1, 2} minus
             // the delta; pendant atoms 3 and 4 stay binary ear steps.
-            let mut core_atoms: Vec<usize> = hp.tries.iter().map(|t| t.atom).collect();
+            let mut core_atoms: Vec<usize> = core.tries.iter().map(|t| t.atom).collect();
             core_atoms.sort_unstable();
             let expect: Vec<usize> = [0usize, 1, 2].into_iter().filter(|p| *p != delta).collect();
             assert_eq!(core_atoms, expect, "delta {delta}");
-            for &step in hp.prefix_steps.iter().chain(&hp.suffix_steps) {
+            let ear_steps: Vec<usize> = core
+                .stages
+                .iter()
+                .filter_map(|stage| match stage {
+                    Stage::Probe(step) => Some(*step),
+                    Stage::Intersect => None,
+                })
+                .collect();
+            for &step in &ear_steps {
                 assert!(!expect.contains(&seq_atoms[step]));
             }
             assert_eq!(
-                hp.prefix_steps.len() + hp.tries.len() + hp.suffix_steps.len(),
+                ear_steps.len() + core.tries.len(),
                 dp.steps.len() - 1,
                 "every non-delta atom is routed exactly once"
             );
-            assert!(!hp.var_order.is_empty());
+            assert!(!core.levels.is_empty());
         }
         // Acyclic body: no plan.
-        assert!(plan.filters[1]
-            .delta_plans
-            .iter()
-            .all(|dp| dp.hybrid.is_none()));
+        assert!(plan.filters[1].deltas.iter().all(|dp| dp.core.is_none()));
         // The join order puts the constant-bearing `K` atom first, so with a
         // triangle atom as the delta it is probed *before* the leapfrog and
         // its variables count as bound in the core tries.
-        let hub = plan.filters[2].delta_plans[0].hybrid.as_ref().unwrap();
-        assert_eq!(hub.prefix_steps, vec![1]);
-        assert!(hub.suffix_steps.is_empty());
+        let hub = plan.filters[2].deltas[0].core.as_ref().unwrap();
+        assert_eq!(*hub.stages, [Stage::Probe(1), Stage::Intersect]);
         // An ear-wrapped core registers its trie lists under the plan's
         // order for session pre-builds, like a fully cyclic body.
         let planned = plan.planned_index_cols();
-        let order = hub.static_order();
-        for trie in &hub.tries {
-            assert!(planned[&intern("E")].contains(&HybridPlan::trie_cols(trie, &order)));
+        for trie in hub.tries.iter() {
+            assert!(planned[&intern("E")].contains(&trie.cols.to_vec()));
         }
     }
 
@@ -1310,15 +1784,12 @@ mod tests {
         // Whenever L(x, z, z) is a non-delta core atom its repeated
         // variable makes the core trie-incompatible; with L as the delta
         // the remaining two atoms are fine.
-        for (delta, dp) in plan.filters[0].delta_plans.iter().enumerate() {
-            assert_eq!(dp.hybrid.is_some(), delta == 2, "delta {delta}");
+        for (delta, dp) in plan.filters[0].deltas.iter().enumerate() {
+            assert_eq!(dp.core.is_some(), delta == 2, "delta {delta}");
         }
         // A repeated-variable *ear* is probed binary-style and never
         // becomes a trie, so it disables nothing.
-        assert!(plan.filters[1]
-            .delta_plans
-            .iter()
-            .all(|dp| dp.hybrid.is_some()));
+        assert!(plan.filters[1].deltas.iter().all(|dp| dp.core.is_some()));
     }
 
     /// The shape of the HJE-unrolled strong-links rules: a `PSC` delta
@@ -1330,7 +1801,7 @@ mod tests {
         let plan = AccessPlan::compile(&parse_program(REPRODUCER).unwrap());
         let filter = &plan.filters[0];
         assert_eq!(filter.join_order.0, vec![0, 1, 2]);
-        let psc = &filter.delta_plans[2];
+        let psc = &filter.deltas[2];
         let atoms: Vec<usize> = psc.steps.iter().map(|s| s.atom).collect();
         assert_eq!(atoms, vec![2, 1, 0], "PSC, KeyPerson, Control");
         let canonical: Vec<usize> = psc.steps.iter().map(|s| s.canonical).collect();
@@ -1338,12 +1809,13 @@ mod tests {
         assert!(psc.reordered);
         // `KeyPerson` probes `p` (column 1); `Control` then probes `a`
         // (column 0) and ranges `b > y` on column 1 instead of scanning.
-        assert_eq!(psc.steps[1].probe.prefix_cols, vec![1]);
-        assert_eq!(psc.steps[2].probe.prefix_cols, vec![0]);
-        assert_eq!(psc.steps[2].probe.range, Some((1, 0)));
+        assert_eq!(psc.steps[1].prefix_cols(), [1]);
+        assert_eq!(psc.steps[2].prefix_cols(), [0]);
+        assert_eq!(psc.steps[2].range_col(), Some(1));
+        assert!(matches!(psc.steps[2].range, Some(RangeBound::Var { .. })));
         // Deltas whose next atom in join order is already connected keep
         // the canonical sequence.
-        for dp in &filter.delta_plans[..2] {
+        for dp in &filter.deltas[..2] {
             assert!(!dp.reordered);
             assert!(dp.steps.iter().enumerate().all(|(i, s)| s.canonical == i));
         }
@@ -1365,11 +1837,11 @@ mod tests {
         let mut reordered = 0;
         for filter in &plan.filters {
             let atoms = filter.rule.body_atoms();
-            for dp in &filter.delta_plans {
+            for dp in filter.deltas.iter() {
                 reordered += usize::from(dp.reordered);
                 let mut bound = atoms[dp.steps[0].atom].variable_set();
                 for (s, step) in dp.steps.iter().enumerate().skip(1) {
-                    if step.probe.prefix_cols.is_empty() {
+                    if step.prefix_len == 0 {
                         let waiting = dp.steps[s + 1..].iter().find(|later| {
                             atoms[later.atom].terms.iter().any(|t| match t {
                                 Term::Const(_) => true,
@@ -1398,8 +1870,8 @@ mod tests {
         let filter = &plan.filters[0];
         let atoms = filter.rule.body_atoms();
         let mut would_move = 0;
-        for (delta, dp) in filter.delta_plans.iter().enumerate() {
-            assert!(dp.hybrid.is_some());
+        for (delta, dp) in filter.deltas.iter().enumerate() {
+            assert!(dp.core.is_some());
             assert!(!dp.reordered, "delta {delta}");
             let canonical: Vec<usize> = std::iter::once(delta)
                 .chain(filter.join_order.0.iter().copied().filter(|p| *p != delta))
@@ -1418,29 +1890,32 @@ mod tests {
             parse_program("Control(x, y), Own(y, z, w), w > 0.5 -> Control(x, z).").unwrap();
         let plan = AccessPlan::compile(&program);
         let filter = &plan.filters[0];
-        assert_eq!(filter.delta_plans.len(), 2);
+        assert_eq!(filter.deltas.len(), 2);
         // Delta on Control (atom 0): the Own step probes y (column 0, bound
         // by Control) as an exact prefix and pushes `w > 0.5` as a range on
         // column 2 — one composite index instead of probe-then-filter.
-        let d0 = &filter.delta_plans[0];
+        let d0 = &filter.deltas[0];
         assert_eq!(d0.steps[0].atom, 0);
-        assert!(
-            d0.steps[0].probe.index_cols().is_empty(),
-            "delta step scans"
-        );
+        assert!(d0.steps[0].index_cols.is_empty(), "delta step scans");
         let own_step = &d0.steps[1];
         assert_eq!(own_step.atom, 1);
-        assert_eq!(own_step.probe.prefix_cols, vec![0]);
-        assert_eq!(own_step.probe.range, Some((2, 0)));
-        assert_eq!(own_step.probe.index_cols(), vec![0, 2]);
+        assert_eq!(own_step.prefix_cols(), [0]);
+        assert_eq!(own_step.range_col(), Some(2));
+        assert!(ranges_over(
+            filter,
+            own_step,
+            Value::Float(0.7),
+            Value::Float(0.3)
+        ));
+        assert_eq!(*own_step.index_cols, [0, 2]);
         // The guard lands where w becomes bound (the Own step).
-        assert_eq!(own_step.guards, vec![0]);
+        assert!(guards_probe(filter, own_step, &["w"]));
         // Delta on Own: w is bound by the delta scan itself, so the guard
         // attaches to step 0 and the Control step probes column 1 (= y).
-        let d1 = &filter.delta_plans[1];
+        let d1 = &filter.deltas[1];
         assert_eq!(d1.steps[0].atom, 1);
-        assert_eq!(d1.steps[0].guards, vec![0]);
-        assert_eq!(d1.steps[1].probe.prefix_cols, vec![1]);
-        assert_eq!(d1.steps[1].probe.range, None);
+        assert!(guards_probe(filter, &d1.steps[0], &["w"]));
+        assert_eq!(d1.steps[1].prefix_cols(), [1]);
+        assert_eq!(d1.steps[1].range_col(), None);
     }
 }

@@ -20,16 +20,25 @@
 //!   at every thread count.
 //! * **Rewrite** — the adorned (magic) program and its access plan are
 //!   compiled once per `(predicate, adornment)` pair and cached
-//!   ([`PipelineStats::magic_compile_cache_hits`] counts reuse). The magic
-//!   seed fact is interned directly into the overlay, and the bound prefix
-//!   of each magic predicate reaches the planner like any other bound
-//!   column set — a composite-probe prefix over the sorted runs.
-//! * **Engine** — the plan's EDB index column lists
-//!   ([`AccessPlan::planned_index_cols`]: probe prefixes, and the leapfrog
-//!   trie lists of every cyclic core, ears or not) are ensured on the
-//!   shared base once per layer stamp, so the per-batch `ensure_index`
-//!   pre-pass only ever flushes overlay tails; base runs are never
-//!   re-sorted. Each run gets a fresh termination strategy
+//!   ([`PipelineStats::magic_compile_cache_hits`] counts reuse). The plan
+//!   is the executable itself: every filter's probes, guards and leapfrog
+//!   levels are compiled with it, and its patterns and residual literals
+//!   at its first run's first activation of the filter, so a cached
+//!   shape's later runs compile nothing. The magic seed fact is interned
+//!   directly into the overlay, and the bound prefix of each magic
+//!   predicate reaches the planner like any other bound column set — a
+//!   composite-probe prefix over the sorted runs.
+//! * **Engine** — the plan's index column lists
+//!   ([`AccessPlan::planned_index_cols`]: the union of the lists its
+//!   activations ensure — each probe's prefix and range column, and the
+//!   leapfrog trie lists of every cyclic core, ears or not) are ensured on
+//!   the shared base once per layer stamp, so an activation's
+//!   `ensure_index` calls only ever flush overlay tails; base runs are
+//!   never re-sorted. The base holds no index a run does not probe, but
+//!   for two kinds of list: a fold-stratum filter's plan names the lists
+//!   of all its positions while a run drives one, and a
+//!   `JoinStrategy::Binary` run builds no core trie list.
+//!   Each run gets a fresh termination strategy
 //!   ([`crate::reasoner`]'s `make_strategy`): the strategy names facts by
 //!   the store's `FactId`s and reads the EDB from the run's overlay, where
 //!   a fact it never admitted is a root, so nothing is registered per
@@ -97,7 +106,8 @@ use crate::reasoner::{
 struct CompiledQuery {
     /// The program handed to the pipeline (post logic-optimizer).
     program: Program,
-    /// Its access plan.
+    /// Its access plan, compiled to the executable form every run of this
+    /// shape shares; its index lists are what the base pre-builds.
     plan: AccessPlan,
     /// The magic seed predicate (`m_Q__bf` style) whose single fact — the
     /// query's bound constants, minted per query — is interned directly
@@ -105,8 +115,6 @@ struct CompiledQuery {
     /// fallbacks. The adorned *rules* never mention the query constants, so
     /// one compilation serves every constant vector of the adornment.
     seed_predicate: Option<Sym>,
-    /// EDB index column lists the plan probes, pre-built on the base.
-    planned_cols: BTreeMap<Sym, BTreeSet<Vec<usize>>>,
     /// Classification of the program being run (for stats / require_warded).
     fragment: Fragment,
     supported: bool,
@@ -461,7 +469,7 @@ impl SessionCore {
             return;
         }
         let mut fresh_builds = 0;
-        for (pred, col_lists) in &compiled.planned_cols {
+        for (pred, col_lists) in &compiled.plan.planned_index_cols() {
             for cols in col_lists {
                 if self.base.ensure_index(*pred, cols) {
                     fresh_builds += 1;
@@ -1129,8 +1137,9 @@ impl QuerySession {
     }
 
     /// Compile one runnable program exactly the way [`Reasoner::reason`]
-    /// would: classify, apply the logic optimizer (per the options), build
-    /// the access plan and enumerate its EDB index column lists.
+    /// would: classify, apply the logic optimizer (per the options) and
+    /// compile the access plan, the executable form every run of this
+    /// shape reuses.
     fn compile(
         program: &Program,
         seed_predicate: Option<Sym>,
@@ -1143,12 +1152,10 @@ impl QuerySession {
             program.clone()
         };
         let plan = AccessPlan::compile(&compiled);
-        let planned_cols = plan.planned_index_cols();
         CompiledQuery {
             program: compiled,
             plan,
             seed_predicate,
-            planned_cols,
             fragment: report.primary(),
             supported: report.is_supported(),
         }

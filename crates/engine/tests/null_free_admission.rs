@@ -6,7 +6,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use vadalog_chase::{
-    run_chase, Candidate, ChaseOptions, Step, StrategyStats, TerminationStrategy, WardedStrategy,
+    run_chase, Candidate, ChaseOptions, Step, StrategyHeap, StrategyStats, TerminationStrategy,
+    WardedStrategy,
 };
 use vadalog_engine::{AccessPlan, Pipeline, Reasoner, ReasonerOptions, TerminationKind};
 use vadalog_model::prelude::*;
@@ -29,8 +30,8 @@ impl TerminationStrategy for Forbidden {
         StrategyStats::default()
     }
 
-    fn heap_bytes(&self) -> usize {
-        0
+    fn heap_bytes(&self) -> StrategyHeap {
+        StrategyHeap::default()
     }
 
     fn name(&self) -> &'static str {

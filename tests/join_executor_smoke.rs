@@ -2,11 +2,12 @@
 //! interpreter — all-probe plans, an intersect stage between ear probes, an
 //! intersect stage alone, and an intersect stage over tries mounted on a
 //! layered session base — runs under the root `cargo test`, each checked
-//! against the naive chase and the `Binary` reference.
+//! against the naive chase and the `Binary` reference, with the work its
+//! plan does pinned exactly: a plan change shows up here as a moved count.
 
-use std::collections::BTreeSet;
-use vadalog::engine::JoinStrategy;
-use vadalog::{Reasoner, ReasonerOptions};
+use std::collections::{BTreeMap, BTreeSet};
+use vadalog::engine::{AccessPlan, JoinStrategy, Pipeline};
+use vadalog::{Reasoner, ReasonerOptions, RunResult};
 use vadalog_chase::{run_chase, ChaseOptions, WardedStrategy};
 use vadalog_model::prelude::*;
 use vadalog_parser::parse_program;
@@ -14,10 +15,45 @@ use vadalog_parser::parse_program;
 const EDGES: &str = "Edge(1, 2). Edge(2, 3). Edge(1, 3). Edge(3, 4). Edge(2, 4). Edge(1, 4).\n\
                      Edge(4, 1). Pend(3, 30). Pend(4, 40). Pend(4, 41).\n";
 
+/// The work counters a plan decides: probes, scans, leapfrog work and the
+/// activations, batches and facts they produce. None depends on the worker
+/// count.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    join_probes: u64,
+    index_probes: u64,
+    range_probes: u64,
+    scan_fallbacks: u64,
+    wcoj_activations: u64,
+    wcoj_seeks: u64,
+    wcoj_intersections: u64,
+    hybrid_activations: u64,
+    productive_activations: usize,
+    sweep_batches: usize,
+    facts_derived: usize,
+}
+
+fn work(run: &RunResult) -> Work {
+    let s = &run.stats.pipeline;
+    Work {
+        join_probes: s.join_probes,
+        index_probes: s.index_probes,
+        range_probes: s.range_probes,
+        scan_fallbacks: s.scan_fallbacks,
+        wcoj_activations: s.wcoj_activations,
+        wcoj_seeks: s.wcoj_seeks,
+        wcoj_intersections: s.wcoj_intersections,
+        hybrid_activations: s.hybrid_activations,
+        productive_activations: s.productive_activations,
+        sweep_batches: s.sweep_batches,
+        facts_derived: s.facts_derived,
+    }
+}
+
 /// Run `rules` over [`EDGES`] through `reason_text` and compare `output`
 /// fact-for-fact with the `Binary` reference (same rows, same order) and
 /// with the chase (same set). Returns the default run for stat assertions.
-fn check(rules: &str, output: &str) -> vadalog::RunResult {
+fn check(rules: &str, output: &str) -> RunResult {
     let src = format!("{EDGES}{rules}\n@output(\"{output}\").");
     let run = Reasoner::new().reason_text(&src).unwrap();
     assert!(!run.output(output).is_empty(), "{output} is empty");
@@ -50,10 +86,70 @@ fn check(rules: &str, output: &str) -> vadalog::RunResult {
 #[test]
 fn acyclic_bodies_run_probe_stages_only() {
     let run = check("Edge(x, y), Edge(y, z), Pend(z, w) -> Path(x, w).", "Path");
-    let s = &run.stats.pipeline;
-    assert_eq!((s.wcoj_activations, s.hybrid_activations), (0, 0));
-    assert_eq!(s.wcoj_seeks, 0);
-    assert!(s.index_probes > 0);
+    assert_eq!(
+        work(&run),
+        Work {
+            join_probes: 37,
+            index_probes: 17,
+            range_probes: 0,
+            scan_fallbacks: 0,
+            wcoj_activations: 0,
+            wcoj_seeks: 0,
+            wcoj_intersections: 0,
+            hybrid_activations: 0,
+            productive_activations: 1,
+            sweep_batches: 1,
+            facts_derived: 8,
+        }
+    );
+}
+
+#[test]
+fn ranged_steps_probe_prefix_and_range_in_one_index() {
+    // The `Edge` delta probes `Pend` on `y` (column 0) and ranges `w > 35`
+    // on column 1.
+    let run = check("Edge(x, y), Pend(y, w), w > 35 -> Big(x, w).", "Big");
+    assert_eq!(
+        work(&run),
+        Work {
+            join_probes: 16,
+            index_probes: 7,
+            range_probes: 7,
+            scan_fallbacks: 0,
+            wcoj_activations: 0,
+            wcoj_seeks: 0,
+            wcoj_intersections: 0,
+            hybrid_activations: 0,
+            productive_activations: 1,
+            sweep_batches: 1,
+            facts_derived: 6,
+        }
+    );
+}
+
+#[test]
+fn negated_atoms_are_probed_after_the_join() {
+    // A two-step path whose end has no edge back to its start.
+    let run = check(
+        "Edge(x, y), Edge(y, z), not Edge(z, x) -> Open(x, z).",
+        "Open",
+    );
+    assert_eq!(
+        work(&run),
+        Work {
+            join_probes: 24,
+            index_probes: 7,
+            range_probes: 0,
+            scan_fallbacks: 0,
+            wcoj_activations: 0,
+            wcoj_seeks: 0,
+            wcoj_intersections: 0,
+            hybrid_activations: 0,
+            productive_activations: 1,
+            sweep_batches: 1,
+            facts_derived: 4,
+        }
+    );
 }
 
 #[test]
@@ -62,10 +158,22 @@ fn lollipop_bodies_leapfrog_the_core_between_ear_probes() {
         "Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).",
         "Lolli",
     );
-    let s = &run.stats.pipeline;
-    assert!(s.hybrid_activations > 0);
-    assert_eq!(s.wcoj_activations, 0);
-    assert!(s.wcoj_intersections > 0 && s.index_probes > 0);
+    assert_eq!(
+        work(&run),
+        Work {
+            join_probes: 14,
+            index_probes: 4,
+            range_probes: 0,
+            scan_fallbacks: 0,
+            wcoj_activations: 0,
+            wcoj_seeks: 15,
+            wcoj_intersections: 4,
+            hybrid_activations: 4,
+            productive_activations: 1,
+            sweep_batches: 1,
+            facts_derived: 7,
+        }
+    );
 }
 
 #[test]
@@ -74,9 +182,22 @@ fn triangle_bodies_are_one_intersect_stage() {
         "Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).",
         "Triangle",
     );
-    let s = &run.stats.pipeline;
-    assert!(s.wcoj_activations > 0);
-    assert_eq!(s.hybrid_activations, 0);
+    assert_eq!(
+        work(&run),
+        Work {
+            join_probes: 7,
+            index_probes: 0,
+            range_probes: 0,
+            scan_fallbacks: 0,
+            wcoj_activations: 3,
+            wcoj_seeks: 15,
+            wcoj_intersections: 4,
+            hybrid_activations: 0,
+            productive_activations: 1,
+            sweep_batches: 1,
+            facts_derived: 4,
+        }
+    );
     // (1,2,3), (1,2,4), (1,3,4), (2,3,4).
     assert_eq!(run.output("Triangle").len(), 4);
 }
@@ -120,4 +241,109 @@ fn layered_session_queries_leapfrog_on_base_indexes() {
         .collect();
     assert_eq!(answer.answers, from_run);
     assert_eq!(answer.answers, vec![int("Out", &[1, 5, 6, 7, 101])]);
+}
+
+/// The index lists a plain [`Pipeline`] run leaves on its relations, by
+/// predicate.
+fn built_index_cols(src: &str) -> (AccessPlan, BTreeMap<Sym, BTreeSet<Vec<usize>>>) {
+    let program = parse_program(src).unwrap();
+    let plan = AccessPlan::compile(&program);
+    let mut pipeline = Pipeline::new(&plan, Box::new(WardedStrategy::new()));
+    pipeline.load_facts(program.facts.clone());
+    pipeline.run();
+    let store = pipeline.store();
+    let mut built: BTreeMap<Sym, BTreeSet<Vec<usize>>> = BTreeMap::new();
+    for predicate in store.predicates() {
+        let lists = store.relation(predicate).unwrap().indexed_col_lists();
+        if !lists.is_empty() {
+            built.insert(predicate, lists.iter().map(|c| c.to_vec()).collect());
+        }
+    }
+    (plan, built)
+}
+
+#[test]
+fn plans_name_exactly_the_indexes_a_run_builds() {
+    // A ranged step: the `Control` delta probes `Own` on `[0, 2]` (prefix
+    // `y`, range `w > 0.5`), and no run probes `Own` on `[0]` alone. The
+    // check and the fold-stratum filter have one atom each.
+    let ranged = "Own(\"a\", \"b\", 0.7). Own(\"b\", \"c\", 0.8). Own(\"c\", \"d\", 0.2).\n\
+                  Own(x, y, w), w > 0.5 -> Control(x, y).\n\
+                  Control(x, y), Own(y, z, w), w > 0.5 -> Control(x, z).\n\
+                  Own(x, x, w) -> false.\n\
+                  Control(x, y), n = mcount(y) -> Reach(x, n).";
+    // A lollipop core with an ear, a negated atom and a check joining
+    // three atoms (only its driver's lists are built).
+    let mixed = format!(
+        "{EDGES}\
+         Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, w).\n\
+         Edge(x, y), not Edge(y, x) -> OneWay(x, y).\n\
+         Edge(x, y), Edge(y, x), Pend(x, w) -> false."
+    );
+    for src in [ranged, mixed.as_str()] {
+        let (plan, built) = built_index_cols(src);
+        assert_eq!(plan.planned_index_cols(), built, "{src}");
+    }
+    let (_, built) = built_index_cols(ranged);
+    assert_eq!(built[&intern("Own")], BTreeSet::from([vec![0, 2]]));
+}
+
+#[test]
+fn fold_filters_plan_the_lists_of_every_driver() {
+    // A fold-stratum filter drives from its smallest body relation, known
+    // only once the fixpoint is reached, so the plan names the lists of
+    // both positions. Here `P` (2 rows) drives: the run probes `E` on
+    // `[1]`, and the plan's extra list is the `E`-driven position's `P [0]`.
+    let src = "E(1, 2). E(2, 3). E(3, 3). P(2, 20). P(3, 30).\n\
+               E(x, y), P(y, w), n = mcount(w) -> Fan(x, n).";
+    let (plan, built) = built_index_cols(src);
+    assert_eq!(plan.fold_stratum(), [0]);
+    let planned = plan.planned_index_cols();
+    let mut extra = planned.clone();
+    for (predicate, lists) in &built {
+        let named = extra.get_mut(predicate).expect("a built list is planned");
+        assert!(
+            lists.is_subset(named),
+            "{predicate}: {lists:?} within {named:?}"
+        );
+        named.retain(|cols| !lists.contains(cols));
+    }
+    extra.retain(|_, lists| !lists.is_empty());
+    let mut idle: BTreeMap<Sym, BTreeSet<Vec<usize>>> = BTreeMap::new();
+    for (predicate, cols) in plan.filters[0].index_lists(Some(0), true) {
+        idle.entry(predicate).or_default().insert(cols.to_vec());
+    }
+    assert_eq!(extra, idle);
+    assert_eq!(
+        extra,
+        BTreeMap::from([(intern("P"), BTreeSet::from([vec![0]]))])
+    );
+    assert_eq!(
+        built,
+        BTreeMap::from([(intern("E"), BTreeSet::from([vec![1]]))])
+    );
+}
+
+#[test]
+fn rule_constants_leave_the_data_as_loaded() {
+    // The interner keeps the first representation of a number it sees, so
+    // the rule's `7919.0` must not be interned before the fact's `7919`:
+    // the fact stays an integer, and integer division halves it to 3959.
+    // Values no other test uses: the interner is process-global.
+    let src = "N(7919).\n\
+               N(x), x <= 7919.0 -> Low(x).\n\
+               N(x), h = x / 2 -> Half(h).\n\
+               @output(\"N\"). @output(\"Low\"). @output(\"Half\").";
+    let run = Reasoner::new()
+        .reason(&parse_program(src).unwrap())
+        .unwrap();
+    let shown = |predicate: &str| -> Vec<String> {
+        run.output(predicate)
+            .iter()
+            .map(|f| f.to_string())
+            .collect()
+    };
+    assert_eq!(shown("N"), ["N(7919)"]);
+    assert_eq!(shown("Low"), ["Low(7919)"]);
+    assert_eq!(shown("Half"), ["Half(3959)"]);
 }
