@@ -345,6 +345,11 @@ fn render_stats(out: &mut String, result: &RunResult) {
     );
     let _ = writeln!(
         out,
+        "% peak batch matches:  {} (full matches one batch held before emission)",
+        stats.pipeline.peak_batch_matches
+    );
+    let _ = writeln!(
+        out,
         "% wcoj activations:    {} (cyclic-body activations on the leapfrog path)",
         stats.pipeline.wcoj_activations
     );
@@ -1108,6 +1113,10 @@ mod tests {
         );
         // steals is present (its value is run-dependent).
         field("% chunk steals:");
+        // The largest batch is the first: `Edge -> Reach` matches all 40
+        // edges, and each later sweep extends the paths by one edge, with
+        // one match fewer each time.
+        assert_eq!(field("% peak batch matches:"), 40);
         assert!(out.contains("% batch width hist:    1:"), "{out}");
         // The transitive-closure body is acyclic: the WCOJ counters must be
         // surfaced and zero.

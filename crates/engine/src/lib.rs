@@ -61,18 +61,22 @@
 //! the window's row count and the worker count alone. All chunks of all filters in
 //! the batch share one work-stealing queue, so a batch dominated by a
 //! single join-heavy filter (the fig8c regime) still loads every worker.
-//! Each worker claims items against the shared frozen `&FactStore` with a
-//! private match buffer, private probe counters and a reusable
-//! [`vadalog_storage::JoinScratch`].
+//! Each worker claims items against the shared frozen `&FactStore` with
+//! private probe counters and a reusable
+//! [`vadalog_storage::JoinScratch`], and keeps each item's full matches in
+//! one flat buffer: a match is a row of its positive body variables' ids
+//! ([`FilterNode::body_width`] of them), not an allocation of its own.
 //!
 //! After the join phase, each filter's chunk buffers are concatenated **in
 //! chunk order** — which restores the sequential delta-scan enumeration
 //! exactly — and the filters are merged **sequentially in filter-index
-//! order** through the emission path (negation probes, conditions,
-//! monotonic aggregation, labelled-null and Skolem invention,
-//! admission), each head row offered to the store: a row its relation
-//! holds is a duplicate, a new one goes to the termination strategy (on a
-//! run that can hold a null) and an admitted one is inserted at once.
+//! order** through the emission path, which loads each row into one
+//! reusable binding and rebuilds the slots past the body (negation
+//! probes, conditions, monotonic aggregation, labelled-null and Skolem
+//! invention, admission), each head row offered to the store: a row its
+//! relation holds is a duplicate, a new one goes to the termination
+//! strategy (on a run that can hold a null) and an admitted one is
+//! inserted at once.
 //!
 //! **Determinism guarantee:** batch boundaries, the chunk layout (a
 //! function of the delta row counts and the worker count), per-chunk match

@@ -44,14 +44,18 @@
 //! batch go onto one work-stealing queue, so a batch dominated by a single
 //! join-heavy filter still loads every worker: its chunks interleave with
 //! the other filters' jobs. Each worker claims
-//! items against the frozen `&FactStore` with a private match buffer,
-//! private probe/range counters and a reusable
-//! [`vadalog_storage::JoinScratch`]; afterwards each filter's chunk buffers
-//! are concatenated **in chunk order** (which restores the sequential
+//! items against the frozen `&FactStore` with private probe/range counters
+//! and a reusable [`vadalog_storage::JoinScratch`], and writes each item's
+//! full matches into one flat buffer of ids: a match is a row of its
+//! positive body variables' ids ([`FilterNode::body_width`] of them), not
+//! an allocation of its own. Afterwards each filter's chunk buffers are
+//! concatenated **in chunk order** (which restores the sequential
 //! delta-scan order exactly) and the filters are merged **sequentially in
-//! filter-index order** through the emission path (negation, conditions,
-//! aggregation, Skolem/null invention, then each head row offered to the
-//! store, which cuts exact duplicates and inserts admitted rows at once).
+//! filter-index order** through the emission path, which loads each row
+//! into one reusable binding and rebuilds every slot past the body
+//! (negation, conditions, aggregation, Skolem/null invention, then each
+//! head row offered to the store, which cuts exact duplicates and inserts
+//! admitted rows at once).
 //!
 //! Because batch boundaries, the chunk layout (a function of the delta row
 //! counts and the worker count only), match enumeration order and the
@@ -161,8 +165,73 @@ pub enum JoinStrategy {
     Binary,
 }
 
-/// A join binding: one slot per rule variable, bound during matching.
-type Binding = Vec<Option<ValueId>>;
+/// The full matches of a work item, then of a job's whole batch: one flat
+/// row per match of the ids of the positive body variables, `stride`
+/// (the filter's [`FilterNode::body_width`]) ids each. Every full match
+/// binds all of them, so a row needs no unbound marker; the variables past
+/// them (negated-only, assigned, existential) are computed again when the
+/// match is emitted. `len` counts rows apart from `ids`, since a body
+/// without variables has rows of width 0.
+struct MatchBuf {
+    stride: usize,
+    len: usize,
+    ids: Vec<ValueId>,
+}
+
+impl MatchBuf {
+    fn new(stride: usize) -> Self {
+        MatchBuf {
+            stride,
+            len: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    /// Append the full match `binding` holds.
+    fn push(&mut self, binding: &[Option<ValueId>]) {
+        self.ids.extend(body_ids(binding, self.stride));
+        self.len += 1;
+    }
+
+    /// Append one row of `stride` ids.
+    fn push_row(&mut self, row: &[ValueId]) {
+        self.ids.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Append another buffer's rows after this one's.
+    fn append(&mut self, other: MatchBuf) {
+        if self.len == 0 {
+            *self = other;
+        } else {
+            self.ids.extend_from_slice(&other.ids);
+            self.len += other.len;
+        }
+    }
+
+    /// The rows, in the order they were appended.
+    fn rows(&self) -> impl Iterator<Item = &[ValueId]> {
+        (0..self.len).map(|m| &self.ids[m * self.stride..(m + 1) * self.stride])
+    }
+}
+
+/// The ids of a full match's body variables: the first `stride` slots of
+/// its binding.
+fn body_ids(binding: &[Option<ValueId>], stride: usize) -> impl Iterator<Item = ValueId> + '_ {
+    binding[..stride]
+        .iter()
+        .map(|id| id.expect("a full match binds every body variable"))
+}
+
+/// Load `row` into `binding` for emission: the body slots bound to its
+/// ids, every later slot unbound.
+fn load_row(binding: &mut [Option<ValueId>], row: &[ValueId]) {
+    let (body, rest) = binding.split_at_mut(row.len());
+    for (slot, id) in body.iter_mut().zip(row) {
+        *slot = Some(*id);
+    }
+    rest.fill(None);
+}
 
 /// Per-item join statistics, summed per batch into [`PipelineStats`]; the
 /// sums do not depend on how the work was chunked, so totals match the
@@ -255,7 +324,7 @@ impl Datum {
 fn stored_parent(
     store: &FactStore,
     pattern: &RowPattern,
-    binding: &Binding,
+    binding: &[Option<ValueId>],
     row: &mut Vec<ValueId>,
 ) -> Option<FactRef> {
     row.clear();
@@ -336,6 +405,11 @@ struct FilterJob<'p> {
 }
 
 impl FilterJob<'_> {
+    /// An empty match buffer for this job's filter.
+    fn matches(&self) -> MatchBuf {
+        MatchBuf::new(self.node.body_width)
+    }
+
     /// Semi-naive row limit of body position `pos` when `delta_idx` drives
     /// the join: positions strictly before the delta position are
     /// restricted to old facts, so each new combination is seen exactly
@@ -405,6 +479,12 @@ pub struct PipelineStats {
     /// intra-filter parallel slack. A function of the delta window sizes and
     /// the worker count (the shard bound) — repeatable run to run.
     pub intra_filter_chunks: u64,
+    /// The most matches one batch held at once: the full matches its join
+    /// collected, summed over its filters, before their emission. A
+    /// function of the data alone, like the match count, so it is the same
+    /// at every worker count; each match is held as
+    /// [`FilterNode::body_width`] ids.
+    pub peak_batch_matches: u64,
     /// Chunks picked up by a worker other than the one that claimed their
     /// filter's first chunk (per filter and batch: distinct claiming
     /// workers − 1). A scheduling diagnostic: unlike every other counter it
@@ -776,14 +856,16 @@ impl<'a> Pipeline<'a> {
                 .pop()
                 .expect("one run gives one job");
             self.agg_states[f_idx] = vec![AggregateState::new()];
-            let mut firsts = Vec::new();
+            let mut firsts = MatchBuf::new(matches.stride);
             let mut scratch = ResidualScratch::default();
-            for mut binding in matches {
+            let mut binding = vec![None; filter.slots.len()];
+            for row in matches.rows() {
+                load_row(&mut binding, row);
                 let groups = self.agg_states[f_idx][0].groups();
                 if self.accept(&job, Pass::Fold, &mut binding, &mut scratch)
                     && self.agg_states[f_idx][0].groups() > groups
                 {
-                    firsts.push(binding);
+                    firsts.push_row(row);
                 }
             }
             if self.emit(&job, firsts) {
@@ -800,7 +882,7 @@ impl<'a> Pipeline<'a> {
     fn run_whole<'p>(
         &mut self,
         runs: &[(&'p FilterNode, usize, Option<usize>)],
-    ) -> Vec<(FilterJob<'p>, Vec<Binding>)> {
+    ) -> Vec<(FilterJob<'p>, MatchBuf)> {
         let mut jobs = Vec::with_capacity(runs.len());
         for &(node, f_idx, driver) in runs {
             let deltas = node
@@ -844,10 +926,12 @@ impl<'a> Pipeline<'a> {
         for (job, mut matches) in results {
             let node = job.node;
             if node.body_predicates.is_empty() {
-                matches = vec![vec![None; node.slots.len()]];
+                matches.push_row(&[]);
             }
             let rule = &node.rule;
-            for mut binding in matches {
+            let mut binding = vec![None; node.slots.len()];
+            for row in matches.rows() {
+                load_row(&mut binding, row);
                 if !self.accept(&job, Pass::Check, &mut binding, &mut scratch) {
                     continue;
                 }
@@ -1030,7 +1114,7 @@ impl<'a> Pipeline<'a> {
     /// per filter **in chunk order**, so the merged buffers (and every
     /// counter total) are independent of worker scheduling. The batch's
     /// work items, steals and join counters are folded into the statistics.
-    fn collect_batch(&mut self, jobs: &[FilterJob]) -> Vec<Vec<Binding>> {
+    fn collect_batch(&mut self, jobs: &[FilterJob]) -> Vec<MatchBuf> {
         let items: Vec<WorkItem> = jobs
             .iter()
             .enumerate()
@@ -1067,7 +1151,7 @@ impl<'a> Pipeline<'a> {
         if workers <= 1 || delta_rows < PARALLEL_MIN_DELTA_ROWS {
             // Inline: run the items in queue order with one reusable
             // scratch, accumulating straight into the per-job buffers.
-            let mut out: Vec<Vec<Binding>> = vec![Vec::new(); jobs.len()];
+            let mut out: Vec<MatchBuf> = jobs.iter().map(FilterJob::matches).collect();
             let mut counters = JoinCounters::default();
             let mut scratch = JoinScratch::default();
             for item in &items {
@@ -1080,13 +1164,13 @@ impl<'a> Pipeline<'a> {
                     &mut counters,
                 );
             }
-            self.record_batch(items.len(), 0, counters);
+            self.record_batch(items.len(), 0, counters, &out);
             return out;
         }
         let store = &self.store;
         let next_item = AtomicUsize::new(0);
         // Per-item result slots: (matches, counters, claiming worker).
-        type ItemResult = (Vec<Binding>, JoinCounters, usize);
+        type ItemResult = (MatchBuf, JoinCounters, usize);
         let results: Vec<Mutex<Option<ItemResult>>> =
             items.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
@@ -1100,7 +1184,7 @@ impl<'a> Pipeline<'a> {
                             break;
                         }
                         let item = &items[k];
-                        let mut matches = Vec::new();
+                        let mut matches = jobs[item.job].matches();
                         let mut counters = JoinCounters::default();
                         Self::collect_item(
                             store,
@@ -1118,7 +1202,7 @@ impl<'a> Pipeline<'a> {
         });
         // Merge per job in item (= chunk) order: concatenation restores the
         // sequential enumeration order, counter sums are split-invariant.
-        let mut out: Vec<Vec<Binding>> = vec![Vec::new(); jobs.len()];
+        let mut out: Vec<MatchBuf> = jobs.iter().map(FilterJob::matches).collect();
         let mut totals = JoinCounters::default();
         let mut claimers: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
         for (item, slot) in items.iter().zip(results) {
@@ -1126,12 +1210,7 @@ impl<'a> Pipeline<'a> {
                 .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
                 .expect("every work item is claimed by exactly one worker");
-            let buffer = &mut out[item.job];
-            if buffer.is_empty() {
-                *buffer = matches;
-            } else {
-                buffer.extend(matches);
-            }
+            out[item.job].append(matches);
             totals.merge(counters);
             if !claimers[item.job].contains(&worker) {
                 claimers[item.job].push(worker);
@@ -1141,15 +1220,23 @@ impl<'a> Pipeline<'a> {
             .iter()
             .map(|c| c.len().saturating_sub(1) as u64)
             .sum();
-        self.record_batch(items.len(), steals, totals);
+        self.record_batch(items.len(), steals, totals, &out);
         out
     }
 
     /// Fold one batch's execution record into the statistics: the batch,
-    /// its work items (its parallel width), its steals and the join
-    /// counters summed over its items.
-    fn record_batch(&mut self, items: usize, steals: u64, counters: JoinCounters) {
+    /// its work items (its parallel width), its steals, the join counters
+    /// summed over its items and the matches it holds for emission.
+    fn record_batch(
+        &mut self,
+        items: usize,
+        steals: u64,
+        counters: JoinCounters,
+        matches: &[MatchBuf],
+    ) {
         let stats = &mut self.stats;
+        let held = matches.iter().map(|m| m.len as u64).sum();
+        stats.peak_batch_matches = stats.peak_batch_matches.max(held);
         stats.sweep_batches += 1;
         stats.intra_filter_chunks += items as u64;
         stats.steals += steals;
@@ -1170,7 +1257,7 @@ impl<'a> Pipeline<'a> {
         job: &FilterJob,
         chunk: Option<usize>,
         scratch: &mut JoinScratch,
-        results: &mut Vec<Binding>,
+        results: &mut MatchBuf,
         counters: &mut JoinCounters,
     ) {
         match chunk {
@@ -1208,13 +1295,13 @@ impl<'a> Pipeline<'a> {
     /// admitted row is inserted at once, so the next match's negation probe
     /// sees it. Runs sequentially in filter-index order. Returns whether
     /// any new fact was admitted.
-    fn emit(&mut self, job: &FilterJob, matches: Vec<Binding>) -> bool {
+    fn emit(&mut self, job: &FilterJob, matches: MatchBuf) -> bool {
         let f_idx = job.f_idx;
         let node = job.node;
         for (pos, (_, to)) in job.deltas.iter().enumerate() {
             self.cursors[f_idx][pos] = *to;
         }
-        if matches.is_empty() {
+        if matches.len == 0 {
             return false;
         }
 
@@ -1225,7 +1312,9 @@ impl<'a> Pipeline<'a> {
 
         let mut scratch = ResidualScratch::default();
         let mut row = Vec::new();
-        for mut binding in matches {
+        let mut binding = vec![None; node.slots.len()];
+        for ids in matches.rows() {
+            load_row(&mut binding, ids);
             if !self.accept(job, Pass::Fire, &mut binding, &mut scratch) {
                 continue;
             }
@@ -1302,7 +1391,7 @@ impl<'a> Pipeline<'a> {
         &mut self,
         job: &FilterJob,
         pass: Pass,
-        binding: &mut Binding,
+        binding: &mut [Option<ValueId>],
         scratch: &mut ResidualScratch,
     ) -> bool {
         for np in job.interned.neg_patterns.iter() {
@@ -1477,9 +1566,10 @@ impl<'a> Pipeline<'a> {
     /// The whole join runs at the id level: patterns are matched against
     /// **borrowed** rows with the worker's [`JoinScratch`] (binding array,
     /// undo trail, per-stage postings buffers, probe-key buffer, support
-    /// vector and the intersect stage's match buffers) — zero `Fact`
-    /// clones, no steady-state allocation across chunks. Only accepted full
-    /// matches clone the (small, `Copy`-element) binding vector.
+    /// vector, the intersect stage's match buffers and the flat rows the
+    /// per-row sort orders) — zero `Fact` clones, no steady-state
+    /// allocation across chunks. A full match is copied into `results` as
+    /// one flat row of its body variables' ids; only that buffer grows.
     #[allow(clippy::too_many_arguments)]
     fn collect_chunk(
         store: &FactStore,
@@ -1489,7 +1579,7 @@ impl<'a> Pipeline<'a> {
         from: usize,
         to: usize,
         js: &mut JoinScratch,
-        results: &mut Vec<Binding>,
+        results: &mut MatchBuf,
     ) {
         let (node, interned) = (job.node, job.interned);
         let Some(rel) = store.relation(node.body_predicates[delta_idx]) else {
@@ -1561,12 +1651,20 @@ impl<'a> Pipeline<'a> {
                     Self::join_stage(&cx, 0, &mut cursors, counters, js, results);
                     if cx.restore_order {
                         let JoinScratch {
-                            keybuf, pending, ..
+                            keybuf,
+                            rows,
+                            pending,
+                            ..
                         } = js;
                         pending.sort_by(|a, b| {
                             keybuf[a.0..a.0 + width].cmp(&keybuf[b.0..b.0 + width])
                         });
-                        results.extend(pending.drain(..).map(|(_, b)| b));
+                        let stride = results.stride;
+                        for &(_, row) in pending.iter() {
+                            results.push_row(&rows[row..row + stride]);
+                        }
+                        pending.clear();
+                        rows.clear();
                         keybuf.clear();
                     }
                 }
@@ -1583,10 +1681,11 @@ impl<'a> Pipeline<'a> {
     /// the current partial binding, recursing into the next stage once per
     /// extension. Past the last stage the binding is a full match: a plan
     /// with an intersect stage first checks the deferred core guards. The
-    /// canonical all-probe plan pushes the match straight into `results`
-    /// (its enumeration order *is* the emission order); an intersect or
-    /// reordered plan records the binding with its support vector for the
-    /// per-row order-restoring sort in [`Pipeline::collect_chunk`].
+    /// canonical all-probe plan pushes the match's row straight into
+    /// `results` (its enumeration order *is* the emission order); an
+    /// intersect or reordered plan records the row and its support vector
+    /// in the scratch's flat buffers for the per-row order-restoring sort
+    /// in [`Pipeline::collect_chunk`].
     #[inline(always)]
     fn join_stage<'r>(
         cx: &JoinCx<'_, 'r>,
@@ -1594,7 +1693,7 @@ impl<'a> Pipeline<'a> {
         cursors: &mut [TrieCursor<'r>],
         counters: &mut JoinCounters,
         js: &mut JoinScratch,
-        results: &mut Vec<Binding>,
+        results: &mut MatchBuf,
     ) {
         match (cx.stages.get(stage), cx.core) {
             (Some(Stage::Probe(step)), _) => {
@@ -1614,11 +1713,11 @@ impl<'a> Pipeline<'a> {
                     return;
                 }
                 if cx.restore_order {
-                    let start = js.keybuf.len();
+                    js.pending.push((js.keybuf.len(), js.rows.len()));
                     js.keybuf.extend_from_slice(&js.support);
-                    js.pending.push((start, js.binding.clone()));
+                    js.rows.extend(body_ids(&js.binding, results.stride));
                 } else {
-                    results.push(js.binding.clone());
+                    results.push(&js.binding);
                 }
             }
         }
@@ -1637,7 +1736,7 @@ impl<'a> Pipeline<'a> {
         cursors: &mut [TrieCursor<'r>],
         counters: &mut JoinCounters,
         js: &mut JoinScratch,
-        results: &mut Vec<Binding>,
+        results: &mut MatchBuf,
     ) {
         let step = &cx.steps[step_pos];
         let interned = cx.job.interned;
@@ -1654,7 +1753,7 @@ impl<'a> Pipeline<'a> {
                       cursors: &mut [TrieCursor<'r>],
                       counters: &mut JoinCounters,
                       js: &mut JoinScratch,
-                      results: &mut Vec<Binding>| {
+                      results: &mut MatchBuf| {
             counters.join_probes += 1;
             if pattern.match_row(rel.row(id), &mut js.binding, &mut js.trail) {
                 if Self::check_guards(&interned.guards, &step.guards, &js.binding) {
@@ -1724,7 +1823,7 @@ impl<'a> Pipeline<'a> {
         cursors: &mut [TrieCursor<'r>],
         counters: &mut JoinCounters,
         js: &mut JoinScratch,
-        results: &mut Vec<Binding>,
+        results: &mut MatchBuf,
     ) {
         let interned = cx.job.interned;
         if !Self::check_guards(&interned.guards, &ch.pre_guards, &js.binding) {

@@ -545,8 +545,13 @@ pub struct FilterNode {
     pub outputs: BTreeSet<Sym>,
     /// Does the rule carry a monotonic aggregation?
     pub has_aggregation: bool,
-    /// The rule's variable numbering.
+    /// The rule's variable numbering: the positive body variables first,
+    /// as slots `0..body_width`, then the negated atoms' and the head's.
     pub slots: HashMap<Var, usize>,
+    /// Number of distinct positive body variables. A full match of the
+    /// body binds exactly slots `0..body_width`, so the pipeline keeps a
+    /// match as that many ids.
+    pub body_width: usize,
     /// Positive body predicates, in body order.
     pub body_predicates: Box<[Sym]>,
     /// Binding slots of the existential head variables.
@@ -578,7 +583,9 @@ impl FilterNode {
         let negated = rule.negated_atoms();
         let head = rule.head_atoms();
         let all: Vec<&Atom> = body.iter().chain(&negated).chain(&head).copied().collect();
+        // First-occurrence order numbers the body's variables first.
         let slots = number_variables(&all);
+        let body_width = number_variables(&body).len();
         // Per pushed condition, the slots it reads: its variable's, and its
         // bound variable's when the bound is not a constant.
         let reads: Vec<(usize, Option<usize>)> = pushed
@@ -636,6 +643,7 @@ impl FilterNode {
             probe_stages: (1..body.len()).map(Stage::Probe).collect(),
             body_predicates: body.iter().map(|a| a.predicate).collect(),
             slots,
+            body_width,
             deltas,
             neg_index_cols: neg_index_cols.into_boxed_slice(),
             pushed: pushed.into_boxed_slice(),

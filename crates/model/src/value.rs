@@ -616,11 +616,34 @@ impl Value {
         }
     }
 
-    /// Compare two numeric values across Int/Float; `None` when either side
-    /// is not numeric.
+    /// Compare two numeric values across Int/Float, exactly: two `Int`s as
+    /// `i64`, an `Int` and a `Float` by their exact values (`-0.0` equals
+    /// `0`). `None` when either side is not numeric or a `Float` is NaN.
     pub fn numeric_cmp(&self, other: &Value) -> Option<Ordering> {
-        let (a, b) = (self.as_f64()?, other.as_f64()?);
-        a.partial_cmp(&b)
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Int(a), Value::Float(b)) => {
+                Some(int_float_cmp(*a, *b, (*a as f64).partial_cmp(b)?))
+            }
+            (Value::Float(a), Value::Int(b)) => {
+                Some(int_float_cmp(*b, *a, (*b as f64).partial_cmp(a)?).reverse())
+            }
+            _ => self.as_f64()?.partial_cmp(&other.as_f64()?),
+        }
+    }
+}
+
+/// The exact order of the integer `i` and the float `f`, given `rounded`,
+/// the order of `i as f64` and `f`. Rounding to `f64` is monotone, so an
+/// unequal `rounded` decides. A tie means `f` is integral and within
+/// `[-2^63, 2^63]`: it is compared as an `i64`, except 2^63 itself, which
+/// lies above every `i64`.
+fn int_float_cmp(i: i64, f: f64, rounded: Ordering) -> Ordering {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    match rounded {
+        Ordering::Equal if f >= TWO_POW_63 => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        decided => decided,
     }
 }
 
@@ -638,10 +661,12 @@ impl Ord for Value {
         match (self, other) {
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            // Mixed numeric comparisons use numeric order so joins over
-            // heterogeneous columns behave predictably.
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            // Mixed numeric comparisons use exact numeric order so joins
+            // over heterogeneous columns behave predictably. `total_cmp`
+            // keeps NaN and `-0.0` where `Float`s put them (an `Int` never
+            // ties with either), and a tie is settled on the integers.
+            (Int(a), Float(b)) => int_float_cmp(*a, *b, (*a as f64).total_cmp(b)),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a, (*b as f64).total_cmp(a)).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
@@ -858,6 +883,78 @@ mod tests {
             Some(Ordering::Less)
         );
         assert_eq!(Value::str("x").numeric_cmp(&Value::Int(1)), None);
+    }
+
+    #[test]
+    fn numbers_past_two_pow_53_compare_exactly() {
+        let p53 = 1i64 << 53;
+        let p63 = 9_223_372_036_854_775_808.0;
+        let order = |a: &Value, b: &Value| (a.cmp(b), a.numeric_cmp(b));
+        let less = (Ordering::Less, Some(Ordering::Less));
+        let equal = (Ordering::Equal, Some(Ordering::Equal));
+        assert_eq!(order(&Value::Int(p53), &Value::Int(p53 + 1)), less);
+        assert_eq!(order(&Value::Float(p53 as f64), &Value::Int(p53 + 1)), less);
+        assert_eq!(order(&Value::Int(p53), &Value::Float(p53 as f64)), equal);
+        assert_eq!(order(&Value::Int(i64::MAX), &Value::Float(p63)), less);
+        assert_eq!(order(&Value::Int(i64::MIN), &Value::Float(-p63)), equal);
+        // `-0.0` sorts below `0` but satisfies `0 <= x <= 0` in conditions.
+        assert_eq!(
+            order(&Value::Float(-0.0), &Value::Int(0)),
+            (Ordering::Less, Some(Ordering::Equal))
+        );
+        assert_eq!(Value::Int(3).numeric_cmp(&Value::Float(f64::NAN)), None);
+    }
+
+    #[test]
+    fn cmp_is_a_total_order_consistent_with_hash_on_edge_numbers() {
+        use std::collections::hash_map::DefaultHasher;
+        let p53 = 1i64 << 53;
+        let p63 = 9_223_372_036_854_775_808.0;
+        let values = [
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Int(p53 - 1),
+            Value::Int(p53),
+            Value::Int(p53 + 1),
+            Value::Int(-p53 - 1),
+            Value::Float(p53 as f64),
+            Value::Float(-(p53 as f64)),
+            Value::Float((p53 + 2) as f64),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MAX - 1),
+            Value::Float(p63),
+            Value::Float(-p63),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(2.5),
+            Value::Int(2),
+            Value::Int(3),
+        ];
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        for a in &values {
+            for b in &values {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash(a), hash(b), "{a:?} == {b:?}");
+                }
+                for c in &values {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort();
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -58,8 +58,9 @@ pub struct ProbeBuffers {
 
 /// Reusable per-worker join state for the engine's chunked slot-machine
 /// join: the binding array, the undo trail, one postings scratch buffer per
-/// join depth, the composite probe-key buffer, and the support-vector and
-/// match buffers of plans with a leapfrog stage. A worker holds one
+/// join depth, the composite probe-key buffer, the leapfrog stage's match
+/// buffers, and the support vectors and flat rows of the matches an
+/// order-restoring plan sorts per delta row. A worker holds one
 /// `JoinScratch` for its whole lifetime and [`JoinScratch::reset`]s it per
 /// (filter, chunk) work item, so processing any number of chunks allocates
 /// nothing in the steady state — the chunk-scoped counterpart of
@@ -86,9 +87,15 @@ pub struct JoinScratch {
     /// Flat (`support`-wide per match) support vectors of the current
     /// delta row's accepted full matches.
     pub keybuf: Vec<FactId>,
-    /// `(keybuf offset, binding)` of the current delta row's accepted
-    /// matches, sorted by support vector before emission.
-    pub pending: Vec<(usize, Vec<Option<ValueId>>)>,
+    /// Flat rows of the current delta row's accepted full matches: each
+    /// match's body-variable ids, as many per match as the rule has
+    /// positive body variables.
+    pub rows: Vec<ValueId>,
+    /// `(keybuf offset, rows offset)` of the current delta row's accepted
+    /// matches, sorted by support vector before the rows are appended to
+    /// the work item's matches. Two offsets per match: no match owns a
+    /// buffer of its own.
+    pub pending: Vec<(usize, usize)>,
     /// Leaf-facts buffer of the leapfrog's support-fact filter.
     pub leaves: Vec<FactId>,
     /// Hoisted trie open-span memos, one per leapfrog trie of the work item
@@ -129,6 +136,7 @@ impl JoinScratch {
         self.corevals.clear();
         self.corefacts.clear();
         self.keybuf.clear();
+        self.rows.clear();
         self.pending.clear();
         self.leaves.clear();
     }

@@ -347,3 +347,40 @@ fn rule_constants_leave_the_data_as_loaded() {
     assert_eq!(shown("Low"), ["Low(7919)"]);
     assert_eq!(shown("Half"), ["Half(3959)"]);
 }
+
+#[test]
+fn peak_batch_matches_counts_the_largest_batch_at_every_worker_count() {
+    // A 100-edge chain over nodes 0..=100 and 98 back edges `i + 2 -> i`:
+    // 198 edges, 391 two-step paths (in-degree times out-degree summed
+    // over the middle node: 1 + 2 + 96 * 4 + 2 + 2) and 294 triangles (3
+    // rotations of each `i -> i + 1 -> i + 2 -> i`). No rule reads another's
+    // head, so the three filters form one batch, which holds all their
+    // matches at once; nothing is left to run after it.
+    let mut src = String::new();
+    for i in 0..100 {
+        src += &format!("Ln({i}, {}). ", i + 1);
+    }
+    for i in 0..98 {
+        src += &format!("Ln({}, {i}). ", i + 2);
+    }
+    src += "\nLn(x, y) -> Cp(x, y).\n\
+            Ln(x, y), Ln(y, z) -> Two(x, z).\n\
+            Ln(x, y), Ln(y, z), Ln(z, x) -> Tri(x, y, z).\n\
+            @output(\"Cp\"). @output(\"Two\"). @output(\"Tri\").";
+    let program = parse_program(&src).unwrap();
+    for join_strategy in [JoinStrategy::FreeJoin, JoinStrategy::Binary] {
+        for parallelism in [1, 4] {
+            let run = Reasoner::with_options(ReasonerOptions {
+                join_strategy,
+                parallelism,
+                ..Default::default()
+            })
+            .reason(&program)
+            .unwrap();
+            let setting = (join_strategy, parallelism);
+            assert_eq!(run.stats.pipeline.peak_batch_matches, 883, "{setting:?}");
+            assert_eq!(run.stats.pipeline.sweep_batches, 1, "{setting:?}");
+            assert_eq!(run.output("Tri").len(), 294, "{setting:?}");
+        }
+    }
+}
