@@ -233,15 +233,16 @@ pub struct MatchBuffers {
 }
 
 /// Find all substitutions satisfying the body of `rule` in `store`
-/// (positive atoms joined left-to-right, then negated atoms, conditions and
-/// non-aggregate assignments).
+/// (positive atoms joined left-to-right, then conditions and non-aggregate
+/// assignments, then negated atoms, which read every variable the body
+/// binds, assigned ones included).
 ///
 /// The join runs at the id level against **borrowed** relation rows — no
-/// fact is materialised until a binding has survived the positive join and
-/// the negation checks. Sorted-run indices are used opportunistically: the
-/// probe prefers one composite probe over all determined columns (constants
-/// and already-bound variables), then any single determined column's index,
-/// and falls back to a scan when neither index exists. Runs on the calling
+/// fact is materialised until a binding has survived the positive join.
+/// Sorted-run indices are used opportunistically: the probe prefers one
+/// composite probe over all determined columns (constants and already-bound
+/// variables), then any single determined column's index, and falls back
+/// to a scan when neither index exists. Runs on the calling
 /// thread. This is the oracle's matcher: the engine joins with its own
 /// executor, so the two are independent.
 pub fn find_matches(rule: &Rule, store: &FactStore) -> Vec<Substitution> {
@@ -317,17 +318,6 @@ pub fn find_matches_with(
         }
         bindings = next;
     }
-    // Negated atoms: keep bindings with no matching row.
-    for pattern in &neg_patterns {
-        if bindings.is_empty() {
-            break;
-        }
-        let Some(rel) = store.relation(pattern.predicate) else {
-            continue;
-        };
-        bindings.retain_mut(|binding| !pattern.any_match_with(rel, binding, &mut bufs.probe));
-    }
-
     // Materialise substitutions at the boundary.
     let mut results: Vec<Substitution> = bindings.iter().map(|b| materialise(&slots, b)).collect();
     // Assignments (non-aggregate) extend the substitution; conditions filter.
@@ -354,6 +344,25 @@ pub fn find_matches_with(
             }
             _ => {}
         }
+    }
+    // Negated atoms: keep the substitutions no stored row matches. A value
+    // never interned is in no stored row.
+    for (atom, pattern) in negated_atoms.iter().zip(&neg_patterns) {
+        let Some(rel) = store.relation(pattern.predicate) else {
+            continue;
+        };
+        results.retain(|subst| {
+            let mut binding = vec![None; slots.len()];
+            for var in atom.variables() {
+                if let Some(value) = subst.get(var) {
+                    match find_value_id(value) {
+                        Some(id) => binding[slots[&var]] = Some(id),
+                        None => return true,
+                    }
+                }
+            }
+            !pattern.any_match_with(rel, &mut binding, &mut bufs.probe)
+        });
     }
     results
 }

@@ -474,20 +474,8 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
     rule_strata(&program).map_err(|e| CliError::Reasoner(ReasonerError::Unstratifiable(e)))?;
     let rewritten = prepare_rules(&program);
     let plan = AccessPlan::compile(&rewritten);
-    // A fold-stratum filter is driven from its smallest body relation
-    // after the fixpoint, which only a run can tell: run the program (with
-    // the rewriting shown here) for the relation sizes.
     let folds = plan.fold_stratum();
     let free_join = engine.join_strategy == JoinStrategy::FreeJoin;
-    let store = if !folds.is_empty() {
-        let engine = ReasonerOptions {
-            apply_rewriting: true,
-            ..engine
-        };
-        Some(Reasoner::with_options(engine).reason(&program)?.store)
-    } else {
-        None
-    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -542,19 +530,11 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
             if fold { ", final" } else { "" },
             rule_to_text(&filter.rule)
         );
-        match &store {
-            Some(store) if fold => {
-                let rows: Vec<usize> = filter
-                    .rule
-                    .body_atoms()
-                    .iter()
-                    .map(|a| store.relation(a.predicate).map_or(0, |r| r.len()))
-                    .collect();
-                let driver = filter.final_driver(&rows);
-                write_probe_orders(&mut out, filter, driver, "driver", free_join);
-            }
-            _ => write_probe_orders(&mut out, filter, None, "delta", free_join),
-        }
+        // A fold-stratum filter drives from one position, picked by the
+        // relation sizes after the fixpoint: each position is a candidate
+        // driver, and the filter plans the lists of all of them.
+        let lead = if fold { "driver" } else { "delta" };
+        write_probe_orders(&mut out, filter, None, lead, free_join);
     }
     if !plan.checks.is_empty() {
         let _ = writeln!(out, "checks:  {}", plan.checks.len());
@@ -572,13 +552,13 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
 }
 
 /// One line per delta position of `node` that an activation driving
-/// `driver` runs (only that position when set: the driver of a check or a
-/// fold-stratum filter), starting with `lead`: the atoms in probe order,
-/// each with the columns it probes exactly (`[..]`, or `scan`) and its
-/// range column, a `*` on each step the delta-aware order moved off its
-/// canonical position, and the leapfrog core when the position has a
-/// free-join plan. Then one `indexes:` line: the index column lists those
-/// activations ensure, by predicate in first-use order, or `none`.
+/// `driver` runs (only that position when set: a check's driver), starting
+/// with `lead`: the atoms in probe order, each with the columns it probes
+/// exactly (`[..]`, or `scan`) and its range column, a `*` on each step
+/// the delta-aware order moved off its canonical position, and the
+/// leapfrog core when the position has a free-join plan. Then one
+/// `indexes:` line: the index column lists those activations ensure, by
+/// predicate in first-use order, or `none`.
 fn write_probe_orders(
     out: &mut String,
     node: &FilterNode,
@@ -1287,9 +1267,10 @@ mod tests {
             out.contains("    delta Control(x, y) -> Own(y, z, w) [0] range 2\n"),
             "{out}"
         );
-        // The sink aggregate runs in the fold stratum, driven from `Own`
-        // (2 rows) rather than `Control` (3 rows after the fixpoint): one
-        // `driver` line instead of one line per delta position.
+        // The sink aggregate runs in the fold stratum, driven from its
+        // smallest body relation after the fixpoint, which the program
+        // alone does not tell: one `driver` line per candidate driver, then
+        // the union of their index lists.
         let mut holdings = out
             .lines()
             .skip_while(|l| !(l.starts_with("  filter") && l.contains("Holdings")));
@@ -1299,8 +1280,9 @@ mod tests {
         assert_eq!(
             probe_lines,
             [
+                "    driver Control(x, y) -> Own(x, y, w) [0, 1]",
                 "    driver Own(x, y, w) -> Control(x, y) [0, 1]",
-                "    indexes: Control [0, 1]"
+                "    indexes: Own [0, 1], Control [0, 1]"
             ]
         );
         // Each filter names the index lists its activations ensure; a
@@ -1336,6 +1318,30 @@ mod tests {
                 "    delta Own(y, z, w) -> Control(x, y) [1]",
                 "    indexes: Own [0, 2], Control [1]"
             ]
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn explain_runs_nothing() {
+        // A fold-stratum filter over a source that cannot be read: the plan
+        // is a function of the program, so explain prints it and reads no
+        // data, while run reports the source.
+        let path = temp_program(
+            "explain_unbound.vada",
+            "@bind(\"E\", \"csv:/nonexistent/e.csv\").\n\
+             E(x, y), n = mcount(y) -> Fan(x, n).\n",
+        );
+        let out = run_cli(&args(&["explain", &path])).unwrap();
+        assert!(out.contains("\nstrata:  final [0]\n"), "{out}");
+        assert!(
+            out.contains("[linear, aggregate, final]: E(x, y), n = mcount(y) -> Fan(x, n).\n    driver E(x, y)\n    indexes: none\n"),
+            "{out}"
+        );
+        let err = run_cli(&args(&["run", &path])).unwrap_err();
+        assert!(
+            matches!(err, CliError::Reasoner(ReasonerError::Source(_))),
+            "{err}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! vadalog run program.vada                 # run and print the @output facts
-//! vadalog run program.vada --certain       # certain answers only
 //! vadalog run program.vada --termination trivial-iso
 //! vadalog classify program.vada            # fragment / wardedness report
 //! vadalog explain program.vada             # rewritten rules + access plan

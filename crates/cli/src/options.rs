@@ -55,12 +55,10 @@ pub struct CliOptions {
     pub outputs: Vec<String>,
     /// Write outputs as CSV files into this directory instead of stdout.
     pub csv_dir: Option<String>,
-    /// Termination strategy name (`warded`, `trivial-iso`, `exact-dedup`).
-    pub termination: String,
+    /// Termination strategy (`--termination warded` or `trivial-iso`).
+    pub termination: TerminationKind,
     /// Disable the logic optimizer / harmful-join elimination.
     pub no_rewriting: bool,
-    /// Keep only certain answers (drop facts with labelled nulls).
-    pub certain: bool,
     /// Require the program to be inside Warded Datalog±.
     pub require_warded: bool,
     /// Print run statistics after the outputs.
@@ -88,9 +86,8 @@ impl Default for CliOptions {
             program_path: String::new(),
             outputs: Vec::new(),
             csv_dir: None,
-            termination: "warded".to_string(),
+            termination: TerminationKind::Warded,
             no_rewriting: false,
-            certain: false,
             require_warded: false,
             stats: false,
             max_facts: None,
@@ -171,9 +168,8 @@ COMMANDS:
 FLAGS (run / query / serve):
     --output <PRED>             print only this output predicate (repeatable)
     --csv-out <DIR>             write each output predicate as <DIR>/<PRED>.csv
-    --termination <KIND>        warded | trivial-iso | exact-dedup  (default: warded)
+    --termination <KIND>        warded | trivial-iso  (default: warded)
     --no-rewriting              skip the logic optimizer / harmful-join elimination
-    --certain                   drop facts containing labelled nulls from outputs
     --require-warded            refuse programs outside Warded Datalog±
     --max-facts <N>             stop once more than N facts are stored (exit 3)
     --stats                     print run statistics
@@ -257,10 +253,11 @@ impl CliOptions {
                 }
                 "--termination" => {
                     let v = iter.next().ok_or(OptionError::MissingValue(flag.clone()))?;
-                    if !["warded", "trivial-iso", "exact-dedup"].contains(&v.as_str()) {
-                        return Err(OptionError::BadValue(flag.clone(), v.clone()));
-                    }
-                    options.termination = v.clone();
+                    options.termination = match v.as_str() {
+                        "warded" => TerminationKind::Warded,
+                        "trivial-iso" => TerminationKind::TrivialIso,
+                        _ => return Err(OptionError::BadValue(flag.clone(), v.clone())),
+                    };
                 }
                 "--max-facts" => {
                     let v = iter.next().ok_or(OptionError::MissingValue(flag.clone()))?;
@@ -302,7 +299,6 @@ impl CliOptions {
                     options.wal = Some(v.clone());
                 }
                 "--no-rewriting" => options.no_rewriting = true,
-                "--certain" => options.certain = true,
                 "--require-warded" => options.require_warded = true,
                 "--stats" => options.stats = true,
                 other => return Err(OptionError::UnknownFlag(other.to_string())),
@@ -315,13 +311,8 @@ impl CliOptions {
     /// defaults, with the binary's environment applied) under the flags.
     pub fn reasoner_options(&self, base: ReasonerOptions) -> ReasonerOptions {
         let mut out = ReasonerOptions {
-            termination: match self.termination.as_str() {
-                "trivial-iso" => TerminationKind::TrivialIso,
-                "exact-dedup" => TerminationKind::ExactDedup,
-                _ => TerminationKind::Warded,
-            },
+            termination: self.termination,
             apply_rewriting: !self.no_rewriting,
-            certain_answers_only: self.certain,
             require_warded: self.require_warded,
             ..base
         };
@@ -345,8 +336,7 @@ mod tests {
         let options = CliOptions::parse(&args(&["run", "program.vada"])).unwrap();
         assert_eq!(options.command, CliCommand::Run);
         assert_eq!(options.program_path, "program.vada");
-        assert_eq!(options.termination, "warded");
-        assert!(!options.certain);
+        assert_eq!(options.termination, TerminationKind::Warded);
     }
 
     #[test]
@@ -363,7 +353,6 @@ mod tests {
             "--termination",
             "trivial-iso",
             "--no-rewriting",
-            "--certain",
             "--require-warded",
             "--max-facts",
             "1000",
@@ -372,13 +361,12 @@ mod tests {
         .unwrap();
         assert_eq!(options.outputs, vec!["Control", "PSC"]);
         assert_eq!(options.csv_dir.as_deref(), Some("/tmp/out"));
-        assert_eq!(options.termination, "trivial-iso");
-        assert!(options.no_rewriting && options.certain && options.require_warded && options.stats);
+        assert_eq!(options.termination, TerminationKind::TrivialIso);
+        assert!(options.no_rewriting && options.require_warded && options.stats);
         assert_eq!(options.max_facts, Some(1000));
         let ropts = options.reasoner_options(ReasonerOptions::default());
         assert_eq!(ropts.termination, TerminationKind::TrivialIso);
         assert!(!ropts.apply_rewriting);
-        assert!(ropts.certain_answers_only);
         assert!(ropts.require_warded);
         assert_eq!(ropts.max_facts, 1000);
     }
@@ -513,6 +501,17 @@ mod tests {
         assert_eq!(
             CliOptions::parse(&args(&["run", "p.vada", "--termination", "magic"])).unwrap_err(),
             OptionError::BadValue("--termination".to_string(), "magic".to_string())
+        );
+        // Certain answers are asked for by `@post("P", "certain")` in the
+        // program, and there are two termination strategies.
+        assert_eq!(
+            CliOptions::parse(&args(&["run", "p.vada", "--certain"])).unwrap_err(),
+            OptionError::UnknownFlag("--certain".to_string())
+        );
+        assert_eq!(
+            CliOptions::parse(&args(&["run", "p.vada", "--termination", "exact-dedup"]))
+                .unwrap_err(),
+            OptionError::BadValue("--termination".to_string(), "exact-dedup".to_string())
         );
         assert_eq!(
             CliOptions::parse(&args(&["run", "p.vada", "--max-facts", "lots"])).unwrap_err(),

@@ -89,8 +89,8 @@
 //! knob is [`ReasonerOptions::parallelism`] (default
 //! [`pipeline::default_parallelism`], i.e.
 //! [`std::thread::available_parallelism`]): it sizes the worker pool and
-//! bounds the chunks per delta window (1 = whole activations, inline, with
-//! zero threading overhead), handed to a pipeline with
+//! bounds the chunks per delta window (1 = one chunk per window, inline,
+//! with zero threading overhead), handed to a pipeline with
 //! [`Pipeline::with_options`]. [`ReasonerOptions`] is the only place the
 //! execution knobs live, and this crate reads no environment: the `vadalog`
 //! binary resolves its `VADALOG_*` variables into a `ReasonerOptions` at

@@ -15,7 +15,6 @@ use vadalog_model::prelude::*;
 use vadalog_storage::{FactId, FactStore, Relation};
 
 use crate::plan::AccessPlan;
-use crate::reasoner::ReasonerOptions;
 
 /// The rows of one output predicate, as a view over a run's final store.
 ///
@@ -137,25 +136,23 @@ impl std::fmt::Debug for OutputFacts {
 }
 
 /// The `@output` predicates of a finished run, post-processed at id level
-/// (final-aggregate reduction, certain-answer filtering), as views over
-/// `store`. Shared by [`crate::Reasoner::reason`] and
-/// [`crate::QuerySession`].
+/// (final-aggregate reduction, and certain-answer filtering for a sink
+/// annotated `@post("P", "certain")`), as views over `store`. Shared by
+/// [`crate::Reasoner::reason`] and [`crate::QuerySession`].
 pub(crate) fn collect_outputs(
     compiled: &Program,
     plan: &AccessPlan,
     store: &Arc<FactStore>,
-    options: &ReasonerOptions,
 ) -> BTreeMap<Sym, OutputFacts> {
     let aggregate_outputs = aggregate_output_shape(plan);
     let mut outputs = BTreeMap::new();
     for sink in &plan.sinks {
         let shape = aggregate_outputs.get(sink);
-        let certain = options.certain_answers_only
-            || compiled.annotations.iter().any(|a| {
-                a.kind == AnnotationKind::Post
-                    && a.predicate == *sink
-                    && a.args.iter().any(|s| s == "certain")
-            });
+        let certain = compiled.annotations.iter().any(|a| {
+            a.kind == AnnotationKind::Post
+                && a.predicate == *sink
+                && a.args.iter().any(|s| s == "certain")
+        });
         let selection = match store.relation(*sink) {
             Some(relation) if shape.is_some() || certain => {
                 let mut ids = match shape {

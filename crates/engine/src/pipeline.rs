@@ -68,8 +68,9 @@
 //! [`PipelineStats::batch_width_hist`]) follow the worker count, and only
 //! [`PipelineStats::steals`] follows scheduling. The knob is
 //! [`ReasonerOptions::parallelism`] (default [`default_parallelism`]): it
-//! sizes the worker pool and bounds the chunks per delta window, with 1
-//! running whole activations sequentially; a pipeline takes it through
+//! sizes the worker pool and bounds the chunks per delta window. At 1 every
+//! non-empty window is one chunk, and the batch's chunks run inline in
+//! queue order; a pipeline takes the knob through
 //! [`Pipeline::with_options`] and reads no environment.
 //!
 //! # Null-free runs skip the termination strategy
@@ -272,14 +273,13 @@ struct Chunk {
     to: usize,
 }
 
-/// One entry of a batch's work queue: a chunk of a job, or (for unsharded
-/// jobs) the whole activation.
+/// One entry of a batch's work queue: a chunk of a job.
 #[derive(Clone, Copy, Debug)]
 struct WorkItem {
     /// Index into the batch's job list.
     job: usize,
-    /// Index into the job's shard plan; `None` = run every delta window.
-    chunk: Option<usize>,
+    /// Index into the job's [`FilterJob::chunks`].
+    chunk: usize,
 }
 
 impl CompiledExpr {
@@ -399,8 +399,7 @@ struct FilterJob<'p> {
     /// Per-body-position `(consumed, snapshot)` delta windows.
     deltas: Vec<(usize, usize)>,
     /// Every non-empty delta window split into contiguous chunks, in
-    /// `(delta_idx, from)` order. Empty at one worker: the activation then
-    /// runs as one item.
+    /// `(delta_idx, from)` order; one chunk per window at one worker.
     chunks: Vec<Chunk>,
 }
 
@@ -473,8 +472,8 @@ pub struct PipelineStats {
     pub scan_fallbacks: u64,
     /// Labelled nulls invented.
     pub nulls_invented: u64,
-    /// Join work items executed across all batches: delta-window chunks, or
-    /// whole activations at one worker. With more workers,
+    /// Join work items executed across all batches: delta-window chunks,
+    /// one per non-empty window at one worker. With more workers,
     /// `intra_filter_chunks / productive_activations` measures the
     /// intra-filter parallel slack. A function of the delta window sizes and
     /// the worker count (the shard bound) — repeatable run to run.
@@ -1080,19 +1079,17 @@ impl<'a> Pipeline<'a> {
             }
         }
         let mut chunks = Vec::new();
-        if self.options.parallelism > 1 {
-            for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
-                if from >= to {
-                    continue;
-                }
-                let k = plan_chunk_count(to - from, self.options.parallelism);
-                for (a, b) in chunk_windows(from, to, k) {
-                    chunks.push(Chunk {
-                        delta_idx,
-                        from: a,
-                        to: b,
-                    });
-                }
+        for (delta_idx, &(from, to)) in deltas.iter().enumerate() {
+            if from >= to {
+                continue;
+            }
+            let k = plan_chunk_count(to - from, self.options.parallelism);
+            for (a, b) in chunk_windows(from, to, k) {
+                chunks.push(Chunk {
+                    delta_idx,
+                    from: a,
+                    to: b,
+                });
             }
         }
         FilterJob {
@@ -1106,33 +1103,19 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Run the (read-only) join phase of one batch at (filter, chunk)
-    /// granularity: every work item — a delta-window chunk, or a whole
-    /// activation for unsharded jobs — goes onto one shared queue, so
-    /// chunks of a join-heavy filter interleave with the other filters'
-    /// jobs. Items run on a scoped worker pool when more than one worker is
-    /// configured; each item's matches land in its own slot and are merged
-    /// per filter **in chunk order**, so the merged buffers (and every
-    /// counter total) are independent of worker scheduling. The batch's
-    /// work items, steals and join counters are folded into the statistics.
+    /// granularity: every work item, a delta-window chunk, goes onto one
+    /// shared queue, so chunks of a join-heavy filter interleave with the
+    /// other filters' jobs. Items run on a scoped worker pool when more
+    /// than one worker is configured; each item's matches land in its own
+    /// slot and are merged per filter **in chunk order**, so the merged
+    /// buffers (and every counter total) are independent of worker
+    /// scheduling. The batch's work items, steals and join counters are
+    /// folded into the statistics.
     fn collect_batch(&mut self, jobs: &[FilterJob]) -> Vec<MatchBuf> {
         let items: Vec<WorkItem> = jobs
             .iter()
             .enumerate()
-            .flat_map(|(j, job)| -> Vec<WorkItem> {
-                if job.chunks.is_empty() {
-                    vec![WorkItem {
-                        job: j,
-                        chunk: None,
-                    }]
-                } else {
-                    (0..job.chunks.len())
-                        .map(|c| WorkItem {
-                            job: j,
-                            chunk: Some(c),
-                        })
-                        .collect()
-                }
-            })
+            .flat_map(|(job, j)| (0..j.chunks.len()).map(move |chunk| WorkItem { job, chunk }))
             .collect();
         let workers = self.options.parallelism.min(items.len());
         // Thread spawn costs ~tens of µs; a batch whose delta windows hold
@@ -1155,13 +1138,13 @@ impl<'a> Pipeline<'a> {
             let mut counters = JoinCounters::default();
             let mut scratch = JoinScratch::default();
             for item in &items {
-                Self::collect_item(
+                Self::collect_chunk(
                     &self.store,
+                    &mut counters,
                     &jobs[item.job],
                     item.chunk,
                     &mut scratch,
                     &mut out[item.job],
-                    &mut counters,
                 );
             }
             self.record_batch(items.len(), 0, counters, &out);
@@ -1186,13 +1169,13 @@ impl<'a> Pipeline<'a> {
                         let item = &items[k];
                         let mut matches = jobs[item.job].matches();
                         let mut counters = JoinCounters::default();
-                        Self::collect_item(
+                        Self::collect_chunk(
                             store,
+                            &mut counters,
                             &jobs[item.job],
                             item.chunk,
                             &mut scratch,
                             &mut matches,
-                            &mut counters,
                         );
                         *results[k].lock().unwrap_or_else(|e| e.into_inner()) =
                             Some((matches, counters, w));
@@ -1247,44 +1230,6 @@ impl<'a> Pipeline<'a> {
         stats.scan_fallbacks += counters.scan_fallbacks;
         stats.wcoj_seeks += counters.wcoj_seeks;
         stats.wcoj_intersections += counters.wcoj_intersections;
-    }
-
-    /// Run one work item: a single delta-window chunk, or — for jobs
-    /// without a shard plan — every delta window of the activation in
-    /// order. Appends to the caller's match buffer and counters.
-    fn collect_item(
-        store: &FactStore,
-        job: &FilterJob,
-        chunk: Option<usize>,
-        scratch: &mut JoinScratch,
-        results: &mut MatchBuf,
-        counters: &mut JoinCounters,
-    ) {
-        match chunk {
-            Some(c) => {
-                let ch = job.chunks[c];
-                Self::collect_chunk(
-                    store,
-                    counters,
-                    job,
-                    ch.delta_idx,
-                    ch.from,
-                    ch.to,
-                    scratch,
-                    results,
-                );
-            }
-            None => {
-                for (delta_idx, &(from, to)) in job.deltas.iter().enumerate() {
-                    if from >= to {
-                        continue;
-                    }
-                    Self::collect_chunk(
-                        store, counters, job, delta_idx, from, to, scratch, results,
-                    );
-                }
-            }
-        }
     }
 
     /// Merge one filter's collected matches into the instance: post-join
@@ -1374,10 +1319,10 @@ impl<'a> Pipeline<'a> {
         produced
     }
 
-    /// Does a match survive its job's negated atoms (probed at the id level
-    /// against the current store) and residual literals? The residuals run
-    /// in body order on the binding: comparisons of variables and constants
-    /// on ids, aggregates keyed on ids, and an expression resolves only the
+    /// Does a match survive its job's residual literals? They run in order
+    /// on the binding: negated atoms probed at the id level against the
+    /// current store, comparisons of variables and constants on ids,
+    /// aggregates keyed on ids, and an expression resolves only the
     /// variables it reads. Results are interned into their slots, so head
     /// emission stays row-based, and kept as computed in `scratch.assigned`.
     ///
@@ -1394,22 +1339,24 @@ impl<'a> Pipeline<'a> {
         binding: &mut [Option<ValueId>],
         scratch: &mut ResidualScratch,
     ) -> bool {
-        for np in job.interned.neg_patterns.iter() {
-            if let Some(rel) = self.store.relation(np.predicate) {
-                if np.any_match_with(rel, binding, &mut scratch.neg_bufs) {
-                    return false;
-                }
-            }
-        }
         let ResidualScratch {
             assigned,
             group_ids,
             key_ids,
-            ..
+            neg_bufs,
         } = scratch;
         assigned.resize_with(job.interned.residuals.len(), || None);
         for (r, residual) in job.interned.residuals.iter().enumerate() {
             let (result, slot) = match residual {
+                Residual::Negated(n) => {
+                    let np = &job.interned.neg_patterns[*n];
+                    if let Some(rel) = self.store.relation(np.predicate) {
+                        if np.any_match_with(rel, binding, neg_bufs) {
+                            return false;
+                        }
+                    }
+                    continue;
+                }
                 Residual::Cond(cond) => {
                     if !cond.holds(binding) {
                         return false;
@@ -1537,12 +1484,12 @@ impl<'a> Pipeline<'a> {
         picked.iter().all(|&g| guards[g].holds(binding))
     }
 
-    /// Semi-naive slot-machine join over one delta-window chunk: scan rows
-    /// `[from, to)` of body position `delta_idx` and run each through the
-    /// delta position's stage list ([`Pipeline::join_stage`]) — the
-    /// free-join plan when the position has one, the strategy is
-    /// `FreeJoin` and the frozen store can hand out its trie cursors, the
-    /// all-probe plan otherwise. Each new
+    /// Semi-naive slot-machine join over one work item, chunk `chunk` of
+    /// `job`: scan its rows `[from, to)` of body position `delta_idx`
+    /// ([`Chunk`]) and run each through the delta position's stage list
+    /// ([`Pipeline::join_stage`]) — the free-join plan when the position
+    /// has one, the strategy is `FreeJoin` and the frozen store can hand
+    /// out its trie cursors, the all-probe plan otherwise. Each new
     /// combination is enumerated exactly once across the window's chunks,
     /// and the matches of one delta row always land in `results` in the
     /// canonical all-probe plan's enumeration order, so emission order is
@@ -1570,17 +1517,19 @@ impl<'a> Pipeline<'a> {
     /// per-row sort orders) — zero `Fact` clones, no steady-state
     /// allocation across chunks. A full match is copied into `results` as
     /// one flat row of its body variables' ids; only that buffer grows.
-    #[allow(clippy::too_many_arguments)]
     fn collect_chunk(
         store: &FactStore,
         counters: &mut JoinCounters,
         job: &FilterJob,
-        delta_idx: usize,
-        from: usize,
-        to: usize,
+        chunk: usize,
         js: &mut JoinScratch,
         results: &mut MatchBuf,
     ) {
+        let Chunk {
+            delta_idx,
+            from,
+            to,
+        } = job.chunks[chunk];
         let (node, interned) = (job.node, job.interned);
         let Some(rel) = store.relation(node.body_predicates[delta_idx]) else {
             return;
@@ -2147,6 +2096,49 @@ mod tests {
     }
 
     #[test]
+    fn a_one_worker_activation_runs_each_non_empty_window_as_one_chunk() {
+        // Filter 1 over 80 `Edge` and 80 `Reach` rows, its `Reach` window
+        // already consumed: only the `Edge` window holds rows, enough for
+        // four workers to run on threads.
+        let mut src =
+            String::from("Edge(x, y) -> Reach(x, y).\nReach(x, y), Edge(y, z) -> Reach(x, z).\n");
+        for i in 0..80 {
+            src.push_str(&format!("Edge({i}, {}). Reach({i}, {}).\n", i + 1, i + 1));
+        }
+        let program = parse_program(&src).unwrap();
+        let plan = AccessPlan::compile(&program);
+        let activation = |parallelism: usize| {
+            let mut p = Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(
+                &ReasonerOptions {
+                    parallelism,
+                    ..ReasonerOptions::default()
+                },
+            );
+            p.load_facts(program.facts.clone());
+            p.cursors[1][0] = 80;
+            let job = p.prepare(1).expect("the Edge window holds rows");
+            let chunks: Vec<(usize, usize, usize)> = job
+                .chunks
+                .iter()
+                .map(|c| (c.delta_idx, c.from, c.to))
+                .collect();
+            let matches = p.collect_batch(&[job]).pop().expect("one job");
+            (chunks, matches, p.stats())
+        };
+        let (chunks, one, one_stats) = activation(1);
+        assert_eq!(chunks, [(1, 0, 80)]);
+        assert_eq!(one_stats.intra_filter_chunks, 1);
+        let (chunks, four, four_stats) = activation(4);
+        assert_eq!(chunks, [(1, 0, 20), (1, 20, 40), (1, 40, 60), (1, 60, 80)]);
+        assert_eq!(four_stats.intra_filter_chunks, 4);
+        // The same matches in the same order, found by the same probes.
+        assert_eq!((one.len, &one.ids), (four.len, &four.ids));
+        assert_eq!(one.len, 79);
+        assert_eq!(one_stats.join_probes, four_stats.join_probes);
+        assert_eq!(one_stats.index_probes, four_stats.index_probes);
+    }
+
+    #[test]
     fn intra_filter_sharding_is_bit_identical_and_splits_activations() {
         // A single join-heavy recursive filter whose delta windows are large
         // enough to shard: the unit the tentpole parallelises.
@@ -2171,8 +2163,7 @@ mod tests {
             p
         };
         let base = run(1);
-        // At one worker every batch runs whole activations: one item per
-        // prepared job, all recorded in the width histogram.
+        // Every batch is recorded in the width histogram.
         assert_eq!(
             base.stats().batch_width_hist.iter().sum::<u64>() as usize,
             base.stats().sweep_batches
@@ -2324,14 +2315,8 @@ mod tests {
         let program = parse_program(rules).unwrap();
         let plan = AccessPlan::compile(&program);
         assert_eq!(plan.fold_stratum(), [2, 3, 4], "every aggregate is a sink");
-        let options = ReasonerOptions::default();
         let outputs = |p: &Pipeline| {
-            collect_outputs(
-                &program,
-                &plan,
-                &std::sync::Arc::new(p.store().clone()),
-                &options,
-            )
+            collect_outputs(&program, &plan, &std::sync::Arc::new(p.store().clone()))
         };
 
         let mut grown = Pipeline::new(&plan, Box::new(WardedStrategy::new()));

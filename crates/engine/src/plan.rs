@@ -322,13 +322,17 @@ pub(crate) enum AggArg {
     Expr(CompiledExpr),
 }
 
-/// A residual body literal — a condition the join does not enforce, or an
-/// assignment — compiled against the rule's slot numbering. Emission runs a
-/// filter's residuals in body order on each match's binding; an
-/// assignment's result goes to its variable's binding slot, when an atom
-/// mentions the variable (`slot`), and to the match's assigned results.
+/// A residual body literal — a condition the join does not enforce, an
+/// assignment or a negated atom — compiled against the rule's slot
+/// numbering. Emission runs a filter's residuals in order on each match's
+/// binding; an assignment's result goes to its variable's binding slot,
+/// when an atom mentions the variable (`slot`), and to the match's
+/// assigned results.
 #[derive(Clone, Debug)]
 pub(crate) enum Residual {
+    /// `not P(..)`: the negated pattern at this index of
+    /// [`Interned::neg_patterns`] matches no stored row.
+    Negated(usize),
     /// A comparison of variables and constants, checked on ids.
     Cond(Guard),
     /// A comparison with an expression operand, evaluated on values.
@@ -356,9 +360,13 @@ pub(crate) enum Residual {
     },
 }
 
-/// Compile `rule`'s residual literals — its assignments, and its
-/// conditions other than the `pushed` ones — in body order against
-/// `slots`, interning their constants.
+/// Compile `rule`'s residual literals — its assignments, its conditions
+/// other than the `pushed` ones, and its negated atoms — in body order
+/// against `slots`, interning their constants. A negated atom is placed at
+/// the first point where every variable it shares with the body is bound:
+/// ahead of every other residual when the positive atoms bind them all,
+/// else right after the assignment that binds the last of them. A variable
+/// only negated atoms mention stays unbound and matches any value.
 fn compile_residuals(
     rule: &Rule,
     slots: &HashMap<Var, usize>,
@@ -372,7 +380,27 @@ fn compile_residuals(
     let head = rule.head_variables();
     // variable -> index of the residual that last assigned it.
     let mut assigned: HashMap<Var, usize> = HashMap::new();
-    let mut out: Vec<Residual> = Vec::new();
+    // Per negated atom, the body literal it follows (`None`: the join).
+    let points = &rule
+        .negated_atoms()
+        .iter()
+        .map(|atom| {
+            atom.variables()
+                .filter(|v| !positive.contains(v))
+                .filter_map(|v| {
+                    rule.body
+                        .iter()
+                        .position(|l| matches!(l, Literal::Assignment(a) if a.var == v))
+                })
+                .max()
+        })
+        .collect::<Vec<_>>();
+    let negations_at = |point: Option<usize>| {
+        (0..points.len())
+            .filter(move |&n| points[n] == point)
+            .map(Residual::Negated)
+    };
+    let mut out: Vec<Residual> = negations_at(None).collect();
     let mut aggregates = 0;
     for (i, literal) in rule.body.iter().enumerate() {
         let source = |v: Var| match assigned.get(&v) {
@@ -455,6 +483,7 @@ fn compile_residuals(
             _ => continue,
         };
         out.push(residual);
+        out.extend(negations_at(Some(i)));
     }
     out.into_boxed_slice()
 }
@@ -470,7 +499,7 @@ const CHUNK_MIN_ROWS: usize = 8;
 /// Number of contiguous chunks a delta window of `rows` rows is split into
 /// for the intra-filter parallel join: `rows / CHUNK_MIN_ROWS`, clamped to
 /// `[1, parallelism]`. `parallelism` is the worker count
-/// ([`crate::ReasonerOptions::parallelism`]); 1 disables sharding.
+/// ([`crate::ReasonerOptions::parallelism`]); at 1 a window is one chunk.
 ///
 /// The count depends on the window length and the worker count alone —
 /// never on the plan, index statistics, run history or scheduling — and
@@ -562,8 +591,9 @@ pub struct FilterNode {
     /// stage per non-delta step.
     pub(crate) probe_stages: Box<[Stage]>,
     /// Index column lists of the negation probes: per negated atom, each
-    /// column holding a constant or a positively bound variable, then all
-    /// of them as one composite when there are several.
+    /// column holding a constant or a variable the body binds (a positive
+    /// atom or an assignment, which its probe runs after), then all of them
+    /// as one composite when there are several.
     neg_index_cols: Box<[(Sym, Box<[usize]>)]>,
     /// The index-pushable conditions, in body order.
     pushed: Box<[PushedCondition]>,
@@ -607,6 +637,7 @@ impl FilterNode {
             .collect();
         let deltas = plan_deltas(rule, &join_order, &pushed, &reads, &atom_slots);
         let mut neg_index_cols = Vec::new();
+        let bound = rule.body_bound_variables();
         for atom in &negated {
             let determined: Vec<usize> = atom
                 .terms
@@ -614,7 +645,7 @@ impl FilterNode {
                 .enumerate()
                 .filter(|(_, term)| match term {
                     Term::Const(_) => true,
-                    Term::Var(v) => body.iter().any(|other| other.variables().any(|w| w == *v)),
+                    Term::Var(v) => bound.contains(v),
                 })
                 .map(|(col, _)| col)
                 .collect();
@@ -719,6 +750,13 @@ impl FilterNode {
     /// The body position a fold-stratum run drives from: the one whose
     /// relation has the fewest rows (`rows[pos]`), the first on ties.
     /// `None` for a body with no positive atom.
+    ///
+    /// The pick depends on the data, so the plan lists the index lists of
+    /// every position ([`AccessPlan::planned_index_cols`]). It pays for
+    /// that: driving each fold filter from [`FilterNode::check_driver`]
+    /// instead, fixed at compile time, read on one `reason.links` run
+    /// `join_probes` 486,300 → 3,698,569, `index_probes` 42,704 →
+    /// 3,254,973 and `engine.exec_ms` 186.7 → 648.6.
     pub fn final_driver(&self, rows: &[usize]) -> Option<usize> {
         (0..rows.len()).min_by_key(|&pos| rows[pos])
     }
@@ -1327,6 +1365,11 @@ impl AccessPlan {
     /// kinds of list may go unprobed by a run: a fold-stratum filter's
     /// driver depends on the data, so all its positions count, and the
     /// core tries' lists count under `JoinStrategy::Binary` too.
+    ///
+    /// The fold filters' union is kept on purpose: their data-dependent
+    /// driver ([`FilterNode::final_driver`]) made 7.6× fewer join probes on
+    /// `reason.links` than one fixed at compile time, and `vadalog explain`
+    /// prints the union without running the program.
     ///
     /// A query session pre-builds these lists on its frozen EDB
     /// base (see `vadalog_storage::StoreBase::ensure_index`), so per-query

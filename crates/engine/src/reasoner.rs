@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vadalog_analysis::{classify, rule_strata, Fragment, StratificationError};
-use vadalog_chase::{ExactDedupStrategy, TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
+use vadalog_chase::{TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, ParseError};
 use vadalog_rewrite::prepare_rules;
@@ -26,8 +26,6 @@ pub enum TerminationKind {
     Warded,
     /// The §6.6 baseline: exhaustive isomorphism checks over all facts.
     TrivialIso,
-    /// Exact duplicate elimination only (terminates only on finite chases).
-    ExactDedup,
 }
 
 /// Reasoner configuration: the one place the execution knobs live. A
@@ -47,13 +45,13 @@ pub struct ReasonerOptions {
     /// Parallelism only accelerates the read-only join phase of each sweep
     /// batch. Default [`crate::pipeline::default_parallelism`].
     ///
-    /// The worker count is also the intra-filter shard bound: with more
-    /// than one worker, one filter's delta window is split into at most
-    /// this many contiguous chunks per activation, so a batch dominated by
-    /// a single join-heavy filter still loads every worker. The final
-    /// instance — and every statistic except the chunk-layout diagnostics
-    /// and the scheduling diagnostic [`crate::PipelineStats::steals`] — is
-    /// bit-identical at every setting.
+    /// The worker count is also the intra-filter shard bound: one filter's
+    /// delta window is split into at most this many contiguous chunks per
+    /// activation, so a batch dominated by a single join-heavy filter
+    /// still loads every worker. The final instance — and every statistic
+    /// except the chunk-layout diagnostics and the scheduling diagnostic
+    /// [`crate::PipelineStats::steals`] — is bit-identical at every
+    /// setting.
     pub parallelism: usize,
     /// How rule bodies with a cyclic core (joins whose hypergraph fails the
     /// GYO acyclicity test) are executed: the free-join plan that leapfrogs
@@ -70,9 +68,6 @@ pub struct ReasonerOptions {
     /// Reject programs outside Warded Datalog± instead of running them
     /// best-effort under the iteration cap.
     pub require_warded: bool,
-    /// Drop facts containing labelled nulls from the outputs (certain-answer
-    /// post-processing, the paper's `@post` directive).
-    pub certain_answers_only: bool,
     /// Cap on the number of entries the shared cone cache retains
     /// (0 = unbounded; default 1024). Past the cap the least-recently-hit
     /// entry is evicted — the monotonic-growth guard of a long-lived
@@ -101,7 +96,6 @@ impl Default for ReasonerOptions {
             max_iterations: 100_000,
             max_facts: 20_000_000,
             require_warded: false,
-            certain_answers_only: false,
             cone_cache_cap: 1024,
             cone_cache_bytes: 64 * 1024 * 1024,
             compact_layers: 16,
@@ -303,7 +297,7 @@ impl Reasoner {
         // Collect and post-process outputs.
         let pipeline_stats = pipeline.stats();
         let store = Arc::new(pipeline.into_store());
-        let outputs = collect_outputs(compiled, &plan, &store, &self.options);
+        let outputs = collect_outputs(compiled, &plan, &store);
 
         Ok(RunResult {
             outputs,
@@ -397,7 +391,6 @@ pub(crate) fn make_strategy(kind: TerminationKind) -> Box<dyn TerminationStrateg
     match kind {
         TerminationKind::Warded => Box::new(WardedStrategy::new()),
         TerminationKind::TrivialIso => Box::new(TrivialIsoStrategy::new()),
-        TerminationKind::ExactDedup => Box::new(ExactDedupStrategy::new()),
     }
 }
 
@@ -423,16 +416,12 @@ mod tests {
 
     #[test]
     fn existentials_and_certain_answers() {
-        let options = ReasonerOptions {
-            certain_answers_only: true,
-            ..ReasonerOptions::default()
-        };
-        let result = Reasoner::with_options(options)
+        let result = Reasoner::new()
             .reason_text(
                 "Company(\"a\"). Company(\"b\"). Control(\"a\", \"b\"). KeyPerson(\"Bob\", \"a\").\n\
                  Company(x) -> KeyPerson(p, x).\n\
                  Control(x, y), KeyPerson(p, x) -> KeyPerson(p, y).\n\
-                 @output(\"KeyPerson\").",
+                 @output(\"KeyPerson\"). @post(\"KeyPerson\", \"certain\").",
             )
             .unwrap();
         let output = result.output("KeyPerson");

@@ -159,12 +159,12 @@ proptest! {
     #[test]
     fn certain_answers_are_a_ground_subset(p in warded_program()) {
         let all = Reasoner::new().reason(&p).expect("run failed");
-        let certain = Reasoner::with_options(ReasonerOptions {
-            certain_answers_only: true,
-            ..ReasonerOptions::default()
-        })
-        .reason(&p)
-        .expect("run failed");
+        let mut post = p.clone();
+        for pred in ["StrongLink", "PSC"] {
+            post.annotations
+                .push(Annotation::new(AnnotationKind::Post, pred, vec!["certain".into()]));
+        }
+        let certain = Reasoner::new().reason(&post).expect("run failed");
         for pred in ["StrongLink", "PSC"] {
             let all_set: BTreeSet<Fact> = all.output(pred).into_iter().collect();
             for f in certain.output(pred) {

@@ -168,8 +168,8 @@ proptest! {
             }
         }
         // The work counters do not depend on the chunk layout (chunk merges
-        // are deterministic sums of per-delta-row work): whole activations
-        // at one worker and chunks at eight agree...
+        // are deterministic sums of per-delta-row work): one chunk per
+        // window at one worker and up to eight per window agree...
         let (_, a, _) = run(&p, JoinStrategy::FreeJoin, 1);
         let (_, b, _) = run(&p, JoinStrategy::FreeJoin, 8);
         prop_assert_eq!(a.join_probes, b.join_probes);

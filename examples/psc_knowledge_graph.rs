@@ -3,9 +3,9 @@
 //! controllers, wardedness keeps the reasoning finite, and the certain-answer
 //! post-processing separates ground conclusions from anonymous witnesses.
 //!
-//! Run with `cargo run --example psc_knowledge_graph -p vadalog-engine`.
+//! Run with `cargo run --example psc_knowledge_graph`.
 
-use vadalog_engine::{Reasoner, ReasonerOptions};
+use vadalog_engine::Reasoner;
 
 fn main() {
     let program = r#"
@@ -42,13 +42,11 @@ fn main() {
         println!("  {fact}");
     }
 
-    // The same program restricted to certain answers (no labelled nulls).
-    let certain = Reasoner::with_options(ReasonerOptions {
-        certain_answers_only: true,
-        ..Default::default()
-    })
-    .reason_text(program)
-    .expect("reasoning failed");
+    // The same program restricted to certain answers (no labelled nulls):
+    // the paper's `@post` post-processing directive on the sink.
+    let certain = reasoner
+        .reason_text(&format!("{program}\n@post(\"PSC\", \"certain\")."))
+        .expect("reasoning failed");
     println!("\nCertain PSC answers (ground only):");
     for fact in certain.output("PSC") {
         println!("  {fact}");

@@ -85,7 +85,7 @@ fn msum_inside_recursion_terminates() {
                Own(x, y, w), w > 0.5 -> Control(x, y).\n\
                Control(x, y), Own(y, z, w), v = msum(w, <y>), v > 0.5 -> Control(x, z).\n\
                @output(\"Control\").";
-    for termination in [TerminationKind::Warded, TerminationKind::ExactDedup] {
+    for termination in [TerminationKind::Warded, TerminationKind::TrivialIso] {
         let result = Reasoner::with_options(ReasonerOptions {
             termination,
             ..Default::default()

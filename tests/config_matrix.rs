@@ -316,7 +316,7 @@ fn null_free_programs_are_identical_across_the_matrix() {
     ]
     .map(String::from)
     .to_vec();
-    let stratified: Vec<String> = ["warded", "trivial-iso", "exact-dedup"]
+    let stratified: Vec<String> = ["warded", "trivial-iso"]
         .iter()
         .map(|kind| {
             let path = program_file(&format!("strata_{kind}"), &strata);

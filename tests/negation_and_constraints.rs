@@ -303,16 +303,12 @@ fn dom_guard_restricts_rules_to_ground_values() {
 
 #[test]
 fn certain_answer_post_processing_composes_with_constraints() {
-    let options = ReasonerOptions {
-        certain_answers_only: true,
-        ..ReasonerOptions::default()
-    };
     let src = "Company(\"a\"). Company(\"b\"). Control(\"a\", \"b\"). KeyPerson(\"bob\", \"a\").\n\
                Company(x) -> KeyPerson(p, x).\n\
                Control(x, y), KeyPerson(p, x) -> KeyPerson(p, y).\n\
                KeyPerson(p, x), Control(x, x) -> false.\n\
-               @output(\"KeyPerson\").";
-    let result = Reasoner::with_options(options).reason_text(src).unwrap();
+               @output(\"KeyPerson\"). @post(\"KeyPerson\", \"certain\").";
+    let result = Reasoner::new().reason_text(src).unwrap();
     assert!(result.violations.is_empty());
     assert!(result.output("KeyPerson").iter().all(Fact::is_ground));
     assert!(result
