@@ -16,7 +16,7 @@ use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, parse_rule, rule_to_text, ParseError};
 use vadalog_rewrite::prepare_rules;
-use vadalog_storage::write_csv_facts;
+use vadalog_storage::{write_csv_facts, FactStore, IndexStats};
 
 /// Errors surfaced to the user by the CLI.
 #[derive(Debug)]
@@ -297,6 +297,7 @@ fn render_stats(out: &mut String, result: &RunResult) {
         base.indexes,
         bytes.total().total() as f64 / result.store.len().max(1) as f64
     );
+    render_largest_indexes(out, &result.store);
     let heap = stats.pipeline.strategy_heap;
     let _ = writeln!(
         out,
@@ -409,6 +410,48 @@ fn render_stats(out: &mut String, result: &RunResult) {
         "% iso comparisons:     {}",
         stats.pipeline.iso_comparisons
     );
+}
+
+/// The `% largest indexes:` block: up to five column lists of the store by
+/// heap bytes (layers summed), one line each.
+fn render_largest_indexes(out: &mut String, store: &FactStore) {
+    let mut lists: Vec<(Sym, Box<[usize]>, IndexStats)> = store
+        .predicates()
+        .into_iter()
+        .filter_map(|p| Some((p, store.relation(p)?)))
+        .flat_map(|(p, rel)| {
+            rel.index_stats()
+                .into_iter()
+                .map(move |(cols, stats)| (p, cols, stats))
+        })
+        .collect();
+    // Stable: equal sizes keep predicate order.
+    lists.sort_by_key(|(_, _, stats)| std::cmp::Reverse(stats.bytes));
+    if lists.is_empty() {
+        let _ = writeln!(out, "% largest indexes:     none");
+        return;
+    }
+    let _ = writeln!(out, "% largest indexes:");
+    for (p, cols, stats) in lists.iter().take(5) {
+        let _ = writeln!(
+            out,
+            "%   {} {:?} {} entries / {} keys / {}",
+            p.as_str(),
+            cols,
+            stats.entries,
+            stats.distinct_keys,
+            human_bytes(stats.bytes)
+        );
+    }
+}
+
+/// `bytes` in decimal units with one decimal: `6.6 MB`, `12.3 kB`, `96 B`.
+fn human_bytes(bytes: usize) -> String {
+    match bytes {
+        b if b >= 1_000_000 => format!("{:.1} MB", b as f64 / 1e6),
+        b if b >= 1_000 => format!("{:.1} kB", b as f64 / 1e3),
+        b => format!("{b} B"),
+    }
 }
 
 // -------------------------------------------------------------- classify
@@ -1060,6 +1103,61 @@ mod tests {
         assert_eq!(facts + forest + provenance + patterns, total, "{line}");
         assert!(facts > 0 && provenance > 0, "{line}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stats_list_the_largest_indexes_by_bytes() {
+        // A triangle over 24 edges (a chain with chords): the leapfrog
+        // indexes Edge on composite lists, the pendant rule probes Tag.
+        let mut src = String::new();
+        for i in 0..12 {
+            src += &format!(
+                "Edge({i}, {}). Edge({i}, {}). Tag({i}, \"t\").\n",
+                i + 1,
+                i + 2
+            );
+        }
+        src += "Edge(x, y), Edge(y, z), Edge(x, z) -> Tri(x, y, z).\n\
+                Tri(x, y, z), Tag(z, t) -> Tagged(x, t).\n\
+                @output(\"Tagged\").\n";
+        let path = temp_program("largestindexes.vada", &src);
+        let out = run_cli(&args(&["run", &path, "--stats"])).unwrap();
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<&str> = out
+            .lines()
+            .skip_while(|l| *l != "% largest indexes:")
+            .skip(1)
+            .map_while(|l| l.strip_prefix("%   "))
+            .collect();
+        assert!(!lines.is_empty() && lines.len() <= 5, "{out}");
+        let mut sizes = Vec::new();
+        for line in &lines {
+            // `Edge [0, 1] 24 entries / 24 keys / 1.2 kB`
+            let (head, size) = line.rsplit_once(" / ").unwrap();
+            let (value, unit) = size.split_once(' ').unwrap();
+            let scale = match unit {
+                "MB" => 1e6,
+                "kB" => 1e3,
+                "B" => 1.0,
+                _ => panic!("unit in {line}"),
+            };
+            sizes.push(value.parse::<f64>().unwrap() * scale);
+            assert!(
+                head.contains(" entries / ") && head.ends_with(" keys"),
+                "{line}"
+            );
+        }
+        assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{lines:?}");
+        let edge = lines
+            .iter()
+            .find(|l| l.starts_with("Edge ["))
+            .expect("an Edge list");
+        assert!(edge.contains(" 24 entries / "), "{edge}");
+
+        let path = temp_program("noindexes.vada", "A(1).\nA(x) -> B(x).\n@output(\"B\").\n");
+        let out = run_cli(&args(&["run", &path, "--stats"])).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(out.contains("% largest indexes:     none\n"), "{out}");
     }
 
     #[test]

@@ -136,39 +136,57 @@ impl std::fmt::Debug for OutputFacts {
 }
 
 /// The `@output` predicates of a finished run, post-processed at id level
-/// (final-aggregate reduction, and certain-answer filtering for a sink
-/// annotated `@post("P", "certain")`), as views over `store`. Shared by
+/// ([`kept_rows`]), as views over `store`. Shared by
 /// [`crate::Reasoner::reason`] and [`crate::QuerySession`].
 pub(crate) fn collect_outputs(
     compiled: &Program,
     plan: &AccessPlan,
     store: &Arc<FactStore>,
 ) -> BTreeMap<Sym, OutputFacts> {
-    let aggregate_outputs = aggregate_output_shape(plan);
+    let shapes = aggregate_output_shape(plan);
     let mut outputs = BTreeMap::new();
     for sink in &plan.sinks {
-        let shape = aggregate_outputs.get(sink);
-        let certain = compiled.annotations.iter().any(|a| {
-            a.kind == AnnotationKind::Post
-                && a.predicate == *sink
-                && a.args.iter().any(|s| s == "certain")
-        });
-        let selection = match store.relation(*sink) {
-            Some(relation) if shape.is_some() || certain => {
-                let mut ids = match shape {
-                    Some(shape) => final_per_group(relation, shape),
-                    None => (0..relation.len() as u32).map(FactId).collect(),
-                };
-                if certain {
-                    ids.retain(|id| relation.row(*id).iter().all(|v| v.is_ground()));
-                }
-                Selection::Ids(ids.into())
-            }
-            _ => Selection::All,
+        let selection = match store
+            .relation(*sink)
+            .and_then(|relation| kept_rows(compiled, &shapes, *sink, relation))
+        {
+            Some(ids) => Selection::Ids(ids.into()),
+            None => Selection::All,
         };
         outputs.insert(*sink, OutputFacts::new(store, *sink, selection));
     }
     outputs
+}
+
+/// The rows of `predicate` its post-processing keeps, in `FactId` order, or
+/// `None` when it keeps them all: for a predicate an aggregate writes, the
+/// final row of each group ([`final_per_group`]); for one annotated
+/// `@post("P", "certain")`, only rows free of labelled nulls. The one
+/// selection behind both [`collect_outputs`] and [`query_answers`], so a
+/// query answers what a run outputs.
+fn kept_rows(
+    compiled: &Program,
+    shapes: &BTreeMap<Sym, AggregateShape>,
+    predicate: Sym,
+    relation: &Relation,
+) -> Option<Vec<FactId>> {
+    let shape = shapes.get(&predicate);
+    let certain = compiled.annotations.iter().any(|a| {
+        a.kind == AnnotationKind::Post
+            && a.predicate == predicate
+            && a.args.iter().any(|s| s == "certain")
+    });
+    if shape.is_none() && !certain {
+        return None;
+    }
+    let mut ids = match shape {
+        Some(shape) => final_per_group(relation, shape),
+        None => (0..relation.len() as u32).map(FactId).collect(),
+    };
+    if certain {
+        ids.retain(|id| relation.row(*id).iter().all(|v| v.is_ground()));
+    }
+    Some(ids)
 }
 
 /// The same views over a store of their own that holds just the rows they
@@ -195,20 +213,28 @@ pub(crate) fn answer_view(store: &Arc<FactStore>, predicate: Sym, ids: Vec<FactI
     OutputFacts::new(store, predicate, Selection::Ids(ids.into()))
 }
 
-/// The rows answering `query` over a finished run of `plan`: what
-/// [`collect_outputs`] would select for its predicate, filtered by the
-/// query, in `FactId` order. On a predicate an aggregate writes, only the
-/// rows [`final_per_group`] keeps answer, as in the outputs. Takes the
-/// store mutably to build the probe index, so it runs before the store is
-/// shared.
-pub(crate) fn query_answers(store: &mut FactStore, plan: &AccessPlan, query: &Atom) -> Vec<FactId> {
+/// The rows answering `query` over a finished run of `compiled`: what
+/// [`collect_outputs`] would select for its predicate ([`kept_rows`]),
+/// filtered by the query, in `FactId` order. Takes the store mutably to
+/// build the probe index, so it runs before the store is shared.
+pub(crate) fn query_answers(
+    store: &mut FactStore,
+    compiled: &Program,
+    plan: &AccessPlan,
+    query: &Atom,
+) -> Vec<FactId> {
     let mut answers = matching_rows(store, query);
-    if let (Some(shape), Some(relation)) = (
-        aggregate_output_shape(plan).get(&query.predicate),
-        store.relation(query.predicate),
-    ) {
-        let finals: HashSet<FactId> = final_per_group(relation, shape).into_iter().collect();
-        answers.retain(|id| finals.contains(id));
+    let kept = store.relation(query.predicate).and_then(|relation| {
+        kept_rows(
+            compiled,
+            &aggregate_output_shape(plan),
+            query.predicate,
+            relation,
+        )
+    });
+    if let Some(kept) = kept {
+        let kept: HashSet<FactId> = kept.into_iter().collect();
+        answers.retain(|id| kept.contains(id));
     }
     answers
 }

@@ -1060,7 +1060,8 @@ impl QuerySession {
         let mut pipeline_stats = pipeline.stats();
         pipeline_stats.magic_compile_cache_hits = magic_hits_snapshot;
         let mut store = pipeline.into_store();
-        let answer_ids = query.map(|q| query_answers(&mut store, &compiled.plan, q));
+        let answer_ids =
+            query.map(|q| query_answers(&mut store, &compiled.program, &compiled.plan, q));
         let store = Arc::new(store);
         let mut outputs = collect_outputs(&compiled.program, &compiled.plan, &store);
         let answers = match (query, answer_ids) {

@@ -5,9 +5,9 @@
 //! management):
 //!
 //! * [`store`] — the in-memory [`store::FactStore`]: one relation per
-//!   predicate with set semantics, per-column *dynamic hash indices* built
-//!   lazily on first use (the indexing half of the slot-machine join), and
-//!   deterministic iteration for reproducible runs;
+//!   predicate with set semantics, *dynamic sorted-run indices* over column
+//!   lists built lazily on first use (the indexing half of the slot-machine
+//!   join), and deterministic iteration for reproducible runs;
 //! * [`pattern`] — interned [`pattern::RowPattern`]s: atoms compiled to the
 //!   id level, matched against borrowed rows with an undo trail — the probe
 //!   half of the zero-clone join core;
@@ -47,17 +47,25 @@
 //! Dynamic indices are **sorted runs over column lists** rather than
 //! per-column hash maps, so one index answers three probe shapes:
 //!
-//! * **exact composite probes** — an index over `(c1, c2, ...)` keeps one
-//!   `(OrderKey, ValueId)` pair per column per row, sorted per column with
-//!   `FactId` as the final tie-break; equal composite keys form contiguous
+//! * **dictionary-coded runs** — each run of an index over
+//!   `(c1, c2, ...)` keeps, per column, a dictionary of its distinct
+//!   `(OrderKey, ValueId)` pairs in ascending order, and per row one `u32`
+//!   rank per column plus the row's [`FactId`], sorted by rank tuple with
+//!   `FactId` as the final tie-break. Rank order is pair order, so the runs
+//!   sort as if they held the pairs, at 4 B per column instead of 24;
+//! * **exact composite probes** — equal composite keys form contiguous
 //!   groups located by a small per-run **directory** (composite-key hash →
-//!   group), so a multi-column equality probe is a single lookup instead of
-//!   N postings intersections;
+//!   group, checked through the dictionaries), so a multi-column equality
+//!   probe is a single lookup instead of N postings intersections, and
+//!   takes no interner lock;
 //! * **range scans** — comparison conditions over orderable values
-//!   (`w > 0.5`, `x <= y`) binary-search the runs by order key under an
-//!   optional exact prefix ([`RangeFilter`]): everything strictly inside the
-//!   key range is emitted without resolving a value, entries tying the
-//!   bound's key are checked exactly, labelled nulls are skipped by class;
+//!   (`w > 0.5`, `x <= y`) map the bound's order key to a pair of rank
+//!   bounds in the column's dictionary and binary-search the runs by rank
+//!   under an optional exact prefix ([`RangeFilter`], each prefix value
+//!   looked up in its dictionary first): everything strictly inside the key
+//!   range is emitted without resolving a value, entries tying the bound's
+//!   key are checked exactly, labelled nulls (one block of ranks) are
+//!   skipped;
 //! * **merge-based intersection** — probes spanning several runs merge
 //!   their (disjoint, ascending) insertion segments, so postings always come
 //!   back in ascending `FactId` order: the enumeration order that keeps the
@@ -66,14 +74,16 @@
 //! An index over rows that already exist — the loaded EDB, a compacted
 //! layer chain, a fallback over a shared base — is built as **one run** by
 //! one sort: each column's distinct ids get dense ranks in
-//! `(OrderKey, ValueId)` order, a `u32` permutation is counting-sorted by
-//! the rank tuples, and keys, `FactId`s and the directory are written once,
-//! the directory sized to the group count. Tails remain the incremental
+//! `(OrderKey, ValueId)` order (the sorted pairs are the column's
+//! dictionary), a `u32` permutation is counting-sorted by the rank tuples,
+//! and ranks, `FactId`s and the directory are written once, the directory
+//! sized to the group count. Tails remain the incremental
 //! path: inserts into an indexed relation append to an index **tail** that
 //! probes scan linearly; a full tail, or [`Relation::ensure_index`] on an
 //! existing index (the engine calls it while preparing each batch, before
 //! freezing the store for the worker pool), flushes the tail into a fresh
-//! run by the same build and merges adjacent runs size-tiered.
+//! run by the same build and merges adjacent runs size-tiered (the merge
+//! unions the two runs' dictionaries and recodes their ranks).
 //! [`Relation::probe_if_indexed`] yields postings either borrowed straight
 //! from a single run ([`Probe::Run`]) or collected into a caller-owned
 //! scratch buffer, so the hot exact probe stays allocation-free.
@@ -85,8 +95,9 @@
 //! next column's distinct values in ascending `(OrderKey, ValueId)` order
 //! inside it. [`TrieCursor`] (from [`store::Relation::trie_cursor`]) walks
 //! that shape — `open` on an exact prefix, `key`/`seek`/`seek_past` over the
-//! current column, `descend`/`up` between columns, `leaf_facts` at full
-//! depth — composing a copy-on-write base's runs before the overlay's so
+//! current column (pairs in, pairs out: each run's dictionary turns a seek
+//! target into a rank bound), `descend`/`up` between columns, `leaf_facts`
+//! at full depth — composing a copy-on-write base's runs before the overlay's so
 //! leaf enumeration stays `FactId`-ascending. [`wcoj::leapfrog_join`] drives
 //! one cursor per atom through the per-variable intersection of a
 //! leapfrog-triejoin; the engine selects it for cyclic rule bodies where

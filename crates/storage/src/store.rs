@@ -25,24 +25,35 @@
 //! a composite prefix) and keeps its postings as a small set of **sorted
 //! runs** plus an unsorted tail:
 //!
-//! * a `SortedRun` holds, per indexed row, one `(OrderKey, ValueId)` pair
-//!   per column plus the row's `FactId`, sorted lexicographically per column
-//!   (order key first, id as a grouping tie-break) with `FactId` as the final
-//!   tie-break. A per-run **directory** maps the hash of each distinct
-//!   composite key to its contiguous entry group, so exact composite probes
-//!   are one hash lookup per run — no per-column intersection;
-//! * **range scans** binary-search the run by order key: everything strictly
-//!   inside the key range is emitted without resolving a value, only entries
-//!   whose key ties the bound's key are checked exactly (and labelled nulls,
-//!   which never satisfy an ordering comparison, are skipped by class);
+//! * a `SortedRun` is **dictionary-coded**: per column it keeps a
+//!   dictionary of the run's distinct `(OrderKey, ValueId)` pairs in
+//!   ascending order, and per indexed row `k` `u32` ranks into those
+//!   dictionaries plus the row's `FactId` (12 B for a two-column entry;
+//!   two pairs and a `FactId` would take 52 B). Entries are sorted by rank tuple
+//!   (rank order is pair order: order key first, id as a grouping
+//!   tie-break) with `FactId` as the final tie-break, so every in-run
+//!   comparison is a `u32` comparison. A per-run **directory** maps the
+//!   hash of each distinct composite key (its ids) to its contiguous entry
+//!   group, so exact composite probes are one hash lookup per run, checked
+//!   through the dictionaries — no per-column intersection and no interner
+//!   lock;
+//! * **prefix and range probes** map each bound value to a rank by binary
+//!   search in its column's dictionary (a value the run does not hold
+//!   answers empty at once) and narrow the run column by column. A range
+//!   filter becomes a pair of rank bounds: everything ranked strictly
+//!   inside the key range is emitted without resolving a value, only
+//!   entries whose key ties the bound's key are checked exactly, and
+//!   labelled nulls, which never satisfy an ordering comparison, are one
+//!   contiguous block of ranks and skipped as such;
 //! * an index built over existing rows ([`Relation::ensure_index`]) is
 //!   **one** run, made by one sort over per-column dense ranks;
 //! * inserts into an indexed relation append to the index's **tail** — the
 //!   incremental path. A full tail, or [`Relation::ensure_index`] on an
 //!   existing index, flushes it into a fresh run (the same one-sort build)
-//!   and merges adjacent runs size-tiered, so maintenance stays amortised
-//!   `O(log n)` per row. Probes scan the (small) tail linearly, so an
-//!   unflushed index is still exact;
+//!   and merges adjacent runs size-tiered (dictionaries unioned, ranks
+//!   recoded into the union), so maintenance stays amortised `O(log n)` per
+//!   row. Probes scan the (small) tail linearly, so an unflushed index is
+//!   still exact;
 //! * probes spanning several runs are **merged by `FactId`**: runs cover
 //!   disjoint ascending insertion ranges, so results are always yielded in
 //!   `FactId` order — the enumeration order the engine's deterministic
@@ -138,10 +149,11 @@ impl RangeFilter {
 }
 
 /// Aggregate statistics of one materialised sorted-run index, read from its
-/// run directories: how many rows it indexes and how many distinct composite
-/// keys they group into. Read per layer by
+/// run directories: how many rows it indexes, how many distinct composite
+/// keys they group into, and the heap bytes it holds. Read per layer by
 /// [`Relation::index_stats_per_layer`], which `vadalog query --stats`
-/// prints; no plan reads it.
+/// prints, and per column list by [`Relation::index_stats`], whose largest
+/// entries `vadalog run --stats` prints; no plan reads it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexStats {
     /// Indexed rows across all sorted runs and the unflushed tail.
@@ -150,6 +162,10 @@ pub struct IndexStats {
     /// split across runs counts once per run). Unflushed tail rows count as
     /// one key each — an upper bound that vanishes after a flush.
     pub distinct_keys: usize,
+    /// Heap bytes of the runs (ranks, `FactId`s, dictionaries, directory)
+    /// and the tail, counted by capacity as in [`HeapBytes::indexes`]; 0
+    /// for rows a layer never indexed.
+    pub bytes: usize,
 }
 
 /// The result of an index probe: postings in ascending [`FactId`] order.
@@ -190,15 +206,23 @@ fn lower_bound(mut lo: usize, mut hi: usize, mut less: impl FnMut(usize) -> bool
     lo
 }
 
-/// One sorted run of an index: `k` `(OrderKey, ValueId)` pairs per entry
-/// (entry-major), the matching `FactId`s, and the directory of composite-key
-/// groups. Entries are sorted per column by `(key, id)` with `FactId` as the
-/// final tie-break, so equal composite keys form contiguous, FactId-ordered
-/// groups and every column is range-scannable under its prefix.
-#[derive(Clone, Debug, Default)]
+/// A column value as a run's dictionaries hold it: the order key the runs
+/// sort by, then the interned id as a grouping tie-break.
+type Pair = (OrderKey, ValueId);
+
+/// One sorted run of an index, **dictionary-coded**: per column, the run's
+/// distinct `(OrderKey, ValueId)` pairs in ascending order (its dictionary);
+/// per entry, `k` `u32` ranks into those dictionaries (entry-major) and the
+/// entry's `FactId`. Entries are sorted by rank tuple with `FactId` as the
+/// final tie-break. Rank order is pair order, so equal composite keys form
+/// contiguous, FactId-ordered groups, every column is range-scannable under
+/// its prefix, and every in-run comparison is a `u32` comparison.
+#[derive(Clone, Debug)]
 pub(crate) struct SortedRun {
-    keys: Vec<(OrderKey, ValueId)>,
+    ranks: Vec<u32>,
     facts: Vec<FactId>,
+    /// One dictionary per column: rank `r` of column `c` is `dicts[c][r]`.
+    dicts: Box<[Box<[Pair]>]>,
     /// composite-key hash → (start, len) of the group. On the rare hash
     /// collision the directory keeps one group and probes for the other fall
     /// back to binary search.
@@ -206,20 +230,38 @@ pub(crate) struct SortedRun {
 }
 
 impl SortedRun {
-    fn entry(&self, k: usize, i: usize) -> &[(OrderKey, ValueId)] {
-        &self.keys[i * k..(i + 1) * k]
+    fn entry(&self, k: usize, i: usize) -> &[u32] {
+        &self.ranks[i * k..(i + 1) * k]
+    }
+
+    fn rank(&self, k: usize, i: usize, c: usize) -> u32 {
+        self.ranks[i * k + c]
+    }
+
+    /// The pair entry `i` holds at column `c`.
+    fn pair(&self, k: usize, i: usize, c: usize) -> Pair {
+        self.dicts[c][self.rank(k, i, c) as usize]
+    }
+
+    /// The ids of entry `i`, read through the dictionaries.
+    fn entry_ids(&self, k: usize, i: usize) -> impl Iterator<Item = ValueId> + '_ {
+        self.entry(k, i)
+            .iter()
+            .zip(self.dicts.iter())
+            .map(|(r, dict)| dict[*r as usize].1)
     }
 
     fn entry_ids_eq(&self, k: usize, i: usize, ids: &[ValueId]) -> bool {
-        self.entry(k, i).iter().zip(ids).all(|((_, v), id)| v == id)
+        self.entry_ids(k, i).zip(ids).all(|(v, id)| v == *id)
     }
 
     /// Build a run from unsorted entries — each a `FactId` and its `k` ids —
     /// given in ascending `FactId` order, with **one sort**: every column's
-    /// distinct ids get dense ranks in `(OrderKey, ValueId)` order, a `u32`
+    /// distinct ids get dense ranks in `(OrderKey, ValueId)` order (the
+    /// sorted distinct pairs are the column's dictionary), a `u32`
     /// permutation is sorted by the rank tuples (a stable counting pass per
     /// column, last column first, so insertion order is the final
-    /// tie-break), and keys, facts and the directory are written once, in
+    /// tie-break), and ranks, facts and the directory are written once, in
     /// final order. Besides the run itself the build holds `O(n)` `u32`s
     /// (ranks, permutation, scratch) plus one rank table per column.
     pub(crate) fn from_entries<I, R>(k: usize, entries: I) -> SortedRun
@@ -231,7 +273,7 @@ impl SortedRun {
         let (lower, _) = entries.size_hint();
         let mut columns: Vec<(FxHashMap<ValueId, u32>, Vec<ValueId>)> =
             (0..k).map(|_| Default::default()).collect();
-        let mut ranks: Vec<u32> = Vec::with_capacity(lower * k);
+        let mut coded: Vec<u32> = Vec::with_capacity(lower * k);
         let mut facts: Vec<FactId> = Vec::with_capacity(lower);
         for (fact, ids) in entries {
             assert!(
@@ -245,14 +287,14 @@ impl SortedRun {
                 if slot == next {
                     distinct.push(id);
                 }
-                ranks.push(slot);
+                coded.push(slot);
             }
         }
         let n = facts.len();
-        assert_eq!(ranks.len(), n * k, "every entry carries k ids");
+        assert_eq!(coded.len(), n * k, "every entry carries k ids");
 
         // First-seen slots -> ranks in (OrderKey, ValueId) order, per column.
-        let mut pairs: Vec<Vec<(OrderKey, ValueId)>> = Vec::with_capacity(k);
+        let mut dicts: Vec<Box<[Pair]>> = Vec::with_capacity(k);
         for (c, (_, distinct)) in columns.into_iter().enumerate() {
             let keys = order_keys_of(&distinct);
             let pair = |slot: u32| (keys[slot as usize], distinct[slot as usize]);
@@ -262,10 +304,10 @@ impl SortedRun {
             for (rank, &slot) in order.iter().enumerate() {
                 rank_of[slot as usize] = rank as u32;
             }
-            for r in ranks.iter_mut().skip(c).step_by(k) {
+            for r in coded.iter_mut().skip(c).step_by(k) {
                 *r = rank_of[*r as usize];
             }
-            pairs.push(order.into_iter().map(pair).collect());
+            dicts.push(order.into_iter().map(pair).collect());
         }
 
         // LSD counting sort of the permutation by rank tuple.
@@ -273,11 +315,11 @@ impl SortedRun {
         let mut scratch: Vec<u32> = vec![0; n];
         let mut starts: Vec<u32> = Vec::new();
         for c in (0..k).rev() {
-            let distinct = pairs[c].len();
+            let distinct = dicts[c].len();
             if distinct <= 1 {
                 continue;
             }
-            let rank = |p: u32| ranks[p as usize * k + c] as usize;
+            let rank = |p: u32| coded[p as usize * k + c] as usize;
             starts.clear();
             starts.resize(distinct + 1, 0);
             for &p in &perm {
@@ -296,15 +338,16 @@ impl SortedRun {
         drop(scratch);
 
         // Write the run in final order; group boundaries are rank changes.
-        let tuple = |p: u32| &ranks[p as usize * k..(p as usize + 1) * k];
+        let tuple = |p: u32| &coded[p as usize * k..(p as usize + 1) * k];
         let groups = usize::from(n > 0)
             + perm
                 .windows(2)
                 .filter(|w| tuple(w[0]) != tuple(w[1]))
                 .count();
         let mut run = SortedRun {
-            keys: Vec::with_capacity(n * k),
+            ranks: Vec::with_capacity(n * k),
             facts: Vec::with_capacity(n),
+            dicts: dicts.into_boxed_slice(),
             dir: FxHashMap::with_capacity_and_hasher(groups, Default::default()),
         };
         let mut ids: Vec<ValueId> = Vec::with_capacity(k);
@@ -314,8 +357,7 @@ impl SortedRun {
                 run.insert_group(k, group_start, i, &mut ids);
                 group_start = i;
             }
-            run.keys
-                .extend(tuple(p).iter().zip(&pairs).map(|(r, col)| col[*r as usize]));
+            run.ranks.extend_from_slice(tuple(p));
             run.facts.push(facts[p as usize]);
         }
         if n > 0 {
@@ -344,15 +386,30 @@ impl SortedRun {
     /// binary search).
     fn insert_group(&mut self, k: usize, start: usize, end: usize, ids: &mut Vec<ValueId>) {
         ids.clear();
-        ids.extend(self.entry(k, start).iter().map(|(_, v)| *v));
+        ids.extend(self.entry_ids(k, start));
         self.dir
             .insert(ids_hash(ids), (start as u32, (end - start) as u32));
     }
 
-    /// Merge two sorted runs covering adjacent insertion ranges.
-    fn merge(k: usize, a: SortedRun, b: SortedRun) -> SortedRun {
+    /// Merge two sorted runs covering adjacent insertion ranges: each
+    /// column's dictionaries are unioned and both runs' ranks recoded into
+    /// the union (a run whose dictionary already is the union keeps its
+    /// ranks), then the entries merge by rank tuple and `FactId`.
+    fn merge(k: usize, mut a: SortedRun, mut b: SortedRun) -> SortedRun {
+        let mut dicts: Vec<Box<[Pair]>> = Vec::with_capacity(k);
+        for c in 0..k {
+            let (dict, a_to, b_to) = union_dicts(&a.dicts[c], &b.dicts[c]);
+            for (run, to) in [(&mut a, a_to), (&mut b, b_to)] {
+                if to.len() < dict.len() {
+                    for r in run.ranks.iter_mut().skip(c).step_by(k) {
+                        *r = to[*r as usize];
+                    }
+                }
+            }
+            dicts.push(dict);
+        }
         let n = a.facts.len() + b.facts.len();
-        let mut keys = Vec::with_capacity(n * k);
+        let mut ranks = Vec::with_capacity(n * k);
         let mut facts = Vec::with_capacity(n);
         let (mut i, mut j) = (0, 0);
         while i < a.facts.len() && j < b.facts.len() {
@@ -362,22 +419,23 @@ impl SortedRun {
                 .then_with(|| a.facts[i].cmp(&b.facts[j]))
                 .is_le();
             if take_a {
-                keys.extend_from_slice(a.entry(k, i));
+                ranks.extend_from_slice(a.entry(k, i));
                 facts.push(a.facts[i]);
                 i += 1;
             } else {
-                keys.extend_from_slice(b.entry(k, j));
+                ranks.extend_from_slice(b.entry(k, j));
                 facts.push(b.facts[j]);
                 j += 1;
             }
         }
-        keys.extend_from_slice(&a.keys[i * k..]);
+        ranks.extend_from_slice(&a.ranks[i * k..]);
         facts.extend_from_slice(&a.facts[i..]);
-        keys.extend_from_slice(&b.keys[j * k..]);
+        ranks.extend_from_slice(&b.ranks[j * k..]);
         facts.extend_from_slice(&b.facts[j..]);
         let mut run = SortedRun {
-            keys,
+            ranks,
             facts,
+            dicts: dicts.into_boxed_slice(),
             dir: FxHashMap::default(),
         };
         run.rebuild_dir(k);
@@ -401,12 +459,19 @@ impl SortedRun {
     }
 
     /// Contiguous group of entries whose first `pairs.len()` columns equal
-    /// `pairs`, as an entry-index span.
-    fn group_span(&self, k: usize, pairs: &[(OrderKey, ValueId)]) -> (usize, usize) {
-        let n = self.facts.len();
-        let p = pairs.len();
-        let lo = lower_bound(0, n, |i| self.entry(k, i)[..p] < *pairs);
-        let hi = lower_bound(lo, n, |i| self.entry(k, i)[..p] <= *pairs);
+    /// `pairs`, as an entry-index span: each pair is looked up in its
+    /// column's dictionary (a pair the run does not hold leaves the span
+    /// empty at once), then the span narrows column by column by rank.
+    fn group_span(&self, k: usize, pairs: &[Pair]) -> (usize, usize) {
+        let (mut lo, mut hi) = (0, self.facts.len());
+        for (c, pair) in pairs.iter().enumerate() {
+            let Ok(r) = self.dicts[c].binary_search(pair) else {
+                return (lo, lo);
+            };
+            let r = r as u32;
+            lo = lower_bound(lo, hi, |i| self.rank(k, i, c) < r);
+            hi = lower_bound(lo, hi, |i| self.rank(k, i, c) <= r);
+        }
         (lo, hi)
     }
 
@@ -422,8 +487,7 @@ impl SortedRun {
                     &self.facts[s..s + len as usize]
                 } else {
                     // Directory collision: locate the group the slow way.
-                    let pairs: Vec<(OrderKey, ValueId)> =
-                        ids.iter().map(|v| (order_key_of(*v), *v)).collect();
+                    let pairs: Vec<Pair> = ids.iter().map(|v| (order_key_of(*v), *v)).collect();
                     let (lo, hi) = self.group_span(k, &pairs);
                     &self.facts[lo..hi]
                 }
@@ -432,9 +496,11 @@ impl SortedRun {
     }
 
     /// Append to `out` the facts of entries in `[g0, g1)` whose column `p`
-    /// satisfies `range`. Entries strictly inside the key range are emitted
-    /// with only a null-class check; entries tying the bound's key are
-    /// checked exactly.
+    /// satisfies `range`. The bound's key maps to a pair of rank bounds in
+    /// the column's dictionary: entries ranked strictly inside the key range
+    /// are emitted without resolving a value, minus the labelled nulls (one
+    /// contiguous block of ranks, since order keys sort by class first);
+    /// entries tying the bound's key are checked exactly.
     fn collect_range(
         &self,
         k: usize,
@@ -443,21 +509,55 @@ impl SortedRun {
         range: &RangeFilter,
         out: &mut Vec<FactId>,
     ) {
-        let key_at = |i: usize| self.entry(k, i)[p].0;
-        let lo = lower_bound(g0, g1, |i| key_at(i) < range.key);
-        let hi = lower_bound(lo, g1, |i| key_at(i) <= range.key);
-        let interior = if range.is_upper() { g0..lo } else { hi..g1 };
-        for i in interior {
-            if !key_at(i).is_null_class() {
-                out.push(self.facts[i]);
-            }
-        }
+        let dict = &self.dicts[p];
+        let rank_at = |i: usize| self.rank(k, i, p);
+        let below = dict.partition_point(|(key, _)| *key < range.key) as u32;
+        let tied =
+            below + dict[below as usize..].partition_point(|(key, _)| *key <= range.key) as u32;
+        let lo = lower_bound(g0, g1, |i| rank_at(i) < below);
+        let hi = lower_bound(lo, g1, |i| rank_at(i) < tied);
+        let (i0, i1) = if range.is_upper() { (g0, lo) } else { (hi, g1) };
+        let null_floor = Value::Null(NullId(0)).order_key();
+        let nulls = dict.partition_point(|(key, _)| *key < null_floor);
+        let nulls_end =
+            (nulls + dict[nulls..].partition_point(|(key, _)| key.is_null_class())) as u32;
+        let n0 = lower_bound(i0, i1, |i| rank_at(i) < nulls as u32);
+        let n1 = lower_bound(n0, i1, |i| rank_at(i) < nulls_end);
+        out.extend_from_slice(&self.facts[i0..n0]);
+        out.extend_from_slice(&self.facts[n1..i1]);
         for i in lo..hi {
-            if range.matches(self.entry(k, i)[p].1) {
+            if range.matches(dict[rank_at(i) as usize].1) {
                 out.push(self.facts[i]);
             }
         }
     }
+}
+
+/// The union of two dictionaries (sorted, distinct), with each input's
+/// rank → union-rank map.
+fn union_dicts(a: &[Pair], b: &[Pair]) -> (Box<[Pair]>, Vec<u32>, Vec<u32>) {
+    let mut union: Vec<Pair> = Vec::with_capacity(a.len().max(b.len()));
+    let (mut a_to, mut b_to) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) => *x.min(y),
+            (Some(x), None) => *x,
+            (None, Some(y)) => *y,
+            (None, None) => unreachable!("loop condition"),
+        };
+        let rank = union.len() as u32;
+        if a.get(i) == Some(&next) {
+            a_to.push(rank);
+            i += 1;
+        }
+        if b.get(j) == Some(&next) {
+            b_to.push(rank);
+            j += 1;
+        }
+        union.push(next);
+    }
+    (union.into_boxed_slice(), a_to, b_to)
 }
 
 /// A dynamic index over an ordered column list: sorted runs over disjoint
@@ -608,8 +708,7 @@ impl SortedIndex {
             }
         } else {
             // Prefix and/or range probe: binary search per run by order key.
-            let pairs: Vec<(OrderKey, ValueId)> =
-                prefix.iter().map(|v| (order_key_of(*v), *v)).collect();
+            let pairs: Vec<Pair> = prefix.iter().map(|v| (order_key_of(*v), *v)).collect();
             let p = prefix.len();
             for run in &self.runs {
                 let span = run.group_span(k, &pairs);
@@ -647,11 +746,15 @@ pub type OpenSpans = (bool, Box<[(u32, u32)]>);
 /// leapfrog-triejoin face of the sorted columnar postings.
 ///
 /// The runs of an index over `(c1, ..., ck)` are already tries in disguise:
-/// entries are sorted lexicographically per column, so the entries sharing a
-/// value prefix form one contiguous span per run, and the distinct values of
-/// the next column appear in ascending `(OrderKey, ValueId)` order within
-/// that span. A `TrieCursor` walks this shape directly — no new storage
-/// format — by keeping one `(lo, hi, pos)` span per run per opened column:
+/// entries are sorted lexicographically by rank tuple, so the entries
+/// sharing a value prefix form one contiguous span per run, and the distinct
+/// values of the next column appear in ascending `(OrderKey, ValueId)` order
+/// within that span. A `TrieCursor` walks this shape directly — no new
+/// storage format — by keeping one `(lo, hi, pos)` span per run per opened
+/// column. Each run codes values by its own dictionaries, so the cursor's
+/// API speaks pairs: it reads a run's current pair from the dictionary, and
+/// turns a seek target into a rank bound in that run's dictionary before it
+/// binary-searches the span by rank:
 ///
 /// * [`TrieCursor::open`] positions the cursor on the span of an exact value
 ///   prefix (the columns a join binding already determines);
@@ -688,7 +791,7 @@ pub struct TrieCursor<'r> {
     /// `descend`).
     depth: usize,
     /// Scratch for `open`'s prefix pairs (reused across rows).
-    pairs: Vec<(OrderKey, ValueId)>,
+    pairs: Vec<Pair>,
     /// Memo of [`TrieCursor::open`] spans by prefix: join drivers re-open
     /// the same few prefix values once per delta row, and the underlying
     /// runs are frozen for the cursor's lifetime, so each distinct prefix
@@ -763,11 +866,7 @@ impl<'r> TrieCursor<'r> {
             .extend(prefix.iter().map(|v| (order_key_of(*v), *v)));
         let mut any = false;
         for run in &self.runs {
-            let (lo, hi) = if self.pairs.is_empty() {
-                (0, run.facts.len())
-            } else {
-                run.group_span(self.k, &self.pairs)
-            };
+            let (lo, hi) = run.group_span(self.k, &self.pairs);
             any |= lo < hi;
             self.frames.push((lo as u32, hi as u32, lo as u32));
         }
@@ -786,11 +885,11 @@ impl<'r> TrieCursor<'r> {
     pub fn key(&self) -> Option<(OrderKey, ValueId)> {
         debug_assert!(self.depth < self.k, "key() at leaf depth");
         let base = self.frames.len() - self.runs.len();
-        let mut best: Option<(OrderKey, ValueId)> = None;
+        let mut best: Option<Pair> = None;
         for (r, run) in self.runs.iter().enumerate() {
             let (_, hi, pos) = self.frames[base + r];
             if pos < hi {
-                let pair = run.entry(self.k, pos as usize)[self.depth];
+                let pair = run.pair(self.k, pos as usize, self.depth);
                 best = Some(match best {
                     Some(b) if b <= pair => b,
                     _ => pair,
@@ -811,19 +910,30 @@ impl<'r> TrieCursor<'r> {
         self.advance(target, true);
     }
 
-    fn advance(&mut self, target: (OrderKey, ValueId), past: bool) {
+    /// Per run: the target becomes a rank bound by binary search in the
+    /// run's dictionary for the current column, then the position moves to
+    /// the first entry of the span ranked at or past that bound.
+    fn advance(&mut self, target: Pair, past: bool) {
         let base = self.frames.len() - self.runs.len();
+        let (k, d) = (self.k, self.depth);
         for (r, run) in self.runs.iter().enumerate() {
             let (lo, hi, pos) = self.frames[base + r];
-            let d = self.depth;
-            let next = lower_bound(pos as usize, hi as usize, |i| {
-                let pair = run.entry(self.k, i)[d];
-                if past {
-                    pair <= target
+            if pos >= hi {
+                continue;
+            }
+            let from = run.rank(k, pos as usize, d) as usize;
+            let dict = &run.dicts[d][from..];
+            let bound = from
+                + if past {
+                    dict.partition_point(|pair| *pair <= target)
                 } else {
-                    pair < target
-                }
-            });
+                    dict.partition_point(|pair| *pair < target)
+                };
+            if bound == from {
+                continue; // already at or past the target
+            }
+            let bound = bound as u32;
+            let next = lower_bound(pos as usize, hi as usize, |i| run.rank(k, i, d) < bound);
             self.frames[base + r] = (lo, hi, next as u32);
         }
     }
@@ -835,12 +945,17 @@ impl<'r> TrieCursor<'r> {
     pub fn descend(&mut self, value: (OrderKey, ValueId)) {
         debug_assert!(self.depth < self.k);
         let base = self.frames.len() - self.runs.len();
-        for (r, run) in self.runs.iter().enumerate() {
+        let (k, d) = (self.k, self.depth);
+        for r in 0..self.runs.len() {
+            let run = self.runs[r];
             let (_, hi, pos) = self.frames[base + r];
-            let d = self.depth;
-            let child_hi = lower_bound(pos as usize, hi as usize, |i| {
-                run.entry(self.k, i)[d] <= value
-            });
+            // The first rank past `value`: the next one when the run sits
+            // on `value`, else found in the dictionary.
+            let past = match (pos < hi).then(|| run.rank(k, pos as usize, d)) {
+                Some(at) if run.dicts[d][at as usize] == value => at + 1,
+                _ => run.dicts[d].partition_point(|pair| *pair <= value) as u32,
+            };
+            let child_hi = lower_bound(pos as usize, hi as usize, |i| run.rank(k, i, d) < past);
             self.frames.push((pos, child_hi as u32, pos));
         }
         self.depth += 1;
@@ -1086,8 +1201,10 @@ impl SortedIndex {
             .runs
             .iter()
             .map(|run| {
-                run.keys.capacity() * size_of::<(OrderKey, ValueId)>()
+                run.ranks.capacity() * size_of::<u32>()
                     + run.facts.capacity() * size_of::<FactId>()
+                    + run.dicts.len() * size_of::<Box<[Pair]>>()
+                    + run.dicts.iter().map(|d| d.len()).sum::<usize>() * size_of::<Pair>()
                     + map_bytes(&run.dir)
             })
             .sum();
@@ -1642,6 +1759,27 @@ impl Relation {
         }
         stats.entries += index.tail_facts.len();
         stats.distinct_keys += index.tail_facts.len();
+        stats.bytes += index.heap_bytes();
+    }
+
+    /// Statistics of every column list indexed anywhere in the layer chain,
+    /// in [`Relation::indexed_col_lists`] order, each summed over the layers
+    /// that materialise it.
+    pub fn index_stats(&self) -> Vec<(Box<[usize]>, IndexStats)> {
+        self.indexed_col_lists()
+            .into_iter()
+            .map(|cols| {
+                let mut stats = IndexStats::default();
+                let mut layer = Some(self);
+                while let Some(rel) = layer {
+                    if let Some(i) = rel.index_of(&cols) {
+                        Self::accumulate_stats(&rel.indices[i], &mut stats);
+                    }
+                    layer = rel.base.as_deref();
+                }
+                (cols, stats)
+            })
+            .collect()
     }
 
     /// Per-layer contribution of this relation (not its base chain) to the
@@ -2463,6 +2601,54 @@ mod tests {
         assert_eq!(bytes.own.indexes, 0);
         let per_row = (bytes.own.rows + bytes.own.dedup) as f64 / 100_000.0;
         assert!(per_row <= 40.0, "{per_row} B/row");
+    }
+
+    /// `heap_bytes().indexes` is, per run, `k` `u32` ranks and one `FactId`
+    /// per entry, `k` dictionaries of the column's distinct pairs, and the
+    /// directory sized to the key groups (plus the run headers): on `n`
+    /// rows with `d` distinct values per column, after a one-sort build and
+    /// again after a flushed tail merged into it.
+    #[test]
+    fn index_bytes_are_ranks_facts_dictionaries_and_directory() {
+        let d = 50;
+        let ids: Vec<ValueId> = (0..d as i64)
+            .map(|i| Value::Int(7_000 + i).interned())
+            .collect();
+        // Row i is (i mod d, (i / d + i) mod d): every column takes all d
+        // values and, for i < d², every row is a distinct composite key.
+        let row = |i: usize| [ids[i % d], ids[(i / d + i) % d]];
+        let mut rel = Relation::new();
+        let dir = |groups: usize| {
+            let map =
+                FxHashMap::<u64, (u32, u32)>::with_capacity_and_hasher(groups, Default::default());
+            table_bytes(map.capacity(), size_of::<(u64, (u32, u32))>())
+        };
+        let dicts = |k: usize| k * size_of::<Box<[Pair]>>() + k * d * size_of::<Pair>();
+        let expected = |rel: &Relation, n: usize| {
+            let headers: usize = rel
+                .indices
+                .iter()
+                .map(|ix| ix.runs.capacity() * size_of::<SortedRun>())
+                .sum();
+            let composite = n * 2 * 4 + n * 4 + dicts(2) + dir(n);
+            let single = n * 4 + n * 4 + dicts(1) + dir(d);
+            headers + composite + single
+        };
+        for i in 0..1200 {
+            rel.insert_row(&row(i));
+        }
+        rel.ensure_index(&[0, 1]);
+        rel.ensure_index(&[1]);
+        assert_eq!(rel.heap_bytes().own.indexes, expected(&rel, 1200));
+        for i in 1200..2400 {
+            rel.insert_row(&row(i));
+        }
+        rel.flush_indexes();
+        assert!(
+            rel.indices.iter().all(|ix| ix.runs.len() == 1),
+            "runs merged"
+        );
+        assert_eq!(rel.heap_bytes().own.indexes, expected(&rel, 2400));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! a company controls another if it directly owns more than half of it, or
 //! if the companies it controls *jointly* own more than half of it.
 //!
-//! Run with `cargo run --example company_control -p vadalog-engine`.
+//! Run with `cargo run --example company_control`.
 
 use vadalog_engine::Reasoner;
 

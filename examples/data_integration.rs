@@ -2,7 +2,7 @@
 //! `@bind`, map it into a target schema with existential ids, and check an
 //! EGD on the result (the Doctors scenario of Section 6.5 in miniature).
 //!
-//! Run with `cargo run --example data_integration -p vadalog-engine`.
+//! Run with `cargo run --example data_integration`.
 
 use std::io::Write;
 use vadalog_engine::Reasoner;

@@ -1,7 +1,7 @@
 //! Quickstart: company control with plain Datalog rules (Example 2 without
 //! aggregation).
 //!
-//! Run with `cargo run --example quickstart -p vadalog-engine`.
+//! Run with `cargo run --example quickstart`.
 
 use vadalog_engine::Reasoner;
 

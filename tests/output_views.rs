@@ -152,3 +152,42 @@ fn a_cone_hit_has_the_outputs_of_its_miss() {
     assert_eq!(hit.answers, miss.answers);
     assert_eq!(hit.run.outputs, miss.run.outputs);
 }
+
+/// A query answers what a run outputs: on a sink annotated
+/// `@post("P", "certain")` the row holding a labelled null is dropped from
+/// the answers too, through the session and through `vadalog query`.
+#[test]
+fn a_query_answers_only_the_certain_rows_a_run_outputs() {
+    let src = "Company(\"a\"). KeyPerson(\"bob\", \"a\").\n\
+               Company(x) -> KeyPerson(p, x).\n\
+               @output(\"KeyPerson\"). @post(\"KeyPerson\", \"certain\").";
+    let certain = vec![fact("KeyPerson", vec![s("bob"), s("a")])];
+    let run = Reasoner::new().reason_text(src).unwrap();
+    assert_eq!(facts(&run, "KeyPerson"), certain);
+
+    let program = parse_program(src).unwrap();
+    let query = Atom {
+        predicate: intern("KeyPerson"),
+        terms: vec![Term::var("p"), Term::Const(s("a"))],
+    };
+    let mut session = QuerySession::new(&program, ReasonerOptions::default()).unwrap();
+    for _ in 0..2 {
+        let result = session.query(&query).unwrap();
+        assert_eq!(result.answers, certain);
+        assert_eq!(facts(&result.run, "KeyPerson"), certain);
+    }
+
+    let path = std::env::temp_dir().join(format!(
+        "vadalog_output_views_{}_certain.vada",
+        std::process::id()
+    ));
+    std::fs::write(&path, src).unwrap();
+    let args: Vec<String> = ["query", &path.to_string_lossy(), "KeyPerson(p, \"a\")"]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    let out = vadalog_cli::run_cli_with(&args, ReasonerOptions::default()).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(out.contains("KeyPerson(\"bob\", \"a\")"), "{out}");
+    assert!(!out.contains("_:"), "a null witness answered:\n{out}");
+}
