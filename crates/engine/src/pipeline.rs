@@ -1535,7 +1535,7 @@ impl<'a> Pipeline<'a> {
             return;
         };
         let plan = &node.deltas[delta_idx];
-        let mut core = plan.core.as_ref().filter(|_| job.free_join);
+        let core = plan.core.as_ref().filter(|_| job.free_join);
         let mut core_rels: Vec<(&Relation, usize)> = Vec::new();
         let mut cursors: Vec<TrieCursor<'_>> = Vec::new();
         if let Some(ch) = core {
@@ -1550,19 +1550,10 @@ impl<'a> Pipeline<'a> {
                 core_rels.push((rel, limit));
             }
             for (trie, (rel, _)) in ch.tries.iter().zip(&core_rels) {
-                match rel.trie_cursor(&trie.cols) {
-                    Some(c) => cursors.push(c),
-                    None => {
-                        // Unflushed tails or a missing composite index on a
-                        // shared snapshot base: run the all-probe plan
-                        // instead. A property of the frozen store, identical
-                        // for every chunk of the window, so the fallback is
-                        // taken deterministically.
-                        core = None;
-                        cursors.clear();
-                        break;
-                    }
-                }
+                cursors.push(rel.trie_cursor(&trie.cols).expect(
+                    "activate ensures and flushes every trie list, and a snapshot base's \
+                     layers are flushed when frozen or promoted",
+                ));
             }
         }
         js.reset(node.slots.len(), node.body_predicates.len());
@@ -1585,7 +1576,7 @@ impl<'a> Pipeline<'a> {
             delta_idx,
             steps,
             restore_order: core.is_some() || plan.reordered,
-            stages: core.map_or(&node.probe_stages, |ch| &ch.stages),
+            stages: node.stages(plan, job.free_join),
             core,
             core_rels: &core_rels,
         };
@@ -1983,8 +1974,7 @@ mod tests {
         // Only the driver's (atom `A`'s) column lists are planned for
         // session pre-builds: `A` itself is never probed. The core tries
         // are `B` over `[0, 1]` and `C` over `[1, 0]` (`z`, the one free
-        // variable, last); the binary fallback probes `C` on `x` (`[1]`),
-        // then `B` on `y` and `z` (`[0, 1]`).
+        // variable, last).
         let plan = AccessPlan::compile(&program);
         assert_eq!(plan.checks[0].check_driver(), Some(0));
         let planned = plan.planned_index_cols();
@@ -1995,7 +1985,7 @@ mod tests {
             planned,
             std::collections::BTreeMap::from([
                 (intern("B"), lists(&[&[0, 1]])),
-                (intern("C"), lists(&[&[1], &[1, 0]])),
+                (intern("C"), lists(&[&[1, 0]])),
             ])
         );
     }

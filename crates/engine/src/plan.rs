@@ -268,8 +268,8 @@ pub struct Core {
 #[derive(Clone, Debug)]
 pub struct DeltaPlan {
     /// Steps in evaluation order; `steps[0]` scans the delta window. With a
-    /// [`Core`] they are also the all-probe fallback, taken under
-    /// `JoinStrategy::Binary` or when a store cannot hand out the tries.
+    /// [`Core`], its stages run the ear steps only; the core atoms' steps
+    /// run under `JoinStrategy::Binary`, which probes every atom.
     pub steps: Box<[ProbeStep]>,
     /// Do the steps run in an order other than the canonical sequence? The
     /// executor then sorts each delta row's matches by their canonical
@@ -768,13 +768,23 @@ impl FilterNode {
         self.deltas[only].iter()
     }
 
+    /// The stages a delta position runs: its core's under `free_join`,
+    /// the all-probe list otherwise.
+    pub(crate) fn stages<'a>(&'a self, dp: &'a DeltaPlan, free_join: bool) -> &'a [Stage] {
+        match &dp.core {
+            Some(core) if free_join => &core.stages,
+            _ => &self.probe_stages,
+        }
+    }
+
     /// The index column lists an activation driving `driver` (see
     /// [`FilterNode::driven`]) ensures, keyed by predicate, in order: per
-    /// driven position its probe steps' lists, then, with `free_join`, its
-    /// core tries' lists; then the negation probes' lists. Lists may
-    /// repeat. This is the one list: the pipeline ensures it, a session
-    /// pre-builds its union ([`AccessPlan::planned_index_cols`]) and
-    /// `vadalog explain` prints it.
+    /// driven position the lists of the stages it runs
+    /// (`FilterNode::stages`), a probe stage its step's list and an
+    /// intersect stage its core tries' lists; then the negation probes'
+    /// lists. Lists may repeat. This is the one list: the pipeline ensures
+    /// it, a session pre-builds its union
+    /// ([`AccessPlan::planned_index_cols`]) and `vadalog explain` prints it.
     pub fn index_lists(
         &self,
         driver: Option<usize>,
@@ -783,17 +793,19 @@ impl FilterNode {
         let predicate = move |atom: usize| self.body_predicates[atom];
         self.driven(driver)
             .flat_map(move |dp| {
-                let probes = dp.steps[1..]
-                    .iter()
-                    .filter(|step| !step.index_cols.is_empty())
-                    .map(move |step| (predicate(step.atom), &*step.index_cols));
-                let tries = dp
-                    .core
-                    .iter()
-                    .filter(move |_| free_join)
-                    .flat_map(|core| core.tries.iter())
-                    .map(move |trie| (predicate(trie.atom), &*trie.cols));
-                probes.chain(tries)
+                self.stages(dp, free_join).iter().flat_map(move |stage| {
+                    let (steps, tries): (&[ProbeStep], &[Trie]) = match *stage {
+                        Stage::Probe(s) => (std::slice::from_ref(&dp.steps[s]), &[]),
+                        Stage::Intersect => {
+                            let core = dp.core.as_ref().expect("an intersect stage has a core");
+                            (&[], &core.tries)
+                        }
+                    };
+                    let steps = steps.iter().filter(|step| !step.index_cols.is_empty());
+                    steps
+                        .map(move |step| (predicate(step.atom), &*step.index_cols))
+                        .chain(tries.iter().map(move |t| (predicate(t.atom), &*t.cols)))
+                })
             })
             .chain(self.neg_index_cols.iter().map(|(p, cols)| (*p, &**cols)))
     }
@@ -1361,10 +1373,12 @@ impl AccessPlan {
     /// Every index column list the plan's activations ensure, keyed by
     /// predicate: the union of [`FilterNode::index_lists`] over every delta
     /// position of every filter, and over each check's driver
-    /// ([`FilterNode::check_driver`]), with the core tries' lists. Two
-    /// kinds of list may go unprobed by a run: a fold-stratum filter's
-    /// driver depends on the data, so all its positions count, and the
-    /// core tries' lists count under `JoinStrategy::Binary` too.
+    /// ([`FilterNode::check_driver`]), as free join runs them: a position
+    /// with a core contributes its ear probes' and tries' lists, not the
+    /// all-probe lists of its core atoms. A fold-stratum filter's driver
+    /// depends on the data, so all its positions count, and some of their
+    /// lists may go unprobed by a run. A run under `JoinStrategy::Binary`
+    /// builds the core atoms' probe lists it lacks on its own overlay.
     ///
     /// The fold filters' union is kept on purpose: their data-dependent
     /// driver ([`FilterNode::final_driver`]) made 7.6× fewer join probes on

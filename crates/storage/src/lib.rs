@@ -53,19 +53,20 @@
 //!   rank per column plus the row's [`FactId`], sorted by rank tuple with
 //!   `FactId` as the final tie-break. Rank order is pair order, so the runs
 //!   sort as if they held the pairs, at 4 B per column instead of 24;
-//! * **exact composite probes** — equal composite keys form contiguous
-//!   groups located by a small per-run **directory** (composite-key hash →
-//!   group, checked through the dictionaries), so a multi-column equality
-//!   probe is a single lookup instead of N postings intersections, and
-//!   takes no interner lock;
+//! * **one lookup path** — equal composite keys form contiguous groups, and
+//!   every probe (exact, prefix, range or a trie cursor's `open`) finds its
+//!   span the same way: each bound value is looked up in its column's
+//!   dictionary (its order key read through the interner's shard read
+//!   lock) and the span narrows column by column by rank, so a
+//!   multi-column equality probe is one narrowing pass instead of N
+//!   postings intersections;
 //! * **range scans** — comparison conditions over orderable values
 //!   (`w > 0.5`, `x <= y`) map the bound's order key to a pair of rank
 //!   bounds in the column's dictionary and binary-search the runs by rank
-//!   under an optional exact prefix ([`RangeFilter`], each prefix value
-//!   looked up in its dictionary first): everything strictly inside the key
-//!   range is emitted without resolving a value, entries tying the bound's
-//!   key are checked exactly, labelled nulls (one block of ranks) are
-//!   skipped;
+//!   under an optional exact prefix ([`RangeFilter`]): everything strictly
+//!   inside the key range is emitted without resolving a value, entries
+//!   tying the bound's key are checked exactly, labelled nulls (one block
+//!   of ranks) are skipped;
 //! * **merge-based intersection** — probes spanning several runs merge
 //!   their (disjoint, ascending) insertion segments, so postings always come
 //!   back in ascending `FactId` order: the enumeration order that keeps the
@@ -76,8 +77,7 @@
 //! one sort: each column's distinct ids get dense ranks in
 //! `(OrderKey, ValueId)` order (the sorted pairs are the column's
 //! dictionary), a `u32` permutation is counting-sorted by the rank tuples,
-//! and ranks, `FactId`s and the directory are written once, the directory
-//! sized to the group count. Tails remain the incremental
+//! and ranks and `FactId`s are written once. Tails remain the incremental
 //! path: inserts into an indexed relation append to an index **tail** that
 //! probes scan linearly; a full tail, or [`Relation::ensure_index`] on an
 //! existing index (the engine calls it while preparing each batch, before
@@ -85,8 +85,8 @@
 //! run by the same build and merges adjacent runs size-tiered (the merge
 //! unions the two runs' dictionaries and recodes their ranks).
 //! [`Relation::probe_if_indexed`] yields postings either borrowed straight
-//! from a single run ([`Probe::Run`]) or collected into a caller-owned
-//! scratch buffer, so the hot exact probe stays allocation-free.
+//! from a single run's whole-key group ([`Probe::Run`]) or collected into a
+//! caller-owned scratch buffer, so no probe allocates.
 //!
 //! # Sorted-trie cursors (worst-case-optimal joins)
 //!
@@ -102,9 +102,9 @@
 //! one cursor per atom through the per-variable intersection of a
 //! leapfrog-triejoin; the engine selects it for cyclic rule bodies where
 //! binary joins pay the intermediate-result blowup. A cursor is only handed
-//! out when every involved tail is flushed (the `ensure_index` pre-pass
-//! guarantees this on the hot path); the fallback to binary probing is a
-//! pure function of store state, hence deterministic across threads.
+//! out when every involved tail is flushed; the engine's `ensure_index`
+//! pass at every activation guarantees this, so it has no other way to
+//! read a core atom.
 //!
 //! # Copy-on-write EDB snapshots
 //!
@@ -114,7 +114,7 @@
 //! tails are flushed (the shared runs are final and never re-sorted) and
 //! wrapped in an `Arc`. [`StoreBase::overlay`] then hands out mutable
 //! stores whose relations share the base's interned rows, dedup map *and*
-//! sorted runs/directories by reference — the per-query storage of a query
+//! sorted runs by reference — the per-query storage of a query
 //! session costs zero re-interning and zero re-indexing:
 //!
 //! * `FactId`s compose: base rows keep their positions, overlay rows

@@ -32,14 +32,12 @@
 //!   two pairs and a `FactId` would take 52 B). Entries are sorted by rank tuple
 //!   (rank order is pair order: order key first, id as a grouping
 //!   tie-break) with `FactId` as the final tie-break, so every in-run
-//!   comparison is a `u32` comparison. A per-run **directory** maps the
-//!   hash of each distinct composite key (its ids) to its contiguous entry
-//!   group, so exact composite probes are one hash lookup per run, checked
-//!   through the dictionaries — no per-column intersection and no interner
-//!   lock;
-//! * **prefix and range probes** map each bound value to a rank by binary
-//!   search in its column's dictionary (a value the run does not hold
-//!   answers empty at once) and narrow the run column by column. A range
+//!   comparison is a `u32` comparison;
+//! * every probe — exact, prefix, range or a trie cursor's `open` — reads
+//!   the run one way: it maps each bound value to a rank by binary search
+//!   in its column's dictionary (reading the value's order key through the
+//!   interner's shard read lock; a value the run does not hold answers
+//!   empty at once) and narrows the run column by column. A range
 //!   filter becomes a pair of rank bounds: everything ranked strictly
 //!   inside the key range is emitted without resolving a value, only
 //!   entries whose key ties the bound's key are checked exactly, and
@@ -60,9 +58,8 @@
 //!   parallel sweep relies on.
 //!
 //! [`Relation::probe_if_indexed`] hands postings out either as a borrowed
-//! slice of a single run or through a caller-owned scratch buffer, so the
-//! common exact probe costs one hash of the composite key and zero
-//! allocations.
+//! slice of a single run's whole-key group or through a caller-owned
+//! scratch buffer, so no probe allocates.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -88,11 +85,6 @@ impl FactId {
 fn row_tag(row: &[ValueId]) -> u32 {
     let h = FxBuildHasher::default().hash_one(row);
     ((h ^ (h >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
-}
-
-/// Hash of a composite key (the raw ids), used by the per-run directory.
-fn ids_hash(ids: &[ValueId]) -> u64 {
-    FxBuildHasher::default().hash_one(ids)
 }
 
 /// Tail length at which an index flushes itself into a sorted run even
@@ -149,7 +141,7 @@ impl RangeFilter {
 }
 
 /// Aggregate statistics of one materialised sorted-run index, read from its
-/// run directories: how many rows it indexes, how many distinct composite
+/// runs and tail: how many rows it indexes, how many distinct composite
 /// keys they group into, and the heap bytes it holds. Read per layer by
 /// [`Relation::index_stats_per_layer`], which `vadalog query --stats`
 /// prints, and per column list by [`Relation::index_stats`], whose largest
@@ -158,11 +150,11 @@ impl RangeFilter {
 pub struct IndexStats {
     /// Indexed rows across all sorted runs and the unflushed tail.
     pub entries: usize,
-    /// Distinct composite keys, summed over the runs' directories (a key
-    /// split across runs counts once per run). Unflushed tail rows count as
-    /// one key each — an upper bound that vanishes after a flush.
+    /// Distinct composite keys, counted at each run's rank-tuple boundaries
+    /// (a key split across runs counts once per run). Unflushed tail rows
+    /// count as one key each — an upper bound that vanishes after a flush.
     pub distinct_keys: usize,
-    /// Heap bytes of the runs (ranks, `FactId`s, dictionaries, directory)
+    /// Heap bytes of the runs (ranks, `FactId`s, dictionaries)
     /// and the tail, counted by capacity as in [`HeapBytes::indexes`]; 0
     /// for rows a layer never indexed.
     pub bytes: usize,
@@ -171,8 +163,8 @@ pub struct IndexStats {
 /// The result of an index probe: postings in ascending [`FactId`] order.
 #[derive(Debug)]
 pub enum Probe<'a> {
-    /// Borrowed directly from a single sorted run — the zero-copy fast path
-    /// of exact composite probes.
+    /// Borrowed directly from a single sorted run: an exact probe (every
+    /// column bound, no range) whose whole result is one run's key group.
     Run(&'a [FactId]),
     /// The probe spanned several runs, a range boundary or the tail; the
     /// result was collected into the caller's scratch buffer.
@@ -206,6 +198,28 @@ fn lower_bound(mut lo: usize, mut hi: usize, mut less: impl FnMut(usize) -> bool
     lo
 }
 
+/// [`lower_bound`] searched outward from `lo`: `O(log d)` comparisons for
+/// an answer `d` entries past `lo`, so the end of a short key group costs a
+/// few comparisons however long the run is. Exact probes find their group
+/// by binary search (runs keep no hash directory); with a plain binary
+/// search for the group's end too, `serve.mixed` read `op_p50_ms` about 7%
+/// above a hashed group lookup on a 2-CPU machine, and level with it
+/// galloping.
+fn gallop(lo: usize, hi: usize, mut less: impl FnMut(usize) -> bool) -> usize {
+    if lo >= hi || !less(lo) {
+        return lo;
+    }
+    let (mut below, mut step) = (lo, 1);
+    loop {
+        let probe = below + step;
+        if probe >= hi || !less(probe) {
+            return lower_bound(below + 1, probe.min(hi), less);
+        }
+        below = probe;
+        step *= 2;
+    }
+}
+
 /// A column value as a run's dictionaries hold it: the order key the runs
 /// sort by, then the interned id as a grouping tie-break.
 type Pair = (OrderKey, ValueId);
@@ -223,10 +237,6 @@ pub(crate) struct SortedRun {
     facts: Vec<FactId>,
     /// One dictionary per column: rank `r` of column `c` is `dicts[c][r]`.
     dicts: Box<[Box<[Pair]>]>,
-    /// composite-key hash → (start, len) of the group. On the rare hash
-    /// collision the directory keeps one group and probes for the other fall
-    /// back to binary search.
-    dir: FxHashMap<u64, (u32, u32)>,
 }
 
 impl SortedRun {
@@ -243,27 +253,15 @@ impl SortedRun {
         self.dicts[c][self.rank(k, i, c) as usize]
     }
 
-    /// The ids of entry `i`, read through the dictionaries.
-    fn entry_ids(&self, k: usize, i: usize) -> impl Iterator<Item = ValueId> + '_ {
-        self.entry(k, i)
-            .iter()
-            .zip(self.dicts.iter())
-            .map(|(r, dict)| dict[*r as usize].1)
-    }
-
-    fn entry_ids_eq(&self, k: usize, i: usize, ids: &[ValueId]) -> bool {
-        self.entry_ids(k, i).zip(ids).all(|(v, id)| v == *id)
-    }
-
     /// Build a run from unsorted entries — each a `FactId` and its `k` ids —
     /// given in ascending `FactId` order, with **one sort**: every column's
     /// distinct ids get dense ranks in `(OrderKey, ValueId)` order (the
     /// sorted distinct pairs are the column's dictionary), a `u32`
     /// permutation is sorted by the rank tuples (a stable counting pass per
     /// column, last column first, so insertion order is the final
-    /// tie-break), and ranks, facts and the directory are written once, in
-    /// final order. Besides the run itself the build holds `O(n)` `u32`s
-    /// (ranks, permutation, scratch) plus one rank table per column.
+    /// tie-break), and ranks and facts are written once, in final order.
+    /// Besides the run itself the build holds `O(n)` `u32`s (ranks,
+    /// permutation, scratch) plus one rank table per column.
     pub(crate) fn from_entries<I, R>(k: usize, entries: I) -> SortedRun
     where
         I: IntoIterator<Item = (FactId, R)>,
@@ -337,31 +335,16 @@ impl SortedRun {
         }
         drop(scratch);
 
-        // Write the run in final order; group boundaries are rank changes.
-        let tuple = |p: u32| &coded[p as usize * k..(p as usize + 1) * k];
-        let groups = usize::from(n > 0)
-            + perm
-                .windows(2)
-                .filter(|w| tuple(w[0]) != tuple(w[1]))
-                .count();
+        // Write the run in final order.
         let mut run = SortedRun {
             ranks: Vec::with_capacity(n * k),
             facts: Vec::with_capacity(n),
             dicts: dicts.into_boxed_slice(),
-            dir: FxHashMap::with_capacity_and_hasher(groups, Default::default()),
         };
-        let mut ids: Vec<ValueId> = Vec::with_capacity(k);
-        let mut group_start = 0;
-        for (i, &p) in perm.iter().enumerate() {
-            if i > 0 && tuple(perm[i - 1]) != tuple(p) {
-                run.insert_group(k, group_start, i, &mut ids);
-                group_start = i;
-            }
-            run.ranks.extend_from_slice(tuple(p));
+        for &p in &perm {
+            run.ranks
+                .extend_from_slice(&coded[p as usize * k..(p as usize + 1) * k]);
             run.facts.push(facts[p as usize]);
-        }
-        if n > 0 {
-            run.insert_group(k, group_start, n, &mut ids);
         }
         run
     }
@@ -379,16 +362,6 @@ impl SortedRun {
                 .filter(|(_, row)| cols.iter().all(|c| *c < row.len()))
                 .map(|(id, row)| (id, cols.iter().map(move |c| row[*c]))),
         )
-    }
-
-    /// Record the entry group `[start, end)` in the directory. On a hash
-    /// collision the later group wins (probes for the other fall back to
-    /// binary search).
-    fn insert_group(&mut self, k: usize, start: usize, end: usize, ids: &mut Vec<ValueId>) {
-        ids.clear();
-        ids.extend(self.entry_ids(k, start));
-        self.dir
-            .insert(ids_hash(ids), (start as u32, (end - start) as u32));
     }
 
     /// Merge two sorted runs covering adjacent insertion ranges: each
@@ -432,67 +405,39 @@ impl SortedRun {
         facts.extend_from_slice(&a.facts[i..]);
         ranks.extend_from_slice(&b.ranks[j * k..]);
         facts.extend_from_slice(&b.facts[j..]);
-        let mut run = SortedRun {
+        SortedRun {
             ranks,
             facts,
             dicts: dicts.into_boxed_slice(),
-            dir: FxHashMap::default(),
-        };
-        run.rebuild_dir(k);
-        run
-    }
-
-    /// Rebuild the composite-key directory: one entry per distinct key group.
-    fn rebuild_dir(&mut self, k: usize) {
-        self.dir.clear();
-        let n = self.facts.len();
-        let mut ids: Vec<ValueId> = Vec::with_capacity(k);
-        let mut start = 0;
-        while start < n {
-            let mut end = start + 1;
-            while end < n && self.entry(k, start) == self.entry(k, end) {
-                end += 1;
-            }
-            self.insert_group(k, start, end, &mut ids);
-            start = end;
         }
     }
 
-    /// Contiguous group of entries whose first `pairs.len()` columns equal
-    /// `pairs`, as an entry-index span: each pair is looked up in its
-    /// column's dictionary (a pair the run does not hold leaves the span
-    /// empty at once), then the span narrows column by column by rank.
-    fn group_span(&self, k: usize, pairs: &[Pair]) -> (usize, usize) {
+    /// Contiguous group of entries whose leading columns equal `pairs`, as
+    /// an entry-index span: each pair is looked up in its column's
+    /// dictionary (a pair the run does not hold leaves the span empty at
+    /// once, before later pairs are read), then the span narrows column by
+    /// column by rank.
+    fn group_span(&self, k: usize, pairs: impl IntoIterator<Item = Pair>) -> (usize, usize) {
         let (mut lo, mut hi) = (0, self.facts.len());
-        for (c, pair) in pairs.iter().enumerate() {
-            let Ok(r) = self.dicts[c].binary_search(pair) else {
+        for (c, pair) in pairs.into_iter().enumerate() {
+            let Ok(r) = self.dicts[c].binary_search(&pair) else {
                 return (lo, lo);
             };
             let r = r as u32;
             lo = lower_bound(lo, hi, |i| self.rank(k, i, c) < r);
-            hi = lower_bound(lo, hi, |i| self.rank(k, i, c) <= r);
+            hi = gallop(lo, hi, |i| self.rank(k, i, c) <= r);
         }
         (lo, hi)
     }
 
-    /// Exact full-composite probe: directory hit, or (on a directory hash
-    /// collision) a binary-search fallback. The returned slice is in
-    /// ascending `FactId` order.
-    fn exact_group(&self, k: usize, ids: &[ValueId]) -> &[FactId] {
-        match self.dir.get(&ids_hash(ids)) {
-            None => &[],
-            Some(&(start, len)) => {
-                let s = start as usize;
-                if self.entry_ids_eq(k, s, ids) {
-                    &self.facts[s..s + len as usize]
-                } else {
-                    // Directory collision: locate the group the slow way.
-                    let pairs: Vec<Pair> = ids.iter().map(|v| (order_key_of(*v), *v)).collect();
-                    let (lo, hi) = self.group_span(k, &pairs);
-                    &self.facts[lo..hi]
-                }
-            }
-        }
+    /// Distinct rank tuples (composite keys) of the run: one per group
+    /// boundary.
+    fn distinct_keys(&self, k: usize) -> usize {
+        let n = self.facts.len();
+        usize::from(n > 0)
+            + (1..n)
+                .filter(|&i| self.entry(k, i - 1) != self.entry(k, i))
+                .count()
     }
 
     /// Append to `out` the facts of entries in `[g0, g1)` whose column `p`
@@ -652,10 +597,15 @@ impl SortedIndex {
 
     /// The composable core of [`SortedIndex::probe`]: **append** matching
     /// postings to `out` (which may already hold smaller `FactId`s from a
-    /// copy-on-write base probe), or — when the whole result is one borrowed
-    /// run group and nothing was appended — return that slice instead and
-    /// leave `out` untouched. Either way the ids this index contributes are
-    /// in ascending `FactId` order.
+    /// copy-on-write base probe), or — when the probe binds every column
+    /// exactly, its whole result is one run's group and the tail holds no
+    /// match — return that group instead and leave `out` untouched. Either
+    /// way the ids this index contributes are in ascending `FactId` order.
+    ///
+    /// Every run answers by one path: each bound value is looked up in its
+    /// column's dictionary ([`SortedRun::group_span`], reading order keys
+    /// through the interner's shard read locks), and a range narrows the
+    /// span by rank. No probe allocates.
     fn probe_append<'r>(
         &'r self,
         prefix: &[ValueId],
@@ -663,74 +613,53 @@ impl SortedIndex {
         out: &mut Vec<FactId>,
     ) -> Option<&'r [FactId]> {
         let k = self.k();
-        debug_assert!(prefix.len() + usize::from(range.is_some()) <= k);
+        let p = prefix.len();
+        debug_assert!(p + usize::from(range.is_some()) <= k);
         if range.is_some_and(RangeFilter::never) {
             return None;
         }
-
-        if range.is_none() && prefix.len() == k {
-            // Exact composite probe: directory lookups, zero allocations.
-            let start = out.len();
-            let mut single: Option<&[FactId]> = None;
-            let mut multi = false;
-            for run in &self.runs {
-                let group = run.exact_group(k, prefix);
-                if group.is_empty() {
-                    continue;
-                }
-                match single {
-                    None if !multi => single = Some(group),
-                    _ => {
-                        if let Some(first) = single.take() {
-                            out.extend_from_slice(first);
-                        }
-                        multi = true;
-                        out.extend_from_slice(group);
-                    }
-                }
+        // A whole-key group is FactId-ordered; any wider span is key-ordered.
+        let exact = range.is_none() && p == k;
+        let start = out.len();
+        let mut single: Option<&'r [FactId]> = None;
+        for run in &self.runs {
+            let span = run.group_span(k, prefix.iter().map(|v| (order_key_of(*v), *v)));
+            if span.0 >= span.1 {
+                continue;
             }
-            for (i, f) in self.tail_facts.iter().enumerate() {
-                if self.tail_ids[i * k..(i + 1) * k] == *prefix {
-                    out.push(*f);
-                }
+            if exact && single.is_none() && out.len() == start {
+                single = Some(&run.facts[span.0..span.1]);
+                continue;
             }
-            match single {
-                // Runs cover ascending disjoint insertion ranges and the
-                // tail is newest, so concatenations stay FactId-ordered.
-                Some(group) if out.len() == start => Some(group),
-                Some(group) => {
-                    // A single run plus tail matches: splice in run order
-                    // (only the tail was appended past `start`).
-                    out.splice(start..start, group.iter().copied());
-                    None
-                }
-                None => None,
+            if let Some(first) = single.take() {
+                out.extend_from_slice(first);
             }
-        } else {
-            // Prefix and/or range probe: binary search per run by order key.
-            let pairs: Vec<Pair> = prefix.iter().map(|v| (order_key_of(*v), *v)).collect();
-            let p = prefix.len();
-            for run in &self.runs {
-                let span = run.group_span(k, &pairs);
-                if span.0 >= span.1 {
-                    continue;
-                }
-                let before = out.len();
-                match range {
-                    Some(r) => run.collect_range(k, span, p, r, out),
-                    None => out.extend_from_slice(&run.facts[span.0..span.1]),
-                }
-                // Within one run a multi-key span is key-ordered, not
-                // FactId-ordered; runs themselves are ascending segments.
+            let before = out.len();
+            match range {
+                Some(r) => run.collect_range(k, span, p, r, out),
+                None => out.extend_from_slice(&run.facts[span.0..span.1]),
+            }
+            // Runs cover ascending disjoint insertion ranges, so sorting
+            // each run's share keeps the whole append FactId-ordered.
+            if !exact {
                 out[before..].sort_unstable();
             }
-            for (i, f) in self.tail_facts.iter().enumerate() {
-                let ids = &self.tail_ids[i * k..(i + 1) * k];
-                if ids[..p] == *prefix && range.is_none_or(|r| r.matches(ids[p])) {
-                    out.push(*f);
-                }
+        }
+        for (i, f) in self.tail_facts.iter().enumerate() {
+            let ids = &self.tail_ids[i * k..(i + 1) * k];
+            if ids[..p] == *prefix && range.is_none_or(|r| r.matches(ids[p])) {
+                out.push(*f);
             }
-            None
+        }
+        match single {
+            Some(group) if out.len() == start => Some(group),
+            Some(group) => {
+                // One run group plus tail matches: the tail is newest, so
+                // the group goes in front of what the tail appended.
+                out.splice(start..start, group.iter().copied());
+                None
+            }
+            None => None,
         }
     }
 }
@@ -774,9 +703,8 @@ pub type OpenSpans = (bool, Box<[(u32, u32)]>);
 ///
 /// A cursor is only handed out by [`Relation::trie_cursor`] when every
 /// involved index tail is flushed and (for overlays without their own index)
-/// no unindexed overlay rows exist — otherwise the caller must fall back to
-/// the probe/scan path. The store state is identical on every worker thread,
-/// so the fallback decision is deterministic.
+/// no unindexed overlay rows exist. The engine ensures and flushes every
+/// trie list before it freezes a store for a batch, so it always gets one.
 #[derive(Clone, Debug)]
 pub struct TrieCursor<'r> {
     /// Columns per entry of the underlying index.
@@ -790,8 +718,6 @@ pub struct TrieCursor<'r> {
     /// Columns currently bound (prefix columns after `open`, plus one per
     /// `descend`).
     depth: usize,
-    /// Scratch for `open`'s prefix pairs (reused across rows).
-    pairs: Vec<Pair>,
     /// Memo of [`TrieCursor::open`] spans by prefix: join drivers re-open
     /// the same few prefix values once per delta row, and the underlying
     /// runs are frozen for the cursor's lifetime, so each distinct prefix
@@ -808,7 +734,6 @@ impl<'r> TrieCursor<'r> {
             runs,
             frames: Vec::new(),
             depth: 0,
-            pairs: Vec::new(),
             open_memo: HashMap::new(),
         }
     }
@@ -861,12 +786,9 @@ impl<'r> TrieCursor<'r> {
                 .extend(spans.iter().map(|&(lo, hi)| (lo, hi, lo)));
             return *any;
         }
-        self.pairs.clear();
-        self.pairs
-            .extend(prefix.iter().map(|v| (order_key_of(*v), *v)));
         let mut any = false;
         for run in &self.runs {
-            let (lo, hi) = run.group_span(self.k, &self.pairs);
+            let (lo, hi) = run.group_span(self.k, prefix.iter().map(|v| (order_key_of(*v), *v)));
             any |= lo < hi;
             self.frames.push((lo as u32, hi as u32, lo as u32));
         }
@@ -1134,8 +1056,7 @@ impl DedupTable {
 }
 
 /// Heap bytes of store structures, counted by capacity: row arenas, dedup
-/// tables, and sorted-run indexes (runs, directories and tails). Hash-map
-/// directories are estimated from their capacity.
+/// tables, and sorted-run indexes (runs and tails).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapBytes {
     /// Row arenas: ids plus row ends.
@@ -1190,11 +1111,6 @@ pub fn table_bytes(capacity: usize, entry: usize) -> usize {
     }
 }
 
-/// Estimated heap bytes of a hash map ([`table_bytes`]).
-fn map_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
-    table_bytes(map.capacity(), size_of::<(K, V)>())
-}
-
 impl SortedIndex {
     fn heap_bytes(&self) -> usize {
         let runs: usize = self
@@ -1205,7 +1121,6 @@ impl SortedIndex {
                     + run.facts.capacity() * size_of::<FactId>()
                     + run.dicts.len() * size_of::<Box<[Pair]>>()
                     + run.dicts.iter().map(|d| d.len()).sum::<usize>() * size_of::<Pair>()
-                    + map_bytes(&run.dir)
             })
             .sum();
         runs + self.runs.capacity() * size_of::<SortedRun>()
@@ -1239,7 +1154,7 @@ impl Vacancy {
 ///
 /// A relation is either **plain** (it owns every row, `base` is `None`) or a
 /// **copy-on-write overlay** over a shared, immutable base relation: the base
-/// keeps its interned rows *and* its sorted runs/directories behind an `Arc`,
+/// keeps its interned rows *and* its sorted runs behind an `Arc`,
 /// the overlay owns only the rows inserted after the snapshot. `FactId`s of
 /// base rows are their original positions; overlay rows continue the same id
 /// space (`base.len()..`), so probes composing base postings before overlay
@@ -1751,11 +1666,11 @@ impl Relation {
         lists
     }
 
-    /// Fold one index's run directories and tail into `stats`.
+    /// Fold one index's runs and tail into `stats`.
     fn accumulate_stats(index: &SortedIndex, stats: &mut IndexStats) {
         for run in &index.runs {
             stats.entries += run.facts.len();
-            stats.distinct_keys += run.dir.len();
+            stats.distinct_keys += run.distinct_keys(index.k());
         }
         stats.entries += index.tail_facts.len();
         stats.distinct_keys += index.tail_facts.len();
@@ -1783,7 +1698,7 @@ impl Relation {
     }
 
     /// Per-layer contribution of this relation (not its base chain) to the
-    /// stats of the index over `cols`: the layer's own directories, or one
+    /// stats of the index over `cols`: the layer's own runs, or one
     /// key per row when the layer never indexed `cols` (probes scan those
     /// rows, like an unflushed tail).
     fn layer_stats(&self, cols: &[usize]) -> IndexStats {
@@ -1798,7 +1713,7 @@ impl Relation {
         stats
     }
 
-    /// Run-directory statistics of the index over `cols`, itemised per
+    /// Statistics of the index over `cols`, itemised per
     /// layer, deepest layer first and this relation's own contribution last
     /// — the composition a probe actually walks. `None` on an index miss
     /// anywhere in the chain, like [`Relation::probe_if_indexed`]. Rows a
@@ -1832,12 +1747,13 @@ impl Relation {
     /// the overlay's own — deeper `FactId`s are strictly smaller, so leaf
     /// enumeration stays ascending.
     ///
-    /// Returns `None` — the caller falls back to the binary probe/scan path
-    /// — when the index is missing in some layer, when any involved tail is
-    /// unflushed, or when unindexed overlay rows exist (a trie walk cannot
-    /// see either). The engine's `ensure_index` pre-pass and
-    /// [`StoreBase::promote`]'s per-layer index mirroring make all three
-    /// conditions false on the hot path.
+    /// Returns `None` when the index is missing in some layer, when any
+    /// involved tail is unflushed, or when unindexed overlay rows exist (a
+    /// trie walk cannot see either). The engine's `ensure_index` pass at
+    /// every activation, [`FactStore::freeze`] and [`StoreBase::promote`]'s
+    /// flushes and per-layer index mirroring make all three conditions
+    /// false wherever the engine asks, so it treats `None` as a broken
+    /// invariant.
     pub fn trie_cursor(&self, cols: &[usize]) -> Option<TrieCursor<'_>> {
         let mut runs: Vec<&SortedRun> = Vec::new();
         self.collect_trie_runs(cols, &mut runs)?;
@@ -2604,12 +2520,12 @@ mod tests {
     }
 
     /// `heap_bytes().indexes` is, per run, `k` `u32` ranks and one `FactId`
-    /// per entry, `k` dictionaries of the column's distinct pairs, and the
-    /// directory sized to the key groups (plus the run headers): on `n`
+    /// per entry and `k` dictionaries of the column's distinct pairs (plus
+    /// the run headers): on `n`
     /// rows with `d` distinct values per column, after a one-sort build and
     /// again after a flushed tail merged into it.
     #[test]
-    fn index_bytes_are_ranks_facts_dictionaries_and_directory() {
+    fn index_bytes_are_ranks_facts_and_dictionaries() {
         let d = 50;
         let ids: Vec<ValueId> = (0..d as i64)
             .map(|i| Value::Int(7_000 + i).interned())
@@ -2618,11 +2534,6 @@ mod tests {
         // values and, for i < d², every row is a distinct composite key.
         let row = |i: usize| [ids[i % d], ids[(i / d + i) % d]];
         let mut rel = Relation::new();
-        let dir = |groups: usize| {
-            let map =
-                FxHashMap::<u64, (u32, u32)>::with_capacity_and_hasher(groups, Default::default());
-            table_bytes(map.capacity(), size_of::<(u64, (u32, u32))>())
-        };
         let dicts = |k: usize| k * size_of::<Box<[Pair]>>() + k * d * size_of::<Pair>();
         let expected = |rel: &Relation, n: usize| {
             let headers: usize = rel
@@ -2630,8 +2541,8 @@ mod tests {
                 .iter()
                 .map(|ix| ix.runs.capacity() * size_of::<SortedRun>())
                 .sum();
-            let composite = n * 2 * 4 + n * 4 + dicts(2) + dir(n);
-            let single = n * 4 + n * 4 + dicts(1) + dir(d);
+            let composite = n * 2 * 4 + n * 4 + dicts(2);
+            let single = n * 4 + n * 4 + dicts(1);
             headers + composite + single
         };
         for i in 0..1200 {
@@ -2649,6 +2560,18 @@ mod tests {
             "runs merged"
         );
         assert_eq!(rel.heap_bytes().own.indexes, expected(&rel, 2400));
+    }
+
+    #[test]
+    fn gallop_finds_what_lower_bound_finds() {
+        for hi in 0..40 {
+            for split in 0..=hi {
+                for lo in 0..=hi {
+                    let less = |i: usize| i < split;
+                    assert_eq!(gallop(lo, hi, less), lower_bound(lo, hi, less));
+                }
+            }
+        }
     }
 
     #[test]

@@ -289,6 +289,46 @@ fn plans_name_exactly_the_indexes_a_run_builds() {
 }
 
 #[test]
+fn each_strategy_builds_only_the_lists_its_stages_read() {
+    // Free join reads `Edge` through the cores' tries alone: the triangle
+    // and the lollipop walk `[0, 1]` and `[1, 0]`, and only `Pend` is
+    // probed. `Binary` probes every atom and builds the all-probe lists.
+    let src = format!(
+        "{EDGES}\
+         Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).\n\
+         Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w)."
+    );
+    let program = parse_program(&src).unwrap();
+    let plan = AccessPlan::compile(&program);
+    let run = |join_strategy| {
+        let options = ReasonerOptions {
+            join_strategy,
+            ..Default::default()
+        };
+        let mut pipeline =
+            Pipeline::new(&plan, Box::new(WardedStrategy::new())).with_options(&options);
+        pipeline.load_facts(program.facts.clone());
+        pipeline.run();
+        let store = pipeline.store();
+        let edge = store.relation(intern("Edge")).unwrap().indexed_col_lists();
+        let edge: BTreeSet<Vec<usize>> = edge.iter().map(|c| c.to_vec()).collect();
+        (
+            edge,
+            ["Triangle", "Lolli"].map(|p| store.facts_of(intern(p))),
+        )
+    };
+    let lists =
+        |cols: &[&[usize]]| -> BTreeSet<Vec<usize>> { cols.iter().map(|c| c.to_vec()).collect() };
+    let (free, free_outputs) = run(JoinStrategy::FreeJoin);
+    let (binary, binary_outputs) = run(JoinStrategy::Binary);
+    assert_eq!(free, lists(&[&[0, 1], &[1, 0]]));
+    assert_eq!(free, plan.planned_index_cols()[&intern("Edge")]);
+    assert_eq!(binary, lists(&[&[0], &[1], &[0, 1]]));
+    assert!(free_outputs.iter().all(|facts| !facts.is_empty()));
+    assert_eq!(free_outputs, binary_outputs);
+}
+
+#[test]
 fn fold_filters_plan_the_lists_of_every_driver() {
     // A fold-stratum filter drives from its smallest body relation, known
     // only once the fixpoint is reached, so the plan names the lists of
