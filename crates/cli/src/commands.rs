@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, rule_strata, PredicateGraph};
 use vadalog_engine::{
     AccessPlan, FilterNode, JoinStrategy, OutputFacts, QuerySession, Reasoner, ReasonerError,
-    ReasonerOptions, RecoveryReport, RunCap, RunResult,
+    ReasonerOptions, RecoveryReport, RunCap, RunResult, Stage,
 };
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
@@ -127,8 +127,6 @@ pub struct EnvConfig {
 ///   bound), a positive integer;
 /// * `VADALOG_CONE_CACHE_CAP`, `VADALOG_CONE_CACHE_BYTES` — cone-cache entry
 ///   cap and byte budget, non-negative integers (`0` = unbounded);
-/// * `VADALOG_COMPACT_LAYERS` — layer-compaction threshold, a non-negative
-///   integer (`0` = off);
 /// * `VADALOG_FAULTS` — a `vadalog_fault::parse_spec` schedule.
 pub fn resolve_env(
     base: ReasonerOptions,
@@ -149,9 +147,6 @@ pub fn resolve_env(
     }
     if let Some(v) = var("VADALOG_CONE_CACHE_BYTES") {
         options.cone_cache_bytes = env_count(v, 0)?;
-    }
-    if let Some(v) = var("VADALOG_COMPACT_LAYERS") {
-        options.compact_layers = env_count(v, 0)?;
     }
     let faults = match var("VADALOG_FAULTS") {
         Some((_, spec)) => vadalog_fault::parse_spec(&spec).map_err(CliError::BadFaultSpec)?,
@@ -288,7 +283,7 @@ fn render_stats(out: &mut String, result: &RunResult) {
     let (own, base) = (bytes.own, bytes.base);
     let _ = writeln!(
         out,
-        "% store bytes:         rows {} / dedup {} / indexes {} (base layers: rows {} / dedup {} / indexes {}), {:.1} B/fact",
+        "% store bytes:         rows {} / dedup {} / indexes {} (shared base: rows {} / dedup {} / indexes {}), {:.1} B/fact",
         own.rows,
         own.dedup,
         own.indexes,
@@ -381,7 +376,7 @@ fn render_stats(out: &mut String, result: &RunResult) {
     );
     let _ = writeln!(
         out,
-        "% base layers:         {} (promoted EDB layers composed beneath the overlay)",
+        "% base layers:         {} (most shared segments beneath the overlay)",
         stats.pipeline.base_layers
     );
     let _ = writeln!(
@@ -413,7 +408,7 @@ fn render_stats(out: &mut String, result: &RunResult) {
 }
 
 /// The `% largest indexes:` block: up to five column lists of the store by
-/// heap bytes (layers summed), one line each.
+/// heap bytes (own and shared parts summed), one line each.
 fn render_largest_indexes(out: &mut String, store: &FactStore) {
     let mut lists: Vec<(Sym, Box<[usize]>, IndexStats)> = store
         .predicates()
@@ -596,10 +591,11 @@ fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, 
 
 /// One line per delta position of `node` that an activation driving
 /// `driver` runs (only that position when set: a check's driver), starting
-/// with `lead`: the atoms in probe order, each with the columns it probes
-/// exactly (`[..]`, or `scan`) and its range column, a `*` on each step
-/// the delta-aware order moved off its canonical position, and the
-/// leapfrog core when the position has a free-join plan. Then one
+/// with `lead`: the delta atom, then the stages the position runs
+/// (`FilterNode::stages`) in order — a probe stage as its atom with the
+/// columns it probes exactly (`[..]`, or `scan`), its range column and a
+/// `*` when the delta-aware order moved it off its canonical position, an
+/// intersect stage as `leapfrog core:` and the core's trie atoms. Then one
 /// `indexes:` line: the index column lists those activations ensure, by
 /// predicate in first-use order, or `none`.
 fn write_probe_orders(
@@ -612,27 +608,33 @@ fn write_probe_orders(
     let atoms = node.rule.body_atoms();
     for dp in node.driven(driver) {
         let mut line = format!("    {lead} {}", atoms[dp.steps[0].atom]);
-        for (i, step) in dp.steps.iter().enumerate().skip(1) {
-            let cols = if step.prefix_len == 0 {
-                "scan".to_string()
-            } else {
-                format!("{:?}", step.prefix_cols())
-            };
-            let _ = write!(line, " -> {} {cols}", atoms[step.atom]);
-            if let Some(col) = step.range_col() {
-                let _ = write!(line, " range {col}");
+        for stage in node.stages(dp, free_join) {
+            match *stage {
+                Stage::Probe(i) => {
+                    let step = &dp.steps[i];
+                    let cols = if step.prefix_len == 0 {
+                        "scan".to_string()
+                    } else {
+                        format!("{:?}", step.prefix_cols())
+                    };
+                    let _ = write!(line, " -> {} {cols}", atoms[step.atom]);
+                    if let Some(col) = step.range_col() {
+                        let _ = write!(line, " range {col}");
+                    }
+                    if step.canonical != i {
+                        line.push_str(" *");
+                    }
+                }
+                Stage::Intersect => {
+                    let core = dp.core.as_ref().expect("an intersect stage has a core");
+                    let tries: Vec<String> = core
+                        .tries
+                        .iter()
+                        .map(|t| atoms[t.atom].to_string())
+                        .collect();
+                    let _ = write!(line, " -> leapfrog core: {}", tries.join(", "));
+                }
             }
-            if step.canonical != i {
-                line.push_str(" *");
-            }
-        }
-        if let Some(core) = &dp.core {
-            let tries: Vec<String> = core
-                .tries
-                .iter()
-                .map(|t| atoms[t.atom].to_string())
-                .collect();
-            let _ = write!(line, " | leapfrog core: {}", tries.join(", "));
         }
         let _ = writeln!(out, "{line}");
     }
@@ -706,8 +708,7 @@ fn cmd_query(
     // command-line order on ONE query session: the program is normalised
     // and its EDB interned + indexed exactly once, every query atom runs
     // against a copy-on-write snapshot of that base, and every `+Fact(...)`
-    // promotes its overlay into a new immutable base layer for the atoms
-    // after it.
+    // promotes its overlay into the base for the atoms after it.
     let steps: Vec<QueryStep> = atom_texts
         .iter()
         .map(|t| {
@@ -788,23 +789,23 @@ fn cmd_query(
         let _ = writeln!(out, "% appended rows:       {}", session.appended_rows());
         let _ = writeln!(
             out,
-            "% store layers:        {} (immutable base layers beneath the query overlays)",
+            "% store layers:        {} (most segments in a base relation)",
             session.base_layers()
         );
-        for (pred, cols, layers) in session.layer_index_stats() {
-            if layers.len() < 2 {
-                continue; // single-layer indexes carry no composition story
+        for (pred, cols, runs) in session.layer_index_stats() {
+            if runs.len() < 2 {
+                continue; // a single run shows no spread
             }
             let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
-            let per_layer: Vec<String> = layers
+            let per_run: Vec<String> = runs
                 .iter()
                 .map(|(entries, keys)| format!("{entries}/{keys}"))
                 .collect();
             let _ = writeln!(
                 out,
-                "% layer index:         {pred}({}) rows/keys per layer: {}",
+                "% layer index:         {pred}({}) rows/keys per run: {}",
                 cols.join(","),
-                per_layer.join(" ")
+                per_run.join(" ")
             );
         }
     }
@@ -985,7 +986,7 @@ fn cmd_serve(
         );
         let _ = writeln!(
             out,
-            "% compactions:         {} (relations merged back to one layer)",
+            "% compactions:         {} (base segment merges)",
             stats.compactions
         );
         let _ = writeln!(
@@ -993,7 +994,11 @@ fn cmd_serve(
             "% base stamp:          {} (promoted append batches)",
             stats.base_stamp
         );
-        let _ = writeln!(out, "% base layers:         {}", stats.base_layers);
+        let _ = writeln!(
+            out,
+            "% base layers:         {} (most segments in a base relation)",
+            stats.base_layers
+        );
         let _ = writeln!(
             out,
             "% wal attached:        {} (appends fsync'd before acknowledgement)",
@@ -1333,6 +1338,40 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A free-join delta line lists the stages its position runs: the
+    /// triangle's leapfrog core alone, the lollipop's core and then its ear
+    /// probe, and none of the all-probe steps of the core atoms.
+    #[test]
+    fn explain_prints_the_stages_a_free_join_position_runs() {
+        let path = temp_program(
+            "explain_cores.vada",
+            "Edge(1, 2). Edge(2, 3). Edge(1, 3). Pend(3, 30).\n\
+             Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).\n\
+             Edge(x, y), Edge(y, z), Edge(x, z), Pend(z, w) -> Lolli(x, y, z, w).\n\
+             @output(\"Triangle\"). @output(\"Lolli\").",
+        );
+        let out = run_cli(&args(&["explain", &path])).unwrap();
+        let deltas: Vec<&str> = out
+            .lines()
+            .filter(|l| l.starts_with("    delta Edge(x, y)"))
+            .collect();
+        assert_eq!(
+            deltas,
+            [
+                "    delta Edge(x, y) -> leapfrog core: Edge(x, z), Edge(y, z)",
+                "    delta Edge(x, y) -> leapfrog core: Edge(x, z), Edge(y, z) -> Pend(z, w) [0]",
+            ],
+            "{out}"
+        );
+        assert!(
+            out.contains(
+                "    delta Pend(z, w) -> leapfrog core: Edge(x, y), Edge(x, z), Edge(y, z)\n"
+            ),
+            "{out}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn explain_shows_plan_and_rules() {
         let program = format!(
@@ -1552,21 +1591,22 @@ mod tests {
         assert!(after.contains("(3 answers)"), "{out}");
         assert!(after.contains("Reach(\"n0\", \"n3\")."), "{out}");
         // the duplicate second append stores nothing
+        // (the appended row's segment merges into the two-row one: 2 <= 2 * 1)
         assert!(
-            after.starts_with(" Edge(\"n2\", \"n3\") stored 1 (0 duplicate, 2 base layers)\n"),
+            after.starts_with(" Edge(\"n2\", \"n3\") stored 1 (0 duplicate, 1 base layers)\n"),
             "{out}"
         );
         assert!(
-            after.contains("Edge(\"n2\", \"n3\") stored 0 (1 duplicate, 2 base layers)\n"),
+            after.contains("Edge(\"n2\", \"n3\") stored 0 (1 duplicate, 1 base layers)\n"),
             "{out}"
         );
-        // the session block surfaces the layer counters (the duplicate
+        // the session block surfaces the segment counters (the duplicate
         // append promoted nothing, so one append sticks)
         assert!(out.contains("% appends:             1"), "{out}");
         assert!(out.contains("% appended rows:       1"), "{out}");
-        assert!(out.contains("% store layers:        2"), "{out}");
+        assert!(out.contains("% store layers:        1"), "{out}");
         assert!(!out.contains("reactivations"), "{out}");
-        // the post-append run composes the promoted layer
+        // the post-append run reads the merged segment
         assert!(out.contains("% base layers:         1"), "{out}");
         std::fs::remove_file(&path).ok();
     }
@@ -1894,32 +1934,30 @@ mod tests {
         assert_eq!(env.options.parallelism, defaults.parallelism);
         assert_eq!(env.options.cone_cache_cap, defaults.cone_cache_cap);
         assert!(env.faults.is_empty());
-        // Exactly the five surviving variables are read.
+        // Exactly the four surviving variables are read.
         assert_eq!(
             asked,
             [
                 "VADALOG_PARALLELISM",
                 "VADALOG_CONE_CACHE_CAP",
                 "VADALOG_CONE_CACHE_BYTES",
-                "VADALOG_COMPACT_LAYERS",
                 "VADALOG_FAULTS"
             ]
         );
 
+        // Blank = unset; retired variables are ignored, whatever they hold.
         let (env, _) = resolve(&[
             ("VADALOG_PARALLELISM", " 3 "),
             ("VADALOG_CONE_CACHE_CAP", "0"),
-            ("VADALOG_CONE_CACHE_BYTES", "4096"),
-            ("VADALOG_COMPACT_LAYERS", ""),
+            ("VADALOG_CONE_CACHE_BYTES", ""),
             ("VADALOG_FAULTS", "wal.fsync@1=error"),
             ("VADALOG_IVM", "0"),
+            ("VADALOG_COMPACT_LAYERS", "1.5"),
         ]);
         let env = env.unwrap();
         assert_eq!(env.options.parallelism, 3);
         assert_eq!(env.options.cone_cache_cap, 0);
-        assert_eq!(env.options.cone_cache_bytes, 4096);
-        // Blank = unset; a retired variable (`VADALOG_IVM`) is ignored.
-        assert_eq!(env.options.compact_layers, defaults.compact_layers);
+        assert_eq!(env.options.cone_cache_bytes, defaults.cone_cache_bytes);
         assert_eq!(env.faults.len(), 1);
         assert_eq!(env.faults[0].point, "wal.fsync");
     }
@@ -1931,7 +1969,6 @@ mod tests {
             ("VADALOG_PARALLELISM", "0"),
             ("VADALOG_CONE_CACHE_CAP", "lots"),
             ("VADALOG_CONE_CACHE_BYTES", "-1"),
-            ("VADALOG_COMPACT_LAYERS", "1.5"),
         ] {
             match resolve(&[(var, value)]).0 {
                 Err(CliError::BadEnv {

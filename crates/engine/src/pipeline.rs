@@ -530,9 +530,9 @@ pub struct PipelineStats {
     /// Filled in by `QuerySession` (cumulative over the session at the time
     /// of the run); always 0 for plain runs.
     pub magic_compile_cache_hits: u64,
-    /// Immutable layers composed below this run's store (the deepest
-    /// relation chain): 0 for a plain run, 1 for a fresh session overlay,
-    /// more after `append_facts` promotions (see
+    /// Shared row segments under this run's store (the most any relation
+    /// holds): 0 for a plain run, 1 for a fresh session overlay, up to
+    /// ⌊log2 rows⌋ + 1 after `append_facts` promotions (see
     /// [`vadalog_storage::StoreBase::promote`]).
     pub base_layers: u64,
     /// Filter activations skipped by the wake-list without snapshotting
@@ -730,7 +730,7 @@ impl<'a> Pipeline<'a> {
     /// constraint/EGD checks.
     pub fn run(&mut self) -> Vec<String> {
         self.stats.edb_rows_reused = self.store.base_rows() as u64;
-        self.stats.base_layers = self.store.max_layer_depth() as u64;
+        self.stats.base_layers = self.store.max_segments() as u64;
         // Populate the Dom relation when the plan references it.
         let dom_sym = intern(vadalog_rewrite::DOM_PREDICATE);
         if self
@@ -1977,7 +1977,7 @@ mod tests {
         // variable, last).
         let plan = AccessPlan::compile(&program);
         assert_eq!(plan.checks[0].check_driver(), Some(0));
-        let planned = plan.planned_index_cols();
+        let planned = plan.planned_index_cols(JoinStrategy::FreeJoin);
         let lists = |cols: &[&[usize]]| -> BTreeSet<Vec<usize>> {
             cols.iter().map(|c| c.to_vec()).collect()
         };

@@ -22,6 +22,8 @@ use vadalog_analysis::{analyze_program, rule_strata, ProgramWardedness};
 use vadalog_model::prelude::*;
 use vadalog_storage::{number_variables, RangeFilter, RowPattern, Slot, WcojLevel};
 
+use crate::pipeline::JoinStrategy;
+
 /// The join order chosen for one rule: a permutation of the body-atom
 /// indices, to be probed left to right.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -770,7 +772,7 @@ impl FilterNode {
 
     /// The stages a delta position runs: its core's under `free_join`,
     /// the all-probe list otherwise.
-    pub(crate) fn stages<'a>(&'a self, dp: &'a DeltaPlan, free_join: bool) -> &'a [Stage] {
+    pub fn stages<'a>(&'a self, dp: &'a DeltaPlan, free_join: bool) -> &'a [Stage] {
         match &dp.core {
             Some(core) if free_join => &core.stages,
             _ => &self.probe_stages,
@@ -1370,15 +1372,15 @@ impl AccessPlan {
         }
     }
 
-    /// Every index column list the plan's activations ensure, keyed by
-    /// predicate: the union of [`FilterNode::index_lists`] over every delta
-    /// position of every filter, and over each check's driver
-    /// ([`FilterNode::check_driver`]), as free join runs them: a position
-    /// with a core contributes its ear probes' and tries' lists, not the
-    /// all-probe lists of its core atoms. A fold-stratum filter's driver
-    /// depends on the data, so all its positions count, and some of their
-    /// lists may go unprobed by a run. A run under `JoinStrategy::Binary`
-    /// builds the core atoms' probe lists it lacks on its own overlay.
+    /// Every index column list the plan's activations ensure under
+    /// `strategy`, keyed by predicate: the union of
+    /// [`FilterNode::index_lists`] over every delta position of every
+    /// filter, and over each check's driver ([`FilterNode::check_driver`]).
+    /// Under free join a position with a core contributes its ear probes'
+    /// and tries' lists, not the all-probe lists of its core atoms; under
+    /// `JoinStrategy::Binary` it contributes the all-probe lists. A
+    /// fold-stratum filter's driver depends on the data, so all its
+    /// positions count, and some of their lists may go unprobed by a run.
     ///
     /// The fold filters' union is kept on purpose: their data-dependent
     /// driver ([`FilterNode::final_driver`]) made 7.6× fewer join probes on
@@ -1388,13 +1390,17 @@ impl AccessPlan {
     /// A query session pre-builds these lists on its frozen EDB
     /// base (see `vadalog_storage::StoreBase::ensure_index`), so per-query
     /// overlay runs never fall back to a full base-covering index build.
-    pub fn planned_index_cols(&self) -> BTreeMap<Sym, BTreeSet<Vec<usize>>> {
+    pub fn planned_index_cols(
+        &self,
+        strategy: JoinStrategy,
+    ) -> BTreeMap<Sym, BTreeSet<Vec<usize>>> {
+        let free_join = strategy == JoinStrategy::FreeJoin;
         let mut out: BTreeMap<Sym, BTreeSet<Vec<usize>>> = BTreeMap::new();
-        let filters = self.filters.iter().map(|f| f.index_lists(None, true));
+        let filters = self.filters.iter().map(|f| f.index_lists(None, free_join));
         let checks = self
             .checks
             .iter()
-            .map(|c| c.index_lists(c.check_driver(), true));
+            .map(|c| c.index_lists(c.check_driver(), free_join));
         for (predicate, cols) in filters.chain(checks).flatten() {
             out.entry(predicate).or_default().insert(cols.to_vec());
         }
@@ -1749,7 +1755,7 @@ mod tests {
         assert_eq!(*own_step.index_cols, [0, 2]);
         // Both conditions are guarded at this step.
         assert!(guards_probe(filter, own_step, &["w", "z"]));
-        let planned = plan.planned_index_cols();
+        let planned = plan.planned_index_cols(JoinStrategy::FreeJoin);
         assert!(!planned[&intern("Own")].contains(&vec![0usize, 1]));
     }
 
@@ -1779,7 +1785,7 @@ mod tests {
         assert_eq!(tri.deltas[0].steps.len(), 3);
         assert!(plan.filters[1].deltas.iter().all(|dp| dp.core.is_none()));
         // The trie column lists are registered for session pre-builds.
-        let planned = plan.planned_index_cols();
+        let planned = plan.planned_index_cols(JoinStrategy::FreeJoin);
         assert!(planned[&intern("Edge")].contains(&vec![0usize, 1]));
     }
 
@@ -1832,7 +1838,7 @@ mod tests {
         assert_eq!(*hub.stages, [Stage::Probe(1), Stage::Intersect]);
         // An ear-wrapped core registers its trie lists under the plan's
         // order for session pre-builds, like a fully cyclic body.
-        let planned = plan.planned_index_cols();
+        let planned = plan.planned_index_cols(JoinStrategy::FreeJoin);
         for trie in hub.tries.iter() {
             assert!(planned[&intern("E")].contains(&trie.cols.to_vec()));
         }

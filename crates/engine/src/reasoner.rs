@@ -78,12 +78,6 @@ pub struct ReasonerOptions {
     /// default 64 MiB). Sizes are estimated from cached answer and output
     /// rows; eviction is LRU, same as the entry cap.
     pub cone_cache_bytes: usize,
-    /// Merge a session relation's base layer chain back into one plain
-    /// snapshot whenever an append pushes it past this many layers
-    /// (0 disables compaction; default 16). Compaction preserves rows and
-    /// `FactId`s exactly, so results are bit-identical across compaction
-    /// points.
-    pub compact_layers: usize,
 }
 
 impl Default for ReasonerOptions {
@@ -98,7 +92,6 @@ impl Default for ReasonerOptions {
             require_warded: false,
             cone_cache_cap: 1024,
             cone_cache_bytes: 64 * 1024 * 1024,
-            compact_layers: 16,
         }
     }
 }

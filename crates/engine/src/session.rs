@@ -13,11 +13,11 @@
 //! * **Storage** — the EDB is interned once, its planned indexes are built
 //!   once, and the whole store is frozen into a shareable
 //!   [`vadalog_storage::StoreBase`]. Every run reads a
-//!   copy-on-write [`StoreBase::overlay`]: base rows and sorted runs are
-//!   shared by reference, derived (IDB) rows land in per-query overlays,
-//!   and probes compose the two in ascending `FactId` order — so a session
-//!   run is bit-identical to a fresh run with the same insertion history,
-//!   at every thread count.
+//!   copy-on-write [`StoreBase::overlay`]: the base's row segments and
+//!   sorted runs are shared by reference, derived (IDB) rows land in the
+//!   overlay's own rows and index tails, and `FactId`s stay insertion
+//!   positions — so a session run is bit-identical to a fresh run with the
+//!   same insertion history, at every thread count.
 //! * **Rewrite** — the adorned (magic) program and its access plan are
 //!   compiled once per `(predicate, adornment)` pair and cached
 //!   ([`PipelineStats::magic_compile_cache_hits`] counts reuse). The plan
@@ -32,13 +32,12 @@
 //!   ([`AccessPlan::planned_index_cols`]: the union of the lists its
 //!   activations ensure — each probe's prefix and range column, and the
 //!   leapfrog trie lists of every cyclic core, ears or not) are ensured on
-//!   the shared base once per layer stamp, so an activation's
-//!   `ensure_index` calls only ever flush overlay tails; base runs are
-//!   never re-sorted. The base holds no index a run does not probe, but
-//!   for two kinds of list: a fold-stratum filter's plan names the lists
-//!   of all its positions while a run drives one, and a
-//!   `JoinStrategy::Binary` run builds no core trie list. The first is
-//!   the price of the fold filter's data-dependent driver (the smallest
+//!   the shared base once per base stamp, for the session's join strategy,
+//!   so an activation's `ensure_index` calls only ever flush overlay
+//!   tails; base runs are never re-sorted. The base holds no index a run
+//!   does not probe, but for one kind of list: a fold-stratum filter's
+//!   plan names the lists of all its positions while a run drives one.
+//!   That is the price of the fold filter's data-dependent driver (the smallest
 //!   body relation after the fixpoint), and it is worth it: a driver fixed
 //!   at compile time read 3,698,569 join probes on `reason.links` instead
 //!   of 486,300, and 648.6 ms of engine time instead of 186.7.
@@ -179,7 +178,7 @@ impl ConeKey {
 /// shared base.
 struct ConeEntry {
     key: ConeKey,
-    /// The base layer stamp the answers were derived against. Refreshed by
+    /// The base stamp the answers were derived against. Refreshed by
     /// appends that provably cannot reach this cone, dropped otherwise.
     stamp: u64,
     /// The cached answers, in the original run's deterministic order.
@@ -350,7 +349,7 @@ fn approx_entry_bytes(
 }
 
 /// The state shared by every fork of a session (see
-/// [`QuerySession::fork`]): the layered EDB base, the compiled-plan and
+/// [`QuerySession::fork`]): the EDB base, the compiled-plan and
 /// ensure-index caches, the cone derivation cache and the session counters.
 /// One mutex guards it all — queries snapshot under the lock and run
 /// outside it, so the critical sections stay short. A `Mutex`, not an
@@ -358,19 +357,18 @@ fn approx_entry_bytes(
 /// and cone caches, the counters), so shared reads would rarely apply.
 struct SessionCore {
     options: ReasonerOptions,
-    /// The frozen EDB: interned rows + pre-flushed sorted runs, shared by
-    /// every query's overlay store.
+    /// The frozen EDB: interned row segments + pre-flushed sorted runs,
+    /// shared by every query's overlay store.
     base: StoreBase,
     /// (predicate, adornment) → compiled artefact.
     compiled: HashMap<(Sym, Adornment), CompiledKind>,
     /// The shared bottom-up fallback compilation, built on first need.
     fallback: Option<Arc<CompiledQuery>>,
-    /// Layer-stamp memo of the per-plan ensure-index pass: the base stamp
-    /// at which each compiled plan — a magic shape, or `None` for the
+    /// Stamp memo of the per-plan ensure-index pass: the base stamp at
+    /// which each compiled plan — a magic shape, or `None` for the
     /// bottom-up fallback — last had its planned EDB indexes ensured. A
-    /// repeat query skips the whole walk until `append_facts`
-    /// promotes a new layer ([`StoreBase::stamp`] moves) — the cache
-    /// invalidation key of the layered-base scheme. Living in the shared
+    /// repeat query skips the whole walk until `append_facts` promotes
+    /// rows ([`StoreBase::stamp`] moves). Living in the shared
     /// core, the memo covers **every** fork: a warm server performs zero
     /// redundant `ensure_index` passes no matter which worker compiled the
     /// shape first (previously the memo was per session, so each new
@@ -378,6 +376,9 @@ struct SessionCore {
     ensured_stamps: HashMap<Option<(Sym, Adornment)>, u64>,
     /// The shared magic-cone derivation cache.
     cones: ConeCache,
+    /// The empty overlay every cone hit hands out as its store, built on
+    /// the first hit after the base changed: a hit allocates no overlay.
+    hit_store: Option<Arc<FactStore>>,
     /// rule-graph edges head predicate → body predicates, for the precise
     /// cone invalidation of [`QuerySession::append_facts`].
     rule_inputs: HashMap<Sym, BTreeSet<Sym>>,
@@ -388,9 +389,9 @@ struct SessionCore {
     /// Memo: predicate → its transitive input predicates (itself included).
     deps: HashMap<Sym, BTreeSet<Sym>>,
     /// The session's write-ahead log, when durability is on: every accepted
-    /// `append_facts` batch is fsync'd here **before** the layer promotion
-    /// is acknowledged, so [`QuerySession::recover`] can rebuild the exact
-    /// layer chain. Shared by every fork (appends through any handle log).
+    /// `append_facts` batch is fsync'd here **before** its promotion is
+    /// acknowledged, so [`QuerySession::recover`] can rebuild the exact
+    /// segments. Shared by every fork (appends through any handle log).
     wal: Option<Wal>,
     /// Times a panicking worker poisoned the core mutex and the next locker
     /// healed it (stamp bumped, cones and ensure-index memos dropped).
@@ -401,7 +402,6 @@ struct SessionCore {
     queries_answered: usize,
     appends: usize,
     appended_rows: usize,
-    compactions: usize,
 }
 
 impl SessionCore {
@@ -473,7 +473,8 @@ impl SessionCore {
             return;
         }
         let mut fresh_builds = 0;
-        for (pred, col_lists) in &compiled.plan.planned_index_cols() {
+        let planned = compiled.plan.planned_index_cols(self.options.join_strategy);
+        for (pred, col_lists) in &planned {
             for cols in col_lists {
                 if self.base.ensure_index(*pred, cols) {
                     fresh_builds += 1;
@@ -481,6 +482,9 @@ impl SessionCore {
             }
         }
         self.base_index_builds += fresh_builds;
+        if fresh_builds > 0 {
+            self.hit_store = None;
+        }
         self.ensured_stamps.insert(key, stamp);
     }
 
@@ -495,6 +499,7 @@ impl SessionCore {
     fn heal_after_poison(&mut self) {
         self.poison_heals += 1;
         self.base.bump_stamp();
+        self.hit_store = None;
         self.cones.clear_all();
         self.ensured_stamps.clear();
     }
@@ -531,21 +536,17 @@ pub struct QuerySession {
 /// Report of one [`QuerySession::append_facts`] call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AppendReport {
-    /// Facts appended (fresh rows promoted into the new base layer).
+    /// Facts appended (fresh rows promoted into the base).
     pub appended: usize,
     /// Facts already present — set semantics makes them no-ops.
     pub duplicates: usize,
-    /// Base layers composed after this append (deepest relation chain;
-    /// 1 = the original snapshot only).
+    /// The most segments a base relation holds after this append (1 = the
+    /// original snapshot only; at most ⌊log2 rows⌋ + 1).
     pub base_layers: usize,
-    /// The base layer stamp after this append: unchanged when nothing
+    /// The base stamp after this append: unchanged when nothing
     /// promoted, bumped by one otherwise. Responses tagged with an
     /// observed stamp `>= this` reflect the appended facts.
     pub stamp: u64,
-    /// Relations whose layer chains were merged back into one snapshot
-    /// because this append pushed them past
-    /// [`ReasonerOptions::compact_layers`].
-    pub compacted_relations: usize,
 }
 
 /// Report of one [`QuerySession::recover`] call.
@@ -561,10 +562,9 @@ pub struct RecoveryReport {
     pub torn_tail: Option<TornTail>,
 }
 
-/// One planned EDB index on the layered base, as reported by
+/// One planned EDB index on the base, as reported by
 /// [`QuerySession::layer_index_stats`]: predicate name, indexed column
-/// list, and per-layer `(entries, distinct_keys)` pairs deepest (oldest)
-/// layer first.
+/// list, and per-run `(entries, distinct_keys)` pairs, oldest run first.
 pub type LayerIndexStats = (String, Vec<usize>, Vec<(usize, usize)>);
 
 impl QuerySession {
@@ -598,6 +598,7 @@ impl QuerySession {
             fallback: None,
             ensured_stamps: HashMap::new(),
             cones: ConeCache::new(options.cone_cache_cap, options.cone_cache_bytes),
+            hit_store: None,
             rule_inputs,
             edb_predicates: edb().map(|f| f.predicate).collect(),
             deps: HashMap::new(),
@@ -609,7 +610,6 @@ impl QuerySession {
             queries_answered: 0,
             appends: 0,
             appended_rows: 0,
-            compactions: 0,
         };
         Ok(QuerySession {
             options,
@@ -629,7 +629,7 @@ impl QuerySession {
     /// its promotion is acknowledged.
     ///
     /// Replay drives the replayed batches through the exact append
-    /// path (insertion order, promotions, compaction points), so the
+    /// path (insertion order, promotions, segment merges), so the
     /// recovered session is **bit-identical** to the never-crashed one on
     /// the durable prefix: same stamps, same `FactId`s, same labelled-null
     /// ids, same answers. A torn or corrupt tail record — a crash mid-write
@@ -718,7 +718,7 @@ impl QuerySession {
         self.core().queries_answered
     }
 
-    /// `append_facts` calls that promoted at least one new base layer.
+    /// `append_facts` calls that promoted at least one fresh row.
     pub fn appends(&self) -> usize {
         self.core().appends
     }
@@ -729,13 +729,14 @@ impl QuerySession {
         self.core().appended_rows
     }
 
-    /// Base layers composed under the session (deepest relation chain;
-    /// 1 = the original frozen snapshot only).
+    /// The most row segments a base relation holds (1 = the original
+    /// frozen snapshot only; at most ⌊log2 rows⌋ + 1, see
+    /// [`StoreBase::promote`]).
     pub fn base_layers(&self) -> usize {
-        self.core().base.layer_count()
+        self.core().base.max_segments()
     }
 
-    /// Monotonic layer stamp of the shared base (see [`StoreBase::stamp`]).
+    /// Monotonic stamp of the shared base (see [`StoreBase::stamp`]).
     pub fn base_stamp(&self) -> u64 {
         self.core().base.stamp()
     }
@@ -763,10 +764,10 @@ impl QuerySession {
         self.core().cones.len()
     }
 
-    /// Relations whose layer chains were merged back into one snapshot by
-    /// the [`ReasonerOptions::compact_layers`] threshold, cumulatively.
+    /// Segment merges the base's promotions made, cumulatively (see
+    /// [`StoreBase::promote`]).
     pub fn compactions(&self) -> usize {
-        self.core().compactions
+        self.core().base.segment_merges()
     }
 
     /// Cone entries evicted by the LRU cap/bytes budget
@@ -791,15 +792,12 @@ impl QuerySession {
     /// Append ground EDB facts to the session.
     ///
     /// The rows are interned into a copy-on-write overlay of the shared
-    /// base and **promoted** into a new immutable layer
-    /// ([`StoreBase::promote`]): existing layers, retained query results
-    /// and pre-built sorted runs are untouched, and subsequent queries
-    /// compose all layers in ascending `FactId` order — so a session with
-    /// appends answers queries byte-identically to a fresh session built
-    /// on the union EDB. When the promotion pushes a relation's layer chain
-    /// past [`ReasonerOptions::compact_layers`], the chain is merged back
-    /// into one plain snapshot (same rows, same `FactId`s — results are
-    /// bit-identical across compaction points).
+    /// base and **promoted** into it ([`StoreBase::promote`]): they are
+    /// sealed into a new row segment, the newest segments merge
+    /// size-tiered, and the index tails flush into runs. Retained query
+    /// results keep their own snapshot, and `FactId`s stay insertion
+    /// positions — so a session with appends answers queries
+    /// byte-identically to a fresh session built on the union EDB.
     ///
     /// Promotions advance the base [`StoreBase::stamp`] and invalidate the
     /// cone cache **precisely**: entries whose predicate transitively
@@ -835,7 +833,7 @@ impl QuerySession {
         // with the core untouched, and a crash anywhere after this line is
         // replayed on recovery. The *submitted* batch is logged verbatim —
         // duplicates included — and replay loads it through the same dedup,
-        // so the rebuilt layers hold the same rows in the same order.
+        // so the rebuilt segments hold the same rows in the same order.
         if log {
             if let Some(wal) = core.wal.as_mut() {
                 wal.append_batch(&facts).map_err(ReasonerError::Wal)?;
@@ -848,6 +846,7 @@ impl QuerySession {
         if report.appended > 0 {
             crash_point("session.promote");
             core.base.promote(overlay);
+            core.hit_store = None;
             crash_point("session.post_promote");
             core.appends += 1;
             core.appended_rows += report.appended;
@@ -855,14 +854,8 @@ impl QuerySession {
             let appended_preds: BTreeSet<Sym> = facts.iter().map(|f| f.predicate).collect();
             core.invalidate_cones(&appended_preds, new_stamp);
             core.note_edb_predicates(&appended_preds);
-            if core.options.compact_layers > 0
-                && core.base.layer_count() > core.options.compact_layers
-            {
-                report.compacted_relations = core.base.compact(core.options.compact_layers);
-                core.compactions += report.compacted_relations;
-            }
         }
-        report.base_layers = core.base.layer_count();
+        report.base_layers = core.base.max_segments();
         report.stamp = core.base.stamp();
         Ok(report)
     }
@@ -888,26 +881,18 @@ impl QuerySession {
             .0)
     }
 
-    /// Per-layer statistics of every planned EDB index on the layered base,
-    /// deepest (oldest) layer first. The indexes exist exactly because some
-    /// compiled plan ensured them between queries, so this is the
-    /// plan-level analysis surface for the layer chain — it shows how each
-    /// promoted append layer spreads across the probe-relevant indexes
-    /// (CLI `query --stats`).
+    /// Per-run statistics of every planned EDB index on the base, oldest
+    /// run first. The indexes exist exactly because some compiled plan
+    /// ensured them between queries, so this shows how the promoted
+    /// appends spread across the probe-relevant indexes' sorted runs (CLI
+    /// `query --stats`).
     pub fn layer_index_stats(&self) -> Vec<LayerIndexStats> {
         let core = self.core();
         let mut out = Vec::new();
         for (pred, rel) in core.base.relations() {
             for cols in rel.indexed_col_lists() {
-                if let Some(layers) = rel.index_stats_per_layer(&cols) {
-                    out.push((
-                        pred.as_str().to_string(),
-                        cols.to_vec(),
-                        layers
-                            .iter()
-                            .map(|s| (s.entries, s.distinct_keys))
-                            .collect(),
-                    ));
+                if let Some(runs) = rel.index_run_stats(&cols) {
+                    out.push((pred.as_str().to_string(), cols.to_vec(), runs));
                 }
             }
         }
@@ -1033,11 +1018,10 @@ impl QuerySession {
         query: Option<&Atom>,
         compile_start: Instant,
     ) -> (RunResult, Vec<Fact>) {
-        // The walk is memoised per plan shape against the base's layer
-        // stamp: a repeat run — through *any* fork — skips it entirely, and
-        // an `append_facts` promotion (stamp bump) invalidates the memo so
-        // freshly layered relations get their planned indexes
-        // flushed/built.
+        // The walk is memoised per plan shape against the base's stamp: a
+        // repeat run — through *any* fork — skips it entirely, and an
+        // `append_facts` promotion (stamp bump) invalidates the memo so
+        // relations new to the base get their planned indexes built.
         core.ensure_plan_indexes(plan_key, compiled);
         let stamp = core.base.stamp();
         let overlay = core.base.overlay();
@@ -1092,9 +1076,10 @@ impl QuerySession {
     }
 
     /// Assemble a [`QueryResult`] for a cone-cache hit: the cached answers
-    /// over a fresh overlay of the current base (no pipeline runs). The
+    /// over the shared empty overlay of the current base (no pipeline
+    /// runs). The
     /// stats mirror what a run would report about the *snapshot* — EDB rows
-    /// reused, layers composed — with zero derivation work. The outputs are
+    /// reused, segments shared — with zero derivation work. The outputs are
     /// the cached run's views, its answers among them. The hit is counted
     /// and the lock released before the answers are copied out.
     fn cached_result(
@@ -1103,10 +1088,16 @@ impl QuerySession {
         stamp: u64,
         compile_start: Instant,
     ) -> QueryResult {
-        let store = core.base.overlay();
+        let core_ref = &mut *core;
+        let base = &core_ref.base;
+        let store = Arc::clone(
+            core_ref
+                .hit_store
+                .get_or_insert_with(|| Arc::new(base.overlay())),
+        );
         let pipeline_stats = PipelineStats {
             edb_rows_reused: store.base_rows() as u64,
-            base_layers: store.max_layer_depth() as u64,
+            base_layers: store.max_segments() as u64,
             magic_compile_cache_hits: core.magic_cache_hits,
             ..PipelineStats::default()
         };
@@ -1130,7 +1121,7 @@ impl QuerySession {
                     total_facts,
                     base_stamp: stamp,
                 },
-                store: Arc::new(store),
+                store,
             },
         }
     }
@@ -1177,6 +1168,7 @@ impl Reasoner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::JoinStrategy;
     use vadalog_parser::parse_program;
 
     fn chain_program(n: usize) -> Program {
@@ -1377,12 +1369,13 @@ mod tests {
         let edge = |a: &str, b: &str| Fact::new("Edge", vec![Value::str(a), Value::str(b)]);
         let r1 = session.append_facts([edge("n8", "n9")]).unwrap();
         assert_eq!((r1.appended, r1.duplicates), (1, 0));
-        assert_eq!(r1.base_layers, 2);
+        assert_eq!(r1.base_layers, 2, "8 rows and 1 stay apart");
         let r2 = session
             .append_facts([edge("n9", "n10"), edge("n8", "n9")])
             .unwrap();
         assert_eq!((r2.appended, r2.duplicates), (1, 1), "set semantics hold");
-        assert_eq!(r2.base_layers, 3);
+        assert_eq!(r2.base_layers, 2, "1 and 1 merge; 8 > 2 * 2");
+        assert_eq!(session.compactions(), 1);
         assert_eq!(session.appends(), 2);
         assert_eq!(session.appended_rows(), 2);
         assert_eq!(session.base_stamp(), 2);
@@ -1394,16 +1387,16 @@ mod tests {
         union_program.add_fact(edge("n8", "n9"));
         let mut rebuilt = Reasoner::new().session(&union_program).unwrap();
         for source in ["n0", "n8", "n5", "n10"] {
-            let layered = session.query(&reach_query(source)).unwrap();
+            let appended = session.query(&reach_query(source)).unwrap();
             let fresh = rebuilt.query(&reach_query(source)).unwrap();
             assert_eq!(
-                layered.answers, fresh.answers,
-                "layered session diverges from union rebuild at {source}"
+                appended.answers, fresh.answers,
+                "appended session diverges from union rebuild at {source}"
             );
         }
-        // layered probes report their composition in the run stats
+        // runs report the segments under their overlay
         let run = session.query(&reach_query("n0")).unwrap();
-        assert!(run.run.stats.pipeline.base_layers >= 3);
+        assert_eq!(run.run.stats.pipeline.base_layers, 2);
     }
 
     /// A predicate that rules derive and facts also populate: the magic
@@ -1451,14 +1444,14 @@ mod tests {
         assert_eq!(after.answers, expected);
     }
 
-    /// A cyclic query over a layered (appended-to) base mounts its leapfrog
+    /// A cyclic query over an appended-to base mounts its leapfrog
     /// tries on sorted runs the session built on the base: the first query
     /// after an append builds the plan's indexes (the ear-wrapped core's
     /// trie lists included) once for the new stamp, and a sibling query at
-    /// the same stamp builds nothing — neither on the base nor as a
-    /// base-covering rebuild in its overlay.
+    /// the same stamp builds nothing — neither on the base nor as a full
+    /// build in its overlay.
     #[test]
-    fn layered_cyclic_queries_mount_tries_on_base_indexes() {
+    fn appended_cyclic_queries_mount_tries_on_base_indexes() {
         // A ternary core atom in a cyclic triangle with binary companions:
         // the `T` trie walks a three-column permutation the binary probe
         // steps never plan (their prefixes follow the step-order variable
@@ -1483,7 +1476,7 @@ mod tests {
             program.add_fact(f);
         }
         let mut session = Reasoner::new().session(&program).unwrap();
-        // Promote a layer so the core views are layered and read-only.
+        // Promote an append so the core relations hold two segments.
         let batch = [
             t(1, 5, 6),
             bin("A", 5, 7),
@@ -1533,6 +1526,38 @@ mod tests {
                 .unwrap();
             assert_eq!(got.answers, fresh.answers, "query Out({x}, ..)");
         }
+    }
+
+    /// The base pre-builds the lists the session's join strategy probes:
+    /// under `Binary` a triangle query's overlay finds every all-probe
+    /// list of the core atoms on the base and builds none over its rows.
+    #[test]
+    fn binary_sessions_build_no_index_over_base_rows() {
+        let program = parse_program(
+            "Edge(1, 2). Edge(2, 3). Edge(1, 3). Edge(3, 4). Edge(2, 4). Edge(1, 4).\n\
+             Edge(x, y), Edge(y, z), Edge(x, z) -> Triangle(x, y, z).\n\
+             @output(\"Triangle\").",
+        )
+        .unwrap();
+        let query = Atom::new(
+            "Triangle",
+            vec![Term::Const(Value::Int(1)), Term::var("y"), Term::var("z")],
+        );
+        let mut answers = Vec::new();
+        for join_strategy in [JoinStrategy::FreeJoin, JoinStrategy::Binary] {
+            let mut session = Reasoner::with_options(ReasonerOptions {
+                join_strategy,
+                ..Default::default()
+            })
+            .session(&program)
+            .unwrap();
+            let first = session.query(&query).unwrap();
+            assert!(first.used_magic_sets);
+            assert_eq!(first.run.store.full_index_builds(), 0, "{join_strategy:?}");
+            answers.push(first.answers);
+        }
+        assert_eq!(answers[0].len(), 3);
+        assert_eq!(answers[0], answers[1]);
     }
 
     #[test]
@@ -1739,43 +1764,34 @@ mod tests {
         assert_eq!(repeat.run.stats.base_stamp, 1, "revalidated at new stamp");
     }
 
-    /// The compact_layers threshold bounds the base chain depth; answers
-    /// before and after compaction match a union rebuild exactly.
+    /// Appends keep the base's segments within ⌊log2 rows⌋ + 1 by merging
+    /// them size-tiered; answers after the merges match a union rebuild
+    /// exactly.
     #[test]
-    fn compaction_bounds_layer_depth_and_preserves_answers() {
+    fn appends_merge_segments_and_preserve_answers() {
         let program = chain_program(4);
-        let edge = |i: usize| {
-            Fact::new(
-                "Edge",
-                vec![
-                    Value::str(&format!("n{i}")),
-                    Value::str(&format!("n{}", i + 1)),
-                ],
-            )
-        };
-        let mut session = Reasoner::with_options(ReasonerOptions {
-            compact_layers: 3,
-            ..Default::default()
-        })
-        .session(&program)
-        .unwrap();
+        let mut session = Reasoner::new().session(&program).unwrap();
         let mut union_program = program.clone();
         for i in 4..12 {
             session.append_facts([edge(i)]).unwrap();
             union_program.add_fact(edge(i));
+            let bound = (i + 1).ilog2() as usize + 1;
+            assert!(
+                session.base_layers() <= bound,
+                "{} segments",
+                session.base_layers()
+            );
         }
-        assert!(
-            session.base_layers() <= 3,
-            "chain depth must stay bounded, got {}",
-            session.base_layers()
-        );
-        assert!(session.compactions() > 0);
-        assert_eq!(session.base_stamp(), 8, "compaction never bumps the stamp");
-        let compacted = session.query(&reach_query("n0")).unwrap();
+        // Segment rows after each append: 4 1 | 6 | 6 1 | 6 2 | 9 | 9 1 |
+        // 9 2 | 9 3, seven merges in all.
+        assert_eq!(session.compactions(), 7);
+        assert_eq!(session.base_layers(), 2);
+        assert_eq!(session.base_stamp(), 8, "one stamp per append");
+        let merged = session.query(&reach_query("n0")).unwrap();
         let fresh = Reasoner::new()
             .reason_query(&union_program, &reach_query("n0"))
             .unwrap();
-        assert_eq!(compacted.answers, fresh.answers);
+        assert_eq!(merged.answers, fresh.answers);
     }
 
     fn temp_wal(name: &str) -> std::path::PathBuf {
@@ -1796,7 +1812,7 @@ mod tests {
     }
 
     /// Recovery replays the WAL through the live append path: answers,
-    /// stamps and layer chains are bit-identical to the session that never
+    /// stamps and segments are bit-identical to the session that never
     /// crashed — including a replayed duplicate batch.
     #[test]
     fn wal_recovery_is_bit_identical_to_the_live_session() {

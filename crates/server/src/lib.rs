@@ -10,13 +10,13 @@
 //!
 //! * **One session, many forks.** The server opens one session over the
 //!   program and [`QuerySession::fork`]s it once per worker. Forks share
-//!   the layered EDB base, the compiled-plan cache, the ensure-index memos
+//!   the EDB base, the compiled-plan cache, the ensure-index memos
 //!   and — the perf headline — the *magic-cone derivation cache*: a cone
 //!   derived by any worker is a cache hit for every later query with the
 //!   same predicate, constants and variable pattern, which gets the cached
 //!   answers verbatim. Reads run against copy-on-write
 //!   overlays and never block appends; appends promote new immutable base
-//!   layers and invalidate exactly the cones they can reach.
+//!   segments and invalidate exactly the cones they can reach.
 //! * **Admission control.** The submission queue is bounded
 //!   ([`ServerConfig::queue_cap`]): a submit against a full queue is shed
 //!   *immediately* with a typed [`Response::Overloaded`] — no work is
@@ -26,7 +26,7 @@
 //!   rather than burning reasoning time on an answer nobody is waiting
 //!   for. Shedding is graceful: the caller always receives a reply.
 //! * **Snapshot-stamped responses.** Every answer is tagged with the
-//!   [`Response::Answers::observed_stamp`] — the base layer stamp its
+//!   [`Response::Answers::observed_stamp`] — the base stamp its
 //!   copy-on-write snapshot was taken at. The server guarantees *snapshot
 //!   isolation*: an answer with stamp `s` is exactly what a fresh session
 //!   over the EDB prefix up to stamp `s` would produce (the property test
@@ -131,7 +131,7 @@ impl Default for ServerConfig {
 pub enum Request {
     /// Answer a query atom (constants bound, variables free).
     Query(Atom),
-    /// Append ground EDB facts (promoted as one new base layer).
+    /// Append ground EDB facts (promoted into the base as one batch).
     Append(Vec<Fact>),
 }
 
@@ -146,7 +146,7 @@ pub enum Response {
         /// Whether the magic-sets rewrite answered the query (vs the
         /// bottom-up fallback).
         used_magic_sets: bool,
-        /// The base layer stamp the answer's snapshot observed: the answer
+        /// The base stamp the answer's snapshot observed: the answer
         /// equals a fresh session over exactly the appends promoted at or
         /// before this stamp.
         observed_stamp: u64,
@@ -334,11 +334,11 @@ pub struct ServerStats {
     pub wal_attached: bool,
     /// Hits in the (predicate, adornment) compiled-plan cache.
     pub compile_cache_hits: u64,
-    /// Relations compacted back to a single layer.
+    /// Segment merges the base's promotions made.
     pub compactions: usize,
-    /// Current base layer stamp (number of promoted append batches).
+    /// Current base stamp (number of promoted append batches).
     pub base_stamp: u64,
-    /// Current base layer chain depth.
+    /// The most row segments a base relation holds.
     pub base_layers: usize,
 }
 

@@ -72,8 +72,8 @@
 //!   back in ascending `FactId` order: the enumeration order that keeps the
 //!   engine's parallel sweep bit-identical at every worker count.
 //!
-//! An index over rows that already exist — the loaded EDB, a compacted
-//! layer chain, a fallback over a shared base — is built as **one run** by
+//! An index over rows that already exist — the loaded EDB, a session base
+//! or an overlay's segments — is built as **one run** by
 //! one sort: each column's distinct ids get dense ranks in
 //! `(OrderKey, ValueId)` order (the sorted pairs are the column's
 //! dictionary), a `u32` permutation is counting-sorted by the rank tuples,
@@ -97,8 +97,8 @@
 //! that shape — `open` on an exact prefix, `key`/`seek`/`seek_past` over the
 //! current column (pairs in, pairs out: each run's dictionary turns a seek
 //! target into a rank bound), `descend`/`up` between columns, `leaf_facts`
-//! at full depth — composing a copy-on-write base's runs before the overlay's so
-//! leaf enumeration stays `FactId`-ascending. [`wcoj::leapfrog_join`] drives
+//! at full depth — walking the runs oldest first, so leaf enumeration stays
+//! `FactId`-ascending. [`wcoj::leapfrog_join`] drives
 //! one cursor per atom through the per-variable intersection of a
 //! leapfrog-triejoin; the engine selects it for cyclic rule bodies where
 //! binary joins pay the intermediate-result blowup. A cursor is only handed
@@ -108,39 +108,38 @@
 //!
 //! # Copy-on-write EDB snapshots
 //!
-//! A relation is either **plain** (it owns every row) or a **copy-on-write
-//! overlay** over a shared, immutable base relation. [`FactStore::freeze`]
-//! turns a fully-loaded store into a [`StoreBase`]: every relation's index
-//! tails are flushed (the shared runs are final and never re-sorted) and
-//! wrapped in an `Arc`. [`StoreBase::overlay`] then hands out mutable
-//! stores whose relations share the base's interned rows, dedup map *and*
-//! sorted runs by reference — the per-query storage of a query
-//! session costs zero re-interning and zero re-indexing:
+//! A relation is a list of sealed, immutable row **segments** (rows plus
+//! dedup table, oldest first, `Arc`-shared) plus its own mutable rows, and
+//! each of its indexes is one list of `Arc`-shared sorted runs plus a tail
+//! covering **all** of its rows. [`FactStore::freeze`] turns a fully-loaded
+//! store into a [`StoreBase`]: every relation's rows are sealed into a
+//! segment and its index tails flushed (the shared runs are final and
+//! never re-sorted). [`StoreBase::overlay`] then hands out mutable stores
+//! whose relations start with the base's segment and run lists — the
+//! per-query storage of a query session copies no row and no run:
 //!
-//! * `FactId`s compose: base rows keep their positions, overlay rows
-//!   continue the same id space (`base.len()..`), so an overlay is
-//!   observationally identical to a plain relation with the same insertion
-//!   history — same ids, same enumeration order, bit-identical parallel
-//!   sweeps;
-//! * probes compose: base postings (all strictly smaller ids) are emitted
-//!   before overlay postings, preserving the ascending `FactId` order the
-//!   engine's deterministic merge relies on. An overlay index not yet built
-//!   degrades to a linear scan of the (small) overlay rows, exactly like an
-//!   unflushed tail;
-//! * maintenance composes: `ensure_index` on an overlay only ever flushes
-//!   the overlay's own tail. When the base lacks a column list entirely the
-//!   overlay builds a one-off fallback index covering the base rows too
-//!   (counted by [`Relation::full_index_builds`] — a prepared session keeps
-//!   this at zero via [`StoreBase::ensure_index`], which extends the base's
-//!   index set in place between queries while no overlay is alive).
+//! * `FactId`s are insertion positions: segment rows keep theirs, own rows
+//!   continue the same id space, so an overlay is observationally
+//!   identical to a plain relation with the same insertion history — same
+//!   ids, same enumeration order, bit-identical parallel sweeps;
+//! * probes read one index: its runs cover disjoint ascending insertion
+//!   ranges and the overlay's inserts land in its tail, so postings come
+//!   out in the ascending `FactId` order the engine's deterministic merge
+//!   relies on;
+//! * maintenance: `ensure_index` on an overlay flushes its tail into a run;
+//!   a column list the base lacks is built once over every row (counted by
+//!   [`Relation::full_index_builds`] — a prepared session keeps this at
+//!   zero via [`StoreBase::ensure_index`], which extends the base's index
+//!   set between queries, copying only lists of `Arc`s when a retained
+//!   overlay shares the relation).
 //!
-//! Bases themselves stack into **layer chains**: [`StoreBase::promote`]
-//! turns an overlay holding appended facts into a new immutable base layer
-//! with its own pre-flushed sorted runs, and bumps the base *stamp* so
-//! engine-side memos keyed on it invalidate. Probes compose the whole chain
-//! deepest-layer-first — ascending `FactId` order by construction — so a
+//! Appends grow the base by **segments**: [`StoreBase::promote`] seals an
+//! overlay holding appended facts into a new segment, flushes its index
+//! tails, merges the newest segments by the size-tiered rule the runs use
+//! (so `n` rows make at most ⌊log2 n⌋ + 1 segments, with no option), and
+//! bumps the base *stamp* so engine-side memos keyed on it invalidate. A
 //! consumer cannot tell whether rows arrived in one snapshot or across k
-//! appends. This is the layering clause of the workspace-wide bit-identity
+//! appends. This is the snapshot clause of the workspace-wide bit-identity
 //! contract (`docs/ARCHITECTURE.md`).
 //!
 //! The join layers above ([`pattern`], `vadalog-engine::pipeline`,

@@ -142,10 +142,9 @@ impl RangeFilter {
 
 /// Aggregate statistics of one materialised sorted-run index, read from its
 /// runs and tail: how many rows it indexes, how many distinct composite
-/// keys they group into, and the heap bytes it holds. Read per layer by
-/// [`Relation::index_stats_per_layer`], which `vadalog query --stats`
-/// prints, and per column list by [`Relation::index_stats`], whose largest
-/// entries `vadalog run --stats` prints; no plan reads it.
+/// keys they group into, and the heap bytes it holds. Read per column list
+/// by [`Relation::index_stats`], whose largest entries `vadalog run
+/// --stats` prints; no plan reads it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IndexStats {
     /// Indexed rows across all sorted runs and the unflushed tail.
@@ -155,8 +154,7 @@ pub struct IndexStats {
     /// count as one key each — an upper bound that vanishes after a flush.
     pub distinct_keys: usize,
     /// Heap bytes of the runs (ranks, `FactId`s, dictionaries)
-    /// and the tail, counted by capacity as in [`HeapBytes::indexes`]; 0
-    /// for rows a layer never indexed.
+    /// and the tail, counted by capacity as in [`HeapBytes::indexes`].
     pub bytes: usize,
 }
 
@@ -505,20 +503,41 @@ fn union_dicts(a: &[Pair], b: &[Pair]) -> (Box<[Pair]>, Vec<u32>, Vec<u32>) {
     (union.into_boxed_slice(), a_to, b_to)
 }
 
-/// A dynamic index over an ordered column list: sorted runs over disjoint
-/// ascending insertion ranges plus an unsorted tail of recent inserts.
+/// The size-tiered merge rule of index runs and row segments: while the
+/// second-newest item holds at most twice the rows of the newest, the two
+/// merge into one. Every item then holds more than twice the rows of the
+/// next newer one, so `n` rows make at most ⌊log2 n⌋ + 1 items and a row is
+/// copied `O(log n)` times over its life. Returns the number of merges.
+fn merge_tiered<T>(
+    items: &mut Vec<T>,
+    rows: impl Fn(&T) -> usize,
+    mut merge: impl FnMut(T, T) -> T,
+) -> usize {
+    let mut merges = 0;
+    while let [.., older, newer] = items.as_slice() {
+        if rows(older) > 2 * rows(newer) {
+            break;
+        }
+        let newer = items.pop().expect("two items");
+        let older = items.pop().expect("two items");
+        items.push(merge(older, newer));
+        merges += 1;
+    }
+    merges
+}
+
+/// A dynamic index over an ordered column list, covering every row of its
+/// relation: sorted runs over disjoint ascending insertion ranges, oldest
+/// first, plus an unsorted tail of recent inserts. Runs are immutable and
+/// `Arc`-shared, so an overlay's copy of the list shares them with its
+/// snapshot.
 #[derive(Clone, Debug)]
 struct SortedIndex {
     cols: Box<[usize]>,
-    runs: Vec<SortedRun>,
+    runs: Vec<Arc<SortedRun>>,
     /// `cols.len()` ids per tail row, in insertion order.
     tail_ids: Vec<ValueId>,
     tail_facts: Vec<FactId>,
-    /// For an overlay relation (one with a copy-on-write base): does this
-    /// index cover the base rows too? `true` only for the fallback indexes
-    /// built when the shared base lacks the column list — probes then use
-    /// this index alone instead of composing base + overlay.
-    covers_base: bool,
 }
 
 impl SortedIndex {
@@ -528,7 +547,6 @@ impl SortedIndex {
             runs: Vec::new(),
             tail_ids: Vec::new(),
             tail_facts: Vec::new(),
-            covers_base: false,
         }
     }
 
@@ -550,8 +568,10 @@ impl SortedIndex {
         }
     }
 
-    /// Sort the tail into a fresh run and merge adjacent runs size-tiered,
-    /// keeping the run count logarithmic in the relation size.
+    /// Sort the tail into a fresh run and merge the newest runs by
+    /// [`merge_tiered`], keeping the run count logarithmic in the relation
+    /// size. A run this index holds alone is merged in place; one it
+    /// shares with a snapshot is copied first.
     fn flush(&mut self) {
         if self.tail_facts.is_empty() {
             return;
@@ -559,29 +579,36 @@ impl SortedIndex {
         let k = self.k();
         let tail_ids = std::mem::take(&mut self.tail_ids);
         let tail_facts = std::mem::take(&mut self.tail_facts);
-        self.runs.push(SortedRun::from_entries(
+        self.runs.push(Arc::new(SortedRun::from_entries(
             k,
             tail_facts
                 .iter()
                 .enumerate()
                 .map(|(i, f)| (*f, tail_ids[i * k..(i + 1) * k].iter().copied())),
-        ));
-        while self.runs.len() >= 2 {
-            let n = self.runs.len();
-            if self.runs[n - 2].facts.len() <= self.runs[n - 1].facts.len() * 2 {
-                let b = self.runs.pop().expect("len checked");
-                let a = self.runs.pop().expect("len checked");
-                self.runs.push(SortedRun::merge(k, a, b));
-            } else {
-                break;
-            }
-        }
+        )));
+        merge_tiered(
+            &mut self.runs,
+            |run| run.facts.len(),
+            |a, b| {
+                Arc::new(SortedRun::merge(
+                    k,
+                    Arc::unwrap_or_clone(a),
+                    Arc::unwrap_or_clone(b),
+                ))
+            },
+        );
     }
 
     /// Probe the index: exact on the first `prefix.len()` columns, plus an
     /// optional range filter on the next column. Postings come back in
-    /// ascending `FactId` order — borrowed from a single run when possible,
-    /// otherwise collected into `out`.
+    /// ascending `FactId` order: when the probe binds every column exactly,
+    /// its whole result is one run's group and the tail holds no match,
+    /// that group is borrowed; otherwise they are collected into `out`.
+    ///
+    /// Every run answers by one path: each bound value is looked up in its
+    /// column's dictionary ([`SortedRun::group_span`], reading order keys
+    /// through the interner's shard read locks), and a range narrows the
+    /// span by rank. No probe allocates.
     fn probe<'r>(
         &'r self,
         prefix: &[ValueId],
@@ -589,45 +616,21 @@ impl SortedIndex {
         out: &mut Vec<FactId>,
     ) -> Probe<'r> {
         out.clear();
-        match self.probe_append(prefix, range, out) {
-            Some(run) => Probe::Run(run),
-            None => Probe::Buffered,
-        }
-    }
-
-    /// The composable core of [`SortedIndex::probe`]: **append** matching
-    /// postings to `out` (which may already hold smaller `FactId`s from a
-    /// copy-on-write base probe), or — when the probe binds every column
-    /// exactly, its whole result is one run's group and the tail holds no
-    /// match — return that group instead and leave `out` untouched. Either
-    /// way the ids this index contributes are in ascending `FactId` order.
-    ///
-    /// Every run answers by one path: each bound value is looked up in its
-    /// column's dictionary ([`SortedRun::group_span`], reading order keys
-    /// through the interner's shard read locks), and a range narrows the
-    /// span by rank. No probe allocates.
-    fn probe_append<'r>(
-        &'r self,
-        prefix: &[ValueId],
-        range: Option<&RangeFilter>,
-        out: &mut Vec<FactId>,
-    ) -> Option<&'r [FactId]> {
         let k = self.k();
         let p = prefix.len();
         debug_assert!(p + usize::from(range.is_some()) <= k);
         if range.is_some_and(RangeFilter::never) {
-            return None;
+            return Probe::Buffered;
         }
         // A whole-key group is FactId-ordered; any wider span is key-ordered.
         let exact = range.is_none() && p == k;
-        let start = out.len();
         let mut single: Option<&'r [FactId]> = None;
         for run in &self.runs {
             let span = run.group_span(k, prefix.iter().map(|v| (order_key_of(*v), *v)));
             if span.0 >= span.1 {
                 continue;
             }
-            if exact && single.is_none() && out.len() == start {
+            if exact && single.is_none() && out.is_empty() {
                 single = Some(&run.facts[span.0..span.1]);
                 continue;
             }
@@ -640,7 +643,7 @@ impl SortedIndex {
                 None => out.extend_from_slice(&run.facts[span.0..span.1]),
             }
             // Runs cover ascending disjoint insertion ranges, so sorting
-            // each run's share keeps the whole append FactId-ordered.
+            // each run's share keeps the whole result FactId-ordered.
             if !exact {
                 out[before..].sort_unstable();
             }
@@ -652,15 +655,52 @@ impl SortedIndex {
             }
         }
         match single {
-            Some(group) if out.len() == start => Some(group),
+            Some(group) if out.is_empty() => Probe::Run(group),
             Some(group) => {
                 // One run group plus tail matches: the tail is newest, so
                 // the group goes in front of what the tail appended.
-                out.splice(start..start, group.iter().copied());
-                None
+                out.splice(0..0, group.iter().copied());
+                Probe::Buffered
             }
-            None => None,
+            None => Probe::Buffered,
         }
+    }
+
+    /// Heap bytes of the runs (ranks, `FactId`s, dictionaries and the run
+    /// headers) and, apart, of the tail, counted by capacity.
+    fn heap_bytes(&self) -> (usize, usize) {
+        let runs: usize = self
+            .runs
+            .iter()
+            .map(|run| {
+                size_of::<SortedRun>()
+                    + run.ranks.capacity() * size_of::<u32>()
+                    + run.facts.capacity() * size_of::<FactId>()
+                    + run.dicts.len() * size_of::<Box<[Pair]>>()
+                    + run.dicts.iter().map(|d| d.len()).sum::<usize>() * size_of::<Pair>()
+            })
+            .sum();
+        let tail = self.tail_ids.capacity() * size_of::<ValueId>()
+            + self.tail_facts.capacity() * size_of::<FactId>();
+        (
+            runs + self.runs.capacity() * size_of::<Arc<SortedRun>>(),
+            tail,
+        )
+    }
+
+    /// Entries, keys and bytes of the runs and the tail together.
+    fn stats(&self) -> IndexStats {
+        let (runs, tail) = self.heap_bytes();
+        let mut stats = IndexStats {
+            entries: self.tail_facts.len(),
+            distinct_keys: self.tail_facts.len(),
+            bytes: runs + tail,
+        };
+        for run in &self.runs {
+            stats.entries += run.facts.len();
+            stats.distinct_keys += run.distinct_keys(self.k());
+        }
+        stats
     }
 }
 
@@ -693,24 +733,22 @@ pub type OpenSpans = (bool, Box<[(u32, u32)]>);
 /// * [`TrieCursor::descend`] / [`TrieCursor::up`] move between columns,
 ///   narrowing every run's span to the entries carrying the chosen value;
 /// * at full depth [`TrieCursor::leaf_facts`] yields the matching `FactId`s
-///   in ascending order (runs cover disjoint ascending insertion ranges, and
-///   a copy-on-write base's runs come before the overlay's).
+///   in ascending order (runs cover disjoint ascending insertion ranges,
+///   oldest first).
 ///
 /// Values are compared as `(OrderKey, ValueId)` pairs — the runs' sort
 /// order. Pair equality coincides with id equality (ids are global interns
 /// and a value's order key is a pure function of the value), so an
 /// intersection on pairs is an intersection on values.
 ///
-/// A cursor is only handed out by [`Relation::trie_cursor`] when every
-/// involved index tail is flushed and (for overlays without their own index)
-/// no unindexed overlay rows exist. The engine ensures and flushes every
-/// trie list before it freezes a store for a batch, so it always gets one.
+/// A cursor is only handed out by [`Relation::trie_cursor`] when the
+/// index's tail is flushed. The engine ensures and flushes every trie list
+/// before it freezes a store for a batch, so it always gets one.
 #[derive(Clone, Debug)]
 pub struct TrieCursor<'r> {
     /// Columns per entry of the underlying index.
     k: usize,
-    /// The composed runs: a copy-on-write base's runs first (strictly
-    /// smaller `FactId`s), then the overlay's own.
+    /// The index's runs, oldest (smallest `FactId`s) first.
     runs: Vec<&'r SortedRun>,
     /// One `(lo, hi, pos)` span per run per opened column, flattened: the
     /// last `runs.len()` triples are the current column's frame.
@@ -976,8 +1014,8 @@ impl RowArena {
     }
 }
 
-/// A layer's set-semantics dedup: an open-addressed, linear-probing table of
-/// its own rows' positions. Each 8-byte slot packs a row's 32-bit hash tag
+/// Set-semantics dedup over one row arena: an open-addressed,
+/// linear-probing table of the arena's row positions. Each 8-byte slot packs a row's 32-bit hash tag
 /// (high half) next to its local position + 1 (low half; 0 marks an empty
 /// slot), so a probe compares tags and reads a row from the arena only on a
 /// tag match. A row's home slot is the top bits of its tag, so growing
@@ -990,15 +1028,6 @@ struct DedupTable {
 }
 
 impl DedupTable {
-    /// A table that holds `rows` entries without growing.
-    fn with_capacity(rows: usize) -> DedupTable {
-        let mut table = DedupTable::default();
-        if rows > 0 {
-            table.slots = vec![0; (rows * 8).div_ceil(7).next_power_of_two().max(16)];
-        }
-        table
-    }
-
     fn home(&self, tag: u32) -> usize {
         let bits = self.slots.len().trailing_zeros();
         (((tag as u64) << 32) >> (64 - bits)) as usize
@@ -1082,13 +1111,15 @@ impl std::ops::AddAssign for HeapBytes {
     }
 }
 
-/// [`HeapBytes`] of a relation or a store, the layers it owns listed apart
-/// from the shared immutable base layers below them.
+/// [`HeapBytes`] of a relation or a store, what it owns listed apart from
+/// what it shares with the snapshot it was made from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreBytes {
-    /// The relation's own rows, dedup and indexes (all of a plain one).
+    /// The relation's own rows, dedup and index tails, and on a relation
+    /// with no segment its index runs too (all of a plain one).
     pub own: HeapBytes,
-    /// Every layer of the copy-on-write base chain.
+    /// The shared segments and, on a relation that has any, its index
+    /// runs.
     pub base: HeapBytes,
 }
 
@@ -1111,24 +1142,6 @@ pub fn table_bytes(capacity: usize, entry: usize) -> usize {
     }
 }
 
-impl SortedIndex {
-    fn heap_bytes(&self) -> usize {
-        let runs: usize = self
-            .runs
-            .iter()
-            .map(|run| {
-                run.ranks.capacity() * size_of::<u32>()
-                    + run.facts.capacity() * size_of::<FactId>()
-                    + run.dicts.len() * size_of::<Box<[Pair]>>()
-                    + run.dicts.iter().map(|d| d.len()).sum::<usize>() * size_of::<Pair>()
-            })
-            .sum();
-        runs + self.runs.capacity() * size_of::<SortedRun>()
-            + self.tail_ids.capacity() * size_of::<ValueId>()
-            + self.tail_facts.capacity() * size_of::<FactId>()
-    }
-}
-
 /// Room for a row its relation does not hold: what [`Relation::vacancy`]
 /// found and [`Relation::fill`] uses, so the row is hashed and probed once.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1145,41 +1158,83 @@ impl Vacancy {
     }
 }
 
+/// A sealed stretch of a relation's rows: rows `start..start + rows.len()`
+/// in insertion order and their dedup table. Immutable once sealed and
+/// `Arc`-shared by every relation made from the same snapshot.
+#[derive(Clone, Debug)]
+struct Segment {
+    start: usize,
+    rows: RowArena,
+    dedup: DedupTable,
+}
+
+impl Segment {
+    fn end(&self) -> usize {
+        self.start + self.rows.len()
+    }
+
+    /// The `FactId` of `row`, if this segment holds it.
+    fn find(&self, tag: u32, row: &[ValueId]) -> Option<FactId> {
+        let local = self.dedup.find(tag, |i| self.rows.row(i) == row).ok()?;
+        Some(FactId((self.start + local) as u32))
+    }
+
+    /// Merge two adjacent segments: `newer`'s rows are appended to `older`
+    /// and entered in its dedup table. An `older` segment held alone grows
+    /// in place; a shared one is copied first.
+    fn merge(older: Arc<Segment>, newer: Arc<Segment>) -> Arc<Segment> {
+        let mut merged = Arc::unwrap_or_clone(older);
+        for row in newer.rows.iter() {
+            let tag = row_tag(row);
+            let slot = merged
+                .dedup
+                .find(tag, |_| false)
+                .expect_err("segments never share a row");
+            merged.dedup.insert_at(slot, tag, merged.rows.len());
+            merged.rows.push(row);
+        }
+        Arc::new(merged)
+    }
+}
+
 /// A single relation: all rows of one predicate.
 ///
-/// Every layer keeps its own rows in one [`RowArena`] (rows of any arity
-/// back to back, no allocation per row) and deduplicates them through an
-/// open-addressed table of row positions; rows are compared in the arena,
-/// never boxed. [`Relation::heap_bytes`] reports what the layers hold.
+/// Rows live in [`RowArena`]s (rows of any arity back to back, no
+/// allocation per row), each deduplicated through an open-addressed table
+/// of row positions; rows are compared in the arena, never boxed. A
+/// relation holds:
 ///
-/// A relation is either **plain** (it owns every row, `base` is `None`) or a
-/// **copy-on-write overlay** over a shared, immutable base relation: the base
-/// keeps its interned rows *and* its sorted runs behind an `Arc`,
-/// the overlay owns only the rows inserted after the snapshot. `FactId`s of
-/// base rows are their original positions; overlay rows continue the same id
-/// space (`base.len()..`), so probes composing base postings before overlay
-/// postings stay ascending by construction — exactly the enumeration order a
-/// plain relation with the same insertion history would produce.
+/// * a list of sealed, immutable **segments** (rows plus dedup table,
+///   oldest first), `Arc`-shared with every relation made from the same
+///   snapshot;
+/// * its **own** mutable rows, which continue the `FactId` space after the
+///   segments' rows;
+/// * one [`SortedIndex`] per requested column list, each covering **all**
+///   of the relation's rows: `Arc`-shared sorted runs plus a tail.
+///
+/// A relation built by inserts alone has no segment. An **overlay** of a
+/// snapshot ([`Relation::with_base`], [`StoreBase::overlay`]) starts with
+/// the snapshot's segment and run lists, so it copies no row and no run,
+/// and its inserts land in its own rows and index tails. Sealing
+/// ([`FactStore::freeze`], [`StoreBase::promote`]) turns the own rows into
+/// a new segment, flushes every tail into the runs, and merges the newest
+/// segments by the runs' size-tiered rule. `FactId`s are insertion
+/// positions whichever way the rows are split, so a relation is
+/// observationally identical to a plain one with the same insertion
+/// history. [`Relation::heap_bytes`] reports what it holds.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
-    /// The shared immutable snapshot this relation overlays, if any. The
-    /// base may itself be an overlay: promoted layers form a chain (oldest
-    /// layer at the bottom), and every composed operation walks it.
-    base: Option<Arc<Relation>>,
-    /// Row arena: the single copy of every tuple owned by *this* relation,
-    /// in insertion order (overlay rows only, when `base` is set). Row `i`
-    /// of the arena is `FactId(base_row_count() + i)`.
+    /// Sealed row segments, oldest first: segment rows precede own rows.
+    segments: Vec<Arc<Segment>>,
+    /// The relation's own rows: row `i` is `FactId(base_row_count() + i)`.
     rows: RowArena,
-    /// Set-semantics dedup over this relation's own rows (arena positions,
-    /// not `FactId`s); the base chain's tables are consulted first.
+    /// Set-semantics dedup over the own rows (arena positions, not
+    /// `FactId`s); the segments' tables are consulted too.
     dedup: DedupTable,
-    /// Dynamic sorted-run indices, one per requested column list. In an
-    /// overlay they usually cover only the overlay rows (the base brings its
-    /// own runs); a [`SortedIndex::covers_base`] index is the fallback for
-    /// column lists the base never indexed.
+    /// Dynamic sorted-run indices, one per requested column list.
     indices: Vec<SortedIndex>,
-    /// Number of full (base-covering) index builds this overlay performed —
-    /// the rebuild work a well-prepared snapshot avoids entirely.
+    /// Index builds this relation made over rows it holds in segments: the
+    /// rebuild work a well-prepared snapshot avoids entirely.
     full_index_builds: u64,
 }
 
@@ -1189,69 +1244,83 @@ impl Relation {
         Self::default()
     }
 
-    /// Create an empty overlay over a shared immutable base: the
-    /// copy-on-write snapshot entry point. The base's rows, dedup table and
-    /// sorted-run indexes are reused as-is; inserts land in the overlay. The
-    /// base may itself be a promoted layer chain (see
-    /// [`StoreBase::promote`]).
+    /// Create an overlay of `base`: the copy-on-write snapshot entry point.
+    /// The overlay starts with the base's segments and index run lists (the
+    /// base's own rows, if it has any, are sealed into a segment first,
+    /// copied when another handle shares the base); inserts land in the
+    /// overlay.
     pub fn with_base(base: Arc<Relation>) -> Self {
-        Relation {
-            base: Some(base),
-            ..Self::default()
-        }
+        let mut rel = Arc::unwrap_or_clone(base);
+        rel.seal();
+        rel.full_index_builds = 0;
+        rel
     }
 
-    /// Number of rows contributed by the whole shared base chain (0 for
-    /// plain relations).
+    /// Seal the own rows into a new segment, flush every index tail into
+    /// the runs, and merge the newest segments by [`merge_tiered`].
+    /// Returns the number of segment merges.
+    fn seal(&mut self) -> usize {
+        self.flush_indexes();
+        if self.rows.is_empty() {
+            return 0;
+        }
+        self.segments.push(Arc::new(Segment {
+            start: self.base_row_count(),
+            rows: std::mem::take(&mut self.rows),
+            dedup: std::mem::take(&mut self.dedup),
+        }));
+        merge_tiered(&mut self.segments, |s| s.rows.len(), Segment::merge)
+    }
+
+    /// Number of rows held in sealed segments (0 for a plain relation).
     pub fn base_row_count(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.len())
+        self.segments.last().map_or(0, |s| s.end())
     }
 
-    /// Number of immutable layers below this relation's own rows (0 for a
-    /// plain relation, k for an overlay of a k-layer chain).
-    pub fn layer_depth(&self) -> usize {
-        let mut depth = 0;
-        let mut base = self.base.as_deref();
-        while let Some(b) = base {
-            depth += 1;
-            base = b.base.as_deref();
-        }
-        depth
+    /// Number of sealed segments (0 for a plain relation).
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 
     /// Number of rows owned by this relation itself (everything, for a plain
-    /// relation; the copy-on-write overlay otherwise).
+    /// relation; the rows past the segments otherwise).
     pub fn overlay_row_count(&self) -> usize {
         self.rows.len()
     }
 
-    /// Full (base-covering) index builds this overlay performed because the
-    /// base lacked a planned column list. 0 on plain relations.
+    /// Index builds this relation made over rows it holds in segments,
+    /// because its snapshot lacked a planned column list. 0 on plain
+    /// relations.
     pub fn full_index_builds(&self) -> u64 {
         self.full_index_builds
     }
 
-    /// Heap bytes of this relation's own layer and, apart, of every layer of
-    /// its base chain, counted by capacity.
+    /// Heap bytes of this relation, what it owns apart from what it shares
+    /// with its snapshot (see [`StoreBytes`]), counted by capacity.
     pub fn heap_bytes(&self) -> StoreBytes {
+        let (runs, tails) = self
+            .indices
+            .iter()
+            .map(SortedIndex::heap_bytes)
+            .fold((0, 0), |(r, t), (ir, it)| (r + ir, t + it));
         let mut bytes = StoreBytes {
-            own: self.layer_bytes(),
+            own: HeapBytes {
+                rows: self.rows.heap_bytes(),
+                dedup: self.dedup.heap_bytes(),
+                indexes: tails,
+            },
             base: HeapBytes::default(),
         };
-        let mut base = self.base.as_deref();
-        while let Some(layer) = base {
-            bytes.base += layer.layer_bytes();
-            base = layer.base.as_deref();
+        for segment in &self.segments {
+            bytes.base.rows += segment.rows.heap_bytes();
+            bytes.base.dedup += segment.dedup.heap_bytes();
+        }
+        if self.segments.is_empty() {
+            bytes.own.indexes += runs;
+        } else {
+            bytes.base.indexes += runs;
         }
         bytes
-    }
-
-    fn layer_bytes(&self) -> HeapBytes {
-        HeapBytes {
-            rows: self.rows.heap_bytes(),
-            dedup: self.dedup.heap_bytes(),
-            indexes: self.indices.iter().map(SortedIndex::heap_bytes).sum(),
-        }
     }
 
     /// Number of rows.
@@ -1265,17 +1334,17 @@ impl Relation {
     }
 
     /// Insert a row; returns its fresh [`FactId`], or `None` if an equal row
-    /// is already present (in the shared base or in this relation).
+    /// is already present (in a segment or in the own rows).
     pub fn insert_row(&mut self, row: &[ValueId]) -> Option<FactId> {
         let vacancy = self.vacancy(row)?;
         Some(self.fill(vacancy, row))
     }
 
-    /// Where `row` would go: `None` when some layer holds it, otherwise the
-    /// row's dedup tag, the free slot of this layer's table that ended the
-    /// probe, and the [`FactId`] the row gets. [`Relation::fill`] stores it
-    /// there, so a caller that decides in between (a termination strategy,
-    /// which only reads the store) hashes and probes the row once.
+    /// Where `row` would go: `None` when the relation holds it, otherwise
+    /// the row's dedup tag, the free slot of the own rows' table that ended
+    /// the probe, and the [`FactId`] the row gets. [`Relation::fill`]
+    /// stores it there, so a caller that decides in between (a termination
+    /// strategy, which only reads the store) hashes and probes the row once.
     pub fn vacancy(&self, row: &[ValueId]) -> Option<Vacancy> {
         assert!(
             self.len() < u32::MAX as usize,
@@ -1283,10 +1352,10 @@ impl Relation {
         );
         let id = FactId(self.len() as u32);
         let tag = row_tag(row);
-        if self.base_chain_find(tag, row).is_some() {
+        let slot = self.dedup.find(tag, |i| self.rows.row(i) == row).err()?;
+        if self.segments.iter().any(|s| s.find(tag, row).is_some()) {
             return None;
         }
-        let slot = self.dedup.find(tag, |i| self.rows.row(i) == row).err()?;
         Some(Vacancy { tag, slot, id })
     }
 
@@ -1303,18 +1372,11 @@ impl Relation {
             "a vacancy is filled before any other insert"
         );
         self.dedup.insert_at(slot, tag, self.rows.len());
-        self.index_new_row(id, row);
-        self.rows.push(row);
-        id
-    }
-
-    /// Keep the already-materialised indices up to date with a new row (the
-    /// row joins each index's tail; probes scan the tail, so the index stays
-    /// exact without re-sorting per insert).
-    fn index_new_row(&mut self, id: FactId, row: &[ValueId]) {
         for index in self.indices.iter_mut() {
             index.push_row(id, row);
         }
+        self.rows.push(row);
+        id
     }
 
     /// Insert a fact (interning its arguments); returns `true` if it was new.
@@ -1340,32 +1402,13 @@ impl Relation {
         fresh
     }
 
-    /// The `FactId` of `row` in this relation's own arena (not its base
-    /// chain), if it holds it.
-    fn own_find(&self, tag: u32, row: &[ValueId]) -> Option<FactId> {
-        let local = self.dedup.find(tag, |i| self.rows.row(i) == row).ok()?;
-        Some(FactId((self.base_row_count() + local) as u32))
-    }
-
-    /// The `FactId` of `row` in some layer of the base chain (not this
-    /// relation's own rows). Each layer's table indexes its own arena.
-    fn base_chain_find(&self, tag: u32, row: &[ValueId]) -> Option<FactId> {
-        let mut base = self.base.as_deref();
-        while let Some(layer) = base {
-            if let Some(id) = layer.own_find(tag, row) {
-                return Some(id);
-            }
-            base = layer.base.as_deref();
-        }
-        None
-    }
-
-    /// The `FactId` of exactly this row, if the relation (or its base
-    /// chain) holds it.
+    /// The `FactId` of exactly this row, if the relation holds it.
     pub fn find_row(&self, row: &[ValueId]) -> Option<FactId> {
         let tag = row_tag(row);
-        self.own_find(tag, row)
-            .or_else(|| self.base_chain_find(tag, row))
+        match self.dedup.find(tag, |i| self.rows.row(i) == row) {
+            Ok(local) => Some(FactId((self.base_row_count() + local) as u32)),
+            Err(_) => self.segments.iter().find_map(|s| s.find(tag, row)),
+        }
     }
 
     /// Does the relation contain exactly this row?
@@ -1389,33 +1432,25 @@ impl Relation {
     /// The row of `id`.
     ///
     /// # Panics
-    /// Panics if `id` was not issued by this relation (or its base).
+    /// Panics if `id` was not issued by this relation (or its snapshot).
     pub fn row(&self, id: FactId) -> &[ValueId] {
         let i = id.index();
-        let mut rel = self;
-        loop {
-            let layer_start = rel.base_row_count();
-            if i >= layer_start {
-                return rel.rows.row(i - layer_start);
+        match i.checked_sub(self.base_row_count()) {
+            Some(own) => self.rows.row(own),
+            None => {
+                let s = &self.segments[self.segments.partition_point(|s| s.end() <= i)];
+                s.rows.row(i - s.start)
             }
-            rel = rel
-                .base
-                .as_deref()
-                .expect("id below the layer boundary implies a base layer");
         }
     }
 
-    /// All rows in insertion order (`FactId(i)` is position `i`): the shared
-    /// base chain's rows first (oldest layer at the bottom), then this
-    /// relation's own.
+    /// All rows in insertion order (`FactId(i)` is position `i`): the
+    /// segments' rows, oldest first, then the own rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[ValueId]> {
-        let mut layers: Vec<&Relation> = vec![self];
-        let mut base = self.base.as_deref();
-        while let Some(b) = base {
-            layers.push(b);
-            base = b.base.as_deref();
-        }
-        layers.into_iter().rev().flat_map(|layer| layer.rows.iter())
+        self.segments
+            .iter()
+            .flat_map(|s| s.rows.iter())
+            .chain(self.rows.iter())
     }
 
     /// Materialise the fact stored at `id`.
@@ -1426,9 +1461,9 @@ impl Relation {
         )
     }
 
-    /// Position of the index covering exactly `cols`, if materialised.
-    fn index_of(&self, cols: &[usize]) -> Option<usize> {
-        self.indices.iter().position(|ix| &*ix.cols == cols)
+    /// The index covering exactly `cols`, if materialised.
+    fn index(&self, cols: &[usize]) -> Option<&SortedIndex> {
+        self.indices.iter().find(|ix| &*ix.cols == cols)
     }
 
     /// Force construction of the sorted-run index over `cols` (a single
@@ -1436,61 +1471,34 @@ impl Relation {
     /// exists its tail is flushed, so subsequent probes run entirely on
     /// sorted runs — the pre-pass the engine performs before freezing a
     /// store for a parallel batch. A new index over existing rows is built
-    /// as **one** run by one sort (`SortedRun::from_entries`); only rows
-    /// inserted afterwards go through the tail.
-    ///
-    /// On a copy-on-write overlay only the **overlay's** tail is ever
-    /// flushed; the shared base's runs are immutable and reused as-is. When
-    /// the base already carries the index over `cols`, the overlay index
-    /// covers just the overlay rows and probes compose the two; when the
-    /// base lacks it, a fallback index covering base rows too is built once
-    /// (counted in [`Relation::full_index_builds`]).
+    /// as **one** run over all of them by one sort
+    /// (`SortedRun::from_entries`), counted in
+    /// [`Relation::full_index_builds`] when some of them are in segments;
+    /// only rows inserted afterwards go through the tail.
     pub fn ensure_index(&mut self, cols: &[usize]) {
-        if let Some(i) = self.index_of(cols) {
-            self.indices[i].flush();
+        if let Some(index) = self.indices.iter_mut().find(|ix| &*ix.cols == cols) {
+            index.flush();
             return;
         }
-        let base_len = self.base_row_count();
-        let base_has = self.base.as_ref().is_some_and(|b| b.has_index(cols));
+        if !self.segments.is_empty() {
+            self.full_index_builds += 1;
+        }
         let mut index = SortedIndex::new(cols);
-        let base_rows = match &self.base {
-            Some(base) if !base_has => {
-                index.covers_base = true;
-                self.full_index_builds += 1;
-                Some(base.iter_rows())
-            }
-            _ => None,
-        };
-        let own_rows = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, row)| (base_len + i, row));
         let run = SortedRun::from_rows(
             cols,
-            base_rows
-                .into_iter()
-                .flatten()
+            self.iter_rows()
                 .enumerate()
-                .chain(own_rows)
                 .map(|(i, row)| (FactId(i as u32), row)),
         );
         if !run.facts.is_empty() {
-            index.runs.push(run);
+            index.runs.push(Arc::new(run));
         }
         self.indices.push(index);
     }
 
-    /// Can probes over `cols` be answered from index structures (this
-    /// relation's own, its base chain's, or all composed)? A layer chain is
-    /// probeable when every layer below either indexes `cols` itself or is
-    /// covered by a descendant's base-covering fallback.
+    /// Is the index over `cols` materialised?
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        match (&self.base, self.index_of(cols)) {
-            (None, over) => over.is_some(),
-            (Some(_), Some(i)) if self.indices[i].covers_base => true,
-            (Some(base), _) => base.has_index(cols),
-        }
+        self.index(cols).is_some()
     }
 
     /// Flush the tails of all materialised indices into sorted runs.
@@ -1506,13 +1514,6 @@ impl Relation {
     /// scan — the "optimistic" get of the slot-machine join). Postings are
     /// yielded in ascending [`FactId`] order, either borrowed from a single
     /// sorted run or collected into `out`.
-    ///
-    /// On a copy-on-write overlay the probe **composes** the whole layer
-    /// chain's prebuilt runs with the overlay's own index (deeper layers
-    /// first — their ids are strictly smaller, so the concatenation stays
-    /// ascending). An overlay whose index was never built falls back to a
-    /// linear scan of the (usually small) overlay rows, exactly like an
-    /// unflushed tail.
     pub fn probe_if_indexed<'r>(
         &'r self,
         cols: &[usize],
@@ -1520,107 +1521,7 @@ impl Relation {
         range: Option<&RangeFilter>,
         out: &mut Vec<FactId>,
     ) -> Option<Probe<'r>> {
-        if self.base.is_none() {
-            let over = self.index_of(cols).map(|i| &self.indices[i]);
-            return over.map(|ix| ix.probe(prefix, range, out));
-        }
-        if !self.has_index(cols) {
-            // Some layer of the chain never indexed these columns and no
-            // fallback index covers it: a miss (a partial index alone would
-            // be incomplete — it cannot see the other layers' rows).
-            return None;
-        }
-        out.clear();
-        let run = self
-            .probe_compose(cols, prefix, range, out)
-            .expect("has_index implies a composable chain");
-        Some(match run {
-            Some(run) => Probe::Run(run),
-            None => Probe::Buffered,
-        })
-    }
-
-    /// Chain-recursive core of [`Relation::probe_if_indexed`]: append this
-    /// relation's and its whole base chain's matching postings to `out` in
-    /// ascending [`FactId`] order. Preserves [`SortedIndex::probe_append`]'s
-    /// contract — `Some(Some(run))` means the entire contribution is the
-    /// borrowed run group and *nothing* was appended; `Some(None)` means the
-    /// contribution (possibly empty) went into `out`; `None` is an index
-    /// miss somewhere in the chain.
-    fn probe_compose<'r>(
-        &'r self,
-        cols: &[usize],
-        prefix: &[ValueId],
-        range: Option<&RangeFilter>,
-        out: &mut Vec<FactId>,
-    ) -> Option<Option<&'r [FactId]>> {
-        let over = self.index_of(cols).map(|i| &self.indices[i]);
-        let Some(base) = self.base.as_deref() else {
-            return Some(over?.probe_append(prefix, range, out));
-        };
-        if let Some(ix) = over {
-            if ix.covers_base {
-                return Some(ix.probe_append(prefix, range, out));
-            }
-        }
-        let start = out.len();
-        let base_run = base.probe_compose(cols, prefix, range, out)?;
-        let appended_base = out.len() > start;
-        let over_start = out.len();
-        let over_run = match over {
-            Some(oix) => oix.probe_append(prefix, range, out),
-            None => {
-                self.scan_overlay_rows(cols, prefix, range, out);
-                None
-            }
-        };
-        let appended_over = out.len() > over_start;
-        Some(match (base_run, over_run) {
-            (Some(b), Some(o)) => {
-                // Both sides are whole borrowed groups; a single slice
-                // cannot represent their concatenation, so buffer both.
-                out.extend_from_slice(b);
-                out.extend_from_slice(o);
-                None
-            }
-            (Some(b), None) if !appended_over => Some(b),
-            (Some(b), None) => {
-                // Deeper ids come first: splice the base group in front of
-                // what the overlay appended.
-                out.splice(over_start..over_start, b.iter().copied());
-                None
-            }
-            (None, Some(o)) if !appended_base => Some(o),
-            (None, Some(o)) => {
-                out.extend_from_slice(o);
-                None
-            }
-            (None, None) => None,
-        })
-    }
-
-    /// Append, in insertion (= ascending `FactId`) order, the overlay rows
-    /// matching `prefix` on `cols` (plus the optional range on the next
-    /// column) — the scan that stands in for a not-yet-built overlay index.
-    fn scan_overlay_rows(
-        &self,
-        cols: &[usize],
-        prefix: &[ValueId],
-        range: Option<&RangeFilter>,
-        out: &mut Vec<FactId>,
-    ) {
-        let base_len = self.base_row_count();
-        let p = prefix.len();
-        for (i, row) in self.rows.iter().enumerate() {
-            if cols.iter().any(|c| *c >= row.len()) {
-                continue;
-            }
-            if cols[..p].iter().zip(prefix).all(|(c, v)| row[*c] == *v)
-                && range.is_none_or(|r| r.matches(row[cols[p]]))
-            {
-                out.push(FactId((base_len + i) as u32));
-            }
-        }
+        Some(self.index(cols)?.probe(prefix, range, out))
     }
 
     /// Look up rows whose column `col` equals `value`, building the dynamic
@@ -1643,155 +1544,53 @@ impl Relation {
         })
     }
 
-    /// Number of dynamic indices currently materialised (an overlay counts
-    /// its base chain's indexes too; a column list indexed in several layers
-    /// counts once).
+    /// Number of dynamic indices currently materialised.
     pub fn index_count(&self) -> usize {
-        self.indexed_col_lists().len()
+        self.indices.len()
     }
 
-    /// The distinct column lists indexed anywhere in this relation's layer
-    /// chain, discovery order (own indexes first, then deeper layers').
+    /// The indexed column lists, in build order.
     pub fn indexed_col_lists(&self) -> Vec<Box<[usize]>> {
-        let mut lists: Vec<Box<[usize]>> = Vec::new();
-        let mut layer = Some(self);
-        while let Some(rel) = layer {
-            for ix in &rel.indices {
-                if !lists.iter().any(|c| **c == *ix.cols) {
-                    lists.push(ix.cols.clone());
-                }
-            }
-            layer = rel.base.as_deref();
-        }
-        lists
+        self.indices.iter().map(|ix| ix.cols.clone()).collect()
     }
 
-    /// Fold one index's runs and tail into `stats`.
-    fn accumulate_stats(index: &SortedIndex, stats: &mut IndexStats) {
-        for run in &index.runs {
-            stats.entries += run.facts.len();
-            stats.distinct_keys += run.distinct_keys(index.k());
-        }
-        stats.entries += index.tail_facts.len();
-        stats.distinct_keys += index.tail_facts.len();
-        stats.bytes += index.heap_bytes();
-    }
-
-    /// Statistics of every column list indexed anywhere in the layer chain,
-    /// in [`Relation::indexed_col_lists`] order, each summed over the layers
-    /// that materialise it.
+    /// Statistics of every materialised index, in
+    /// [`Relation::indexed_col_lists`] order.
     pub fn index_stats(&self) -> Vec<(Box<[usize]>, IndexStats)> {
-        self.indexed_col_lists()
-            .into_iter()
-            .map(|cols| {
-                let mut stats = IndexStats::default();
-                let mut layer = Some(self);
-                while let Some(rel) = layer {
-                    if let Some(i) = rel.index_of(&cols) {
-                        Self::accumulate_stats(&rel.indices[i], &mut stats);
-                    }
-                    layer = rel.base.as_deref();
-                }
-                (cols, stats)
-            })
+        self.indices
+            .iter()
+            .map(|ix| (ix.cols.clone(), ix.stats()))
             .collect()
     }
 
-    /// Per-layer contribution of this relation (not its base chain) to the
-    /// stats of the index over `cols`: the layer's own runs, or one
-    /// key per row when the layer never indexed `cols` (probes scan those
-    /// rows, like an unflushed tail).
-    fn layer_stats(&self, cols: &[usize]) -> IndexStats {
-        let mut stats = IndexStats::default();
-        match self.index_of(cols) {
-            Some(i) => Self::accumulate_stats(&self.indices[i], &mut stats),
-            None => {
-                stats.entries += self.rows.len();
-                stats.distinct_keys += self.rows.len();
-            }
-        }
-        stats
-    }
-
-    /// Statistics of the index over `cols`, itemised per
-    /// layer, deepest layer first and this relation's own contribution last
-    /// — the composition a probe actually walks. `None` on an index miss
-    /// anywhere in the chain, like [`Relation::probe_if_indexed`]. Rows a
-    /// layer never indexed count as one key each, like an unflushed tail.
-    pub fn index_stats_per_layer(&self, cols: &[usize]) -> Option<Vec<IndexStats>> {
-        if !self.has_index(cols) {
-            return None;
-        }
-        if let Some(i) = self.index_of(cols) {
-            if self.base.is_none() || self.indices[i].covers_base {
-                // One covering index: the whole chain reads as one layer.
-                let mut stats = IndexStats::default();
-                Self::accumulate_stats(&self.indices[i], &mut stats);
-                return Some(vec![stats]);
-            }
-        }
-        let mut per_layer = self
-            .base
-            .as_deref()
-            .expect("has_index on a plain relation implies an own index")
-            .index_stats_per_layer(cols)?;
-        per_layer.push(self.layer_stats(cols));
-        Some(per_layer)
+    /// `(entries, distinct keys)` of each sorted run of the index over
+    /// `cols`, oldest run first; `None` when the index is not materialised.
+    /// Unflushed tail rows are not listed.
+    pub fn index_run_stats(&self, cols: &[usize]) -> Option<Vec<(usize, usize)>> {
+        let index = self.index(cols)?;
+        Some(
+            index
+                .runs
+                .iter()
+                .map(|run| (run.facts.len(), run.distinct_keys(index.k())))
+                .collect(),
+        )
     }
 
     /// A [`TrieCursor`] over the sorted runs of the index over `cols`, for
-    /// leapfrog-triejoin probing. Composes exactly like
-    /// [`Relation::probe_if_indexed`]: a plain relation walks its own runs;
-    /// an overlay walks its base-covering fallback index if it built one,
-    /// and otherwise the whole layer chain's runs deepest-first followed by
-    /// the overlay's own — deeper `FactId`s are strictly smaller, so leaf
-    /// enumeration stays ascending.
+    /// leapfrog-triejoin probing. Runs cover ascending insertion ranges
+    /// oldest first, so leaf enumeration is `FactId`-ascending.
     ///
-    /// Returns `None` when the index is missing in some layer, when any
-    /// involved tail is unflushed, or when unindexed overlay rows exist (a
-    /// trie walk cannot see either). The engine's `ensure_index` pass at
-    /// every activation, [`FactStore::freeze`] and [`StoreBase::promote`]'s
-    /// flushes and per-layer index mirroring make all three conditions
-    /// false wherever the engine asks, so it treats `None` as a broken
-    /// invariant.
+    /// Returns `None` when the index is missing or its tail is unflushed (a
+    /// trie walk cannot see tail rows). The engine's `ensure_index` pass at
+    /// every activation makes both false wherever the engine asks, so it
+    /// treats `None` as a broken invariant.
     pub fn trie_cursor(&self, cols: &[usize]) -> Option<TrieCursor<'_>> {
-        let mut runs: Vec<&SortedRun> = Vec::new();
-        self.collect_trie_runs(cols, &mut runs)?;
-        Some(TrieCursor::new(cols.len(), runs))
-    }
-
-    /// Chain-recursive run collection for [`Relation::trie_cursor`]:
-    /// deepest layer's runs first. `None` when any layer cannot contribute
-    /// fully-sorted runs.
-    fn collect_trie_runs<'r>(
-        &'r self,
-        cols: &[usize],
-        runs: &mut Vec<&'r SortedRun>,
-    ) -> Option<()> {
-        fn sorted_runs(ix: &SortedIndex) -> Option<&SortedIndex> {
-            ix.tail_facts.is_empty().then_some(ix)
-        }
-        let over = self.index_of(cols).map(|i| &self.indices[i]);
-        match self.base.as_deref() {
-            None => {
-                runs.extend(sorted_runs(over?)?.runs.iter());
-            }
-            Some(base) => {
-                if let Some(ix) = over {
-                    if ix.covers_base {
-                        runs.extend(sorted_runs(ix)?.runs.iter());
-                        return Some(());
-                    }
-                }
-                base.collect_trie_runs(cols, runs)?;
-                match over {
-                    Some(oix) => runs.extend(sorted_runs(oix)?.runs.iter()),
-                    None if self.rows.is_empty() => {}
-                    None => return None,
-                }
-            }
-        }
-        Some(())
+        let index = self.index(cols)?;
+        index
+            .tail_facts
+            .is_empty()
+            .then(|| TrieCursor::new(cols.len(), index.runs.iter().map(|run| &**run).collect()))
     }
 
     /// Materialise all facts of this relation under `predicate`, in
@@ -1800,36 +1599,6 @@ impl Relation {
         self.iter_rows()
             .map(|row| Fact::new_sym(predicate, resolve_values(row)))
             .collect()
-    }
-
-    /// Merge this relation's whole layer chain into one **plain** relation
-    /// with identical contents: same rows under the same [`FactId`]s
-    /// (rows re-insert in [`Relation::iter_rows`] order — deepest layer
-    /// first, which is exactly ascending-id insertion order — and layers
-    /// never share a row, so the sequentially assigned ids reproduce the
-    /// originals), and a freshly built, flushed sorted-run index for every
-    /// column list indexed anywhere in the chain. Long-lived sessions use
-    /// this to keep the layer depth — and thus per-probe composition work —
-    /// bounded (see `StoreBase::compact`); retained overlays of the old
-    /// chain keep their `Arc`s and are unaffected.
-    pub fn compacted(&self) -> Relation {
-        let mut flat = Relation {
-            dedup: DedupTable::with_capacity(self.len()),
-            ..Relation::new()
-        };
-        flat.rows
-            .values
-            .reserve_exact(self.iter_rows().map(<[ValueId]>::len).sum());
-        flat.rows.ends.reserve_exact(self.len());
-        for row in self.iter_rows() {
-            let inserted = flat.insert_row(row);
-            debug_assert!(inserted.is_some(), "layers never share a row");
-        }
-        for cols in self.indexed_col_lists() {
-            flat.ensure_index(&cols);
-        }
-        flat.flush_indexes();
-        flat
     }
 }
 
@@ -1937,7 +1706,7 @@ impl FactStore {
         self.relations.entry(predicate).or_default()
     }
 
-    /// Heap bytes of every relation, own layers apart from base layers,
+    /// Heap bytes of every relation, own parts apart from shared ones,
     /// counted by capacity ([`Relation::heap_bytes`]).
     pub fn heap_bytes(&self) -> StoreBytes {
         let mut bytes = StoreBytes::default();
@@ -1990,15 +1759,14 @@ impl FactStore {
             .unwrap_or(0)
     }
 
-    /// Rows contributed by shared copy-on-write bases across all relations
-    /// (0 for a plain store) — the interned EDB rows a snapshot run reused
-    /// instead of rebuilding.
+    /// Rows the relations hold in shared segments (0 for a plain store) —
+    /// the interned EDB rows a snapshot run reused instead of rebuilding.
     pub fn base_rows(&self) -> usize {
         self.relations.values().map(Relation::base_row_count).sum()
     }
 
     /// Rows owned by the relations themselves: everything for a plain
-    /// store, the copy-on-write overlays otherwise.
+    /// store, the rows past the segments otherwise.
     pub fn overlay_rows(&self) -> usize {
         self.relations
             .values()
@@ -2006,9 +1774,9 @@ impl FactStore {
             .sum()
     }
 
-    /// Full (base-covering) index rebuilds performed by overlays because a
-    /// shared base lacked a planned column list — 0 when the snapshot was
-    /// prepared with every planned index.
+    /// Index builds the relations made over rows they hold in segments,
+    /// because a shared snapshot lacked a planned column list — 0 when the
+    /// snapshot was prepared with every planned index.
     pub fn full_index_builds(&self) -> u64 {
         self.relations
             .values()
@@ -2016,60 +1784,57 @@ impl FactStore {
             .sum()
     }
 
-    /// Deepest layer chain under any relation of this store (0 when every
-    /// relation is plain): the number of immutable layers a probe composes
-    /// below the live overlay.
-    pub fn max_layer_depth(&self) -> usize {
+    /// The most segments any relation of this store holds (0 when every
+    /// relation is plain).
+    pub fn max_segments(&self) -> usize {
         self.relations
             .values()
-            .map(Relation::layer_depth)
+            .map(Relation::segment_count)
             .max()
             .unwrap_or(0)
     }
 
     /// Freeze this store into a shareable, immutable EDB base: every
-    /// relation's index tails are flushed (so the shared runs are final and
-    /// never re-sorted) and wrapped in an [`Arc`]. Overlay stores created
-    /// with [`StoreBase::overlay`] reuse the interned rows and the sorted
-    /// runs without copying either.
-    pub fn freeze(mut self) -> StoreBase {
-        for rel in self.relations.values_mut() {
-            rel.flush_indexes();
-        }
-        StoreBase {
-            relations: self
-                .relations
-                .into_iter()
-                .map(|(p, r)| (p, Arc::new(r)))
-                .collect(),
-            stamp: 0,
+    /// relation's rows are sealed into a segment and its index tails are
+    /// flushed (so the shared runs are final and never re-sorted), and the
+    /// relation is wrapped in an [`Arc`]. Overlay stores created with
+    /// [`StoreBase::overlay`] reuse the interned rows and the sorted runs
+    /// without copying either.
+    pub fn freeze(self) -> StoreBase {
+        let mut base = StoreBase {
             holds_nulls: self.holds_nulls,
+            ..StoreBase::default()
+        };
+        for (p, mut rel) in self.relations {
+            base.merges += rel.seal();
+            base.relations.insert(p, Arc::new(rel));
         }
+        base
     }
 }
 
 /// A shareable, immutable EDB snapshot: the copy-on-write base of a query
-/// session. Holds one `Arc`'d [`Relation`] per predicate — interned rows,
-/// dedup table and pre-flushed sorted runs included — and hands out cheap
-/// [`StoreBase::overlay`] stores whose relations write only to their
-/// private overlays. Between runs (when no overlay is alive) the owner can
-/// still extend the base's *index set* in place via
+/// session. Holds one `Arc`'d [`Relation`] per predicate, every row sealed
+/// in segments and every index tail flushed, and hands out cheap
+/// [`StoreBase::overlay`] stores whose relations write only their own rows.
+/// Between runs the owner can extend the base's *index set* via
 /// [`StoreBase::ensure_index`]; the rows themselves are immutable for the
 /// lifetime of the snapshot.
 ///
-/// Appending facts does not mutate existing layers either:
-/// [`StoreBase::promote`] freezes a mutated overlay into a **new immutable
-/// layer** on top of its snapshot, so relations grow as layer chains (oldest
-/// base at the bottom, most recent append layer on top) and every composed
-/// probe yields postings deepest-layer-first, staying [`FactId`]-ascending.
-/// Each promotion bumps the base's [`StoreBase::stamp`], the invalidation
-/// key for anything computed against a particular layering.
+/// Appending facts does not mutate shared segments or runs either:
+/// [`StoreBase::promote`] seals a mutated overlay's rows into a new segment
+/// and merges the newest segments size-tiered, so a relation of `n` rows
+/// holds at most ⌊log2 n⌋ + 1 segments. Each promotion bumps the base's
+/// [`StoreBase::stamp`], the invalidation key for anything computed against
+/// a particular snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct StoreBase {
     relations: BTreeMap<Sym, Arc<Relation>>,
-    /// Monotonic layer stamp: bumped by every [`StoreBase::promote`] that
-    /// adds a layer.
+    /// Monotonic stamp: bumped by every [`StoreBase::promote`] that adds
+    /// rows.
     stamp: u64,
+    /// Segment merges made by the freeze and the promotions so far.
+    merges: usize,
     /// [`FactStore::holds_nulls`] of every store frozen or promoted into
     /// this base.
     holds_nulls: bool,
@@ -2077,7 +1842,7 @@ pub struct StoreBase {
 
 impl StoreBase {
     /// A mutable copy-on-write store over this base: every relation starts
-    /// as an empty overlay sharing the base's rows and indexes.
+    /// as an overlay holding the base's segment and run lists.
     pub fn overlay(&self) -> FactStore {
         FactStore {
             relations: self
@@ -2091,48 +1856,39 @@ impl StoreBase {
 
     /// Does the snapshot hold a fact that carried a labelled null (see
     /// [`FactStore::holds_nulls`])? Overlays inherit the bit, promotions
-    /// merge it in, compaction keeps it.
+    /// merge it in.
     pub fn holds_nulls(&self) -> bool {
         self.holds_nulls
     }
 
-    /// Build (or flush) the index over `cols` on the base relation of
-    /// `predicate`. Returns `true` when a new index was built.
+    /// Build the index over `cols` on the base relation of `predicate`.
+    /// Returns `true` when a new index was built.
     ///
     /// When the session is the sole owner of the relation (no overlay store
     /// alive) the index is built in place. When a caller still holds
     /// overlays of an earlier snapshot — retained `QueryResult` stores, for
-    /// instance — a *fresh* build copies the relation once
-    /// ([`Arc::make_mut`]) and indexes the copy: later overlays share the
-    /// newly indexed base, the retained ones keep their original snapshot
-    /// untouched. One relation copy per new plan shape is strictly cheaper
-    /// than the per-query full fallback builds every future overlay would
-    /// otherwise pay; a mere tail flush is never worth a copy and stays a
-    /// no-op while shared (frozen bases have empty tails anyway).
+    /// instance — [`Arc::make_mut`] first copies the relation's segment and
+    /// index lists (`Arc`s, never rows or runs) and indexes the copy: later
+    /// overlays share the newly indexed base, the retained ones keep their
+    /// original snapshot untouched.
     pub fn ensure_index(&mut self, predicate: Sym, cols: &[usize]) -> bool {
-        let Some(arc) = self.relations.get_mut(&predicate) else {
-            return false;
-        };
-        if arc.has_index(cols) {
-            if let Some(rel) = Arc::get_mut(arc) {
-                rel.ensure_index(cols);
+        match self.relations.get_mut(&predicate) {
+            Some(arc) if !arc.has_index(cols) => {
+                Arc::make_mut(arc).ensure_index(cols);
+                true
             }
-            return false;
+            _ => false,
         }
-        Arc::make_mut(arc).ensure_index(cols);
-        true
     }
 
     /// Promote a mutated overlay store (created by [`StoreBase::overlay`])
-    /// into this base: every relation that gained rows becomes a new
-    /// immutable layer on top of its snapshot, with its index tails flushed
-    /// and an own per-layer index built for every column list the chain
-    /// below already indexes — so composed probes and trie cursors keep
-    /// running entirely on sorted runs. Untouched relations keep their
-    /// existing `Arc` (no new layer); predicates new in `store` enter as
-    /// plain single-layer relations.
+    /// into this base: every relation that gained rows is sealed — its own
+    /// rows become a new segment, its index tails are flushed into runs,
+    /// and its newest segments merge by the size-tiered rule of the runs —
+    /// and replaces the base's relation. Untouched relations keep their
+    /// existing `Arc`; predicates new in `store` enter with one segment.
     ///
-    /// Returns the number of relations that gained a layer; when that is
+    /// Returns the number of relations that gained rows; when that is
     /// non-zero the [`StoreBase::stamp`] is bumped.
     pub fn promote(&mut self, store: FactStore) -> usize {
         self.holds_nulls |= store.holds_nulls;
@@ -2141,10 +1897,10 @@ impl StoreBase {
             if rel.overlay_row_count() == 0 {
                 continue;
             }
-            for cols in rel.indexed_col_lists() {
-                rel.ensure_index(&cols);
-            }
-            rel.flush_indexes();
+            // Drop the base's handle first, so the merges unwrap segments
+            // and runs no other handle shares instead of copying them.
+            self.relations.remove(&p);
+            self.merges += rel.seal();
             promoted += 1;
             self.relations.insert(p, Arc::new(rel));
         }
@@ -2154,14 +1910,14 @@ impl StoreBase {
         promoted
     }
 
-    /// Monotonic layer stamp: bumped every time [`StoreBase::promote`] adds
-    /// a layer. Cached artefacts keyed to a stamp (per-plan ensure-index
-    /// passes, materialised instances) are invalid once it moves.
+    /// Monotonic stamp: bumped every time [`StoreBase::promote`] adds rows.
+    /// Cached artefacts keyed to a stamp (per-plan ensure-index passes,
+    /// materialised instances) are invalid once it moves.
     pub fn stamp(&self) -> u64 {
         self.stamp
     }
 
-    /// Force the stamp forward without promoting a layer — the
+    /// Force the stamp forward without promoting anything — the
     /// memo-invalidation hammer of the session's poison-heal policy: after
     /// a panic that may have interrupted a promotion mid-flight, everything
     /// keyed to the old stamp (ensure-index memos, cone entries, live
@@ -2171,37 +1927,16 @@ impl StoreBase {
         self.stamp += 1;
     }
 
-    /// Merge every relation whose layer chain exceeds `max_layers` back
-    /// into a single plain snapshot ([`Relation::compacted`]): same rows,
-    /// same [`FactId`]s, every indexed column list rebuilt as one flushed
-    /// covering index. Returns the number of relations compacted.
-    ///
-    /// Compaction is **content-preserving**, so the [`StoreBase::stamp`] is
-    /// *not* bumped: results, memos and caches keyed to the stamp stay
-    /// valid (the rebuilt covering indexes answer every probe the layered
-    /// indexes did). Retained overlay stores keep `Arc`s of the old chains
-    /// and are unaffected. This is what keeps per-probe layer composition
-    /// bounded on a long-lived reasoning server that appends forever.
-    pub fn compact(&mut self, max_layers: usize) -> usize {
-        if max_layers == 0 {
-            return 0;
-        }
-        let mut compacted = 0;
-        for arc in self.relations.values_mut() {
-            if 1 + arc.layer_depth() > max_layers {
-                *arc = Arc::new(arc.compacted());
-                compacted += 1;
-            }
-        }
-        compacted
+    /// Segment merges made so far, by the freeze and every promotion.
+    pub fn segment_merges(&self) -> usize {
+        self.merges
     }
 
-    /// Deepest layer chain across relations (1 = all plain, k = some
-    /// relation composes k layers). 1 on an empty base.
-    pub fn layer_count(&self) -> usize {
+    /// The most segments any relation holds; 1 on an empty base.
+    pub fn max_segments(&self) -> usize {
         self.relations
             .values()
-            .map(|r| 1 + r.layer_depth())
+            .map(|r| r.segment_count())
             .max()
             .unwrap_or(1)
     }
@@ -2241,14 +1976,10 @@ mod tests {
         Fact::new("Own", vec![a.into(), b.into(), Value::Float(w)])
     }
 
-    /// The index statistics over `cols` with every layer summed.
+    /// The statistics of the index over `cols`, if materialised.
     fn summed_stats(rel: &Relation, cols: &[usize]) -> Option<IndexStats> {
-        let mut stats = IndexStats::default();
-        for layer in rel.index_stats_per_layer(cols)? {
-            stats.entries += layer.entries;
-            stats.distinct_keys += layer.distinct_keys;
-        }
-        Some(stats)
+        let mut stats = rel.index_stats().into_iter();
+        stats.find(|(c, _)| **c == *cols).map(|(_, s)| s)
     }
 
     #[test]
@@ -2470,7 +2201,7 @@ mod tests {
     }
 
     /// A vacancy is found once and filled where its probe ended, also when
-    /// the fill grows the dedup table; a row some layer holds has none.
+    /// the fill grows the dedup table; a row a segment holds has none.
     #[test]
     fn a_vacancy_is_filled_where_the_probe_ended() {
         let held = own("a", "b", 0.6).intern_args();
@@ -2539,7 +2270,10 @@ mod tests {
             let headers: usize = rel
                 .indices
                 .iter()
-                .map(|ix| ix.runs.capacity() * size_of::<SortedRun>())
+                .map(|ix| {
+                    ix.runs.capacity() * size_of::<Arc<SortedRun>>()
+                        + ix.runs.len() * size_of::<SortedRun>()
+                })
                 .sum();
             let composite = n * 2 * 4 + n * 4 + dicts(2);
             let single = n * 4 + n * 4 + dicts(1);
@@ -2661,11 +2395,11 @@ mod tests {
         );
     }
 
-    /// Probes against a base index with no overlay index yet fall back to
-    /// scanning the overlay rows — like an unflushed tail — and a base
-    /// without the index triggers exactly one full fallback build.
+    /// An overlay's copy of a base index sees the overlay rows through its
+    /// tail, and a column list the base never indexed is built once over
+    /// every row and counted.
     #[test]
-    fn overlay_without_index_scans_and_full_builds_are_counted() {
+    fn overlay_indexes_cover_every_row_and_full_builds_are_counted() {
         let mut base = Relation::new();
         base.ensure_index(&[1]);
         base.insert(own("a", "b", 0.1));
@@ -2674,14 +2408,14 @@ mod tests {
 
         let mut overlay = Relation::with_base(Arc::clone(&base));
         overlay.insert(own("d", "b", 0.3));
-        // no overlay index over [1] yet: base runs + overlay scan compose
+        // the base's index over [1]: its run plus the overlay's tail
         let mut scratch = Vec::new();
         let probe = overlay
             .probe_if_indexed(&[1], &[Value::str("b").interned()], None, &mut scratch)
             .unwrap();
         assert_eq!(probe.as_slice(&scratch), &[FactId(0), FactId(1), FactId(2)]);
         // a column list the base never indexed: miss first, then one full
-        // fallback build that covers the base rows too
+        // build over the base rows and the overlay's
         assert!(overlay
             .probe_if_indexed(&[0], &[Value::str("a").interned()], None, &mut scratch)
             .is_none());
@@ -2761,12 +2495,11 @@ mod tests {
         assert_eq!(hits, expected, "postings must stay FactId-ordered");
     }
 
-    /// A k-layer chain built through repeated `promote` must be
-    /// observationally identical to a plain relation with the same
-    /// insertion history: same `FactId`s, probe results, dedup decisions
-    /// and trie-cursor leaves.
+    /// A relation grown by repeated `promote` must be observationally
+    /// identical to a plain relation with the same insertion history: same
+    /// `FactId`s, probe results, dedup decisions and trie-cursor leaves.
     #[test]
-    fn layer_chain_composes_bit_identically_with_plain() {
+    fn promoted_segments_behave_like_a_plain_relation() {
         let batches: Vec<Vec<Fact>> = (0..4)
             .map(|b| {
                 (0..8)
@@ -2791,7 +2524,7 @@ mod tests {
         plain.ensure_index(&[0]);
         plain.ensure_index(&[0, 1]);
 
-        // Layered: first batch frozen, every later batch promoted.
+        // Segmented: first batch frozen, every later batch promoted.
         let mut store = FactStore::new();
         for f in &batches[0] {
             store.insert(f.clone());
@@ -2808,22 +2541,25 @@ mod tests {
             assert_eq!(base.promote(overlay), 1);
         }
         assert_eq!(base.stamp(), 3);
-        assert_eq!(base.layer_count(), 4);
+        // 8 + 8 merge into 16, + 8 into 24; the last 8 stays apart
+        // (24 > 2 * 8).
+        assert_eq!(base.max_segments(), 2);
+        assert_eq!(base.segment_merges(), 2);
 
         let layered = base.relation(intern("Own")).unwrap();
         assert_eq!(layered.len(), plain.len());
-        assert_eq!(layered.layer_depth(), 3);
+        assert_eq!(layered.segment_count(), 2);
         for i in 0..plain.len() {
             assert_eq!(layered.row(FactId(i as u32)), plain.row(FactId(i as u32)));
         }
         let rows_plain: Vec<_> = plain.iter_rows().collect();
         let rows_layered: Vec<_> = layered.iter_rows().collect();
         assert_eq!(rows_plain, rows_layered);
-        // dedup composes across every layer
+        // dedup spans every segment
         let mut probe_overlay = base.overlay();
         let rel = probe_overlay.relation_mut(intern("Own"));
         for batch in &batches {
-            assert!(!rel.insert(batch[0].clone()), "chain dedup must hold");
+            assert!(!rel.insert(batch[0].clone()), "segment dedup must hold");
         }
         // probes agree on every key, composite and single-column alike
         let mut s1 = Vec::new();
@@ -2841,11 +2577,10 @@ mod tests {
                     .unwrap()
                     .as_slice(&s2)
                     .to_vec();
-                assert_eq!(a, b, "layered probe diverges on {cols:?} {c}");
+                assert_eq!(a, b, "segmented probe diverges on {cols:?} {c}");
             }
         }
-        // promoted layers carry their own pre-flushed runs: the trie walk
-        // composes them without falling back
+        // promotion flushed every tail: the trie walk runs on sorted runs
         for c in ["c0", "c1", "c2", "c3", "c4"] {
             for t in ["t0", "t1", "t2"] {
                 let key = [Value::str(c).interned(), Value::str(t).interned()];
@@ -2871,11 +2606,11 @@ mod tests {
         );
     }
 
-    /// `promote` leaves untouched relations alone (no layer, no stamp
-    /// churn), mirrors the chain's index set onto the new layer, and
-    /// reports per-layer index stats deepest-first.
+    /// `promote` leaves untouched relations alone (no new segment, no
+    /// stamp churn), keeps every index of the promoted relation covering
+    /// all its rows, and merges the segments and runs it can.
     #[test]
-    fn promote_mirrors_indexes_and_itemises_per_layer_stats() {
+    fn promote_seals_rows_and_keeps_indexes_whole() {
         let mut store = FactStore::new();
         store.insert(Fact::new("E", vec![Value::str("a"), Value::str("b")]));
         store.insert(Fact::new("F", vec![Value::str("x")]));
@@ -2893,24 +2628,49 @@ mod tests {
         assert_eq!(base.stamp(), 1);
         let e = base.relation(intern("E")).unwrap();
         let f = base.relation(intern("F")).unwrap();
-        assert_eq!(e.layer_depth(), 1);
-        assert_eq!(f.layer_depth(), 0, "untouched relations gain no layer");
-        // the new layer carries its own index over [0]: stats itemise both
-        // layers and the trie cursor runs entirely on sorted runs
-        let per_layer = e.index_stats_per_layer(&[0]).unwrap();
-        assert_eq!(per_layer.len(), 2);
-        assert_eq!(per_layer[0].entries, 1);
-        assert_eq!(per_layer[1].entries, 1);
+        // one row each: the segments merge (1 <= 2 * 1), and so do the runs
+        assert_eq!((e.segment_count(), e.base_row_count()), (1, 2));
+        assert_eq!(f.segment_count(), 1, "untouched relations keep theirs");
+        assert_eq!(base.segment_merges(), 1);
+        assert_eq!(e.index_run_stats(&[0]), Some(vec![(2, 2)]));
         assert!(e.trie_cursor(&[0]).is_some());
-        // new predicates enter as plain relations
+        assert_eq!(e.index_run_stats(&[1]), None);
+        // new predicates enter with one segment
         let mut overlay = base.overlay();
         overlay.insert(Fact::new("G", vec![Value::str("g")]));
         assert_eq!(base.promote(overlay), 1);
-        assert_eq!(base.relation(intern("G")).unwrap().layer_depth(), 0);
+        assert_eq!(base.relation(intern("G")).unwrap().segment_count(), 1);
+    }
+
+    /// Segments stay within the size-tiered bound whatever the batch sizes,
+    /// and each append's merges keep every `FactId`.
+    #[test]
+    fn segments_stay_logarithmic_in_the_rows() {
+        let mut store = FactStore::new();
+        store.insert(Fact::new("E", vec![Value::Int(0)]));
+        let mut base = store.freeze();
+        let mut next = 1i64;
+        for batch in (1..60).map(|i| 1 + i % 7) {
+            let mut overlay = base.overlay();
+            for _ in 0..batch {
+                overlay.insert(Fact::new("E", vec![Value::Int(next)]));
+                next += 1;
+            }
+            base.promote(overlay);
+            let e = base.relation(intern("E")).unwrap();
+            assert!(e.segment_count() <= e.len().ilog2() as usize + 1);
+            for i in 0..e.len() {
+                assert_eq!(
+                    resolve_value(e.row(FactId(i as u32))[0]),
+                    Value::Int(i as i64)
+                );
+            }
+        }
+        assert!(base.segment_merges() > 0);
     }
 
     /// The labelled-null bit is set by Fact-level inserts only and survives
-    /// freeze, overlay, promote and compact.
+    /// freeze, overlay and promote.
     #[test]
     fn holds_nulls_travels_with_the_snapshot() {
         let mut store = FactStore::new();
@@ -2929,8 +2689,6 @@ mod tests {
         assert!(overlay.holds_nulls());
         base.promote(overlay);
         assert!(base.holds_nulls());
-        assert!(base.overlay().holds_nulls());
-        base.compact(1);
         assert!(base.overlay().holds_nulls());
     }
 }

@@ -1,10 +1,11 @@
 //! A relation against a naive model: a `Vec<Vec<ValueId>>` of the distinct
 //! rows in insertion order. Over random insert sequences of mixed arity
-//! (0 to 3), with duplicates inside one batch and across layers, and long
+//! (0 to 3), with duplicates inside one batch and across segments, and long
 //! enough to grow the dedup table several times, every dedup decision,
 //! `FactId`, `row`, `find_row`, `contains_row`, `iter_rows` and `len` must
 //! equal the model's. The same sequence runs into a plain relation and into
-//! a layer chain (freeze, overlay, promote) that is then compacted.
+//! a segmented one (freeze, overlay, promote, whose segments merge
+//! size-tiered).
 
 use proptest::prelude::*;
 use vadalog_model::prelude::*;
@@ -89,8 +90,8 @@ proptest! {
         assert_matches(&plain, &model, &absent);
 
         let segs = segments(rows.len(), &splits);
-        // A layer chain: the first segment frozen, each later one appended
-        // on an overlay and promoted, so duplicates cross layers.
+        // Segments: the first batch frozen, each later one appended on an
+        // overlay and promoted, so duplicates cross segments.
         let mut base: Option<StoreBase> = None;
         for seg in &segs {
             let mut store = base.as_ref().map_or_else(FactStore::new, StoreBase::overlay);
@@ -104,23 +105,15 @@ proptest! {
                 }
             }
         }
-        let mut base = base.expect("at least one segment");
-        let overlay = base.overlay();
-        match overlay.relation(p) {
-            Some(layered) => {
-                assert!(layered.layer_depth() >= 1);
-                assert_matches(layered, &model, &absent);
-            }
-            None => assert!(model.is_empty()),
+        let base = base.expect("at least one batch");
+        let mut overlay = base.overlay();
+        let rel = overlay.relation_mut(p);
+        if !model.is_empty() {
+            let bound = rel.len().ilog2() as usize + 1;
+            assert!((1..=bound).contains(&rel.segment_count()));
         }
-
-        // Compaction keeps rows and FactIds, and the compacted relation
-        // keeps deduplicating.
-        base.compact(1);
-        let mut compacted = base.overlay();
-        let rel = compacted.relation_mut(p);
-        assert_eq!(rel.layer_depth(), usize::from(!model.is_empty()));
         assert_matches(rel, &model, &absent);
+        // The segmented relation keeps deduplicating.
         for row in &rows {
             assert_eq!(rel.insert_row(row), None);
         }

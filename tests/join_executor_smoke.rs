@@ -205,7 +205,7 @@ fn triangle_bodies_are_one_intersect_stage() {
 #[test]
 fn layered_session_queries_leapfrog_on_base_indexes() {
     // The `T` trie walks a three-column permutation no binary probe plans,
-    // and after an append the base is a layer chain: the session builds the
+    // and after an append the base holds appended rows: the session builds the
     // core's trie lists on the base, and the cursors walk those runs.
     let src = "T(0, 2, 3). A(2, 4). B(3, 4). Pend(0, 100).\n\
                T(x, y, u), A(y, v), B(u, v), Pend(x, w) -> Out(x, y, u, v, w).\n\
@@ -282,7 +282,11 @@ fn plans_name_exactly_the_indexes_a_run_builds() {
     );
     for src in [ranged, mixed.as_str()] {
         let (plan, built) = built_index_cols(src);
-        assert_eq!(plan.planned_index_cols(), built, "{src}");
+        assert_eq!(
+            plan.planned_index_cols(JoinStrategy::FreeJoin),
+            built,
+            "{src}"
+        );
     }
     let (_, built) = built_index_cols(ranged);
     assert_eq!(built[&intern("Own")], BTreeSet::from([vec![0, 2]]));
@@ -322,7 +326,10 @@ fn each_strategy_builds_only_the_lists_its_stages_read() {
     let (free, free_outputs) = run(JoinStrategy::FreeJoin);
     let (binary, binary_outputs) = run(JoinStrategy::Binary);
     assert_eq!(free, lists(&[&[0, 1], &[1, 0]]));
-    assert_eq!(free, plan.planned_index_cols()[&intern("Edge")]);
+    assert_eq!(
+        free,
+        plan.planned_index_cols(JoinStrategy::FreeJoin)[&intern("Edge")]
+    );
     assert_eq!(binary, lists(&[&[0], &[1], &[0, 1]]));
     assert!(free_outputs.iter().all(|facts| !facts.is_empty()));
     assert_eq!(free_outputs, binary_outputs);
@@ -338,7 +345,7 @@ fn fold_filters_plan_the_lists_of_every_driver() {
                E(x, y), P(y, w), n = mcount(w) -> Fan(x, n).";
     let (plan, built) = built_index_cols(src);
     assert_eq!(plan.fold_stratum(), [0]);
-    let planned = plan.planned_index_cols();
+    let planned = plan.planned_index_cols(JoinStrategy::FreeJoin);
     let mut extra = planned.clone();
     for (predicate, lists) in &built {
         let named = extra.get_mut(predicate).expect("a built list is planned");
