@@ -1945,11 +1945,11 @@ mod tests {
             ]
         );
 
-        // Blank = unset; retired variables are ignored, whatever they hold.
+        // Retired variables are ignored, whatever they hold.
         let (env, _) = resolve(&[
             ("VADALOG_PARALLELISM", " 3 "),
             ("VADALOG_CONE_CACHE_CAP", "0"),
-            ("VADALOG_CONE_CACHE_BYTES", ""),
+            ("VADALOG_CONE_CACHE_BYTES", "4096"),
             ("VADALOG_FAULTS", "wal.fsync@1=error"),
             ("VADALOG_IVM", "0"),
             ("VADALOG_COMPACT_LAYERS", "1.5"),
@@ -1957,9 +1957,17 @@ mod tests {
         let env = env.unwrap();
         assert_eq!(env.options.parallelism, 3);
         assert_eq!(env.options.cone_cache_cap, 0);
-        assert_eq!(env.options.cone_cache_bytes, defaults.cone_cache_bytes);
+        assert_eq!(env.options.cone_cache_bytes, 4096);
         assert_eq!(env.faults.len(), 1);
         assert_eq!(env.faults[0].point, "wal.fsync");
+        // Blank = unset.
+        let (env, _) = resolve(&[
+            ("VADALOG_CONE_CACHE_CAP", ""),
+            ("VADALOG_CONE_CACHE_BYTES", " "),
+        ]);
+        let env = env.unwrap();
+        assert_eq!(env.options.cone_cache_cap, defaults.cone_cache_cap);
+        assert_eq!(env.options.cone_cache_bytes, defaults.cone_cache_bytes);
     }
 
     #[test]

@@ -845,8 +845,10 @@ impl QuerySession {
         report.duplicates = facts.len() - report.appended;
         if report.appended > 0 {
             crash_point("session.promote");
-            core.base.promote(overlay);
+            // Drop the hit overlay's handles first, so promote's merges
+            // unwrap the segments and runs the base holds alone.
             core.hit_store = None;
+            core.base.promote(overlay);
             crash_point("session.post_promote");
             core.appends += 1;
             core.appended_rows += report.appended;

@@ -529,12 +529,13 @@ fn merge_tiered<T>(
 /// A dynamic index over an ordered column list, covering every row of its
 /// relation: sorted runs over disjoint ascending insertion ranges, oldest
 /// first, plus an unsorted tail of recent inserts. Runs are immutable and
-/// `Arc`-shared, so an overlay's copy of the list shares them with its
-/// snapshot.
+/// `Arc`-shared, and so are the run list and the column list, so an
+/// overlay's copy of an index shares all three with its snapshot; its first
+/// flush copies the list.
 #[derive(Clone, Debug)]
 struct SortedIndex {
-    cols: Box<[usize]>,
-    runs: Vec<Arc<SortedRun>>,
+    cols: Arc<[usize]>,
+    runs: Arc<Vec<Arc<SortedRun>>>,
     /// `cols.len()` ids per tail row, in insertion order.
     tail_ids: Vec<ValueId>,
     tail_facts: Vec<FactId>,
@@ -544,7 +545,7 @@ impl SortedIndex {
     fn new(cols: &[usize]) -> SortedIndex {
         SortedIndex {
             cols: cols.into(),
-            runs: Vec::new(),
+            runs: Arc::default(),
             tail_ids: Vec::new(),
             tail_facts: Vec::new(),
         }
@@ -579,7 +580,8 @@ impl SortedIndex {
         let k = self.k();
         let tail_ids = std::mem::take(&mut self.tail_ids);
         let tail_facts = std::mem::take(&mut self.tail_facts);
-        self.runs.push(Arc::new(SortedRun::from_entries(
+        let runs = Arc::make_mut(&mut self.runs);
+        runs.push(Arc::new(SortedRun::from_entries(
             k,
             tail_facts
                 .iter()
@@ -587,7 +589,7 @@ impl SortedIndex {
                 .map(|(i, f)| (*f, tail_ids[i * k..(i + 1) * k].iter().copied())),
         )));
         merge_tiered(
-            &mut self.runs,
+            runs,
             |run| run.facts.len(),
             |a, b| {
                 Arc::new(SortedRun::merge(
@@ -625,7 +627,7 @@ impl SortedIndex {
         // A whole-key group is FactId-ordered; any wider span is key-ordered.
         let exact = range.is_none() && p == k;
         let mut single: Option<&'r [FactId]> = None;
-        for run in &self.runs {
+        for run in self.runs.iter() {
             let span = run.group_span(k, prefix.iter().map(|v| (order_key_of(*v), *v)));
             if span.0 >= span.1 {
                 continue;
@@ -666,37 +668,45 @@ impl SortedIndex {
         }
     }
 
-    /// Heap bytes of the runs (ranks, `FactId`s, dictionaries and the run
-    /// headers) and, apart, of the tail, counted by capacity.
-    fn heap_bytes(&self) -> (usize, usize) {
-        let runs: usize = self
-            .runs
-            .iter()
-            .map(|run| {
-                size_of::<SortedRun>()
-                    + run.ranks.capacity() * size_of::<u32>()
-                    + run.facts.capacity() * size_of::<FactId>()
-                    + run.dicts.len() * size_of::<Box<[Pair]>>()
-                    + run.dicts.iter().map(|d| d.len()).sum::<usize>() * size_of::<Pair>()
-            })
-            .sum();
-        let tail = self.tail_ids.capacity() * size_of::<ValueId>()
+    /// Heap bytes (ranks, `FactId`s, dictionaries and run headers, counted
+    /// by capacity) of the runs holding a row below `shared_below` — a
+    /// segment's row, so the run came with the snapshot or merged one of
+    /// its runs in — and, apart, of the other runs and the tail. The run
+    /// list goes with the first part when the relation has segments.
+    fn heap_bytes(&self, shared_below: usize) -> (usize, usize) {
+        let (mut shared, mut own) = (0, 0);
+        let list = self.runs.capacity() * size_of::<Arc<SortedRun>>();
+        if shared_below > 0 {
+            shared += list;
+        } else {
+            own += list;
+        }
+        for run in self.runs.iter() {
+            let bytes = size_of::<SortedRun>()
+                + run.ranks.capacity() * size_of::<u32>()
+                + run.facts.capacity() * size_of::<FactId>()
+                + run.dicts.len() * size_of::<Box<[Pair]>>()
+                + run.dicts.iter().map(|d| d.len()).sum::<usize>() * size_of::<Pair>();
+            if run.facts.iter().any(|f| f.index() < shared_below) {
+                shared += bytes;
+            } else {
+                own += bytes;
+            }
+        }
+        own += self.tail_ids.capacity() * size_of::<ValueId>()
             + self.tail_facts.capacity() * size_of::<FactId>();
-        (
-            runs + self.runs.capacity() * size_of::<Arc<SortedRun>>(),
-            tail,
-        )
+        (shared, own)
     }
 
     /// Entries, keys and bytes of the runs and the tail together.
     fn stats(&self) -> IndexStats {
-        let (runs, tail) = self.heap_bytes();
+        let (shared, own) = self.heap_bytes(0);
         let mut stats = IndexStats {
             entries: self.tail_facts.len(),
             distinct_keys: self.tail_facts.len(),
-            bytes: runs + tail,
+            bytes: shared + own,
         };
-        for run in &self.runs {
+        for run in self.runs.iter() {
             stats.entries += run.facts.len();
             stats.distinct_keys += run.distinct_keys(self.k());
         }
@@ -1115,11 +1125,11 @@ impl std::ops::AddAssign for HeapBytes {
 /// what it shares with the snapshot it was made from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreBytes {
-    /// The relation's own rows, dedup and index tails, and on a relation
-    /// with no segment its index runs too (all of a plain one).
+    /// The relation's own rows, dedup, index tails and the index runs
+    /// holding only own rows (all of a plain relation).
     pub own: HeapBytes,
-    /// The shared segments and, on a relation that has any, its index
-    /// runs.
+    /// The shared segments and the index runs holding a segment's row
+    /// (shared with the snapshot, or merged from one of its runs).
     pub base: HeapBytes,
 }
 
@@ -1225,7 +1235,7 @@ impl Segment {
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     /// Sealed row segments, oldest first: segment rows precede own rows.
-    segments: Vec<Arc<Segment>>,
+    segments: Arc<Vec<Arc<Segment>>>,
     /// The relation's own rows: row `i` is `FactId(base_row_count() + i)`.
     rows: RowArena,
     /// Set-semantics dedup over the own rows (arena positions, not
@@ -1245,10 +1255,10 @@ impl Relation {
     }
 
     /// Create an overlay of `base`: the copy-on-write snapshot entry point.
-    /// The overlay starts with the base's segments and index run lists (the
+    /// The overlay shares the base's segment list and index run lists (the
     /// base's own rows, if it has any, are sealed into a segment first,
     /// copied when another handle shares the base); inserts land in the
-    /// overlay.
+    /// overlay, and its first seal or flush copies the list it changes.
     pub fn with_base(base: Arc<Relation>) -> Self {
         let mut rel = Arc::unwrap_or_clone(base);
         rel.seal();
@@ -1264,12 +1274,14 @@ impl Relation {
         if self.rows.is_empty() {
             return 0;
         }
-        self.segments.push(Arc::new(Segment {
-            start: self.base_row_count(),
+        let start = self.base_row_count();
+        let segments = Arc::make_mut(&mut self.segments);
+        segments.push(Arc::new(Segment {
+            start,
             rows: std::mem::take(&mut self.rows),
             dedup: std::mem::take(&mut self.dedup),
         }));
-        merge_tiered(&mut self.segments, |s| s.rows.len(), Segment::merge)
+        merge_tiered(segments, |s| s.rows.len(), Segment::merge)
     }
 
     /// Number of rows held in sealed segments (0 for a plain relation).
@@ -1298,27 +1310,22 @@ impl Relation {
     /// Heap bytes of this relation, what it owns apart from what it shares
     /// with its snapshot (see [`StoreBytes`]), counted by capacity.
     pub fn heap_bytes(&self) -> StoreBytes {
-        let (runs, tails) = self
-            .indices
-            .iter()
-            .map(SortedIndex::heap_bytes)
-            .fold((0, 0), |(r, t), (ir, it)| (r + ir, t + it));
         let mut bytes = StoreBytes {
             own: HeapBytes {
                 rows: self.rows.heap_bytes(),
                 dedup: self.dedup.heap_bytes(),
-                indexes: tails,
+                indexes: 0,
             },
             base: HeapBytes::default(),
         };
-        for segment in &self.segments {
+        for segment in self.segments.iter() {
             bytes.base.rows += segment.rows.heap_bytes();
             bytes.base.dedup += segment.dedup.heap_bytes();
         }
-        if self.segments.is_empty() {
-            bytes.own.indexes += runs;
-        } else {
-            bytes.base.indexes += runs;
+        for index in &self.indices {
+            let (shared, own) = index.heap_bytes(self.base_row_count());
+            bytes.base.indexes += shared;
+            bytes.own.indexes += own;
         }
         bytes
     }
@@ -1491,7 +1498,7 @@ impl Relation {
                 .map(|(i, row)| (FactId(i as u32), row)),
         );
         if !run.facts.is_empty() {
-            index.runs.push(Arc::new(run));
+            index.runs = Arc::new(vec![Arc::new(run)]);
         }
         self.indices.push(index);
     }
@@ -1551,7 +1558,7 @@ impl Relation {
 
     /// The indexed column lists, in build order.
     pub fn indexed_col_lists(&self) -> Vec<Box<[usize]>> {
-        self.indices.iter().map(|ix| ix.cols.clone()).collect()
+        self.indices.iter().map(|ix| (*ix.cols).into()).collect()
     }
 
     /// Statistics of every materialised index, in
@@ -1559,7 +1566,7 @@ impl Relation {
     pub fn index_stats(&self) -> Vec<(Box<[usize]>, IndexStats)> {
         self.indices
             .iter()
-            .map(|ix| (ix.cols.clone(), ix.stats()))
+            .map(|ix| ((*ix.cols).into(), ix.stats()))
             .collect()
     }
 
@@ -1867,8 +1874,8 @@ impl StoreBase {
     /// When the session is the sole owner of the relation (no overlay store
     /// alive) the index is built in place. When a caller still holds
     /// overlays of an earlier snapshot — retained `QueryResult` stores, for
-    /// instance — [`Arc::make_mut`] first copies the relation's segment and
-    /// index lists (`Arc`s, never rows or runs) and indexes the copy: later
+    /// instance — [`Arc::make_mut`] first copies the relation's list of
+    /// indexes (`Arc`s, never rows or runs) and indexes the copy: later
     /// overlays share the newly indexed base, the retained ones keep their
     /// original snapshot untouched.
     pub fn ensure_index(&mut self, predicate: Sym, cols: &[usize]) -> bool {
@@ -2294,6 +2301,41 @@ mod tests {
             "runs merged"
         );
         assert_eq!(rel.heap_bytes().own.indexes, expected(&rel, 2400));
+    }
+
+    /// An overlay's index run counts as base bytes while it holds a
+    /// segment's row, and as own bytes when it holds only overlay rows.
+    #[test]
+    fn overlay_runs_of_own_rows_count_as_own_bytes() {
+        let ids: Vec<ValueId> = (0..64).map(|i| Value::Int(8_000 + i).interned()).collect();
+        let mut rel = Relation::new();
+        for id in &ids[..32] {
+            rel.insert_row(&[*id]);
+        }
+        rel.ensure_index(&[0]);
+        let mut overlay = Relation::with_base(Arc::new(rel));
+        let before = overlay.heap_bytes();
+        assert_eq!(before.own.indexes, 0);
+        assert!(before.base.indexes > 0);
+        for id in &ids[32..36] {
+            overlay.insert_row(&[*id]);
+        }
+        overlay.flush_indexes();
+        let runs = &overlay.indices[0].runs;
+        assert_eq!(runs.len(), 2, "4 rows do not merge into 32");
+        let run = &runs[1];
+        let own_run = size_of::<SortedRun>()
+            + run.ranks.capacity() * size_of::<u32>()
+            + run.facts.capacity() * size_of::<FactId>()
+            + size_of::<Box<[Pair]>>()
+            + run.dicts[0].len() * size_of::<Pair>();
+        assert_eq!(overlay.heap_bytes().own.indexes, own_run);
+        for id in &ids[36..] {
+            overlay.insert_row(&[*id]);
+        }
+        overlay.flush_indexes();
+        assert_eq!(overlay.indices[0].runs.len(), 1, "the runs merged");
+        assert_eq!(overlay.heap_bytes().own.indexes, 0);
     }
 
     #[test]
