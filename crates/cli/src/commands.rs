@@ -9,13 +9,12 @@ use std::fmt;
 use std::fmt::Write as _;
 use vadalog_analysis::{analyze_program, classify, rule_strata, PredicateGraph};
 use vadalog_engine::{
-    AccessPlan, FilterNode, JoinStrategy, OutputFacts, QuerySession, Reasoner, ReasonerError,
+    CompiledProgram, FilterNode, JoinStrategy, OutputFacts, QuerySession, Reasoner, ReasonerError,
     ReasonerOptions, RecoveryReport, RunCap, RunResult, Stage,
 };
 use vadalog_fault::FaultRule;
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, parse_rule, rule_to_text, ParseError};
-use vadalog_rewrite::prepare_rules;
 use vadalog_storage::{write_csv_facts, FactStore, IndexStats};
 
 /// Errors surfaced to the user by the CLI.
@@ -509,9 +508,8 @@ fn cmd_classify(options: &CliOptions) -> Result<String, CliError> {
 
 fn cmd_explain(options: &CliOptions, engine: ReasonerOptions) -> Result<String, CliError> {
     let program = load_program(options)?;
-    rule_strata(&program).map_err(|e| CliError::Reasoner(ReasonerError::Unstratifiable(e)))?;
-    let rewritten = prepare_rules(&program);
-    let plan = AccessPlan::compile(&rewritten);
+    let compiled = CompiledProgram::compile(&program, &engine)?;
+    let (rewritten, plan) = (&compiled.program, &compiled.plan);
     let folds = plan.fold_stratum();
     let free_join = engine.join_strategy == JoinStrategy::FreeJoin;
 
@@ -1484,6 +1482,35 @@ mod tests {
     }
 
     #[test]
+    fn explain_compiles_what_run_runs_under_the_same_flags() {
+        // A harmful join: the rewrite turns 3 source rules into 10, and
+        // `--no-rewriting` runs the 3 as written. Explain must say so.
+        let path = temp_program(
+            "explain_flags.vada",
+            "Company(\"a\"). Company(\"b\"). Control(\"a\", \"b\").\n\
+             Company(x) -> PSC(x, p).\n\
+             Control(y, x), PSC(y, p) -> PSC(x, p).\n\
+             PSC(x, p), PSC(y, p), x > y, w = mcount(p), w >= 1 -> StrongLink(x, y, w).\n\
+             @output(\"StrongLink\").\n",
+        );
+        for (flags, rules) in [(&[][..], 10), (&["--no-rewriting"][..], 3)] {
+            let explain = run_cli(&args(&[&["explain", &path][..], flags].concat())).unwrap();
+            assert!(
+                explain.starts_with(&format!(
+                    "-- logic optimizer: 3 source rules -> {rules} executable rules\n"
+                )),
+                "{flags:?}:\n{explain}"
+            );
+            let run = run_cli(&args(&[&["run", &path, "--stats"][..], flags].concat())).unwrap();
+            assert!(
+                run.contains(&format!("% compiled rules:      {rules}\n")),
+                "{flags:?}:\n{run}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn query_answers_through_magic_sets() {
         let path = temp_program("query.vada", CONTROL_PROGRAM);
         let out = run_cli(&args(&["query", &path, "Control(\"acme\", y)"])).unwrap();
@@ -1531,8 +1558,8 @@ mod tests {
 
     #[test]
     fn stats_report_snapshot_and_magic_cache_counters() {
-        // The satellite contract: --stats surfaces the three new pipeline
-        // counters on every run (plain runs report zero reuse).
+        // --stats surfaces the snapshot counters on every run: `run` is a
+        // one-shot session, so its run reads the EDB from the base too.
         let path = temp_program("snapstats.vada", CONTROL_PROGRAM);
         let out = run_cli(&args(&["run", &path, "--stats"])).unwrap();
         let field = |name: &str| -> u64 {
@@ -1546,8 +1573,20 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{name} line present and numeric:\n{out}"))
         };
-        assert_eq!(field("% edb rows reused:"), 0, "plain runs share no base");
-        assert!(field("% overlay rows:") > 0, "all rows are overlay-owned");
+        assert_eq!(
+            field("% edb rows reused:"),
+            2,
+            "both Own rows are in the base"
+        );
+        assert!(
+            field("% overlay rows:") > 0,
+            "derived rows are overlay-owned"
+        );
+        assert_eq!(field("% base layers:"), 1, "a fresh base is one segment");
+        assert!(
+            !out.contains("% load time:           0ns"),
+            "load time is the EDB intern and freeze:\n{out}"
+        );
         assert_eq!(field("% magic cache hits:"), 0);
         std::fs::remove_file(&path).ok();
 

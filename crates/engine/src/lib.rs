@@ -161,7 +161,9 @@
 //! with the crate map and the layer-by-layer description of a reasoning
 //! run.
 //!
-//! The public entry point is [`Reasoner`]:
+//! The public entry point is [`Reasoner`]; [`Reasoner::reason`] is a
+//! one-shot [`QuerySession`] that compiles the program once
+//! ([`CompiledProgram::compile`], what `vadalog explain` prints).
 //!
 //! ```
 //! use vadalog_engine::Reasoner;
@@ -195,4 +197,4 @@ pub use plan::{
 pub use reasoner::{
     QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats, TerminationKind,
 };
-pub use session::{AppendReport, LayerIndexStats, QuerySession, RecoveryReport};
+pub use session::{AppendReport, CompiledProgram, LayerIndexStats, QuerySession, RecoveryReport};

@@ -520,7 +520,8 @@ pub struct PipelineStats {
     pub adaptive_range_picks: u64,
     /// Interned EDB rows reused from a shared copy-on-write snapshot base
     /// (see [`vadalog_storage::StoreBase`]): rows this run read without
-    /// re-interning or re-indexing them. 0 for a plain (non-session) run.
+    /// re-interning or re-indexing them. 0 for a bare [`Pipeline`] over a
+    /// store of its own; every `Reasoner` run reads a session base.
     pub edb_rows_reused: u64,
     /// Rows the run wrote into its copy-on-write overlays (equals
     /// `facts_derived` plus loaded non-base facts on a session run; on a
@@ -528,10 +529,11 @@ pub struct PipelineStats {
     pub snapshot_overlay_rows: u64,
     /// Hits in the session's (program, adornment) → compiled-plan cache.
     /// Filled in by `QuerySession` (cumulative over the session at the time
-    /// of the run); always 0 for plain runs.
+    /// of the run); always 0 for a bare [`Pipeline`] run.
     pub magic_compile_cache_hits: u64,
     /// Shared row segments under this run's store (the most any relation
-    /// holds): 0 for a plain run, 1 for a fresh session overlay, up to
+    /// holds): 0 for a bare [`Pipeline`] over a store of its own, 1 for a
+    /// fresh session overlay, up to
     /// ⌊log2 rows⌋ + 1 after `append_facts` promotions (see
     /// [`vadalog_storage::StoreBase::promote`]).
     pub base_layers: u64,

@@ -3,17 +3,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use vadalog_analysis::{classify, rule_strata, Fragment, StratificationError};
+use std::time::Duration;
+use vadalog_analysis::{Fragment, StratificationError};
 use vadalog_chase::{TerminationStrategy, TrivialIsoStrategy, WardedStrategy};
 use vadalog_model::prelude::*;
 use vadalog_parser::{parse_program, ParseError};
-use vadalog_rewrite::prepare_rules;
-use vadalog_storage::read_csv_facts;
 
-use crate::outputs::{collect_outputs, OutputFacts};
-use crate::pipeline::{Pipeline, PipelineStats};
-use crate::plan::AccessPlan;
+use crate::outputs::OutputFacts;
+use crate::pipeline::PipelineStats;
 
 /// Which termination strategy the reasoner wraps around its filters.
 ///
@@ -29,7 +26,7 @@ pub enum TerminationKind {
 }
 
 /// Reasoner configuration: the one place the execution knobs live. A
-/// [`Pipeline`] holds a copy ([`Pipeline::with_options`]), a
+/// [`crate::Pipeline`] holds a copy ([`crate::Pipeline::with_options`]), a
 /// [`crate::QuerySession`] and the reasoning server hand theirs down.
 /// [`ReasonerOptions::default`] is constants plus
 /// [`std::thread::available_parallelism`]; no library crate reads the
@@ -158,11 +155,14 @@ impl From<ParseError> for ReasonerError {
 /// Statistics of one reasoning run.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
-    /// Wall-clock time spent rewriting and compiling.
+    /// Wall-clock time spent classifying, rewriting and compiling (and
+    /// ensuring the plan's indexes on the session base).
     pub compile_time: Duration,
-    /// Wall-clock time spent interning and loading the extensional
-    /// database (inline facts and `@bind` sources). Zero for session runs,
-    /// whose EDB was loaded once when the session opened.
+    /// Wall-clock time spent interning the extensional database (inline
+    /// facts and `@bind` sources) and freezing it into the session base:
+    /// reported by a one-shot [`Reasoner::reason`]. Zero for the runs of an
+    /// open [`crate::QuerySession`], whose EDB was loaded once when the
+    /// session opened.
     pub load_time: Duration,
     /// Wall-clock time spent executing the pipeline.
     pub execution_time: Duration,
@@ -176,10 +176,11 @@ pub struct RunStats {
     pub total_facts: usize,
     /// The session base layer stamp this run observed
     /// ([`vadalog_storage::StoreBase::stamp`] at snapshot time): the exact
-    /// append prefix the answers reflect. Always 0 for plain (non-session)
-    /// runs, whose EDB is their own. The reasoning server tags every
-    /// response with it so concurrent read/append interleavings can be
-    /// checked against a fresh session on the same prefix.
+    /// append prefix the answers reflect. Always 0 for a one-shot
+    /// [`Reasoner::reason`], whose base never had an append. The reasoning
+    /// server tags every response with it so concurrent read/append
+    /// interleavings can be checked against a fresh session on the same
+    /// prefix.
     pub base_stamp: u64,
 }
 
@@ -248,65 +249,12 @@ impl Reasoner {
         self.reason(&program)
     }
 
-    /// Run a parsed program. A program with no stratification is refused
-    /// with [`ReasonerError::Unstratifiable`].
+    /// Run a parsed program: a one-shot [`crate::session::QuerySession`]
+    /// that runs its bottom-up plan once, the way
+    /// [`Reasoner::reason_query`] answers one query. A program with no
+    /// stratification is refused with [`ReasonerError::Unstratifiable`].
     pub fn reason(&self, program: &Program) -> Result<RunResult, ReasonerError> {
-        let compile_start = Instant::now();
-
-        let report = classify(program);
-        if self.options.require_warded && !report.is_supported() {
-            return Err(ReasonerError::Unsupported {
-                fragment: report.primary(),
-            });
-        }
-        rule_strata(program).map_err(ReasonerError::Unstratifiable)?;
-
-        // Step 1: logic optimizer (+ harmful-join elimination).
-        let rewritten;
-        let compiled = if self.options.apply_rewriting {
-            rewritten = prepare_rules(program);
-            &rewritten
-        } else {
-            program
-        };
-
-        // Steps 2-4: access plan + executable pipeline.
-        let plan = AccessPlan::compile(compiled);
-        let strategy = make_strategy(self.options.termination);
-        let mut pipeline = Pipeline::new(&plan, strategy).with_options(&self.options);
-        let compile_time = compile_start.elapsed();
-
-        // Load the extensional database: inline facts + @bind CSV sources.
-        let load_start = Instant::now();
-        pipeline.load_facts(&program.facts);
-        pipeline.load_facts(load_bound_facts(compiled)?);
-        let load_time = load_start.elapsed();
-
-        // Execute.
-        let exec_start = Instant::now();
-        let violations = pipeline.run();
-        let execution_time = exec_start.elapsed();
-
-        // Collect and post-process outputs.
-        let pipeline_stats = pipeline.stats();
-        let store = Arc::new(pipeline.into_store());
-        let outputs = collect_outputs(compiled, &plan, &store);
-
-        Ok(RunResult {
-            outputs,
-            violations,
-            stats: RunStats {
-                compile_time,
-                load_time,
-                execution_time,
-                compiled_rules: compiled.rules.len(),
-                fragment: Some(report.primary()),
-                pipeline: pipeline_stats,
-                total_facts: store.len(),
-                base_stamp: 0,
-            },
-            store,
-        })
+        crate::session::QuerySession::new(program, self.options)?.reason_once()
     }
 }
 
@@ -357,26 +305,6 @@ impl Reasoner {
     ) -> Result<crate::session::QuerySession, ReasonerError> {
         crate::session::QuerySession::new(program, self.options)
     }
-}
-
-/// The facts a program's `@bind("P", "csv:...")` annotations denote, read
-/// in annotation order. The single EDB-source loader shared by
-/// [`Reasoner::reason`] and [`crate::session::QuerySession`] — any new
-/// source scheme or read-flag change lands in both entry points at once.
-pub(crate) fn load_bound_facts(program: &Program) -> Result<Vec<Fact>, ReasonerError> {
-    let mut out = Vec::new();
-    for annotation in &program.annotations {
-        if annotation.kind == AnnotationKind::Bind {
-            if let Some(spec) = annotation.args.first() {
-                if let Some(path) = spec.strip_prefix("csv:") {
-                    let facts = read_csv_facts(path, &annotation.predicate.as_str(), false)
-                        .map_err(|e| ReasonerError::Source(e.to_string()))?;
-                    out.extend(facts);
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// The termination-strategy box a [`TerminationKind`] denotes.

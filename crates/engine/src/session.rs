@@ -7,8 +7,9 @@
 //! compiles (or reuses) a plan and runs it to its fixpoint over a fresh
 //! snapshot of the current EDB. Nothing derived is kept between runs
 //! except the exact-key cone cache below. A one-shot
-//! [`Reasoner::reason_query`] is a session that answers one query. Three
-//! costs are paid once per session rather than once per query:
+//! [`Reasoner::reason_query`] is a session that answers one query, and a
+//! one-shot [`Reasoner::reason`] one that runs its bottom-up plan once.
+//! Three costs are paid once per session rather than once per query:
 //!
 //! * **Storage** — the EDB is interned once, its planned indexes are built
 //!   once, and the whole store is frozen into a shareable
@@ -94,7 +95,7 @@ use vadalog_analysis::{classify, rule_strata, Fragment};
 use vadalog_fault as fault;
 use vadalog_model::prelude::*;
 use vadalog_rewrite::{magic_sets, prepare_rules, Adornment};
-use vadalog_storage::{FactStore, StoreBase, TornTail, Wal};
+use vadalog_storage::{read_csv_facts, FactStore, StoreBase, TornTail, Wal};
 
 use crate::outputs::{answer_view, collect_outputs, detached, query_answers, OutputFacts};
 use crate::pipeline::PipelineStats;
@@ -103,24 +104,57 @@ use crate::reasoner::{
     make_strategy, QueryResult, Reasoner, ReasonerError, ReasonerOptions, RunResult, RunStats,
 };
 
-/// One executable compilation of a query shape: the program actually run
-/// (magic-rewritten or the full program), its access plan, and the facts
-/// that must be loaded on top of the shared EDB base (the magic seeds).
-struct CompiledQuery {
-    /// The program handed to the pipeline (post logic-optimizer).
-    program: Program,
+/// One executable compilation of a program: the rules actually run (the
+/// whole program or a magic-rewritten one), its access plan, and the seed
+/// predicate a magic plan loads on top of the shared EDB base.
+pub struct CompiledProgram {
+    /// The rules and annotations handed to the pipeline; no facts.
+    pub program: Arc<Program>,
     /// Its access plan, compiled to the executable form every run of this
     /// shape shares; its index lists are what the base pre-builds.
-    plan: AccessPlan,
+    pub plan: AccessPlan,
     /// The magic seed predicate (`m_Q__bf` style) whose single fact — the
     /// query's bound constants, minted per query — is interned directly
-    /// into the overlay on top of the shared EDB base. `None` for
-    /// fallbacks. The adorned *rules* never mention the query constants, so
+    /// into the overlay on top of the shared EDB base. `None` for the
+    /// fallback. The adorned *rules* never mention the query constants, so
     /// one compilation serves every constant vector of the adornment.
     seed_predicate: Option<Sym>,
-    /// Classification of the program being run (for stats / require_warded).
+    /// Classification of the program as given, before any rewrite (for
+    /// stats / require_warded).
     fragment: Fragment,
     supported: bool,
+}
+
+impl CompiledProgram {
+    /// The one compile step, behind [`Reasoner::reason`], every session
+    /// plan and `vadalog explain`: refuse a program with no stratification
+    /// ([`ReasonerError::Unstratifiable`]), classify it, apply the logic
+    /// optimizer when [`ReasonerOptions::apply_rewriting`] is set, and
+    /// compile the access plan. Reads no data and copies no fact.
+    pub fn compile(
+        program: &Program,
+        options: &ReasonerOptions,
+    ) -> Result<CompiledProgram, ReasonerError> {
+        rule_strata(program).map_err(ReasonerError::Unstratifiable)?;
+        let report = classify(program);
+        let rules = if options.apply_rewriting {
+            prepare_rules(program)
+        } else {
+            Program {
+                rules: program.rules.clone(),
+                facts: Vec::new(),
+                annotations: program.annotations.clone(),
+            }
+        };
+        let plan = AccessPlan::compile(&rules);
+        Ok(CompiledProgram {
+            program: Arc::new(rules),
+            plan,
+            seed_predicate: None,
+            fragment: report.primary(),
+            supported: report.is_supported(),
+        })
+    }
 }
 
 /// How a `(predicate, adornment)` pair is answered. Compilations are
@@ -128,7 +162,7 @@ struct CompiledQuery {
 /// and run the pipeline outside it.
 enum CompiledKind {
     /// The magic-sets rewrite applied: run the adorned program.
-    Magic(Arc<CompiledQuery>),
+    Magic(Arc<CompiledProgram>),
     /// Outside the magic fragment (or magic disabled): run the full program
     /// bottom-up (shared across all fallback adornments) and post-filter.
     Fallback,
@@ -362,8 +396,6 @@ struct SessionCore {
     base: StoreBase,
     /// (predicate, adornment) → compiled artefact.
     compiled: HashMap<(Sym, Adornment), CompiledKind>,
-    /// The shared bottom-up fallback compilation, built on first need.
-    fallback: Option<Arc<CompiledQuery>>,
     /// Stamp memo of the per-plan ensure-index pass: the base stamp at
     /// which each compiled plan — a magic shape, or `None` for the
     /// bottom-up fallback — last had its planned EDB indexes ensured. A
@@ -467,7 +499,7 @@ impl SessionCore {
 
     /// Walk a compiled plan's EDB index column lists on the shared base,
     /// memoised against the base stamp (`key = None` is the fallback plan).
-    fn ensure_plan_indexes(&mut self, key: Option<(Sym, Adornment)>, compiled: &CompiledQuery) {
+    fn ensure_plan_indexes(&mut self, key: Option<(Sym, Adornment)>, compiled: &CompiledProgram) {
         let stamp = self.base.stamp();
         if self.ensured_stamps.get(&key) == Some(&stamp) {
             return;
@@ -505,6 +537,24 @@ impl SessionCore {
     }
 }
 
+/// The facts a program's `@bind("P", "csv:...")` annotations denote, read
+/// in annotation order: the EDB sources [`QuerySession::new`] interns.
+fn load_bound_facts(program: &Program) -> Result<Vec<Fact>, ReasonerError> {
+    let mut out = Vec::new();
+    for annotation in &program.annotations {
+        if annotation.kind == AnnotationKind::Bind {
+            if let Some(spec) = annotation.args.first() {
+                if let Some(path) = spec.strip_prefix("csv:") {
+                    let facts = read_csv_facts(path, &annotation.predicate.as_str(), false)
+                        .map_err(|e| ReasonerError::Source(e.to_string()))?;
+                    out.extend(facts);
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// A fault point inside the append commit section, where returning an error
 /// would leave the core half-mutated: any injected schedule here crashes the
 /// thread (the crash-recovery tests' kill switch), it never returns.
@@ -522,13 +572,17 @@ fn crash_point(name: &'static str) {
 /// cache. See the [module docs](self).
 pub struct QuerySession {
     options: ReasonerOptions,
-    /// The original program's rules and annotations (compiled once for the
-    /// bottom-up fallback); its facts live in the base.
-    program: Arc<Program>,
+    /// The whole program's compilation, run by [`QuerySession::reason`]
+    /// and by every query outside the magic fragment.
+    fallback: Arc<CompiledProgram>,
     /// `prepare_rules(program)`, which carries no facts: the input of the
     /// magic-sets rewrite (facts live in the base, seeds are minted by the
-    /// rewrite).
+    /// rewrite). The fallback's own rules when rewriting is on, so the
+    /// logic optimizer runs once per session.
     rules_only: Arc<Program>,
+    /// Wall-clock of opening the session: compile, then EDB intern and
+    /// freeze. Only a one-shot [`Reasoner::reason`] reports them.
+    open_times: (Duration, Duration),
     /// Everything else — see [`SessionCore`].
     shared: Arc<Mutex<SessionCore>>,
 }
@@ -568,18 +622,26 @@ pub struct RecoveryReport {
 pub type LayerIndexStats = (String, Vec<usize>, Vec<(usize, usize)>);
 
 impl QuerySession {
-    /// Open a session: normalise the program, intern the extensional
-    /// database (inline facts plus `@bind` CSV sources, in program order —
-    /// the one EDB intern pass of the session) and freeze the store into
-    /// the shared base. A program with no stratification is refused with
-    /// [`ReasonerError::Unstratifiable`].
+    /// Open a session: compile the program ([`CompiledProgram::compile`]),
+    /// intern the extensional database (inline facts plus `@bind` CSV
+    /// sources, in program order — the one EDB intern pass of the session)
+    /// and freeze the store into the shared base.
     pub fn new(program: &Program, options: ReasonerOptions) -> Result<QuerySession, ReasonerError> {
-        rule_strata(program).map_err(ReasonerError::Unstratifiable)?;
-        let rules_only = prepare_rules(program);
-        let bound = crate::reasoner::load_bound_facts(&rules_only)?;
+        let compile_start = Instant::now();
+        let fallback = Arc::new(CompiledProgram::compile(program, &options)?);
+        let rules_only = if options.apply_rewriting {
+            Arc::clone(&fallback.program)
+        } else {
+            Arc::new(prepare_rules(program))
+        };
+        let compile_time = compile_start.elapsed();
+        let load_start = Instant::now();
+        let bound = load_bound_facts(program)?;
         let edb = || program.facts.iter().chain(&bound);
         let mut store = FactStore::new();
         store.load_facts(edb());
+        let base = store.freeze();
+        let load_time = load_start.elapsed();
         // head predicate → body predicates, for precise cone invalidation.
         let mut rule_inputs: HashMap<Sym, BTreeSet<Sym>> = HashMap::new();
         for rule in &rules_only.rules {
@@ -593,9 +655,8 @@ impl QuerySession {
         }
         let core = SessionCore {
             options,
-            base: store.freeze(),
+            base,
             compiled: HashMap::new(),
-            fallback: None,
             ensured_stamps: HashMap::new(),
             cones: ConeCache::new(options.cone_cache_cap, options.cone_cache_bytes),
             hit_store: None,
@@ -613,14 +674,21 @@ impl QuerySession {
         };
         Ok(QuerySession {
             options,
-            program: Arc::new(Program {
-                rules: program.rules.clone(),
-                facts: Vec::new(),
-                annotations: program.annotations.clone(),
-            }),
-            rules_only: Arc::new(rules_only),
+            fallback,
+            rules_only,
+            open_times: (compile_time, load_time),
             shared: Arc::new(Mutex::new(core)),
         })
+    }
+
+    /// [`QuerySession::reason`] once, reporting the session's open costs as
+    /// the run's own: what [`Reasoner::reason`] returns.
+    pub(crate) fn reason_once(mut self) -> Result<RunResult, ReasonerError> {
+        let mut run = self.reason()?;
+        let (compile_time, load_time) = self.open_times;
+        run.stats.compile_time += compile_time;
+        run.stats.load_time = load_time;
+        Ok(run)
     }
 
     /// Open a **durable** session: replay the write-ahead log at `wal_path`
@@ -689,8 +757,9 @@ impl QuerySession {
     pub fn fork(&self) -> QuerySession {
         QuerySession {
             options: self.options,
-            program: Arc::clone(&self.program),
+            fallback: Arc::clone(&self.fallback),
             rules_only: Arc::clone(&self.rules_only),
+            open_times: self.open_times,
             shared: Arc::clone(&self.shared),
         }
     }
@@ -871,15 +940,14 @@ impl QuerySession {
     /// the base.
     pub fn reason(&mut self) -> Result<RunResult, ReasonerError> {
         let compile_start = Instant::now();
-        let mut core = self.core();
-        let compiled = self.fallback(&mut core);
+        let compiled = &self.fallback;
         if self.options.require_warded && !compiled.supported {
             return Err(ReasonerError::Unsupported {
                 fragment: compiled.fragment,
             });
         }
         Ok(self
-            .run_snapshot(core, None, &compiled, None, compile_start)
+            .run_snapshot(self.core(), None, compiled, None, compile_start)
             .0)
     }
 
@@ -925,21 +993,19 @@ impl QuerySession {
                         .first()
                         .map(|f| f.predicate)
                         .expect("magic rewrites always mint a seed fact");
-                    CompiledKind::Magic(Arc::new(Self::compile(
-                        &magic.program,
-                        Some(seed),
-                        &self.options,
-                    )))
+                    let mut compiled = CompiledProgram::compile(&magic.program, &self.options)?;
+                    compiled.seed_predicate = Some(seed);
+                    CompiledKind::Magic(Arc::new(compiled))
                 }
                 Err(_) => CompiledKind::Fallback,
             };
             core_ref.compiled.insert(key.clone(), kind);
         }
-        let (compiled, used_magic_sets): (Arc<CompiledQuery>, bool) = match &core_ref.compiled[&key]
-        {
-            CompiledKind::Magic(c) => (Arc::clone(c), true),
-            CompiledKind::Fallback => (self.fallback(core_ref), false),
-        };
+        let (compiled, used_magic_sets): (Arc<CompiledProgram>, bool) =
+            match &core_ref.compiled[&key] {
+                CompiledKind::Magic(c) => (Arc::clone(c), true),
+                CompiledKind::Fallback => (Arc::clone(&self.fallback), false),
+            };
         if self.options.require_warded && !compiled.supported {
             return Err(ReasonerError::Unsupported {
                 fragment: compiled.fragment,
@@ -1016,7 +1082,7 @@ impl QuerySession {
         &self,
         mut core: MutexGuard<'_, SessionCore>,
         plan_key: Option<(Sym, Adornment)>,
-        compiled: &CompiledQuery,
+        compiled: &CompiledProgram,
         query: Option<&Atom>,
         compile_start: Instant,
     ) -> (RunResult, Vec<Fact>) {
@@ -1125,37 +1191,6 @@ impl QuerySession {
                 },
                 store,
             },
-        }
-    }
-
-    /// The shared bottom-up fallback compilation, built on first need.
-    fn fallback(&self, core: &mut SessionCore) -> Arc<CompiledQuery> {
-        let compile = || Arc::new(Self::compile(&self.program, None, &self.options));
-        Arc::clone(core.fallback.get_or_insert_with(compile))
-    }
-
-    /// Compile one runnable program exactly the way [`Reasoner::reason`]
-    /// would: classify, apply the logic optimizer (per the options) and
-    /// compile the access plan, the executable form every run of this
-    /// shape reuses.
-    fn compile(
-        program: &Program,
-        seed_predicate: Option<Sym>,
-        options: &ReasonerOptions,
-    ) -> CompiledQuery {
-        let report = classify(program);
-        let compiled = if options.apply_rewriting {
-            prepare_rules(program)
-        } else {
-            program.clone()
-        };
-        let plan = AccessPlan::compile(&compiled);
-        CompiledQuery {
-            program: compiled,
-            plan,
-            seed_predicate,
-            fragment: report.primary(),
-            supported: report.is_supported(),
         }
     }
 }

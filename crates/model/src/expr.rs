@@ -431,7 +431,7 @@ impl Expr {
 fn eval_unary(op: UnaryOp, v: &Value) -> Result<Value, EvalError> {
     match op {
         UnaryOp::Neg => match v {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => checked(i.checked_neg(), "-"),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(EvalError::TypeError(format!("cannot negate {other}"))),
         },
@@ -446,21 +446,21 @@ fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
     use Value::*;
     match op {
         BinOp::Add => match (a, b) {
-            (Int(x), Int(y)) => Ok(Int(x + y)),
+            (Int(x), Int(y)) => checked(x.checked_add(*y), "+"),
             (Str(x), Str(y)) => Ok(Value::string(format!("{x}{y}"))),
             _ => numeric(op, a, b, |x, y| Ok(x + y)),
         },
         BinOp::Sub => match (a, b) {
-            (Int(x), Int(y)) => Ok(Int(x - y)),
+            (Int(x), Int(y)) => checked(x.checked_sub(*y), "-"),
             _ => numeric(op, a, b, |x, y| Ok(x - y)),
         },
         BinOp::Mul => match (a, b) {
-            (Int(x), Int(y)) => Ok(Int(x * y)),
+            (Int(x), Int(y)) => checked(x.checked_mul(*y), "*"),
             _ => numeric(op, a, b, |x, y| Ok(x * y)),
         },
         BinOp::Div => match (a, b) {
             (Int(_), Int(0)) => Err(EvalError::Arithmetic("division by zero".into())),
-            (Int(x), Int(y)) => Ok(Int(x / y)),
+            (Int(x), Int(y)) => checked(x.checked_div(*y), "/"),
             _ => numeric(op, a, b, |x, y| {
                 if y == 0.0 {
                     Err(EvalError::Arithmetic("division by zero".into()))
@@ -471,7 +471,7 @@ fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
         },
         BinOp::Mod => match (a, b) {
             (Int(_), Int(0)) => Err(EvalError::Arithmetic("modulo by zero".into())),
-            (Int(x), Int(y)) => Ok(Int(x % y)),
+            (Int(x), Int(y)) => checked(x.checked_rem(*y), "%"),
             _ => numeric(op, a, b, |x, y| Ok(x % y)),
         },
         BinOp::Pow => numeric(op, a, b, |x, y| Ok(x.powf(y))),
@@ -484,6 +484,15 @@ fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
             _ => Err(EvalError::TypeError(format!("{a} || {b}"))),
         },
     }
+}
+
+/// An `Int` result, or [`EvalError::Arithmetic`] when the `i64` operation
+/// `op` overflowed: integer arithmetic neither wraps nor panics, so a match
+/// whose expression overflows derives nothing, as division by zero does.
+fn checked(result: Option<i64>, op: &str) -> Result<Value, EvalError> {
+    result
+        .map(Value::Int)
+        .ok_or_else(|| EvalError::Arithmetic(format!("integer overflow in `{op}`")))
 }
 
 fn numeric(
@@ -702,6 +711,35 @@ mod tests {
         );
         assert!(matches!(
             e.eval(&Substitution::new()),
+            Err(EvalError::Arithmetic(_))
+        ));
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error() {
+        let bin = |op, a: i64, b: i64| {
+            Expr::Binary(op, Box::new(Expr::constant(a)), Box::new(Expr::constant(b)))
+                .eval(&Substitution::new())
+        };
+        for (op, a, b) in [
+            (BinOp::Add, i64::MAX, 1),
+            (BinOp::Sub, i64::MIN, 1),
+            (BinOp::Mul, i64::MAX, 2),
+            (BinOp::Div, i64::MIN, -1),
+            (BinOp::Mod, i64::MIN, -1),
+        ] {
+            assert!(
+                matches!(bin(op, a, b), Err(EvalError::Arithmetic(_))),
+                "{a} {op} {b}"
+            );
+        }
+        assert_eq!(
+            bin(BinOp::Add, i64::MAX - 1, 1).unwrap(),
+            Value::Int(i64::MAX)
+        );
+        let neg = Expr::Unary(UnaryOp::Neg, Box::new(Expr::constant(i64::MIN)));
+        assert!(matches!(
+            neg.eval(&Substitution::new()),
             Err(EvalError::Arithmetic(_))
         ));
     }

@@ -109,8 +109,8 @@ pub struct ServerConfig {
     /// client is shed with [`Response::Overloaded`] while other clients'
     /// requests are still admitted. `0` disables the per-client bound.
     pub client_quota: usize,
-    /// Reasoner options for the shared session (parallelism, cone cache,
-    /// compaction threshold, ...).
+    /// Reasoner options for the shared session (parallelism, join
+    /// strategy, cone-cache bounds, ...).
     pub options: ReasonerOptions,
 }
 

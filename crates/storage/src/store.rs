@@ -1219,7 +1219,7 @@ impl Segment {
 ///   snapshot;
 /// * its **own** mutable rows, which continue the `FactId` space after the
 ///   segments' rows;
-/// * one [`SortedIndex`] per requested column list, each covering **all**
+/// * one `SortedIndex` per requested column list, each covering **all**
 ///   of the relation's rows: `Arc`-shared sorted runs plus a tail.
 ///
 /// A relation built by inserts alone has no segment. An **overlay** of a
